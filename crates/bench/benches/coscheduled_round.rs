@@ -1,30 +1,21 @@
-//! Bench: deterministic parallel cycle execution.
+//! Bench: the coscheduled search's priority-queue driver against its
+//! rescan oracle, recorded in `BENCH_select.json` as `coscheduled_round`.
 //!
-//! Two claims, recorded in `BENCH_select.json`:
-//!
-//! * **`coscheduled_round`** — the lazy-revalidated priority-queue driver
-//!   behind [`find_alternatives_coscheduled`] against the retained
-//!   full-rescan driver ([`find_alternatives_coscheduled_rescan`]) at
-//!   batch 50/200/800. The rescan driver re-evaluates every live scan
-//!   after every commit (`O(batch²)` scan runs per pass); the queue
-//!   driver re-stamps stale heap keys via the monotone-window-start
-//!   survivability check and re-runs only invalidated scans
-//!   (`O(batch log batch)` heap traffic in the common case). The ratio
-//!   therefore widens with the batch size.
-//! * **`cycle_threads`** — one full [`run_iteration_cached_with`] cycle
-//!   over a thread-count × batch-size grid. On a single-core host the
-//!   `threads > 1` points measure the deterministic-reduction machinery's
-//!   overhead (outcome identity is asserted by the engine A/B tests); on
-//!   a many-core host they measure the speedup.
+//! The lazy-revalidated priority-queue driver behind
+//! [`find_alternatives_coscheduled`] runs against the retained full-rescan
+//! driver ([`find_alternatives_coscheduled_rescan`]) at batch 50/200/800.
+//! The rescan driver re-evaluates every live scan after every commit
+//! (`O(batch²)` scan runs per pass); the queue driver re-stamps stale heap
+//! keys via the monotone-window-start survivability check and re-runs only
+//! invalidated scans (`O(batch log batch)` heap traffic in the common
+//! case). The ratio therefore widens with the batch size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecosched_core::{
     Batch, Job, JobId, NodeId, Perf, Price, ResourceRequest, Slot, SlotId, SlotList, Span,
     TimeDelta, TimePoint,
 };
-use ecosched_optimize::IncrementalOptimizer;
 use ecosched_select::{find_alternatives_coscheduled, find_alternatives_coscheduled_rescan, Amp};
-use ecosched_sim::{run_iteration_cached_with, IterationConfig, Parallelism, SearchMode};
 use std::hint::black_box;
 
 const NODES: u64 = 64;
@@ -100,44 +91,5 @@ fn bench_coscheduled_round(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cycle_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cycle_threads");
-    for n in [10u32, 100] {
-        let list = dense_list(gens_for(n));
-        let batch = two_node_batch(n);
-        for mode in [SearchMode::Sequential, SearchMode::Coscheduled] {
-            let config = IterationConfig {
-                search_mode: mode,
-                ..IterationConfig::default()
-            };
-            let label = match mode {
-                SearchMode::Sequential => "seq",
-                SearchMode::Coscheduled => "cos",
-            };
-            for threads in [1usize, 2, 4] {
-                let name = format!("{label}_t{threads}");
-                let id = BenchmarkId::new(&name, n);
-                group.bench_with_input(id, &n, |b, _| {
-                    b.iter(|| {
-                        let mut optimizer = IncrementalOptimizer::new();
-                        black_box(
-                            run_iteration_cached_with(
-                                Amp::new(),
-                                black_box(&list),
-                                &batch,
-                                &config,
-                                &mut optimizer,
-                                Parallelism::new(threads),
-                            )
-                            .unwrap(),
-                        )
-                    });
-                });
-            }
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_coscheduled_round, bench_cycle_threads);
+criterion_group!(benches, bench_coscheduled_round);
 criterion_main!(benches);

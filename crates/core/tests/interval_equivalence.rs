@@ -370,7 +370,7 @@ proptest! {
     /// observable after every step, then across representation
     /// conversion and serde.
     #[test]
-    fn interval_market_is_observably_identical_to_flat(
+    fn interval_form_is_observably_identical_to_flat(
         seed in seed_slots_strategy(),
         ops in prop::collection::vec(op_strategy(), 1..40),
     ) {

@@ -118,34 +118,16 @@ pub struct EngineConfig {
     /// The bounded-slowdown threshold τ in ticks:
     /// `max((wait + run) / max(run, τ), 1)`.
     pub slowdown_tau: i64,
-    /// Worker threads for each cycle's scheduling iteration (alternatives
-    /// scans and DP row construction fan out across this many workers).
-    /// An execution knob, **never** an outcome knob: the engine report and
-    /// event-log hash are byte-identical at every thread count, and the
-    /// configuration fingerprint normalizes `threads` to 1 before hashing
-    /// so recorded runs replay regardless of the machine they were
-    /// captured on. Default 1 (fully sequential, today's behavior).
-    pub threads: usize,
     /// The job stream.
     pub arrivals: ArrivalConfig,
-    /// Whether the vacant market uses the interval-timeline representation
-    /// ([`ecosched_core::MarketRepr::Interval`]) instead of the flat
-    /// start-ordered list. Like `threads`, an execution knob and **never**
-    /// an outcome knob: the two representations are observably identical
-    /// (same slots, same minted ids, same iteration order), so the engine
-    /// report and event-log hash are byte-identical either way — the A/B
-    /// determinism tests pin exactly that. The flag is therefore *omitted*
-    /// from the serialized form and from the configuration fingerprint
-    /// (decoding always yields the default `true`), which keeps old
-    /// checkpoints resumable under either representation. Default on.
-    pub interval_market: bool,
 }
 
-// Manual serde, replicating the derive's field order for every field
-// except `interval_market`, which is deliberately absent from the wire:
-// the representation never changes an outcome, so fingerprints and
-// checkpoints must not depend on it (a decoded config always carries the
-// default `true`; flip it in code for A/B runs).
+// Manual serde: the derive's field order, plus one reserved entry. Earlier
+// builds carried a `threads` worker-pool width between `slowdown_tau` and
+// `arrivals` and normalized it to 1 before fingerprinting; the key stays on
+// the wire as that constant so every configuration fingerprint, snapshot
+// and WAL manifest written by those builds still matches byte for byte.
+// Decoding ignores the key, whatever it holds or whether it is there.
 impl Serialize for EngineConfig {
     fn to_value(&self) -> serde::Value {
         serde::Value::Map(vec![
@@ -166,7 +148,7 @@ impl Serialize for EngineConfig {
                 self.completion_fraction.to_value(),
             ),
             ("slowdown_tau".to_string(), self.slowdown_tau.to_value()),
-            ("threads".to_string(), self.threads.to_value()),
+            ("threads".to_string(), 1usize.to_value()), // reserved
             ("arrivals".to_string(), self.arrivals.to_value()),
         ])
     }
@@ -189,9 +171,7 @@ impl<'de> Deserialize<'de> for EngineConfig {
                 "completion_fraction",
             )?)?,
             slowdown_tau: Deserialize::from_value(serde::get_field(value, "slowdown_tau")?)?,
-            threads: Deserialize::from_value(serde::get_field(value, "threads")?)?,
             arrivals: Deserialize::from_value(serde::get_field(value, "arrivals")?)?,
-            interval_market: true,
         })
     }
 }
@@ -212,13 +192,11 @@ impl Default for EngineConfig {
             vos: 3,
             completion_fraction: 0.75,
             slowdown_tau: 10,
-            threads: 1,
             arrivals: ArrivalConfig::Poisson {
                 mean_interarrival: 12.0,
                 jobs: 40,
                 job_gen: JobGenConfig::default(),
             },
-            interval_market: true,
         }
     }
 }
@@ -250,9 +228,6 @@ impl EngineConfig {
             return Err(ConfigError::NotPositive {
                 field: "slowdown_tau",
             });
-        }
-        if self.threads == 0 {
-            return Err(ConfigError::NotPositive { field: "threads" });
         }
         self.slot_gen.validate()?;
         self.revocation.validate()?;
@@ -290,14 +265,6 @@ mod tests {
             Err(ConfigError::NotAProbability {
                 field: "completion_fraction"
             })
-        );
-        let bad = EngineConfig {
-            threads: 0,
-            ..EngineConfig::default()
-        };
-        assert_eq!(
-            bad.validate(),
-            Err(ConfigError::NotPositive { field: "threads" })
         );
         let bad = EngineConfig {
             arrivals: ArrivalConfig::Poisson {

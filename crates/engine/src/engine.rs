@@ -43,8 +43,8 @@ use ecosched_optimize::IncrementalOptimizer;
 use ecosched_select::{repair_search, try_adopt_window, RepairError, ScanStats, SlotSelector};
 use ecosched_sim::swf::batch_from_swf;
 use ecosched_sim::{
-    run_iteration_cached_with, run_iteration_with, ConfigError, IterationError, JobGenerator,
-    Parallelism, RevocationModel, SlotGenerator,
+    run_iteration, run_iteration_cached, ConfigError, IterationError, JobGenerator,
+    RevocationModel, SlotGenerator,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::{ChaCha8Rng, ChaChaState};
@@ -449,33 +449,14 @@ impl<S: SlotSelector + Copy> Engine<S> {
         &self.config
     }
 
-    /// The market representation this engine runs with — interval
-    /// timelines unless `interval_market` is switched off for an A/B run.
-    #[must_use]
-    pub fn market_repr(&self) -> MarketRepr {
-        if self.config.interval_market {
-            MarketRepr::Interval
-        } else {
-            MarketRepr::Flat
-        }
-    }
-
     /// FNV-1a 64 fingerprint of the configuration and selector name.
     ///
     /// Checkpoints carry this value; [`Self::resume`] refuses a
     /// checkpoint whose fingerprint differs, because replay only
     /// converges under the identical `(config, selector)` pair.
-    ///
-    /// `threads` is normalized to 1 before hashing: the worker-thread
-    /// budget never changes an outcome, so a checkpoint captured on one
-    /// machine must replay on another with a different thread count.
-    /// `interval_market` never reaches the hash at all — the
-    /// representation flag is absent from the serialized configuration.
     #[must_use]
     pub fn config_fingerprint(&self) -> u64 {
-        let mut normalized = self.config.clone();
-        normalized.threads = 1;
-        let json = serde_json::to_string(&normalized).unwrap_or_default();
+        let json = serde_json::to_string(&self.config).unwrap_or_default();
         fnv1a_64(format!("{}|{json}", self.selector.name()).as_bytes())
     }
 
@@ -529,7 +510,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             arrivals,
             slot_gen: SlotGenerator::new(self.config.slot_gen),
             revocation: RevocationModel::new(self.config.revocation),
-            vacant: SlotList::new_with_repr(self.market_repr()),
+            vacant: SlotList::new_with_repr(MarketRepr::Interval),
             next_node: 0,
             pending: Vec::new(),
             leases: BTreeMap::new(),
@@ -746,10 +727,10 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 .collect(),
             slot_gen: SlotGenerator::new(self.config.slot_gen),
             revocation: RevocationModel::new(self.config.revocation),
-            // A checkpoint may carry either market representation; the
-            // resumed run uses the one this engine is configured for
-            // (the conversion is observable-state-preserving).
-            vacant: checkpoint.vacant.clone().with_repr(self.market_repr()),
+            // A format-1 checkpoint carries the flat form; the live market
+            // is always the interval form (the conversion preserves every
+            // observable: slots, ids, iteration order).
+            vacant: checkpoint.vacant.clone().with_repr(MarketRepr::Interval),
             next_node: checkpoint.next_node,
             pending: checkpoint
                 .pending
@@ -1011,24 +992,16 @@ impl<S: SlotSelector + Copy> Engine<S> {
                     .map(|(i, p)| Job::new(JobId::new(i as u32), p.request))
                     .collect();
                 let batch = Batch::from_jobs(jobs).expect("re-keyed ids are unique");
-                let parallelism = Parallelism::new(self.config.threads);
                 let result = if self.config.optimizer_cache {
-                    run_iteration_cached_with(
+                    run_iteration_cached(
                         self.selector,
                         &market,
                         &batch,
                         &self.config.iteration,
                         &mut state.optimizer,
-                        parallelism,
                     )?
                 } else {
-                    run_iteration_with(
-                        self.selector,
-                        &market,
-                        &batch,
-                        &self.config.iteration,
-                        parallelism,
-                    )?
+                    run_iteration(self.selector, &market, &batch, &self.config.iteration)?
                 };
                 state.report.opt.merge(&result.opt);
                 let per_job = result.search.alternatives.per_job();

@@ -1,7 +1,7 @@
 //! Engine-level observability: live counters, gauges, and cycle spans.
 //!
-//! [`EngineObs`] is the engine's recorder handle — runtime state like
-//! the `Parallelism` worker budget, never serialized, absent from
+//! [`EngineObs`] is the engine's recorder handle — runtime state,
+//! never serialized, absent from
 //! [`Engine::config_fingerprint`](crate::Engine::config_fingerprint)
 //! and from checkpoints. Every method is a no-op when observability is
 //! off, and a recorder-on run is byte-identical to a recorder-off run

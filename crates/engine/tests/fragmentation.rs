@@ -6,10 +6,9 @@
 //! This is the scenario the interval-timeline representation exists for:
 //! each carve is an `O(log n)` split and each merge an `O(log n)` join,
 //! so the bound below is also what keeps the per-cycle market work flat
-//! over arbitrarily long runs. The test drives both representations and
-//! pins (a) the bound, (b) that they agree on every sampled market, and
-//! (c) that coalescing is genuinely load-bearing — the uncoalesced run
-//! must fragment measurably worse, else the regression test is vacuous.
+//! over arbitrarily long runs. The test pins (a) the bound and (b) that
+//! coalescing is genuinely load-bearing — the uncoalesced run must
+//! fragment measurably worse, else the regression test is vacuous.
 
 use ecosched_engine::{ArrivalConfig, Engine, EngineConfig};
 use ecosched_select::Amp;
@@ -17,12 +16,11 @@ use ecosched_sim::{JobGenConfig, RevocationConfig};
 
 /// A long, dense, churned scenario: 40 cycles, a steady arrival stream,
 /// and per-slot revocation pressure.
-fn churn_config(interval_market: bool, coalesce: bool) -> EngineConfig {
+fn churn_config(coalesce: bool) -> EngineConfig {
     EngineConfig {
         cycles: 40,
         revocation: RevocationConfig::per_slot(0.05),
         coalesce,
-        interval_market,
         arrivals: ArrivalConfig::Poisson {
             mean_interarrival: 6.0,
             jobs: 120,
@@ -33,26 +31,20 @@ fn churn_config(interval_market: bool, coalesce: bool) -> EngineConfig {
 }
 
 /// Steps a run to completion, sampling the vacant-market size after
-/// every logged event. Returns (per-sample sizes, final report json).
-fn market_sizes(config: EngineConfig) -> (Vec<usize>, String) {
+/// every logged event.
+fn market_sizes(config: EngineConfig) -> Vec<usize> {
     let engine = Engine::new(config, Amp::new()).unwrap();
     let mut state = engine.start(42);
     let mut sizes = Vec::new();
     while engine.step(&mut state).unwrap().is_some() {
         sizes.push(engine.checkpoint(&state).vacant.len());
     }
-    let run = engine.finish(state);
-    (sizes, run.report.to_json())
+    sizes
 }
 
 #[test]
 fn coalesced_market_size_stays_bounded_under_churn() {
-    let (interval_sizes, interval_report) = market_sizes(churn_config(true, true));
-    let (flat_sizes, flat_report) = market_sizes(churn_config(false, true));
-
-    // Identical trajectories: the representations agree at every sample.
-    assert_eq!(interval_sizes, flat_sizes, "market sizes diverge per repr");
-    assert_eq!(interval_report, flat_report, "reports diverge per repr");
+    let sizes = market_sizes(churn_config(true));
 
     // The regression bound. The scenario plateaus around 950 live slots
     // mid-run (carve remnants balanced by expiry and coalescing) and
@@ -60,7 +52,7 @@ fn coalesced_market_size_stays_bounded_under_churn() {
     // "leak". A remnant leak (coalesce or expiry regression) grows
     // linearly in committed windows and blows past this within a few of
     // the 40 cycles.
-    let peak = interval_sizes.iter().copied().max().unwrap();
+    let peak = sizes.iter().copied().max().unwrap();
     assert!(
         peak <= 1_500,
         "vacant market fragmented to {peak} slots — remnants are leaking"
@@ -68,7 +60,7 @@ fn coalesced_market_size_stays_bounded_under_churn() {
 
     // And the run was actually hostile: churn fired, slots were carved.
     assert!(
-        interval_sizes.len() > 1_000,
+        sizes.len() > 1_000,
         "scenario too small to regress fragmentation"
     );
 }
@@ -77,8 +69,8 @@ fn coalesced_market_size_stays_bounded_under_churn() {
 fn coalescing_is_load_bearing() {
     // Without the merge pass the same scenario must fragment measurably
     // worse — otherwise the bound above tests nothing.
-    let (coalesced, _) = market_sizes(churn_config(true, true));
-    let (shredded, _) = market_sizes(churn_config(true, false));
+    let coalesced = market_sizes(churn_config(true));
+    let shredded = market_sizes(churn_config(false));
 
     let peak_coalesced = coalesced.iter().copied().max().unwrap();
     let peak_shredded = shredded.iter().copied().max().unwrap();
@@ -87,9 +79,4 @@ fn coalescing_is_load_bearing() {
         "uncoalesced run ({peak_shredded}) did not fragment past the \
          coalesced run ({peak_coalesced}) — the scenario has gone stale"
     );
-
-    // The uncoalesced run must still match its flat twin — fragmentation
-    // changes the partitioning, never the representation contract.
-    let (shredded_flat, _) = market_sizes(churn_config(false, false));
-    assert_eq!(shredded, shredded_flat);
 }

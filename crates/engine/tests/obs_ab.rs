@@ -143,15 +143,6 @@ fn recorder_is_outcome_invisible_coscheduled() {
 }
 
 #[test]
-fn recorder_is_outcome_invisible_threaded() {
-    let config = EngineConfig {
-        threads: 4,
-        ..churn_config()
-    };
-    assert_recorder_invisible(config, 42);
-}
-
-#[test]
 fn recorder_survives_checkpoint_resume_untouched() {
     // Checkpoints must not carry (or require) the recorder: a checkpoint
     // taken on an observed run resumes on an unobserved engine and

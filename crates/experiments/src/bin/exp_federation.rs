@@ -45,12 +45,12 @@
 use std::path::{Path, PathBuf};
 
 use ecosched_engine::{Engine, EngineIds, EngineObs, Event};
-use ecosched_experiments::arg_value;
 use ecosched_experiments::federation::{
     base_config, fed_config, federation_table, run_federation_sweep, FEDERATION_GAPS,
     FEDERATION_SHARDS,
 };
 use ecosched_experiments::online::OnlineConfig;
+use ecosched_experiments::{arg_value, reject_unknown_flags};
 use ecosched_federation::{FedIds, Federation, FederationObs, FederationRun};
 use ecosched_obs::{Recorder, RegistryBuilder};
 use ecosched_persist::{read_federated_snapshot, write_federated_snapshot};
@@ -187,7 +187,23 @@ fn resume_flow(fed: &Federation<Amp>, shards: u32, mean_gap: f64, snapshot_path:
     print_cell(shards, mean_gap, &fed.finish(state));
 }
 
+/// Every flag the module docs describe; anything else is refused.
+const FLAGS: &[&str] = &[
+    "--seed",
+    "--cycles",
+    "--smoke",
+    "--shards",
+    "--mean-gap",
+    "--single",
+    "--snapshot-every",
+    "--snapshot-path",
+    "--kill-at-event",
+    "--resume",
+    "--metrics-dump",
+];
+
 fn main() {
+    reject_unknown_flags(FLAGS);
     let config = OnlineConfig {
         seed: arg_value("--seed").unwrap_or(42),
         cycles: arg_value("--cycles").unwrap_or(12),

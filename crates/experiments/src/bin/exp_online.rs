@@ -3,7 +3,7 @@
 //! batch-cycle baseline.
 //!
 //! Usage: `exp_online [--seed S] [--cycles C] [--jobs J] [--churn P]
-//! [--mean-gap G] [--threads N] [--no-coalesce] [--smoke] [--saturate]
+//! [--mean-gap G] [--no-coalesce] [--smoke] [--saturate]
 //! [--trace FILE.swf [--trace-scale SECS_PER_TICK]]`.
 //!
 //! `--trace FILE.swf` replays a Standard Workload Format trace (E16)
@@ -23,11 +23,6 @@
 //!
 //! `--no-coalesce` disables the engine's cycle-commit slot coalescing —
 //! the fragmentation A/B baseline for EXPERIMENTS.md E15.
-//!
-//! `--threads N` fans each cycle's per-job scans and DP rows across `N`
-//! workers. Purely an execution knob: every hash and report line is
-//! byte-identical to the single-threaded run, which is exactly what the
-//! CI online-smoke job diffs.
 //!
 //! `--smoke` runs the determinism smoke check used by CI: every grid cell
 //! is run twice and the process exits non-zero if any pair of identically
@@ -62,12 +57,12 @@
 use std::path::{Path, PathBuf};
 
 use ecosched_engine::{Engine, EngineIds, EngineObs, EngineReport, Event, EventLog};
-use ecosched_experiments::arg_value;
 use ecosched_experiments::online::{
     batch_table, engine_config, online_table, run_batch_baseline, run_online, run_saturation,
     saturation_table, OnlineConfig, SATURATION_GAPS,
 };
 use ecosched_experiments::trace::{parse_swf, run_trace, trace_config, trace_table};
+use ecosched_experiments::{arg_value, reject_unknown_flags};
 use ecosched_obs::{Recorder, RegistryBuilder};
 use ecosched_persist::{decode_snapshot, resume_from, write_snapshot};
 use ecosched_select::{Alp, Amp, SlotSelector};
@@ -213,7 +208,30 @@ fn resume_flow<S: SlotSelector + Copy>(
     }
 }
 
+/// Every flag the module docs describe; anything else is refused.
+const FLAGS: &[&str] = &[
+    "--seed",
+    "--cycles",
+    "--jobs",
+    "--churn",
+    "--mean-gap",
+    "--no-coalesce",
+    "--smoke",
+    "--saturate",
+    "--trace",
+    "--trace-scale",
+    "--single",
+    "--scenario",
+    "--algo",
+    "--snapshot-every",
+    "--snapshot-path",
+    "--kill-at-event",
+    "--resume",
+    "--metrics-dump",
+];
+
 fn main() {
+    reject_unknown_flags(FLAGS);
     let config = OnlineConfig {
         seed: arg_value("--seed").unwrap_or(42),
         cycles: arg_value("--cycles").unwrap_or(12),
@@ -221,7 +239,6 @@ fn main() {
         churn: arg_value("--churn").unwrap_or(0.05),
         mean_interarrival: arg_value("--mean-gap").unwrap_or(10.0),
         coalesce: !std::env::args().any(|a| a == "--no-coalesce"),
-        threads: arg_value("--threads").unwrap_or(1),
     };
     let smoke = std::env::args().any(|a| a == "--smoke");
     let single = std::env::args().any(|a| a == "--single");

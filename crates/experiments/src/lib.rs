@@ -80,3 +80,47 @@ pub fn arg_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
             .unwrap_or_else(|_| panic!("{flag} value is not valid"))
     })
 }
+
+/// The first `--flag` in `args` that `known` does not list, if any.
+#[must_use]
+pub fn unknown_flag<'a>(args: &'a [String], known: &[&str]) -> Option<&'a str> {
+    args.iter()
+        .map(String::as_str)
+        .find(|arg| arg.starts_with("--") && !known.contains(arg))
+}
+
+/// Exits with status 2 and a usage line when the process command line
+/// carries a `--flag` outside `known`. [`arg_value`] only looks for the
+/// flags it is asked about, so without this check a misspelt or retired
+/// flag would be ignored and the run would silently use the default.
+pub fn reject_unknown_flags(known: &[&str]) {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let rest: Vec<String> = args.collect();
+    if let Some(flag) = unknown_flag(&rest, known) {
+        eprintln!(
+            "unknown flag {flag}\nusage: {program} [{}]",
+            known.join("] [")
+        );
+        std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::unknown_flag;
+
+    #[test]
+    fn unknown_flags_are_found_and_values_are_not_flags() {
+        let known = ["--seed", "--smoke"];
+        let args = |line: &str| -> Vec<String> { line.split(' ').map(String::from).collect() };
+        assert_eq!(unknown_flag(&args("--seed 7 --smoke"), &known), None);
+        assert_eq!(unknown_flag(&args("--seed -3"), &known), None);
+        assert_eq!(
+            unknown_flag(&args("--seed 7 --threads 4"), &known),
+            Some("--threads")
+        );
+        assert_eq!(unknown_flag(&args("--smok"), &known), Some("--smok"));
+        assert_eq!(unknown_flag(&[], &known), None);
+    }
+}

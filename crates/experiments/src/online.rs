@@ -34,9 +34,6 @@ pub struct OnlineConfig {
     /// Coalesce adjacent vacant slots at each cycle commit (the engine
     /// default); `false` runs the fragmentation A/B baseline.
     pub coalesce: bool,
-    /// Worker threads for each cycle's scheduling iteration. Execution
-    /// knob only: hashes and reports are identical at every thread count.
-    pub threads: usize,
 }
 
 impl Default for OnlineConfig {
@@ -48,7 +45,6 @@ impl Default for OnlineConfig {
             mean_interarrival: 10.0,
             churn: 0.05,
             coalesce: true,
-            threads: 1,
         }
     }
 }
@@ -80,7 +76,6 @@ pub fn engine_config(config: &OnlineConfig, churn: bool) -> EngineConfig {
             job_gen: JobGenConfig::default(),
         },
         coalesce: config.coalesce,
-        threads: config.threads.max(1),
         ..EngineConfig::default()
     }
 }
@@ -352,23 +347,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.report.log_hash, y.report.log_hash);
             assert_eq!(x.report.to_json(), y.report.to_json());
-        }
-    }
-
-    #[test]
-    fn thread_count_leaves_hashes_and_reports_unchanged() {
-        let baseline = run_online(&small());
-        let threaded = run_online(&OnlineConfig {
-            threads: 4,
-            ..small()
-        });
-        for (a, b) in baseline.iter().zip(&threaded) {
-            assert_eq!(
-                a.report.log_hash, b.report.log_hash,
-                "{}/{}",
-                a.scenario, a.algo
-            );
-            assert_eq!(a.report.to_json(), b.report.to_json());
         }
     }
 

@@ -383,13 +383,10 @@ impl<S: SlotSelector + Copy> Federation<S> {
     }
 
     /// FNV-1a 64 fingerprint of the federation configuration and selector
-    /// name, with `base.threads` normalized to 1 (worker threads never
-    /// change outcomes, so checkpoints replay across machines).
+    /// name.
     #[must_use]
     pub fn config_fingerprint(&self) -> u64 {
-        let mut normalized = self.config.clone();
-        normalized.base.threads = 1;
-        let json = serde_json::to_string(&normalized).unwrap_or_default();
+        let json = serde_json::to_string(&self.config).unwrap_or_default();
         fnv1a_64(format!("{}|{json}", self.selector.name()).as_bytes())
     }
 

@@ -99,36 +99,6 @@ fn single_shard_engine_log_hash_is_pinned() {
 }
 
 #[test]
-fn market_representation_is_invisible_to_the_federation() {
-    // The interval-vs-flat A/B at the topmost layer: the S=1 cell must
-    // reproduce the pinned hash under *both* market representations, and
-    // a 4-shard cross-shard federation must merge byte-identical logs.
-    for interval_market in [true, false] {
-        let config = EngineConfig {
-            interval_market,
-            ..base_config()
-        };
-        let fed = Federation::new(FederationConfig::new(config, 1), Amp::new()).unwrap();
-        let run = fed.run(42).unwrap();
-        assert_eq!(
-            run.shards[0].report.log_hash, PINNED_S1_ENGINE_LOG_HASH,
-            "interval_market={interval_market}: pinned S=1 hash lost"
-        );
-    }
-
-    let run_with = |interval_market: bool| {
-        let mut config = starved_config(4);
-        config.base.interval_market = interval_market;
-        let fed = Federation::new(config, Amp::new()).unwrap();
-        fed.run(23).unwrap()
-    };
-    let interval = run_with(true);
-    let flat = run_with(false);
-    assert_eq!(interval.merged.to_json(), flat.merged.to_json());
-    assert_eq!(interval.report.to_json(), flat.report.to_json());
-}
-
-#[test]
 fn multi_shard_merged_log_is_reproducible_and_sorted() {
     for policy in [
         RoutePolicy::RoundRobin,

@@ -12,8 +12,8 @@
 //!   reads on hot paths. Values are pushed in by the instrumented
 //!   layer; time keys are *virtual* ticks.
 //! * **Runtime state, never serialized**: the [`Recorder`] handle is
-//!   threaded like the engine's `Parallelism` budget — absent from
-//!   configurations, fingerprints, checkpoints, and snapshots. A
+//!   passed by value — absent from configurations, fingerprints,
+//!   checkpoints, and snapshots. A
 //!   recorder-on run and a recorder-off run are byte-identical
 //!   (pinned by engine/federation A/B tests downstream).
 //! * **Registration before recording**: every metric is registered at

@@ -3,8 +3,7 @@
 //!
 //! A `Recorder` is either **off** (the default — every operation is a
 //! no-op behind one branch on an `Option`) or **on**, wrapping an
-//! `Arc<Registry>` plus a span [`Tracer`]. It is runtime state in the
-//! same sense as the engine's `Parallelism` worker budget: cloned and
+//! `Arc<Registry>` plus a span [`Tracer`]. It is runtime state: cloned and
 //! passed by value, never serialized, absent from every configuration
 //! fingerprint and checkpoint. Turning it on or off must therefore be
 //! invisible to any run's event log — the engine A/B tests pin exactly

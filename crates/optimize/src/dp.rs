@@ -15,7 +15,7 @@
 //! This module holds the *from-scratch* drivers, retained as `*_naive`
 //! oracles (mirroring `select`'s pattern), plus the row-level primitives
 //! shared with [`crate::incremental`]. Because both paths build rows with
-//! the same [`compute_row`]/[`extend_row_threads`] code and reconstruct with the
+//! the same [`compute_row`]/[`extend_row`] code and reconstruct with the
 //! same [`reconstruct_choices`], the incremental solvers are byte-identical
 //! to the naive ones by construction — the differential harness in
 //! `tests/equivalence.rs` checks exactly that.
@@ -40,30 +40,9 @@ pub(crate) enum Sense {
     Maximize,
 }
 
-/// Extends `row` (row `i` of the table) in place up to column `width`,
-/// computing each new column from the *already extended* next row
-/// (`f[i+1]`). Starting from an empty `row` this builds the whole row.
-///
-/// Soundness of extension: `f[i][w]` reads `next` only at columns `≤ w`,
-/// and each cell is a pure function of `items` and `next` — so appending
-/// columns to an existing row yields exactly the row a from-scratch build
-/// at the wider capacity would produce. Callers must extend rows back to
-/// front so `next` is always at full width first.
-#[cfg(test)]
-pub(crate) fn extend_row(
-    items: &[Item],
-    next: &[Option<i64>],
-    row: &mut Vec<Option<i64>>,
-    width: usize,
-    sense: Sense,
-) {
-    extend_row_threads(items, next, row, width, sense, 1);
-}
-
 /// One cell of Eq. (1): the extremum over this job's alternatives of
 /// `value + f[i+1][w - weight]`. A pure function of its arguments, which
-/// is what makes both row extension and column-parallel row construction
-/// sound.
+/// is what makes row extension sound.
 fn row_cell(items: &[Item], next: &[Option<i64>], w: usize, sense: Sense) -> Option<i64> {
     let mut best: Option<i64> = None;
     for item in items {
@@ -83,70 +62,24 @@ fn row_cell(items: &[Item], next: &[Option<i64>], w: usize, sense: Sense) -> Opt
     best
 }
 
-/// Columns below which [`extend_row_threads`] stays single-threaded: the
-/// per-thread spawn/join cost (~10µs) must be amortized over enough pure
-/// cell evaluations to win.
-const PARALLEL_COLUMN_MIN: usize = 2048;
-
-/// [`extend_row`] with the new columns fanned out over at most `threads`
-/// scoped workers in contiguous chunks, appended in column order.
+/// Extends `row` (row `i` of the table) in place up to column `width`,
+/// computing each new column from the *already extended* next row
+/// (`f[i+1]`). Starting from an empty `row` this builds the whole row.
 ///
-/// Every cell is a pure function of `(items, next, w, sense)` — workers
-/// share the read-only inputs and never see each other's output — so the
-/// extended row is byte-identical to the sequential build at any thread
-/// count. Small extensions (fewer than [`PARALLEL_COLUMN_MIN`] new
-/// columns) skip the fan-out entirely.
-pub(crate) fn extend_row_threads(
+/// Soundness of extension: `f[i][w]` reads `next` only at columns `≤ w`,
+/// and each cell is a pure function of `items` and `next` — so appending
+/// columns to an existing row yields exactly the row a from-scratch build
+/// at the wider capacity would produce. Callers must extend rows back to
+/// front so `next` is always at full width first.
+pub(crate) fn extend_row(
     items: &[Item],
     next: &[Option<i64>],
     row: &mut Vec<Option<i64>>,
     width: usize,
     sense: Sense,
-    threads: usize,
 ) {
     debug_assert!(next.len() > width, "next row must already span the width");
-    if width < row.len() {
-        return;
-    }
-    let first = row.len();
-    let columns = width + 1 - first;
-    row.reserve(columns);
-    if threads <= 1 || columns < PARALLEL_COLUMN_MIN {
-        for w in first..=width {
-            row.push(row_cell(items, next, w, sense));
-        }
-        return;
-    }
-    let workers = threads.min(columns);
-    let chunk = columns.div_ceil(workers);
-    let starts: Vec<usize> = (0..workers).map(|k| first + k * chunk).collect();
-    let joined = crossbeam::scope(|scope| {
-        let handles: Vec<_> = starts
-            .iter()
-            .map(|&lo| {
-                let hi = (lo + chunk).min(width + 1);
-                scope.spawn(move |_| {
-                    (lo..hi)
-                        .map(|w| row_cell(items, next, w, sense))
-                        .collect::<Vec<Option<i64>>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| match handle.join() {
-                Ok(part) => part,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect::<Vec<_>>()
-    });
-    let parts = match joined {
-        Ok(parts) => parts,
-        Err(payload) => std::panic::resume_unwind(payload),
-    };
-    for part in parts {
-        row.extend(part);
-    }
+    row.extend((row.len()..=width).map(|w| row_cell(items, next, w, sense)));
 }
 
 /// Builds row `i` of the table (columns `0..=width`) from the next row.
@@ -156,20 +89,8 @@ pub(crate) fn compute_row(
     width: usize,
     sense: Sense,
 ) -> Vec<Option<i64>> {
-    compute_row_threads(items, next, width, sense, 1)
-}
-
-/// [`compute_row`] with column-parallel construction (see
-/// [`extend_row_threads`]).
-pub(crate) fn compute_row_threads(
-    items: &[Item],
-    next: &[Option<i64>],
-    width: usize,
-    sense: Sense,
-    threads: usize,
-) -> Vec<Option<i64>> {
     let mut row = Vec::with_capacity(width + 1);
-    extend_row_threads(items, next, &mut row, width, sense, threads);
+    extend_row(items, next, &mut row, width, sense);
     row
 }
 
@@ -512,41 +433,6 @@ mod tests {
             extend_row(&items, &base_big, &mut grown, 20, sense);
             let scratch = compute_row(&items, &base_big, 20, sense);
             assert_eq!(grown, scratch);
-        }
-    }
-
-    #[test]
-    fn column_parallel_rows_match_sequential() {
-        // Wide enough to clear PARALLEL_COLUMN_MIN so the fan-out path
-        // genuinely runs, with weights that leave unreachable (None)
-        // columns to exercise the infeasible-cell merge.
-        let items = vec![
-            Item {
-                weight: 3,
-                value: 7,
-            },
-            Item {
-                weight: 5,
-                value: 2,
-            },
-            Item {
-                weight: 11,
-                value: 4,
-            },
-        ];
-        let width = PARALLEL_COLUMN_MIN + 513;
-        let base: Vec<Option<i64>> = vec![Some(0); width + 1];
-        for sense in [Sense::Minimize, Sense::Maximize] {
-            let sequential = compute_row(&items, &base, width, sense);
-            for threads in [2, 3, 8] {
-                let parallel = compute_row_threads(&items, &base, width, sense, threads);
-                assert_eq!(parallel, sequential, "threads={threads}");
-            }
-            // Widening an existing prefix in parallel must land on the
-            // same row as a from-scratch parallel build.
-            let mut grown = compute_row(&items, &base, 100, sense);
-            extend_row_threads(&items, &base, &mut grown, width, sense, 4);
-            assert_eq!(grown, sequential);
         }
     }
 

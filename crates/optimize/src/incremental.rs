@@ -14,7 +14,7 @@
 //!   `0..=k`; rows `k+1..n` are byte-identical and are reused.
 //! * Tightening or loosening the limit (`B*`/`T*`) invalidates *nothing*:
 //!   a smaller capacity reads a prefix of each cached row; a larger one
-//!   appends columns in place, back to front ([`dp::extend_row_threads`]).
+//!   appends columns in place, back to front ([`dp::extend_row`]).
 //!
 //! # Cache keying and invalidation
 //!
@@ -40,7 +40,7 @@
 //! back) and rebuilds only the layers after the first mutated job.
 //!
 //! Equivalence with the `*_naive` oracles is by construction — both paths
-//! share [`dp::compute_row`]/[`dp::extend_row_threads`]/[`dp::reconstruct_choices`]
+//! share [`dp::compute_row`]/[`dp::extend_row`]/[`dp::reconstruct_choices`]
 //! and the layer builders in [`crate::pareto`] — and is enforced
 //! byte-for-byte by the differential harness in `tests/equivalence.rs`.
 
@@ -170,18 +170,10 @@ impl DpCache {
     /// Solves the backward run at `capacity`, reusing every cached row
     /// whose job suffix is unchanged. Returns per-job choices, or `None`
     /// when infeasible — byte-identical to `dp::backward_run`.
-    ///
-    /// `threads > 1` fans row construction/widening out column-wise (each
-    /// cell is a pure function of the already-complete next row, see
-    /// [`dp::extend_row_threads`]); rows are still built back to front and
-    /// committed to the cache one at a time on the caller's thread, in
-    /// order, so the cache contents — and every [`OptStats`] counter,
-    /// which counts rows, not cells — are identical at any thread count.
     fn solve(
         &mut self,
         items: &[Vec<Item>],
         capacity: i64,
-        threads: usize,
         stats: &mut OptStats,
     ) -> Option<Vec<usize>> {
         if capacity < 0 {
@@ -253,13 +245,12 @@ impl DpCache {
                     Some(entry) => &entry.row,
                     None => &base,
                 };
-                dp::extend_row_threads(
+                dp::extend_row(
                     &items[reuse_from + k],
                     next,
                     &mut head[k].row,
                     target,
                     self.sense,
-                    threads,
                 );
             }
             stats.rows_extended += kept as u64;
@@ -279,7 +270,7 @@ impl DpCache {
             };
             fresh.push(RowEntry {
                 suffix_fp: suffix_fps[i],
-                row: dp::compute_row_threads(&items[i], next, target, self.sense, threads),
+                row: dp::compute_row(&items[i], next, target, self.sense),
                 items: items[i].clone(),
             });
         }
@@ -508,13 +499,6 @@ pub struct IncrementalOptimizer {
     time_min_resolution: i64,
     frontier: FrontierCache,
     stats: OptStats,
-    /// Worker-pool width for column-parallel row construction. Purely an
-    /// execution knob: results, cache contents, and [`OptStats`] counters
-    /// are identical at any value, so it is *not* part of
-    /// [`OptimizerSnapshot`] — a restored optimizer starts at 1 and the
-    /// run loop re-applies its configured width via
-    /// [`Self::set_threads`].
-    threads: usize,
 }
 
 impl Default for IncrementalOptimizer {
@@ -534,15 +518,7 @@ impl IncrementalOptimizer {
             time_min_resolution: 0,
             frontier: FrontierCache::new(),
             stats: OptStats::default(),
-            threads: 1,
         }
-    }
-
-    /// Sets the worker-pool width for column-parallel DP row construction
-    /// (clamped to ≥ 1). Outcome-invisible: solves return byte-identical
-    /// assignments and count identical [`OptStats`] at any width.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Cumulative work counters since construction.
@@ -614,7 +590,6 @@ impl IncrementalOptimizer {
                     .collect(),
             },
             stats: snapshot.stats,
-            threads: 1,
         }
     }
 
@@ -651,10 +626,9 @@ impl IncrementalOptimizer {
         }
         let items = dp::cost_axis_items(alternatives, resolution);
         let capacity = budget.micro() / resolution.micro();
-        let threads = self.threads;
         let choices = self
             .time_min
-            .solve(&items, capacity, threads, &mut self.stats)
+            .solve(&items, capacity, &mut self.stats)
             .ok_or(OptimizeError::Infeasible);
         self.note_high_water();
         Ok(Assignment::from_indices(alternatives, &choices?))
@@ -670,10 +644,9 @@ impl IncrementalOptimizer {
         dp::validate(alternatives)?;
         dp::validate_quota(quota)?;
         let items = dp::time_axis_items(alternatives);
-        let threads = self.threads;
         let choices = self
             .cost_min
-            .solve(&items, quota.ticks(), threads, &mut self.stats)
+            .solve(&items, quota.ticks(), &mut self.stats)
             .ok_or(OptimizeError::Infeasible);
         self.note_high_water();
         Ok(Assignment::from_indices(alternatives, &choices?))
@@ -689,10 +662,9 @@ impl IncrementalOptimizer {
         dp::validate(alternatives)?;
         dp::validate_quota(quota)?;
         let items = dp::time_axis_items(alternatives);
-        let threads = self.threads;
         let choices = self
             .cost_max
-            .solve(&items, quota.ticks(), threads, &mut self.stats)
+            .solve(&items, quota.ticks(), &mut self.stats)
             .ok_or(OptimizeError::Infeasible);
         self.note_high_water();
         Ok(Assignment::from_indices(alternatives, &choices?))

@@ -447,8 +447,8 @@ impl JobScan {
     }
 
     /// [`JobScan::run`], additionally reporting the *touched set* the
-    /// parallel drivers use to revalidate a speculatively computed window
-    /// (see [`crate::parallel`]): the ids of the chosen members plus every
+    /// coscheduled queue driver uses to revalidate a stored window (see
+    /// [`crate::coschedule`]): the ids of the chosen members plus every
     /// admitted member of the group at the acceptance anchor. A later
     /// subtraction that removes none of these ids — and mints no remnant
     /// starting before the window start — provably leaves this exact

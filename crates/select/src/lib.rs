@@ -71,7 +71,6 @@ mod alp;
 mod amp;
 mod coschedule;
 mod incremental;
-mod parallel;
 mod repair;
 mod scan;
 mod search;
@@ -82,13 +81,11 @@ pub use alp::Alp;
 pub use amp::Amp;
 pub use coschedule::{
     find_alternatives_coscheduled, find_alternatives_coscheduled_naive,
-    find_alternatives_coscheduled_rescan, find_alternatives_coscheduled_threads,
+    find_alternatives_coscheduled_rescan,
 };
 pub use incremental::AlgoSpec;
 pub use repair::{repair_search, revalidate_window, try_adopt_window, RepairError};
 pub use scan::LengthRule;
-pub use search::{
-    find_alternatives, find_alternatives_naive, find_alternatives_threads, SearchOutcome,
-};
+pub use search::{find_alternatives, find_alternatives_naive, SearchOutcome};
 pub use selector::SlotSelector;
 pub use stats::{ScanStats, SearchStats};

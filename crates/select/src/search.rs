@@ -98,34 +98,6 @@ pub fn find_alternatives(
     find_alternatives_naive(selector, list, batch)
 }
 
-/// [`find_alternatives`] with each pass's per-job scans fanned out over a
-/// fixed pool of `threads` scoped workers (see [`crate::parallel`]).
-///
-/// Committed alternatives, the remaining list, and the pass/commit
-/// counters are byte-identical to [`find_alternatives`] at any thread
-/// count; only the scan work counters differ (speculative evaluation
-/// changes how much scanning happens, not what is committed). `threads <=
-/// 1` — or a custom selector without an [`crate::AlgoSpec`], which cannot
-/// be shared across workers — runs the single-threaded path.
-///
-/// # Errors
-///
-/// Propagates [`CoreError`] from slot subtraction, as
-/// [`find_alternatives`] does.
-pub fn find_alternatives_threads(
-    selector: impl SlotSelector,
-    list: &SlotList,
-    batch: &Batch,
-    threads: usize,
-) -> Result<SearchOutcome, CoreError> {
-    if threads > 1 {
-        if let Some(spec) = selector.as_algo() {
-            return crate::parallel::find_alternatives_parallel(&spec, list, batch, threads);
-        }
-    }
-    find_alternatives(selector, list, batch)
-}
-
 /// The restart-per-window reference implementation of
 /// [`find_alternatives`].
 ///

@@ -266,7 +266,6 @@ mod coscheduled {
         fn queue_rounds_pick_the_same_windows_as_rescan(
             list in slot_list_strategy(),
             requests in prop::collection::vec(request_strategy(), 1..5),
-            threads in 1usize..5,
         ) {
             // The lazy-revalidated priority queue must commit exactly the
             // window sequence the retained O(batch²) full-rescan driver
@@ -282,9 +281,7 @@ mod coscheduled {
                 let rescan = ecosched_select::find_alternatives_coscheduled_rescan(
                     selector, &list, &batch,
                 ).unwrap();
-                let queue = ecosched_select::find_alternatives_coscheduled_threads(
-                    selector, &list, &batch, threads,
-                ).unwrap();
+                let queue = find_alternatives_coscheduled(selector, &list, &batch).unwrap();
                 prop_assert_eq!(&queue.alternatives, &rescan.alternatives);
                 prop_assert_eq!(&queue.remaining, &rescan.remaining);
                 prop_assert_eq!(queue.stats.passes, rescan.stats.passes);

@@ -66,44 +66,6 @@ pub struct IterationConfig {
     pub search_mode: SearchMode,
 }
 
-/// Worker-pool width for the per-job fan-out inside an iteration.
-///
-/// Purely an execution knob, deliberately *not* part of
-/// [`IterationConfig`]: the scheduling outcome — alternatives, VO limits,
-/// assignment, and the [`IterationResult::opt`] counters — is byte-
-/// identical at any width, so two runs of the same config and seed stay
-/// comparable whatever hardware they ran on. The per-job alternatives
-/// scans of each search pass and the columns of each DP row are fanned
-/// out over scoped workers with a deterministic batch-index-order merge;
-/// winner subtraction and cache commits stay on the caller's thread
-/// (DESIGN.md §13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Parallelism {
-    threads: usize,
-}
-
-impl Parallelism {
-    /// A worker pool of `threads` (clamped to ≥ 1).
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        Parallelism {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The configured width; 1 means today's single-threaded path.
-    #[must_use]
-    pub fn threads(self) -> usize {
-        self.threads
-    }
-}
-
-impl Default for Parallelism {
-    fn default() -> Self {
-        Parallelism::new(1)
-    }
-}
-
 /// The result of one scheduling iteration.
 #[derive(Debug, Clone)]
 pub struct IterationResult {
@@ -199,29 +161,6 @@ pub fn run_iteration(
     )
 }
 
-/// [`run_iteration`] with an explicit worker-pool width. Byte-identical
-/// results at any [`Parallelism`].
-///
-/// # Errors
-///
-/// See [`run_iteration`].
-pub fn run_iteration_with(
-    selector: impl SlotSelector,
-    list: &SlotList,
-    batch: &Batch,
-    config: &IterationConfig,
-    parallelism: Parallelism,
-) -> Result<IterationResult, IterationError> {
-    run_iteration_cached_with(
-        selector,
-        list,
-        batch,
-        config,
-        &mut IncrementalOptimizer::new(),
-        parallelism,
-    )
-}
-
 /// [`run_iteration`] with a caller-held [`IncrementalOptimizer`], so the
 /// DP rows and Pareto layers survive across cycles: a batch that changed
 /// in a few positions (arrivals, completions, repairs) or whose VO limits
@@ -241,43 +180,11 @@ pub fn run_iteration_cached(
     config: &IterationConfig,
     optimizer: &mut IncrementalOptimizer,
 ) -> Result<IterationResult, IterationError> {
-    run_iteration_cached_with(
-        selector,
-        list,
-        batch,
-        config,
-        optimizer,
-        Parallelism::default(),
-    )
-}
-
-/// [`run_iteration_cached`] with an explicit worker-pool width: the
-/// per-job alternatives scans and the DP row columns fan out over
-/// `parallelism.threads()` scoped workers. Byte-identical results — and
-/// identical [`IterationResult::opt`] counters — at any width, restored
-/// optimizer snapshots included (the width is re-applied here on every
-/// call precisely so snapshots never carry it).
-///
-/// # Errors
-///
-/// See [`run_iteration`].
-pub fn run_iteration_cached_with(
-    selector: impl SlotSelector,
-    list: &SlotList,
-    batch: &Batch,
-    config: &IterationConfig,
-    optimizer: &mut IncrementalOptimizer,
-    parallelism: Parallelism,
-) -> Result<IterationResult, IterationError> {
-    let threads = parallelism.threads();
-    optimizer.set_threads(threads);
     let stats_before = optimizer.stats();
     let search = match config.search_mode {
-        SearchMode::Sequential => {
-            ecosched_select::find_alternatives_threads(selector, list, batch, threads)?
-        }
+        SearchMode::Sequential => ecosched_select::find_alternatives(selector, list, batch)?,
         SearchMode::Coscheduled => {
-            ecosched_select::find_alternatives_coscheduled_threads(selector, list, batch, threads)?
+            ecosched_select::find_alternatives_coscheduled(selector, list, batch)?
         }
     };
     let postponed: Vec<JobId> = search.postponed().collect();
@@ -531,50 +438,6 @@ mod search_mode_tests {
     use ecosched_select::Amp;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    /// threads=1 ≡ threads=N over generated paper-scale instances, for
-    /// both search modes and both criteria: identical alternatives,
-    /// quota/budget, assignment, postponements, and opt counters.
-    #[test]
-    fn parallelism_is_outcome_invisible() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2011);
-        for mode in [SearchMode::Sequential, SearchMode::Coscheduled] {
-            for criterion in [Criterion::MinTimeUnderBudget, Criterion::MinCostUnderTime] {
-                let list = SlotGenerator::new(SlotGenConfig::default()).generate(&mut rng);
-                let batch = JobGenerator::new(JobGenConfig::default()).generate(&mut rng);
-                let config = IterationConfig {
-                    criterion,
-                    search_mode: mode,
-                    ..IterationConfig::default()
-                };
-                let one = run_iteration(Amp::new(), &list, &batch, &config).unwrap();
-                for threads in [2, 4] {
-                    let par = run_iteration_with(
-                        Amp::new(),
-                        &list,
-                        &batch,
-                        &config,
-                        Parallelism::new(threads),
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        par.search.alternatives, one.search.alternatives,
-                        "{mode:?}/{criterion:?} threads={threads}: alternatives"
-                    );
-                    assert_eq!(par.search.remaining, one.search.remaining);
-                    assert_eq!(par.quota, one.quota);
-                    assert_eq!(par.budget, one.budget);
-                    assert_eq!(par.postponed, one.postponed);
-                    assert_eq!(par.opt, one.opt, "opt counters must not depend on threads");
-                    match (&par.assignment, &one.assignment) {
-                        (Some(a), Some(b)) => assert_eq!(a.choices(), b.choices()),
-                        (None, None) => {}
-                        _ => panic!("assignment presence diverged"),
-                    }
-                }
-            }
-        }
-    }
 
     #[test]
     fn coscheduled_mode_runs_end_to_end() {

@@ -59,8 +59,8 @@ pub mod swf;
 
 pub use config::{ConfigError, IntRange, JobGenConfig, RealRange, SlotGenConfig};
 pub use iteration::{
-    run_iteration, run_iteration_cached, run_iteration_cached_with, run_iteration_with, Criterion,
-    IterationConfig, IterationError, IterationResult, OptimizerKind, Parallelism, SearchMode,
+    run_iteration, run_iteration_cached, Criterion, IterationConfig, IterationError,
+    IterationResult, OptimizerKind, SearchMode,
 };
 pub use job_gen::JobGenerator;
 pub use market::{MarketConfig, MarketCycleReport, MarketSimulation};

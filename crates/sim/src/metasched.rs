@@ -36,7 +36,7 @@ use ecosched_optimize::{IncrementalOptimizer, OptStats};
 use ecosched_select::{repair_search, try_adopt_window, RepairError, ScanStats, SlotSelector};
 
 use crate::config::{JobGenConfig, SlotGenConfig};
-use crate::iteration::{run_iteration_cached_with, IterationConfig, IterationError, Parallelism};
+use crate::iteration::{run_iteration_cached, IterationConfig, IterationError};
 use crate::job_gen::JobGenerator;
 use crate::revocation::{RepairStats, RevocationConfig, RevocationModel};
 use crate::slot_gen::SlotGenerator;
@@ -224,7 +224,6 @@ pub struct Metascheduler {
     config: IterationConfig,
     revocation: RevocationModel,
     policy: RepairPolicy,
-    parallelism: Parallelism,
 }
 
 impl Metascheduler {
@@ -246,7 +245,6 @@ impl Metascheduler {
             config,
             revocation: RevocationModel::new(RevocationConfig::none()),
             policy: RepairPolicy::default(),
-            parallelism: Parallelism::default(),
         }
     }
 
@@ -266,15 +264,6 @@ impl Metascheduler {
     #[must_use]
     pub fn with_repair_policy(mut self, policy: RepairPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets the worker-thread budget for each cycle's scheduling
-    /// iteration (see [`Parallelism`]). An execution knob only: reports
-    /// and traces are byte-identical at every thread count.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -330,14 +319,8 @@ impl Metascheduler {
             }
             let batch = Batch::from_jobs(jobs).expect("re-keyed ids are unique");
 
-            let result = run_iteration_cached_with(
-                selector,
-                &list,
-                &batch,
-                &self.config,
-                &mut optimizer,
-                self.parallelism,
-            )?;
+            let result =
+                run_iteration_cached(selector, &list, &batch, &self.config, &mut optimizer)?;
             let per_job = result.search.alternatives.per_job();
 
             let mut stats = RepairStats::default();
@@ -855,24 +838,6 @@ mod tests {
             totals.repair_scan.checkpoint_hits, totals.repairs_attempted,
             "every repair scan resumes from its anchor"
         );
-    }
-
-    #[test]
-    fn parallelism_is_trace_invisible_under_churn() {
-        // The worker-thread budget is an execution knob: full traced runs
-        // (leases, fates, revocations, repair stats) must be byte-identical
-        // at every thread count, even when revocations force repairs.
-        let run = |threads| {
-            let mut rng = ChaCha8Rng::seed_from_u64(2011);
-            meta()
-                .with_revocation(RevocationConfig::per_slot(0.1))
-                .with_parallelism(Parallelism::new(threads))
-                .run_traced(Amp::new(), 5, &mut rng)
-                .unwrap()
-        };
-        let baseline = run(1);
-        assert_eq!(baseline, run(2));
-        assert_eq!(baseline, run(4));
     }
 
     #[test]
