@@ -57,6 +57,19 @@ impl Revocation {
     pub fn hits(&self, node: NodeId, span: Span) -> bool {
         self.node == node && self.span.overlaps(span)
     }
+
+    /// Does this revocation break a lease on `window`?
+    ///
+    /// A window breaks when any member's *used* region — the span the
+    /// task actually occupies, not the full source slot — intersects the
+    /// revoked region on the same node.
+    #[must_use]
+    pub fn breaks(&self, window: &Window) -> bool {
+        window
+            .slots()
+            .iter()
+            .any(|ws| self.hits(ws.node(), window.used_span(ws)))
+    }
 }
 
 /// How a job came to hold its current window.
@@ -98,17 +111,11 @@ impl Lease {
         }
     }
 
-    /// Is this lease broken by the given revocation?
-    ///
-    /// A lease breaks when any member's *used* region — the span the task
-    /// actually occupies, not the full source slot — intersects the
-    /// revoked region on the same node.
+    /// Is this lease broken by the given revocation
+    /// ([`Revocation::breaks`] its window)?
     #[must_use]
     pub fn broken_by(&self, revocation: &Revocation) -> bool {
-        self.window
-            .slots()
-            .iter()
-            .any(|ws| revocation.hits(ws.node(), self.window.used_span(ws)))
+        revocation.breaks(&self.window)
     }
 }
 

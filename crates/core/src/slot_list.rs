@@ -33,7 +33,7 @@ use crate::interval::IntervalMarket;
 use crate::resource::NodeId;
 use crate::slot::{Slot, SlotId};
 use crate::time::{Span, TimeDelta, TimePoint};
-use crate::window::Window;
+use crate::window::{Window, WindowSlot};
 
 /// Which storage backs a [`SlotList`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -461,6 +461,32 @@ impl SlotList {
             report.removed.push(id);
         }
         Ok(report)
+    }
+
+    /// Returns `span` on `member`'s node to the list as a freshly minted
+    /// slot carrying the member's performance and price. The region must
+    /// be absent from the list — carved from it earlier, or held
+    /// exclusively by the caller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span` is empty, or overlaps a slot already in the list
+    /// (interval form; debug builds for the flat form).
+    pub fn release_region(&mut self, member: &WindowSlot, span: Span) -> SlotId {
+        let id = self.mint_id();
+        let slot = Slot::new(id, member.node(), member.perf(), member.price(), span)
+            .expect("released regions are non-empty");
+        self.insert(slot)
+            .expect("released regions are disjoint from the list");
+        id
+    }
+
+    /// The inverse of [`SlotList::subtract_window`]: releases every
+    /// member's used region ([`SlotList::release_region`], member order).
+    pub fn release_window(&mut self, window: &Window) {
+        for ws in window.slots() {
+            self.release_region(ws, window.used_span(ws));
+        }
     }
 
     /// Merges every run of same-node slots that touch (`prev.end ==

@@ -7,7 +7,7 @@
 //! order — so a run is a pure function of `(config, seed)` and two
 //! identically seeded runs produce byte-identical event logs and reports.
 //!
-//! Per [`crate::event::Event`]:
+//! Per [`crate::event::Event`] (one `on_*` method each):
 //!
 //! * `JobArrival` feeds the pending queue;
 //! * `SlotPublished` adds a fresh batch of vacant slots (re-homed onto
@@ -15,13 +15,14 @@
 //! * `CycleTick` snapshots the live market (clipping slots to the
 //!   future), runs the existing pipeline — alternatives search, Eq.
 //!   (2)/(3) VO limits, combination optimization — and commits the chosen
-//!   windows as leases with their surviving alternatives attached;
+//!   windows ([`ecosched_sim::cycle::commit`]) as leases with their
+//!   surviving alternatives attached;
 //! * `RevocationStrike` draws faults against the *live* state (vacant
 //!   slots plus active leases, via `RevocationModel::draw_live`) and runs
-//!   the three-tier repair pass on every broken lease;
+//!   the recovery tiers ([`ecosched_sim::cycle::recover`]) on every broken
+//!   lease;
 //! * `LeaseCompleted` retires a lease and returns its unused tail
-//!   capacity to the vacant list through a sorted merge
-//!   (`SlotList::from_sorted_slots`);
+//!   capacity to the vacant list;
 //! * `SlotExpired` sweeps fully elapsed vacant slots.
 //!
 //! The run loop is decomposed for checkpoint/restore: [`Engine::start`]
@@ -36,15 +37,16 @@
 use std::collections::BTreeMap;
 
 use ecosched_core::{
-    Batch, Job, JobId, Lease, MarketRepr, NodeId, ResourceRequest, Revocation, Slot, SlotList,
-    Span, TimeDelta, TimePoint, Window,
+    Batch, Job, JobId, MarketRepr, NodeId, ResourceRequest, Revocation, Slot, SlotList, Span,
+    TimeDelta, TimePoint, Window,
 };
 use ecosched_optimize::IncrementalOptimizer;
-use ecosched_select::{repair_search, try_adopt_window, RepairError, ScanStats, SlotSelector};
+use ecosched_select::SlotSelector;
+use ecosched_sim::cycle::{self, PostponeReason, Recovery};
 use ecosched_sim::swf::batch_from_swf;
 use ecosched_sim::{
-    run_iteration, run_iteration_cached, ConfigError, IterationError, JobGenerator,
-    RevocationModel, SlotGenerator,
+    run_iteration, run_iteration_cached, ConfigError, IterationError, IterationResult,
+    JobGenerator, RepairStats, RevocationModel, SlotGenerator,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::{ChaCha8Rng, ChaChaState};
@@ -57,6 +59,9 @@ use crate::report::{CyclePoint, EngineReport};
 use crate::state::{
     ArrivalState, EngineCheckpoint, LeaseState, PendingState, QueuedEventState, RngState,
 };
+
+mod reserve;
+pub use reserve::{Reservation, ReserveError};
 
 /// Errors from an engine run.
 #[derive(Debug)]
@@ -135,89 +140,10 @@ pub struct EngineRun {
     pub log: EventLog,
 }
 
-/// A job waiting to be scheduled.
-#[derive(Debug, Clone, Copy)]
-struct PendingJob {
-    id: u32,
-    arrival: TimePoint,
-    vo: u32,
-    request: ResourceRequest,
-}
-
-/// Errors from the two-phase reservation protocol (see
-/// [`Engine::reserve`]).
-#[derive(Debug)]
-pub enum ReserveError {
-    /// The window no longer fits the vacant market (another reservation,
-    /// lease, or revocation consumed part of its regions).
-    Stale(RepairError),
-    /// No reservation with this id is held.
-    Unknown {
-        /// The offending reservation id.
-        reservation: u64,
-    },
-    /// The reservation was struck by a revocation between reserve and
-    /// commit. Its surviving fragments already returned to the vacant
-    /// list; the caller must release every sibling reservation.
-    Broken {
-        /// The broken reservation's id.
-        reservation: u64,
-    },
-}
-
-impl std::fmt::Display for ReserveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReserveError::Stale(e) => write!(f, "window no longer fits the vacant market: {e}"),
-            ReserveError::Unknown { reservation } => {
-                write!(f, "no reservation {reservation} is held")
-            }
-            ReserveError::Broken { reservation } => {
-                write!(f, "reservation {reservation} was revoked before commit")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ReserveError {}
-
-/// A window held under phase one of the two-phase reservation protocol:
-/// carved out of the vacant market but not yet committed as a lease.
-///
-/// Reservations are deliberately *transient* state: they exist only
-/// between a [`Engine::reserve`] and the matching
-/// [`Engine::commit_reservation`] / [`Engine::release_reservation`], and
-/// a checkpoint must never be taken while one is held (the federation
-/// layer completes or aborts the whole two-phase exchange within a
-/// single routing action, so its snapshots never see one).
-#[derive(Debug, Clone)]
-pub struct Reservation {
-    window: Window,
-    broken: bool,
-}
-
-impl Reservation {
-    /// The reserved window.
-    #[must_use]
-    pub fn window(&self) -> &Window {
-        &self.window
-    }
-
-    /// Whether a revocation strike landed on the reserved regions after
-    /// phase one. A broken reservation can only be released.
-    #[must_use]
-    pub fn is_broken(&self) -> bool {
-        self.broken
-    }
-}
-
 /// A committed lease with everything repair and completion need.
 #[derive(Debug, Clone)]
 struct ActiveLease {
-    job: u32,
-    arrival: TimePoint,
-    vo: u32,
-    request: ResourceRequest,
+    job: PendingState,
     window: Window,
     /// Surviving pre-computed alternatives, for tier-1 failover.
     alternatives: Vec<Window>,
@@ -243,7 +169,7 @@ pub struct RunState {
     revocation: RevocationModel,
     vacant: SlotList,
     next_node: u32,
-    pending: Vec<PendingJob>,
+    pending: Vec<PendingState>,
     leases: BTreeMap<u64, ActiveLease>,
     next_lease: u64,
     // Two-phase reservations in flight. Transient by contract: held only
@@ -637,25 +563,16 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 .collect(),
             vacant: state.vacant.clone(),
             next_node: state.next_node,
-            pending: state
-                .pending
-                .iter()
-                .map(|p| PendingState {
-                    id: p.id,
-                    arrival: p.arrival.ticks(),
-                    vo: p.vo,
-                    request: p.request,
-                })
-                .collect(),
+            pending: state.pending.clone(),
             leases: state
                 .leases
                 .iter()
                 .map(|(id, al)| LeaseState {
                     lease: *id,
-                    job: al.job,
-                    arrival: al.arrival.ticks(),
-                    vo: al.vo,
-                    request: al.request,
+                    job: al.job.id,
+                    arrival: al.job.arrival,
+                    vo: al.job.vo,
+                    request: al.job.request,
                     window: al.window.clone(),
                     alternatives: al.alternatives.clone(),
                     actual_length: al.actual_length.ticks(),
@@ -732,16 +649,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             // observable: slots, ids, iteration order).
             vacant: checkpoint.vacant.clone().with_repr(MarketRepr::Interval),
             next_node: checkpoint.next_node,
-            pending: checkpoint
-                .pending
-                .iter()
-                .map(|p| PendingJob {
-                    id: p.id,
-                    arrival: TimePoint::new(p.arrival),
-                    vo: p.vo,
-                    request: p.request,
-                })
-                .collect(),
+            pending: checkpoint.pending.clone(),
             leases: checkpoint
                 .leases
                 .iter()
@@ -749,10 +657,12 @@ impl<S: SlotSelector + Copy> Engine<S> {
                     (
                         l.lease,
                         ActiveLease {
-                            job: l.job,
-                            arrival: TimePoint::new(l.arrival),
-                            vo: l.vo,
-                            request: l.request,
+                            job: PendingState {
+                                id: l.job,
+                                arrival: l.arrival,
+                                vo: l.vo,
+                                request: l.request,
+                            },
                             window: l.window.clone(),
                             alternatives: l.alternatives.clone(),
                             actual_length: TimeDelta::new(l.actual_length),
@@ -803,111 +713,8 @@ impl<S: SlotSelector + Copy> Engine<S> {
         (job, time)
     }
 
-    /// Phase one of the two-phase cross-shard protocol: revalidates
-    /// `window` against the live vacant market and, on success, carves
-    /// its regions out and holds them under a reservation id. The
-    /// regions are invisible to single-shard scheduling until the
-    /// reservation is committed or released — but *not* to revocation
-    /// strikes, which sample the full live surface (vacant, leased, and
-    /// reserved capacity alike).
-    ///
-    /// # Errors
-    ///
-    /// [`ReserveError::Stale`] when the window no longer fits; the
-    /// vacant list is untouched in that case.
-    pub fn reserve(&self, state: &mut RunState, window: &Window) -> Result<u64, ReserveError> {
-        try_adopt_window(window, &mut state.vacant, &[]).map_err(ReserveError::Stale)?;
-        let id = state.next_reservation;
-        state.next_reservation += 1;
-        state.reservations.insert(
-            id,
-            Reservation {
-                window: window.clone(),
-                broken: false,
-            },
-        );
-        Ok(id)
-    }
-
-    /// Phase two, success path: turns a held reservation into an active
-    /// lease executing `request` (arrived at `arrival`), schedules its
-    /// completion, and books the job into the shard's report. Returns
-    /// `(job id, lease id)`.
-    ///
-    /// # Errors
-    ///
-    /// [`ReserveError::Unknown`] for an id that is not held;
-    /// [`ReserveError::Broken`] when a revocation struck the reserved
-    /// regions after phase one — the reservation is dropped (its
-    /// surviving fragments already returned to the vacant list when the
-    /// strike landed) and the caller must release all of its siblings.
-    pub fn commit_reservation(
-        &self,
-        state: &mut RunState,
-        reservation: u64,
-        request: ResourceRequest,
-        arrival: TimePoint,
-    ) -> Result<(u32, u64), ReserveError> {
-        match state.reservations.get(&reservation) {
-            None => return Err(ReserveError::Unknown { reservation }),
-            Some(r) if r.broken => {
-                state.reservations.remove(&reservation);
-                return Err(ReserveError::Broken { reservation });
-            }
-            Some(_) => {}
-        }
-        let held = state
-            .reservations
-            .remove(&reservation)
-            .expect("presence checked above");
-        let job = state.arrivals.len() as u32;
-        state.arrivals.push((arrival, request));
-        state.report.jobs_arrived += 1;
-        state.report.jobs_scheduled += 1;
-        let vo = job % self.config.vos;
-        state.report.vo_spend[vo as usize] += held.window.total_cost().to_f64();
-        let lease = state.next_lease;
-        self.commit_lease(
-            &mut state.queue,
-            &mut state.leases,
-            &mut state.next_lease,
-            ActiveLeaseSeed {
-                job,
-                arrival,
-                vo,
-                request,
-                window: held.window,
-                alternatives: Vec::new(),
-            },
-        );
-        Ok((job, lease))
-    }
-
-    /// Phase two, abort path: drops a held reservation and returns its
-    /// regions to the vacant market. Releasing a *broken* reservation
-    /// only drops it — the strike that broke it already returned the
-    /// surviving fragments.
-    ///
-    /// # Errors
-    ///
-    /// [`ReserveError::Unknown`] for an id that is not held.
-    pub fn release_reservation(
-        &self,
-        state: &mut RunState,
-        reservation: u64,
-    ) -> Result<(), ReserveError> {
-        let held = state
-            .reservations
-            .remove(&reservation)
-            .ok_or(ReserveError::Unknown { reservation })?;
-        if !held.broken {
-            release_window(&mut state.vacant, &held.window);
-        }
-        Ok(())
-    }
-
     /// Runs one event's handler. Every state change of the run happens
-    /// here, keyed by the event's type.
+    /// in the method the event's type names.
     fn handle(
         &self,
         state: &mut RunState,
@@ -915,444 +722,345 @@ impl<S: SlotSelector + Copy> Engine<S> {
         event: Event,
     ) -> Result<(), EngineError> {
         match event {
-            Event::JobArrival { job } => {
-                let (arrival, request) = state.arrivals[job as usize];
-                state.report.jobs_arrived += 1;
-                state.pending.push(PendingJob {
-                    id: job,
-                    arrival,
-                    vo: job % self.config.vos,
-                    request,
-                });
-            }
-
-            Event::SlotPublished { count, .. } => {
-                let generated = state
-                    .slot_gen
-                    .generate_exact(&mut state.rng, count as usize);
-                for s in generated.iter() {
-                    let id = state.vacant.mint_id();
-                    let node = NodeId::new(state.next_node);
-                    state.next_node += 1;
-                    let span = Span::new(now + (s.start() - TimePoint::ZERO), {
-                        now + (s.end() - TimePoint::ZERO)
-                    })
-                    .expect("generated spans are non-empty");
-                    let slot = Slot::new(id, node, s.perf(), s.price(), span)
-                        .expect("generated slots are non-empty");
-                    state.published_ticks += span.length().ticks();
-                    state
-                        .queue
-                        .push(span.end(), Event::SlotExpired { slot: id.raw() });
-                    state
-                        .vacant
-                        .insert(slot)
-                        .expect("fresh nodes cannot collide with existing slots");
-                }
-            }
-
-            Event::SlotExpired { .. } => {
-                // The id is only a trigger: sweep everything that has
-                // fully elapsed (remnants carved from expired slots
-                // carry fresh ids but the same end bound).
-                let dead: Vec<(NodeId, Span)> = state
-                    .vacant
-                    .iter()
-                    .filter(|s| s.end() <= now)
-                    .map(|s| (s.node(), s.span()))
-                    .collect();
-                for (node, span) in dead {
-                    state.vacant.remove_region(node, span);
-                }
-            }
-
-            Event::CycleTick { cycle } => {
-                let market = clip_to_now(&state.vacant, now);
-                let market_slots = market.len();
-                if state.pending.is_empty() {
-                    state.report.cycles.push(CyclePoint {
-                        cycle,
-                        time: now.ticks(),
-                        market_slots,
-                        batch_size: 0,
-                        scheduled: 0,
-                        postponed: 0,
-                        mean_wait: 0.0,
-                        spend: 0.0,
-                    });
-                    return Ok(());
-                }
-
-                // Pending order is (arrival, id): the longest-waiting
-                // job takes the highest batch priority.
-                let jobs: Vec<Job> = state
-                    .pending
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| Job::new(JobId::new(i as u32), p.request))
-                    .collect();
-                let batch = Batch::from_jobs(jobs).expect("re-keyed ids are unique");
-                let result = if self.config.optimizer_cache {
-                    run_iteration_cached(
-                        self.selector,
-                        &market,
-                        &batch,
-                        &self.config.iteration,
-                        &mut state.optimizer,
-                    )?
-                } else {
-                    run_iteration(self.selector, &market, &batch, &self.config.iteration)?
-                };
-                state.report.opt.merge(&result.opt);
-                let per_job = result.search.alternatives.per_job();
-
-                let mut chosen: Vec<Option<usize>> = vec![None; batch.len()];
-                if let Some(assignment) = &result.assignment {
-                    for choice in assignment.choices() {
-                        chosen[choice.job.index() as usize] = Some(choice.alternative);
-                    }
-                }
-
-                // The post-commit vacant list: whatever the search left,
-                // plus every non-chosen alternative released back (they
-                // stay adoptable for failover until something else
-                // consumes their time).
-                let mut exec = result.search.remaining.clone();
-                for (i, ja) in per_job.iter().enumerate() {
-                    for (alt_idx, alt) in ja.alternatives().iter().enumerate() {
-                        if chosen[i] == Some(alt_idx) {
-                            continue;
-                        }
-                        release_window(&mut exec, alt.window());
-                    }
-                }
-                // Fragments accumulate at commit boundaries (released
-                // alternatives, returned tails, clip remnants); merging
-                // touching same-attribute neighbours keeps the list —
-                // and every later scan over it — small.
-                if self.config.coalesce {
-                    state.report.slots_coalesced += exec.coalesce() as u64;
-                }
-
-                let mut committed: usize = 0;
-                let mut cycle_wait: i64 = 0;
-                let mut cycle_spend: f64 = 0.0;
-                for (i, p) in state.pending.iter().enumerate() {
-                    let Some(alt_idx) = chosen[i] else { continue };
-                    let window = per_job[i].alternatives()[alt_idx].window().clone();
-                    let alternatives: Vec<Window> = per_job[i]
-                        .alternatives()
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, _)| *j != alt_idx)
-                        .map(|(_, a)| a.window().clone())
-                        .collect();
-                    let cost = window.total_cost().to_f64();
-                    cycle_wait += (window.start() - p.arrival).ticks();
-                    cycle_spend += cost;
-                    state.report.vo_spend[p.vo as usize] += cost;
-                    committed += 1;
-                    self.commit_lease(
-                        &mut state.queue,
-                        &mut state.leases,
-                        &mut state.next_lease,
-                        ActiveLeaseSeed {
-                            job: p.id,
-                            arrival: p.arrival,
-                            vo: p.vo,
-                            request: p.request,
-                            window,
-                            alternatives,
-                        },
-                    );
-                }
-                state.report.jobs_scheduled += committed as u64;
-
-                let carried: Vec<PendingJob> = state
-                    .pending
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| chosen[*i].is_none())
-                    .map(|(_, p)| *p)
-                    .collect();
-                let cycle_mean_wait = if committed > 0 {
-                    cycle_wait as f64 / committed as f64
-                } else {
-                    0.0
-                };
-                state.report.cycles.push(CyclePoint {
-                    cycle,
-                    time: now.ticks(),
-                    market_slots,
-                    batch_size: state.pending.len(),
-                    scheduled: committed,
-                    postponed: carried.len(),
-                    mean_wait: cycle_mean_wait,
-                    spend: cycle_spend,
-                });
-                self.obs.on_cycle(
-                    now.ticks(),
-                    &result.search.stats,
-                    &result.opt,
-                    state.pending.len(),
-                    committed,
-                    cycle_mean_wait,
-                );
-                state.pending = carried;
-                state.vacant = exec;
-            }
-
-            Event::RevocationStrike { .. } => {
-                // Sample against the live surface: vacant slots, active
-                // lease regions (so strikes can land on windows carved by
-                // earlier repairs), and reserved-but-uncommitted windows
-                // (so strikes can land *between* the two phases of a
-                // cross-shard reservation). With no reservations held —
-                // every non-federated run — the surface and therefore
-                // the draw sequence is unchanged.
-                let lease_views: Vec<Lease> = state
-                    .leases
-                    .values()
-                    .map(|al| Lease::planned(JobId::new(al.job), al.window.clone()))
-                    .collect();
-                let reservation_views: Vec<(u64, Lease)> = state
-                    .reservations
-                    .iter()
-                    .filter(|(_, r)| !r.broken)
-                    .map(|(id, r)| (*id, Lease::planned(JobId::new(u32::MAX), r.window.clone())))
-                    .collect();
-                let surface: Vec<Lease> = lease_views
-                    .iter()
-                    .chain(reservation_views.iter().map(|(_, view)| view))
-                    .cloned()
-                    .collect();
-                let revocations =
-                    state
-                        .revocation
-                        .draw_live(&state.vacant, &surface, &mut state.rng);
-                state.report.revocations += revocations.len() as u64;
-                if revocations.is_empty() {
-                    return Ok(());
-                }
-                for r in &revocations {
-                    state.vacant.remove_region(r.node, r.span);
-                }
-
-                let broken: Vec<u64> = state
-                    .leases
-                    .keys()
-                    .copied()
-                    .zip(lease_views.iter())
-                    .filter(|(_, view)| revocations.iter().any(|r| view.broken_by(r)))
-                    .map(|(id, _)| id)
-                    .collect();
-
-                // Broken leases release their surviving future
-                // fragments first, so later repairs can reuse the time.
-                for id in &broken {
-                    let al = &state.leases[id];
-                    return_surviving_fragments(&mut state.vacant, &al.window, &revocations, now);
-                }
-                state.report.leases_broken += broken.len() as u64;
-
-                // Struck reservations break the same way, but there is
-                // no repair tier for them: the federation observes the
-                // break at commit time and releases the siblings.
-                for (id, view) in &reservation_views {
-                    if !revocations.iter().any(|r| view.broken_by(r)) {
-                        continue;
-                    }
-                    let held = state
-                        .reservations
-                        .get_mut(id)
-                        .expect("reservation views mirror held reservations");
-                    held.broken = true;
-                    state.reservations_broken += 1;
-                    let window = held.window.clone();
-                    return_surviving_fragments(&mut state.vacant, &window, &revocations, now);
-                }
-
-                // Three-tier recovery, in lease-id (commitment) order.
-                self.obs.on_repair(now.ticks(), broken.len());
-                for id in broken {
-                    let original = state.leases.remove(&id).expect("broken ids are live");
-                    let mut attempts: u32 = 0;
-                    let mut recovered: Option<(Window, Vec<Window>, bool)> = None;
-
-                    // Tier 1: adopt a surviving future alternative.
-                    for (alt_idx, alt) in original.alternatives.iter().enumerate() {
-                        if attempts >= self.config.repair.max_attempts {
-                            break;
-                        }
-                        if alt.start() < now {
-                            continue; // cannot launch in the past
-                        }
-                        attempts += 1;
-                        if try_adopt_window(alt, &mut state.vacant, &revocations).is_ok() {
-                            let rest: Vec<Window> = original
-                                .alternatives
-                                .iter()
-                                .enumerate()
-                                .filter(|(j, _)| *j != alt_idx)
-                                .map(|(_, w)| w.clone())
-                                .collect();
-                            recovered = Some((alt.clone(), rest, true));
-                            break;
-                        }
-                    }
-
-                    // Tier 2: bounded repair search from the broken
-                    // window's start (never the past).
-                    if recovered.is_none() && attempts < self.config.repair.max_attempts {
-                        let mut scan = ScanStats::new();
-                        let resume_at = original.window.start().max(now);
-                        if let Some(window) = repair_search(
-                            &self.selector,
-                            &original.request,
-                            resume_at,
-                            &state.vacant,
-                            &mut scan,
-                        ) {
-                            state
-                                .vacant
-                                .subtract_window(&window)
-                                .expect("repair windows are carved from the vacant list");
-                            recovered = Some((window, Vec::new(), false));
-                        }
-                    }
-
-                    // Tier 2.5 (optional): the anchored repair is
-                    // exhausted. One full rescan of everything launchable
-                    // from `now` — strictly wider than the broken-start
-                    // anchor, so it can adopt windows that start earlier
-                    // than the broken plan (released fragments of other
-                    // broken leases make those feasible).
-                    if recovered.is_none() && self.config.repair.full_rescan_on_exhaustion {
-                        state.report.full_rescans += 1;
-                        let mut scan = ScanStats::new();
-                        if let Some(window) = repair_search(
-                            &self.selector,
-                            &original.request,
-                            now,
-                            &state.vacant,
-                            &mut scan,
-                        ) {
-                            state
-                                .vacant
-                                .subtract_window(&window)
-                                .expect("repair windows are carved from the vacant list");
-                            recovered = Some((window, Vec::new(), false));
-                        }
-                    }
-
-                    // Tier 3: back to the pending queue.
-                    match recovered {
-                        Some((window, alternatives, failover)) => {
-                            if failover {
-                                state.report.failovers += 1;
-                            } else {
-                                state.report.repairs += 1;
-                            }
-                            // The old lease id dies here; its pending
-                            // completion event goes stale.
-                            self.commit_lease(
-                                &mut state.queue,
-                                &mut state.leases,
-                                &mut state.next_lease,
-                                ActiveLeaseSeed {
-                                    job: original.job,
-                                    arrival: original.arrival,
-                                    vo: original.vo,
-                                    request: original.request,
-                                    window,
-                                    alternatives,
-                                },
-                            );
-                        }
-                        None => {
-                            state.report.repostponed += 1;
-                            state.pending.push(PendingJob {
-                                id: original.job,
-                                arrival: original.arrival,
-                                vo: original.vo,
-                                request: original.request,
-                            });
-                            state.pending.sort_by_key(|p| (p.arrival, p.id));
-                        }
-                    }
-                }
-            }
-
-            Event::LeaseCompleted { lease } => {
-                let Some(al) = state.leases.remove(&lease) else {
-                    // The lease broke and was replaced after this event
-                    // was scheduled.
-                    state.report.stale_completions += 1;
-                    return Ok(());
-                };
-                state.report.jobs_completed += 1;
-                let run = al.actual_length.ticks();
-                let wait = (al.window.start() - al.arrival).ticks();
-                state.wait_sum += wait as f64;
-                state.slowdown_sum +=
-                    ((wait + run) as f64 / run.max(self.config.slowdown_tau) as f64).max(1.0);
-
-                // Unused tails (members faster than the elapsed run, or
-                // the completion-fraction shortfall) return to the
-                // vacant list as ordinary inserts.
-                let mut tails: Vec<Slot> = Vec::new();
-                for ws in al.window.slots() {
-                    state.busy_ticks += ws.runtime().ticks().min(run);
-                    if ws.runtime().ticks() > run {
-                        let span = Span::new(
-                            al.window.start() + al.actual_length,
-                            al.window.start() + ws.runtime(),
-                        )
-                        .expect("tails are non-empty");
-                        let id = state.vacant.mint_id();
-                        tails.push(
-                            Slot::new(id, ws.node(), ws.perf(), ws.price(), span)
-                                .expect("tails are non-empty"),
-                        );
-                    }
-                }
-                for tail in tails {
-                    state
-                        .vacant
-                        .insert(tail)
-                        .expect("returned tails are disjoint from the vacant list");
-                }
-            }
+            Event::JobArrival { job } => self.on_arrival(state, job),
+            Event::SlotPublished { count, .. } => Self::on_publish(state, now, count),
+            Event::SlotExpired { .. } => Self::on_expire(state, now),
+            Event::CycleTick { cycle } => return self.on_cycle(state, now, cycle),
+            Event::RevocationStrike { .. } => self.on_strike(state, now),
+            Event::LeaseCompleted { lease } => self.on_complete(state, lease),
         }
         Ok(())
     }
 
-    /// Commits a window as a fresh lease and schedules its completion.
+    /// `JobArrival`: the job joins the pending queue.
+    fn on_arrival(&self, state: &mut RunState, job: u32) {
+        let (arrival, request) = state.arrivals[job as usize];
+        state.report.jobs_arrived += 1;
+        state.pending.push(PendingState {
+            id: job,
+            arrival: arrival.ticks(),
+            vo: job % self.config.vos,
+            request,
+        });
+    }
+
+    /// `SlotPublished`: `count` generated slots, re-homed onto fresh
+    /// nodes and shifted to `now`, join the vacant market.
+    fn on_publish(state: &mut RunState, now: TimePoint, count: u32) {
+        let generated = state
+            .slot_gen
+            .generate_exact(&mut state.rng, count as usize);
+        for s in generated.iter() {
+            let id = state.vacant.mint_id();
+            let node = NodeId::new(state.next_node);
+            state.next_node += 1;
+            let span = Span::new(now + (s.start() - TimePoint::ZERO), {
+                now + (s.end() - TimePoint::ZERO)
+            })
+            .expect("generated spans are non-empty");
+            let slot = Slot::new(id, node, s.perf(), s.price(), span)
+                .expect("generated slots are non-empty");
+            state.published_ticks += span.length().ticks();
+            state
+                .queue
+                .push(span.end(), Event::SlotExpired { slot: id.raw() });
+            state
+                .vacant
+                .insert(slot)
+                .expect("fresh nodes cannot collide with existing slots");
+        }
+    }
+
+    /// `SlotExpired`: the id is only a trigger — sweep everything that
+    /// has fully elapsed (remnants carved from expired slots carry fresh
+    /// ids but the same end bound).
+    fn on_expire(state: &mut RunState, now: TimePoint) {
+        let dead: Vec<(NodeId, Span)> = state
+            .vacant
+            .iter()
+            .filter(|s| s.end() <= now)
+            .map(|s| (s.node(), s.span()))
+            .collect();
+        for (node, span) in dead {
+            state.vacant.remove_region(node, span);
+        }
+    }
+
+    /// `CycleTick`: plan → commit → coalesce → lease → carry.
+    fn on_cycle(
+        &self,
+        state: &mut RunState,
+        now: TimePoint,
+        cycle: u32,
+    ) -> Result<(), EngineError> {
+        let market = clip_to_now(&state.vacant, now);
+        let batch_size = state.pending.len();
+        let mut point = CyclePoint {
+            cycle,
+            time: now.ticks(),
+            market_slots: market.len(),
+            batch_size,
+            scheduled: 0,
+            postponed: 0,
+            mean_wait: 0.0,
+            spend: 0.0,
+        };
+        if batch_size == 0 {
+            state.report.cycles.push(point);
+            return Ok(());
+        }
+
+        let result = self.plan(state, &market)?;
+        state.report.opt.merge(&result.opt);
+        let (chosen, mut exec) = cycle::commit(&result);
+        // Fragments accumulate at commit boundaries (released
+        // alternatives, returned tails, clip remnants); merging touching
+        // same-attribute neighbours keeps the list — and every later scan
+        // over it — small.
+        if self.config.coalesce {
+            state.report.slots_coalesced += exec.coalesce() as u64;
+        }
+        state.vacant = exec;
+
+        let cycle_wait = self.lease_chosen(state, &result, &chosen, &mut point);
+        state.report.jobs_scheduled += point.scheduled as u64;
+        point.postponed = state.pending.len();
+        if point.scheduled > 0 {
+            point.mean_wait = cycle_wait as f64 / point.scheduled as f64;
+        }
+        self.obs.on_cycle(
+            now.ticks(),
+            &result.search.stats,
+            &result.opt,
+            batch_size,
+            point.scheduled,
+            point.mean_wait,
+        );
+        self.obs
+            .on_postponed(PostponeReason::NoAlternatives, result.postponed.len());
+        state.report.cycles.push(point);
+        Ok(())
+    }
+
+    /// The plan step of a cycle: the pending queue re-keyed as a batch —
+    /// its order is `(arrival, id)`, so the longest-waiting job takes the
+    /// highest priority — through alternatives search, VO limits and
+    /// combination optimization over `market`.
+    fn plan(
+        &self,
+        state: &mut RunState,
+        market: &SlotList,
+    ) -> Result<IterationResult, EngineError> {
+        let jobs: Vec<Job> = state
+            .pending
+            .iter()
+            .enumerate()
+            .map(|(i, p)| Job::new(JobId::new(i as u32), p.request))
+            .collect();
+        let batch = Batch::from_jobs(jobs).expect("re-keyed ids are unique");
+        let iteration = &self.config.iteration;
+        Ok(if self.config.optimizer_cache {
+            run_iteration_cached(
+                self.selector,
+                market,
+                &batch,
+                iteration,
+                &mut state.optimizer,
+            )?
+        } else {
+            run_iteration(self.selector, market, &batch, iteration)?
+        })
+    }
+
+    /// The lease and carry steps of a cycle: every pending job the
+    /// optimizer covered becomes a lease holding its chosen window, with
+    /// the non-chosen alternatives attached for failover; the rest stay
+    /// pending. Books `scheduled` and `spend` into `point` and returns the
+    /// summed wait of the committed jobs.
+    fn lease_chosen(
+        &self,
+        state: &mut RunState,
+        result: &IterationResult,
+        chosen: &[Option<usize>],
+        point: &mut CyclePoint,
+    ) -> i64 {
+        let per_job = result.search.alternatives.per_job();
+        let mut cycle_wait: i64 = 0;
+        for (i, p) in std::mem::take(&mut state.pending).into_iter().enumerate() {
+            let Some(alt_idx) = chosen[i] else {
+                state.pending.push(p);
+                continue;
+            };
+            let mut alternatives: Vec<Window> = per_job[i]
+                .alternatives()
+                .iter()
+                .map(|a| a.window().clone())
+                .collect();
+            let window = alternatives.remove(alt_idx);
+            let cost = window.total_cost().to_f64();
+            cycle_wait += window.start().ticks() - p.arrival;
+            point.spend += cost;
+            point.scheduled += 1;
+            state.report.vo_spend[p.vo as usize] += cost;
+            self.commit_lease(state, p, window, alternatives);
+        }
+        cycle_wait
+    }
+
+    /// `RevocationStrike`: draw revocations → find the broken leases →
+    /// release their survivors → recover each, in lease-id (commitment)
+    /// order.
+    fn on_strike(&self, state: &mut RunState, now: TimePoint) {
+        // Sample against the live surface: vacant slots, active lease
+        // regions (so strikes can land on windows carved by earlier
+        // repairs), and reserved-but-uncommitted windows (so strikes can
+        // land *between* the two phases of a cross-shard reservation).
+        // With no reservations held — every non-federated run — the
+        // surface and therefore the draw sequence is unchanged.
+        let held = state.reservations.values().filter(|r| !r.broken);
+        let surface = state
+            .leases
+            .values()
+            .map(|al| &al.window)
+            .chain(held.map(|r| &r.window));
+        let revocations = state
+            .revocation
+            .draw_live(&state.vacant, surface, &mut state.rng);
+        state.report.revocations += revocations.len() as u64;
+        if revocations.is_empty() {
+            return;
+        }
+        for r in &revocations {
+            state.vacant.remove_region(r.node, r.span);
+        }
+
+        let struck = |window: &Window| revocations.iter().any(|r| r.breaks(window));
+        let mut broken: Vec<u64> = Vec::new();
+        for (id, al) in state.leases.iter().filter(|(_, al)| struck(&al.window)) {
+            cycle::release_broken(&mut state.vacant, &al.window, &revocations, now);
+            broken.push(*id);
+        }
+        state.report.leases_broken += broken.len() as u64;
+
+        // Struck reservations break the same way, but there is no repair
+        // tier for them: the federation observes the break at commit time
+        // and releases the siblings.
+        for held in state.reservations.values_mut() {
+            if !held.broken && struck(&held.window) {
+                held.broken = true;
+                state.reservations_broken += 1;
+                cycle::release_broken(&mut state.vacant, &held.window, &revocations, now);
+            }
+        }
+
+        self.obs.on_repair(now.ticks(), broken.len());
+        let mut stats = RepairStats::default();
+        for id in broken {
+            self.recover_lease(state, id, &revocations, now, &mut stats);
+        }
+        state.report.full_rescans += stats.full_rescans_attempted;
+    }
+
+    /// Runs the shared recovery tiers over one broken lease and books the
+    /// outcome: a recovered window is re-committed under a fresh lease id
+    /// (the old id dies here; its pending completion event goes stale), a
+    /// postponed job rejoins the pending queue.
+    fn recover_lease(
+        &self,
+        state: &mut RunState,
+        id: u64,
+        revocations: &[Revocation],
+        now: TimePoint,
+        stats: &mut RepairStats,
+    ) {
+        let mut original = state.leases.remove(&id).expect("broken ids are live");
+        let recovery = cycle::recover(
+            &self.selector,
+            &self.config.repair,
+            &original.job.request,
+            &original.window,
+            original.alternatives.iter().enumerate(),
+            &mut state.vacant,
+            revocations,
+            now,
+            stats,
+        );
+        match recovery {
+            Recovery::FailedOver {
+                alternative,
+                window,
+            } => {
+                state.report.failovers += 1;
+                original.alternatives.remove(alternative);
+                self.commit_lease(state, original.job, window, original.alternatives);
+            }
+            Recovery::Repaired { window } => {
+                state.report.repairs += 1;
+                self.commit_lease(state, original.job, window, Vec::new());
+            }
+            Recovery::Postponed(reason) => {
+                state.report.repostponed += 1;
+                self.obs.on_postponed(reason, 1);
+                state.pending.push(original.job);
+                state.pending.sort_by_key(|p| (p.arrival, p.id));
+            }
+        }
+    }
+
+    /// `LeaseCompleted`: retires the lease and returns its unused tails
+    /// (members faster than the elapsed run, or the completion-fraction
+    /// shortfall) to the vacant list as ordinary inserts.
+    fn on_complete(&self, state: &mut RunState, lease: u64) {
+        let Some(al) = state.leases.remove(&lease) else {
+            // The lease broke and was replaced after this event was
+            // scheduled.
+            state.report.stale_completions += 1;
+            return;
+        };
+        state.report.jobs_completed += 1;
+        let run = al.actual_length.ticks();
+        let wait = al.window.start().ticks() - al.job.arrival;
+        state.wait_sum += wait as f64;
+        state.slowdown_sum +=
+            ((wait + run) as f64 / run.max(self.config.slowdown_tau) as f64).max(1.0);
+
+        for ws in al.window.slots() {
+            state.busy_ticks += ws.runtime().ticks().min(run);
+            if ws.runtime().ticks() > run {
+                let tail = Span::new(
+                    al.window.start() + al.actual_length,
+                    al.window.start() + ws.runtime(),
+                )
+                .expect("tails are non-empty");
+                state.vacant.release_region(ws, tail);
+            }
+        }
+    }
+
+    /// Commits a window as a fresh lease of `job` and schedules its
+    /// completion.
     fn commit_lease(
         &self,
-        queue: &mut EventQueue,
-        leases: &mut BTreeMap<u64, ActiveLease>,
-        next_lease: &mut u64,
-        seed: ActiveLeaseSeed,
+        state: &mut RunState,
+        job: PendingState,
+        window: Window,
+        alternatives: Vec<Window>,
     ) {
-        let planned = seed.window.length().ticks();
+        let planned = window.length().ticks();
         let actual =
             ((planned as f64 * self.config.completion_fraction).ceil() as i64).clamp(1, planned);
-        let lease_id = *next_lease;
-        *next_lease += 1;
-        queue.push(
-            seed.window.start() + TimeDelta::new(actual),
+        let lease_id = state.next_lease;
+        state.next_lease += 1;
+        state.queue.push(
+            window.start() + TimeDelta::new(actual),
             Event::LeaseCompleted { lease: lease_id },
         );
-        leases.insert(
+        state.leases.insert(
             lease_id,
             ActiveLease {
-                job: seed.job,
-                arrival: seed.arrival,
-                vo: seed.vo,
-                request: seed.request,
-                window: seed.window,
-                alternatives: seed.alternatives,
+                job,
+                window,
+                alternatives,
                 actual_length: TimeDelta::new(actual),
             },
         );
@@ -1419,17 +1127,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
     }
 }
 
-/// The fields [`Engine::commit_lease`] needs to mint an [`ActiveLease`].
-#[derive(Debug)]
-struct ActiveLeaseSeed {
-    job: u32,
-    arrival: TimePoint,
-    vo: u32,
-    request: ResourceRequest,
-    window: Window,
-    alternatives: Vec<Window>,
-}
-
 /// The market snapshot a cycle schedules over: every vacant slot clipped
 /// to `[now, end)`, dropping fully elapsed ones. Ids are preserved, so the
 /// clipped slots stay in strictly increasing `(start, id)` order after the
@@ -1456,53 +1153,6 @@ fn clip_to_now(vacant: &SlotList, now: TimePoint) -> SlotList {
         .expect("clipping preserves disjointness and unique ids")
 }
 
-/// Returns the surviving fragments of a revoked window — everything the
-/// strikes did not consume and that has not yet elapsed — to the vacant
-/// list as freshly minted slots.
-fn return_surviving_fragments(
-    vacant: &mut SlotList,
-    window: &Window,
-    revocations: &[Revocation],
-    now: TimePoint,
-) {
-    for ws in window.slots() {
-        let mut fragments = vec![window.used_span(ws)];
-        for r in revocations.iter().filter(|r| r.node == ws.node()) {
-            let mut survivors = Vec::new();
-            for frag in fragments {
-                let (left, right) = frag.subtract(r.span);
-                survivors.extend(left);
-                survivors.extend(right);
-            }
-            fragments = survivors;
-        }
-        for frag in fragments {
-            if frag.end() <= now {
-                continue; // already elapsed
-            }
-            let span = Span::new(frag.start().max(now), frag.end())
-                .expect("clipped fragments are non-empty");
-            let slot_id = vacant.mint_id();
-            let slot = Slot::new(slot_id, ws.node(), ws.perf(), ws.price(), span)
-                .expect("surviving fragments are non-empty");
-            vacant
-                .insert(slot)
-                .expect("revoked regions were held exclusively");
-        }
-    }
-}
-
-/// Returns a window's regions to `list` as freshly minted slots.
-fn release_window(list: &mut SlotList, window: &Window) {
-    for ws in window.slots() {
-        let id = list.mint_id();
-        let slot = Slot::new(id, ws.node(), ws.perf(), ws.price(), window.used_span(ws))
-            .expect("window members have positive runtimes");
-        list.insert(slot)
-            .expect("released regions were carved from this list");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1510,7 +1160,7 @@ mod tests {
     use ecosched_select::{Alp, Amp};
     use ecosched_sim::RevocationConfig;
 
-    fn small_config() -> EngineConfig {
+    pub(super) fn small_config() -> EngineConfig {
         EngineConfig {
             cycles: 4,
             arrivals: ArrivalConfig::Poisson {
@@ -1578,6 +1228,27 @@ mod tests {
             run.report.failovers + run.report.repairs + run.report.repostponed,
             "every broken lease ends in a terminal tier"
         );
+    }
+
+    #[test]
+    fn zero_attempt_budget_repostpones_every_broken_lease() {
+        // Mirrors the batch loop's `zero_attempt_budget_postpones_with_reason`:
+        // with no attempts to spend, neither tier 1 nor the tier-2 scan
+        // runs, so every broken lease goes straight back to pending.
+        let config = EngineConfig {
+            revocation: RevocationConfig::per_slot(0.15),
+            repair: ecosched_sim::RepairPolicy {
+                max_attempts: 0,
+                ..ecosched_sim::RepairPolicy::default()
+            },
+            ..small_config()
+        };
+        let engine = Engine::new(config, Alp::new()).unwrap();
+        let run = engine.run(13).unwrap();
+        assert!(run.report.leases_broken > 0, "churn must break something");
+        assert_eq!(run.report.failovers + run.report.repairs, 0);
+        assert_eq!(run.report.repostponed, run.report.leases_broken);
+        assert_eq!(engine.run(13).unwrap(), run, "log must be deterministic");
     }
 
     #[test]
@@ -1736,147 +1407,5 @@ mod tests {
         // Same arrivals either way; coalescing only changes the market's
         // granularity.
         assert_eq!(run_on.report.jobs_arrived, run_off.report.jobs_arrived);
-    }
-
-    // -- two-phase reservations --------------------------------------
-
-    use ecosched_core::{Perf, Price};
-
-    /// Steps until the market is populated, then probes a one-node
-    /// window launchable at the current time.
-    fn probed_window<S: SlotSelector + Copy>(
-        engine: &Engine<S>,
-        state: &mut RunState,
-    ) -> (ResourceRequest, Window) {
-        while state.vacant.is_empty() {
-            engine
-                .step(state)
-                .unwrap()
-                .expect("run drained before any publication");
-        }
-        let request = ResourceRequest::new(
-            1,
-            TimeDelta::new(20),
-            Perf::from_f64(0.5),
-            Price::from_credits(60),
-        )
-        .unwrap();
-        let mut scan = ScanStats::new();
-        let window = repair_search(
-            &Amp::new(),
-            &request,
-            state.last_time(),
-            &state.vacant,
-            &mut scan,
-        )
-        .expect("a fresh market hosts a one-node window");
-        (request, window)
-    }
-
-    /// Total vacant node-ticks — the capacity invariant reserve/release
-    /// must conserve.
-    fn vacant_ticks(state: &RunState) -> i64 {
-        state.vacant.iter().map(|s| s.span().length().ticks()).sum()
-    }
-
-    #[test]
-    fn reserve_commit_books_a_lease_that_completes() {
-        let engine = Engine::new(small_config(), Amp::new()).unwrap();
-        let mut state = engine.start(5);
-        let (request, window) = probed_window(&engine, &mut state);
-        let id = engine.reserve(&mut state, &window).unwrap();
-        assert_eq!(state.reservations_held(), 1);
-        assert!(!state.reservation(id).unwrap().is_broken());
-
-        let arrived = state.report.jobs_arrived;
-        let leases = state.leases.len();
-        let at = state.last_time();
-        let (job, lease) = engine
-            .commit_reservation(&mut state, id, request, at)
-            .unwrap();
-        assert_eq!(state.reservations_held(), 0);
-        assert_eq!(state.leases.len(), leases + 1);
-        assert!(state.leases.contains_key(&lease));
-        assert_eq!(state.leases[&lease].job, job);
-        assert_eq!(state.report.jobs_arrived, arrived + 1);
-
-        while engine.step(&mut state).unwrap().is_some() {}
-        let run = engine.finish(state);
-        assert!(run.report.jobs_completed >= 1, "the lease never completed");
-    }
-
-    #[test]
-    fn release_conserves_market_capacity() {
-        let engine = Engine::new(small_config(), Amp::new()).unwrap();
-        let mut state = engine.start(5);
-        let (_, window) = probed_window(&engine, &mut state);
-        let before = vacant_ticks(&state);
-        let id = engine.reserve(&mut state, &window).unwrap();
-        assert!(vacant_ticks(&state) < before, "reserve must carve capacity");
-        engine.release_reservation(&mut state, id).unwrap();
-        assert_eq!(vacant_ticks(&state), before, "release must restore it");
-        assert_eq!(state.reservations_held(), 0);
-        assert!(matches!(
-            engine.release_reservation(&mut state, id),
-            Err(ReserveError::Unknown { .. })
-        ));
-    }
-
-    #[test]
-    fn stale_windows_are_refused_without_side_effects() {
-        let engine = Engine::new(small_config(), Amp::new()).unwrap();
-        let mut state = engine.start(5);
-        let (_, window) = probed_window(&engine, &mut state);
-        engine.reserve(&mut state, &window).unwrap();
-        let held = vacant_ticks(&state);
-        // The same window cannot be carved twice.
-        assert!(matches!(
-            engine.reserve(&mut state, &window),
-            Err(ReserveError::Stale(_))
-        ));
-        assert_eq!(vacant_ticks(&state), held);
-        assert_eq!(state.reservations_held(), 1);
-    }
-
-    #[test]
-    fn strike_between_reserve_and_commit_breaks_the_reservation() {
-        let engine = Engine::new(
-            EngineConfig {
-                cycles: 2,
-                revocation: RevocationConfig::per_slot(1.0),
-                arrivals: ArrivalConfig::Poisson {
-                    mean_interarrival: 10.0,
-                    jobs: 1,
-                    job_gen: ecosched_sim::JobGenConfig::default(),
-                },
-                ..EngineConfig::default()
-            },
-            Amp::new(),
-        )
-        .unwrap();
-        let mut state = engine.start(9);
-        let (request, window) = probed_window(&engine, &mut state);
-        let id = engine.reserve(&mut state, &window).unwrap();
-
-        // Step across the mid-cycle strike; per-slot probability 1.0
-        // revokes the entire live surface, the reservation included.
-        while state.reservations_broken() == 0 {
-            engine
-                .step(&mut state)
-                .unwrap()
-                .expect("strike never fired");
-        }
-        assert!(state.reservation(id).unwrap().is_broken());
-
-        // Phase two must refuse; the reservation is consumed either way.
-        let at = state.last_time();
-        assert!(matches!(
-            engine.commit_reservation(&mut state, id, request, at),
-            Err(ReserveError::Broken { .. })
-        ));
-        assert_eq!(state.reservations_held(), 0);
-
-        // The run continues to completion untroubled.
-        while engine.step(&mut state).unwrap().is_some() {}
     }
 }

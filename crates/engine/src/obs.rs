@@ -16,6 +16,7 @@ use std::sync::Arc;
 use ecosched_obs::{CounterId, GaugeId, Recorder, RegistryBuilder};
 use ecosched_optimize::OptStats;
 use ecosched_select::SearchStats;
+use ecosched_sim::PostponeReason;
 
 use crate::report::EngineReport;
 
@@ -48,6 +49,8 @@ pub struct EngineIds {
     opt_rows_extended: CounterId,
     opt_frontier_reused: CounterId,
     opt_frontier_rebuilt: CounterId,
+    // -- postponements by typed reason (not in the run report) ----------
+    postponed: [CounterId; 3],
     // -- gauges ---------------------------------------------------------
     backlog: GaugeId,
     queue_depth: GaugeId,
@@ -180,6 +183,19 @@ impl EngineIds {
                 "ecosched_engine_opt_frontier_rebuilt_total",
                 "Pareto frontiers rebuilt",
             ),
+            // In `on_postponed`'s slot order.
+            postponed: [
+                "no_alternatives",
+                "all_alternatives_stale",
+                "repair_budget_exhausted",
+            ]
+            .map(|reason| {
+                b.counter_with(
+                    "ecosched_engine_postponed_total",
+                    "Jobs left unscheduled by a cycle or a repair pass, by reason",
+                    &[l, &[("reason", reason)]].concat(),
+                )
+            }),
             backlog: g(b, "ecosched_engine_backlog", "Pending jobs"),
             queue_depth: g(
                 b,
@@ -381,6 +397,18 @@ impl EngineObs {
         rec.span(now, "scan", cycle, search.scan.slots_examined);
         rec.span(now, "optimize", cycle, opt.solves);
         rec.span(now, "commit", cycle, committed as u64);
+    }
+
+    /// Counts `jobs` postponements under their typed reason.
+    pub(crate) fn on_postponed(&self, reason: PostponeReason, jobs: usize) {
+        if let Some(inner) = self.inner.as_deref() {
+            let slot = match reason {
+                PostponeReason::NoAlternatives => 0,
+                PostponeReason::AllAlternativesStale => 1,
+                PostponeReason::RepairBudgetExhausted => 2,
+            };
+            inner.rec.add(inner.ids.postponed[slot], jobs as u64);
+        }
     }
 
     /// Records one revocation strike's repair pass as a span.

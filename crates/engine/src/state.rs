@@ -65,7 +65,8 @@ pub struct ArrivalState {
     pub request: ResourceRequest,
 }
 
-/// A job waiting in the pending queue.
+/// A job waiting in the pending queue — the run's live form and its
+/// serialized form are the same struct.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PendingState {
     /// The engine job id (arrival order).

@@ -6,7 +6,7 @@
 use ecosched_engine::{ArrivalConfig, Engine, EngineConfig, EngineIds, EngineObs};
 use ecosched_obs::{Recorder, RegistryBuilder};
 use ecosched_select::Amp;
-use ecosched_sim::{IterationConfig, JobGenConfig, RevocationConfig, SearchMode};
+use ecosched_sim::{IterationConfig, JobGenConfig, RepairPolicy, RevocationConfig, SearchMode};
 
 fn base_config() -> EngineConfig {
     EngineConfig {
@@ -163,4 +163,40 @@ fn recorder_survives_checkpoint_resume_untouched() {
     let b = plain.finish(resumed);
     assert_eq!(a.log.to_json(), b.log.to_json());
     assert_eq!(a.report.to_json(), b.report.to_json());
+}
+
+#[test]
+fn postponements_are_counted_by_typed_reason() {
+    // A zero-attempt repair budget under churn: every broken lease is
+    // re-postponed as `repair_budget_exhausted`, none as stale — and the
+    // recorder stays invisible while counting them.
+    let config = EngineConfig {
+        repair: RepairPolicy {
+            max_attempts: 0,
+            ..RepairPolicy::default()
+        },
+        ..churn_config()
+    };
+    let engine = assert_recorder_invisible(config, 42);
+    let run = engine.run(42).expect("observed run");
+    let reg = engine
+        .obs()
+        .recorder()
+        .expect("recorder attached")
+        .registry()
+        .expect("recorder on");
+    let postponed = |reason: &str| {
+        let id = reg
+            .find_counter("ecosched_engine_postponed_total", &[("reason", reason)])
+            .expect("registered");
+        reg.counter_value(id)
+    };
+    assert!(run.report.repostponed > 0, "churn must break a lease");
+    assert_eq!(
+        postponed("repair_budget_exhausted"),
+        2 * run.report.repostponed
+    );
+    assert_eq!(postponed("all_alternatives_stale"), 0);
+    let carried: usize = run.report.cycles.iter().map(|c| c.postponed).sum();
+    assert_eq!(postponed("no_alternatives"), 2 * carried as u64);
 }

@@ -1,6 +1,6 @@
 //! The backward-run dynamic program (Eq. (1) of the paper).
 //!
-//! The scheme of ref. [2], as summarized in Sec. 2: for jobs `i = n…1` and
+//! The scheme of ref. \[2\], as summarized in Sec. 2: for jobs `i = n…1` and
 //! admissible resource totals `Z_i`, compute
 //!
 //! ```text

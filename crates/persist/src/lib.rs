@@ -4,7 +4,7 @@
 //! `(config, seed)` — makes crash recovery exact rather than
 //! best-effort. This crate adds the three pieces:
 //!
-//! * a **snapshot format** ([`format`], [`snapshot`]): a self-describing
+//! * a **snapshot format** ([`mod@format`], [`snapshot`]): a self-describing
 //!   binary container (magic, version header, per-section FNV-1a 64
 //!   checksums) whose sections carry the engine's serde-serialized
 //!   [`EngineCheckpoint`](ecosched_engine::EngineCheckpoint). Corrupted,

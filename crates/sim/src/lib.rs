@@ -12,9 +12,10 @@
 //!   search → Eq. (2)/(3) VO limits → combination optimization;
 //! * [`Metascheduler`] — the iterative loop with postponed-job carry-over
 //!   and revocation-tolerant execution ([`RevocationModel`] injects seeded
-//!   slot revocations; a three-tier repair pass — failover to surviving
-//!   alternatives, bounded repair search, postpone — recovers and accounts
-//!   for every fault in [`RepairStats`]);
+//!   slot revocations, every fault accounted for in [`RepairStats`]);
+//! * [`mod@cycle`] — the commit-and-repair core that loop shares with the
+//!   discrete-event engine: commit, surviving-fragment release, and the
+//!   failover → bounded repair search → postpone tiers per broken lease;
 //! * [`RunningStats`] — streaming aggregates for the experiment harness.
 //!
 //! # Example
@@ -44,6 +45,7 @@
 
 pub mod analysis;
 mod config;
+pub mod cycle;
 pub mod env;
 mod iteration;
 mod job_gen;
@@ -58,6 +60,7 @@ mod strategy;
 pub mod swf;
 
 pub use config::{ConfigError, IntRange, JobGenConfig, RealRange, SlotGenConfig};
+pub use cycle::{PostponeReason, Recovery, RepairPolicy};
 pub use iteration::{
     run_iteration, run_iteration_cached, Criterion, IterationConfig, IterationError,
     IterationResult, OptimizerKind, SearchMode,
@@ -65,8 +68,7 @@ pub use iteration::{
 pub use job_gen::JobGenerator;
 pub use market::{MarketConfig, MarketCycleReport, MarketSimulation};
 pub use metasched::{
-    CycleSummary, CycleTrace, JobFate, Metascheduler, MetaschedulerReport, PostponeReason,
-    RepairPolicy, TracedRun,
+    CycleSummary, CycleTrace, JobFate, Metascheduler, MetaschedulerReport, TracedRun,
 };
 pub use revocation::{RepairStats, RevocationConfig, RevocationModel};
 pub use slot_gen::SlotGenerator;

@@ -11,48 +11,29 @@
 //! The paper's Sec. 5 study keeps the environment static between the
 //! combination optimization and "scheduled". Our extension inserts an
 //! execution step: a [`RevocationModel`] withdraws vacant regions after
-//! commitment, and a three-tier repair pass recovers each broken lease
-//! within a bounded attempt budget ([`RepairPolicy`]):
-//!
-//! 1. **failover** — adopt a surviving pre-computed alternative (they are
-//!    pairwise disjoint by construction, but must be re-validated against
-//!    regions consumed by other jobs and against the revocations);
-//! 2. **bounded repair search** — re-run the window search for just the
-//!    broken job on the post-revocation execution list, resuming from the
-//!    broken window's start via the incremental checkpoint machinery;
-//! 3. **postpone** — carry the job to the next cycle with a
-//!    [`PostponeReason`].
+//! commitment, and every broken lease goes through the shared recovery
+//! tiers of [`crate::cycle`] (failover → bounded repair search → postpone)
+//! within a bounded attempt budget ([`RepairPolicy`]).
 //!
 //! Every job therefore ends each cycle in a terminal [`JobFate`], and
 //! [`RepairStats`] accounts for 100% of the injected revocations.
 
 use ecosched_core::{
-    Batch, Job, JobId, Lease, LeaseOrigin, Money, ResourceRequest, Revocation, Slot, SlotList,
+    Batch, Job, JobAlternatives, JobId, Lease, LeaseOrigin, Money, ResourceRequest, Revocation,
+    SlotList, TimePoint,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use ecosched_optimize::{IncrementalOptimizer, OptStats};
-use ecosched_select::{repair_search, try_adopt_window, RepairError, ScanStats, SlotSelector};
+use ecosched_select::SlotSelector;
 
 use crate::config::{JobGenConfig, SlotGenConfig};
+use crate::cycle::{self, PostponeReason, Recovery, RepairPolicy};
 use crate::iteration::{run_iteration_cached, IterationConfig, IterationError};
 use crate::job_gen::JobGenerator;
 use crate::revocation::{RepairStats, RevocationConfig, RevocationModel};
 use crate::slot_gen::SlotGenerator;
-
-/// Why a job left a cycle unscheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PostponeReason {
-    /// The alternatives search found no suitable window (the paper's
-    /// original postpone path).
-    NoAlternatives,
-    /// Revocation broke the lease, every surviving alternative failed
-    /// re-validation, and the repair search found no replacement.
-    AllAlternativesStale,
-    /// The repair attempt budget ran out before a replacement was secured.
-    RepairBudgetExhausted,
-}
 
 /// The terminal state of one job at the end of a cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -75,51 +56,6 @@ impl JobFate {
     #[must_use]
     pub fn is_scheduled(&self) -> bool {
         !matches!(self, JobFate::Postponed(_))
-    }
-}
-
-/// Bounds the per-lease recovery work.
-///
-/// Each broken lease may spend at most `max_attempts` recovery attempts,
-/// where one attempt is either one failover re-validation or one bounded
-/// repair scan. Exhausting the budget postpones the job with
-/// [`PostponeReason::RepairBudgetExhausted`].
-///
-/// # Earlier-start exclusion
-///
-/// The tier-2 repair scan deliberately resumes **at the broken window's
-/// start** (via the incremental checkpoint machinery's `resume_from`),
-/// never earlier. Windows beginning before the broken plan are excluded
-/// by design: the original search already walked that prefix against a
-/// strictly *larger* availability list and committed or rejected every
-/// start point in it, so under slot subtraction (which only removes
-/// availability) no start earlier than the original plan can newly become
-/// feasible. Skipping the prefix keeps the repair O(survivors past the
-/// anchor) instead of O(list) without giving up any window the sequential
-/// rescan could have found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RepairPolicy {
-    /// Maximum recovery attempts (validations plus scans) per broken lease.
-    pub max_attempts: u32,
-    /// When the bounded anchored repair is exhausted — the attempt budget
-    /// ran out, or the anchored scan came up dry — retry **once** with a
-    /// full rescan from the start of the execution list before
-    /// postponing. This is the escape hatch from the earlier-start
-    /// exclusion: under pure slot *subtraction* no earlier start can
-    /// newly become feasible, but broken leases **release** their
-    /// surviving fragments back into the list first, so a fragment of a
-    /// pre-anchor slot can make a window feasible that starts before the
-    /// broken plan. The full rescan is the only tier that can see it.
-    /// Costs one O(list) scan per otherwise-postponed lease; default off.
-    pub full_rescan_on_exhaustion: bool,
-}
-
-impl Default for RepairPolicy {
-    fn default() -> Self {
-        RepairPolicy {
-            max_attempts: 8,
-            full_rescan_on_exhaustion: false,
-        }
     }
 }
 
@@ -301,173 +237,128 @@ impl Metascheduler {
         // One optimizer for the whole run: cycles that carry most of their
         // batch (or only shift the VO limits) reuse the cached DP rows.
         let mut optimizer = IncrementalOptimizer::new();
-
         for _ in 0..cycles {
-            let list: SlotList = self.slot_gen.generate(rng);
-            let fresh = self.job_gen.generate(rng);
-
-            // Postponed jobs take the head of the batch (they have waited
-            // longest — highest priority), then the fresh arrivals. Ids are
-            // re-keyed per cycle.
-            let mut jobs: Vec<Job> = Vec::with_capacity(backlog.len() + fresh.len());
-            let carried = backlog.len();
-            for (i, (request, _)) in backlog.iter().enumerate() {
-                jobs.push(Job::new(JobId::new(i as u32), *request));
-            }
-            for (i, job) in fresh.iter().enumerate() {
-                jobs.push(Job::new(JobId::new((carried + i) as u32), *job.request()));
-            }
-            let batch = Batch::from_jobs(jobs).expect("re-keyed ids are unique");
-
-            let result =
-                run_iteration_cached(selector, &list, &batch, &self.config, &mut optimizer)?;
-            let per_job = result.search.alternatives.per_job();
-
-            let mut stats = RepairStats::default();
-            let mut fates: Vec<Option<JobFate>> = vec![None; batch.len()];
-            for id in &result.postponed {
-                fates[id.index() as usize] =
-                    Some(JobFate::Postponed(PostponeReason::NoAlternatives));
-            }
-            stats.postponed_no_alternatives = result.postponed.len() as u64;
-
-            // The optimizer's choice per batch index (None for uncovered
-            // jobs).
-            let mut chosen: Vec<Option<usize>> = vec![None; batch.len()];
-            if let Some(assignment) = &result.assignment {
-                for choice in assignment.choices() {
-                    chosen[choice.job.index() as usize] = Some(choice.alternative);
-                }
-            }
-
-            let mut leases: Vec<Option<Lease>> = vec![None; batch.len()];
-            for (i, job) in batch.as_slice().iter().enumerate() {
-                if let Some(alt) = chosen[i] {
-                    let window = per_job[i].alternatives()[alt].window().clone();
-                    leases[i] = Some(Lease::planned(job.id(), window));
-                }
-            }
-
-            let revocations = if self.revocation.config().is_enabled() {
-                self.execute_and_repair(
-                    &selector,
-                    &list,
-                    &result.search.remaining,
-                    &batch,
-                    per_job,
-                    &chosen,
-                    &mut leases,
-                    &mut fates,
-                    &mut stats,
-                    rng,
-                )
-            } else {
-                Vec::new()
-            };
-
-            // Whatever holds a lease and was never broken survived intact.
-            for (i, fate) in fates.iter_mut().enumerate() {
-                if fate.is_none() {
-                    debug_assert!(leases[i].is_some(), "fateless jobs must hold a lease");
-                    *fate = Some(JobFate::ScheduledIntact);
-                }
-            }
-
-            let mut postponed_again = 0;
-            let mut next_backlog: Vec<(ResourceRequest, u32)> = Vec::new();
-            let mut final_fates: Vec<JobFate> = Vec::with_capacity(batch.len());
-            for (i, fate) in fates.into_iter().enumerate() {
-                // invariant: every index was assigned a fate above — jobs
-                // are either search-postponed, leased, or repair-postponed.
-                let fate = fate.expect("every job ends the cycle with a fate");
-                if let JobFate::Postponed(_) = fate {
-                    let (request, age) = if i < carried {
-                        postponed_again += 1;
-                        (backlog[i].0, backlog[i].1 + 1)
-                    } else {
-                        (*batch.as_slice()[i].request(), 1)
-                    };
-                    next_backlog.push((request, age));
-                }
-                final_fates.push(fate);
-            }
-
-            let (mut scheduled_intact, mut failed_over, mut repaired) = (0, 0, 0);
-            for fate in &final_fates {
-                match fate {
-                    JobFate::ScheduledIntact => scheduled_intact += 1,
-                    JobFate::FailedOver { .. } => failed_over += 1,
-                    JobFate::Repaired => repaired += 1,
-                    JobFate::Postponed(_) => {}
-                }
-            }
-            let scheduled = scheduled_intact + failed_over + repaired;
-
-            let final_leases: Vec<Lease> = leases.into_iter().flatten().collect();
-            let (avg_time, avg_cost) = if final_leases.is_empty() {
-                (0.0, 0.0)
-            } else {
-                let ticks: i64 = final_leases.iter().map(|l| l.window.length().ticks()).sum();
-                let cost: Money = final_leases.iter().map(|l| l.window.total_cost()).sum();
-                let n = final_leases.len() as f64;
-                (ticks as f64 / n, cost.to_f64() / n)
-            };
-
-            report.cycles.push(CycleSummary {
-                batch_size: batch.len(),
-                scheduled,
-                scheduled_intact,
-                failed_over,
-                repaired,
-                postponed: batch.len() - scheduled,
-                postponed_again,
-                avg_time,
-                avg_cost,
-                repair: stats,
-                opt: result.opt,
-            });
-            traces.push(CycleTrace {
-                requests: batch.as_slice().iter().map(|j| *j.request()).collect(),
-                fates: final_fates,
-                leases: final_leases,
-                revocations,
-            });
-            backlog = next_backlog;
+            let (summary, trace) = self.run_cycle(selector, &mut backlog, &mut optimizer, rng)?;
+            report.cycles.push(summary);
+            traces.push(trace);
         }
         Ok(TracedRun { report, traces })
     }
 
-    /// Injects this cycle's revocations and runs the three-tier repair
-    /// pass. `leases`, `fates`, and `stats` are updated in place; returns
-    /// the injected revocations.
+    /// One cycle: publish, batch, plan, commit, execute under revocation,
+    /// and replace `backlog` with the jobs this cycle postponed.
+    fn run_cycle<R: Rng + ?Sized>(
+        &self,
+        selector: impl SlotSelector + Copy,
+        backlog: &mut Vec<(ResourceRequest, u32)>,
+        optimizer: &mut IncrementalOptimizer,
+        rng: &mut R,
+    ) -> Result<(CycleSummary, CycleTrace), IterationError> {
+        let list: SlotList = self.slot_gen.generate(rng);
+        let fresh = self.job_gen.generate(rng);
+
+        // Postponed jobs take the head of the batch (they have waited
+        // longest — highest priority), then the fresh arrivals. Ids are
+        // re-keyed per cycle.
+        let carried = backlog.len();
+        let requests: Vec<ResourceRequest> = backlog
+            .iter()
+            .map(|(request, _)| *request)
+            .chain(fresh.iter().map(|job| *job.request()))
+            .collect();
+        let jobs = requests
+            .iter()
+            .enumerate()
+            .map(|(i, request)| Job::new(JobId::new(i as u32), *request))
+            .collect();
+        let batch = Batch::from_jobs(jobs).expect("re-keyed ids are unique");
+
+        let result = run_iteration_cached(selector, &list, &batch, &self.config, optimizer)?;
+        let per_job = result.search.alternatives.per_job();
+        let (chosen, exec) = cycle::commit(&result);
+
+        // Every covered job starts the cycle holding its chosen window;
+        // the rest found no alternatives at all.
+        let mut stats = RepairStats {
+            postponed_no_alternatives: result.postponed.len() as u64,
+            ..RepairStats::default()
+        };
+        let mut leases: Vec<Option<Lease>> = Vec::with_capacity(batch.len());
+        let mut fates: Vec<JobFate> = Vec::with_capacity(batch.len());
+        for (i, job) in batch.as_slice().iter().enumerate() {
+            leases.push(chosen[i].map(|alt| {
+                Lease::planned(job.id(), per_job[i].alternatives()[alt].window().clone())
+            }));
+            fates.push(match chosen[i] {
+                Some(_) => JobFate::ScheduledIntact,
+                None => JobFate::Postponed(PostponeReason::NoAlternatives),
+            });
+        }
+
+        let revocations = if self.revocation.config().is_enabled() {
+            self.execute_and_repair(
+                &selector,
+                &list,
+                exec,
+                &requests,
+                per_job,
+                &chosen,
+                &mut leases,
+                &mut fates,
+                &mut stats,
+                rng,
+            )
+        } else {
+            Vec::new()
+        };
+
+        let mut postponed_again = 0;
+        let mut next_backlog: Vec<(ResourceRequest, u32)> = Vec::new();
+        for (i, fate) in fates.iter().enumerate() {
+            if let JobFate::Postponed(_) = fate {
+                let age = if i < carried {
+                    postponed_again += 1;
+                    backlog[i].1 + 1
+                } else {
+                    1
+                };
+                next_backlog.push((requests[i], age));
+            }
+        }
+        *backlog = next_backlog;
+
+        let leases: Vec<Lease> = leases.into_iter().flatten().collect();
+        let summary = summarize(&fates, &leases, postponed_again, stats, result.opt);
+        let trace = CycleTrace {
+            requests,
+            fates,
+            leases,
+            revocations,
+        };
+        Ok((summary, trace))
+    }
+
+    /// Injects this cycle's revocations into the execution list and runs
+    /// the shared recovery tiers over every broken lease, in batch
+    /// (priority) order. `leases`, `fates`, and `stats` are updated in
+    /// place; returns the injected revocations.
     #[allow(clippy::too_many_arguments)]
     fn execute_and_repair<R: Rng + ?Sized>(
         &self,
-        selector: &(impl SlotSelector + Copy),
+        selector: &impl SlotSelector,
         published: &SlotList,
-        remaining: &SlotList,
-        batch: &Batch,
-        per_job: &[ecosched_core::JobAlternatives],
+        mut exec: SlotList,
+        requests: &[ResourceRequest],
+        per_job: &[JobAlternatives],
         chosen: &[Option<usize>],
         leases: &mut [Option<Lease>],
-        fates: &mut [Option<JobFate>],
+        fates: &mut [JobFate],
         stats: &mut RepairStats,
         rng: &mut R,
     ) -> Vec<Revocation> {
-        // The execution list: everything still vacant after the committed
-        // windows were carved out. The search subtracted *every* found
-        // alternative; the non-chosen ones return to the pool as freshly
-        // minted slots so failovers and repairs can reuse that time.
-        let mut exec = remaining.clone();
-        for (i, ja) in per_job.iter().enumerate() {
-            for (alt_idx, alt) in ja.alternatives().iter().enumerate() {
-                if chosen[i] == Some(alt_idx) {
-                    continue;
-                }
-                release_window(&mut exec, alt.window());
-            }
-        }
-
+        // The batch loop has no clock: a `now` at or before every
+        // published start switches the core's clock clauses off.
+        let now = published.earliest_start().unwrap_or(TimePoint::ZERO);
         let revocations = self.revocation.draw(published, rng);
         for r in &revocations {
             exec.remove_region(r.node, r.span);
@@ -475,185 +366,109 @@ impl Metascheduler {
         stats.revocations_injected = revocations.len() as u64;
 
         // Classify every revocation and find the broken leases.
-        let mut breaking = vec![false; revocations.len()];
-        let mut broken = vec![false; leases.len()];
-        for (ri, r) in revocations.iter().enumerate() {
-            for (li, lease) in leases.iter().enumerate() {
-                if lease.as_ref().is_some_and(|l| l.broken_by(r)) {
-                    breaking[ri] = true;
-                    broken[li] = true;
-                }
-            }
-        }
-        stats.revocations_breaking = breaking.iter().filter(|&&b| b).count() as u64;
+        let struck = |lease: &Lease| revocations.iter().any(|r| lease.broken_by(r));
+        let broken: Vec<usize> = (0..leases.len())
+            .filter(|&li| leases[li].as_ref().is_some_and(struck))
+            .collect();
+        stats.revocations_breaking = revocations
+            .iter()
+            .filter(|r| leases.iter().flatten().any(|lease| lease.broken_by(r)))
+            .count() as u64;
         stats.revocations_vacant_only = stats.revocations_injected - stats.revocations_breaking;
-        stats.leases_broken = broken.iter().filter(|&&b| b).count() as u64;
+        stats.leases_broken = broken.len() as u64;
 
-        // Broken leases first release their surviving (non-revoked)
-        // fragments back into the execution list, so later failovers and
-        // repairs — including their own — can reuse that time.
-        for (li, lease) in leases.iter().enumerate() {
-            if !broken[li] {
-                continue;
-            }
-            // invariant: `broken` is only set for indices holding a lease.
-            let lease = lease.as_ref().expect("broken implies leased");
-            for ws in lease.window.slots() {
-                let mut fragments = vec![lease.window.used_span(ws)];
-                for r in revocations.iter().filter(|r| r.node == ws.node()) {
-                    let mut survivors = Vec::new();
-                    for frag in fragments {
-                        let (left, right) = frag.subtract(r.span);
-                        survivors.extend(left);
-                        survivors.extend(right);
-                    }
-                    fragments = survivors;
-                }
-                for frag in fragments {
-                    let id = exec.mint_id();
-                    let slot = Slot::new(id, ws.node(), ws.perf(), ws.price(), frag)
-                        .expect("surviving fragments are non-empty");
-                    exec.insert(slot)
-                        .expect("lease regions were held exclusively");
-                }
-            }
+        // Broken leases first release their surviving fragments, so later
+        // failovers and repairs — including their own — can reuse them.
+        let originals: Vec<Lease> = broken
+            .iter()
+            // invariant: `broken` only holds indices of leased jobs.
+            .map(|&li| leases[li].take().expect("broken implies leased"))
+            .collect();
+        for original in &originals {
+            cycle::release_broken(&mut exec, &original.window, &revocations, now);
         }
 
-        // Three-tier recovery, in batch (priority) order.
-        for li in 0..leases.len() {
-            if !broken[li] {
-                continue;
-            }
-            // invariant: `broken` is only set for indices holding a lease.
-            let original = leases[li].take().expect("broken implies leased");
-            let request = batch.as_slice()[li].request();
-            let original_cost = original.window.total_cost();
-            let mut attempts: u32 = 0;
-            let mut recovered: Option<(Lease, JobFate)> = None;
-
-            // Tier 1: fail over to a surviving pre-computed alternative.
-            // Disjoint from the broken window by construction, but other
-            // jobs' commitments and this cycle's revocations may have
-            // consumed it since — re-validate before adopting.
-            for (alt_idx, alt) in per_job[li].alternatives().iter().enumerate() {
-                if chosen[li] == Some(alt_idx) {
+        for (li, original) in broken.into_iter().zip(originals) {
+            let alternatives = per_job[li]
+                .alternatives()
+                .iter()
+                .enumerate()
+                .filter(|(alt_idx, _)| chosen[li] != Some(*alt_idx))
+                .map(|(alt_idx, alt)| (alt_idx, alt.window()));
+            let (window, origin, fate) = match cycle::recover(
+                selector,
+                &self.policy,
+                &requests[li],
+                &original.window,
+                alternatives,
+                &mut exec,
+                &revocations,
+                now,
+                stats,
+            ) {
+                Recovery::FailedOver {
+                    alternative,
+                    window,
+                } => (
+                    window,
+                    LeaseOrigin::FailedOver { alternative },
+                    JobFate::FailedOver { alternative },
+                ),
+                Recovery::Repaired { window } => (window, LeaseOrigin::Repaired, JobFate::Repaired),
+                Recovery::Postponed(reason) => {
+                    fates[li] = JobFate::Postponed(reason);
                     continue;
                 }
-                if attempts >= self.policy.max_attempts {
-                    break;
-                }
-                attempts += 1;
-                stats.failover_validations += 1;
-                match try_adopt_window(alt.window(), &mut exec, &revocations) {
-                    Ok(()) => {
-                        stats.failovers_taken += 1;
-                        stats.repair_cost_delta +=
-                            (alt.window().total_cost() - original_cost).to_f64();
-                        recovered = Some((
-                            Lease {
-                                job: original.job,
-                                window: alt.window().clone(),
-                                origin: LeaseOrigin::FailedOver {
-                                    alternative: alt_idx,
-                                },
-                            },
-                            JobFate::FailedOver {
-                                alternative: alt_idx,
-                            },
-                        ));
-                        break;
-                    }
-                    Err(RepairError::Revoked { .. }) => stats.failover_stale_revoked += 1,
-                    Err(RepairError::Consumed { .. }) => stats.failover_stale_consumed += 1,
-                }
-            }
-
-            // Tier 2: bounded repair search on the survivors, resuming at
-            // the broken window's start (checkpointed, O(survivors)).
-            if recovered.is_none() && attempts < self.policy.max_attempts {
-                attempts += 1;
-                stats.repairs_attempted += 1;
-                let mut scan = ScanStats::new();
-                let found =
-                    repair_search(selector, request, original.window.start(), &exec, &mut scan);
-                stats.budget_violations_avoided += scan.acceptance_tests - scan.windows_found;
-                stats.repair_scan.merge(&scan);
-                if let Some(window) = found {
-                    exec.subtract_window(&window)
-                        .expect("repair windows are carved from the execution list");
-                    stats.repairs_succeeded += 1;
-                    stats.repair_cost_delta += (window.total_cost() - original_cost).to_f64();
-                    recovered = Some((
-                        Lease {
-                            job: original.job,
-                            window,
-                            origin: LeaseOrigin::Repaired,
-                        },
-                        JobFate::Repaired,
-                    ));
-                }
-            }
-
-            // Tier 2.5 (optional, off by default): the anchored repair is
-            // exhausted — budget spent or scan dry. Retry once from the
-            // start of the execution list. Released fragments of *other*
-            // broken leases can make a window feasible that starts before
-            // this job's broken plan, and the anchored scan can never see
-            // it (earlier-start exclusion); the full rescan can.
-            if recovered.is_none() && self.policy.full_rescan_on_exhaustion {
-                stats.full_rescans_attempted += 1;
-                let mut scan = ScanStats::new();
-                let found = selector.find_window(&exec, request, &mut scan);
-                stats.budget_violations_avoided += scan.acceptance_tests - scan.windows_found;
-                stats.repair_scan.merge(&scan);
-                if let Some(window) = found {
-                    exec.subtract_window(&window)
-                        .expect("repair windows are carved from the execution list");
-                    stats.full_rescans_succeeded += 1;
-                    stats.repair_cost_delta += (window.total_cost() - original_cost).to_f64();
-                    recovered = Some((
-                        Lease {
-                            job: original.job,
-                            window,
-                            origin: LeaseOrigin::Repaired,
-                        },
-                        JobFate::Repaired,
-                    ));
-                }
-            }
-
-            // Tier 3: postpone with the reason.
-            match recovered {
-                Some((lease, fate)) => {
-                    leases[li] = Some(lease);
-                    fates[li] = Some(fate);
-                }
-                None => {
-                    let reason = if attempts >= self.policy.max_attempts {
-                        stats.postponed_budget_exhausted += 1;
-                        PostponeReason::RepairBudgetExhausted
-                    } else {
-                        stats.postponed_stale += 1;
-                        PostponeReason::AllAlternativesStale
-                    };
-                    fates[li] = Some(JobFate::Postponed(reason));
-                }
-            }
+            };
+            fates[li] = fate;
+            leases[li] = Some(Lease {
+                job: original.job,
+                window,
+                origin,
+            });
         }
-
         revocations
     }
 }
 
-/// Returns a window's regions to the execution list as freshly minted
-/// slots.
-fn release_window(exec: &mut SlotList, window: &ecosched_core::Window) {
-    for ws in window.slots() {
-        let id = exec.mint_id();
-        let slot = Slot::new(id, ws.node(), ws.perf(), ws.price(), window.used_span(ws))
-            .expect("window members have positive runtimes");
-        exec.insert(slot)
-            .expect("released regions were carved from this list");
+/// Folds one cycle's terminal fates and final leases into its summary.
+fn summarize(
+    fates: &[JobFate],
+    leases: &[Lease],
+    postponed_again: usize,
+    repair: RepairStats,
+    opt: OptStats,
+) -> CycleSummary {
+    let (mut scheduled_intact, mut failed_over, mut repaired) = (0, 0, 0);
+    for fate in fates {
+        match fate {
+            JobFate::ScheduledIntact => scheduled_intact += 1,
+            JobFate::FailedOver { .. } => failed_over += 1,
+            JobFate::Repaired => repaired += 1,
+            JobFate::Postponed(_) => {}
+        }
+    }
+    let scheduled = scheduled_intact + failed_over + repaired;
+    let (avg_time, avg_cost) = if leases.is_empty() {
+        (0.0, 0.0)
+    } else {
+        let ticks: i64 = leases.iter().map(|l| l.window.length().ticks()).sum();
+        let cost: Money = leases.iter().map(|l| l.window.total_cost()).sum();
+        let n = leases.len() as f64;
+        (ticks as f64 / n, cost.to_f64() / n)
+    };
+    CycleSummary {
+        batch_size: fates.len(),
+        scheduled,
+        scheduled_intact,
+        failed_over,
+        repaired,
+        postponed: fates.len() - scheduled,
+        postponed_again,
+        avg_time,
+        avg_cost,
+        repair,
+        opt,
     }
 }
 

@@ -26,7 +26,7 @@
 
 use std::collections::BTreeSet;
 
-use ecosched_core::{Lease, Revocation, RevocationReason, Slot, SlotList};
+use ecosched_core::{Revocation, RevocationReason, Slot, SlotList, Window};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -206,7 +206,7 @@ impl RevocationModel {
     }
 
     /// Draws revocations against the **live** execution state: the vacant
-    /// `list` plus the regions currently held by `leases`.
+    /// `list` plus the regions currently held by the `leased` windows.
     ///
     /// The batch-cycle path ([`RevocationModel::draw`]) samples the
     /// published list only, so faults can never land on time the repair
@@ -223,31 +223,18 @@ impl RevocationModel {
     /// the same revocations, and a disabled model still returns an empty
     /// vector without touching `rng` — the legacy byte-stability guarantee
     /// is unaffected because the metascheduler keeps calling `draw`.
-    pub fn draw_live<R: Rng + ?Sized>(
+    pub fn draw_live<'a, R: Rng + ?Sized>(
         &self,
         list: &SlotList,
-        leases: &[Lease],
+        leased: impl IntoIterator<Item = &'a Window>,
         rng: &mut R,
     ) -> Vec<Revocation> {
         if !self.config.is_enabled() {
             return Vec::new();
         }
         let mut domain = list.clone();
-        for lease in leases {
-            for ws in lease.window.slots() {
-                let id = domain.mint_id();
-                let slot = Slot::new(
-                    id,
-                    ws.node(),
-                    ws.perf(),
-                    ws.price(),
-                    lease.window.used_span(ws),
-                )
-                .expect("lease members have positive runtimes");
-                domain
-                    .insert(slot)
-                    .expect("lease regions are disjoint from the vacant list");
-            }
+        for window in leased {
+            domain.release_window(window);
         }
         self.draw(&domain, rng)
     }
@@ -451,8 +438,8 @@ mod tests {
         assert_eq!(ids.len(), before, "a slot was revoked twice");
     }
 
-    fn lease_over(node: u32, a: i64, b: i64, price: i64) -> Lease {
-        use ecosched_core::{JobId, TimeDelta, Window, WindowSlot};
+    fn lease_over(node: u32, a: i64, b: i64, price: i64) -> ecosched_core::Lease {
+        use ecosched_core::{JobId, Lease, TimeDelta, WindowSlot};
         let member = WindowSlot::from_slot(
             &Slot::new(
                 SlotId::new(900 + u64::from(node)),
@@ -476,9 +463,9 @@ mod tests {
         // The vacant list covers nodes 0..20; the lease holds carved-out
         // time on node 99 that `draw` could never sample.
         let model = RevocationModel::new(RevocationConfig::per_slot(1.0));
-        let leases = vec![lease_over(99, 200, 260, 3)];
+        let leases = [lease_over(99, 200, 260, 3)];
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let revocations = model.draw_live(&list(20), &leases, &mut rng);
+        let revocations = model.draw_live(&list(20), leases.iter().map(|l| &l.window), &mut rng);
         assert_eq!(revocations.len(), 21, "every vacant slot plus the lease");
         let hit = revocations
             .iter()
@@ -502,7 +489,7 @@ mod tests {
         let mut a = ChaCha8Rng::seed_from_u64(9);
         let mut b = ChaCha8Rng::seed_from_u64(9);
         assert_eq!(
-            model.draw_live(&list(30), &[], &mut a),
+            model.draw_live(&list(30), [], &mut a),
             model.draw(&list(30), &mut b)
         );
     }
@@ -510,9 +497,11 @@ mod tests {
     #[test]
     fn disabled_live_draw_touches_no_rng() {
         let model = RevocationModel::new(RevocationConfig::none());
-        let leases = vec![lease_over(5, 0, 40, 2)];
+        let leases = [lease_over(5, 0, 40, 2)];
         let mut rng = ChaCha8Rng::seed_from_u64(10);
-        assert!(model.draw_live(&list(10), &leases, &mut rng).is_empty());
+        assert!(model
+            .draw_live(&list(10), leases.iter().map(|l| &l.window), &mut rng)
+            .is_empty());
         let mut fresh = ChaCha8Rng::seed_from_u64(10);
         assert_eq!(rng.next_u64(), fresh.next_u64());
     }

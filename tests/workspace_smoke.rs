@@ -1,13 +1,17 @@
 //! One short scenario per layer that the root `cargo test -q` would
-//! otherwise skip: the engine, the federation, persist and the select
-//! crate's coscheduled driver. Small enough for a debug build; the crates'
-//! own suites (`cargo test --workspace`) go deeper.
+//! otherwise skip: the engine, the federation (S=1 and S=4), persist, the
+//! service session, the combination optimizer against its brute-force
+//! oracle and the select crate's coscheduled driver. Small enough for a
+//! debug build; the crates' own suites (`cargo test --workspace`) go
+//! deeper.
 
 use ecosched::engine::{ArrivalConfig, Engine, EngineConfig, EngineRun};
-use ecosched::federation::{Federation, FederationConfig};
+use ecosched::federation::{Federation, FederationConfig, RoutePolicy};
+use ecosched::optimize::brute::min_cost_under_time_brute;
 use ecosched::persist::{encode_snapshot, resume_from, run_with_snapshots};
 use ecosched::prelude::*;
 use ecosched::select::find_alternatives_coscheduled_rescan;
+use ecosched::service::{BootMode, JobSpec, ServiceManifest, Session};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -89,4 +93,115 @@ fn coscheduled_iteration_commits_what_the_rescan_oracle_commits() {
     assert!(oracle.alternatives.total_found() > 0);
     assert_eq!(result.search.alternatives, oracle.alternatives);
     assert_eq!(result.search.remaining, oracle.remaining);
+}
+
+/// The merged-log hash of `churn_config()` split over four shards under
+/// cheapest-probe routing with cross-shard co-allocation, at `SEED`.
+/// Pinned from the commit before the commit-and-repair core was shared.
+const PINNED_S4_MERGED_LOG_HASH: &str = "38a3b817bfae7f41";
+
+#[test]
+fn four_shard_federation_reproduces_its_pinned_merged_log() {
+    let config = FederationConfig {
+        route: RoutePolicy::CheapestProbe,
+        cross_shard: true,
+        ..FederationConfig::new(churn_config(), 4)
+    };
+    let run = Federation::new(config, Amp::new())
+        .expect("valid config")
+        .run(SEED)
+        .expect("run");
+    assert_eq!(run.shards.len(), 4);
+    assert!(run.report.jobs_completed > 0, "nothing completed");
+    assert_eq!(run.merged.fnv1a_hash(), PINNED_S4_MERGED_LOG_HASH);
+    assert_eq!(run.report.merged_log_hash, PINNED_S4_MERGED_LOG_HASH);
+}
+
+#[test]
+fn dp_optimum_matches_the_brute_force_oracle() {
+    let mut rng = ChaCha8Rng::seed_from_u64(2011);
+    let list = SlotGenerator::new(SlotGenConfig::default()).generate(&mut rng);
+    let batch = JobGenerator::new(JobGenConfig::default()).generate(&mut rng);
+    let search = find_alternatives(Amp::new(), &list, &batch).expect("search");
+    // Four covered jobs, six alternatives each: small enough to enumerate.
+    let jobs: Vec<JobAlternatives> = search
+        .alternatives
+        .per_job()
+        .iter()
+        .filter(|ja| ja.len() > 1)
+        .take(4)
+        .map(|ja| {
+            let mut kept = JobAlternatives::new(ja.alternatives()[0].job());
+            ja.iter().take(6).for_each(|a| kept.push(a.clone()));
+            kept
+        })
+        .collect();
+    let combinations: usize = jobs.iter().map(|ja| ja.alternatives().len()).product();
+    assert!(
+        (16..=1296).contains(&combinations),
+        "{combinations} combinations: not a small instance any more"
+    );
+    // A quota halfway between the fastest and the slowest combination, so
+    // the constraint binds.
+    let fastest: TimeDelta = jobs
+        .iter()
+        .map(|ja| ja.iter().map(|a| a.time()).min().unwrap())
+        .sum();
+    let slowest: TimeDelta = jobs
+        .iter()
+        .map(|ja| ja.iter().map(|a| a.time()).max().unwrap())
+        .sum();
+    let quota = TimeDelta::new((fastest.ticks() + slowest.ticks()) / 2);
+
+    let dp = min_cost_under_time(&jobs, quota).expect("feasible");
+    let oracle = min_cost_under_time_brute(&jobs, quota).expect("feasible");
+    assert!(dp.total_time() <= quota);
+    assert_eq!(dp.total_cost(), oracle.total_cost());
+    let unconstrained = min_cost_under_time_brute(&jobs, slowest).expect("feasible");
+    assert!(
+        oracle.total_cost() > unconstrained.total_cost(),
+        "the quota must bind"
+    );
+}
+
+#[test]
+fn service_session_reopens_with_every_acked_job() {
+    let dir = std::env::temp_dir().join(format!("ecosched-smoke-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || Session::open(&dir, ServiceManifest::default(), Amp::new()).expect("open");
+    // Two nodes for 30 ticks at a price cap above the generator ceiling.
+    let spec = JobSpec {
+        nodes: 2,
+        wall_ticks: 30,
+        min_perf_milli: 1000,
+        price_cap_micro: 10_000_000,
+        deadline_tick: None,
+    };
+
+    let (acked, hash) = {
+        let mut session = open();
+        assert_eq!(*session.boot_mode(), BootMode::Fresh { replayed: 0 });
+        session.advance_to(0).expect("first publication");
+        let first = session.submit(&spec, 0).expect("accepted");
+        let second = session.submit(&spec, 0).expect("accepted");
+        assert_eq!(session.commit().expect("group commit"), vec![first, second]);
+        session.advance_to(90).expect("advance");
+        let status = session.status();
+        (status.accepted_total, status.log_hash)
+        // Dropped without a shutdown: a crash after the acks.
+    };
+    assert_eq!(acked, 2);
+
+    // The WAL replays the acked submissions; the same virtual time then
+    // rebuilds the same log.
+    let mut session = open();
+    assert_eq!(
+        session.status().accepted_total,
+        acked,
+        "an acked job was lost"
+    );
+    session.advance_to(90).expect("advance");
+    assert_eq!(session.status().log_hash, hash);
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
 }
