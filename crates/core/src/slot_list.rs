@@ -645,10 +645,19 @@ impl<'de> Deserialize<'de> for SlotList {
             .and_then(|m| m.iter().find(|(k, _)| k == "repr"))
             .is_some();
         if !tagged_interval {
-            // Legacy flat payload: `{slots, next_id}`.
+            // Legacy flat payload: `{slots, next_id}`, validated as fully
+            // as the interval one: order, ids, same-node overlap, cursor.
             let slots = Vec::<Slot>::from_value(serde::get_field(value, "slots")?)?;
             let next_id = u64::from_value(serde::get_field(value, "next_id")?)?;
-            let flat = FlatStore::rebuild(slots, next_id)?;
+            let mut flat = FlatStore::from_sorted_slots(slots)
+                .map_err(|e| serde::Error::custom(format!("invalid serialized slot list: {e}")))?;
+            if next_id < flat.next_id {
+                return Err(serde::Error::custom(format!(
+                    "invalid serialized slot list: next_id {next_id} is not above live slot id {}",
+                    flat.next_id - 1
+                )));
+            }
+            flat.next_id = next_id;
             return Ok(SlotList {
                 repr: Repr::Flat(flat),
             });
@@ -824,31 +833,6 @@ impl FlatStore {
             index,
             node_starts,
         }
-    }
-
-    /// Deserialization path: [`FlatStore::from_parts`] plus the duplicate
-    /// id check the legacy decoder always performed.
-    fn rebuild(slots: Vec<Slot>, next_id: u64) -> Result<Self, serde::Error> {
-        let mut index = HashMap::with_capacity(slots.len());
-        let mut node_starts: HashMap<NodeId, BTreeMap<TimePoint, SlotId>> = HashMap::new();
-        for slot in &slots {
-            if index.insert(slot.id(), slot.start()).is_some() {
-                return Err(serde::Error::custom(format!(
-                    "duplicate slot id {} in serialized slot list",
-                    slot.id()
-                )));
-            }
-            node_starts
-                .entry(slot.node())
-                .or_default()
-                .insert(slot.start(), slot.id());
-        }
-        Ok(FlatStore {
-            slots,
-            next_id,
-            index,
-            node_starts,
-        })
     }
 
     fn mint_id(&mut self) -> SlotId {
@@ -1604,6 +1588,49 @@ mod tests {
             .map(|(k, _)| k.as_str())
             .collect();
         assert_eq!(keys, vec!["slots", "next_id"]);
+    }
+
+    /// The legacy flat payload is validated as fully as the interval one:
+    /// a dump that is out of order, overlaps on a node, repeats an id, or
+    /// carries a minting cursor at or below a live id is refused, naming
+    /// the violated invariant — never decoded into a list whose
+    /// `validate()` fails or whose `mint_id()` reissues a live id.
+    #[test]
+    fn serde_rejects_corrupt_flat_payload() {
+        let payload = |slots: Vec<Slot>, next_id: u64| {
+            serde::Value::Map(vec![
+                ("slots".to_string(), slots.to_value()),
+                ("next_id".to_string(), next_id.to_value()),
+            ])
+        };
+        let rejects = |value: serde::Value, needle: &str| {
+            let err = SlotList::from_value(&value).expect_err(needle).to_string();
+            assert!(err.contains(needle), "{err:?} should mention {needle:?}");
+        };
+        let sound = vec![slot(3, 0, 0, 30), slot(5, 0, 30, 60)];
+        // A cursor past max(id) + 1 is sound: coalescing retires ids.
+        let list = SlotList::from_value(&payload(sound.clone(), 9)).unwrap();
+        list.validate().unwrap();
+        assert_eq!(list.next_id(), 9);
+
+        rejects(
+            payload(vec![slot(5, 0, 20, 60), slot(3, 0, 0, 30)], 0),
+            "breaks (start, id) order",
+        );
+        rejects(
+            payload(vec![slot(3, 0, 0, 30), slot(5, 0, 20, 60)], 6),
+            "overlap",
+        );
+        rejects(
+            payload(vec![slot(3, 0, 0, 30), slot(3, 1, 0, 30)], 6),
+            "breaks (start, id) order",
+        );
+        rejects(
+            payload(vec![slot(3, 0, 0, 30), slot(3, 1, 5, 30)], 6),
+            "duplicate slot id",
+        );
+        rejects(payload(sound.clone(), 5), "next_id 5 is not above");
+        rejects(payload(sound, 0), "next_id 0 is not above");
     }
 
     #[test]

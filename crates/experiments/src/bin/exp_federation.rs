@@ -51,9 +51,9 @@ use ecosched_experiments::federation::{
 };
 use ecosched_experiments::online::OnlineConfig;
 use ecosched_experiments::{arg_value, reject_unknown_flags};
-use ecosched_federation::{FedIds, Federation, FederationObs, FederationRun};
+use ecosched_federation::{FedIds, Federation, FederationCheckpoint, FederationObs, FederationRun};
 use ecosched_obs::{Recorder, RegistryBuilder};
-use ecosched_persist::{read_federated_snapshot, write_federated_snapshot};
+use ecosched_persist::snapshot;
 use ecosched_select::Amp;
 
 fn fail(message: impl std::fmt::Display) -> ! {
@@ -153,7 +153,7 @@ fn single_flow(
                 if (cycle + 1) % snapshot_every == 0 {
                     let path = snapshot_path
                         .unwrap_or_else(|| fail("--snapshot-every requires --snapshot-path"));
-                    if let Err(e) = write_federated_snapshot(path, &fed.checkpoint(&state)) {
+                    if let Err(e) = snapshot::write(path, &fed.checkpoint(&state)) {
                         fail(format!("writing snapshot: {e}"));
                     }
                     snapshots += 1;
@@ -167,7 +167,7 @@ fn single_flow(
 /// Restores from a federated snapshot, runs to completion, and prints
 /// the final cell lines.
 fn resume_flow(fed: &Federation<Amp>, shards: u32, mean_gap: f64, snapshot_path: &Path) {
-    let checkpoint = match read_federated_snapshot(snapshot_path) {
+    let checkpoint: FederationCheckpoint = match snapshot::read(snapshot_path) {
         Ok(checkpoint) => checkpoint,
         Err(e) => fail(format!("reading {}: {e}", snapshot_path.display())),
     };

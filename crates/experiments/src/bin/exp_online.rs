@@ -64,7 +64,7 @@ use ecosched_experiments::online::{
 use ecosched_experiments::trace::{parse_swf, run_trace, trace_config, trace_table};
 use ecosched_experiments::{arg_value, reject_unknown_flags};
 use ecosched_obs::{Recorder, RegistryBuilder};
-use ecosched_persist::{decode_snapshot, resume_from, write_snapshot};
+use ecosched_persist::{decode_snapshot, resume_from, snapshot};
 use ecosched_select::{Alp, Amp, SlotSelector};
 
 fn fail(message: impl std::fmt::Display) -> ! {
@@ -156,7 +156,7 @@ fn single_flow<S: SlotSelector + Copy>(
                 if (cycle + 1) % snapshot_every == 0 {
                     let path = snapshot_path
                         .unwrap_or_else(|| fail("--snapshot-every requires --snapshot-path"));
-                    if let Err(e) = write_snapshot(path, &engine.checkpoint(&state)) {
+                    if let Err(e) = snapshot::write(path, &engine.checkpoint(&state)) {
                         fail(format!("writing snapshot: {e}"));
                     }
                     snapshots += 1;

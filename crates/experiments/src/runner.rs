@@ -201,12 +201,12 @@ pub fn run_paired(config: &ExperimentConfig, series_limit: usize) -> PairedOutco
     let n = config.iterations;
     let chunk = n.div_ceil(threads as u64).max(1);
 
-    let outcomes: Vec<SeedOutcome> = crossbeam::scope(|scope| {
+    let outcomes: Vec<SeedOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n)
             .step_by(chunk as usize)
             .map(|start| {
                 let end = (start + chunk).min(n);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     (start..end)
                         .map(|i| run_seed(config, i))
                         .collect::<Vec<_>>()
@@ -217,8 +217,7 @@ pub fn run_paired(config: &ExperimentConfig, series_limit: usize) -> PairedOutco
             .into_iter()
             .flat_map(|h| h.join().expect("experiment worker panicked"))
             .collect()
-    })
-    .expect("crossbeam scope failed");
+    });
 
     let mut result = PairedOutcome {
         total_iterations: n,

@@ -102,8 +102,6 @@ pub enum PersistError {
         /// What went wrong.
         detail: String,
     },
-    /// Resuming or replaying the decoded checkpoint failed in the engine.
-    Engine(ecosched_engine::EngineError),
     /// Reading or writing the snapshot file failed.
     Io(std::io::Error),
 }
@@ -133,7 +131,6 @@ impl std::fmt::Display for PersistError {
             PersistError::Corrupt { section, detail } => {
                 write!(f, "section {section}: {detail}")
             }
-            PersistError::Engine(e) => write!(f, "engine rejected the checkpoint: {e}"),
             PersistError::Io(e) => write!(f, "snapshot i/o failed: {e}"),
         }
     }
@@ -142,16 +139,9 @@ impl std::fmt::Display for PersistError {
 impl std::error::Error for PersistError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            PersistError::Engine(e) => Some(e),
             PersistError::Io(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<ecosched_engine::EngineError> for PersistError {
-    fn from(e: ecosched_engine::EngineError) -> Self {
-        PersistError::Engine(e)
     }
 }
 

@@ -1,110 +1,71 @@
 //! Rotated snapshot directories: atomic writes, keep-last-K pruning,
-//! and corruption-tolerant resume.
+//! and corruption-tolerant resume — for any [`Checkpoint`] type.
 //!
-//! A [`SnapshotStore`] manages a directory of `snap-<events>.ecosnap`
+//! A [`Store<C>`] manages a directory of `<prefix><events>.ecosnap`
 //! files, one per capture, named by the number of events the run had
-//! processed (zero-padded so lexical order is capture order). Saving is
-//! crash-atomic: bytes go to a `.tmp` sibling, are fsynced, and only
-//! then renamed over the final name — a crash mid-write leaves at worst
-//! a stray temp file, never a half-written snapshot under the real
-//! name. After each save the store prunes to the newest `keep_last`
-//! files, and [`SnapshotStore::load_latest`] walks newest-to-oldest past
-//! any truncated or corrupt file, so one bad newest snapshot costs one
-//! capture interval of replay, not the run.
+//! emitted (zero-padded so lexical order is capture order). A crash
+//! mid-save leaves at worst a stray temp file ([`atomic_save`]); after
+//! each save the store prunes to the newest `keep_last` files, and
+//! [`Store::load_latest`] walks newest-to-oldest past any truncated or
+//! corrupt file, so one bad newest snapshot costs one capture interval
+//! of replay, not the run. Stores of different checkpoint types list
+//! only their own prefix, so they can share a directory.
 
 use std::fs;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 use ecosched_engine::EngineCheckpoint;
 
 use crate::format::PersistError;
-use crate::snapshot::{decode_snapshot, encode_snapshot, SnapshotMeta};
+use crate::snapshot::{encode, read, Checkpoint};
 
-/// File extension of finished snapshots.
-const EXT: &str = "ecosnap";
-/// Prefix of every snapshot file name.
-const PREFIX: &str = "snap-";
+/// File-name suffix of finished snapshots.
+const SUFFIX: &str = ".ecosnap";
 
-/// File name for a capture taken after `events` processed events, under
-/// the given store prefix.
-pub(crate) fn file_name_for(prefix: &str, events: u64) -> String {
-    format!("{prefix}{events:016}.{EXT}")
-}
-
-/// Parses the event count out of a snapshot file name under `prefix`.
-pub(crate) fn parse_name_for(prefix: &str, name: &str) -> Option<u64> {
-    let stem = name
-        .strip_prefix(prefix)?
-        .strip_suffix(&format!(".{EXT}"))?;
-    stem.parse().ok()
-}
-
-/// Writes `bytes` crash-atomically under `dir/name`: temp sibling,
-/// fsync, rename, directory fsync.
-pub(crate) fn atomic_save(dir: &Path, name: &str, bytes: &[u8]) -> Result<PathBuf, PersistError> {
-    let final_path = dir.join(name);
-    let tmp_path = final_path.with_extension("tmp");
+/// Writes `bytes` crash-atomically to `path`: temp sibling
+/// (`path` with a `.tmp` extension), fsync, rename, directory fsync.
+///
+/// # Errors
+///
+/// Any filesystem failure up to and including the rename; `path` then
+/// still holds what it held before.
+pub fn atomic_save(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp_path = path.with_extension("tmp");
     {
         use std::io::Write as _;
         let mut file = fs::File::create(&tmp_path)?;
         file.write_all(bytes)?;
         file.sync_all()?;
     }
-    fs::rename(&tmp_path, &final_path)?;
+    fs::rename(&tmp_path, path)?;
     // Make the rename itself durable. Directory fsync is a no-op on
     // some platforms; failure here must not discard the snapshot.
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
     if let Ok(d) = fs::File::open(dir) {
         let _ = d.sync_all();
-    }
-    Ok(final_path)
-}
-
-/// Snapshot paths under `prefix` in capture order (oldest first). Temp
-/// files and foreign names are ignored.
-pub(crate) fn list_dir(dir: &Path, prefix: &str) -> Result<Vec<PathBuf>, PersistError> {
-    let mut found: Vec<(u64, PathBuf)> = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(events) = parse_name_for(prefix, name) {
-            found.push((events, entry.path()));
-        }
-    }
-    found.sort_unstable_by_key(|(events, _)| *events);
-    Ok(found.into_iter().map(|(_, p)| p).collect())
-}
-
-/// Deletes all but the newest `keep_last` snapshots under `prefix`, and
-/// any stray temp files left by an interrupted save.
-pub(crate) fn prune_dir(dir: &Path, prefix: &str, keep_last: usize) -> Result<(), PersistError> {
-    let listed = list_dir(dir, prefix)?;
-    if listed.len() > keep_last {
-        for stale in &listed[..listed.len() - keep_last] {
-            let _ = fs::remove_file(stale);
-        }
-    }
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if path.extension().is_some_and(|e| e == "tmp") {
-            let _ = fs::remove_file(&path);
-        }
     }
     Ok(())
 }
 
-/// A directory of rotated snapshots with a bounded retention window.
+/// A directory of rotated `C` snapshots with a bounded retention window.
 #[derive(Debug)]
-pub struct SnapshotStore {
+pub struct Store<C> {
     dir: PathBuf,
     keep_last: usize,
+    kind: PhantomData<fn() -> C>,
 }
 
-/// One snapshot skipped during [`SnapshotStore::load_latest`] because it
-/// failed to decode.
+/// The rotated store of single-engine snapshots (`snap-…` files).
+pub type SnapshotStore = Store<EngineCheckpoint>;
+
+/// One snapshot skipped during [`Store::load_latest`] because it failed
+/// to read or decode.
 #[derive(Debug)]
-pub struct SkippedSnapshot {
+pub struct Skipped {
     /// The unreadable file.
     pub path: PathBuf,
     /// Why it was rejected.
@@ -113,17 +74,17 @@ pub struct SkippedSnapshot {
 
 /// The result of scanning a store for the newest usable snapshot.
 #[derive(Debug)]
-pub struct LatestSnapshot {
+pub struct Latest<C> {
     /// The decoded checkpoint.
-    pub checkpoint: EngineCheckpoint,
+    pub checkpoint: C,
     /// The file it came from.
     pub path: PathBuf,
     /// Newer files that were skipped as corrupt or truncated, newest
     /// first. Non-empty means durability degraded to an older capture.
-    pub skipped: Vec<SkippedSnapshot>,
+    pub skipped: Vec<Skipped>,
 }
 
-impl SnapshotStore {
+impl<C: Checkpoint> Store<C> {
     /// Opens (creating if needed) a snapshot directory that retains the
     /// newest `keep_last` snapshots. `keep_last` is clamped to at
     /// least 1 — a store that deletes everything it saves is useless.
@@ -134,59 +95,59 @@ impl SnapshotStore {
     pub fn open(dir: impl Into<PathBuf>, keep_last: usize) -> Result<Self, PersistError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(SnapshotStore {
+        Ok(Store {
             dir,
             keep_last: keep_last.max(1),
+            kind: PhantomData,
         })
     }
 
-    /// The directory this store manages.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// File name for a capture taken after `events` processed events.
+    /// File name for a capture taken after `events` emitted events.
     fn file_name(events: u64) -> String {
-        file_name_for(PREFIX, events)
+        format!("{}{events:016}{SUFFIX}", C::FILE_PREFIX)
     }
 
-    /// Parses the event count out of a snapshot file name.
-    #[cfg(test)]
+    /// Parses the event count out of one of this store's file names.
     fn parse_name(name: &str) -> Option<u64> {
-        parse_name_for(PREFIX, name)
+        let stem = name.strip_prefix(C::FILE_PREFIX)?.strip_suffix(SUFFIX)?;
+        stem.parse().ok()
     }
 
     /// Saves a checkpoint crash-atomically and prunes old snapshots.
     /// Returns the path of the finished file.
     ///
-    /// The bytes are written to a temp sibling, fsynced, renamed over
-    /// the final name, and the directory itself is then fsynced so the
-    /// rename is durable. Re-saving the same event count overwrites the
-    /// previous capture (the states are identical by determinism).
+    /// File names are keyed by [`Checkpoint::events`]; re-saving the
+    /// same event count overwrites the previous capture (the states are
+    /// identical by determinism).
     ///
     /// # Errors
     ///
     /// [`PersistError::Io`] on any filesystem failure.
-    pub fn save(&self, checkpoint: &EngineCheckpoint) -> Result<PathBuf, PersistError> {
-        let meta = SnapshotMeta::of(checkpoint);
-        let final_path = atomic_save(
-            &self.dir,
-            &Self::file_name(meta.events_processed),
-            &encode_snapshot(checkpoint),
-        )?;
+    pub fn save(&self, checkpoint: &C) -> Result<PathBuf, PersistError> {
+        let final_path = self.dir.join(Self::file_name(checkpoint.events()));
+        atomic_save(&final_path, &encode(checkpoint))?;
         self.prune()?;
         Ok(final_path)
     }
 
-    /// Snapshot paths in capture order (oldest first). Temp files and
-    /// foreign names are ignored.
+    /// Snapshot paths in capture order (oldest first). Temp files,
+    /// snapshots of other checkpoint types, and foreign names are
+    /// ignored.
     ///
     /// # Errors
     ///
     /// [`PersistError::Io`] when the directory cannot be read.
     pub fn list(&self) -> Result<Vec<PathBuf>, PersistError> {
-        list_dir(&self.dir, PREFIX)
+        let mut found: Vec<(u64, PathBuf)> = Vec::new();
+        for entry in fs::read_dir(&self.dir)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            if let Some(events) = name.to_str().and_then(Self::parse_name) {
+                found.push((events, entry.path()));
+            }
+        }
+        found.sort_unstable_by_key(|(events, _)| *events);
+        Ok(found.into_iter().map(|(_, p)| p).collect())
     }
 
     /// Deletes all but the newest `keep_last` snapshots, and any stray
@@ -198,7 +159,17 @@ impl SnapshotStore {
     /// to delete individual files are ignored (they will be retried on
     /// the next save).
     pub fn prune(&self) -> Result<(), PersistError> {
-        prune_dir(&self.dir, PREFIX, self.keep_last)
+        let listed = self.list()?;
+        for stale in &listed[..listed.len().saturating_sub(self.keep_last)] {
+            let _ = fs::remove_file(stale);
+        }
+        for entry in fs::read_dir(&self.dir)? {
+            let path = entry?.path();
+            if path.extension().is_some_and(|e| e == "tmp") {
+                let _ = fs::remove_file(&path);
+            }
+        }
+        Ok(())
     }
 
     /// Finds and decodes the newest usable snapshot, skipping corrupt
@@ -207,32 +178,22 @@ impl SnapshotStore {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Io`] when the directory cannot be read. Decode
-    /// failures are not errors — they are recorded in
-    /// [`LatestSnapshot::skipped`] and the scan falls back to the next
-    /// older file.
-    pub fn load_latest(&self) -> Result<Option<LatestSnapshot>, PersistError> {
+    /// [`PersistError::Io`] when the directory cannot be read. Read and
+    /// decode failures of individual files are not errors — they are
+    /// recorded in [`Latest::skipped`] and the scan falls back to the
+    /// next older file.
+    pub fn load_latest(&self) -> Result<Option<Latest<C>>, PersistError> {
         let mut skipped = Vec::new();
         for path in self.list()?.into_iter().rev() {
-            let bytes = match fs::read(&path) {
-                Ok(b) => b,
-                Err(e) => {
-                    skipped.push(SkippedSnapshot {
-                        path,
-                        error: PersistError::Io(e),
-                    });
-                    continue;
-                }
-            };
-            match decode_snapshot(&bytes) {
+            match read(&path) {
                 Ok(checkpoint) => {
-                    return Ok(Some(LatestSnapshot {
+                    return Ok(Some(Latest {
                         checkpoint,
                         path,
                         skipped,
                     }))
                 }
-                Err(error) => skipped.push(SkippedSnapshot { path, error }),
+                Err(error) => skipped.push(Skipped { path, error }),
             }
         }
         Ok(None)
@@ -242,6 +203,7 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecosched_federation::FederationCheckpoint;
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir =
@@ -250,9 +212,9 @@ mod tests {
         dir
     }
 
-    /// Real checkpoints (strictly increasing event counts) from a short
-    /// deterministic run — the store keys file names on that count.
-    fn checkpoints(n: usize) -> Vec<EngineCheckpoint> {
+    /// Real engine checkpoints (strictly increasing event counts) from a
+    /// short deterministic run — the store keys file names on that count.
+    fn engine_checkpoints(n: usize) -> Vec<EngineCheckpoint> {
         let engine = ecosched_engine::Engine::new(
             ecosched_engine::EngineConfig {
                 cycles: n as u32 + 2,
@@ -266,40 +228,42 @@ mod tests {
         snaps.into_iter().take(n).collect()
     }
 
-    #[test]
-    fn names_round_trip() {
-        let name = SnapshotStore::file_name(42);
-        assert_eq!(SnapshotStore::parse_name(&name), Some(42));
-        assert_eq!(SnapshotStore::parse_name("snap-x.ecosnap"), None);
-        assert_eq!(SnapshotStore::parse_name("other.ecosnap"), None);
-        assert_eq!(SnapshotStore::parse_name("snap-1.tmp"), None);
+    fn federation_checkpoints(n: usize) -> Vec<FederationCheckpoint> {
+        crate::federated::tests::checkpoints(n).1
     }
 
-    #[test]
-    fn saves_prune_to_keep_last() {
-        let dir = scratch_dir("prune");
-        let store = SnapshotStore::open(&dir, 2).unwrap();
-        let snaps = checkpoints(4);
+    fn names_round_trip<C: Checkpoint>() {
+        let name = Store::<C>::file_name(42);
+        assert_eq!(name, format!("{}0000000000000042.ecosnap", C::FILE_PREFIX));
+        assert_eq!(Store::<C>::parse_name(&name), Some(42));
+        let prefix = C::FILE_PREFIX;
+        assert_eq!(Store::<C>::parse_name(&format!("{prefix}x.ecosnap")), None);
+        assert_eq!(Store::<C>::parse_name("other.ecosnap"), None);
+        assert_eq!(Store::<C>::parse_name(&format!("{prefix}1.tmp")), None);
+        assert_eq!(Store::<C>::parse_name(&format!("x{name}")), None);
+    }
+
+    fn saves_prune_to_keep_last<C: Checkpoint>(tag: &str, snaps: Vec<C>) {
+        let dir = scratch_dir(&format!("prune-{tag}"));
+        let store = Store::<C>::open(&dir, 2).unwrap();
         for c in &snaps {
             store.save(c).unwrap();
         }
         let listed = store.list().unwrap();
-        assert_eq!(listed.len(), 2);
-        let kept_events = |c: &EngineCheckpoint| format!("{:016}", c.log.len() as u64);
-        assert!(listed[0]
-            .to_string_lossy()
-            .contains(&kept_events(&snaps[2])));
-        assert!(listed[1]
-            .to_string_lossy()
-            .contains(&kept_events(&snaps[3])));
+        let kept: Vec<PathBuf> = snaps[snaps.len() - 2..]
+            .iter()
+            .map(|c| dir.join(Store::<C>::file_name(c.events())))
+            .collect();
+        assert_eq!(listed, kept);
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn load_latest_skips_corrupt_newest() {
-        let dir = scratch_dir("corrupt");
-        let store = SnapshotStore::open(&dir, 4).unwrap();
-        let snaps = checkpoints(2);
+    fn load_latest_skips_corrupt_newest<C: Checkpoint + PartialEq + std::fmt::Debug>(
+        tag: &str,
+        snaps: Vec<C>,
+    ) {
+        let dir = scratch_dir(&format!("corrupt-{tag}"));
+        let store = Store::<C>::open(&dir, 4).unwrap();
         store.save(&snaps[0]).unwrap();
         let newest = store.save(&snaps[1]).unwrap();
 
@@ -319,27 +283,99 @@ mod tests {
         assert_eq!(latest.skipped[0].path, newest);
 
         // Truncation of every remaining snapshot leaves nothing usable.
-        let older = latest.path.clone();
-        fs::write(&older, b"ECOSNAP\0").unwrap();
+        fs::write(&latest.path, b"ECOSNAP\0").unwrap();
         assert!(store.load_latest().unwrap().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn interrupted_save_leaves_no_partial_final_file() {
-        let dir = scratch_dir("tmpfile");
-        let store = SnapshotStore::open(&dir, 4).unwrap();
+    fn interrupted_save_leaves_no_partial_final_file<C: Checkpoint>(tag: &str, snaps: Vec<C>) {
+        let dir = scratch_dir(&format!("tmpfile-{tag}"));
+        let store = Store::<C>::open(&dir, 4).unwrap();
         // Simulate a crash mid-write: a temp file exists, no final file.
-        fs::write(dir.join("snap-0000000000000009.tmp"), b"partial").unwrap();
+        let stray = Path::new(&Store::<C>::file_name(9)).with_extension("tmp");
+        fs::write(dir.join(stray), b"partial").unwrap();
         assert!(store.load_latest().unwrap().is_none());
         // The next save cleans the stray temp file up.
-        store.save(&checkpoints(1)[0]).unwrap();
+        store.save(&snaps[0]).unwrap();
         let strays: Vec<_> = fs::read_dir(&dir)
             .unwrap()
             .filter_map(Result::ok)
             .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
             .collect();
         assert!(strays.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The store contract, once per checkpoint type.
+    macro_rules! store_suite {
+        ($suite:ident, $checkpoint:ty, $fixture:ident) => {
+            mod $suite {
+                #[test]
+                fn names_round_trip() {
+                    super::names_round_trip::<$checkpoint>();
+                }
+
+                #[test]
+                fn saves_prune_to_keep_last() {
+                    super::saves_prune_to_keep_last(stringify!($suite), super::$fixture(4));
+                }
+
+                #[test]
+                fn load_latest_skips_corrupt_newest() {
+                    super::load_latest_skips_corrupt_newest(stringify!($suite), super::$fixture(2));
+                }
+
+                #[test]
+                fn interrupted_save_leaves_no_partial_final_file() {
+                    super::interrupted_save_leaves_no_partial_final_file(
+                        stringify!($suite),
+                        super::$fixture(1),
+                    );
+                }
+            }
+        };
+    }
+
+    store_suite!(engine, super::EngineCheckpoint, engine_checkpoints);
+    store_suite!(
+        federated,
+        super::FederationCheckpoint,
+        federation_checkpoints
+    );
+
+    #[test]
+    fn the_two_stores_share_a_directory_without_colliding() {
+        let dir = scratch_dir("shared");
+        let fed_store = Store::<FederationCheckpoint>::open(&dir, 2).unwrap();
+        let engine_store = SnapshotStore::open(&dir, 2).unwrap();
+
+        let snaps = federation_checkpoints(1);
+        fed_store.save(&snaps[0]).unwrap();
+        engine_store.save(&snaps[0].shards[0]).unwrap();
+
+        assert_eq!(fed_store.list().unwrap().len(), 1);
+        assert_eq!(engine_store.list().unwrap().len(), 1);
+        // Each loader sees only its own format.
+        assert_eq!(
+            fed_store.load_latest().unwrap().unwrap().checkpoint,
+            snaps[0]
+        );
+        assert_eq!(
+            engine_store.load_latest().unwrap().unwrap().checkpoint,
+            snaps[0].shards[0]
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn atomic_save_replaces_the_file_and_leaves_no_temp() {
+        let dir = scratch_dir("atomic");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.json");
+        atomic_save(&path, b"one").unwrap();
+        atomic_save(&path, b"two").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"two");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,29 +1,44 @@
-//! Writing and reading engine checkpoints as snapshot files.
+//! The snapshot codec, generic over the [`Checkpoint`] it stores.
 //!
-//! A snapshot is a two-section [`format`](crate::format) container:
-//!
-//! * `META` — a small JSON header ([`SnapshotMeta`]) identifying the run
-//!   (seed, configuration fingerprint, progress) without the cost of
-//!   parsing the full state;
-//! * `CKPT` — the canonical JSON of the engine's
-//!   [`EngineCheckpoint`], the complete resumable state.
-//!
-//! Both payloads are checksummed by the container, so a flipped bit or a
-//! short write surfaces as a typed [`PersistError`] at read time.
+//! A snapshot is a [`format`](mod@crate::format) container with two
+//! sections whose tags the checkpoint type names: a small JSON **meta**
+//! header ([`Checkpoint::Meta`] — seed, configuration fingerprint,
+//! progress) readable without parsing the state, and the canonical JSON
+//! of the **state** itself. The engine's [`EngineCheckpoint`] implements
+//! the trait here (`META`/`CKPT`, files `snap-…`), the federation's in
+//! [`federated`](crate::federated); a snapshot of the other type fails
+//! with [`PersistError::MissingSection`] rather than a misparse.
 
 use std::path::Path;
 
 use ecosched_engine::EngineCheckpoint;
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
-use crate::format::{decode, encode, require, PersistError, SectionTag};
+use crate::format::{self, require, PersistError, SectionTag};
+use crate::rotate::atomic_save;
 
-/// The section holding the [`SnapshotMeta`] JSON.
-pub const META_SECTION: SectionTag = SectionTag(*b"META");
-/// The section holding the [`EngineCheckpoint`] JSON.
-pub const CHECKPOINT_SECTION: SectionTag = SectionTag(*b"CKPT");
+/// A resumable state the snapshot stack can store: what distinguishes
+/// one kind of snapshot from another on disk, and nothing else.
+pub trait Checkpoint: Serialize + DeserializeOwned {
+    /// The cheap-to-read identity header stored next to the state.
+    type Meta: Serialize + DeserializeOwned;
+    /// The section holding the [`Meta`](Checkpoint::Meta) JSON.
+    const META_SECTION: SectionTag;
+    /// The section holding the checkpoint JSON.
+    const STATE_SECTION: SectionTag;
+    /// Prefix of every rotated file name (`<prefix><events>.ecosnap`).
+    const FILE_PREFIX: &'static str;
 
-/// The cheap-to-read identity header of a snapshot.
+    /// Builds the header for this checkpoint.
+    fn meta(&self) -> Self::Meta;
+
+    /// Log events the captured run had emitted — the rotated store's
+    /// ordering key (file names sort by it, newest last).
+    fn events(&self) -> u64;
+}
+
+/// The identity header of an engine snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnapshotMeta {
     /// The seed the captured run was started with.
@@ -37,20 +52,27 @@ pub struct SnapshotMeta {
     pub events_queued: u64,
 }
 
-impl SnapshotMeta {
-    /// Builds the header for a checkpoint.
-    #[must_use]
-    pub fn of(checkpoint: &EngineCheckpoint) -> Self {
+impl Checkpoint for EngineCheckpoint {
+    type Meta = SnapshotMeta;
+    const META_SECTION: SectionTag = SectionTag(*b"META");
+    const STATE_SECTION: SectionTag = SectionTag(*b"CKPT");
+    const FILE_PREFIX: &'static str = "snap-";
+
+    fn meta(&self) -> SnapshotMeta {
         SnapshotMeta {
-            seed: checkpoint.seed,
-            config_fp: checkpoint.config_fp,
-            events_processed: checkpoint.log.len() as u64,
-            events_queued: checkpoint.queue.len() as u64,
+            seed: self.seed,
+            config_fp: self.config_fp,
+            events_processed: self.events(),
+            events_queued: self.queue.len() as u64,
         }
+    }
+
+    fn events(&self) -> u64 {
+        self.log.len() as u64
     }
 }
 
-fn parse_section<T: for<'de> Deserialize<'de>>(
+fn parse_section<T: DeserializeOwned>(
     section: SectionTag,
     payload: &[u8],
 ) -> Result<T, PersistError> {
@@ -66,12 +88,12 @@ fn parse_section<T: for<'de> Deserialize<'de>>(
 
 /// Serializes a checkpoint into snapshot bytes.
 #[must_use]
-pub fn encode_snapshot(checkpoint: &EngineCheckpoint) -> Vec<u8> {
-    let meta = serde_json::to_string(&SnapshotMeta::of(checkpoint)).unwrap_or_default();
+pub fn encode<C: Checkpoint>(checkpoint: &C) -> Vec<u8> {
+    let meta = serde_json::to_string(&checkpoint.meta()).unwrap_or_default();
     let state = serde_json::to_string(checkpoint).unwrap_or_default();
-    encode(&[
-        (META_SECTION, meta.as_bytes()),
-        (CHECKPOINT_SECTION, state.as_bytes()),
+    format::encode(&[
+        (C::META_SECTION, meta.as_bytes()),
+        (C::STATE_SECTION, state.as_bytes()),
     ])
 }
 
@@ -80,33 +102,35 @@ pub fn encode_snapshot(checkpoint: &EngineCheckpoint) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Any [`PersistError`] from the container layer, or
-/// [`PersistError::Corrupt`] when a payload passes its checksum but is
-/// not valid checkpoint JSON.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineCheckpoint, PersistError> {
-    let sections = decode(bytes)?;
-    parse_section(CHECKPOINT_SECTION, require(&sections, CHECKPOINT_SECTION)?)
+/// Any [`PersistError`] from the container layer —
+/// [`PersistError::MissingSection`] when the bytes are a snapshot of
+/// another checkpoint type — or [`PersistError::Corrupt`] when a payload
+/// passes its checksum but is not valid checkpoint JSON.
+pub fn decode<C: Checkpoint>(bytes: &[u8]) -> Result<C, PersistError> {
+    let sections = format::decode(bytes)?;
+    parse_section(C::STATE_SECTION, require(&sections, C::STATE_SECTION)?)
 }
 
-/// Reads only the identity header of snapshot bytes — cheap relative to
-/// the full state, for "which run is this?" inspection.
+/// Reads only the identity header of `C`-snapshot bytes — cheap relative
+/// to the full state, for "which run is this?" inspection.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`decode_snapshot`].
-pub fn peek_meta(bytes: &[u8]) -> Result<SnapshotMeta, PersistError> {
-    let sections = decode(bytes)?;
-    parse_section(META_SECTION, require(&sections, META_SECTION)?)
+/// Same failure modes as [`decode`].
+pub fn peek<C: Checkpoint>(bytes: &[u8]) -> Result<C::Meta, PersistError> {
+    let sections = format::decode(bytes)?;
+    parse_section(C::META_SECTION, require(&sections, C::META_SECTION)?)
 }
 
-/// Writes a checkpoint to a snapshot file.
+/// Writes a checkpoint to a snapshot file, crash-atomically (see
+/// [`atomic_save`]): a crash mid-write leaves the previous file, or
+/// none, under `path` — never a torn one.
 ///
 /// # Errors
 ///
 /// [`PersistError::Io`] when the write fails.
-pub fn write_snapshot(path: &Path, checkpoint: &EngineCheckpoint) -> Result<(), PersistError> {
-    std::fs::write(path, encode_snapshot(checkpoint))?;
-    Ok(())
+pub fn write<C: Checkpoint>(path: &Path, checkpoint: &C) -> Result<(), PersistError> {
+    Ok(atomic_save(path, &encode(checkpoint))?)
 }
 
 /// Reads a checkpoint from a snapshot file.
@@ -114,7 +138,23 @@ pub fn write_snapshot(path: &Path, checkpoint: &EngineCheckpoint) -> Result<(), 
 /// # Errors
 ///
 /// [`PersistError::Io`] when the read fails; otherwise the failure modes
-/// of [`decode_snapshot`].
-pub fn read_snapshot(path: &Path) -> Result<EngineCheckpoint, PersistError> {
-    decode_snapshot(&std::fs::read(path)?)
+/// of [`decode`].
+pub fn read<C: Checkpoint>(path: &Path) -> Result<C, PersistError> {
+    decode(&std::fs::read(path)?)
+}
+
+/// [`encode`] for an engine checkpoint.
+#[must_use]
+pub fn encode_snapshot(checkpoint: &EngineCheckpoint) -> Vec<u8> {
+    encode(checkpoint)
+}
+
+/// [`decode`] for an engine checkpoint — the spelling that needs no type
+/// annotation at the call site.
+///
+/// # Errors
+///
+/// The failure modes of [`decode`].
+pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineCheckpoint, PersistError> {
+    decode(bytes)
 }

@@ -13,6 +13,7 @@ use std::path::{Path, PathBuf};
 
 use ecosched_engine::{ArrivalConfig, EngineConfig};
 use ecosched_federation::{FederationConfig, RoutePolicy};
+use ecosched_persist::atomic_save;
 use serde::{Deserialize, Serialize};
 
 use crate::admission::AdmissionPolicy;
@@ -116,15 +117,17 @@ pub fn manifest_path(data_dir: &Path) -> PathBuf {
     data_dir.join("manifest.json")
 }
 
-/// Saves the manifest (pretty-printed for operator eyes).
+/// Saves the manifest (pretty-printed for operator eyes), crash-atomically:
+/// a crash mid-save leaves at worst a stray `manifest.tmp`, which
+/// [`load_manifest`] never reads — not a torn `manifest.json` that would
+/// refuse every later boot.
 ///
 /// # Errors
 ///
 /// [`ServiceError::Io`] on write failure.
 pub fn save_manifest(data_dir: &Path, manifest: &ServiceManifest) -> Result<(), ServiceError> {
     let text = serde_json::to_string_pretty(manifest).unwrap_or_default();
-    std::fs::write(manifest_path(data_dir), text)?;
-    Ok(())
+    Ok(atomic_save(&manifest_path(data_dir), text.as_bytes())?)
 }
 
 /// Loads the manifest of an existing data directory, if there is one.
@@ -172,6 +175,28 @@ mod tests {
         save_manifest(&dir, &manifest).unwrap();
         let back = load_manifest(&dir).unwrap().expect("saved");
         assert_eq!(back, manifest);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn interrupted_first_boot_save_is_ignored_and_cleaned_up() {
+        let dir =
+            std::env::temp_dir().join(format!("ecosched-manifest-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // A crash mid-save: the temp sibling exists, manifest.json never did.
+        std::fs::write(dir.join("manifest.tmp"), b"{\"seed\": 4").unwrap();
+        assert!(load_manifest(&dir).unwrap().is_none());
+        // The retried save lands whole and leaves no temp file behind.
+        save_manifest(&dir, &ServiceManifest::default()).unwrap();
+        assert_eq!(
+            load_manifest(&dir).unwrap(),
+            Some(ServiceManifest::default())
+        );
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["manifest.json"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,8 +15,8 @@
 
 use std::path::Path;
 
-use ecosched_federation::{Federation, FederationState};
-use ecosched_persist::FederatedSnapshotStore;
+use ecosched_federation::{Federation, FederationCheckpoint, FederationState};
+use ecosched_persist::Store;
 use ecosched_select::{Alp, Amp, SlotSelector};
 
 use crate::error::ServiceError;
@@ -90,8 +90,8 @@ fn verify_with<S: SlotSelector + Copy>(
     let loaded = load_wal(&wal_path(data_dir))?;
     let mut offline = replay_wal(&fed, manifest.seed, &loaded.entries)?;
 
-    let store =
-        FederatedSnapshotStore::open(snapshot_dir(data_dir), manifest.keep_snapshots.max(1))?;
+    let store: Store<FederationCheckpoint> =
+        Store::open(snapshot_dir(data_dir), manifest.keep_snapshots.max(1))?;
     let Some(latest) = store.load_latest()? else {
         return Ok(VerifyReport {
             wal_entries: loaded.entries.len() as u64,

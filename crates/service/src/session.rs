@@ -44,8 +44,8 @@ use std::path::{Path, PathBuf};
 
 use ecosched_core::TimePoint;
 use ecosched_engine::Event;
-use ecosched_federation::{Federation, FederationState, Placement};
-use ecosched_persist::FederatedSnapshotStore;
+use ecosched_federation::{Federation, FederationCheckpoint, FederationState, Placement};
+use ecosched_persist::Store;
 use ecosched_select::SlotSelector;
 
 use crate::admission::{decide, MarketView};
@@ -93,7 +93,7 @@ pub struct Session<S> {
     fed: Federation<S>,
     state: FederationState,
     manifest: ServiceManifest,
-    store: FederatedSnapshotStore,
+    store: Store<FederationCheckpoint>,
     wal: Wal,
     staged: Vec<WalEntry>,
     rejected_total: u64,
@@ -144,7 +144,8 @@ impl<S: SlotSelector + Copy> Session<S> {
         }
         let fed = Federation::new(manifest.fed_config(), selector)
             .map_err(|e| ServiceError::Config(e.to_string()))?;
-        let store = FederatedSnapshotStore::open(snapshot_dir(data_dir), manifest.keep_snapshots)?;
+        let store: Store<FederationCheckpoint> =
+            Store::open(snapshot_dir(data_dir), manifest.keep_snapshots)?;
         let loaded = load_wal(&wal_path(data_dir))?;
 
         let (mut state, boot_mode) = match store.load_latest()? {

@@ -5,15 +5,10 @@
 #
 # Usage:
 #   ./scripts/cov.sh             # print the summary for all tracked crates
-#   ./scripts/cov.sh --ratchet   # additionally enforce the core+select
-#                                # soft ratchet recorded in COVERAGE.md
 #
-# The ratchet is *soft*: the combined core+select line coverage may not
-# drop more than 1.0 percentage point below the baseline recorded in
-# COVERAGE.md (the `<!-- ratchet:core+select: NN.NN -->` marker). When no
-# numeric baseline has been recorded yet the ratchet only reports the
-# measured figure, so the first CI run bootstraps the marker instead of
-# failing.
+# The figures are recorded, not enforced: the CI `coverage` job appends
+# the summary to its job page so a drop is visible in review (see
+# COVERAGE.md).
 #
 # Requires cargo-llvm-cov (https://github.com/taiki-e/cargo-llvm-cov);
 # CI installs it via taiki-e/install-action. When the tool is absent the
@@ -28,31 +23,5 @@ fi
 
 cd "$(dirname "$0")/.."
 
-RATCHET=0
-if [ "${1:-}" = "--ratchet" ]; then
-    RATCHET=1
-    shift
-fi
-
 cargo llvm-cov -p ecosched-core -p ecosched-select -p ecosched-optimize \
     -p ecosched-persist --summary-only "$@"
-
-if [ "$RATCHET" -eq 1 ]; then
-    measured=$(cargo llvm-cov -p ecosched-core -p ecosched-select --summary-only --json |
-        python3 -c 'import json, sys
-print(f"{json.load(sys.stdin)[\"data\"][0][\"totals\"][\"lines\"][\"percent\"]:.2f}")')
-    echo "core+select line coverage: ${measured}%"
-    baseline=$(sed -n 's/.*ratchet:core+select: *\([0-9][0-9.]*\).*/\1/p' COVERAGE.md | head -n 1)
-    if [ -z "$baseline" ]; then
-        echo "cov.sh: no numeric core+select baseline in COVERAGE.md yet;" >&2
-        echo "cov.sh: record '<!-- ratchet:core+select: ${measured} -->' to arm the ratchet." >&2
-        exit 0
-    fi
-    if awk -v m="$measured" -v b="$baseline" 'BEGIN { exit !(m + 1.0 < b) }'; then
-        echo "cov.sh: core+select line coverage ${measured}% dropped more than" >&2
-        echo "cov.sh: 1.0 point below the ${baseline}% baseline in COVERAGE.md." >&2
-        echo "cov.sh: add tests, or lower the baseline in review if the drop is deliberate." >&2
-        exit 1
-    fi
-    echo "ratchet ok: ${measured}% >= ${baseline}% - 1.0"
-fi
