@@ -52,7 +52,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::{ChaCha8Rng, ChaChaState};
 
 use crate::config::{ArrivalConfig, EngineConfig};
-use crate::event::{fnv1a_64, Event, EventLog, LogEntry};
+use crate::event::{fnv1a_64, Event, EventLog, LogEntry, LogTail};
 use crate::obs::{EngineObs, StepGauges};
 use crate::queue::EventQueue;
 use crate::report::{CyclePoint, EngineReport};
@@ -87,6 +87,15 @@ pub enum EngineError {
         /// What was wrong.
         detail: String,
     },
+    /// A checkpoint's log is detached: a rotated snapshot store moved its
+    /// entries into the log segment and nobody put them back. Resuming
+    /// would continue on a short log, so resume refuses; load the
+    /// checkpoint through the store, which re-attaches the verified
+    /// prefix.
+    DetachedCheckpoint {
+        /// Log entries the checkpoint does not carry.
+        missing: u64,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -102,6 +111,11 @@ impl std::fmt::Display for EngineError {
             EngineError::MalformedCheckpoint { detail } => {
                 write!(f, "malformed checkpoint: {detail}")
             }
+            EngineError::DetachedCheckpoint { missing } => write!(
+                f,
+                "checkpoint is detached from the first {missing} entries of its log; \
+                 load it through the snapshot store that holds them"
+            ),
         }
     }
 }
@@ -111,9 +125,9 @@ impl std::error::Error for EngineError {
         match self {
             EngineError::Config(e) => Some(e),
             EngineError::Iteration(e) => Some(e),
-            EngineError::CheckpointMismatch { .. } | EngineError::MalformedCheckpoint { .. } => {
-                None
-            }
+            EngineError::CheckpointMismatch { .. }
+            | EngineError::MalformedCheckpoint { .. }
+            | EngineError::DetachedCheckpoint { .. } => None,
         }
     }
 }
@@ -552,7 +566,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
                     event,
                 })
                 .collect(),
-            log: state.log.clone(),
+            log: LogTail::complete(state.log.entries.clone()),
             arrivals: state
                 .arrivals
                 .iter()
@@ -602,7 +616,8 @@ impl<S: SlotSelector + Copy> Engine<S> {
     /// [`EngineError::CheckpointMismatch`] when the checkpoint was taken
     /// under a different `(config, selector)` fingerprint;
     /// [`EngineError::MalformedCheckpoint`] when its contents are
-    /// structurally invalid.
+    /// structurally invalid; [`EngineError::DetachedCheckpoint`] when it
+    /// does not carry its whole log.
     pub fn resume(&self, checkpoint: &EngineCheckpoint) -> Result<RunState, EngineError> {
         let expected = self.config_fingerprint();
         if checkpoint.config_fp != expected {
@@ -611,6 +626,11 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 found: checkpoint.config_fp,
             });
         }
+        let Some(log) = checkpoint.log.whole() else {
+            return Err(EngineError::DetachedCheckpoint {
+                missing: checkpoint.log.after.len,
+            });
+        };
         let key: [u32; 8] = checkpoint.rng.key.as_slice().try_into().map_err(|_| {
             EngineError::MalformedCheckpoint {
                 detail: format!("rng key has {} words, expected 8", checkpoint.rng.key.len()),
@@ -636,7 +656,9 @@ impl<S: SlotSelector + Copy> Engine<S> {
                     .iter()
                     .map(|q| (TimePoint::new(q.time), q.seq, q.event)),
             ),
-            log: checkpoint.log.clone(),
+            log: EventLog {
+                entries: log.to_vec(),
+            },
             arrivals: checkpoint
                 .arrivals
                 .iter()
@@ -1157,6 +1179,7 @@ fn clip_to_now(vacant: &SlotList, now: TimePoint) -> SlotList {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::event::LogPosition;
     use ecosched_select::{Alp, Amp};
     use ecosched_sim::RevocationConfig;
 
@@ -1387,6 +1410,45 @@ mod tests {
             engine.resume(&bad_cursor),
             Err(EngineError::MalformedCheckpoint { .. })
         ));
+    }
+
+    /// A checkpoint a snapshot store detached from its log says how long
+    /// the log was but no longer holds it: resuming it would run on with
+    /// a log that starts mid-history, so it is refused by name — also
+    /// when only part of the log is missing.
+    #[test]
+    fn resume_refuses_a_checkpoint_detached_from_its_log() {
+        let engine = Engine::new(small_config(), Amp::new()).unwrap();
+        let mut state = engine.start(7);
+        for _ in 0..20 {
+            engine.step(&mut state).unwrap();
+        }
+        let whole = engine.checkpoint(&state);
+        assert_eq!(whole.log.whole(), Some(state.log().entries.as_slice()));
+        let position = LogPosition::after(&whole.log.entries);
+
+        let mut detached = whole.clone();
+        detached.log = LogTail::detached(position);
+        assert_eq!(detached.log.len(), whole.log.len());
+        match engine.resume(&detached) {
+            Err(EngineError::DetachedCheckpoint { missing }) => assert_eq!(missing, 20),
+            other => panic!("expected DetachedCheckpoint, got {other:?}"),
+        }
+
+        let mut partial = whole.clone();
+        partial.log = LogTail {
+            after: LogPosition::after(&whole.log.entries[..5]),
+            entries: whole.log.entries[5..].to_vec(),
+        };
+        assert!(matches!(
+            engine.resume(&partial),
+            Err(EngineError::DetachedCheckpoint { missing: 5 })
+        ));
+
+        // Put back, it is the checkpoint it was.
+        detached.log.attach(whole.log.entries.clone());
+        assert_eq!(detached, whole);
+        assert!(engine.resume(&detached).is_ok());
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! deterministically on `(time, seq)`, two runs with the same seed and
 //! configuration produce byte-identical serialized logs — the determinism
 //! contract that [`EventLog::fnv1a_hash`] turns into a one-line check.
+//!
+//! A [`LogPosition`] names a *prefix* of such a log as precisely as the
+//! hash names the whole, and can be extended entry by entry without
+//! revisiting the prefix; a [`LogTail`] is what a checkpoint carries of
+//! its log — the entries after a position.
 
 use serde::{Deserialize, Serialize};
 
@@ -16,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// Payloads are plain identifiers (engine job ids, lease ids, raw slot
 /// ids) rather than references into engine state, so the log is
 /// self-contained and serializable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Event {
     /// A job entered the pending queue.
     JobArrival {
@@ -62,7 +67,7 @@ pub enum Event {
 }
 
 /// One processed event with its virtual time and queue sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LogEntry {
     /// Virtual time the event fired at, in ticks.
     pub time: i64,
@@ -125,13 +130,168 @@ impl EventLog {
 #[must_use]
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(OFFSET, bytes)
+}
+
+/// Continues an FNV-1a 64 hash over more bytes: `hash` is the state after
+/// everything hashed so far, so hashing a byte string in pieces equals
+/// hashing it whole.
+#[must_use]
+pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
     for &byte in bytes {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(PRIME);
     }
     hash
+}
+
+/// A position in an append-only log: how many entries precede it, and the
+/// running FNV-1a 64 state over the canonical serialization of exactly
+/// those entries — `{"entries":[` followed by their JSON, comma
+/// separated. Closing that state with `]}` ([`Self::fnv1a_hash`]) gives
+/// the log's `fnv1a_hash()` at that length, so a position identifies a log
+/// prefix as exactly as the hash identifies a log, and it is extended
+/// over new entries without touching the old ones.
+///
+/// The shape is shared by [`EventLog`] and the federation's merged log
+/// (both serialize as `{"entries": […]}`), so one type serves both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LogPosition {
+    /// Entries before this position.
+    pub len: u64,
+    /// FNV-1a 64 state after hashing the canonical prefix.
+    pub hash: u64,
+}
+
+impl LogPosition {
+    /// The position before the first entry.
+    #[must_use]
+    pub fn start() -> Self {
+        LogPosition {
+            len: 0,
+            hash: fnv1a_64(br#"{"entries":["#),
+        }
+    }
+
+    /// The position after all of `entries`.
+    #[must_use]
+    pub fn after<E: Serialize>(entries: &[E]) -> Self {
+        let mut at = LogPosition::start();
+        at.push_all(entries);
+        at
+    }
+
+    /// Moves past one entry, given its canonical JSON.
+    pub fn extend(&mut self, entry_json: &[u8]) {
+        if self.len > 0 {
+            self.hash = fnv1a_extend(self.hash, b",");
+        }
+        self.hash = fnv1a_extend(self.hash, entry_json);
+        self.len += 1;
+    }
+
+    /// Moves past `entries`, the log's next ones.
+    pub fn push_all<E: Serialize>(&mut self, entries: &[E]) {
+        for entry in entries {
+            self.extend(serde_json::to_string(entry).unwrap_or_default().as_bytes());
+        }
+    }
+
+    /// The `fnv1a_hash()` of the log that ends here: the state closed
+    /// with `]}`, as 16 hex digits.
+    #[must_use]
+    pub fn fnv1a_hash(&self) -> String {
+        format!("{:016x}", fnv1a_extend(self.hash, b"]}"))
+    }
+}
+
+/// What a checkpoint carries of its run's log: the entries after a
+/// position. After [`LogPosition::start`] that is the whole log and the
+/// checkpoint is self-contained (every standalone snapshot file); after a
+/// later position the tail is *detached* — the prefix lives in a rotated
+/// store's log segment, which re-attaches and verifies it on load — and
+/// the checkpoint cannot be resumed until it is put back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogTail<E> {
+    /// The position the entries follow.
+    pub after: LogPosition,
+    /// The entries from that position on.
+    pub entries: Vec<E>,
+}
+
+impl<E> LogTail<E> {
+    /// A whole log.
+    #[must_use]
+    pub fn complete(entries: Vec<E>) -> Self {
+        LogTail {
+            after: LogPosition::start(),
+            entries,
+        }
+    }
+
+    /// The empty tail of a log whose entries all lie before `after`.
+    #[must_use]
+    pub fn detached(after: LogPosition) -> Self {
+        LogTail {
+            after,
+            entries: Vec::new(),
+        }
+    }
+
+    /// Entries the log had emitted, detached ones included.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.after.len as usize + self.entries.len()
+    }
+
+    /// Returns `true` when the log had emitted nothing.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The whole log, unless part of it is detached.
+    #[must_use]
+    pub fn whole(&self) -> Option<&[E]> {
+        (self.after.len == 0).then_some(self.entries.as_slice())
+    }
+
+    /// Puts back the entries this tail was cut from. The caller vouches
+    /// that `prefix` is the log up to [`Self::after`].
+    ///
+    /// # Panics
+    ///
+    /// When `prefix` is not as long as the position says.
+    pub fn attach(&mut self, mut prefix: Vec<E>) {
+        assert_eq!(prefix.len() as u64, self.after.len, "prefix length");
+        prefix.append(&mut self.entries);
+        *self = LogTail::complete(prefix);
+    }
+}
+
+impl<E: Serialize> Serialize for LogTail<E> {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("after".to_string(), self.after.to_value()),
+            ("entries".to_string(), self.entries.to_value()),
+        ])
+    }
+}
+
+impl<'de, E: Deserialize<'de>> Deserialize<'de> for LogTail<E> {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        // Snapshot formats 1 and 2 stored the log itself, `{"entries": […]}`:
+        // a tail after the start.
+        let after = match serde::get_field(value, "after") {
+            Ok(after) => LogPosition::from_value(after)?,
+            Err(_) => LogPosition::start(),
+        };
+        Ok(LogTail {
+            after,
+            entries: Deserialize::from_value(serde::get_field(value, "entries")?)?,
+        })
+    }
 }
 
 #[cfg(test)]

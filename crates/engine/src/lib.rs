@@ -29,7 +29,7 @@ pub mod state;
 
 pub use config::{ArrivalConfig, EngineConfig};
 pub use engine::{Engine, EngineError, EngineRun, Reservation, ReserveError, RunState};
-pub use event::{fnv1a_64, Event, EventLog, LogEntry};
+pub use event::{fnv1a_64, fnv1a_extend, Event, EventLog, LogEntry, LogPosition, LogTail};
 pub use obs::{EngineIds, EngineObs};
 pub use queue::EventQueue;
 pub use report::{CyclePoint, EngineReport};

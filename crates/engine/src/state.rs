@@ -3,7 +3,7 @@
 //! [`EngineCheckpoint`] captures everything [`Engine::resume`] needs to
 //! rebuild a [`RunState`] that continues *byte-identically*: the RNG
 //! position, the future-event queue with its already-assigned sequence
-//! numbers, the full event log so far, the precomputed arrival stream,
+//! numbers, the event log so far, the precomputed arrival stream,
 //! the vacant-slot market, pending jobs, active leases with their
 //! surviving failover alternatives, the report accumulated so far, and —
 //! when the run shares one optimizer across cycles — the dynamic
@@ -25,7 +25,7 @@ use ecosched_core::{ResourceRequest, SlotList, Window};
 use ecosched_optimize::OptimizerSnapshot;
 use serde::{Deserialize, Serialize};
 
-use crate::event::{Event, EventLog};
+use crate::event::{Event, LogEntry, LogTail};
 use crate::report::EngineReport;
 
 /// A ChaCha8 generator's position in its output stream.
@@ -124,8 +124,12 @@ pub struct EngineCheckpoint {
     pub queue_next_seq: u64,
     /// Every future event still queued, in pop order.
     pub queue: Vec<QueuedEventState>,
-    /// The full event log up to the capture point.
-    pub log: EventLog,
+    /// The event log up to the capture point: all of it as
+    /// [`Engine::checkpoint`] captures it, only a position once a rotated
+    /// snapshot store has moved the entries into its log segment.
+    ///
+    /// [`Engine::checkpoint`]: crate::engine::Engine::checkpoint
+    pub log: LogTail<LogEntry>,
     /// The precomputed `(arrival tick, request)` stream.
     pub arrivals: Vec<ArrivalState>,
     /// The vacant-slot market.

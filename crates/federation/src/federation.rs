@@ -23,7 +23,7 @@
 
 use ecosched_core::{Money, ResourceRequest, TimePoint, Window};
 use ecosched_engine::{
-    fnv1a_64, ArrivalState, Engine, EngineCheckpoint, EngineError, EngineRun, EventLog,
+    fnv1a_64, ArrivalState, Engine, EngineCheckpoint, EngineError, EngineRun, EventLog, LogTail,
     ReserveError, RunState,
 };
 use ecosched_select::{repair_search, ScanStats, SlotSelector};
@@ -75,6 +75,14 @@ pub enum FederationError {
         /// The fingerprint in the checkpoint.
         found: u64,
     },
+    /// A checkpoint's merged log is detached — its entries live in a
+    /// rotated snapshot store's log segment — so resuming it would
+    /// continue on a short log. Load it through the store, which
+    /// re-attaches the verified prefix.
+    DetachedCheckpoint {
+        /// Merged-log entries the checkpoint does not carry.
+        missing: u64,
+    },
 }
 
 impl std::fmt::Display for FederationError {
@@ -101,6 +109,13 @@ impl std::fmt::Display for FederationError {
                     f,
                     "checkpoint fingerprint {found:#018x} does not match this \
                      federation's {expected:#018x}"
+                )
+            }
+            FederationError::DetachedCheckpoint { missing } => {
+                write!(
+                    f,
+                    "checkpoint is detached from the first {missing} entries of its \
+                     merged log; load it through the snapshot store that holds them"
                 )
             }
         }
@@ -278,8 +293,11 @@ pub struct FederationCheckpoint {
     pub next_fed_job: u64,
     /// Round-robin router cursor.
     pub rr_cursor: u64,
-    /// The merged log so far.
-    pub merged: FederationLog,
+    /// The merged log so far: all of it as [`Federation::checkpoint`]
+    /// captures it, only a position once a rotated snapshot store has
+    /// moved the entries into its log segment (the shards' own logs, each
+    /// the merged log's projection onto its shard, go with it).
+    pub merged: LogTail<FederatedLogEntry>,
     /// Cross-shard placements committed so far.
     pub cross_shard: Vec<CrossShardWindow>,
     /// Router counters so far.
@@ -1034,7 +1052,7 @@ impl<S: SlotSelector + Copy> Federation<S> {
             next_arrival: state.next_arrival as u64,
             next_fed_job: state.next_fed_job,
             rr_cursor: state.rr_cursor,
-            merged: state.merged.clone(),
+            merged: LogTail::complete(state.merged.entries.clone()),
             cross_shard: state.cross_shard.clone(),
             counters: state.counters.clone(),
         }
@@ -1048,8 +1066,9 @@ impl<S: SlotSelector + Copy> Federation<S> {
     /// # Errors
     ///
     /// [`FederationError::CheckpointMismatch`] on a fingerprint mismatch,
-    /// [`FederationError::Protocol`] on a shard-count mismatch, and shard
-    /// resume failures verbatim.
+    /// [`FederationError::Protocol`] on a shard-count mismatch,
+    /// [`FederationError::DetachedCheckpoint`] when the merged log is not
+    /// all there, and shard resume failures verbatim.
     pub fn resume(
         &self,
         checkpoint: &FederationCheckpoint,
@@ -1071,6 +1090,11 @@ impl<S: SlotSelector + Copy> Federation<S> {
                 detail: "checkpoint router counters do not match the shard count",
             });
         }
+        let Some(merged) = checkpoint.merged.whole() else {
+            return Err(FederationError::DetachedCheckpoint {
+                missing: checkpoint.merged.after.len,
+            });
+        };
         let shards = self
             .shards
             .iter()
@@ -1094,7 +1118,9 @@ impl<S: SlotSelector + Copy> Federation<S> {
             next_arrival: checkpoint.next_arrival as usize,
             next_fed_job: checkpoint.next_fed_job,
             rr_cursor: checkpoint.rr_cursor,
-            merged: checkpoint.merged.clone(),
+            merged: FederationLog {
+                entries: merged.to_vec(),
+            },
             cross_shard: checkpoint.cross_shard.clone(),
             counters: checkpoint.counters.clone(),
         })

@@ -9,12 +9,12 @@
 //! equals the sorted union of the final shard logs, which
 //! [`merge_shard_logs`] computes independently as a cross-check.
 
-use ecosched_engine::{fnv1a_64, Event, EventLog};
+use ecosched_engine::{fnv1a_64, Event, EventLog, LogEntry};
 use serde::{Deserialize, Serialize};
 
 /// One processed event in the federation: a shard's log entry plus the
 /// shard it fired on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FederatedLogEntry {
     /// The shard the event fired on.
     pub shard: u32,
@@ -33,6 +33,17 @@ impl FederatedLogEntry {
     #[must_use]
     pub fn key(&self) -> (i64, u64, u32) {
         (self.time, self.seq, self.shard)
+    }
+
+    /// The entry as its shard logged it: a shard's own log is the merged
+    /// log filtered to that shard and projected through this.
+    #[must_use]
+    pub fn shard_entry(&self) -> LogEntry {
+        LogEntry {
+            time: self.time,
+            seq: self.seq,
+            event: self.event,
+        }
     }
 }
 

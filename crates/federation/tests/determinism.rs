@@ -3,9 +3,10 @@
 //! and live cross-shard co-allocation.
 
 use ecosched_core::{Perf, Price, ResourceRequest, TimeDelta, TimePoint};
-use ecosched_engine::{ArrivalConfig, Engine, EngineConfig};
+use ecosched_engine::{ArrivalConfig, Engine, EngineConfig, LogPosition, LogTail};
 use ecosched_federation::{
-    merge_shard_logs, Federation, FederationConfig, FederationRun, Placement, RoutePolicy,
+    merge_shard_logs, Federation, FederationConfig, FederationError, FederationRun, Placement,
+    RoutePolicy,
 };
 use ecosched_select::Amp;
 use ecosched_sim::{IntRange, JobGenConfig, RevocationConfig, SlotGenConfig};
@@ -187,6 +188,25 @@ fn resume_refuses_a_foreign_checkpoint() {
 
     let other = Federation::new(starved_config(2), Amp::new()).unwrap();
     assert!(other.resume(&checkpoint).is_err());
+}
+
+/// A checkpoint whose merged log is only a position (a snapshot store
+/// keeps the entries) is refused by name, not resumed on a short log.
+#[test]
+fn resume_refuses_a_checkpoint_detached_from_its_merged_log() {
+    let fed = Federation::new(starved_config(2), Amp::new()).unwrap();
+    let mut state = fed.start(23);
+    for _ in 0..30 {
+        fed.step(&mut state).unwrap().expect("the run goes further");
+    }
+    let mut checkpoint = fed.checkpoint(&state);
+    assert!(fed.resume(&checkpoint).is_ok());
+    let position = LogPosition::after(&checkpoint.merged.entries);
+    checkpoint.merged = LogTail::detached(position);
+    match fed.resume(&checkpoint) {
+        Err(FederationError::DetachedCheckpoint { missing }) => assert_eq!(missing, 30),
+        other => panic!("expected DetachedCheckpoint, got {other:?}"),
+    }
 }
 
 /// A two-shard market where the cross-shard split is the only way to

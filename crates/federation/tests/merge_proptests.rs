@@ -1,10 +1,13 @@
 //! Property tests for the merged-log total order: random per-shard event
 //! streams merge to a strictly ordered, duplicate-free sequence under
 //! `(time, seq, shard)` that preserves every shard's stream verbatim.
+//! And for the log position both logs share: hashing a log in two pieces
+//! equals hashing it whole, wherever the cut.
 
-use ecosched_engine::{Event, EventLog};
+use ecosched_engine::{Event, EventLog, LogPosition};
 use ecosched_federation::{merge_shard_logs, FederatedLogEntry};
 use proptest::prelude::*;
+use serde::Serialize;
 
 /// A valid shard stream: entries strictly increasing under `(time, seq)`
 /// (the order a single engine pops and logs events in).
@@ -19,9 +22,31 @@ fn shard_stream() -> impl Strategy<Value = Vec<(i64, u64)>> {
 fn build_log(stream: &[(i64, u64)]) -> EventLog {
     let mut log = EventLog::new();
     for (i, &(time, seq)) in stream.iter().enumerate() {
-        log.push(time, seq, Event::JobArrival { job: i as u32 });
+        // Every event shape, so entries differ in length and nesting.
+        let event = match i % 6 {
+            0 => Event::JobArrival { job: i as u32 },
+            1 => Event::SlotPublished {
+                round: i as u32,
+                count: seq as u32,
+            },
+            2 => Event::SlotExpired { slot: seq * 1000 },
+            3 => Event::LeaseCompleted { lease: seq },
+            4 => Event::RevocationStrike { strike: i as u32 },
+            _ => Event::CycleTick { cycle: i as u32 },
+        };
+        log.push(time, seq, event);
     }
     log
+}
+
+/// The position after `entries[..split]`, extended over the rest and
+/// closed, as the 16 hex digits `fnv1a_hash()` prints.
+fn hash_in_two_pieces<E: Serialize>(entries: &[E], split: usize) -> String {
+    let mut at = LogPosition::after(&entries[..split]);
+    assert_eq!(at.len, split as u64);
+    at.push_all(&entries[split..]);
+    assert_eq!(at.len, entries.len() as u64);
+    at.fnv1a_hash()
 }
 
 proptest! {
@@ -66,6 +91,35 @@ proptest! {
         }
     }
 
+    /// A position extended over the rest of the log and closed is the
+    /// log's hash, for the engine's log and the merged one, at every cut
+    /// — the start and the end included.
+    #[test]
+    fn a_position_extended_to_the_end_is_the_log_hash(
+        streams in prop::collection::vec(shard_stream(), 1..4),
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let logs: Vec<EventLog> = streams.iter().map(|s| build_log(s)).collect();
+        for log in &logs {
+            let split = cut.index(log.len() + 1);
+            prop_assert_eq!(hash_in_two_pieces(&log.entries, split), log.fnv1a_hash());
+        }
+        let refs: Vec<&EventLog> = logs.iter().collect();
+        let merged = merge_shard_logs(&refs);
+        let split = cut.index(merged.len() + 1);
+        prop_assert_eq!(hash_in_two_pieces(&merged.entries, split), merged.fnv1a_hash());
+        // A shard's log is the merged log's projection onto it.
+        for (shard, log) in logs.iter().enumerate() {
+            let projected: Vec<_> = merged
+                .entries
+                .iter()
+                .filter(|e| e.shard == shard as u32)
+                .map(FederatedLogEntry::shard_entry)
+                .collect();
+            prop_assert_eq!(&projected, &log.entries);
+        }
+    }
+
     /// The merge is idempotent: merging the merged log (as a single
     /// stream, re-keyed) keeps the exact entry sequence.
     #[test]
@@ -79,6 +133,22 @@ proptest! {
         prop_assert_eq!(first.fnv1a_hash(), second.fnv1a_hash());
         prop_assert_eq!(first.to_json(), second.to_json());
     }
+}
+
+#[test]
+fn the_start_position_closes_to_the_empty_log_hash() {
+    assert_eq!(
+        LogPosition::start().fnv1a_hash(),
+        EventLog::new().fnv1a_hash()
+    );
+    assert_eq!(
+        hash_in_two_pieces::<FederatedLogEntry>(&[], 0),
+        merge_shard_logs(&[]).fnv1a_hash()
+    );
+    // A cut at 0 of a non-empty log starts from the same place.
+    let log = build_log(&[(0, 0), (3, 1), (3, 2)]);
+    assert_eq!(hash_in_two_pieces(&log.entries, 0), log.fnv1a_hash());
+    assert_eq!(hash_in_two_pieces(&log.entries, 3), log.fnv1a_hash());
 }
 
 #[test]

@@ -7,11 +7,17 @@
 //! the undelivered arrival stream, the router cursor and counters, the
 //! merged log and the committed cross-shard windows, so there is no
 //! window where some shards resumed from a newer capture than others.
+//!
+//! The log a store keeps for it is the merged log alone: each shard's
+//! own log is the merged log's projection onto that shard, so detaching
+//! drops the shard logs too (recording their lengths) and attaching
+//! rebuilds them from the verified merged prefix.
 
-use ecosched_federation::FederationCheckpoint;
+use ecosched_engine::{LogPosition, LogTail};
+use ecosched_federation::{FederatedLogEntry, FederationCheckpoint};
 use serde::{Deserialize, Serialize};
 
-use crate::format::SectionTag;
+use crate::format::{PersistError, SectionTag};
 use crate::snapshot::Checkpoint;
 
 /// The identity header of a federated snapshot.
@@ -30,6 +36,7 @@ pub struct FederatedSnapshotMeta {
 
 impl Checkpoint for FederationCheckpoint {
     type Meta = FederatedSnapshotMeta;
+    type Entry = FederatedLogEntry;
     const META_SECTION: SectionTag = SectionTag(*b"FMET");
     const STATE_SECTION: SectionTag = SectionTag(*b"FCKP");
     const FILE_PREFIX: &'static str = "fsnap-";
@@ -43,15 +50,51 @@ impl Checkpoint for FederationCheckpoint {
         }
     }
 
-    fn events(&self) -> u64 {
-        self.merged.len() as u64
+    fn log(&self) -> &LogTail<FederatedLogEntry> {
+        &self.merged
+    }
+
+    fn detach(&mut self, at: LogPosition) {
+        self.merged = LogTail::detached(at);
+        for shard in &mut self.shards {
+            // What vouches for a shard's log is the merged position; of
+            // its own position only the length is recorded.
+            shard.log = LogTail::detached(LogPosition {
+                len: shard.log.len() as u64,
+                hash: 0,
+            });
+        }
+    }
+
+    fn attach(&mut self, prefix: Vec<FederatedLogEntry>) -> Result<(), PersistError> {
+        let corrupt = |detail: String| PersistError::Corrupt {
+            section: Self::STATE_SECTION,
+            detail,
+        };
+        let mut logs = vec![Vec::new(); self.shards.len()];
+        for entry in &prefix {
+            logs.get_mut(entry.shard as usize)
+                .ok_or_else(|| corrupt(format!("merged log names shard {}", entry.shard)))?
+                .push(entry.shard_entry());
+        }
+        for (shard, (checkpoint, log)) in self.shards.iter_mut().zip(logs).enumerate() {
+            if log.len() as u64 != checkpoint.log.after.len {
+                return Err(corrupt(format!(
+                    "shard {shard} logged {} events, the merged log holds {} of them",
+                    checkpoint.log.after.len,
+                    log.len()
+                )));
+            }
+            checkpoint.log.attach(log);
+        }
+        self.merged.attach(prefix);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::format::PersistError;
     use crate::snapshot::{decode, encode, peek};
     use crate::Store;
     use ecosched_engine::{EngineCheckpoint, EngineConfig};
@@ -61,12 +104,20 @@ pub(crate) mod tests {
     /// Real federation checkpoints from a short S=2 run, captured at
     /// strictly increasing merged-log lengths.
     pub(crate) fn checkpoints(n: usize) -> (Federation<Amp>, Vec<FederationCheckpoint>) {
+        checkpoints_from(17, n)
+    }
+
+    /// [`checkpoints`] of the run another seed starts.
+    pub(crate) fn checkpoints_from(
+        seed: u64,
+        n: usize,
+    ) -> (Federation<Amp>, Vec<FederationCheckpoint>) {
         let fed = Federation::new(
             FederationConfig::new(EngineConfig::default(), 2),
             Amp::new(),
         )
         .expect("default config");
-        let mut state = fed.start(17);
+        let mut state = fed.start(seed);
         let mut snaps = Vec::with_capacity(n);
         while snaps.len() < n {
             for _ in 0..24 {

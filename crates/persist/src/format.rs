@@ -22,6 +22,7 @@
 //! never a silently wrong checkpoint.
 
 use ecosched_engine::event::fnv1a_64;
+use ecosched_engine::LogPosition;
 
 /// The magic bytes every snapshot file starts with.
 pub const MAGIC: [u8; 8] = *b"ECOSNAP\0";
@@ -34,11 +35,18 @@ pub const MAGIC: [u8; 8] = *b"ECOSNAP\0";
 /// * **2** — the vacant market may serialize in the tagged per-node
 ///   interval form (`{"repr": "interval", …}`). The container layout is
 ///   unchanged; the bump marks the payload schema extension.
+/// * **3** — a checkpoint's `log` is the entries *after a position*
+///   (`{"after": {"len", "hash"}, "entries": […]}`) instead of the log
+///   itself (`{"entries": […]}`). A standalone file carries everything
+///   after position zero; a file written by a rotated store carries
+///   only the position, the entries being in the store's log segment.
+///   Container layout unchanged.
 ///
 /// Decoding accepts any version in [`MIN_FORMAT_VERSION`]`..=`
 /// [`FORMAT_VERSION`]: a v1 snapshot (flat market) decodes under this
-/// build and resumes into either market representation.
-pub const FORMAT_VERSION: u32 = 2;
+/// build and resumes into either market representation, and a v1 or v2
+/// log decodes as the tail after position zero.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// The oldest container format version this build still decodes.
 pub const MIN_FORMAT_VERSION: u32 = 1;
@@ -102,6 +110,22 @@ pub enum PersistError {
         /// What went wrong.
         detail: String,
     },
+    /// A rotated store was handed a checkpoint whose log is detached:
+    /// the store keeps the log in its segment and needs all of it.
+    Detached {
+        /// Log entries the checkpoint does not carry.
+        missing: u64,
+    },
+    /// A store's log segment cannot supply the prefix a snapshot was
+    /// detached from — it is shorter than the position, or its entries
+    /// hash differently. The snapshot is unusable; an older one or a
+    /// replay from the seed regenerates the log.
+    LogSegment {
+        /// The position the snapshot records.
+        position: LogPosition,
+        /// How the segment falls short.
+        detail: String,
+    },
     /// Reading or writing the snapshot file failed.
     Io(std::io::Error),
 }
@@ -131,6 +155,16 @@ impl std::fmt::Display for PersistError {
             PersistError::Corrupt { section, detail } => {
                 write!(f, "section {section}: {detail}")
             }
+            PersistError::Detached { missing } => write!(
+                f,
+                "checkpoint is detached from the first {missing} entries of its log; \
+                 a store saves whole checkpoints only"
+            ),
+            PersistError::LogSegment { position, detail } => write!(
+                f,
+                "log segment cannot supply the {} entries before position {:016x}: {detail}",
+                position.len, position.hash
+            ),
             PersistError::Io(e) => write!(f, "snapshot i/o failed: {e}"),
         }
     }

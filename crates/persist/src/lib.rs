@@ -5,8 +5,9 @@
 //! best-effort. This crate adds:
 //!
 //! * **one snapshot stack**, generic over the [`Checkpoint`] it stores —
-//!   the small trait (section tags, file prefix, meta header, ordering
-//!   key) implemented by the engine's
+//!   the small trait (section tags, file prefix, meta header, and the
+//!   run's log with the `detach`/`attach` pair that moves it out of a
+//!   snapshot and back) implemented by the engine's
 //!   [`EngineCheckpoint`](ecosched_engine::EngineCheckpoint) and, in
 //!   [`federated`], by the whole multi-shard federation, so every shard
 //!   resumes from the same instant. Bottom up: the [`mod@format`]
@@ -18,6 +19,18 @@
 //!   runs on. Corrupted, truncated, version-mismatched or wrong-type
 //!   files fail with typed [`PersistError`]s — never panics, never a
 //!   silently wrong state;
+//! * **the log kept once**: a checkpoint carries its run's event log as
+//!   a [`LogTail`](ecosched_engine::LogTail), the entries after a
+//!   [`LogPosition`](ecosched_engine::LogPosition). A standalone file
+//!   ([`snapshot::write`]) carries everything after position zero and
+//!   is self-contained; a [`Store<C>`] keeps the entries in one
+//!   append-only log segment beside its snapshots — fsynced before the
+//!   snapshot that records their position is renamed into place — and
+//!   re-attaches the segment's prefix, verified against the position's
+//!   hash, on load. The segment is a cache of a regenerable log: one
+//!   that cannot satisfy a snapshot makes that snapshot skipped, never
+//!   a wrong log. Snapshot size and save cost follow the state, not the
+//!   length of the run;
 //! * **restore + replay** ([`replay`]): [`resume_from`] rebuilds a live
 //!   run from a snapshot and *regenerates* the events the crashed
 //!   process logged after the capture, checking each against the
@@ -40,6 +53,7 @@ pub mod federated;
 pub mod format;
 pub mod replay;
 pub mod rotate;
+mod segment;
 pub mod snapshot;
 
 pub use federated::FederatedSnapshotMeta;

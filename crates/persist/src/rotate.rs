@@ -8,20 +8,35 @@
 //! each save the store prunes to the newest `keep_last` files, and
 //! [`Store::load_latest`] walks newest-to-oldest past any truncated or
 //! corrupt file, so one bad newest snapshot costs one capture interval
-//! of replay, not the run. Stores of different checkpoint types list
-//! only their own prefix, so they can share a directory.
+//! of replay, not the run. Stores of different checkpoint types touch
+//! only files with their own prefix, so they can share a directory.
+//!
+//! The snapshots of a store do not carry the run's log. The store keeps
+//! it once, in an append-only log segment (`<prefix>log.ndjson`, one
+//! entry per line in canonical JSON): a save appends the entries the segment
+//! lacks, fsyncs them, and only then writes the checkpoint with its log
+//! detached at that position; a load re-attaches the segment's prefix,
+//! verified against the position's hash, and hands back the same whole
+//! checkpoint that was saved. So a snapshot's size and the cost of a
+//! save follow the state, not the length of the run. A snapshot whose
+//! position the segment cannot satisfy is skipped like a corrupt one.
 
 use std::fs;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use ecosched_engine::EngineCheckpoint;
 
 use crate::format::PersistError;
+use crate::segment::Segment;
 use crate::snapshot::{encode, read, Checkpoint};
 
 /// File-name suffix of finished snapshots.
 const SUFFIX: &str = ".ecosnap";
+
+/// What follows the checkpoint type's prefix in the log segment's name.
+const SEGMENT_NAME: &str = "log.ndjson";
 
 /// Writes `bytes` crash-atomically to `path`: temp sibling
 /// (`path` with a `.tmp` extension), fsync, rename, directory fsync.
@@ -56,6 +71,8 @@ pub fn atomic_save(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 pub struct Store<C> {
     dir: PathBuf,
     keep_last: usize,
+    /// Behind a lock so that saving takes `&self`, as it always has.
+    segment: Mutex<Segment>,
     kind: PhantomData<fn() -> C>,
 }
 
@@ -95,11 +112,38 @@ impl<C: Checkpoint> Store<C> {
     pub fn open(dir: impl Into<PathBuf>, keep_last: usize) -> Result<Self, PersistError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
+        let segment = dir.join(format!("{}{SEGMENT_NAME}", C::FILE_PREFIX));
         Ok(Store {
             dir,
             keep_last: keep_last.max(1),
+            segment: Mutex::new(Segment::new(segment)),
             kind: PhantomData,
         })
+    }
+
+    fn segment(&self) -> std::sync::MutexGuard<'_, Segment> {
+        // Every update leaves the segment's record either valid or
+        // forgotten, so a panic elsewhere cannot poison its meaning.
+        self.segment
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// The log segment this store's snapshots are detached from.
+    #[must_use]
+    pub fn log_segment_path(&self) -> PathBuf {
+        self.segment().path().to_path_buf()
+    }
+
+    /// The entries the log segment holds: every complete line that
+    /// parses, up to the first that does not. Unverified — an offline
+    /// checker compares them with a replay.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Io`] when the file exists but cannot be read.
+    pub fn read_log_segment(&self) -> Result<Vec<C::Entry>, PersistError> {
+        Ok(self.segment().read()?.entries)
     }
 
     /// File name for a capture taken after `events` emitted events.
@@ -116,28 +160,58 @@ impl<C: Checkpoint> Store<C> {
     /// Saves a checkpoint crash-atomically and prunes old snapshots.
     /// Returns the path of the finished file.
     ///
+    /// The log goes to the segment first — only the entries it does not
+    /// hold yet, fsynced — and the snapshot, written after, records the
+    /// position in place of the entries. A checkpoint whose log does not
+    /// extend the segment (the store is being reused for another run, or
+    /// for the same one from an earlier point) replaces the segment's
+    /// contents, and the snapshots past its end go with them: they are
+    /// of a history the store no longer holds.
+    ///
     /// File names are keyed by [`Checkpoint::events`]; re-saving the
     /// same event count overwrites the previous capture (the states are
     /// identical by determinism).
     ///
     /// # Errors
     ///
-    /// [`PersistError::Io`] on any filesystem failure.
+    /// [`PersistError::Detached`] when the checkpoint does not carry its
+    /// whole log; [`PersistError::Io`] on any filesystem failure.
     pub fn save(&self, checkpoint: &C) -> Result<PathBuf, PersistError> {
-        let final_path = self.dir.join(Self::file_name(checkpoint.events()));
-        atomic_save(&final_path, &encode(checkpoint))?;
+        let log = checkpoint.log();
+        let Some(entries) = log.whole() else {
+            return Err(PersistError::Detached {
+                missing: log.after.len,
+            });
+        };
+        let (at, rewritten) = self.segment().hold(entries)?;
+        if rewritten {
+            for (events, path) in self.listed()? {
+                if events > at.len {
+                    let _ = fs::remove_file(path);
+                }
+            }
+        }
+        let mut detached = checkpoint.clone();
+        detached.detach(at);
+        let final_path = self.dir.join(Self::file_name(at.len));
+        atomic_save(&final_path, &encode(&detached))?;
         self.prune()?;
         Ok(final_path)
     }
 
-    /// Snapshot paths in capture order (oldest first). Temp files,
-    /// snapshots of other checkpoint types, and foreign names are
-    /// ignored.
+    /// Snapshot paths in capture order (oldest first). Temp files, the
+    /// log segment, snapshots of other checkpoint types, and foreign
+    /// names are ignored.
     ///
     /// # Errors
     ///
     /// [`PersistError::Io`] when the directory cannot be read.
     pub fn list(&self) -> Result<Vec<PathBuf>, PersistError> {
+        Ok(self.listed()?.into_iter().map(|(_, p)| p).collect())
+    }
+
+    /// [`list`](Self::list), with each snapshot's event count.
+    fn listed(&self) -> Result<Vec<(u64, PathBuf)>, PersistError> {
         let mut found: Vec<(u64, PathBuf)> = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
@@ -147,11 +221,12 @@ impl<C: Checkpoint> Store<C> {
             }
         }
         found.sort_unstable_by_key(|(events, _)| *events);
-        Ok(found.into_iter().map(|(_, p)| p).collect())
+        Ok(found)
     }
 
     /// Deletes all but the newest `keep_last` snapshots, and any stray
-    /// temp files left by an interrupted save.
+    /// temp files an interrupted save of this store left. Never the log
+    /// segment, and nothing of another store sharing the directory.
     ///
     /// # Errors
     ///
@@ -165,15 +240,43 @@ impl<C: Checkpoint> Store<C> {
         }
         for entry in fs::read_dir(&self.dir)? {
             let path = entry?.path();
-            if path.extension().is_some_and(|e| e == "tmp") {
+            let own = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with(C::FILE_PREFIX));
+            if own && path.extension().is_some_and(|e| e == "tmp") {
                 let _ = fs::remove_file(&path);
             }
         }
         Ok(())
     }
 
-    /// Finds and decodes the newest usable snapshot, skipping corrupt
-    /// or truncated files (newest first) until one decodes cleanly.
+    /// Reads one of this store's snapshots whole: decodes it and, when
+    /// its log is detached, re-attaches the log segment's prefix after
+    /// verifying it against the recorded position. A self-contained
+    /// snapshot (formats 1 and 2, or a standalone file) is returned as
+    /// it is.
+    ///
+    /// # Errors
+    ///
+    /// The failure modes of [`read`]; [`PersistError::LogSegment`] when
+    /// the segment cannot supply the prefix.
+    fn load(&self, path: &Path) -> Result<C, PersistError> {
+        let mut checkpoint: C = read(path)?;
+        let after = checkpoint.log().after;
+        if after.len > 0 {
+            let mut segment = self.segment();
+            let held = segment.read::<C::Entry>()?;
+            checkpoint.attach(held.prefix(after)?)?;
+            segment.trust(&held, after.len as usize);
+        }
+        Ok(checkpoint)
+    }
+
+    /// Finds and loads the newest usable snapshot — decoded, and its log
+    /// prefix re-attached from the segment, verified — skipping corrupt
+    /// or truncated files and ones the log segment cannot satisfy
+    /// (newest first) until one loads cleanly.
     /// Returns `None` when the directory holds no usable snapshot.
     ///
     /// # Errors
@@ -185,7 +288,7 @@ impl<C: Checkpoint> Store<C> {
     pub fn load_latest(&self) -> Result<Option<Latest<C>>, PersistError> {
         let mut skipped = Vec::new();
         for path in self.list()?.into_iter().rev() {
-            match read(&path) {
+            match self.load(&path) {
                 Ok(checkpoint) => {
                     return Ok(Some(Latest {
                         checkpoint,
@@ -203,6 +306,7 @@ impl<C: Checkpoint> Store<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecosched_engine::LogPosition;
     use ecosched_federation::FederationCheckpoint;
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -214,7 +318,7 @@ mod tests {
 
     /// Real engine checkpoints (strictly increasing event counts) from a
     /// short deterministic run — the store keys file names on that count.
-    fn engine_checkpoints(n: usize) -> Vec<EngineCheckpoint> {
+    fn engine_checkpoints(seed: u64, n: usize) -> Vec<EngineCheckpoint> {
         let engine = ecosched_engine::Engine::new(
             ecosched_engine::EngineConfig {
                 cycles: n as u32 + 2,
@@ -223,13 +327,28 @@ mod tests {
             ecosched_select::Amp::new(),
         )
         .expect("default config");
-        let (_, snaps) = crate::replay::run_with_snapshots(&engine, 7, 1).expect("run");
+        let (_, snaps) = crate::replay::run_with_snapshots(&engine, seed, 1).expect("run");
         assert!(snaps.len() >= n, "run produced too few snapshots");
         snaps.into_iter().take(n).collect()
     }
 
-    fn federation_checkpoints(n: usize) -> Vec<FederationCheckpoint> {
-        crate::federated::tests::checkpoints(n).1
+    fn federation_checkpoints(seed: u64, n: usize) -> Vec<FederationCheckpoint> {
+        crate::federated::tests::checkpoints_from(seed, n).1
+    }
+
+    /// The seed the suite's run starts from, and another.
+    const SEED: u64 = 7;
+    const OTHER_SEED: u64 = 8;
+
+    fn segment_lines<C: Checkpoint>(store: &Store<C>) -> Vec<String> {
+        let text = fs::read_to_string(store.log_segment_path()).unwrap_or_default();
+        text.lines().map(str::to_owned).collect()
+    }
+
+    /// The newest usable snapshot, and how many newer ones were skipped.
+    fn latest<C: Checkpoint>(store: &Store<C>) -> (C, usize) {
+        let latest = store.load_latest().unwrap().expect("a usable snapshot");
+        (latest.checkpoint, latest.skipped.len())
     }
 
     fn names_round_trip<C: Checkpoint>() {
@@ -306,10 +425,216 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// What a save leaves on disk: the log in the segment, one canonical
+    /// line an entry; in the snapshot a position and no entries; and
+    /// through `load_latest` the whole checkpoint again.
+    fn snapshots_are_detached_and_load_whole<C: Checkpoint + PartialEq + std::fmt::Debug>(
+        tag: &str,
+        snaps: Vec<C>,
+    ) {
+        let dir = scratch_dir(&format!("detached-{tag}"));
+        let store = Store::<C>::open(&dir, 4).unwrap();
+        for snap in &snaps {
+            let path = store.save(snap).unwrap();
+            let on_disk: C = read(&path).unwrap();
+            assert!(on_disk.log().entries.is_empty());
+            assert_eq!(on_disk.log().after.len, snap.events());
+            assert_eq!(on_disk.events(), snap.events());
+            // The recorded position closes to the log's own hash.
+            let whole = snap.log().whole().unwrap();
+            assert_eq!(on_disk.log().after, LogPosition::after(whole));
+            let lines: Vec<String> = whole
+                .iter()
+                .map(|e| serde_json::to_string(e).unwrap())
+                .collect();
+            assert_eq!(segment_lines(&store), lines);
+            assert_eq!(latest(&store), (snap.clone(), 0));
+            // What is on disk cannot be saved again as it is.
+            assert!(matches!(
+                store.save(&on_disk),
+                Err(PersistError::Detached { missing }) if missing == snap.events()
+            ));
+        }
+        // A second store over the directory (a restart) reads the same.
+        let reopened = Store::<C>::open(&dir, 4).unwrap();
+        assert_eq!(latest(&reopened), (snaps[snaps.len() - 1].clone(), 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Neither `list` nor `prune` ever touches the segment or a file of
+    /// another store, however many saves rotate through.
+    fn prune_keeps_to_its_own_files<C: Checkpoint>(tag: &str, snaps: Vec<C>) {
+        let dir = scratch_dir(&format!("hygiene-{tag}"));
+        let store = Store::<C>::open(&dir, 1).unwrap();
+        let foreign = ["other-0000000000000001.tmp", "notes.tmp", "log.ndjson"];
+        for name in foreign {
+            fs::write(dir.join(name), b"not this store's").unwrap();
+        }
+        for snap in &snaps {
+            store.save(snap).unwrap();
+            store.prune().unwrap();
+        }
+        for name in foreign {
+            assert!(dir.join(name).exists(), "{name} was deleted");
+        }
+        assert_eq!(store.list().unwrap().len(), 1);
+        assert!(!store.list().unwrap().contains(&store.log_segment_path()));
+        assert_eq!(
+            segment_lines(&store).len() as u64,
+            snaps[snaps.len() - 1].events()
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A store reused for a run that starts over: the checkpoint is
+    /// behind the segment. The segment is cut back to the checkpoint's
+    /// own log and the snapshots past it go, so what is on disk is again
+    /// one history — and the run can go on extending it.
+    fn a_checkpoint_behind_the_segment_replaces_it<C: Checkpoint + PartialEq + std::fmt::Debug>(
+        tag: &str,
+        snaps: Vec<C>,
+    ) {
+        let dir = scratch_dir(&format!("behind-{tag}"));
+        let store = Store::<C>::open(&dir, 2).unwrap();
+        for snap in &snaps {
+            store.save(snap).unwrap();
+        }
+        store.save(&snaps[0]).unwrap();
+        assert_eq!(segment_lines(&store).len() as u64, snaps[0].events());
+        assert_eq!(store.list().unwrap().len(), 1);
+        assert_eq!(latest(&store), (snaps[0].clone(), 0));
+        store.save(&snaps[1]).unwrap();
+        assert_eq!(latest(&store), (snaps[1].clone(), 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A store reused for another run altogether, whose checkpoint is
+    /// *ahead* of the segment: nothing about lengths gives it away, the
+    /// entries do. The snapshot must come back with its own log, not the
+    /// old run's prefix under the new run's tail.
+    fn a_checkpoint_of_another_run_replaces_the_segment<
+        C: Checkpoint + PartialEq + std::fmt::Debug,
+    >(
+        tag: &str,
+        snaps: Vec<C>,
+        other: Vec<C>,
+    ) {
+        let dir = scratch_dir(&format!("foreign-{tag}"));
+        let store = Store::<C>::open(&dir, 4).unwrap();
+        store.save(&snaps[0]).unwrap();
+        let ahead = other
+            .iter()
+            .find(|c| c.events() > snaps[0].events())
+            .expect("the other run gets further");
+        assert_ne!(
+            serde_json::to_string(&ahead.log().entries[..snaps[0].events() as usize]).unwrap(),
+            serde_json::to_string(&snaps[0].log().entries).unwrap(),
+            "the fixture runs must differ"
+        );
+        store.save(ahead).unwrap();
+        assert_eq!(latest(&store), (ahead.clone(), 0));
+        // The same through a fresh store object, which knows the segment
+        // only from the file.
+        store.save(&snaps[1]).unwrap();
+        let reopened = Store::<C>::open(&dir, 4).unwrap();
+        reopened.save(&other[other.len() - 1]).unwrap();
+        assert_eq!(latest(&reopened), (other[other.len() - 1].clone(), 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The segment is never trusted blind: one that is too short, gone,
+    /// or holds other entries makes the snapshots that need it skipped —
+    /// typed, like a corrupt file — and the next save puts it right.
+    fn a_damaged_segment_skips_the_snapshots_it_cannot_satisfy<
+        C: Checkpoint + PartialEq + std::fmt::Debug,
+    >(
+        tag: &str,
+        snaps: Vec<C>,
+    ) {
+        let dir = scratch_dir(&format!("damaged-{tag}"));
+        let store = Store::<C>::open(&dir, 4).unwrap();
+        store.save(&snaps[0]).unwrap();
+        store.save(&snaps[1]).unwrap();
+        let segment = store.log_segment_path();
+        let intact = fs::read(&segment).unwrap();
+        let lines = segment_lines(&store);
+        let (older, newer) = (snaps[0].events() as usize, snaps[1].events() as usize);
+        assert!(older < newer && newer == lines.len());
+        let refused = |store: &Store<C>| {
+            let latest = store.load_latest().unwrap().expect("the older snapshot");
+            assert_eq!(latest.checkpoint, snaps[0]);
+            assert_eq!(latest.skipped.len(), 1);
+            assert!(
+                matches!(latest.skipped[0].error, PersistError::LogSegment { .. }),
+                "{:?}",
+                latest.skipped[0].error
+            );
+        };
+
+        // Cut between the two positions, on a line boundary and inside one.
+        let keep: usize = lines[..newer - 1].iter().map(|l| l.len() + 1).sum();
+        fs::write(&segment, &intact[..keep]).unwrap();
+        refused(&store);
+        fs::write(&segment, &intact[..keep - 3]).unwrap();
+        refused(&store);
+
+        // Another entry where the newer snapshot's last one was.
+        let mut swapped = lines.clone();
+        swapped[newer - 1] = lines[0].clone();
+        fs::write(&segment, swapped.join("\n") + "\n").unwrap();
+        refused(&store);
+
+        // Gone: nothing detached is usable.
+        fs::remove_file(&segment).unwrap();
+        assert!(store.load_latest().unwrap().is_none());
+
+        // The log is regenerable: the next save writes it back, and the
+        // older snapshot, whose position it satisfies again, with it.
+        store.save(&snaps[1]).unwrap();
+        assert_eq!(fs::read(&segment).unwrap(), intact);
+        assert_eq!(latest(&store), (snaps[1].clone(), 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The crash windows of a save: death mid-append (a torn last line)
+    /// and death between the append and the snapshot's rename (a segment
+    /// longer than any snapshot says). Both load the newest snapshot
+    /// whole, and the run's next save carries on from what it vouches for.
+    fn a_save_interrupted_after_its_append_is_recovered<
+        C: Checkpoint + PartialEq + std::fmt::Debug,
+    >(
+        tag: &str,
+        snaps: Vec<C>,
+    ) {
+        let dir = scratch_dir(&format!("window-{tag}"));
+        let store = Store::<C>::open(&dir, 4).unwrap();
+        store.save(&snaps[0]).unwrap();
+        let unrenamed = store.save(&snaps[1]).unwrap();
+        fs::remove_file(unrenamed).unwrap();
+        {
+            use std::io::Write as _;
+            let mut file = fs::OpenOptions::new()
+                .append(true)
+                .open(store.log_segment_path())
+                .unwrap();
+            file.write_all(b"{\"time\":12,\"se").unwrap();
+        }
+        for store in [&store, &Store::<C>::open(&dir, 4).unwrap()] {
+            assert_eq!(latest(store), (snaps[0].clone(), 0));
+            store.save(&snaps[2]).unwrap();
+            assert_eq!(segment_lines(store).len() as u64, snaps[2].events());
+            assert_eq!(latest(store), (snaps[2].clone(), 0));
+            store.save(&snaps[0]).unwrap();
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// The store contract, once per checkpoint type.
     macro_rules! store_suite {
         ($suite:ident, $checkpoint:ty, $fixture:ident) => {
             mod $suite {
+                use super::{OTHER_SEED, SEED};
+
                 #[test]
                 fn names_round_trip() {
                     super::names_round_trip::<$checkpoint>();
@@ -317,19 +642,71 @@ mod tests {
 
                 #[test]
                 fn saves_prune_to_keep_last() {
-                    super::saves_prune_to_keep_last(stringify!($suite), super::$fixture(4));
+                    super::saves_prune_to_keep_last(stringify!($suite), super::$fixture(SEED, 4));
                 }
 
                 #[test]
                 fn load_latest_skips_corrupt_newest() {
-                    super::load_latest_skips_corrupt_newest(stringify!($suite), super::$fixture(2));
+                    super::load_latest_skips_corrupt_newest(
+                        stringify!($suite),
+                        super::$fixture(SEED, 2),
+                    );
                 }
 
                 #[test]
                 fn interrupted_save_leaves_no_partial_final_file() {
                     super::interrupted_save_leaves_no_partial_final_file(
                         stringify!($suite),
-                        super::$fixture(1),
+                        super::$fixture(SEED, 1),
+                    );
+                }
+
+                #[test]
+                fn snapshots_are_detached_and_load_whole() {
+                    super::snapshots_are_detached_and_load_whole(
+                        stringify!($suite),
+                        super::$fixture(SEED, 3),
+                    );
+                }
+
+                #[test]
+                fn prune_keeps_to_its_own_files() {
+                    super::prune_keeps_to_its_own_files(
+                        stringify!($suite),
+                        super::$fixture(SEED, 3),
+                    );
+                }
+
+                #[test]
+                fn a_checkpoint_behind_the_segment_replaces_it() {
+                    super::a_checkpoint_behind_the_segment_replaces_it(
+                        stringify!($suite),
+                        super::$fixture(SEED, 3),
+                    );
+                }
+
+                #[test]
+                fn a_checkpoint_of_another_run_replaces_the_segment() {
+                    super::a_checkpoint_of_another_run_replaces_the_segment(
+                        stringify!($suite),
+                        super::$fixture(SEED, 2),
+                        super::$fixture(OTHER_SEED, 3),
+                    );
+                }
+
+                #[test]
+                fn a_damaged_segment_skips_the_snapshots_it_cannot_satisfy() {
+                    super::a_damaged_segment_skips_the_snapshots_it_cannot_satisfy(
+                        stringify!($suite),
+                        super::$fixture(SEED, 2),
+                    );
+                }
+
+                #[test]
+                fn a_save_interrupted_after_its_append_is_recovered() {
+                    super::a_save_interrupted_after_its_append_is_recovered(
+                        stringify!($suite),
+                        super::$fixture(SEED, 3),
                     );
                 }
             }
@@ -349,12 +726,17 @@ mod tests {
         let fed_store = Store::<FederationCheckpoint>::open(&dir, 2).unwrap();
         let engine_store = SnapshotStore::open(&dir, 2).unwrap();
 
-        let snaps = federation_checkpoints(1);
+        let snaps = federation_checkpoints(SEED, 1);
         fed_store.save(&snaps[0]).unwrap();
         engine_store.save(&snaps[0].shards[0]).unwrap();
 
         assert_eq!(fed_store.list().unwrap().len(), 1);
         assert_eq!(engine_store.list().unwrap().len(), 1);
+        // Each keeps its own log segment.
+        assert_ne!(
+            fed_store.log_segment_path(),
+            engine_store.log_segment_path()
+        );
         // Each loader sees only its own format.
         assert_eq!(
             fed_store.load_latest().unwrap().unwrap().checkpoint,

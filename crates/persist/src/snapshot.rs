@@ -8,10 +8,19 @@
 //! the trait here (`META`/`CKPT`, files `snap-…`), the federation's in
 //! [`federated`](crate::federated); a snapshot of the other type fails
 //! with [`PersistError::MissingSection`] rather than a misparse.
+//!
+//! The state carries its run's log as a [`LogTail`] — the entries after
+//! a position. [`encode`] and [`write()`] store whatever tail they are
+//! given, which for a checkpoint fresh from `checkpoint()` is the whole
+//! log: a standalone snapshot file is self-contained. The rotated
+//! [`Store`](crate::Store) uses the trait's [`detach`](Checkpoint::detach)
+//! / [`attach`](Checkpoint::attach) pair to keep the entries in its log
+//! segment instead, and this same codec for what is left.
 
+use std::hash::Hash;
 use std::path::Path;
 
-use ecosched_engine::EngineCheckpoint;
+use ecosched_engine::{EngineCheckpoint, LogEntry, LogPosition, LogTail};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
@@ -20,9 +29,12 @@ use crate::rotate::atomic_save;
 
 /// A resumable state the snapshot stack can store: what distinguishes
 /// one kind of snapshot from another on disk, and nothing else.
-pub trait Checkpoint: Serialize + DeserializeOwned {
+pub trait Checkpoint: Serialize + DeserializeOwned + Clone {
     /// The cheap-to-read identity header stored next to the state.
     type Meta: Serialize + DeserializeOwned;
+    /// One entry of the run's log — one line of a rotated store's log
+    /// segment.
+    type Entry: Serialize + DeserializeOwned + Clone + Hash;
     /// The section holding the [`Meta`](Checkpoint::Meta) JSON.
     const META_SECTION: SectionTag;
     /// The section holding the checkpoint JSON.
@@ -33,9 +45,27 @@ pub trait Checkpoint: Serialize + DeserializeOwned {
     /// Builds the header for this checkpoint.
     fn meta(&self) -> Self::Meta;
 
+    /// The run's log as this checkpoint carries it.
+    fn log(&self) -> &LogTail<Self::Entry>;
+
+    /// Drops every log entry, recording only that the log ended `at` —
+    /// its whole length. The caller keeps the entries.
+    fn detach(&mut self, at: LogPosition);
+
+    /// Puts back the entries [`detach`](Checkpoint::detach) dropped. The
+    /// caller has verified `prefix` against the recorded position.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Corrupt`] when the checkpoint's other contents
+    /// contradict the prefix.
+    fn attach(&mut self, prefix: Vec<Self::Entry>) -> Result<(), PersistError>;
+
     /// Log events the captured run had emitted — the rotated store's
     /// ordering key (file names sort by it, newest last).
-    fn events(&self) -> u64;
+    fn events(&self) -> u64 {
+        self.log().len() as u64
+    }
 }
 
 /// The identity header of an engine snapshot.
@@ -54,6 +84,7 @@ pub struct SnapshotMeta {
 
 impl Checkpoint for EngineCheckpoint {
     type Meta = SnapshotMeta;
+    type Entry = LogEntry;
     const META_SECTION: SectionTag = SectionTag(*b"META");
     const STATE_SECTION: SectionTag = SectionTag(*b"CKPT");
     const FILE_PREFIX: &'static str = "snap-";
@@ -67,8 +98,17 @@ impl Checkpoint for EngineCheckpoint {
         }
     }
 
-    fn events(&self) -> u64 {
-        self.log.len() as u64
+    fn log(&self) -> &LogTail<LogEntry> {
+        &self.log
+    }
+
+    fn detach(&mut self, at: LogPosition) {
+        self.log = LogTail::detached(at);
+    }
+
+    fn attach(&mut self, prefix: Vec<LogEntry>) -> Result<(), PersistError> {
+        self.log.attach(prefix);
+        Ok(())
     }
 }
 

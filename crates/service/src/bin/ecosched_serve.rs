@@ -12,7 +12,8 @@
 //! Scheduling flags configure a *fresh* data directory; an existing
 //! directory's stored manifest pins the engine identity and the flags
 //! are ignored. `--verify` replays the write-ahead log offline and
-//! checks byte-identity against the newest snapshot, then exits.
+//! checks byte-identity against the newest snapshot and the log segment
+//! it is detached from, then exits.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -162,10 +163,11 @@ fn main() -> ExitCode {
             Ok(report) => {
                 println!(
                     "VERIFIED wal_entries={} dropped_lines={} snapshot_events={} \
-                     acked_in_snapshot={} log_hash={}",
+                     segment_events={} acked_in_snapshot={} log_hash={}",
                     report.wal_entries,
                     report.wal_dropped_lines,
                     report.snapshot_events,
+                    report.segment_events,
                     report.acked_in_snapshot,
                     report.log_hash
                 );

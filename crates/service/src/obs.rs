@@ -10,8 +10,9 @@
 //! way the registry is observe-only: nothing in it feeds back into
 //! admission, routing, or scheduling decisions.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use ecosched_engine::{EngineIds, EngineObs};
 use ecosched_federation::{FedIds, FederationObs};
@@ -63,6 +64,13 @@ pub struct ServiceIds {
     pub wal_fsync_us: HistogramId,
     /// `ecosched_service_ack_us` — serve-loop batch intake to ack send.
     pub ack_us: HistogramId,
+    /// `ecosched_service_snapshot_us` — one observation per snapshot, so
+    /// its count equals the snapshots counter.
+    pub snapshot_us: HistogramId,
+    /// `ecosched_service_snapshot_bytes` gauge — the newest snapshot file.
+    pub snapshot_bytes: GaugeId,
+    /// `ecosched_service_log_segment_bytes` gauge.
+    pub log_segment_bytes: GaugeId,
     /// `ecosched_service_backlog` gauge.
     pub backlog: GaugeId,
     /// `ecosched_service_virtual_time` gauge.
@@ -110,6 +118,20 @@ impl ServiceIds {
                  in microseconds",
                 Buckets::pow2(1, 20),
             ),
+            snapshot_us: b.histogram(
+                "ecosched_service_snapshot_us",
+                "Wall time of one rotated snapshot (checkpoint, log-segment append, \
+                 encode, durable write) in microseconds",
+                Buckets::pow2(1, 24),
+            ),
+            snapshot_bytes: b.gauge(
+                "ecosched_service_snapshot_bytes",
+                "Size of the newest snapshot file; follows the state, not the run length",
+            ),
+            log_segment_bytes: b.gauge(
+                "ecosched_service_log_segment_bytes",
+                "Size of the snapshot store's append-only event-log segment",
+            ),
             backlog: b.gauge(
                 "ecosched_service_backlog",
                 "Pending plus leased jobs across all shards",
@@ -126,6 +148,19 @@ impl ServiceIds {
 struct ServiceObsInner {
     rec: Recorder,
     ids: ServiceIds,
+    /// Wall-clock time of the newest snapshot, in milliseconds since the
+    /// Unix epoch; 0 until one is written. Read by `/healthz` only.
+    last_snapshot_ms: AtomicU64,
+}
+
+fn micros(duration: Duration) -> u64 {
+    duration.as_micros().min(u128::from(u64::MAX)) as u64
+}
+
+fn unix_ms() -> u64 {
+    SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_millis().min(u128::from(u64::MAX)) as u64)
 }
 
 /// An optional service recorder handle: runtime state, never serialized,
@@ -151,7 +186,11 @@ impl ServiceObs {
             return ServiceObs::off();
         }
         ServiceObs {
-            inner: Some(Arc::new(ServiceObsInner { rec, ids })),
+            inner: Some(Arc::new(ServiceObsInner {
+                rec,
+                ids,
+                last_snapshot_ms: AtomicU64::new(0),
+            })),
         }
     }
 
@@ -199,16 +238,22 @@ impl ServiceObs {
             return;
         }
         i.rec.inc(i.ids.wal_commits);
-        let us = fsync.as_micros().min(u128::from(u64::MAX)) as u64;
+        let us = micros(fsync);
         for _ in 0..staged {
             i.rec.observe(i.ids.wal_fsync_us, us);
         }
     }
 
-    /// A rotated snapshot was written.
-    pub fn on_snapshot(&self) {
+    /// A rotated snapshot of `snapshot_bytes` was written in `took` wall
+    /// time, leaving the log segment at `log_segment_bytes`.
+    pub fn on_snapshot(&self, took: Duration, snapshot_bytes: u64, log_segment_bytes: u64) {
         if let Some(i) = self.inner.as_deref() {
             i.rec.inc(i.ids.snapshots);
+            i.rec.observe(i.ids.snapshot_us, micros(took));
+            i.rec.set(i.ids.snapshot_bytes, snapshot_bytes as f64);
+            i.rec.set(i.ids.log_segment_bytes, log_segment_bytes as f64);
+            // A statistic that publishes nothing else.
+            i.last_snapshot_ms.store(unix_ms(), Ordering::Relaxed);
         }
     }
 
@@ -216,8 +261,7 @@ impl ServiceObs {
     /// was taken off the channel.
     pub fn observe_ack(&self, elapsed: Duration) {
         if let Some(i) = self.inner.as_deref() {
-            let us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-            i.rec.observe(i.ids.ack_us, us);
+            i.rec.observe(i.ids.ack_us, micros(elapsed));
         }
     }
 
@@ -240,14 +284,23 @@ impl ServiceObs {
             return "{\"status\":\"ok\",\"metrics\":false}".to_string();
         };
         let rejected: u64 = i.ids.rejected.iter().map(|&id| reg.counter_value(id)).sum();
+        let snapshot_age_ms = match i.last_snapshot_ms.load(Ordering::Relaxed) {
+            0 => "null".to_string(),
+            at => unix_ms().saturating_sub(at).to_string(),
+        };
         format!(
             "{{\"status\":\"ok\",\"metrics\":true,\"virtual_time\":{},\"backlog\":{},\
-             \"submissions\":{},\"accepted\":{},\"rejected\":{}}}",
+             \"submissions\":{},\"accepted\":{},\"rejected\":{},\
+             \"snapshots\":{},\"snapshot_bytes\":{},\"log_segment_bytes\":{},\
+             \"snapshot_age_ms\":{snapshot_age_ms}}}",
             reg.gauge_value(i.ids.virtual_time) as i64,
             reg.gauge_value(i.ids.backlog) as i64,
             reg.counter_value(i.ids.submissions),
             reg.counter_value(i.ids.accepted),
             rejected,
+            reg.counter_value(i.ids.snapshots),
+            reg.gauge_value(i.ids.snapshot_bytes) as u64,
+            reg.gauge_value(i.ids.log_segment_bytes) as u64,
         )
     }
 }
@@ -345,6 +398,31 @@ mod tests {
             .find_counter("ecosched_service_wal_commits_total", &[])
             .expect("registered");
         assert_eq!(reg.counter_value(commits), 2, "empty commits don't count");
+    }
+
+    #[test]
+    fn snapshot_histogram_count_tracks_snapshots_and_health_reports_them() {
+        let bundle = build_service_obs(1);
+        let obs = &bundle.service;
+        assert!(obs.health_json().contains("\"snapshot_age_ms\":null"));
+        obs.on_snapshot(Duration::from_micros(9_000), 1_000_000, 250_000);
+        obs.on_snapshot(Duration::from_micros(11_000), 1_010_000, 500_000);
+        let reg = bundle.recorder.registry().expect("recorder on");
+        let snapshots = reg
+            .find_counter("ecosched_service_snapshots_total", &[])
+            .expect("registered");
+        let timed = reg
+            .find_histogram("ecosched_service_snapshot_us", &[])
+            .expect("registered");
+        assert_eq!(reg.counter_value(snapshots), 2);
+        assert_eq!(reg.histogram_count(timed), 2);
+        let health = obs.health_json();
+        assert!(health.contains("\"snapshots\":2"), "{health}");
+        assert!(health.contains("\"snapshot_bytes\":1010000"), "{health}");
+        assert!(health.contains("\"log_segment_bytes\":500000"), "{health}");
+        assert!(!health.contains("\"snapshot_age_ms\":null"), "{health}");
+        let parsed: serde::Value = serde_json::from_str(&health).expect("valid JSON");
+        assert!(parsed.as_map().is_some());
     }
 
     #[test]

@@ -30,20 +30,29 @@
 //! rests on. Losing the process at any point therefore loses only
 //! unacknowledged submissions.
 //!
+//! The snapshots themselves do not carry the event log: the store keeps
+//! it in one append-only log segment beside them, fsynced before the
+//! snapshot that records its position is renamed into place (see
+//! [`ecosched_persist::rotate`]), so a cadence snapshot costs what the
+//! state costs however long the daemon has run.
+//!
 //! # Resume
 //!
-//! [`Session::open`] loads the newest usable federated snapshot
-//! (walking past corrupt ones), verifies that every arrival each shard's
+//! [`Session::open`] loads the newest usable federated snapshot —
+//! walking past corrupt ones and ones whose log position the segment
+//! cannot satisfy; the store re-attaches the verified log prefix —
+//! verifies that every arrival each shard's
 //! checkpoint carries matches the WAL's record for that shard, rebuilds
 //! the run with [`Federation::resume`], and re-injects the WAL suffix by
 //! stepping the federation to each entry's recorded merged-log injection
 //! point and replaying its routing decision verbatim — reproducing the
 //! crashed process's merged event log byte-for-byte.
 
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
 
 use ecosched_core::TimePoint;
-use ecosched_engine::Event;
+use ecosched_engine::{Event, LogPosition};
 use ecosched_federation::{Federation, FederationCheckpoint, FederationState, Placement};
 use ecosched_persist::Store;
 use ecosched_select::SlotSelector;
@@ -99,6 +108,9 @@ pub struct Session<S> {
     rejected_total: u64,
     draining: bool,
     boot_mode: BootMode,
+    /// How far [`Session::status`] has hashed the merged log: each call
+    /// hashes only the entries added since the last.
+    hashed: Cell<LogPosition>,
     /// Observability handle — runtime state, never serialized, off by
     /// default (attach with [`Session::set_obs`] after boot so recovery
     /// replay is not counted as live traffic).
@@ -257,6 +269,7 @@ impl<S: SlotSelector + Copy> Session<S> {
             rejected_total: 0,
             draining: false,
             boot_mode,
+            hashed: Cell::new(LogPosition::start()),
             obs: ServiceObs::off(),
         })
     }
@@ -458,8 +471,16 @@ impl<S: SlotSelector + Copy> Session<S> {
     ///
     /// Snapshot write failures.
     pub fn snapshot(&mut self) -> Result<PathBuf, ServiceError> {
+        let start = self.obs.is_on().then(std::time::Instant::now);
         let path = self.store.save(&self.fed.checkpoint(&self.state))?;
-        self.obs.on_snapshot();
+        if let Some(start) = start {
+            let bytes = |path: &Path| std::fs::metadata(path).map_or(0, |m| m.len());
+            self.obs.on_snapshot(
+                start.elapsed(),
+                bytes(&path),
+                bytes(&self.store.log_segment_path()),
+            );
+        }
         Ok(path)
     }
 
@@ -477,9 +498,15 @@ impl<S: SlotSelector + Copy> Session<S> {
         Ok(acks)
     }
 
-    /// The status answer, with the merged-log hash computed on demand.
+    /// The status answer. The merged-log hash is kept as a
+    /// [`LogPosition`] that each call extends over the entries logged
+    /// since the one before, so polling costs what happened in between,
+    /// not the whole history.
     #[must_use]
     pub fn status(&self) -> DaemonStatus {
+        let mut hashed = self.hashed.get();
+        hashed.push_all(&self.state.merged().entries[hashed.len as usize..]);
+        self.hashed.set(hashed);
         let arrivals = arrivals_total(&self.state) as u64;
         let active_leases: usize = (0..self.state.shard_count())
             .map(|s| self.state.shard(s).active_leases())
@@ -492,7 +519,7 @@ impl<S: SlotSelector + Copy> Session<S> {
             active_leases: active_leases as u64,
             accepted_total: arrivals,
             rejected_total: self.rejected_total,
-            log_hash: self.state.merged().fnv1a_hash(),
+            log_hash: hashed.fnv1a_hash(),
         }
     }
 }

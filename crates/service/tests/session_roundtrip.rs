@@ -1,15 +1,24 @@
 //! In-process durability tests for [`ecosched_service::Session`]:
 //! fresh boot, staged-then-committed submissions, crash-replay from the
-//! WAL alone, snapshot+suffix resume, and offline verification — all
+//! WAL alone, snapshot+suffix resume, the crash windows and damage modes
+//! of the snapshot store's log segment, a data directory written by the
+//! build before the segment existed, and offline verification — all
 //! without sockets or child processes (the lifecycle harness covers
 //! those).
 
 use std::path::{Path, PathBuf};
 
+use ecosched_federation::FederationCheckpoint;
+use ecosched_persist::{snapshot, Store};
 use ecosched_select::Amp;
+use ecosched_service::session::snapshot_dir;
 use ecosched_service::{
-    verify_data_dir, BootMode, JobSpec, RejectReason, ServiceManifest, Session,
+    build_service_obs, load_manifest, verify_data_dir, BootMode, JobSpec, RejectReason,
+    ServiceManifest, Session,
 };
+use ecosched_sim::{IntRange, JobGenConfig, JobGenerator};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ecosched-session-{tag}-{}", std::process::id()));
@@ -294,4 +303,462 @@ fn torn_wal_tail_loses_only_unacked_work() {
     .expect("reopen again");
     assert_eq!(*session.boot_mode(), BootMode::Fresh { replayed: 2 });
     assert_eq!(session.status().accepted_total, 2);
+}
+
+// -- the log segment -----------------------------------------------------
+
+const CYCLE: i64 = 60;
+
+/// The default daemon on a market a fifth the size: what is tested below
+/// is where the log lives, and debug-profile cycles on the full market
+/// take a tenth of a second each.
+fn small_manifest() -> ServiceManifest {
+    let mut manifest = ServiceManifest::default();
+    manifest.config.slot_gen.slot_count = IntRange::new(24, 30);
+    manifest
+}
+
+fn open_small(dir: &Path) -> Session<Amp> {
+    Session::open(dir, small_manifest(), Amp::new()).expect("session open")
+}
+
+/// Runs the session through `cycles`, two submissions at each boundary,
+/// each burst committed; returns how many were acknowledged.
+fn run_cycles(session: &mut Session<Amp>, cycles: std::ops::Range<i64>) -> u64 {
+    let mut acked = 0;
+    for cycle in cycles {
+        let now = cycle * CYCLE;
+        session.advance_to(now).expect("advance");
+        for _ in 0..2 {
+            session.submit(&easy_spec(), now).expect("accept");
+        }
+        acked += session.commit().expect("commit").len() as u64;
+    }
+    acked
+}
+
+fn segment_path(dir: &Path) -> PathBuf {
+    snapshot_dir(dir).join("fsnap-log.ndjson")
+}
+
+fn snapshots(dir: &Path) -> Vec<PathBuf> {
+    Store::<FederationCheckpoint>::open(snapshot_dir(dir), 3)
+        .expect("store")
+        .list()
+        .expect("list")
+}
+
+/// A session run for ten cycles (cadence snapshots at the ticks of
+/// cycles 3 and 7, each before that boundary's burst, so the last three
+/// bursts are in the WAL only) and dropped without shutdown; returns what the crashed process had acknowledged and its
+/// final log hash.
+fn crashed_after_ten_cycles(dir: &Path) -> (u64, String) {
+    let mut session = open_small(dir);
+    let acked = run_cycles(&mut session, 0..10);
+    assert_eq!(snapshots(dir).len(), 2);
+    (acked, session.status().log_hash)
+}
+
+/// Reopens `dir`, checks nothing acknowledged was lost and the log is
+/// the crashed process's, byte for byte, then runs on past the next
+/// cadence snapshot and has the offline verifier pass the result.
+fn reopens_identically(dir: &Path, acked: u64, hash: &str) -> BootMode {
+    let mut session = open_small(dir);
+    let status = session.status();
+    assert_eq!(status.accepted_total, acked, "an acknowledged job was lost");
+    assert_eq!(status.log_hash, hash, "the reopened log differs");
+    let boot = session.boot_mode().clone();
+    run_cycles(&mut session, 10..13);
+    let before = session.status().log_hash;
+    drop(session);
+    verify_data_dir(dir).expect("offline verification after the next snapshot");
+    let session = open_small(dir);
+    assert_eq!(session.status().log_hash, before);
+    match session.boot_mode() {
+        BootMode::Resumed {
+            snapshots_skipped, ..
+        } => assert_eq!(*snapshots_skipped, 0, "the next snapshot is usable"),
+        other => panic!("expected a resume from the new snapshot, got {other:?}"),
+    }
+    boot
+}
+
+/// `status().log_hash` is kept as a running position; it must be the
+/// hash of the whole merged log at every call, and start over correctly
+/// in a process that resumed mid-history.
+#[test]
+fn status_hash_equals_the_merged_log_hash_after_every_burst() {
+    let dir = scratch_dir("status-hash");
+    let mut session = open_small(&dir);
+    for cycle in 0..20 {
+        run_cycles(&mut session, cycle..cycle + 1);
+        assert_eq!(
+            session.status().log_hash,
+            session.state().merged().fnv1a_hash(),
+            "after burst {cycle}"
+        );
+        // Asking twice changes nothing.
+        assert_eq!(
+            session.status().log_hash,
+            session.state().merged().fnv1a_hash()
+        );
+    }
+    let hash = session.status().log_hash;
+    drop(session);
+
+    let mut session = open_small(&dir);
+    assert!(matches!(session.boot_mode(), BootMode::Resumed { .. }));
+    assert_eq!(session.status().log_hash, hash);
+    run_cycles(&mut session, 20..22);
+    assert_eq!(
+        session.status().log_hash,
+        session.state().merged().fnv1a_hash()
+    );
+}
+
+/// A store-written snapshot holds a log position and no entries; the
+/// segment beside it holds the merged log, one entry a line.
+#[test]
+fn snapshots_carry_a_position_and_the_segment_carries_the_log() {
+    let dir = scratch_dir("detached");
+    let mut session = open_small(&dir);
+    run_cycles(&mut session, 0..5);
+    let path = session.snapshot().expect("snapshot");
+    let on_disk: FederationCheckpoint = snapshot::read(&path).expect("decode");
+    let merged = session.state().merged();
+    assert_eq!(on_disk.merged.after.len, merged.len() as u64);
+    assert!(on_disk.merged.entries.is_empty());
+    assert!(on_disk.shards.iter().all(|s| s.log.entries.is_empty()));
+    let segment = std::fs::read_to_string(segment_path(&dir)).expect("segment");
+    assert_eq!(segment.lines().count(), merged.len());
+    let report = verify_data_dir(&dir).expect("offline verification");
+    assert_eq!(report.segment_events, merged.len() as u64);
+    assert_eq!(report.log_hash, merged.fnv1a_hash());
+}
+
+/// Killed between the segment's append and the snapshot's rename: the
+/// segment is longer than any snapshot says. The newest snapshot is
+/// used, the extra lines are not trusted, and the run ends the same.
+#[test]
+fn crash_between_segment_append_and_snapshot_rename() {
+    let dir = scratch_dir("window-append");
+    let (acked, hash) = crashed_after_ten_cycles(&dir);
+    let unrenamed = snapshots(&dir).pop().expect("newest");
+    std::fs::remove_file(unrenamed).expect("undo the rename");
+    match reopens_identically(&dir, acked, &hash) {
+        BootMode::Resumed {
+            snapshots_skipped,
+            replayed,
+            ..
+        } => {
+            assert_eq!(snapshots_skipped, 0);
+            assert_eq!(replayed, 14, "the bursts of cycles 3 to 9");
+        }
+        other => panic!("expected a resume from the older snapshot, got {other:?}"),
+    }
+}
+
+/// Killed mid-append: the segment ends in half a line.
+#[test]
+fn torn_last_segment_line_is_dropped() {
+    let dir = scratch_dir("window-torn");
+    let (acked, hash) = crashed_after_ten_cycles(&dir);
+    {
+        use std::io::Write as _;
+        let mut segment = std::fs::OpenOptions::new()
+            .append(true)
+            .open(segment_path(&dir))
+            .expect("segment");
+        segment
+            .write_all(b"{\"shard\":0,\"time\":480,\"se")
+            .expect("tear");
+    }
+    match reopens_identically(&dir, acked, &hash) {
+        BootMode::Resumed {
+            snapshots_skipped,
+            replayed,
+            ..
+        } => {
+            assert_eq!(snapshots_skipped, 0);
+            assert_eq!(replayed, 6, "the bursts of cycles 7 to 9");
+        }
+        other => panic!("expected a resume from the newest snapshot, got {other:?}"),
+    }
+}
+
+/// A segment cut back below the newest snapshot's position (damage: a
+/// crash cannot do it, the append is fsynced first) makes that snapshot
+/// skipped; the older one, whose position it still satisfies, is used.
+#[test]
+fn segment_shorter_than_the_newest_position_falls_back_one_snapshot() {
+    let dir = scratch_dir("short-segment");
+    let (acked, hash) = crashed_after_ten_cycles(&dir);
+    let older: FederationCheckpoint = snapshot::read(&snapshots(&dir)[0]).expect("older snapshot");
+    let segment = std::fs::read_to_string(segment_path(&dir)).expect("segment");
+    let keep: usize = segment
+        .split_inclusive('\n')
+        .take(older.merged.after.len as usize + 5)
+        .map(str::len)
+        .sum();
+    std::fs::write(segment_path(&dir), &segment.as_bytes()[..keep]).expect("cut");
+    assert!(verify_data_dir(&dir).is_err(), "the verifier must notice");
+    match reopens_identically(&dir, acked, &hash) {
+        BootMode::Resumed {
+            snapshots_skipped,
+            snapshot_events,
+            ..
+        } => {
+            assert_eq!(snapshots_skipped, 1);
+            assert_eq!(snapshot_events, older.merged.after.len);
+        }
+        other => panic!("expected a resume from the older snapshot, got {other:?}"),
+    }
+}
+
+/// No segment at all: no detached snapshot is usable, and the whole run
+/// is regenerated from the seed and the WAL.
+#[test]
+fn deleted_segment_replays_from_the_seed() {
+    let dir = scratch_dir("no-segment");
+    let (acked, hash) = crashed_after_ten_cycles(&dir);
+    std::fs::remove_file(segment_path(&dir)).expect("delete");
+    assert_eq!(
+        reopens_identically(&dir, acked, &hash),
+        BootMode::Fresh { replayed: acked }
+    );
+}
+
+/// A segment holding another history's entries (here: one line swapped
+/// for another) hashes differently and is refused the same way.
+#[test]
+fn foreign_segment_entries_are_refused() {
+    let dir = scratch_dir("foreign-segment");
+    let (acked, hash) = crashed_after_ten_cycles(&dir);
+    let segment = std::fs::read_to_string(segment_path(&dir)).expect("segment");
+    let mut lines: Vec<&str> = segment.lines().collect();
+    lines[3] = lines[4];
+    std::fs::write(segment_path(&dir), lines.join("\n") + "\n").expect("swap");
+    let error = verify_data_dir(&dir).expect_err("the verifier must notice");
+    assert!(error.to_string().contains("event index 3"), "{error}");
+    assert_eq!(
+        reopens_identically(&dir, acked, &hash),
+        BootMode::Fresh { replayed: acked }
+    );
+}
+
+/// The newest snapshot corrupt, the segment intact: one snapshot back.
+#[test]
+fn corrupt_newest_snapshot_with_an_intact_segment() {
+    let dir = scratch_dir("corrupt-newest");
+    let (acked, hash) = crashed_after_ten_cycles(&dir);
+    let newest = snapshots(&dir).pop().expect("newest");
+    let mut bytes = std::fs::read(&newest).expect("bytes");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xff;
+    std::fs::write(&newest, &bytes).expect("corrupt");
+    match reopens_identically(&dir, acked, &hash) {
+        BootMode::Resumed {
+            snapshots_skipped, ..
+        } => assert_eq!(snapshots_skipped, 1),
+        other => panic!("expected a resume from the older snapshot, got {other:?}"),
+    }
+}
+
+/// Three shards: the segment holds the merged log only, and the shard
+/// logs a resumed session runs on — rebuilt as the merged log's
+/// projections — are the ones the crashed process had.
+#[test]
+fn sharded_logs_are_rebuilt_from_the_merged_segment() {
+    let dir = scratch_dir("sharded-segment");
+    let sharded = ServiceManifest {
+        shards: 3,
+        route: ecosched_federation::RoutePolicy::RoundRobin,
+        ..small_manifest()
+    };
+    let mut session = Session::open(&dir, sharded.clone(), Amp::new()).expect("open");
+    let acked = run_cycles(&mut session, 0..10);
+    let live: Vec<Vec<_>> = (0..3)
+        .map(|s| session.state().shard(s).log().entries.clone())
+        .collect();
+    let hash = session.status().log_hash;
+    drop(session);
+
+    // What the store hands back: whole shard logs, each a prefix of the
+    // live one, none of them on disk.
+    let store = Store::<FederationCheckpoint>::open(snapshot_dir(&dir), 3).expect("store");
+    let latest = store.load_latest().expect("load").expect("a snapshot");
+    for (shard, checkpoint) in latest.checkpoint.shards.iter().enumerate() {
+        let entries = checkpoint.log.whole().expect("re-attached");
+        assert!(!entries.is_empty());
+        assert!(
+            live[shard].starts_with(entries),
+            "shard {shard}'s rebuilt log is not a prefix of the live one"
+        );
+    }
+
+    let session = Session::open(&dir, sharded, Amp::new()).expect("reopen");
+    assert!(matches!(session.boot_mode(), BootMode::Resumed { .. }));
+    assert_eq!(session.status().accepted_total, acked);
+    assert_eq!(session.status().log_hash, hash);
+    for (shard, expected) in live.iter().enumerate() {
+        assert_eq!(&session.state().shard(shard).log().entries, expected);
+    }
+    verify_data_dir(&dir).expect("offline verification");
+}
+
+/// `tests/data/v2_data_dir` was written by the build *before* the log
+/// segment existed (format-2 snapshots that carry their whole log, no
+/// segment; two cadence snapshots, then a crash with four submissions in
+/// the WAL only — generated through `Session` at commit `a89fa03`, which
+/// printed the status pinned below). It boots under this build, answers
+/// `status` with the same hash, and its first new snapshot moves the log
+/// into a segment, once; from then on it is a directory like any other.
+#[test]
+fn a_data_directory_written_before_the_segment_boots_and_migrates() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/v2_data_dir");
+    let dir = scratch_dir("v2-dir");
+    std::fs::create_dir_all(snapshot_dir(&dir)).expect("mkdir");
+    for file in ["manifest.json", "wal.ndjson"] {
+        std::fs::copy(fixture.join(file), dir.join(file)).expect("copy");
+    }
+    for snapshot in snapshots(&fixture) {
+        let name = snapshot.file_name().expect("name");
+        std::fs::copy(&snapshot, snapshot_dir(&dir).join(name)).expect("copy");
+    }
+    let manifest = load_manifest(&dir).expect("manifest").expect("present");
+
+    let before = verify_data_dir(&dir).expect("the old layout verifies as it is");
+    assert_eq!((before.snapshot_events, before.segment_events), (32, 0));
+
+    let mut session = Session::open(&dir, manifest.clone(), Amp::new()).expect("boots");
+    assert_eq!(
+        *session.boot_mode(),
+        BootMode::Resumed {
+            snapshot: snapshot_dir(&dir).join("fsnap-0000000000000032.ecosnap"),
+            snapshot_events: 32,
+            replayed: 4,
+            snapshots_skipped: 0,
+        }
+    );
+    let status = session.status();
+    assert_eq!(
+        (status.arrivals, status.events_processed),
+        (10, 47),
+        "what the old build reported"
+    );
+    assert_eq!(status.log_hash, "69573ab5585df7f4");
+    assert!(!segment_path(&dir).exists());
+
+    let migrated = session.snapshot().expect("first new snapshot");
+    let on_disk: FederationCheckpoint = snapshot::read(&migrated).expect("decode");
+    assert_eq!(on_disk.merged.after.len, 47);
+    assert!(on_disk.merged.entries.is_empty());
+    let segment = std::fs::read_to_string(segment_path(&dir)).expect("segment");
+    assert_eq!(segment.lines().count(), 47);
+    let after = verify_data_dir(&dir).expect("the migrated layout verifies");
+    assert_eq!((after.snapshot_events, after.segment_events), (47, 47));
+    assert_eq!(after.log_hash, status.log_hash);
+    drop(session);
+
+    let session = Session::open(&dir, manifest, Amp::new()).expect("boots again");
+    assert_eq!(
+        *session.boot_mode(),
+        BootMode::Resumed {
+            snapshot: migrated,
+            snapshot_events: 47,
+            replayed: 0,
+            snapshots_skipped: 0,
+        }
+    );
+    assert_eq!(session.status().log_hash, status.log_hash);
+}
+
+/// The benchmark's steady script (`bench/src/workloads/service.rs`):
+/// twelve of the paper's jobs, price cap lifted by 1.6 so that admission
+/// takes them all, at every cycle boundary.
+fn steady_script(cycles: usize) -> Vec<JobSpec> {
+    let mut rng = ChaCha8Rng::seed_from_u64(42);
+    JobGenerator::new(JobGenConfig::default())
+        .generate_exact(&mut rng, cycles * 12)
+        .iter()
+        .map(|job| {
+            let request = job.request();
+            JobSpec {
+                nodes: request.nodes() as u64,
+                wall_ticks: request.wall_time().ticks(),
+                min_perf_milli: request.min_perf().milli(),
+                price_cap_micro: request.price_cap().scale_f64(1.6).micro(),
+                deadline_tick: None,
+            }
+        })
+        .collect()
+}
+
+/// Snapshots are flat in run length: under a steady load the snapshot
+/// after 200 cycles is no bigger than the one after 25 (it was 3.5 times
+/// as big while snapshots carried the log), because what grows is in the
+/// segment. Observability, attached, reports the same sizes.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "two hundred loaded cycles are slow under the debug profile; run with --release"
+)]
+fn snapshot_size_is_flat_in_run_length() {
+    let dir = scratch_dir("flat");
+    let mut manifest = ServiceManifest::default();
+    manifest.config.cycles = 201;
+    let mut session = Session::open(&dir, manifest, Amp::new()).expect("open");
+    let bundle = build_service_obs(1);
+    let recorder = bundle.recorder.clone();
+    session.set_obs(bundle);
+
+    let script = steady_script(200);
+    let mut sizes = Vec::new();
+    for (cycle, burst) in script.chunks(12).enumerate() {
+        let now = cycle as i64 * CYCLE;
+        session.advance_to(now).expect("advance");
+        for spec in burst {
+            session
+                .submit(spec, now)
+                .expect("the lifted cap admits every job");
+        }
+        session.commit().expect("commit");
+        if cycle + 1 == 25 || cycle + 1 == 200 {
+            let path = session.snapshot().expect("snapshot");
+            sizes.push(std::fs::metadata(path).expect("metadata").len());
+        }
+    }
+    let [early, late] = sizes[..] else {
+        panic!("two snapshots were measured");
+    };
+    assert!(
+        late as f64 <= early as f64 * 1.25,
+        "snapshot grew from {early} bytes after 25 cycles to {late} after 200"
+    );
+    let segment = std::fs::metadata(segment_path(&dir))
+        .expect("segment")
+        .len();
+    assert!(
+        segment > late,
+        "the history is in the segment: {segment} bytes"
+    );
+
+    let registry = recorder.registry().expect("recorder on");
+    let gauge = |name| {
+        let id = registry.find_gauge(name, &[]).expect("registered");
+        registry.gauge_value(id) as u64
+    };
+    assert_eq!(gauge("ecosched_service_snapshot_bytes"), late);
+    assert_eq!(gauge("ecosched_service_log_segment_bytes"), segment);
+    let snapshots = registry
+        .find_counter("ecosched_service_snapshots_total", &[])
+        .expect("registered");
+    let timed = registry
+        .find_histogram("ecosched_service_snapshot_us", &[])
+        .expect("registered");
+    assert_eq!(
+        registry.counter_value(snapshots),
+        registry.histogram_count(timed)
+    );
+    assert_eq!(registry.counter_value(snapshots), 200 / 4 + 2);
 }
