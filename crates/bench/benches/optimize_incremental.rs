@@ -1,7 +1,8 @@
 //! Bench: the incremental combination optimizer against the retained
 //! from-scratch oracle — cold first solves, warm re-queries at shifted
-//! limits, warm re-solves after a front-of-batch mutation, and Pareto
-//! re-queries at a shifted `B*`.
+//! limits, warm re-solves after a front-of-batch mutation, Pareto
+//! re-queries at a shifted `B*` — and one DP row built by the row kernel
+//! against the same row built cell by cell.
 //!
 //! Committed medians live in `BENCH_optimize.json`; refresh them with
 //!
@@ -195,5 +196,77 @@ fn bench_pareto(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dp, bench_pareto);
+/// The definition of one Eq. (1) row, a cell at a time over `Option`
+/// cells with a reachability branch per (cell, item): a copy of
+/// `optimize::dp`'s test-only cell oracle (minimizing), which is how
+/// every row was built before the item-major kernel.
+fn cell_by_cell_row(items: &[(i64, i64)], next: &[Option<i64>], width: usize) -> Vec<Option<i64>> {
+    (0..=width)
+        .map(|w| {
+            let mut best: Option<i64> = None;
+            for &(weight, value) in items {
+                if weight > w as i64 {
+                    continue;
+                }
+                let Some(rest) = next[w - weight as usize] else {
+                    continue;
+                };
+                let candidate = value + rest;
+                best = Some(best.map_or(candidate, |b| b.min(candidate)));
+            }
+            best
+        })
+        .collect()
+}
+
+/// One row of `width + 1` columns over `items` alternatives with
+/// independent uniform costs and times (so ≈ ln `items` of them are
+/// non-dominated): 8 is `batch_replan`'s count per job, 133
+/// `engine_widemarket`'s; 1 500 and 6 000 columns bracket their quotas.
+/// The kernel is crate-private, so `kernel` is the whole one-job
+/// `min_cost_under_time_naive` solve — validation, the row, the
+/// reconstruction and the `Assignment` — which only overstates it.
+fn bench_row_kernel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dp_row_kernel");
+    for items in [8usize, 133] {
+        for width in [1_500usize, 6_000] {
+            let mut state = (items * width) as u64;
+            let specs: Vec<(i64, i64)> = (0..items)
+                .map(|_| {
+                    let cost = 1 + (splitmix(&mut state) % 3_000) as i64;
+                    let time = 1 + (splitmix(&mut state) % width as u64) as i64;
+                    (cost, time)
+                })
+                .collect();
+            let mut job = JobAlternatives::new(JobId::new(0));
+            for &(cost, time) in &specs {
+                job.push(alternative(0, cost, time));
+            }
+            let table = vec![job];
+            let quota = TimeDelta::new(width as i64);
+            let dp_items: Vec<(i64, i64)> = specs
+                .iter()
+                .map(|&(cost, time)| (time, Money::from_credits(cost).micro()))
+                .collect();
+            let base = vec![Some(0i64); width + 1];
+            let cheapest = min_cost_under_time_naive(&table, quota).unwrap();
+            assert_eq!(
+                cell_by_cell_row(&dp_items, &base, width)[width],
+                Some(cheapest.total_cost().micro()),
+                "the two sides must compute the same row"
+            );
+
+            let id = format!("{items}x{width}");
+            group.bench_with_input(BenchmarkId::new("kernel", &id), &id, |b, _| {
+                b.iter(|| black_box(min_cost_under_time_naive(black_box(&table), quota)));
+            });
+            group.bench_with_input(BenchmarkId::new("cell_by_cell", &id), &id, |b, _| {
+                b.iter(|| black_box(cell_by_cell_row(black_box(&dp_items), &base, width)));
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_dp, bench_pareto, bench_row_kernel);
 criterion_main!(benches);

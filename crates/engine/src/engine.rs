@@ -832,9 +832,9 @@ impl<S: SlotSelector + Copy> Engine<S> {
             return Ok(());
         }
 
-        let result = self.plan(state, &market)?;
+        let mut result = self.plan(state, &market)?;
         state.report.opt.merge(&result.opt);
-        let (chosen, mut exec) = cycle::commit(&result);
+        let (chosen, mut exec) = cycle::commit(&mut result);
         // Fragments accumulate at commit boundaries (released
         // alternatives, returned tails, clip remnants); merging touching
         // same-attribute neighbours keeps the list — and every later scan

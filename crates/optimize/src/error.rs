@@ -19,7 +19,9 @@ pub enum OptimizeError {
     },
     /// No combination of alternatives satisfies the constraint.
     Infeasible,
-    /// A non-positive constraint or resolution was supplied.
+    /// A non-positive constraint or resolution was supplied, or the table
+    /// is outside what the DP rows can hold (a negative constrained
+    /// measure; objective values whose sum could reach `2^61`).
     InvalidParameter {
         /// Human-readable reason.
         reason: String,

@@ -43,6 +43,16 @@
 //! share [`dp::compute_row`]/[`dp::extend_row`]/[`dp::reconstruct_choices`]
 //! and the layer builders in [`crate::pareto`] — and is enforced
 //! byte-for-byte by the differential harness in `tests/equivalence.rs`.
+//!
+//! # Row storage
+//!
+//! A cached row is kept exactly as the kernel in [`crate::dp`] reads and
+//! writes it — a flat `Vec<i64>` with a sentinel for unreachable cells —
+//! next to the job's *full* item list, which the fingerprints, the debug
+//! stale-reuse check and reconstruction read. Only the wire form differs:
+//! [`RowSnapshot::row`] stays `Vec<Option<i64>>`, converted in
+//! `DpCache::snapshot` / `DpCache::restore` and nowhere else, so snapshot
+//! bytes do not depend on the sentinel's value.
 
 use ecosched_core::{JobAlternatives, Money, TimeDelta};
 use serde::{Deserialize, Serialize};
@@ -131,7 +141,9 @@ fn chain(job_fp: u64, neighbor: u64) -> u64 {
 #[derive(Debug)]
 struct RowEntry {
     suffix_fp: u64,
-    row: Vec<Option<i64>>,
+    /// The row as the kernel reads and writes it: flat cells, unreachable
+    /// ones marked by the sense's sentinel ([`dp::reachable`]).
+    row: Vec<i64>,
     /// Structural copy of the items the row was built from. Debug builds
     /// check it against the live alternative set to catch fingerprint
     /// collisions / stale reuse outright; snapshot export carries it so a
@@ -147,6 +159,8 @@ struct DpCache {
     entries: Vec<RowEntry>,
     /// Number of columns − 1 every cached row currently spans.
     width: usize,
+    /// The base row `f_{n+1} ≡ 0`, kept across solves and only ever grown.
+    zeros: Vec<i64>,
 }
 
 impl DpCache {
@@ -155,6 +169,7 @@ impl DpCache {
             sense,
             entries: Vec::new(),
             width: 0,
+            zeros: Vec::new(),
         }
     }
 
@@ -221,7 +236,10 @@ impl DpCache {
 
         // Never shrink: wider rows answer narrower queries by prefix.
         let target = self.width.max(cap);
-        let base: Vec<Option<i64>> = vec![Some(0); target + 1];
+        if self.zeros.len() <= target {
+            self.zeros.resize(target + 1, 0);
+        }
+        let base = self.zeros.as_slice();
 
         // Stale-reuse guard: a reused row must describe exactly the live
         // alternative set at its position. The fingerprint chain implies
@@ -241,9 +259,9 @@ impl DpCache {
         if target > self.width && kept > 0 {
             for k in (0..kept).rev() {
                 let (head, tail) = self.entries.split_at_mut(k + 1);
-                let next: &[Option<i64>] = match tail.first() {
-                    Some(entry) => &entry.row,
-                    None => &base,
+                let next = match tail.first() {
+                    Some(entry) => entry.row.as_slice(),
+                    None => base,
                 };
                 dp::extend_row(
                     &items[reuse_from + k],
@@ -261,8 +279,8 @@ impl DpCache {
         // Rebuild the invalidated prefix, back to front.
         let mut fresh: Vec<RowEntry> = Vec::with_capacity(reuse_from);
         for i in (0..reuse_from).rev() {
-            let next: &[Option<i64>] = if i + 1 == n {
-                &base
+            let next: &[i64] = if i + 1 == n {
+                base
             } else if i + 1 == reuse_from {
                 &self.entries[0].row
             } else {
@@ -279,8 +297,8 @@ impl DpCache {
         fresh.append(&mut self.entries);
         self.entries = fresh;
 
-        let mut rows: Vec<&[Option<i64>]> = self.entries.iter().map(|e| e.row.as_slice()).collect();
-        rows.push(&base);
+        let mut rows: Vec<&[i64]> = self.entries.iter().map(|e| e.row.as_slice()).collect();
+        rows.push(base);
         dp::reconstruct_choices(items, &rows, cap)
     }
 }
@@ -364,7 +382,11 @@ impl DpCache {
                 .iter()
                 .map(|e| RowSnapshot {
                     suffix_fp: e.suffix_fp,
-                    row: e.row.clone(),
+                    row: e
+                        .row
+                        .iter()
+                        .map(|&cell| dp::reachable(cell).then_some(cell))
+                        .collect(),
                     weights: e.items.iter().map(|i| i.weight).collect(),
                     values: e.items.iter().map(|i| i.value).collect(),
                 })
@@ -380,7 +402,16 @@ impl DpCache {
                 .iter()
                 .map(|r| RowEntry {
                     suffix_fp: r.suffix_fp,
-                    row: r.row.clone(),
+                    // A cell no solve could have produced reads as
+                    // unreachable rather than entering the row sums.
+                    row: r
+                        .row
+                        .iter()
+                        .map(|cell| {
+                            cell.filter(|&value| dp::reachable(value))
+                                .unwrap_or(sense.unreachable())
+                        })
+                        .collect(),
                     items: r
                         .weights
                         .iter()
@@ -390,6 +421,7 @@ impl DpCache {
                 })
                 .collect(),
             width: snapshot.width as usize,
+            zeros: Vec::new(),
         }
     }
 }
@@ -625,6 +657,7 @@ impl IncrementalOptimizer {
             self.time_min_resolution = resolution.micro();
         }
         let items = dp::cost_axis_items(alternatives, resolution);
+        dp::validate_items(&items)?;
         let capacity = budget.micro() / resolution.micro();
         let choices = self
             .time_min
@@ -644,6 +677,7 @@ impl IncrementalOptimizer {
         dp::validate(alternatives)?;
         dp::validate_quota(quota)?;
         let items = dp::time_axis_items(alternatives);
+        dp::validate_items(&items)?;
         let choices = self
             .cost_min
             .solve(&items, quota.ticks(), &mut self.stats)
@@ -662,6 +696,7 @@ impl IncrementalOptimizer {
         dp::validate(alternatives)?;
         dp::validate_quota(quota)?;
         let items = dp::time_axis_items(alternatives);
+        dp::validate_items(&items)?;
         let choices = self
             .cost_max
             .solve(&items, quota.ticks(), &mut self.stats)
@@ -1044,6 +1079,26 @@ mod tests {
             IncrementalOptimizer::from_snapshot(&back).snapshot(),
             snapshot
         );
+    }
+
+    #[test]
+    fn snapshot_rows_keep_the_option_wire_form() {
+        let t = table();
+        let mut opt = IncrementalOptimizer::new();
+        opt.min_cost_under_time(&t, TimeDelta::new(110)).unwrap();
+        opt.max_cost_under_time(&t, TimeDelta::new(110)).unwrap();
+        let snapshot = opt.snapshot();
+        for cache in [&snapshot.cost_min, &snapshot.cost_max] {
+            // Nothing fits in fewer than 10 + 10 + 15 ticks, and exactly
+            // one combination (10 + 8 + 6 credits) fits in 35. The cells
+            // left of it hold the sentinel plus two jobs' values in
+            // memory; on the wire they are `None`, as they always were.
+            let row = &cache.rows[0].row;
+            assert_eq!(row.len(), 111);
+            assert!(row[..35].iter().all(Option::is_none));
+            assert_eq!(row[35], Some(Money::from_credits(24).micro()));
+            assert!(row[35..].iter().all(Option::is_some));
+        }
     }
 
     #[test]

@@ -443,7 +443,7 @@ impl JobScan {
     /// job's) and feed the report back through [`JobScan::apply_report`]
     /// before the next `run`. On failure the job is marked dead.
     pub(crate) fn run(&mut self, list: &SlotList, stats: &mut ScanStats) -> Option<Window> {
-        self.run_detailed(list, stats).map(|hit| hit.window)
+        self.scan(list, stats, |chosen, _| Pool::build_window(chosen))
     }
 
     /// [`JobScan::run`], additionally reporting the *touched set* the
@@ -458,6 +458,22 @@ impl JobScan {
         list: &SlotList,
         stats: &mut ScanStats,
     ) -> Option<ScanHit> {
+        self.scan(list, stats, |chosen, group| ScanHit {
+            window: Pool::build_window(chosen),
+            touched: chosen.iter().chain(group).map(|m| m.slot.id()).collect(),
+        })
+    }
+
+    /// The scan behind [`JobScan::run`] and [`JobScan::run_detailed`];
+    /// `hit` builds the result from the chosen members and the admitted
+    /// group at the acceptance anchor, so only a caller that wants the
+    /// touched set pays for collecting it.
+    fn scan<T>(
+        &mut self,
+        list: &SlotList,
+        stats: &mut ScanStats,
+        hit: impl FnOnce(&[PoolMember], &[PoolMember]) -> T,
+    ) -> Option<T> {
         if self.dead {
             return None;
         }
@@ -508,15 +524,7 @@ impl JobScan {
                         self.pool.remove(member.slot.id());
                     }
                     self.anchor = Some(anchor);
-                    let touched = chosen
-                        .iter()
-                        .map(|m| m.slot.id())
-                        .chain(group.iter().map(|m| m.slot.id()))
-                        .collect();
-                    return Some(ScanHit {
-                        window: Pool::build_window(&chosen),
-                        touched,
-                    });
+                    return Some(hit(&chosen, &group));
                 }
             }
         }

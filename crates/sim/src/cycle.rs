@@ -123,8 +123,13 @@ pub enum Recovery {
 /// *every* found alternative; the non-chosen ones return to the pool as
 /// freshly minted slots (job order, then alternative order) so failovers
 /// and repairs can reuse that time.
+///
+/// The execution list *is* the search's leftover list, moved out of
+/// `result` (`result.search.remaining` is left empty) rather than copied:
+/// no caller reads the leftover once the cycle is committed.
 #[must_use]
-pub fn commit(result: &IterationResult) -> (Vec<Option<usize>>, SlotList) {
+pub fn commit(result: &mut IterationResult) -> (Vec<Option<usize>>, SlotList) {
+    let mut exec = std::mem::take(&mut result.search.remaining);
     let per_job = result.search.alternatives.per_job();
     let mut chosen: Vec<Option<usize>> = vec![None; per_job.len()];
     if let Some(assignment) = &result.assignment {
@@ -132,7 +137,6 @@ pub fn commit(result: &IterationResult) -> (Vec<Option<usize>>, SlotList) {
             chosen[choice.job.index() as usize] = Some(choice.alternative);
         }
     }
-    let mut exec = result.search.remaining.clone();
     for (ja, picked) in per_job.iter().zip(&chosen) {
         for (alt_idx, alt) in ja.alternatives().iter().enumerate() {
             if *picked != Some(alt_idx) {
@@ -613,8 +617,12 @@ mod tests {
             Job::new(JobId::new(id), request.unwrap())
         };
         let batch = Batch::from_jobs(vec![job(0, 2, 100), job(1, 1, 80)]).unwrap();
-        let result = run_iteration(Alp::new(), &list, &batch, &IterationConfig::default()).unwrap();
-        let (chosen, exec) = commit(&result);
+        let mut result =
+            run_iteration(Alp::new(), &list, &batch, &IterationConfig::default()).unwrap();
+        let vacant = |l: &SlotList| l.total_vacant_time().ticks();
+        let leftover_ticks = vacant(&result.search.remaining);
+        let (chosen, exec) = commit(&mut result);
+        assert!(result.search.remaining.is_empty(), "the leftover is moved");
 
         let (mut chosen_ticks, mut released_ticks) = (0, 0);
         for (ja, picked) in result.search.alternatives.per_job().iter().zip(&chosen) {
@@ -631,11 +639,7 @@ mod tests {
             }
         }
         assert!(chosen.iter().all(Option::is_some));
-        let vacant = |l: &SlotList| l.total_vacant_time().ticks();
-        assert_eq!(
-            vacant(&exec),
-            vacant(&result.search.remaining) + released_ticks
-        );
+        assert_eq!(vacant(&exec), leftover_ticks + released_ticks);
         assert_eq!(vacant(&exec) + chosen_ticks, vacant(&list));
         exec.validate().unwrap();
     }

@@ -6,6 +6,8 @@
 //! remaining jobs are optimized under the configured criterion with the VO
 //! limits derived from Eq. (2)/(3).
 
+use std::borrow::Cow;
+
 use ecosched_core::{Batch, CoreError, JobAlternatives, JobId, Money, SlotList, TimeDelta};
 use ecosched_optimize::{time_quota, Assignment, IncrementalOptimizer, OptStats, OptimizeError};
 use ecosched_select::{SearchOutcome, SlotSelector};
@@ -188,13 +190,18 @@ pub fn run_iteration_cached(
         }
     };
     let postponed: Vec<JobId> = search.postponed().collect();
-    let covered: Vec<JobAlternatives> = search
-        .alternatives
-        .per_job()
-        .iter()
-        .filter(|ja| !ja.is_empty())
-        .cloned()
-        .collect();
+    // The optimizer wants the covered jobs as one slice: the search's own
+    // table when nothing was postponed, a filtered copy otherwise.
+    let per_job = search.alternatives.per_job();
+    let covered: Cow<[JobAlternatives]> = if postponed.is_empty() {
+        Cow::Borrowed(per_job)
+    } else {
+        per_job
+            .iter()
+            .filter(|ja| !ja.is_empty())
+            .cloned()
+            .collect()
+    };
 
     if covered.is_empty() {
         return Ok(IterationResult {

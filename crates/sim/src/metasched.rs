@@ -273,9 +273,9 @@ impl Metascheduler {
             .collect();
         let batch = Batch::from_jobs(jobs).expect("re-keyed ids are unique");
 
-        let result = run_iteration_cached(selector, &list, &batch, &self.config, optimizer)?;
+        let mut result = run_iteration_cached(selector, &list, &batch, &self.config, optimizer)?;
+        let (chosen, exec) = cycle::commit(&mut result);
         let per_job = result.search.alternatives.per_job();
-        let (chosen, exec) = cycle::commit(&result);
 
         // Every covered job starts the cycle holding its chosen window;
         // the rest found no alternatives at all.
