@@ -90,13 +90,6 @@ pub struct EngineConfig {
     /// The scheduling pipeline configuration (criterion, optimizer,
     /// search mode).
     pub iteration: IterationConfig,
-    /// Whether cycles share one incremental optimizer (the dynamic
-    /// programming row cache) across the run. Outcome-invisible by
-    /// construction — cache-on and cache-off runs commit the same leases
-    /// and log the same events; only the work counters in
-    /// [`ecosched_optimize::OptStats`] differ. The flag exists as an A/B
-    /// switch for the determinism tests and benchmarks.
-    pub optimizer_cache: bool,
     /// Whether each cycle commit coalesces adjacent vacant slots on the
     /// same node with identical price and performance into one slot.
     /// Coalescing preserves exactly which `(node, time)` regions are
@@ -122,12 +115,16 @@ pub struct EngineConfig {
     pub arrivals: ArrivalConfig,
 }
 
-// Manual serde: the derive's field order, plus one reserved entry. Earlier
-// builds carried a `threads` worker-pool width between `slowdown_tau` and
-// `arrivals` and normalized it to 1 before fingerprinting; the key stays on
-// the wire as that constant so every configuration fingerprint, snapshot
-// and WAL manifest written by those builds still matches byte for byte.
-// Decoding ignores the key, whatever it holds or whether it is there.
+// Manual serde: the derive's field order, plus two reserved entries, each
+// where the field it replaces used to sit. Earlier builds carried a
+// `threads` worker-pool width (normalized to 1 before fingerprinting) and
+// an `optimizer_cache` switch that every binary left at `true`; both keys
+// stay on the wire as those constants so every configuration fingerprint,
+// snapshot and WAL manifest written by those builds still matches byte for
+// byte. Decoding ignores both keys, whatever they hold or whether they are
+// there — so a checkpoint taken under a hand-set `"optimizer_cache": false`
+// carries a fingerprint this build never computes and is refused as a
+// `CheckpointMismatch`.
 impl Serialize for EngineConfig {
     fn to_value(&self) -> serde::Value {
         serde::Value::Map(vec![
@@ -137,10 +134,7 @@ impl Serialize for EngineConfig {
             ("revocation".to_string(), self.revocation.to_value()),
             ("repair".to_string(), self.repair.to_value()),
             ("iteration".to_string(), self.iteration.to_value()),
-            (
-                "optimizer_cache".to_string(),
-                self.optimizer_cache.to_value(),
-            ),
+            ("optimizer_cache".to_string(), true.to_value()), // reserved
             ("coalesce".to_string(), self.coalesce.to_value()),
             ("vos".to_string(), self.vos.to_value()),
             (
@@ -163,7 +157,6 @@ impl<'de> Deserialize<'de> for EngineConfig {
             revocation: Deserialize::from_value(serde::get_field(value, "revocation")?)?,
             repair: Deserialize::from_value(serde::get_field(value, "repair")?)?,
             iteration: Deserialize::from_value(serde::get_field(value, "iteration")?)?,
-            optimizer_cache: Deserialize::from_value(serde::get_field(value, "optimizer_cache")?)?,
             coalesce: Deserialize::from_value(serde::get_field(value, "coalesce")?)?,
             vos: Deserialize::from_value(serde::get_field(value, "vos")?)?,
             completion_fraction: Deserialize::from_value(serde::get_field(
@@ -187,7 +180,6 @@ impl Default for EngineConfig {
             revocation: RevocationConfig::none(),
             repair: RepairPolicy::default(),
             iteration: IterationConfig::default(),
-            optimizer_cache: true,
             coalesce: true,
             vos: 3,
             completion_fraction: 0.75,

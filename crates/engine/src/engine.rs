@@ -13,10 +13,12 @@
 //! * `SlotPublished` adds a fresh batch of vacant slots (re-homed onto
 //!   fresh nodes and shifted to the current virtual time);
 //! * `CycleTick` snapshots the live market (clipping slots to the
-//!   future), runs the existing pipeline — alternatives search, Eq.
-//!   (2)/(3) VO limits, combination optimization — and commits the chosen
-//!   windows ([`ecosched_sim::cycle::commit`]) as leases with their
-//!   surviving alternatives attached;
+//!   future), runs the existing pipeline ([`ecosched_sim::run_iteration`]:
+//!   alternatives search, Eq. (2)/(3) VO limits, combination optimization
+//!   — planned cold, from this cycle's alternatives alone, as the paper
+//!   plans each iteration) and commits the chosen windows
+//!   ([`ecosched_sim::cycle::commit`]) as leases with their surviving
+//!   alternatives attached;
 //! * `RevocationStrike` draws faults against the *live* state (vacant
 //!   slots plus active leases, via `RevocationModel::draw_live`) and runs
 //!   the recovery tiers ([`ecosched_sim::cycle::recover`]) on every broken
@@ -40,13 +42,12 @@ use ecosched_core::{
     Batch, Job, JobId, MarketRepr, NodeId, ResourceRequest, Revocation, Slot, SlotList, Span,
     TimeDelta, TimePoint, Window,
 };
-use ecosched_optimize::IncrementalOptimizer;
 use ecosched_select::SlotSelector;
 use ecosched_sim::cycle::{self, PostponeReason, Recovery};
 use ecosched_sim::swf::batch_from_swf;
 use ecosched_sim::{
-    run_iteration, run_iteration_cached, ConfigError, IterationError, IterationResult,
-    JobGenerator, RepairStats, RevocationModel, SlotGenerator,
+    run_iteration, ConfigError, IterationError, IterationResult, JobGenerator, RepairStats,
+    RevocationModel, SlotGenerator,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::{ChaCha8Rng, ChaChaState};
@@ -154,18 +155,6 @@ pub struct EngineRun {
     pub log: EventLog,
 }
 
-/// A committed lease with everything repair and completion need.
-#[derive(Debug, Clone)]
-struct ActiveLease {
-    job: PendingState,
-    window: Window,
-    /// Surviving pre-computed alternatives, for tier-1 failover.
-    alternatives: Vec<Window>,
-    /// How long the lease actually runs (`completion_fraction` of the
-    /// planned length).
-    actual_length: TimeDelta,
-}
-
 /// The live state of an in-flight engine run, between events.
 ///
 /// Produced by [`Engine::start`] (or [`Engine::resume`]), advanced one
@@ -184,7 +173,7 @@ pub struct RunState {
     vacant: SlotList,
     next_node: u32,
     pending: Vec<PendingState>,
-    leases: BTreeMap<u64, ActiveLease>,
+    leases: BTreeMap<u64, LeaseState>,
     next_lease: u64,
     // Two-phase reservations in flight. Transient by contract: held only
     // inside one federation routing action, empty whenever a checkpoint
@@ -192,11 +181,6 @@ pub struct RunState {
     reservations: BTreeMap<u64, Reservation>,
     next_reservation: u64,
     reservations_broken: u64,
-    // One optimizer for the whole run: cycle N+1 reuses the dynamic
-    // programming rows cycle N left behind wherever the batch suffix
-    // is unchanged. With `optimizer_cache` off every tick solves from
-    // scratch instead; both paths commit identical leases.
-    optimizer: IncrementalOptimizer,
     report: EngineReport,
     published_ticks: i64,
     busy_ticks: i64,
@@ -458,7 +442,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
             reservations: BTreeMap::new(),
             next_reservation: 0,
             reservations_broken: 0,
-            optimizer: IncrementalOptimizer::new(),
             report: EngineReport {
                 vo_spend: vec![0.0; self.config.vos as usize],
                 ..EngineReport::default()
@@ -539,8 +522,8 @@ impl<S: SlotSelector + Copy> Engine<S> {
     ///
     /// Safe to call between any two [`Self::step`]s; the intended cadence
     /// is after a `CycleTick` commit (check [`RunState::last_entry`]).
-    /// The optimizer's caches are exported only when `optimizer_cache` is
-    /// on — otherwise `None` marks a deliberately cold cache.
+    /// [`EngineCheckpoint::optimizer`] is always `None`: no optimizer
+    /// outlives the cycle it planned.
     #[must_use]
     pub fn checkpoint(&self, state: &RunState) -> EngineCheckpoint {
         debug_assert!(
@@ -578,31 +561,14 @@ impl<S: SlotSelector + Copy> Engine<S> {
             vacant: state.vacant.clone(),
             next_node: state.next_node,
             pending: state.pending.clone(),
-            leases: state
-                .leases
-                .iter()
-                .map(|(id, al)| LeaseState {
-                    lease: *id,
-                    job: al.job.id,
-                    arrival: al.job.arrival,
-                    vo: al.job.vo,
-                    request: al.job.request,
-                    window: al.window.clone(),
-                    alternatives: al.alternatives.clone(),
-                    actual_length: al.actual_length.ticks(),
-                })
-                .collect(),
+            leases: state.leases.values().cloned().collect(),
             next_lease: state.next_lease,
             report: state.report.clone(),
             published_ticks: state.published_ticks,
             busy_ticks: state.busy_ticks,
             wait_sum_bits: state.wait_sum.to_bits(),
             slowdown_sum_bits: state.slowdown_sum.to_bits(),
-            optimizer: if self.config.optimizer_cache {
-                Some(state.optimizer.snapshot())
-            } else {
-                None
-            },
+            optimizer: None,
         }
     }
 
@@ -675,22 +641,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             leases: checkpoint
                 .leases
                 .iter()
-                .map(|l| {
-                    (
-                        l.lease,
-                        ActiveLease {
-                            job: PendingState {
-                                id: l.job,
-                                arrival: l.arrival,
-                                vo: l.vo,
-                                request: l.request,
-                            },
-                            window: l.window.clone(),
-                            alternatives: l.alternatives.clone(),
-                            actual_length: TimeDelta::new(l.actual_length),
-                        },
-                    )
-                })
+                .map(|l| (l.lease, l.clone()))
                 .collect(),
             next_lease: checkpoint.next_lease,
             // Reservations are transient two-phase state: checkpoints are
@@ -698,10 +649,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
             reservations: BTreeMap::new(),
             next_reservation: 0,
             reservations_broken: 0,
-            optimizer: match &checkpoint.optimizer {
-                Some(snapshot) => IncrementalOptimizer::from_snapshot(snapshot),
-                None => IncrementalOptimizer::new(),
-            },
             report: checkpoint.report.clone(),
             published_ticks: checkpoint.published_ticks,
             busy_ticks: checkpoint.busy_ticks,
@@ -867,12 +814,9 @@ impl<S: SlotSelector + Copy> Engine<S> {
     /// The plan step of a cycle: the pending queue re-keyed as a batch —
     /// its order is `(arrival, id)`, so the longest-waiting job takes the
     /// highest priority — through alternatives search, VO limits and
-    /// combination optimization over `market`.
-    fn plan(
-        &self,
-        state: &mut RunState,
-        market: &SlotList,
-    ) -> Result<IterationResult, EngineError> {
+    /// combination optimization over `market`. Planned from this cycle's
+    /// alternatives alone; nothing is carried to the next cycle.
+    fn plan(&self, state: &RunState, market: &SlotList) -> Result<IterationResult, EngineError> {
         let jobs: Vec<Job> = state
             .pending
             .iter()
@@ -880,18 +824,12 @@ impl<S: SlotSelector + Copy> Engine<S> {
             .map(|(i, p)| Job::new(JobId::new(i as u32), p.request))
             .collect();
         let batch = Batch::from_jobs(jobs).expect("re-keyed ids are unique");
-        let iteration = &self.config.iteration;
-        Ok(if self.config.optimizer_cache {
-            run_iteration_cached(
-                self.selector,
-                market,
-                &batch,
-                iteration,
-                &mut state.optimizer,
-            )?
-        } else {
-            run_iteration(self.selector, market, &batch, iteration)?
-        })
+        Ok(run_iteration(
+            self.selector,
+            market,
+            &batch,
+            &self.config.iteration,
+        )?)
     }
 
     /// The lease and carry steps of a cycle: every pending job the
@@ -996,10 +934,11 @@ impl<S: SlotSelector + Copy> Engine<S> {
         stats: &mut RepairStats,
     ) {
         let mut original = state.leases.remove(&id).expect("broken ids are live");
+        let job = original.pending();
         let recovery = cycle::recover(
             &self.selector,
             &self.config.repair,
-            &original.job.request,
+            &original.request,
             &original.window,
             original.alternatives.iter().enumerate(),
             &mut state.vacant,
@@ -1014,16 +953,16 @@ impl<S: SlotSelector + Copy> Engine<S> {
             } => {
                 state.report.failovers += 1;
                 original.alternatives.remove(alternative);
-                self.commit_lease(state, original.job, window, original.alternatives);
+                self.commit_lease(state, job, window, original.alternatives);
             }
             Recovery::Repaired { window } => {
                 state.report.repairs += 1;
-                self.commit_lease(state, original.job, window, Vec::new());
+                self.commit_lease(state, job, window, Vec::new());
             }
             Recovery::Postponed(reason) => {
                 state.report.repostponed += 1;
                 self.obs.on_postponed(reason, 1);
-                state.pending.push(original.job);
+                state.pending.push(job);
                 state.pending.sort_by_key(|p| (p.arrival, p.id));
             }
         }
@@ -1040,8 +979,8 @@ impl<S: SlotSelector + Copy> Engine<S> {
             return;
         };
         state.report.jobs_completed += 1;
-        let run = al.actual_length.ticks();
-        let wait = al.window.start().ticks() - al.job.arrival;
+        let run = al.actual_length;
+        let wait = al.window.start().ticks() - al.arrival;
         state.wait_sum += wait as f64;
         state.slowdown_sum +=
             ((wait + run) as f64 / run.max(self.config.slowdown_tau) as f64).max(1.0);
@@ -1050,7 +989,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             state.busy_ticks += ws.runtime().ticks().min(run);
             if ws.runtime().ticks() > run {
                 let tail = Span::new(
-                    al.window.start() + al.actual_length,
+                    al.window.start() + TimeDelta::new(run),
                     al.window.start() + ws.runtime(),
                 )
                 .expect("tails are non-empty");
@@ -1079,11 +1018,15 @@ impl<S: SlotSelector + Copy> Engine<S> {
         );
         state.leases.insert(
             lease_id,
-            ActiveLease {
-                job,
+            LeaseState {
+                lease: lease_id,
+                job: job.id,
+                arrival: job.arrival,
+                vo: job.vo,
+                request: job.request,
                 window,
                 alternatives,
-                actual_length: TimeDelta::new(actual),
+                actual_length: actual,
             },
         );
     }
@@ -1337,30 +1280,15 @@ mod tests {
                 }
             }
             let checkpoint = engine.checkpoint(&state);
+            assert!(
+                checkpoint.optimizer.is_none(),
+                "no optimizer state to carry"
+            );
             let mut resumed = engine.resume(&checkpoint).unwrap();
             while engine.step(&mut resumed).unwrap().is_some() {}
             let run = engine.finish(resumed);
             assert_eq!(run, baseline, "divergence after resume at event {cut}");
         }
-    }
-
-    #[test]
-    fn checkpoint_resume_converges_without_optimizer_cache() {
-        let config = EngineConfig {
-            optimizer_cache: false,
-            ..small_config()
-        };
-        let engine = Engine::new(config, Amp::new()).unwrap();
-        let baseline = engine.run(9).unwrap();
-        let mut state = engine.start(9);
-        for _ in 0..20 {
-            engine.step(&mut state).unwrap();
-        }
-        let checkpoint = engine.checkpoint(&state);
-        assert!(checkpoint.optimizer.is_none(), "cache off must stay cold");
-        let mut resumed = engine.resume(&checkpoint).unwrap();
-        while engine.step(&mut resumed).unwrap().is_some() {}
-        assert_eq!(engine.finish(resumed), baseline);
     }
 
     #[test]

@@ -238,7 +238,7 @@ mod tests {
         assert_eq!(state.reservations_held(), 0);
         assert_eq!(state.leases.len(), leases + 1);
         assert!(state.leases.contains_key(&lease));
-        assert_eq!(state.leases[&lease].job.id, job);
+        assert_eq!(state.leases[&lease].job, job);
         assert_eq!(state.report.jobs_arrived, arrived + 1);
 
         while engine.step(&mut state).unwrap().is_some() {}

@@ -10,6 +10,12 @@
 //! The ids are registered once at startup ([`EngineIds::register`]),
 //! optionally labelled with a federation shard index, so a sharded
 //! daemon exposes one metric family with per-shard series.
+//!
+//! Of [`OptStats`] the family carries the work a cycle's fresh optimizer
+//! does — solves, DP rows and Pareto layers built. Its three reuse
+//! counters (rows reused, rows extended, layers reused) have no series:
+//! nothing survives from one cycle's plan to the next, so they could only
+//! read zero.
 
 use std::sync::Arc;
 
@@ -44,10 +50,7 @@ pub struct EngineIds {
     scan_windows_found: CounterId,
     scan_passes: CounterId,
     opt_solves: CounterId,
-    opt_rows_reused: CounterId,
     opt_rows_rebuilt: CounterId,
-    opt_rows_extended: CounterId,
-    opt_frontier_reused: CounterId,
     opt_frontier_rebuilt: CounterId,
     // -- postponements by typed reason (not in the run report) ----------
     postponed: [CounterId; 3],
@@ -158,30 +161,15 @@ impl EngineIds {
                 "ecosched_engine_opt_solves_total",
                 "Combination-optimizer solves",
             ),
-            opt_rows_reused: c(
-                b,
-                "ecosched_engine_opt_rows_reused_total",
-                "DP rows served from the incremental cache (hits)",
-            ),
             opt_rows_rebuilt: c(
                 b,
                 "ecosched_engine_opt_rows_rebuilt_total",
-                "DP rows rebuilt from scratch (misses)",
-            ),
-            opt_rows_extended: c(
-                b,
-                "ecosched_engine_opt_rows_extended_total",
-                "DP rows extended from a cached prefix",
-            ),
-            opt_frontier_reused: c(
-                b,
-                "ecosched_engine_opt_frontier_reused_total",
-                "Pareto frontiers served from cache",
+                "DP rows built by the combination optimizer",
             ),
             opt_frontier_rebuilt: c(
                 b,
                 "ecosched_engine_opt_frontier_rebuilt_total",
-                "Pareto frontiers rebuilt",
+                "Pareto layers built by the exact sweep",
             ),
             // In `on_postponed`'s slot order.
             postponed: [
@@ -387,10 +375,7 @@ impl EngineObs {
         rec.add(ids.scan_windows_found, search.scan.windows_found);
         rec.add(ids.scan_passes, search.passes);
         rec.add(ids.opt_solves, opt.solves);
-        rec.add(ids.opt_rows_reused, opt.rows_reused);
         rec.add(ids.opt_rows_rebuilt, opt.rows_rebuilt);
-        rec.add(ids.opt_rows_extended, opt.rows_extended);
-        rec.add(ids.opt_frontier_reused, opt.frontier_reused);
         rec.add(ids.opt_frontier_rebuilt, opt.frontier_rebuilt);
         rec.set(ids.cycle_mean_wait, mean_wait);
         let cycle = rec.span(now, "cycle", None, batch as u64);

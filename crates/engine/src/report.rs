@@ -79,10 +79,9 @@ pub struct EngineReport {
     /// [`coalesce`](crate::EngineConfig::coalesce) is off).
     pub slots_coalesced: u64,
     /// Combination-optimizer work counters summed over all cycle ticks
-    /// (solves, dynamic-programming rows reused/rebuilt, cache residency
-    /// high-water). Differs between cache-on and cache-off runs of the
-    /// same seed; every other field — including [`Self::log_hash`] — is
-    /// identical.
+    /// (solves, dynamic-programming rows and Pareto layers built, the
+    /// largest table any one cycle held). Each cycle plans with a fresh
+    /// optimizer, so the three reuse counters stay zero.
     pub opt: OptStats,
     /// FNV-1a 64 fingerprint of the serialized event log (16 hex digits).
     pub log_hash: String,

@@ -5,10 +5,9 @@
 //! position, the future-event queue with its already-assigned sequence
 //! numbers, the event log so far, the precomputed arrival stream,
 //! the vacant-slot market, pending jobs, active leases with their
-//! surviving failover alternatives, the report accumulated so far, and —
-//! when the run shares one optimizer across cycles — the dynamic
-//! programming row caches, so resumed work counters match the
-//! uninterrupted run's exactly.
+//! surviving failover alternatives, and the report accumulated so far.
+//! No optimizer state is among them: every cycle plans with a fresh
+//! optimizer, so the next `step()` reads none.
 //!
 //! Floating-point accumulators are stored as IEEE-754 bit patterns
 //! (`f64::to_bits`) rather than decimal text, so restore is exact by
@@ -79,7 +78,8 @@ pub struct PendingState {
     pub request: ResourceRequest,
 }
 
-/// An active lease with everything repair and completion need.
+/// An active lease with everything repair and completion need — like
+/// [`PendingState`], the run's live form and its serialized form.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LeaseState {
     /// The lease id (commitment order; keys the completion event).
@@ -96,8 +96,22 @@ pub struct LeaseState {
     pub window: Window,
     /// Surviving pre-computed alternatives, for tier-1 failover.
     pub alternatives: Vec<Window>,
-    /// How long the lease actually runs, in ticks.
+    /// How long the lease actually runs, in ticks (`completion_fraction`
+    /// of the planned length).
     pub actual_length: i64,
+}
+
+impl LeaseState {
+    /// The job the lease executes, as a re-commitment or the pending
+    /// queue takes it back when the lease breaks.
+    pub(crate) fn pending(&self) -> PendingState {
+        PendingState {
+            id: self.job,
+            arrival: self.arrival,
+            vo: self.vo,
+            request: self.request,
+        }
+    }
 }
 
 /// The full resumable state of an engine run, captured between events.
@@ -152,8 +166,13 @@ pub struct EngineCheckpoint {
     pub wait_sum_bits: u64,
     /// The bounded-slowdown accumulator as an IEEE-754 bit pattern.
     pub slowdown_sum_bits: u64,
-    /// The shared optimizer's caches, when `optimizer_cache` is on.
-    /// `None` is the deliberate cold-cache marker: with the cache off
-    /// every tick solves from scratch, so there is nothing to carry.
+    /// Legacy, read and dropped. Earlier builds kept one optimizer across
+    /// all cycles and stored its row caches here; snapshot files of
+    /// formats 1–3 written by them carry the section, so it still decodes.
+    /// [`Engine::checkpoint`] always writes `None` and [`Engine::resume`]
+    /// never looks at it.
+    ///
+    /// [`Engine::checkpoint`]: crate::engine::Engine::checkpoint
+    /// [`Engine::resume`]: crate::engine::Engine::resume
     pub optimizer: Option<OptimizerSnapshot>,
 }

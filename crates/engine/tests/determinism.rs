@@ -3,7 +3,6 @@
 //! byte-identical serialized event logs and reports.
 
 use ecosched_engine::{ArrivalConfig, Engine, EngineConfig, Event};
-use ecosched_optimize::OptStats;
 use ecosched_select::{Alp, Amp};
 use ecosched_sim::swf::{parse_swf, SwfImportConfig};
 use ecosched_sim::{JobGenConfig, RevocationConfig};
@@ -95,74 +94,33 @@ fn trace_replay_is_deterministic() {
     assert!(a.report.jobs_scheduled > 0);
 }
 
-/// Runs the same seed with and without the incremental-optimizer cache
-/// and asserts the scheduling outcome is byte-identical: same event log,
-/// same report once the (legitimately differing) work counters are
-/// zeroed out.
-fn assert_cache_invisible(config: EngineConfig, seed: u64) -> (OptStats, OptStats) {
-    let cached = Engine::new(config.clone(), Amp::new()).unwrap();
-    let uncached = Engine::new(
-        EngineConfig {
-            optimizer_cache: false,
-            ..config
-        },
-        Amp::new(),
-    )
-    .unwrap();
-    let a = cached.run(seed).unwrap();
-    let b = uncached.run(seed).unwrap();
-    assert_eq!(a.log.to_json(), b.log.to_json());
-    assert_eq!(a.log.fnv1a_hash(), b.log.fnv1a_hash());
-    let mut ra = a.report.clone();
-    let mut rb = b.report.clone();
-    let (opt_on, opt_off) = (ra.opt, rb.opt);
-    ra.opt = OptStats::default();
-    rb.opt = OptStats::default();
-    assert_eq!(ra.to_json(), rb.to_json());
-    (opt_on, opt_off)
-}
-
-#[test]
-fn optimizer_cache_is_outcome_invisible() {
-    let (opt_on, opt_off) = assert_cache_invisible(base_config(), 42);
-    assert!(opt_on.solves > 0, "cycles must exercise the optimizer");
-    assert_eq!(
-        opt_on.solves, opt_off.solves,
-        "both modes answer the same solve sequence"
-    );
-}
-
-#[test]
-fn optimizer_cache_is_outcome_invisible_under_churn() {
-    let (opt_on, opt_off) = assert_cache_invisible(churn_config(), 42);
-    assert_eq!(opt_on.solves, opt_off.solves);
-    assert!(
-        opt_on.rows_rebuilt <= opt_off.rows_rebuilt,
-        "the shared cache must never rebuild more rows than from-scratch \
-         solving ({} > {})",
-        opt_on.rows_rebuilt,
-        opt_off.rows_rebuilt
-    );
-}
-
 /// `config_fingerprint` of `EngineConfig::default()` under ALP and AMP, as
 /// computed by the last build whose config still had a `threads` field
-/// (normalized to 1 before hashing). Snapshots and WAL manifests written
-/// by that build carry these values.
+/// (normalized to 1 before hashing) and an `optimizer_cache` field (`true`
+/// in every configuration a binary could build). Snapshots and WAL
+/// manifests written by those builds carry these values.
 const PINNED_DEFAULT_FINGERPRINT_ALP: u64 = 0xfadd_ce8c_676b_44ac;
 const PINNED_DEFAULT_FINGERPRINT_AMP: u64 = 0x1639_cb84_8d1c_41d3;
 
 #[test]
 fn reserved_threads_key_keeps_old_configs_and_fingerprints_valid() {
     let json = serde_json::to_string(&EngineConfig::default()).unwrap();
+    // Each reserved key sits where the field it replaced was serialized.
     assert!(
         json.contains(r#""slowdown_tau":10,"threads":1,"arrivals":{"#),
         "the reserved key must keep its position: {json}"
     );
+    assert!(
+        json.contains(r#""search_mode":"Sequential"},"optimizer_cache":true,"coalesce":true,"#),
+        "the reserved key must keep its position: {json}"
+    );
     let four = json.replace(r#""threads":1,"#, r#""threads":4,"#);
-    let absent = json.replace(r#""threads":1,"#, "");
-    assert!(four != json && absent != json);
-    for text in [&json, &four, &absent] {
+    let no_threads = json.replace(r#""threads":1,"#, "");
+    let uncached = json.replace(r#""optimizer_cache":true,"#, r#""optimizer_cache":false,"#);
+    let no_cache = json.replace(r#""optimizer_cache":true,"#, "");
+    let variants = [&json, &four, &no_threads, &uncached, &no_cache];
+    assert!(variants[1..].iter().all(|text| **text != json));
+    for text in variants {
         let config: EngineConfig = serde_json::from_str(text).unwrap();
         config.validate().unwrap();
         assert_eq!(config, EngineConfig::default());

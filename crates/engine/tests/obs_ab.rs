@@ -81,6 +81,27 @@ fn recorder_is_outcome_invisible_calm() {
         .find_counter("ecosched_engine_opt_solves_total", &[])
         .expect("registered");
     assert_eq!(reg.counter_value(solves), 2 * run.report.opt.solves);
+    let rows = reg
+        .find_counter("ecosched_engine_opt_rows_rebuilt_total", &[])
+        .expect("registered");
+    assert_eq!(reg.counter_value(rows), 2 * run.report.opt.rows_rebuilt);
+    assert!(reg
+        .find_counter("ecosched_engine_opt_frontier_rebuilt_total", &[])
+        .is_some());
+    // A cycle's optimizer is fresh, so the reuse counters could only read
+    // zero: they have no series.
+    for gone in ["rows_reused", "rows_extended", "frontier_reused"] {
+        let name = format!("ecosched_engine_opt_{gone}_total");
+        assert!(reg.find_counter(&name, &[]).is_none(), "{name}");
+    }
+    assert_eq!(
+        (
+            run.report.opt.rows_reused,
+            run.report.opt.rows_extended,
+            run.report.opt.frontier_reused
+        ),
+        (0, 0, 0)
+    );
     let examined = reg
         .find_counter("ecosched_engine_scan_slots_examined_total", &[])
         .expect("registered");

@@ -26,7 +26,7 @@
 //! its common tail; the first position whose diagonal fingerprint matches
 //! marks the reusable suffix. Job identity is deliberately *not* part of
 //! the key — row values depend only on the items, so two jobs with equal
-//! alternative sets may share rows, and the engine's positional re-keying
+//! alternative sets may share rows, and a caller's positional re-keying
 //! of batches does not defeat the cache. In debug builds every reused row
 //! is additionally checked structurally against the live alternative set,
 //! so a fingerprint collision (or a stale-reuse bug) aborts loudly.
@@ -63,8 +63,8 @@ use crate::error::OptimizeError;
 use crate::pareto::{self, Point, DEFAULT_FRONTIER_CAP};
 
 /// Work counters for the incremental optimizer: how much cached state was
-/// reused versus recomputed. Deltas are surfaced per cycle through
-/// `CycleSummary`/`EngineReport`.
+/// reused versus recomputed. Each scheduling iteration's counters are
+/// surfaced through `CycleSummary`/`EngineReport`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OptStats {
     /// DP + frontier solver invocations answered.
@@ -516,7 +516,14 @@ impl FrontierCache {
 /// what the corresponding `*_naive` oracle returns — but a solver that is
 /// re-run after small batch mutations, or re-queried at shifted `B*`/`T*`
 /// limits, pays only for the rows whose job suffix actually changed.
-/// Create one per scheduling loop and keep it across cycles.
+///
+/// Keep one where alternative sets persist between solves — a sweep of
+/// `B*`/`T*` limits over one table, a window sliding over a fixed table of
+/// jobs. Do not keep one across engine cycles: each cycle's search
+/// re-derives every job's alternatives from a market that changed, no
+/// suffix fingerprint matches, and every row is rebuilt anyway
+/// (EXPERIMENTS.md E15 has the counts) — `ecosched_sim::run_iteration`
+/// creates a fresh one per iteration.
 #[derive(Debug)]
 pub struct IncrementalOptimizer {
     /// min C(s̄) s.t. T ≤ T*: time-axis weights, minimize cost.
@@ -623,15 +630,6 @@ impl IncrementalOptimizer {
             },
             stats: snapshot.stats,
         }
-    }
-
-    /// Drops all cached rows and layers (counters are kept).
-    pub fn clear(&mut self) {
-        self.cost_min.invalidate();
-        self.cost_max.invalidate();
-        self.time_min.invalidate();
-        self.time_min_resolution = 0;
-        self.frontier.layers.clear();
     }
 
     fn note_high_water(&mut self) {

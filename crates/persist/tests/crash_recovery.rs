@@ -4,9 +4,9 @@
 //! byte-identical — final report, full event log, and log hash — to the
 //! run that never crashed.
 //!
-//! Coverage axes: Poisson and SWF-trace arrivals, revocation on/off,
-//! optimizer cache on/off, ALP and AMP selectors, the determinism-suite
-//! seeds, and proptest-driven random kill points.
+//! Coverage axes: Poisson and SWF-trace arrivals, revocation on/off, ALP
+//! and AMP selectors, the determinism-suite seeds, and proptest-driven
+//! random kill points.
 
 use ecosched_engine::{ArrivalConfig, Engine, EngineConfig, LogEntry};
 use ecosched_persist::{encode_snapshot, resume_from, run_with_snapshots};
@@ -15,7 +15,7 @@ use ecosched_sim::swf::{parse_swf, SwfImportConfig};
 use ecosched_sim::{JobGenConfig, RevocationConfig};
 use proptest::prelude::*;
 
-fn poisson_config(churn: bool, cache: bool) -> EngineConfig {
+fn poisson_config(churn: bool) -> EngineConfig {
     EngineConfig {
         cycles: 5,
         revocation: if churn {
@@ -23,7 +23,6 @@ fn poisson_config(churn: bool, cache: bool) -> EngineConfig {
         } else {
             RevocationConfig::none()
         },
-        optimizer_cache: cache,
         arrivals: ArrivalConfig::Poisson {
             mean_interarrival: 8.0,
             jobs: 20,
@@ -33,7 +32,7 @@ fn poisson_config(churn: bool, cache: bool) -> EngineConfig {
     }
 }
 
-fn trace_config(churn: bool, cache: bool) -> EngineConfig {
+fn trace_config(churn: bool) -> EngineConfig {
     let trace = parse_swf(
         "1 0 5 3600 4 -1 -1 4 3600 -1 1 1 1 1 1 1 -1 -1\n\
          2 30 5 1800 2 -1 -1 2 2400 -1 1 1 1 1 1 1 -1 -1\n\
@@ -49,7 +48,6 @@ fn trace_config(churn: bool, cache: bool) -> EngineConfig {
         } else {
             RevocationConfig::none()
         },
-        optimizer_cache: cache,
         arrivals: ArrivalConfig::Trace {
             trace,
             import: SwfImportConfig::default(),
@@ -109,23 +107,20 @@ fn assert_recovery_converges<S: SlotSelector + Copy>(
 }
 
 /// Every seed of the engine determinism suite converges through
-/// crash-recovery, with the optimizer cache on and off, under both
-/// selectors, killing at a spread of points.
+/// crash-recovery, killing at a spread of points.
 #[test]
 fn determinism_seeds_converge_after_crash() {
+    let engine = Engine::new(poisson_config(true), Amp::new()).expect("config");
     for seed in [42u64, 17, 9, 1, 2, 23] {
-        for cache in [true, false] {
-            let engine = Engine::new(poisson_config(true, cache), Amp::new()).expect("config");
-            for kill_at in [5usize, 30, 80, usize::MAX] {
-                assert_recovery_converges(&engine, seed, kill_at);
-            }
+        for kill_at in [5usize, 30, 80, usize::MAX] {
+            assert_recovery_converges(&engine, seed, kill_at);
         }
     }
 }
 
 #[test]
 fn alp_selector_converges_after_crash() {
-    let engine = Engine::new(poisson_config(true, true), Alp::new()).expect("config");
+    let engine = Engine::new(poisson_config(true), Alp::new()).expect("config");
     for seed in [42u64, 17] {
         for kill_at in [10usize, 50] {
             assert_recovery_converges(&engine, seed, kill_at);
@@ -136,35 +131,11 @@ fn alp_selector_converges_after_crash() {
 #[test]
 fn trace_arrivals_converge_after_crash() {
     for churn in [false, true] {
-        for cache in [true, false] {
-            let engine = Engine::new(trace_config(churn, cache), Amp::new()).expect("config");
-            for kill_at in [8usize, 25, usize::MAX] {
-                assert_recovery_converges(&engine, 9, kill_at);
-            }
+        let engine = Engine::new(trace_config(churn), Amp::new()).expect("config");
+        for kill_at in [8usize, 25, usize::MAX] {
+            assert_recovery_converges(&engine, 9, kill_at);
         }
     }
-}
-
-/// The cache-on and cache-off recoveries of the same seed also agree
-/// with *each other* on everything but the work counters — recovery must
-/// not leak cache state into the schedule.
-#[test]
-fn recovered_runs_agree_across_cache_modes() {
-    let seed = 42u64;
-    let mut reports = Vec::new();
-    for cache in [true, false] {
-        let engine = Engine::new(poisson_config(true, cache), Amp::new()).expect("config");
-        let (baseline, snapshots) = run_with_snapshots(&engine, seed, 1).expect("baseline");
-        let checkpoint = snapshots.last().expect("at least one snapshot");
-        let suffix: Vec<LogEntry> = baseline.log.entries[checkpoint.log.len()..].to_vec();
-        let recovered =
-            resume_from(&engine, &encode_snapshot(checkpoint), &suffix).expect("recovery");
-        assert_eq!(recovered, baseline);
-        let mut report = recovered.report;
-        report.opt = Default::default();
-        reports.push(report);
-    }
-    assert_eq!(reports[0].to_json(), reports[1].to_json());
 }
 
 proptest! {
@@ -178,7 +149,6 @@ proptest! {
         seed in 0u64..100_000,
         kill_at in 0usize..200,
         churn in any::<bool>(),
-        cache in any::<bool>(),
         poisson in any::<bool>(),
     ) {
         let config = if poisson {
@@ -189,10 +159,10 @@ proptest! {
                     jobs: 10,
                     job_gen: JobGenConfig::default(),
                 },
-                ..poisson_config(churn, cache)
+                ..poisson_config(churn)
             }
         } else {
-            trace_config(churn, cache)
+            trace_config(churn)
         };
         let engine = Engine::new(config, Amp::new()).expect("config");
         assert_recovery_converges(&engine, seed, kill_at);

@@ -607,12 +607,15 @@ fn sharded_logs_are_rebuilt_from_the_merged_segment() {
 }
 
 /// `tests/data/v2_data_dir` was written by the build *before* the log
-/// segment existed (format-2 snapshots that carry their whole log, no
+/// segment existed (format-2 snapshots that carry their whole log and the
+/// row caches of the optimizer that build kept across cycles, no
 /// segment; two cadence snapshots, then a crash with four submissions in
 /// the WAL only — generated through `Session` at commit `a89fa03`, which
-/// printed the status pinned below). It boots under this build, answers
-/// `status` with the same hash, and its first new snapshot moves the log
-/// into a segment, once; from then on it is a directory like any other.
+/// printed the status pinned below). It boots under this build — the
+/// optimizer section read and dropped — answers `status` with the same
+/// hash, and its first new snapshot moves the log into a segment, once,
+/// and carries no optimizer section; from then on it is a directory like
+/// any other.
 #[test]
 fn a_data_directory_written_before_the_segment_boots_and_migrates() {
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/v2_data_dir");
@@ -624,6 +627,8 @@ fn a_data_directory_written_before_the_segment_boots_and_migrates() {
     for snapshot in snapshots(&fixture) {
         let name = snapshot.file_name().expect("name");
         std::fs::copy(&snapshot, snapshot_dir(&dir).join(name)).expect("copy");
+        let old: FederationCheckpoint = snapshot::read(&snapshot).expect("decode");
+        assert!(old.shards.iter().all(|shard| shard.optimizer.is_some()));
     }
     let manifest = load_manifest(&dir).expect("manifest").expect("present");
 
@@ -653,6 +658,7 @@ fn a_data_directory_written_before_the_segment_boots_and_migrates() {
     let on_disk: FederationCheckpoint = snapshot::read(&migrated).expect("decode");
     assert_eq!(on_disk.merged.after.len, 47);
     assert!(on_disk.merged.entries.is_empty());
+    assert!(on_disk.shards.iter().all(|shard| shard.optimizer.is_none()));
     let segment = std::fs::read_to_string(segment_path(&dir)).expect("segment");
     assert_eq!(segment.lines().count(), 47);
     let after = verify_data_dir(&dir).expect("the migrated layout verifies");

@@ -5,6 +5,12 @@
 //! set comes back empty are postponed (reported, not optimized); the
 //! remaining jobs are optimized under the configured criterion with the VO
 //! limits derived from Eq. (2)/(3).
+//!
+//! Nothing is carried from one iteration to the next, as in the paper:
+//! each call searches the list it is given and solves from that search's
+//! alternatives alone. (Measured: the market changes under every job
+//! between two engine cycles, and no optimizer row of one cycle was ever
+//! still valid in the next — EXPERIMENTS.md E15.)
 
 use std::borrow::Cow;
 
@@ -87,8 +93,8 @@ pub struct IterationResult {
     pub assignment: Option<Assignment>,
     /// Jobs postponed to the next iteration (no alternatives found).
     pub postponed: Vec<JobId>,
-    /// Optimizer work counters for this iteration (rows reused vs rebuilt;
-    /// all-rebuilt when running without a shared cache).
+    /// Optimizer work counters for this iteration: solves answered, DP
+    /// rows and Pareto layers built.
     pub opt: OptStats,
 }
 
@@ -154,35 +160,6 @@ pub fn run_iteration(
     batch: &Batch,
     config: &IterationConfig,
 ) -> Result<IterationResult, IterationError> {
-    run_iteration_cached(
-        selector,
-        list,
-        batch,
-        config,
-        &mut IncrementalOptimizer::new(),
-    )
-}
-
-/// [`run_iteration`] with a caller-held [`IncrementalOptimizer`], so the
-/// DP rows and Pareto layers survive across cycles: a batch that changed
-/// in a few positions (arrivals, completions, repairs) or whose VO limits
-/// shifted only pays for the rows its mutations actually invalidated. The
-/// returned [`IterationResult::opt`] holds this call's work delta.
-///
-/// Results are byte-identical to [`run_iteration`] regardless of the
-/// optimizer's prior state — the cache revalidates itself by fingerprint.
-///
-/// # Errors
-///
-/// See [`run_iteration`].
-pub fn run_iteration_cached(
-    selector: impl SlotSelector,
-    list: &SlotList,
-    batch: &Batch,
-    config: &IterationConfig,
-    optimizer: &mut IncrementalOptimizer,
-) -> Result<IterationResult, IterationError> {
-    let stats_before = optimizer.stats();
     let search = match config.search_mode {
         SearchMode::Sequential => ecosched_select::find_alternatives(selector, list, batch)?,
         SearchMode::Coscheduled => {
@@ -235,12 +212,16 @@ pub fn run_iteration_cached(
         (eq2, false)
     };
 
+    // Every iteration plans from its own alternatives: the optimizer is
+    // fresh, so its counters are this iteration's work.
+    let mut optimizer = IncrementalOptimizer::new();
+
     // Eq. (3).
     let budget = optimizer.vo_budget_with_quota(&covered, quota)?;
 
     let assignment = match config.criterion {
         Criterion::MinTimeUnderBudget => {
-            optimize_min_time(optimizer, &covered, budget, config.optimizer)?
+            optimize_min_time(&mut optimizer, &covered, budget, config.optimizer)?
         }
         Criterion::MinCostUnderTime => optimizer.min_cost_under_time(&covered, quota)?,
     };
@@ -252,7 +233,7 @@ pub fn run_iteration_cached(
         budget: Some(budget),
         assignment: Some(assignment),
         postponed,
-        opt: optimizer.stats().delta_since(&stats_before),
+        opt: optimizer.stats(),
     })
 }
 

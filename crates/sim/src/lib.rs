@@ -62,8 +62,8 @@ pub mod swf;
 pub use config::{ConfigError, IntRange, JobGenConfig, RealRange, SlotGenConfig};
 pub use cycle::{PostponeReason, Recovery, RepairPolicy};
 pub use iteration::{
-    run_iteration, run_iteration_cached, Criterion, IterationConfig, IterationError,
-    IterationResult, OptimizerKind, SearchMode,
+    run_iteration, Criterion, IterationConfig, IterationError, IterationResult, OptimizerKind,
+    SearchMode,
 };
 pub use job_gen::JobGenerator;
 pub use market::{MarketConfig, MarketCycleReport, MarketSimulation};

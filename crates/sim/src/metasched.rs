@@ -3,8 +3,10 @@
 //!
 //! Each cycle the local managers publish fresh vacant slots, newly arrived
 //! jobs join whatever was postponed before, and one scheduling iteration
-//! runs. Jobs that fail to accumulate `N` suitable slots are carried to the
-//! next cycle, exactly as the paper prescribes.
+//! runs ([`crate::run_iteration`], planned from that cycle's own
+//! alternatives). Jobs that fail to accumulate `N` suitable slots are
+//! carried to the next cycle, exactly as the paper prescribes — and they
+//! are all that is carried: no search or optimizer state crosses cycles.
 //!
 //! # Revocation-tolerant execution
 //!
@@ -25,12 +27,12 @@ use ecosched_core::{
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use ecosched_optimize::{IncrementalOptimizer, OptStats};
+use ecosched_optimize::OptStats;
 use ecosched_select::SlotSelector;
 
 use crate::config::{JobGenConfig, SlotGenConfig};
 use crate::cycle::{self, PostponeReason, Recovery, RepairPolicy};
-use crate::iteration::{run_iteration_cached, IterationConfig, IterationError};
+use crate::iteration::{run_iteration, IterationConfig, IterationError};
 use crate::job_gen::JobGenerator;
 use crate::revocation::{RepairStats, RevocationConfig, RevocationModel};
 use crate::slot_gen::SlotGenerator;
@@ -84,8 +86,7 @@ pub struct CycleSummary {
     pub avg_cost: f64,
     /// Fault-and-repair accounting for the cycle.
     pub repair: RepairStats,
-    /// Combination-optimizer cache accounting for the cycle (rows reused
-    /// vs rebuilt across the shared [`ecosched_optimize::IncrementalOptimizer`]).
+    /// Combination-optimizer work counters for the cycle's iteration.
     pub opt: OptStats,
 }
 
@@ -115,16 +116,6 @@ impl MetaschedulerReport {
         let mut total = RepairStats::default();
         for c in &self.cycles {
             total.merge(&c.repair);
-        }
-        total
-    }
-
-    /// Combination-optimizer cache totals over all cycles.
-    #[must_use]
-    pub fn opt_totals(&self) -> OptStats {
-        let mut total = OptStats::default();
-        for c in &self.cycles {
-            total.merge(&c.opt);
         }
         total
     }
@@ -234,11 +225,8 @@ impl Metascheduler {
         let mut traces = Vec::with_capacity(cycles);
         // Requests carried over, with their carry count.
         let mut backlog: Vec<(ResourceRequest, u32)> = Vec::new();
-        // One optimizer for the whole run: cycles that carry most of their
-        // batch (or only shift the VO limits) reuse the cached DP rows.
-        let mut optimizer = IncrementalOptimizer::new();
         for _ in 0..cycles {
-            let (summary, trace) = self.run_cycle(selector, &mut backlog, &mut optimizer, rng)?;
+            let (summary, trace) = self.run_cycle(selector, &mut backlog, rng)?;
             report.cycles.push(summary);
             traces.push(trace);
         }
@@ -251,7 +239,6 @@ impl Metascheduler {
         &self,
         selector: impl SlotSelector + Copy,
         backlog: &mut Vec<(ResourceRequest, u32)>,
-        optimizer: &mut IncrementalOptimizer,
         rng: &mut R,
     ) -> Result<(CycleSummary, CycleTrace), IterationError> {
         let list: SlotList = self.slot_gen.generate(rng);
@@ -273,7 +260,7 @@ impl Metascheduler {
             .collect();
         let batch = Batch::from_jobs(jobs).expect("re-keyed ids are unique");
 
-        let mut result = run_iteration_cached(selector, &list, &batch, &self.config, optimizer)?;
+        let mut result = run_iteration(selector, &list, &batch, &self.config)?;
         let (chosen, exec) = cycle::commit(&mut result);
         let per_job = result.search.alternatives.per_job();
 
