@@ -1,8 +1,7 @@
 //! Bench: the incremental combination optimizer against the retained
 //! from-scratch oracle — cold first solves, warm re-queries at shifted
-//! limits, warm re-solves after a front-of-batch mutation, Pareto
-//! re-queries at a shifted `B*` — and one DP row built by the row kernel
-//! against the same row built cell by cell.
+//! limits, warm re-solves after a front-of-batch mutation — and one DP
+//! row built by the row kernel against the same row built cell by cell.
 //!
 //! Committed medians live in `BENCH_optimize.json`; refresh them with
 //!
@@ -16,7 +15,7 @@ use ecosched_core::{
     Alternative, JobAlternatives, JobId, Money, NodeId, Perf, Price, Slot, SlotId, Span, TimeDelta,
     TimePoint, Window, WindowSlot,
 };
-use ecosched_optimize::{min_cost_under_time_naive, IncrementalOptimizer, ParetoFrontier};
+use ecosched_optimize::{min_cost_under_time_naive, IncrementalOptimizer};
 use std::hint::black_box;
 
 /// Deterministic splitmix64 — the bench needs repeatable tables, not
@@ -159,43 +158,6 @@ fn bench_dp(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pareto(c: &mut Criterion) {
-    let mut group = c.benchmark_group("optimize_incremental_pareto");
-    let jobs = 50usize;
-    let table = synth_table(jobs, jobs as u64);
-    // The cheapest feasible spend, so every shifted budget stays feasible.
-    let floor = min_cost_under_time_naive(&table, quota_for(&table))
-        .unwrap()
-        .total_cost();
-    let budgets: Vec<Money> = (0..8)
-        .map(|i| Money::from_credits(floor.to_f64() as i64 + 1 + i))
-        .collect();
-
-    group.bench_function("fresh_requery_shifted_budget", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i += 1;
-            let budget = budgets[i % budgets.len()];
-            let frontier = ParetoFrontier::new(black_box(&table)).unwrap();
-            black_box(frontier.min_time_under_budget(budget))
-        });
-    });
-
-    group.bench_function("warm_requery_shifted_budget", |b| {
-        let mut optimizer = IncrementalOptimizer::new();
-        optimizer
-            .pareto_min_time_under_budget(&table, budgets[0])
-            .unwrap();
-        let mut i = 0usize;
-        b.iter(|| {
-            i += 1;
-            let budget = budgets[i % budgets.len()];
-            black_box(optimizer.pareto_min_time_under_budget(black_box(&table), budget))
-        });
-    });
-    group.finish();
-}
-
 /// The definition of one Eq. (1) row, a cell at a time over `Option`
 /// cells with a reachability branch per (cell, item): a copy of
 /// `optimize::dp`'s test-only cell oracle (minimizing), which is how
@@ -268,5 +230,5 @@ fn bench_row_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dp, bench_pareto, bench_row_kernel);
+criterion_group!(benches, bench_dp, bench_row_kernel);
 criterion_main!(benches);

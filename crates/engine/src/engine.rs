@@ -465,11 +465,10 @@ impl<S: SlotSelector + Copy> Engine<S> {
             return Ok(None);
         };
         state.log.push(now.ticks(), seq, event);
-        let snap = self.obs.pre_step(&state.report);
         self.handle(state, now, event)?;
         self.obs.post_step(
-            snap,
             &state.report,
+            state.log.len() as u64,
             StepGauges {
                 now: now.ticks(),
                 backlog: state.pending.len(),

@@ -118,10 +118,10 @@ impl EventLog {
 
     /// FNV-1a 64 hash of the canonical serialization, rendered as 16 hex
     /// digits (a stable one-line fingerprint for tests and the CI smoke
-    /// job).
+    /// job). Hashed an entry at a time: [`Self::to_json`] is never built.
     #[must_use]
     pub fn fnv1a_hash(&self) -> String {
-        format!("{:016x}", fnv1a_64(self.to_json().as_bytes()))
+        LogPosition::after(&self.entries).fnv1a_hash()
     }
 }
 
@@ -322,6 +322,27 @@ mod tests {
         assert_ne!(a.fnv1a_hash(), b.fnv1a_hash());
         assert_eq!(b.len(), 3);
         assert!(!b.is_empty());
+    }
+
+    #[test]
+    fn streamed_hash_is_the_hash_of_the_canonical_json() {
+        let mut log = EventLog::new();
+        for len in [0u64, 1, 40] {
+            while (log.len() as u64) < len {
+                let i = log.len() as u64;
+                let event = match i % 3 {
+                    0 => Event::JobArrival { job: i as u32 },
+                    1 => Event::SlotExpired { slot: i * 1000 },
+                    _ => Event::CycleTick { cycle: i as u32 },
+                };
+                log.push(i as i64 * 7, i, event);
+            }
+            assert_eq!(
+                log.fnv1a_hash(),
+                format!("{:016x}", fnv1a_64(log.to_json().as_bytes())),
+                "{len} entries"
+            );
+        }
     }
 
     #[test]

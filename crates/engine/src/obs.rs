@@ -11,6 +11,13 @@
 //! optionally labelled with a federation shard index, so a sharded
 //! daemon exposes one metric family with per-shard series.
 //!
+//! Two kinds of counter, told apart by their help text. Those the
+//! checkpointed [`EngineReport`] backs *mirror* it — raised to the
+//! report's value after every event — so they carry on across a restart
+//! exactly as the federation's mirrored counters do. The scan, cycle and
+//! postponement counters have no report field behind them and count
+//! since process start.
+//!
 //! Of [`OptStats`] the family carries the work a cycle's fresh optimizer
 //! does — solves, DP rows and Pareto layers built. Its three reuse
 //! counters (rows reused, rows extended, layers reused) have no series:
@@ -29,7 +36,7 @@ use crate::report::EngineReport;
 /// Dense metric ids for one engine instance.
 #[derive(Debug, Clone)]
 pub struct EngineIds {
-    // -- event-loop counters (deltas of the run report) ----------------
+    // -- mirrors of the checkpointed run report -------------------------
     events: CounterId,
     jobs_arrived: CounterId,
     jobs_scheduled: CounterId,
@@ -42,17 +49,17 @@ pub struct EngineIds {
     repostponed: CounterId,
     stale_completions: CounterId,
     slots_coalesced: CounterId,
-    // -- per-cycle select/optimize counters -----------------------------
+    opt_solves: CounterId,
+    opt_rows_rebuilt: CounterId,
+    opt_frontier_rebuilt: CounterId,
+    // -- per-cycle counts since process start (not in the run report) ---
     cycles: CounterId,
     scan_slots_examined: CounterId,
     scan_slots_admitted: CounterId,
     scan_acceptance_tests: CounterId,
     scan_windows_found: CounterId,
     scan_passes: CounterId,
-    opt_solves: CounterId,
-    opt_rows_rebuilt: CounterId,
-    opt_frontier_rebuilt: CounterId,
-    // -- postponements by typed reason (not in the run report) ----------
+    // -- postponements by typed reason, likewise -------------------------
     postponed: [CounterId; 3],
     // -- gauges ---------------------------------------------------------
     backlog: GaugeId,
@@ -130,31 +137,35 @@ impl EngineIds {
                 "ecosched_engine_slots_coalesced_total",
                 "Vacant slots absorbed by cycle-commit coalescing",
             ),
-            cycles: c(b, "ecosched_engine_cycles_total", "Scheduling cycles run"),
+            cycles: c(
+                b,
+                "ecosched_engine_cycles_total",
+                "Scheduling cycles run since process start",
+            ),
             scan_slots_examined: c(
                 b,
                 "ecosched_engine_scan_slots_examined_total",
-                "Slots examined by the alternatives search",
+                "Slots examined by the alternatives search since process start",
             ),
             scan_slots_admitted: c(
                 b,
                 "ecosched_engine_scan_slots_admitted_total",
-                "Slots admitted into candidate pools",
+                "Slots admitted into candidate pools since process start",
             ),
             scan_acceptance_tests: c(
                 b,
                 "ecosched_engine_scan_acceptance_tests_total",
-                "Window acceptance tests evaluated",
+                "Window acceptance tests evaluated since process start",
             ),
             scan_windows_found: c(
                 b,
                 "ecosched_engine_scan_windows_found_total",
-                "Windows found by the alternatives search",
+                "Windows found by the alternatives search since process start",
             ),
             scan_passes: c(
                 b,
                 "ecosched_engine_scan_passes_total",
-                "Alternatives-search passes over the batch",
+                "Alternatives-search passes over the batch since process start",
             ),
             opt_solves: c(
                 b,
@@ -180,7 +191,7 @@ impl EngineIds {
             .map(|reason| {
                 b.counter_with(
                     "ecosched_engine_postponed_total",
-                    "Jobs left unscheduled by a cycle or a repair pass, by reason",
+                    "Jobs left unscheduled by a cycle or a repair pass since process start, by reason",
                     &[l, &[("reason", reason)]].concat(),
                 )
             }),
@@ -207,42 +218,6 @@ impl EngineIds {
                 "ecosched_engine_cycle_mean_wait",
                 "Mean wait (ticks) of the jobs committed by the last cycle",
             ),
-        }
-    }
-}
-
-/// Point-in-time copy of the run report's monotone counters, taken
-/// before an event handler runs so the per-event delta can be recorded
-/// after it — regardless of which arm (or early return) it took.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReportSnap {
-    jobs_arrived: u64,
-    jobs_scheduled: u64,
-    jobs_completed: u64,
-    revocations: u64,
-    leases_broken: u64,
-    failovers: u64,
-    repairs: u64,
-    full_rescans: u64,
-    repostponed: u64,
-    stale_completions: u64,
-    slots_coalesced: u64,
-}
-
-impl ReportSnap {
-    fn of(report: &EngineReport) -> ReportSnap {
-        ReportSnap {
-            jobs_arrived: report.jobs_arrived,
-            jobs_scheduled: report.jobs_scheduled,
-            jobs_completed: report.jobs_completed,
-            revocations: report.revocations,
-            leases_broken: report.leases_broken,
-            failovers: report.failovers,
-            repairs: report.repairs,
-            full_rescans: report.full_rescans,
-            repostponed: report.repostponed,
-            stale_completions: report.stale_completions,
-            slots_coalesced: report.slots_coalesced,
         }
     }
 }
@@ -301,49 +276,36 @@ impl EngineObs {
         self.inner.as_deref().map(|i| &i.rec)
     }
 
-    /// Snapshot of the report counters before an event handler runs;
-    /// `None` when off (so the off path does no copying).
-    pub(crate) fn pre_step(&self, report: &EngineReport) -> Option<ReportSnap> {
-        self.inner.as_ref().map(|_| ReportSnap::of(report))
-    }
-
-    /// Records one processed event: report-counter deltas plus the
-    /// per-step gauges.
-    pub(crate) fn post_step(
-        &self,
-        snap: Option<ReportSnap>,
-        report: &EngineReport,
-        gauges: StepGauges,
-    ) {
-        let (Some(inner), Some(prev)) = (self.inner.as_deref(), snap) else {
+    /// Records one processed event: every counter the checkpointed run
+    /// report backs is raised to the report's value (`events_total` to
+    /// `events`, the log's length), so a run resumed in a new process
+    /// reads as the whole run, like the federation's mirrored counters;
+    /// then the per-step gauges.
+    pub(crate) fn post_step(&self, report: &EngineReport, events: u64, gauges: StepGauges) {
+        let Some(inner) = self.inner.as_deref() else {
             return;
         };
         let rec = &inner.rec;
         let ids = &inner.ids;
-        rec.inc(ids.events);
-        rec.add(ids.jobs_arrived, report.jobs_arrived - prev.jobs_arrived);
-        rec.add(
-            ids.jobs_scheduled,
-            report.jobs_scheduled - prev.jobs_scheduled,
-        );
-        rec.add(
-            ids.jobs_completed,
-            report.jobs_completed - prev.jobs_completed,
-        );
-        rec.add(ids.revocations, report.revocations - prev.revocations);
-        rec.add(ids.leases_broken, report.leases_broken - prev.leases_broken);
-        rec.add(ids.failovers, report.failovers - prev.failovers);
-        rec.add(ids.repairs, report.repairs - prev.repairs);
-        rec.add(ids.full_rescans, report.full_rescans - prev.full_rescans);
-        rec.add(ids.repostponed, report.repostponed - prev.repostponed);
-        rec.add(
-            ids.stale_completions,
-            report.stale_completions - prev.stale_completions,
-        );
-        rec.add(
-            ids.slots_coalesced,
-            report.slots_coalesced - prev.slots_coalesced,
-        );
+        for (id, value) in [
+            (ids.events, events),
+            (ids.jobs_arrived, report.jobs_arrived),
+            (ids.jobs_scheduled, report.jobs_scheduled),
+            (ids.jobs_completed, report.jobs_completed),
+            (ids.revocations, report.revocations),
+            (ids.leases_broken, report.leases_broken),
+            (ids.failovers, report.failovers),
+            (ids.repairs, report.repairs),
+            (ids.full_rescans, report.full_rescans),
+            (ids.repostponed, report.repostponed),
+            (ids.stale_completions, report.stale_completions),
+            (ids.slots_coalesced, report.slots_coalesced),
+            (ids.opt_solves, report.opt.solves),
+            (ids.opt_rows_rebuilt, report.opt.rows_rebuilt),
+            (ids.opt_frontier_rebuilt, report.opt.frontier_rebuilt),
+        ] {
+            rec.raise_to(id, value);
+        }
         rec.set(ids.backlog, gauges.backlog as f64);
         rec.set(ids.queue_depth, gauges.queue_depth as f64);
         rec.set(ids.active_leases, gauges.active_leases as f64);
@@ -352,8 +314,8 @@ impl EngineObs {
         rec.set(ids.utilization, gauges.utilization);
     }
 
-    /// Records one scheduling cycle: scan and optimizer work counters
-    /// plus a `cycle` span with `scan` / `optimize` / `commit` children.
+    /// Records one scheduling cycle: scan work counters plus a `cycle`
+    /// span with `scan` / `optimize` / `commit` children.
     pub(crate) fn on_cycle(
         &self,
         now: i64,
@@ -374,9 +336,6 @@ impl EngineObs {
         rec.add(ids.scan_acceptance_tests, search.scan.acceptance_tests);
         rec.add(ids.scan_windows_found, search.scan.windows_found);
         rec.add(ids.scan_passes, search.passes);
-        rec.add(ids.opt_solves, opt.solves);
-        rec.add(ids.opt_rows_rebuilt, opt.rows_rebuilt);
-        rec.add(ids.opt_frontier_rebuilt, opt.frontier_rebuilt);
         rec.set(ids.cycle_mean_wait, mean_wait);
         let cycle = rec.span(now, "cycle", None, batch as u64);
         rec.span(now, "scan", cycle, search.scan.slots_examined);

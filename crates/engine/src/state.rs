@@ -166,11 +166,12 @@ pub struct EngineCheckpoint {
     pub wait_sum_bits: u64,
     /// The bounded-slowdown accumulator as an IEEE-754 bit pattern.
     pub slowdown_sum_bits: u64,
-    /// Legacy, read and dropped. Earlier builds kept one optimizer across
-    /// all cycles and stored its row caches here; snapshot files of
-    /// formats 1–3 written by them carry the section, so it still decodes.
-    /// [`Engine::checkpoint`] always writes `None` and [`Engine::resume`]
-    /// never looks at it.
+    /// Legacy: whether the file carried an optimizer section, and nothing
+    /// of what was in it. Earlier builds kept one optimizer across all
+    /// cycles and stored its row caches here; snapshot files of formats
+    /// 1–3 written by them carry the section, which decodes to a marker
+    /// whatever it holds. [`Engine::checkpoint`] always writes `None` and
+    /// [`Engine::resume`] never looks at it.
     ///
     /// [`Engine::checkpoint`]: crate::engine::Engine::checkpoint
     /// [`Engine::resume`]: crate::engine::Engine::resume

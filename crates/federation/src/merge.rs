@@ -9,7 +9,7 @@
 //! equals the sorted union of the final shard logs, which
 //! [`merge_shard_logs`] computes independently as a cross-check.
 
-use ecosched_engine::{fnv1a_64, Event, EventLog, LogEntry};
+use ecosched_engine::{Event, EventLog, LogEntry, LogPosition};
 use serde::{Deserialize, Serialize};
 
 /// One processed event in the federation: a shard's log entry plus the
@@ -87,9 +87,10 @@ impl FederationLog {
 
     /// FNV-1a 64 fingerprint of the canonical serialization, 16 hex
     /// digits — the federation's determinism contract in one line.
+    /// Hashed an entry at a time: [`Self::to_json`] is never built.
     #[must_use]
     pub fn fnv1a_hash(&self) -> String {
-        format!("{:016x}", fnv1a_64(self.to_json().as_bytes()))
+        LogPosition::after(&self.entries).fnv1a_hash()
     }
 
     /// Whether the entries are strictly increasing under
@@ -127,6 +128,7 @@ pub fn merge_shard_logs(logs: &[&EventLog]) -> FederationLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecosched_engine::fnv1a_64;
 
     fn log(entries: &[(i64, u64)]) -> EventLog {
         let mut l = EventLog::new();
@@ -134,6 +136,22 @@ mod tests {
             l.push(time, seq, Event::JobArrival { job: 0 });
         }
         l
+    }
+
+    #[test]
+    fn streamed_hash_is_the_hash_of_the_canonical_json() {
+        for len in [0usize, 1, 40] {
+            let stamps: Vec<(i64, u64)> = (0..len).map(|i| (i as i64 * 3, i as u64)).collect();
+            let (a, b) = (log(&stamps), log(&stamps[..len / 2]));
+            let merged = merge_shard_logs(&[&a, &b]);
+            assert_eq!(merged.len(), len + len / 2);
+            assert_eq!(
+                merged.fnv1a_hash(),
+                format!("{:016x}", fnv1a_64(merged.to_json().as_bytes())),
+                "{} entries",
+                merged.len()
+            );
+        }
     }
 
     #[test]

@@ -371,22 +371,13 @@ pub(crate) fn validate_quota(quota: TimeDelta) -> Result<(), OptimizeError> {
     Ok(())
 }
 
-/// From-scratch oracle for [`crate::min_time_under_budget`]: minimizes
-/// total batch time `T(s̄)` subject to the budget `C(s̄) ≤ B*` (the paper's
-/// Sec. 5 *time-minimization* task), rebuilding the full DP table.
-///
-/// Money is quantized to `resolution`; each alternative's cost rounds up,
-/// so the returned assignment always truly satisfies the budget, at the
-/// price of possibly missing combinations within `n · resolution` of it.
+/// From-scratch oracle for [`crate::min_time_under_budget`]: the same
+/// answer and the same errors, rebuilding the full DP table on every call.
 ///
 /// # Errors
 ///
-/// * [`OptimizeError::EmptyBatch`] / [`OptimizeError::NoAlternatives`] on a
-///   malformed table;
-/// * [`OptimizeError::InvalidParameter`] if `resolution` is not positive,
-///   an alternative's constrained measure is negative, or the objective
-///   values could sum to `2^61` or more in magnitude (the rows would wrap);
-/// * [`OptimizeError::Infeasible`] if no combination fits the budget.
+/// See [`crate::min_time_under_budget`].
+#[doc(hidden)]
 pub fn min_time_under_budget_naive(
     alternatives: &[JobAlternatives],
     budget: Money,
@@ -402,13 +393,13 @@ pub fn min_time_under_budget_naive(
     Ok(Assignment::from_indices(alternatives, &choices))
 }
 
-/// From-scratch oracle for [`crate::min_cost_under_time`]: minimizes total
-/// batch cost `C(s̄)` subject to the time quota `T(s̄) ≤ T*` (the paper's
-/// Sec. 5 *cost-minimization* task). Exact: time is already integral.
+/// From-scratch oracle for [`crate::min_cost_under_time`]: the same answer
+/// and the same errors, rebuilding the full DP table on every call.
 ///
 /// # Errors
 ///
-/// See [`min_time_under_budget_naive`]; there is no resolution parameter.
+/// See [`crate::min_cost_under_time`].
+#[doc(hidden)]
 pub fn min_cost_under_time_naive(
     alternatives: &[JobAlternatives],
     quota: TimeDelta,
@@ -416,13 +407,13 @@ pub fn min_cost_under_time_naive(
     cost_under_time_naive(alternatives, quota, Sense::Minimize)
 }
 
-/// From-scratch oracle for [`crate::max_cost_under_time`]: maximizes the
-/// total batch cost (the resource owners' income) subject to the time quota
-/// — Eq. (3)'s inner optimization, used to derive the VO budget `B*`.
+/// From-scratch oracle for [`crate::max_cost_under_time`]: the same answer
+/// and the same errors, rebuilding the full DP table on every call.
 ///
 /// # Errors
 ///
-/// See [`min_time_under_budget_naive`].
+/// See [`crate::max_cost_under_time`].
+#[doc(hidden)]
 pub fn max_cost_under_time_naive(
     alternatives: &[JobAlternatives],
     quota: TimeDelta,

@@ -1,5 +1,5 @@
-//! Incremental combination optimization: cached backward-run DP rows and
-//! Pareto layers, revalidated by fingerprint instead of rebuilt per call.
+//! Incremental combination optimization: cached backward-run DP rows,
+//! revalidated by fingerprint instead of rebuilt per call.
 //!
 //! # Why suffix rows are reusable
 //!
@@ -32,27 +32,22 @@
 //! so a fingerprint collision (or a stale-reuse bug) aborts loudly.
 //!
 //! The time-minimization cache is additionally keyed by the money
-//! `resolution` (it changes the quantized weights), and the Pareto cache
-//! by the layer-size cap; a mismatch clears them.
+//! `resolution` (it changes the quantized weights); a mismatch clears it.
 //!
-//! The Pareto frontier is the mirror image: layer `i` depends on layers
-//! `< i`, so it caches the longest matching *prefix* (chained front-to-
-//! back) and rebuilds only the layers after the first mutated job.
+//! The exact Pareto sweep is not cached: every `pareto_*` call builds one
+//! [`ParetoFrontier`] and drops it. No recorded traffic ever asked the
+//! same optimizer for a second sweep over a shared job prefix.
 //!
 //! Equivalence with the `*_naive` oracles is by construction — both paths
 //! share [`dp::compute_row`]/[`dp::extend_row`]/[`dp::reconstruct_choices`]
-//! and the layer builders in [`crate::pareto`] — and is enforced
-//! byte-for-byte by the differential harness in `tests/equivalence.rs`.
+//! — and is enforced byte-for-byte by the differential harness in
+//! `tests/equivalence.rs`.
 //!
 //! # Row storage
 //!
 //! A cached row is kept exactly as the kernel in [`crate::dp`] reads and
-//! writes it — a flat `Vec<i64>` with a sentinel for unreachable cells —
-//! next to the job's *full* item list, which the fingerprints, the debug
-//! stale-reuse check and reconstruction read. Only the wire form differs:
-//! [`RowSnapshot::row`] stays `Vec<Option<i64>>`, converted in
-//! `DpCache::snapshot` / `DpCache::restore` and nowhere else, so snapshot
-//! bytes do not depend on the sentinel's value.
+//! writes it — a flat `Vec<i64>` with a sentinel for unreachable cells.
+//! The cache lives and dies with its optimizer: nothing exports it.
 
 use ecosched_core::{JobAlternatives, Money, TimeDelta};
 use serde::{Deserialize, Serialize};
@@ -60,7 +55,7 @@ use serde::{Deserialize, Serialize};
 use crate::assignment::Assignment;
 use crate::dp::{self, Item, Sense};
 use crate::error::OptimizeError;
-use crate::pareto::{self, Point, DEFAULT_FRONTIER_CAP};
+use crate::pareto::{ParetoFrontier, DEFAULT_FRONTIER_CAP};
 
 /// Work counters for the incremental optimizer: how much cached state was
 /// reused versus recomputed. Each scheduling iteration's counters are
@@ -75,11 +70,13 @@ pub struct OptStats {
     pub rows_rebuilt: u64,
     /// Cached rows widened in place after a capacity increase.
     pub rows_extended: u64,
-    /// Cached Pareto layers reused.
+    /// Always zero: no Pareto layer outlives the sweep that built it. A
+    /// wire field of every stored [`OptStats`].
     pub frontier_reused: u64,
-    /// Pareto layers rebuilt.
+    /// Pareto layers built.
     pub frontier_rebuilt: u64,
-    /// Peak resident cache size (DP rows + frontier layers).
+    /// Peak table size: resident DP rows plus, during an exact sweep, its
+    /// Pareto layers.
     pub cache_high_water: u64,
 }
 
@@ -132,9 +129,9 @@ fn fp_items(items: &[Item]) -> u64 {
     h
 }
 
-/// Chains a job fingerprint with an adjacent (suffix or prefix) chain value.
-fn chain(job_fp: u64, neighbor: u64) -> u64 {
-    fnv1a(job_fp, &neighbor.to_le_bytes())
+/// Chains a job fingerprint with the fingerprint of the suffix after it.
+fn chain(job_fp: u64, suffix: u64) -> u64 {
+    fnv1a(job_fp, &suffix.to_le_bytes())
 }
 
 /// One cached DP row, keyed by the fingerprint of the job suffix it heads.
@@ -144,10 +141,10 @@ struct RowEntry {
     /// The row as the kernel reads and writes it: flat cells, unreachable
     /// ones marked by the sense's sentinel ([`dp::reachable`]).
     row: Vec<i64>,
-    /// Structural copy of the items the row was built from. Debug builds
-    /// check it against the live alternative set to catch fingerprint
-    /// collisions / stale reuse outright; snapshot export carries it so a
-    /// restored cache can keep making the same check.
+    /// Structural copy of the items the row was built from, which debug
+    /// builds check against the live alternative set to catch fingerprint
+    /// collisions / stale reuse outright.
+    #[cfg(debug_assertions)]
     items: Vec<Item>,
 }
 
@@ -289,6 +286,7 @@ impl DpCache {
             fresh.push(RowEntry {
                 suffix_fp: suffix_fps[i],
                 row: dp::compute_row(&items[i], next, target, self.sense),
+                #[cfg(debug_assertions)]
                 items: items[i].clone(),
             });
         }
@@ -303,214 +301,27 @@ impl DpCache {
     }
 }
 
-/// A plain-data export of one cached DP row: the fingerprint, the row
-/// values, and the (weight, value) items the row was built from, as
-/// parallel vectors.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RowSnapshot {
-    /// The chained suffix fingerprint keying the row.
-    pub suffix_fp: u64,
-    /// The row values (`None` marks an unreachable capacity).
-    pub row: Vec<Option<i64>>,
-    /// Item weights, parallel to `values`.
-    pub weights: Vec<i64>,
-    /// Item values, parallel to `weights`.
-    pub values: Vec<i64>,
-}
+/// What is left of the optimizer section engine checkpoints of snapshot
+/// formats 1–3 could carry, when one optimizer lived across cycles and
+/// exported its row caches: a marker that a section was present. It reads
+/// from any content and keeps none of it, and writes as an empty map.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OptimizerSnapshot;
 
-/// A plain-data export of one backward-run row cache.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DpCacheSnapshot {
-    /// Columns − 1 every cached row spans.
-    pub width: u64,
-    /// The cached rows, front (row 0) first.
-    pub rows: Vec<RowSnapshot>,
-}
-
-/// A plain-data export of one cached Pareto point.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FrontierPointSnapshot {
-    /// Total cost in micro-credits.
-    pub cost_micro: i64,
-    /// Total time in ticks.
-    pub time_ticks: i64,
-    /// Alternative index chosen for the layer's job.
-    pub alt: u64,
-    /// Index of the predecessor point in the previous layer.
-    pub parent: u64,
-}
-
-/// A plain-data export of one cached Pareto layer.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FrontierLayerSnapshot {
-    /// The chained prefix fingerprint keying the layer.
-    pub prefix_fp: u64,
-    /// The layer's Pareto points, in frontier order.
-    pub points: Vec<FrontierPointSnapshot>,
-}
-
-/// A resumable export of an [`IncrementalOptimizer`]'s full cached state —
-/// DP rows per criterion, Pareto layers, and work counters. Restoring it
-/// with [`IncrementalOptimizer::from_snapshot`] yields an optimizer whose
-/// subsequent solves (results *and* [`OptStats`] deltas) are identical to
-/// the captured one's.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OptimizerSnapshot {
-    /// The `min C(s̄) s.t. T ≤ T*` row cache.
-    pub cost_min: DpCacheSnapshot,
-    /// The `max C(s̄) s.t. T ≤ T*` row cache.
-    pub cost_max: DpCacheSnapshot,
-    /// The `min T(s̄) s.t. C ≤ B*` row cache.
-    pub time_min: DpCacheSnapshot,
-    /// The money resolution (micro-credits) the `time_min` rows were
-    /// quantized at; zero when that cache is untouched.
-    pub time_min_resolution: i64,
-    /// The Pareto layer-size cap in force.
-    pub frontier_cap: u64,
-    /// The cached Pareto layers, front first.
-    pub frontier_layers: Vec<FrontierLayerSnapshot>,
-    /// Cumulative work counters at capture time.
-    pub stats: OptStats,
-}
-
-impl DpCache {
-    fn snapshot(&self) -> DpCacheSnapshot {
-        DpCacheSnapshot {
-            width: self.width as u64,
-            rows: self
-                .entries
-                .iter()
-                .map(|e| RowSnapshot {
-                    suffix_fp: e.suffix_fp,
-                    row: e
-                        .row
-                        .iter()
-                        .map(|&cell| dp::reachable(cell).then_some(cell))
-                        .collect(),
-                    weights: e.items.iter().map(|i| i.weight).collect(),
-                    values: e.items.iter().map(|i| i.value).collect(),
-                })
-                .collect(),
-        }
-    }
-
-    fn restore(sense: Sense, snapshot: &DpCacheSnapshot) -> Self {
-        DpCache {
-            sense,
-            entries: snapshot
-                .rows
-                .iter()
-                .map(|r| RowEntry {
-                    suffix_fp: r.suffix_fp,
-                    // A cell no solve could have produced reads as
-                    // unreachable rather than entering the row sums.
-                    row: r
-                        .row
-                        .iter()
-                        .map(|cell| {
-                            cell.filter(|&value| dp::reachable(value))
-                                .unwrap_or(sense.unreachable())
-                        })
-                        .collect(),
-                    items: r
-                        .weights
-                        .iter()
-                        .zip(&r.values)
-                        .map(|(&weight, &value)| Item { weight, value })
-                        .collect(),
-                })
-                .collect(),
-            width: snapshot.width as usize,
-            zeros: Vec::new(),
-        }
+impl Serialize for OptimizerSnapshot {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(Vec::new())
     }
 }
 
-/// One cached Pareto layer, keyed by the fingerprint of the job prefix
-/// that produced it.
-#[derive(Debug)]
-struct FrontierLayer {
-    prefix_fp: u64,
-    layer: Vec<Point>,
-}
-
-/// Prefix-cached Pareto frontier (layer `i` depends on layers `< i`).
-#[derive(Debug)]
-struct FrontierCache {
-    cap: usize,
-    layers: Vec<FrontierLayer>,
-}
-
-impl FrontierCache {
-    fn new() -> Self {
-        FrontierCache {
-            cap: DEFAULT_FRONTIER_CAP,
-            layers: Vec::new(),
-        }
-    }
-
-    /// Brings the cached layers in sync with `alternatives`, rebuilding
-    /// only the layers after the longest unchanged prefix.
-    fn ensure(
-        &mut self,
-        alternatives: &[JobAlternatives],
-        cap: usize,
-        stats: &mut OptStats,
-    ) -> Result<(), OptimizeError> {
-        dp::validate(alternatives)?;
-        stats.solves += 1;
-        if cap != self.cap {
-            self.layers.clear();
-            self.cap = cap;
-        }
-
-        let n = alternatives.len();
-        let mut prefix_fps = Vec::with_capacity(n);
-        let mut acc = FNV_OFFSET;
-        for ja in alternatives {
-            let mut h = fnv1a(FNV_OFFSET, &(ja.len() as u64).to_le_bytes());
-            for alt in ja {
-                h = fnv1a(h, &alt.cost().micro().to_le_bytes());
-                h = fnv1a(h, &alt.time().ticks().to_le_bytes());
-            }
-            acc = chain(h, acc);
-            prefix_fps.push(acc);
-        }
-
-        let mut reuse_len = 0;
-        while reuse_len < self.layers.len()
-            && reuse_len < n
-            && self.layers[reuse_len].prefix_fp == prefix_fps[reuse_len]
-        {
-            reuse_len += 1;
-        }
-        self.layers.truncate(reuse_len);
-        stats.frontier_reused += reuse_len as u64;
-        stats.frontier_rebuilt += (n - reuse_len) as u64;
-
-        for i in reuse_len..n {
-            let layer = match self.layers.last() {
-                Some(previous) => pareto::next_layer(&previous.layer, &alternatives[i]),
-                None => pareto::next_layer(&pareto::seed_layer(), &alternatives[i]),
-            };
-            pareto::check_cap(layer.len(), cap)?;
-            self.layers.push(FrontierLayer {
-                prefix_fp: prefix_fps[i],
-                layer,
-            });
-        }
-        Ok(())
-    }
-
-    fn reconstruct(&self, alternatives: &[JobAlternatives], index: usize) -> Assignment {
-        let layers: Vec<&[Point]> = self.layers.iter().map(|l| l.layer.as_slice()).collect();
-        let indices = pareto::reconstruct_indices(&layers, index);
-        Assignment::from_indices(alternatives, &indices)
+impl<'de> Deserialize<'de> for OptimizerSnapshot {
+    fn from_value(_: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(OptimizerSnapshot)
     }
 }
 
 /// A stateful combination optimizer caching backward-run DP rows (per
-/// criterion) and Pareto layers across solves.
+/// criterion) across solves.
 ///
 /// Drop-in equivalent to the free functions — every solve returns exactly
 /// what the corresponding `*_naive` oracle returns — but a solver that is
@@ -536,7 +347,6 @@ pub struct IncrementalOptimizer {
     /// zero until first use. A different resolution re-weights every item,
     /// so it clears that cache.
     time_min_resolution: i64,
-    frontier: FrontierCache,
     stats: OptStats,
 }
 
@@ -555,7 +365,6 @@ impl IncrementalOptimizer {
             cost_max: DpCache::new(Sense::Maximize),
             time_min: DpCache::new(Sense::Minimize),
             time_min_resolution: 0,
-            frontier: FrontierCache::new(),
             stats: OptStats::default(),
         }
     }
@@ -566,82 +375,27 @@ impl IncrementalOptimizer {
         self.stats
     }
 
-    /// Exports the full cached state as plain serializable data, for
-    /// checkpointing. See [`OptimizerSnapshot`].
+    /// A cold optimizer: the legacy section holds nothing to restore. By
+    /// the equivalence `tests/equivalence.rs` checks, a cold optimizer
+    /// answers exactly as any warm one would.
+    #[doc(hidden)]
     #[must_use]
-    pub fn snapshot(&self) -> OptimizerSnapshot {
-        OptimizerSnapshot {
-            cost_min: self.cost_min.snapshot(),
-            cost_max: self.cost_max.snapshot(),
-            time_min: self.time_min.snapshot(),
-            time_min_resolution: self.time_min_resolution,
-            frontier_cap: self.frontier.cap as u64,
-            frontier_layers: self
-                .frontier
-                .layers
-                .iter()
-                .map(|l| FrontierLayerSnapshot {
-                    prefix_fp: l.prefix_fp,
-                    points: l
-                        .layer
-                        .iter()
-                        .map(|p| FrontierPointSnapshot {
-                            cost_micro: p.cost.micro(),
-                            time_ticks: p.time.ticks(),
-                            alt: p.alt as u64,
-                            parent: p.parent as u64,
-                        })
-                        .collect(),
-                })
-                .collect(),
-            stats: self.stats,
-        }
+    pub fn from_snapshot(_: &OptimizerSnapshot) -> Self {
+        Self::new()
     }
 
-    /// Rebuilds an optimizer from a [`Self::snapshot`] export. The restored
-    /// optimizer's subsequent solves produce the same results and the same
-    /// [`OptStats`] deltas as the captured one's would have.
-    #[must_use]
-    pub fn from_snapshot(snapshot: &OptimizerSnapshot) -> Self {
-        IncrementalOptimizer {
-            cost_min: DpCache::restore(Sense::Minimize, &snapshot.cost_min),
-            cost_max: DpCache::restore(Sense::Maximize, &snapshot.cost_max),
-            time_min: DpCache::restore(Sense::Minimize, &snapshot.time_min),
-            time_min_resolution: snapshot.time_min_resolution,
-            frontier: FrontierCache {
-                cap: snapshot.frontier_cap as usize,
-                layers: snapshot
-                    .frontier_layers
-                    .iter()
-                    .map(|l| FrontierLayer {
-                        prefix_fp: l.prefix_fp,
-                        layer: l
-                            .points
-                            .iter()
-                            .map(|p| Point {
-                                cost: Money::from_micro(p.cost_micro),
-                                time: TimeDelta::new(p.time_ticks),
-                                alt: p.alt as usize,
-                                parent: p.parent as usize,
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-            },
-            stats: snapshot.stats,
-        }
-    }
-
-    fn note_high_water(&mut self) {
+    /// Raises the high-water mark to the resident DP rows plus
+    /// `frontier_layers`, the layers of the exact sweep in progress.
+    fn note_high_water(&mut self, frontier_layers: usize) {
         let resident = self.cost_min.resident_rows()
             + self.cost_max.resident_rows()
             + self.time_min.resident_rows()
-            + self.frontier.layers.len();
+            + frontier_layers;
         self.stats.cache_high_water = self.stats.cache_high_water.max(resident as u64);
     }
 
-    /// Incremental [`min_time_under_budget`]; see
-    /// [`dp::min_time_under_budget_naive`] for semantics and errors.
+    /// [`min_time_under_budget`] over this optimizer's cached rows; see it
+    /// for semantics and errors.
     pub fn min_time_under_budget(
         &mut self,
         alternatives: &[JobAlternatives],
@@ -661,12 +415,12 @@ impl IncrementalOptimizer {
             .time_min
             .solve(&items, capacity, &mut self.stats)
             .ok_or(OptimizeError::Infeasible);
-        self.note_high_water();
+        self.note_high_water(0);
         Ok(Assignment::from_indices(alternatives, &choices?))
     }
 
-    /// Incremental [`min_cost_under_time`]; see
-    /// [`dp::min_cost_under_time_naive`] for semantics and errors.
+    /// [`min_cost_under_time`] over this optimizer's cached rows; see it
+    /// for semantics and errors.
     pub fn min_cost_under_time(
         &mut self,
         alternatives: &[JobAlternatives],
@@ -680,12 +434,12 @@ impl IncrementalOptimizer {
             .cost_min
             .solve(&items, quota.ticks(), &mut self.stats)
             .ok_or(OptimizeError::Infeasible);
-        self.note_high_water();
+        self.note_high_water(0);
         Ok(Assignment::from_indices(alternatives, &choices?))
     }
 
-    /// Incremental [`max_cost_under_time`]; see
-    /// [`dp::max_cost_under_time_naive`] for semantics and errors.
+    /// [`max_cost_under_time`] over this optimizer's cached rows; see it
+    /// for semantics and errors.
     pub fn max_cost_under_time(
         &mut self,
         alternatives: &[JobAlternatives],
@@ -699,7 +453,7 @@ impl IncrementalOptimizer {
             .cost_max
             .solve(&items, quota.ticks(), &mut self.stats)
             .ok_or(OptimizeError::Infeasible);
-        self.note_high_water();
+        self.note_high_water(0);
         Ok(Assignment::from_indices(alternatives, &choices?))
     }
 
@@ -718,9 +472,23 @@ impl IncrementalOptimizer {
         Ok(assignment.total_cost())
     }
 
-    /// Exact `min T(s̄)` s.t. `C(s̄) ≤ budget` from the cached Pareto
-    /// frontier (equivalent to
-    /// `ParetoFrontier::new(..)?.min_time_under_budget(..)`).
+    /// One exact sweep over `alternatives`, counted as a solve of one
+    /// layer per job. The frontier is the caller's to query and drop.
+    fn sweep<'a>(
+        &mut self,
+        alternatives: &'a [JobAlternatives],
+        cap: usize,
+    ) -> Result<ParetoFrontier<'a>, OptimizeError> {
+        dp::validate(alternatives)?;
+        self.stats.solves += 1;
+        self.stats.frontier_rebuilt += alternatives.len() as u64;
+        self.note_high_water(alternatives.len());
+        ParetoFrontier::with_cap(alternatives, cap)
+    }
+
+    /// Exact `min T(s̄)` s.t. `C(s̄) ≤ budget`:
+    /// `ParetoFrontier::new(..)?.min_time_under_budget(..)`, counted in
+    /// [`Self::stats`].
     ///
     /// # Errors
     ///
@@ -745,22 +513,12 @@ impl IncrementalOptimizer {
         budget: Money,
         cap: usize,
     ) -> Result<Assignment, OptimizeError> {
-        let ensured = self.frontier.ensure(alternatives, cap, &mut self.stats);
-        self.note_high_water();
-        ensured?;
-        let last = &self
-            .frontier
-            .layers
-            .last()
-            .expect("batch is non-empty")
-            .layer;
-        let best = pareto::best_under_budget(last, budget).ok_or(OptimizeError::Infeasible)?;
-        Ok(self.frontier.reconstruct(alternatives, best))
+        self.sweep(alternatives, cap)?.min_time_under_budget(budget)
     }
 
-    /// Exact `min C(s̄)` s.t. `T(s̄) ≤ quota` from the cached Pareto
-    /// frontier (equivalent to
-    /// `ParetoFrontier::new(..)?.min_cost_under_time(..)`).
+    /// Exact `min C(s̄)` s.t. `T(s̄) ≤ quota`:
+    /// `ParetoFrontier::new(..)?.min_cost_under_time(..)`, counted in
+    /// [`Self::stats`].
     ///
     /// # Errors
     ///
@@ -770,19 +528,8 @@ impl IncrementalOptimizer {
         alternatives: &[JobAlternatives],
         quota: TimeDelta,
     ) -> Result<Assignment, OptimizeError> {
-        let ensured = self
-            .frontier
-            .ensure(alternatives, DEFAULT_FRONTIER_CAP, &mut self.stats);
-        self.note_high_water();
-        ensured?;
-        let last = &self
-            .frontier
-            .layers
-            .last()
-            .expect("batch is non-empty")
-            .layer;
-        let best = pareto::best_under_quota(last, quota).ok_or(OptimizeError::Infeasible)?;
-        Ok(self.frontier.reconstruct(alternatives, best))
+        self.sweep(alternatives, DEFAULT_FRONTIER_CAP)?
+            .min_cost_under_time(quota)
     }
 }
 
@@ -791,10 +538,18 @@ impl IncrementalOptimizer {
 /// [`IncrementalOptimizer`]. Hold an optimizer instead to reuse rows
 /// across calls.
 ///
+/// Money is quantized to `resolution`; each alternative's cost rounds up,
+/// so the returned assignment always truly satisfies the budget, at the
+/// price of possibly missing combinations within `n · resolution` of it.
+///
 /// # Errors
 ///
-/// See [`dp::min_time_under_budget_naive`], the from-scratch oracle this
-/// is byte-identical to.
+/// * [`OptimizeError::EmptyBatch`] / [`OptimizeError::NoAlternatives`] on a
+///   malformed table;
+/// * [`OptimizeError::InvalidParameter`] if `resolution` is not positive,
+///   an alternative's constrained measure is negative, or the objective
+///   values could sum to `2^61` or more in magnitude (the rows would wrap);
+/// * [`OptimizeError::Infeasible`] if no combination fits the budget.
 pub fn min_time_under_budget(
     alternatives: &[JobAlternatives],
     budget: Money,
@@ -805,12 +560,11 @@ pub fn min_time_under_budget(
 
 /// Minimizes total batch cost `C(s̄)` subject to the time quota
 /// `T(s̄) ≤ T*` (the paper's Sec. 5 *cost-minimization* task), via a
-/// one-shot [`IncrementalOptimizer`].
+/// one-shot [`IncrementalOptimizer`]. Exact: time is already integral.
 ///
 /// # Errors
 ///
-/// See [`dp::min_cost_under_time_naive`], the from-scratch oracle this is
-/// byte-identical to.
+/// See [`min_time_under_budget`]; there is no resolution parameter.
 pub fn min_cost_under_time(
     alternatives: &[JobAlternatives],
     quota: TimeDelta,
@@ -824,8 +578,7 @@ pub fn min_cost_under_time(
 ///
 /// # Errors
 ///
-/// See [`dp::max_cost_under_time_naive`], the from-scratch oracle this is
-/// byte-identical to.
+/// See [`min_time_under_budget`].
 pub fn max_cost_under_time(
     alternatives: &[JobAlternatives],
     quota: TimeDelta,
@@ -961,21 +714,35 @@ mod tests {
     }
 
     #[test]
-    fn pareto_prefix_reuse_after_tail_mutation() {
+    fn pareto_sweeps_are_counted_and_never_reused() {
         let mut t = table();
         let mut opt = IncrementalOptimizer::new();
         let budget = Money::from_credits(20);
         let a = opt.pareto_min_time_under_budget(&t, budget).unwrap();
         let naive = crate::ParetoFrontier::new(&t).unwrap();
         assert_eq!(a, naive.min_time_under_budget(budget).unwrap());
-        assert_eq!(opt.stats().frontier_rebuilt, 3);
-        // Mutate the *last* job: layers 0..2 reused.
+        // Mutate the *last* job: every layer is built again all the same.
         t[2] = alts(2, &[(6, 15), (2, 45)]);
-        let b = opt.pareto_min_time_under_budget(&t, budget).unwrap();
-        assert_eq!(opt.stats().frontier_reused, 2);
-        assert_eq!(opt.stats().frontier_rebuilt, 4);
+        let b = opt.pareto_min_cost_under_time(&t, TimeDelta::new(90));
         let naive = crate::ParetoFrontier::new(&t).unwrap();
-        assert_eq!(b, naive.min_time_under_budget(budget).unwrap());
+        assert_eq!(b, naive.min_cost_under_time(TimeDelta::new(90)));
+        assert_eq!(
+            opt.stats(),
+            OptStats {
+                solves: 2,
+                frontier_rebuilt: 6,
+                cache_high_water: 3,
+                ..OptStats::default()
+            }
+        );
+        // A malformed table is no solve; a blown cap is one.
+        assert!(opt.pareto_min_time_under_budget(&[], budget).is_err());
+        assert_eq!(opt.stats().solves, 2);
+        assert!(matches!(
+            opt.pareto_min_time_with_cap(&t, budget, 1),
+            Err(OptimizeError::InvalidParameter { .. })
+        ));
+        assert_eq!(opt.stats().solves, 3);
     }
 
     #[test]
@@ -1020,90 +787,23 @@ mod tests {
         );
     }
 
-    /// Warms an optimizer across all three DP criteria plus the Pareto
-    /// frontier so a snapshot carries non-trivial state everywhere.
-    fn warmed() -> (Vec<JobAlternatives>, IncrementalOptimizer) {
-        let t = table();
-        let mut opt = IncrementalOptimizer::new();
-        opt.min_cost_under_time(&t, TimeDelta::new(110)).unwrap();
-        opt.max_cost_under_time(&t, TimeDelta::new(90)).unwrap();
-        opt.min_time_under_budget(&t, Money::from_credits(15), Money::from_credits(1))
-            .unwrap();
-        opt.pareto_min_time_under_budget(&t, Money::from_credits(20))
-            .unwrap();
-        (t, opt)
-    }
-
     #[test]
-    fn snapshot_restore_is_behavior_identical() {
-        let (mut t, mut original) = warmed();
-        let mut restored = IncrementalOptimizer::from_snapshot(&original.snapshot());
-        assert_eq!(restored.stats(), original.stats());
-
-        // A front mutation followed by re-solves: both optimizers must do
-        // the same work (stats) and return the same assignments.
-        t[0] = alts(0, &[(7, 12), (2, 40)]);
-        let a = original
-            .min_cost_under_time(&t, TimeDelta::new(110))
-            .unwrap();
-        let b = restored
-            .min_cost_under_time(&t, TimeDelta::new(110))
-            .unwrap();
-        assert_eq!(a, b);
-        let a = original
-            .pareto_min_time_under_budget(&t, Money::from_credits(18))
-            .unwrap();
-        let b = restored
-            .pareto_min_time_under_budget(&t, Money::from_credits(18))
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(
-            restored.stats(),
-            original.stats(),
-            "a restored cache must reuse and rebuild exactly what the \
-             original would"
-        );
-    }
-
-    #[test]
-    fn snapshot_serializes_round_trip() {
-        let (_, opt) = warmed();
-        let snapshot = opt.snapshot();
-        let json = serde_json::to_string(&snapshot).unwrap();
-        let back: OptimizerSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snapshot);
-        // The restored optimizer re-exports the same snapshot.
-        assert_eq!(
-            IncrementalOptimizer::from_snapshot(&back).snapshot(),
-            snapshot
-        );
-    }
-
-    #[test]
-    fn snapshot_rows_keep_the_option_wire_form() {
-        let t = table();
-        let mut opt = IncrementalOptimizer::new();
-        opt.min_cost_under_time(&t, TimeDelta::new(110)).unwrap();
-        opt.max_cost_under_time(&t, TimeDelta::new(110)).unwrap();
-        let snapshot = opt.snapshot();
-        for cache in [&snapshot.cost_min, &snapshot.cost_max] {
-            // Nothing fits in fewer than 10 + 10 + 15 ticks, and exactly
-            // one combination (10 + 8 + 6 credits) fits in 35. The cells
-            // left of it hold the sentinel plus two jobs' values in
-            // memory; on the wire they are `None`, as they always were.
-            let row = &cache.rows[0].row;
-            assert_eq!(row.len(), 111);
-            assert!(row[..35].iter().all(Option::is_none));
-            assert_eq!(row[35], Some(Money::from_credits(24).micro()));
-            assert!(row[35..].iter().all(Option::is_some));
+    fn a_legacy_section_of_any_content_reads_as_the_marker() {
+        for json in [
+            "{}",
+            r#"[1,"x",null]"#,
+            "7",
+            r#"{"cost_min":{"width":3,"rows":[]},"stats":{"solves":9}}"#,
+        ] {
+            let section: Option<OptimizerSnapshot> = serde_json::from_str(json).unwrap();
+            assert_eq!(section, Some(OptimizerSnapshot), "{json}");
         }
-    }
-
-    #[test]
-    fn empty_snapshot_restores_a_cold_optimizer() {
-        let cold = IncrementalOptimizer::new();
-        let restored = IncrementalOptimizer::from_snapshot(&cold.snapshot());
-        assert_eq!(restored.snapshot(), cold.snapshot());
+        let absent: Option<OptimizerSnapshot> = serde_json::from_str("null").unwrap();
+        assert_eq!(absent, None);
+        assert_eq!(serde_json::to_string(&OptimizerSnapshot).unwrap(), "{}");
+        // Whatever the section was, the optimizer it yields is cold.
+        let restored = IncrementalOptimizer::from_snapshot(&OptimizerSnapshot);
+        assert_eq!(restored.stats(), OptStats::default());
     }
 
     #[test]

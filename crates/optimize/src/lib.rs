@@ -15,11 +15,21 @@
 //! (Eq. (3)). All three solvers use the backward-run dynamic program of
 //! Eq. (1), served by an incremental row cache: the free functions above
 //! are one-shot conveniences over [`IncrementalOptimizer`], which reuses
-//! unchanged suffix rows (and Pareto prefix layers) across repeated solves
-//! on mutating batches and shifting `B*`/`T*` limits, reporting its work
-//! in [`OptStats`]. Three reference implementations cross-check it: the
-//! retained from-scratch `*_naive` drivers, an exhaustive [`brute`]
-//! oracle, and the exact [`ParetoFrontier`] sweep.
+//! unchanged suffix rows across repeated solves on mutating batches and
+//! shifting `B*`/`T*` limits, reporting its work in [`OptStats`]. Where
+//! quantizing money starves a feasible instance, the exact
+//! [`ParetoFrontier`] sweep settles it, built anew for each question.
+//!
+//! # Oracles
+//!
+//! Two reference implementations cross-check the row cache and are kept
+//! out of the documented surface: the from-scratch drivers
+//! `min_time_under_budget_naive`, `min_cost_under_time_naive` and
+//! `max_cost_under_time_naive`, which build every row on every call
+//! through the same row kernel, and the exhaustive `brute` module, which
+//! enumerates every combination. No scheduling run calls either; the
+//! differential harness in `tests/equivalence.rs`, the root smoke test
+//! and the benches do.
 //!
 //! # Example
 //!
@@ -71,6 +81,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod assignment;
+#[doc(hidden)]
 pub mod brute;
 mod dp;
 mod error;
@@ -85,9 +96,8 @@ pub use assignment::{Assignment, Choice};
 pub use dp::{max_cost_under_time_naive, min_cost_under_time_naive, min_time_under_budget_naive};
 pub use error::OptimizeError;
 pub use incremental::{
-    max_cost_under_time, min_cost_under_time, min_time_under_budget, DpCacheSnapshot,
-    FrontierLayerSnapshot, FrontierPointSnapshot, IncrementalOptimizer, OptStats,
-    OptimizerSnapshot, RowSnapshot,
+    max_cost_under_time, min_cost_under_time, min_time_under_budget, IncrementalOptimizer,
+    OptStats, OptimizerSnapshot,
 };
 pub use limits::{time_quota, vo_budget, vo_budget_with_quota};
 pub use pareto::{ParetoFrontier, DEFAULT_FRONTIER_CAP};

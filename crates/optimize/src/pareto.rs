@@ -14,20 +14,19 @@ use crate::assignment::Assignment;
 use crate::error::OptimizeError;
 
 /// One frontier point: cumulative measures plus backpointers for
-/// reconstruction. Shared with the [`crate::incremental`] frontier cache so
-/// cached layers are built by exactly the same code as from-scratch ones.
+/// reconstruction.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Point {
-    pub(crate) cost: Money,
-    pub(crate) time: TimeDelta,
+struct Point {
+    cost: Money,
+    time: TimeDelta,
     /// Alternative index chosen for the layer's job.
-    pub(crate) alt: usize,
+    alt: usize,
     /// Index of the predecessor point in the previous layer.
-    pub(crate) parent: usize,
+    parent: usize,
 }
 
 /// The virtual layer before the first job: one zero point.
-pub(crate) fn seed_layer() -> Vec<Point> {
+fn seed_layer() -> Vec<Point> {
     vec![Point {
         cost: Money::ZERO,
         time: TimeDelta::ZERO,
@@ -38,7 +37,7 @@ pub(crate) fn seed_layer() -> Vec<Point> {
 
 /// Builds the next frontier layer: every (previous point × alternative)
 /// candidate, pruned down to the Pareto-optimal set.
-pub(crate) fn next_layer(previous: &[Point], ja: &JobAlternatives) -> Vec<Point> {
+fn next_layer(previous: &[Point], ja: &JobAlternatives) -> Vec<Point> {
     let mut candidates: Vec<Point> = Vec::with_capacity(previous.len() * ja.len());
     for (parent, prev) in previous.iter().enumerate() {
         for (alt, a) in ja.iter().enumerate() {
@@ -54,7 +53,7 @@ pub(crate) fn next_layer(previous: &[Point], ja: &JobAlternatives) -> Vec<Point>
 }
 
 /// Index of the time-minimal point within `budget`, if any.
-pub(crate) fn best_under_budget(last: &[Point], budget: Money) -> Option<usize> {
+fn best_under_budget(last: &[Point], budget: Money) -> Option<usize> {
     last.iter()
         .enumerate()
         .filter(|(_, p)| p.cost <= budget)
@@ -63,7 +62,7 @@ pub(crate) fn best_under_budget(last: &[Point], budget: Money) -> Option<usize> 
 }
 
 /// Index of the cost-minimal point within `quota`, if any.
-pub(crate) fn best_under_quota(last: &[Point], quota: TimeDelta) -> Option<usize> {
+fn best_under_quota(last: &[Point], quota: TimeDelta) -> Option<usize> {
     last.iter()
         .enumerate()
         .filter(|(_, p)| p.time <= quota)
@@ -73,7 +72,7 @@ pub(crate) fn best_under_quota(last: &[Point], quota: TimeDelta) -> Option<usize
 
 /// Walks backpointers from `index` in the last layer down to the first,
 /// yielding one alternative index per job.
-pub(crate) fn reconstruct_indices(layers: &[&[Point]], mut index: usize) -> Vec<usize> {
+fn reconstruct_indices(layers: &[&[Point]], mut index: usize) -> Vec<usize> {
     let mut indices = vec![0usize; layers.len()];
     for (i, layer) in layers.iter().enumerate().rev() {
         let point = layer[index];
@@ -116,12 +115,13 @@ impl<'a> ParetoFrontier<'a> {
     ) -> Result<Self, OptimizeError> {
         crate::dp::validate(alternatives)?;
         let mut layers: Vec<Vec<Point>> = Vec::with_capacity(alternatives.len());
-        let mut previous: Vec<Point> = seed_layer();
         for ja in alternatives {
-            let frontier = next_layer(&previous, ja);
+            let frontier = match layers.last() {
+                Some(previous) => next_layer(previous, ja),
+                None => next_layer(&seed_layer(), ja),
+            };
             check_cap(frontier.len(), cap)?;
-            layers.push(frontier.clone());
-            previous = frontier;
+            layers.push(frontier);
         }
         Ok(ParetoFrontier {
             alternatives,
@@ -178,7 +178,7 @@ impl<'a> ParetoFrontier<'a> {
 }
 
 /// Errors when a layer exceeds the configured frontier size cap.
-pub(crate) fn check_cap(layer_len: usize, cap: usize) -> Result<(), OptimizeError> {
+fn check_cap(layer_len: usize, cap: usize) -> Result<(), OptimizeError> {
     if layer_len > cap {
         return Err(OptimizeError::InvalidParameter {
             reason: format!("Pareto frontier exceeded cap ({layer_len} > {cap})"),

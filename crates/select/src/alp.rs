@@ -71,9 +71,10 @@ impl Alp {
     /// The restart-from-scratch reference implementation of
     /// [`SlotSelector::find_window`].
     ///
-    /// Kept public as the equivalence oracle for the incremental scan (and
-    /// as the "before" side of the search benchmarks). Returns exactly the
-    /// same window and counters as `find_window`.
+    /// An oracle: the equivalence reference for the incremental scan and
+    /// the "before" side of the search benchmarks, which no search calls.
+    /// Returns exactly the same window and counters as `find_window`.
+    #[doc(hidden)]
     pub fn find_window_naive(
         &self,
         list: &SlotList,

@@ -107,11 +107,12 @@ impl Amp {
     /// The sort-per-group reference implementation of
     /// [`SlotSelector::find_window`].
     ///
-    /// Kept public as the equivalence oracle for the incremental
-    /// cost-ordered pool (and as the "before" side of the search
-    /// benchmarks). Returns exactly the same window and counters as
-    /// `find_window`, in `O(p log p)` per acceptance test instead of
+    /// An oracle: the equivalence reference for the incremental
+    /// cost-ordered pool and the "before" side of the search benchmarks,
+    /// which no search calls. Returns exactly the same window and counters
+    /// as `find_window`, in `O(p log p)` per acceptance test instead of
     /// `O(log p)`.
+    #[doc(hidden)]
     pub fn find_window_naive(
         &self,
         list: &SlotList,

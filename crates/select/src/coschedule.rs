@@ -71,8 +71,8 @@ use crate::stats::SearchStats;
 /// Built-in selectors run the lazy-revalidated priority-queue driver —
 /// `O(batch log batch)` heap work per pass when commits interfere with
 /// few other jobs, instead of `O(batch²)` scan resumes. What it commits is
-/// byte-identical to [`find_alternatives_coscheduled_rescan`]; only the
-/// scan work counters differ.
+/// byte-identical to the `find_alternatives_coscheduled_rescan` oracle;
+/// only the scan work counters differ.
 ///
 /// # Errors
 ///
@@ -129,13 +129,15 @@ pub fn find_alternatives_coscheduled(
 ///
 /// Built-in selectors still resume each job's scan from its checkpoint
 /// (so a rescan is a cheap resume, not a head-of-list restart), but the
-/// driver is `O(batch²)` scan resumes per pass. Kept public as the
-/// equivalence oracle for the queue driver and as its benchmark baseline.
+/// driver is `O(batch²)` scan resumes per pass. An oracle: the
+/// equivalence reference for the queue driver and its benchmark baseline,
+/// which no search calls.
 ///
 /// # Errors
 ///
 /// Propagates [`CoreError`] from slot subtraction, as
 /// [`find_alternatives_coscheduled`] does.
+#[doc(hidden)]
 pub fn find_alternatives_coscheduled_rescan(
     selector: impl SlotSelector,
     list: &SlotList,
@@ -147,13 +149,12 @@ pub fn find_alternatives_coscheduled_rescan(
     find_alternatives_coscheduled_naive(selector, list, batch)
 }
 
-/// The restart-per-window reference implementation of
-/// [`find_alternatives_coscheduled`].
+/// The restart-per-window form of [`find_alternatives_coscheduled`]: the
+/// path every selector without an [`crate::AlgoSpec`] takes.
 ///
 /// Every round re-runs a full [`SlotSelector::find_window`] scan for every
-/// pending job. Kept public as the equivalence oracle and benchmark
-/// baseline for the incremental driver; custom selectors without an
-/// [`crate::AlgoSpec`] always take this path.
+/// pending job. For the built-in selectors it doubles as the equivalence
+/// reference and benchmark baseline of the incremental driver.
 ///
 /// # Errors
 ///

@@ -24,9 +24,22 @@
 //! every subtraction instead of rescanning the list prefix, and AMP's
 //! acceptance test maintains a cost-ordered pool with a running sum of the
 //! `N` cheapest instead of sorting per group. Results are byte-identical
-//! to the reference drivers, which stay available as
-//! [`find_alternatives_naive`] / [`find_alternatives_coscheduled_naive`];
-//! see `DESIGN.md` § "Complexity & performance" for the cost model.
+//! to the restart-per-window drivers [`find_alternatives_naive`] /
+//! [`find_alternatives_coscheduled_naive`], which are also what a selector
+//! without an [`AlgoSpec`] runs (`ecosched-baseline`'s backfill window,
+//! any selector of a caller's own) — production code, not oracles; see
+//! `DESIGN.md` § "Complexity & performance" for the cost model.
+//!
+//! # Oracles
+//!
+//! Three public functions exist only to be compared against and are kept
+//! out of the documented surface: `Alp::find_window_naive` and
+//! `Amp::find_window_naive` (the restart-from-scratch window scans the
+//! incremental scan and AMP's cost-ordered pool are checked against) and
+//! `find_alternatives_coscheduled_rescan` (the every-job-after-every-commit
+//! driver the coscheduled priority queue is checked against). No search
+//! calls them; `tests/equivalence.rs`, the root smoke test and the search
+//! benches do.
 //!
 //! # Example
 //!

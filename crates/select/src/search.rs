@@ -98,14 +98,14 @@ pub fn find_alternatives(
     find_alternatives_naive(selector, list, batch)
 }
 
-/// The restart-per-window reference implementation of
-/// [`find_alternatives`].
+/// The restart-per-window form of [`find_alternatives`]: the path every
+/// selector without an [`crate::AlgoSpec`] takes.
 ///
 /// Every committed window triggers a fresh [`SlotSelector::find_window`]
 /// scan from the head of the list — `O(A·m)` slot examinations for `A`
-/// alternatives over `m` slots. Kept public as the equivalence oracle and
-/// benchmark baseline for the incremental driver; custom selectors without
-/// an [`crate::AlgoSpec`] always take this path.
+/// alternatives over `m` slots. For the built-in selectors it doubles as
+/// the equivalence reference and benchmark baseline of the incremental
+/// driver.
 ///
 /// # Errors
 ///

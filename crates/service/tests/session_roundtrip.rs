@@ -195,6 +195,61 @@ fn graceful_shutdown_then_reopen_is_clean_resume() {
     assert_eq!(session.status().log_hash, hash);
 }
 
+/// One `/metrics` page means one thing after a restart: the engine
+/// counters the checkpointed run report backs carry on from the snapshot
+/// like the federation's mirrored ones, instead of restarting from zero
+/// beside them (five jobs, shutdown, reopen, one job used to read
+/// `jobs_offered 6` next to `jobs_arrived 1`).
+#[test]
+fn engine_counters_agree_with_federation_counters_after_a_reopen() {
+    let dir = scratch_dir("obs-reopen");
+    let sharded = ServiceManifest {
+        shards: 2,
+        route: ecosched_federation::RoutePolicy::RoundRobin,
+        ..ServiceManifest::default()
+    };
+    {
+        let mut session = Session::open(&dir, sharded.clone(), Amp::new()).expect("open");
+        session.advance_to(0).expect("advance");
+        for _ in 0..5 {
+            session.submit(&easy_spec(), 0).expect("accept");
+        }
+        session.commit().expect("commit");
+        session.advance_to(100).expect("advance");
+        session.shutdown().expect("graceful shutdown");
+    }
+
+    let mut session = Session::open(&dir, sharded, Amp::new()).expect("reopen");
+    let bundle = build_service_obs(2);
+    let recorder = bundle.recorder.clone();
+    session.set_obs(bundle);
+    session.submit(&easy_spec(), 100).expect("accept");
+    session.commit().expect("commit");
+    session.advance_to(130).expect("advance");
+
+    let registry = recorder.registry().expect("recorder on");
+    let counter = |name: &str, labels: &[(&str, &str)]| {
+        let id = registry.find_counter(name, labels).expect("registered");
+        registry.counter_value(id)
+    };
+    let over_shards = |name: &str| -> u64 {
+        ["0", "1"]
+            .map(|shard| counter(name, &[("shard", shard)]))
+            .iter()
+            .sum()
+    };
+    assert_eq!(counter("ecosched_federation_jobs_offered_total", &[]), 6);
+    assert_eq!(over_shards("ecosched_engine_jobs_arrived_total"), 6);
+    assert_eq!(
+        over_shards("ecosched_engine_events_total"),
+        counter("ecosched_federation_merged_events_total", &[]),
+    );
+    assert_eq!(
+        over_shards("ecosched_engine_events_total"),
+        session.status().events_processed
+    );
+}
+
 #[test]
 fn sharded_session_routes_commits_and_crash_resumes_exactly() {
     let dir = scratch_dir("sharded");
