@@ -10,6 +10,14 @@
 //! and walks the list once per job (`O(m)` amortized). The gap therefore
 //! widens with `m` — that is the measured claim, recorded in
 //! `BENCH_select.json`.
+//!
+//! The banded instance has no large same-start group, so it cannot show
+//! what a resume costs on the market an engine cycle searches: after
+//! `clip_to_now` every slot live at `now` starts at `now`, and the group
+//! at a scan's acceptance anchor is most of the list. The `clipped`
+//! instance has that shape; its `incremental` medians, read against the
+//! same bench built at the parent commit, are what keeping the anchor
+//! group pooled buys.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecosched_core::{
@@ -63,6 +71,61 @@ fn banded_batch() -> Batch {
                 JobId::new(i),
                 ResourceRequest::new(4, TimeDelta::new(60), Perf::UNIT, Price::from_credits(4))
                     .unwrap(),
+            )
+        })
+        .collect();
+    Batch::from_jobs(jobs).unwrap()
+}
+
+const T0: i64 = 1_000;
+
+/// `m` slots of which three in five are one node each, vacant from the
+/// shared `T0` — every slot live at `T0` starts at `T0` — and the rest
+/// are later vacancies on those nodes' tails.
+fn clipped_list(m: usize) -> SlotList {
+    let nodes = m * 3 / 5;
+    let mut cursors = vec![0i64; nodes];
+    let slots: Vec<Slot> = (0..m)
+        .map(|i| {
+            let (node, start, len) = if i < nodes {
+                (i, T0, 120 + (i % 7) as i64 * 30)
+            } else {
+                let node = i * 7919 % nodes;
+                (
+                    node,
+                    cursors[node] + (i % 5) as i64 * 10,
+                    60 + (i % 9) as i64 * 20,
+                )
+            };
+            cursors[node] = start + len;
+            Slot::new(
+                SlotId::new(i as u64),
+                NodeId::new(node as u32),
+                Perf::UNIT,
+                Price::from_credits(1 + (node % 11) as i64),
+                Span::new(TimePoint::new(start), TimePoint::new(start + len)).unwrap(),
+            )
+            .unwrap()
+        })
+        .collect();
+    SlotList::from_slots(slots).unwrap()
+}
+
+/// Six jobs of 2–4 nodes and 40–90 ticks under a mid-range price cap:
+/// narrow enough that the clipped market yields hundreds of windows, most
+/// of them accepted at `T0`.
+fn clipped_batch() -> Batch {
+    let jobs: Vec<Job> = (0..6u32)
+        .map(|i| {
+            Job::new(
+                JobId::new(i),
+                ResourceRequest::new(
+                    2 + (i % 3) as usize,
+                    TimeDelta::new(40 + 10 * i64::from(i)),
+                    Perf::UNIT,
+                    Price::from_credits(6),
+                )
+                .unwrap(),
             )
         })
         .collect();
@@ -151,6 +214,40 @@ fn bench_search_alp(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_search_clipped(c: &mut Criterion) {
+    let batch = clipped_batch();
+    let mut amp = c.benchmark_group("search_clipped_amp");
+    for m in [1_000usize, 4_000] {
+        let list = clipped_list(m);
+        // Sanity: the instance is clipped, resumes often, and commits what
+        // the restart-per-window driver commits.
+        let at_t0 = list
+            .iter()
+            .filter(|s| s.start() == TimePoint::new(T0))
+            .count();
+        assert!(2 * at_t0 >= m);
+        let outcome = find_alternatives(Amp::new(), &list, &batch).unwrap();
+        assert!(outcome.stats.scan.checkpoint_hits as usize > 10 * batch.len());
+        let reference = find_alternatives_naive(NaiveAmp(Amp::new()), &list, &batch).unwrap();
+        assert_eq!(outcome.alternatives, reference.alternatives);
+        amp.bench_with_input(BenchmarkId::new("incremental", m), &m, |b, _| {
+            b.iter(|| black_box(find_alternatives(Amp::new(), black_box(&list), &batch).unwrap()));
+        });
+    }
+    amp.finish();
+    let mut alp = c.benchmark_group("search_clipped_alp");
+    for m in [1_000usize, 4_000] {
+        let list = clipped_list(m);
+        let outcome = find_alternatives(Alp::new(), &list, &batch).unwrap();
+        let reference = find_alternatives_naive(NaiveAlp(Alp::new()), &list, &batch).unwrap();
+        assert_eq!(outcome.alternatives, reference.alternatives);
+        alp.bench_with_input(BenchmarkId::new("incremental", m), &m, |b, _| {
+            b.iter(|| black_box(find_alternatives(Alp::new(), black_box(&list), &batch).unwrap()));
+        });
+    }
+    alp.finish();
+}
+
 fn bench_single_window_amp(c: &mut Criterion) {
     // Single-shot window search: same forward scan on both sides; the
     // delta isolates the cost-ordered pool against the per-group sort.
@@ -219,6 +316,7 @@ criterion_group!(
     benches,
     bench_search_amp,
     bench_search_alp,
+    bench_search_clipped,
     bench_single_window_amp
 );
 criterion_main!(benches);

@@ -16,9 +16,10 @@
 //! that equivalence op by op, which is what lets the engine's pinned
 //! event-log hashes reproduce bit-for-bit under either representation.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::error::CoreError;
+use crate::idhash::IdMap;
 use crate::money::Price;
 use crate::perf::Perf;
 use crate::resource::NodeId;
@@ -158,8 +159,8 @@ impl IntervalSet {
     /// Splits the run at `start` around `cut`, removing the cut interval
     /// and re-inserting the surviving left/right pieces under the ids
     /// produced by `mint` (left first, then right — the remnant minting
-    /// order the flat list uses). Returns the minted remnants in that
-    /// order.
+    /// order the flat list uses). Returns the minted `[left, right]`
+    /// remnants, `None` where the cut reaches that edge of the run.
     ///
     /// # Errors
     ///
@@ -175,20 +176,20 @@ impl IntervalSet {
         start: TimePoint,
         cut: Span,
         mut mint: impl FnMut() -> SlotId,
-    ) -> Result<Vec<(TimePoint, Run)>, CoreError> {
-        let run = *self.runs.get(&start).expect("no run starts at `start`");
+    ) -> Result<[Option<(TimePoint, Run)>; 2], CoreError> {
+        let run = self.runs.remove(&start).expect("no run starts at `start`");
         let span = Span::new(start, run.end).expect("stored runs are non-empty");
         if !span.contains_span(cut) {
+            self.runs.insert(start, run);
             return Err(CoreError::CutOutsideSlot {
                 id: run.id,
                 slot_span: span,
                 cut,
             });
         }
-        self.runs.remove(&start);
         let (left, right) = span.subtract(cut);
-        let mut minted = Vec::new();
-        for piece in [left, right].into_iter().flatten() {
+        Ok([left, right].map(|piece| {
+            let piece = piece?;
             let remnant = Run {
                 end: piece.end(),
                 id: mint(),
@@ -196,9 +197,8 @@ impl IntervalSet {
                 price: run.price,
             };
             self.runs.insert(piece.start(), remnant);
-            minted.push((piece.start(), remnant));
-        }
-        Ok(minted)
+            Some((piece.start(), remnant))
+        }))
     }
 
     /// Merges every maximal chain of touching (`prev.end == next.start`)
@@ -286,9 +286,9 @@ pub struct MergeOutcome {
 /// * `next_id` is strictly greater than every live id.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IntervalMarket {
-    timelines: HashMap<NodeId, IntervalSet>,
+    timelines: IdMap<NodeId, IntervalSet>,
     order: BTreeMap<(TimePoint, SlotId), Slot>,
-    index: HashMap<SlotId, TimePoint>,
+    index: IdMap<SlotId, TimePoint>,
     next_id: u64,
 }
 
@@ -305,7 +305,7 @@ impl IntervalMarket {
         // Running max vacant end per node: starts are non-decreasing, so a
         // new slot overlaps an earlier same-node slot iff it starts before
         // the furthest end seen on that node.
-        let mut node_ends: HashMap<NodeId, (TimePoint, SlotId)> = HashMap::new();
+        let mut node_ends: IdMap<NodeId, (TimePoint, SlotId)> = IdMap::default();
         let mut prev: Option<(TimePoint, SlotId)> = None;
         for (i, slot) in slots.into_iter().enumerate() {
             if let Some(p) = prev {
@@ -454,10 +454,9 @@ impl IntervalMarket {
         };
         let mut affected = Vec::new();
         for (start, run) in candidates {
-            let span = Span::new(start, run.end).expect("stored runs are non-empty");
-            if let Some(cut) = span.intersect(region) {
-                self.subtract_collect(run.id, cut, &mut Vec::new())
-                    .expect("the intersection lies inside the run");
+            let slot = run.to_slot(node, start);
+            if let Some(cut) = slot.span().intersect(region) {
+                self.cut_slot(&slot, cut, &mut Vec::new());
                 affected.push(run.id);
             }
         }
@@ -472,11 +471,7 @@ impl IntervalMarket {
         cut: Span,
         remnants: &mut Vec<Slot>,
     ) -> Result<(), CoreError> {
-        let start = *self.index.get(&id).ok_or(CoreError::SlotNotFound { id })?;
-        let slot = *self
-            .order
-            .get(&(start, id))
-            .expect("id index out of sync with the order map");
+        let slot = *self.get(id).ok_or(CoreError::SlotNotFound { id })?;
         if !slot.span().contains_span(cut) {
             return Err(CoreError::CutOutsideSlot {
                 id,
@@ -484,9 +479,25 @@ impl IntervalMarket {
                 cut,
             });
         }
+        self.cut_slot(&slot, cut, remnants);
+        Ok(())
+    }
+
+    /// The mutation half of a subtraction, for a caller that has already
+    /// looked `slot` up and checked that it contains `cut`: one removal
+    /// from the id index, the order tree and the node timeline, then the
+    /// remnant inserts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not live in the market.
+    pub(crate) fn cut_slot(&mut self, slot: &Slot, cut: Span, remnants: &mut Vec<Slot>) {
+        let (start, id, node) = (slot.start(), slot.id(), slot.node());
+        self.index.remove(&id).expect("cut slots are live");
+        self.order.remove(&(start, id));
         let timeline = self
             .timelines
-            .get_mut(&slot.node())
+            .get_mut(&node)
             .expect("every live slot has a timeline");
         let next_id = &mut self.next_id;
         let minted = timeline
@@ -495,19 +506,16 @@ impl IntervalMarket {
                 *next_id += 1;
                 rid
             })
-            .expect("containment was checked against the same span");
+            .expect("the caller checked containment against the same span");
         if timeline.is_empty() {
-            self.timelines.remove(&slot.node());
+            self.timelines.remove(&node);
         }
-        self.order.remove(&(start, id));
-        self.index.remove(&id);
-        for (rstart, run) in minted {
-            let new_slot = run.to_slot(slot.node(), rstart);
+        for (rstart, run) in minted.into_iter().flatten() {
+            let new_slot = run.to_slot(node, rstart);
             self.index.insert(run.id, rstart);
             self.order.insert((rstart, run.id), new_slot);
             remnants.push(new_slot);
         }
-        Ok(())
     }
 
     /// One defragmentation pass over every node timeline: merges touching
@@ -685,13 +693,16 @@ mod tests {
     fn subtract_interior_mints_left_then_right() {
         let mut s = set(&[(0, 0, 100)]);
         let mut next = 10u64;
-        let minted = s
+        let minted: Vec<(TimePoint, Run)> = s
             .subtract(TimePoint::new(0), span(30, 60), || {
                 let id = SlotId::new(next);
                 next += 1;
                 id
             })
-            .unwrap();
+            .unwrap()
+            .into_iter()
+            .flatten()
+            .collect();
         assert_eq!(minted.len(), 2);
         assert_eq!(minted[0].1.id, SlotId::new(10));
         assert_eq!(minted[0].0, TimePoint::new(0));

@@ -47,6 +47,7 @@
 
 mod alternative;
 mod error;
+mod idhash;
 mod interval;
 mod job;
 mod lease;
@@ -61,6 +62,8 @@ mod window;
 
 pub use alternative::{Alternative, BatchAlternatives, JobAlternatives};
 pub use error::CoreError;
+#[doc(hidden)]
+pub use idhash::IdBuildHasher;
 pub use interval::{IntervalSet, MergeOutcome, Run};
 pub use job::{Batch, Job, JobId};
 pub use lease::{Lease, LeaseOrigin, Revocation, RevocationReason};

@@ -29,6 +29,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
+use crate::idhash::IdMap;
 use crate::interval::IntervalMarket;
 use crate::resource::NodeId;
 use crate::slot::{Slot, SlotId};
@@ -430,10 +431,10 @@ impl SlotList {
     /// [`SlotList::subtract_window`], additionally reporting the consumed
     /// ids and the minted remnants.
     ///
-    /// Validation and mutation share one indexed pass over the window's
-    /// cuts: each cut is checked with an `O(log m)` lookup, and only when
-    /// all pass does the mutation run, so a failure cannot leave a partial
-    /// subtraction.
+    /// Every cut is validated with one `O(log m)` lookup before anything
+    /// changes, so a failure cannot leave a partial subtraction; the
+    /// mutation then takes the slots that pass found and does not look
+    /// them up again.
     ///
     /// # Errors
     ///
@@ -443,7 +444,7 @@ impl SlotList {
         &mut self,
         window: &Window,
     ) -> Result<SubtractionReport, CoreError> {
-        // Indexed validation: O(k log m) total, no list mutation yet.
+        let mut sources: Vec<Slot> = Vec::with_capacity(window.slot_count());
         for (id, cut) in window.cuts() {
             let slot = self.get(id).ok_or(CoreError::SlotNotFound { id })?;
             if !slot.span().contains_span(cut) {
@@ -453,11 +454,17 @@ impl SlotList {
                     cut,
                 });
             }
+            sources.push(*slot);
         }
-        let mut report = SubtractionReport::default();
-        for (id, cut) in window.cuts() {
-            self.subtract_collect(id, cut, &mut report.remnants)
-                .expect("cuts validated before mutation");
+        let mut report = SubtractionReport {
+            removed: Vec::with_capacity(sources.len()),
+            remnants: Vec::with_capacity(2 * sources.len()),
+        };
+        for (slot, (id, cut)) in sources.iter().zip(window.cuts()) {
+            match &mut self.repr {
+                Repr::Flat(flat) => flat.cut_slot(slot, cut, &mut report.remnants),
+                Repr::Interval(market) => market.cut_slot(slot, cut, &mut report.remnants),
+            }
             report.removed.push(id);
         }
         Ok(report)
@@ -736,19 +743,19 @@ struct FlatStore {
     next_id: u64,
     /// Start time of each live slot, keyed by id: turns `get`/`subtract`
     /// into a hash probe + binary search on the ordered vector.
-    index: HashMap<SlotId, TimePoint>,
+    index: IdMap<SlotId, TimePoint>,
     /// Per-node view `start → id`. Same-node slots are disjoint, so the
     /// start uniquely keys a slot within its node; this turns region
     /// queries into `O(log m)` range lookups instead of full scans.
-    node_starts: HashMap<NodeId, BTreeMap<TimePoint, SlotId>>,
+    node_starts: IdMap<NodeId, BTreeMap<TimePoint, SlotId>>,
 }
 
 impl FlatStore {
     fn from_slots(slots: Vec<Slot>) -> Result<Self, CoreError> {
         let mut list = FlatStore {
             next_id: slots.iter().map(|s| s.id().raw() + 1).max().unwrap_or(0),
-            index: HashMap::with_capacity(slots.len()),
-            node_starts: HashMap::new(),
+            index: IdMap::with_capacity_and_hasher(slots.len(), Default::default()),
+            node_starts: IdMap::default(),
             slots,
         };
         list.slots.sort_by_key(|s| (s.start(), s.id()));
@@ -766,12 +773,12 @@ impl FlatStore {
     }
 
     fn from_sorted_slots(slots: Vec<Slot>) -> Result<Self, CoreError> {
-        let mut index = HashMap::with_capacity(slots.len());
-        let mut node_starts: HashMap<NodeId, BTreeMap<TimePoint, SlotId>> = HashMap::new();
+        let mut index = IdMap::with_capacity_and_hasher(slots.len(), Default::default());
+        let mut node_starts: IdMap<NodeId, BTreeMap<TimePoint, SlotId>> = IdMap::default();
         // Running max vacant end per node: starts are non-decreasing, so a
         // new slot overlaps an earlier same-node slot iff it starts before
         // the furthest end seen on that node.
-        let mut node_ends: HashMap<NodeId, (TimePoint, SlotId)> = HashMap::new();
+        let mut node_ends: IdMap<NodeId, (TimePoint, SlotId)> = IdMap::default();
         let mut next_id = 0u64;
         for (i, slot) in slots.iter().enumerate() {
             if i > 0 {
@@ -818,8 +825,8 @@ impl FlatStore {
     /// Rebuilds from an in-order slot dump plus a trusted `next_id` — the
     /// representation-conversion path, no revalidation beyond indexing.
     fn from_parts(slots: Vec<Slot>, next_id: u64) -> Self {
-        let mut index = HashMap::with_capacity(slots.len());
-        let mut node_starts: HashMap<NodeId, BTreeMap<TimePoint, SlotId>> = HashMap::new();
+        let mut index = IdMap::with_capacity_and_hasher(slots.len(), Default::default());
+        let mut node_starts: IdMap<NodeId, BTreeMap<TimePoint, SlotId>> = IdMap::default();
         for slot in &slots {
             index.insert(slot.id(), slot.start());
             node_starts
@@ -908,8 +915,7 @@ impl FlatStore {
         for id in candidates {
             let slot = *self.get(id).expect("node index is in sync with the list");
             if let Some(cut) = slot.span().intersect(region) {
-                self.subtract_collect(id, cut, &mut Vec::new())
-                    .expect("the intersection lies inside the slot");
+                self.cut_slot(&slot, cut, &mut Vec::new());
                 affected.push(id);
             }
         }
@@ -922,8 +928,7 @@ impl FlatStore {
         cut: Span,
         remnants: &mut Vec<Slot>,
     ) -> Result<(), CoreError> {
-        let pos = self.position(id).ok_or(CoreError::SlotNotFound { id })?;
-        let slot = self.slots[pos];
+        let slot = *self.get(id).ok_or(CoreError::SlotNotFound { id })?;
         if !slot.span().contains_span(cut) {
             return Err(CoreError::CutOutsideSlot {
                 id,
@@ -931,8 +936,23 @@ impl FlatStore {
                 cut,
             });
         }
+        self.cut_slot(&slot, cut, remnants);
+        Ok(())
+    }
+
+    /// The mutation half of a subtraction, for a caller that has already
+    /// looked `slot` up and checked that it contains `cut`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not live in the list.
+    fn cut_slot(&mut self, slot: &Slot, cut: Span, remnants: &mut Vec<Slot>) {
+        let id = slot.id();
+        self.index.remove(&id).expect("cut slots are live");
+        let pos = self
+            .slots
+            .partition_point(|s| (s.start(), s.id()) < (slot.start(), id));
         self.slots.remove(pos);
-        self.index.remove(&id);
         if let Some(starts) = self.node_starts.get_mut(&slot.node()) {
             starts.remove(&slot.start());
             if starts.is_empty() {
@@ -949,7 +969,6 @@ impl FlatStore {
                 .expect("freshly minted ids cannot collide");
             remnants.push(new_slot);
         }
-        Ok(())
     }
 
     fn coalesce(&mut self) -> usize {

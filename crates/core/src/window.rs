@@ -11,6 +11,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
+use crate::idhash::IdBuildHasher;
 use crate::money::{Money, Price};
 use crate::perf::Perf;
 use crate::resource::NodeId;
@@ -134,7 +135,8 @@ impl Window {
         if slots.is_empty() {
             return Err(CoreError::EmptyWindow);
         }
-        let mut seen = HashSet::with_capacity(slots.len());
+        let mut seen: HashSet<NodeId, IdBuildHasher> =
+            HashSet::with_capacity_and_hasher(slots.len(), IdBuildHasher::default());
         for ws in &slots {
             if !ws.runtime.is_positive() {
                 return Err(CoreError::NonPositiveRuntime { node: ws.node });

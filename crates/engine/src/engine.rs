@@ -740,12 +740,37 @@ impl<S: SlotSelector + Copy> Engine<S> {
     }
 
     /// `SlotExpired`: the id is only a trigger — sweep everything that
-    /// has fully elapsed (remnants carved from expired slots carry fresh
-    /// ids but the same end bound).
+    /// has fully elapsed. The sweep is by time, not by id: a left remnant
+    /// carved from a slot carries a fresh id and ends *before* its
+    /// parent, at a tick no event was queued for.
+    ///
+    /// A slot with `end <= now` starts before `now`, and the list is
+    /// `(start, id)`-ordered, so only that prefix is looked at. When the
+    /// event logged just before this one is a `SlotExpired` at the same
+    /// tick, its sweep already ran and no handler ran in between — what
+    /// a federation reserves or releases between two steps lies at or
+    /// after `now` — so there is nothing to find.
     fn on_expire(state: &mut RunState, now: TimePoint) {
+        let entries = &state.log.entries;
+        let swept = entries.len().checked_sub(2).is_some_and(|prev| {
+            let prev = &entries[prev];
+            prev.time == now.ticks() && matches!(prev.event, Event::SlotExpired { .. })
+        });
+        if swept {
+            debug_assert!(
+                state
+                    .vacant
+                    .iter()
+                    .take_while(|s| s.start() < now)
+                    .all(|s| s.end() > now),
+                "a slot died between two sweeps of tick {now:?}"
+            );
+            return;
+        }
         let dead: Vec<(NodeId, Span)> = state
             .vacant
             .iter()
+            .take_while(|s| s.start() < now)
             .filter(|s| s.end() <= now)
             .map(|s| (s.node(), s.span()))
             .collect();
@@ -856,6 +881,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 .map(|a| a.window().clone())
                 .collect();
             let window = alternatives.remove(alt_idx);
+            self.obs.on_alternative_chosen(alt_idx);
             let cost = window.total_cost().to_f64();
             cycle_wait += window.start().ticks() - p.arrival;
             point.spend += cost;
@@ -951,6 +977,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 window,
             } => {
                 state.report.failovers += 1;
+                self.obs.on_alternative_failover(alternative);
                 original.alternatives.remove(alternative);
                 self.commit_lease(state, job, window, original.alternatives);
             }

@@ -14,9 +14,15 @@
 //! Two kinds of counter, told apart by their help text. Those the
 //! checkpointed [`EngineReport`] backs *mirror* it — raised to the
 //! report's value after every event — so they carry on across a restart
-//! exactly as the federation's mirrored counters do. The scan, cycle and
-//! postponement counters have no report field behind them and count
-//! since process start.
+//! exactly as the federation's mirrored counters do. The scan, cycle,
+//! postponement and alternative-use series have no report field behind
+//! them and count since process start.
+//!
+//! The scan counters count *list reads*: `slots_examined` is slots taken
+//! from the ordered list, `slots_admitted` those that entered a pool as
+//! they were read. A resumed window search re-tests acceptance at its
+//! checkpoint anchor from the pool it kept, which reads nothing and
+//! shows only in `acceptance_tests`.
 //!
 //! Of [`OptStats`] the family carries the work a cycle's fresh optimizer
 //! does — solves, DP rows and Pareto layers built. Its three reuse
@@ -26,7 +32,7 @@
 
 use std::sync::Arc;
 
-use ecosched_obs::{CounterId, GaugeId, Recorder, RegistryBuilder};
+use ecosched_obs::{Buckets, CounterId, GaugeId, HistogramId, Recorder, RegistryBuilder};
 use ecosched_optimize::OptStats;
 use ecosched_select::SearchStats;
 use ecosched_sim::PostponeReason;
@@ -61,6 +67,10 @@ pub struct EngineIds {
     scan_passes: CounterId,
     // -- postponements by typed reason, likewise -------------------------
     postponed: [CounterId; 3],
+    // -- which of a job's alternatives is ever used, likewise ------------
+    alternatives_offered: CounterId,
+    alternative_chosen: HistogramId,
+    alternative_failover: HistogramId,
     // -- gauges ---------------------------------------------------------
     backlog: GaugeId,
     queue_depth: GaugeId,
@@ -145,17 +155,17 @@ impl EngineIds {
             scan_slots_examined: c(
                 b,
                 "ecosched_engine_scan_slots_examined_total",
-                "Slots examined by the alternatives search since process start",
+                "Slots read from the ordered list by the alternatives search since process start (a pooled re-test at a resume anchor reads none)",
             ),
             scan_slots_admitted: c(
                 b,
                 "ecosched_engine_scan_slots_admitted_total",
-                "Slots admitted into candidate pools since process start",
+                "Slots admitted into candidate pools as they were read from the list since process start",
             ),
             scan_acceptance_tests: c(
                 b,
                 "ecosched_engine_scan_acceptance_tests_total",
-                "Window acceptance tests evaluated since process start",
+                "Window acceptance tests evaluated since process start, pooled re-tests at a resume anchor included",
             ),
             scan_windows_found: c(
                 b,
@@ -195,6 +205,23 @@ impl EngineIds {
                     &[l, &[("reason", reason)]].concat(),
                 )
             }),
+            alternatives_offered: c(
+                b,
+                "ecosched_engine_alternatives_offered_total",
+                "Alternative windows the search found for cycle batches since process start",
+            ),
+            alternative_chosen: b.histogram_with(
+                "ecosched_engine_alternative_chosen_index",
+                "Position, in search order, of the alternative a cycle committed for a job",
+                alternative_index_buckets(),
+                l,
+            ),
+            alternative_failover: b.histogram_with(
+                "ecosched_engine_alternative_failover_index",
+                "Position, among a broken lease's surviving alternatives, of the one tier-1 failover adopted",
+                alternative_index_buckets(),
+                l,
+            ),
             backlog: g(b, "ecosched_engine_backlog", "Pending jobs"),
             queue_depth: g(
                 b,
@@ -220,6 +247,12 @@ impl EngineIds {
             ),
         }
     }
+}
+
+/// Exact buckets for the first few positions — the question is how short
+/// a prefix of a job's alternatives is ever used — then doubling.
+fn alternative_index_buckets() -> Buckets {
+    Buckets::explicit(&[0, 1, 2, 3, 4, 5, 7, 11, 15, 31, 63, 127, 255])
 }
 
 #[derive(Debug)]
@@ -336,11 +369,31 @@ impl EngineObs {
         rec.add(ids.scan_acceptance_tests, search.scan.acceptance_tests);
         rec.add(ids.scan_windows_found, search.scan.windows_found);
         rec.add(ids.scan_passes, search.passes);
+        rec.add(ids.alternatives_offered, search.windows_committed);
         rec.set(ids.cycle_mean_wait, mean_wait);
         let cycle = rec.span(now, "cycle", None, batch as u64);
         rec.span(now, "scan", cycle, search.scan.slots_examined);
         rec.span(now, "optimize", cycle, opt.solves);
         rec.span(now, "commit", cycle, committed as u64);
+    }
+
+    /// Records which of a job's alternatives its cycle committed.
+    pub(crate) fn on_alternative_chosen(&self, index: usize) {
+        if let Some(inner) = self.inner.as_deref() {
+            inner
+                .rec
+                .observe(inner.ids.alternative_chosen, index as u64);
+        }
+    }
+
+    /// Records which of a broken lease's surviving alternatives tier-1
+    /// failover adopted.
+    pub(crate) fn on_alternative_failover(&self, index: usize) {
+        if let Some(inner) = self.inner.as_deref() {
+            inner
+                .rec
+                .observe(inner.ids.alternative_failover, index as u64);
+        }
     }
 
     /// Counts `jobs` postponements under their typed reason.

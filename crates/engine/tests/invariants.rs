@@ -9,7 +9,7 @@
 
 use std::collections::HashSet;
 
-use ecosched_core::{NodeId, Span};
+use ecosched_core::{NodeId, Span, TimePoint};
 use ecosched_engine::{ArrivalConfig, Engine, EngineCheckpoint, EngineConfig, Event};
 use ecosched_select::{Alp, Amp, SlotSelector};
 use ecosched_sim::{JobGenConfig, RevocationConfig};
@@ -95,6 +95,15 @@ fn check_run(selector: impl SlotSelector + Copy, config: EngineConfig, seed: u64
             Event::CycleTick { .. } | Event::RevocationStrike { .. } | Event::LeaseCompleted { .. }
         ) {
             assert_consistent(&engine.checkpoint(&state), entry.event);
+        }
+        // The expiry sweep looks only at the prefix that can hold a dead
+        // slot and sits out a tick it has already swept; whichever it
+        // did, nothing fully elapsed may be left behind.
+        if matches!(entry.event, Event::SlotExpired { .. }) {
+            let now = TimePoint::new(entry.time);
+            if let Some(slot) = state.vacant().iter().find(|s| s.end() <= now) {
+                panic!("{slot:?} outlived the sweep at {now:?}");
+            }
         }
     }
     let report = engine.finish(state).report;

@@ -228,3 +228,34 @@ fn postponements_are_counted_by_typed_reason() {
     let carried: usize = run.report.cycles.iter().map(|c| c.postponed).sum();
     assert_eq!(postponed("no_alternatives"), 2 * carried as u64);
 }
+
+#[test]
+fn alternative_use_histograms_count_every_lease_and_failover() {
+    // One observed churn run on a fresh registry: every cycle commitment
+    // observes the index of the alternative it took, every tier-1
+    // failover the index of the survivor it adopted.
+    let engine = observed_engine(churn_config());
+    let run = engine.run(42).expect("observed run");
+    let reg = engine
+        .obs()
+        .recorder()
+        .expect("recorder attached")
+        .registry()
+        .expect("recorder on");
+    let count = |name: &str| {
+        let id = reg.find_histogram(name, &[]).expect("registered");
+        reg.histogram_count(id)
+    };
+    assert!(run.report.failovers > 0, "churn must fail a lease over");
+    assert_eq!(
+        (
+            count("ecosched_engine_alternative_chosen_index"),
+            count("ecosched_engine_alternative_failover_index"),
+        ),
+        (run.report.jobs_scheduled, run.report.failovers)
+    );
+    let offered = reg
+        .find_counter("ecosched_engine_alternatives_offered_total", &[])
+        .expect("registered");
+    assert!(reg.counter_value(offered) >= run.report.jobs_scheduled);
+}

@@ -49,10 +49,12 @@
 //!   uninterrupted run's. CI kills a run mid-flight, resumes it, and
 //!   diffs exactly these lines.
 //!
-//! `--metrics-dump PATH` (single-cell and resume modes) attaches a live
-//! metrics recorder to the engine and writes the final registry as JSON
-//! to `PATH` next to the printed report. The recorder is observe-only:
-//! the hash and report lines are byte-identical with or without it.
+//! `--metrics-dump PATH` (single-cell, resume and trace modes) attaches a
+//! live metrics recorder to the engine and writes the final registry as
+//! JSON to `PATH` next to the printed report — in trace mode, which runs
+//! two engines, to `PATH.ALP` and `PATH.AMP`. The recorder is
+//! observe-only: the hash and report lines are byte-identical with or
+//! without it.
 
 use std::path::{Path, PathBuf};
 
@@ -264,10 +266,22 @@ fn main() {
             engine_cfg.cycles,
             config.seed
         );
-        let alp = Engine::new(engine_cfg.clone(), Alp::new()).expect("valid config");
-        let amp = Engine::new(engine_cfg, Amp::new()).expect("valid config");
+        let dump = |algo: &str| {
+            arg_value::<String>("--metrics-dump").map(|p| PathBuf::from(format!("{p}.{algo}")))
+        };
+        let (alp_dump, amp_dump) = (dump("ALP"), dump("AMP"));
+        let (alp_rec, alp_obs) = metrics_recorder(alp_dump.as_deref());
+        let (amp_rec, amp_obs) = metrics_recorder(amp_dump.as_deref());
+        let alp = Engine::new(engine_cfg.clone(), Alp::new())
+            .expect("valid config")
+            .with_obs(alp_obs);
+        let amp = Engine::new(engine_cfg, Amp::new())
+            .expect("valid config")
+            .with_obs(amp_obs);
         let alp_run = run_trace(&alp, config.seed, &jobs).unwrap_or_else(|e| fail(e));
         let amp_run = run_trace(&amp, config.seed, &jobs).unwrap_or_else(|e| fail(e));
+        dump_metrics(alp_dump.as_deref(), &alp_rec);
+        dump_metrics(amp_dump.as_deref(), &amp_rec);
         println!("E16 — SWF trace replay ({trace_file})\n");
         println!(
             "{}",

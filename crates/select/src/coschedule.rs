@@ -37,8 +37,9 @@
 //! # Exactness of surviving hits
 //!
 //! [`ScanHit::survives`] gives the complementary guarantee: if no later
-//! commit removed a touched slot (a chosen member or an admitted member
-//! of the group at the acceptance anchor) and no later commit minted a
+//! commit removed a touched slot (a chosen member or a member of the
+//! group at the acceptance anchor — read off the scan's pool, which keeps
+//! that group between runs) and no later commit minted a
 //! remnant starting before the window start, the stored window *is* the
 //! scan's next result on the current list — earlier acceptance is ruled
 //! out by the injection argument above, and the chosen set at the anchor

@@ -33,18 +33,23 @@
 //!
 //! Every anchor `< a` failed on `L`, hence fails on `L'`, and the scan can
 //! resume at `a` — provided the carried pool equals what a fresh scan of
-//! `L'` would hold just before processing the group at `a`. The checkpoint
-//! maintains exactly that set: consumed ids are dropped and remnants
-//! starting before `a` are admitted on notification, while the group *at*
-//! `a` is always re-read from the list (its membership changes under
-//! subtraction, and whether an acceptance test runs at `a` at all depends
-//! on it).
+//! `L'` holds right after inserting the group at `a`: every admitted slot
+//! of `L'` that starts at or before `a` and is live there. That is the
+//! checkpoint invariant, and [`JobScan::apply_report`] maintains it slot
+//! for slot: consumed ids leave the pool, and remnants starting at or
+//! before `a` that are still live there join it. A fresh scan tests
+//! acceptance at `a` only if `L'` has an admitted slot starting exactly
+//! at `a`, so the checkpoint also counts how many pooled members do
+//! (the *group* at `a`): a resume re-tests acceptance at `a` straight
+//! from the pool when that count is non-zero and the pool holds `N`
+//! members, and otherwise continues from the first slot starting after
+//! `a`. No list slot is read twice by one scan.
 
 use std::collections::{BTreeSet, HashMap};
 
 use ecosched_core::{
-    Alternative, Batch, BatchAlternatives, CoreError, Money, ResourceRequest, Slot, SlotId,
-    SlotList, SubtractionReport, TimePoint, Window,
+    Alternative, Batch, BatchAlternatives, CoreError, IdBuildHasher, Money, ResourceRequest, Slot,
+    SlotId, SlotList, SubtractionReport, TimeDelta, TimePoint, Window,
 };
 
 use crate::scan::{admit_slot, LengthRule, Pool, PoolMember};
@@ -152,15 +157,12 @@ impl CostPool {
         }
     }
 
-    fn remove(&mut self, id: SlotId) -> bool {
+    fn remove(&mut self, id: SlotId) -> Option<PoolMember> {
         match &mut self.repr {
-            CostRepr::Small(members) => match members.iter().position(|m| m.slot.id() == id) {
-                Some(pos) => {
-                    members.remove(pos);
-                    true
-                }
-                None => false,
-            },
+            CostRepr::Small(members) => {
+                let pos = members.iter().position(|m| m.slot.id() == id)?;
+                Some(members.remove(pos))
+            }
             CostRepr::Large(pool) => pool.remove(id),
         }
     }
@@ -213,7 +215,7 @@ struct LargeCostPool {
     /// Members keyed by the last anchor they are live at
     /// (`end − runtime`), for incremental expiry.
     by_deadline: BTreeSet<(TimePoint, SlotId)>,
-    members: HashMap<SlotId, PoolMember>,
+    members: HashMap<SlotId, PoolMember, IdBuildHasher>,
 }
 
 impl LargeCostPool {
@@ -224,7 +226,7 @@ impl LargeCostPool {
             head_sum: Money::ZERO,
             tail: BTreeSet::new(),
             by_deadline: BTreeSet::new(),
-            members: HashMap::new(),
+            members: HashMap::default(),
         }
     }
 
@@ -254,10 +256,8 @@ impl LargeCostPool {
         }
     }
 
-    fn remove(&mut self, id: SlotId) -> bool {
-        let Some(member) = self.members.remove(&id) else {
-            return false;
-        };
+    fn remove(&mut self, id: SlotId) -> Option<PoolMember> {
+        let member = self.members.remove(&id)?;
         let key = (member.cost(), id);
         self.by_deadline
             .remove(&(member.slot.end() - member.runtime, id));
@@ -270,7 +270,7 @@ impl LargeCostPool {
         } else {
             self.tail.remove(&key);
         }
-        true
+        Some(member)
     }
 
     /// Expires every member no longer live at `anchor`; returns the count.
@@ -302,8 +302,11 @@ impl LargeCostPool {
 enum AcceptPool {
     /// ALP: members kept in `(start, id)` order — identical to the naive
     /// scan's insertion order, since the slot list is sorted the same way.
-    /// Acceptance takes the first `n`. The pool never exceeds `n − 1`
-    /// members between groups, so a plain vector is the right structure.
+    /// Acceptance takes the first `n`. Before a group is inserted the pool
+    /// holds fewer than `n` members (it would have accepted earlier
+    /// otherwise); with the group at the checkpoint anchor kept pooled it
+    /// holds that group too, which appends at the tail in list order, so
+    /// a plain sorted vector stays the right structure.
     Ordered(Vec<PoolMember>),
     /// AMP: cost-ordered pool with an adaptive representation (flat
     /// vector below [`SMALL_POOL_MAX`] members, head/tail trees above).
@@ -329,17 +332,33 @@ impl AcceptPool {
         }
     }
 
-    fn remove(&mut self, id: SlotId) -> bool {
+    fn remove(&mut self, id: SlotId) -> Option<PoolMember> {
         match self {
-            AcceptPool::Ordered(members) => match members.iter().position(|m| m.slot.id() == id) {
-                Some(pos) => {
-                    members.remove(pos);
-                    true
-                }
-                None => false,
-            },
+            AcceptPool::Ordered(members) => {
+                let pos = members.iter().position(|m| m.slot.id() == id)?;
+                Some(members.remove(pos))
+            }
             AcceptPool::Cost(pool) => pool.remove(id),
         }
+    }
+
+    /// The ids of the pooled members starting exactly at `anchor`, in no
+    /// particular order.
+    fn group_at(&self, anchor: TimePoint) -> impl Iterator<Item = SlotId> + '_ {
+        let members: Box<dyn Iterator<Item = &PoolMember> + '_> = match self {
+            AcceptPool::Ordered(members)
+            | AcceptPool::Cost(CostPool {
+                repr: CostRepr::Small(members),
+                ..
+            }) => Box::new(members.iter()),
+            AcceptPool::Cost(CostPool {
+                repr: CostRepr::Large(pool),
+                ..
+            }) => Box::new(pool.members.values()),
+        };
+        members
+            .filter(move |m| m.slot.start() == anchor)
+            .map(|m| m.slot.id())
     }
 
     fn advance(&mut self, anchor: TimePoint) -> u64 {
@@ -364,6 +383,21 @@ impl AcceptPool {
     }
 }
 
+/// Where a scan's next [`JobScan::run`] picks up.
+#[derive(Debug, Clone, Copy)]
+enum Resume {
+    /// Nothing read yet: from the head of the list.
+    Head,
+    /// Seeded by [`JobScan::resume_from`]: from the first slot starting at
+    /// or after the point, with an empty pool — the group there has not
+    /// been read and is read from the list.
+    Seeded(TimePoint),
+    /// Accepted at `anchor`. The pool holds every admitted slot starting
+    /// at or before `anchor` that is live there, `group` of them starting
+    /// exactly at it (the checkpoint invariant of the module docs).
+    Accepted { anchor: TimePoint, group: usize },
+}
+
 /// One job's checkpointed forward scan.
 pub(crate) struct JobScan {
     request: ResourceRequest,
@@ -372,10 +406,7 @@ pub(crate) struct JobScan {
     price_capped: bool,
     /// AMP's job budget; `None` for ALP.
     budget: Option<Money>,
-    /// Resume anchor: everything before it has already been scanned, and
-    /// `pool` holds the still-live members admitted there. `None` until
-    /// the first window is accepted.
-    anchor: Option<TimePoint>,
+    resume: Resume,
     pool: AcceptPool,
     /// Once a scan reaches the end of the list without a window the job
     /// can never succeed again within the search (monotonicity).
@@ -405,7 +436,7 @@ impl JobScan {
             rule,
             price_capped,
             budget,
-            anchor: None,
+            resume: Resume::Head,
             pool,
             dead: false,
         }
@@ -426,10 +457,10 @@ impl JobScan {
     /// before `anchor` (but are still live there) are not considered.
     pub(crate) fn resume_from(&mut self, anchor: TimePoint) {
         debug_assert!(
-            self.anchor.is_none() && self.pool.len() == 0,
+            matches!(self.resume, Resume::Head) && self.pool.len() == 0,
             "resume_from is for seeding fresh scans only"
         );
-        self.anchor = Some(anchor);
+        self.resume = Resume::Seeded(anchor);
     }
 
     fn filter_ok(&self, slot: &Slot) -> bool {
@@ -443,13 +474,14 @@ impl JobScan {
     /// job's) and feed the report back through [`JobScan::apply_report`]
     /// before the next `run`. On failure the job is marked dead.
     pub(crate) fn run(&mut self, list: &SlotList, stats: &mut ScanStats) -> Option<Window> {
-        self.scan(list, stats, |chosen, _| Pool::build_window(chosen))
+        let (_, chosen) = self.scan(list, stats)?;
+        Some(Pool::build_window(&chosen))
     }
 
     /// [`JobScan::run`], additionally reporting the *touched set* the
     /// coscheduled queue driver uses to revalidate a stored window (see
     /// [`crate::coschedule`]): the ids of the chosen members plus every
-    /// admitted member of the group at the acceptance anchor. A later
+    /// pooled member of the group at the acceptance anchor. A later
     /// subtraction that removes none of these ids — and mints no remnant
     /// starting before the window start — provably leaves this exact
     /// window as the scan's next result.
@@ -458,34 +490,54 @@ impl JobScan {
         list: &SlotList,
         stats: &mut ScanStats,
     ) -> Option<ScanHit> {
-        self.scan(list, stats, |chosen, group| ScanHit {
-            window: Pool::build_window(chosen),
-            touched: chosen.iter().chain(group).map(|m| m.slot.id()).collect(),
+        let (anchor, chosen) = self.scan(list, stats)?;
+        Some(ScanHit {
+            window: Pool::build_window(&chosen),
+            touched: chosen
+                .iter()
+                .map(|m| m.slot.id())
+                .chain(self.pool.group_at(anchor))
+                .collect(),
         })
     }
 
-    /// The scan behind [`JobScan::run`] and [`JobScan::run_detailed`];
-    /// `hit` builds the result from the chosen members and the admitted
-    /// group at the acceptance anchor, so only a caller that wants the
-    /// touched set pays for collecting it.
-    fn scan<T>(
+    /// The scan behind [`JobScan::run`] and [`JobScan::run_detailed`]:
+    /// the acceptance anchor and chosen members of the next window, with
+    /// the checkpoint left at that anchor and the whole pool — the group
+    /// there included — kept for the next resume.
+    fn scan(
         &mut self,
         list: &SlotList,
         stats: &mut ScanStats,
-        hit: impl FnOnce(&[PoolMember], &[PoolMember]) -> T,
-    ) -> Option<T> {
+    ) -> Option<(TimePoint, Vec<PoolMember>)> {
         if self.dead {
             return None;
         }
-        let mut slots = match self.anchor {
-            Some(anchor) => {
+        let n = self.request.nodes();
+        let mut slots = match self.resume {
+            Resume::Head => list.iter(),
+            Resume::Seeded(anchor) => {
                 stats.checkpoint_hits += 1;
                 list.iter_from(anchor)
             }
-            None => list.iter(),
+            Resume::Accepted { anchor, group } => {
+                stats.checkpoint_hits += 1;
+                debug_assert_eq!(group, self.pool.group_at(anchor).count());
+                // The pool is what re-reading the group at `anchor` would
+                // rebuild, so the acceptance test a fresh scan runs there
+                // — iff the group is non-empty and the pool is full — runs
+                // on it directly.
+                if group > 0 && self.pool.len() >= n {
+                    stats.acceptance_tests += 1;
+                    if let Some(chosen) = self.pool.accept(n, self.budget) {
+                        stats.windows_found += 1;
+                        return Some((anchor, chosen));
+                    }
+                }
+                list.iter_from(anchor + TimeDelta::new(1))
+            }
         }
         .peekable();
-        let n = self.request.nodes();
         let mut group: Vec<PoolMember> = Vec::new();
         while let Some(first) = slots.next() {
             let anchor = first.start();
@@ -517,14 +569,11 @@ impl JobScan {
                 stats.acceptance_tests += 1;
                 if let Some(chosen) = self.pool.accept(n, self.budget) {
                     stats.windows_found += 1;
-                    // Checkpoint: the group at the acceptance anchor is
-                    // re-read from the list on resume, so only members
-                    // from strictly earlier groups stay pooled.
-                    for member in &group {
-                        self.pool.remove(member.slot.id());
-                    }
-                    self.anchor = Some(anchor);
-                    return Some(hit(&chosen, &group));
+                    self.resume = Resume::Accepted {
+                        anchor,
+                        group: group.len(),
+                    };
+                    return Some((anchor, chosen));
                 }
             }
         }
@@ -532,35 +581,47 @@ impl JobScan {
         None
     }
 
-    /// Folds one window subtraction into the checkpoint: consumed slots
-    /// leave the pool, and remnants minted behind the resume anchor are
-    /// re-admitted if they are still useful at it. Remnants at or after
-    /// the anchor are picked up by the forward scan itself.
+    /// Folds one window subtraction into the checkpoint, keeping the pool
+    /// equal to what a fresh scan of the new list holds after inserting
+    /// the group at the anchor: consumed slots leave it, and remnants
+    /// starting at or before the anchor join it if they are still useful
+    /// there — those starting exactly at it are new group members.
+    /// Remnants after the anchor are picked up by the forward scan itself.
     pub(crate) fn apply_report(&mut self, report: &SubtractionReport) {
         if self.dead {
             return;
         }
-        let Some(anchor) = self.anchor else {
-            return; // Fresh scans read the whole list anyway.
+        let Resume::Accepted { anchor, mut group } = self.resume else {
+            return; // Nothing read yet: the scan takes it all from the list.
         };
         for &id in &report.removed {
-            self.pool.remove(id);
+            if self
+                .pool
+                .remove(id)
+                .is_some_and(|m| m.slot.start() == anchor)
+            {
+                group -= 1;
+            }
         }
         for slot in &report.remnants {
-            if slot.start() >= anchor || !self.filter_ok(slot) {
+            if slot.start() > anchor || !self.filter_ok(slot) {
                 continue;
             }
             if let Some(member) = admit_slot(&self.request, self.rule, slot) {
                 if member.live_at(anchor) {
                     self.pool.insert(member);
+                    if slot.start() == anchor {
+                        group += 1;
+                    }
                 }
             }
         }
+        self.resume = Resume::Accepted { anchor, group };
     }
 }
 
 /// A window found by [`JobScan::run_detailed`] plus the slot ids whose
-/// removal could change it: the chosen members and every admitted member
+/// removal could change it: the chosen members and every pooled member
 /// of the group at the acceptance anchor (removing a non-chosen group
 /// member can empty the group, which skips the acceptance test at that
 /// anchor entirely and shifts the window).
@@ -591,7 +652,7 @@ impl ScanHit {
 impl std::fmt::Debug for JobScan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobScan")
-            .field("anchor", &self.anchor)
+            .field("resume", &self.resume)
             .field("pool_len", &self.pool.len())
             .field("dead", &self.dead)
             .finish()
@@ -707,7 +768,7 @@ pub(crate) fn find_alternatives_coscheduled_incremental(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecosched_core::{NodeId, Perf, Price, Span, TimeDelta};
+    use ecosched_core::{NodeId, Perf, Price, Span};
 
     fn slot(id: u64, node: u32, perf: f64, price: i64, a: i64, b: i64) -> Slot {
         Slot::new(
@@ -740,7 +801,7 @@ mod tests {
         assert_eq!(chosen[1].slot.id(), SlotId::new(1));
         assert!(pool.accept(Money::from_credits(39)).is_none());
         // Removing a head member promotes the cheapest tail member.
-        assert!(pool.remove(SlotId::new(2)));
+        assert!(pool.remove(SlotId::new(2)).is_some());
         let chosen = pool.accept(Money::from_credits(80)).unwrap();
         assert_eq!(chosen[0].slot.id(), SlotId::new(1));
         assert_eq!(chosen[1].slot.id(), SlotId::new(0));
@@ -800,7 +861,10 @@ mod tests {
             large.insert(*m);
             if step % 5 == 0 {
                 let victim = SlotId::new((step as u64 * 7) % (step as u64 + 1));
-                assert_eq!(small.remove(victim), large.remove(victim));
+                assert_eq!(
+                    small.remove(victim).is_some(),
+                    large.remove(victim).is_some()
+                );
             }
             for budget in [10, 40, 400] {
                 let budget = Money::from_credits(budget);
@@ -820,6 +884,178 @@ mod tests {
         assert!(matches!(small.repr, CostRepr::Small(_)));
     }
 
+    fn request(n: usize, t: i64, cap: i64) -> ResourceRequest {
+        ResourceRequest::new(n, TimeDelta::new(t), Perf::UNIT, Price::from_credits(cap)).unwrap()
+    }
+
+    fn amp_scan(request: &ResourceRequest) -> JobScan {
+        JobScan::new(&AlgoSpec::amp(LengthRule::Corrected, 1.0), request)
+    }
+
+    /// Cuts `[a, b)` out of slot `id` the way another job's window would,
+    /// returning the report the scans are notified with.
+    fn cut(list: &mut SlotList, id: u64, a: i64, b: i64) -> SubtractionReport {
+        let source = *list.get(SlotId::new(id)).unwrap();
+        let member = ecosched_core::WindowSlot::from_slot(&source, TimeDelta::new(b - a)).unwrap();
+        let window = Window::new(TimePoint::new(a), vec![member]).unwrap();
+        list.subtract_window_report(&window).unwrap()
+    }
+
+    fn sources(window: &Window) -> Vec<u64> {
+        window.slots().iter().map(|ws| ws.source().raw()).collect()
+    }
+
+    #[test]
+    fn remnant_starting_at_the_anchor_is_pooled_and_counted() {
+        let mut list =
+            SlotList::from_slots(vec![slot(0, 0, 1.0, 2, 0, 100), slot(1, 1, 1.0, 2, 0, 100)])
+                .unwrap();
+        let req = request(1, 50, 5);
+        let mut scan = amp_scan(&req);
+        let mut stats = ScanStats::new();
+        assert_eq!(sources(&scan.run(&list, &mut stats).unwrap()), vec![0]);
+        // Both same-start slots are the group at the anchor, and stay pooled.
+        assert!(matches!(scan.resume, Resume::Accepted { group: 2, .. }));
+        assert_eq!(scan.pool.len(), 2);
+        // Another job takes the tail of slot 1: its left remnant [0, 60)
+        // starts exactly at the anchor and still fits the 50-tick task.
+        let report = cut(&mut list, 1, 60, 100);
+        assert_eq!(report.remnants[0].start(), TimePoint::ZERO);
+        scan.apply_report(&report);
+        assert!(matches!(scan.resume, Resume::Accepted { group: 2, .. }));
+        assert_eq!(scan.pool.len(), 2);
+        // A too-short remnant at the anchor is neither pooled nor counted.
+        let remnant = report.remnants[0].id().raw();
+        scan.apply_report(&cut(&mut list, remnant, 40, 60));
+        assert!(matches!(scan.resume, Resume::Accepted { group: 1, .. }));
+        assert_eq!(scan.pool.len(), 1);
+        // The resume reads nothing: the window comes from the pool.
+        let examined = stats.slots_examined;
+        assert_eq!(sources(&scan.run(&list, &mut stats).unwrap()), vec![0]);
+        assert_eq!(stats.slots_examined, examined);
+    }
+
+    #[test]
+    fn emptied_anchor_group_suppresses_the_retest() {
+        // Two dear slots at 0 fail the budget there; the cheap slot at 10
+        // makes the pair {2, 0} fit, so the scan accepts at anchor 10.
+        let mut list = SlotList::from_slots(vec![
+            slot(0, 0, 1.0, 9, 0, 300),
+            slot(1, 1, 1.0, 9, 0, 300),
+            slot(2, 2, 1.0, 1, 10, 300),
+            slot(3, 3, 1.0, 1, 20, 300),
+        ])
+        .unwrap();
+        let req = request(2, 50, 5);
+        let mut scan = amp_scan(&req);
+        let mut stats = ScanStats::new();
+        let first = scan.run(&list, &mut stats).unwrap();
+        assert_eq!(
+            (first.start(), sources(&first)),
+            (TimePoint::new(10), vec![2, 0])
+        );
+        assert!(matches!(scan.resume, Resume::Accepted { group: 1, .. }));
+        // Another job consumes slot 2 whole: no admitted slot starts at
+        // the anchor any more, though the pool still holds N members.
+        scan.apply_report(&cut(&mut list, 2, 10, 300));
+        assert!(matches!(scan.resume, Resume::Accepted { group: 0, .. }));
+        assert_eq!(scan.pool.len(), 2);
+        // A fresh scan of the new list runs no test at 10 (no group
+        // there); neither does the resume — its one test is at 20.
+        let tests = stats.acceptance_tests;
+        let next = scan.run(&list, &mut stats).unwrap();
+        assert_eq!(stats.acceptance_tests, tests + 1);
+        let naive = crate::Amp::new()
+            .find_window_naive(&list, &req, &mut ScanStats::new())
+            .unwrap();
+        assert_eq!(next, naive);
+        assert_eq!(next.start(), TimePoint::new(20));
+    }
+
+    #[test]
+    fn running_twice_without_a_commit_returns_the_same_window() {
+        // The coscheduled loser: its window is found, not committed, and
+        // asked for again on the unchanged list.
+        let list = SlotList::from_slots(vec![
+            slot(0, 0, 1.0, 3, 0, 200),
+            slot(1, 1, 1.0, 2, 0, 200),
+            slot(2, 2, 1.0, 1, 5, 200),
+        ])
+        .unwrap();
+        let req = request(2, 50, 5);
+        let mut scan = amp_scan(&req);
+        let mut stats = ScanStats::new();
+        let first = scan.run(&list, &mut stats).unwrap();
+        let examined = stats.slots_examined;
+        let again = scan.run(&list, &mut stats).unwrap();
+        assert_eq!(first, again);
+        assert_eq!(stats.slots_examined, examined, "the re-test reads no slot");
+        assert_eq!(stats.checkpoint_hits, 1);
+        assert_eq!(stats.windows_found, 2);
+    }
+
+    #[test]
+    fn seeded_scan_reads_its_group_from_the_list() {
+        let list = SlotList::from_slots(vec![
+            slot(0, 0, 1.0, 1, 0, 200),
+            slot(1, 1, 1.0, 1, 10, 200),
+            slot(2, 2, 1.0, 1, 10, 200),
+            slot(3, 3, 1.0, 1, 30, 200),
+        ])
+        .unwrap();
+        let req = request(2, 50, 5);
+        let mut scan = amp_scan(&req);
+        scan.resume_from(TimePoint::new(10));
+        // A report before the first run changes nothing: the seeded scan
+        // has read no group and pools nothing it has not read.
+        scan.apply_report(&SubtractionReport {
+            removed: vec![],
+            remnants: vec![slot(9, 9, 1.0, 1, 10, 200)],
+        });
+        assert_eq!(scan.pool.len(), 0);
+        let mut stats = ScanStats::new();
+        let window = scan.run(&list, &mut stats).unwrap();
+        // Slot 0 starts before the seed point and is never considered;
+        // the group at 10 is read from the list, and the scan stops there.
+        assert_eq!(sources(&window), vec![1, 2]);
+        assert_eq!((stats.slots_examined, stats.slots_admitted), (2, 2));
+        assert!(matches!(scan.resume, Resume::Accepted { group: 2, .. }));
+    }
+
+    #[test]
+    fn alp_keeps_start_id_order_with_a_remnant_at_the_anchor() {
+        let mut list = SlotList::from_slots(vec![
+            slot(0, 0, 1.0, 1, 0, 100),
+            slot(1, 1, 1.0, 1, 0, 100),
+            slot(2, 2, 1.0, 1, 0, 100),
+        ])
+        .unwrap();
+        let req = request(2, 50, 5);
+        let mut scan = JobScan::new(&AlgoSpec::alp(LengthRule::Corrected), &req);
+        let mut stats = ScanStats::new();
+        assert_eq!(sources(&scan.run(&list, &mut stats).unwrap()), vec![0, 1]);
+        // Slot 0 loses its tail; the remnant [0, 50) carries the fresh id
+        // 3 and sorts after slot 2, exactly where a re-read would put it.
+        scan.apply_report(&cut(&mut list, 0, 50, 100));
+        let next = scan.run(&list, &mut stats).unwrap();
+        assert_eq!(sources(&next), vec![1, 2]);
+        let naive = crate::Alp::new()
+            .find_window_naive(&list, &req, &mut ScanStats::new())
+            .unwrap();
+        assert_eq!(next, naive);
+        // With 1 and 2 gone the remnant is the only member left at 0: a
+        // short pool, no test there, and the scan moves on to their tails.
+        scan.apply_report(&list.subtract_window_report(&next).unwrap());
+        assert!(matches!(scan.resume, Resume::Accepted { group: 1, .. }));
+        let tests = stats.acceptance_tests;
+        let last = scan.run(&list, &mut stats).unwrap();
+        assert_eq!(
+            (last.start(), sources(&last)),
+            (TimePoint::new(50), vec![4, 5])
+        );
+        assert_eq!(stats.acceptance_tests, tests + 1);
+    }
+
     #[test]
     fn ordered_pool_keeps_start_id_order() {
         let mut pool = AcceptPool::Ordered(Vec::new());
@@ -829,8 +1065,8 @@ mod tests {
         let chosen = pool.accept(3, None).unwrap();
         let ids: Vec<u64> = chosen.iter().map(|m| m.slot.id().raw()).collect();
         assert_eq!(ids, vec![1, 3, 5]);
-        assert!(pool.remove(SlotId::new(3)));
-        assert!(!pool.remove(SlotId::new(3)));
+        assert!(pool.remove(SlotId::new(3)).is_some());
+        assert!(pool.remove(SlotId::new(3)).is_none());
         assert_eq!(pool.len(), 2);
     }
 }

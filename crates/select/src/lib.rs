@@ -20,8 +20,9 @@
 //!
 //! For the built-in selectors the alternatives searches run an
 //! *incremental* driver: each job keeps a checkpoint (last acceptance
-//! anchor plus the live candidate pool before it) and resumes there after
-//! every subtraction instead of rescanning the list prefix, and AMP's
+//! anchor plus the live candidate pool up to and including it) and resumes
+//! there after every subtraction instead of rescanning the list prefix —
+//! one scan reads a list slot at most once per search — and AMP's
 //! acceptance test maintains a cost-ordered pool with a running sum of the
 //! `N` cheapest instead of sorting per group. Results are byte-identical
 //! to the restart-per-window drivers [`find_alternatives_naive`] /

@@ -8,22 +8,33 @@
 use serde::{Deserialize, Serialize};
 
 /// Work counters for window searches.
+///
+/// `slots_examined`, `slots_admitted` and `groups_scanned` count **list
+/// reads**. A resumed scan of the incremental search re-tests acceptance
+/// at its checkpoint anchor from the pool it kept — it reads no slot,
+/// admits none and scans no group there, so that step shows only in
+/// `acceptance_tests` (and, on success, `windows_found`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScanStats {
     /// Slots taken from the ordered list and tested (step 2° executions).
+    /// One scan reads a list slot at most once, however often it resumes.
     pub slots_examined: u64,
-    /// Slots that passed admission and entered the candidate pool.
+    /// Slots that passed admission and entered the candidate pool as they
+    /// were read from the list. Remnants a subtraction report adds to a
+    /// checkpointed pool are not list reads and are not counted.
     pub slots_admitted: u64,
     /// Pool members dropped because their remaining length expired
     /// (step 3° removals).
     pub slots_expired: u64,
     /// Budget tests performed (AMP step 2° iterations; for ALP this counts
-    /// the single acceptance check per window).
+    /// the single acceptance check per window), whether on a group just
+    /// read from the list or on the pool kept at a resume anchor.
     pub acceptance_tests: u64,
     /// Windows successfully assembled.
     pub windows_found: u64,
-    /// Same-start groups that admitted at least one candidate (the scan
-    /// only expires members and tests acceptance at these points).
+    /// Same-start groups read from the list that admitted at least one
+    /// candidate (reading one is where the scan expires members; it tests
+    /// acceptance there if the pool is full).
     pub groups_scanned: u64,
     /// Largest candidate-pool size observed (merged by `max`, not `+`).
     pub pool_high_water: u64,
