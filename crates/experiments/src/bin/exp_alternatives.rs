@@ -8,6 +8,7 @@ use ecosched_experiments::{arg_value, run_paired, ExperimentConfig};
 use ecosched_sim::Criterion;
 
 fn main() {
+    ecosched_experiments::reject_unknown_flags(&["--iterations", "--threads"]);
     let iterations: u64 = arg_value("--iterations").unwrap_or(25_000);
     let threads: usize = arg_value("--threads").unwrap_or(0);
 

@@ -9,6 +9,7 @@ use ecosched_experiments::{arg_value, run_paired, ExperimentConfig};
 use ecosched_sim::{Criterion, RealRange};
 
 fn main() {
+    ecosched_experiments::reject_unknown_flags(&["--iterations", "--factor"]);
     let mut config = ExperimentConfig {
         iterations: arg_value("--iterations").unwrap_or(500),
         ..ExperimentConfig::default()

@@ -7,6 +7,7 @@ use ecosched_experiments::arg_value;
 use ecosched_experiments::churn::{churn_table, run_churn_sweep, ChurnConfig};
 
 fn main() {
+    ecosched_experiments::reject_unknown_flags(&["--runs", "--cycles"]);
     let config = ChurnConfig {
         runs: arg_value("--runs").unwrap_or(40),
         cycles: arg_value("--cycles").map_or(8, |c: u64| c as usize),

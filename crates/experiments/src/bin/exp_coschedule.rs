@@ -7,6 +7,7 @@ use ecosched_experiments::arg_value;
 use ecosched_experiments::extensions::{coschedule_table, run_coschedule_comparison};
 
 fn main() {
+    ecosched_experiments::reject_unknown_flags(&["--iterations"]);
     let iterations: u64 = arg_value("--iterations").unwrap_or(2_000);
     eprintln!("comparing sequential vs co-scheduled search over {iterations} iterations…");
     let outcome = run_coschedule_comparison(iterations, 0);

@@ -29,6 +29,7 @@ fn derived_list(seed: u64) -> SlotList {
 }
 
 fn main() {
+    ecosched_experiments::reject_unknown_flags(&["--samples"]);
     let samples: u64 = arg_value("--samples").unwrap_or(200);
     eprintln!("profiling {samples} generated vs {samples} environment-derived lists…");
 

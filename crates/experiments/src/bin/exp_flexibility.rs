@@ -8,6 +8,7 @@ use ecosched_experiments::arg_value;
 use ecosched_experiments::flexibility::{flexibility_table, run_flexibility};
 
 fn main() {
+    ecosched_experiments::reject_unknown_flags(&["--iterations"]);
     let iterations: u64 = arg_value("--iterations").unwrap_or(2_000);
     eprintln!("measuring combination frontiers over {iterations} iterations…");
     let outcome = run_flexibility(iterations, 0);

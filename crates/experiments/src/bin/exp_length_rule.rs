@@ -7,6 +7,7 @@ use ecosched_experiments::ablation::{ablation_table, run_ablation};
 use ecosched_experiments::arg_value;
 
 fn main() {
+    ecosched_experiments::reject_unknown_flags(&["--iterations"]);
     let iterations: u64 = arg_value("--iterations").unwrap_or(2_000);
     eprintln!("running the length-rule ablation over {iterations} iterations…");
     let outcome = run_ablation(iterations, 0);

@@ -7,6 +7,7 @@ use ecosched_experiments::arg_value;
 use ecosched_experiments::extensions::{market_table, run_market};
 
 fn main() {
+    ecosched_experiments::reject_unknown_flags(&["--cycles", "--seed"]);
     let cycles: usize = arg_value("--cycles").unwrap_or(20);
     let seed: u64 = arg_value("--seed").unwrap_or(2011);
     eprintln!("running the resource market for {cycles} cycles…");

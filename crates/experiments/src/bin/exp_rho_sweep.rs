@@ -8,6 +8,7 @@ use ecosched_experiments::{arg_value, ExperimentConfig};
 use ecosched_sim::Criterion;
 
 fn main() {
+    ecosched_experiments::reject_unknown_flags(&["--iterations", "--threads"]);
     let base = ExperimentConfig {
         iterations: arg_value("--iterations").unwrap_or(5_000),
         threads: arg_value("--threads").unwrap_or(0),

@@ -9,6 +9,7 @@ use ecosched_experiments::arg_value;
 use ecosched_experiments::scaling::{run_scaling, scaling_table};
 
 fn main() {
+    ecosched_experiments::reject_unknown_flags(&["--max"]);
     let max: usize = arg_value("--max").unwrap_or(16_000);
     let mut sizes = vec![];
     let mut m = 250;

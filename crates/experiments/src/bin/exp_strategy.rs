@@ -8,6 +8,7 @@ use ecosched_experiments::arg_value;
 use ecosched_experiments::extensions::{run_strategy_survival, strategy_table};
 
 fn main() {
+    ecosched_experiments::reject_unknown_flags(&["--iterations", "--failures"]);
     let iterations: u64 = arg_value("--iterations").unwrap_or(500);
     let failures: usize = arg_value("--failures").unwrap_or(1);
     eprintln!(

@@ -11,6 +11,7 @@ use ecosched_experiments::{arg_value, run_paired, ExperimentConfig};
 use ecosched_sim::Criterion;
 
 fn main() {
+    ecosched_experiments::reject_unknown_flags(&["--iterations", "--series", "--csv", "--threads"]);
     let config = ExperimentConfig {
         iterations: arg_value("--iterations").unwrap_or(25_000),
         threads: arg_value("--threads").unwrap_or(0),

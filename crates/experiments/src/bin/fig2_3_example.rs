@@ -6,6 +6,7 @@ use ecosched_experiments::gantt::{render_gantt, LabeledWindow};
 use ecosched_experiments::paper_example;
 
 fn main() {
+    ecosched_experiments::reject_unknown_flags(&[]);
     let run = paper_example::run().expect("the worked example always builds");
 
     println!("Fig. 2 (a) — initial state (reconstruction, DESIGN.md R4)");

@@ -98,10 +98,8 @@ pub fn reject_unknown_flags(known: &[&str]) {
     let program = args.next().unwrap_or_default();
     let rest: Vec<String> = args.collect();
     if let Some(flag) = unknown_flag(&rest, known) {
-        eprintln!(
-            "unknown flag {flag}\nusage: {program} [{}]",
-            known.join("] [")
-        );
+        let usage: String = known.iter().map(|f| format!(" [{f}]")).collect();
+        eprintln!("unknown flag {flag}\nusage: {program}{usage}");
         std::process::exit(2);
     }
 }

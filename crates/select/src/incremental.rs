@@ -44,6 +44,14 @@
 //! from the pool when that count is non-zero and the pool holds `N`
 //! members, and otherwise continues from the first slot starting after
 //! `a`. No list slot is read twice by one scan.
+//!
+//! Three callers rely on the invariant, all through [`JobScan::run`] and
+//! [`JobScan::apply_report`] alone: the sequential driver below, the
+//! coscheduled driver in [`crate::coschedule`] (which also re-runs a scan
+//! whose window was found but not committed), and the bounded repair
+//! search in [`crate::repair`] (one window from a
+//! [`JobScan::resume_from`]-seeded scan). Nothing reads the pool from
+//! outside this module.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -342,23 +350,21 @@ impl AcceptPool {
         }
     }
 
-    /// The ids of the pooled members starting exactly at `anchor`, in no
-    /// particular order.
-    fn group_at(&self, anchor: TimePoint) -> impl Iterator<Item = SlotId> + '_ {
-        let members: Box<dyn Iterator<Item = &PoolMember> + '_> = match self {
+    /// How many pooled members start exactly at `anchor`: a recount of
+    /// [`Resume::Accepted`]'s running `group`, for the debug check on it.
+    fn group_len(&self, anchor: TimePoint) -> usize {
+        let at_anchor = |m: &&PoolMember| m.slot.start() == anchor;
+        match self {
             AcceptPool::Ordered(members)
             | AcceptPool::Cost(CostPool {
                 repr: CostRepr::Small(members),
                 ..
-            }) => Box::new(members.iter()),
+            }) => members.iter().filter(at_anchor).count(),
             AcceptPool::Cost(CostPool {
                 repr: CostRepr::Large(pool),
                 ..
-            }) => Box::new(pool.members.values()),
-        };
-        members
-            .filter(move |m| m.slot.start() == anchor)
-            .map(|m| m.slot.id())
+            }) => pool.members.values().filter(at_anchor).count(),
+        }
     }
 
     fn advance(&mut self, anchor: TimePoint) -> u64 {
@@ -469,47 +475,13 @@ impl JobScan {
 
     /// Runs (or resumes) the forward scan over `list`.
     ///
-    /// On success the checkpoint is advanced to the acceptance anchor; the
-    /// caller is expected to subtract the returned window (or another
-    /// job's) and feed the report back through [`JobScan::apply_report`]
-    /// before the next `run`. On failure the job is marked dead.
+    /// On success the checkpoint is advanced to the acceptance anchor and
+    /// the whole pool — the group there included — is kept for the next
+    /// resume; the caller is expected to subtract the returned window (or
+    /// another job's) and feed the report back through
+    /// [`JobScan::apply_report`] before the next `run`. On failure the job
+    /// is marked dead.
     pub(crate) fn run(&mut self, list: &SlotList, stats: &mut ScanStats) -> Option<Window> {
-        let (_, chosen) = self.scan(list, stats)?;
-        Some(Pool::build_window(&chosen))
-    }
-
-    /// [`JobScan::run`], additionally reporting the *touched set* the
-    /// coscheduled queue driver uses to revalidate a stored window (see
-    /// [`crate::coschedule`]): the ids of the chosen members plus every
-    /// pooled member of the group at the acceptance anchor. A later
-    /// subtraction that removes none of these ids — and mints no remnant
-    /// starting before the window start — provably leaves this exact
-    /// window as the scan's next result.
-    pub(crate) fn run_detailed(
-        &mut self,
-        list: &SlotList,
-        stats: &mut ScanStats,
-    ) -> Option<ScanHit> {
-        let (anchor, chosen) = self.scan(list, stats)?;
-        Some(ScanHit {
-            window: Pool::build_window(&chosen),
-            touched: chosen
-                .iter()
-                .map(|m| m.slot.id())
-                .chain(self.pool.group_at(anchor))
-                .collect(),
-        })
-    }
-
-    /// The scan behind [`JobScan::run`] and [`JobScan::run_detailed`]:
-    /// the acceptance anchor and chosen members of the next window, with
-    /// the checkpoint left at that anchor and the whole pool — the group
-    /// there included — kept for the next resume.
-    fn scan(
-        &mut self,
-        list: &SlotList,
-        stats: &mut ScanStats,
-    ) -> Option<(TimePoint, Vec<PoolMember>)> {
         if self.dead {
             return None;
         }
@@ -522,7 +494,7 @@ impl JobScan {
             }
             Resume::Accepted { anchor, group } => {
                 stats.checkpoint_hits += 1;
-                debug_assert_eq!(group, self.pool.group_at(anchor).count());
+                debug_assert_eq!(group, self.pool.group_len(anchor));
                 // The pool is what re-reading the group at `anchor` would
                 // rebuild, so the acceptance test a fresh scan runs there
                 // — iff the group is non-empty and the pool is full — runs
@@ -531,7 +503,7 @@ impl JobScan {
                     stats.acceptance_tests += 1;
                     if let Some(chosen) = self.pool.accept(n, self.budget) {
                         stats.windows_found += 1;
-                        return Some((anchor, chosen));
+                        return Some(Pool::build_window(&chosen));
                     }
                 }
                 list.iter_from(anchor + TimeDelta::new(1))
@@ -573,7 +545,7 @@ impl JobScan {
                         anchor,
                         group: group.len(),
                     };
-                    return Some((anchor, chosen));
+                    return Some(Pool::build_window(&chosen));
                 }
             }
         }
@@ -620,35 +592,6 @@ impl JobScan {
     }
 }
 
-/// A window found by [`JobScan::run_detailed`] plus the slot ids whose
-/// removal could change it: the chosen members and every pooled member
-/// of the group at the acceptance anchor (removing a non-chosen group
-/// member can empty the group, which skips the acceptance test at that
-/// anchor entirely and shifts the window).
-#[derive(Debug, Clone)]
-pub(crate) struct ScanHit {
-    pub(crate) window: Window,
-    pub(crate) touched: Vec<SlotId>,
-}
-
-impl ScanHit {
-    /// Returns `true` if `report` provably leaves this hit as the owning
-    /// scan's next result: it removes none of the touched ids and mints no
-    /// remnant starting before the window start. (Remnants at or after the
-    /// window start cannot create an earlier window — subtraction only
-    /// removes availability, see the module docs — and cannot alter the
-    /// chosen set at the acceptance anchor: a remnant shares its parent's
-    /// cost and sorts after it under the `(cost, id)` / `(start, id)`
-    /// tie-breaks, so it never displaces a chosen member.)
-    pub(crate) fn survives(&self, report: &SubtractionReport) -> bool {
-        if report.removed.iter().any(|id| self.touched.contains(id)) {
-            return false;
-        }
-        let start = self.window.start();
-        report.remnants.iter().all(|slot| slot.start() >= start)
-    }
-}
-
 impl std::fmt::Debug for JobScan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobScan")
@@ -692,68 +635,6 @@ pub(crate) fn find_alternatives_incremental(
         }
         stats.passes += 1;
         if !found_any {
-            break;
-        }
-    }
-
-    Ok(SearchOutcome {
-        alternatives,
-        stats,
-        remaining,
-    })
-}
-
-/// The checkpointed batch-at-once (earliest-window-first) search.
-/// Byte-identical results to
-/// [`crate::find_alternatives_coscheduled_naive`].
-pub(crate) fn find_alternatives_coscheduled_incremental(
-    spec: &AlgoSpec,
-    list: &SlotList,
-    batch: &Batch,
-) -> Result<SearchOutcome, CoreError> {
-    let mut remaining = list.clone();
-    let mut alternatives = BatchAlternatives::for_jobs(batch.iter().map(|j| j.id()));
-    let mut stats = SearchStats::new();
-    let mut scans: Vec<JobScan> = batch
-        .iter()
-        .map(|job| JobScan::new(spec, job.request()))
-        .collect();
-
-    loop {
-        let mut committed_this_pass = 0u64;
-        let mut pending: Vec<usize> = (0..batch.len()).filter(|&i| !scans[i].is_dead()).collect();
-
-        while !pending.is_empty() {
-            // Evaluate every pending job on the *current* list; losers keep
-            // their checkpoint and re-evaluate cheaply next round.
-            let mut best: Option<(usize, Window)> = None;
-            for &index in &pending {
-                if let Some(window) = scans[index].run(&remaining, &mut stats.scan) {
-                    let better = match &best {
-                        None => true,
-                        Some((best_index, best_window)) => {
-                            (window.start(), index) < (best_window.start(), *best_index)
-                        }
-                    };
-                    if better {
-                        best = Some((index, window));
-                    }
-                }
-            }
-            let Some((index, window)) = best else { break };
-            let report = remaining.subtract_window_report(&window)?;
-            for scan in &mut scans {
-                scan.apply_report(&report);
-            }
-            alternatives.per_job_mut()[index]
-                .push(Alternative::new(batch.as_slice()[index].id(), window));
-            stats.windows_committed += 1;
-            committed_this_pass += 1;
-            pending.retain(|&i| i != index && !scans[i].is_dead());
-        }
-
-        stats.passes += 1;
-        if committed_this_pass == 0 {
             break;
         }
     }

@@ -33,14 +33,11 @@
 //!
 //! # Oracles
 //!
-//! Three public functions exist only to be compared against and are kept
+//! Two public functions exist only to be compared against and are kept
 //! out of the documented surface: `Alp::find_window_naive` and
 //! `Amp::find_window_naive` (the restart-from-scratch window scans the
-//! incremental scan and AMP's cost-ordered pool are checked against) and
-//! `find_alternatives_coscheduled_rescan` (the every-job-after-every-commit
-//! driver the coscheduled priority queue is checked against). No search
-//! calls them; `tests/equivalence.rs`, the root smoke test and the search
-//! benches do.
+//! incremental scan and AMP's cost-ordered pool are checked against). No
+//! search calls them; `tests/equivalence.rs` and the search benches do.
 //!
 //! # Example
 //!
@@ -93,10 +90,7 @@ mod stats;
 
 pub use alp::Alp;
 pub use amp::Amp;
-pub use coschedule::{
-    find_alternatives_coscheduled, find_alternatives_coscheduled_naive,
-    find_alternatives_coscheduled_rescan,
-};
+pub use coschedule::{find_alternatives_coscheduled, find_alternatives_coscheduled_naive};
 pub use incremental::AlgoSpec;
 pub use repair::{repair_search, revalidate_window, try_adopt_window, RepairError};
 pub use scan::LengthRule;

@@ -192,6 +192,10 @@ fn assert_outcomes_equal(
         incremental.stats.windows_committed, naive.stats.windows_committed,
         "{label}: committed counts diverge"
     );
+    assert_eq!(
+        incremental.stats.passes, naive.stats.passes,
+        "{label}: pass counts diverge"
+    );
 }
 
 proptest! {

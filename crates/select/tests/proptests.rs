@@ -204,6 +204,74 @@ mod coscheduled {
     use super::*;
     use ecosched_select::find_alternatives_coscheduled;
 
+    /// Earliest-first does **not** cover every job the sequential order
+    /// covers. The four slots that matter of the instance the retired
+    /// `coscheduled_covers_whenever_sequential_does` property printed at
+    /// case 1 688 (seed `0x68e413de5de93e72`), one per node:
+    ///
+    /// ```text
+    ///   slot 0  perf 1.746  price  1  [172, 322)
+    ///   slot 1  perf 2.689  price  3  [183, 268)
+    ///   slot 2  perf 2.404  price  8  [231, 340)
+    ///   slot 3  perf 2.959  price 11  [254, 483)
+    /// ```
+    ///
+    /// Job 0 (priority) needs all four nodes at once for a short task; the
+    /// first moment they are all vacant is `t = 254`. Job 1 needs two nodes
+    /// for a long one and can start on slots 0 and 1 at `t = 183`.
+    /// Sequential search serves job 0 first (`t = 254`, 11–19 ticks a
+    /// node) and job 1 from the tails at `t = 268`. The co-scheduler
+    /// commits job 1's strictly earlier window first; it holds node 0 until
+    /// 265, by when what is left of slot 1 (`[237, 268)`) is too short for
+    /// job 0's 12 ticks there, so the four nodes never line up again and
+    /// job 0 is starved.
+    #[test]
+    fn coscheduled_can_cover_fewer_jobs_than_sequential() {
+        let slot = |id: u64, perf, price, a, b| {
+            Slot::new(
+                SlotId::new(id),
+                NodeId::new(id as u32),
+                Perf::from_milli(perf),
+                Price::from_credits(price),
+                Span::new(TimePoint::new(a), TimePoint::new(b)).unwrap(),
+            )
+            .unwrap()
+        };
+        let list = SlotList::from_slots(vec![
+            slot(0, 1746, 1, 172, 322),
+            slot(1, 2689, 3, 183, 268),
+            slot(2, 2404, 8, 231, 340),
+            slot(3, 2959, 11, 254, 483),
+        ])
+        .unwrap();
+        let job = |id, n, t, perf, cap| {
+            let request = ResourceRequest::new(
+                n,
+                TimeDelta::new(t),
+                Perf::from_milli(perf),
+                Price::from_credits(cap),
+            );
+            Job::new(JobId::new(id), request.unwrap())
+        };
+        let batch =
+            Batch::from_jobs(vec![job(0, 4, 32, 1545, 8), job(1, 2, 143, 1536, 6)]).unwrap();
+
+        let seq = find_alternatives(Amp::new(), &list, &batch).unwrap();
+        let cos = find_alternatives_coscheduled(Amp::new(), &list, &batch).unwrap();
+        let first_start = |o: &ecosched_select::SearchOutcome, job: usize| {
+            let found = o.alternatives.per_job()[job].alternatives().first();
+            found.map(|a| a.window().start().ticks())
+        };
+        assert_eq!(
+            (first_start(&seq, 0), first_start(&seq, 1)),
+            (Some(254), Some(268))
+        );
+        assert_eq!(
+            (first_start(&cos, 0), first_start(&cos, 1)),
+            (None, Some(183))
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -242,57 +310,6 @@ mod coscheduled {
         }
 
         #[test]
-        fn coscheduled_covers_whenever_sequential_does(
-            list in slot_list_strategy(),
-            requests in prop::collection::vec(request_strategy(), 1..4),
-        ) {
-            let jobs: Vec<Job> = requests
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| Job::new(JobId::new(i as u32), r))
-                .collect();
-            let batch = Batch::from_jobs(jobs).unwrap();
-            let seq = ecosched_select::find_alternatives(Amp::new(), &list, &batch).unwrap();
-            let cos = find_alternatives_coscheduled(Amp::new(), &list, &batch).unwrap();
-            // Earliest-first commits can only preserve or widen coverage on
-            // the first pass; empirically this holds for full searches too —
-            // keep it as a tested invariant so any regression surfaces.
-            let seq_covered = seq.alternatives.per_job().iter().filter(|ja| !ja.is_empty()).count();
-            let cos_covered = cos.alternatives.per_job().iter().filter(|ja| !ja.is_empty()).count();
-            prop_assert!(cos_covered >= seq_covered);
-        }
-
-        #[test]
-        fn queue_rounds_pick_the_same_windows_as_rescan(
-            list in slot_list_strategy(),
-            requests in prop::collection::vec(request_strategy(), 1..5),
-        ) {
-            // The lazy-revalidated priority queue must commit exactly the
-            // window sequence the retained O(batch²) full-rescan driver
-            // commits: same alternatives per job (same windows, same
-            // order), same remaining list, same pass count.
-            let jobs: Vec<Job> = requests
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| Job::new(JobId::new(i as u32), r))
-                .collect();
-            let batch = Batch::from_jobs(jobs).unwrap();
-            for selector in [&Alp::new() as &dyn SlotSelector, &Amp::new()] {
-                let rescan = ecosched_select::find_alternatives_coscheduled_rescan(
-                    selector, &list, &batch,
-                ).unwrap();
-                let queue = find_alternatives_coscheduled(selector, &list, &batch).unwrap();
-                prop_assert_eq!(&queue.alternatives, &rescan.alternatives);
-                prop_assert_eq!(&queue.remaining, &rescan.remaining);
-                prop_assert_eq!(queue.stats.passes, rescan.stats.passes);
-                prop_assert_eq!(
-                    queue.stats.windows_committed,
-                    rescan.stats.windows_committed
-                );
-            }
-        }
-
-        #[test]
         fn coscheduled_earliest_first_window_is_no_later(
             list in slot_list_strategy(),
             requests in prop::collection::vec(request_strategy(), 2..4),
@@ -301,7 +318,8 @@ mod coscheduled {
             // globally earliest candidate window on the full list, so the
             // minimum first-alternative start across jobs can never exceed
             // the sequential search's. (The *sum* of first starts is not
-            // ordered — greedy earliest-first is not sum-optimal.)
+            // ordered — greedy earliest-first is not sum-optimal — and
+            // neither is coverage: see the counterexample above.)
             let jobs: Vec<Job> = requests
                 .into_iter()
                 .enumerate()

@@ -444,7 +444,9 @@ mod search_mode_tests {
             },
         )
         .unwrap();
-        // Co-scheduling can only widen coverage.
+        // A spot check on this seeded instance, not a property:
+        // co-scheduling can also postpone more jobs than the sequential
+        // order (`select/tests/proptests.rs` keeps a counterexample).
         assert!(coscheduled.postponed.len() <= sequential.postponed.len());
         if let Some(a) = &coscheduled.assignment {
             assert!(a.total_cost() <= coscheduled.budget.unwrap());

@@ -7,6 +7,8 @@
 #                              and E18 (exp_federation, 12 merged hashes)
 #   results/churn_report.txt   E14: the whole `exp_churn --runs 6 --cycles 4`
 #                              table (seeded; repeats byte-for-byte)
+#   results/coschedule_report.txt  E9: the whole `exp_coschedule
+#                              --iterations 1500` table (seeded likewise)
 #
 # Usage:
 #   ./scripts/check_pins.sh            # check
@@ -16,12 +18,13 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 cargo build --release -q -p ecosched-experiments \
-    --bin exp_online --bin exp_federation --bin exp_churn
+    --bin exp_online --bin exp_federation --bin exp_churn --bin exp_coschedule
 bin="${CARGO_TARGET_DIR:-target}/release"
 
 hashes=$(mktemp)
 churn=$(mktemp)
-trap 'rm -f "$hashes" "$churn"' EXIT
+cosched=$(mktemp)
+trap 'rm -f "$hashes" "$churn" "$cosched"' EXIT
 
 # One "# <command>" header per run, then its hash lines.
 pin() {
@@ -35,10 +38,12 @@ pin() {
     pin exp_federation
 } > "$hashes"
 "$bin/exp_churn" --runs 6 --cycles 4 2>/dev/null > "$churn"
+"$bin/exp_coschedule" --iterations 1500 2>/dev/null > "$cosched"
 
 if [[ "${1:-}" == "--bless" ]]; then
     cp "$hashes" scripts/pins.expected
     cp "$churn" results/churn_report.txt
+    cp "$cosched" results/coschedule_report.txt
     echo "pins rewritten"
     exit 0
 fi
@@ -46,8 +51,9 @@ fi
 status=0
 diff -u scripts/pins.expected "$hashes" || status=1
 diff -u results/churn_report.txt "$churn" || status=1
+diff -u results/coschedule_report.txt "$cosched" || status=1
 if [[ $status -eq 0 ]]; then
-    echo "pins ok: $(grep -c 'hash=' "$hashes") hashes + the E14 table"
+    echo "pins ok: $(grep -c 'hash=' "$hashes") hashes + the E14 and E9 tables"
 else
     echo "pinned behaviour changed (see diff above)" >&2
 fi

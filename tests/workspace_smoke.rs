@@ -10,7 +10,7 @@ use ecosched::federation::{Federation, FederationConfig, RoutePolicy};
 use ecosched::optimize::brute::min_cost_under_time_brute;
 use ecosched::persist::{encode_snapshot, resume_from, run_with_snapshots};
 use ecosched::prelude::*;
-use ecosched::select::find_alternatives_coscheduled_rescan;
+use ecosched::select::find_alternatives_coscheduled_naive;
 use ecosched::service::{BootMode, JobSpec, ServiceManifest, Session};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -80,7 +80,7 @@ fn checkpoint_resume_converges_on_the_uninterrupted_run() {
 }
 
 #[test]
-fn coscheduled_iteration_commits_what_the_rescan_oracle_commits() {
+fn coscheduled_iteration_commits_what_the_naive_driver_commits() {
     let mut rng = ChaCha8Rng::seed_from_u64(2011);
     let list = SlotGenerator::new(SlotGenConfig::default()).generate(&mut rng);
     let batch = JobGenerator::new(JobGenConfig::default()).generate(&mut rng);
@@ -89,10 +89,10 @@ fn coscheduled_iteration_commits_what_the_rescan_oracle_commits() {
         ..IterationConfig::default()
     };
     let result = run_iteration(Amp::new(), &list, &batch, &config).expect("iteration");
-    let oracle = find_alternatives_coscheduled_rescan(Amp::new(), &list, &batch).expect("rescan");
-    assert!(oracle.alternatives.total_found() > 0);
-    assert_eq!(result.search.alternatives, oracle.alternatives);
-    assert_eq!(result.search.remaining, oracle.remaining);
+    let naive = find_alternatives_coscheduled_naive(Amp::new(), &list, &batch).expect("naive");
+    assert!(naive.alternatives.total_found() > 0);
+    assert_eq!(result.search.alternatives, naive.alternatives);
+    assert_eq!(result.search.remaining, naive.remaining);
 }
 
 /// The merged-log hash of `churn_config()` split over four shards under
