@@ -1,21 +1,21 @@
-//! Bench: interval-timeline market maintenance vs the flat oracle —
-//! the carve/merge/scan costs the representation switch is paid for.
+//! Bench: market maintenance on the two orderings of the one market
+//! store — the carve/merge/scan costs the ordered container decides.
 //!
-//! Three claims, recorded in `BENCH_select.json`:
+//! Three readings, recorded in `BENCH_select.json`:
 //!
-//! * a single carve (`subtract`) on the interval form is `O(log n)` tree
-//!   surgery where the flat form pays an `O(n)` vector splice. The
+//! * a single carve (`subtract`) on the tree ordering is an `O(log n)`
+//!   splice where the vector ordering pays an `O(n)` memmove. The
 //!   mutation benches clone the list every iteration (the carve itself
 //!   must start from pristine state), and an `O(n)` clone dominates both
 //!   sides — so the `clone` group below records that baseline, and the
 //!   carve cost proper is the carve median *minus* the same-size clone
 //!   median;
-//! * the coalescing merge pass is cheaper on the interval form at every
-//!   size (the per-node timelines are already adjacency-ordered; the
-//!   flat form re-sorts and rebuilds its auxiliary index);
-//! * the ALP/AMP window scan at 10⁵ slots is representation-blind in
-//!   cost as well as outcome: iteration dominates, and both forms hand
-//!   the scan the same `(start, id)`-ordered stream.
+//! * the coalescing merge pass is the same walk on both orderings; what
+//!   differs is dropping the absorbed slots from the container (one
+//!   compaction pass either way);
+//! * the ALP/AMP window scan at 10⁵ slots is ordering-blind in cost as
+//!   well as outcome: iteration dominates, and both containers hand the
+//!   scan the same `(start, id)`-ordered stream.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecosched_bench::{slot_list, typical_request};
@@ -28,7 +28,7 @@ const REPRS: [(MarketRepr, &str); 2] = [
     (MarketRepr::Interval, "interval"),
 ];
 
-/// A deterministic market of `m` slots in the requested representation.
+/// A deterministic market of `m` slots in the requested ordering.
 fn market(m: usize, repr: MarketRepr) -> SlotList {
     slot_list(m, 11).with_repr(repr)
 }

@@ -1,140 +1,290 @@
-//! Per-node interval timelines: the tree-structured market representation.
+//! The two containers inside the market store ([`crate::SlotList`]).
 //!
-//! A flat start-ordered vector ([`crate::SlotList`]'s historical form)
-//! pays `O(m)` memmove on every subtraction splice and every tail-return
-//! insert. This module stores the same market as one [`IntervalSet`] per
-//! node — sorted disjoint `[start, end)` runs carrying `(price, perf)`
-//! annotations in a `BTreeMap` keyed by start — plus a global
-//! `(start, id)`-ordered view, so splits, merges, carving, and point
-//! inserts are all `O(log n)` tree splices.
+//! * [`Order`] holds every live slot in `(start, id)` order, as one of
+//!   two orderings. A `Vec<Slot>` is cheap to walk, clone and bulk-load
+//!   and pays an `O(m)` memmove per splice: the closed batch markets of
+//!   the paper's study. A `BTreeMap<(TimePoint, SlotId), Slot>` splices
+//!   in `O(log m)`: the engine's long-lived market, re-planned at every
+//!   scheduling event. `Order` and its two iterators are the only types
+//!   in the crate with an arm per ordering; everything above them — the
+//!   id index, the per-node timelines, id minting and every market
+//!   algorithm — exists once, in [`crate::SlotList`].
+//! * [`IntervalSet`] is one node's timeline of disjoint free intervals,
+//!   `start → (id, end)`, which makes overlap checks and region queries
+//!   `O(log n)` tree steps. Price and performance live once, in the slot
+//!   held by the `Order`.
 //!
-//! The representation is **observably identical** to the flat list: the
-//! same slots, the same ids (minting order included), the same
-//! `(start, id)` iteration order, and the same
-//! [`SubtractionReport`](crate::SubtractionReport)s. `ecosched-core`'s
-//! differential proptest harness (`tests/interval_equivalence.rs`) pins
-//! that equivalence op by op, which is what lets the engine's pinned
-//! event-log hashes reproduce bit-for-bit under either representation.
+//! Both orderings are **observably identical** — same slots, same id
+//! minting order, same iteration order, same
+//! [`SubtractionReport`](crate::SubtractionReport)s — by construction
+//! above this module; `tests/interval_equivalence.rs` pins the one thing
+//! that can still differ, the container.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 
 use crate::error::CoreError;
-use crate::idhash::IdMap;
-use crate::money::Price;
-use crate::perf::Perf;
 use crate::resource::NodeId;
 use crate::slot::{Slot, SlotId};
-use crate::time::{Span, TimeDelta, TimePoint};
+use crate::slot_list::MarketRepr;
+use crate::time::{Span, TimePoint};
 
-/// One free run `[start, end)` on a node's timeline, annotated with the
-/// slot identity and economic attributes the market tracks per interval.
-///
-/// The start is the key of the owning [`IntervalSet`]'s tree, so a run
-/// stores only the remaining fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Run {
-    /// Exclusive end of the free interval.
-    pub end: TimePoint,
-    /// Identity of the slot occupying this run.
-    pub id: SlotId,
-    /// Node performance over the run.
-    pub perf: Perf,
-    /// Price per time unit over the run.
-    pub price: Price,
+/// A slot's position in `(start, id)` order.
+pub(crate) type Key = (TimePoint, SlotId);
+
+pub(crate) fn key(slot: &Slot) -> Key {
+    (slot.start(), slot.id())
 }
 
-impl Run {
-    fn of_slot(slot: &Slot) -> (TimePoint, Run) {
-        (
-            slot.start(),
-            Run {
-                end: slot.end(),
-                id: slot.id(),
-                perf: slot.perf(),
-                price: slot.price(),
-            },
-        )
-    }
+/// Every live slot in `(start, id)` order, in one of two orderings.
+#[derive(Debug, Clone)]
+pub(crate) enum Order {
+    Vec(Vec<Slot>),
+    Tree(BTreeMap<Key, Slot>),
+}
 
-    fn to_slot(self, node: NodeId, start: TimePoint) -> Slot {
-        Slot::new(
-            self.id,
-            node,
-            self.perf,
-            self.price,
-            Span::new(start, self.end).expect("stored runs are non-empty"),
-        )
-        .expect("stored runs construct valid slots")
+impl Default for Order {
+    fn default() -> Self {
+        Order::Vec(Vec::new())
     }
 }
 
-/// A single node's timeline of disjoint free runs, ordered by start.
+impl Order {
+    pub(crate) fn new(repr: MarketRepr) -> Self {
+        Order::from_sorted(Vec::new(), repr)
+    }
+
+    /// Bulk-loads slots the caller has checked to be in strictly
+    /// increasing `(start, id)` order; the vector is kept as it is.
+    pub(crate) fn from_sorted(slots: Vec<Slot>, repr: MarketRepr) -> Self {
+        match repr {
+            MarketRepr::Flat => Order::Vec(slots),
+            MarketRepr::Interval => {
+                Order::Tree(slots.into_iter().map(|slot| (key(&slot), slot)).collect())
+            }
+        }
+    }
+
+    pub(crate) fn repr(&self) -> MarketRepr {
+        match self {
+            Order::Vec(_) => MarketRepr::Flat,
+            Order::Tree(_) => MarketRepr::Interval,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Order::Vec(slots) => slots.len(),
+            Order::Tree(tree) => tree.len(),
+        }
+    }
+
+    pub(crate) fn get(&self, at: Key) -> Option<&Slot> {
+        match self {
+            Order::Vec(slots) => slots.get(position(slots, at)).filter(|s| key(s) == at),
+            Order::Tree(tree) => tree.get(&at),
+        }
+    }
+
+    /// Inserts a slot whose id is not in the container.
+    pub(crate) fn insert(&mut self, slot: Slot) {
+        match self {
+            Order::Vec(slots) => slots.insert(position(slots, key(&slot)), slot),
+            Order::Tree(tree) => {
+                tree.insert(key(&slot), slot);
+            }
+        }
+    }
+
+    /// Removes the slot at `key`, which must be live.
+    pub(crate) fn remove(&mut self, at: Key) {
+        match self {
+            Order::Vec(slots) => {
+                slots.remove(position(slots, at));
+            }
+            Order::Tree(tree) => {
+                tree.remove(&at);
+            }
+        }
+    }
+
+    /// One in-order pass that drops the slots `keep` refuses; `keep` may
+    /// change a slot it keeps in anything but its `(start, id)`.
+    pub(crate) fn retain_mut(&mut self, mut keep: impl FnMut(&mut Slot) -> bool) {
+        match self {
+            Order::Vec(slots) => slots.retain_mut(keep),
+            Order::Tree(tree) => tree.retain(|_, slot| keep(slot)),
+        }
+    }
+
+    pub(crate) fn iter(&self) -> SlotIter<'_> {
+        match self {
+            Order::Vec(slots) => SlotIter::Flat(slots.iter()),
+            Order::Tree(tree) => SlotIter::Interval(tree.values()),
+        }
+    }
+
+    /// Every slot with `start >= from`, in order.
+    pub(crate) fn range_from(&self, from: TimePoint) -> SlotIter<'_> {
+        let from = (from, SlotId::new(0));
+        match self {
+            Order::Vec(slots) => SlotIter::Flat(slots[position(slots, from)..].iter()),
+            Order::Tree(tree) => SlotIter::IntervalRange(tree.range(from..)),
+        }
+    }
+
+    pub(crate) fn into_slots(self) -> SlotIntoIter {
+        match self {
+            Order::Vec(slots) => SlotIntoIter::Flat(slots.into_iter()),
+            Order::Tree(tree) => SlotIntoIter::Interval(tree.into_values()),
+        }
+    }
+}
+
+/// Index of the first slot at or after `key` in a sorted vector.
+fn position(slots: &[Slot], at: Key) -> usize {
+    slots.partition_point(|slot| key(slot) < at)
+}
+
+/// Borrowed iterator over a [`SlotList`](crate::SlotList)'s slots in
+/// `(start, id)` order, uniform across orderings.
+#[derive(Debug, Clone)]
+pub enum SlotIter<'a> {
+    /// Walking the vector.
+    Flat(std::slice::Iter<'a, Slot>),
+    /// Walking the whole order tree.
+    Interval(btree_map::Values<'a, (TimePoint, SlotId), Slot>),
+    /// Walking an order-tree suffix (from
+    /// [`SlotList::iter_from`](crate::SlotList::iter_from)).
+    IntervalRange(btree_map::Range<'a, (TimePoint, SlotId), Slot>),
+}
+
+impl<'a> Iterator for SlotIter<'a> {
+    type Item = &'a Slot;
+
+    fn next(&mut self) -> Option<&'a Slot> {
+        match self {
+            SlotIter::Flat(it) => it.next(),
+            SlotIter::Interval(it) => it.next(),
+            SlotIter::IntervalRange(it) => it.next().map(|(_, slot)| slot),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            SlotIter::Flat(it) => it.size_hint(),
+            SlotIter::Interval(it) => it.size_hint(),
+            SlotIter::IntervalRange(it) => it.size_hint(),
+        }
+    }
+}
+
+impl DoubleEndedIterator for SlotIter<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        match self {
+            SlotIter::Flat(it) => it.next_back(),
+            SlotIter::Interval(it) => it.next_back(),
+            SlotIter::IntervalRange(it) => it.next_back().map(|(_, slot)| slot),
+        }
+    }
+}
+
+/// Owning iterator over a [`SlotList`](crate::SlotList)'s slots in
+/// `(start, id)` order.
+#[derive(Debug)]
+pub enum SlotIntoIter {
+    /// Draining the vector.
+    Flat(std::vec::IntoIter<Slot>),
+    /// Draining the order tree.
+    Interval(btree_map::IntoValues<(TimePoint, SlotId), Slot>),
+}
+
+impl Iterator for SlotIntoIter {
+    type Item = Slot;
+
+    fn next(&mut self) -> Option<Slot> {
+        match self {
+            SlotIntoIter::Flat(it) => it.next(),
+            SlotIntoIter::Interval(it) => it.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            SlotIntoIter::Flat(it) => it.size_hint(),
+            SlotIntoIter::Interval(it) => it.size_hint(),
+        }
+    }
+}
+
+/// A single node's timeline of disjoint free runs: `start → (id, end)`.
 ///
-/// All operations are `O(log n)` in the number of runs on the node
-/// (plus output size), because the tree is keyed by run start and
-/// same-node disjointness makes the start a unique key.
+/// Same-node disjointness makes the start a unique key, so every
+/// operation is `O(log n)` in the number of runs on the node (plus
+/// output size).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IntervalSet {
-    runs: BTreeMap<TimePoint, Run>,
+pub(crate) struct IntervalSet {
+    runs: BTreeMap<TimePoint, (SlotId, TimePoint)>,
 }
 
 impl IntervalSet {
-    /// Creates an empty timeline.
-    #[must_use]
-    pub fn new() -> Self {
-        IntervalSet::default()
-    }
-
-    /// Number of free runs on the timeline.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.runs.len()
     }
 
-    /// Returns `true` if the timeline has no runs.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.runs.is_empty()
     }
 
-    /// Iterates `(start, run)` pairs in start order.
-    pub fn iter(&self) -> impl Iterator<Item = (TimePoint, &Run)> {
-        self.runs.iter().map(|(&start, run)| (start, run))
+    /// The `(id, end)` of the run starting exactly at `start`.
+    pub(crate) fn get(&self, start: TimePoint) -> Option<(SlotId, TimePoint)> {
+        self.runs.get(&start).copied()
     }
 
-    /// Inserts a run, enforcing disjointness against its tree neighbours.
+    /// Inserts the run `[start, end)`, enforcing disjointness against
+    /// its tree neighbours.
     ///
     /// # Errors
     ///
     /// Returns the conflicting run's id if the new run overlaps an
     /// existing one (including an exact start collision).
-    pub fn insert(&mut self, start: TimePoint, run: Run) -> Result<(), SlotId> {
-        debug_assert!(start < run.end, "runs must be non-empty");
-        if let Some((_, prev)) = self.runs.range(..=start).next_back() {
-            if prev.end > start {
-                return Err(prev.id);
+    pub(crate) fn insert(
+        &mut self,
+        start: TimePoint,
+        id: SlotId,
+        end: TimePoint,
+    ) -> Result<(), SlotId> {
+        debug_assert!(start < end, "runs must be non-empty");
+        if let Some((_, &(prev, prev_end))) = self.runs.range(..=start).next_back() {
+            if prev_end > start {
+                return Err(prev);
             }
         }
-        if let Some((&next_start, next)) = self.runs.range(start..).next() {
-            if next_start < run.end {
-                return Err(next.id);
+        if let Some((&next_start, &(next, _))) = self.runs.range(start..).next() {
+            if next_start < end {
+                return Err(next);
             }
         }
-        self.runs.insert(start, run);
+        self.runs.insert(start, (id, end));
         Ok(())
     }
 
-    /// Removes and returns the run starting exactly at `start`.
-    pub fn remove(&mut self, start: TimePoint) -> Option<Run> {
-        self.runs.remove(&start)
+    /// Removes the run starting exactly at `start`.
+    pub(crate) fn remove(&mut self, start: TimePoint) {
+        self.runs.remove(&start);
+    }
+
+    /// Sets the run at `start` without a neighbour check: a piece of a
+    /// run the timeline held until just now, or a run grown over the
+    /// touching runs just removed.
+    pub(crate) fn put(&mut self, start: TimePoint, id: SlotId, end: TimePoint) {
+        self.runs.insert(start, (id, end));
     }
 
     /// The run whose interval fully contains `region`, if any: at most
     /// one exists, the last run starting at or before `region.start()`.
-    #[must_use]
-    pub fn covering(&self, region: Span) -> Option<(TimePoint, &Run)> {
-        let (&start, run) = self.runs.range(..=region.start()).next_back()?;
-        (run.end >= region.end() && start <= region.start()).then_some((start, run))
+    pub(crate) fn covering(&self, region: Span) -> Option<Key> {
+        let (&start, &(id, end)) = self.runs.range(..=region.start()).next_back()?;
+        (end >= region.end()).then_some((start, id))
     }
 
     /// Every run that could overlap `region`, in start order: the
@@ -142,103 +292,14 @@ impl IntervalSet {
     /// followed by every run starting inside it. Callers intersect each
     /// candidate; a predecessor ending at or before `region.start()` is
     /// simply not affected.
-    #[must_use]
-    pub fn candidates(&self, region: Span) -> Vec<(TimePoint, Run)> {
-        let mut out = Vec::new();
-        if let Some((&start, run)) = self.runs.range(..region.start()).next_back() {
-            out.push((start, *run));
-        }
-        out.extend(
-            self.runs
-                .range(region.start()..region.end())
-                .map(|(&start, run)| (start, *run)),
-        );
-        out
-    }
-
-    /// Splits the run at `start` around `cut`, removing the cut interval
-    /// and re-inserting the surviving left/right pieces under the ids
-    /// produced by `mint` (left first, then right — the remnant minting
-    /// order the flat list uses). Returns the minted `[left, right]`
-    /// remnants, `None` where the cut reaches that edge of the run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::CutOutsideSlot`] if `cut` is not fully
-    /// contained in the run (the timeline is left unchanged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no run starts at `start` — resolve the run first (for
-    /// example through [`IntervalSet::covering`]).
-    pub fn subtract(
-        &mut self,
-        start: TimePoint,
-        cut: Span,
-        mut mint: impl FnMut() -> SlotId,
-    ) -> Result<[Option<(TimePoint, Run)>; 2], CoreError> {
-        let run = self.runs.remove(&start).expect("no run starts at `start`");
-        let span = Span::new(start, run.end).expect("stored runs are non-empty");
-        if !span.contains_span(cut) {
-            self.runs.insert(start, run);
-            return Err(CoreError::CutOutsideSlot {
-                id: run.id,
-                slot_span: span,
-                cut,
-            });
-        }
-        let (left, right) = span.subtract(cut);
-        Ok([left, right].map(|piece| {
-            let piece = piece?;
-            let remnant = Run {
-                end: piece.end(),
-                id: mint(),
-                perf: run.perf,
-                price: run.price,
-            };
-            self.runs.insert(piece.start(), remnant);
-            Some((piece.start(), remnant))
-        }))
-    }
-
-    /// Merges every maximal chain of touching (`prev.end == next.start`)
-    /// runs with equal price and performance into the chain head's run —
-    /// the head keeps its id and absorbs the tail. Returns the absorbed
-    /// `(start, id)` pairs and the surviving heads' extensions
-    /// `(start, id, new_end)`, for callers maintaining parallel views.
-    pub fn merge_touching(&mut self) -> MergeOutcome {
-        let mut outcome = MergeOutcome::default();
-        let mut rebuilt: BTreeMap<TimePoint, Run> = BTreeMap::new();
-        let mut head: Option<(TimePoint, Run)> = None;
-        for (&start, &run) in &self.runs {
-            match &mut head {
-                Some((head_start, head_run))
-                    if head_run.end == start
-                        && head_run.price == run.price
-                        && head_run.perf == run.perf =>
-                {
-                    outcome.absorbed.push((start, run.id));
-                    head_run.end = run.end;
-                    match outcome.extended.last_mut() {
-                        Some(last) if last.1 == head_run.id => last.2 = run.end,
-                        _ => outcome.extended.push((*head_start, head_run.id, run.end)),
-                    }
-                }
-                _ => {
-                    if let Some((s, r)) = head.take() {
-                        rebuilt.insert(s, r);
-                    }
-                    head = Some((start, run));
-                }
-            }
-        }
-        if let Some((s, r)) = head {
-            rebuilt.insert(s, r);
-        }
-        if !outcome.absorbed.is_empty() {
-            self.runs = rebuilt;
-        }
-        outcome
+    pub(crate) fn candidates(&self, region: Span) -> Vec<Key> {
+        let before = self.runs.range(..region.start()).next_back();
+        let inside = self.runs.range(region.start()..region.end());
+        before
+            .into_iter()
+            .chain(inside)
+            .map(|(&start, &(id, _))| (start, id))
+            .collect()
     }
 
     /// Checks adjacency disjointness and per-run well-formedness.
@@ -247,423 +308,65 @@ impl IntervalSet {
     ///
     /// Returns [`CoreError::OverlappingSlots`] (with the two offending
     /// ids) on the first adjacency violation.
-    pub fn validate(&self, node: NodeId) -> Result<(), CoreError> {
-        let mut prev: Option<(TimePoint, &Run)> = None;
-        for (&start, run) in &self.runs {
-            debug_assert!(start < run.end, "runs must be non-empty");
-            if let Some((_, prev_run)) = prev {
-                if prev_run.end > start {
+    pub(crate) fn validate(&self, node: NodeId) -> Result<(), CoreError> {
+        let mut prev: Option<(SlotId, TimePoint)> = None;
+        for (&start, &(id, end)) in &self.runs {
+            debug_assert!(start < end, "runs must be non-empty");
+            if let Some((first, prev_end)) = prev {
+                if prev_end > start {
                     return Err(CoreError::OverlappingSlots {
                         node,
-                        first: prev_run.id,
-                        second: run.id,
+                        first,
+                        second: id,
                     });
                 }
             }
-            prev = Some((start, run));
+            prev = Some((id, end));
         }
         Ok(())
-    }
-}
-
-/// What one [`IntervalSet::merge_touching`] pass changed.
-#[derive(Debug, Clone, Default)]
-pub struct MergeOutcome {
-    /// Runs absorbed into a predecessor, as `(start, id)`, in start order.
-    pub absorbed: Vec<(TimePoint, SlotId)>,
-    /// Chain heads that grew, as `(start, id, new_end)`.
-    pub extended: Vec<(TimePoint, SlotId, TimePoint)>,
-}
-
-/// The interval-backed market: per-node [`IntervalSet`] timelines plus a
-/// global `(start, id)`-ordered slot view and an id index.
-///
-/// Invariants (checked by [`IntervalMarket::validate`]):
-/// * `order` holds every live slot keyed by `(start, id)`;
-/// * `index` maps each live id to its start;
-/// * each node's timeline holds exactly that node's runs, disjoint, with
-///   annotations matching the slot in `order`;
-/// * `next_id` is strictly greater than every live id.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct IntervalMarket {
-    timelines: IdMap<NodeId, IntervalSet>,
-    order: BTreeMap<(TimePoint, SlotId), Slot>,
-    index: IdMap<SlotId, TimePoint>,
-    next_id: u64,
-}
-
-impl IntervalMarket {
-    pub(crate) fn new() -> Self {
-        IntervalMarket::default()
-    }
-
-    /// Bulk-loads slots already in strictly increasing `(start, id)`
-    /// order, with the same one-pass validation (and the same error
-    /// payloads) as the flat list's sorted bulk load.
-    pub(crate) fn from_sorted_slots(slots: Vec<Slot>) -> Result<Self, CoreError> {
-        let mut market = IntervalMarket::new();
-        // Running max vacant end per node: starts are non-decreasing, so a
-        // new slot overlaps an earlier same-node slot iff it starts before
-        // the furthest end seen on that node.
-        let mut node_ends: IdMap<NodeId, (TimePoint, SlotId)> = IdMap::default();
-        let mut prev: Option<(TimePoint, SlotId)> = None;
-        for (i, slot) in slots.into_iter().enumerate() {
-            if let Some(p) = prev {
-                if p >= (slot.start(), slot.id()) {
-                    return Err(CoreError::UnsortedSlots { index: i });
-                }
-            }
-            prev = Some((slot.start(), slot.id()));
-            if market.index.insert(slot.id(), slot.start()).is_some() {
-                return Err(CoreError::DuplicateSlotId { id: slot.id() });
-            }
-            match node_ends.get_mut(&slot.node()) {
-                Some((end, first)) => {
-                    if slot.start() < *end {
-                        return Err(CoreError::OverlappingSlots {
-                            node: slot.node(),
-                            first: *first,
-                            second: slot.id(),
-                        });
-                    }
-                    if slot.end() > *end {
-                        *end = slot.end();
-                        *first = slot.id();
-                    }
-                }
-                None => {
-                    node_ends.insert(slot.node(), (slot.end(), slot.id()));
-                }
-            }
-            let (start, run) = Run::of_slot(&slot);
-            market
-                .timelines
-                .entry(slot.node())
-                .or_default()
-                .runs
-                .insert(start, run);
-            market.order.insert((slot.start(), slot.id()), slot);
-            market.next_id = market.next_id.max(slot.id().raw() + 1);
-        }
-        Ok(market)
-    }
-
-    /// Rebuilds from an in-order slot dump plus a trusted `next_id` —
-    /// the representation-conversion path, no revalidation.
-    pub(crate) fn from_parts(slots: impl IntoIterator<Item = Slot>, next_id: u64) -> Self {
-        let mut market = IntervalMarket {
-            next_id,
-            ..IntervalMarket::default()
-        };
-        for slot in slots {
-            let (start, run) = Run::of_slot(&slot);
-            market
-                .timelines
-                .entry(slot.node())
-                .or_default()
-                .runs
-                .insert(start, run);
-            market.index.insert(slot.id(), slot.start());
-            market.order.insert((slot.start(), slot.id()), slot);
-        }
-        market
-    }
-
-    pub(crate) fn next_id(&self) -> u64 {
-        self.next_id
-    }
-
-    pub(crate) fn mint_id(&mut self) -> SlotId {
-        let id = SlotId::new(self.next_id);
-        self.next_id += 1;
-        id
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    pub(crate) fn iter(
-        &self,
-    ) -> std::collections::btree_map::Values<'_, (TimePoint, SlotId), Slot> {
-        self.order.values()
-    }
-
-    pub(crate) fn range_from(
-        &self,
-        from: TimePoint,
-    ) -> std::collections::btree_map::Range<'_, (TimePoint, SlotId), Slot> {
-        self.order.range((from, SlotId::new(0))..)
-    }
-
-    pub(crate) fn insert(&mut self, slot: Slot) -> Result<(), CoreError> {
-        if self.index.contains_key(&slot.id()) {
-            return Err(CoreError::DuplicateSlotId { id: slot.id() });
-        }
-        let (start, run) = Run::of_slot(&slot);
-        if let Err(first) = self
-            .timelines
-            .entry(slot.node())
-            .or_default()
-            .insert(start, run)
-        {
-            return Err(CoreError::OverlappingSlots {
-                node: slot.node(),
-                first,
-                second: slot.id(),
-            });
-        }
-        self.next_id = self.next_id.max(slot.id().raw() + 1);
-        self.index.insert(slot.id(), slot.start());
-        self.order.insert((slot.start(), slot.id()), slot);
-        Ok(())
-    }
-
-    pub(crate) fn get(&self, id: SlotId) -> Option<&Slot> {
-        let start = *self.index.get(&id)?;
-        let slot = self.order.get(&(start, id));
-        debug_assert!(slot.is_some(), "id index out of sync with the order map");
-        slot
-    }
-
-    pub(crate) fn contains(&self, id: SlotId) -> bool {
-        self.index.contains_key(&id)
-    }
-
-    pub(crate) fn earliest_start(&self) -> Option<TimePoint> {
-        self.order.keys().next().map(|&(start, _)| start)
-    }
-
-    pub(crate) fn total_vacant_time(&self) -> TimeDelta {
-        self.order.values().map(Slot::length).sum()
-    }
-
-    pub(crate) fn covering_slot(&self, node: NodeId, region: Span) -> Option<&Slot> {
-        let timeline = self.timelines.get(&node)?;
-        let (start, run) = timeline.covering(region)?;
-        self.order.get(&(start, run.id))
-    }
-
-    /// Withdraws `region` from every run on `node` it overlaps, minting
-    /// remnants exactly as the flat list does (candidates in start order,
-    /// left remnant before right). Returns the ids of the affected runs.
-    pub(crate) fn remove_region(&mut self, node: NodeId, region: Span) -> Vec<SlotId> {
-        let candidates = match self.timelines.get(&node) {
-            Some(timeline) => timeline.candidates(region),
-            None => return Vec::new(),
-        };
-        let mut affected = Vec::new();
-        for (start, run) in candidates {
-            let slot = run.to_slot(node, start);
-            if let Some(cut) = slot.span().intersect(region) {
-                self.cut_slot(&slot, cut, &mut Vec::new());
-                affected.push(run.id);
-            }
-        }
-        affected
-    }
-
-    /// Removes the interval `cut` from the slot `id`, minting left/right
-    /// remnants in order and appending them to `remnants`.
-    pub(crate) fn subtract_collect(
-        &mut self,
-        id: SlotId,
-        cut: Span,
-        remnants: &mut Vec<Slot>,
-    ) -> Result<(), CoreError> {
-        let slot = *self.get(id).ok_or(CoreError::SlotNotFound { id })?;
-        if !slot.span().contains_span(cut) {
-            return Err(CoreError::CutOutsideSlot {
-                id,
-                slot_span: slot.span(),
-                cut,
-            });
-        }
-        self.cut_slot(&slot, cut, remnants);
-        Ok(())
-    }
-
-    /// The mutation half of a subtraction, for a caller that has already
-    /// looked `slot` up and checked that it contains `cut`: one removal
-    /// from the id index, the order tree and the node timeline, then the
-    /// remnant inserts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is not live in the market.
-    pub(crate) fn cut_slot(&mut self, slot: &Slot, cut: Span, remnants: &mut Vec<Slot>) {
-        let (start, id, node) = (slot.start(), slot.id(), slot.node());
-        self.index.remove(&id).expect("cut slots are live");
-        self.order.remove(&(start, id));
-        let timeline = self
-            .timelines
-            .get_mut(&node)
-            .expect("every live slot has a timeline");
-        let next_id = &mut self.next_id;
-        let minted = timeline
-            .subtract(start, cut, || {
-                let rid = SlotId::new(*next_id);
-                *next_id += 1;
-                rid
-            })
-            .expect("the caller checked containment against the same span");
-        if timeline.is_empty() {
-            self.timelines.remove(&node);
-        }
-        for (rstart, run) in minted.into_iter().flatten() {
-            let new_slot = run.to_slot(node, rstart);
-            self.index.insert(run.id, rstart);
-            self.order.insert((rstart, run.id), new_slot);
-            remnants.push(new_slot);
-        }
-    }
-
-    /// One defragmentation pass over every node timeline: merges touching
-    /// equal-attribute runs (head keeps its id), returns the number of
-    /// runs absorbed. Identical merge decisions to the flat list's
-    /// `coalesce`, at `O(n log n)` instead of a full rebuild.
-    pub(crate) fn coalesce(&mut self) -> usize {
-        if self.order.len() < 2 {
-            return 0;
-        }
-        let mut absorbed_total = 0;
-        for timeline in self.timelines.values_mut() {
-            let outcome = timeline.merge_touching();
-            for (start, id) in &outcome.absorbed {
-                self.order.remove(&(*start, *id));
-                self.index.remove(id);
-            }
-            for (start, id, end) in &outcome.extended {
-                let slot = self
-                    .order
-                    .get_mut(&(*start, *id))
-                    .expect("extended heads stay live");
-                *slot = slot
-                    .with_span(
-                        *id,
-                        Span::new(*start, *end).expect("merged spans are non-empty"),
-                    )
-                    .expect("merged spans are non-empty");
-            }
-            absorbed_total += outcome.absorbed.len();
-        }
-        absorbed_total
-    }
-
-    pub(crate) fn validate(&self) -> Result<(), CoreError> {
-        if self.index.len() != self.order.len() {
-            return Err(CoreError::DuplicateSlotId {
-                id: SlotId::new(self.next_id),
-            });
-        }
-        let mut run_total = 0;
-        for (&node, timeline) in &self.timelines {
-            timeline.validate(node)?;
-            run_total += timeline.len();
-            for (start, run) in timeline.iter() {
-                let slot = self
-                    .order
-                    .get(&(start, run.id))
-                    .ok_or(CoreError::SlotNotFound { id: run.id })?;
-                if slot.node() != node
-                    || slot.end() != run.end
-                    || slot.perf() != run.perf
-                    || slot.price() != run.price
-                {
-                    return Err(CoreError::SlotNotFound { id: run.id });
-                }
-            }
-        }
-        if run_total != self.order.len() {
-            return Err(CoreError::DuplicateSlotId {
-                id: SlotId::new(self.next_id),
-            });
-        }
-        for (&(start, id), slot) in &self.order {
-            if (slot.start(), slot.id()) != (start, id) {
-                return Err(CoreError::SlotNotFound { id: slot.id() });
-            }
-            if self.index.get(&id) != Some(&start) {
-                return Err(CoreError::SlotNotFound { id });
-            }
-            if id.raw() >= self.next_id {
-                return Err(CoreError::DuplicateSlotId { id });
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn into_slots(
-        self,
-    ) -> std::collections::btree_map::IntoValues<(TimePoint, SlotId), Slot> {
-        self.order.into_values()
-    }
-
-    /// Per-node timeline dump in ascending node order, each node's slots
-    /// in start order — the serialized "interval form".
-    pub(crate) fn node_slots(&self) -> Vec<(NodeId, Vec<Slot>)> {
-        let mut nodes: Vec<(NodeId, Vec<Slot>)> = self
-            .timelines
-            .iter()
-            .map(|(&node, timeline)| {
-                (
-                    node,
-                    timeline
-                        .iter()
-                        .map(|(start, run)| run.to_slot(node, start))
-                        .collect(),
-                )
-            })
-            .collect();
-        nodes.sort_by_key(|(node, _)| *node);
-        nodes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::money::Price;
+    use crate::perf::Perf;
 
     fn span(a: i64, b: i64) -> Span {
         Span::new(TimePoint::new(a), TimePoint::new(b)).unwrap()
     }
 
-    fn run(id: u64, a: i64, b: i64) -> (TimePoint, Run) {
-        (
-            TimePoint::new(a),
-            Run {
-                end: TimePoint::new(b),
-                id: SlotId::new(id),
-                perf: Perf::UNIT,
-                price: Price::from_credits(2),
-            },
-        )
+    fn at(start: i64, id: u64) -> Key {
+        (TimePoint::new(start), SlotId::new(id))
     }
 
     fn set(runs: &[(u64, i64, i64)]) -> IntervalSet {
-        let mut s = IntervalSet::new();
+        let mut s = IntervalSet::default();
         for &(id, a, b) in runs {
-            let (start, r) = run(id, a, b);
-            s.insert(start, r).unwrap();
+            s.insert(TimePoint::new(a), SlotId::new(id), TimePoint::new(b))
+                .unwrap();
         }
         s
+    }
+
+    fn slot(id: u64, a: i64, b: i64) -> Slot {
+        let (node, price) = (NodeId::new(id as u32), Price::from_credits(2));
+        Slot::new(SlotId::new(id), node, Perf::UNIT, price, span(a, b)).unwrap()
     }
 
     #[test]
     fn insert_rejects_overlap_with_neighbours() {
         let mut s = set(&[(0, 0, 30), (1, 50, 80)]);
+        let mut insert = |id, a, b| s.insert(TimePoint::new(a), SlotId::new(id), TimePoint::new(b));
         // Reaches into the predecessor.
-        let (start, r) = run(2, 20, 40);
-        assert_eq!(s.insert(start, r), Err(SlotId::new(0)));
+        assert_eq!(insert(2, 20, 40), Err(SlotId::new(0)));
         // Reaches into the successor.
-        let (start, r) = run(3, 40, 60);
-        assert_eq!(s.insert(start, r), Err(SlotId::new(1)));
+        assert_eq!(insert(3, 40, 60), Err(SlotId::new(1)));
         // Exact start collision.
-        let (start, r) = run(4, 50, 55);
-        assert_eq!(s.insert(start, r), Err(SlotId::new(1)));
+        assert_eq!(insert(4, 50, 55), Err(SlotId::new(1)));
         // Touching on both sides is fine.
-        let (start, r) = run(5, 30, 50);
-        assert!(s.insert(start, r).is_ok());
+        assert!(insert(5, 30, 50).is_ok());
         assert_eq!(s.len(), 3);
         s.validate(NodeId::new(0)).unwrap();
     }
@@ -671,7 +374,7 @@ mod tests {
     #[test]
     fn covering_finds_the_unique_container() {
         let s = set(&[(0, 0, 30), (1, 50, 80)]);
-        assert_eq!(s.covering(span(55, 70)).unwrap().1.id, SlotId::new(1));
+        assert_eq!(s.covering(span(55, 70)), Some(at(50, 1)));
         assert!(s.covering(span(25, 55)).is_none());
         assert!(s.covering(span(30, 40)).is_none());
     }
@@ -679,87 +382,72 @@ mod tests {
     #[test]
     fn candidates_include_the_reaching_predecessor() {
         let s = set(&[(0, 0, 30), (1, 40, 70), (2, 80, 120)]);
-        let c = s.candidates(span(20, 90));
-        let ids: Vec<u64> = c.iter().map(|(_, r)| r.id.raw()).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
+        let all = vec![at(0, 0), at(40, 1), at(80, 2)];
+        assert_eq!(s.candidates(span(20, 90)), all);
         // A predecessor ending before the region is still listed (the
         // caller's intersect filters it) but nothing before it is.
-        let c = s.candidates(span(35, 90));
-        let ids: Vec<u64> = c.iter().map(|(_, r)| r.id.raw()).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
+        assert_eq!(s.candidates(span(35, 90)), all);
+        assert_eq!(s.candidates(span(75, 90)), all[1..]);
     }
 
     #[test]
-    fn subtract_interior_mints_left_then_right() {
-        let mut s = set(&[(0, 0, 100)]);
-        let mut next = 10u64;
-        let minted: Vec<(TimePoint, Run)> = s
-            .subtract(TimePoint::new(0), span(30, 60), || {
-                let id = SlotId::new(next);
-                next += 1;
-                id
-            })
-            .unwrap()
-            .into_iter()
-            .flatten()
-            .collect();
-        assert_eq!(minted.len(), 2);
-        assert_eq!(minted[0].1.id, SlotId::new(10));
-        assert_eq!(minted[0].0, TimePoint::new(0));
-        assert_eq!(minted[0].1.end, TimePoint::new(30));
-        assert_eq!(minted[1].1.id, SlotId::new(11));
-        assert_eq!(minted[1].0, TimePoint::new(60));
+    fn a_cut_run_is_replaced_by_its_pieces() {
+        let mut s = set(&[(0, 0, 100), (1, 100, 120)]);
+        s.remove(TimePoint::new(0));
+        s.put(TimePoint::new(0), SlotId::new(10), TimePoint::new(30));
+        s.put(TimePoint::new(60), SlotId::new(11), TimePoint::new(100));
         s.validate(NodeId::new(0)).unwrap();
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn subtract_outside_cut_is_an_error_and_a_noop() {
-        let mut s = set(&[(0, 10, 20)]);
-        let err = s
-            .subtract(TimePoint::new(10), span(15, 30), || SlotId::new(99))
-            .unwrap_err();
-        assert!(matches!(err, CoreError::CutOutsideSlot { .. }));
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn merge_touching_keeps_the_head_id() {
-        let mut s = set(&[(0, 0, 30), (1, 30, 60), (2, 60, 100), (3, 110, 130)]);
-        let outcome = s.merge_touching();
+        assert_eq!(s.len(), 3);
         assert_eq!(
-            outcome.absorbed,
-            vec![
-                (TimePoint::new(30), SlotId::new(1)),
-                (TimePoint::new(60), SlotId::new(2)),
-            ]
+            s.get(TimePoint::new(60)),
+            Some((SlotId::new(11), TimePoint::new(100)))
         );
-        assert_eq!(
-            outcome.extended,
-            vec![(TimePoint::ZERO, SlotId::new(0), TimePoint::new(100))]
-        );
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.covering(span(0, 100)).unwrap().1.id, SlotId::new(0));
-        // Idempotent.
-        assert!(s.merge_touching().absorbed.is_empty());
+        assert!(s.covering(span(30, 60)).is_none());
     }
 
+    /// Every `Order` primitive, on both orderings, against the sorted
+    /// vector it was loaded from.
     #[test]
-    fn merge_touching_respects_attribute_changes() {
-        let mut s = IntervalSet::new();
-        let (start, r) = run(0, 0, 30);
-        s.insert(start, r).unwrap();
-        s.insert(
-            TimePoint::new(30),
-            Run {
-                end: TimePoint::new(60),
-                id: SlotId::new(1),
-                perf: Perf::UNIT,
-                price: Price::from_credits(9),
-            },
-        )
-        .unwrap();
-        assert!(s.merge_touching().absorbed.is_empty());
-        assert_eq!(s.len(), 2);
+    fn both_orderings_answer_every_primitive_alike() {
+        let sorted = vec![
+            slot(3, 0, 20),
+            slot(1, 10, 40),
+            slot(4, 10, 30),
+            slot(2, 25, 60),
+        ];
+        for repr in [MarketRepr::Flat, MarketRepr::Interval] {
+            let mut order = Order::from_sorted(sorted.clone(), repr);
+            assert_eq!((order.repr(), order.len()), (repr, 4));
+            assert_eq!(order.iter().copied().collect::<Vec<_>>(), sorted);
+            assert_eq!(order.iter().next_back(), sorted.last());
+            let from = |order: &Order, t| {
+                order
+                    .range_from(TimePoint::new(t))
+                    .copied()
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(from(&order, 10), sorted[1..]);
+            assert_eq!(from(&order, 11), sorted[3..]);
+            assert_eq!(order.get(at(10, 4)), Some(&sorted[2]));
+            // A live id under the wrong start is not found.
+            assert_eq!(order.get(at(0, 4)), None);
+            assert_eq!(order.get(at(25, 9)), None);
+
+            order.insert(slot(0, 10, 15));
+            assert_eq!(from(&order, 10)[0], slot(0, 10, 15));
+            order.remove(at(10, 0));
+            let mut seen = Vec::new();
+            order.retain_mut(|s| {
+                seen.push(s.id().raw());
+                if s.id().raw() == 2 {
+                    *s = slot(2, 25, 70);
+                }
+                s.id().raw() < 3
+            });
+            assert_eq!(seen, vec![3, 1, 4, 2], "one pass, in order");
+            let left = vec![slot(1, 10, 40), slot(2, 25, 70)];
+            assert_eq!(order.iter().copied().collect::<Vec<_>>(), left);
+            assert_eq!(order.into_slots().collect::<Vec<_>>(), left);
+        }
     }
 }

@@ -64,7 +64,7 @@ pub use alternative::{Alternative, BatchAlternatives, JobAlternatives};
 pub use error::CoreError;
 #[doc(hidden)]
 pub use idhash::IdBuildHasher;
-pub use interval::{IntervalSet, MergeOutcome, Run};
+pub use interval::{SlotIntoIter, SlotIter};
 pub use job::{Batch, Job, JobId};
 pub use lease::{Lease, LeaseOrigin, Revocation, RevocationReason};
 pub use money::{Money, Price, MONEY_SCALE};
@@ -72,6 +72,6 @@ pub use perf::{Perf, PERF_SCALE};
 pub use request::ResourceRequest;
 pub use resource::{NodeId, Resource};
 pub use slot::{Slot, SlotId};
-pub use slot_list::{MarketRepr, SlotIntoIter, SlotIter, SlotList, SubtractionReport};
+pub use slot_list::{MarketRepr, SlotList, SubtractionReport};
 pub use time::{Span, TimeDelta, TimePoint};
 pub use window::{Window, WindowSlot};

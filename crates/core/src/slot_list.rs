@@ -7,46 +7,59 @@
 //! and replaced by the remnants `K1 = [K.start, K'.start)` and
 //! `K2 = [K'.end, K.end)`, dropping zero-length pieces.
 //!
-//! [`SlotList`] is a facade over two interchangeable representations:
+//! [`SlotList`] is the one market store: the `(start, id)`-ordered slot
+//! container, an id index, a per-node timeline, the id minting cursor
+//! and every market algorithm, each exactly once. The container comes
+//! in two orderings ([`MarketRepr`]; `crate::interval::Order`):
 //!
-//! * **Flat** ([`MarketRepr::Flat`]): a start-ordered `Vec<Slot>` with an
-//!   id index and per-node start maps — `O(log m)` lookups but `O(m)`
-//!   memmove per splice. Retained as the differential oracle.
-//! * **Interval** ([`MarketRepr::Interval`]): per-node
-//!   [`IntervalSet`](crate::IntervalSet) timelines plus a global
-//!   `(start, id)`-ordered tree — every subtraction, carve, tail-return
-//!   insert, and coalesce merge is an `O(log m)` tree splice.
+//! * **Flat** ([`MarketRepr::Flat`]): a `Vec<Slot>` — the cheapest form
+//!   to walk, clone and bulk-load, at an `O(m)` memmove per splice. What
+//!   [`SlotList::new`], [`SlotList::from_slots`] and
+//!   [`SlotList::from_sorted_slots`] build: the closed batch markets of
+//!   the paper's study.
+//! * **Interval** ([`MarketRepr::Interval`]): a
+//!   `BTreeMap<(TimePoint, SlotId), Slot>` — every subtraction, carve,
+//!   tail-return insert and coalesce merge is an `O(log m)` tree splice.
+//!   What the engine's long-lived market runs on.
 //!
-//! The two representations are **observably identical** — same slots,
-//! same id minting order, same iteration order, same
-//! [`SubtractionReport`]s — so every consumer (selection, simulation,
-//! engine, persistence, federation) behaves bit-for-bit the same under
-//! either. `tests/interval_equivalence.rs` pins that equivalence.
+//! Nothing outside the container knows which ordering it holds, so the
+//! two are **observably identical** — same slots, same id minting order,
+//! same iteration order, same [`SubtractionReport`]s.
+//! `tests/interval_equivalence.rs` pins the containers against each
+//! other; `tests/market_model.rs` pins the algorithms against an
+//! independent linear-scan model.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
 use crate::idhash::IdMap;
-use crate::interval::IntervalMarket;
+use crate::interval::{key, IntervalSet, Order, SlotIntoIter, SlotIter};
 use crate::resource::NodeId;
 use crate::slot::{Slot, SlotId};
 use crate::time::{Span, TimeDelta, TimePoint};
 use crate::window::{Window, WindowSlot};
 
-/// Which storage backs a [`SlotList`].
+/// Which ordered container backs a [`SlotList`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MarketRepr {
-    /// Start-ordered vector with an id index (the historical layout, kept
-    /// as the differential oracle).
+    /// Start-ordered vector: cheap walks and bulk loads, `O(m)` splices.
     Flat,
-    /// Per-node interval timelines with a global ordered view.
+    /// `(start, id)`-keyed tree: `O(log m)` splices.
     Interval,
 }
 
 /// A list of vacant slots ordered by `(start time, slot id)`.
+///
+/// Invariants (checked by [`SlotList::validate`]):
+/// * `order` holds every live slot in strictly increasing `(start, id)`;
+/// * `index` maps each live id to its start;
+/// * each node's timeline holds exactly that node's slots as
+///   `start → (id, end)`, pairwise disjoint;
+/// * `next_id` is strictly greater than every live id.
 ///
 /// # Examples
 ///
@@ -60,23 +73,12 @@ pub enum MarketRepr {
 /// assert_eq!(list.len(), 1);
 /// # Ok::<(), ecosched_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SlotList {
-    repr: Repr,
-}
-
-#[derive(Debug, Clone)]
-enum Repr {
-    Flat(FlatStore),
-    Interval(IntervalMarket),
-}
-
-impl Default for SlotList {
-    fn default() -> Self {
-        SlotList {
-            repr: Repr::Flat(FlatStore::default()),
-        }
-    }
+    order: Order,
+    index: IdMap<SlotId, TimePoint>,
+    nodes: IdMap<NodeId, IntervalSet>,
+    next_id: u64,
 }
 
 /// What one [`SlotList::subtract_window_report`] call did to the list:
@@ -103,43 +105,30 @@ impl SlotList {
     #[must_use]
     pub fn new_with_repr(repr: MarketRepr) -> Self {
         SlotList {
-            repr: match repr {
-                MarketRepr::Flat => Repr::Flat(FlatStore::default()),
-                MarketRepr::Interval => Repr::Interval(IntervalMarket::new()),
-            },
+            order: Order::new(repr),
+            ..SlotList::default()
         }
     }
 
     /// The representation currently backing this list.
     #[must_use]
     pub fn repr(&self) -> MarketRepr {
-        match &self.repr {
-            Repr::Flat(_) => MarketRepr::Flat,
-            Repr::Interval(_) => MarketRepr::Interval,
-        }
+        self.order.repr()
     }
 
     /// Converts the list to `repr`, preserving the observable state
     /// exactly: the same slots and the same `next_id` (fresh mints after
     /// a conversion produce the same ids they would have before it).
-    /// A no-op if the list is already in `repr`.
+    /// Only the ordered container is rebuilt. A no-op if the list is
+    /// already in `repr`.
     #[must_use]
     pub fn with_repr(self, repr: MarketRepr) -> SlotList {
         if self.repr() == repr {
             return self;
         }
-        let next_id = self.next_id();
-        match (self.repr, repr) {
-            (Repr::Flat(flat), MarketRepr::Interval) => SlotList {
-                repr: Repr::Interval(IntervalMarket::from_parts(flat.slots, next_id)),
-            },
-            (Repr::Interval(market), MarketRepr::Flat) => SlotList {
-                repr: Repr::Flat(FlatStore::from_parts(
-                    market.into_slots().collect(),
-                    next_id,
-                )),
-            },
-            (repr, _) => SlotList { repr },
+        SlotList {
+            order: Order::from_sorted(self.order.into_slots().collect(), repr),
+            ..self
         }
     }
 
@@ -152,18 +141,23 @@ impl SlotList {
     /// [`CoreError::OverlappingSlots`] if two slots on the same node
     /// overlap in time.
     pub fn from_slots(slots: Vec<Slot>) -> Result<Self, CoreError> {
-        FlatStore::from_slots(slots).map(|flat| SlotList {
-            repr: Repr::Flat(flat),
-        })
+        SlotList::from_slots_with_repr(slots, MarketRepr::Flat)
     }
 
-    /// [`SlotList::from_slots`], then converts to `repr`.
+    /// [`SlotList::from_slots`] in the given representation.
     ///
     /// # Errors
     ///
-    /// Propagates [`SlotList::from_slots`] errors.
+    /// As [`SlotList::from_slots`].
     pub fn from_slots_with_repr(slots: Vec<Slot>, repr: MarketRepr) -> Result<Self, CoreError> {
-        SlotList::from_slots(slots).map(|list| list.with_repr(repr))
+        let mut slots = slots;
+        slots.sort_by_key(key);
+        // A repeated `(start, id)` is adjacent now; the sorted load would
+        // report it as a break in the order.
+        if let Some(twins) = slots.windows(2).find(|p| key(&p[0]) == key(&p[1])) {
+            return Err(CoreError::DuplicateSlotId { id: twins[1].id() });
+        }
+        SlotList::from_sorted_slots_with_repr(slots, repr)
     }
 
     /// Builds a flat list from slots already in strictly increasing
@@ -195,9 +189,7 @@ impl SlotList {
     /// assert!(SlotList::from_sorted_slots(vec![mk(0, 10, 50), mk(1, 0, 60)]).is_err());
     /// ```
     pub fn from_sorted_slots(slots: Vec<Slot>) -> Result<Self, CoreError> {
-        FlatStore::from_sorted_slots(slots).map(|flat| SlotList {
-            repr: Repr::Flat(flat),
-        })
+        SlotList::from_sorted_slots_with_repr(slots, MarketRepr::Flat)
     }
 
     /// [`SlotList::from_sorted_slots`] targeting a specific
@@ -211,27 +203,38 @@ impl SlotList {
         slots: Vec<Slot>,
         repr: MarketRepr,
     ) -> Result<Self, CoreError> {
-        match repr {
-            MarketRepr::Flat => SlotList::from_sorted_slots(slots),
-            MarketRepr::Interval => IntervalMarket::from_sorted_slots(slots).map(|m| SlotList {
-                repr: Repr::Interval(m),
-            }),
+        let mut index = IdMap::with_capacity_and_hasher(slots.len(), Default::default());
+        let mut nodes: IdMap<NodeId, IntervalSet> = IdMap::default();
+        let mut next_id = 0u64;
+        for (i, slot) in slots.iter().enumerate() {
+            if i > 0 && key(&slots[i - 1]) >= key(slot) {
+                return Err(CoreError::UnsortedSlots { index: i });
+            }
+            if index.insert(slot.id(), slot.start()).is_some() {
+                return Err(CoreError::DuplicateSlotId { id: slot.id() });
+            }
+            // Starts are non-decreasing, so the timeline's neighbour check
+            // only ever meets the node's furthest-reaching earlier slot.
+            nodes
+                .entry(slot.node())
+                .or_default()
+                .insert(slot.start(), slot.id(), slot.end())
+                .map_err(|first| overlap(first, slot))?;
+            next_id = next_id.max(slot.id().raw() + 1);
         }
-    }
-
-    fn next_id(&self) -> u64 {
-        match &self.repr {
-            Repr::Flat(flat) => flat.next_id,
-            Repr::Interval(market) => market.next_id(),
-        }
+        Ok(SlotList {
+            order: Order::from_sorted(slots, repr),
+            index,
+            nodes,
+            next_id,
+        })
     }
 
     /// Mints a fresh slot id, unique within this list.
     pub fn mint_id(&mut self) -> SlotId {
-        match &mut self.repr {
-            Repr::Flat(flat) => flat.mint_id(),
-            Repr::Interval(market) => market.mint_id(),
-        }
+        let id = SlotId::new(self.next_id);
+        self.next_id += 1;
+        id
     }
 
     /// Inserts a slot, keeping the ordering invariant.
@@ -239,24 +242,27 @@ impl SlotList {
     /// # Errors
     ///
     /// Returns [`CoreError::DuplicateSlotId`] if the id is already
-    /// present. Overlap against existing same-node slots is checked in
-    /// debug builds (flat) or structurally (interval, where an
-    /// overlapping insert returns [`CoreError::OverlappingSlots`] instead
-    /// of corrupting the timeline).
+    /// present, or [`CoreError::OverlappingSlots`] if the slot overlaps
+    /// one already on its node; the list is unchanged either way.
     pub fn insert(&mut self, slot: Slot) -> Result<(), CoreError> {
-        match &mut self.repr {
-            Repr::Flat(flat) => flat.insert(slot),
-            Repr::Interval(market) => market.insert(slot),
-        }
+        let Entry::Vacant(start_of) = self.index.entry(slot.id()) else {
+            return Err(CoreError::DuplicateSlotId { id: slot.id() });
+        };
+        self.nodes
+            .entry(slot.node())
+            .or_default()
+            .insert(slot.start(), slot.id(), slot.end())
+            .map_err(|first| overlap(first, &slot))?;
+        start_of.insert(slot.start());
+        self.next_id = self.next_id.max(slot.id().raw() + 1);
+        self.order.insert(slot);
+        Ok(())
     }
 
     /// Number of slots in the list.
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Flat(flat) => flat.slots.len(),
-            Repr::Interval(market) => market.len(),
-        }
+        self.order.len()
     }
 
     /// Returns `true` if the list has no slots.
@@ -267,10 +273,7 @@ impl SlotList {
 
     /// Iterates the slots in `(start, id)` order.
     pub fn iter(&self) -> SlotIter<'_> {
-        match &self.repr {
-            Repr::Flat(flat) => SlotIter::Flat(flat.slots.iter()),
-            Repr::Interval(market) => SlotIter::Interval(market.iter()),
-        }
+        self.order.iter()
     }
 
     /// Iterates, in `(start, id)` order, every slot with `start >= from`
@@ -293,13 +296,7 @@ impl SlotList {
     /// assert_eq!(list.iter_from(TimePoint::new(100)).count(), 0);
     /// ```
     pub fn iter_from(&self, from: TimePoint) -> SlotIter<'_> {
-        match &self.repr {
-            Repr::Flat(flat) => {
-                let pos = flat.slots.partition_point(|s| s.start() < from);
-                SlotIter::Flat(flat.slots[pos..].iter())
-            }
-            Repr::Interval(market) => SlotIter::IntervalRange(market.range_from(from)),
-        }
+        self.order.range_from(from)
     }
 
     /// Looks up a slot by id in `O(log m)` via the id index.
@@ -318,41 +315,31 @@ impl SlotList {
     /// ```
     #[must_use]
     pub fn get(&self, id: SlotId) -> Option<&Slot> {
-        match &self.repr {
-            Repr::Flat(flat) => flat.get(id),
-            Repr::Interval(market) => market.get(id),
-        }
+        let slot = self.order.get((*self.index.get(&id)?, id));
+        debug_assert!(slot.is_some(), "id index out of sync with the order");
+        slot
     }
 
     /// Returns `true` if slot `id` is currently in the list (`O(1)`).
     #[must_use]
     pub fn contains(&self, id: SlotId) -> bool {
-        match &self.repr {
-            Repr::Flat(flat) => flat.index.contains_key(&id),
-            Repr::Interval(market) => market.contains(id),
-        }
+        self.index.contains_key(&id)
     }
 
     /// The earliest vacant start across the list, if any.
     #[must_use]
     pub fn earliest_start(&self) -> Option<TimePoint> {
-        match &self.repr {
-            Repr::Flat(flat) => flat.slots.first().map(Slot::start),
-            Repr::Interval(market) => market.earliest_start(),
-        }
+        self.iter().next().map(Slot::start)
     }
 
     /// Sum of all vacant span lengths.
     #[must_use]
     pub fn total_vacant_time(&self) -> TimeDelta {
-        match &self.repr {
-            Repr::Flat(flat) => flat.slots.iter().map(Slot::length).sum(),
-            Repr::Interval(market) => market.total_vacant_time(),
-        }
+        self.iter().map(Slot::length).sum()
     }
 
     /// The slot on `node` whose vacant span fully contains `region`, if
-    /// one exists — `O(log m)` via the per-node structures.
+    /// one exists — `O(log m)` via the node's timeline.
     ///
     /// Same-node slots are disjoint, so at most one slot can cover the
     /// region: the last one starting at or before `region.start()`.
@@ -372,22 +359,29 @@ impl SlotList {
     /// ```
     #[must_use]
     pub fn covering_slot(&self, node: NodeId, region: Span) -> Option<&Slot> {
-        match &self.repr {
-            Repr::Flat(flat) => flat.covering_slot(node, region),
-            Repr::Interval(market) => market.covering_slot(node, region),
-        }
+        self.order.get(self.nodes.get(&node)?.covering(region)?)
     }
 
     /// Withdraws `region` from every slot on `node` it overlaps — the
     /// revocation primitive: an owner reclaiming `[a, b)` on a node carves
     /// that interval out of whatever vacancy remains there, minting
-    /// remnants for the surviving pieces. Returns the ids of the affected
-    /// slots. `O((k + 1) log m)` for `k` affected slots.
+    /// remnants for the surviving pieces (candidates in start order, left
+    /// remnant before right). Returns the ids of the affected slots.
+    /// `O((k + 1) log m)` for `k` affected slots.
     pub fn remove_region(&mut self, node: NodeId, region: Span) -> Vec<SlotId> {
-        match &mut self.repr {
-            Repr::Flat(flat) => flat.remove_region(node, region),
-            Repr::Interval(market) => market.remove_region(node, region),
+        let candidates = match self.nodes.get(&node) {
+            Some(timeline) => timeline.candidates(region),
+            None => return Vec::new(),
+        };
+        let (mut affected, mut remnants) = (Vec::new(), Vec::new());
+        for at in candidates {
+            let slot = *self.order.get(at).expect("timelines mirror the order");
+            if let Some(cut) = slot.span().intersect(region) {
+                self.cut_slot(&slot, cut, &mut remnants);
+                affected.push(slot.id());
+            }
         }
+        affected
     }
 
     /// Removes the interval `cut` from the slot `id`, inserting remnants in
@@ -400,19 +394,52 @@ impl SlotList {
     /// * [`CoreError::CutOutsideSlot`] if `cut` is not fully contained in
     ///   the slot's vacant span.
     pub fn subtract(&mut self, id: SlotId, cut: Span) -> Result<(), CoreError> {
-        self.subtract_collect(id, cut, &mut Vec::new())
+        let slot = self.source(id, cut)?;
+        self.cut_slot(&slot, cut, &mut Vec::new());
+        Ok(())
     }
 
-    /// [`SlotList::subtract`], appending minted remnants to `remnants`.
-    fn subtract_collect(
-        &mut self,
-        id: SlotId,
-        cut: Span,
-        remnants: &mut Vec<Slot>,
-    ) -> Result<(), CoreError> {
-        match &mut self.repr {
-            Repr::Flat(flat) => flat.subtract_collect(id, cut, remnants),
-            Repr::Interval(market) => market.subtract_collect(id, cut, remnants),
+    /// The live slot `id`, checked to contain `cut`.
+    fn source(&self, id: SlotId, cut: Span) -> Result<Slot, CoreError> {
+        let slot = self.get(id).ok_or(CoreError::SlotNotFound { id })?;
+        if !slot.span().contains_span(cut) {
+            return Err(CoreError::CutOutsideSlot {
+                id,
+                slot_span: slot.span(),
+                cut,
+            });
+        }
+        Ok(*slot)
+    }
+
+    /// The mutation half of a subtraction, for a caller that has already
+    /// looked `slot` up and checked that it contains `cut`: one removal
+    /// from the id index, the order and the node timeline, then the
+    /// remnants (left minted before right), appended to `remnants`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not live in the list.
+    fn cut_slot(&mut self, slot: &Slot, cut: Span, remnants: &mut Vec<Slot>) {
+        self.index.remove(&slot.id()).expect("cut slots are live");
+        self.order.remove(key(slot));
+        let timeline = timeline(&mut self.nodes, slot.node());
+        timeline.remove(slot.start());
+        let (left, right) = slot.span().subtract(cut);
+        for piece in [left, right].into_iter().flatten() {
+            // `mint_id()`, spelt out: `timeline` holds a borrow of `self.nodes`.
+            let id = SlotId::new(self.next_id);
+            self.next_id += 1;
+            let remnant = slot
+                .with_span(id, piece)
+                .expect("non-empty remnant spans construct valid slots");
+            timeline.put(piece.start(), id, piece.end());
+            self.index.insert(id, piece.start());
+            self.order.insert(remnant);
+            remnants.push(remnant);
+        }
+        if timeline.is_empty() {
+            self.nodes.remove(&slot.node());
         }
     }
 
@@ -446,25 +473,14 @@ impl SlotList {
     ) -> Result<SubtractionReport, CoreError> {
         let mut sources: Vec<Slot> = Vec::with_capacity(window.slot_count());
         for (id, cut) in window.cuts() {
-            let slot = self.get(id).ok_or(CoreError::SlotNotFound { id })?;
-            if !slot.span().contains_span(cut) {
-                return Err(CoreError::CutOutsideSlot {
-                    id,
-                    slot_span: slot.span(),
-                    cut,
-                });
-            }
-            sources.push(*slot);
+            sources.push(self.source(id, cut)?);
         }
         let mut report = SubtractionReport {
             removed: Vec::with_capacity(sources.len()),
             remnants: Vec::with_capacity(2 * sources.len()),
         };
         for (slot, (id, cut)) in sources.iter().zip(window.cuts()) {
-            match &mut self.repr {
-                Repr::Flat(flat) => flat.cut_slot(slot, cut, &mut report.remnants),
-                Repr::Interval(market) => market.cut_slot(slot, cut, &mut report.remnants),
-            }
+            self.cut_slot(slot, cut, &mut report.remnants);
             report.removed.push(id);
         }
         Ok(report)
@@ -477,8 +493,7 @@ impl SlotList {
     ///
     /// # Panics
     ///
-    /// Panics if `span` is empty, or overlaps a slot already in the list
-    /// (interval form; debug builds for the flat form).
+    /// Panics if `span` is empty, or overlaps a slot already in the list.
     pub fn release_region(&mut self, member: &WindowSlot, span: Span) -> SlotId {
         let id = self.mint_id();
         let slot = Slot::new(id, member.node(), member.perf(), member.price(), span)
@@ -505,14 +520,62 @@ impl SlotList {
     /// Ids of absorbed slots are retired (never reused: `next_id` is
     /// untouched), surviving slots keep their ids and `(start, id)` order,
     /// and the union of vacant `(node, time)` capacity is exactly
-    /// preserved — only the partitioning changes. Both representations
-    /// make identical merge decisions; the interval form pays `O(n log n)`
-    /// tree updates instead of a full vector rebuild.
+    /// preserved — only the partitioning changes. One walk in `(start,
+    /// id)` order (which is start order on every node) finds the chains,
+    /// one pass over the order applies them.
     pub fn coalesce(&mut self) -> usize {
-        match &mut self.repr {
-            Repr::Flat(flat) => flat.coalesce(),
-            Repr::Interval(market) => market.coalesce(),
+        // Each node's current chain head, merged so far, and whether it grew.
+        let mut heads: IdMap<NodeId, (Slot, bool)> =
+            IdMap::with_capacity_and_hasher(self.nodes.len(), Default::default());
+        let (mut absorbed, mut grown) = (Vec::new(), Vec::new());
+        for slot in self.order.iter() {
+            match heads.get_mut(&slot.node()) {
+                Some((head, grew))
+                    if head.end() == slot.start()
+                        && head.price() == slot.price()
+                        && head.perf() == slot.perf() =>
+                {
+                    let span = Span::new(head.start(), slot.end());
+                    *head = head
+                        .with_span(head.id(), span.expect("a merged span outlives its head"))
+                        .expect("merged spans are non-empty");
+                    *grew = true;
+                    absorbed.push(*slot);
+                }
+                Some(head) => {
+                    let (closed, grew) = std::mem::replace(head, (*slot, false));
+                    if grew {
+                        grown.push(closed);
+                    }
+                }
+                None => {
+                    heads.insert(slot.node(), (*slot, false));
+                }
+            }
         }
+        if absorbed.is_empty() {
+            return 0;
+        }
+        grown.extend(heads.into_values().filter(|h| h.1).map(|h| h.0));
+        grown.sort_unstable_by_key(key);
+        let (mut dead, mut merged) = (absorbed.iter().peekable(), grown.iter().peekable());
+        self.order.retain_mut(|slot| {
+            if dead.next_if(|d| d.id() == slot.id()).is_some() {
+                return false;
+            }
+            if let Some(head) = merged.next_if(|m| m.id() == slot.id()) {
+                *slot = *head;
+            }
+            true
+        });
+        for slot in &absorbed {
+            self.index.remove(&slot.id());
+            timeline(&mut self.nodes, slot.node()).remove(slot.start());
+        }
+        for head in &grown {
+            timeline(&mut self.nodes, head.node()).put(head.start(), head.id(), head.end());
+        }
+        absorbed.len()
     }
 
     /// Checks every structural invariant of the list, including that the
@@ -523,88 +586,72 @@ impl SlotList {
     ///
     /// Returns the first violated invariant as a [`CoreError`].
     pub fn validate(&self) -> Result<(), CoreError> {
-        match &self.repr {
-            Repr::Flat(flat) => flat.validate(),
-            Repr::Interval(market) => market.validate(),
+        let mut prev = None;
+        for slot in self.iter() {
+            let at = key(slot);
+            if prev >= Some(at) || slot.id().raw() >= self.next_id {
+                return Err(CoreError::DuplicateSlotId { id: slot.id() });
+            }
+            prev = Some(at);
+            let run = self.nodes.get(&slot.node()).and_then(|t| t.get(at.0));
+            if self.order.get(at) != Some(slot)
+                || self.index.get(&slot.id()) != Some(&at.0)
+                || run != Some((slot.id(), slot.end()))
+            {
+                return Err(CoreError::SlotNotFound { id: slot.id() });
+            }
         }
+        let mut runs = 0;
+        for (&node, timeline) in &self.nodes {
+            timeline.validate(node)?;
+            runs += timeline.len();
+        }
+        if self.index.len() != self.len() || runs != self.len() {
+            return Err(CoreError::DuplicateSlotId {
+                id: SlotId::new(self.next_id),
+            });
+        }
+        Ok(())
+    }
+
+    /// Either wire form's slots, in `(start, id)` order, and its `next_id`
+    /// go through the sorted load, so a corrupt payload is refused naming
+    /// the invariant it breaks and never becomes a list whose `validate()`
+    /// fails or whose `mint_id()` reissues a live id.
+    fn from_wire(slots: Vec<Slot>, next_id: u64, repr: MarketRepr) -> Result<Self, serde::Error> {
+        let mut list = SlotList::from_sorted_slots_with_repr(slots, repr)
+            .map_err(|e| serde::Error::custom(format!("invalid serialized slot list: {e}")))?;
+        if next_id < list.next_id {
+            return Err(serde::Error::custom(format!(
+                "invalid serialized slot list: next_id {next_id} is not above live slot id {}",
+                list.next_id - 1
+            )));
+        }
+        list.next_id = next_id;
+        Ok(list)
     }
 }
 
-/// Borrowed iterator over a [`SlotList`]'s slots in `(start, id)` order,
-/// uniform across representations.
-#[derive(Debug, Clone)]
-pub enum SlotIter<'a> {
-    /// Walking the flat vector.
-    Flat(std::slice::Iter<'a, Slot>),
-    /// Walking the whole interval order tree.
-    Interval(std::collections::btree_map::Values<'a, (TimePoint, SlotId), Slot>),
-    /// Walking an interval order-tree suffix (from [`SlotList::iter_from`]).
-    IntervalRange(std::collections::btree_map::Range<'a, (TimePoint, SlotId), Slot>),
+fn timeline(nodes: &mut IdMap<NodeId, IntervalSet>, node: NodeId) -> &mut IntervalSet {
+    nodes
+        .get_mut(&node)
+        .expect("every live slot is on its node's timeline")
 }
 
-impl<'a> Iterator for SlotIter<'a> {
-    type Item = &'a Slot;
-
-    fn next(&mut self) -> Option<&'a Slot> {
-        match self {
-            SlotIter::Flat(it) => it.next(),
-            SlotIter::Interval(it) => it.next(),
-            SlotIter::IntervalRange(it) => it.next().map(|(_, slot)| slot),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            SlotIter::Flat(it) => it.size_hint(),
-            SlotIter::Interval(it) => it.size_hint(),
-            SlotIter::IntervalRange(it) => it.size_hint(),
-        }
-    }
-}
-
-impl DoubleEndedIterator for SlotIter<'_> {
-    fn next_back(&mut self) -> Option<Self::Item> {
-        match self {
-            SlotIter::Flat(it) => it.next_back(),
-            SlotIter::Interval(it) => it.next_back(),
-            SlotIter::IntervalRange(it) => it.next_back().map(|(_, slot)| slot),
-        }
-    }
-}
-
-/// Owning iterator over a [`SlotList`]'s slots in `(start, id)` order.
-#[derive(Debug)]
-pub enum SlotIntoIter {
-    /// Draining the flat vector.
-    Flat(std::vec::IntoIter<Slot>),
-    /// Draining the interval order tree.
-    Interval(std::collections::btree_map::IntoValues<(TimePoint, SlotId), Slot>),
-}
-
-impl Iterator for SlotIntoIter {
-    type Item = Slot;
-
-    fn next(&mut self) -> Option<Slot> {
-        match self {
-            SlotIntoIter::Flat(it) => it.next(),
-            SlotIntoIter::Interval(it) => it.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            SlotIntoIter::Flat(it) => it.size_hint(),
-            SlotIntoIter::Interval(it) => it.size_hint(),
-        }
+fn overlap(first: SlotId, second: &Slot) -> CoreError {
+    CoreError::OverlappingSlots {
+        node: second.node(),
+        first,
+        second: second.id(),
     }
 }
 
 impl PartialEq for SlotList {
     fn eq(&self, other: &Self) -> bool {
         // Observable equality: the slots and the minting cursor. The
-        // backing representation is an execution detail — a flat list and
-        // an interval list holding the same market compare equal.
-        self.next_id() == other.next_id()
+        // ordering is an execution detail — a vector-ordered list and a
+        // tree-ordered list holding the same market compare equal.
+        self.next_id == other.next_id
             && self.len() == other.len()
             && self.iter().zip(other.iter()).all(|(a, b)| a == b)
     }
@@ -614,60 +661,46 @@ impl Eq for SlotList {}
 
 // Manual serde. The flat representation keeps the wire format of the
 // pre-index list (`slots` + `next_id`); the interval representation
-// writes the per-node interval form behind a `repr` tag. Decoding
+// writes each node's slots in start order behind a `repr` tag. Decoding
 // dispatches on the tag's presence, so legacy flat payloads (persist
 // format v1) load unchanged.
 impl Serialize for SlotList {
     fn to_value(&self) -> serde::Value {
-        match &self.repr {
-            Repr::Flat(flat) => serde::Value::Map(vec![
-                ("slots".to_string(), flat.slots.to_value()),
-                ("next_id".to_string(), flat.next_id.to_value()),
-            ]),
-            Repr::Interval(market) => {
-                let nodes: Vec<serde::Value> = market
-                    .node_slots()
-                    .into_iter()
-                    .map(|(node, slots)| {
-                        serde::Value::Map(vec![
-                            ("node".to_string(), node.to_value()),
-                            ("slots".to_string(), slots.to_value()),
-                        ])
-                    })
-                    .collect();
-                serde::Value::Map(vec![
-                    ("repr".to_string(), "interval".to_string().to_value()),
-                    ("nodes".to_string(), serde::Value::Seq(nodes)),
-                    ("next_id".to_string(), market.next_id().to_value()),
-                ])
-            }
+        let next_id = ("next_id".to_string(), self.next_id.to_value());
+        if self.repr() == MarketRepr::Flat {
+            let slots = serde::Value::Seq(self.iter().map(Serialize::to_value).collect());
+            return serde::Value::Map(vec![("slots".to_string(), slots), next_id]);
         }
+        // Ascending node order; `(start, id)` order within a node is its
+        // start order.
+        let mut by_node: BTreeMap<NodeId, Vec<Slot>> = BTreeMap::new();
+        for slot in self.iter() {
+            by_node.entry(slot.node()).or_default().push(*slot);
+        }
+        let nodes = by_node.into_iter().map(|(node, slots)| {
+            serde::Value::Map(vec![
+                ("node".to_string(), node.to_value()),
+                ("slots".to_string(), slots.to_value()),
+            ])
+        });
+        serde::Value::Map(vec![
+            ("repr".to_string(), "interval".to_string().to_value()),
+            ("nodes".to_string(), serde::Value::Seq(nodes.collect())),
+            next_id,
+        ])
     }
 }
 
 impl<'de> Deserialize<'de> for SlotList {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let tagged_interval = value
+        let next_id = u64::from_value(serde::get_field(value, "next_id")?)?;
+        let tagged = value
             .as_map()
-            .and_then(|m| m.iter().find(|(k, _)| k == "repr"))
-            .is_some();
-        if !tagged_interval {
-            // Legacy flat payload: `{slots, next_id}`, validated as fully
-            // as the interval one: order, ids, same-node overlap, cursor.
+            .is_some_and(|m| m.iter().any(|(k, _)| k == "repr"));
+        if !tagged {
+            // Legacy flat payload: `{slots, next_id}`, slots in order.
             let slots = Vec::<Slot>::from_value(serde::get_field(value, "slots")?)?;
-            let next_id = u64::from_value(serde::get_field(value, "next_id")?)?;
-            let mut flat = FlatStore::from_sorted_slots(slots)
-                .map_err(|e| serde::Error::custom(format!("invalid serialized slot list: {e}")))?;
-            if next_id < flat.next_id {
-                return Err(serde::Error::custom(format!(
-                    "invalid serialized slot list: next_id {next_id} is not above live slot id {}",
-                    flat.next_id - 1
-                )));
-            }
-            flat.next_id = next_id;
-            return Ok(SlotList {
-                repr: Repr::Flat(flat),
-            });
+            return SlotList::from_wire(slots, next_id, MarketRepr::Flat);
         }
         let repr = String::from_value(serde::get_field(value, "repr")?)?;
         if repr != "interval" {
@@ -675,7 +708,6 @@ impl<'de> Deserialize<'de> for SlotList {
                 "unknown slot list repr tag {repr:?}"
             )));
         }
-        let next_id = u64::from_value(serde::get_field(value, "next_id")?)?;
         let nodes = serde::get_field(value, "nodes")?;
         let serde::Value::Seq(nodes) = nodes else {
             return Err(serde::Error::expected("sequence", nodes));
@@ -684,24 +716,17 @@ impl<'de> Deserialize<'de> for SlotList {
         for entry in nodes {
             let node = NodeId::from_value(serde::get_field(entry, "node")?)?;
             let slots = Vec::<Slot>::from_value(serde::get_field(entry, "slots")?)?;
-            for slot in &slots {
-                if slot.node() != node {
-                    return Err(serde::Error::custom(format!(
-                        "slot {} filed under node {node} but belongs to {}",
-                        slot.id(),
-                        slot.node()
-                    )));
-                }
+            if let Some(slot) = slots.iter().find(|slot| slot.node() != node) {
+                return Err(serde::Error::custom(format!(
+                    "slot {} filed under node {node} but belongs to {}",
+                    slot.id(),
+                    slot.node()
+                )));
             }
             all_slots.extend(slots);
         }
-        let market = IntervalMarket::from_parts(all_slots, next_id);
-        market.validate().map_err(|e| {
-            serde::Error::custom(format!("invalid serialized interval market: {e}"))
-        })?;
-        Ok(SlotList {
-            repr: Repr::Interval(market),
-        })
+        all_slots.sort_by_key(key);
+        SlotList::from_wire(all_slots, next_id, MarketRepr::Interval)
     }
 }
 
@@ -709,10 +734,7 @@ impl IntoIterator for SlotList {
     type Item = Slot;
     type IntoIter = SlotIntoIter;
     fn into_iter(self) -> Self::IntoIter {
-        match self.repr {
-            Repr::Flat(flat) => SlotIntoIter::Flat(flat.slots.into_iter()),
-            Repr::Interval(market) => SlotIntoIter::Interval(market.into_slots()),
-        }
+        self.order.into_slots()
     }
 }
 
@@ -729,355 +751,6 @@ impl fmt::Display for SlotList {
         writeln!(f, "slot list ({} slots):", self.len())?;
         for slot in self.iter() {
             writeln!(f, "  {slot}")?;
-        }
-        Ok(())
-    }
-}
-
-/// The flat representation: a `(start, id)`-ordered vector with an id
-/// index and per-node start maps. Retained as the differential oracle
-/// the interval representation is pinned against.
-#[derive(Debug, Clone, Default)]
-struct FlatStore {
-    slots: Vec<Slot>,
-    next_id: u64,
-    /// Start time of each live slot, keyed by id: turns `get`/`subtract`
-    /// into a hash probe + binary search on the ordered vector.
-    index: IdMap<SlotId, TimePoint>,
-    /// Per-node view `start → id`. Same-node slots are disjoint, so the
-    /// start uniquely keys a slot within its node; this turns region
-    /// queries into `O(log m)` range lookups instead of full scans.
-    node_starts: IdMap<NodeId, BTreeMap<TimePoint, SlotId>>,
-}
-
-impl FlatStore {
-    fn from_slots(slots: Vec<Slot>) -> Result<Self, CoreError> {
-        let mut list = FlatStore {
-            next_id: slots.iter().map(|s| s.id().raw() + 1).max().unwrap_or(0),
-            index: IdMap::with_capacity_and_hasher(slots.len(), Default::default()),
-            node_starts: IdMap::default(),
-            slots,
-        };
-        list.slots.sort_by_key(|s| (s.start(), s.id()));
-        for slot in &list.slots {
-            if list.index.insert(slot.id(), slot.start()).is_some() {
-                return Err(CoreError::DuplicateSlotId { id: slot.id() });
-            }
-            list.node_starts
-                .entry(slot.node())
-                .or_default()
-                .insert(slot.start(), slot.id());
-        }
-        list.validate()?;
-        Ok(list)
-    }
-
-    fn from_sorted_slots(slots: Vec<Slot>) -> Result<Self, CoreError> {
-        let mut index = IdMap::with_capacity_and_hasher(slots.len(), Default::default());
-        let mut node_starts: IdMap<NodeId, BTreeMap<TimePoint, SlotId>> = IdMap::default();
-        // Running max vacant end per node: starts are non-decreasing, so a
-        // new slot overlaps an earlier same-node slot iff it starts before
-        // the furthest end seen on that node.
-        let mut node_ends: IdMap<NodeId, (TimePoint, SlotId)> = IdMap::default();
-        let mut next_id = 0u64;
-        for (i, slot) in slots.iter().enumerate() {
-            if i > 0 {
-                let prev = &slots[i - 1];
-                if (prev.start(), prev.id()) >= (slot.start(), slot.id()) {
-                    return Err(CoreError::UnsortedSlots { index: i });
-                }
-            }
-            if index.insert(slot.id(), slot.start()).is_some() {
-                return Err(CoreError::DuplicateSlotId { id: slot.id() });
-            }
-            match node_ends.get_mut(&slot.node()) {
-                Some((end, first)) => {
-                    if slot.start() < *end {
-                        return Err(CoreError::OverlappingSlots {
-                            node: slot.node(),
-                            first: *first,
-                            second: slot.id(),
-                        });
-                    }
-                    if slot.end() > *end {
-                        *end = slot.end();
-                        *first = slot.id();
-                    }
-                }
-                None => {
-                    node_ends.insert(slot.node(), (slot.end(), slot.id()));
-                }
-            }
-            node_starts
-                .entry(slot.node())
-                .or_default()
-                .insert(slot.start(), slot.id());
-            next_id = next_id.max(slot.id().raw() + 1);
-        }
-        Ok(FlatStore {
-            slots,
-            next_id,
-            index,
-            node_starts,
-        })
-    }
-
-    /// Rebuilds from an in-order slot dump plus a trusted `next_id` — the
-    /// representation-conversion path, no revalidation beyond indexing.
-    fn from_parts(slots: Vec<Slot>, next_id: u64) -> Self {
-        let mut index = IdMap::with_capacity_and_hasher(slots.len(), Default::default());
-        let mut node_starts: IdMap<NodeId, BTreeMap<TimePoint, SlotId>> = IdMap::default();
-        for slot in &slots {
-            index.insert(slot.id(), slot.start());
-            node_starts
-                .entry(slot.node())
-                .or_default()
-                .insert(slot.start(), slot.id());
-        }
-        FlatStore {
-            slots,
-            next_id,
-            index,
-            node_starts,
-        }
-    }
-
-    fn mint_id(&mut self) -> SlotId {
-        let id = SlotId::new(self.next_id);
-        self.next_id += 1;
-        id
-    }
-
-    fn insert(&mut self, slot: Slot) -> Result<(), CoreError> {
-        if self.index.contains_key(&slot.id()) {
-            return Err(CoreError::DuplicateSlotId { id: slot.id() });
-        }
-        debug_assert!(
-            self.slots
-                .iter()
-                .all(|s| s.node() != slot.node() || !s.span().overlaps(slot.span())),
-            "inserted slot overlaps an existing slot on the same node"
-        );
-        self.next_id = self.next_id.max(slot.id().raw() + 1);
-        let pos = self
-            .slots
-            .partition_point(|s| (s.start(), s.id()) < (slot.start(), slot.id()));
-        self.index.insert(slot.id(), slot.start());
-        self.node_starts
-            .entry(slot.node())
-            .or_default()
-            .insert(slot.start(), slot.id());
-        self.slots.insert(pos, slot);
-        Ok(())
-    }
-
-    /// Position of slot `id` in the ordered vector: a hash probe for its
-    /// start time, then a binary search on `(start, id)`.
-    fn position(&self, id: SlotId) -> Option<usize> {
-        let start = *self.index.get(&id)?;
-        let pos = self
-            .slots
-            .partition_point(|s| (s.start(), s.id()) < (start, id));
-        debug_assert!(
-            self.slots.get(pos).is_some_and(|s| s.id() == id),
-            "index start time out of sync with the ordered vector"
-        );
-        Some(pos)
-    }
-
-    fn get(&self, id: SlotId) -> Option<&Slot> {
-        self.position(id).map(|pos| &self.slots[pos])
-    }
-
-    fn covering_slot(&self, node: NodeId, region: Span) -> Option<&Slot> {
-        let starts = self.node_starts.get(&node)?;
-        let (_, &id) = starts.range(..=region.start()).next_back()?;
-        let slot = self.get(id)?;
-        slot.span().contains_span(region).then_some(slot)
-    }
-
-    fn remove_region(&mut self, node: NodeId, region: Span) -> Vec<SlotId> {
-        let mut candidates: Vec<SlotId> = Vec::new();
-        if let Some(starts) = self.node_starts.get(&node) {
-            // The predecessor of the region start may reach into it; every
-            // slot starting inside the region overlaps it (spans are
-            // non-empty).
-            if let Some((_, &id)) = starts.range(..region.start()).next_back() {
-                candidates.push(id);
-            }
-            candidates.extend(
-                starts
-                    .range(region.start()..region.end())
-                    .map(|(_, &id)| id),
-            );
-        }
-        let mut affected = Vec::new();
-        for id in candidates {
-            let slot = *self.get(id).expect("node index is in sync with the list");
-            if let Some(cut) = slot.span().intersect(region) {
-                self.cut_slot(&slot, cut, &mut Vec::new());
-                affected.push(id);
-            }
-        }
-        affected
-    }
-
-    fn subtract_collect(
-        &mut self,
-        id: SlotId,
-        cut: Span,
-        remnants: &mut Vec<Slot>,
-    ) -> Result<(), CoreError> {
-        let slot = *self.get(id).ok_or(CoreError::SlotNotFound { id })?;
-        if !slot.span().contains_span(cut) {
-            return Err(CoreError::CutOutsideSlot {
-                id,
-                slot_span: slot.span(),
-                cut,
-            });
-        }
-        self.cut_slot(&slot, cut, remnants);
-        Ok(())
-    }
-
-    /// The mutation half of a subtraction, for a caller that has already
-    /// looked `slot` up and checked that it contains `cut`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is not live in the list.
-    fn cut_slot(&mut self, slot: &Slot, cut: Span, remnants: &mut Vec<Slot>) {
-        let id = slot.id();
-        self.index.remove(&id).expect("cut slots are live");
-        let pos = self
-            .slots
-            .partition_point(|s| (s.start(), s.id()) < (slot.start(), id));
-        self.slots.remove(pos);
-        if let Some(starts) = self.node_starts.get_mut(&slot.node()) {
-            starts.remove(&slot.start());
-            if starts.is_empty() {
-                self.node_starts.remove(&slot.node());
-            }
-        }
-        let (left, right) = slot.span().subtract(cut);
-        for remnant in [left, right].into_iter().flatten() {
-            let rid = self.mint_id();
-            let new_slot = slot
-                .with_span(rid, remnant)
-                .expect("non-empty remnant spans construct valid slots");
-            self.insert(new_slot)
-                .expect("freshly minted ids cannot collide");
-            remnants.push(new_slot);
-        }
-    }
-
-    fn coalesce(&mut self) -> usize {
-        use std::collections::HashSet;
-        if self.slots.len() < 2 {
-            return 0;
-        }
-        let mut merged_end: HashMap<SlotId, TimePoint> = HashMap::new();
-        let mut absorbed: HashSet<SlotId> = HashSet::new();
-        for starts in self.node_starts.values() {
-            // Per-node slots in start order; same-node disjointness makes
-            // "touching" the only adjacency case to consider.
-            let mut run: Option<(SlotId, Slot)> = None;
-            for &id in starts.values() {
-                let slot = *self.get(id).expect("node index is in sync with the list");
-                match &mut run {
-                    Some((head_id, head))
-                        if head.end() == slot.start()
-                            && head.price() == slot.price()
-                            && head.perf() == slot.perf() =>
-                    {
-                        absorbed.insert(id);
-                        let span = Span::new(head.start(), slot.end())
-                            .expect("a merged span outlives both parts");
-                        *head = head
-                            .with_span(*head_id, span)
-                            .expect("merged spans are non-empty");
-                        merged_end.insert(*head_id, slot.end());
-                    }
-                    _ => run = Some((id, slot)),
-                }
-            }
-        }
-        if absorbed.is_empty() {
-            return 0;
-        }
-        // Apply in list order: extending an end never changes a slot's
-        // (start, id) sort key, so the ordered vector stays sorted.
-        self.slots = self
-            .slots
-            .iter()
-            .filter(|s| !absorbed.contains(&s.id()))
-            .map(|s| match merged_end.get(&s.id()) {
-                Some(&end) => s
-                    .with_span(
-                        s.id(),
-                        Span::new(s.start(), end).expect("merged spans are non-empty"),
-                    )
-                    .expect("merged spans are non-empty"),
-                None => *s,
-            })
-            .collect();
-        self.index.clear();
-        self.node_starts.clear();
-        for slot in &self.slots {
-            self.index.insert(slot.id(), slot.start());
-            self.node_starts
-                .entry(slot.node())
-                .or_default()
-                .insert(slot.start(), slot.id());
-        }
-        absorbed.len()
-    }
-
-    fn validate(&self) -> Result<(), CoreError> {
-        for pair in self.slots.windows(2) {
-            if (pair[0].start(), pair[0].id()) >= (pair[1].start(), pair[1].id()) {
-                return Err(CoreError::DuplicateSlotId { id: pair[1].id() });
-            }
-        }
-        if self.index.len() != self.slots.len() {
-            return Err(CoreError::DuplicateSlotId {
-                id: SlotId::new(self.next_id),
-            });
-        }
-        for slot in &self.slots {
-            if self.index.get(&slot.id()) != Some(&slot.start()) {
-                return Err(CoreError::SlotNotFound { id: slot.id() });
-            }
-            if self
-                .node_starts
-                .get(&slot.node())
-                .and_then(|starts| starts.get(&slot.start()))
-                != Some(&slot.id())
-            {
-                return Err(CoreError::SlotNotFound { id: slot.id() });
-            }
-        }
-        if self.node_starts.values().map(BTreeMap::len).sum::<usize>() != self.slots.len() {
-            return Err(CoreError::DuplicateSlotId {
-                id: SlotId::new(self.next_id),
-            });
-        }
-        let mut per_node: HashMap<_, Vec<&Slot>> = HashMap::new();
-        for slot in &self.slots {
-            per_node.entry(slot.node()).or_default().push(slot);
-        }
-        for (node, slots) in per_node {
-            for i in 0..slots.len() {
-                for j in (i + 1)..slots.len() {
-                    if slots[i].span().overlaps(slots[j].span()) {
-                        return Err(CoreError::OverlappingSlots {
-                            node,
-                            first: slots[i].id(),
-                            second: slots[j].id(),
-                        });
-                    }
-                }
-            }
         }
         Ok(())
     }
@@ -1161,18 +834,22 @@ mod tests {
 
     #[test]
     fn interval_insert_rejects_overlap_structurally() {
-        let mut list =
-            SlotList::from_slots_with_repr(vec![slot(0, 5, 0, 50)], MarketRepr::Interval).unwrap();
-        let err = list.insert(slot(1, 5, 40, 90)).unwrap_err();
-        assert_eq!(
-            err,
-            CoreError::OverlappingSlots {
-                node: NodeId::new(5),
-                first: SlotId::new(0),
-                second: SlotId::new(1),
-            }
-        );
-        list.validate().unwrap();
+        on_both_reprs(vec![slot(0, 5, 0, 50)], |mut list| {
+            let err = list.insert(slot(1, 5, 40, 90)).unwrap_err();
+            assert_eq!(
+                err,
+                CoreError::OverlappingSlots {
+                    node: NodeId::new(5),
+                    first: SlotId::new(0),
+                    second: SlotId::new(1),
+                }
+            );
+            // Refused whole: nothing minted, indexed or ordered.
+            assert_eq!(list.len(), 1);
+            assert!(!list.contains(SlotId::new(1)));
+            assert_eq!(list.mint_id(), SlotId::new(1));
+            list.validate().unwrap();
+        });
     }
 
     #[test]
@@ -1360,7 +1037,7 @@ mod tests {
             let general = SlotList::from_slots(slots.clone()).unwrap();
             assert_eq!(sorted, general);
             sorted.validate().unwrap();
-            assert_eq!(sorted.next_id(), general.next_id());
+            assert_eq!(sorted.next_id, general.next_id);
         }
     }
 
@@ -1542,6 +1219,46 @@ mod tests {
     }
 
     #[test]
+    fn coalesce_closes_a_grown_chain_at_a_successor_that_differs() {
+        // On node 0: a chain of two, then a touching slot at another
+        // price that ends it, then a second chain behind that one.
+        let pricey = Slot::new(
+            SlotId::new(2),
+            NodeId::new(0),
+            Perf::UNIT,
+            Price::from_credits(9),
+            span(60, 70),
+        )
+        .unwrap();
+        let slots = vec![
+            slot(0, 0, 0, 30),
+            slot(1, 0, 30, 60),
+            pricey,
+            slot(3, 0, 70, 80),
+            slot(4, 0, 80, 95),
+            slot(5, 1, 10, 20), // interleaves in `(start, id)` order
+        ];
+        on_both_reprs(slots, |mut list| {
+            assert_eq!(list.coalesce(), 2);
+            list.validate().unwrap();
+            let node0: Vec<(u64, Span)> = list
+                .iter()
+                .filter(|s| s.node() == NodeId::new(0))
+                .map(|s| (s.id().raw(), s.span()))
+                .collect();
+            assert_eq!(
+                node0,
+                vec![(0, span(0, 60)), (2, span(60, 70)), (3, span(70, 95))]
+            );
+            assert_eq!(
+                list.covering_slot(NodeId::new(0), span(40, 55))
+                    .map(Slot::id),
+                Some(SlotId::new(0))
+            );
+        });
+    }
+
+    #[test]
     fn coalesce_never_reuses_retired_ids() {
         on_both_reprs(vec![slot(0, 0, 0, 30), slot(1, 0, 30, 60)], |mut list| {
             assert_eq!(list.coalesce(), 1);
@@ -1576,7 +1293,7 @@ mod tests {
         let back = interval.clone().with_repr(MarketRepr::Flat);
         back.validate().unwrap();
         assert_eq!(back, flat);
-        assert_eq!(back.next_id(), flat.next_id(), "minting cursor preserved");
+        assert_eq!(back.next_id, flat.next_id, "minting cursor preserved");
         // Same-repr conversion is the identity.
         assert_eq!(flat.clone().with_repr(MarketRepr::Flat), flat);
     }
@@ -1630,7 +1347,7 @@ mod tests {
         // A cursor past max(id) + 1 is sound: coalescing retires ids.
         let list = SlotList::from_value(&payload(sound.clone(), 9)).unwrap();
         list.validate().unwrap();
-        assert_eq!(list.next_id(), 9);
+        assert_eq!(list.next_id, 9);
 
         rejects(
             payload(vec![slot(5, 0, 20, 60), slot(3, 0, 0, 30)], 0),

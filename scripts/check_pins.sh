@@ -9,6 +9,12 @@
 #                              table (seeded; repeats byte-for-byte)
 #   results/coschedule_report.txt  E9: the whole `exp_coschedule
 #                              --iterations 1500` table (seeded likewise)
+#   results/pins/<bin>.txt     the paper's own study on vector-ordered batch
+#                              markets, whole stdout: `fig2_3_example` (E1)
+#                              and `exp_time_min`, `exp_cost_min`,
+#                              `exp_alternatives` at `--iterations 300
+#                              --threads 1` (seeded; the output does not
+#                              move with the thread count)
 #
 # Usage:
 #   ./scripts/check_pins.sh            # check
@@ -17,14 +23,14 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+paper_bins=(fig2_3_example exp_time_min exp_cost_min exp_alternatives)
 cargo build --release -q -p ecosched-experiments \
-    --bin exp_online --bin exp_federation --bin exp_churn --bin exp_coschedule
+    --bin exp_online --bin exp_federation --bin exp_churn --bin exp_coschedule \
+    "${paper_bins[@]/#/--bin=}"
 bin="${CARGO_TARGET_DIR:-target}/release"
 
-hashes=$(mktemp)
-churn=$(mktemp)
-cosched=$(mktemp)
-trap 'rm -f "$hashes" "$churn" "$cosched"' EXIT
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
 
 # One "# <command>" header per run, then its hash lines.
 pin() {
@@ -36,24 +42,32 @@ pin() {
     pin exp_online --no-coalesce
     pin exp_online --trace crates/experiments/fixtures/mini.swf
     pin exp_federation
-} > "$hashes"
-"$bin/exp_churn" --runs 6 --cycles 4 2>/dev/null > "$churn"
-"$bin/exp_coschedule" --iterations 1500 2>/dev/null > "$cosched"
+} > "$out/pins.expected"
+"$bin/exp_churn" --runs 6 --cycles 4 2>/dev/null > "$out/churn_report.txt"
+"$bin/exp_coschedule" --iterations 1500 2>/dev/null > "$out/coschedule_report.txt"
+mkdir "$out/pins"
+for b in "${paper_bins[@]}"; do
+    flags=(--iterations 300 --threads 1)
+    [[ $b == fig2_3_example ]] && flags=()
+    "$bin/$b" "${flags[@]}" 2>/dev/null > "$out/pins/$b.txt"
+done
 
 if [[ "${1:-}" == "--bless" ]]; then
-    cp "$hashes" scripts/pins.expected
-    cp "$churn" results/churn_report.txt
-    cp "$cosched" results/coschedule_report.txt
+    cp "$out/pins.expected" scripts/pins.expected
+    cp "$out/churn_report.txt" "$out/coschedule_report.txt" results/
+    mkdir -p results/pins
+    cp "$out"/pins/*.txt results/pins/
     echo "pins rewritten"
     exit 0
 fi
 
 status=0
-diff -u scripts/pins.expected "$hashes" || status=1
-diff -u results/churn_report.txt "$churn" || status=1
-diff -u results/coschedule_report.txt "$cosched" || status=1
+diff -u scripts/pins.expected "$out/pins.expected" || status=1
+diff -u results/churn_report.txt "$out/churn_report.txt" || status=1
+diff -u results/coschedule_report.txt "$out/coschedule_report.txt" || status=1
+diff -ru results/pins "$out/pins" || status=1
 if [[ $status -eq 0 ]]; then
-    echo "pins ok: $(grep -c 'hash=' "$hashes") hashes + the E14 and E9 tables"
+    echo "pins ok: $(grep -c 'hash=' "$out/pins.expected") hashes + the E14 and E9 tables + the E1 example and the three paper-study outputs"
 else
     echo "pinned behaviour changed (see diff above)" >&2
 fi
