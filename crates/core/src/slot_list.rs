@@ -659,17 +659,37 @@ impl PartialEq for SlotList {
 
 impl Eq for SlotList {}
 
-// Manual serde. The flat representation keeps the wire format of the
-// pre-index list (`slots` + `next_id`); the interval representation
-// writes each node's slots in start order behind a `repr` tag. Decoding
-// dispatches on the tag's presence, so legacy flat payloads (persist
-// format v1) load unchanged.
-impl Serialize for SlotList {
-    fn to_value(&self) -> serde::Value {
-        let next_id = ("next_id".to_string(), self.next_id.to_value());
+// Serde through one derived wire struct per representation, so the tree
+// and the streamed writer share a field list. The flat representation
+// keeps the wire format of the pre-index list (`slots` + `next_id`); the
+// interval representation writes each node's slots in start order behind
+// a `repr` tag. Decoding dispatches on the tag's presence, so legacy flat
+// payloads (persist format v1) load unchanged.
+#[derive(Serialize, Deserialize)]
+struct FlatWire {
+    slots: Vec<Slot>,
+    next_id: u64,
+}
+
+#[derive(Serialize, Deserialize)]
+struct IntervalWire {
+    repr: String,
+    nodes: Vec<NodeSlots>,
+    next_id: u64,
+}
+
+#[derive(Serialize, Deserialize)]
+struct NodeSlots {
+    node: NodeId,
+    slots: Vec<Slot>,
+}
+
+impl SlotList {
+    fn wire(&self) -> Box<dyn Serialize> {
+        let next_id = self.next_id;
         if self.repr() == MarketRepr::Flat {
-            let slots = serde::Value::Seq(self.iter().map(Serialize::to_value).collect());
-            return serde::Value::Map(vec![("slots".to_string(), slots), next_id]);
+            let slots = self.iter().copied().collect();
+            return Box::new(FlatWire { slots, next_id });
         }
         // Ascending node order; `(start, id)` order within a node is its
         // start order.
@@ -677,45 +697,45 @@ impl Serialize for SlotList {
         for slot in self.iter() {
             by_node.entry(slot.node()).or_default().push(*slot);
         }
-        let nodes = by_node.into_iter().map(|(node, slots)| {
-            serde::Value::Map(vec![
-                ("node".to_string(), node.to_value()),
-                ("slots".to_string(), slots.to_value()),
-            ])
-        });
-        serde::Value::Map(vec![
-            ("repr".to_string(), "interval".to_string().to_value()),
-            ("nodes".to_string(), serde::Value::Seq(nodes.collect())),
+        let nodes = by_node.into_iter();
+        let nodes = nodes.map(|(node, slots)| NodeSlots { node, slots });
+        Box::new(IntervalWire {
+            repr: "interval".to_string(),
+            nodes: nodes.collect(),
             next_id,
-        ])
+        })
+    }
+}
+
+impl Serialize for SlotList {
+    fn to_value(&self) -> serde::Value {
+        self.wire().to_value()
+    }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        self.wire().write_json(out);
     }
 }
 
 impl<'de> Deserialize<'de> for SlotList {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let next_id = u64::from_value(serde::get_field(value, "next_id")?)?;
         let tagged = value
             .as_map()
             .is_some_and(|m| m.iter().any(|(k, _)| k == "repr"));
         if !tagged {
             // Legacy flat payload: `{slots, next_id}`, slots in order.
-            let slots = Vec::<Slot>::from_value(serde::get_field(value, "slots")?)?;
+            let FlatWire { slots, next_id } = FlatWire::from_value(value)?;
             return SlotList::from_wire(slots, next_id, MarketRepr::Flat);
         }
-        let repr = String::from_value(serde::get_field(value, "repr")?)?;
-        if repr != "interval" {
+        let wire = IntervalWire::from_value(value)?;
+        if wire.repr != "interval" {
             return Err(serde::Error::custom(format!(
-                "unknown slot list repr tag {repr:?}"
+                "unknown slot list repr tag {:?}",
+                wire.repr
             )));
         }
-        let nodes = serde::get_field(value, "nodes")?;
-        let serde::Value::Seq(nodes) = nodes else {
-            return Err(serde::Error::expected("sequence", nodes));
-        };
         let mut all_slots: Vec<Slot> = Vec::new();
-        for entry in nodes {
-            let node = NodeId::from_value(serde::get_field(entry, "node")?)?;
-            let slots = Vec::<Slot>::from_value(serde::get_field(entry, "slots")?)?;
+        for NodeSlots { node, slots } in wire.nodes {
             if let Some(slot) = slots.iter().find(|slot| slot.node() != node) {
                 return Err(serde::Error::custom(format!(
                     "slot {} filed under node {node} but belongs to {}",
@@ -726,7 +746,7 @@ impl<'de> Deserialize<'de> for SlotList {
             all_slots.extend(slots);
         }
         all_slots.sort_by_key(key);
-        SlotList::from_wire(all_slots, next_id, MarketRepr::Interval)
+        SlotList::from_wire(all_slots, wire.next_id, MarketRepr::Interval)
     }
 }
 

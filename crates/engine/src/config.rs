@@ -115,36 +115,61 @@ pub struct EngineConfig {
     pub arrivals: ArrivalConfig,
 }
 
-// Manual serde: the derive's field order, plus two reserved entries, each
-// where the field it replaces used to sit. Earlier builds carried a
-// `threads` worker-pool width (normalized to 1 before fingerprinting) and
-// an `optimizer_cache` switch that every binary left at `true`; both keys
-// stay on the wire as those constants so every configuration fingerprint,
-// snapshot and WAL manifest written by those builds still matches byte for
-// byte. Decoding ignores both keys, whatever they hold or whether they are
-// there — so a checkpoint taken under a hand-set `"optimizer_cache": false`
-// carries a fingerprint this build never computes and is refused as a
-// `CheckpointMismatch`.
+// Serde through a derived wire struct: the config's fields in declaration
+// order, plus two reserved entries, each where the field it replaces used
+// to sit. Earlier builds carried a `threads` worker-pool width (normalized
+// to 1 before fingerprinting) and an `optimizer_cache` switch that every
+// binary left at `true`; both keys stay on the wire as those constants so
+// every configuration fingerprint, snapshot and WAL manifest written by
+// those builds still matches byte for byte. Decoding ignores both keys,
+// whatever they hold or whether they are there — so a checkpoint taken
+// under a hand-set `"optimizer_cache": false` carries a fingerprint this
+// build never computes and is refused as a `CheckpointMismatch`.
+#[derive(Serialize)]
+struct EngineConfigWire {
+    cycle_length: i64,
+    cycles: u32,
+    slot_gen: SlotGenConfig,
+    revocation: RevocationConfig,
+    repair: RepairPolicy,
+    iteration: IterationConfig,
+    optimizer_cache: bool, // reserved
+    coalesce: bool,
+    vos: u32,
+    completion_fraction: f64,
+    slowdown_tau: i64,
+    threads: usize, // reserved
+    arrivals: ArrivalConfig,
+}
+
+impl EngineConfig {
+    fn wire(&self) -> EngineConfigWire {
+        let config = self.clone();
+        EngineConfigWire {
+            cycle_length: config.cycle_length,
+            cycles: config.cycles,
+            slot_gen: config.slot_gen,
+            revocation: config.revocation,
+            repair: config.repair,
+            iteration: config.iteration,
+            optimizer_cache: true,
+            coalesce: config.coalesce,
+            vos: config.vos,
+            completion_fraction: config.completion_fraction,
+            slowdown_tau: config.slowdown_tau,
+            threads: 1,
+            arrivals: config.arrivals,
+        }
+    }
+}
+
 impl Serialize for EngineConfig {
     fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("cycle_length".to_string(), self.cycle_length.to_value()),
-            ("cycles".to_string(), self.cycles.to_value()),
-            ("slot_gen".to_string(), self.slot_gen.to_value()),
-            ("revocation".to_string(), self.revocation.to_value()),
-            ("repair".to_string(), self.repair.to_value()),
-            ("iteration".to_string(), self.iteration.to_value()),
-            ("optimizer_cache".to_string(), true.to_value()), // reserved
-            ("coalesce".to_string(), self.coalesce.to_value()),
-            ("vos".to_string(), self.vos.to_value()),
-            (
-                "completion_fraction".to_string(),
-                self.completion_fraction.to_value(),
-            ),
-            ("slowdown_tau".to_string(), self.slowdown_tau.to_value()),
-            ("threads".to_string(), 1usize.to_value()), // reserved
-            ("arrivals".to_string(), self.arrivals.to_value()),
-        ])
+        self.wire().to_value()
+    }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        self.wire().write_json(out);
     }
 }
 

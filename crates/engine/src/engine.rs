@@ -51,6 +51,7 @@ use ecosched_sim::{
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::{ChaCha8Rng, ChaChaState};
+use serde::Serialize as _;
 
 use crate::config::{ArrivalConfig, EngineConfig};
 use crate::event::{fnv1a_64, Event, EventLog, LogEntry, LogTail};
@@ -380,8 +381,9 @@ impl<S: SlotSelector + Copy> Engine<S> {
     /// converges under the identical `(config, selector)` pair.
     #[must_use]
     pub fn config_fingerprint(&self) -> u64 {
-        let json = serde_json::to_string(&self.config).unwrap_or_default();
-        fnv1a_64(format!("{}|{json}", self.selector.name()).as_bytes())
+        let mut keyed = format!("{}|", self.selector.name()).into_bytes();
+        self.config.write_json(&mut keyed);
+        fnv1a_64(&keyed)
     }
 
     /// Runs the simulation to queue exhaustion.

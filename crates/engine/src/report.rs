@@ -92,7 +92,7 @@ impl EngineReport {
     /// runs.
     #[must_use]
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).unwrap_or_default()
+        serde_json::to_string(self).expect("serializing to memory cannot fail")
     }
 }
 

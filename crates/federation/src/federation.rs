@@ -404,8 +404,9 @@ impl<S: SlotSelector + Copy> Federation<S> {
     /// name.
     #[must_use]
     pub fn config_fingerprint(&self) -> u64 {
-        let json = serde_json::to_string(&self.config).unwrap_or_default();
-        fnv1a_64(format!("{}|{json}", self.selector.name()).as_bytes())
+        let mut keyed = format!("{}|", self.selector.name()).into_bytes();
+        self.config.write_json(&mut keyed);
+        fnv1a_64(&keyed)
     }
 
     /// Builds the initial federation state: starts every shard on its

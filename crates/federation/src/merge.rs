@@ -82,7 +82,7 @@ impl FederationLog {
     /// configured and seeded federated runs.
     #[must_use]
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).unwrap_or_default()
+        serde_json::to_string(self).expect("serializing to memory cannot fail")
     }
 
     /// FNV-1a 64 fingerprint of the canonical serialization, 16 hex

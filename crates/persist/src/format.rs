@@ -185,19 +185,36 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
+/// Starts a container of `count` sections: the header, then one
+/// [`section`] call each.
+pub(crate) fn begin(count: u32) -> Vec<u8> {
+    [
+        &MAGIC[..],
+        &FORMAT_VERSION.to_le_bytes(),
+        &count.to_le_bytes(),
+    ]
+    .concat()
+}
+
+/// Appends one section. `write` appends the payload straight to the
+/// container; its length and checksum are filled in behind it.
+pub(crate) fn section(out: &mut Vec<u8>, tag: SectionTag, write: impl FnOnce(&mut Vec<u8>)) {
+    out.extend_from_slice(&tag.0);
+    let header = out.len();
+    out.extend_from_slice(&[0; 16]);
+    write(out);
+    let payload = &out[header + 16..];
+    let (len, checksum) = (payload.len() as u64, fnv1a_64(payload));
+    out[header..header + 8].copy_from_slice(&len.to_le_bytes());
+    out[header + 8..header + 16].copy_from_slice(&checksum.to_le_bytes());
+}
+
 /// Encodes sections into the container byte layout.
 #[must_use]
 pub fn encode(sections: &[(SectionTag, &[u8])]) -> Vec<u8> {
-    let body: usize = sections.iter().map(|(_, p)| 4 + 8 + 8 + p.len()).sum();
-    let mut out = Vec::with_capacity(MAGIC.len() + 4 + 4 + body);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    let mut out = begin(sections.len() as u32);
     for (tag, payload) in sections {
-        out.extend_from_slice(&tag.0);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
-        out.extend_from_slice(payload);
+        section(&mut out, *tag, |out| out.extend_from_slice(payload));
     }
     out
 }

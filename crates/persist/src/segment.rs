@@ -88,9 +88,9 @@ fn digest<E: Hash>(from: u64, entries: &[E]) -> u64 {
 fn lines<E: Serialize + Hash>(mut tip: Tip, entries: &[E]) -> (Vec<u8>, Tip) {
     let mut bytes = Vec::new();
     for entry in entries {
-        let line = serde_json::to_string(entry).unwrap_or_default();
-        tip.at.extend(line.as_bytes());
-        bytes.extend_from_slice(line.as_bytes());
+        let line = bytes.len();
+        entry.write_json(&mut bytes);
+        tip.at.extend(&bytes[line..]);
         bytes.push(b'\n');
     }
     tip.bytes += bytes.len() as u64;

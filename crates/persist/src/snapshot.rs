@@ -129,12 +129,12 @@ fn parse_section<T: DeserializeOwned>(
 /// Serializes a checkpoint into snapshot bytes.
 #[must_use]
 pub fn encode<C: Checkpoint>(checkpoint: &C) -> Vec<u8> {
-    let meta = serde_json::to_string(&checkpoint.meta()).unwrap_or_default();
-    let state = serde_json::to_string(checkpoint).unwrap_or_default();
-    format::encode(&[
-        (C::META_SECTION, meta.as_bytes()),
-        (C::STATE_SECTION, state.as_bytes()),
-    ])
+    let mut out = format::begin(2);
+    format::section(&mut out, C::META_SECTION, |out| {
+        checkpoint.meta().write_json(out);
+    });
+    format::section(&mut out, C::STATE_SECTION, |out| checkpoint.write_json(out));
+    out
 }
 
 /// Parses snapshot bytes back into a checkpoint, verifying the container

@@ -126,7 +126,8 @@ pub fn manifest_path(data_dir: &Path) -> PathBuf {
 ///
 /// [`ServiceError::Io`] on write failure.
 pub fn save_manifest(data_dir: &Path, manifest: &ServiceManifest) -> Result<(), ServiceError> {
-    let text = serde_json::to_string_pretty(manifest).unwrap_or_default();
+    let text = serde_json::to_string_pretty(manifest)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     Ok(atomic_save(&manifest_path(data_dir), text.as_bytes())?)
 }
 

@@ -196,7 +196,7 @@ pub enum Response {
 
 /// Serializes a protocol value as one wire line (no trailing newline).
 pub fn encode_line<T: Serialize>(value: &T) -> String {
-    serde_json::to_string(value).unwrap_or_default()
+    serde_json::to_string(value).expect("serializing to memory cannot fail")
 }
 
 /// Parses one wire line.

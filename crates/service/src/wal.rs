@@ -21,7 +21,7 @@
 //! garbage (where the *next* load would refuse to read past them).
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read as _, Write as _};
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use ecosched_engine::event::fnv1a_64;
@@ -101,20 +101,24 @@ impl Wal {
         if entries.is_empty() {
             return Ok(());
         }
-        let mut out = BufWriter::new(&self.file);
+        let mut lines = Vec::new();
         for entry in entries {
-            out.write_all(encode_entry(entry).as_bytes())?;
+            encode_entry(&mut lines, entry);
         }
-        out.flush()?;
-        drop(out);
+        self.file.write_all(&lines)?;
         self.file.sync_data()
     }
 }
 
-/// Encodes one entry as its checksummed wire line (with newline).
-fn encode_entry(entry: &WalEntry) -> String {
-    let payload = serde_json::to_string(entry).unwrap_or_default();
-    format!("{:016x} {payload}\n", fnv1a_64(payload.as_bytes()))
+/// Appends one entry's checksummed wire line (with newline): the payload
+/// is written in place and its checksum filled in before it.
+fn encode_entry(lines: &mut Vec<u8>, entry: &WalEntry) {
+    let line = lines.len();
+    lines.extend_from_slice(&[b' '; 17]);
+    entry.write_json(lines);
+    let checksum = fnv1a_64(&lines[line + 17..]);
+    write!(&mut lines[line..line + 16], "{checksum:016x}").expect("sixteen hex digits fit");
+    lines.push(b'\n');
 }
 
 /// Parses one line; `None` for torn/corrupt lines.

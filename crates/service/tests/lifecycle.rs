@@ -7,12 +7,14 @@
 
 #![cfg(unix)]
 
-use std::io::{BufRead as _, BufReader};
+use std::io::{BufRead as _, BufReader, Write as _};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use ecosched_service::{Client, Endpoint, JobSpec, Response};
+use ecosched_service::protocol::{decode_line, encode_line};
+use ecosched_service::{Client, Endpoint, JobSpec, Request, Response};
 
 const SERVE: &str = env!("CARGO_BIN_EXE_ecosched-serve");
 
@@ -152,6 +154,53 @@ fn graceful_shutdown_and_resume() {
     let report = verify(&data_dir);
     assert!(report.starts_with("VERIFIED"), "{report}");
     assert!(report.contains("wal_entries=5"), "{report}");
+}
+
+/// A request line nested 100 000 deep — which once overflowed the
+/// connection thread's stack and took the daemon down with it — is
+/// answered with a typed error, and the same connection then acks a
+/// submit.
+#[test]
+fn a_deeply_nested_request_line_is_refused_and_the_connection_lives() {
+    let data_dir = scratch_dir("nested");
+    let socket = data_dir.join("sock");
+    let mut daemon = spawn_daemon(&data_dir, &socket);
+
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone stream")).lines();
+    let mut ask = |line: &str| -> Response {
+        writeln!(stream, "{line}").expect("send line");
+        let reply = replies
+            .next()
+            .expect("daemon closed the connection")
+            .expect("read reply");
+        decode_line(&reply).expect("reply parses")
+    };
+
+    for nested in ["[".repeat(100_000), "{\"Submit\":".repeat(100_000)] {
+        match ask(&nested) {
+            Response::Error { detail } => assert!(detail.contains("128 levels"), "{detail}"),
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
+    let submit = encode_line(&Request::Submit { spec: easy_spec() });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        assert!(Instant::now() < deadline, "timed out waiting for an ack");
+        match ask(&submit) {
+            Response::Accepted { .. } => break,
+            Response::Rejected { .. } => std::thread::sleep(Duration::from_millis(10)),
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
+
+    let mut client = connect(&daemon.endpoint);
+    assert_eq!(status(&mut client).arrivals, 1);
+    let _ = client.shutdown();
+    assert!(daemon.child.wait().expect("daemon exit").success());
 }
 
 #[test]
