@@ -5,7 +5,7 @@
 //! alternatives search and the launch.  A [`Lease`] records the window a
 //! job actually holds, together with how it was obtained ([`LeaseOrigin`]);
 //! a [`Revocation`] records one region of vacant time withdrawn by the
-//! environment and why ([`RevocationReason`]).
+//! environment.
 //!
 //! Revocations are expressed as `(node, span)` *regions* rather than slot
 //! ids.  Committed windows reference remnant slots minted during
@@ -19,23 +19,6 @@ use crate::time::Span;
 use crate::window::Window;
 use serde::{Deserialize, Serialize};
 
-/// Why the environment withdrew a region of vacant time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RevocationReason {
-    /// An independent per-slot drop: the owner reclaimed one slot.
-    SlotDrop,
-    /// A whole administrative domain went down, killing every slot on its
-    /// nodes.  The domain is identified by its raw index; the simulator
-    /// layer owns the richer domain type.
-    DomainOutage {
-        /// Raw index of the failed domain.
-        domain: u32,
-    },
-    /// The owner withdrew the offer for economic reasons (correlated
-    /// price-driven burst hitting the most expensive slots).
-    PriceWithdrawal,
-}
-
 /// One region of vacant time withdrawn by the environment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Revocation {
@@ -45,8 +28,6 @@ pub struct Revocation {
     pub node: NodeId,
     /// The withdrawn region (the full span of the published slot).
     pub span: Span,
-    /// Why the region was withdrawn.
-    pub reason: RevocationReason,
 }
 
 impl Revocation {
@@ -150,7 +131,6 @@ mod tests {
             slot: SlotId::new(9),
             node: NodeId::new(node),
             span: span(a, b),
-            reason: RevocationReason::SlotDrop,
         }
     }
 

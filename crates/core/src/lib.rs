@@ -66,7 +66,7 @@ pub use error::CoreError;
 pub use idhash::IdBuildHasher;
 pub use interval::{SlotIntoIter, SlotIter};
 pub use job::{Batch, Job, JobId};
-pub use lease::{Lease, LeaseOrigin, Revocation, RevocationReason};
+pub use lease::{Lease, LeaseOrigin, Revocation};
 pub use money::{Money, Price, MONEY_SCALE};
 pub use perf::{Perf, PERF_SCALE};
 pub use request::ResourceRequest;

@@ -87,8 +87,8 @@ pub struct EngineConfig {
     /// The per-broken-lease recovery budget for the three-tier repair
     /// pass.
     pub repair: RepairPolicy,
-    /// The scheduling pipeline configuration (criterion, optimizer,
-    /// search mode).
+    /// The scheduling pipeline configuration (the optimization
+    /// criterion).
     pub iteration: IterationConfig,
     /// Whether each cycle commit coalesces adjacent vacant slots on the
     /// same node with identical price and performance into one slot.

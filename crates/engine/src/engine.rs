@@ -945,7 +945,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
         for id in broken {
             self.recover_lease(state, id, &revocations, now, &mut stats);
         }
-        state.report.full_rescans += stats.full_rescans_attempted;
     }
 
     /// Runs the shared recovery tiers over one broken lease and books the
@@ -1231,10 +1230,7 @@ mod tests {
         // runs, so every broken lease goes straight back to pending.
         let config = EngineConfig {
             revocation: RevocationConfig::per_slot(0.15),
-            repair: ecosched_sim::RepairPolicy {
-                max_attempts: 0,
-                ..ecosched_sim::RepairPolicy::default()
-            },
+            repair: ecosched_sim::RepairPolicy { max_attempts: 0 },
             ..small_config()
         };
         let engine = Engine::new(config, Alp::new()).unwrap();

@@ -28,7 +28,8 @@
 //! does — solves, DP rows and Pareto layers built. Its three reuse
 //! counters (rows reused, rows extended, layers reused) have no series:
 //! nothing survives from one cycle's plan to the next, so they could only
-//! read zero.
+//! read zero. Neither has [`EngineReport::full_rescans`], which is always
+//! zero since the full-rescan repair tier went.
 
 use std::sync::Arc;
 
@@ -51,7 +52,6 @@ pub struct EngineIds {
     leases_broken: CounterId,
     failovers: CounterId,
     repairs: CounterId,
-    full_rescans: CounterId,
     repostponed: CounterId,
     stale_completions: CounterId,
     slots_coalesced: CounterId,
@@ -125,12 +125,7 @@ impl EngineIds {
             repairs: c(
                 b,
                 "ecosched_engine_repair_searches_total",
-                "Broken leases recovered by repair search (tiers 2/2.5)",
-            ),
-            full_rescans: c(
-                b,
-                "ecosched_engine_repair_full_rescans_total",
-                "Full-rescan repair attempts (tier 2.5)",
+                "Broken leases recovered by repair search (tier 2)",
             ),
             repostponed: c(
                 b,
@@ -329,7 +324,6 @@ impl EngineObs {
             (ids.leases_broken, report.leases_broken),
             (ids.failovers, report.failovers),
             (ids.repairs, report.repairs),
-            (ids.full_rescans, report.full_rescans),
             (ids.repostponed, report.repostponed),
             (ids.stale_completions, report.stale_completions),
             (ids.slots_coalesced, report.slots_coalesced),

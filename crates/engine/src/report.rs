@@ -62,12 +62,10 @@ pub struct EngineReport {
     pub repairs: u64,
     /// Broken leases returned to the pending queue.
     pub repostponed: u64,
-    /// Full-rescan repair attempts (tier 2.5) started after the anchored
-    /// repair was exhausted; zero unless
-    /// [`RepairPolicy::full_rescan_on_exhaustion`] is on. Successful
-    /// rescans count under [`Self::repairs`].
-    ///
-    /// [`RepairPolicy::full_rescan_on_exhaustion`]: ecosched_sim::RepairPolicy::full_rescan_on_exhaustion
+    /// Always zero. Earlier builds counted an optional full-rescan repair
+    /// tier here; the tier is gone, but every golden snapshot and report
+    /// holds the key and the snapshot round-trip re-encodes them byte for
+    /// byte, so the field stays on the wire.
     pub full_rescans: u64,
     /// Completion events that arrived for a lease already broken and
     /// replaced (their ids went stale).

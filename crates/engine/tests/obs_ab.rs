@@ -1,12 +1,12 @@
 //! The observability A/B contract: attaching a live recorder must be
 //! invisible to the run — byte-identical event logs and reports across
-//! calm, churn, coscheduled, and threaded configurations — while the
-//! registry itself fills with counters that agree with the report.
+//! calm and churn configurations — while the registry itself fills with
+//! counters that agree with the report.
 
 use ecosched_engine::{ArrivalConfig, Engine, EngineConfig, EngineIds, EngineObs};
 use ecosched_obs::{Recorder, RegistryBuilder};
 use ecosched_select::Amp;
-use ecosched_sim::{IterationConfig, JobGenConfig, RepairPolicy, RevocationConfig, SearchMode};
+use ecosched_sim::{JobGenConfig, RepairPolicy, RevocationConfig};
 
 fn base_config() -> EngineConfig {
     EngineConfig {
@@ -159,18 +159,6 @@ fn recorder_is_outcome_invisible_churn() {
 }
 
 #[test]
-fn recorder_is_outcome_invisible_coscheduled() {
-    let config = EngineConfig {
-        iteration: IterationConfig {
-            search_mode: SearchMode::Coscheduled,
-            ..IterationConfig::default()
-        },
-        ..base_config()
-    };
-    assert_recorder_invisible(config, 42);
-}
-
-#[test]
 fn recorder_survives_checkpoint_resume_untouched() {
     // Checkpoints must not carry (or require) the recorder: a checkpoint
     // taken on an observed run resumes on an unobserved engine and
@@ -199,10 +187,7 @@ fn postponements_are_counted_by_typed_reason() {
     // re-postponed as `repair_budget_exhausted`, none as stale — and the
     // recorder stays invisible while counting them.
     let config = EngineConfig {
-        repair: RepairPolicy {
-            max_attempts: 0,
-            ..RepairPolicy::default()
-        },
+        repair: RepairPolicy { max_attempts: 0 },
         ..churn_config()
     };
     let engine = assert_recorder_invisible(config, 42);

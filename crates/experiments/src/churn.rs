@@ -10,7 +10,7 @@
 
 use ecosched_select::{Alp, Amp, SlotSelector};
 use ecosched_sim::{
-    IterationConfig, JobGenConfig, Metascheduler, MetaschedulerReport, RepairPolicy, RepairStats,
+    IterationConfig, JobGenConfig, Metascheduler, MetaschedulerReport, RepairStats,
     RevocationConfig, SlotGenConfig,
 };
 use rand::SeedableRng;
@@ -28,8 +28,6 @@ pub struct ChurnConfig {
     pub runs: u64,
     /// Metascheduler cycles per run.
     pub cycles: usize,
-    /// The repair attempt budget.
-    pub policy: RepairPolicy,
 }
 
 impl Default for ChurnConfig {
@@ -38,7 +36,6 @@ impl Default for ChurnConfig {
             levels: vec![0.0, 0.05, 0.10, 0.15],
             runs: 40,
             cycles: 8,
-            policy: RepairPolicy::default(),
         }
     }
 }
@@ -120,8 +117,7 @@ fn run_algo(
         JobGenConfig::default(),
         IterationConfig::default(),
     )
-    .with_revocation(RevocationConfig::per_slot(per_slot))
-    .with_repair_policy(config.policy);
+    .with_revocation(RevocationConfig::per_slot(per_slot));
     let reports: Vec<MetaschedulerReport> = (0..config.runs)
         .map(|seed| {
             let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_0000 + seed);
@@ -190,7 +186,6 @@ mod tests {
             levels: vec![0.0, 0.15],
             runs: 4,
             cycles: 4,
-            policy: RepairPolicy::default(),
         }
     }
 

@@ -10,8 +10,8 @@
 use ecosched_core::{Batch, SlotList};
 use ecosched_select::{Alp, Amp, SlotSelector};
 use ecosched_sim::{
-    run_iteration, Criterion, IterationConfig, JobGenConfig, JobGenerator, OptimizerKind,
-    RunningStats, SlotGenConfig, SlotGenerator,
+    run_iteration, Criterion, IterationConfig, JobGenConfig, JobGenerator, RunningStats,
+    SlotGenConfig, SlotGenerator,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -32,8 +32,6 @@ pub struct ExperimentConfig {
     pub job_config: JobGenConfig,
     /// The VO criterion to optimize per iteration.
     pub criterion: Criterion,
-    /// The combination solver.
-    pub optimizer: OptimizerKind,
     /// AMP budget discount ρ (1.0 = the paper's main experiments).
     pub rho: f64,
 }
@@ -47,7 +45,6 @@ impl Default for ExperimentConfig {
             slot_config: SlotGenConfig::default(),
             job_config: JobGenConfig::default(),
             criterion: Criterion::MinTimeUnderBudget,
-            optimizer: OptimizerKind::default(),
             rho: 1.0,
         }
     }
@@ -170,8 +167,6 @@ pub fn run_seed(config: &ExperimentConfig, index: u64) -> SeedOutcome {
     let batch = JobGenerator::new(config.job_config).generate(&mut rng);
     let iteration_config = IterationConfig {
         criterion: config.criterion,
-        optimizer: config.optimizer,
-        ..IterationConfig::default()
     };
     let amp = if config.rho >= 1.0 {
         Amp::new()

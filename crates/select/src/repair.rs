@@ -149,7 +149,7 @@ mod tests {
     use super::*;
     use crate::alp::Alp;
     use crate::amp::Amp;
-    use ecosched_core::{Perf, Price, RevocationReason, Slot, SlotId, TimeDelta, WindowSlot};
+    use ecosched_core::{Perf, Price, Slot, SlotId, TimeDelta, WindowSlot};
 
     fn span(a: i64, b: i64) -> Span {
         Span::new(TimePoint::new(a), TimePoint::new(b)).unwrap()
@@ -195,7 +195,6 @@ mod tests {
             slot: SlotId::new(77),
             node: NodeId::new(node),
             span: span(a, b),
-            reason: RevocationReason::SlotDrop,
         }
     }
 

@@ -1,7 +1,7 @@
 //! A small blocking client for the daemon's NDJSON protocol, with
 //! per-request timeouts and bounded-exponential-backoff connect.
 
-use std::io::{BufRead as _, BufReader, Write as _};
+use std::io::{BufRead as _, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -46,8 +46,10 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
+/// One connection, from either side: the client's, or one the daemon's
+/// accept loop took.
 #[derive(Debug)]
-enum Stream {
+pub(crate) enum Stream {
     Tcp(TcpStream),
     Unix(UnixStream),
 }
@@ -58,7 +60,7 @@ pub struct Client {
     reader: BufReader<Stream>,
 }
 
-impl std::io::Read for Stream {
+impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
             Stream::Tcp(s) => s.read(buf),
@@ -67,16 +69,24 @@ impl std::io::Read for Stream {
     }
 }
 
-impl Stream {
-    fn write_line(&mut self, line: &str) -> std::io::Result<()> {
-        let text = format!("{line}\n");
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
-            Stream::Tcp(s) => s.write_all(text.as_bytes()),
-            Stream::Unix(s) => s.write_all(text.as_bytes()),
+            Stream::Tcp(s) => s.write(buf),
+            Stream::Unix(s) => s.write(buf),
         }
     }
 
-    fn try_clone(&self) -> std::io::Result<Stream> {
+    fn flush(&mut self) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.flush(),
+            Stream::Unix(s) => s.flush(),
+        }
+    }
+}
+
+impl Stream {
+    pub(crate) fn try_clone(&self) -> std::io::Result<Stream> {
         Ok(match self {
             Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
             Stream::Unix(s) => Stream::Unix(s.try_clone()?),
@@ -84,15 +94,10 @@ impl Stream {
     }
 
     fn set_timeouts(&self, timeout: Duration) -> std::io::Result<()> {
+        let t = Some(timeout);
         match self {
-            Stream::Tcp(s) => {
-                s.set_read_timeout(Some(timeout))?;
-                s.set_write_timeout(Some(timeout))
-            }
-            Stream::Unix(s) => {
-                s.set_read_timeout(Some(timeout))?;
-                s.set_write_timeout(Some(timeout))
-            }
+            Stream::Tcp(s) => s.set_read_timeout(t).and_then(|()| s.set_write_timeout(t)),
+            Stream::Unix(s) => s.set_read_timeout(t).and_then(|()| s.set_write_timeout(t)),
         }
     }
 }
@@ -146,10 +151,8 @@ impl Client {
     /// `InvalidData` when the response line does not parse. After an
     /// error the connection state is unknown — reconnect.
     pub fn request(&mut self, request: &Request) -> std::io::Result<Response> {
-        self.reader
-            .get_mut()
-            .try_clone()?
-            .write_line(&encode_line(request))?;
+        let text = format!("{}\n", encode_line(request));
+        self.reader.get_mut().write_all(text.as_bytes())?;
         let mut line = String::new();
         let n = self.reader.read_line(&mut line)?;
         if n == 0 {

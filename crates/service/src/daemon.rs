@@ -22,20 +22,19 @@
 //! snapshots after cycle ticks). SIGTERM (or a `Shutdown` request)
 //! triggers commit + final snapshot + exit.
 
-use std::io::{BufRead as _, BufReader, Write as _};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
+use std::io::{BufRead as _, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use ecosched_select::{Alp, Amp, SlotSelector};
 
+use crate::accept::spawn_accept_loop;
 use crate::client::Endpoint;
 use crate::error::ServiceError;
 use crate::manifest::{load_manifest, save_manifest, SelectorChoice, ServiceManifest};
 use crate::metrics_http::spawn_metrics_listener;
-use crate::obs::build_service_obs;
+use crate::obs::{build_service_obs, ServiceObs};
 use crate::protocol::{decode_line, encode_line, RejectReason, Request, Response};
 use crate::session::Session;
 use crate::signals;
@@ -112,7 +111,12 @@ fn serve_with<S: SlotSelector + Copy>(
     }
 
     let (tx, rx) = mpsc::channel::<Inbound>();
-    let ready_endpoint = spawn_listener(&options.listen, tx)?;
+    let obs = session.obs().clone();
+    let ready_endpoint = spawn_accept_loop(&options.listen, move |conn| {
+        if let Ok(reader) = conn.try_clone() {
+            handle_connection(BufReader::new(reader), conn, &tx, &obs);
+        }
+    })?;
     // The READY line is the durability barrier for supervisors: the boot
     // replay is done and the socket is accepting.
     println!("READY {ready_endpoint}");
@@ -216,63 +220,55 @@ fn serve_with<S: SlotSelector + Copy>(
     }
 }
 
-/// Binds the endpoint and spawns the accept loop. Returns the endpoint
-/// actually bound (TCP port 0 is resolved to the assigned port).
-fn spawn_listener(listen: &Endpoint, tx: mpsc::Sender<Inbound>) -> Result<Endpoint, ServiceError> {
-    match listen {
-        Endpoint::Tcp(addr) => {
-            let listener = TcpListener::bind(addr)?;
-            let bound = Endpoint::Tcp(listener.local_addr()?.to_string());
-            std::thread::spawn(move || {
-                for stream in listener.incoming().flatten() {
-                    let tx = tx.clone();
-                    std::thread::spawn(move || {
-                        let reader = match stream.try_clone() {
-                            Ok(clone) => BufReader::new(clone),
-                            Err(_) => return,
-                        };
-                        handle_connection(reader, stream, &tx);
-                    });
-                }
-            });
-            Ok(bound)
-        }
-        Endpoint::Unix(path) => {
-            // A stale socket file from a killed process blocks bind.
-            let _ = std::fs::remove_file(path);
-            let listener = UnixListener::bind(path)?;
-            let bound = Endpoint::Unix(path.clone());
-            std::thread::spawn(move || {
-                for stream in listener.incoming().flatten() {
-                    let tx = tx.clone();
-                    std::thread::spawn(move || {
-                        let reader = match stream.try_clone() {
-                            Ok(clone) => BufReader::new(clone),
-                            Err(_) => return,
-                        };
-                        handle_connection(reader, stream, &tx);
-                    });
-                }
-            });
-            Ok(bound)
-        }
-    }
-}
+/// The longest request line the daemon reads, newline excluded. A submit
+/// is a few hundred bytes; the cap keeps one client from making its
+/// connection thread buffer without bound.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Reads request lines, relays them to the serve loop, writes response
-/// lines. Ends on EOF, I/O failure, or daemon shutdown.
-fn handle_connection<R: std::io::Read, W: std::io::Write>(
-    reader: BufReader<R>,
+/// lines. Ends on EOF, I/O failure, a line that is not UTF-8, or daemon
+/// shutdown — and after answering a line longer than
+/// [`MAX_REQUEST_LINE`] with an error, since the rest of it cannot be
+/// told from the next request.
+fn handle_connection<R: Read, W: Write>(
+    mut reader: BufReader<R>,
     mut writer: W,
     tx: &mpsc::Sender<Inbound>,
+    obs: &ServiceObs,
 ) {
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells a line that fits from one that does
+        // not.
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        if !matches!(
+            (&mut reader).take(limit).read_until(b'\n', &mut buf),
+            Ok(1..)
+        ) {
+            return;
+        }
+        if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
+            obs.on_oversized_line();
+            let response = Response::Error {
+                detail: format!(
+                    "request line longer than {MAX_REQUEST_LINE} bytes; closing the connection"
+                ),
+            };
+            let _ = writeln!(writer, "{}", encode_line(&response));
+            let _ = writer.flush();
+            return;
+        }
+        // `decode_line` trims the line ending with the rest of the
+        // surrounding whitespace.
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            return;
+        };
         if line.trim().is_empty() {
             continue;
         }
         let (reply_tx, reply_rx) = mpsc::channel();
-        let response = match decode_line::<Request>(&line) {
+        let response = match decode_line::<Request>(line) {
             Err(detail) => Response::Error { detail },
             Ok(request) => {
                 if tx
@@ -307,6 +303,56 @@ fn handle_connection<R: std::io::Read, W: std::io::Write>(
         drop(reply_rx);
         if done {
             return;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_endless_request_line_gets_one_error_line_and_a_closed_connection() {
+        let bundle = build_service_obs(1);
+        let (tx, rx) = mpsc::channel();
+        let mut written = Vec::new();
+        handle_connection(
+            BufReader::new(std::io::repeat(b'a')),
+            &mut written,
+            &tx,
+            &bundle.service,
+        );
+        assert!(rx.try_recv().is_err(), "nothing reached the serve loop");
+        let text = String::from_utf8(written).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        match decode_line::<Response>(&text) {
+            Ok(Response::Error { detail }) => assert!(detail.contains("65536 bytes"), "{detail}"),
+            other => panic!("unexpected response: {other:?}"),
+        }
+        let reg = bundle.recorder.registry().expect("recorder on");
+        let oversized = reg
+            .find_counter("ecosched_service_oversized_lines_total", &[])
+            .expect("registered");
+        assert_eq!(reg.counter_value(oversized), 1);
+    }
+
+    #[test]
+    fn a_line_at_the_cap_is_read_as_a_request() {
+        // Exactly `MAX_REQUEST_LINE` bytes before the newline: parsed (and
+        // refused as JSON), not cut off.
+        let line = format!("{}\n", " ".repeat(MAX_REQUEST_LINE - 1) + "x");
+        let (tx, _rx) = mpsc::channel();
+        let mut written = Vec::new();
+        handle_connection(
+            BufReader::new(line.as_bytes()),
+            &mut written,
+            &tx,
+            &ServiceObs::off(),
+        );
+        let text = String::from_utf8(written).unwrap();
+        match decode_line::<Response>(&text) {
+            Ok(Response::Error { detail }) => assert!(!detail.contains("longer than"), "{detail}"),
+            other => panic!("unexpected response: {other:?}"),
         }
     }
 }

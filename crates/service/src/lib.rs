@@ -24,6 +24,7 @@
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+mod accept;
 pub mod admission;
 pub mod client;
 pub mod daemon;

@@ -8,16 +8,16 @@
 //!
 //! Each connection serves one request and closes (`Connection: close`),
 //! which sidesteps keep-alive state entirely; scrapers reconnect per
-//! scrape anyway. The listener thread never touches session state — it
-//! reads the lock-free registry through a cloned [`Recorder`] handle, so
-//! scraping cannot perturb the serve loop or the determinism contract.
+//! scrape anyway. A request head over 8 KiB is answered `431` without
+//! being read further. The listener thread never touches session state —
+//! it reads the lock-free registry through a cloned [`Recorder`] handle,
+//! so scraping cannot perturb the serve loop or the determinism contract.
 
 use std::io::{BufRead as _, BufReader, Read, Write};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
 
 use ecosched_obs::Recorder;
 
+use crate::accept::spawn_accept_loop;
 use crate::client::Endpoint;
 use crate::error::ServiceError;
 use crate::obs::ServiceObs;
@@ -33,58 +33,44 @@ pub fn spawn_metrics_listener(
     recorder: Recorder,
     obs: ServiceObs,
 ) -> Result<Endpoint, ServiceError> {
-    match listen {
-        Endpoint::Tcp(addr) => {
-            let listener = TcpListener::bind(addr.as_str())?;
-            let bound = Endpoint::Tcp(listener.local_addr()?.to_string());
-            std::thread::spawn(move || {
-                for stream in listener.incoming().flatten() {
-                    let recorder = recorder.clone();
-                    let obs = obs.clone();
-                    std::thread::spawn(move || serve_one(stream, &recorder, &obs));
-                }
-            });
-            Ok(bound)
-        }
-        Endpoint::Unix(path) => {
-            let _ = std::fs::remove_file(path);
-            let listener = UnixListener::bind(path)?;
-            let bound = Endpoint::Unix(path.clone());
-            std::thread::spawn(move || {
-                for stream in listener.incoming().flatten() {
-                    let recorder = recorder.clone();
-                    let obs = obs.clone();
-                    std::thread::spawn(move || serve_one(stream, &recorder, &obs));
-                }
-            });
-            Ok(bound)
-        }
-    }
+    spawn_accept_loop(listen, move |conn| serve_one(conn, &recorder, &obs))
 }
 
+/// The longest request head (request line plus headers) read.
+const MAX_REQUEST_HEAD: u64 = 8 * 1024;
+
 /// Reads one request, writes one response, closes.
-fn serve_one<S: Read + Write>(stream: S, recorder: &Recorder, obs: &ServiceObs) {
-    let mut stream = stream;
-    let mut reader = BufReader::new(&mut stream);
+fn serve_one<S: Read + Write>(mut stream: S, recorder: &Recorder, obs: &ServiceObs) {
+    let mut head = BufReader::new(&mut stream).take(MAX_REQUEST_HEAD);
     let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
+    if head.read_line(&mut request_line).is_err() {
         return;
     }
     // Drain headers up to the blank line; their content is irrelevant.
-    loop {
+    let mut ended = false;
+    while !ended {
         let mut header = String::new();
-        match reader.read_line(&mut header) {
+        match head.read_line(&mut header) {
             Ok(0) => break,
-            Ok(_) if header == "\r\n" || header == "\n" => break,
-            Ok(_) => {}
+            Ok(_) => ended = header == "\r\n" || header == "\n",
+            // The cap can cut a line inside a UTF-8 character.
+            Err(_) if head.limit() == 0 => break,
             Err(_) => return,
         }
     }
+    let oversized = !ended && head.limit() == 0;
+    drop(head);
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
     let path = path.split('?').next().unwrap_or(path);
-    let (status, content_type, body) = if method != "GET" {
+    let (status, content_type, body) = if oversized {
+        (
+            "431 Request Header Fields Too Large",
+            "text/plain; charset=utf-8",
+            format!("request head longer than {MAX_REQUEST_HEAD} bytes\n"),
+        )
+    } else if method != "GET" {
         (
             "405 Method Not Allowed",
             "text/plain; charset=utf-8",
@@ -175,5 +161,50 @@ mod tests {
 
         let (status, _) = get(&endpoint, "/nope");
         assert_eq!(status, "HTTP/1.1 404 Not Found");
+    }
+
+    /// An in-memory connection: reads `input`, collects what is written.
+    struct Loopback {
+        input: std::io::Cursor<Vec<u8>>,
+        output: Vec<u8>,
+    }
+
+    impl Read for Loopback {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.input.read(buf)
+        }
+    }
+
+    impl Write for Loopback {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.output.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn status_line(request: String) -> String {
+        let bundle = build_service_obs(1);
+        let mut conn = Loopback {
+            input: std::io::Cursor::new(request.into_bytes()),
+            output: Vec::new(),
+        };
+        serve_one(&mut conn, &bundle.recorder, &bundle.service);
+        let response = String::from_utf8(conn.output).unwrap();
+        response.lines().next().unwrap_or_default().to_string()
+    }
+
+    #[test]
+    fn an_oversized_request_head_is_answered_431() {
+        let filler = "a".repeat(MAX_REQUEST_HEAD as usize);
+        let status = status_line(format!(
+            "GET /metrics HTTP/1.1\r\nX-Filler: {filler}\r\n\r\n"
+        ));
+        assert_eq!(status, "HTTP/1.1 431 Request Header Fields Too Large");
+        // A head that fits is served.
+        let status = status_line("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".to_string());
+        assert_eq!(status, "HTTP/1.1 200 OK");
     }
 }

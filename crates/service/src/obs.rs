@@ -54,6 +54,8 @@ pub struct ServiceIds {
     /// `ecosched_service_rejected_total{reason=...}`, indexed by
     /// [`reason_index`].
     pub rejected: [CounterId; 6],
+    /// `ecosched_service_oversized_lines_total`.
+    pub oversized_lines: CounterId,
     /// `ecosched_service_wal_commits_total` — group-commit fsyncs.
     pub wal_commits: CounterId,
     /// `ecosched_service_snapshots_total`.
@@ -98,6 +100,11 @@ impl ServiceIds {
                 "Submissions admitted, routed, and staged for commit",
             ),
             rejected,
+            oversized_lines: b.counter(
+                "ecosched_service_oversized_lines_total",
+                "Request lines over the length cap, each answered with an error \
+                 and a closed connection",
+            ),
             wal_commits: b.counter(
                 "ecosched_service_wal_commits_total",
                 "Group commits fsynced to the write-ahead log",
@@ -224,6 +231,13 @@ impl ServiceObs {
     pub fn on_reject(&self, reason: &RejectReason) {
         if let Some(i) = self.inner.as_deref() {
             i.rec.inc(i.ids.rejected[reason_index(reason)]);
+        }
+    }
+
+    /// A request line over the length cap was refused.
+    pub fn on_oversized_line(&self) {
+        if let Some(i) = self.inner.as_deref() {
+            i.rec.inc(i.ids.oversized_lines);
         }
     }
 

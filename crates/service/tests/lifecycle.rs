@@ -156,10 +156,10 @@ fn graceful_shutdown_and_resume() {
     assert!(report.contains("wal_entries=5"), "{report}");
 }
 
-/// A request line nested 100 000 deep — which once overflowed the
-/// connection thread's stack and took the daemon down with it — is
-/// answered with a typed error, and the same connection then acks a
-/// submit.
+/// A request line nested 60 000 deep — deep enough to overflow the
+/// connection thread's stack, which once took the daemon down with it, and
+/// still under the 64 KiB line cap — is answered with a typed error, and
+/// the same connection then acks a submit.
 #[test]
 fn a_deeply_nested_request_line_is_refused_and_the_connection_lives() {
     let data_dir = scratch_dir("nested");
@@ -180,7 +180,7 @@ fn a_deeply_nested_request_line_is_refused_and_the_connection_lives() {
         decode_line(&reply).expect("reply parses")
     };
 
-    for nested in ["[".repeat(100_000), "{\"Submit\":".repeat(100_000)] {
+    for nested in ["[".repeat(60_000), "{\"Submit\":".repeat(6_000)] {
         match ask(&nested) {
             Response::Error { detail } => assert!(detail.contains("128 levels"), "{detail}"),
             other => panic!("unexpected response: {other:?}"),
@@ -199,6 +199,37 @@ fn a_deeply_nested_request_line_is_refused_and_the_connection_lives() {
 
     let mut client = connect(&daemon.endpoint);
     assert_eq!(status(&mut client).arrivals, 1);
+    let _ = client.shutdown();
+    assert!(daemon.child.wait().expect("daemon exit").success());
+}
+
+/// A request line past the daemon's 64 KiB cap is answered with an error
+/// and the connection is closed, without the daemon buffering the rest; a
+/// new connection then gets a submit acked.
+#[test]
+fn an_oversized_request_line_is_refused_and_the_daemon_lives() {
+    let data_dir = scratch_dir("oversized");
+    let socket = data_dir.join("sock");
+    let mut daemon = spawn_daemon(&data_dir, &socket);
+
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    let timeout = Some(Duration::from_secs(10));
+    stream.set_read_timeout(timeout).expect("read timeout");
+    stream.set_write_timeout(timeout).expect("write timeout");
+    // The daemon stops reading at the cap and closes the connection, so
+    // the rest of this write may fail.
+    let _ = stream.write_all(format!("{}\n", "a".repeat(1 << 20)).as_bytes());
+    let mut reply = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut reply)
+        .expect("read reply");
+    match decode_line(&reply).expect("reply parses") {
+        Response::Error { detail } => assert!(detail.contains("65536 bytes"), "{detail}"),
+        other => panic!("unexpected response: {other:?}"),
+    }
+
+    let mut client = connect(&daemon.endpoint);
+    submit_until(&mut client, 1);
     let _ = client.shutdown();
     assert!(daemon.child.wait().expect("daemon exit").success());
 }

@@ -198,6 +198,39 @@ pub(crate) fn probability(value: f64, field: &'static str) -> Result<(), ConfigE
     }
 }
 
+/// Checks a *reserved* wire key of the config map `value`. A setting
+/// that no binary ever changed and that was removed keeps its key on the
+/// wire, written as the value every binary ran (`constant`), so that
+/// configurations, fingerprints and manifests written before the removal
+/// still decode and match byte for byte. The key may hold `constant` or be
+/// absent; any other value asks for a behaviour this build no longer has,
+/// and is refused with an error naming the key.
+pub(crate) fn reserved_key<'de, T: Serialize + Deserialize<'de> + PartialEq>(
+    value: &serde::Value,
+    key: &str,
+    constant: &T,
+) -> Result<(), serde::Error> {
+    // A missing key (or a value that is no map, which the caller refuses)
+    // passes.
+    let Ok(found) = serde::get_field(value, key) else {
+        return Ok(());
+    };
+    if T::from_value(found).is_ok_and(|v| v == *constant) {
+        return Ok(());
+    }
+    let json = |v: &dyn Serialize| {
+        let mut out = Vec::new();
+        v.write_json(&mut out);
+        String::from_utf8_lossy(&out).into_owned()
+    };
+    Err(serde::Error::custom(format!(
+        "reserved key `{key}` holds {}: the setting was removed, and the only value \
+         this build runs is {}",
+        json(found),
+        json(constant),
+    )))
+}
+
 /// Configuration of the batch generator (the paper's `JobGenerator`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct JobGenConfig {

@@ -36,6 +36,7 @@ use ecosched_core::{ResourceRequest, Revocation, SlotList, Span, TimePoint, Wind
 use ecosched_select::{repair_search, try_adopt_window, RepairError, ScanStats, SlotSelector};
 use serde::{Deserialize, Serialize};
 
+use crate::config::reserved_key;
 use crate::iteration::IterationResult;
 use crate::revocation::RepairStats;
 
@@ -70,28 +71,54 @@ pub enum PostponeReason {
 /// availability) no start earlier than the original plan can newly become
 /// feasible. Skipping the prefix keeps the repair O(survivors past the
 /// anchor) instead of O(list) without giving up any window the sequential
-/// rescan could have found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// rescan could have found. The one exception is time that *returns*:
+/// broken leases release their surviving fragments first, and those can
+/// make a window feasible before the anchor. The scan does not see it;
+/// the job waits for the next cycle's search (DESIGN.md §9).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepairPolicy {
     /// Maximum recovery attempts (validations plus scans) per broken lease.
     pub max_attempts: u32,
-    /// When the bounded anchored repair is exhausted — the attempt budget
-    /// ran out, or the anchored scan came up dry — retry **once** with a
-    /// full rescan of everything launchable from `now` before postponing.
-    /// This is the escape hatch from the earlier-start exclusion: under
-    /// pure slot *subtraction* no earlier start can newly become
-    /// feasible, but broken leases **release** their surviving fragments
-    /// back into the list first, so a fragment of a pre-anchor slot can
-    /// make a window feasible that starts before the broken plan. The
-    /// full rescan is the only tier that can see it. Costs one O(list)
-    /// scan per otherwise-postponed lease; default off.
-    pub full_rescan_on_exhaustion: bool,
 }
 
 impl Default for RepairPolicy {
     fn default() -> Self {
-        RepairPolicy {
-            max_attempts: 8,
+        RepairPolicy { max_attempts: 8 }
+    }
+}
+
+// Serde through a derived wire struct, which keeps the key of the removed
+// full-rescan tier as a reserved constant, switched off
+// (`config::reserved_key`).
+#[derive(Serialize)]
+struct RepairPolicyWire {
+    max_attempts: u32,
+    full_rescan_on_exhaustion: bool, // reserved
+}
+
+impl Serialize for RepairPolicy {
+    fn to_value(&self) -> serde::Value {
+        self.wire().to_value()
+    }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        self.wire().write_json(out);
+    }
+}
+
+impl<'de> Deserialize<'de> for RepairPolicy {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        reserved_key(value, "full_rescan_on_exhaustion", &false)?;
+        Ok(RepairPolicy {
+            max_attempts: Deserialize::from_value(serde::get_field(value, "max_attempts")?)?,
+        })
+    }
+}
+
+impl RepairPolicy {
+    fn wire(&self) -> RepairPolicyWire {
+        RepairPolicyWire {
+            max_attempts: self.max_attempts,
             full_rescan_on_exhaustion: false,
         }
     }
@@ -107,8 +134,8 @@ pub enum Recovery {
         /// The adopted window.
         window: Window,
     },
-    /// Tier 2 / 2.5: a repair search found a fresh window (already carved
-    /// out of the execution list).
+    /// Tier 2: a repair search found a fresh window (already carved out of
+    /// the execution list).
     Repaired {
         /// The freshly searched window.
         window: Window,
@@ -181,10 +208,9 @@ pub fn release_broken(
 
 /// Recovers one broken lease: tier 1 over `alternatives` (pairs of the
 /// caller's label and the window, in adoption-preference order), then
-/// tier 2 anchored at the `broken` window's start, then — under
-/// [`RepairPolicy::full_rescan_on_exhaustion`] — one rescan of everything
-/// launchable from `now`, then postponement. A recovered window is already
-/// carved out of `exec` on return; every attempt is accounted in `stats`.
+/// tier 2 anchored at the `broken` window's start, then postponement. A
+/// recovered window is already carved out of `exec` on return; every
+/// attempt is accounted in `stats`.
 ///
 /// The caller must have removed the `revocations` from `exec` and released
 /// the broken leases' survivors ([`release_broken`]) first.
@@ -230,39 +256,21 @@ pub fn recover<'a>(
         }
     }
 
-    // One repair scan from `resume_at`; a hit is carved out of `exec`.
-    let mut scan_from = |resume_at: TimePoint, stats: &mut RepairStats| {
-        let mut scan = ScanStats::new();
-        let found = repair_search(selector, request, resume_at, exec, &mut scan);
-        stats.budget_violations_avoided += scan.acceptance_tests - scan.windows_found;
-        stats.repair_scan.merge(&scan);
-        let window = found?;
-        exec.subtract_window(&window)
-            .expect("repair windows are carved from the execution list");
-        stats.repair_cost_delta += (window.total_cost() - original_cost).to_f64();
-        Some(window)
-    };
-
     // Tier 2: bounded repair search on the survivors, resuming at the
     // broken window's start (checkpointed, O(survivors)) — never the past.
+    // A hit is carved out of `exec`.
     if attempts < policy.max_attempts {
         attempts += 1;
         stats.repairs_attempted += 1;
-        if let Some(window) = scan_from(broken.start().max(now), stats) {
+        let mut scan = ScanStats::new();
+        let found = repair_search(selector, request, broken.start().max(now), exec, &mut scan);
+        stats.budget_violations_avoided += scan.acceptance_tests - scan.windows_found;
+        stats.repair_scan.merge(&scan);
+        if let Some(window) = found {
+            exec.subtract_window(&window)
+                .expect("repair windows are carved from the execution list");
+            stats.repair_cost_delta += (window.total_cost() - original_cost).to_f64();
             stats.repairs_succeeded += 1;
-            return Recovery::Repaired { window };
-        }
-    }
-
-    // Tier 2.5 (optional, off by default): the anchored repair is
-    // exhausted — budget spent or scan dry. Released fragments of *other*
-    // broken leases can make a window feasible that starts before this
-    // job's broken plan, and the anchored scan can never see it
-    // (earlier-start exclusion); one scan from `now` can.
-    if policy.full_rescan_on_exhaustion {
-        stats.full_rescans_attempted += 1;
-        if let Some(window) = scan_from(now, stats) {
-            stats.full_rescans_succeeded += 1;
             return Recovery::Repaired { window };
         }
     }
@@ -282,8 +290,7 @@ mod tests {
     use super::*;
     use crate::iteration::{run_iteration, IterationConfig};
     use ecosched_core::{
-        Batch, Job, JobId, NodeId, Perf, Price, RevocationReason, Slot, SlotId, TimeDelta,
-        WindowSlot,
+        Batch, Job, JobId, NodeId, Perf, Price, Slot, SlotId, TimeDelta, WindowSlot,
     };
     use ecosched_select::Alp;
 
@@ -336,7 +343,6 @@ mod tests {
             slot: SlotId::new(77),
             node: NodeId::new(node),
             span: span(a, b),
-            reason: RevocationReason::SlotDrop,
         }
     }
 
@@ -461,10 +467,7 @@ mod tests {
         // One attempt, spent on the stale alternative: tier 2 never runs
         // although nodes 4 and 5 could host the job.
         let mut exec = market(&[(4, 0, 100), (5, 0, 100)]);
-        let policy = RepairPolicy {
-            max_attempts: 1,
-            ..RepairPolicy::default()
-        };
+        let policy = RepairPolicy { max_attempts: 1 };
         let (recovery, stats) = run(
             policy,
             &window(&[2, 3], 0, 20),
@@ -499,53 +502,35 @@ mod tests {
             Recovery::Postponed(PostponeReason::AllAlternativesStale)
         );
         assert_eq!((stats.repairs_attempted, stats.repairs_succeeded), (1, 0));
-        assert_eq!(
-            (stats.postponed_stale, stats.full_rescans_attempted),
-            (1, 0)
-        );
+        assert_eq!(stats.postponed_stale, 1);
     }
 
     #[test]
-    fn only_the_full_rescan_sees_a_window_another_lease_released() {
+    fn a_window_released_before_the_anchor_waits_for_the_next_cycle() {
         // Node 0 alone cannot host two nodes. Another broken lease held
         // nodes 1 and 5 over [10, 40); node 5 was withdrawn, node 1 was
-        // not, so its fragment comes back — starting before this job's
-        // broken plan at 60, where the anchored scan never looks.
+        // not, so its fragment comes back — a window at 10, before this
+        // job's broken plan at 60, where the anchored scan never looks.
         let revocations = [revocation(2, 0, 100), revocation(5, 0, 100)];
-        let broken = window(&[2, 3], 60, 20);
-        let recover_with = |release: bool, full_rescan: bool| {
-            let mut exec = market(&[(0, 0, 100)]);
-            if release {
-                release_broken(
-                    &mut exec,
-                    &window(&[1, 5], 10, 30),
-                    &revocations,
-                    TimePoint::ZERO,
-                );
-            }
-            let policy = RepairPolicy {
-                full_rescan_on_exhaustion: full_rescan,
-                ..RepairPolicy::default()
-            };
-            run(policy, &broken, &[], &mut exec, &revocations, 0)
-        };
-
-        let stale = Recovery::Postponed(PostponeReason::AllAlternativesStale);
-        assert_eq!(recover_with(true, false).0, stale);
-        assert_eq!(recover_with(false, true).0, stale);
-        let (recovery, stats) = recover_with(true, true);
-        let Recovery::Repaired { window } = recovery else {
-            panic!("expected the rescan to repair, got {recovery:?}");
-        };
-        assert_eq!(
-            window.start(),
-            TimePoint::new(10),
-            "starts before the anchor"
+        let mut exec = market(&[(0, 0, 100)]);
+        release_broken(
+            &mut exec,
+            &window(&[1, 5], 10, 30),
+            &revocations,
+            TimePoint::ZERO,
         );
-        assert_eq!((stats.repairs_attempted, stats.repairs_succeeded), (1, 0));
+        let broken = window(&[2, 3], 60, 20);
+        let (recovery, _) = run(
+            RepairPolicy::default(),
+            &broken,
+            &[],
+            &mut exec,
+            &revocations,
+            0,
+        );
         assert_eq!(
-            (stats.full_rescans_attempted, stats.full_rescans_succeeded),
-            (1, 1)
+            recovery,
+            Recovery::Postponed(PostponeReason::AllAlternativesStale)
         );
     }
 
@@ -554,10 +539,7 @@ mod tests {
         let alt = window(&[0, 1], 10, 20);
         let recover_at = |now: i64| {
             let mut exec = market(&[(0, 0, 100), (1, 0, 100)]);
-            let policy = RepairPolicy {
-                max_attempts: 1,
-                ..RepairPolicy::default()
-            };
+            let policy = RepairPolicy { max_attempts: 1 };
             run(
                 policy,
                 &window(&[2, 3], 5, 20),

@@ -19,6 +19,8 @@ use ecosched_optimize::{time_quota, Assignment, IncrementalOptimizer, OptStats, 
 use ecosched_select::{SearchOutcome, SlotSelector};
 use serde::{Deserialize, Serialize};
 
+use crate::config::reserved_key;
+
 /// The VO-level optimization criterion for the iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Criterion {
@@ -29,49 +31,71 @@ pub enum Criterion {
     MinCostUnderTime,
 }
 
-/// Which combination solver to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OptimizerKind {
-    /// The paper's backward-run DP (Eq. (1)); money is quantized into
-    /// `resolution_steps` levels of the budget. Falls back to the exact
-    /// Pareto sweep if quantization makes a feasible instance look
-    /// infeasible.
-    BackwardRun {
-        /// Number of quantization levels for the money dimension.
-        resolution_steps: u32,
-    },
-    /// The exact Pareto-frontier sweep (no quantization).
-    ParetoExact,
+/// Configuration of a scheduling iteration: the paper's sequential
+/// alternatives search, then the backward-run DP under `criterion`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct IterationConfig {
+    /// The optimization criterion.
+    pub criterion: Criterion,
 }
 
-impl Default for OptimizerKind {
-    fn default() -> Self {
-        OptimizerKind::BackwardRun {
-            resolution_steps: 1500,
+/// Money levels of the backward-run DP: the budget is quantized into this
+/// many steps.
+const RESOLUTION_STEPS: u32 = 1500;
+
+// Serde through a derived wire struct, which keeps the keys of the removed
+// solver and search-traversal choices as reserved constants
+// (`config::reserved_key`).
+#[derive(Serialize)]
+struct IterationConfigWire {
+    criterion: Criterion,
+    optimizer: ReservedOptimizer,    // reserved
+    search_mode: ReservedSearchMode, // reserved
+}
+
+#[derive(PartialEq, Serialize, Deserialize)]
+enum ReservedOptimizer {
+    BackwardRun { resolution_steps: u32 },
+}
+
+#[derive(PartialEq, Serialize, Deserialize)]
+enum ReservedSearchMode {
+    Sequential,
+}
+
+const OPTIMIZER: ReservedOptimizer = ReservedOptimizer::BackwardRun {
+    resolution_steps: RESOLUTION_STEPS,
+};
+const SEARCH_MODE: ReservedSearchMode = ReservedSearchMode::Sequential;
+
+impl Serialize for IterationConfig {
+    fn to_value(&self) -> serde::Value {
+        self.wire().to_value()
+    }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        self.wire().write_json(out);
+    }
+}
+
+impl IterationConfig {
+    fn wire(&self) -> IterationConfigWire {
+        IterationConfigWire {
+            criterion: self.criterion,
+            optimizer: OPTIMIZER,
+            search_mode: SEARCH_MODE,
         }
     }
 }
 
-/// How the alternatives search traverses the batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SearchMode {
-    /// The paper's sequential per-job search, in priority order.
-    #[default]
-    Sequential,
-    /// The batch-at-once extension: windows committed in global
-    /// earliest-start order (Sec. 7 future work, experiment E9).
-    Coscheduled,
-}
-
-/// Configuration of a scheduling iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct IterationConfig {
-    /// The optimization criterion.
-    pub criterion: Criterion,
-    /// The solver.
-    pub optimizer: OptimizerKind,
-    /// The alternatives-search traversal.
-    pub search_mode: SearchMode,
+impl<'de> Deserialize<'de> for IterationConfig {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        reserved_key(value, "optimizer", &OPTIMIZER)?;
+        reserved_key(value, "search_mode", &SEARCH_MODE)?;
+        Ok(IterationConfig {
+            criterion: Deserialize::from_value(serde::get_field(value, "criterion")?)?,
+        })
+    }
 }
 
 /// The result of one scheduling iteration.
@@ -160,12 +184,7 @@ pub fn run_iteration(
     batch: &Batch,
     config: &IterationConfig,
 ) -> Result<IterationResult, IterationError> {
-    let search = match config.search_mode {
-        SearchMode::Sequential => ecosched_select::find_alternatives(selector, list, batch)?,
-        SearchMode::Coscheduled => {
-            ecosched_select::find_alternatives_coscheduled(selector, list, batch)?
-        }
-    };
+    let search = ecosched_select::find_alternatives(selector, list, batch)?;
     let postponed: Vec<JobId> = search.postponed().collect();
     // The optimizer wants the covered jobs as one slice: the search's own
     // table when nothing was postponed, a filtered copy otherwise.
@@ -220,9 +239,7 @@ pub fn run_iteration(
     let budget = optimizer.vo_budget_with_quota(&covered, quota)?;
 
     let assignment = match config.criterion {
-        Criterion::MinTimeUnderBudget => {
-            optimize_min_time(&mut optimizer, &covered, budget, config.optimizer)?
-        }
+        Criterion::MinTimeUnderBudget => optimize_min_time(&mut optimizer, &covered, budget)?,
         Criterion::MinCostUnderTime => optimizer.min_cost_under_time(&covered, quota)?,
     };
 
@@ -241,23 +258,13 @@ fn optimize_min_time(
     optimizer: &mut IncrementalOptimizer,
     covered: &[JobAlternatives],
     budget: Money,
-    kind: OptimizerKind,
 ) -> Result<Assignment, OptimizeError> {
-    match kind {
-        OptimizerKind::ParetoExact => optimizer.pareto_min_time_under_budget(covered, budget),
-        OptimizerKind::BackwardRun { resolution_steps } => {
-            let steps = i64::from(resolution_steps.max(1));
-            let resolution = Money::from_micro((budget.micro() / steps).max(1));
-            match optimizer.min_time_under_budget(covered, budget, resolution) {
-                Ok(a) => Ok(a),
-                // Quantization can starve a feasible instance; the exact
-                // sweep settles it.
-                Err(OptimizeError::Infeasible) => {
-                    optimizer.pareto_min_time_under_budget(covered, budget)
-                }
-                Err(e) => Err(e),
-            }
-        }
+    let resolution = Money::from_micro((budget.micro() / i64::from(RESOLUTION_STEPS)).max(1));
+    match optimizer.min_time_under_budget(covered, budget, resolution) {
+        // Quantization can starve a feasible instance; the exact sweep
+        // settles it.
+        Err(OptimizeError::Infeasible) => optimizer.pareto_min_time_under_budget(covered, budget),
+        solved => solved,
     }
 }
 
@@ -316,7 +323,6 @@ mod tests {
         let batch = Batch::from_jobs(vec![job(0, 2, 100, 4), job(1, 1, 80, 5)]).unwrap();
         let config = IterationConfig {
             criterion: Criterion::MinCostUnderTime,
-            ..IterationConfig::default()
         };
         let result = run_iteration(Amp::new(), &environment(), &batch, &config).unwrap();
         let a = result.assignment.unwrap();
@@ -356,37 +362,20 @@ mod tests {
     }
 
     #[test]
-    fn pareto_and_dp_agree_on_time_criterion() {
+    fn the_dp_reaches_the_exact_sweeps_optimum_time() {
         let batch = Batch::from_jobs(vec![job(0, 2, 100, 4), job(1, 1, 80, 5)]).unwrap();
         let dp = run_iteration(
             Amp::new(),
             &environment(),
             &batch,
-            &IterationConfig {
-                criterion: Criterion::MinTimeUnderBudget,
-                optimizer: OptimizerKind::BackwardRun {
-                    resolution_steps: 4000,
-                },
-                ..IterationConfig::default()
-            },
+            &IterationConfig::default(),
         )
         .unwrap();
-        let pareto = run_iteration(
-            Amp::new(),
-            &environment(),
-            &batch,
-            &IterationConfig {
-                criterion: Criterion::MinTimeUnderBudget,
-                optimizer: OptimizerKind::ParetoExact,
-                ..IterationConfig::default()
-            },
-        )
-        .unwrap();
-        // With fine enough resolution, both reach the same optimum time.
-        assert_eq!(
-            dp.assignment.unwrap().total_time(),
-            pareto.assignment.unwrap().total_time()
-        );
+        let exact = IncrementalOptimizer::new()
+            .pareto_min_time_under_budget(dp.search.alternatives.per_job(), dp.budget.unwrap())
+            .unwrap();
+        // At the iteration's resolution the DP reaches the optimum time.
+        assert_eq!(dp.assignment.unwrap().total_time(), exact.total_time());
     }
 
     #[test]
@@ -402,7 +391,6 @@ mod tests {
             &batch,
             &IterationConfig {
                 criterion: Criterion::MinCostUnderTime,
-                ..IterationConfig::default()
             },
         )
         .unwrap();
@@ -416,40 +404,5 @@ mod tests {
         let err = IterationError::from(OptimizeError::Infeasible);
         assert!(format!("{err}").contains("optimization failed"));
         assert!(std::error::Error::source(&err).is_some());
-    }
-}
-
-#[cfg(test)]
-mod search_mode_tests {
-    use super::*;
-    use crate::{JobGenConfig, JobGenerator, SlotGenConfig, SlotGenerator};
-    use ecosched_select::Amp;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn coscheduled_mode_runs_end_to_end() {
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let list = SlotGenerator::new(SlotGenConfig::default()).generate(&mut rng);
-        let batch = JobGenerator::new(JobGenConfig::default()).generate(&mut rng);
-        let sequential =
-            run_iteration(Amp::new(), &list, &batch, &IterationConfig::default()).unwrap();
-        let coscheduled = run_iteration(
-            Amp::new(),
-            &list,
-            &batch,
-            &IterationConfig {
-                search_mode: SearchMode::Coscheduled,
-                ..IterationConfig::default()
-            },
-        )
-        .unwrap();
-        // A spot check on this seeded instance, not a property:
-        // co-scheduling can also postpone more jobs than the sequential
-        // order (`select/tests/proptests.rs` keeps a counterexample).
-        assert!(coscheduled.postponed.len() <= sequential.postponed.len());
-        if let Some(a) = &coscheduled.assignment {
-            assert!(a.total_cost() <= coscheduled.budget.unwrap());
-        }
     }
 }

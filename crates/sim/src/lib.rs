@@ -61,10 +61,7 @@ pub mod swf;
 
 pub use config::{ConfigError, IntRange, JobGenConfig, RealRange, SlotGenConfig};
 pub use cycle::{PostponeReason, Recovery, RepairPolicy};
-pub use iteration::{
-    run_iteration, Criterion, IterationConfig, IterationError, IterationResult, OptimizerKind,
-    SearchMode,
-};
+pub use iteration::{run_iteration, Criterion, IterationConfig, IterationError, IterationResult};
 pub use job_gen::JobGenerator;
 pub use market::{MarketConfig, MarketCycleReport, MarketSimulation};
 pub use metasched::{

@@ -535,13 +535,7 @@ mod tests {
 
     #[test]
     fn deterministic_under_churn() {
-        let churn = RevocationConfig {
-            per_slot: 0.1,
-            domain_outage: 0.05,
-            nodes_per_domain: 10,
-            price_burst: 0.3,
-            burst_fraction: 0.1,
-        };
+        let churn = RevocationConfig::per_slot(0.1);
         let run = |seed| {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             meta()
@@ -647,10 +641,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(13);
         let report = meta()
             .with_revocation(RevocationConfig::per_slot(0.15))
-            .with_repair_policy(RepairPolicy {
-                max_attempts: 0,
-                ..RepairPolicy::default()
-            })
+            .with_repair_policy(RepairPolicy { max_attempts: 0 })
             .run(Alp::new(), 5, &mut rng)
             .unwrap();
         let totals = report.repair_totals();

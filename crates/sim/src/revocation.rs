@@ -7,89 +7,103 @@
 //! churn deterministically so the repair tiers (failover → bounded repair
 //! search → postpone) can be exercised and measured.
 //!
-//! Three fault processes, all driven by the cycle's `ChaCha8Rng`:
-//!
-//! * **per-slot drops** — each published slot is independently revoked
-//!   with probability [`RevocationConfig::per_slot`];
-//! * **domain outages** — nodes are grouped into pseudo-domains of
-//!   [`RevocationConfig::nodes_per_domain`] consecutive node indices, and
-//!   each domain goes down with probability
-//!   [`RevocationConfig::domain_outage`], killing every slot on its nodes;
-//! * **price-withdrawal bursts** — with probability
-//!   [`RevocationConfig::price_burst`] per cycle, the owners of the most
-//!   expensive [`RevocationConfig::burst_fraction`] of the slots withdraw
-//!   their offers at once (a correlated economic shock).
+//! One fault process, driven by the cycle's `ChaCha8Rng`: each published
+//! slot is independently withdrawn by its owner with probability
+//! [`RevocationConfig::per_slot`].
 //!
 //! A disabled model ([`RevocationConfig::none`]) draws **nothing** from
 //! the RNG, so runs without churn remain byte-identical to the
 //! pre-revocation simulator.
 
-use std::collections::BTreeSet;
-
-use ecosched_core::{Revocation, RevocationReason, Slot, SlotList, Window};
+use ecosched_core::{Revocation, SlotList, Window};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::config::{positive_int, probability, ConfigError};
+use crate::config::{probability, reserved_key, ConfigError};
 use crate::rng_ext::draw_bool;
 
 /// Configuration of the revocation fault model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RevocationConfig {
     /// Independent per-slot revocation probability.
     pub per_slot: f64,
-    /// Per-domain outage probability (each pseudo-domain flips
-    /// independently per cycle).
-    pub domain_outage: f64,
-    /// Consecutive node indices per pseudo-domain for the outage process.
-    pub nodes_per_domain: i64,
-    /// Probability that a correlated price-withdrawal burst fires this
-    /// cycle.
-    pub price_burst: f64,
-    /// Fraction of the most expensive slots a burst withdraws.
-    pub burst_fraction: f64,
+}
+
+// Serde through a derived wire struct, which keeps the keys of the removed
+// domain-outage and price-burst processes as reserved constants, switched
+// off (`config::reserved_key`).
+#[derive(Serialize)]
+struct RevocationConfigWire {
+    per_slot: f64,
+    domain_outage: f64,    // reserved
+    nodes_per_domain: i64, // reserved
+    price_burst: f64,      // reserved
+    burst_fraction: f64,   // reserved
+}
+
+const DOMAIN_OUTAGE: f64 = 0.0;
+const NODES_PER_DOMAIN: i64 = 8;
+const PRICE_BURST: f64 = 0.0;
+const BURST_FRACTION: f64 = 0.0;
+
+impl Serialize for RevocationConfig {
+    fn to_value(&self) -> serde::Value {
+        self.wire().to_value()
+    }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        self.wire().write_json(out);
+    }
+}
+
+impl<'de> Deserialize<'de> for RevocationConfig {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        reserved_key(value, "domain_outage", &DOMAIN_OUTAGE)?;
+        reserved_key(value, "nodes_per_domain", &NODES_PER_DOMAIN)?;
+        reserved_key(value, "price_burst", &PRICE_BURST)?;
+        reserved_key(value, "burst_fraction", &BURST_FRACTION)?;
+        Ok(RevocationConfig {
+            per_slot: Deserialize::from_value(serde::get_field(value, "per_slot")?)?,
+        })
+    }
 }
 
 impl RevocationConfig {
-    /// The disabled model: no fault process fires and no RNG draw happens.
+    /// The disabled model: no slot is withdrawn and no RNG draw happens.
     #[must_use]
     pub fn none() -> Self {
-        RevocationConfig {
-            per_slot: 0.0,
-            domain_outage: 0.0,
-            nodes_per_domain: 8,
-            price_burst: 0.0,
-            burst_fraction: 0.0,
-        }
+        RevocationConfig::per_slot(0.0)
     }
 
-    /// The pure per-slot Bernoulli model (the churn-sweep scenario).
+    /// The per-slot Bernoulli model at probability `p`.
     #[must_use]
     pub fn per_slot(p: f64) -> Self {
-        RevocationConfig {
-            per_slot: p,
-            ..RevocationConfig::none()
-        }
+        RevocationConfig { per_slot: p }
     }
 
-    /// Returns `true` if any fault process can fire.
+    /// Returns `true` if the fault process can fire.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.per_slot > 0.0 || self.domain_outage > 0.0 || self.price_burst > 0.0
+        self.per_slot > 0.0
     }
 
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] naming the first probability or fraction
-    /// outside `[0, 1]`, or a non-positive domain size.
+    /// Returns a [`ConfigError`] when `per_slot` is outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        probability(self.per_slot, "per_slot")?;
-        probability(self.domain_outage, "domain_outage")?;
-        positive_int(self.nodes_per_domain, "nodes_per_domain")?;
-        probability(self.price_burst, "price_burst")?;
-        probability(self.burst_fraction, "burst_fraction")
+        probability(self.per_slot, "per_slot")
+    }
+
+    fn wire(&self) -> RevocationConfigWire {
+        RevocationConfigWire {
+            per_slot: self.per_slot,
+            domain_outage: DOMAIN_OUTAGE,
+            nodes_per_domain: NODES_PER_DOMAIN,
+            price_burst: PRICE_BURST,
+            burst_fraction: BURST_FRACTION,
+        }
     }
 }
 
@@ -125,84 +139,26 @@ impl RevocationModel {
         &self.config
     }
 
-    /// Draws this cycle's revocations against the published `list`.
+    /// Draws this cycle's revocations against the published `list`: one
+    /// draw per slot, in list order.
     ///
     /// Revocations carry the full `(node, span)` region of the withdrawn
     /// slot — the published list is the owners' offer, so a withdrawal
     /// takes the whole offer back regardless of how the metascheduler has
-    /// since carved it. Each slot is revoked at most once; the domain
-    /// outage draws first, then the per-slot drops, then the burst, each
-    /// skipping already-revoked slots. A disabled model returns an empty
-    /// vector without touching `rng`.
+    /// since carved it. A disabled model returns an empty vector without
+    /// touching `rng`.
     pub fn draw<R: Rng + ?Sized>(&self, list: &SlotList, rng: &mut R) -> Vec<Revocation> {
         if !self.config.is_enabled() {
             return Vec::new();
         }
-        let mut revocations: Vec<Revocation> = Vec::new();
-        let mut revoked = vec![false; list.len()];
-
-        if self.config.domain_outage > 0.0 {
-            let domain_of = |node: u32| i64::from(node) / self.config.nodes_per_domain;
-            let domains: BTreeSet<i64> = list
-                .iter()
-                .map(|slot| domain_of(slot.node().index()))
-                .collect();
-            for domain in domains {
-                if !draw_bool(rng, self.config.domain_outage) {
-                    continue;
-                }
-                for (i, slot) in list.iter().enumerate() {
-                    if !revoked[i] && domain_of(slot.node().index()) == domain {
-                        revoked[i] = true;
-                        revocations.push(Revocation {
-                            slot: slot.id(),
-                            node: slot.node(),
-                            span: slot.span(),
-                            reason: RevocationReason::DomainOutage {
-                                domain: domain as u32,
-                            },
-                        });
-                    }
-                }
-            }
-        }
-
-        if self.config.per_slot > 0.0 {
-            for (i, slot) in list.iter().enumerate() {
-                if !revoked[i] && draw_bool(rng, self.config.per_slot) {
-                    revoked[i] = true;
-                    revocations.push(Revocation {
-                        slot: slot.id(),
-                        node: slot.node(),
-                        span: slot.span(),
-                        reason: RevocationReason::SlotDrop,
-                    });
-                }
-            }
-        }
-
-        if self.config.price_burst > 0.0 && draw_bool(rng, self.config.price_burst) {
-            let take = (self.config.burst_fraction * list.len() as f64).ceil() as usize;
-            let slots: Vec<&Slot> = list.iter().collect();
-            // Most expensive first; ties broken by id for determinism.
-            let mut by_price: Vec<usize> = (0..list.len()).filter(|&i| !revoked[i]).collect();
-            by_price.sort_by_key(|&i| {
-                let slot = slots[i];
-                (std::cmp::Reverse(slot.price()), slot.id())
-            });
-            for &i in by_price.iter().take(take) {
-                let slot = slots[i];
-                revoked[i] = true;
-                revocations.push(Revocation {
-                    slot: slot.id(),
-                    node: slot.node(),
-                    span: slot.span(),
-                    reason: RevocationReason::PriceWithdrawal,
-                });
-            }
-        }
-
-        revocations
+        list.iter()
+            .filter(|_| draw_bool(rng, self.config.per_slot))
+            .map(|slot| Revocation {
+                slot: slot.id(),
+                node: slot.node(),
+                span: slot.span(),
+            })
+            .collect()
     }
 
     /// Draws revocations against the **live** execution state: the vacant
@@ -218,7 +174,7 @@ impl RevocationModel {
     /// disjoint from the vacant list by construction (commitment subtracts
     /// them), so the union is a valid slot list.
     ///
-    /// The fault processes and their RNG draw order are identical to
+    /// The fault process and its RNG draw order are identical to
     /// [`RevocationModel::draw`]; with no active leases the two produce
     /// the same revocations, and a disabled model still returns an empty
     /// vector without touching `rng` — the legacy byte-stability guarantee
@@ -266,14 +222,6 @@ pub struct RepairStats {
     pub repairs_attempted: u64,
     /// Bounded repair searches that found a fresh window.
     pub repairs_succeeded: u64,
-    /// Full rescans started after the anchored repair was exhausted
-    /// (tier 2.5, only under
-    /// [`RepairPolicy::full_rescan_on_exhaustion`]).
-    ///
-    /// [`RepairPolicy::full_rescan_on_exhaustion`]: crate::RepairPolicy::full_rescan_on_exhaustion
-    pub full_rescans_attempted: u64,
-    /// Full rescans that recovered a window the anchored tiers missed.
-    pub full_rescans_succeeded: u64,
     /// Total recovered-minus-original window cost over every failover and
     /// repair, in credits (negative when recovery found cheaper windows).
     pub repair_cost_delta: f64,
@@ -310,8 +258,6 @@ impl RepairStats {
         self.failovers_taken += other.failovers_taken;
         self.repairs_attempted += other.repairs_attempted;
         self.repairs_succeeded += other.repairs_succeeded;
-        self.full_rescans_attempted += other.full_rescans_attempted;
-        self.full_rescans_succeeded += other.full_rescans_succeeded;
         self.repair_cost_delta += other.repair_cost_delta;
         self.budget_violations_avoided += other.budget_violations_avoided;
         self.repair_scan.merge(&other.repair_scan);
@@ -323,7 +269,7 @@ impl RepairStats {
     /// Broken leases that recovered without postponing.
     #[must_use]
     pub fn recovered(&self) -> u64 {
-        self.failovers_taken + self.repairs_succeeded + self.full_rescans_succeeded
+        self.failovers_taken + self.repairs_succeeded
     }
 }
 
@@ -374,68 +320,6 @@ mod tests {
         let a = draw(7);
         assert_eq!(a, draw(7));
         assert!(!a.is_empty() && a.len() < 150, "{} revoked", a.len());
-        assert!(a.iter().all(|r| r.reason == RevocationReason::SlotDrop));
-    }
-
-    #[test]
-    fn domain_outage_kills_whole_domains() {
-        let model = RevocationModel::new(RevocationConfig {
-            domain_outage: 0.5,
-            nodes_per_domain: 5,
-            ..RevocationConfig::none()
-        });
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let revocations = model.draw(&list(40), &mut rng);
-        assert!(!revocations.is_empty());
-        // Every revocation names its domain, and each hit domain is
-        // revoked completely (5 slots per domain in this list).
-        let mut per_domain = std::collections::HashMap::new();
-        for r in &revocations {
-            let RevocationReason::DomainOutage { domain } = r.reason else {
-                panic!("unexpected reason {:?}", r.reason);
-            };
-            assert_eq!(i64::from(r.node.index()) / 5, i64::from(domain));
-            *per_domain.entry(domain).or_insert(0u32) += 1;
-        }
-        assert!(per_domain.values().all(|&n| n == 5));
-    }
-
-    #[test]
-    fn price_burst_takes_the_most_expensive() {
-        let model = RevocationModel::new(RevocationConfig {
-            price_burst: 1.0,
-            burst_fraction: 0.25,
-            ..RevocationConfig::none()
-        });
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let revocations = model.draw(&list(20), &mut rng);
-        assert_eq!(revocations.len(), 5); // ⌈0.25 · 20⌉
-                                          // The list prices rise with the node index, so the top-priced
-                                          // slots are the last five.
-        let mut nodes: Vec<u32> = revocations.iter().map(|r| r.node.index()).collect();
-        nodes.sort_unstable();
-        assert_eq!(nodes, vec![15, 16, 17, 18, 19]);
-        assert!(revocations
-            .iter()
-            .all(|r| r.reason == RevocationReason::PriceWithdrawal));
-    }
-
-    #[test]
-    fn each_slot_is_revoked_at_most_once() {
-        let model = RevocationModel::new(RevocationConfig {
-            per_slot: 0.5,
-            domain_outage: 0.5,
-            nodes_per_domain: 4,
-            price_burst: 1.0,
-            burst_fraction: 0.5,
-        });
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let revocations = model.draw(&list(40), &mut rng);
-        let mut ids: Vec<u64> = revocations.iter().map(|r| r.slot.raw()).collect();
-        let before = ids.len();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), before, "a slot was revoked twice");
     }
 
     fn lease_over(node: u32, a: i64, b: i64, price: i64) -> ecosched_core::Lease {
@@ -480,12 +364,7 @@ mod tests {
 
     #[test]
     fn live_draw_without_leases_matches_the_legacy_draw() {
-        let model = RevocationModel::new(RevocationConfig {
-            per_slot: 0.3,
-            price_burst: 0.5,
-            burst_fraction: 0.2,
-            ..RevocationConfig::none()
-        });
+        let model = RevocationModel::new(RevocationConfig::per_slot(0.3));
         let mut a = ChaCha8Rng::seed_from_u64(9);
         let mut b = ChaCha8Rng::seed_from_u64(9);
         assert_eq!(
@@ -514,16 +393,6 @@ mod tests {
         assert_eq!(
             RevocationConfig::per_slot(1.5).validate(),
             Err(ConfigError::NotAProbability { field: "per_slot" })
-        );
-        assert_eq!(
-            RevocationConfig {
-                nodes_per_domain: 0,
-                ..RevocationConfig::none()
-            }
-            .validate(),
-            Err(ConfigError::NotPositive {
-                field: "nodes_per_domain"
-            })
         );
     }
 

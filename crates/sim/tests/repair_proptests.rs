@@ -155,26 +155,25 @@ proptest! {
     }
 
     #[test]
-    fn mixed_fault_processes_stay_consistent(
+    fn heavy_per_slot_churn_stays_consistent(
         seed in 0u64..1_000_000,
-        outage_idx in 0usize..3,
-        burst_idx in 0usize..2,
+        p_idx in 0usize..3,
     ) {
-        let outage = [0.0f64, 0.1, 0.3][outage_idx];
-        let burst = [0.0f64, 0.5][burst_idx];
-        let churn = RevocationConfig {
-            per_slot: 0.05,
-            domain_outage: outage,
-            nodes_per_domain: 10,
-            price_burst: burst,
-            burst_fraction: 0.2,
-        };
-        let run = run_amp(churn, 3, seed);
+        // Far past the sweep's levels: most leases break, and repairs
+        // compete for what the strike left.
+        let p = [0.3f64, 0.5, 0.8][p_idx];
+        let run = run_amp(RevocationConfig::per_slot(p), 3, seed);
         for (cycle, trace) in run.report.cycles.iter().zip(&run.traces) {
             assert_cycle_consistent(trace);
             prop_assert_eq!(
                 cycle.repair.revocations_injected,
                 cycle.repair.revocations_breaking + cycle.repair.revocations_vacant_only
+            );
+            prop_assert_eq!(
+                cycle.repair.leases_broken,
+                cycle.repair.recovered()
+                    + cycle.repair.postponed_stale
+                    + cycle.repair.postponed_budget_exhausted
             );
         }
     }
@@ -188,10 +187,7 @@ proptest! {
         // end in a terminal fate — recovered or postponed with a reason.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let run = meta(RevocationConfig::per_slot(0.15))
-            .with_repair_policy(RepairPolicy {
-                max_attempts,
-                ..RepairPolicy::default()
-            })
+            .with_repair_policy(RepairPolicy { max_attempts })
             .run_traced(Amp::new(), 3, &mut rng)
             .expect("simulation must not fail");
         for (cycle, trace) in run.report.cycles.iter().zip(&run.traces) {

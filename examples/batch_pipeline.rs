@@ -59,10 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for criterion in [Criterion::MinTimeUnderBudget, Criterion::MinCostUnderTime] {
-        let config = IterationConfig {
-            criterion,
-            ..IterationConfig::default()
-        };
+        let config = IterationConfig { criterion };
         println!("== criterion: {criterion:?}");
         let alp = run_iteration(Alp::new(), &list, &batch, &config)?;
         let amp = run_iteration(Amp::new(), &list, &batch, &config)?;

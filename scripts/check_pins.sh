@@ -9,12 +9,20 @@
 #                              table (seeded; repeats byte-for-byte)
 #   results/coschedule_report.txt  E9: the whole `exp_coschedule
 #                              --iterations 1500` table (seeded likewise)
-#   results/pins/<bin>.txt     the paper's own study on vector-ordered batch
-#                              markets, whole stdout: `fig2_3_example` (E1)
-#                              and `exp_time_min`, `exp_cost_min`,
-#                              `exp_alternatives` at `--iterations 300
-#                              --threads 1` (seeded; the output does not
-#                              move with the thread count)
+#   results/pins/<bin>.txt     whole stdout of every other seeded paper
+#                              binary on vector-ordered batch markets:
+#                              `fig2_3_example` (E1); `exp_time_min`,
+#                              `exp_cost_min`, `exp_alternatives`,
+#                              `exp_rho_sweep` (E6) at `--iterations 300
+#                              --threads 1` and `exp_strategy` (E11) at
+#                              `--iterations 300` (the output does not move
+#                              with the thread count); `exp_flexibility`
+#                              (E13), `exp_length_rule` (E8), `exp_market`
+#                              (E10) and `exp_env_validation` (E12) at
+#                              their defaults
+#
+# `exp_scaling` (E7) is not pinned: it prints wall times, so two runs
+# differ.
 #
 # Usage:
 #   ./scripts/check_pins.sh            # check
@@ -23,7 +31,8 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-paper_bins=(fig2_3_example exp_time_min exp_cost_min exp_alternatives)
+paper_bins=(fig2_3_example exp_time_min exp_cost_min exp_alternatives exp_rho_sweep
+    exp_strategy exp_flexibility exp_length_rule exp_market exp_env_validation)
 cargo build --release -q -p ecosched-experiments \
     --bin exp_online --bin exp_federation --bin exp_churn --bin exp_coschedule \
     "${paper_bins[@]/#/--bin=}"
@@ -47,8 +56,12 @@ pin() {
 "$bin/exp_coschedule" --iterations 1500 2>/dev/null > "$out/coschedule_report.txt"
 mkdir "$out/pins"
 for b in "${paper_bins[@]}"; do
-    flags=(--iterations 300 --threads 1)
-    [[ $b == fig2_3_example ]] && flags=()
+    case $b in
+        exp_time_min | exp_cost_min | exp_alternatives | exp_rho_sweep)
+            flags=(--iterations 300 --threads 1) ;;
+        exp_strategy) flags=(--iterations 300) ;;
+        *) flags=() ;;
+    esac
     "$bin/$b" "${flags[@]}" 2>/dev/null > "$out/pins/$b.txt"
 done
 
@@ -67,7 +80,7 @@ diff -u results/churn_report.txt "$out/churn_report.txt" || status=1
 diff -u results/coschedule_report.txt "$out/coschedule_report.txt" || status=1
 diff -ru results/pins "$out/pins" || status=1
 if [[ $status -eq 0 ]]; then
-    echo "pins ok: $(grep -c 'hash=' "$out/pins.expected") hashes + the E14 and E9 tables + the E1 example and the three paper-study outputs"
+    echo "pins ok: $(grep -c 'hash=' "$out/pins.expected") hashes + the E14 and E9 tables + ${#paper_bins[@]} paper-binary outputs"
 else
     echo "pinned behaviour changed (see diff above)" >&2
 fi

@@ -83,8 +83,8 @@ pub use ecosched_sim as sim;
 pub mod prelude {
     pub use ecosched_core::{
         Alternative, Batch, BatchAlternatives, CoreError, Job, JobAlternatives, JobId, Lease,
-        LeaseOrigin, Money, NodeId, Perf, Price, Resource, ResourceRequest, Revocation,
-        RevocationReason, Slot, SlotId, SlotList, Span, TimeDelta, TimePoint, Window, WindowSlot,
+        LeaseOrigin, Money, NodeId, Perf, Price, Resource, ResourceRequest, Revocation, Slot,
+        SlotId, SlotList, Span, TimeDelta, TimePoint, Window, WindowSlot,
     };
     pub use ecosched_optimize::{
         max_cost_under_time, min_cost_under_time, min_time_under_budget, time_quota, vo_budget,
@@ -96,7 +96,7 @@ pub mod prelude {
     };
     pub use ecosched_sim::{
         run_iteration, Criterion, IterationConfig, JobFate, JobGenConfig, JobGenerator,
-        Metascheduler, PostponeReason, RepairPolicy, RepairStats, RevocationConfig, SearchMode,
-        SlotGenConfig, SlotGenerator,
+        Metascheduler, PostponeReason, RepairPolicy, RepairStats, RevocationConfig, SlotGenConfig,
+        SlotGenerator,
     };
 }

@@ -1,7 +1,8 @@
 //! Cross-crate integration: the full two-stage pipeline on seeded inputs.
 
+use ecosched::optimize::IncrementalOptimizer;
 use ecosched::prelude::*;
-use ecosched::sim::OptimizerKind;
+use ecosched::sim::IterationResult;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -17,10 +18,7 @@ fn assignments_respect_the_vo_limits_across_seeds() {
     for seed in 0..30 {
         let (list, batch) = generate(seed);
         for criterion in [Criterion::MinTimeUnderBudget, Criterion::MinCostUnderTime] {
-            let config = IterationConfig {
-                criterion,
-                ..IterationConfig::default()
-            };
+            let config = IterationConfig { criterion };
             let result = run_iteration(Amp::new(), &list, &batch, &config)
                 .expect("iteration never fails on generated inputs");
             let Some(assignment) = &result.assignment else {
@@ -67,39 +65,47 @@ fn chosen_windows_fit_each_jobs_own_budget() {
     }
 }
 
+/// The jobs the iteration's search covered, in batch order — what its
+/// optimizer solved over.
+fn covered(result: &IterationResult) -> Vec<JobAlternatives> {
+    let per_job = result.search.alternatives.per_job();
+    per_job
+        .iter()
+        .filter(|ja| !ja.is_empty())
+        .cloned()
+        .collect()
+}
+
 #[test]
 fn time_min_never_beats_cost_min_on_cost_and_vice_versa() {
     // The two criteria optimize different measures over the same
     // alternatives, so each must win (or tie) its own measure whenever the
-    // time-min run also fits inside T* (their feasible sets differ:
+    // time-min answer also fits inside T* (their feasible sets differ:
     // time-min is budget-capped, cost-min quota-capped).
     for seed in 0..30 {
         let (list, batch) = generate(seed);
-        // Exact solver: this test checks true optimality relations, which
-        // the quantized DP is (documented to be) allowed to miss.
-        let time_cfg = IterationConfig {
-            criterion: Criterion::MinTimeUnderBudget,
-            optimizer: OptimizerKind::ParetoExact,
-            ..IterationConfig::default()
+        let result = run_iteration(Amp::new(), &list, &batch, &IterationConfig::default()).unwrap();
+        let Some(budget) = result.budget else {
+            continue;
         };
-        let cost_cfg = IterationConfig {
-            criterion: Criterion::MinCostUnderTime,
-            optimizer: OptimizerKind::ParetoExact,
-            ..IterationConfig::default()
-        };
-        let t = run_iteration(Amp::new(), &list, &batch, &time_cfg).unwrap();
-        let c = run_iteration(Amp::new(), &list, &batch, &cost_cfg).unwrap();
-        if let (Some(ta), Some(ca)) = (&t.assignment, &c.assignment) {
-            // Same search → same alternatives → cost-min's cost is the
-            // floor among quota-feasible combos.
-            if ta.total_time() <= c.quota {
-                assert!(ca.total_cost() <= ta.total_cost(), "seed {seed}");
-            }
-            // And if the cost-min combo also fits the budget, time-min's
-            // time is the floor.
-            if ca.total_cost() <= t.budget.unwrap() {
-                assert!(ta.total_time() <= ca.total_time(), "seed {seed}");
-            }
+        // Exact solvers on the iteration's own alternatives and limits:
+        // this test checks true optimality relations, which the quantized
+        // DP is (documented to be) allowed to miss.
+        let jobs = covered(&result);
+        let mut exact = IncrementalOptimizer::new();
+        let ta = exact.pareto_min_time_under_budget(&jobs, budget).unwrap();
+        let ca = exact
+            .pareto_min_cost_under_time(&jobs, result.quota)
+            .unwrap();
+        // Same alternatives → cost-min's cost is the floor among
+        // quota-feasible combos.
+        if ta.total_time() <= result.quota {
+            assert!(ca.total_cost() <= ta.total_cost(), "seed {seed}");
+        }
+        // And if the cost-min combo also fits the budget, time-min's time
+        // is the floor.
+        if ca.total_cost() <= budget {
+            assert!(ta.total_time() <= ca.total_time(), "seed {seed}");
         }
     }
 }
@@ -114,28 +120,15 @@ fn pareto_and_dp_optimizers_agree_end_to_end() {
             &batch,
             &IterationConfig {
                 criterion: Criterion::MinCostUnderTime,
-                optimizer: OptimizerKind::BackwardRun {
-                    resolution_steps: 1500,
-                },
-                ..IterationConfig::default()
             },
         )
         .unwrap();
-        let pareto = run_iteration(
-            Amp::new(),
-            &list,
-            &batch,
-            &IterationConfig {
-                criterion: Criterion::MinCostUnderTime,
-                optimizer: OptimizerKind::ParetoExact,
-                ..IterationConfig::default()
-            },
-        )
-        .unwrap();
+        let pareto =
+            IncrementalOptimizer::new().pareto_min_cost_under_time(&covered(&dp), dp.quota);
         // Cost-min is exact in both solvers (time is integral).
-        match (&dp.assignment, &pareto.assignment) {
-            (Some(a), Some(b)) => assert_eq!(a.total_cost(), b.total_cost(), "seed {seed}"),
-            (None, None) => {}
+        match (&dp.assignment, &pareto) {
+            (Some(a), Ok(b)) => assert_eq!(a.total_cost(), b.total_cost(), "seed {seed}"),
+            (None, Err(_)) => {}
             other => panic!("seed {seed}: solvers disagree on feasibility: {other:?}"),
         }
     }

@@ -84,15 +84,11 @@ fn coscheduled_iteration_commits_what_the_naive_driver_commits() {
     let mut rng = ChaCha8Rng::seed_from_u64(2011);
     let list = SlotGenerator::new(SlotGenConfig::default()).generate(&mut rng);
     let batch = JobGenerator::new(JobGenConfig::default()).generate(&mut rng);
-    let config = IterationConfig {
-        search_mode: SearchMode::Coscheduled,
-        ..IterationConfig::default()
-    };
-    let result = run_iteration(Amp::new(), &list, &batch, &config).expect("iteration");
+    let search = find_alternatives_coscheduled(Amp::new(), &list, &batch).expect("search");
     let naive = find_alternatives_coscheduled_naive(Amp::new(), &list, &batch).expect("naive");
     assert!(naive.alternatives.total_found() > 0);
-    assert_eq!(result.search.alternatives, naive.alternatives);
-    assert_eq!(result.search.remaining, naive.remaining);
+    assert_eq!(search.alternatives, naive.alternatives);
+    assert_eq!(search.remaining, naive.remaining);
 }
 
 /// The merged-log hash of `churn_config()` split over four shards under
