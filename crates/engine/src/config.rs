@@ -1,8 +1,8 @@
 //! Engine configuration: clock, arrivals, market churn, and metrics knobs.
 
-use ecosched_sim::swf::{SwfImportConfig, SwfJob};
 use ecosched_sim::{
-    ConfigError, IterationConfig, JobGenConfig, RepairPolicy, RevocationConfig, SlotGenConfig,
+    reserved_key, ConfigError, IterationConfig, JobGenConfig, RepairPolicy, RevocationConfig,
+    SlotGenConfig,
 };
 use serde::{Deserialize, Serialize};
 
@@ -19,20 +19,11 @@ pub enum ArrivalConfig {
         /// The request distributions (the paper's Sec. 5 generator).
         job_gen: JobGenConfig,
     },
-    /// Replay of a Standard Workload Format trace: arrival times come from
-    /// the trace's submit field (scaled by the import config's
-    /// `seconds_per_tick`), economic attributes are drawn per job as in
-    /// [`ecosched_sim::swf::batch_from_swf`].
-    Trace {
-        /// The parsed trace jobs, in trace order.
-        trace: Vec<SwfJob>,
-        /// How to convert rigid trace jobs into economic requests.
-        import: SwfImportConfig,
-    },
     /// No generator-driven arrivals: every job enters through
     /// [`Engine::submit`](crate::Engine::submit) between steps. This is
     /// service mode — the `ecosched-serve` daemon injects admitted
-    /// submissions as `JobArrival` events, and the run stays a pure
+    /// submissions as `JobArrival` events, and a trace replay (E16)
+    /// submits each record at its submit tick; the run stays a pure
     /// function of `(config, seed, accepted-arrival sequence)`.
     External,
 }
@@ -54,14 +45,6 @@ impl ArrivalConfig {
                     return Err(ConfigError::NotPositive { field: "jobs" });
                 }
                 job_gen.validate()
-            }
-            ArrivalConfig::Trace { import, .. } => {
-                if import.seconds_per_tick <= 0 {
-                    return Err(ConfigError::NotPositive {
-                        field: "seconds_per_tick",
-                    });
-                }
-                Ok(())
             }
             ArrivalConfig::External => Ok(()),
         }
@@ -100,31 +83,34 @@ pub struct EngineConfig {
     /// an uncoalesced run of the same seed. The flag is the A/B switch
     /// for that comparison.
     pub coalesce: bool,
-    /// Number of virtual organisations; arriving jobs are assigned
-    /// round-robin and per-VO spend is tracked.
-    pub vos: u32,
-    /// Fraction of a lease's planned length it actually runs before
-    /// completing (traces routinely overestimate requested time). The
-    /// unused tail returns to the vacant list at completion. Must be in
-    /// `(0, 1]`.
-    pub completion_fraction: f64,
-    /// The bounded-slowdown threshold τ in ticks:
-    /// `max((wait + run) / max(run, τ), 1)`.
-    pub slowdown_tau: i64,
     /// The job stream.
     pub arrivals: ArrivalConfig,
 }
 
+/// Number of virtual organisations; arriving jobs are assigned
+/// round-robin and per-VO spend is tracked.
+pub(crate) const VOS: u32 = 3;
+/// Fraction of a lease's planned length it actually runs before
+/// completing (traces routinely overestimate requested time). The unused
+/// tail returns to the vacant list at completion.
+pub(crate) const COMPLETION_FRACTION: f64 = 0.75;
+/// The bounded-slowdown threshold τ in ticks:
+/// `max((wait + run) / max(run, τ), 1)`.
+pub(crate) const SLOWDOWN_TAU: i64 = 10;
+
 // Serde through a derived wire struct: the config's fields in declaration
-// order, plus two reserved entries, each where the field it replaces used
-// to sit. Earlier builds carried a `threads` worker-pool width (normalized
-// to 1 before fingerprinting) and an `optimizer_cache` switch that every
-// binary left at `true`; both keys stay on the wire as those constants so
-// every configuration fingerprint, snapshot and WAL manifest written by
-// those builds still matches byte for byte. Decoding ignores both keys,
-// whatever they hold or whether they are there — so a checkpoint taken
-// under a hand-set `"optimizer_cache": false` carries a fingerprint this
-// build never computes and is refused as a `CheckpointMismatch`.
+// order, plus five reserved entries, each where the field it replaces used
+// to sit, written as the value every binary ran so every configuration
+// fingerprint, snapshot and WAL manifest written before the removal still
+// matches byte for byte.
+//
+// `vos`, `completion_fraction` and `slowdown_tau` are checked on decode
+// (`ecosched_sim::reserved_key`): a manifest asking for another value is
+// refused by name. `threads` (a worker-pool width, normalized to 1 before
+// fingerprinting) and `optimizer_cache` (left at `true` by every binary)
+// are ignored whatever they hold — so a checkpoint taken under a hand-set
+// `"optimizer_cache": false` carries a fingerprint this build never
+// computes and is refused as a `CheckpointMismatch`.
 #[derive(Serialize)]
 struct EngineConfigWire {
     cycle_length: i64,
@@ -135,10 +121,10 @@ struct EngineConfigWire {
     iteration: IterationConfig,
     optimizer_cache: bool, // reserved
     coalesce: bool,
-    vos: u32,
-    completion_fraction: f64,
-    slowdown_tau: i64,
-    threads: usize, // reserved
+    vos: u32,                 // reserved
+    completion_fraction: f64, // reserved
+    slowdown_tau: i64,        // reserved
+    threads: usize,           // reserved
     arrivals: ArrivalConfig,
 }
 
@@ -154,9 +140,9 @@ impl EngineConfig {
             iteration: config.iteration,
             optimizer_cache: true,
             coalesce: config.coalesce,
-            vos: config.vos,
-            completion_fraction: config.completion_fraction,
-            slowdown_tau: config.slowdown_tau,
+            vos: VOS,
+            completion_fraction: COMPLETION_FRACTION,
+            slowdown_tau: SLOWDOWN_TAU,
             threads: 1,
             arrivals: config.arrivals,
         }
@@ -175,6 +161,9 @@ impl Serialize for EngineConfig {
 
 impl<'de> Deserialize<'de> for EngineConfig {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        reserved_key(value, "vos", &VOS)?;
+        reserved_key(value, "completion_fraction", &COMPLETION_FRACTION)?;
+        reserved_key(value, "slowdown_tau", &SLOWDOWN_TAU)?;
         Ok(EngineConfig {
             cycle_length: Deserialize::from_value(serde::get_field(value, "cycle_length")?)?,
             cycles: Deserialize::from_value(serde::get_field(value, "cycles")?)?,
@@ -183,12 +172,6 @@ impl<'de> Deserialize<'de> for EngineConfig {
             repair: Deserialize::from_value(serde::get_field(value, "repair")?)?,
             iteration: Deserialize::from_value(serde::get_field(value, "iteration")?)?,
             coalesce: Deserialize::from_value(serde::get_field(value, "coalesce")?)?,
-            vos: Deserialize::from_value(serde::get_field(value, "vos")?)?,
-            completion_fraction: Deserialize::from_value(serde::get_field(
-                value,
-                "completion_fraction",
-            )?)?,
-            slowdown_tau: Deserialize::from_value(serde::get_field(value, "slowdown_tau")?)?,
             arrivals: Deserialize::from_value(serde::get_field(value, "arrivals")?)?,
         })
     }
@@ -206,9 +189,6 @@ impl Default for EngineConfig {
             repair: RepairPolicy::default(),
             iteration: IterationConfig::default(),
             coalesce: true,
-            vos: 3,
-            completion_fraction: 0.75,
-            slowdown_tau: 10,
             arrivals: ArrivalConfig::Poisson {
                 mean_interarrival: 12.0,
                 jobs: 40,
@@ -232,19 +212,6 @@ impl EngineConfig {
         }
         if self.cycles == 0 {
             return Err(ConfigError::NotPositive { field: "cycles" });
-        }
-        if self.vos == 0 {
-            return Err(ConfigError::NotPositive { field: "vos" });
-        }
-        if !(self.completion_fraction > 0.0 && self.completion_fraction <= 1.0) {
-            return Err(ConfigError::NotAProbability {
-                field: "completion_fraction",
-            });
-        }
-        if self.slowdown_tau <= 0 {
-            return Err(ConfigError::NotPositive {
-                field: "slowdown_tau",
-            });
         }
         self.slot_gen.validate()?;
         self.revocation.validate()?;
@@ -274,16 +241,6 @@ mod tests {
             })
         );
         let bad = EngineConfig {
-            completion_fraction: 1.5,
-            ..EngineConfig::default()
-        };
-        assert_eq!(
-            bad.validate(),
-            Err(ConfigError::NotAProbability {
-                field: "completion_fraction"
-            })
-        );
-        let bad = EngineConfig {
             arrivals: ArrivalConfig::Poisson {
                 mean_interarrival: 0.0,
                 jobs: 10,
@@ -297,20 +254,5 @@ mod tests {
                 field: "mean_interarrival"
             })
         );
-    }
-
-    #[test]
-    fn trace_arrivals_validate_tick_scale() {
-        let bad = EngineConfig {
-            arrivals: ArrivalConfig::Trace {
-                trace: Vec::new(),
-                import: SwfImportConfig {
-                    seconds_per_tick: 0,
-                    ..SwfImportConfig::default()
-                },
-            },
-            ..EngineConfig::default()
-        };
-        assert!(bad.validate().is_err());
     }
 }

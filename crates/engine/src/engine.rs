@@ -44,7 +44,6 @@ use ecosched_core::{
 };
 use ecosched_select::SlotSelector;
 use ecosched_sim::cycle::{self, PostponeReason, Recovery};
-use ecosched_sim::swf::batch_from_swf;
 use ecosched_sim::{
     run_iteration, ConfigError, IterationError, IterationResult, JobGenerator, RepairStats,
     RevocationModel, SlotGenerator,
@@ -53,7 +52,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::{ChaCha8Rng, ChaChaState};
 use serde::Serialize as _;
 
-use crate::config::{ArrivalConfig, EngineConfig};
+use crate::config::{ArrivalConfig, EngineConfig, COMPLETION_FRACTION, SLOWDOWN_TAU, VOS};
 use crate::event::{fnv1a_64, Event, EventLog, LogEntry, LogTail};
 use crate::obs::{EngineObs, StepGauges};
 use crate::queue::EventQueue;
@@ -445,7 +444,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             next_reservation: 0,
             reservations_broken: 0,
             report: EngineReport {
-                vo_spend: vec![0.0; self.config.vos as usize],
+                vo_spend: vec![0.0; VOS as usize],
                 ..EngineReport::default()
             },
             published_ticks: 0,
@@ -709,7 +708,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
         state.pending.push(PendingState {
             id: job,
             arrival: arrival.ticks(),
-            vo: job % self.config.vos,
+            vo: job % VOS,
             request,
         });
     }
@@ -1009,8 +1008,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
         let run = al.actual_length;
         let wait = al.window.start().ticks() - al.arrival;
         state.wait_sum += wait as f64;
-        state.slowdown_sum +=
-            ((wait + run) as f64 / run.max(self.config.slowdown_tau) as f64).max(1.0);
+        state.slowdown_sum += ((wait + run) as f64 / run.max(SLOWDOWN_TAU) as f64).max(1.0);
 
         for ws in al.window.slots() {
             state.busy_ticks += ws.runtime().ticks().min(run);
@@ -1035,8 +1033,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
         alternatives: Vec<Window>,
     ) {
         let planned = window.length().ticks();
-        let actual =
-            ((planned as f64 * self.config.completion_fraction).ceil() as i64).clamp(1, planned);
+        let actual = ((planned as f64 * COMPLETION_FRACTION).ceil() as i64).clamp(1, planned);
         let lease_id = state.next_lease;
         state.next_lease += 1;
         state.queue.push(
@@ -1086,31 +1083,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
                     out.push((TimePoint::new(t as i64), *batch.as_slice()[0].request()));
                 }
                 out
-            }
-            ArrivalConfig::Trace { trace, import } => {
-                let batch = batch_from_swf(trace, import, rng);
-                // Replicate the importer's keep-filter to recover each
-                // kept job's arrival tick.
-                let limit = if import.max_jobs == 0 {
-                    usize::MAX
-                } else {
-                    import.max_jobs
-                };
-                let times: Vec<TimePoint> = trace
-                    .iter()
-                    .take(limit)
-                    .filter(|j| j.requested_time / import.seconds_per_tick > 0)
-                    .map(|j| TimePoint::new(j.submit / import.seconds_per_tick))
-                    .collect();
-                assert_eq!(
-                    times.len(),
-                    batch.len(),
-                    "arrival filter must mirror the importer"
-                );
-                times
-                    .into_iter()
-                    .zip(batch.as_slice().iter().map(|j| *j.request()))
-                    .collect()
             }
             // Service mode: the stream starts empty and grows through
             // `Engine::submit`.
@@ -1239,28 +1211,6 @@ mod tests {
         assert_eq!(run.report.failovers + run.report.repairs, 0);
         assert_eq!(run.report.repostponed, run.report.leases_broken);
         assert_eq!(engine.run(13).unwrap(), run, "log must be deterministic");
-    }
-
-    #[test]
-    fn trace_arrivals_drive_the_engine() {
-        let trace = ecosched_sim::swf::parse_swf(
-            "1 0 5 3600 4 -1 -1 4 3600 -1 1 1 1 1 1 1 -1 -1\n\
-             2 60 5 1800 2 -1 -1 2 2400 -1 1 1 1 1 1 1 -1 -1\n\
-             3 120 5 1200 1 -1 -1 1 1200 -1 1 1 1 1 1 1 -1 -1\n",
-        )
-        .unwrap();
-        let config = EngineConfig {
-            cycles: 3,
-            arrivals: ArrivalConfig::Trace {
-                trace,
-                import: ecosched_sim::swf::SwfImportConfig::default(),
-            },
-            ..EngineConfig::default()
-        };
-        let engine = Engine::new(config, Amp::new()).unwrap();
-        let run = engine.run(1).unwrap();
-        assert_eq!(run.report.jobs_arrived, 3);
-        assert!(run.report.jobs_scheduled > 0);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use ecosched_core::{ResourceRequest, TimePoint, Window};
 use ecosched_select::{try_adopt_window, RepairError, SlotSelector};
 
 use super::{Engine, RunState};
+use crate::config::VOS;
 use crate::state::PendingState;
 
 /// Errors from the two-phase reservation protocol (see
@@ -137,7 +138,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
         state.arrivals.push((arrival, request));
         state.report.jobs_arrived += 1;
         state.report.jobs_scheduled += 1;
-        let vo = job % self.config.vos;
+        let vo = job % VOS;
         state.report.vo_spend[vo as usize] += held.window.total_cost().to_f64();
         let lease = state.next_lease;
         let job = PendingState {

@@ -12,7 +12,8 @@
 //! The headline property is determinism: a run is a pure function of
 //! `(config, seed)`, and two identically seeded runs produce
 //! byte-identical serialized event logs — checked in one line via
-//! [`EventLog::fnv1a_hash`] and enforced by the CI online-smoke job.
+//! [`EventLog::fnv1a_hash`] and pinned across processes and commits by
+//! `scripts/check_pins.sh`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

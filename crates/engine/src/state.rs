@@ -96,8 +96,8 @@ pub struct LeaseState {
     pub window: Window,
     /// Surviving pre-computed alternatives, for tier-1 failover.
     pub alternatives: Vec<Window>,
-    /// How long the lease actually runs, in ticks (`completion_fraction`
-    /// of the planned length).
+    /// How long the lease actually runs, in ticks (three quarters of the
+    /// planned length, rounded up).
     pub actual_length: i64,
 }
 

@@ -4,7 +4,6 @@
 
 use ecosched_engine::{ArrivalConfig, Engine, EngineConfig, Event};
 use ecosched_select::{Alp, Amp};
-use ecosched_sim::swf::{parse_swf, SwfImportConfig};
 use ecosched_sim::{JobGenConfig, RevocationConfig};
 
 fn base_config() -> EngineConfig {
@@ -65,33 +64,6 @@ fn different_seeds_diverge() {
         b.log.fnv1a_hash(),
         "different seeds must produce different event streams"
     );
-}
-
-#[test]
-fn trace_replay_is_deterministic() {
-    let trace = parse_swf(
-        "; mini trace\r\n\
-         1 0 5 3600 4 -1 -1 4 3600 -1 1 1 1 1 1 1 -1 -1\r\n\
-         2 30 5 1800 2 -1 -1 2 2400 -1 1 1 1 1 1 1 -1 -1\r\n\
-         3 90 5 1200 1 -1 -1 1 1200 -1 1 1 1 1 1 1 -1 -1\r\n\
-         4 150 5 2400 2 -1 -1 2 3000 -1 1 1 1 1 1 1 -1 -1\r\n",
-    )
-    .unwrap();
-    let config = EngineConfig {
-        cycles: 4,
-        arrivals: ArrivalConfig::Trace {
-            trace,
-            import: SwfImportConfig::default(),
-        },
-        ..EngineConfig::default()
-    };
-    let engine = Engine::new(config, Amp::new()).unwrap();
-    let a = engine.run(9).unwrap();
-    let b = engine.run(9).unwrap();
-    assert_eq!(a.log.to_json(), b.log.to_json());
-    assert_eq!(a.report.to_json(), b.report.to_json());
-    assert_eq!(a.report.jobs_arrived, 4);
-    assert!(a.report.jobs_scheduled > 0);
 }
 
 /// `config_fingerprint` of `EngineConfig::default()` under ALP and AMP, as

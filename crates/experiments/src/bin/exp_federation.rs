@@ -1,24 +1,17 @@
 //! E18 — sharded multi-VO federation: the superscheduler sweep over
 //! shard count × arrival intensity.
 //!
-//! Usage: `exp_federation [--seed S] [--cycles C] [--smoke]
+//! Usage: `exp_federation [--seed S] [--cycles C]
 //! [--shards S --mean-gap G [--single | --snapshot-every N
 //! --snapshot-path P [--kill-at-event K] | --resume P]]`.
 //!
 //! The default run sweeps shard count {1, 2, 4, 8} × mean arrival gap
 //! {10, 5, 2.5} ticks under cheapest-probe routing with cross-shard
 //! co-allocation on, printing the E18 table (throughput, end-of-run
-//! backlog, cross-shard placement frequency) plus one
-//! `merged_log_hash` line per cell. All output is deterministic, so CI
-//! can run the binary twice and diff.
-//!
-//! `--smoke` runs the federation determinism contract instead of the
-//! sweep and exits non-zero on any violation:
-//!
-//! * an S=4 cell run twice in-process must produce byte-identical
-//!   merged-log hashes and report JSON;
-//! * an S=1 cell must be byte-identical to the plain single engine on
-//!   the same base configuration — same event log, same report.
+//! backlog, cross-shard placement frequency) plus, per cell, a
+//! `merged_log_hash` line and a `report_hash` line (the FNV-1a 64 of the
+//! federation report's JSON). All output is deterministic, and the whole
+//! stdout is pinned (`scripts/check_pins.sh`).
 //!
 //! Crash-recovery mode runs one labelled cell (`--shards`, `--mean-gap`)
 //! instead of the sweep:
@@ -44,10 +37,9 @@
 
 use std::path::{Path, PathBuf};
 
-use ecosched_engine::{Engine, EngineIds, EngineObs, Event};
+use ecosched_engine::{fnv1a_64, EngineIds, EngineObs, Event};
 use ecosched_experiments::federation::{
-    base_config, fed_config, federation_table, run_federation_sweep, FEDERATION_GAPS,
-    FEDERATION_SHARDS,
+    fed_config, federation_table, run_federation_sweep, FEDERATION_GAPS, FEDERATION_SHARDS,
 };
 use ecosched_experiments::online::OnlineConfig;
 use ecosched_experiments::{arg_value, reject_unknown_flags};
@@ -69,50 +61,6 @@ fn print_cell(shards: u32, mean_gap: f64, run: &FederationRun) {
     println!(
         "federation_report shards={shards} gap={mean_gap} {}",
         run.report.to_json()
-    );
-}
-
-/// The determinism smoke: rerun identity and the S=1 byte-identity
-/// theorem, both checked in-process.
-fn smoke(config: &OnlineConfig) {
-    let fed4 = Federation::new(fed_config(config, 4, 5.0), Amp::new())
-        .unwrap_or_else(|e| fail(format!("S=4 config: {e}")));
-    let first = fed4
-        .run(config.seed)
-        .unwrap_or_else(|e| fail(format!("S=4 run: {e}")));
-    let second = fed4
-        .run(config.seed)
-        .unwrap_or_else(|e| fail(format!("S=4 rerun: {e}")));
-    if first.report.merged_log_hash != second.report.merged_log_hash
-        || first.report.to_json() != second.report.to_json()
-    {
-        fail("S=4 federation diverged between identically seeded runs");
-    }
-    println!(
-        "federation_smoke shards=4 reruns=identical hash={}",
-        first.report.merged_log_hash
-    );
-
-    let fed1 = Federation::new(fed_config(config, 1, 10.0), Amp::new())
-        .unwrap_or_else(|e| fail(format!("S=1 config: {e}")));
-    let federated = fed1
-        .run(config.seed)
-        .unwrap_or_else(|e| fail(format!("S=1 run: {e}")));
-    let engine = Engine::new(base_config(config, 1, 10.0), Amp::new())
-        .unwrap_or_else(|e| fail(format!("engine config: {e}")));
-    let plain = engine
-        .run(config.seed)
-        .unwrap_or_else(|e| fail(format!("engine run: {e}")));
-    let shard = &federated.shards[0];
-    if shard.log.to_json() != plain.log.to_json() {
-        fail("S=1 shard event log differs from the plain engine's");
-    }
-    if shard.report.to_json() != plain.report.to_json() {
-        fail("S=1 shard report differs from the plain engine's");
-    }
-    println!(
-        "federation_smoke shards=1 engine=byte-identical events={} hash={}",
-        plain.report.event_count, federated.report.merged_log_hash
     );
 }
 
@@ -191,7 +139,6 @@ fn resume_flow(fed: &Federation<Amp>, shards: u32, mean_gap: f64, snapshot_path:
 const FLAGS: &[&str] = &[
     "--seed",
     "--cycles",
-    "--smoke",
     "--shards",
     "--mean-gap",
     "--single",
@@ -209,11 +156,6 @@ fn main() {
         cycles: arg_value("--cycles").unwrap_or(12),
         ..OnlineConfig::default()
     };
-
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke(&config);
-        return;
-    }
 
     let single = std::env::args().any(|a| a == "--single");
     let snapshot_every: u32 = arg_value("--snapshot-every").unwrap_or(0);
@@ -277,6 +219,14 @@ fn main() {
         println!(
             "merged_log_hash shards={} gap={} hash={}",
             p.shards, p.mean_gap, p.report.merged_log_hash
+        );
+        // The report's hash pins what was decided, which the merged log
+        // (inputs and timings only) does not.
+        println!(
+            "report_hash shards={} gap={} hash={:016x}",
+            p.shards,
+            p.mean_gap,
+            fnv1a_64(p.report.to_json().as_bytes())
         );
     }
 }

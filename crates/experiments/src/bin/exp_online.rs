@@ -3,16 +3,21 @@
 //! batch-cycle baseline.
 //!
 //! Usage: `exp_online [--seed S] [--cycles C] [--jobs J] [--churn P]
-//! [--mean-gap G] [--no-coalesce] [--smoke] [--saturate]
+//! [--mean-gap G] [--no-coalesce] [--saturate]
 //! [--trace FILE.swf [--trace-scale SECS_PER_TICK]]`.
+//!
+//! The grid prints, per cell, an `event_log_hash` line and a
+//! `report_hash` line (the FNV-1a 64 of the report's JSON: what was
+//! decided, which the log of inputs and timings does not pin). The whole
+//! stdout is seeded and pinned (`scripts/check_pins.sh`).
 //!
 //! `--trace FILE.swf` replays a Standard Workload Format trace (E16)
 //! instead of the synthetic grid: each record's submission time,
 //! processor count, and requested runtime drive external submissions
 //! into the engine, once per selector (ALP and AMP), with the replay
-//! table and per-selector `event_log_hash` lines printed for CI to
-//! diff. `--trace-scale` maps trace seconds to engine ticks (default 1
-//! second per tick).
+//! table and per-selector `event_log_hash` and `report_hash` lines.
+//! `--trace-scale` maps trace seconds to engine ticks (default 1 second
+//! per tick; anything but a positive, finite number exits 2).
 //!
 //! `--saturate` runs the E15 saturation sweep instead of the grid: the
 //! calm scenario at a descending ladder of mean inter-arrival gaps, the
@@ -23,11 +28,6 @@
 //!
 //! `--no-coalesce` disables the engine's cycle-commit slot coalescing —
 //! the fragmentation A/B baseline for EXPERIMENTS.md E15.
-//!
-//! `--smoke` runs the determinism smoke check used by CI: every grid cell
-//! is run twice and the process exits non-zero if any pair of identically
-//! seeded runs diverges. The output (hashes plus canonical report JSON)
-//! is itself deterministic, so CI runs the binary twice and diffs.
 //!
 //! `--mean-gap G` sets the Poisson mean inter-arrival gap in ticks
 //! (default 10), scaling the offered load without changing the job count.
@@ -58,16 +58,17 @@
 
 use std::path::{Path, PathBuf};
 
-use ecosched_engine::{Engine, EngineIds, EngineObs, EngineReport, Event, EventLog};
+use ecosched_engine::{fnv1a_64, Engine, EngineIds, EngineObs, EngineReport, Event, EventLog};
 use ecosched_experiments::online::{
     batch_table, engine_config, online_table, run_batch_baseline, run_online, run_saturation,
     saturation_table, OnlineConfig, SATURATION_GAPS,
 };
-use ecosched_experiments::trace::{parse_swf, run_trace, trace_config, trace_table};
+use ecosched_experiments::trace::{run_trace, trace_config, trace_table};
 use ecosched_experiments::{arg_value, reject_unknown_flags};
 use ecosched_obs::{Recorder, RegistryBuilder};
 use ecosched_persist::{decode_snapshot, resume_from, snapshot};
 use ecosched_select::{Alp, Amp, SlotSelector};
+use ecosched_sim::swf::parse_swf;
 
 fn fail(message: impl std::fmt::Display) -> ! {
     eprintln!("exp_online: {message}");
@@ -83,6 +84,12 @@ fn print_cell(scenario: &str, algo: &str, report: &EngineReport) {
         "report scenario={scenario} algo={algo} {}",
         report.to_json()
     );
+}
+
+/// The FNV-1a 64 of the report's canonical JSON: pins what was decided
+/// (spend, waits, utilisation), which the event-log hash does not.
+fn report_hash(report: &EngineReport) -> String {
+    format!("{:016x}", fnv1a_64(report.to_json().as_bytes()))
 }
 
 /// The surviving-log path that rides along with a snapshot file.
@@ -218,7 +225,6 @@ const FLAGS: &[&str] = &[
     "--churn",
     "--mean-gap",
     "--no-coalesce",
-    "--smoke",
     "--saturate",
     "--trace",
     "--trace-scale",
@@ -242,7 +248,6 @@ fn main() {
         mean_interarrival: arg_value("--mean-gap").unwrap_or(10.0),
         coalesce: !std::env::args().any(|a| a == "--no-coalesce"),
     };
-    let smoke = std::env::args().any(|a| a == "--smoke");
     let single = std::env::args().any(|a| a == "--single");
     let saturate = std::env::args().any(|a| a == "--saturate");
 
@@ -252,14 +257,15 @@ fn main() {
             Ok(text) => text,
             Err(e) => fail(format!("reading {trace_file}: {e}")),
         };
-        let jobs = match parse_swf(&text, scale) {
+        let jobs = match parse_swf(&text) {
             Ok(jobs) => jobs,
             Err(e) => fail(format!("{trace_file}: {e}")),
         };
         if jobs.is_empty() {
             fail(format!("{trace_file}: no usable jobs"));
         }
-        let engine_cfg = trace_config(&jobs);
+        let engine_cfg =
+            trace_config(&jobs, scale).unwrap_or_else(|e| fail(format!("--trace-scale: {e}")));
         eprintln!(
             "replaying {} trace jobs over {} cycles (seed {})…",
             jobs.len(),
@@ -278,8 +284,8 @@ fn main() {
         let amp = Engine::new(engine_cfg, Amp::new())
             .expect("valid config")
             .with_obs(amp_obs);
-        let alp_run = run_trace(&alp, config.seed, &jobs).unwrap_or_else(|e| fail(e));
-        let amp_run = run_trace(&amp, config.seed, &jobs).unwrap_or_else(|e| fail(e));
+        let alp_run = run_trace(&alp, config.seed, &jobs, scale).unwrap_or_else(|e| fail(e));
+        let amp_run = run_trace(&amp, config.seed, &jobs, scale).unwrap_or_else(|e| fail(e));
         dump_metrics(alp_dump.as_deref(), &alp_rec);
         dump_metrics(amp_dump.as_deref(), &amp_rec);
         println!("E16 — SWF trace replay ({trace_file})\n");
@@ -287,14 +293,16 @@ fn main() {
             "{}",
             trace_table(&[("ALP", &alp_run), ("AMP", &amp_run)]).render()
         );
-        println!(
-            "event_log_hash trace algo=ALP hash={}",
-            alp_run.report.log_hash
-        );
-        println!(
-            "event_log_hash trace algo=AMP hash={}",
-            amp_run.report.log_hash
-        );
+        for (algo, run) in [("ALP", &alp_run), ("AMP", &amp_run)] {
+            println!(
+                "event_log_hash trace algo={algo} hash={}",
+                run.report.log_hash
+            );
+            println!(
+                "report_hash trace algo={algo} hash={}",
+                report_hash(&run.report)
+            );
+        }
         return;
     }
 
@@ -380,40 +388,6 @@ fn main() {
         return;
     }
 
-    if smoke {
-        let first = run_online(&config);
-        let second = run_online(&config);
-        let mut diverged = false;
-        for (a, b) in first.iter().zip(&second) {
-            let ok =
-                a.report.log_hash == b.report.log_hash && a.report.to_json() == b.report.to_json();
-            if !ok {
-                diverged = true;
-                eprintln!(
-                    "DETERMINISM VIOLATION: {}/{} hashes {} vs {}",
-                    a.scenario, a.algo, a.report.log_hash, b.report.log_hash
-                );
-            }
-            println!(
-                "event_log_hash scenario={} algo={} hash={}",
-                a.scenario, a.algo, a.report.log_hash
-            );
-        }
-        for p in &first {
-            println!(
-                "report scenario={} algo={} {}",
-                p.scenario,
-                p.algo,
-                p.report.to_json()
-            );
-        }
-        if diverged {
-            std::process::exit(1);
-        }
-        println!("determinism ok: {} runs reproduced", first.len());
-        return;
-    }
-
     eprintln!(
         "running online grid (seed {}, {} cycles, {} jobs, churn {}, mean gap {})…",
         config.seed, config.cycles, config.jobs, config.churn, config.mean_interarrival
@@ -425,6 +399,12 @@ fn main() {
         println!(
             "event_log_hash scenario={} algo={} hash={}",
             p.scenario, p.algo, p.report.log_hash
+        );
+        println!(
+            "report_hash scenario={} algo={} hash={}",
+            p.scenario,
+            p.algo,
+            report_hash(&p.report)
         );
     }
     println!("\nlegacy batch-cycle baseline (closed batches, no clock):\n");

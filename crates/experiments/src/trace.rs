@@ -4,14 +4,15 @@
 //!
 //! SWF is the archive format of the Parallel Workloads Archive: one job
 //! per line, 18 whitespace-separated integer fields, `;`-prefixed
-//! comment header. Replay reads the three fields the engine needs —
-//! submit time, requested processor count, requested runtime (falling
-//! back to the actual runtime when the request is absent) — and injects
-//! each job as an external submission at its (scaled) submit tick while
-//! the engine runs. Everything else about the run (market publication,
-//! cycle ticks, lease lifecycle) is the standard engine pipeline, so
-//! trace replay answers the same questions as E15 but against recorded
-//! rather than generated demand.
+//! comment header. The trace is read by [`ecosched_sim::swf::parse_swf`];
+//! replay takes the three fields the engine needs — submit time,
+//! requested processor count, requested runtime (falling back to the
+//! actual runtime when the request is absent) — and injects each job as
+//! an external submission at its (scaled) submit tick while the engine
+//! runs. Everything else about the run (market publication, cycle ticks,
+//! lease lifecycle) is the standard engine pipeline, so trace replay
+//! answers the same questions as E15 but against recorded rather than
+//! generated demand.
 //!
 //! Traces carry no prices, so every job gets a generous flat price cap
 //! and the etalon performance floor: admission-by-budget is not the
@@ -20,85 +21,43 @@
 use ecosched_core::{Perf, Price, ResourceRequest, TimeDelta, TimePoint};
 use ecosched_engine::{ArrivalConfig, Engine, EngineConfig, EngineRun};
 use ecosched_select::SlotSelector;
+use ecosched_sim::swf::SwfJob;
 
 use crate::report::Table;
-
-/// One job read from an SWF trace, already scaled to engine ticks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceJob {
-    /// The trace's job id (field 1).
-    pub id: u64,
-    /// Submit tick (field 2, scaled).
-    pub submit: i64,
-    /// Processors requested (field 8, falling back to field 5).
-    pub nodes: u64,
-    /// Runtime ticks requested (field 9, falling back to field 4,
-    /// scaled; at least 1).
-    pub wall: i64,
-}
-
-/// Parses SWF text. `seconds_per_tick` scales trace seconds down to
-/// engine ticks (1.0 replays in real seconds). Jobs with no usable
-/// processor count or runtime (both fields -1) are skipped; the result
-/// is sorted by submit tick, ties by job id, so replay order is
-/// deterministic regardless of archive quirks.
-///
-/// # Errors
-///
-/// The first malformed (non-comment, non-empty, yet unparsable) line.
-pub fn parse_swf(text: &str, seconds_per_tick: f64) -> Result<Vec<TraceJob>, String> {
-    let scale = seconds_per_tick.max(1e-9);
-    let mut jobs = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with(';') {
-            continue;
-        }
-        let fields: Vec<i64> = line
-            .split_whitespace()
-            .map(|f| f.parse::<f64>().map(|v| v as i64))
-            .collect::<Result<_, _>>()
-            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        if fields.len() < 9 {
-            return Err(format!(
-                "line {}: {} fields, SWF needs at least 9",
-                lineno + 1,
-                fields.len()
-            ));
-        }
-        let pick = |requested: i64, actual: i64| if requested > 0 { requested } else { actual };
-        let nodes = pick(fields[7], fields[4]);
-        let runtime = pick(fields[8], fields[3]);
-        if nodes <= 0 || runtime <= 0 {
-            continue; // cancelled or unusable record
-        }
-        jobs.push(TraceJob {
-            id: fields[0].max(0) as u64,
-            submit: (fields[1].max(0) as f64 / scale) as i64,
-            nodes: nodes as u64,
-            wall: ((runtime as f64 / scale) as i64).max(1),
-        });
-    }
-    jobs.sort_by_key(|j| (j.submit, j.id));
-    Ok(jobs)
-}
 
 /// The flat per-slot price cap trace jobs carry (credits/tick) — above
 /// the generator's price ceiling, so no market ever prices a trace job
 /// out.
 pub const TRACE_PRICE_CAP: i64 = 10;
 
-/// Converts one trace job to an engine request.
-///
-/// # Errors
-///
-/// A human-readable description when the record cannot form a valid
-/// request (e.g. a processor count past `usize`).
-pub fn to_request(job: &TraceJob) -> Result<ResourceRequest, String> {
-    let nodes = usize::try_from(job.nodes).map_err(|_| "nodes out of range".to_owned())?;
+/// The trace on the engine clock: every job with its `submit` and
+/// `requested_time` divided by `seconds_per_tick` (the runtime at least
+/// one tick), sorted by submit tick, ties by job id, so replay order is
+/// deterministic regardless of archive quirks.
+fn on_clock(jobs: &[SwfJob], seconds_per_tick: f64) -> Result<Vec<SwfJob>, String> {
+    if !(seconds_per_tick.is_finite() && seconds_per_tick > 0.0) {
+        return Err(format!(
+            "seconds per tick must be positive and finite, got {seconds_per_tick}"
+        ));
+    }
+    let ticks = |seconds: i64| (seconds as f64 / seconds_per_tick) as i64;
+    let mut scaled: Vec<SwfJob> = jobs
+        .iter()
+        .map(|job| SwfJob {
+            submit: ticks(job.submit),
+            requested_time: ticks(job.requested_time).max(1),
+            ..*job
+        })
+        .collect();
+    scaled.sort_by_key(|job| (job.submit, job.id));
+    Ok(scaled)
+}
+
+/// Converts one on-clock trace job to an engine request.
+fn to_request(job: &SwfJob) -> Result<ResourceRequest, String> {
     ResourceRequest::new(
-        nodes,
-        TimeDelta::new(job.wall),
+        job.procs,
+        TimeDelta::new(job.requested_time),
         Perf::UNIT,
         Price::from_credits(TRACE_PRICE_CAP),
     )
@@ -108,38 +67,45 @@ pub fn to_request(job: &TraceJob) -> Result<ResourceRequest, String> {
 /// The engine configuration a trace replay runs: external arrivals (the
 /// trace is the stream) over the standard market, with enough cycles to
 /// cover the last submission plus its runtime.
-#[must_use]
-pub fn trace_config(jobs: &[TraceJob]) -> EngineConfig {
+///
+/// # Errors
+///
+/// `seconds_per_tick` is not a positive, finite number.
+pub fn trace_config(jobs: &[SwfJob], seconds_per_tick: f64) -> Result<EngineConfig, String> {
     let base = EngineConfig::default();
-    let span = jobs
+    let span = on_clock(jobs, seconds_per_tick)?
         .iter()
-        .map(|j| j.submit + j.wall)
+        .map(|j| j.submit + j.requested_time)
         .max()
         .unwrap_or(0)
         .max(1);
     let cycles = (span / base.cycle_length.max(1) + 2).min(i64::from(u32::MAX)) as u32;
-    EngineConfig {
+    Ok(EngineConfig {
         arrivals: ArrivalConfig::External,
         cycles,
         ..base
-    }
+    })
 }
 
 /// Replays a trace: steps the engine to each job's submit tick, injects
 /// it, then drains the run.
 ///
-/// Deterministic: a pure function of `(config, seed, trace)`.
+/// Deterministic: a pure function of `(config, seed, trace,
+/// seconds_per_tick)`.
 ///
 /// # Errors
 ///
-/// The first engine failure or unconvertible trace record.
+/// A scale [`trace_config`] refuses, the first engine failure, or an
+/// unconvertible trace record.
 pub fn run_trace<S: SlotSelector + Copy>(
     engine: &Engine<S>,
     seed: u64,
-    jobs: &[TraceJob],
+    jobs: &[SwfJob],
+    seconds_per_tick: f64,
 ) -> Result<EngineRun, String> {
+    let jobs = on_clock(jobs, seconds_per_tick)?;
     let mut state = engine.start(seed);
-    for job in jobs {
+    for job in &jobs {
         // Process everything due strictly before the submit tick, so the
         // job arrives into exactly the market state of that instant.
         while state
@@ -191,38 +157,61 @@ pub fn trace_table(rows: &[(&str, &EngineRun)]) -> Table {
 mod tests {
     use super::*;
     use ecosched_select::{Alp, Amp};
+    use ecosched_sim::swf::parse_swf;
 
-    const MINI: &str = include_str!("../fixtures/mini.swf");
+    fn mini() -> Vec<SwfJob> {
+        parse_swf(include_str!("../fixtures/mini.swf")).expect("mini.swf parses")
+    }
 
     #[test]
-    fn mini_fixture_parses_scaled() {
-        let jobs = parse_swf(MINI, 1.0).expect("mini.swf parses");
+    fn mini_fixture_goes_on_the_clock_scaled() {
+        let jobs = mini();
         assert_eq!(jobs.len(), 10, "10 usable jobs (1 cancelled record)");
-        assert!(jobs.windows(2).all(|w| w[0].submit <= w[1].submit));
-        let halved = parse_swf(MINI, 2.0).expect("mini.swf parses at scale 2");
+        let clock = on_clock(&jobs, 1.0).unwrap();
+        assert_eq!(clock, jobs, "mini.swf is in submit order, in seconds");
+        let halved = on_clock(&jobs, 2.0).unwrap();
         assert_eq!(halved.len(), jobs.len());
-        assert!(halved.iter().zip(&jobs).all(|(h, j)| h.wall <= j.wall));
+        assert!(halved
+            .iter()
+            .zip(&jobs)
+            .all(|(h, j)| h.submit == j.submit / 2 && h.requested_time <= j.requested_time));
     }
 
     #[test]
-    fn comments_and_garbage_behave() {
-        assert!(parse_swf("; header only\n\n", 1.0)
-            .expect("comments ok")
-            .is_empty());
-        assert!(parse_swf("1 2 three", 1.0).is_err());
+    fn ties_on_the_clock_go_by_the_whole_job_id() {
+        // Both submit at tick 0 once scaled; 2^32 must sort after 1, not
+        // wrap to 0 and sort before it.
+        let text = "4294967296 9 0 30 1 -1 -1 1 30\n1 5 0 30 1 -1 -1 1 30\n";
+        let jobs = parse_swf(text).unwrap();
+        let ids: Vec<u64> = on_clock(&jobs, 60.0)
+            .unwrap()
+            .iter()
+            .map(|j| j.id)
+            .collect();
+        assert_eq!(ids, [1, 1 << 32]);
     }
 
-    // The `--trace` smoke contract: replaying mini.swf schedules work
-    // and is deterministic (same hash twice, for both selectors).
+    #[test]
+    fn a_scale_that_is_not_positive_and_finite_is_refused() {
+        let jobs = mini();
+        let engine = Engine::new(EngineConfig::default(), Amp::new()).expect("config");
+        for scale in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(trace_config(&jobs, scale).is_err(), "{scale}");
+            assert!(run_trace(&engine, 42, &jobs, scale).is_err(), "{scale}");
+        }
+    }
+
+    // The E16 replay contract: replaying mini.swf schedules work and is
+    // deterministic (same hash twice, for both selectors).
     #[test]
     fn mini_trace_replay_is_deterministic_and_schedules() {
-        let jobs = parse_swf(MINI, 1.0).expect("mini.swf parses");
-        let config = trace_config(&jobs);
+        let jobs = mini();
+        let config = trace_config(&jobs, 1.0).expect("scale 1");
         let amp = Engine::new(config.clone(), Amp::new()).expect("config");
         let alp = Engine::new(config, Alp::new()).expect("config");
-        let a1 = run_trace(&amp, 42, &jobs).expect("amp run");
-        let a2 = run_trace(&amp, 42, &jobs).expect("amp rerun");
-        let l1 = run_trace(&alp, 42, &jobs).expect("alp run");
+        let a1 = run_trace(&amp, 42, &jobs, 1.0).expect("amp run");
+        let a2 = run_trace(&amp, 42, &jobs, 1.0).expect("amp rerun");
+        let l1 = run_trace(&alp, 42, &jobs, 1.0).expect("alp run");
         assert_eq!(a1.report.log_hash, a2.report.log_hash);
         assert_eq!(a1.report.to_json(), a2.report.to_json());
         assert_eq!(a1.report.jobs_arrived, jobs.len() as u64);

@@ -1,7 +1,8 @@
 //! The engine configuration's wire bytes and fingerprints, pinned to the
 //! values the build before the test-only knobs went wrote
 //! (`SearchMode`, `OptimizerKind`, the full-rescan repair tier, the
-//! domain-outage and price-burst fault processes). Their keys stay on the
+//! domain-outage and price-burst fault processes, and the engine's
+//! `vos`, `completion_fraction` and `slowdown_tau`). Their keys stay on the
 //! wire as constants: every configuration encodes to the same JSON, so
 //! every fingerprint, snapshot and manifest holds, and a configuration
 //! asking for a removed behaviour is refused by name.
@@ -87,7 +88,7 @@ fn configs_encode_and_fingerprint_as_before_the_removal() {
 
 /// Each reserved key with its constant, and a value asking for the
 /// behaviour that went.
-const RESERVED: [(&str, &str, &str); 7] = [
+const RESERVED: [(&str, &str, &str); 10] = [
     ("domain_outage", "0.0", "0.4"),
     ("nodes_per_domain", "8", "6"),
     ("price_burst", "0.0", "0.8"),
@@ -99,6 +100,9 @@ const RESERVED: [(&str, &str, &str); 7] = [
         r#""ParetoExact""#,
     ),
     ("search_mode", r#""Sequential""#, r#""Coscheduled""#),
+    ("vos", "3", "4"),
+    ("completion_fraction", "0.75", "1.0"),
+    ("slowdown_tau", "10", "20"),
 ];
 
 #[test]

@@ -4,14 +4,12 @@
 //! byte-identical — final report, full event log, and log hash — to the
 //! run that never crashed.
 //!
-//! Coverage axes: Poisson and SWF-trace arrivals, revocation on/off, ALP
-//! and AMP selectors, the determinism-suite seeds, and proptest-driven
-//! random kill points.
+//! Coverage axes: revocation on/off, ALP and AMP selectors, the
+//! determinism-suite seeds, and proptest-driven random kill points.
 
 use ecosched_engine::{ArrivalConfig, Engine, EngineConfig, LogEntry};
 use ecosched_persist::{encode_snapshot, resume_from, run_with_snapshots};
 use ecosched_select::{Alp, Amp, SlotSelector};
-use ecosched_sim::swf::{parse_swf, SwfImportConfig};
 use ecosched_sim::{JobGenConfig, RevocationConfig};
 use proptest::prelude::*;
 
@@ -27,30 +25,6 @@ fn poisson_config(churn: bool) -> EngineConfig {
             mean_interarrival: 8.0,
             jobs: 20,
             job_gen: JobGenConfig::default(),
-        },
-        ..EngineConfig::default()
-    }
-}
-
-fn trace_config(churn: bool) -> EngineConfig {
-    let trace = parse_swf(
-        "1 0 5 3600 4 -1 -1 4 3600 -1 1 1 1 1 1 1 -1 -1\n\
-         2 30 5 1800 2 -1 -1 2 2400 -1 1 1 1 1 1 1 -1 -1\n\
-         3 90 5 1200 1 -1 -1 1 1200 -1 1 1 1 1 1 1 -1 -1\n\
-         4 150 5 2400 2 -1 -1 2 3000 -1 1 1 1 1 1 1 -1 -1\n\
-         5 200 5 1800 3 -1 -1 3 2000 -1 1 1 1 1 1 1 -1 -1\n",
-    )
-    .expect("static trace parses");
-    EngineConfig {
-        cycles: 4,
-        revocation: if churn {
-            RevocationConfig::per_slot(0.05)
-        } else {
-            RevocationConfig::none()
-        },
-        arrivals: ArrivalConfig::Trace {
-            trace,
-            import: SwfImportConfig::default(),
         },
         ..EngineConfig::default()
     }
@@ -128,16 +102,6 @@ fn alp_selector_converges_after_crash() {
     }
 }
 
-#[test]
-fn trace_arrivals_converge_after_crash() {
-    for churn in [false, true] {
-        let engine = Engine::new(trace_config(churn), Amp::new()).expect("config");
-        for kill_at in [8usize, 25, usize::MAX] {
-            assert_recovery_converges(&engine, 9, kill_at);
-        }
-    }
-}
-
 proptest! {
     // Each case is two full engine runs plus a replayed recovery; keep
     // the count small (CI raises PROPTEST_CASES for the dedicated job).
@@ -149,20 +113,15 @@ proptest! {
         seed in 0u64..100_000,
         kill_at in 0usize..200,
         churn in any::<bool>(),
-        poisson in any::<bool>(),
     ) {
-        let config = if poisson {
-            EngineConfig {
-                cycles: 3,
-                arrivals: ArrivalConfig::Poisson {
-                    mean_interarrival: 10.0,
-                    jobs: 10,
-                    job_gen: JobGenConfig::default(),
-                },
-                ..poisson_config(churn)
-            }
-        } else {
-            trace_config(churn)
+        let config = EngineConfig {
+            cycles: 3,
+            arrivals: ArrivalConfig::Poisson {
+                mean_interarrival: 10.0,
+                jobs: 10,
+                job_gen: JobGenConfig::default(),
+            },
+            ..poisson_config(churn)
         };
         let engine = Engine::new(config, Amp::new()).expect("config");
         assert_recovery_converges(&engine, seed, kill_at);

@@ -12,8 +12,8 @@
 //! log segment up to the position the snapshot records, then whatever
 //! entries the snapshot carries itself — and every WAL entry is
 //! reachable and re-injectable on its recorded shard. It is the
-//! acceptance check the crash harness and the CI `service-smoke` and
-//! `federation-smoke` jobs run after every kill.
+//! acceptance check the crash harness and the CI `service-smoke` job run
+//! after every kill.
 
 use std::path::Path;
 

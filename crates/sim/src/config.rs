@@ -205,7 +205,11 @@ pub(crate) fn probability(value: f64, field: &'static str) -> Result<(), ConfigE
 /// still decode and match byte for byte. The key may hold `constant` or be
 /// absent; any other value asks for a behaviour this build no longer has,
 /// and is refused with an error naming the key.
-pub(crate) fn reserved_key<'de, T: Serialize + Deserialize<'de> + PartialEq>(
+///
+/// # Errors
+///
+/// A [`serde::Error`] naming `key` when it holds anything but `constant`.
+pub fn reserved_key<'de, T: Serialize + Deserialize<'de> + PartialEq>(
     value: &serde::Value,
     key: &str,
     constant: &T,

@@ -59,7 +59,7 @@ mod stats;
 mod strategy;
 pub mod swf;
 
-pub use config::{ConfigError, IntRange, JobGenConfig, RealRange, SlotGenConfig};
+pub use config::{reserved_key, ConfigError, IntRange, JobGenConfig, RealRange, SlotGenConfig};
 pub use cycle::{PostponeReason, Recovery, RepairPolicy};
 pub use iteration::{run_iteration, Criterion, IterationConfig, IterationError, IterationResult};
 pub use job_gen::JobGenerator;

@@ -12,50 +12,21 @@ use std::fmt;
 
 use ecosched_core::{Batch, Job, JobId, Perf, Price, ResourceRequest, TimeDelta};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::config::RealRange;
 use crate::rng_ext::draw_real;
 
 /// One job parsed from an SWF trace (the fields this crate consumes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwfJob {
     /// SWF field 1: job number.
-    pub id: u32,
+    pub id: u64,
     /// SWF field 2: submit time (seconds since trace start).
     pub submit: i64,
-    /// SWF field 4: actual run time, seconds.
-    pub run_time: i64,
     /// Requested processors (field 8, falling back to allocated, field 5).
     pub procs: usize,
     /// Requested time (field 9, falling back to the run time, field 4).
     pub requested_time: i64,
-}
-
-impl SwfJob {
-    /// Renders the job as one standard 18-field SWF line, `-1` for every
-    /// field this crate does not consume. [`parse_swf`] reads the line
-    /// back to an identical [`SwfJob`].
-    #[must_use]
-    pub fn to_line(&self) -> String {
-        format!(
-            "{} {} -1 {} {} -1 -1 {} {} -1 -1 -1 -1 -1 -1 -1 -1 -1",
-            self.id, self.submit, self.run_time, self.procs, self.procs, self.requested_time
-        )
-    }
-}
-
-/// Renders jobs as SWF text (a header comment plus one line per job).
-/// `parse_swf(&write_swf(&jobs))` returns the same jobs — the round-trip
-/// contract the fixture test pins down.
-#[must_use]
-pub fn write_swf(jobs: &[SwfJob]) -> String {
-    let mut out = String::from("; SWF written by ecosched-sim\n");
-    for job in jobs {
-        out.push_str(&job.to_line());
-        out.push('\n');
-    }
-    out
 }
 
 /// Errors raised while parsing SWF text.
@@ -156,9 +127,8 @@ pub fn parse_swf(text: &str) -> Result<Vec<SwfJob>, ParseSwfError> {
             continue; // failed/cancelled entry
         }
         jobs.push(SwfJob {
-            id: id as u32,
+            id: id as u64,
             submit,
-            run_time,
             procs: procs as usize,
             requested_time: time,
         });
@@ -167,7 +137,7 @@ pub fn parse_swf(text: &str) -> Result<Vec<SwfJob>, ParseSwfError> {
 }
 
 /// How to turn rigid trace jobs into economic resource requests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwfImportConfig {
     /// Take at most this many jobs (in trace order). `0` = no limit.
     pub max_jobs: usize,
@@ -306,17 +276,6 @@ mod tests {
         // A line that is only a comment after stripping is skipped, not a
         // field-count error.
         assert!(parse_swf("  ; indented comment\n").unwrap().is_empty());
-    }
-
-    #[test]
-    fn write_swf_round_trips() {
-        let jobs = parse_swf(SAMPLE).unwrap();
-        let text = write_swf(&jobs);
-        assert_eq!(parse_swf(&text).unwrap(), jobs);
-        // Every emitted line is a full 18-field SWF record.
-        for line in text.lines().filter(|l| !l.starts_with(';')) {
-            assert_eq!(line.split_whitespace().count(), 18);
-        }
     }
 
     #[test]

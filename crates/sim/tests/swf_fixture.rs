@@ -1,9 +1,8 @@
 //! Fixture-trace tests for the hardened SWF parser: a small archive-style
 //! trace with CRLF line endings, `-1` sentinel fields, and trailing
-//! comments must parse, survive a write/parse round trip, and convert to a
-//! schedulable economic batch.
+//! comments must parse and convert to a schedulable economic batch.
 
-use ecosched_sim::swf::{batch_from_swf, parse_swf, write_swf, SwfImportConfig};
+use ecosched_sim::swf::{batch_from_swf, parse_swf, SwfImportConfig};
 use ecosched_sim::{run_iteration, IterationConfig, SlotGenConfig, SlotGenerator};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -33,7 +32,7 @@ fn fixture_parses_with_sentinels_resolved() {
     let jobs = parse_swf(FIXTURE).expect("fixture parses");
     // Job 3 is a cancelled entry and is dropped.
     assert_eq!(jobs.len(), 4);
-    let ids: Vec<u32> = jobs.iter().map(|j| j.id).collect();
+    let ids: Vec<u64> = jobs.iter().map(|j| j.id).collect();
     assert_eq!(ids, vec![1, 2, 4, 5]);
     // -1 submit clamps to the trace epoch.
     assert_eq!(jobs[0].submit, 0);
@@ -43,16 +42,6 @@ fn fixture_parses_with_sentinels_resolved() {
     assert_eq!(jobs[2].requested_time, 600);
     // Submit times stay in trace order.
     assert!(jobs.windows(2).all(|w| w[0].submit <= w[1].submit));
-}
-
-#[test]
-fn fixture_round_trips_through_write_swf() {
-    let jobs = parse_swf(FIXTURE).expect("fixture parses");
-    let rewritten = write_swf(&jobs);
-    let reparsed = parse_swf(&rewritten).expect("rewritten trace parses");
-    assert_eq!(reparsed, jobs);
-    // A second round trip is byte-stable.
-    assert_eq!(write_swf(&reparsed), rewritten);
 }
 
 #[test]

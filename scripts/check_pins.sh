@@ -4,7 +4,13 @@
 #
 #   scripts/pins.expected      E15 (exp_online, 4 hashes), its A/B twin
 #                              (--no-coalesce, 4), E16 (--trace mini.swf, 2)
-#                              and E18 (exp_federation, 12 merged hashes)
+#                              and E18 (exp_federation, 12 merged hashes),
+#                              each cell also with the hash of its whole
+#                              report (`report_hash`: what was decided —
+#                              spend, waits, utilisation — which the log
+#                              hashes, inputs and timings only, miss)
+#   results/pins/exp_online*.txt, exp_federation.txt
+#                              the whole stdout of those four runs
 #   results/churn_report.txt   E14: the whole `exp_churn --runs 6 --cycles 4`
 #                              table (seeded; repeats byte-for-byte)
 #   results/coschedule_report.txt  E9: the whole `exp_coschedule
@@ -41,20 +47,22 @@ bin="${CARGO_TARGET_DIR:-target}/release"
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-# One "# <command>" header per run, then its hash lines.
+mkdir "$out/pins"
+# `pin NAME CMD…` keeps CMD's whole stdout as pins/NAME.txt and prints a
+# "# CMD…" header, then its hash lines.
 pin() {
-    echo "# $*"
-    "$bin/$1" "${@:2}" 2>/dev/null | grep 'hash='
+    "$bin/$2" "${@:3}" 2>/dev/null > "$out/pins/$1.txt"
+    echo "# ${*:2}"
+    grep 'hash=' "$out/pins/$1.txt"
 }
 {
-    pin exp_online
-    pin exp_online --no-coalesce
-    pin exp_online --trace crates/experiments/fixtures/mini.swf
-    pin exp_federation
+    pin exp_online exp_online
+    pin exp_online_no_coalesce exp_online --no-coalesce
+    pin exp_online_trace exp_online --trace crates/experiments/fixtures/mini.swf
+    pin exp_federation exp_federation
 } > "$out/pins.expected"
 "$bin/exp_churn" --runs 6 --cycles 4 2>/dev/null > "$out/churn_report.txt"
 "$bin/exp_coschedule" --iterations 1500 2>/dev/null > "$out/coschedule_report.txt"
-mkdir "$out/pins"
 for b in "${paper_bins[@]}"; do
     case $b in
         exp_time_min | exp_cost_min | exp_alternatives | exp_rho_sweep)
@@ -80,7 +88,7 @@ diff -u results/churn_report.txt "$out/churn_report.txt" || status=1
 diff -u results/coschedule_report.txt "$out/coschedule_report.txt" || status=1
 diff -ru results/pins "$out/pins" || status=1
 if [[ $status -eq 0 ]]; then
-    echo "pins ok: $(grep -c 'hash=' "$out/pins.expected") hashes + the E14 and E9 tables + ${#paper_bins[@]} paper-binary outputs"
+    echo "pins ok: $(grep -c 'hash=' "$out/pins.expected") hashes + the E14 and E9 tables + 4 engine/federation and ${#paper_bins[@]} paper-binary outputs"
 else
     echo "pinned behaviour changed (see diff above)" >&2
 fi
