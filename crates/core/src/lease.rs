@@ -159,13 +159,13 @@ mod tests {
             window: window_on(1, 0, 50),
             origin: LeaseOrigin::FailedOver { alternative: 1 },
         };
-        let value = serde::Serialize::to_value(&lease);
-        let back: Lease = serde::Deserialize::from_value(&value).unwrap();
+        let text = serde_json::to_string(&lease).unwrap();
+        let back: Lease = serde_json::from_str(&text).unwrap();
         assert_eq!(back, lease);
 
         let rev = revocation(0, 5, 9);
-        let value = serde::Serialize::to_value(&rev);
-        let back: Revocation = serde::Deserialize::from_value(&value).unwrap();
+        let text = serde_json::to_string(&rev).unwrap();
+        let back: Revocation = serde_json::from_str(&text).unwrap();
         assert_eq!(back, rev);
     }
 }

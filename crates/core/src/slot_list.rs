@@ -659,19 +659,19 @@ impl PartialEq for SlotList {
 
 impl Eq for SlotList {}
 
-// Serde through one derived wire struct per representation, so the tree
-// and the streamed writer share a field list. The flat representation
-// keeps the wire format of the pre-index list (`slots` + `next_id`); the
-// interval representation writes each node's slots in start order behind
-// a `repr` tag. Decoding dispatches on the tag's presence, so legacy flat
-// payloads (persist format v1) load unchanged.
-#[derive(Serialize, Deserialize)]
+// Serde through one derived wire struct per representation. The flat
+// representation keeps the wire format of the pre-index list (`slots` +
+// `next_id`); the interval representation writes each node's slots in
+// start order behind a `repr` tag. Decoding reads every key first and then
+// chooses on the tag's presence, so legacy flat payloads (persist format
+// v1) load unchanged.
+#[derive(Serialize)]
 struct FlatWire {
     slots: Vec<Slot>,
     next_id: u64,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct IntervalWire {
     repr: String,
     nodes: Vec<NodeSlots>,
@@ -708,34 +708,40 @@ impl SlotList {
 }
 
 impl Serialize for SlotList {
-    fn to_value(&self) -> serde::Value {
-        self.wire().to_value()
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         self.wire().write_json(out);
     }
 }
 
 impl<'de> Deserialize<'de> for SlotList {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let tagged = value
-            .as_map()
-            .is_some_and(|m| m.iter().any(|(k, _)| k == "repr"));
-        if !tagged {
+    fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let (mut slots, mut next_id, mut nodes) = (None, None, None);
+        let mut repr: Option<String> = None;
+        parser.read_map(|parser, name| match name {
+            "slots" => parser.field(&mut slots, name),
+            "next_id" => parser.field(&mut next_id, name),
+            "repr" => parser.field(&mut repr, name),
+            "nodes" => parser.field(&mut nodes, name),
+            _ => parser.skip_value(),
+        })?;
+        let Some(repr) = repr else {
             // Legacy flat payload: `{slots, next_id}`, slots in order.
-            let FlatWire { slots, next_id } = FlatWire::from_value(value)?;
-            return SlotList::from_wire(slots, next_id, MarketRepr::Flat);
-        }
-        let wire = IntervalWire::from_value(value)?;
-        if wire.repr != "interval" {
+            let slots = serde::required(slots, "slots")?;
+            return SlotList::from_wire(
+                slots,
+                serde::required(next_id, "next_id")?,
+                MarketRepr::Flat,
+            );
+        };
+        if repr != "interval" {
             return Err(serde::Error::custom(format!(
-                "unknown slot list repr tag {:?}",
-                wire.repr
+                "unknown slot list repr tag {repr:?}"
             )));
         }
+        let nodes: Vec<NodeSlots> = serde::required(nodes, "nodes")?;
+        let next_id = serde::required(next_id, "next_id")?;
         let mut all_slots: Vec<Slot> = Vec::new();
-        for NodeSlots { node, slots } in wire.nodes {
+        for NodeSlots { node, slots } in nodes {
             if let Some(slot) = slots.iter().find(|slot| slot.node() != node) {
                 return Err(serde::Error::custom(format!(
                     "slot {} filed under node {node} but belongs to {}",
@@ -746,7 +752,7 @@ impl<'de> Deserialize<'de> for SlotList {
             all_slots.extend(slots);
         }
         all_slots.sort_by_key(key);
-        SlotList::from_wire(all_slots, wire.next_id, MarketRepr::Interval)
+        SlotList::from_wire(all_slots, next_id, MarketRepr::Interval)
     }
 }
 
@@ -1323,8 +1329,8 @@ mod tests {
         let slots = vec![slot(0, 0, 0, 30), slot(1, 1, 10, 60), slot(2, 0, 40, 90)];
         for repr in [MarketRepr::Flat, MarketRepr::Interval] {
             let list = SlotList::from_slots_with_repr(slots.clone(), repr).unwrap();
-            let value = list.to_value();
-            let back = SlotList::from_value(&value).unwrap();
+            let text = serde_json::to_string(&list).unwrap();
+            let back: SlotList = serde_json::from_str(&text).unwrap();
             assert_eq!(back.repr(), repr, "repr survives the wire");
             assert_eq!(back, list);
             back.validate().unwrap();
@@ -1336,7 +1342,8 @@ mod tests {
         // The flat payload must stay exactly `{slots, next_id}` so persist
         // format v1 snapshots keep decoding.
         let list = SlotList::from_slots(vec![slot(0, 0, 0, 30)]).unwrap();
-        let value = list.to_value();
+        let value: serde::Value =
+            serde_json::from_str(&serde_json::to_string(&list).unwrap()).unwrap();
         let keys: Vec<&str> = value
             .as_map()
             .unwrap()
@@ -1354,18 +1361,18 @@ mod tests {
     #[test]
     fn serde_rejects_corrupt_flat_payload() {
         let payload = |slots: Vec<Slot>, next_id: u64| {
-            serde::Value::Map(vec![
-                ("slots".to_string(), slots.to_value()),
-                ("next_id".to_string(), next_id.to_value()),
-            ])
+            let slots = serde_json::to_string(&slots).unwrap();
+            format!(r#"{{"slots":{slots},"next_id":{next_id}}}"#)
         };
-        let rejects = |value: serde::Value, needle: &str| {
-            let err = SlotList::from_value(&value).expect_err(needle).to_string();
+        let rejects = |text: String, needle: &str| {
+            let err = serde_json::from_str::<SlotList>(&text)
+                .expect_err(needle)
+                .to_string();
             assert!(err.contains(needle), "{err:?} should mention {needle:?}");
         };
         let sound = vec![slot(3, 0, 0, 30), slot(5, 0, 30, 60)];
         // A cursor past max(id) + 1 is sound: coalescing retires ids.
-        let list = SlotList::from_value(&payload(sound.clone(), 9)).unwrap();
+        let list: SlotList = serde_json::from_str(&payload(sound.clone(), 9)).unwrap();
         list.validate().unwrap();
         assert_eq!(list.next_id, 9);
 
@@ -1396,15 +1403,29 @@ mod tests {
             MarketRepr::Interval,
         )
         .unwrap();
-        let serde::Value::Map(mut fields) = list.to_value() else {
-            panic!("interval form serializes as a map");
+        let text = serde_json::to_string(&list).unwrap();
+        assert!(serde_json::from_str::<SlotList>(&text).is_ok());
+        let rejects = |text: String, needle: &str| {
+            let err = serde_json::from_str::<SlotList>(&text)
+                .expect_err(needle)
+                .to_string();
+            assert!(err.contains(needle), "{err:?} should mention {needle:?}");
         };
         // Tamper: claim an unknown repr tag.
-        for (k, v) in &mut fields {
-            if k == "repr" {
-                *v = serde::Value::Str("hyperbolic".to_string());
-            }
-        }
-        assert!(SlotList::from_value(&serde::Value::Map(fields)).is_err());
+        rejects(
+            text.replace(r#""interval""#, r#""hyperbolic""#),
+            "unknown slot list repr tag",
+        );
+        // File node 0's slots under node 1.
+        rejects(
+            text.replace(r#"{"node":0,"#, r#"{"node":1,"#),
+            "filed under node",
+        );
+        // Keys in any order; the tag decides the form once all are read.
+        let (repr, rest) = text.split_once(r#","nodes":"#).unwrap();
+        let (nodes, next_id) = rest.rsplit_once(',').unwrap();
+        let next_id = next_id.trim_end_matches('}');
+        let reordered = format!(r#"{{"nodes":{nodes},{next_id},{}}}"#, &repr[1..]);
+        assert_eq!(serde_json::from_str::<SlotList>(&reordered).unwrap(), list);
     }
 }

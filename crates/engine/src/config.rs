@@ -150,29 +150,38 @@ impl EngineConfig {
 }
 
 impl Serialize for EngineConfig {
-    fn to_value(&self) -> serde::Value {
-        self.wire().to_value()
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         self.wire().write_json(out);
     }
 }
 
 impl<'de> Deserialize<'de> for EngineConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        reserved_key(value, "vos", &VOS)?;
-        reserved_key(value, "completion_fraction", &COMPLETION_FRACTION)?;
-        reserved_key(value, "slowdown_tau", &SLOWDOWN_TAU)?;
+    fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let (mut cycle_length, mut cycles, mut slot_gen, mut revocation) = (None, None, None, None);
+        let (mut repair, mut iteration, mut coalesce, mut arrivals) = (None, None, None, None);
+        parser.read_map(|parser, key| match key {
+            "cycle_length" => parser.field(&mut cycle_length, key),
+            "cycles" => parser.field(&mut cycles, key),
+            "slot_gen" => parser.field(&mut slot_gen, key),
+            "revocation" => parser.field(&mut revocation, key),
+            "repair" => parser.field(&mut repair, key),
+            "iteration" => parser.field(&mut iteration, key),
+            "coalesce" => parser.field(&mut coalesce, key),
+            "arrivals" => parser.field(&mut arrivals, key),
+            "vos" => reserved_key(parser, key, &VOS),
+            "completion_fraction" => reserved_key(parser, key, &COMPLETION_FRACTION),
+            "slowdown_tau" => reserved_key(parser, key, &SLOWDOWN_TAU),
+            _ => parser.skip_value(),
+        })?;
         Ok(EngineConfig {
-            cycle_length: Deserialize::from_value(serde::get_field(value, "cycle_length")?)?,
-            cycles: Deserialize::from_value(serde::get_field(value, "cycles")?)?,
-            slot_gen: Deserialize::from_value(serde::get_field(value, "slot_gen")?)?,
-            revocation: Deserialize::from_value(serde::get_field(value, "revocation")?)?,
-            repair: Deserialize::from_value(serde::get_field(value, "repair")?)?,
-            iteration: Deserialize::from_value(serde::get_field(value, "iteration")?)?,
-            coalesce: Deserialize::from_value(serde::get_field(value, "coalesce")?)?,
-            arrivals: Deserialize::from_value(serde::get_field(value, "arrivals")?)?,
+            cycle_length: serde::required(cycle_length, "cycle_length")?,
+            cycles: serde::required(cycles, "cycles")?,
+            slot_gen: serde::required(slot_gen, "slot_gen")?,
+            revocation: serde::required(revocation, "revocation")?,
+            repair: serde::required(repair, "repair")?,
+            iteration: serde::required(iteration, "iteration")?,
+            coalesce: serde::required(coalesce, "coalesce")?,
+            arrivals: serde::required(arrivals, "arrivals")?,
         })
     }
 }

@@ -273,16 +273,8 @@ impl<E> LogTail<E> {
     }
 }
 
-// Generic, so out of the derive's reach: two hand-written methods, pinned
-// to each other by `persist/tests/codec_differential.rs`.
+// Generic, so out of the derive's reach.
 impl<E: Serialize> Serialize for LogTail<E> {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("after".to_string(), self.after.to_value()),
-            ("entries".to_string(), self.entries.to_value()),
-        ])
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(br#"{"after":"#);
         self.after.write_json(out);
@@ -293,16 +285,18 @@ impl<E: Serialize> Serialize for LogTail<E> {
 }
 
 impl<'de, E: Deserialize<'de>> Deserialize<'de> for LogTail<E> {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        // Snapshot formats 1 and 2 stored the log itself, `{"entries": […]}`:
-        // a tail after the start.
-        let after = match serde::get_field(value, "after") {
-            Ok(after) => LogPosition::from_value(after)?,
-            Err(_) => LogPosition::start(),
-        };
+    fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let (mut after, mut entries) = (None, None);
+        parser.read_map(|parser, key| match key {
+            "after" => parser.field(&mut after, key),
+            "entries" => parser.field(&mut entries, key),
+            _ => parser.skip_value(),
+        })?;
         Ok(LogTail {
-            after,
-            entries: Deserialize::from_value(serde::get_field(value, "entries")?)?,
+            // Snapshot formats 1 and 2 stored the log itself,
+            // `{"entries": […]}`: a tail after the start.
+            after: after.unwrap_or_else(LogPosition::start),
+            entries: serde::required(entries, "entries")?,
         })
     }
 }

@@ -82,27 +82,33 @@ pub fn run_scaling(sizes: &[usize], seed: u64) -> Vec<ScalingPoint> {
         .collect()
 }
 
-/// Renders the sweep as a table.
+/// The sweep's deterministic work: slots examined per algorithm and size.
 #[must_use]
-pub fn scaling_table(points: &[ScalingPoint]) -> Table {
-    let mut table = Table::new(&[
-        "m",
-        "alp_examined",
-        "amp_examined",
-        "backfill_examined",
-        "alp_us",
-        "amp_us",
-        "backfill_us",
-    ]);
+pub fn counts_table(points: &[ScalingPoint]) -> Table {
+    let mut table = Table::new(&["m", "alp_examined", "amp_examined", "backfill_examined"]);
+    let examined = |a: AlgoScaling| a.slots_examined.to_string();
     for p in points {
         table.row(&[
             p.m.to_string(),
-            p.alp.slots_examined.to_string(),
-            p.amp.slots_examined.to_string(),
-            p.backfill.slots_examined.to_string(),
-            (p.alp.nanos / 1_000).to_string(),
-            (p.amp.nanos / 1_000).to_string(),
-            (p.backfill.nanos / 1_000).to_string(),
+            examined(p.alp),
+            examined(p.amp),
+            examined(p.backfill),
+        ]);
+    }
+    table
+}
+
+/// The sweep's wall times per search, in µs (they differ run to run).
+#[must_use]
+pub fn timings_table(points: &[ScalingPoint]) -> Table {
+    let mut table = Table::new(&["m", "alp_us", "amp_us", "backfill_us"]);
+    let micros = |a: AlgoScaling| (a.nanos / 1_000).to_string();
+    for p in points {
+        table.row(&[
+            p.m.to_string(),
+            micros(p.alp),
+            micros(p.amp),
+            micros(p.backfill),
         ]);
     }
     table
@@ -133,9 +139,10 @@ mod tests {
     #[test]
     fn table_lists_every_size() {
         let points = run_scaling(&[100, 200], 7);
-        let table = scaling_table(&points);
-        let body = table.render();
-        assert!(body.contains("100"));
-        assert!(body.contains("200"));
+        for table in [counts_table(&points), timings_table(&points)] {
+            let body = table.render();
+            assert!(body.contains("100"));
+            assert!(body.contains("200"));
+        }
     }
 }

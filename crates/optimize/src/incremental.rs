@@ -309,14 +309,14 @@ impl DpCache {
 pub struct OptimizerSnapshot;
 
 impl Serialize for OptimizerSnapshot {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(Vec::new())
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{}");
     }
 }
 
 impl<'de> Deserialize<'de> for OptimizerSnapshot {
-    fn from_value(_: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(OptimizerSnapshot)
+    fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        parser.skip_value().map(|()| OptimizerSnapshot)
     }
 }
 

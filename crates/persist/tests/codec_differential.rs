@@ -1,51 +1,136 @@
-//! The streamed JSON writer against the tree writer, on what the snapshot
-//! path stores.
+//! The streamed JSON reader against the streamed writer, on what the
+//! snapshot path stores.
 //!
-//! `Serialize::write_json` (what `serde_json::to_string` / `to_vec` and
-//! `snapshot::encode` call) writes a value in one pass; `to_value`
-//! followed by printing the tree is the form `Deserialize` reads and the
-//! older of the two. Every derived impl generates both, and three
-//! hand-written ones (`SlotList`, `EngineConfig`, `LogTail`) carry both, so
-//! the two are pinned to each other here: on random trees, and on real
-//! engine and federation checkpoints taken mid-churn — in both market
-//! orderings, with the log attached and detached. The frozen fixtures in
+//! `Serialize::write_json` (what `snapshot::encode` calls) and
+//! `Deserialize::read_json` (what `snapshot::decode` calls) each cross the
+//! text in one pass, and no tree stands between them and the bytes. So
+//! they are pinned to each other here, on real engine and federation
+//! checkpoints taken mid-churn — in both market orderings, with the log
+//! attached and detached: a checkpoint decodes from its own bytes to
+//! itself, and re-encodes to the same bytes. The reader must not lean on
+//! the writer's layout either: the same text pretty-printed, with the keys
+//! of every map reversed, and with whitespace between every two tokens
+//! decodes to the same checkpoint. On random trees, `to_string_pretty` is
+//! pinned to the tree walk it replaced. The frozen fixtures in
 //! `snapshot_roundtrip.rs` pin the bytes themselves.
 
 use ecosched_core::MarketRepr;
 use ecosched_engine::{ArrivalConfig, Engine, EngineCheckpoint, EngineConfig, LogPosition};
 use ecosched_federation::{Federation, FederationCheckpoint, FederationConfig, RoutePolicy};
-use ecosched_persist::{format, snapshot, Checkpoint};
+use ecosched_persist::{snapshot, Checkpoint};
 use ecosched_select::Amp;
 use ecosched_sim::{IntRange, JobGenConfig, RevocationConfig, SlotGenConfig};
 use proptest::prelude::*;
 use serde::{Serialize, Value};
 
-/// The bytes the tree writer gives.
-fn tree_bytes<T: Serialize>(value: &T) -> Vec<u8> {
-    serde_json::to_vec(&serde_json::to_value(value).expect("tree")).expect("tree bytes")
+/// The indented form `to_string_pretty` gave when it walked a tree: the
+/// tree's containers one entry per line, every token as the compact
+/// writer prints it.
+fn write_pretty(out: &mut Vec<u8>, value: &Value, depth: usize) {
+    let newline = |out: &mut Vec<u8>, depth: usize| {
+        out.push(b'\n');
+        out.resize(out.len() + 2 * depth, b' ');
+    };
+    match value {
+        Value::Seq(items) if !items.is_empty() => {
+            out.push(b'[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                newline(out, depth + 1);
+                write_pretty(out, item, depth + 1);
+            }
+            newline(out, depth);
+            out.push(b']');
+        }
+        Value::Map(entries) if !entries.is_empty() => {
+            out.push(b'{');
+            for (i, (key, item)) in entries.iter().enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                newline(out, depth + 1);
+                key.write_json(out);
+                out.extend_from_slice(b": ");
+                write_pretty(out, item, depth + 1);
+            }
+            newline(out, depth);
+            out.push(b'}');
+        }
+        scalar_or_empty => scalar_or_empty.write_json(out),
+    }
 }
 
-/// Streamed bytes = tree bytes, section by section and as a container, and
-/// the container decodes to the checkpoint.
-fn assert_pinned<C: Checkpoint + PartialEq + std::fmt::Debug>(checkpoint: &C) {
-    let state = tree_bytes(checkpoint);
-    assert_eq!(
-        String::from_utf8(serde_json::to_vec(checkpoint).expect("streamed")),
-        String::from_utf8(state.clone()),
-        "streamed state vs tree"
-    );
-    let from_tree = format::encode(&[
-        (C::META_SECTION, &tree_bytes(&checkpoint.meta())),
-        (C::STATE_SECTION, &state),
-    ]);
+/// `value` with the entries of every map of two or more keys in reverse
+/// order.
+fn reversed(value: Value) -> Value {
+    match value {
+        Value::Seq(items) => Value::Seq(items.into_iter().map(reversed).collect()),
+        Value::Map(entries) => Value::Map(
+            entries
+                .into_iter()
+                .rev()
+                .map(|(key, item)| (key, reversed(item)))
+                .collect(),
+        ),
+        scalar => scalar,
+    }
+}
+
+/// `text` with whitespace — a cycle of space, tab, newline and carriage
+/// return runs — after every `[`, `{`, `,` and `:` and before every `]`
+/// and `}` outside strings.
+fn spaced(text: &str) -> String {
+    const RUNS: [&str; 4] = [" ", "\t ", "\n", "\r\n  "];
+    let mut out = String::with_capacity(2 * text.len());
+    let (mut in_string, mut escaped, mut n) = (false, false, 0);
+    for c in text.chars() {
+        if in_string {
+            (in_string, escaped) = (escaped || c != '"', !escaped && c == '\\');
+            out.push(c);
+            continue;
+        }
+        n += 1;
+        if matches!(c, ']' | '}') {
+            out.push_str(RUNS[n % 4]);
+        }
+        out.push(c);
+        if matches!(c, '[' | '{' | ',' | ':') {
+            out.push_str(RUNS[(n + 1) % 4]);
+        }
+        in_string = c == '"';
+    }
+    out
+}
+
+/// A checkpoint decodes from its bytes to itself and re-encodes to the
+/// same bytes; its state decodes to itself from three re-printings.
+fn assert_round_trips<C: Checkpoint + PartialEq + std::fmt::Debug>(checkpoint: &C) {
+    let bytes = snapshot::encode(checkpoint);
+    let decoded = snapshot::decode::<C>(&bytes).expect("decodes");
+    assert_eq!(&decoded, checkpoint);
     assert!(
-        snapshot::encode(checkpoint) == from_tree,
-        "container written in place vs built from the tree bytes"
+        snapshot::encode(&decoded) == bytes,
+        "decoded checkpoint re-encodes to other bytes"
     );
-    assert_eq!(
-        &snapshot::decode::<C>(&from_tree).expect("decodes"),
-        checkpoint
-    );
+
+    let text = serde_json::to_string(checkpoint).expect("state");
+    let tree: Value = serde_json::from_str(&text).expect("state parses");
+    for (form, variant) in [
+        (
+            "pretty",
+            serde_json::to_string_pretty(checkpoint).expect("pretty"),
+        ),
+        (
+            "reversed",
+            serde_json::to_string(&reversed(tree)).expect("text"),
+        ),
+        ("spaced", spaced(&text)),
+    ] {
+        let back: C = serde_json::from_str(&variant).unwrap_or_else(|e| panic!("{form}: {e}"));
+        assert_eq!(&back, checkpoint, "{form}");
+    }
 }
 
 /// `checkpoint` with its log moved out, as a rotated store writes it.
@@ -102,27 +187,29 @@ fn tree(tape: &mut impl Iterator<Item = u64>, depth: u32) -> Value {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// What a tree prints parses back to the same text, pretty or compact,
+    /// What a tree prints parses back to the same text, pretty or compact
+    /// or spaced; the pretty form is the old tree walk's, byte for byte;
     /// and a vector, a tuple and an option of trees frame it the way the
     /// tree's own sequences do.
     #[test]
-    fn random_trees_stream_as_they_print(words in prop::collection::vec(any::<u64>(), 1..300)) {
+    fn random_trees_read_back_as_they_print(words in prop::collection::vec(any::<u64>(), 1..300)) {
         let mut tape = words.into_iter();
         let a = tree(&mut tape, 0);
         let b = tree(&mut tape, 0);
         let text = serde_json::to_string(&a).expect("text");
         // Non-finite floats print as `null` and a non-negative `Int`
         // reads back as `UInt`, so the tree is not a fixed point of a
-        // round trip; the text is, and the pretty form says the same.
+        // round trip; the text is, and the other forms say the same.
         let back: Value = serde_json::from_str(&text).expect("output parses");
         prop_assert_eq!(serde_json::to_string(&back).expect("text"), text.clone());
         let pretty = serde_json::to_string_pretty(&a).expect("pretty");
-        prop_assert_eq!(serde_json::from_str::<Value>(&pretty).expect("pretty parses"), back);
+        let mut walked = Vec::new();
+        write_pretty(&mut walked, &a, 0);
+        walked.push(b'\n');
+        prop_assert_eq!(&pretty, &String::from_utf8(walked).expect("utf-8"));
+        prop_assert_eq!(serde_json::from_str::<Value>(&pretty).expect("pretty parses"), back.clone());
+        prop_assert_eq!(serde_json::from_str::<Value>(&spaced(&text)).expect("spaced parses"), back);
         let framed = (vec![a.clone(), b.clone()], Some(a.clone()), None::<Value>);
-        prop_assert_eq!(
-            String::from_utf8(serde_json::to_vec(&framed).expect("streamed")),
-            String::from_utf8(tree_bytes(&framed))
-        );
         let b_text = serde_json::to_string(&b).expect("text");
         prop_assert_eq!(
             serde_json::to_string(&framed).expect("text"),
@@ -132,7 +219,7 @@ proptest! {
 
     /// Engine checkpoints from random capture points of a churned run.
     #[test]
-    fn engine_checkpoints_stream_as_their_trees_print(
+    fn engine_checkpoints_round_trip(
         seed in 0u64..100_000,
         steps in 1usize..160,
     ) {
@@ -150,15 +237,15 @@ proptest! {
             ..checkpoint.clone()
         };
         for checkpoint in [checkpoint, flat] {
-            assert_pinned(&checkpoint);
-            assert_pinned(&detached(&checkpoint));
+            assert_round_trips(&checkpoint);
+            assert_round_trips(&detached(&checkpoint));
         }
     }
 
     /// Federation checkpoints: the same, around two shard checkpoints, the
     /// merged log and the cross-shard windows.
     #[test]
-    fn federation_checkpoints_stream_as_their_trees_print(
+    fn federation_checkpoints_round_trip(
         seed in 0u64..100_000,
         steps in 1usize..300,
     ) {
@@ -180,8 +267,8 @@ proptest! {
             shard.vacant = shard.vacant.clone().with_repr(MarketRepr::Flat);
         }
         for checkpoint in [checkpoint, flat] {
-            assert_pinned(&checkpoint);
-            assert_pinned(&detached(&checkpoint));
+            assert_round_trips(&checkpoint);
+            assert_round_trips(&detached(&checkpoint));
         }
     }
 }

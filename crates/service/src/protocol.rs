@@ -279,4 +279,27 @@ mod tests {
         assert!(decode_line::<Request>("not json").is_err());
         assert!(decode_line::<Request>("{\"Unknown\":1}").is_err());
     }
+
+    /// A key given twice, or a number JSON does not allow, is refused; the
+    /// first used to win, and `02` used to read as 2.
+    #[test]
+    fn repeated_keys_and_non_json_numbers_are_refused() {
+        let line = |nodes: &str, extra: &str| {
+            format!(
+                r#"{{"Submit":{{"spec":{{"nodes":{nodes},"wall_ticks":30,"min_perf_milli":1000,"price_cap_micro":2000000,"deadline_tick":500{extra}}}}}}}"#
+            )
+        };
+        assert_eq!(
+            decode_line::<Request>(&line("2", "")).unwrap(),
+            Request::Submit { spec: spec() }
+        );
+        assert_eq!(
+            decode_line::<Request>(&line("2", r#","nodes":64"#)).unwrap_err(),
+            "duplicate field `nodes`"
+        );
+        assert_eq!(
+            decode_line::<Request>(&line("02", "")).unwrap_err(),
+            "invalid number at byte 27"
+        );
+    }
 }

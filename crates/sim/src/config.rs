@@ -198,30 +198,29 @@ pub(crate) fn probability(value: f64, field: &'static str) -> Result<(), ConfigE
     }
 }
 
-/// Checks a *reserved* wire key of the config map `value`. A setting
-/// that no binary ever changed and that was removed keeps its key on the
-/// wire, written as the value every binary ran (`constant`), so that
-/// configurations, fingerprints and manifests written before the removal
-/// still decode and match byte for byte. The key may hold `constant` or be
-/// absent; any other value asks for a behaviour this build no longer has,
-/// and is refused with an error naming the key.
+/// Reads the value of a *reserved* wire key of a config map, with the
+/// parser at it. A setting that no binary ever changed and that was
+/// removed keeps its key on the wire, written as the value every binary ran
+/// (`constant`), so that configurations, fingerprints and manifests written
+/// before the removal still decode and match byte for byte. The key may
+/// hold `constant` or be absent (then this is never called); any other
+/// value asks for a behaviour this build no longer has, and is refused with
+/// an error naming the key.
 ///
 /// # Errors
 ///
 /// A [`serde::Error`] naming `key` when it holds anything but `constant`.
 pub fn reserved_key<'de, T: Serialize + Deserialize<'de> + PartialEq>(
-    value: &serde::Value,
+    parser: &mut serde::Parser<'_>,
     key: &str,
     constant: &T,
 ) -> Result<(), serde::Error> {
-    // A missing key (or a value that is no map, which the caller refuses)
-    // passes.
-    let Ok(found) = serde::get_field(value, key) else {
-        return Ok(());
-    };
-    if T::from_value(found).is_ok_and(|v| v == *constant) {
+    let at = parser.clone();
+    if T::read_json(parser).is_ok_and(|v| v == *constant) {
         return Ok(());
     }
+    *parser = at;
+    let found = serde::Value::read_json(parser)?;
     let json = |v: &dyn Serialize| {
         let mut out = Vec::new();
         v.write_json(&mut out);
@@ -230,7 +229,7 @@ pub fn reserved_key<'de, T: Serialize + Deserialize<'de> + PartialEq>(
     Err(serde::Error::custom(format!(
         "reserved key `{key}` holds {}: the setting was removed, and the only value \
          this build runs is {}",
-        json(found),
+        json(&found),
         json(constant),
     )))
 }

@@ -97,20 +97,21 @@ struct RepairPolicyWire {
 }
 
 impl Serialize for RepairPolicy {
-    fn to_value(&self) -> serde::Value {
-        self.wire().to_value()
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         self.wire().write_json(out);
     }
 }
 
 impl<'de> Deserialize<'de> for RepairPolicy {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        reserved_key(value, "full_rescan_on_exhaustion", &false)?;
+    fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let mut max_attempts = None;
+        parser.read_map(|parser, key| match key {
+            "max_attempts" => parser.field(&mut max_attempts, key),
+            "full_rescan_on_exhaustion" => reserved_key(parser, key, &false),
+            _ => parser.skip_value(),
+        })?;
         Ok(RepairPolicy {
-            max_attempts: Deserialize::from_value(serde::get_field(value, "max_attempts")?)?,
+            max_attempts: serde::required(max_attempts, "max_attempts")?,
         })
     }
 }

@@ -69,10 +69,6 @@ const OPTIMIZER: ReservedOptimizer = ReservedOptimizer::BackwardRun {
 const SEARCH_MODE: ReservedSearchMode = ReservedSearchMode::Sequential;
 
 impl Serialize for IterationConfig {
-    fn to_value(&self) -> serde::Value {
-        self.wire().to_value()
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         self.wire().write_json(out);
     }
@@ -89,11 +85,16 @@ impl IterationConfig {
 }
 
 impl<'de> Deserialize<'de> for IterationConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        reserved_key(value, "optimizer", &OPTIMIZER)?;
-        reserved_key(value, "search_mode", &SEARCH_MODE)?;
+    fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let mut criterion = None;
+        parser.read_map(|parser, key| match key {
+            "criterion" => parser.field(&mut criterion, key),
+            "optimizer" => reserved_key(parser, key, &OPTIMIZER),
+            "search_mode" => reserved_key(parser, key, &SEARCH_MODE),
+            _ => parser.skip_value(),
+        })?;
         Ok(IterationConfig {
-            criterion: Deserialize::from_value(serde::get_field(value, "criterion")?)?,
+            criterion: serde::required(criterion, "criterion")?,
         })
     }
 }

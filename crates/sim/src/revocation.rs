@@ -47,23 +47,24 @@ const PRICE_BURST: f64 = 0.0;
 const BURST_FRACTION: f64 = 0.0;
 
 impl Serialize for RevocationConfig {
-    fn to_value(&self) -> serde::Value {
-        self.wire().to_value()
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         self.wire().write_json(out);
     }
 }
 
 impl<'de> Deserialize<'de> for RevocationConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        reserved_key(value, "domain_outage", &DOMAIN_OUTAGE)?;
-        reserved_key(value, "nodes_per_domain", &NODES_PER_DOMAIN)?;
-        reserved_key(value, "price_burst", &PRICE_BURST)?;
-        reserved_key(value, "burst_fraction", &BURST_FRACTION)?;
+    fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let mut per_slot = None;
+        parser.read_map(|parser, key| match key {
+            "per_slot" => parser.field(&mut per_slot, key),
+            "domain_outage" => reserved_key(parser, key, &DOMAIN_OUTAGE),
+            "nodes_per_domain" => reserved_key(parser, key, &NODES_PER_DOMAIN),
+            "price_burst" => reserved_key(parser, key, &PRICE_BURST),
+            "burst_fraction" => reserved_key(parser, key, &BURST_FRACTION),
+            _ => parser.skip_value(),
+        })?;
         Ok(RevocationConfig {
-            per_slot: Deserialize::from_value(serde::get_field(value, "per_slot")?)?,
+            per_slot: serde::required(per_slot, "per_slot")?,
         })
     }
 }

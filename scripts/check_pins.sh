@@ -26,9 +26,10 @@
 #                              (E13), `exp_length_rule` (E8), `exp_market`
 #                              (E10) and `exp_env_validation` (E12) at
 #                              their defaults
-#
-# `exp_scaling` (E7) is not pinned: it prints wall times, so two runs
-# differ.
+#   results/pins/exp_scaling.txt  E7: the slots-examined table and the
+#                              ratio line, cut off before the wall times
+#                              `exp_scaling` prints after them (two runs'
+#                              times differ)
 #
 # Usage:
 #   ./scripts/check_pins.sh            # check
@@ -40,7 +41,7 @@ cd "$(dirname "$0")/.."
 paper_bins=(fig2_3_example exp_time_min exp_cost_min exp_alternatives exp_rho_sweep
     exp_strategy exp_flexibility exp_length_rule exp_market exp_env_validation)
 cargo build --release -q -p ecosched-experiments \
-    --bin exp_online --bin exp_federation --bin exp_churn --bin exp_coschedule \
+    --bin exp_online --bin exp_federation --bin exp_churn --bin exp_coschedule --bin exp_scaling \
     "${paper_bins[@]/#/--bin=}"
 bin="${CARGO_TARGET_DIR:-target}/release"
 
@@ -63,6 +64,7 @@ pin() {
 } > "$out/pins.expected"
 "$bin/exp_churn" --runs 6 --cycles 4 2>/dev/null > "$out/churn_report.txt"
 "$bin/exp_coschedule" --iterations 1500 2>/dev/null > "$out/coschedule_report.txt"
+"$bin/exp_scaling" 2>/dev/null | sed '/^Wall time/,$d' > "$out/pins/exp_scaling.txt"
 for b in "${paper_bins[@]}"; do
     case $b in
         exp_time_min | exp_cost_min | exp_alternatives | exp_rho_sweep)
@@ -88,7 +90,7 @@ diff -u results/churn_report.txt "$out/churn_report.txt" || status=1
 diff -u results/coschedule_report.txt "$out/coschedule_report.txt" || status=1
 diff -ru results/pins "$out/pins" || status=1
 if [[ $status -eq 0 ]]; then
-    echo "pins ok: $(grep -c 'hash=' "$out/pins.expected") hashes + the E14 and E9 tables + 4 engine/federation and ${#paper_bins[@]} paper-binary outputs"
+    echo "pins ok: $(grep -c 'hash=' "$out/pins.expected") hashes + the E14 and E9 tables + 4 engine/federation and ${#paper_bins[@]} paper-binary outputs + the E7 counts"
 else
     echo "pinned behaviour changed (see diff above)" >&2
 fi
