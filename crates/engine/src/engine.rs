@@ -53,7 +53,7 @@ use rand_chacha::{ChaCha8Rng, ChaChaState};
 use serde::Serialize as _;
 
 use crate::config::{ArrivalConfig, EngineConfig, COMPLETION_FRACTION, SLOWDOWN_TAU, VOS};
-use crate::event::{fnv1a_64, Event, EventLog, LogEntry, LogTail};
+use crate::event::{fnv1a_64, Event, EventLog, LogEntry, LogPosition, LogTail};
 use crate::obs::{EngineObs, StepGauges};
 use crate::queue::EventQueue;
 use crate::report::{CyclePoint, EngineReport};
@@ -526,6 +526,24 @@ impl<S: SlotSelector + Copy> Engine<S> {
     /// outlives the cycle it planned.
     #[must_use]
     pub fn checkpoint(&self, state: &RunState) -> EngineCheckpoint {
+        self.capture(state, LogTail::complete(state.log.entries.clone()))
+    }
+
+    /// [`Self::checkpoint`] without the log: it is detached at `after`,
+    /// the position after every entry the run has logged, as a rotated
+    /// store that already holds them writes it. Nothing of the log is
+    /// copied.
+    #[must_use]
+    pub fn checkpoint_detached(&self, state: &RunState, after: LogPosition) -> EngineCheckpoint {
+        debug_assert_eq!(
+            after.len,
+            state.log.len() as u64,
+            "detached at the log's end"
+        );
+        self.capture(state, LogTail::detached(after))
+    }
+
+    fn capture(&self, state: &RunState, log: LogTail<LogEntry>) -> EngineCheckpoint {
         debug_assert!(
             state.reservations.is_empty(),
             "checkpoints must not be taken mid two-phase reservation"
@@ -549,7 +567,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
                     event,
                 })
                 .collect(),
-            log: LogTail::complete(state.log.entries.clone()),
+            log,
             arrivals: state
                 .arrivals
                 .iter()
@@ -1121,7 +1139,6 @@ fn clip_to_now(vacant: &SlotList, now: TimePoint) -> SlotList {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::event::LogPosition;
     use ecosched_select::{Alp, Amp};
     use ecosched_sim::RevocationConfig;
 
@@ -1150,6 +1167,43 @@ mod tests {
         // Accounting: every arrival is scheduled-and-completed, still
         // pending, or holds no lease only because the run ended.
         assert!(run.report.jobs_completed + run.report.backlog <= run.report.jobs_arrived);
+    }
+
+    /// A window scan reads each slot of its list at most once, so no
+    /// `find_window` examines more than the `m` slots it is handed: for
+    /// ALP and AMP, every request of the run, on the market as slots are
+    /// published into it (fresh) and after each cycle clipped to `now` the
+    /// way a cycle clips it, in both orderings.
+    #[test]
+    fn a_window_scan_examines_no_slot_twice() {
+        let engine = Engine::new(small_config(), Amp::new()).unwrap();
+        let mut state = engine.start(5);
+        let mut scans = 0;
+        while let Some(entry) = engine.step(&mut state).unwrap() {
+            let now = TimePoint::new(entry.time);
+            let market = match entry.event {
+                Event::SlotPublished { .. } => state.vacant.clone(),
+                Event::CycleTick { .. } => clip_to_now(&state.vacant, now),
+                _ => continue,
+            };
+            let m = market.len() as u64;
+            for market in [market.clone().with_repr(MarketRepr::Flat), market] {
+                for (_, request) in &state.arrivals {
+                    for selector in [&Alp::new() as &dyn SlotSelector, &Amp::new()] {
+                        let mut stats = ecosched_select::ScanStats::new();
+                        let _ = selector.find_window(&market, request, &mut stats);
+                        assert!(
+                            stats.slots_examined <= m,
+                            "{} examined {} slots of {m} at {now:?}",
+                            selector.name(),
+                            stats.slots_examined
+                        );
+                        scans += 1;
+                    }
+                }
+            }
+        }
+        assert!(scans > 100, "{scans} scans");
     }
 
     #[test]
@@ -1329,8 +1383,11 @@ mod tests {
         assert_eq!(whole.log.whole(), Some(state.log().entries.as_slice()));
         let position = LogPosition::after(&whole.log.entries);
 
-        let mut detached = whole.clone();
-        detached.log = LogTail::detached(position);
+        // Taken detached, it is the whole one with the log dropped.
+        let mut detached = engine.checkpoint_detached(&state, position);
+        let mut dropped = whole.clone();
+        dropped.log = LogTail::detached(position);
+        assert_eq!(detached, dropped);
         assert_eq!(detached.log.len(), whole.log.len());
         match engine.resume(&detached) {
             Err(EngineError::DetachedCheckpoint { missing }) => assert_eq!(missing, 20),

@@ -23,8 +23,8 @@
 
 use ecosched_core::{Money, ResourceRequest, TimePoint, Window};
 use ecosched_engine::{
-    fnv1a_64, ArrivalState, Engine, EngineCheckpoint, EngineError, EngineRun, EventLog, LogTail,
-    ReserveError, RunState,
+    fnv1a_64, ArrivalState, Engine, EngineCheckpoint, EngineError, EngineRun, EventLog,
+    LogPosition, LogTail, ReserveError, RunState,
 };
 use ecosched_select::{repair_search, ScanStats, SlotSelector};
 use ecosched_sim::ConfigError;
@@ -1033,6 +1033,35 @@ impl<S: SlotSelector + Copy> Federation<S> {
     /// between [`Self::step`]s no reservations are ever held).
     #[must_use]
     pub fn checkpoint(&self, state: &FederationState) -> FederationCheckpoint {
+        self.capture(state, None)
+    }
+
+    /// [`Self::checkpoint`] without the logs, as a rotated store that
+    /// already holds the merged log writes it: the merged log detached at
+    /// `after`, the position after every merged entry, and each shard's
+    /// log at its length (a shard log is the merged log's projection, so
+    /// the merged position vouches for it). Nothing of any log is copied.
+    #[must_use]
+    pub fn checkpoint_detached(
+        &self,
+        state: &FederationState,
+        after: LogPosition,
+    ) -> FederationCheckpoint {
+        debug_assert_eq!(
+            after.len,
+            state.merged.len() as u64,
+            "detached at the log's end"
+        );
+        self.capture(state, Some(after))
+    }
+
+    /// The checkpoint, its logs whole or, given the merged position,
+    /// detached.
+    fn capture(
+        &self,
+        state: &FederationState,
+        detached: Option<LogPosition>,
+    ) -> FederationCheckpoint {
         FederationCheckpoint {
             seed: state.seed,
             config_fp: self.config_fingerprint(),
@@ -1040,7 +1069,13 @@ impl<S: SlotSelector + Copy> Federation<S> {
                 .shards
                 .iter()
                 .zip(&state.shards)
-                .map(|(engine, shard_state)| engine.checkpoint(shard_state))
+                .map(|(engine, shard)| match detached {
+                    None => engine.checkpoint(shard),
+                    Some(_) => {
+                        let len = shard.log().len() as u64;
+                        engine.checkpoint_detached(shard, LogPosition { len, hash: 0 })
+                    }
+                })
                 .collect(),
             arrivals: state
                 .arrivals
@@ -1053,7 +1088,10 @@ impl<S: SlotSelector + Copy> Federation<S> {
             next_arrival: state.next_arrival as u64,
             next_fed_job: state.next_fed_job,
             rr_cursor: state.rr_cursor,
-            merged: LogTail::complete(state.merged.entries.clone()),
+            merged: detached.map_or_else(
+                || LogTail::complete(state.merged.entries.clone()),
+                LogTail::detached,
+            ),
             cross_shard: state.cross_shard.clone(),
             counters: state.counters.clone(),
         }

@@ -130,6 +130,21 @@ pub(crate) mod tests {
         (fed, snaps)
     }
 
+    /// Taken detached, a checkpoint is the whole one as `detach` leaves
+    /// it: the merged log at the position, every shard's at its length.
+    #[test]
+    fn a_checkpoint_taken_detached_is_the_whole_one_detached() {
+        let (fed, _) = checkpoints(0);
+        let mut state = fed.start(17);
+        for _ in 0..60 {
+            fed.step(&mut state).expect("step");
+        }
+        let at = LogPosition::after(&state.merged().entries);
+        let mut whole = fed.checkpoint(&state);
+        whole.detach(at);
+        assert_eq!(fed.checkpoint_detached(&state, at), whole);
+    }
+
     #[test]
     fn snapshot_bytes_round_trip() {
         let (_, snaps) = checkpoints(1);

@@ -10,9 +10,13 @@
 //! section  × count:
 //!   tag      [u8; 4]  ASCII section name
 //!   len      u64      payload length in bytes
-//!   checksum u64      FNV-1a 64 of the payload
+//!   checksum u64      of the payload (see below)
 //!   payload  [u8; len]
 //! ```
+//!
+//! The checksum is [`checksum_words`] from version 4 on and FNV-1a 64
+//! ([`fnv1a_64`]) in versions 1–3; the header's version picks which, and
+//! a decoder never tries both.
 //!
 //! The container knows nothing about payload semantics — sections are
 //! opaque byte strings (in practice, canonical `serde_json` of the
@@ -41,15 +45,74 @@ pub const MAGIC: [u8; 8] = *b"ECOSNAP\0";
 ///   after position zero; a file written by a rotated store carries
 ///   only the position, the entries being in the store's log segment.
 ///   Container layout unchanged.
+/// * **4** — section checksums step over 8-byte words
+///   ([`checksum_words`]) instead of bytes. Payloads unchanged.
 ///
 /// Decoding accepts any version in [`MIN_FORMAT_VERSION`]`..=`
 /// [`FORMAT_VERSION`]: a v1 snapshot (flat market) decodes under this
 /// build and resumes into either market representation, and a v1 or v2
 /// log decodes as the tail after position zero.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// The oldest container format version this build still decodes.
 pub const MIN_FORMAT_VERSION: u32 = 1;
+
+/// The first version whose sections are checksummed by [`checksum_words`].
+const WORD_CHECKSUM_VERSION: u32 = 4;
+
+/// An odd multiplier, so multiplying by it is a bijection of `u64`.
+const WORD_PRIME: u64 = 0x517c_c1b7_2722_0a95;
+
+/// One step over a word: a rotate, then FNV-1a's xor-and-multiply. For a
+/// fixed word it is a bijection of the state (rotate, xor and an odd
+/// multiply each are); for a fixed state it is injective in the word.
+fn word_step(state: u64, word: u64) -> u64 {
+    (state.rotate_left(5) ^ word).wrapping_mul(WORD_PRIME)
+}
+
+/// Continues `state` over `bytes` read as little-endian words, the last
+/// one zero-padded: one multiply per eight bytes where FNV-1a does one
+/// per byte.
+pub(crate) fn words_extend(state: u64, bytes: &[u8]) -> u64 {
+    let mut chunks = bytes.chunks_exact(8);
+    let mut state = (&mut chunks).fold(state, |state, chunk| {
+        word_step(
+            state,
+            u64::from_le_bytes(chunk.try_into().expect("eight bytes")),
+        )
+    });
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        state = word_step(state, u64::from_le_bytes(word));
+    }
+    state
+}
+
+/// The section checksum of format 4: from FNV-1a's offset basis, one step
+/// per little-endian word of the payload, the last one zero-padded, and
+/// the payload's length as one more word to close it.
+///
+/// Two payloads of one length that differ only inside one word always
+/// differ here: the states before that word are equal, the step over it
+/// is injective in the word, and every later step is a bijection of the
+/// state. Two payloads that pad to the same words differ in length, and
+/// the closing step is injective in that.
+#[must_use]
+pub fn checksum_words(payload: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    word_step(words_extend(OFFSET, payload), payload.len() as u64)
+}
+
+/// The section checksum a container of `version` carries.
+fn checksum(version: u32) -> fn(&[u8]) -> u64 {
+    if version >= WORD_CHECKSUM_VERSION {
+        checksum_words
+    } else {
+        fnv1a_64
+    }
+}
 
 /// A four-byte ASCII section tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,11 +173,14 @@ pub enum PersistError {
         /// What went wrong.
         detail: String,
     },
-    /// A rotated store was handed a checkpoint whose log is detached:
-    /// the store keeps the log in its segment and needs all of it.
-    Detached {
-        /// Log entries the checkpoint does not carry.
-        missing: u64,
+    /// A rotated store was handed a log tail — or a checkpoint detached
+    /// from its log — after a position other than where its log segment
+    /// ends. Nothing was written.
+    OffTip {
+        /// Where the segment ends.
+        tip: LogPosition,
+        /// Where the tail starts.
+        after: LogPosition,
     },
     /// A store's log segment cannot supply the prefix a snapshot was
     /// detached from — it is shorter than the position, or its entries
@@ -155,10 +221,11 @@ impl std::fmt::Display for PersistError {
             PersistError::Corrupt { section, detail } => {
                 write!(f, "section {section}: {detail}")
             }
-            PersistError::Detached { missing } => write!(
+            PersistError::OffTip { tip, after } => write!(
                 f,
-                "checkpoint is detached from the first {missing} entries of its log; \
-                 a store saves whole checkpoints only"
+                "log tail starts after {} entries at {:016x}, but the log segment ends \
+                 after {} at {:016x}",
+                after.len, after.hash, tip.len, tip.hash
             ),
             PersistError::LogSegment { position, detail } => write!(
                 f,
@@ -204,7 +271,7 @@ pub(crate) fn section(out: &mut Vec<u8>, tag: SectionTag, write: impl FnOnce(&mu
     out.extend_from_slice(&[0; 16]);
     write(out);
     let payload = &out[header + 16..];
-    let (len, checksum) = (payload.len() as u64, fnv1a_64(payload));
+    let (len, checksum) = (payload.len() as u64, checksum_words(payload));
     out[header..header + 8].copy_from_slice(&len.to_le_bytes());
     out[header + 8..header + 16].copy_from_slice(&checksum.to_le_bytes());
 }
@@ -252,6 +319,7 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<(SectionTag, Vec<u8>)>, PersistError> 
             supported: FORMAT_VERSION,
         });
     }
+    let checksum = checksum(version);
     let count = u32::from_le_bytes(take(bytes, &mut at)?);
     let mut sections = Vec::with_capacity(count.min(64) as usize);
     for _ in 0..count {
@@ -268,7 +336,7 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<(SectionTag, Vec<u8>)>, PersistError> 
         }
         let payload = bytes[at..at + len].to_vec();
         at += len;
-        let found = fnv1a_64(&payload);
+        let found = checksum(&payload);
         if found != expected {
             return Err(PersistError::ChecksumMismatch {
                 section: tag,
@@ -338,6 +406,58 @@ mod tests {
             decode(&corrupt),
             Err(PersistError::ChecksumMismatch { .. })
         ));
+    }
+
+    /// The one-section container `encode` writes, under `version`'s
+    /// header and checksum.
+    fn one_section(version: u32, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = encode(&[(A, payload)]);
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        bytes[28..36].copy_from_slice(&checksum(version)(payload).to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn the_header_version_picks_the_checksum() {
+        let payload = b"{\"a\":[1,2,3],\"b\":\"twenty-one\"}";
+        for version in MIN_FORMAT_VERSION..=FORMAT_VERSION {
+            let bytes = one_section(version, payload);
+            assert_eq!(require(&decode(&bytes).unwrap(), A).unwrap(), payload);
+        }
+        assert_eq!(
+            one_section(FORMAT_VERSION, payload),
+            encode(&[(A, payload)])
+        );
+        // Each checksum under the other's header is refused.
+        let mut words_under_v3 = encode(&[(A, payload)]);
+        words_under_v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let mut bytes_under_v4 = one_section(3, payload);
+        bytes_under_v4[8..12].copy_from_slice(&4u32.to_le_bytes());
+        for refused in [words_under_v3, bytes_under_v4] {
+            assert!(matches!(
+                decode(&refused),
+                Err(PersistError::ChecksumMismatch { section: A, .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn the_word_checksum_sees_every_change_inside_one_word() {
+        let payload: Vec<u8> = (0u8..21).map(|b| b.wrapping_mul(37)).collect();
+        let sum = checksum_words(&payload);
+        for pos in 0..payload.len() {
+            for mask in [0x01u8, 0x80, 0xff] {
+                let mut changed = payload.clone();
+                changed[pos] ^= mask;
+                assert_ne!(checksum_words(&changed), sum, "byte {pos} ^ {mask:#x}");
+            }
+        }
+        // A whole word changed at once, and payloads that pad alike.
+        let mut changed = payload.clone();
+        changed[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_ne!(checksum_words(&changed), sum);
+        assert_ne!(checksum_words(b"abc"), checksum_words(b"abc\0"));
+        assert_ne!(checksum_words(b""), checksum_words(&[0; 8]));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   [`EngineCheckpoint`](ecosched_engine::EngineCheckpoint) and, in
 //!   [`federated`], by the whole multi-shard federation, so every shard
 //!   resumes from the same instant. Bottom up: the [`mod@format`]
-//!   container (magic, version, per-section FNV-1a 64 checksums), the
+//!   container (magic, version, per-section checksums), the
 //!   [`snapshot`] codec over it, and the rotated [`Store<C>`] of
 //!   [`rotate`] — crash-atomic saves ([`atomic_save`]), keep-last-K,
 //!   and a loader that walks past corrupt files to the newest usable

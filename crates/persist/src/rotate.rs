@@ -17,16 +17,19 @@
 //! lacks, fsyncs them, and only then writes the checkpoint with its log
 //! detached at that position; a load re-attaches the segment's prefix,
 //! verified against the position's hash, and hands back the same whole
-//! checkpoint that was saved. So a snapshot's size and the cost of a
-//! save follow the state, not the length of the run. A snapshot whose
-//! position the segment cannot satisfy is skipped like a corrupt one.
+//! checkpoint that was saved. So a snapshot's size follows the state, not
+//! the length of the run. A caller that keeps its own position hands in
+//! only the new entries ([`Store::append`]) and a checkpoint already
+//! detached after them, and then a save costs the state and what changed
+//! — no pass over the history. A snapshot whose position the segment
+//! cannot satisfy is skipped like a corrupt one.
 
 use std::fs;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use ecosched_engine::EngineCheckpoint;
+use ecosched_engine::{EngineCheckpoint, LogPosition};
 
 use crate::format::PersistError;
 use crate::segment::Segment;
@@ -78,6 +81,14 @@ pub struct Store<C> {
 
 /// The rotated store of single-engine snapshots (`snap-…` files).
 pub type SnapshotStore = Store<EngineCheckpoint>;
+
+/// What one listing of a store's directory found of the store's own.
+struct Listing {
+    /// Its snapshots in capture order, with their event counts.
+    snapshots: Vec<(u64, PathBuf)>,
+    /// The temp files its interrupted saves left.
+    strays: Vec<PathBuf>,
+}
 
 /// One snapshot skipped during [`Store::load_latest`] because it failed
 /// to read or decode.
@@ -157,16 +168,39 @@ impl<C: Checkpoint> Store<C> {
         stem.parse().ok()
     }
 
+    /// Appends `tail`, the run's log entries after `after`, to the log
+    /// segment and fsyncs them; returns the position after them. A
+    /// checkpoint detached there is what [`save`](Self::save) then writes
+    /// as it is. A caller that keeps the position it last saved at thus
+    /// saves what changed since, with no pass over the history.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::OffTip`], naming both positions, when `after` is
+    /// not where the segment ends (nothing is written);
+    /// [`PersistError::Io`] on any filesystem failure.
+    pub fn append(
+        &self,
+        after: LogPosition,
+        tail: &[C::Entry],
+    ) -> Result<LogPosition, PersistError> {
+        self.segment().append(after, tail)
+    }
+
     /// Saves a checkpoint crash-atomically and prunes old snapshots.
     /// Returns the path of the finished file.
     ///
-    /// The log goes to the segment first — only the entries it does not
-    /// hold yet, fsynced — and the snapshot, written after, records the
-    /// position in place of the entries. A checkpoint whose log does not
-    /// extend the segment (the store is being reused for another run, or
-    /// for the same one from an earlier point) replaces the segment's
-    /// contents, and the snapshots past its end go with them: they are
-    /// of a history the store no longer holds.
+    /// The log goes to the segment first, fsynced, and the snapshot,
+    /// written after, records the position in place of the entries. A
+    /// whole log is checked against the segment and only the entries the
+    /// segment lacks are appended; one that does not extend the segment
+    /// (the store is being reused for another run, or for the same one
+    /// from an earlier point) replaces the segment's contents, and the
+    /// snapshots past its end go with them: they are of a history the
+    /// store no longer holds. A tail is appended as [`append`](Self::append)
+    /// appends it. A checkpoint detached at the segment's end — as
+    /// [`Checkpoint::detach`] leaves one — is written as it is; any other
+    /// is written from a detached copy.
     ///
     /// File names are keyed by [`Checkpoint::events`]; re-saving the
     /// same event count overwrites the previous capture (the states are
@@ -174,27 +208,34 @@ impl<C: Checkpoint> Store<C> {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Detached`] when the checkpoint does not carry its
-    /// whole log; [`PersistError::Io`] on any filesystem failure.
+    /// [`PersistError::OffTip`] when the checkpoint's log is a tail that
+    /// does not start where the segment ends; [`PersistError::Io`] on
+    /// any filesystem failure.
     pub fn save(&self, checkpoint: &C) -> Result<PathBuf, PersistError> {
         let log = checkpoint.log();
-        let Some(entries) = log.whole() else {
-            return Err(PersistError::Detached {
-                missing: log.after.len,
-            });
-        };
-        let (at, rewritten) = self.segment().hold(entries)?;
-        if rewritten {
-            for (events, path) in self.listed()? {
-                if events > at.len {
-                    let _ = fs::remove_file(path);
+        let at = match log.whole() {
+            Some(entries) => {
+                let (at, rewritten) = self.segment().hold(entries)?;
+                if rewritten {
+                    for (events, path) in self.scan()?.snapshots {
+                        if events > at.len {
+                            let _ = fs::remove_file(path);
+                        }
+                    }
                 }
+                at
             }
-        }
-        let mut detached = checkpoint.clone();
-        detached.detach(at);
+            None => self.segment().append(log.after, &log.entries)?,
+        };
+        let bytes = if log.entries.is_empty() {
+            encode(checkpoint)
+        } else {
+            let mut detached = checkpoint.clone();
+            detached.detach(at);
+            encode(&detached)
+        };
         let final_path = self.dir.join(Self::file_name(at.len));
-        atomic_save(&final_path, &encode(&detached))?;
+        atomic_save(&final_path, &bytes)?;
         self.prune()?;
         Ok(final_path)
     }
@@ -207,21 +248,27 @@ impl<C: Checkpoint> Store<C> {
     ///
     /// [`PersistError::Io`] when the directory cannot be read.
     pub fn list(&self) -> Result<Vec<PathBuf>, PersistError> {
-        Ok(self.listed()?.into_iter().map(|(_, p)| p).collect())
+        Ok(self.scan()?.snapshots.into_iter().map(|(_, p)| p).collect())
     }
 
-    /// [`list`](Self::list), with each snapshot's event count.
-    fn listed(&self) -> Result<Vec<(u64, PathBuf)>, PersistError> {
-        let mut found: Vec<(u64, PathBuf)> = Vec::new();
+    /// One listing of the directory.
+    fn scan(&self) -> Result<Listing, PersistError> {
+        let (mut snapshots, mut strays) = (Vec::new(), Vec::new());
         for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            if let Some(events) = name.to_str().and_then(Self::parse_name) {
-                found.push((events, entry.path()));
+            let path = entry?.path();
+            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+                continue;
+            };
+            if let Some(events) = Self::parse_name(name) {
+                snapshots.push((events, path));
+            } else if name.starts_with(C::FILE_PREFIX)
+                && path.extension().is_some_and(|e| e == "tmp")
+            {
+                strays.push(path);
             }
         }
-        found.sort_unstable_by_key(|(events, _)| *events);
-        Ok(found)
+        snapshots.sort_unstable_by_key(|(events, _)| *events);
+        Ok(Listing { snapshots, strays })
     }
 
     /// Deletes all but the newest `keep_last` snapshots, and any stray
@@ -234,19 +281,15 @@ impl<C: Checkpoint> Store<C> {
     /// to delete individual files are ignored (they will be retried on
     /// the next save).
     pub fn prune(&self) -> Result<(), PersistError> {
-        let listed = self.list()?;
-        for stale in &listed[..listed.len().saturating_sub(self.keep_last)] {
-            let _ = fs::remove_file(stale);
-        }
-        for entry in fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            let own = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(C::FILE_PREFIX));
-            if own && path.extension().is_some_and(|e| e == "tmp") {
-                let _ = fs::remove_file(&path);
-            }
+        let Listing { snapshots, strays } = self.scan()?;
+        let stale = snapshots.len().saturating_sub(self.keep_last);
+        for path in snapshots
+            .into_iter()
+            .take(stale)
+            .map(|(_, p)| p)
+            .chain(strays)
+        {
+            let _ = fs::remove_file(path);
         }
         Ok(())
     }
@@ -306,7 +349,6 @@ impl<C: Checkpoint> Store<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecosched_engine::LogPosition;
     use ecosched_federation::FederationCheckpoint;
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -427,38 +469,102 @@ mod tests {
 
     /// What a save leaves on disk: the log in the segment, one canonical
     /// line an entry; in the snapshot a position and no entries; and
-    /// through `load_latest` the whole checkpoint again.
+    /// through `load_latest` the whole checkpoint again. What is on disk
+    /// is detached at the segment's tip, so it saves again as it is and
+    /// loads whole; one detached anywhere else is refused, naming both
+    /// positions, and changes nothing.
     fn snapshots_are_detached_and_load_whole<C: Checkpoint + PartialEq + std::fmt::Debug>(
         tag: &str,
         snaps: Vec<C>,
     ) {
         let dir = scratch_dir(&format!("detached-{tag}"));
         let store = Store::<C>::open(&dir, 4).unwrap();
+        let mut earlier: Option<C> = None;
         for snap in &snaps {
             let path = store.save(snap).unwrap();
+            let bytes = fs::read(&path).unwrap();
             let on_disk: C = read(&path).unwrap();
             assert!(on_disk.log().entries.is_empty());
             assert_eq!(on_disk.log().after.len, snap.events());
             assert_eq!(on_disk.events(), snap.events());
             // The recorded position closes to the log's own hash.
             let whole = snap.log().whole().unwrap();
-            assert_eq!(on_disk.log().after, LogPosition::after(whole));
+            let tip = LogPosition::after(whole);
+            assert_eq!(on_disk.log().after, tip);
             let lines: Vec<String> = whole
                 .iter()
                 .map(|e| serde_json::to_string(e).unwrap())
                 .collect();
             assert_eq!(segment_lines(&store), lines);
             assert_eq!(latest(&store), (snap.clone(), 0));
-            // What is on disk cannot be saved again as it is.
-            assert!(matches!(
-                store.save(&on_disk),
-                Err(PersistError::Detached { missing }) if missing == snap.events()
-            ));
+
+            // Detached at the tip: written as it is, byte for byte.
+            assert_eq!(store.save(&on_disk).unwrap(), path);
+            assert_eq!(fs::read(&path).unwrap(), bytes);
+            assert_eq!(latest(&store), (snap.clone(), 0));
+
+            // Detached anywhere else: the previous capture's position, and
+            // this one's length under another hash.
+            let mut forged = on_disk.clone();
+            forged.detach(LogPosition {
+                hash: tip.hash ^ 1,
+                ..tip
+            });
+            let segment = fs::read(store.log_segment_path()).unwrap();
+            for off in earlier.iter().chain([&forged]) {
+                match store.save(off) {
+                    Err(PersistError::OffTip { tip: found, after }) => {
+                        assert_eq!(found, tip);
+                        assert_eq!(after, off.log().after);
+                    }
+                    other => panic!("a checkpoint off the tip was not refused: {other:?}"),
+                }
+            }
+            assert_eq!(fs::read(store.log_segment_path()).unwrap(), segment);
+            assert_eq!(fs::read(&path).unwrap(), bytes);
+            assert_eq!(store.list().unwrap().last(), Some(&path));
+            earlier = Some(on_disk);
         }
         // A second store over the directory (a restart) reads the same.
         let reopened = Store::<C>::open(&dir, 4).unwrap();
         assert_eq!(latest(&reopened), (snaps[snaps.len() - 1].clone(), 0));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The cadence path: a store handed only each capture's new entries,
+    /// and then the capture already detached after them, writes the bytes
+    /// — segment and snapshot — that whole-log saves write.
+    fn a_tail_and_a_detached_checkpoint_save_what_a_whole_log_saves<
+        C: Checkpoint + PartialEq + std::fmt::Debug,
+    >(
+        tag: &str,
+        snaps: Vec<C>,
+    ) {
+        let (whole_dir, tail_dir) = (
+            scratch_dir(&format!("whole-{tag}")),
+            scratch_dir(&format!("tail-{tag}")),
+        );
+        let whole = Store::<C>::open(&whole_dir, 4).unwrap();
+        let tail = Store::<C>::open(&tail_dir, 4).unwrap();
+        let mut saved = LogPosition::start();
+        for snap in &snaps {
+            let log = snap.log().whole().unwrap();
+            let at = tail.append(saved, &log[saved.len as usize..]).unwrap();
+            assert_eq!(at, LogPosition::after(log));
+            let mut detached = snap.clone();
+            detached.detach(at);
+            let path = tail.save(&detached).unwrap();
+            let expected = whole.save(snap).unwrap();
+            assert_eq!(fs::read(path).unwrap(), fs::read(expected).unwrap());
+            assert_eq!(
+                fs::read(tail.log_segment_path()).unwrap(),
+                fs::read(whole.log_segment_path()).unwrap()
+            );
+            assert_eq!(latest(&tail), (snap.clone(), 0));
+            saved = at;
+        }
+        let _ = fs::remove_dir_all(&whole_dir);
+        let _ = fs::remove_dir_all(&tail_dir);
     }
 
     /// Neither `list` nor `prune` ever touches the segment or a file of
@@ -670,6 +776,14 @@ mod tests {
                 }
 
                 #[test]
+                fn a_tail_and_a_detached_checkpoint_save_what_a_whole_log_saves() {
+                    super::a_tail_and_a_detached_checkpoint_save_what_a_whole_log_saves(
+                        stringify!($suite),
+                        super::$fixture(SEED, 3),
+                    );
+                }
+
+                #[test]
                 fn prune_keeps_to_its_own_files() {
                     super::prune_keeps_to_its_own_files(
                         stringify!($suite),
@@ -746,6 +860,31 @@ mod tests {
             engine_store.load_latest().unwrap().unwrap().checkpoint,
             snaps[0].shards[0]
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint that carries part of its log, after the segment's
+    /// tip, has that part appended and is written detached after it.
+    #[test]
+    fn a_checkpoint_carrying_a_tail_appends_it() {
+        let snaps = engine_checkpoints(SEED, 2);
+        let dir = scratch_dir("partial");
+        let store = SnapshotStore::open(&dir, 4).unwrap();
+        store.save(&snaps[0]).unwrap();
+        let log = snaps[1].log.whole().unwrap();
+        let saved = LogPosition::after(&log[..snaps[0].log.len()]);
+        let mut partial = snaps[1].clone();
+        partial.log = ecosched_engine::LogTail {
+            after: saved,
+            entries: log[snaps[0].log.len()..].to_vec(),
+        };
+        let path = store.save(&partial).unwrap();
+        let on_disk: EngineCheckpoint = read(&path).unwrap();
+        assert_eq!(
+            on_disk.log,
+            ecosched_engine::LogTail::detached(LogPosition::after(log))
+        );
+        assert_eq!(latest(&store), (snaps[1].clone(), 0));
         let _ = fs::remove_dir_all(&dir);
     }
 

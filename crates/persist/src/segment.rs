@@ -13,10 +13,13 @@
 //! (replay is deterministic), so nothing in it is trusted blind. What a
 //! load hands out is verified against the position hash the snapshot
 //! records; what a save builds on is only what this process verified or
-//! wrote itself ([`Tip`]), and a checkpoint whose log does not extend
-//! that — a store reused for another run — makes the segment be written
-//! afresh from the checkpoint's own log. A reader stops at the first
-//! torn or unparsable line; the next append cuts the file there.
+//! wrote itself ([`Tip`]), and a whole log that does not extend that — a
+//! store reused for another run — makes the segment be written afresh
+//! from that log. A caller that knows where the segment ends hands in
+//! only the entries after it ([`Segment::append`]), which costs what is
+//! new; a tail after any other position is refused. A reader stops at
+//! the first torn or unparsable line; the next append cuts the file
+//! there.
 
 use std::fs::{self, OpenOptions};
 use std::hash::{Hash, Hasher};
@@ -27,7 +30,7 @@ use ecosched_engine::LogPosition;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
-use crate::format::PersistError;
+use crate::format::{words_extend, PersistError};
 use crate::rotate::atomic_save;
 
 /// Where the part of the segment a save may build on ends.
@@ -53,8 +56,8 @@ impl Tip {
     }
 }
 
-/// The word-at-a-time multiply-rotate hash rustc uses for its own tables:
-/// one step per field of an entry.
+/// The container's word checksum step ([`words_extend`]) as a
+/// [`Hasher`]: one step per word of each field of an entry.
 struct WordHasher(u64);
 
 impl Hasher for WordHasher {
@@ -63,19 +66,14 @@ impl Hasher for WordHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
-                .wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
+        self.0 = words_extend(self.0, bytes);
     }
 }
 
 /// Continues a running digest of in-memory entries. It costs a few
 /// multiplications an entry where the canonical hash costs a
-/// serialization, which is what lets every save check that the whole
-/// log it was handed still starts with what the segment holds.
+/// serialization, which is what lets a save handed a whole log check
+/// that it still starts with what the segment holds.
 fn digest<E: Hash>(from: u64, entries: &[E]) -> u64 {
     let mut hasher = WordHasher(from);
     for entry in entries {
@@ -205,42 +203,63 @@ impl Segment {
         self.tip = Some(held.tip_at(len));
     }
 
-    /// Makes `entries` what the segment holds and the next save builds
-    /// on, durably, and returns the position after them and whether the
-    /// file had to be written afresh (`entries` did not extend it). The directory entry of a
-    /// newly created file is made durable by the snapshot save that
-    /// follows, which syncs the directory both share.
+    /// The tip of everything the file holds.
+    fn read_tip<E: DeserializeOwned + Clone + Hash>(&self) -> std::io::Result<Tip> {
+        let held = self.read::<E>()?;
+        Ok(held.tip_at(held.entries.len()))
+    }
+
+    /// The tip a write builds on: the one this process recorded, or else
+    /// what the file holds. Taken, so that it stays forgotten unless the
+    /// write succeeds: a failed one leaves the file in a state only a
+    /// fresh read can describe.
+    fn take_tip<E: DeserializeOwned + Clone + Hash>(&mut self) -> std::io::Result<Tip> {
+        match self.tip.take() {
+            Some(tip) => Ok(tip),
+            None => self.read_tip::<E>(),
+        }
+    }
+
+    fn on_disk(&self) -> u64 {
+        fs::metadata(&self.path).map_or(0, |m| m.len())
+    }
+
+    /// Writes `lines` over whatever follows `tip` in the file, and syncs
+    /// them.
+    fn write_after(&self, tip: &Tip, lines: &[u8]) -> std::io::Result<()> {
+        if lines.is_empty() {
+            return Ok(());
+        }
+        let mut file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(false)
+            .open(&self.path)?;
+        file.set_len(tip.bytes)?;
+        file.seek(SeekFrom::End(0))?;
+        file.write_all(lines)?;
+        file.sync_data()
+    }
+
+    /// Makes `entries`, a whole log, what the segment durably holds and
+    /// the next save builds on. Returns the position after them, and
+    /// whether the file was written afresh because `entries` do not
+    /// extend what it held; a [`digest`] of the whole log decides that.
+    /// The directory entry of a newly created file is made durable by
+    /// the snapshot save that follows, which syncs the directory both
+    /// share.
     pub(crate) fn hold<E>(&mut self, entries: &[E]) -> Result<(LogPosition, bool), PersistError>
     where
         E: Serialize + DeserializeOwned + Clone + Hash,
     {
-        // Forgotten until the write succeeds: a failed one leaves the
-        // file in a state only a fresh read can describe.
-        let tip = match self.tip.take() {
-            Some(tip) => tip,
-            None => {
-                let held = self.read::<E>()?;
-                held.tip_at(held.entries.len())
-            }
-        };
+        let tip = self.take_tip::<E>()?;
         let kept = tip.at.len as usize;
-        let on_disk = fs::metadata(&self.path).map_or(0, |m| m.len());
         let extends = entries.len() >= kept
-            && on_disk >= tip.bytes
+            && self.on_disk() >= tip.bytes
             && digest(Tip::EMPTY_DIGEST, &entries[..kept]) == tip.digest;
         let next = if extends {
             let (bytes, next) = lines(tip, &entries[kept..]);
-            if !bytes.is_empty() {
-                let mut file = OpenOptions::new()
-                    .create(true)
-                    .write(true)
-                    .truncate(false)
-                    .open(&self.path)?;
-                file.set_len(tip.bytes)?;
-                file.seek(SeekFrom::End(0))?;
-                file.write_all(&bytes)?;
-                file.sync_data()?;
-            }
+            self.write_after(&tip, &bytes)?;
             next
         } else {
             let (bytes, next) = lines(Tip::empty(), entries);
@@ -249,6 +268,38 @@ impl Segment {
         };
         self.tip = Some(next);
         Ok((next.at, !extends))
+    }
+
+    /// Appends `tail`, the log's entries after `after`, durably, and
+    /// returns the position after them. Nothing of the history is looked
+    /// at: `after` names it, and it must be the segment's tip.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::OffTip`] when `after` is not where the segment
+    /// ends; the file is then left as it was.
+    pub(crate) fn append<E>(
+        &mut self,
+        after: LogPosition,
+        tail: &[E],
+    ) -> Result<LogPosition, PersistError>
+    where
+        E: Serialize + DeserializeOwned + Clone + Hash,
+    {
+        let tip = match self.take_tip::<E>()? {
+            tip if self.on_disk() >= tip.bytes => tip,
+            // Cut behind this process's back: only the file can say
+            // where it ends now.
+            _ => self.read_tip::<E>()?,
+        };
+        if tip.at != after {
+            self.tip = Some(tip);
+            return Err(PersistError::OffTip { tip: tip.at, after });
+        }
+        let (bytes, next) = lines(tip, tail);
+        self.write_after(&tip, &bytes)?;
+        self.tip = Some(next);
+        Ok(next.at)
     }
 }
 
@@ -307,6 +358,54 @@ mod tests {
             (LogPosition::after(&other), true)
         );
         assert_eq!(segment.read::<LogEntry>().unwrap().entries, other);
+        let _ = fs::remove_file(segment.path());
+    }
+
+    #[test]
+    fn a_tail_that_does_not_start_at_the_tip_changes_no_byte() {
+        let mut segment = scratch("append");
+        let log = entries(9);
+        let four = LogPosition::after(&log[..4]);
+        assert_eq!(
+            segment.append(LogPosition::start(), &log[..4]).unwrap(),
+            four
+        );
+        let six = LogPosition::after(&log[..6]);
+        assert_eq!(segment.append(four, &log[4..6]).unwrap(), six);
+        let intact = fs::read(segment.path()).unwrap();
+        let forged = LogPosition {
+            hash: six.hash ^ 1,
+            ..six
+        };
+        let ahead = LogPosition::after(&log[..7]);
+        for after in [LogPosition::start(), four, forged, ahead] {
+            match segment.append(after, &log[6..]) {
+                Err(PersistError::OffTip {
+                    tip,
+                    after: refused,
+                }) => {
+                    assert_eq!((tip, refused), (six, after));
+                }
+                other => panic!("a tail after {after:?} was not refused: {other:?}"),
+            }
+            assert_eq!(fs::read(segment.path()).unwrap(), intact);
+        }
+        // A segment that has not seen the file learns its tip from it; a
+        // whole log then still extends what the tails built.
+        let mut reopened = Segment::new(segment.path().to_path_buf());
+        assert!(matches!(
+            reopened.append(four, &log[4..]),
+            Err(PersistError::OffTip { tip, .. }) if tip == six
+        ));
+        assert_eq!(
+            reopened.append(six, &log[6..]).unwrap(),
+            LogPosition::after(&log)
+        );
+        assert_eq!(
+            reopened.hold(&log).unwrap(),
+            (LogPosition::after(&log), false)
+        );
+        assert_eq!(reopened.read::<LogEntry>().unwrap().entries, log);
         let _ = fs::remove_file(segment.path());
     }
 

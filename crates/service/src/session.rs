@@ -33,8 +33,12 @@
 //! The snapshots themselves do not carry the event log: the store keeps
 //! it in one append-only log segment beside them, fsynced before the
 //! snapshot that records its position is renamed into place (see
-//! [`ecosched_persist::rotate`]), so a cadence snapshot costs what the
-//! state costs however long the daemon has run.
+//! [`ecosched_persist::rotate`]). The session keeps the position it last
+//! saved at, so a cadence snapshot hands the store only the merged
+//! entries logged since and then a checkpoint taken already detached
+//! after them: it costs what the state costs and what changed, however
+//! long the daemon has run. The first snapshot after a boot hands over
+//! the whole log, which the store checks against its segment.
 //!
 //! # Resume
 //!
@@ -108,9 +112,14 @@ pub struct Session<S> {
     rejected_total: u64,
     draining: bool,
     boot_mode: BootMode,
-    /// How far [`Session::status`] has hashed the merged log: each call
-    /// hashes only the entries added since the last.
+    /// How far [`Session::status`] and [`Session::snapshot`] have hashed
+    /// the merged log: each call hashes only the entries added since the
+    /// last.
     hashed: Cell<LogPosition>,
+    /// Where the snapshot store's log segment ends, as of this session's
+    /// last save; `None` before the first, which hands the store the
+    /// whole log.
+    saved: Option<LogPosition>,
     /// Observability handle — runtime state, never serialized, off by
     /// default (attach with [`Session::set_obs`] after boot so recovery
     /// replay is not counted as live traffic).
@@ -270,6 +279,7 @@ impl<S: SlotSelector + Copy> Session<S> {
             draining: false,
             boot_mode,
             hashed: Cell::new(LogPosition::start()),
+            saved: None,
             obs: ServiceObs::off(),
         })
     }
@@ -472,7 +482,22 @@ impl<S: SlotSelector + Copy> Session<S> {
     /// Snapshot write failures.
     pub fn snapshot(&mut self) -> Result<PathBuf, ServiceError> {
         let start = self.obs.is_on().then(std::time::Instant::now);
-        let path = self.store.save(&self.fed.checkpoint(&self.state))?;
+        let at = self.position();
+        // Forgotten until the save succeeds: after a failure the next save
+        // hands over the whole log, which settles whatever the segment
+        // then holds.
+        let checkpoint = match self.saved.take() {
+            Some(saved) => {
+                let tail = &self.state.merged().entries[saved.len as usize..];
+                self.store.append(saved, tail)?;
+                // The store refuses it unless its segment now ends at this
+                // session's own position.
+                self.fed.checkpoint_detached(&self.state, at)
+            }
+            None => self.fed.checkpoint(&self.state),
+        };
+        let path = self.store.save(&checkpoint)?;
+        self.saved = Some(at);
         if let Some(start) = start {
             let bytes = |path: &Path| std::fs::metadata(path).map_or(0, |m| m.len());
             self.obs.on_snapshot(
@@ -504,9 +529,6 @@ impl<S: SlotSelector + Copy> Session<S> {
     /// not the whole history.
     #[must_use]
     pub fn status(&self) -> DaemonStatus {
-        let mut hashed = self.hashed.get();
-        hashed.push_all(&self.state.merged().entries[hashed.len as usize..]);
-        self.hashed.set(hashed);
         let arrivals = arrivals_total(&self.state) as u64;
         let active_leases: usize = (0..self.state.shard_count())
             .map(|s| self.state.shard(s).active_leases())
@@ -519,8 +541,17 @@ impl<S: SlotSelector + Copy> Session<S> {
             active_leases: active_leases as u64,
             accepted_total: arrivals,
             rejected_total: self.rejected_total,
-            log_hash: hashed.fnv1a_hash(),
+            log_hash: self.position().fnv1a_hash(),
         }
+    }
+
+    /// The position after the whole merged log, extended from the last
+    /// one computed.
+    fn position(&self) -> LogPosition {
+        let mut hashed = self.hashed.get();
+        hashed.push_all(&self.state.merged().entries[hashed.len as usize..]);
+        self.hashed.set(hashed);
+        hashed
     }
 }
 

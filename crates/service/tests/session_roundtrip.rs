@@ -619,6 +619,41 @@ fn corrupt_newest_snapshot_with_an_intact_segment() {
     }
 }
 
+/// A cadence snapshot after a session's first hands the store only the
+/// entries logged since and a checkpoint taken detached; what that leaves
+/// on disk is what saving the whole checkpoint leaves — also in a process
+/// that resumed mid-history, whose first save hands over the whole log.
+#[test]
+fn cadence_snapshots_write_what_whole_saves_write() {
+    let dir = scratch_dir("cadence");
+    let mut session = open_small(&dir);
+    run_cycles(&mut session, 0..9);
+    drop(session);
+    let mut session = open_small(&dir);
+    run_cycles(&mut session, 9..17);
+    let hash = session.status().log_hash;
+    drop(session);
+    assert_eq!(snapshots(&dir).len(), 3);
+
+    let store = Store::<FederationCheckpoint>::open(snapshot_dir(&dir), 3).expect("store");
+    let latest = store.load_latest().expect("load").expect("a snapshot");
+    assert!(latest.skipped.is_empty());
+    let scratch = scratch_dir("cadence-whole");
+    let whole = Store::<FederationCheckpoint>::open(&scratch, 3).expect("scratch store");
+    let path = whole.save(&latest.checkpoint).expect("whole save");
+    assert_eq!(
+        std::fs::read(&latest.path).expect("cadence snapshot"),
+        std::fs::read(path).expect("whole snapshot")
+    );
+    assert_eq!(
+        std::fs::read(segment_path(&dir)).expect("cadence segment"),
+        std::fs::read(whole.log_segment_path()).expect("whole segment")
+    );
+    assert_eq!(open_small(&dir).status().log_hash, hash);
+    verify_data_dir(&dir).expect("offline verification");
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
 /// Three shards: the segment holds the merged log only, and the shard
 /// logs a resumed session runs on — rebuilt as the merged log's
 /// projections — are the ones the crashed process had.
