@@ -53,7 +53,7 @@ use rand_chacha::{ChaCha8Rng, ChaChaState};
 use serde::Serialize as _;
 
 use crate::config::{ArrivalConfig, EngineConfig, COMPLETION_FRACTION, SLOWDOWN_TAU, VOS};
-use crate::event::{fnv1a_64, Event, EventLog, LogEntry, LogPosition, LogTail};
+use crate::event::{fnv1a_64, Event, Log, LogEntry, LogPosition};
 use crate::obs::{EngineObs, StepGauges};
 use crate::queue::EventQueue;
 use crate::report::{CyclePoint, EngineReport};
@@ -152,7 +152,7 @@ pub struct EngineRun {
     /// Aggregate and per-cycle metrics.
     pub report: EngineReport,
     /// Every processed event, in order.
-    pub log: EventLog,
+    pub log: Log<LogEntry>,
 }
 
 /// The live state of an in-flight engine run, between events.
@@ -166,8 +166,8 @@ pub struct RunState {
     seed: u64,
     rng: ChaCha8Rng,
     queue: EventQueue,
-    log: EventLog,
-    arrivals: Vec<(TimePoint, ResourceRequest)>,
+    log: Log<LogEntry>,
+    arrivals: Vec<ArrivalState>,
     slot_gen: SlotGenerator,
     revocation: RevocationModel,
     vacant: SlotList,
@@ -209,7 +209,7 @@ impl RunState {
 
     /// The event log so far, in processing order.
     #[must_use]
-    pub fn log(&self) -> &EventLog {
+    pub fn log(&self) -> &Log<LogEntry> {
         &self.log
     }
 
@@ -408,9 +408,13 @@ impl<S: SlotSelector + Copy> Engine<S> {
         let mut queue = EventQueue::new();
 
         // -- setup: arrivals, then the cycle skeleton -------------------
-        let arrivals = self.generate_arrivals(&mut rng);
-        for (i, (t, _)) in arrivals.iter().enumerate() {
-            queue.push(*t, Event::JobArrival { job: i as u32 });
+        let arrivals: Vec<ArrivalState> = self
+            .generate_arrivals(&mut rng)
+            .into_iter()
+            .map(|(time, request)| ArrivalState { time, request })
+            .collect();
+        for (i, arrival) in arrivals.iter().enumerate() {
+            queue.push(arrival.time, Event::JobArrival { job: i as u32 });
         }
         let strikes = self.config.revocation.is_enabled();
         for k in 0..self.config.cycles {
@@ -431,7 +435,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             seed,
             rng,
             queue,
-            log: EventLog::new(),
+            log: Log::new(),
             arrivals,
             slot_gen: SlotGenerator::new(self.config.slot_gen),
             revocation: RevocationModel::new(self.config.revocation),
@@ -465,7 +469,12 @@ impl<S: SlotSelector + Copy> Engine<S> {
         let Some((now, seq, event)) = state.queue.pop() else {
             return Ok(None);
         };
-        state.log.push(now.ticks(), seq, event);
+        let entry = LogEntry {
+            time: now.ticks(),
+            seq,
+            event,
+        };
+        state.log.push(entry);
         self.handle(state, now, event)?;
         self.obs.post_step(
             &state.report,
@@ -483,11 +492,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 },
             },
         );
-        Ok(Some(LogEntry {
-            time: now.ticks(),
-            seq,
-            event,
-        }))
+        Ok(Some(entry))
     }
 
     /// Closes the books on a drained (or abandoned) run: backlog, means,
@@ -526,7 +531,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
     /// outlives the cycle it planned.
     #[must_use]
     pub fn checkpoint(&self, state: &RunState) -> EngineCheckpoint {
-        self.capture(state, LogTail::complete(state.log.entries.clone()))
+        self.capture(state, state.log.clone())
     }
 
     /// [`Self::checkpoint`] without the log: it is detached at `after`,
@@ -540,10 +545,10 @@ impl<S: SlotSelector + Copy> Engine<S> {
             state.log.len() as u64,
             "detached at the log's end"
         );
-        self.capture(state, LogTail::detached(after))
+        self.capture(state, Log::detached(after))
     }
 
-    fn capture(&self, state: &RunState, log: LogTail<LogEntry>) -> EngineCheckpoint {
+    fn capture(&self, state: &RunState, log: Log<LogEntry>) -> EngineCheckpoint {
         debug_assert!(
             state.reservations.is_empty(),
             "checkpoints must not be taken mid two-phase reservation"
@@ -568,14 +573,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 })
                 .collect(),
             log,
-            arrivals: state
-                .arrivals
-                .iter()
-                .map(|(t, request)| ArrivalState {
-                    time: t.ticks(),
-                    request: *request,
-                })
-                .collect(),
+            arrivals: state.arrivals.clone(),
             vacant: state.vacant.clone(),
             next_node: state.next_node,
             pending: state.pending.clone(),
@@ -610,11 +608,11 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 found: checkpoint.config_fp,
             });
         }
-        let Some(log) = checkpoint.log.whole() else {
+        if checkpoint.log.whole().is_none() {
             return Err(EngineError::DetachedCheckpoint {
                 missing: checkpoint.log.after.len,
             });
-        };
+        }
         let key: [u32; 8] = checkpoint.rng.key.as_slice().try_into().map_err(|_| {
             EngineError::MalformedCheckpoint {
                 detail: format!("rng key has {} words, expected 8", checkpoint.rng.key.len()),
@@ -640,14 +638,8 @@ impl<S: SlotSelector + Copy> Engine<S> {
                     .iter()
                     .map(|q| (TimePoint::new(q.time), q.seq, q.event)),
             ),
-            log: EventLog {
-                entries: log.to_vec(),
-            },
-            arrivals: checkpoint
-                .arrivals
-                .iter()
-                .map(|a| (TimePoint::new(a.time), a.request))
-                .collect(),
+            log: checkpoint.log.clone(),
+            arrivals: checkpoint.arrivals.clone(),
             slot_gen: SlotGenerator::new(self.config.slot_gen),
             revocation: RevocationModel::new(self.config.revocation),
             // A format-1 checkpoint carries the flat form; the live market
@@ -695,7 +687,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
     ) -> (u32, TimePoint) {
         let time = at.max(state.last_time());
         let job = state.arrivals.len() as u32;
-        state.arrivals.push((time, request));
+        state.arrivals.push(ArrivalState { time, request });
         state.queue.push(time, Event::JobArrival { job });
         (job, time)
     }
@@ -721,11 +713,11 @@ impl<S: SlotSelector + Copy> Engine<S> {
 
     /// `JobArrival`: the job joins the pending queue.
     fn on_arrival(&self, state: &mut RunState, job: u32) {
-        let (arrival, request) = state.arrivals[job as usize];
+        let ArrivalState { time, request } = state.arrivals[job as usize];
         state.report.jobs_arrived += 1;
         state.pending.push(PendingState {
             id: job,
-            arrival: arrival.ticks(),
+            arrival: time.ticks(),
             vo: job % VOS,
             request,
         });
@@ -1188,7 +1180,7 @@ mod tests {
             };
             let m = market.len() as u64;
             for market in [market.clone().with_repr(MarketRepr::Flat), market] {
-                for (_, request) in &state.arrivals {
+                for ArrivalState { request, .. } in &state.arrivals {
                     for selector in [&Alp::new() as &dyn SlotSelector, &Amp::new()] {
                         let mut stats = ecosched_select::ScanStats::new();
                         let _ = selector.find_window(&market, request, &mut stats);
@@ -1386,7 +1378,7 @@ mod tests {
         // Taken detached, it is the whole one with the log dropped.
         let mut detached = engine.checkpoint_detached(&state, position);
         let mut dropped = whole.clone();
-        dropped.log = LogTail::detached(position);
+        dropped.log = Log::detached(position);
         assert_eq!(detached, dropped);
         assert_eq!(detached.log.len(), whole.log.len());
         match engine.resume(&detached) {
@@ -1395,7 +1387,7 @@ mod tests {
         }
 
         let mut partial = whole.clone();
-        partial.log = LogTail {
+        partial.log = Log {
             after: LogPosition::after(&whole.log.entries[..5]),
             entries: whole.log.entries[5..].to_vec(),
         };

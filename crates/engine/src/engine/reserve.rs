@@ -7,7 +7,7 @@ use ecosched_select::{try_adopt_window, RepairError, SlotSelector};
 
 use super::{Engine, RunState};
 use crate::config::VOS;
-use crate::state::PendingState;
+use crate::state::{ArrivalState, PendingState};
 
 /// Errors from the two-phase reservation protocol (see
 /// [`Engine::reserve`]).
@@ -135,7 +135,10 @@ impl<S: SlotSelector + Copy> Engine<S> {
             .remove(&reservation)
             .expect("presence checked above");
         let job = state.arrivals.len() as u32;
-        state.arrivals.push((arrival, request));
+        state.arrivals.push(ArrivalState {
+            time: arrival,
+            request,
+        });
         state.report.jobs_arrived += 1;
         state.report.jobs_scheduled += 1;
         let vo = job % VOS;

@@ -2,17 +2,19 @@
 //!
 //! Every state change in the engine is driven by exactly one [`Event`]
 //! popped from the queue, and every processed event is appended to the
-//! [`EventLog`] as a [`LogEntry`] carrying its virtual time and queue
+//! run's [`Log`] as a [`LogEntry`] carrying its virtual time and queue
 //! sequence number. Because the engine is single-threaded, draws all
 //! randomness from one seeded RNG in event order, and breaks queue ties
 //! deterministically on `(time, seq)`, two runs with the same seed and
 //! configuration produce byte-identical serialized logs — the determinism
-//! contract that [`EventLog::fnv1a_hash`] turns into a one-line check.
+//! contract that [`Log::fnv1a_hash`] turns into a one-line check.
 //!
 //! A [`LogPosition`] names a *prefix* of such a log as precisely as the
 //! hash names the whole, and can be extended entry by entry without
-//! revisiting the prefix; a [`LogTail`] is what a checkpoint carries of
-//! its log — the entries after a position.
+//! revisiting the prefix. A [`Log`] is the entries after a position: a
+//! run's own log starts at the beginning, and a checkpoint carries either
+//! a clone of it or, once a rotated store holds the entries, none of them
+//! after the position where they end.
 
 use serde::{Deserialize, Serialize};
 
@@ -78,53 +80,6 @@ pub struct LogEntry {
     pub event: Event,
 }
 
-/// The append-only log of every event the engine processed, in pop order.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EventLog {
-    /// The processed events, in order.
-    pub entries: Vec<LogEntry>,
-}
-
-impl EventLog {
-    /// Creates an empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        EventLog::default()
-    }
-
-    /// Appends one processed event.
-    pub fn push(&mut self, time: i64, seq: u64, event: Event) {
-        self.entries.push(LogEntry { time, seq, event });
-    }
-
-    /// Number of logged events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` when nothing has been logged.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The canonical serialized form of the log. Byte-identical across
-    /// identically seeded runs — the determinism contract.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("serializing to memory cannot fail")
-    }
-
-    /// FNV-1a 64 hash of the canonical serialization, rendered as 16 hex
-    /// digits (a stable one-line fingerprint for tests and the CI smoke
-    /// job). Hashed an entry at a time: [`Self::to_json`] is never built.
-    #[must_use]
-    pub fn fnv1a_hash(&self) -> String {
-        LogPosition::after(&self.entries).fnv1a_hash()
-    }
-}
-
 /// FNV-1a 64-bit hash (implemented locally — the build is offline and the
 /// fingerprint only needs to be stable and sensitive, not cryptographic).
 #[must_use]
@@ -154,8 +109,8 @@ pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
 /// prefix as exactly as the hash identifies a log, and it is extended
 /// over new entries without touching the old ones.
 ///
-/// The shape is shared by [`EventLog`] and the federation's merged log
-/// (both serialize as `{"entries": […]}`), so one type serves both.
+/// Every [`Log`] has this shape whatever its entries — the engine's and
+/// the federation's merged one alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LogPosition {
     /// Entries before this position.
@@ -209,37 +164,42 @@ impl LogPosition {
     }
 }
 
-/// What a checkpoint carries of its run's log: the entries after a
-/// position. After [`LogPosition::start`] that is the whole log and the
-/// checkpoint is self-contained (every standalone snapshot file); after a
-/// later position the tail is *detached* — the prefix lives in a rotated
-/// store's log segment, which re-attaches and verifies it on load — and
-/// the checkpoint cannot be resumed until it is put back.
+/// The append-only log of a run, in processing order: the entries after
+/// a position.
+///
+/// After [`LogPosition::start`] that is the whole log — a run's own log
+/// always is, and so is a checkpoint's as `checkpoint()` clones it, which
+/// makes every standalone snapshot file self-contained. After a later
+/// position the log is *detached*: its prefix lives in a rotated store's
+/// log segment, which re-attaches and verifies it on load, and the
+/// checkpoint cannot be resumed until it is put back.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogTail<E> {
+pub struct Log<E> {
     /// The position the entries follow.
     pub after: LogPosition,
     /// The entries from that position on.
     pub entries: Vec<E>,
 }
 
-impl<E> LogTail<E> {
-    /// A whole log.
+impl<E> Log<E> {
+    /// An empty whole log.
     #[must_use]
-    pub fn complete(entries: Vec<E>) -> Self {
-        LogTail {
-            after: LogPosition::start(),
-            entries,
-        }
+    pub fn new() -> Self {
+        Log::detached(LogPosition::start())
     }
 
     /// The empty tail of a log whose entries all lie before `after`.
     #[must_use]
     pub fn detached(after: LogPosition) -> Self {
-        LogTail {
+        Log {
             after,
             entries: Vec::new(),
         }
+    }
+
+    /// Appends one entry.
+    pub fn push(&mut self, entry: E) {
+        self.entries.push(entry);
     }
 
     /// Entries the log had emitted, detached ones included.
@@ -269,12 +229,45 @@ impl<E> LogTail<E> {
     pub fn attach(&mut self, mut prefix: Vec<E>) {
         assert_eq!(prefix.len() as u64, self.after.len, "prefix length");
         prefix.append(&mut self.entries);
-        *self = LogTail::complete(prefix);
+        self.after = LogPosition::start();
+        self.entries = prefix;
     }
 }
 
-// Generic, so out of the derive's reach.
-impl<E: Serialize> Serialize for LogTail<E> {
+impl<E> Default for Log<E> {
+    fn default() -> Self {
+        Log::new()
+    }
+}
+
+impl<E: Serialize> Log<E> {
+    /// The canonical serialized form of the entries held,
+    /// `{"entries":[…]}` — of a whole log, the log itself, byte-identical
+    /// across identically seeded runs (the determinism contract).
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let mut out = br#"{"entries":"#.to_vec();
+        self.entries.write_json(&mut out);
+        out.push(b'}');
+        String::from_utf8(out).expect("JSON is UTF-8")
+    }
+
+    /// FNV-1a 64 hash of the whole log's canonical serialization — of a
+    /// whole log, of [`Self::to_json`] — as 16 hex digits (a stable
+    /// one-line fingerprint for tests and the CI smoke job). Hashed an
+    /// entry at a time from the position the entries follow, so the text
+    /// is never built and a detached prefix is never needed.
+    #[must_use]
+    pub fn fnv1a_hash(&self) -> String {
+        let mut at = self.after;
+        at.push_all(&self.entries);
+        at.fnv1a_hash()
+    }
+}
+
+// Generic, so out of the derive's reach. The wire form carries the
+// position; `to_json` above is the entries-only text the hash is of.
+impl<E: Serialize> Serialize for Log<E> {
     fn write_json(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(br#"{"after":"#);
         self.after.write_json(out);
@@ -284,7 +277,7 @@ impl<E: Serialize> Serialize for LogTail<E> {
     }
 }
 
-impl<'de, E: Deserialize<'de>> Deserialize<'de> for LogTail<E> {
+impl<'de, E: Deserialize<'de>> Deserialize<'de> for Log<E> {
     fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
         let (mut after, mut entries) = (None, None);
         parser.read_map(|parser, key| match key {
@@ -292,9 +285,9 @@ impl<'de, E: Deserialize<'de>> Deserialize<'de> for LogTail<E> {
             "entries" => parser.field(&mut entries, key),
             _ => parser.skip_value(),
         })?;
-        Ok(LogTail {
-            // Snapshot formats 1 and 2 stored the log itself,
-            // `{"entries": […]}`: a tail after the start.
+        Ok(Log {
+            // Snapshot formats 1 and 2, and every `to_json` text, hold the
+            // entries alone, `{"entries": […]}`: a log after the start.
             after: after.unwrap_or_else(LogPosition::start),
             entries: serde::required(entries, "entries")?,
         })
@@ -315,41 +308,22 @@ mod tests {
 
     #[test]
     fn log_hash_is_stable_and_sensitive() {
-        let mut a = EventLog::new();
-        a.push(0, 0, Event::JobArrival { job: 0 });
-        a.push(5, 1, Event::CycleTick { cycle: 0 });
-        let mut b = EventLog::new();
-        b.push(0, 0, Event::JobArrival { job: 0 });
-        b.push(5, 1, Event::CycleTick { cycle: 0 });
+        let entry = |time, seq, event| LogEntry { time, seq, event };
+        let two = || {
+            let mut log = Log::new();
+            log.push(entry(0, 0, Event::JobArrival { job: 0 }));
+            log.push(entry(5, 1, Event::CycleTick { cycle: 0 }));
+            log
+        };
+        let (a, mut b) = (two(), two());
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.fnv1a_hash(), b.fnv1a_hash());
         assert_eq!(a.fnv1a_hash().len(), 16);
 
-        b.push(5, 2, Event::SlotExpired { slot: 3 });
+        b.push(entry(5, 2, Event::SlotExpired { slot: 3 }));
         assert_ne!(a.fnv1a_hash(), b.fnv1a_hash());
         assert_eq!(b.len(), 3);
         assert!(!b.is_empty());
-    }
-
-    #[test]
-    fn streamed_hash_is_the_hash_of_the_canonical_json() {
-        let mut log = EventLog::new();
-        for len in [0u64, 1, 40] {
-            while (log.len() as u64) < len {
-                let i = log.len() as u64;
-                let event = match i % 3 {
-                    0 => Event::JobArrival { job: i as u32 },
-                    1 => Event::SlotExpired { slot: i * 1000 },
-                    _ => Event::CycleTick { cycle: i as u32 },
-                };
-                log.push(i as i64 * 7, i, event);
-            }
-            assert_eq!(
-                log.fnv1a_hash(),
-                format!("{:016x}", fnv1a_64(log.to_json().as_bytes())),
-                "{len} entries"
-            );
-        }
     }
 
     #[test]

@@ -12,8 +12,15 @@
 //! The headline property is determinism: a run is a pure function of
 //! `(config, seed)`, and two identically seeded runs produce
 //! byte-identical serialized event logs — checked in one line via
-//! [`EventLog::fnv1a_hash`] and pinned across processes and commits by
+//! [`Log::fnv1a_hash`] and pinned across processes and commits by
 //! `scripts/check_pins.sh`.
+//!
+//! A run's state holds its log and its arrival stream in the form a
+//! checkpoint stores them — one [`Log`] type serves the engine's log,
+//! the federation's merged one and every checkpoint's, and an
+//! [`ArrivalState`] is both a live arrival and its serialized form — so
+//! [`Engine::checkpoint`] and [`Engine::resume`] clone them rather than
+//! convert them.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -30,7 +37,7 @@ pub mod state;
 
 pub use config::{ArrivalConfig, EngineConfig};
 pub use engine::{Engine, EngineError, EngineRun, Reservation, ReserveError, RunState};
-pub use event::{fnv1a_64, fnv1a_extend, Event, EventLog, LogEntry, LogPosition, LogTail};
+pub use event::{fnv1a_64, fnv1a_extend, Event, Log, LogEntry, LogPosition};
 pub use obs::{EngineIds, EngineObs};
 pub use queue::EventQueue;
 pub use report::{CyclePoint, EngineReport};

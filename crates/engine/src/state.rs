@@ -20,11 +20,11 @@
 //! [`Engine::resume`]: crate::engine::Engine::resume
 //! [`RunState`]: crate::engine::RunState
 
-use ecosched_core::{ResourceRequest, SlotList, Window};
+use ecosched_core::{ResourceRequest, SlotList, TimePoint, Window};
 use ecosched_optimize::OptimizerSnapshot;
 use serde::{Deserialize, Serialize};
 
-use crate::event::{Event, LogEntry, LogTail};
+use crate::event::{Event, Log, LogEntry};
 use crate::report::EngineReport;
 
 /// A ChaCha8 generator's position in its output stream.
@@ -55,11 +55,12 @@ pub struct QueuedEventState {
     pub event: Event,
 }
 
-/// One entry of the precomputed arrival stream.
+/// One entry of the arrival stream — like [`PendingState`], the run's
+/// live form and its serialized form.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ArrivalState {
     /// Arrival tick.
-    pub time: i64,
+    pub time: TimePoint,
     /// The job's resource request.
     pub request: ResourceRequest,
 }
@@ -143,8 +144,8 @@ pub struct EngineCheckpoint {
     /// snapshot store has moved the entries into its log segment.
     ///
     /// [`Engine::checkpoint`]: crate::engine::Engine::checkpoint
-    pub log: LogTail<LogEntry>,
-    /// The precomputed `(arrival tick, request)` stream.
+    pub log: Log<LogEntry>,
+    /// The arrival stream: precomputed, then grown by submissions.
     pub arrivals: Vec<ArrivalState>,
     /// The vacant-slot market.
     pub vacant: SlotList,

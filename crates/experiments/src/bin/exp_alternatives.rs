@@ -1,16 +1,15 @@
 //! E5 — the Sec. 5 prose statistics: alternatives found per job, average
 //! slot-list size, and average batch size, under both criteria.
 //!
-//! Usage: `exp_alternatives [--iterations N] [--threads T]`.
+//! Usage: `exp_alternatives [--iterations N]`.
 
 use ecosched_experiments::report::{f2, Table};
 use ecosched_experiments::{arg_value, run_paired, ExperimentConfig};
 use ecosched_sim::Criterion;
 
 fn main() {
-    ecosched_experiments::reject_unknown_flags(&["--iterations", "--threads"]);
+    ecosched_experiments::reject_unknown_flags(&["--iterations"]);
     let iterations: u64 = arg_value("--iterations").unwrap_or(25_000);
-    let threads: usize = arg_value("--threads").unwrap_or(0);
 
     let mut table = Table::new(&[
         "experiment",
@@ -37,7 +36,6 @@ fn main() {
     ] {
         let config = ExperimentConfig {
             iterations,
-            threads,
             criterion,
             ..ExperimentConfig::default()
         };

@@ -1,7 +1,7 @@
 //! E4 — the Fig. 6 cost-minimization experiment:
 //! `min C(s̄)` subject to `T(s̄) ≤ T*` over paired ALP/AMP iterations.
 //!
-//! Usage: `exp_cost_min [--iterations N] [--csv DIR] [--threads T]`.
+//! Usage: `exp_cost_min [--iterations N] [--csv DIR]`.
 
 use ecosched_experiments::figures::{
     comparison_table, environment_table, ratio_table, FIG6_TARGETS,
@@ -10,10 +10,9 @@ use ecosched_experiments::{arg_value, run_paired, ExperimentConfig};
 use ecosched_sim::Criterion;
 
 fn main() {
-    ecosched_experiments::reject_unknown_flags(&["--iterations", "--csv", "--threads"]);
+    ecosched_experiments::reject_unknown_flags(&["--iterations", "--csv"]);
     let config = ExperimentConfig {
         iterations: arg_value("--iterations").unwrap_or(25_000),
-        threads: arg_value("--threads").unwrap_or(0),
         criterion: Criterion::MinCostUnderTime,
         ..ExperimentConfig::default()
     };

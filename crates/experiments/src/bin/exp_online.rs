@@ -58,7 +58,7 @@
 
 use std::path::{Path, PathBuf};
 
-use ecosched_engine::{fnv1a_64, Engine, EngineIds, EngineObs, EngineReport, Event, EventLog};
+use ecosched_engine::{fnv1a_64, Engine, EngineIds, EngineObs, EngineReport, Event, Log, LogEntry};
 use ecosched_experiments::online::{
     batch_table, engine_config, online_table, run_batch_baseline, run_online, run_saturation,
     saturation_table, OnlineConfig, SATURATION_GAPS,
@@ -195,7 +195,7 @@ fn resume_flow<S: SlotSelector + Copy>(
     };
     let survivors = log_path(snapshot_path);
     let suffix: Vec<_> = match std::fs::read_to_string(&survivors) {
-        Ok(json) => match serde_json::from_str::<EventLog>(&json) {
+        Ok(json) => match serde_json::from_str::<Log<LogEntry>>(&json) {
             Ok(log) => log
                 .entries
                 .get(checkpoint.log.len()..)

@@ -1,17 +1,16 @@
 //! E6 — the Sec. 6 ρ ablation: AMP with the discounted budget
 //! `S = ρ·C·t·N`, swept over ρ, under the time-minimization criterion.
 //!
-//! Usage: `exp_rho_sweep [--iterations N] [--threads T]`.
+//! Usage: `exp_rho_sweep [--iterations N]`.
 
 use ecosched_experiments::rho_sweep::{run_rho_sweep, sweep_table};
 use ecosched_experiments::{arg_value, ExperimentConfig};
 use ecosched_sim::Criterion;
 
 fn main() {
-    ecosched_experiments::reject_unknown_flags(&["--iterations", "--threads"]);
+    ecosched_experiments::reject_unknown_flags(&["--iterations"]);
     let base = ExperimentConfig {
         iterations: arg_value("--iterations").unwrap_or(5_000),
-        threads: arg_value("--threads").unwrap_or(0),
         criterion: Criterion::MinTimeUnderBudget,
         ..ExperimentConfig::default()
     };

@@ -1,7 +1,7 @@
 //! E2/E3 — the Fig. 4 + Fig. 5 time-minimization experiment:
 //! `min T(s̄)` subject to `C(s̄) ≤ B*` over paired ALP/AMP iterations.
 //!
-//! Usage: `exp_time_min [--iterations N] [--series K] [--csv DIR] [--threads T]`
+//! Usage: `exp_time_min [--iterations N] [--series K] [--csv DIR]`
 //! (paper defaults: 25 000 iterations, 300-experiment series).
 
 use ecosched_experiments::figures::{
@@ -11,10 +11,9 @@ use ecosched_experiments::{arg_value, run_paired, ExperimentConfig};
 use ecosched_sim::Criterion;
 
 fn main() {
-    ecosched_experiments::reject_unknown_flags(&["--iterations", "--series", "--csv", "--threads"]);
+    ecosched_experiments::reject_unknown_flags(&["--iterations", "--series", "--csv"]);
     let config = ExperimentConfig {
         iterations: arg_value("--iterations").unwrap_or(25_000),
-        threads: arg_value("--threads").unwrap_or(0),
         criterion: Criterion::MinTimeUnderBudget,
         ..ExperimentConfig::default()
     };

@@ -174,7 +174,6 @@ mod tests {
         run_paired(
             &ExperimentConfig {
                 iterations: 120,
-                threads: 2,
                 criterion: Criterion::MinTimeUnderBudget,
                 ..ExperimentConfig::default()
             },

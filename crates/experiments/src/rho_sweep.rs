@@ -66,7 +66,6 @@ mod tests {
     fn smaller_rho_reduces_amp_cost() {
         let base = ExperimentConfig {
             iterations: 250,
-            threads: 2,
             criterion: Criterion::MinTimeUnderBudget,
             ..ExperimentConfig::default()
         };
@@ -90,7 +89,6 @@ mod tests {
     fn table_has_one_row_per_rho() {
         let base = ExperimentConfig {
             iterations: 40,
-            threads: 2,
             ..ExperimentConfig::default()
         };
         let points = run_rho_sweep(&base, &[0.8, 0.9, 1.0]);

@@ -24,8 +24,6 @@ pub struct ExperimentConfig {
     pub iterations: u64,
     /// Base RNG seed; iteration `i` uses `seed_offset + i`.
     pub seed_offset: u64,
-    /// Worker threads (0 = one per available core).
-    pub threads: usize,
     /// Slot-list generator parameters.
     pub slot_config: SlotGenConfig,
     /// Batch generator parameters.
@@ -41,7 +39,6 @@ impl Default for ExperimentConfig {
         ExperimentConfig {
             iterations: 25_000,
             seed_offset: 0,
-            threads: 0,
             slot_config: SlotGenConfig::default(),
             job_config: JobGenConfig::default(),
             criterion: Criterion::MinTimeUnderBudget,
@@ -182,17 +179,15 @@ pub fn run_seed(config: &ExperimentConfig, index: u64) -> SeedOutcome {
     }
 }
 
-/// Runs the full paired experiment, parallelized over iterations.
+/// Runs the full paired experiment, parallelized over iterations on one
+/// worker per available core.
 ///
 /// Deterministic for a given config: iteration `i` always uses seed
-/// `seed_offset + i` regardless of thread count.
+/// `seed_offset + i`, and outcomes are folded in iteration order, so the
+/// result does not depend on the core count.
 #[must_use]
 pub fn run_paired(config: &ExperimentConfig, series_limit: usize) -> PairedOutcome {
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
-    } else {
-        config.threads
-    };
+    let threads = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
     let n = config.iterations;
     let chunk = n.div_ceil(threads as u64).max(1);
 
@@ -213,9 +208,17 @@ pub fn run_paired(config: &ExperimentConfig, series_limit: usize) -> PairedOutco
             .flat_map(|h| h.join().expect("experiment worker panicked"))
             .collect()
     });
+    fold(n, outcomes, series_limit)
+}
 
+/// Aggregates `total_iterations` iteration outcomes, in iteration order.
+fn fold(
+    total_iterations: u64,
+    outcomes: impl IntoIterator<Item = SeedOutcome>,
+    series_limit: usize,
+) -> PairedOutcome {
     let mut result = PairedOutcome {
-        total_iterations: n,
+        total_iterations,
         series_limit,
         ..PairedOutcome::default()
     };
@@ -249,7 +252,6 @@ mod tests {
     fn small_config(criterion: Criterion) -> ExperimentConfig {
         ExperimentConfig {
             iterations: 60,
-            threads: 2,
             criterion,
             ..ExperimentConfig::default()
         }
@@ -277,11 +279,8 @@ mod tests {
     fn parallel_and_serial_agree() {
         let mut config = small_config(Criterion::MinTimeUnderBudget);
         config.iterations = 24;
-        config.threads = 1;
-        let serial = run_paired(&config, 5);
-        config.threads = 4;
-        let parallel = run_paired(&config, 5);
-        assert_eq!(serial, parallel);
+        let serial = fold(24, (0..24).map(|i| run_seed(&config, i)), 5);
+        assert_eq!(run_paired(&config, 5), serial);
     }
 
     #[test]

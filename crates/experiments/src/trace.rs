@@ -34,21 +34,41 @@ pub const TRACE_PRICE_CAP: i64 = 10;
 /// `requested_time` divided by `seconds_per_tick` (the runtime at least
 /// one tick), sorted by submit tick, ties by job id, so replay order is
 /// deterministic regardless of archive quirks.
+///
+/// Refuses a scale under which some job's finish tick, `submit +
+/// requested_time`, does not fit the clock.
 fn on_clock(jobs: &[SwfJob], seconds_per_tick: f64) -> Result<Vec<SwfJob>, String> {
     if !(seconds_per_tick.is_finite() && seconds_per_tick > 0.0) {
         return Err(format!(
             "seconds per tick must be positive and finite, got {seconds_per_tick}"
         ));
     }
-    let ticks = |seconds: i64| (seconds as f64 / seconds_per_tick) as i64;
-    let mut scaled: Vec<SwfJob> = jobs
-        .iter()
-        .map(|job| SwfJob {
-            submit: ticks(job.submit),
-            requested_time: ticks(job.requested_time).max(1),
+    // `i64::MAX as f64` rounds up to 2^63, which no tick reaches.
+    let ticks = |seconds: i64| {
+        let ticks = seconds as f64 / seconds_per_tick;
+        (ticks < i64::MAX as f64).then_some(ticks as i64)
+    };
+    let scale = |job: &SwfJob| {
+        let submit = ticks(job.submit)?;
+        let requested_time = ticks(job.requested_time)?.max(1);
+        submit.checked_add(requested_time)?;
+        Some(SwfJob {
+            submit,
+            requested_time,
             ..*job
         })
-        .collect();
+    };
+    let mut scaled = jobs
+        .iter()
+        .map(|job| {
+            scale(job).ok_or_else(|| {
+                format!(
+                    "{seconds_per_tick} seconds per tick puts job {} past the end of the clock",
+                    job.id
+                )
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     scaled.sort_by_key(|job| (job.submit, job.id));
     Ok(scaled)
 }
@@ -70,7 +90,8 @@ fn to_request(job: &SwfJob) -> Result<ResourceRequest, String> {
 ///
 /// # Errors
 ///
-/// `seconds_per_tick` is not a positive, finite number.
+/// `seconds_per_tick` is not a positive, finite number, or puts the
+/// trace's horizon past what the clock or a `u32` cycle count holds.
 pub fn trace_config(jobs: &[SwfJob], seconds_per_tick: f64) -> Result<EngineConfig, String> {
     let base = EngineConfig::default();
     let span = on_clock(jobs, seconds_per_tick)?
@@ -79,7 +100,12 @@ pub fn trace_config(jobs: &[SwfJob], seconds_per_tick: f64) -> Result<EngineConf
         .max()
         .unwrap_or(0)
         .max(1);
-    let cycles = (span / base.cycle_length.max(1) + 2).min(i64::from(u32::MAX)) as u32;
+    let cycles = u32::try_from(span / base.cycle_length.max(1) + 2).map_err(|_| {
+        format!(
+            "{seconds_per_tick} seconds per tick stretches the trace over {span} ticks, \
+             more cycles than a run holds"
+        )
+    })?;
     Ok(EngineConfig {
         arrivals: ArrivalConfig::External,
         cycles,
@@ -199,6 +225,18 @@ mod tests {
             assert!(trace_config(&jobs, scale).is_err(), "{scale}");
             assert!(run_trace(&engine, 42, &jobs, scale).is_err(), "{scale}");
         }
+    }
+
+    /// A scale so fine that the horizon overflows the cycle count (1e-12)
+    /// or the clock itself (1e-18) is refused, not clamped or wrapped.
+    #[test]
+    fn a_scale_whose_horizon_does_not_fit_is_refused() {
+        let jobs = mini();
+        let engine = Engine::new(EngineConfig::default(), Amp::new()).expect("config");
+        for scale in [1e-12, 1e-18] {
+            assert!(trace_config(&jobs, scale).is_err(), "{scale}");
+        }
+        assert!(run_trace(&engine, 42, &jobs, 1e-18).is_err());
     }
 
     // The E16 replay contract: replaying mini.swf schedules work and is

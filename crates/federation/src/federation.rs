@@ -23,8 +23,8 @@
 
 use ecosched_core::{Money, ResourceRequest, TimePoint, Window};
 use ecosched_engine::{
-    fnv1a_64, ArrivalState, Engine, EngineCheckpoint, EngineError, EngineRun, EventLog,
-    LogPosition, LogTail, ReserveError, RunState,
+    fnv1a_64, ArrivalState, Engine, EngineCheckpoint, EngineError, EngineRun, Log, LogEntry,
+    LogPosition, ReserveError, RunState,
 };
 use ecosched_select::{repair_search, ScanStats, SlotSelector};
 use ecosched_sim::ConfigError;
@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::coalloc::{split_nodes, CrossShardPart, CrossShardWindow, ReservedPart};
 use crate::config::{FederationConfig, RoutePolicy};
-use crate::merge::{merge_shard_logs, FederatedLogEntry, FederationLog};
+use crate::merge::{merge_shard_logs, FederatedLogEntry};
 use crate::obs::FederationObs;
 use crate::report::{FederationReport, RouteCounters};
 use ecosched_engine::EngineObs;
@@ -157,11 +157,11 @@ pub struct FederationState {
     shards: Vec<RunState>,
     /// The federation-level offered stream (empty for S=1, where shard 0
     /// drives its own arrivals, and for external-only service runs).
-    arrivals: Vec<(TimePoint, ResourceRequest)>,
+    arrivals: Vec<ArrivalState>,
     next_arrival: usize,
     next_fed_job: u64,
     rr_cursor: u64,
-    merged: FederationLog,
+    merged: Log<FederatedLogEntry>,
     cross_shard: Vec<CrossShardWindow>,
     counters: RouteCounters,
 }
@@ -203,7 +203,7 @@ impl FederationState {
 
     /// The merged log so far.
     #[must_use]
-    pub fn merged(&self) -> &FederationLog {
+    pub fn merged(&self) -> &Log<FederatedLogEntry> {
         &self.merged
     }
 
@@ -257,7 +257,7 @@ impl FederationState {
     /// (stream arrival or shard event), if anything remains.
     #[must_use]
     pub fn next_time(&self) -> Option<TimePoint> {
-        let arrival = self.arrivals.get(self.next_arrival).map(|(t, _)| *t);
+        let arrival = self.arrivals.get(self.next_arrival).map(|a| a.time);
         let event = self.next_event_key().map(|(t, _, _)| TimePoint::new(t));
         match (arrival, event) {
             (Some(a), Some(e)) => Some(a.min(e)),
@@ -297,7 +297,7 @@ pub struct FederationCheckpoint {
     /// captures it, only a position once a rotated snapshot store has
     /// moved the entries into its log segment (the shards' own logs, each
     /// the merged log's projection onto its shard, go with it).
-    pub merged: LogTail<FederatedLogEntry>,
+    pub merged: Log<FederatedLogEntry>,
     /// Cross-shard placements committed so far.
     pub cross_shard: Vec<CrossShardWindow>,
     /// Router counters so far.
@@ -310,7 +310,7 @@ pub struct FederationRun {
     /// The aggregate report.
     pub report: FederationReport,
     /// The merged, shard-tagged event log.
-    pub merged: FederationLog,
+    pub merged: Log<FederatedLogEntry>,
     /// Every committed cross-shard placement.
     pub cross_shard: Vec<CrossShardWindow>,
     /// The per-shard engine runs (each with its own log and report).
@@ -424,7 +424,11 @@ impl<S: SlotSelector + Copy> Federation<S> {
             Vec::new()
         } else {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            self.base.generate_arrivals(&mut rng)
+            self.base
+                .generate_arrivals(&mut rng)
+                .into_iter()
+                .map(|(time, request)| ArrivalState { time, request })
+                .collect()
         };
         let counters = RouteCounters::new(self.shards.len());
         FederationState {
@@ -434,7 +438,7 @@ impl<S: SlotSelector + Copy> Federation<S> {
             next_arrival: 0,
             next_fed_job: 0,
             rr_cursor: 0,
-            merged: FederationLog::new(),
+            merged: Log::new(),
             cross_shard: Vec::new(),
             counters,
         }
@@ -462,7 +466,7 @@ impl<S: SlotSelector + Copy> Federation<S> {
         let arrival = state
             .arrivals
             .get(state.next_arrival)
-            .map(|(t, _)| t.ticks());
+            .map(|a| a.time.ticks());
         let head = state.next_event_key();
         match (arrival, head) {
             (Some(at), Some((ht, _, _))) if at <= ht => Some(NextAction::Route),
@@ -519,7 +523,7 @@ impl<S: SlotSelector + Copy> Federation<S> {
             match self.next_action(state) {
                 None => return Ok(None),
                 Some(NextAction::Route) => {
-                    let (at, request) = state.arrivals[state.next_arrival];
+                    let ArrivalState { time: at, request } = state.arrivals[state.next_arrival];
                     if !due(at.ticks()) {
                         return Ok(None);
                     }
@@ -989,7 +993,7 @@ impl<S: SlotSelector + Copy> Federation<S> {
             .zip(shards)
             .map(|(engine, shard_state)| engine.finish(shard_state))
             .collect();
-        let logs: Vec<&EventLog> = shard_runs.iter().map(|run| &run.log).collect();
+        let logs: Vec<&Log<LogEntry>> = shard_runs.iter().map(|run| &run.log).collect();
         debug_assert_eq!(
             merged,
             merge_shard_logs(&logs),
@@ -1077,21 +1081,11 @@ impl<S: SlotSelector + Copy> Federation<S> {
                     }
                 })
                 .collect(),
-            arrivals: state
-                .arrivals
-                .iter()
-                .map(|(t, request)| ArrivalState {
-                    time: t.ticks(),
-                    request: *request,
-                })
-                .collect(),
+            arrivals: state.arrivals.clone(),
             next_arrival: state.next_arrival as u64,
             next_fed_job: state.next_fed_job,
             rr_cursor: state.rr_cursor,
-            merged: detached.map_or_else(
-                || LogTail::complete(state.merged.entries.clone()),
-                LogTail::detached,
-            ),
+            merged: detached.map_or_else(|| state.merged.clone(), Log::detached),
             cross_shard: state.cross_shard.clone(),
             counters: state.counters.clone(),
         }
@@ -1129,11 +1123,11 @@ impl<S: SlotSelector + Copy> Federation<S> {
                 detail: "checkpoint router counters do not match the shard count",
             });
         }
-        let Some(merged) = checkpoint.merged.whole() else {
+        if checkpoint.merged.whole().is_none() {
             return Err(FederationError::DetachedCheckpoint {
                 missing: checkpoint.merged.after.len,
             });
-        };
+        }
         let shards = self
             .shards
             .iter()
@@ -1149,17 +1143,11 @@ impl<S: SlotSelector + Copy> Federation<S> {
         Ok(FederationState {
             seed: checkpoint.seed,
             shards,
-            arrivals: checkpoint
-                .arrivals
-                .iter()
-                .map(|a| (TimePoint::new(a.time), a.request))
-                .collect(),
+            arrivals: checkpoint.arrivals.clone(),
             next_arrival: checkpoint.next_arrival as usize,
             next_fed_job: checkpoint.next_fed_job,
             rr_cursor: checkpoint.rr_cursor,
-            merged: FederationLog {
-                entries: merged.to_vec(),
-            },
+            merged: checkpoint.merged.clone(),
             cross_shard: checkpoint.cross_shard.clone(),
             counters: checkpoint.counters.clone(),
         })

@@ -34,6 +34,6 @@ pub use config::{FederationConfig, RoutePolicy};
 pub use federation::{
     Federation, FederationCheckpoint, FederationError, FederationRun, FederationState, Placement,
 };
-pub use merge::{merge_shard_logs, FederatedLogEntry, FederationLog};
+pub use merge::{is_strictly_ordered, merge_shard_logs, FederatedLogEntry};
 pub use obs::{FedIds, FederationObs};
 pub use report::{FederationReport, RouteCounters};

@@ -1,15 +1,16 @@
 //! The federation's merged event log: shard-tagged entries totally
 //! ordered by `(time, seq, shard)`.
 //!
-//! Each shard engine keeps its own [`EventLog`] exactly as before; the
-//! federation additionally records every processed event tagged with its
-//! shard index, in the order its merge loop popped them. Because the loop
+//! Each shard engine keeps its own [`Log`] of [`LogEntry`]s exactly as
+//! before; the federation additionally records, in a [`Log`] of its own,
+//! every processed event tagged with its shard index, in the order its
+//! merge loop popped them. Because the loop
 //! always pops the globally smallest `(time, seq, shard)` head — and
 //! routes arrivals before any shard steps past them — the live merged log
 //! equals the sorted union of the final shard logs, which
 //! [`merge_shard_logs`] computes independently as a cross-check.
 
-use ecosched_engine::{Event, EventLog, LogEntry, LogPosition};
+use ecosched_engine::{Event, Log, LogEntry, LogPosition};
 use serde::{Deserialize, Serialize};
 
 /// One processed event in the federation: a shard's log entry plus the
@@ -47,58 +48,11 @@ impl FederatedLogEntry {
     }
 }
 
-/// The federation's append-only merged log, in merge-loop pop order.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FederationLog {
-    /// The merged entries.
-    pub entries: Vec<FederatedLogEntry>,
-}
-
-impl FederationLog {
-    /// Creates an empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        FederationLog::default()
-    }
-
-    /// Appends one processed event.
-    pub fn push(&mut self, entry: FederatedLogEntry) {
-        self.entries.push(entry);
-    }
-
-    /// Number of merged entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` when nothing has been merged yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The canonical serialized form — byte-identical across identically
-    /// configured and seeded federated runs.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("serializing to memory cannot fail")
-    }
-
-    /// FNV-1a 64 fingerprint of the canonical serialization, 16 hex
-    /// digits — the federation's determinism contract in one line.
-    /// Hashed an entry at a time: [`Self::to_json`] is never built.
-    #[must_use]
-    pub fn fnv1a_hash(&self) -> String {
-        LogPosition::after(&self.entries).fnv1a_hash()
-    }
-
-    /// Whether the entries are strictly increasing under
-    /// [`FederatedLogEntry::key`] — totally ordered and duplicate-free.
-    #[must_use]
-    pub fn is_strictly_ordered(&self) -> bool {
-        self.entries.windows(2).all(|w| w[0].key() < w[1].key())
-    }
+/// Whether `entries` are strictly increasing under
+/// [`FederatedLogEntry::key`] — totally ordered and duplicate-free.
+#[must_use]
+pub fn is_strictly_ordered(entries: &[FederatedLogEntry]) -> bool {
+    entries.windows(2).all(|w| w[0].key() < w[1].key())
 }
 
 /// Merges final per-shard logs into one federation log by sorting the
@@ -108,7 +62,7 @@ impl FederationLog {
 /// loop produces the same sequence live, one pop at a time, and the two
 /// are asserted equal when a run finishes.
 #[must_use]
-pub fn merge_shard_logs(logs: &[&EventLog]) -> FederationLog {
+pub fn merge_shard_logs(logs: &[&Log<LogEntry>]) -> Log<FederatedLogEntry> {
     let mut entries: Vec<FederatedLogEntry> = logs
         .iter()
         .enumerate()
@@ -122,7 +76,10 @@ pub fn merge_shard_logs(logs: &[&EventLog]) -> FederationLog {
         })
         .collect();
     entries.sort_by_key(FederatedLogEntry::key);
-    FederationLog { entries }
+    Log {
+        after: LogPosition::start(),
+        entries,
+    }
 }
 
 #[cfg(test)]
@@ -130,27 +87,68 @@ mod tests {
     use super::*;
     use ecosched_engine::fnv1a_64;
 
-    fn log(entries: &[(i64, u64)]) -> EventLog {
-        let mut l = EventLog::new();
+    fn log(entries: &[(i64, u64)]) -> Log<LogEntry> {
+        let mut l = Log::new();
         for &(time, seq) in entries {
-            l.push(time, seq, Event::JobArrival { job: 0 });
+            l.push(LogEntry {
+                time,
+                seq,
+                event: Event::JobArrival { job: 0 },
+            });
         }
         l
     }
 
+    /// Built whole from `entries`, a log hashes as its `to_json` text
+    /// does; detached after any prefix and extended by `push`, it hashes
+    /// like the whole log.
+    fn assert_streamed_hash_is_canonical<E: Serialize + Clone>(entries: &[E]) {
+        let mut whole = Log::new();
+        for entry in entries {
+            whole.push(entry.clone());
+        }
+        assert_eq!(
+            whole.fnv1a_hash(),
+            format!("{:016x}", fnv1a_64(whole.to_json().as_bytes())),
+            "{} entries",
+            entries.len()
+        );
+        for cut in [0, entries.len() / 2, entries.len()] {
+            let mut tail = Log::detached(LogPosition::after(&entries[..cut]));
+            for entry in &entries[cut..] {
+                tail.push(entry.clone());
+            }
+            assert_eq!(tail.len(), whole.len());
+            assert_eq!(
+                tail.fnv1a_hash(),
+                whole.fnv1a_hash(),
+                "detached after {cut}"
+            );
+        }
+    }
+
+    /// The one log type, over both of its entry types.
     #[test]
     fn streamed_hash_is_the_hash_of_the_canonical_json() {
         for len in [0usize, 1, 40] {
+            let shard: Vec<LogEntry> = (0..len)
+                .map(|i| LogEntry {
+                    time: i as i64 * 7,
+                    seq: i as u64,
+                    event: match i % 3 {
+                        0 => Event::JobArrival { job: i as u32 },
+                        1 => Event::SlotExpired {
+                            slot: i as u64 * 1000,
+                        },
+                        _ => Event::CycleTick { cycle: i as u32 },
+                    },
+                })
+                .collect();
             let stamps: Vec<(i64, u64)> = (0..len).map(|i| (i as i64 * 3, i as u64)).collect();
-            let (a, b) = (log(&stamps), log(&stamps[..len / 2]));
-            let merged = merge_shard_logs(&[&a, &b]);
+            let merged = merge_shard_logs(&[&log(&stamps), &log(&stamps[..len / 2])]);
             assert_eq!(merged.len(), len + len / 2);
-            assert_eq!(
-                merged.fnv1a_hash(),
-                format!("{:016x}", fnv1a_64(merged.to_json().as_bytes())),
-                "{} entries",
-                merged.len()
-            );
+            assert_streamed_hash_is_canonical(&shard);
+            assert_streamed_hash_is_canonical(&merged.entries);
         }
     }
 
@@ -172,7 +170,7 @@ mod tests {
                 (9, 4, 0)
             ]
         );
-        assert!(merged.is_strictly_ordered());
+        assert!(is_strictly_ordered(&merged.entries));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! and live cross-shard co-allocation.
 
 use ecosched_core::{Perf, Price, ResourceRequest, TimeDelta, TimePoint};
-use ecosched_engine::{ArrivalConfig, Engine, EngineConfig, LogPosition, LogTail};
+use ecosched_engine::{ArrivalConfig, Engine, EngineConfig, Log, LogPosition};
 use ecosched_federation::{
-    merge_shard_logs, Federation, FederationConfig, FederationError, FederationRun, Placement,
-    RoutePolicy,
+    is_strictly_ordered, merge_shard_logs, Federation, FederationConfig, FederationError,
+    FederationRun, Placement, RoutePolicy,
 };
 use ecosched_select::Amp;
 use ecosched_sim::{IntRange, JobGenConfig, RevocationConfig, SlotGenConfig};
@@ -120,7 +120,7 @@ fn multi_shard_merged_log_is_reproducible_and_sorted() {
             "{policy:?}: re-run diverged"
         );
         assert_eq!(first.report.to_json(), second.report.to_json());
-        assert!(first.merged.is_strictly_ordered());
+        assert!(is_strictly_ordered(&first.merged.entries));
 
         // The live merge equals the sorted union of the final shard logs.
         let logs: Vec<_> = first.shards.iter().map(|run| &run.log).collect();
@@ -202,7 +202,7 @@ fn resume_refuses_a_checkpoint_detached_from_its_merged_log() {
     let mut checkpoint = fed.checkpoint(&state);
     assert!(fed.resume(&checkpoint).is_ok());
     let position = LogPosition::after(&checkpoint.merged.entries);
-    checkpoint.merged = LogTail::detached(position);
+    checkpoint.merged = Log::detached(position);
     match fed.resume(&checkpoint) {
         Err(FederationError::DetachedCheckpoint { missing }) => assert_eq!(missing, 30),
         other => panic!("expected DetachedCheckpoint, got {other:?}"),

@@ -4,8 +4,8 @@
 //! And for the log position both logs share: hashing a log in two pieces
 //! equals hashing it whole, wherever the cut.
 
-use ecosched_engine::{Event, EventLog, LogPosition};
-use ecosched_federation::{merge_shard_logs, FederatedLogEntry};
+use ecosched_engine::{Event, Log, LogEntry, LogPosition};
+use ecosched_federation::{is_strictly_ordered, merge_shard_logs, FederatedLogEntry};
 use proptest::prelude::*;
 use serde::Serialize;
 
@@ -19,8 +19,8 @@ fn shard_stream() -> impl Strategy<Value = Vec<(i64, u64)>> {
     })
 }
 
-fn build_log(stream: &[(i64, u64)]) -> EventLog {
-    let mut log = EventLog::new();
+fn build_log(stream: &[(i64, u64)]) -> Log<LogEntry> {
+    let mut log = Log::new();
     for (i, &(time, seq)) in stream.iter().enumerate() {
         // Every event shape, so entries differ in length and nesting.
         let event = match i % 6 {
@@ -34,7 +34,7 @@ fn build_log(stream: &[(i64, u64)]) -> EventLog {
             4 => Event::RevocationStrike { strike: i as u32 },
             _ => Event::CycleTick { cycle: i as u32 },
         };
-        log.push(time, seq, event);
+        log.push(LogEntry { time, seq, event });
     }
     log
 }
@@ -57,13 +57,13 @@ proptest! {
     fn merge_is_totally_ordered_and_complete(
         streams in prop::collection::vec(shard_stream(), 1..5)
     ) {
-        let logs: Vec<EventLog> = streams.iter().map(|s| build_log(s)).collect();
-        let refs: Vec<&EventLog> = logs.iter().collect();
+        let logs: Vec<Log<LogEntry>> = streams.iter().map(|s| build_log(s)).collect();
+        let refs: Vec<&Log<LogEntry>> = logs.iter().collect();
         let merged = merge_shard_logs(&refs);
 
         let total: usize = streams.iter().map(Vec::len).sum();
         prop_assert_eq!(merged.len(), total, "entries were lost or invented");
-        prop_assert!(merged.is_strictly_ordered(), "order violated or duplicate key");
+        prop_assert!(is_strictly_ordered(&merged.entries), "order violated or duplicate key");
 
         for window in merged.entries.windows(2) {
             prop_assert!(window[0].key() < window[1].key());
@@ -76,8 +76,8 @@ proptest! {
     fn merge_preserves_each_shard_stream(
         streams in prop::collection::vec(shard_stream(), 1..5)
     ) {
-        let logs: Vec<EventLog> = streams.iter().map(|s| build_log(s)).collect();
-        let refs: Vec<&EventLog> = logs.iter().collect();
+        let logs: Vec<Log<LogEntry>> = streams.iter().map(|s| build_log(s)).collect();
+        let refs: Vec<&Log<LogEntry>> = logs.iter().collect();
         let merged = merge_shard_logs(&refs);
 
         for (shard, stream) in streams.iter().enumerate() {
@@ -99,12 +99,12 @@ proptest! {
         streams in prop::collection::vec(shard_stream(), 1..4),
         cut in any::<prop::sample::Index>(),
     ) {
-        let logs: Vec<EventLog> = streams.iter().map(|s| build_log(s)).collect();
+        let logs: Vec<Log<LogEntry>> = streams.iter().map(|s| build_log(s)).collect();
         for log in &logs {
             let split = cut.index(log.len() + 1);
             prop_assert_eq!(hash_in_two_pieces(&log.entries, split), log.fnv1a_hash());
         }
-        let refs: Vec<&EventLog> = logs.iter().collect();
+        let refs: Vec<&Log<LogEntry>> = logs.iter().collect();
         let merged = merge_shard_logs(&refs);
         let split = cut.index(merged.len() + 1);
         prop_assert_eq!(hash_in_two_pieces(&merged.entries, split), merged.fnv1a_hash());
@@ -126,8 +126,8 @@ proptest! {
     fn merge_hash_is_a_pure_function_of_the_streams(
         streams in prop::collection::vec(shard_stream(), 1..4)
     ) {
-        let logs: Vec<EventLog> = streams.iter().map(|s| build_log(s)).collect();
-        let refs: Vec<&EventLog> = logs.iter().collect();
+        let logs: Vec<Log<LogEntry>> = streams.iter().map(|s| build_log(s)).collect();
+        let refs: Vec<&Log<LogEntry>> = logs.iter().collect();
         let first = merge_shard_logs(&refs);
         let second = merge_shard_logs(&refs);
         prop_assert_eq!(first.fnv1a_hash(), second.fnv1a_hash());
@@ -139,7 +139,7 @@ proptest! {
 fn the_start_position_closes_to_the_empty_log_hash() {
     assert_eq!(
         LogPosition::start().fnv1a_hash(),
-        EventLog::new().fnv1a_hash()
+        Log::<LogEntry>::new().fnv1a_hash()
     );
     assert_eq!(
         hash_in_two_pieces::<FederatedLogEntry>(&[], 0),

@@ -13,7 +13,7 @@
 //! drops the shard logs too (recording their lengths) and attaching
 //! rebuilds them from the verified merged prefix.
 
-use ecosched_engine::{LogPosition, LogTail};
+use ecosched_engine::{Log, LogPosition};
 use ecosched_federation::{FederatedLogEntry, FederationCheckpoint};
 use serde::{Deserialize, Serialize};
 
@@ -50,16 +50,16 @@ impl Checkpoint for FederationCheckpoint {
         }
     }
 
-    fn log(&self) -> &LogTail<FederatedLogEntry> {
+    fn log(&self) -> &Log<FederatedLogEntry> {
         &self.merged
     }
 
     fn detach(&mut self, at: LogPosition) {
-        self.merged = LogTail::detached(at);
+        self.merged = Log::detached(at);
         for shard in &mut self.shards {
             // What vouches for a shard's log is the merged position; of
             // its own position only the length is recorded.
-            shard.log = LogTail::detached(LogPosition {
+            shard.log = Log::detached(LogPosition {
                 len: shard.log.len() as u64,
                 hash: 0,
             });
@@ -143,6 +143,26 @@ pub(crate) mod tests {
         let mut whole = fed.checkpoint(&state);
         whole.detach(at);
         assert_eq!(fed.checkpoint_detached(&state, at), whole);
+    }
+
+    /// Detached before any event, a checkpoint records only the length of
+    /// each shard's log, zero; loaded through the store it comes back as
+    /// `checkpoint()` takes it, every shard's log whole from the start —
+    /// the position a resumed shard hashes its log from.
+    #[test]
+    fn a_checkpoint_detached_before_any_event_loads_whole() {
+        let (fed, _) = checkpoints(0);
+        let state = fed.start(17);
+        let dir =
+            std::env::temp_dir().join(format!("ecosched-fedsnap-zero-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::<FederationCheckpoint>::open(&dir, 3).unwrap();
+        store
+            .save(&fed.checkpoint_detached(&state, LogPosition::start()))
+            .unwrap();
+        let loaded = store.load_latest().unwrap().expect("saved").checkpoint;
+        assert_eq!(loaded, fed.checkpoint(&state));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //!   runs on. Corrupted, truncated, version-mismatched or wrong-type
 //!   files fail with typed [`PersistError`]s — never panics, never a
 //!   silently wrong state;
-//! * **the log kept once**: a checkpoint carries its run's event log as
-//!   a [`LogTail`](ecosched_engine::LogTail), the entries after a
-//!   [`LogPosition`](ecosched_engine::LogPosition). A standalone file
+//! * **the log kept once**: a checkpoint carries its run's event log —
+//!   the run's own [`Log`](ecosched_engine::Log), cloned, or that log
+//!   emptied after a [`LogPosition`](ecosched_engine::LogPosition) —
+//!   and its arrival stream as the run holds it, so capture and resume
+//!   copy them without converting them. A standalone file
 //!   ([`snapshot::write`]) carries everything after position zero and
 //!   is self-contained; a [`Store<C>`] keeps the entries in one
 //!   append-only log segment beside its snapshots — fsynced before the

@@ -312,6 +312,11 @@ impl<C: Checkpoint> Store<C> {
             let held = segment.read::<C::Entry>()?;
             checkpoint.attach(held.prefix(after)?)?;
             segment.trust(&held, after.len as usize);
+        } else {
+            // Whole already, but a federated checkpoint detached at
+            // length zero recorded only the length of its shards' logs:
+            // attaching nothing puts them back at the start.
+            checkpoint.attach(Vec::new())?;
         }
         Ok(checkpoint)
     }
@@ -874,7 +879,7 @@ mod tests {
         let log = snaps[1].log.whole().unwrap();
         let saved = LogPosition::after(&log[..snaps[0].log.len()]);
         let mut partial = snaps[1].clone();
-        partial.log = ecosched_engine::LogTail {
+        partial.log = ecosched_engine::Log {
             after: saved,
             entries: log[snaps[0].log.len()..].to_vec(),
         };
@@ -882,7 +887,7 @@ mod tests {
         let on_disk: EngineCheckpoint = read(&path).unwrap();
         assert_eq!(
             on_disk.log,
-            ecosched_engine::LogTail::detached(LogPosition::after(log))
+            ecosched_engine::Log::detached(LogPosition::after(log))
         );
         assert_eq!(latest(&store), (snaps[1].clone(), 0));
         let _ = fs::remove_dir_all(&dir);

@@ -9,10 +9,10 @@
 //! [`federated`](crate::federated); a snapshot of the other type fails
 //! with [`PersistError::MissingSection`] rather than a misparse.
 //!
-//! The state carries its run's log as a [`LogTail`] — the entries after
-//! a position. [`encode`] and [`write()`] store whatever tail they are
-//! given, which for a checkpoint fresh from `checkpoint()` is the whole
-//! log: a standalone snapshot file is self-contained. The rotated
+//! The state carries its run's [`Log`] — the entries after a position.
+//! [`encode`] and [`write()`] store whatever log they are given, which
+//! for a checkpoint fresh from `checkpoint()` is a clone of the run's
+//! whole log: a standalone snapshot file is self-contained. The rotated
 //! [`Store`](crate::Store) uses the trait's [`detach`](Checkpoint::detach)
 //! / [`attach`](Checkpoint::attach) pair to keep the entries in its log
 //! segment instead, and this same codec for what is left.
@@ -20,7 +20,7 @@
 use std::hash::Hash;
 use std::path::Path;
 
-use ecosched_engine::{EngineCheckpoint, LogEntry, LogPosition, LogTail};
+use ecosched_engine::{EngineCheckpoint, Log, LogEntry, LogPosition};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
@@ -46,7 +46,7 @@ pub trait Checkpoint: Serialize + DeserializeOwned + Clone {
     fn meta(&self) -> Self::Meta;
 
     /// The run's log as this checkpoint carries it.
-    fn log(&self) -> &LogTail<Self::Entry>;
+    fn log(&self) -> &Log<Self::Entry>;
 
     /// Drops every log entry, recording only that the log ended `at` —
     /// its whole length. The caller keeps the entries.
@@ -98,12 +98,12 @@ impl Checkpoint for EngineCheckpoint {
         }
     }
 
-    fn log(&self) -> &LogTail<LogEntry> {
+    fn log(&self) -> &Log<LogEntry> {
         &self.log
     }
 
     fn detach(&mut self, at: LogPosition) {
-        self.log = LogTail::detached(at);
+        self.log = Log::detached(at);
     }
 
     fn attach(&mut self, prefix: Vec<LogEntry>) -> Result<(), PersistError> {

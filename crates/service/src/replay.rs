@@ -24,7 +24,7 @@ use ecosched_select::{Alp, Amp, SlotSelector};
 
 use crate::error::ServiceError;
 use crate::manifest::{load_manifest, SelectorChoice, ServiceManifest};
-use crate::session::{reinject, snapshot_dir, wal_path};
+use crate::session::{check_snapshot_arrivals, reinject, snapshot_dir, wal_path};
 use crate::wal::{load_wal, WalEntry};
 
 /// The outcome of an offline verification pass.
@@ -159,14 +159,9 @@ fn verify_with<S: SlotSelector + Copy>(
         )));
     }
 
-    // Every snapshot arrival must be WAL-recorded (no phantom acks).
-    let acked_in_snapshot: usize = snapshot.shards.iter().map(|cp| cp.arrivals.len()).sum();
-    if acked_in_snapshot > loaded.entries.len() {
-        return Err(ServiceError::Diverged(format!(
-            "snapshot holds {acked_in_snapshot} arrivals, WAL records only {}",
-            loaded.entries.len()
-        )));
-    }
+    // Every snapshot arrival must be its WAL record (no phantom acks),
+    // checked as boot checks it.
+    let acked_in_snapshot = check_snapshot_arrivals(&snapshot, &loaded.entries)?;
 
     let mut end = position;
     end.push_all(&offline_prefix[detached..]);

@@ -172,57 +172,8 @@ impl<S: SlotSelector + Copy> Session<S> {
         let (mut state, boot_mode) = match store.load_latest()? {
             Some(latest) => {
                 let snapshot_events = latest.checkpoint.merged.len() as u64;
-                let acked_in_snapshot: usize = latest
-                    .checkpoint
-                    .shards
-                    .iter()
-                    .map(|cp| cp.arrivals.len())
-                    .sum();
-                // Every arrival the snapshot carries must be the WAL's
-                // prefix — same shards, same job ids, same times, same
-                // requests. Walk the WAL in order, keeping a per-shard
-                // cursor: entry i of shard s must be that shard's i-th
-                // checkpointed arrival.
-                if loaded.entries.len() < acked_in_snapshot {
-                    return Err(ServiceError::Diverged(format!(
-                        "snapshot holds {acked_in_snapshot} arrivals but the WAL only \
-                         records {}",
-                        loaded.entries.len()
-                    )));
-                }
-                let mut cursor = vec![0usize; latest.checkpoint.shards.len()];
-                for (i, entry) in loaded.entries[..acked_in_snapshot].iter().enumerate() {
-                    let shard = entry.shard as usize;
-                    let Some(shard_cp) = latest.checkpoint.shards.get(shard) else {
-                        return Err(ServiceError::Diverged(format!(
-                            "WAL entry {i} names shard {shard}, snapshot has {}",
-                            latest.checkpoint.shards.len()
-                        )));
-                    };
-                    let idx = cursor[shard];
-                    let Some(arrival) = shard_cp.arrivals.get(idx) else {
-                        return Err(ServiceError::Diverged(format!(
-                            "WAL entry {i} is shard {shard}'s arrival {idx}, but its \
-                             snapshot only holds {}",
-                            shard_cp.arrivals.len()
-                        )));
-                    };
-                    let request = entry
-                        .spec
-                        .to_request()
-                        .map_err(|e| ServiceError::Diverged(format!("WAL entry {i}: {e}")))?;
-                    if entry.job as usize != idx
-                        || arrival.time != entry.time
-                        || arrival.request != request
-                    {
-                        return Err(ServiceError::Diverged(format!(
-                            "snapshot arrival {idx} of shard {shard} does not match WAL \
-                             entry {i} (job {}, time {} vs {})",
-                            entry.job, arrival.time, entry.time
-                        )));
-                    }
-                    cursor[shard] = idx + 1;
-                }
+                let acked_in_snapshot =
+                    check_snapshot_arrivals(&latest.checkpoint, &loaded.entries)?;
                 let state = fed.resume(&latest.checkpoint)?;
                 (
                     state,
@@ -553,6 +504,64 @@ impl<S: SlotSelector + Copy> Session<S> {
         self.hashed.set(hashed);
         hashed
     }
+}
+
+/// Checks that every arrival `checkpoint` carries is the WAL's prefix —
+/// same shards, same job ids, same times, same requests — and returns
+/// how many WAL entries that prefix holds. Walks the WAL in order,
+/// keeping a per-shard cursor: entry i of shard s must be that shard's
+/// i-th checkpointed arrival.
+///
+/// # Errors
+///
+/// [`ServiceError::Diverged`] naming the first arrival that does not
+/// match its WAL entry, or the WAL's end if it is too short.
+pub(crate) fn check_snapshot_arrivals(
+    checkpoint: &FederationCheckpoint,
+    wal: &[WalEntry],
+) -> Result<usize, ServiceError> {
+    let acked_in_snapshot: usize = checkpoint.shards.iter().map(|cp| cp.arrivals.len()).sum();
+    if wal.len() < acked_in_snapshot {
+        return Err(ServiceError::Diverged(format!(
+            "snapshot holds {acked_in_snapshot} arrivals but the WAL only records {}",
+            wal.len()
+        )));
+    }
+    let mut cursor = vec![0usize; checkpoint.shards.len()];
+    for (i, entry) in wal[..acked_in_snapshot].iter().enumerate() {
+        let shard = entry.shard as usize;
+        let Some(shard_cp) = checkpoint.shards.get(shard) else {
+            return Err(ServiceError::Diverged(format!(
+                "WAL entry {i} names shard {shard}, snapshot has {}",
+                checkpoint.shards.len()
+            )));
+        };
+        let idx = cursor[shard];
+        let Some(arrival) = shard_cp.arrivals.get(idx) else {
+            return Err(ServiceError::Diverged(format!(
+                "WAL entry {i} is shard {shard}'s arrival {idx}, but its snapshot only holds {}",
+                shard_cp.arrivals.len()
+            )));
+        };
+        let request = entry
+            .spec
+            .to_request()
+            .map_err(|e| ServiceError::Diverged(format!("WAL entry {i}: {e}")))?;
+        if entry.job as usize != idx
+            || arrival.time.ticks() != entry.time
+            || arrival.request != request
+        {
+            return Err(ServiceError::Diverged(format!(
+                "snapshot arrival {idx} of shard {shard} does not match WAL entry {i} \
+                 (job {}, time {} vs {})",
+                entry.job,
+                arrival.time.ticks(),
+                entry.time
+            )));
+        }
+        cursor[shard] = idx + 1;
+    }
+    Ok(acked_in_snapshot)
 }
 
 /// Externally injected arrivals across every shard — one per accepted

@@ -12,16 +12,16 @@
 //!
 //! On disk the WAL is append-only newline-delimited text. Each line is
 //! `<16-hex FNV-1a 64 of payload> <payload JSON>`. Loading stops at the
-//! first unparsable or checksum-failing line: a torn final line is an
-//! interrupted append whose submission was never acknowledged (acks
-//! happen only after fsync), so dropping it loses nothing a client was
-//! promised. [`LoadedWal::trusted_bytes`] marks where trust ends; on
+//! first line that is not UTF-8, does not parse or fails its checksum: a
+//! torn final line is an interrupted append whose submission was never
+//! acknowledged (acks happen only after fsync), so dropping it loses
+//! nothing a client was promised. [`LoadedWal::trusted_bytes`] marks where trust ends; on
 //! boot the session truncates the file there, so appends from the new
 //! process extend the trusted prefix instead of hiding behind the torn
 //! garbage (where the *next* load would refuse to read past them).
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use ecosched_engine::event::fnv1a_64;
@@ -121,9 +121,10 @@ fn encode_entry(lines: &mut Vec<u8>, entry: &WalEntry) {
     lines.push(b'\n');
 }
 
-/// Parses one line; `None` for torn/corrupt lines.
-fn decode_entry(line: &str) -> Option<WalEntry> {
-    let (checksum, payload) = line.split_once(' ')?;
+/// Parses one line; `None` for torn/corrupt lines, those that are not
+/// UTF-8 among them.
+fn decode_entry(line: &[u8]) -> Option<WalEntry> {
+    let (checksum, payload) = std::str::from_utf8(line).ok()?.split_once(' ')?;
     let expected = u64::from_str_radix(checksum, 16).ok()?;
     if fnv1a_64(payload.as_bytes()) != expected {
         return None;
@@ -131,35 +132,31 @@ fn decode_entry(line: &str) -> Option<WalEntry> {
     serde_json::from_str(payload).ok()
 }
 
-/// Loads a WAL, tolerating a torn tail. A missing file is an empty WAL.
+/// Loads a WAL, tolerating a torn tail — whatever its bytes. A missing
+/// file is an empty WAL.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures other than the file not existing.
 pub fn load_wal(path: &Path) -> std::io::Result<LoadedWal> {
-    let mut text = String::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_string(&mut text)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(LoadedWal {
-                entries: Vec::new(),
-                dropped_lines: 0,
-                trusted_bytes: 0,
-            })
-        }
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
-    }
+    };
     let mut entries = Vec::new();
     let mut dropped = 0usize;
     let mut trusted_bytes = 0u64;
-    for piece in text.split_inclusive('\n') {
+    for piece in bytes.split_inclusive(|&b| b == b'\n') {
         // A line without its newline is an interrupted append even when
         // the content happens to parse — the next append would fuse
         // with it, so it is not trusted.
-        let complete = piece.ends_with('\n');
-        let line = piece.trim_end_matches(['\n', '\r']);
+        let complete = piece.ends_with(b"\n");
+        let end = piece
+            .iter()
+            .rposition(|&b| b != b'\n' && b != b'\r')
+            .map_or(0, |last| last + 1);
+        let line = &piece[..end];
         if line.is_empty() {
             if dropped == 0 && complete {
                 trusted_bytes += piece.len() as u64;
@@ -252,6 +249,25 @@ mod tests {
         let loaded = load_wal(&path).unwrap();
         assert_eq!(loaded.entries, vec![entry(0)]);
         assert_eq!(loaded.dropped_lines, 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Bytes that are not UTF-8 end trust like any torn line; they used
+    /// to fail the whole load.
+    #[test]
+    fn a_tail_that_is_not_utf8_is_dropped_not_fatal() {
+        let path = scratch("not-utf8");
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::open_append(&path).unwrap();
+        wal.append_batch(&[entry(0), entry(1)]).unwrap();
+        wal.append_batch(&[entry(2)]).unwrap();
+        let intact = std::fs::metadata(&path).unwrap().len();
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(b"\xff\xfe").unwrap();
+        let loaded = load_wal(&path).unwrap();
+        assert_eq!(loaded.entries, vec![entry(0), entry(1), entry(2)]);
+        assert_eq!(loaded.dropped_lines, 1);
+        assert_eq!(loaded.trusted_bytes, intact, "trust ends at the tear");
         let _ = std::fs::remove_file(&path);
     }
 

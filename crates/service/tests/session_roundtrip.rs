@@ -8,6 +8,7 @@
 
 use std::path::{Path, PathBuf};
 
+use ecosched_core::ResourceRequest;
 use ecosched_federation::FederationCheckpoint;
 use ecosched_persist::{snapshot, Store};
 use ecosched_select::Amp;
@@ -617,6 +618,40 @@ fn corrupt_newest_snapshot_with_an_intact_segment() {
         } => assert_eq!(snapshots_skipped, 1),
         other => panic!("expected a resume from the older snapshot, got {other:?}"),
     }
+}
+
+/// The newest snapshot, in a valid container, carrying an arrival whose
+/// request its WAL entry contradicts: boot refuses the data directory,
+/// and the offline verifier, walking the arrivals as boot walks them,
+/// refuses it too.
+#[test]
+fn a_snapshot_arrival_the_wal_contradicts_fails_boot_and_verify() {
+    let dir = scratch_dir("forged-arrival");
+    crashed_after_ten_cycles(&dir);
+    let newest = snapshots(&dir).pop().expect("newest");
+    let mut forged: FederationCheckpoint = snapshot::read(&newest).expect("decode");
+    let arrival = forged
+        .shards
+        .iter_mut()
+        .find_map(|shard| shard.arrivals.first_mut())
+        .expect("an arrival");
+    let request = arrival.request;
+    arrival.request = ResourceRequest::new(
+        request.nodes() + 1,
+        request.wall_time(),
+        request.min_perf(),
+        request.price_cap(),
+    )
+    .expect("a valid request");
+    std::fs::write(&newest, snapshot::encode(&forged)).expect("rewrite");
+
+    let boot = Session::open(&dir, small_manifest(), Amp::new()).expect_err("boot must refuse");
+    assert!(boot.to_string().contains("does not match WAL"), "{boot}");
+    let verify = verify_data_dir(&dir).expect_err("the verifier must refuse it too");
+    assert!(
+        verify.to_string().contains("does not match WAL"),
+        "{verify}"
+    );
 }
 
 /// A cadence snapshot after a session's first hands the store only the

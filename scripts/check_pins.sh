@@ -19,10 +19,8 @@
 #                              binary on vector-ordered batch markets:
 #                              `fig2_3_example` (E1); `exp_time_min`,
 #                              `exp_cost_min`, `exp_alternatives`,
-#                              `exp_rho_sweep` (E6) at `--iterations 300
-#                              --threads 1` and `exp_strategy` (E11) at
-#                              `--iterations 300` (the output does not move
-#                              with the thread count); `exp_flexibility`
+#                              `exp_rho_sweep` (E6) and `exp_strategy` (E11)
+#                              at `--iterations 300`; `exp_flexibility`
 #                              (E13), `exp_length_rule` (E8), `exp_market`
 #                              (E10) and `exp_env_validation` (E12) at
 #                              their defaults
@@ -67,9 +65,8 @@ pin() {
 "$bin/exp_scaling" 2>/dev/null | sed '/^Wall time/,$d' > "$out/pins/exp_scaling.txt"
 for b in "${paper_bins[@]}"; do
     case $b in
-        exp_time_min | exp_cost_min | exp_alternatives | exp_rho_sweep)
-            flags=(--iterations 300 --threads 1) ;;
-        exp_strategy) flags=(--iterations 300) ;;
+        exp_time_min | exp_cost_min | exp_alternatives | exp_rho_sweep | exp_strategy)
+            flags=(--iterations 300) ;;
         *) flags=() ;;
     esac
     "$bin/$b" "${flags[@]}" 2>/dev/null > "$out/pins/$b.txt"
