@@ -1,7 +1,7 @@
 //! Bench: market maintenance on the two orderings of the one market
 //! store — the carve/merge/scan costs the ordered container decides.
 //!
-//! Three readings, recorded in `BENCH_select.json`:
+//! Four readings, recorded in `BENCH_select.json`:
 //!
 //! * a single carve (`subtract`) on the tree ordering is an `O(log n)`
 //!   splice where the vector ordering pays an `O(n)` memmove. The
@@ -11,15 +11,20 @@
 //!   carve cost proper is the carve median *minus* the same-size clone
 //!   median;
 //! * the coalescing merge pass is the same walk on both orderings; what
-//!   differs is dropping the absorbed slots from the container (one
-//!   compaction pass either way);
+//!   differs is loading the walk's output back into the container (a
+//!   moved vector, or one bulk-built tree);
+//! * a cycle's commit — about 2 000 four-member windows released into a
+//!   2 400-slot tree market and coalesced, one walk for both;
 //! * the ALP/AMP window scan at 10⁵ slots is ordering-blind in cost as
 //!   well as outcome: iteration dominates, and both containers hand the
 //!   scan the same `(start, id)`-ordered stream.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecosched_bench::{slot_list, typical_request};
-use ecosched_core::{MarketRepr, NodeId, Perf, Price, Slot, SlotId, SlotList, Span, TimePoint};
+use ecosched_core::{
+    MarketRepr, NodeId, Perf, Price, Slot, SlotId, SlotList, Span, TimeDelta, TimePoint, Window,
+    WindowSlot,
+};
 use ecosched_select::{Alp, Amp, ScanStats, SlotSelector};
 use std::hint::black_box;
 
@@ -129,6 +134,55 @@ fn bench_merge(c: &mut Criterion) {
     group.finish();
 }
 
+/// A cycle's commit on the tree (DESIGN §16): 2 000 four-member windows
+/// carved back to back, from time 0, out of 2 400 nodes holding one slot
+/// each, which leaves a 2 400-slot market of right remnants. Releasing
+/// the windows and coalescing merges all 8 000 regions back.
+fn carved() -> (SlotList, Vec<Window>) {
+    const NODES: u32 = 2_400;
+    let (span, length) = (Span::new(TimePoint::new(0), TimePoint::new(10_000)), 500);
+    let slots = (0..NODES).map(|n| {
+        let node = NodeId::new(n);
+        let price = Price::from_credits(3);
+        Slot::new(
+            SlotId::new(n.into()),
+            node,
+            Perf::UNIT,
+            price,
+            span.unwrap(),
+        )
+        .unwrap()
+    });
+    let mut list = SlotList::from_slots_with_repr(slots.collect(), MarketRepr::Interval).unwrap();
+    let mut windows = Vec::with_capacity(2_000);
+    for j in 0..2_000u32 {
+        let start = TimePoint::new(i64::from(j * 4 / NODES) * length);
+        let used = Span::from_start_length(start, TimeDelta::new(length)).unwrap();
+        let members = (0..4).map(|k| {
+            let source = list.covering_slot(NodeId::new((j * 4 + k) % NODES), used);
+            WindowSlot::from_slot(source.unwrap(), TimeDelta::new(length)).unwrap()
+        });
+        let window = Window::new(start, members.collect()).unwrap();
+        list.subtract_window(&window).unwrap();
+        windows.push(window);
+    }
+    (list, windows)
+}
+
+fn bench_release_windows(c: &mut Criterion) {
+    let mut group = c.benchmark_group("interval_ops/release_windows");
+    let (list, windows) = carved();
+    group.bench_with_input(BenchmarkId::new("interval", list.len()), &(), |b, ()| {
+        b.iter(|| {
+            let mut copy = list.clone();
+            let absorbed = copy.release_windows(&windows, true);
+            assert_eq!(absorbed, 8_000, "every released region merges");
+            black_box(copy)
+        });
+    });
+    group.finish();
+}
+
 fn bench_window_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("interval_ops/window_scan");
     let request = typical_request();
@@ -166,6 +220,7 @@ criterion_group!(
     bench_carve,
     bench_subtract_window,
     bench_merge,
+    bench_release_windows,
     bench_window_scan
 );
 criterion_main!(benches);

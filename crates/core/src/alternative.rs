@@ -129,6 +129,14 @@ impl JobAlternatives {
     }
 }
 
+impl IntoIterator for JobAlternatives {
+    type Item = Alternative;
+    type IntoIter = std::vec::IntoIter<Alternative>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.found.into_iter()
+    }
+}
+
 impl<'a> IntoIterator for &'a JobAlternatives {
     type Item = &'a Alternative;
     type IntoIter = std::slice::Iter<'a, Alternative>;
@@ -200,6 +208,14 @@ impl BatchAlternatives {
             .iter()
             .filter(|ja| ja.is_empty())
             .map(JobAlternatives::job)
+    }
+}
+
+impl IntoIterator for BatchAlternatives {
+    type Item = JobAlternatives;
+    type IntoIter = std::vec::IntoIter<JobAlternatives>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.per_job.into_iter()
     }
 }
 

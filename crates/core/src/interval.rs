@@ -107,15 +107,6 @@ impl Order {
         }
     }
 
-    /// One in-order pass that drops the slots `keep` refuses; `keep` may
-    /// change a slot it keeps in anything but its `(start, id)`.
-    pub(crate) fn retain_mut(&mut self, mut keep: impl FnMut(&mut Slot) -> bool) {
-        match self {
-            Order::Vec(slots) => slots.retain_mut(keep),
-            Order::Tree(tree) => tree.retain(|_, slot| keep(slot)),
-        }
-    }
-
     pub(crate) fn iter(&self) -> SlotIter<'_> {
         match self {
             Order::Vec(slots) => SlotIter::Flat(slots.iter()),
@@ -436,16 +427,8 @@ mod tests {
             order.insert(slot(0, 10, 15));
             assert_eq!(from(&order, 10)[0], slot(0, 10, 15));
             order.remove(at(10, 0));
-            let mut seen = Vec::new();
-            order.retain_mut(|s| {
-                seen.push(s.id().raw());
-                if s.id().raw() == 2 {
-                    *s = slot(2, 25, 70);
-                }
-                s.id().raw() < 3
-            });
-            assert_eq!(seen, vec![3, 1, 4, 2], "one pass, in order");
-            let left = vec![slot(1, 10, 40), slot(2, 25, 70)];
+            order.remove(at(10, 4));
+            let left = vec![slot(3, 0, 20), slot(1, 10, 40), slot(2, 25, 60)];
             assert_eq!(order.iter().copied().collect::<Vec<_>>(), left);
             assert_eq!(order.into_slots().collect::<Vec<_>>(), left);
         }

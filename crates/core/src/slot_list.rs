@@ -495,16 +495,23 @@ impl SlotList {
     ///
     /// Panics if `span` is empty, or overlaps a slot already in the list.
     pub fn release_region(&mut self, member: &WindowSlot, span: Span) -> SlotId {
-        let id = self.mint_id();
-        let slot = Slot::new(id, member.node(), member.perf(), member.price(), span)
-            .expect("released regions are non-empty");
+        let slot = self.released(member, span);
         self.insert(slot)
             .expect("released regions are disjoint from the list");
-        id
+        slot.id()
+    }
+
+    /// `span` on `member`'s node as a slot under a freshly minted id.
+    fn released(&mut self, member: &WindowSlot, span: Span) -> Slot {
+        let id = self.mint_id();
+        Slot::new(id, member.node(), member.perf(), member.price(), span)
+            .expect("released regions are non-empty")
     }
 
     /// The inverse of [`SlotList::subtract_window`]: releases every
-    /// member's used region ([`SlotList::release_region`], member order).
+    /// member's used region ([`SlotList::release_region`], member order),
+    /// one insert each. That is the cheap form for one window; many go
+    /// back at once through [`SlotList::release_windows`], one walk.
     pub fn release_window(&mut self, window: &Window) {
         for ws in window.slots() {
             self.release_region(ws, window.used_span(ws));
@@ -520,62 +527,127 @@ impl SlotList {
     /// Ids of absorbed slots are retired (never reused: `next_id` is
     /// untouched), surviving slots keep their ids and `(start, id)` order,
     /// and the union of vacant `(node, time)` capacity is exactly
-    /// preserved — only the partitioning changes. One walk in `(start,
-    /// id)` order (which is start order on every node) finds the chains,
-    /// one pass over the order applies them.
+    /// preserved — only the partitioning changes. This is
+    /// [`SlotList::release_windows`] with no windows: the same one walk.
     pub fn coalesce(&mut self) -> usize {
-        // Each node's current chain head, merged so far, and whether it grew.
-        let mut heads: IdMap<NodeId, (Slot, bool)> =
-            IdMap::with_capacity_and_hasher(self.nodes.len(), Default::default());
-        let (mut absorbed, mut grown) = (Vec::new(), Vec::new());
-        for slot in self.order.iter() {
-            match heads.get_mut(&slot.node()) {
-                Some((head, grew))
-                    if head.end() == slot.start()
-                        && head.price() == slot.price()
-                        && head.perf() == slot.perf() =>
-                {
-                    let span = Span::new(head.start(), slot.end());
-                    *head = head
-                        .with_span(head.id(), span.expect("a merged span outlives its head"))
-                        .expect("merged spans are non-empty");
-                    *grew = true;
-                    absorbed.push(*slot);
-                }
-                Some(head) => {
-                    let (closed, grew) = std::mem::replace(head, (*slot, false));
-                    if grew {
-                        grown.push(closed);
-                    }
-                }
-                None => {
-                    heads.insert(slot.node(), (*slot, false));
-                }
+        self.release_windows([], true)
+    }
+
+    /// Releases every member of every window and, with `coalesce`, merges
+    /// the list: exactly [`SlotList::release_window`] on each window in
+    /// turn (the same ids, minted in window order, then member order),
+    /// followed by [`SlotList::coalesce`]. Returns the number of slots
+    /// absorbed (0 without `coalesce`).
+    ///
+    /// One walk does both. The released slots, sorted by `(start, id)`,
+    /// are merged with the live order while each node's current chain
+    /// head is kept, and every slot must start at or after its node's
+    /// previous end. A released slot that is absorbed never enters the
+    /// index, the timelines or the order; an absorbed live slot leaves
+    /// the index and its timeline; each grown head and surviving released
+    /// slot is put on its timeline once; the order is bulk-loaded once
+    /// from the walk. If nothing is released and nothing absorbed, the
+    /// list is left as it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as [`SlotList::release_region`] does, if a released region
+    /// overlaps a slot in the list or another released region.
+    pub fn release_windows<'a>(
+        &mut self,
+        windows: impl IntoIterator<Item = &'a Window>,
+        coalesce: bool,
+    ) -> usize {
+        let first_released = self.next_id;
+        let mut released = Vec::new();
+        for window in windows {
+            for ws in window.slots() {
+                released.push(self.released(ws, window.used_span(ws)));
             }
         }
-        if absorbed.is_empty() {
+        if released.is_empty() && !coalesce {
             return 0;
         }
-        grown.extend(heads.into_values().filter(|h| h.1).map(|h| h.0));
-        grown.sort_unstable_by_key(key);
-        let (mut dead, mut merged) = (absorbed.iter().peekable(), grown.iter().peekable());
-        self.order.retain_mut(|slot| {
-            if dead.next_if(|d| d.id() == slot.id()).is_some() {
-                return false;
+        let any_released = !released.is_empty();
+        released.sort_unstable_by_key(key);
+        let mut released = released.into_iter().peekable();
+        let mut live = self.order.iter().peekable();
+
+        // Each node's chain head: its place in `out`, and whether that
+        // place is listed in `changed` yet (released, or grown).
+        let mut heads: IdMap<NodeId, (usize, bool)> =
+            IdMap::with_capacity_and_hasher(self.nodes.len(), Default::default());
+        let mut out: Vec<Slot> = Vec::with_capacity(self.order.len() + released.len());
+        let (mut changed, mut dead) = (Vec::new(), Vec::new());
+        let mut absorbed = 0;
+        loop {
+            // Released ids are fresh, so the two streams never tie.
+            let fresh = match (live.peek(), released.peek()) {
+                (None, None) => break,
+                (Some(l), Some(r)) => key(r) < key(l),
+                (l, _) => l.is_none(),
+            };
+            let slot = if fresh {
+                released.next()
+            } else {
+                live.next().copied()
+            };
+            let slot = slot.expect("the peeked stream has a slot");
+            match heads.entry(slot.node()) {
+                Entry::Occupied(mut at) => {
+                    let (place, listed) = at.get_mut();
+                    let head = &mut out[*place];
+                    assert!(
+                        head.end() <= slot.start(),
+                        "released regions are disjoint from the list"
+                    );
+                    if coalesce
+                        && head.end() == slot.start()
+                        && head.price() == slot.price()
+                        && head.perf() == slot.perf()
+                    {
+                        let span = Span::new(head.start(), slot.end());
+                        *head = head
+                            .with_span(head.id(), span.expect("a merged span outlives its head"))
+                            .expect("merged spans are non-empty");
+                        if !*listed {
+                            *listed = true;
+                            changed.push(*place);
+                        }
+                        if !fresh {
+                            dead.push(slot);
+                        }
+                        absorbed += 1;
+                        continue;
+                    }
+                    *at.get_mut() = (out.len(), fresh);
+                }
+                Entry::Vacant(at) => {
+                    at.insert((out.len(), fresh));
+                }
             }
-            if let Some(head) = merged.next_if(|m| m.id() == slot.id()) {
-                *slot = *head;
+            if fresh {
+                changed.push(out.len());
             }
-            true
-        });
-        for slot in &absorbed {
+            out.push(slot);
+        }
+        if !any_released && absorbed == 0 {
+            return 0;
+        }
+
+        for slot in &dead {
             self.index.remove(&slot.id());
             timeline(&mut self.nodes, slot.node()).remove(slot.start());
         }
-        for head in &grown {
-            timeline(&mut self.nodes, head.node()).put(head.start(), head.id(), head.end());
+        for slot in changed.into_iter().map(|place| out[place]) {
+            if slot.id().raw() >= first_released {
+                self.index.insert(slot.id(), slot.start());
+            }
+            let timeline = self.nodes.entry(slot.node()).or_default();
+            timeline.put(slot.start(), slot.id(), slot.end());
         }
-        absorbed.len()
+        self.order = Order::from_sorted(out, self.repr());
+        absorbed
     }
 
     /// Checks every structural invariant of the list, including that the
@@ -1291,6 +1363,17 @@ mod tests {
             // Id 1 is retired, not recycled: fresh mints start past it.
             assert_eq!(list.mint_id(), SlotId::new(2));
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "released regions are disjoint")]
+    fn release_windows_refuses_a_region_the_list_holds() {
+        use crate::window::{Window, WindowSlot};
+        let live = slot(0, 0, 0, 100);
+        let mut list = SlotList::from_slots_with_repr(vec![live], MarketRepr::Interval).unwrap();
+        let member = WindowSlot::from_slot(&live, TimeDelta::new(80)).unwrap();
+        let overlapping = Window::new(TimePoint::new(50), vec![member]).unwrap();
+        list.release_windows([&overlapping], false);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! ordered container — with the subtraction rule of Fig. 1 (b) (left
 //! remnant minted before right), region withdrawal, release and the
 //! coalescing rule (a chain's head keeps its id, absorbed ids are never
-//! reissued) written out directly. Both orderings are driven through
+//! reissued) written out directly. The one-walk release of many windows
+//! is checked against the model's release member by member, followed by
+//! its coalesce when merging. Both orderings are driven through
 //! random operation sequences next to it and compared after *every*
 //! step: slots, iteration order, reports, errors, the minting cursor and
 //! `validate()`.
@@ -154,7 +156,7 @@ struct Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     (
-        0u32..22,
+        0u32..24,
         0usize..64,
         0usize..64,
         0usize..64,
@@ -225,6 +227,28 @@ impl Driver {
                 let id = self.all(Model::mint, SlotList::mint_id);
                 let slot = slot(id, node, start, start + 1 + b % 120, a);
                 assert_eq!(self.all(|m| m.insert(slot), |l| l.insert(slot)), Ok(()));
+            }
+            // Release the last few committed windows in one walk, without
+            // merging and with it: the model releases them member by
+            // member, then coalesces.
+            21..=23 => {
+                let coalesce = op.tag != 21;
+                let windows = self.releasable(1 + op.picks[1] % 4);
+                self.all(
+                    |m| {
+                        for w in &windows {
+                            for ws in w.slots() {
+                                m.release_region(ws, w.used_span(ws));
+                            }
+                        }
+                        if coalesce {
+                            m.coalesce()
+                        } else {
+                            0
+                        }
+                    },
+                    |l| l.release_windows(&windows, coalesce),
+                );
             }
             _ if view.is_empty() => {}
             // An insert that overlaps a live slot, or repeats a live id,
@@ -340,6 +364,35 @@ impl Driver {
                 self.all(Model::coalesce, SlotList::coalesce);
             }
         }
+    }
+
+    /// Pops up to `k` committed windows, newest first, each cut down to
+    /// the members whose regions are still free: nothing was published
+    /// over them since, and no window popped before it releases them.
+    fn releasable(&mut self, k: usize) -> Vec<Window> {
+        let mut windows: Vec<Window> = Vec::new();
+        for _ in 0..k {
+            let Some(window) = self.committed.pop() else {
+                break;
+            };
+            let free = |ws: &&WindowSlot| {
+                let used = window.used_span(ws);
+                let taken = |node: NodeId, span: Span| node == ws.node() && span.overlaps(used);
+                let published = self.model.slots.iter().any(|s| taken(s.node(), s.span()));
+                let popped = windows
+                    .iter()
+                    .flat_map(|w| w.slots().iter().map(move |o| (o, w)));
+                !published
+                    && !popped
+                        .into_iter()
+                        .any(|(o, w)| taken(o.node(), w.used_span(o)))
+            };
+            let members = window.slots().iter().filter(free).copied().collect();
+            if let Ok(window) = Window::new(window.start(), members) {
+                windows.push(window);
+            }
+        }
+        windows
     }
 
     /// Everything a caller can see of a list, against the model.

@@ -39,8 +39,8 @@
 use std::collections::BTreeMap;
 
 use ecosched_core::{
-    Batch, Job, JobId, MarketRepr, NodeId, ResourceRequest, Revocation, Slot, SlotList, Span,
-    TimeDelta, TimePoint, Window,
+    Alternative, Batch, BatchAlternatives, Job, JobId, MarketRepr, NodeId, ResourceRequest,
+    Revocation, Slot, SlotList, Span, TimeDelta, TimePoint, Window,
 };
 use ecosched_select::SlotSelector;
 use ecosched_sim::cycle::{self, PostponeReason, Recovery};
@@ -816,17 +816,17 @@ impl<S: SlotSelector + Copy> Engine<S> {
 
         let mut result = self.plan(state, &market)?;
         state.report.opt.merge(&result.opt);
-        let (chosen, mut exec) = cycle::commit(&mut result);
         // Fragments accumulate at commit boundaries (released
         // alternatives, returned tails, clip remnants); merging touching
-        // same-attribute neighbours keeps the list — and every later scan
-        // over it — small.
-        if self.config.coalesce {
-            state.report.slots_coalesced += exec.coalesce() as u64;
-        }
+        // same-attribute neighbours, in the walk that releases the
+        // alternatives, keeps the list — and every later scan over it —
+        // small.
+        let (chosen, exec, absorbed) = cycle::commit(&mut result, self.config.coalesce);
+        state.report.slots_coalesced += absorbed as u64;
         state.vacant = exec;
 
-        let cycle_wait = self.lease_chosen(state, &result, &chosen, &mut point);
+        let alternatives = std::mem::take(&mut result.search.alternatives);
+        let cycle_wait = self.lease_chosen(state, alternatives, &chosen, &mut point);
         state.report.jobs_scheduled += point.scheduled as u64;
         point.postponed = state.pending.len();
         if point.scheduled > 0 {
@@ -870,27 +870,26 @@ impl<S: SlotSelector + Copy> Engine<S> {
     /// The lease and carry steps of a cycle: every pending job the
     /// optimizer covered becomes a lease holding its chosen window, with
     /// the non-chosen alternatives attached for failover; the rest stay
-    /// pending. Books `scheduled` and `spend` into `point` and returns the
-    /// summed wait of the committed jobs.
+    /// pending. The cycle's alternatives (one set per pending job, in
+    /// queue order) are moved into the leases, not copied. Books
+    /// `scheduled` and `spend` into `point` and returns the summed wait of
+    /// the committed jobs.
     fn lease_chosen(
         &self,
         state: &mut RunState,
-        result: &IterationResult,
+        alternatives: BatchAlternatives,
         chosen: &[Option<usize>],
         point: &mut CyclePoint,
     ) -> i64 {
-        let per_job = result.search.alternatives.per_job();
         let mut cycle_wait: i64 = 0;
-        for (i, p) in std::mem::take(&mut state.pending).into_iter().enumerate() {
-            let Some(alt_idx) = chosen[i] else {
+        let pending = std::mem::take(&mut state.pending);
+        for ((p, found), picked) in pending.into_iter().zip(alternatives).zip(chosen) {
+            let Some(alt_idx) = *picked else {
                 state.pending.push(p);
                 continue;
             };
-            let mut alternatives: Vec<Window> = per_job[i]
-                .alternatives()
-                .iter()
-                .map(|a| a.window().clone())
-                .collect();
+            let mut alternatives: Vec<Window> =
+                found.into_iter().map(Alternative::into_window).collect();
             let window = alternatives.remove(alt_idx);
             self.obs.on_alternative_chosen(alt_idx);
             let cost = window.total_cost().to_f64();

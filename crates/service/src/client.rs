@@ -93,7 +93,14 @@ impl Stream {
         })
     }
 
-    fn set_timeouts(&self, timeout: Duration) -> std::io::Result<()> {
+    pub(crate) fn shutdown_write(&self) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Write),
+            Stream::Unix(s) => s.shutdown(std::net::Shutdown::Write),
+        }
+    }
+
+    pub(crate) fn set_timeouts(&self, timeout: Duration) -> std::io::Result<()> {
         let t = Some(timeout);
         match self {
             Stream::Tcp(s) => s.set_read_timeout(t).and_then(|()| s.set_write_timeout(t)),

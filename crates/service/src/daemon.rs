@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 
 use ecosched_select::{Alp, Amp, SlotSelector};
 
-use crate::accept::spawn_accept_loop;
-use crate::client::Endpoint;
+use crate::accept::{spawn_accept_loop, timed_out, Bounds};
+use crate::client::{Endpoint, Stream};
 use crate::error::ServiceError;
 use crate::manifest::{load_manifest, save_manifest, SelectorChoice, ServiceManifest};
 use crate::metrics_http::spawn_metrics_listener;
@@ -112,11 +112,7 @@ fn serve_with<S: SlotSelector + Copy>(
 
     let (tx, rx) = mpsc::channel::<Inbound>();
     let obs = session.obs().clone();
-    let ready_endpoint = spawn_accept_loop(&options.listen, move |conn| {
-        if let Ok(reader) = conn.try_clone() {
-            handle_connection(BufReader::new(reader), conn, &tx, &obs);
-        }
-    })?;
+    let ready_endpoint = spawn_protocol_listener(&options.listen, Bounds::DEFAULT, tx, obs)?;
     // The READY line is the durability barrier for supervisors: the boot
     // replay is done and the socket is accepting.
     println!("READY {ready_endpoint}");
@@ -220,14 +216,40 @@ fn serve_with<S: SlotSelector + Copy>(
     }
 }
 
+/// Binds the protocol socket. Every connection runs [`handle_connection`]
+/// against the serve loop at `tx` on a thread of its own; one over
+/// `bounds.max_live` gets one error line and is closed.
+fn spawn_protocol_listener(
+    listen: &Endpoint,
+    bounds: Bounds,
+    tx: mpsc::Sender<Inbound>,
+    obs: ServiceObs,
+) -> Result<Endpoint, ServiceError> {
+    let refused = obs.clone();
+    let refuse = move |conn: &mut Stream| {
+        refused.on_connection_refused();
+        let response = Response::Error {
+            detail: "too many open connections; closing this one".into(),
+        };
+        let _ = writeln!(conn, "{}", encode_line(&response));
+        let _ = conn.flush();
+    };
+    spawn_accept_loop(listen, bounds, refuse, move |conn| {
+        if let Ok(reader) = conn.try_clone() {
+            handle_connection(BufReader::new(reader), conn, &tx, &obs);
+        }
+    })
+}
+
 /// The longest request line the daemon reads, newline excluded. A submit
 /// is a few hundred bytes; the cap keeps one client from making its
 /// connection thread buffer without bound.
 const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Reads request lines, relays them to the serve loop, writes response
-/// lines. Ends on EOF, I/O failure, a line that is not UTF-8, or daemon
-/// shutdown — and after answering a line longer than
+/// lines. Ends on EOF, I/O failure (a read that waited out the idle
+/// timeout is counted), a line that is not UTF-8, or daemon shutdown —
+/// and after answering a line longer than
 /// [`MAX_REQUEST_LINE`] with an error, since the rest of it cannot be
 /// told from the next request.
 fn handle_connection<R: Read, W: Write>(
@@ -242,11 +264,10 @@ fn handle_connection<R: Read, W: Write>(
         // One byte past the cap tells a line that fits from one that does
         // not.
         let limit = MAX_REQUEST_LINE as u64 + 1;
-        if !matches!(
-            (&mut reader).take(limit).read_until(b'\n', &mut buf),
-            Ok(1..)
-        ) {
-            return;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(1..) => {}
+            Err(e) if timed_out(&e) => return obs.on_idle_close(),
+            _ => return,
         }
         if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
             obs.on_oversized_line();
@@ -310,6 +331,74 @@ fn handle_connection<R: Read, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpStream;
+
+    fn counter(bundle: &crate::obs::ServiceObsBundle, name: &str) -> u64 {
+        let reg = bundle.recorder.registry().expect("recorder on");
+        reg.counter_value(reg.find_counter(name, &[]).expect("registered"))
+    }
+
+    /// A protocol listener on a loopback port, held to `bounds`, with no
+    /// serve loop behind it, and its first connection; the closure makes
+    /// more.
+    fn listener(bounds: Bounds, obs: &ServiceObs) -> (TcpStream, impl Fn() -> TcpStream) {
+        let (tx, _) = mpsc::channel();
+        let any_port = Endpoint::Tcp("127.0.0.1:0".into());
+        let Endpoint::Tcp(addr) = spawn_protocol_listener(&any_port, bounds, tx, obs.clone())
+            .expect("binds a loopback port")
+        else {
+            unreachable!("a TCP listen binds a TCP endpoint");
+        };
+        let connect = move || {
+            let stream = TcpStream::connect(addr.as_str()).expect("connects");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            stream
+        };
+        (connect(), connect)
+    }
+
+    #[test]
+    fn a_connection_over_the_cap_gets_one_error_line_and_is_closed() {
+        let bundle = build_service_obs(1);
+        let bounds = Bounds {
+            max_live: 1,
+            idle: Duration::from_secs(30),
+        };
+        // The first connection takes the one place and keeps it.
+        let (_held, connect) = listener(bounds, &bundle.service);
+        let mut over = BufReader::new(connect());
+        let mut line = String::new();
+        over.read_line(&mut line)
+            .expect("answered, not left waiting");
+        match decode_line::<Response>(&line) {
+            Ok(Response::Error { detail }) => {
+                assert!(detail.contains("too many open connections"), "{detail}");
+            }
+            other => panic!("unexpected response: {other:?}"),
+        }
+        line.clear();
+        assert_eq!(over.read_line(&mut line).unwrap(), 0, "closed after it");
+        let refused = "ecosched_service_connections_refused_total";
+        assert_eq!(counter(&bundle, refused), 1);
+    }
+
+    #[test]
+    fn an_idle_connection_is_closed() {
+        let bundle = build_service_obs(1);
+        let bounds = Bounds {
+            max_live: 4,
+            idle: Duration::from_millis(100),
+        };
+        let (mut idle, _) = listener(bounds, &bundle.service);
+        let mut rest = Vec::new();
+        idle.read_to_end(&mut rest)
+            .expect("closed, not left waiting");
+        assert!(rest.is_empty(), "closed without an answer");
+        let closed = "ecosched_service_idle_connections_closed_total";
+        assert_eq!(counter(&bundle, closed), 1);
+    }
 
     #[test]
     fn an_endless_request_line_gets_one_error_line_and_a_closed_connection() {

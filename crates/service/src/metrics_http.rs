@@ -9,16 +9,19 @@
 //! Each connection serves one request and closes (`Connection: close`),
 //! which sidesteps keep-alive state entirely; scrapers reconnect per
 //! scrape anyway. A request head over 8 KiB is answered `431` without
-//! being read further. The listener thread never touches session state —
-//! it reads the lock-free registry through a cloned [`Recorder`] handle,
-//! so scraping cannot perturb the serve loop or the determinism contract.
+//! being read further; a connection past the listener's cap on live
+//! connections is answered `503` without being read at all, and one that
+//! sends nothing for the idle timeout is closed unanswered. The listener
+//! thread never touches session state — it reads the lock-free registry
+//! through a cloned [`Recorder`] handle, so scraping cannot perturb the
+//! serve loop or the determinism contract.
 
 use std::io::{BufRead as _, BufReader, Read, Write};
 
 use ecosched_obs::Recorder;
 
-use crate::accept::spawn_accept_loop;
-use crate::client::Endpoint;
+use crate::accept::{spawn_accept_loop, timed_out, Bounds};
+use crate::client::{Endpoint, Stream};
 use crate::error::ServiceError;
 use crate::obs::ServiceObs;
 
@@ -33,7 +36,36 @@ pub fn spawn_metrics_listener(
     recorder: Recorder,
     obs: ServiceObs,
 ) -> Result<Endpoint, ServiceError> {
-    spawn_accept_loop(listen, move |conn| serve_one(conn, &recorder, &obs))
+    listen_metrics(listen, Bounds::DEFAULT, recorder, obs)
+}
+
+/// [`spawn_metrics_listener`] held to `bounds`.
+fn listen_metrics(
+    listen: &Endpoint,
+    bounds: Bounds,
+    recorder: Recorder,
+    obs: ServiceObs,
+) -> Result<Endpoint, ServiceError> {
+    let refused = obs.clone();
+    let refuse = move |conn: &mut Stream| {
+        refused.on_connection_refused();
+        let body = "too many open connections\n";
+        let text = response("503 Service Unavailable", "text/plain; charset=utf-8", body);
+        let _ = conn.write_all(text.as_bytes());
+        let _ = conn.flush();
+    };
+    spawn_accept_loop(listen, bounds, refuse, move |conn| {
+        serve_one(conn, &recorder, &obs);
+    })
+}
+
+/// One whole `Connection: close` response.
+fn response(status: &str, content_type: &str, body: &str) -> String {
+    format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len(),
+    )
 }
 
 /// The longest request head (request line plus headers) read.
@@ -42,9 +74,14 @@ const MAX_REQUEST_HEAD: u64 = 8 * 1024;
 /// Reads one request, writes one response, closes.
 fn serve_one<S: Read + Write>(mut stream: S, recorder: &Recorder, obs: &ServiceObs) {
     let mut head = BufReader::new(&mut stream).take(MAX_REQUEST_HEAD);
+    let failed = |e: std::io::Error| {
+        if timed_out(&e) {
+            obs.on_idle_close();
+        }
+    };
     let mut request_line = String::new();
-    if head.read_line(&mut request_line).is_err() {
-        return;
+    if let Err(e) = head.read_line(&mut request_line) {
+        return failed(e);
     }
     // Drain headers up to the blank line; their content is irrelevant.
     let mut ended = false;
@@ -55,7 +92,7 @@ fn serve_one<S: Read + Write>(mut stream: S, recorder: &Recorder, obs: &ServiceO
             Ok(_) => ended = header == "\r\n" || header == "\n",
             // The cap can cut a line inside a UTF-8 character.
             Err(_) if head.limit() == 0 => break,
-            Err(_) => return,
+            Err(e) => return failed(e),
         }
     }
     let oversized = !ended && head.limit() == 0;
@@ -102,11 +139,7 @@ fn serve_one<S: Read + Write>(mut stream: S, recorder: &Recorder, obs: &ServiceO
             ),
         }
     };
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
+    let response = response(status, content_type, &body);
     let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
 }
@@ -116,6 +149,7 @@ mod tests {
     use super::*;
     use crate::obs::build_service_obs;
     use std::net::TcpStream;
+    use std::time::Duration;
 
     fn get(endpoint: &Endpoint, path: &str) -> (String, String) {
         let Endpoint::Tcp(addr) = endpoint else {
@@ -194,6 +228,31 @@ mod tests {
         serve_one(&mut conn, &bundle.recorder, &bundle.service);
         let response = String::from_utf8(conn.output).unwrap();
         response.lines().next().unwrap_or_default().to_string()
+    }
+
+    #[test]
+    fn a_scrape_over_the_cap_is_answered_503() {
+        let bundle = build_service_obs(1);
+        let bounds = Bounds {
+            max_live: 1,
+            idle: Duration::from_secs(30),
+        };
+        let any_port = Endpoint::Tcp("127.0.0.1:0".into());
+        let (recorder, obs) = (bundle.recorder.clone(), bundle.service.clone());
+        let endpoint = listen_metrics(&any_port, bounds, recorder, obs).unwrap();
+        let Endpoint::Tcp(addr) = &endpoint else {
+            unreachable!("a TCP listen binds a TCP endpoint");
+        };
+        // A connection that never sends its request holds the one place.
+        let _held = TcpStream::connect(addr.as_str()).unwrap();
+        let (status, body) = get(&endpoint, "/metrics");
+        assert_eq!(status, "HTTP/1.1 503 Service Unavailable");
+        assert_eq!(body, "too many open connections\n");
+        let reg = bundle.recorder.registry().expect("recorder on");
+        let refused = reg
+            .find_counter("ecosched_service_connections_refused_total", &[])
+            .expect("registered");
+        assert_eq!(reg.counter_value(refused), 1);
     }
 
     #[test]

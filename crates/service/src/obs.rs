@@ -56,6 +56,11 @@ pub struct ServiceIds {
     pub rejected: [CounterId; 6],
     /// `ecosched_service_oversized_lines_total`.
     pub oversized_lines: CounterId,
+    /// `ecosched_service_connections_refused_total` — connections over a
+    /// listener's cap on live connections.
+    pub connections_refused: CounterId,
+    /// `ecosched_service_idle_connections_closed_total`.
+    pub idle_closed: CounterId,
     /// `ecosched_service_wal_commits_total` — group-commit fsyncs.
     pub wal_commits: CounterId,
     /// `ecosched_service_snapshots_total`.
@@ -104,6 +109,15 @@ impl ServiceIds {
                 "ecosched_service_oversized_lines_total",
                 "Request lines over the length cap, each answered with an error \
                  and a closed connection",
+            ),
+            connections_refused: b.counter(
+                "ecosched_service_connections_refused_total",
+                "Connections over a listener's cap on live connections, answered \
+                 with an error line (protocol) or a 503 (metrics) and closed",
+            ),
+            idle_closed: b.counter(
+                "ecosched_service_idle_connections_closed_total",
+                "Connections closed because a read waited out the idle timeout",
             ),
             wal_commits: b.counter(
                 "ecosched_service_wal_commits_total",
@@ -238,6 +252,20 @@ impl ServiceObs {
     pub fn on_oversized_line(&self) {
         if let Some(i) = self.inner.as_deref() {
             i.rec.inc(i.ids.oversized_lines);
+        }
+    }
+
+    /// A connection over a listener's cap was refused.
+    pub fn on_connection_refused(&self) {
+        if let Some(i) = self.inner.as_deref() {
+            i.rec.inc(i.ids.connections_refused);
+        }
+    }
+
+    /// A connection was closed after a read waited out the idle timeout.
+    pub fn on_idle_close(&self) {
+        if let Some(i) = self.inner.as_deref() {
+            i.rec.inc(i.ids.idle_closed);
         }
     }
 

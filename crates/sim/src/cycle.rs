@@ -146,17 +146,23 @@ pub enum Recovery {
 }
 
 /// The commit step: the optimizer's choice per batch index (`None` for
-/// jobs it did not cover) and the execution list — everything still
-/// vacant after the chosen windows were carved out. The search subtracted
-/// *every* found alternative; the non-chosen ones return to the pool as
-/// freshly minted slots (job order, then alternative order) so failovers
-/// and repairs can reuse that time.
+/// jobs it did not cover), the execution list — everything still vacant
+/// after the chosen windows were carved out — and how many slots the
+/// release merged away. The search subtracted *every* found alternative;
+/// the non-chosen ones return to the pool as freshly minted slots (job
+/// order, then alternative order) so failovers and repairs can reuse that
+/// time. They go back in one walk over the list
+/// ([`SlotList::release_windows`]), which with `coalesce` also merges
+/// touching same-attribute neighbours, as [`SlotList::coalesce`] would.
 ///
 /// The execution list *is* the search's leftover list, moved out of
 /// `result` (`result.search.remaining` is left empty) rather than copied:
 /// no caller reads the leftover once the cycle is committed.
 #[must_use]
-pub fn commit(result: &mut IterationResult) -> (Vec<Option<usize>>, SlotList) {
+pub fn commit(
+    result: &mut IterationResult,
+    coalesce: bool,
+) -> (Vec<Option<usize>>, SlotList, usize) {
     let mut exec = std::mem::take(&mut result.search.remaining);
     let per_job = result.search.alternatives.per_job();
     let mut chosen: Vec<Option<usize>> = vec![None; per_job.len()];
@@ -165,14 +171,14 @@ pub fn commit(result: &mut IterationResult) -> (Vec<Option<usize>>, SlotList) {
             chosen[choice.job.index() as usize] = Some(choice.alternative);
         }
     }
-    for (ja, picked) in per_job.iter().zip(&chosen) {
-        for (alt_idx, alt) in ja.alternatives().iter().enumerate() {
-            if *picked != Some(alt_idx) {
-                exec.release_window(alt.window());
-            }
-        }
-    }
-    (chosen, exec)
+    let unchosen = per_job.iter().zip(&chosen).flat_map(|(ja, picked)| {
+        let alternatives = ja.alternatives().iter().enumerate();
+        alternatives
+            .filter(move |(i, _)| *picked != Some(*i))
+            .map(|(_, alt)| alt.window())
+    });
+    let absorbed = exec.release_windows(unchosen, coalesce);
+    (chosen, exec, absorbed)
 }
 
 /// Returns the surviving fragments of a broken `window` — everything the
@@ -589,6 +595,12 @@ mod tests {
 
     #[test]
     fn commit_conserves_vacant_time() {
+        for coalesce in [false, true] {
+            commit_conserves_vacant_time_with(coalesce);
+        }
+    }
+
+    fn commit_conserves_vacant_time_with(coalesce: bool) {
         let list = market(&[(0, 0, 600), (1, 0, 600), (2, 0, 600), (3, 0, 600)]);
         let job = |id: u32, nodes: usize, length: i64| {
             let request = ResourceRequest::new(
@@ -604,10 +616,11 @@ mod tests {
             run_iteration(Alp::new(), &list, &batch, &IterationConfig::default()).unwrap();
         let vacant = |l: &SlotList| l.total_vacant_time().ticks();
         let leftover_ticks = vacant(&result.search.remaining);
-        let (chosen, exec) = commit(&mut result);
+        let leftover_slots = result.search.remaining.len();
+        let (chosen, exec, absorbed) = commit(&mut result, coalesce);
         assert!(result.search.remaining.is_empty(), "the leftover is moved");
 
-        let (mut chosen_ticks, mut released_ticks) = (0, 0);
+        let (mut chosen_ticks, mut released_ticks, mut released) = (0, 0, 0);
         for (ja, picked) in result.search.alternatives.per_job().iter().zip(&chosen) {
             assert!(
                 ja.alternatives().len() > 1,
@@ -618,12 +631,19 @@ mod tests {
                     chosen_ticks += ticks(alt.window());
                 } else {
                     released_ticks += ticks(alt.window());
+                    released += alt.window().slot_count();
                 }
             }
         }
         assert!(chosen.iter().all(Option::is_some));
         assert_eq!(vacant(&exec), leftover_ticks + released_ticks);
         assert_eq!(vacant(&exec) + chosen_ticks, vacant(&list));
+        assert_eq!(exec.len(), leftover_slots + released - absorbed);
+        assert_eq!(
+            absorbed > 0,
+            coalesce,
+            "released regions touch the leftover"
+        );
         exec.validate().unwrap();
     }
 }

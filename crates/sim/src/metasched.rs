@@ -261,7 +261,7 @@ impl Metascheduler {
         let batch = Batch::from_jobs(jobs).expect("re-keyed ids are unique");
 
         let mut result = run_iteration(selector, &list, &batch, &self.config)?;
-        let (chosen, exec) = cycle::commit(&mut result);
+        let (chosen, exec, _) = cycle::commit(&mut result, false);
         let per_job = result.search.alternatives.per_job();
 
         // Every covered job starts the cycle holding its chosen window;
