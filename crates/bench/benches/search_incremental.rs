@@ -256,9 +256,10 @@ fn bench_single_window_amp(c: &mut Criterion) {
     // the list, which is what the unsatisfiable wide request provokes
     // (every slot admitted, nothing ever expires fast enough).
     let mut group = c.benchmark_group("find_window_amp");
-    // The 135-slot point sits below the adaptive pool's Vec/BTreeSet
-    // switch-over, pinning the small-market case the paper's Sec. 5
-    // environment (m ≈ 130) actually exercises.
+    // The 135-slot point sits below the adaptive pool's switch-over from
+    // the sorted vector to the sorted head and lazy heaps, pinning the
+    // small-market case the paper's Sec. 5 environment (m ≈ 130)
+    // actually exercises.
     let request =
         ResourceRequest::new(4, TimeDelta::new(60), Perf::UNIT, Price::from_credits(4)).unwrap();
     for m in [135usize, 1_000, 16_000] {

@@ -85,11 +85,14 @@ pub struct SlotList {
 /// which slots were consumed and which remnants replaced them.
 ///
 /// The incremental alternatives search uses this to update per-job scan
-/// state without re-reading the whole list.
+/// state without re-reading the whole list. It names each consumed slot
+/// whole, as it was before the cut, so a scan can tell from the slot
+/// alone whether its pool could hold it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SubtractionReport {
-    /// Ids removed from the list (the window's source slots).
-    pub removed: Vec<SlotId>,
+    /// The slots removed from the list (the window's source slots), in
+    /// window order, as they were before the cut.
+    pub removed: Vec<Slot>,
     /// Freshly minted remnant slots inserted in their place.
     pub remnants: Vec<Slot>,
 }
@@ -456,7 +459,7 @@ impl SlotList {
     }
 
     /// [`SlotList::subtract_window`], additionally reporting the consumed
-    /// ids and the minted remnants.
+    /// slots and the minted remnants.
     ///
     /// Every cut is validated with one `O(log m)` lookup before anything
     /// changes, so a failure cannot leave a partial subtraction; the
@@ -475,15 +478,14 @@ impl SlotList {
         for (id, cut) in window.cuts() {
             sources.push(self.source(id, cut)?);
         }
-        let mut report = SubtractionReport {
-            removed: Vec::with_capacity(sources.len()),
-            remnants: Vec::with_capacity(2 * sources.len()),
-        };
-        for (slot, (id, cut)) in sources.iter().zip(window.cuts()) {
-            self.cut_slot(slot, cut, &mut report.remnants);
-            report.removed.push(id);
+        let mut remnants = Vec::with_capacity(2 * sources.len());
+        for (slot, (_, cut)) in sources.iter().zip(window.cuts()) {
+            self.cut_slot(slot, cut, &mut remnants);
         }
-        Ok(report)
+        Ok(SubtractionReport {
+            removed: sources,
+            remnants,
+        })
     }
 
     /// Returns `span` on `member`'s node to the list as a freshly minted
@@ -1103,7 +1105,7 @@ mod tests {
             )
             .unwrap();
             let report = list.subtract_window_report(&w).unwrap();
-            assert_eq!(report.removed, vec![SlotId::new(0), SlotId::new(1)]);
+            assert_eq!(report.removed, vec![a, b]);
             // a → [0, 20) and [60, 100); b → [60, 120).
             assert_eq!(report.remnants.len(), 3);
             for remnant in &report.remnants {

@@ -74,8 +74,9 @@ impl Model {
         Ok(())
     }
 
-    /// Fig. 1 (b): `K` leaves, `K1` then `K2` join under fresh ids.
-    fn cut(&mut self, id: SlotId, cut: Span, remnants: &mut Vec<Slot>) {
+    /// Fig. 1 (b): `K` leaves, `K1` then `K2` join under fresh ids and
+    /// are appended to `remnants`; returns `K` as it was.
+    fn cut(&mut self, id: SlotId, cut: Span, remnants: &mut Vec<Slot>) -> Slot {
         let at = self.slots.iter().position(|s| s.id() == id).unwrap();
         let slot = self.slots.swap_remove(at);
         let (left, right) = slot.span().subtract(cut);
@@ -84,6 +85,7 @@ impl Model {
             self.slots.push(remnant);
             remnants.push(remnant);
         }
+        slot
     }
 
     fn subtract(&mut self, id: SlotId, cut: Span) -> Result<(), CoreError> {
@@ -96,8 +98,8 @@ impl Model {
         w.cuts().try_for_each(|(id, cut)| self.check(id, cut))?;
         let mut report = SubtractionReport::default();
         for (id, cut) in w.cuts() {
-            self.cut(id, cut, &mut report.remnants);
-            report.removed.push(id);
+            let slot = self.cut(id, cut, &mut report.remnants);
+            report.removed.push(slot);
         }
         Ok(report)
     }

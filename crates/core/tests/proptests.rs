@@ -205,9 +205,9 @@ proptest! {
                 removed_total += TimeDelta::new(runtime);
 
                 // The report must describe the mutation it performed.
-                prop_assert_eq!(report.removed.as_slice(), &[slot.id()]);
+                prop_assert_eq!(report.removed.as_slice(), &[slot]);
                 for gone in &report.removed {
-                    prop_assert!(list.get(*gone).is_none());
+                    prop_assert!(list.get(gone.id()).is_none());
                 }
                 for remnant in &report.remnants {
                     let found = list.get(remnant.id());

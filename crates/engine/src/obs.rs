@@ -62,6 +62,7 @@ pub struct EngineIds {
     cycles: CounterId,
     scan_slots_examined: CounterId,
     scan_slots_admitted: CounterId,
+    scan_slots_expired: CounterId,
     scan_acceptance_tests: CounterId,
     scan_windows_found: CounterId,
     scan_passes: CounterId,
@@ -79,6 +80,7 @@ pub struct EngineIds {
     virtual_time: GaugeId,
     utilization: GaugeId,
     cycle_mean_wait: GaugeId,
+    scan_pool_high_water: GaugeId,
 }
 
 impl EngineIds {
@@ -156,6 +158,11 @@ impl EngineIds {
                 b,
                 "ecosched_engine_scan_slots_admitted_total",
                 "Slots admitted into candidate pools as they were read from the list since process start",
+            ),
+            scan_slots_expired: c(
+                b,
+                "ecosched_engine_scan_slots_expired_total",
+                "Pooled slots expired by the alternatives search as its anchor passed them, since process start",
             ),
             scan_acceptance_tests: c(
                 b,
@@ -239,6 +246,11 @@ impl EngineIds {
                 b,
                 "ecosched_engine_cycle_mean_wait",
                 "Mean wait (ticks) of the jobs committed by the last cycle",
+            ),
+            scan_pool_high_water: g(
+                b,
+                "ecosched_engine_scan_pool_high_water",
+                "Largest candidate pool any window search of the last cycle held",
             ),
         }
     }
@@ -341,8 +353,9 @@ impl EngineObs {
         rec.set(ids.utilization, gauges.utilization);
     }
 
-    /// Records one scheduling cycle: scan work counters plus a `cycle`
-    /// span with `scan` / `optimize` / `commit` children.
+    /// Records one scheduling cycle: scan work counters, the cycle's
+    /// largest pool, plus a `cycle` span with `scan` / `optimize` /
+    /// `commit` children.
     pub(crate) fn on_cycle(
         &self,
         now: i64,
@@ -360,11 +373,13 @@ impl EngineObs {
         rec.inc(ids.cycles);
         rec.add(ids.scan_slots_examined, search.scan.slots_examined);
         rec.add(ids.scan_slots_admitted, search.scan.slots_admitted);
+        rec.add(ids.scan_slots_expired, search.scan.slots_expired);
         rec.add(ids.scan_acceptance_tests, search.scan.acceptance_tests);
         rec.add(ids.scan_windows_found, search.scan.windows_found);
         rec.add(ids.scan_passes, search.passes);
         rec.add(ids.alternatives_offered, search.windows_committed);
         rec.set(ids.cycle_mean_wait, mean_wait);
+        rec.set(ids.scan_pool_high_water, search.scan.pool_high_water as f64);
         let cycle = rec.span(now, "cycle", None, batch as u64);
         rec.span(now, "scan", cycle, search.scan.slots_examined);
         rec.span(now, "optimize", cycle, opt.solves);

@@ -111,6 +111,21 @@ fn recorder_is_outcome_invisible_calm() {
         reg.counter_value(examined) > 0,
         "cycles must feed scan stats into the registry"
     );
+    // Pool pressure: expiries count across cycles, and the high-water
+    // gauge holds the last planned cycle's largest pool, which held at
+    // least the window it found.
+    let expired = reg
+        .find_counter("ecosched_engine_scan_slots_expired_total", &[])
+        .expect("registered");
+    let admitted = reg
+        .find_counter("ecosched_engine_scan_slots_admitted_total", &[])
+        .expect("registered");
+    assert!(reg.counter_value(expired) > 0);
+    assert!(reg.counter_value(expired) < reg.counter_value(admitted));
+    let high_water = reg
+        .find_gauge("ecosched_engine_scan_pool_high_water", &[])
+        .expect("registered");
+    assert!(reg.gauge_value(high_water) >= 1.0);
     let cycles = reg
         .find_counter("ecosched_engine_cycles_total", &[])
         .expect("registered");

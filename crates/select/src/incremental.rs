@@ -36,7 +36,7 @@
 //! `L'` holds right after inserting the group at `a`: every admitted slot
 //! of `L'` that starts at or before `a` and is live there. That is the
 //! checkpoint invariant, and [`JobScan::apply_report`] maintains it slot
-//! for slot: consumed ids leave the pool, and remnants starting at or
+//! for slot: consumed slots leave the pool, and remnants starting at or
 //! before `a` that are still live there join it. A fresh scan tests
 //! acceptance at `a` only if `L'` has an admitted slot starting exactly
 //! at `a`, so the checkpoint also counts how many pooled members do
@@ -53,7 +53,8 @@
 //! [`JobScan::resume_from`]-seeded scan). Nothing reads the pool from
 //! outside this module.
 
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use ecosched_core::{
     Alternative, Batch, BatchAlternatives, CoreError, IdBuildHasher, Money, ResourceRequest, Slot,
@@ -98,26 +99,31 @@ impl AlgoSpec {
 }
 
 /// The pool size at which AMP's candidate pool switches from the flat
-/// vector to the cost-ordered tree representation.
+/// vector to the heap representation.
 ///
 /// The paper-scale lists (`m ∈ [120, 150]`) produce pools of a few dozen
-/// members, where the tree's per-operation pointer chasing and the
-/// four-structure bookkeeping cost ~2× the flat vector's memmove (the
-/// ROADMAP small-pool item, measured by the `find_window_amp` bench).
-/// Pools only cross this threshold on large lists with slow-expiring
-/// slots — exactly where the tree's `O(log m)` operations win.
+/// members, where the flat vector's binary search and memmove beat the
+/// heap arm's hashing and lazy deletion: with every pool forced onto the
+/// heap arm, `paper_study` and `engine_churn` lose throughput in every
+/// pair run (DESIGN §8). Pools only cross this threshold on large lists
+/// with slow-expiring slots — exactly where a heap push per member wins.
 const SMALL_POOL_MAX: usize = 128;
+
+/// A member's rank in AMP's pool: the DESIGN.md R5 `(cost, id)` order.
+fn cost_key(member: &PoolMember) -> (Money, SlotId) {
+    (member.cost(), member.slot.id())
+}
 
 /// AMP's cost-ordered candidate pool, with an adaptive representation.
 ///
 /// Below [`SMALL_POOL_MAX`] members the pool is a flat vector sorted by
-/// `(cost, id)` — the exact DESIGN.md R5 tie-break — where insertion is a
-/// binary search plus memmove and acceptance reads the first `n` members.
-/// Above the threshold it promotes (one way) to [`LargeCostPool`], which
-/// splits members into a `head` of the `n` cheapest and a `tail` of
-/// everything else with a running head sum, making every operation
-/// `O(log m)`. Both representations accept byte-identically: the same
-/// `n` cheapest members in `(cost, id)` order under the same budget test.
+/// `(cost, id)` — the exact DESIGN.md R5 tie-break — where insertion and
+/// removal are a binary search plus memmove and acceptance reads the
+/// first `n` members. Above the threshold it promotes (one way) to
+/// [`LargeCostPool`]: a sorted head of the `n` cheapest with a running
+/// sum, and lazy heaps for everything else. Both representations accept
+/// byte-identically: the same `n` cheapest members in `(cost, id)` order
+/// under the same budget test.
 #[derive(Debug)]
 struct CostPool {
     n: usize,
@@ -128,7 +134,7 @@ struct CostPool {
 enum CostRepr {
     /// Members sorted by `(cost, id)`; acceptance reads the prefix.
     Small(Vec<PoolMember>),
-    /// Head/tail trees with a running head sum.
+    /// A sorted head with a running sum, and lazy heaps for the rest.
     Large(LargeCostPool),
 }
 
@@ -150,8 +156,8 @@ impl CostPool {
     fn insert(&mut self, member: PoolMember) {
         match &mut self.repr {
             CostRepr::Small(members) => {
-                let key = (member.cost(), member.slot.id());
-                let pos = members.partition_point(|m| (m.cost(), m.slot.id()) < key);
+                let key = cost_key(&member);
+                let pos = members.partition_point(|m| cost_key(m) < key);
                 members.insert(pos, member);
                 if members.len() > SMALL_POOL_MAX {
                     let mut pool = LargeCostPool::new(self.n);
@@ -165,13 +171,15 @@ impl CostPool {
         }
     }
 
-    fn remove(&mut self, id: SlotId) -> Option<PoolMember> {
+    /// Removes `member` if it is pooled; returns whether it was.
+    fn remove(&mut self, member: &PoolMember) -> bool {
         match &mut self.repr {
             CostRepr::Small(members) => {
-                let pos = members.iter().position(|m| m.slot.id() == id)?;
-                Some(members.remove(pos))
+                let key = cost_key(member);
+                let found = members.binary_search_by(|m| cost_key(m).cmp(&key));
+                found.map(|pos| members.remove(pos)).is_ok()
             }
-            CostRepr::Large(pool) => pool.remove(id),
+            CostRepr::Large(pool) => pool.remove(member.slot.id()),
         }
     }
 
@@ -208,21 +216,32 @@ impl CostPool {
     }
 }
 
-/// The tree representation of [`CostPool`], used above [`SMALL_POOL_MAX`]:
-/// a `head` of the `n` cheapest by `(cost, id)` and a `tail` of everything
-/// else, with a running sum of the head. One insertion, removal, or expiry
-/// costs `O(log m)`, and the acceptance test (`head` full and within
-/// budget) is `O(1)` instead of the naive `O(p log p)` sort of the whole
-/// pool.
+/// The wide representation of [`CostPool`], used above [`SMALL_POOL_MAX`]:
+/// a sorted `head` of the `min(n, len)` cheapest keys by `(cost, id)` with
+/// their running sum, a min-heap `tail` of every other key, and a min-heap
+/// of deadlines for expiry. An insertion is a heap push, or a binary-search
+/// insert into the head when the key is below the head's max. The
+/// acceptance test (`head` full and within budget) is `O(1)` instead of
+/// the naive `O(p log p)` sort of the whole pool.
+///
+/// Both heaps are lazy. `members` is the liveness test: a removal takes
+/// the id out of `members`, and out of `head` by binary search, and leaves
+/// its heap entries behind to be skipped when they surface. That is exact
+/// because an id is never pooled twice (the `debug_assert` in
+/// [`LargeCostPool::insert`]): a scan reads a list slot at most once, and
+/// subtraction mints its remnants under fresh ids. So a stale entry can
+/// never stand for a live member.
 #[derive(Debug)]
 struct LargeCostPool {
     n: usize,
-    head: BTreeSet<(Money, SlotId)>,
+    /// The `min(n, len)` cheapest live keys, ascending.
+    head: Vec<(Money, SlotId)>,
     head_sum: Money,
-    tail: BTreeSet<(Money, SlotId)>,
+    /// Every other live key, and stale ones.
+    tail: BinaryHeap<Reverse<(Money, SlotId)>>,
     /// Members keyed by the last anchor they are live at
-    /// (`end − runtime`), for incremental expiry.
-    by_deadline: BTreeSet<(TimePoint, SlotId)>,
+    /// (`end − runtime`), for incremental expiry; stale ones too.
+    by_deadline: BinaryHeap<Reverse<(TimePoint, SlotId)>>,
     members: HashMap<SlotId, PoolMember, IdBuildHasher>,
 }
 
@@ -230,10 +249,10 @@ impl LargeCostPool {
     fn new(n: usize) -> Self {
         LargeCostPool {
             n,
-            head: BTreeSet::new(),
+            head: Vec::new(),
             head_sum: Money::ZERO,
-            tail: BTreeSet::new(),
-            by_deadline: BTreeSet::new(),
+            tail: BinaryHeap::new(),
+            by_deadline: BinaryHeap::new(),
             members: HashMap::default(),
         }
     }
@@ -244,52 +263,65 @@ impl LargeCostPool {
 
     fn insert(&mut self, member: PoolMember) {
         let id = member.slot.id();
-        let key = (member.cost(), id);
-        let deadline = member.slot.end() - member.runtime;
+        let key = cost_key(&member);
+        self.by_deadline
+            .push(Reverse((member.slot.end() - member.runtime, id)));
         let replaced = self.members.insert(id, member);
         debug_assert!(replaced.is_none(), "slot {id} pooled twice");
-        self.by_deadline.insert((deadline, id));
-        if self.head.len() < self.n {
-            self.head.insert(key);
-            self.head_sum += key.0;
-        } else if self.head.last().is_some_and(|max| key < *max) {
-            let max = *self.head.last().expect("head is non-empty");
-            self.head.remove(&max);
-            self.head_sum -= max.0;
-            self.tail.insert(max);
-            self.head.insert(key);
-            self.head_sum += key.0;
+        if self.head.len() == self.n && self.head.last().is_none_or(|max| key > *max) {
+            self.tail.push(Reverse(key));
         } else {
-            self.tail.insert(key);
+            let pos = self.head.partition_point(|k| *k < key);
+            self.head.insert(pos, key);
+            self.head_sum += key.0;
+            if self.head.len() > self.n {
+                let max = self.head.pop().expect("the head overflowed");
+                self.head_sum -= max.0;
+                self.tail.push(Reverse(max));
+            }
         }
+        self.debug_check();
     }
 
-    fn remove(&mut self, id: SlotId) -> Option<PoolMember> {
-        let member = self.members.remove(&id)?;
-        let key = (member.cost(), id);
-        self.by_deadline
-            .remove(&(member.slot.end() - member.runtime, id));
-        if self.head.remove(&key) {
+    /// Removes the member `id` if it is pooled; returns whether it was.
+    fn remove(&mut self, id: SlotId) -> bool {
+        let Some(member) = self.members.remove(&id) else {
+            return false;
+        };
+        let key = cost_key(&member);
+        if self.head.last().is_some_and(|max| key <= *max) {
+            let pos = self
+                .head
+                .binary_search(&key)
+                .expect("a live key at or below the head's max is in the head");
+            self.head.remove(pos);
             self.head_sum -= key.0;
-            if let Some(promoted) = self.tail.pop_first() {
-                self.head.insert(promoted);
-                self.head_sum += promoted.0;
+            // Every live tail key sorts above the old max: the cheapest
+            // of them joins the head at its back.
+            while let Some(Reverse(next)) = self.tail.pop() {
+                if self.members.contains_key(&next.1) {
+                    self.head.push(next);
+                    self.head_sum += next.0;
+                    break;
+                }
             }
-        } else {
-            self.tail.remove(&key);
         }
-        Some(member)
+        self.debug_check();
+        true
     }
 
     /// Expires every member no longer live at `anchor`; returns the count.
+    /// A removed member's stale deadline entry is dropped uncounted.
     fn advance(&mut self, anchor: TimePoint) -> u64 {
         let mut expired = 0;
-        while let Some(&(deadline, id)) = self.by_deadline.first() {
+        while let Some(&Reverse((deadline, id))) = self.by_deadline.peek() {
             if deadline >= anchor {
                 break;
             }
-            self.remove(id);
-            expired += 1;
+            self.by_deadline.pop();
+            if self.remove(id) {
+                expired += 1;
+            }
         }
         expired
     }
@@ -298,11 +330,30 @@ impl LargeCostPool {
     /// and fits `budget` — byte-identical to the naive sort-and-take.
     fn accept(&self, budget: Money) -> Option<Vec<PoolMember>> {
         if self.head.len() == self.n && self.head_sum <= budget {
-            Some(self.head.iter().map(|&(_, id)| self.members[&id]).collect())
+            Some(self.head.iter().map(|(_, id)| self.members[id]).collect())
         } else {
             None
         }
     }
+
+    /// Debug builds only: the head is sorted, sums to `head_sum` and holds
+    /// `min(n, len)` keys, and no live tail key sorts below its max.
+    fn debug_check(&self) {
+        debug_assert!(self.head.windows(2).all(|w| w[0] < w[1]), "head unsorted");
+        debug_assert_eq!(self.head_sum, self.head.iter().map(|k| k.0).sum());
+        debug_assert_eq!(self.head.len(), self.n.min(self.members.len()));
+        debug_assert!(
+            self.tail.iter().all(|Reverse(key)| {
+                !self.members.contains_key(&key.1) || self.head.last().is_some_and(|max| key > max)
+            }),
+            "a live tail key sorts below the head's max"
+        );
+    }
+}
+
+/// A member's rank in ALP's pool: the list's own `(start, id)` order.
+fn start_key(member: &PoolMember) -> (TimePoint, SlotId) {
+    (member.slot.start(), member.slot.id())
 }
 
 /// The per-algorithm candidate pool of one incremental job scan.
@@ -317,7 +368,8 @@ enum AcceptPool {
     /// a plain sorted vector stays the right structure.
     Ordered(Vec<PoolMember>),
     /// AMP: cost-ordered pool with an adaptive representation (flat
-    /// vector below [`SMALL_POOL_MAX`] members, head/tail trees above).
+    /// vector below [`SMALL_POOL_MAX`] members, sorted head and lazy heaps
+    /// above).
     Cost(CostPool),
 }
 
@@ -332,21 +384,24 @@ impl AcceptPool {
     fn insert(&mut self, member: PoolMember) {
         match self {
             AcceptPool::Ordered(members) => {
-                let key = (member.slot.start(), member.slot.id());
-                let pos = members.partition_point(|m| (m.slot.start(), m.slot.id()) < key);
+                let key = start_key(&member);
+                let pos = members.partition_point(|m| start_key(m) < key);
                 members.insert(pos, member);
             }
             AcceptPool::Cost(pool) => pool.insert(member),
         }
     }
 
-    fn remove(&mut self, id: SlotId) -> Option<PoolMember> {
+    /// Removes `member` if it is pooled, found by its key; returns whether
+    /// it was.
+    fn remove(&mut self, member: &PoolMember) -> bool {
         match self {
             AcceptPool::Ordered(members) => {
-                let pos = members.iter().position(|m| m.slot.id() == id)?;
-                Some(members.remove(pos))
+                let key = start_key(member);
+                let found = members.binary_search_by(|m| start_key(m).cmp(&key));
+                found.map(|pos| members.remove(pos)).is_ok()
             }
-            AcceptPool::Cost(pool) => pool.remove(id),
+            AcceptPool::Cost(pool) => pool.remove(member),
         }
     }
 
@@ -553,12 +608,27 @@ impl JobScan {
         None
     }
 
+    /// The member `slot` makes if the checkpoint invariant at `anchor`
+    /// can hold it — admitted, starting at or before `anchor` and live
+    /// there — and `None` if the invariant rules it out.
+    fn poolable(&self, slot: &Slot, anchor: TimePoint) -> Option<PoolMember> {
+        if slot.start() > anchor || !self.filter_ok(slot) {
+            return None;
+        }
+        admit_slot(&self.request, self.rule, slot).filter(|m| m.live_at(anchor))
+    }
+
     /// Folds one window subtraction into the checkpoint, keeping the pool
     /// equal to what a fresh scan of the new list holds after inserting
     /// the group at the anchor: consumed slots leave it, and remnants
     /// starting at or before the anchor join it if they are still useful
     /// there — those starting exactly at it are new group members.
     /// Remnants after the anchor are picked up by the forward scan itself.
+    ///
+    /// A consumed slot the invariant rules out is skipped without probing
+    /// the pool. One it admits may still be absent — a seeded scan never
+    /// read the slots before its seed — so the removal is by key and
+    /// reports whether it found the member.
     pub(crate) fn apply_report(&mut self, report: &SubtractionReport) {
         if self.dead {
             return;
@@ -566,25 +636,18 @@ impl JobScan {
         let Resume::Accepted { anchor, mut group } = self.resume else {
             return; // Nothing read yet: the scan takes it all from the list.
         };
-        for &id in &report.removed {
-            if self
-                .pool
-                .remove(id)
-                .is_some_and(|m| m.slot.start() == anchor)
-            {
-                group -= 1;
+        for slot in &report.removed {
+            if let Some(member) = self.poolable(slot, anchor) {
+                if self.pool.remove(&member) && slot.start() == anchor {
+                    group -= 1;
+                }
             }
         }
         for slot in &report.remnants {
-            if slot.start() > anchor || !self.filter_ok(slot) {
-                continue;
-            }
-            if let Some(member) = admit_slot(&self.request, self.rule, slot) {
-                if member.live_at(anchor) {
-                    self.pool.insert(member);
-                    if slot.start() == anchor {
-                        group += 1;
-                    }
+            if let Some(member) = self.poolable(slot, anchor) {
+                self.pool.insert(member);
+                if slot.start() == anchor {
+                    group += 1;
                 }
             }
         }
@@ -650,6 +713,7 @@ pub(crate) fn find_alternatives_incremental(
 mod tests {
     use super::*;
     use ecosched_core::{NodeId, Perf, Price, Span};
+    use proptest::prelude::*;
 
     fn slot(id: u64, node: u32, perf: f64, price: i64, a: i64, b: i64) -> Slot {
         Slot::new(
@@ -672,9 +736,10 @@ mod tests {
     #[test]
     fn cost_pool_tracks_n_cheapest_with_running_sum() {
         let mut pool = CostPool::new(2);
+        let cheap = member(2, 1, 0, 100, 10); // cost 10
         pool.insert(member(0, 5, 0, 100, 10)); // cost 50
         pool.insert(member(1, 3, 0, 100, 10)); // cost 30
-        pool.insert(member(2, 1, 0, 100, 10)); // cost 10
+        pool.insert(cheap);
         assert_eq!(pool.len(), 3);
         // Head = {10, 30}; 50 was displaced to the tail.
         let chosen = pool.accept(Money::from_credits(40)).unwrap();
@@ -682,7 +747,8 @@ mod tests {
         assert_eq!(chosen[1].slot.id(), SlotId::new(1));
         assert!(pool.accept(Money::from_credits(39)).is_none());
         // Removing a head member promotes the cheapest tail member.
-        assert!(pool.remove(SlotId::new(2)).is_some());
+        assert!(pool.remove(&cheap));
+        assert!(!pool.remove(&cheap));
         let chosen = pool.accept(Money::from_credits(80)).unwrap();
         assert_eq!(chosen[0].slot.id(), SlotId::new(1));
         assert_eq!(chosen[1].slot.id(), SlotId::new(0));
@@ -711,15 +777,18 @@ mod tests {
     #[test]
     fn cost_pool_starts_small_and_promotes_once() {
         let mut pool = CostPool::new(3);
-        for i in 0..SMALL_POOL_MAX as u64 {
-            pool.insert(member(i, 1 + (i % 7) as i64, 0, 10_000, 10));
+        let members: Vec<PoolMember> = (0..=SMALL_POOL_MAX as u64)
+            .map(|i| member(i, 1 + (i % 7) as i64, 0, 10_000, 10))
+            .collect();
+        for m in &members[..SMALL_POOL_MAX] {
+            pool.insert(*m);
         }
         assert!(matches!(pool.repr, CostRepr::Small(_)));
-        pool.insert(member(SMALL_POOL_MAX as u64, 1, 0, 10_000, 10));
+        pool.insert(members[SMALL_POOL_MAX]);
         assert!(matches!(pool.repr, CostRepr::Large(_)));
         // Promotion is one-way: shrinking below the threshold stays Large.
-        for i in 0..=SMALL_POOL_MAX as u64 {
-            pool.remove(SlotId::new(i));
+        for m in &members {
+            assert!(pool.remove(m));
         }
         assert_eq!(pool.len(), 0);
         assert!(matches!(pool.repr, CostRepr::Large(_)));
@@ -728,25 +797,34 @@ mod tests {
     #[test]
     fn small_and_large_representations_accept_identically() {
         // Drive the same member sequence through a pool that stays small
-        // and one forced across the threshold; acceptance must agree on
-        // membership, order, and budget behaviour at every step.
+        // and one forced across the threshold, advancing the anchor as a
+        // scan does; expiry and acceptance must agree on membership,
+        // order, and budget behaviour at every step.
+        let anchor = |step: u64| TimePoint::new(4 * step as i64);
         let members: Vec<PoolMember> = (0..40u64)
-            .map(|i| member(i, 1 + ((i * 13) % 11) as i64, 0, 10_000, 10))
+            .map(|i| {
+                let end = 4 * i as i64 + 10 + ((i * 37) % 60) as i64;
+                member(i, 1 + ((i * 13) % 11) as i64, 0, end, 10)
+            })
             .collect();
         let mut small = CostPool::new(4);
         let mut large = CostPool::new(4);
-        // Force the tree representation up front.
+        // Force the heap representation up front.
         large.repr = CostRepr::Large(LargeCostPool::new(4));
         for (step, m) in members.iter().enumerate() {
+            let step = step as u64;
+            assert_eq!(
+                small.advance(anchor(step)),
+                large.advance(anchor(step)),
+                "expiry diverges at step {step}"
+            );
             small.insert(*m);
             large.insert(*m);
-            if step % 5 == 0 {
-                let victim = SlotId::new((step as u64 * 7) % (step as u64 + 1));
-                assert_eq!(
-                    small.remove(victim).is_some(),
-                    large.remove(victim).is_some()
-                );
+            if step.is_multiple_of(5) {
+                let victim = &members[((step * 7) % (step + 1)) as usize];
+                assert_eq!(small.remove(victim), large.remove(victim));
             }
+            assert_eq!(small.len(), large.len());
             for budget in [10, 40, 400] {
                 let budget = Money::from_credits(budget);
                 let a = small.accept(budget);
@@ -763,6 +841,180 @@ mod tests {
             }
         }
         assert!(matches!(small.repr, CostRepr::Small(_)));
+    }
+
+    #[test]
+    fn a_member_removed_from_the_tail_is_never_promoted() {
+        let mut pool = LargeCostPool::new(1);
+        let [a, b, c] = [1, 2, 3].map(|id| member(id, id as i64, 0, 100, 10));
+        for m in [a, b, c] {
+            pool.insert(m);
+        }
+        // `b` leaves from the tail: its heap entry stays behind.
+        assert!(pool.remove(b.slot.id()));
+        assert!(!pool.remove(b.slot.id()));
+        // The head drains; the promotion skips `b`'s entry for `c`.
+        assert!(pool.remove(a.slot.id()));
+        let chosen = pool.accept(Money::from_credits(1_000)).unwrap();
+        assert_eq!(chosen[0].slot.id(), c.slot.id());
+        assert!(pool.remove(c.slot.id()));
+        assert_eq!(pool.len(), 0);
+        assert!(pool.accept(Money::from_credits(1_000)).is_none());
+    }
+
+    #[test]
+    fn a_removed_members_deadline_entry_neither_expires_nor_counts() {
+        let mut pool = LargeCostPool::new(2);
+        let early = member(0, 1, 0, 50, 10); // live through anchor 40
+        pool.insert(early);
+        pool.insert(member(1, 1, 0, 100, 10)); // live through anchor 90
+        assert!(pool.remove(early.slot.id()));
+        assert_eq!(pool.advance(TimePoint::new(41)), 0);
+        assert_eq!(pool.len(), 1);
+        assert_eq!(pool.advance(TimePoint::new(91)), 1);
+        assert_eq!(pool.len(), 0);
+    }
+
+    /// One step of the pool differential: the test's model is the pool's
+    /// live members, sorted by `(cost, id)`.
+    #[derive(Debug, Clone, Copy)]
+    enum PoolOp {
+        /// A fresh member at price 1–3 (so costs tie), live for `slack`
+        /// ticks past the current anchor.
+        Insert { price: i64, slack: i64 },
+        /// Removes the `pick`-th of the `n` cheapest members.
+        RemoveHead(usize),
+        /// Removes the `pick`-th member after the `n` cheapest.
+        RemoveTail(usize),
+        /// Removes the `pick`-th member already removed or expired.
+        RemoveAbsent(usize),
+        /// Moves the anchor forward.
+        Advance(i64),
+    }
+
+    /// The shim has no `prop_oneof`: `tag`'s range width is the weight.
+    fn pool_op() -> impl Strategy<Value = PoolOp> {
+        (0u32..10, 0usize..1_000, 1i64..4, 0i64..400).prop_map(|(tag, pick, price, span)| match tag
+        {
+            0..=4 => PoolOp::Insert { price, slack: span },
+            5 => PoolOp::RemoveHead(pick),
+            6 => PoolOp::RemoveTail(pick),
+            7 => PoolOp::RemoveAbsent(pick),
+            _ => PoolOp::Advance(span / 20),
+        })
+    }
+
+    /// The three pools under test, driven in lockstep.
+    struct Pools {
+        small: CostPool,
+        forced: CostPool,
+        large: LargeCostPool,
+    }
+
+    impl Pools {
+        fn new(n: usize) -> Self {
+            let mut forced = CostPool::new(n);
+            forced.repr = CostRepr::Large(LargeCostPool::new(n));
+            Pools {
+                small: CostPool::new(n),
+                forced,
+                large: LargeCostPool::new(n),
+            }
+        }
+
+        fn insert(&mut self, m: PoolMember) {
+            self.small.insert(m);
+            self.forced.insert(m);
+            self.large.insert(m);
+        }
+
+        /// Whether each pool held `m`; all three must agree.
+        fn remove(&mut self, m: &PoolMember) -> bool {
+            let found = self.small.remove(m);
+            assert_eq!(self.forced.remove(m), found);
+            assert_eq!(self.large.remove(m.slot.id()), found);
+            found
+        }
+
+        fn advance(&mut self, anchor: TimePoint) -> u64 {
+            let expired = self.small.advance(anchor);
+            assert_eq!(self.forced.advance(anchor), expired);
+            assert_eq!(self.large.advance(anchor), expired);
+            expired
+        }
+
+        fn accept(&self, budget: Money) -> Option<Vec<u64>> {
+            let ids = |chosen: Vec<PoolMember>| chosen.iter().map(|m| m.slot.id().raw()).collect();
+            let accepted = self.small.accept(budget).map(ids);
+            assert_eq!(self.forced.accept(budget).map(ids), accepted);
+            assert_eq!(self.large.accept(budget).map(ids), accepted);
+            accepted
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Both `CostPool` arms and a bare `LargeCostPool` against a
+        /// sort-and-take model: every removal, expiry count and
+        /// acceptance agrees, whether `n` is below or above the pool size.
+        #[test]
+        fn cost_pools_match_a_sort_and_take_model(
+            n in 1usize..40,
+            reach in 0u32..3,
+            ops in prop::collection::vec(pool_op(), 1..600),
+        ) {
+            let mut pools = Pools::new(n);
+            let mut live: Vec<PoolMember> = Vec::new();
+            let mut gone: Vec<PoolMember> = Vec::new();
+            let mut anchor = TimePoint::ZERO;
+            for (step, op) in ops.into_iter().enumerate() {
+                match op {
+                    PoolOp::Insert { price, slack } => {
+                        // Members outlive 16× more anchor steps at reach 2,
+                        // which carries the small arm across its threshold.
+                        let end = anchor.ticks() + 10 + (slack << (2 * reach));
+                        let m = member(step as u64, price, 0, end, 10);
+                        pools.insert(m);
+                        let pos = live.partition_point(|x| cost_key(x) < cost_key(&m));
+                        live.insert(pos, m);
+                    }
+                    PoolOp::RemoveHead(pick) | PoolOp::RemoveTail(pick) => {
+                        let range = if matches!(op, PoolOp::RemoveHead(_)) {
+                            0..n.min(live.len())
+                        } else {
+                            n.min(live.len())..live.len()
+                        };
+                        if !range.is_empty() {
+                            let m = live.remove(range.start + pick % range.len());
+                            assert!(pools.remove(&m), "step {step}: {op:?} missed");
+                            gone.push(m);
+                        }
+                    }
+                    PoolOp::RemoveAbsent(pick) => {
+                        if !gone.is_empty() {
+                            let m = gone[pick % gone.len()];
+                            assert!(!pools.remove(&m), "step {step}: {op:?} hit");
+                        }
+                    }
+                    PoolOp::Advance(by) => {
+                        anchor += TimeDelta::new(by);
+                        let before = live.len();
+                        gone.extend(live.iter().filter(|m| !m.live_at(anchor)));
+                        live.retain(|m| m.live_at(anchor));
+                        let expired = (before - live.len()) as u64;
+                        prop_assert_eq!(pools.advance(anchor), expired, "step {}", step);
+                    }
+                }
+                prop_assert_eq!(pools.small.len(), live.len());
+                let head: Money = live.iter().take(n).map(PoolMember::cost).sum();
+                for budget in [head - Money::from_credits(1), head, head + head] {
+                    let expected = (live.len() >= n && head <= budget)
+                        .then(|| live[..n].iter().map(|m| m.slot.id().raw()).collect());
+                    prop_assert_eq!(pools.accept(budget), expected, "step {}", step);
+                }
+            }
+        }
     }
 
     fn request(n: usize, t: i64, cap: i64) -> ResourceRequest {
@@ -940,14 +1192,15 @@ mod tests {
     #[test]
     fn ordered_pool_keeps_start_id_order() {
         let mut pool = AcceptPool::Ordered(Vec::new());
+        let middle = member(3, 1, 20, 100, 10);
         pool.insert(member(5, 1, 20, 100, 10));
         pool.insert(member(1, 1, 0, 100, 10));
-        pool.insert(member(3, 1, 20, 100, 10));
+        pool.insert(middle);
         let chosen = pool.accept(3, None).unwrap();
         let ids: Vec<u64> = chosen.iter().map(|m| m.slot.id().raw()).collect();
         assert_eq!(ids, vec![1, 3, 5]);
-        assert!(pool.remove(SlotId::new(3)).is_some());
-        assert!(pool.remove(SlotId::new(3)).is_none());
+        assert!(pool.remove(&middle));
+        assert!(!pool.remove(&middle));
         assert_eq!(pool.len(), 2);
     }
 }
