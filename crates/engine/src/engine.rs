@@ -61,8 +61,7 @@ use crate::state::{
     ArrivalState, EngineCheckpoint, LeaseState, PendingState, QueuedEventState, RngState,
 };
 
-mod reserve;
-pub use reserve::{Reservation, ReserveError};
+mod carve;
 
 /// Errors from an engine run.
 #[derive(Debug)]
@@ -168,19 +167,11 @@ pub struct RunState {
     queue: EventQueue,
     log: Log<LogEntry>,
     arrivals: Vec<ArrivalState>,
-    slot_gen: SlotGenerator,
-    revocation: RevocationModel,
     vacant: SlotList,
     next_node: u32,
     pending: Vec<PendingState>,
     leases: BTreeMap<u64, LeaseState>,
     next_lease: u64,
-    // Two-phase reservations in flight. Transient by contract: held only
-    // inside one federation routing action, empty whenever a checkpoint
-    // is taken, and therefore deliberately absent from EngineCheckpoint.
-    reservations: BTreeMap<u64, Reservation>,
-    next_reservation: u64,
-    reservations_broken: u64,
     report: EngineReport,
     published_ticks: i64,
     busy_ticks: i64,
@@ -299,27 +290,6 @@ impl RunState {
     pub fn next_event_seq(&self) -> u64 {
         self.queue.next_seq()
     }
-
-    /// Two-phase reservations currently held (phase one done, neither
-    /// committed nor released). Must be zero whenever a checkpoint is
-    /// taken.
-    #[must_use]
-    pub fn reservations_held(&self) -> usize {
-        self.reservations.len()
-    }
-
-    /// Looks up a held reservation by id.
-    #[must_use]
-    pub fn reservation(&self, id: u64) -> Option<&Reservation> {
-        self.reservations.get(&id)
-    }
-
-    /// Reservations broken by revocation strikes over the whole run
-    /// (transient diagnostics; not part of the checkpointed report).
-    #[must_use]
-    pub fn reservations_broken(&self) -> u64 {
-        self.reservations_broken
-    }
 }
 
 /// The discrete-event metascheduling engine.
@@ -327,6 +297,10 @@ impl RunState {
 pub struct Engine<S> {
     config: EngineConfig,
     selector: S,
+    /// The slot generator and revocation model the configuration
+    /// describes, built once.
+    slot_gen: SlotGenerator,
+    revocation: RevocationModel,
     /// Observability handle — runtime state like the thread budget:
     /// never serialized, absent from the fingerprint and checkpoints.
     obs: EngineObs,
@@ -341,6 +315,8 @@ impl<S: SlotSelector + Copy> Engine<S> {
     pub fn new(config: EngineConfig, selector: S) -> Result<Self, ConfigError> {
         config.validate()?;
         Ok(Engine {
+            slot_gen: SlotGenerator::new(config.slot_gen),
+            revocation: RevocationModel::new(config.revocation),
             config,
             selector,
             obs: EngineObs::off(),
@@ -437,16 +413,11 @@ impl<S: SlotSelector + Copy> Engine<S> {
             queue,
             log: Log::new(),
             arrivals,
-            slot_gen: SlotGenerator::new(self.config.slot_gen),
-            revocation: RevocationModel::new(self.config.revocation),
             vacant: SlotList::new_with_repr(MarketRepr::Interval),
             next_node: 0,
             pending: Vec::new(),
             leases: BTreeMap::new(),
             next_lease: 0,
-            reservations: BTreeMap::new(),
-            next_reservation: 0,
-            reservations_broken: 0,
             report: EngineReport {
                 vo_spend: vec![0.0; VOS as usize],
                 ..EngineReport::default()
@@ -549,10 +520,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
     }
 
     fn capture(&self, state: &RunState, log: Log<LogEntry>) -> EngineCheckpoint {
-        debug_assert!(
-            state.reservations.is_empty(),
-            "checkpoints must not be taken mid two-phase reservation"
-        );
         let rng = state.rng.capture();
         let (queue_next_seq, entries) = state.queue.snapshot();
         EngineCheckpoint {
@@ -640,8 +607,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
             ),
             log: checkpoint.log.clone(),
             arrivals: checkpoint.arrivals.clone(),
-            slot_gen: SlotGenerator::new(self.config.slot_gen),
-            revocation: RevocationModel::new(self.config.revocation),
             // A format-1 checkpoint carries the flat form; the live market
             // is always the interval form (the conversion preserves every
             // observable: slots, ids, iteration order).
@@ -654,11 +619,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 .map(|l| (l.lease, l.clone()))
                 .collect(),
             next_lease: checkpoint.next_lease,
-            // Reservations are transient two-phase state: checkpoints are
-            // only taken with none held, so restore starts empty.
-            reservations: BTreeMap::new(),
-            next_reservation: 0,
-            reservations_broken: 0,
             report: checkpoint.report.clone(),
             published_ticks: checkpoint.published_ticks,
             busy_ticks: checkpoint.busy_ticks,
@@ -702,7 +662,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
     ) -> Result<(), EngineError> {
         match event {
             Event::JobArrival { job } => self.on_arrival(state, job),
-            Event::SlotPublished { count, .. } => Self::on_publish(state, now, count),
+            Event::SlotPublished { count, .. } => self.on_publish(state, now, count),
             Event::SlotExpired { .. } => Self::on_expire(state, now),
             Event::CycleTick { cycle } => return self.on_cycle(state, now, cycle),
             Event::RevocationStrike { .. } => self.on_strike(state, now),
@@ -725,10 +685,8 @@ impl<S: SlotSelector + Copy> Engine<S> {
 
     /// `SlotPublished`: `count` generated slots, re-homed onto fresh
     /// nodes and shifted to `now`, join the vacant market.
-    fn on_publish(state: &mut RunState, now: TimePoint, count: u32) {
-        let generated = state
-            .slot_gen
-            .generate_exact(&mut state.rng, count as usize);
+    fn on_publish(&self, state: &mut RunState, now: TimePoint, count: u32) {
+        let generated = self.slot_gen.generate_exact(&mut state.rng, count as usize);
         for s in generated.iter() {
             let id = state.vacant.mint_id();
             let node = NodeId::new(state.next_node);
@@ -759,8 +717,8 @@ impl<S: SlotSelector + Copy> Engine<S> {
     /// `(start, id)`-ordered, so only that prefix is looked at. When the
     /// event logged just before this one is a `SlotExpired` at the same
     /// tick, its sweep already ran and no handler ran in between — what
-    /// a federation reserves or releases between two steps lies at or
-    /// after `now` — so there is nothing to find.
+    /// a federation carves or returns between two steps lies at or after
+    /// `now` — so there is nothing to find.
     fn on_expire(state: &mut RunState, now: TimePoint) {
         let entries = &state.log.entries;
         let swept = entries.len().checked_sub(2).is_some_and(|prev| {
@@ -906,19 +864,11 @@ impl<S: SlotSelector + Copy> Engine<S> {
     /// release their survivors → recover each, in lease-id (commitment)
     /// order.
     fn on_strike(&self, state: &mut RunState, now: TimePoint) {
-        // Sample against the live surface: vacant slots, active lease
+        // Sample against the live surface: vacant slots and active lease
         // regions (so strikes can land on windows carved by earlier
-        // repairs), and reserved-but-uncommitted windows (so strikes can
-        // land *between* the two phases of a cross-shard reservation).
-        // With no reservations held — every non-federated run — the
-        // surface and therefore the draw sequence is unchanged.
-        let held = state.reservations.values().filter(|r| !r.broken);
-        let surface = state
-            .leases
-            .values()
-            .map(|al| &al.window)
-            .chain(held.map(|r| &r.window));
-        let revocations = state
+        // repairs).
+        let surface = state.leases.values().map(|al| &al.window);
+        let revocations = self
             .revocation
             .draw_live(&state.vacant, surface, &mut state.rng);
         state.report.revocations += revocations.len() as u64;
@@ -936,17 +886,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
             broken.push(*id);
         }
         state.report.leases_broken += broken.len() as u64;
-
-        // Struck reservations break the same way, but there is no repair
-        // tier for them: the federation observes the break at commit time
-        // and releases the siblings.
-        for held in state.reservations.values_mut() {
-            if !held.broken && struck(&held.window) {
-                held.broken = true;
-                state.reservations_broken += 1;
-                cycle::release_broken(&mut state.vacant, &held.window, &revocations, now);
-            }
-        }
 
         self.obs.on_repair(now.ticks(), broken.len());
         let mut stats = RepairStats::default();

@@ -36,7 +36,7 @@ pub mod report;
 pub mod state;
 
 pub use config::{ArrivalConfig, EngineConfig};
-pub use engine::{Engine, EngineError, EngineRun, Reservation, ReserveError, RunState};
+pub use engine::{Engine, EngineError, EngineRun, RunState};
 pub use event::{fnv1a_64, fnv1a_extend, Event, Log, LogEntry, LogPosition};
 pub use obs::{EngineIds, EngineObs};
 pub use queue::EventQueue;

@@ -6,7 +6,7 @@
 //! The federation layer asks the multi-VO question: S shard engines each
 //! publish their own market, a superscheduler routes one shared Poisson
 //! stream across them (cheapest-feasible-window probes here, so wide
-//! jobs that fit no single shard can trigger two-phase cross-shard
+//! jobs that fit no single shard can trigger cross-shard
 //! co-allocation), and the merged `(time, seq, shard)` event log keeps
 //! the whole federation deterministic. The sweep varies shard count ×
 //! arrival intensity at a fixed total market size, so it isolates the
@@ -47,7 +47,7 @@ pub struct FederationPoint {
 /// configuration. At `shards == 8` each shard publishes an eighth of it,
 /// which is what makes partitioning visible: wide jobs that fit the
 /// whole market no longer fit any one shard, so routing falls through
-/// to two-phase cross-shard co-allocation.
+/// to cross-shard co-allocation.
 ///
 /// One deliberate deviation from the paper's Sec. 5 generator: jobs are
 /// wider (`[1, 20]` nodes instead of `[1, 6]`) so the widest jobs
@@ -76,8 +76,8 @@ pub fn base_config(config: &OnlineConfig, shards: u32, mean_gap: f64) -> EngineC
 
 /// The federation configuration of one sweep cell: cheapest-probe
 /// routing with cross-shard co-allocation enabled — the configuration
-/// where every layer of the subsystem (probing, routing, two-phase
-/// reserve/commit) is exercised.
+/// where every layer of the subsystem (probing, routing, cross-shard
+/// carve and lease or return) is exercised.
 #[must_use]
 pub fn fed_config(config: &OnlineConfig, shards: u32, mean_gap: f64) -> FederationConfig {
     FederationConfig {

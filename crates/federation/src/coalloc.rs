@@ -1,30 +1,31 @@
 //! Cross-shard co-allocation types: the split of a coscheduled job across
-//! shards and the typed lease the two-phase protocol surfaces on success.
+//! shards and the typed lease a cross-shard placement surfaces on success.
 
 use ecosched_core::Window;
 use serde::{Deserialize, Serialize};
 
-/// One shard's share of a cross-shard placement after commit.
+/// One shard's share of a cross-shard placement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CrossShardPart {
     /// The shard hosting this part.
     pub shard: u32,
-    /// The shard-local job id minted at commit.
+    /// The shard-local job id minted when the part was leased.
     pub job: u32,
-    /// The shard-local lease id minted at commit.
+    /// The shard-local lease id minted when the part was leased.
     pub lease: u64,
-    /// The committed window. All parts of one cross-shard placement start
-    /// at the same tick — that is what the alignment loop establishes
-    /// before phase two runs.
+    /// The leased window. The parts of one placement start at most
+    /// [`FederationConfig::align_tolerance`] ticks apart, so only at the
+    /// default tolerance of zero do they all start at the same tick.
+    ///
+    /// [`FederationConfig::align_tolerance`]: crate::FederationConfig::align_tolerance
     pub window: Window,
 }
 
 /// A committed cross-shard placement: one federation job served by
 /// synchronized-start windows on two or more shards.
 ///
-/// This is the typed surface of the two-phase protocol — it exists only
-/// if every shard's reserve and commit succeeded; any failure released
-/// all sibling reservations instead.
+/// It exists only if every part was carved out of its shard's market
+/// and leased; otherwise every carved part went back to its market.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CrossShardWindow {
     /// The federation-level job id (arrival order at the superscheduler).
@@ -35,18 +36,6 @@ pub struct CrossShardWindow {
     pub start: i64,
     /// The per-shard parts, in shard order.
     pub parts: Vec<CrossShardPart>,
-}
-
-/// A phase-one hold: a window reserved on a shard, not yet committed or
-/// released.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReservedPart {
-    /// The shard holding the reservation.
-    pub shard: u32,
-    /// The shard-local reservation id.
-    pub reservation: u64,
-    /// The reserved window.
-    pub window: Window,
 }
 
 /// Splits `nodes` across at most `shards` shards as evenly as possible,

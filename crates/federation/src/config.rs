@@ -60,18 +60,18 @@ pub struct FederationConfig {
     /// The routing policy.
     pub route: RoutePolicy,
     /// Whether jobs no single shard can host may be split across shards
-    /// via two-phase reserve/commit co-allocation. Only consulted under
+    /// by cross-shard co-allocation. Only consulted under
     /// [`RoutePolicy::CheapestProbe`] (the only policy that knows
     /// feasibility).
     pub cross_shard: bool,
     /// Bound on the cross-shard start-alignment fixed point: how many
-    /// probe-reserve-release rounds to try before giving up and falling
+    /// probe-carve-return rounds to try before giving up and falling
     /// back to a single-shard submit. Must be ≥ 1.
     pub max_align_rounds: u32,
     /// Start-alignment slack in ticks: a cross-shard round commits when
     /// the spread between its earliest and latest part start is at most
     /// this. The co-allocated job launches at the *latest* start; parts
-    /// reserved earlier hold their nodes for the difference — the
+    /// that start earlier hold their nodes for the difference — the
     /// classic co-allocation slack real superschedulers trade for a
     /// vastly higher commit rate, because administratively independent
     /// markets almost never publish slots at exactly equal ticks. `0`

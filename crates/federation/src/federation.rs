@@ -1,5 +1,5 @@
 //! The superscheduler: S shard engines behind one submission surface,
-//! with pluggable routing, two-phase cross-shard co-allocation, and a
+//! with pluggable routing, cross-shard co-allocation, and a
 //! deterministic merged event log.
 //!
 //! # Determinism under sharding
@@ -24,15 +24,15 @@
 use ecosched_core::{Money, ResourceRequest, TimePoint, Window};
 use ecosched_engine::{
     fnv1a_64, ArrivalState, Engine, EngineCheckpoint, EngineError, EngineRun, Log, LogEntry,
-    LogPosition, ReserveError, RunState,
+    LogPosition, RunState,
 };
-use ecosched_select::{repair_search, ScanStats, SlotSelector};
+use ecosched_select::{repair_search, RepairError, ScanStats, SlotSelector};
 use ecosched_sim::ConfigError;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::coalloc::{split_nodes, CrossShardPart, CrossShardWindow, ReservedPart};
+use crate::coalloc::{split_nodes, CrossShardPart, CrossShardWindow};
 use crate::config::{FederationConfig, RoutePolicy};
 use crate::merge::{merge_shard_logs, FederatedLogEntry};
 use crate::obs::FederationObs;
@@ -49,23 +49,19 @@ pub enum FederationError {
         /// The underlying engine error.
         source: EngineError,
     },
-    /// A two-phase reservation call failed unexpectedly.
-    Reserve {
-        /// The failing shard.
+    /// A cross-shard part probed on a shard's market did not carve out
+    /// of it; every part already carved was returned.
+    Carve {
+        /// The refusing shard.
         shard: u32,
-        /// The underlying reservation error.
-        source: ReserveError,
+        /// Why the window no longer fits.
+        source: RepairError,
     },
-    /// Phase two found a sibling reservation broken; every reservation of
-    /// the placement was released.
-    TwoPhaseAborted {
-        /// The federation job whose placement was abandoned.
-        fed_job: u64,
-    },
-    /// The two-phase protocol was driven with inconsistent arguments.
+    /// The federation was handed a shard it does not have: a routed
+    /// submission naming one, or a checkpoint of another shard count.
     Protocol {
-        /// What was inconsistent.
-        detail: &'static str,
+        /// What was refused.
+        detail: String,
     },
     /// A checkpoint was taken under a different `(config, selector)`
     /// fingerprint.
@@ -91,19 +87,10 @@ impl std::fmt::Display for FederationError {
             FederationError::Engine { shard, source } => {
                 write!(f, "shard {shard}: {source}")
             }
-            FederationError::Reserve { shard, source } => {
-                write!(f, "shard {shard} reservation: {source}")
+            FederationError::Carve { shard, source } => {
+                write!(f, "shard {shard} refused a cross-shard part: {source}")
             }
-            FederationError::TwoPhaseAborted { fed_job } => {
-                write!(
-                    f,
-                    "cross-shard placement of federation job {fed_job} aborted: \
-                     a sibling reservation broke before commit"
-                )
-            }
-            FederationError::Protocol { detail } => {
-                write!(f, "two-phase protocol misuse: {detail}")
-            }
+            FederationError::Protocol { detail } => write!(f, "{detail}"),
             FederationError::CheckpointMismatch { expected, found } => {
                 write!(
                     f,
@@ -126,7 +113,7 @@ impl std::error::Error for FederationError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FederationError::Engine { source, .. } => Some(source),
-            FederationError::Reserve { source, .. } => Some(source),
+            FederationError::Carve { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -144,7 +131,7 @@ pub enum Placement {
         /// The (possibly clamped) arrival time the shard recorded.
         time: TimePoint,
     },
-    /// The job was split across shards by two-phase co-allocation.
+    /// The job was split across shards by cross-shard co-allocation.
     Cross(CrossShardWindow),
 }
 
@@ -181,18 +168,6 @@ impl FederationState {
     #[must_use]
     pub fn shard(&self, shard: usize) -> &RunState {
         &self.shards[shard]
-    }
-
-    /// Mutable access to one shard's run state — the surface the
-    /// two-phase tests and the service layer drive shard-level
-    /// operations through.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    #[must_use]
-    pub fn shard_mut(&mut self, shard: usize) -> &mut RunState {
-        &mut self.shards[shard]
     }
 
     /// Number of shards.
@@ -628,7 +603,8 @@ impl<S: SlotSelector + Copy> Federation<S> {
     ///
     /// # Errors
     ///
-    /// [`FederationError::Protocol`] if `shard` is out of range.
+    /// [`FederationError::Protocol`] naming the shard and the shard count
+    /// if the federation has no such shard.
     pub fn submit_routed(
         &self,
         state: &mut FederationState,
@@ -639,7 +615,10 @@ impl<S: SlotSelector + Copy> Federation<S> {
         let index = shard as usize;
         if index >= self.shards.len() {
             return Err(FederationError::Protocol {
-                detail: "routed shard index out of range",
+                detail: format!(
+                    "a routed submission names shard {shard}, the federation has {}",
+                    self.shards.len()
+                ),
             });
         }
         state.next_fed_job += 1;
@@ -682,7 +661,7 @@ impl<S: SlotSelector + Copy> Federation<S> {
             });
         }
         // Cheapest-probe found no host. Coscheduled jobs may still fit in
-        // pieces: try the two-phase cross-shard path.
+        // pieces: try the cross-shard path.
         if self.config.cross_shard && self.shards.len() > 1 {
             if let Some(window) = self.try_cross_shard(state, fed_job, &request, at)? {
                 return Ok(Placement::Cross(window));
@@ -727,7 +706,7 @@ impl<S: SlotSelector + Copy> Federation<S> {
     }
 
     /// Probes every shard's vacant market for the cheapest feasible
-    /// window *without* routing, reserving, or mutating anything — the
+    /// window *without* routing, carving, or mutating anything — the
     /// read-only core of [`RoutePolicy::CheapestProbe`], exposed so
     /// clients (and benchmarks) can ask "where would this job land?"
     /// before submitting. Returns the winning shard index, or `None`
@@ -749,14 +728,15 @@ impl<S: SlotSelector + Copy> Federation<S> {
         (0..self.shards.len()).min_by_key(|&s| (state.shards[s].backlog(), s))
     }
 
-    /// The cross-shard alignment fixed point: split the job across
-    /// shards, probe each shard for its earliest sub-window at or after
-    /// the anchor and reserve it (phase one), and commit only when the
-    /// start spread is within [`FederationConfig::align_tolerance`]
-    /// (phase two) — exact agreement at the default tolerance of zero.
-    /// Misaligned rounds release everything and retry from the latest
-    /// start; infeasible shards or round exhaustion release everything
-    /// and give up.
+    /// The cross-shard alignment fixed point, as one routing action:
+    /// split the job across shards, probe each shard for its earliest
+    /// sub-window at or after the anchor and carve it out of that shard's
+    /// market, and lease every part when the start spread is within
+    /// [`FederationConfig::align_tolerance`] — exact agreement at the
+    /// default tolerance of zero. A misaligned round returns every part
+    /// and retries from the latest start; an infeasible shard or round
+    /// exhaustion returns every part and gives up. Either way nothing
+    /// carved outlives the call.
     fn try_cross_shard(
         &self,
         state: &mut FederationState,
@@ -783,8 +763,7 @@ impl<S: SlotSelector + Copy> Federation<S> {
         let mut anchor = at;
         for _round in 0..self.config.max_align_rounds {
             state.counters.align_rounds += 1;
-            let mut reserved: Vec<ReservedPart> = Vec::with_capacity(subs.len());
-            let mut feasible = true;
+            let mut carved: Vec<(u32, Window)> = Vec::with_capacity(subs.len());
             for (shard, sub) in subs.iter().enumerate() {
                 state.counters.probes += 1;
                 let mut scan = ScanStats::new();
@@ -796,156 +775,70 @@ impl<S: SlotSelector + Copy> Federation<S> {
                     &mut scan,
                 );
                 let Some(window) = window else {
-                    feasible = false;
-                    break;
+                    self.return_parts(state, &carved);
+                    return Ok(None);
                 };
-                match self.shards[shard].reserve(&mut state.shards[shard], &window) {
-                    Ok(reservation) => {
-                        state.counters.reservations_reserved += 1;
-                        reserved.push(ReservedPart {
-                            shard: shard as u32,
-                            reservation,
-                            window,
-                        });
-                    }
-                    Err(source) => {
-                        self.release_cross_shard(state, &reserved);
-                        return Err(FederationError::Reserve {
-                            shard: shard as u32,
-                            source,
-                        });
-                    }
+                if let Err(source) =
+                    self.shards[shard].carve_window(&mut state.shards[shard], &window)
+                {
+                    self.return_parts(state, &carved);
+                    return Err(FederationError::Carve {
+                        shard: shard as u32,
+                        source,
+                    });
                 }
+                state.counters.reservations_reserved += 1;
+                carved.push((shard as u32, window));
             }
-            if !feasible {
-                self.release_cross_shard(state, &reserved);
-                return Ok(None);
-            }
-            let starts: Vec<i64> = reserved.iter().map(|p| p.window.start().ticks()).collect();
-            let latest = starts.iter().copied().max().unwrap_or(anchor.ticks());
-            let earliest = starts.iter().copied().min().unwrap_or(anchor.ticks());
+            let starts = carved.iter().map(|(_, window)| window.start().ticks());
+            let latest = starts.clone().max().unwrap_or(anchor.ticks());
+            let earliest = starts.min().unwrap_or(anchor.ticks());
             if latest - earliest <= self.config.align_tolerance {
-                let window = self.commit_cross_shard(state, fed_job, reserved, &subs, at)?;
-                return Ok(Some(window));
+                return Ok(Some(
+                    self.lease_parts(state, fed_job, carved, &subs, latest, at),
+                ));
             }
-            // Misaligned: release the round's holds and retry anchored at
+            // Misaligned: return the round's parts and retry anchored at
             // the latest start — the classic co-allocation fixed point.
-            self.release_cross_shard(state, &reserved);
+            self.return_parts(state, &carved);
             anchor = TimePoint::new(latest);
         }
         Ok(None)
     }
 
-    /// Phase one over an explicit shard/window list: reserve every
-    /// window, releasing the ones already taken if any shard refuses.
-    ///
-    /// # Errors
-    ///
-    /// [`FederationError::Reserve`] from the refusing shard (all sibling
-    /// reservations are released first).
-    pub fn reserve_cross_shard(
-        &self,
-        state: &mut FederationState,
-        parts: &[(u32, Window)],
-    ) -> Result<Vec<ReservedPart>, FederationError> {
-        let mut reserved = Vec::with_capacity(parts.len());
-        for (shard, window) in parts {
-            let index = *shard as usize;
-            if index >= self.shards.len() {
-                self.release_cross_shard(state, &reserved);
-                return Err(FederationError::Protocol {
-                    detail: "reserve shard index out of range",
-                });
-            }
-            match self.shards[index].reserve(&mut state.shards[index], window) {
-                Ok(reservation) => {
-                    state.counters.reservations_reserved += 1;
-                    reserved.push(ReservedPart {
-                        shard: *shard,
-                        reservation,
-                        window: window.clone(),
-                    });
-                }
-                Err(source) => {
-                    self.release_cross_shard(state, &reserved);
-                    return Err(FederationError::Reserve {
-                        shard: *shard,
-                        source,
-                    });
-                }
-            }
-        }
-        Ok(reserved)
-    }
-
-    /// Phase two: commit every reservation of one cross-shard placement,
-    /// or — if any sibling broke while held (a revocation strike between
-    /// the phases) — release them all and commit nothing.
-    ///
-    /// # Errors
-    ///
-    /// [`FederationError::TwoPhaseAborted`] when a sibling broke (all
-    /// reservations released, no leases created);
-    /// [`FederationError::Protocol`] on mismatched arguments.
-    pub fn commit_cross_shard(
+    /// Leases every carved part of one aligned round to a new shard job
+    /// running its share of the request, and records the placement.
+    /// `start` is the synchronized launch tick, the latest part start:
+    /// at tolerance 0 every part starts there; with slack, earlier parts
+    /// hold their nodes until the last one is up.
+    fn lease_parts(
         &self,
         state: &mut FederationState,
         fed_job: u64,
-        reserved: Vec<ReservedPart>,
+        carved: Vec<(u32, Window)>,
         requests: &[ResourceRequest],
+        start: i64,
         at: TimePoint,
-    ) -> Result<CrossShardWindow, FederationError> {
-        if reserved.is_empty() || reserved.len() != requests.len() {
-            self.release_cross_shard(state, &reserved);
-            return Err(FederationError::Protocol {
-                detail: "commit needs one request per reserved part",
-            });
-        }
-        let intact = reserved.iter().all(|part| {
-            state.shards[part.shard as usize]
-                .reservation(part.reservation)
-                .is_some_and(|r| !r.is_broken())
-        });
-        if !intact {
-            self.release_cross_shard(state, &reserved);
-            return Err(FederationError::TwoPhaseAborted { fed_job });
-        }
-        // The synchronized launch tick: the latest part start. Under
-        // exact alignment (tolerance 0) every part starts here; with
-        // slack, earlier parts hold their nodes until the last one is up.
-        let start = reserved
-            .iter()
-            .map(|part| part.window.start().ticks())
-            .max()
-            .unwrap_or_else(|| at.ticks());
-        let mut parts = Vec::with_capacity(reserved.len());
-        for (i, (part, request)) in reserved.iter().zip(requests).enumerate() {
-            let shard = part.shard as usize;
-            match self.shards[shard].commit_reservation(
-                &mut state.shards[shard],
-                part.reservation,
-                *request,
-                at,
-            ) {
-                Ok((job, lease)) => parts.push(CrossShardPart {
-                    shard: part.shard,
+    ) -> CrossShardWindow {
+        let parts = carved
+            .into_iter()
+            .zip(requests)
+            .map(|((shard, window), request)| {
+                let index = shard as usize;
+                let (job, lease) = self.shards[index].lease_window(
+                    &mut state.shards[index],
+                    window.clone(),
+                    *request,
+                    at,
+                );
+                CrossShardPart {
+                    shard,
                     job,
                     lease,
-                    window: part.window.clone(),
-                }),
-                Err(source) => {
-                    // Unreachable after the intact gate (nothing steps
-                    // between gate and commit), but stay safe: release
-                    // what is still held. Parts already committed remain
-                    // ordinary single-shard leases.
-                    self.release_cross_shard(state, &reserved[i + 1..]);
-                    return Err(FederationError::Reserve {
-                        shard: part.shard,
-                        source,
-                    });
+                    window,
                 }
-            }
-        }
+            })
+            .collect();
         let window = CrossShardWindow {
             fed_job,
             start,
@@ -953,23 +846,15 @@ impl<S: SlotSelector + Copy> Federation<S> {
         };
         state.cross_shard.push(window.clone());
         state.counters.cross_shard_committed += 1;
-        Ok(window)
+        window
     }
 
-    /// Releases every still-held reservation in `parts` (broken ones are
-    /// dropped without returning capacity — their windows are gone).
-    pub fn release_cross_shard(&self, state: &mut FederationState, parts: &[ReservedPart]) {
-        for part in parts {
-            let shard = part.shard as usize;
-            if shard >= self.shards.len() {
-                continue;
-            }
-            if self.shards[shard]
-                .release_reservation(&mut state.shards[shard], part.reservation)
-                .is_ok()
-            {
-                state.counters.reservations_released += 1;
-            }
+    /// Returns every carved part to its shard's market, in part order.
+    fn return_parts(&self, state: &mut FederationState, carved: &[(u32, Window)]) {
+        for (shard, window) in carved {
+            let index = *shard as usize;
+            self.shards[index].return_window(&mut state.shards[index], window);
+            state.counters.reservations_released += 1;
         }
     }
 
@@ -986,7 +871,6 @@ impl<S: SlotSelector + Copy> Federation<S> {
             next_fed_job,
             ..
         } = state;
-        let reservations_broken: u64 = shards.iter().map(RunState::reservations_broken).sum();
         let shard_runs: Vec<EngineRun> = self
             .shards
             .iter()
@@ -1018,7 +902,8 @@ impl<S: SlotSelector + Copy> Federation<S> {
             jobs_completed: raw_completed.saturating_sub(extra_parts),
             backlog: shard_runs.iter().map(|r| r.report.backlog).sum(),
             routing: counters,
-            reservations_broken,
+            // Nothing is held across a step for a strike to break.
+            reservations_broken: 0,
             merged_events: merged.len() as u64,
             merged_log_hash: merged.fnv1a_hash(),
             shards: shard_runs.iter().map(|r| r.report.clone()).collect(),
@@ -1032,9 +917,7 @@ impl<S: SlotSelector + Copy> Federation<S> {
     }
 
     /// Captures the full resumable state of an in-flight federated run:
-    /// every shard's engine checkpoint plus the router state. Must not be
-    /// called mid two-phase reservation (the routing action is atomic, so
-    /// between [`Self::step`]s no reservations are ever held).
+    /// every shard's engine checkpoint plus the router state.
     #[must_use]
     pub fn checkpoint(&self, state: &FederationState) -> FederationCheckpoint {
         self.capture(state, None)
@@ -1115,12 +998,20 @@ impl<S: SlotSelector + Copy> Federation<S> {
         }
         if checkpoint.shards.len() != self.shards.len() {
             return Err(FederationError::Protocol {
-                detail: "checkpoint shard count does not match the federation",
+                detail: format!(
+                    "the checkpoint holds {} shards, the federation has {}",
+                    checkpoint.shards.len(),
+                    self.shards.len()
+                ),
             });
         }
         if checkpoint.counters.routed.len() != self.shards.len() {
             return Err(FederationError::Protocol {
-                detail: "checkpoint router counters do not match the shard count",
+                detail: format!(
+                    "the checkpoint's router counts {} shards, the federation has {}",
+                    checkpoint.counters.routed.len(),
+                    self.shards.len()
+                ),
             });
         }
         if checkpoint.merged.whole().is_none() {

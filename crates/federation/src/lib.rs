@@ -4,9 +4,10 @@
 //! market. This crate scales the model out: S independent shard engines
 //! run behind a single submission surface, a routing policy
 //! ([`RoutePolicy`]) places each arriving job on a shard, and jobs no
-//! single shard can host may be split across shards by a two-phase
-//! reserve/commit co-allocation protocol whose successes surface as
-//! typed [`CrossShardWindow`] leases.
+//! single shard can host may be split across shards. A cross-shard
+//! placement is one routing action: it carves each part's window out of
+//! its shard's vacant market, then either leases every part, surfacing
+//! as a typed [`CrossShardWindow`], or returns every part.
 //!
 //! The determinism contract survives sharding. Each shard remains a pure
 //! function of `(config, seed, routed-arrival sequence)`; the federation
@@ -29,7 +30,7 @@ pub mod merge;
 pub mod obs;
 pub mod report;
 
-pub use coalloc::{split_nodes, CrossShardPart, CrossShardWindow, ReservedPart};
+pub use coalloc::{split_nodes, CrossShardPart, CrossShardWindow};
 pub use config::{FederationConfig, RoutePolicy};
 pub use federation::{
     Federation, FederationCheckpoint, FederationError, FederationRun, FederationState, Placement,

@@ -70,7 +70,7 @@ impl FedIds {
             ),
             cross_shard_committed: b.counter(
                 "ecosched_federation_cross_shard_committed_total",
-                "Cross-shard placements committed by the two-phase protocol",
+                "Cross-shard placements whose every part was leased",
             ),
             fallback_submits: b.counter(
                 "ecosched_federation_fallback_submits_total",
@@ -82,11 +82,11 @@ impl FedIds {
             ),
             reservations_reserved: b.counter(
                 "ecosched_federation_reservations_reserved_total",
-                "Phase-one reservations taken by the two-phase protocol",
+                "Cross-shard part windows carved out of a shard market",
             ),
             reservations_released: b.counter(
                 "ecosched_federation_reservations_released_total",
-                "Reservations released without commit",
+                "Carved cross-shard parts returned to their market unleased",
             ),
             merged_events: b.counter(
                 "ecosched_federation_merged_events_total",

@@ -24,10 +24,10 @@ pub struct RouteCounters {
     pub fallback_submits: u64,
     /// Alignment rounds run by the cross-shard fixed point.
     pub align_rounds: u64,
-    /// Phase-one reservations taken by the two-phase protocol.
+    /// Cross-shard part windows carved out of a shard's market.
     pub reservations_reserved: u64,
-    /// Reservations released without commit (misaligned rounds, sibling
-    /// failures, or infeasible shards mid-round).
+    /// Carved parts returned to their market unleased (misaligned rounds,
+    /// or a later shard infeasible mid-round).
     pub reservations_released: u64,
 }
 
@@ -60,7 +60,10 @@ pub struct FederationReport {
     pub backlog: u64,
     /// Router state at the end of the run.
     pub routing: RouteCounters,
-    /// Two-phase reservations broken by revocation strikes while held.
+    /// Always 0: a cross-shard placement carves and then leases or
+    /// returns its parts within one routing action, so no strike can
+    /// land on a carved part. Kept on the wire, where report hashes
+    /// cover it.
     pub reservations_broken: u64,
     /// Entries in the merged log.
     pub merged_events: u64,

@@ -278,7 +278,7 @@ fn cross_shard_coallocation_fires_when_no_shard_fits_alone() {
     assert_eq!(run.report.jobs_offered, 1);
     assert_eq!(run.report.routing.fallback_submits, 0);
     assert_eq!(run.report.routing.align_rounds, 1, "converged first round");
-    // Two-phase accounting: every reservation was committed or released.
+    // Carve accounting: every carved part was leased or returned.
     let routing = &run.report.routing;
     let committed_parts: u64 = run.cross_shard.iter().map(|w| w.parts.len() as u64).sum();
     assert_eq!(
@@ -286,8 +286,8 @@ fn cross_shard_coallocation_fires_when_no_shard_fits_alone() {
         committed_parts + routing.reservations_released,
         "reservations leaked: {routing:?}"
     );
-    // Routing is atomic — nothing steps between reserve and commit, so
-    // live runs can never lose a reservation to a strike.
+    // Routing is atomic — nothing steps between carve and lease, so no
+    // strike can land on a carved part.
     assert_eq!(run.report.reservations_broken, 0);
     // Both shard logs record the committed lease completing.
     for shard_run in &run.shards {

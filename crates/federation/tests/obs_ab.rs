@@ -12,7 +12,7 @@ use ecosched_select::Amp;
 use ecosched_sim::{IntRange, JobGenConfig, RevocationConfig, SlotGenConfig};
 
 /// A 4-shard cheapest-probe federation with cross-shard co-allocation
-/// live (shards starved so the two-phase path fires) and churn.
+/// live (shards starved so the cross-shard path fires) and churn.
 fn starved_config(shards: u32) -> FederationConfig {
     let base = EngineConfig {
         slot_gen: SlotGenConfig {

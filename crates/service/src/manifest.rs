@@ -94,8 +94,8 @@ impl ServiceManifest {
 
     /// The federation this manifest describes. Cross-shard co-allocation
     /// stays off in service mode: every WAL entry must replay as exactly
-    /// one single-shard injection, so recovery never re-runs a two-phase
-    /// protocol whose outcome the log does not record.
+    /// one single-shard injection, so recovery never re-runs a cross-shard
+    /// placement whose outcome the log does not record.
     #[must_use]
     pub fn fed_config(&self) -> FederationConfig {
         FederationConfig {

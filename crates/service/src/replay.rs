@@ -62,8 +62,8 @@ pub fn replay_wal<S: SlotSelector + Copy>(
     entries: &[WalEntry],
 ) -> Result<FederationState, ServiceError> {
     let mut state = fed.start(seed);
-    for entry in entries {
-        reinject(fed, &mut state, entry)?;
+    for (i, entry) in entries.iter().enumerate() {
+        reinject(fed, &mut state, i, entry)?;
     }
     Ok(state)
 }

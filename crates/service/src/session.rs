@@ -10,7 +10,7 @@
 //! decision per job. Cross-shard co-allocation stays off in service
 //! mode (see [`ServiceManifest::fed_config`]), so every accepted
 //! submission is exactly one single-shard injection and recovery never
-//! re-runs a two-phase protocol.
+//! re-runs a cross-shard placement.
 //!
 //! # Durability and ordering
 //!
@@ -194,9 +194,9 @@ impl<S: SlotSelector + Copy> Session<S> {
         };
 
         // Re-inject the WAL suffix at its recorded injection points.
-        let already = arrivals_total(&state);
-        for entry in &loaded.entries[already.min(loaded.entries.len())..] {
-            reinject(&fed, &mut state, entry)?;
+        let already = arrivals_total(&state).min(loaded.entries.len());
+        for (i, entry) in loaded.entries.iter().enumerate().skip(already) {
+            reinject(&fed, &mut state, i, entry)?;
         }
         if arrivals_total(&state) != loaded.entries.len() {
             return Err(ServiceError::Diverged(format!(
@@ -574,12 +574,20 @@ pub(crate) fn arrivals_total(state: &FederationState) -> usize {
 
 /// Steps `state` to `entry`'s recorded merged-log injection point and
 /// replays its recorded routing decision, checking the reconstruction
-/// matches the record.
+/// matches the record. `index` is the entry's position in the WAL.
 pub(crate) fn reinject<S: SlotSelector + Copy>(
     fed: &Federation<S>,
     state: &mut FederationState,
+    index: usize,
     entry: &WalEntry,
 ) -> Result<(), ServiceError> {
+    if entry.shard as usize >= state.shard_count() {
+        return Err(ServiceError::Diverged(format!(
+            "WAL entry {index} names shard {}, the federation has {}",
+            entry.shard,
+            state.shard_count()
+        )));
+    }
     while (state.merged().len() as u64) < entry.injected_after {
         if fed.step(state)?.is_none() {
             return Err(ServiceError::Diverged(format!(

@@ -14,8 +14,8 @@ use ecosched_persist::{snapshot, Store};
 use ecosched_select::Amp;
 use ecosched_service::session::snapshot_dir;
 use ecosched_service::{
-    build_service_obs, load_manifest, verify_data_dir, BootMode, JobSpec, RejectReason,
-    ServiceManifest, Session,
+    build_service_obs, load_manifest, load_wal, verify_data_dir, BootMode, JobSpec, RejectReason,
+    ServiceManifest, Session, Wal,
 };
 use ecosched_sim::{IntRange, JobGenConfig, JobGenerator};
 use rand::SeedableRng;
@@ -652,6 +652,45 @@ fn a_snapshot_arrival_the_wal_contradicts_fails_boot_and_verify() {
         verify.to_string().contains("does not match WAL"),
         "{verify}"
     );
+}
+
+/// Rewrites `dir`'s WAL with entry `index` naming shard 9 of the one the
+/// default daemon runs; returns the text boot and the verifier must show.
+fn misroute_wal_entry(dir: &Path, index: usize) -> String {
+    let path = dir.join("wal.ndjson");
+    let mut entries = load_wal(&path).expect("load").entries;
+    entries[index].shard = 9;
+    std::fs::remove_file(&path).expect("remove");
+    Wal::open_append(&path)
+        .expect("reopen")
+        .append_batch(&entries)
+        .expect("rewrite");
+    format!("WAL entry {index} names shard 9, the federation has 1")
+}
+
+/// A WAL entry naming a shard the federation lacks is refused by boot
+/// and by the offline verifier, naming the entry, the shard and the
+/// shard count: past the newest snapshot, and with no snapshot at all.
+#[test]
+fn a_wal_entry_naming_a_missing_shard_fails_boot_and_verify() {
+    let past = scratch_dir("misrouted-past-snapshot");
+    crashed_after_ten_cycles(&past);
+    let last = load_wal(&past.join("wal.ndjson"))
+        .expect("load")
+        .entries
+        .len()
+        - 1;
+    let unsnapshotted = scratch_dir("misrouted-no-snapshot");
+    run_cycles(&mut open_small(&unsnapshotted), 0..2);
+    assert!(snapshots(&unsnapshotted).is_empty());
+
+    for (dir, index) in [(&past, last), (&unsnapshotted, 1)] {
+        let expected = misroute_wal_entry(dir, index);
+        let boot = Session::open(dir, small_manifest(), Amp::new()).expect_err("boot must refuse");
+        assert!(boot.to_string().contains(&expected), "{boot}");
+        let verify = verify_data_dir(dir).expect_err("the verifier must refuse it too");
+        assert!(verify.to_string().contains(&expected), "{verify}");
+    }
 }
 
 /// A cadence snapshot after a session's first hands the store only the

@@ -18,7 +18,7 @@
 //! * [`engine`] — the deterministic discrete-event engine driving the
 //!   pipeline online over a virtual clock;
 //! * [`federation`] — the sharded multi-VO superscheduler: routing
-//!   policies, two-phase cross-shard co-allocation, and deterministic
+//!   policies, cross-shard co-allocation, and deterministic
 //!   merged event logs over shard engines;
 //! * [`persist`] — checkpoint/restore containers, snapshot rotation,
 //!   and event-log replay;
