@@ -3,8 +3,8 @@
 //!
 //! Four readings, recorded in `BENCH_select.json`:
 //!
-//! * a single carve (`subtract`) on the tree ordering is an `O(log n)`
-//!   splice where the vector ordering pays an `O(n)` memmove. The
+//! * a single carve (`subtract`) on the block ordering splices one
+//!   bounded block where the vector ordering pays an `O(n)` memmove. The
 //!   mutation benches clone the list every iteration (the carve itself
 //!   must start from pristine state), and an `O(n)` clone dominates both
 //!   sides — so the `clone` group below records that baseline, and the
@@ -12,9 +12,9 @@
 //!   median;
 //! * the coalescing merge pass is the same walk on both orderings; what
 //!   differs is loading the walk's output back into the container (a
-//!   moved vector, or one bulk-built tree);
+//!   moved vector, or the same slots copied into half-full blocks);
 //! * a cycle's commit — about 2 000 four-member windows released into a
-//!   2 400-slot tree market and coalesced, one walk for both;
+//!   2 400-slot block-ordered market and coalesced, one walk for both;
 //! * the ALP/AMP window scan at 10⁵ slots is ordering-blind in cost as
 //!   well as outcome: iteration dominates, and both containers hand the
 //!   scan the same `(start, id)`-ordered stream.
@@ -134,7 +134,7 @@ fn bench_merge(c: &mut Criterion) {
     group.finish();
 }
 
-/// A cycle's commit on the tree (DESIGN §16): 2 000 four-member windows
+/// A cycle's commit on the block ordering (DESIGN §16): 2 000 four-member windows
 /// carved back to back, from time 0, out of 2 400 nodes holding one slot
 /// each, which leaves a 2 400-slot market of right remnants. Releasing
 /// the windows and coalescing merges all 8 000 regions back.

@@ -1,14 +1,16 @@
 //! The two containers inside the market store ([`crate::SlotList`]).
 //!
 //! * [`Order`] holds every live slot in `(start, id)` order, as one of
-//!   two orderings. A `Vec<Slot>` is cheap to walk, clone and bulk-load
+//!   two orderings. A `Vec<Slot>` is the cheapest to clone and bulk-load
 //!   and pays an `O(m)` memmove per splice: the closed batch markets of
-//!   the paper's study. A `BTreeMap<(TimePoint, SlotId), Slot>` splices
-//!   in `O(log m)`: the engine's long-lived market, re-planned at every
-//!   scheduling event. `Order` and its two iterators are the only types
-//!   in the crate with an arm per ordering; everything above them — the
-//!   id index, the per-node timelines, id minting and every market
-//!   algorithm — exists once, in [`crate::SlotList`].
+//!   the paper's study. `Blocks`, a vector of sorted blocks of at most
+//!   `BLOCK_CAP` slots, walks like the vector and splices one block: the
+//!   engine's long-lived market, re-planned at every scheduling event.
+//!   `Order` is the only type in the crate with an arm per ordering;
+//!   everything above it — the id index, the per-node timelines, id
+//!   minting and every market algorithm — exists once, in
+//!   [`crate::SlotList`], and both orderings hand out the same two
+//!   iterator types, each a block walk that sees the vector as one block.
 //! * [`IntervalSet`] is one node's timeline of disjoint free intervals,
 //!   `start → (id, end)`, which makes overlap checks and region queries
 //!   `O(log n)` tree steps. Price and performance live once, in the slot
@@ -20,7 +22,8 @@
 //! above this module; `tests/interval_equivalence.rs` pins the one thing
 //! that can still differ, the container.
 
-use std::collections::{btree_map, BTreeMap};
+use std::collections::BTreeMap;
+use std::{slice, vec};
 
 use crate::error::CoreError;
 use crate::resource::NodeId;
@@ -35,11 +38,16 @@ pub(crate) fn key(slot: &Slot) -> Key {
     (slot.start(), slot.id())
 }
 
+/// The most slots one block holds; a block that grows past it splits in
+/// half, and a bulk load fills blocks half full. DESIGN §16 records why
+/// 128.
+const BLOCK_CAP: usize = 128;
+
 /// Every live slot in `(start, id)` order, in one of two orderings.
 #[derive(Debug, Clone)]
 pub(crate) enum Order {
     Vec(Vec<Slot>),
-    Tree(BTreeMap<Key, Slot>),
+    Blocks(Blocks),
 }
 
 impl Default for Order {
@@ -54,44 +62,45 @@ impl Order {
     }
 
     /// Bulk-loads slots the caller has checked to be in strictly
-    /// increasing `(start, id)` order; the vector is kept as it is.
+    /// increasing `(start, id)` order: the vector ordering keeps the
+    /// vector as it is, the blocks copy it into half-full blocks.
     pub(crate) fn from_sorted(slots: Vec<Slot>, repr: MarketRepr) -> Self {
         match repr {
             MarketRepr::Flat => Order::Vec(slots),
-            MarketRepr::Interval => {
-                Order::Tree(slots.into_iter().map(|slot| (key(&slot), slot)).collect())
-            }
+            MarketRepr::Interval => Order::Blocks(Blocks::from_sorted(&slots)),
         }
     }
 
     pub(crate) fn repr(&self) -> MarketRepr {
         match self {
             Order::Vec(_) => MarketRepr::Flat,
-            Order::Tree(_) => MarketRepr::Interval,
+            Order::Blocks(_) => MarketRepr::Interval,
         }
     }
 
     pub(crate) fn len(&self) -> usize {
         match self {
             Order::Vec(slots) => slots.len(),
-            Order::Tree(tree) => tree.len(),
+            Order::Blocks(blocks) => blocks.len,
         }
     }
 
     pub(crate) fn get(&self, at: Key) -> Option<&Slot> {
-        match self {
-            Order::Vec(slots) => slots.get(position(slots, at)).filter(|s| key(s) == at),
-            Order::Tree(tree) => tree.get(&at),
-        }
+        let (slots, pos) = match self {
+            Order::Vec(slots) => (slots, position(slots, at)),
+            Order::Blocks(blocks) => {
+                let (b, pos) = blocks.index(at)?;
+                (&blocks.blocks[b], pos)
+            }
+        };
+        slots.get(pos).filter(|s| key(s) == at)
     }
 
     /// Inserts a slot whose id is not in the container.
     pub(crate) fn insert(&mut self, slot: Slot) {
         match self {
             Order::Vec(slots) => slots.insert(position(slots, key(&slot)), slot),
-            Order::Tree(tree) => {
-                tree.insert(key(&slot), slot);
-            }
+            Order::Blocks(blocks) => blocks.insert(slot),
         }
     }
 
@@ -101,16 +110,14 @@ impl Order {
             Order::Vec(slots) => {
                 slots.remove(position(slots, at));
             }
-            Order::Tree(tree) => {
-                tree.remove(&at);
-            }
+            Order::Blocks(blocks) => blocks.remove(at),
         }
     }
 
     pub(crate) fn iter(&self) -> SlotIter<'_> {
         match self {
-            Order::Vec(slots) => SlotIter::Flat(slots.iter()),
-            Order::Tree(tree) => SlotIter::Interval(tree.values()),
+            Order::Vec(slots) => SlotIter::new(slots, &[]),
+            Order::Blocks(blocks) => SlotIter::new(&[], &blocks.blocks),
         }
     }
 
@@ -118,92 +125,184 @@ impl Order {
     pub(crate) fn range_from(&self, from: TimePoint) -> SlotIter<'_> {
         let from = (from, SlotId::new(0));
         match self {
-            Order::Vec(slots) => SlotIter::Flat(slots[position(slots, from)..].iter()),
-            Order::Tree(tree) => SlotIter::IntervalRange(tree.range(from..)),
+            Order::Vec(slots) => SlotIter::new(&slots[position(slots, from)..], &[]),
+            Order::Blocks(blocks) => match blocks.index(from) {
+                Some((b, pos)) => SlotIter::new(&blocks.blocks[b][pos..], &blocks.blocks[b + 1..]),
+                None => SlotIter::new(&[], &[]),
+            },
         }
     }
 
     pub(crate) fn into_slots(self) -> SlotIntoIter {
         match self {
-            Order::Vec(slots) => SlotIntoIter::Flat(slots.into_iter()),
-            Order::Tree(tree) => SlotIntoIter::Interval(tree.into_values()),
+            Order::Vec(slots) => SlotIntoIter {
+                front: slots.into_iter(),
+                blocks: Vec::new().into_iter(),
+            },
+            Order::Blocks(blocks) => SlotIntoIter {
+                front: Vec::new().into_iter(),
+                blocks: blocks.blocks.into_iter(),
+            },
         }
     }
 }
 
-/// Index of the first slot at or after `key` in a sorted vector.
+/// Index of the first slot at or after `key` in a sorted slice.
 fn position(slots: &[Slot], at: Key) -> usize {
     slots.partition_point(|slot| key(slot) < at)
 }
 
+/// Every slot in `(start, id)` order, cut into non-empty blocks of at
+/// most [`BLOCK_CAP`] slots. `firsts[b]` separates block `b` from the
+/// one before it: above that block's last key, and at or below the key
+/// of `blocks[b][0]`. It is set exactly when the block is made and left
+/// alone when the block's first slot changes, since a key between the
+/// two blocks locates the same either way. The first keys are held in a
+/// vector of their own so that a lookup binary-searches one contiguous
+/// array and then one block.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Blocks {
+    blocks: Vec<Vec<Slot>>,
+    firsts: Vec<Key>,
+    len: usize,
+}
+
+impl Blocks {
+    fn from_sorted(slots: &[Slot]) -> Self {
+        let blocks: Vec<Vec<Slot>> = slots.chunks(BLOCK_CAP / 2).map(<[Slot]>::to_vec).collect();
+        Blocks {
+            firsts: blocks.iter().map(|block| key(&block[0])).collect(),
+            blocks,
+            len: slots.len(),
+        }
+    }
+
+    /// The block `at` belongs in — the last whose first key is at or
+    /// before it, or block 0 for a key before every slot — and the
+    /// position in that block of the first slot at or after `at`.
+    /// `None` when there are no blocks.
+    fn index(&self, at: Key) -> Option<(usize, usize)> {
+        let b = self.firsts.partition_point(|first| *first <= at);
+        let b = b.saturating_sub(1);
+        Some((b, position(self.blocks.get(b)?, at)))
+    }
+
+    fn insert(&mut self, slot: Slot) {
+        let at = key(&slot);
+        self.len += 1;
+        let Some((b, pos)) = self.index(at) else {
+            self.blocks.push(vec![slot]);
+            self.firsts.push(at);
+            return;
+        };
+        let block = &mut self.blocks[b];
+        block.insert(pos, slot);
+        if block.len() > BLOCK_CAP {
+            let upper = block.split_off(block.len() / 2);
+            self.firsts.insert(b + 1, key(&upper[0]));
+            self.blocks.insert(b + 1, upper);
+        }
+    }
+
+    fn remove(&mut self, at: Key) {
+        let (b, pos) = self.index(at).expect("the removed slot is live");
+        let block = &mut self.blocks[b];
+        debug_assert_eq!(
+            block.get(pos).map(key),
+            Some(at),
+            "the removed slot is live"
+        );
+        block.remove(pos);
+        self.len -= 1;
+        if block.is_empty() {
+            self.blocks.remove(b);
+            self.firsts.remove(b);
+        }
+    }
+}
+
 /// Borrowed iterator over a [`SlotList`](crate::SlotList)'s slots in
-/// `(start, id)` order, uniform across orderings.
+/// `(start, id)` order, the same type under both orderings: the slots
+/// left in the current block, the blocks after it, and what a walk from
+/// the back has left of the last block it entered. The vector ordering
+/// is a walk over its one block.
 #[derive(Debug, Clone)]
-pub enum SlotIter<'a> {
-    /// Walking the vector.
-    Flat(std::slice::Iter<'a, Slot>),
-    /// Walking the whole order tree.
-    Interval(btree_map::Values<'a, (TimePoint, SlotId), Slot>),
-    /// Walking an order-tree suffix (from
-    /// [`SlotList::iter_from`](crate::SlotList::iter_from)).
-    IntervalRange(btree_map::Range<'a, (TimePoint, SlotId), Slot>),
+pub struct SlotIter<'a> {
+    front: slice::Iter<'a, Slot>,
+    blocks: slice::Iter<'a, Vec<Slot>>,
+    back: slice::Iter<'a, Slot>,
+}
+
+impl<'a> SlotIter<'a> {
+    fn new(front: &'a [Slot], blocks: &'a [Vec<Slot>]) -> Self {
+        SlotIter {
+            front: front.iter(),
+            blocks: blocks.iter(),
+            back: [].iter(),
+        }
+    }
 }
 
 impl<'a> Iterator for SlotIter<'a> {
     type Item = &'a Slot;
 
     fn next(&mut self) -> Option<&'a Slot> {
-        match self {
-            SlotIter::Flat(it) => it.next(),
-            SlotIter::Interval(it) => it.next(),
-            SlotIter::IntervalRange(it) => it.next().map(|(_, slot)| slot),
+        loop {
+            if let Some(slot) = self.front.next() {
+                return Some(slot);
+            }
+            match self.blocks.next() {
+                Some(block) => self.front = block.iter(),
+                None => return self.back.next(),
+            }
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            SlotIter::Flat(it) => it.size_hint(),
-            SlotIter::Interval(it) => it.size_hint(),
-            SlotIter::IntervalRange(it) => it.size_hint(),
-        }
+        let inner: usize = self.blocks.as_slice().iter().map(Vec::len).sum();
+        let len = self.front.len() + inner + self.back.len();
+        (len, Some(len))
     }
 }
 
 impl DoubleEndedIterator for SlotIter<'_> {
     fn next_back(&mut self) -> Option<Self::Item> {
-        match self {
-            SlotIter::Flat(it) => it.next_back(),
-            SlotIter::Interval(it) => it.next_back(),
-            SlotIter::IntervalRange(it) => it.next_back().map(|(_, slot)| slot),
+        loop {
+            if let Some(slot) = self.back.next_back() {
+                return Some(slot);
+            }
+            match self.blocks.next_back() {
+                Some(block) => self.back = block.iter(),
+                None => return self.front.next_back(),
+            }
         }
     }
 }
 
 /// Owning iterator over a [`SlotList`](crate::SlotList)'s slots in
-/// `(start, id)` order.
+/// `(start, id)` order, the same type under both orderings.
 #[derive(Debug)]
-pub enum SlotIntoIter {
-    /// Draining the vector.
-    Flat(std::vec::IntoIter<Slot>),
-    /// Draining the order tree.
-    Interval(btree_map::IntoValues<(TimePoint, SlotId), Slot>),
+pub struct SlotIntoIter {
+    front: vec::IntoIter<Slot>,
+    blocks: vec::IntoIter<Vec<Slot>>,
 }
 
 impl Iterator for SlotIntoIter {
     type Item = Slot;
 
     fn next(&mut self) -> Option<Slot> {
-        match self {
-            SlotIntoIter::Flat(it) => it.next(),
-            SlotIntoIter::Interval(it) => it.next(),
+        loop {
+            if let Some(slot) = self.front.next() {
+                return Some(slot);
+            }
+            self.front = self.blocks.next()?.into_iter();
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            SlotIntoIter::Flat(it) => it.size_hint(),
-            SlotIntoIter::Interval(it) => it.size_hint(),
-        }
+        let inner: usize = self.blocks.as_slice().iter().map(Vec::len).sum();
+        let len = self.front.len() + inner;
+        (len, Some(len))
     }
 }
 
@@ -323,6 +422,7 @@ mod tests {
     use super::*;
     use crate::money::Price;
     use crate::perf::Perf;
+    use proptest::prelude::*;
 
     fn span(a: i64, b: i64) -> Span {
         Span::new(TimePoint::new(a), TimePoint::new(b)).unwrap()
@@ -431,6 +531,167 @@ mod tests {
             let left = vec![slot(3, 0, 20), slot(1, 10, 40), slot(2, 25, 60)];
             assert_eq!(order.iter().copied().collect::<Vec<_>>(), left);
             assert_eq!(order.into_slots().collect::<Vec<_>>(), left);
+        }
+    }
+
+    /// The blocked order's own invariants: no empty or oversized block,
+    /// each first key after block 0's between the last key of the block
+    /// before it and its own block's first key (block 0's is never
+    /// decisive: every key below block 1's first key locates to block 0),
+    /// and the length the blocks add up to.
+    #[track_caller]
+    fn assert_blocks_sound(order: &Order) {
+        let Order::Blocks(blocks) = order else {
+            return;
+        };
+        assert_eq!(blocks.firsts.len(), blocks.blocks.len());
+        for block in &blocks.blocks {
+            assert!(
+                (1..=BLOCK_CAP).contains(&block.len()),
+                "block of {}",
+                block.len()
+            );
+        }
+        for (pair, &first) in blocks.blocks.windows(2).zip(blocks.firsts.iter().skip(1)) {
+            let (before, block) = (&pair[0], &pair[1]);
+            assert!(
+                key(&before[before.len() - 1]) < first,
+                "first key not above the block before"
+            );
+            assert!(
+                first <= key(&block[0]),
+                "first key above its block's first slot"
+            );
+        }
+        let held: usize = blocks.blocks.iter().map(Vec::len).sum();
+        assert_eq!(held, blocks.len);
+    }
+
+    /// One container operation; raw integers are read against the live
+    /// keys when it runs.
+    #[derive(Debug, Clone, Copy)]
+    enum OrderOp {
+        /// `burst` fresh ids at `start`, anywhere from before the first
+        /// slot to past the last: adjacent keys, so blocks split.
+        Insert { start: i64, burst: usize },
+        /// Removes `run` consecutive live slots from the `pick`-th on,
+        /// which empties blocks.
+        Remove { pick: usize, run: usize },
+        /// Looks up the `pick`-th live key, and its id `shift` ticks off.
+        Get { pick: usize, shift: i64 },
+        /// Walks from the `pick`-th live key's start, from `start`, and
+        /// from past the end.
+        RangeFrom { pick: usize, start: i64 },
+        /// Drains a walk from both ends, turning where `turns` has a bit.
+        Walk { turns: u64 },
+    }
+
+    /// The shim has no `prop_oneof`: `tag`'s range width is the weight.
+    fn order_op() -> impl Strategy<Value = OrderOp> {
+        (0u32..12, 0usize..1_000, -20i64..240, 0u64..u64::MAX).prop_map(
+            |(tag, pick, start, turns)| match tag {
+                0..=3 => OrderOp::Insert {
+                    start,
+                    burst: 1 + pick % 24,
+                },
+                4..=6 => OrderOp::Remove {
+                    pick,
+                    run: if tag == 6 { 1 + pick % 80 } else { 1 },
+                },
+                7 | 8 => OrderOp::Get { pick, shift: start },
+                9 | 10 => OrderOp::RangeFrom { pick, start },
+                _ => OrderOp::Walk { turns },
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Both orderings against a `BTreeMap` model, from a sorted load
+        /// of up to four blocks' worth of slots: blocks split, empty and
+        /// lose or gain their first slots along the way.
+        #[test]
+        fn orders_match_a_btree_model(
+            starts in prop::collection::vec(0i64..200, 0..4 * BLOCK_CAP),
+            ops in prop::collection::vec(order_op(), 1..200),
+        ) {
+            let seeded: BTreeMap<Key, Slot> = starts
+                .iter()
+                .enumerate()
+                .map(|(id, &start)| slot(id as u64, start, start + 10))
+                .map(|s| (key(&s), s))
+                .collect();
+            let loaded: Vec<Slot> = seeded.values().copied().collect();
+            for repr in [MarketRepr::Flat, MarketRepr::Interval] {
+                let mut model = seeded.clone();
+                let mut order = Order::from_sorted(loaded.clone(), repr);
+                let mut next_id = starts.len() as u64;
+                for (step, op) in ops.iter().enumerate() {
+                    let keys: Vec<Key> = model.keys().copied().collect();
+                    let from_pick = |pick: usize| pick % keys.len().max(1);
+                    match *op {
+                        OrderOp::Insert { start, burst } => {
+                            for _ in 0..burst {
+                                let s = slot(next_id, start, start + 10);
+                                next_id += 1;
+                                order.insert(s);
+                                model.insert(key(&s), s);
+                            }
+                        }
+                        OrderOp::Remove { pick, run: run_len } => {
+                            let run = keys.iter().cycle().skip(from_pick(pick));
+                            for &at in run.take(run_len.min(keys.len())) {
+                                order.remove(at);
+                                model.remove(&at);
+                            }
+                        }
+                        OrderOp::Get { pick, shift } => {
+                            if !keys.is_empty() {
+                                let (start, id) = keys[from_pick(pick)];
+                                prop_assert_eq!(order.get((start, id)), model.get(&(start, id)));
+                                let wrong = (TimePoint::new(start.ticks() + shift.max(1)), id);
+                                prop_assert_eq!(order.get(wrong), None, "step {}", step);
+                            }
+                        }
+                        OrderOp::RangeFrom { pick, start } => {
+                            let past = keys.last().map_or(0, |k| k.0.ticks() + 1);
+                            let mut froms = vec![TimePoint::new(start), TimePoint::new(past)];
+                            froms.extend(keys.get(from_pick(pick)).map(|k| k.0));
+                            for from in froms {
+                                let want: Vec<&Slot> =
+                                    model.range((from, SlotId::new(0))..).map(|(_, s)| s).collect();
+                                let walk = order.range_from(from);
+                                prop_assert_eq!(walk.size_hint(), (want.len(), Some(want.len())));
+                                prop_assert_eq!(walk.collect::<Vec<_>>(), want, "step {}", step);
+                            }
+                        }
+                        OrderOp::Walk { turns } => {
+                            let (mut walk, mut want) = (order.iter(), model.values());
+                            for turn in 0.. {
+                                let (got, expected) = if turns >> (turn % 64) & 1 == 1 {
+                                    (walk.next_back(), want.next_back())
+                                } else {
+                                    (walk.next(), want.next())
+                                };
+                                prop_assert_eq!(got, expected, "step {} turn {}", step, turn);
+                                prop_assert_eq!(walk.size_hint(), want.size_hint());
+                                if got.is_none() {
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                    assert_blocks_sound(&order);
+                    prop_assert_eq!(order.len(), model.len());
+                    prop_assert_eq!(order.iter().size_hint(), (model.len(), Some(model.len())));
+                    prop_assert!(order.iter().eq(model.values()), "step {}: {:?}", step, op);
+                    prop_assert_eq!(order.iter().next_back(), model.values().next_back());
+                }
+                let drained = order.into_slots();
+                prop_assert_eq!(drained.size_hint(), (model.len(), Some(model.len())));
+                prop_assert!(drained.eq(model.into_values()));
+            }
         }
     }
 }

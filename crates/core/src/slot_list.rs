@@ -17,9 +17,10 @@
 //!   [`SlotList::new`], [`SlotList::from_slots`] and
 //!   [`SlotList::from_sorted_slots`] build: the closed batch markets of
 //!   the paper's study.
-//! * **Interval** ([`MarketRepr::Interval`]): a
-//!   `BTreeMap<(TimePoint, SlotId), Slot>` — every subtraction, carve,
-//!   tail-return insert and coalesce merge is an `O(log m)` tree splice.
+//! * **Interval** ([`MarketRepr::Interval`]): a vector of sorted,
+//!   bounded blocks, with each block's first key in a vector of its own —
+//!   walked like the vector, while every subtraction, carve and
+//!   tail-return insert splices one block after two binary searches.
 //!   What the engine's long-lived market runs on.
 //!
 //! Nothing outside the container knows which ordering it holds, so the
@@ -48,7 +49,8 @@ use crate::window::{Window, WindowSlot};
 pub enum MarketRepr {
     /// Start-ordered vector: cheap walks and bulk loads, `O(m)` splices.
     Flat,
-    /// `(start, id)`-keyed tree: `O(log m)` splices.
+    /// Start-ordered vector of bounded sorted blocks: vector-speed walks,
+    /// one-block splices.
     Interval,
 }
 
@@ -153,14 +155,7 @@ impl SlotList {
     ///
     /// As [`SlotList::from_slots`].
     pub fn from_slots_with_repr(slots: Vec<Slot>, repr: MarketRepr) -> Result<Self, CoreError> {
-        let mut slots = slots;
-        slots.sort_by_key(key);
-        // A repeated `(start, id)` is adjacent now; the sorted load would
-        // report it as a break in the order.
-        if let Some(twins) = slots.windows(2).find(|p| key(&p[0]) == key(&p[1])) {
-            return Err(CoreError::DuplicateSlotId { id: twins[1].id() });
-        }
-        SlotList::from_sorted_slots_with_repr(slots, repr)
+        SlotList::from_sorted_slots_with_repr(sorted(slots)?, repr)
     }
 
     /// Builds a flat list from slots already in strictly increasing
@@ -693,17 +688,35 @@ impl SlotList {
     /// the invariant it breaks and never becomes a list whose `validate()`
     /// fails or whose `mint_id()` reissues a live id.
     fn from_wire(slots: Vec<Slot>, next_id: u64, repr: MarketRepr) -> Result<Self, serde::Error> {
-        let mut list = SlotList::from_sorted_slots_with_repr(slots, repr)
-            .map_err(|e| serde::Error::custom(format!("invalid serialized slot list: {e}")))?;
+        let mut list = SlotList::from_sorted_slots_with_repr(slots, repr).map_err(invalid)?;
         if next_id < list.next_id {
-            return Err(serde::Error::custom(format!(
-                "invalid serialized slot list: next_id {next_id} is not above live slot id {}",
+            return Err(invalid(format_args!(
+                "next_id {next_id} is not above live slot id {}",
                 list.next_id - 1
             )));
         }
         list.next_id = next_id;
         Ok(list)
     }
+}
+
+/// Sorts slots into `(start, id)` order for the sorted load.
+///
+/// # Errors
+///
+/// A repeated `(start, id)` is adjacent once sorted, and the sorted load
+/// would report it as a break in its own order, so it is refused here as
+/// [`CoreError::DuplicateSlotId`].
+fn sorted(mut slots: Vec<Slot>) -> Result<Vec<Slot>, CoreError> {
+    slots.sort_by_key(key);
+    if let Some(twins) = slots.windows(2).find(|p| key(&p[0]) == key(&p[1])) {
+        return Err(CoreError::DuplicateSlotId { id: twins[1].id() });
+    }
+    Ok(slots)
+}
+
+fn invalid(why: impl fmt::Display) -> serde::Error {
+    serde::Error::custom(format!("invalid serialized slot list: {why}"))
 }
 
 fn timeline(nodes: &mut IdMap<NodeId, IntervalSet>, node: NodeId) -> &mut IntervalSet {
@@ -724,7 +737,7 @@ impl PartialEq for SlotList {
     fn eq(&self, other: &Self) -> bool {
         // Observable equality: the slots and the minting cursor. The
         // ordering is an execution detail — a vector-ordered list and a
-        // tree-ordered list holding the same market compare equal.
+        // block-ordered list holding the same market compare equal.
         self.next_id == other.next_id
             && self.len() == other.len()
             && self.iter().zip(other.iter()).all(|(a, b)| a == b)
@@ -825,7 +838,7 @@ impl<'de> Deserialize<'de> for SlotList {
             }
             all_slots.extend(slots);
         }
-        all_slots.sort_by_key(key);
+        let all_slots = sorted(all_slots).map_err(invalid)?;
         SlotList::from_wire(all_slots, next_id, MarketRepr::Interval)
     }
 }
@@ -1505,6 +1518,17 @@ mod tests {
         rejects(
             text.replace(r#"{"node":0,"#, r#"{"node":1,"#),
             "filed under node",
+        );
+        // File the same slot under two nodes: one id twice, not a break
+        // in an order the decoder made itself.
+        let filed = |node: u32| {
+            let slots = serde_json::to_string(&[slot(3, node, 0, 30)]).unwrap();
+            format!(r#"{{"node":{node},"slots":{slots}}}"#)
+        };
+        let (zero, one) = (filed(0), filed(1));
+        rejects(
+            format!(r#"{{"repr":"interval","nodes":[{zero},{one}],"next_id":4}}"#),
+            "duplicate slot id s3",
         );
         // Keys in any order; the tag decides the form once all are read.
         let (repr, rest) = text.split_once(r#","nodes":"#).unwrap();

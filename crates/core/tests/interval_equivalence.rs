@@ -363,6 +363,78 @@ fn apply(op: &Op, flat: &mut SlotList, interval: &mut SlotList) -> bool {
     }
 }
 
+/// A wide seed market: 300–1 000 slots over 40–120 nodes (ids minted
+/// 0..), so the blocked order holds many blocks before the first op.
+fn wide_seed_slots_strategy() -> impl Strategy<Value = Vec<Slot>> {
+    (
+        40u32..120,
+        prop::collection::vec((0i64..50, 20i64..200), 300..1000),
+    )
+        .prop_map(|(nodes, segments)| {
+            let mut cursors = vec![0i64; nodes as usize];
+            let segments = segments.into_iter().enumerate();
+            segments
+                .map(|(id, (gap, len))| {
+                    let node = id as u32 % nodes;
+                    let cursor = &mut cursors[node as usize];
+                    let start = *cursor + gap;
+                    *cursor = start + len;
+                    Slot::new(
+                        SlotId::new(id as u64),
+                        NodeId::new(node),
+                        Perf::from_milli(500 + i64::from(node) * 37 % 2500),
+                        Price::from_credits(1 + i64::from(node) % 11),
+                        Span::new(TimePoint::new(start), TimePoint::new(*cursor)).unwrap(),
+                    )
+                    .unwrap()
+                })
+                .collect()
+        })
+}
+
+/// The same op mix, its picks spread over a wide market by `lane`
+/// (64 live slots a lane) and its publishes over 16 × 6 nodes.
+fn wide_op_strategy() -> impl Strategy<Value = Op> {
+    (op_strategy(), 0usize..16).prop_map(|(op, lane)| {
+        let far = |pick: usize| pick + 64 * lane;
+        match op {
+            Op::Publish {
+                node,
+                gap,
+                len,
+                perf,
+                price,
+            } => Op::Publish {
+                node: node + 6 * lane as u32,
+                gap,
+                len,
+                perf,
+                price,
+            },
+            Op::SubtractWindow { picks, offset } => Op::SubtractWindow {
+                picks: picks.map(far),
+                offset,
+            },
+            Op::Carve { pick, lo, hi } => Op::Carve {
+                pick: far(pick),
+                lo,
+                hi,
+            },
+            Op::CarveOutside { pick } => Op::CarveOutside { pick: far(pick) },
+            Op::RemoveRegion { pick, pad } => Op::RemoveRegion {
+                pick: far(pick),
+                pad,
+            },
+            Op::TailReturn { pick, keep } => Op::TailReturn {
+                pick: far(pick),
+                keep,
+            },
+            Op::Coalesce => Op::Coalesce,
+            Op::Expire { pick } => Op::Expire { pick: far(pick) },
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -424,5 +496,40 @@ proptest! {
             );
         }
         assert_observably_equal(usize::MAX, &flat, &interval);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The workhorse on a wide market: every step lands among many
+    /// blocks, splicing some, splitting some and emptying some, with
+    /// the full state compared after each, then across representation
+    /// conversion and both serde forms.
+    #[test]
+    fn wide_markets_are_observably_identical_across_orderings(
+        seed in wide_seed_slots_strategy(),
+        ops in prop::collection::vec(wide_op_strategy(), 1..60),
+    ) {
+        let mut flat = SlotList::from_slots_with_repr(seed.clone(), MarketRepr::Flat).unwrap();
+        let mut interval = SlotList::from_slots_with_repr(seed, MarketRepr::Interval).unwrap();
+        assert_observably_equal(0, &flat, &interval);
+        for (step, op) in ops.iter().enumerate() {
+            apply(op, &mut flat, &mut interval);
+            assert_observably_equal(step + 1, &flat, &interval);
+        }
+
+        let mut crossed = flat.clone().with_repr(MarketRepr::Interval);
+        let mut back = interval.clone().with_repr(MarketRepr::Flat);
+        prop_assert_eq!(&crossed, &interval);
+        prop_assert_eq!(&back, &flat);
+        prop_assert_eq!(crossed.mint_id(), back.mint_id(), "next_id lost in conversion");
+
+        for list in [&flat, &interval] {
+            let text = serde_json::to_string(list).expect("encodes");
+            let decoded: SlotList = serde_json::from_str(&text).expect("decodes");
+            prop_assert_eq!(decoded.repr(), list.repr());
+            prop_assert_eq!(&decoded, &flat);
+        }
     }
 }

@@ -190,8 +190,8 @@ proptest! {
 
 /// A deterministic 4,000-slot market, searched under both representations
 /// — volume for the checkpointed `iter_from` resume path, which is the
-/// only place the interval walk differs structurally (a `BTreeMap` range
-/// instead of a `partition_point` slice).
+/// only place the interval walk differs structurally (two binary
+/// searches into the blocks instead of one `partition_point` slice).
 #[test]
 fn large_deterministic_market_is_representation_blind() {
     // SplitMix64, as in the incremental-equivalence harness.
