@@ -9,7 +9,7 @@
 //! directory:
 //!
 //! * `boot/load/{cycles}-{seed}` — `Store::load_latest`: the newest
-//!   snapshot decoded, the log segment read and re-attached;
+//!   snapshot read and decoded (its logs trimmed, no segment to read);
 //! * `boot/open/{cycles}-{seed}` — `Session::open`, the whole boot: the
 //!   above, the WAL read and checked against the snapshot, and the WAL
 //!   suffix past the snapshot re-injected.

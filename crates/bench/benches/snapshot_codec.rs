@@ -6,16 +6,16 @@
 //! checkpoint is its leases — each carries its surviving failover windows
 //! in full (ROADMAP item 4a) — so `snapshot_codec/{encode,decode}/{50,200,800}`
 //! times `encode_snapshot` / `decode_snapshot` on an engine checkpoint
-//! captured at about that many live leases, with the log detached the way
-//! the daemon's rotated store writes it. Each entry records the snapshot's
+//! captured at about that many live leases, with the log trimmed the way
+//! the daemon holds it. Each entry records the snapshot's
 //! `bytes` and `ns_per_byte` beside the median.
 //!
 //! Run with `ECOSCHED_BENCH_REPORT=BENCH_persist.json cargo bench
 //! -p ecosched-bench --bench snapshot_codec`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ecosched_engine::{ArrivalConfig, Engine, EngineCheckpoint, EngineConfig, LogPosition};
-use ecosched_persist::{decode_snapshot, encode_snapshot, Checkpoint};
+use ecosched_engine::{ArrivalConfig, Engine, EngineCheckpoint, EngineConfig};
+use ecosched_persist::{decode_snapshot, encode_snapshot};
 use ecosched_select::Amp;
 use ecosched_sim::{IntRange, JobGenConfig, SlotGenConfig};
 use std::hint::black_box;
@@ -23,7 +23,7 @@ use std::hint::black_box;
 /// A checkpoint of a seeded run at the first step that leaves at least
 /// `leases` live — one cycle commit grants many at once, so it is cut back
 /// to exactly that many (the codec does not look across sections) —
-/// detached from its log.
+/// its log trimmed to the newest entry.
 fn checkpoint_at(leases: usize) -> EngineCheckpoint {
     // A market and a stream that grow with the target, so that many jobs
     // hold a lease at once.
@@ -51,8 +51,7 @@ fn checkpoint_at(leases: usize) -> EngineCheckpoint {
     }
     let mut checkpoint = engine.checkpoint(&state);
     checkpoint.leases.truncate(leases);
-    let at = LogPosition::after(checkpoint.log.whole().expect("a fresh checkpoint"));
-    checkpoint.detach(at);
+    checkpoint.log.trim();
     checkpoint
 }
 

@@ -53,7 +53,7 @@ use rand_chacha::{ChaCha8Rng, ChaChaState};
 use serde::Serialize as _;
 
 use crate::config::{ArrivalConfig, EngineConfig, COMPLETION_FRACTION, SLOWDOWN_TAU, VOS};
-use crate::event::{fnv1a_64, Event, Log, LogEntry, LogPosition};
+use crate::event::{fnv1a_64, Event, Log, LogEntry};
 use crate::obs::{EngineObs, StepGauges};
 use crate::queue::EventQueue;
 use crate::report::{CyclePoint, EngineReport};
@@ -87,10 +87,10 @@ pub enum EngineError {
         /// What was wrong.
         detail: String,
     },
-    /// A checkpoint's log is detached: a rotated snapshot store moved its
-    /// entries into the log segment and nobody put them back. Resuming
-    /// would continue on a short log, so resume refuses; load the
-    /// checkpoint through the store, which re-attaches the verified
+    /// A checkpoint's log sits after a later position but holds no
+    /// entry, not even the newest, which the run reads. That is a format
+    /// 3–4 store file read raw: its entries are in the store's log
+    /// segment. Load it through the store, which attaches the verified
     /// prefix.
     DetachedCheckpoint {
         /// Log entries the checkpoint does not carry.
@@ -214,6 +214,13 @@ impl RunState {
     #[must_use]
     pub fn events_queued(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Drops every log entry but the newest ([`Log::trim`]): the run goes
+    /// on, and hashes its log, exactly as before, holding one entry where
+    /// it held its history.
+    pub fn trim_log(&mut self) {
+        self.log.trim();
     }
 
     /// The most recently processed event, if any.
@@ -498,28 +505,11 @@ impl<S: SlotSelector + Copy> Engine<S> {
     ///
     /// Safe to call between any two [`Self::step`]s; the intended cadence
     /// is after a `CycleTick` commit (check [`RunState::last_entry`]).
-    /// [`EngineCheckpoint::optimizer`] is always `None`: no optimizer
-    /// outlives the cycle it planned.
+    /// The log is cloned as the run holds it, whole or
+    /// [trimmed](RunState::trim_log). [`EngineCheckpoint::optimizer`] is
+    /// always `None`: no optimizer outlives the cycle it planned.
     #[must_use]
     pub fn checkpoint(&self, state: &RunState) -> EngineCheckpoint {
-        self.capture(state, state.log.clone())
-    }
-
-    /// [`Self::checkpoint`] without the log: it is detached at `after`,
-    /// the position after every entry the run has logged, as a rotated
-    /// store that already holds them writes it. Nothing of the log is
-    /// copied.
-    #[must_use]
-    pub fn checkpoint_detached(&self, state: &RunState, after: LogPosition) -> EngineCheckpoint {
-        debug_assert_eq!(
-            after.len,
-            state.log.len() as u64,
-            "detached at the log's end"
-        );
-        self.capture(state, Log::detached(after))
-    }
-
-    fn capture(&self, state: &RunState, log: Log<LogEntry>) -> EngineCheckpoint {
         let rng = state.rng.capture();
         let (queue_next_seq, entries) = state.queue.snapshot();
         EngineCheckpoint {
@@ -539,7 +529,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
                     event,
                 })
                 .collect(),
-            log,
+            log: state.log.clone(),
             arrivals: state.arrivals.clone(),
             vacant: state.vacant.clone(),
             next_node: state.next_node,
@@ -565,8 +555,8 @@ impl<S: SlotSelector + Copy> Engine<S> {
     /// [`EngineError::CheckpointMismatch`] when the checkpoint was taken
     /// under a different `(config, selector)` fingerprint;
     /// [`EngineError::MalformedCheckpoint`] when its contents are
-    /// structurally invalid; [`EngineError::DetachedCheckpoint`] when it
-    /// does not carry its whole log.
+    /// structurally invalid; [`EngineError::DetachedCheckpoint`] when its
+    /// log holds neither the whole history nor its newest entry.
     pub fn resume(&self, checkpoint: &EngineCheckpoint) -> Result<RunState, EngineError> {
         let expected = self.config_fingerprint();
         if checkpoint.config_fp != expected {
@@ -575,7 +565,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 found: checkpoint.config_fp,
             });
         }
-        if checkpoint.log.whole().is_none() {
+        if checkpoint.log.after.len > 0 && checkpoint.log.entries.is_empty() {
             return Err(EngineError::DetachedCheckpoint {
                 missing: checkpoint.log.after.len,
             });
@@ -1069,6 +1059,7 @@ fn clip_to_now(vacant: &SlotList, now: TimePoint) -> SlotList {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::event::LogPosition;
     use ecosched_select::{Alp, Amp};
     use ecosched_sim::RevocationConfig;
 
@@ -1298,45 +1289,47 @@ mod tests {
         ));
     }
 
-    /// A checkpoint a snapshot store detached from its log says how long
-    /// the log was but no longer holds it: resuming it would run on with
-    /// a log that starts mid-history, so it is refused by name — also
-    /// when only part of the log is missing.
+    /// A trimmed log — its newest entry and the position of the rest —
+    /// resumes into the run the whole one resumes into, at every step. A
+    /// log after a later position with no entry at all (a format 3–4
+    /// store file read raw) is refused by name.
     #[test]
-    fn resume_refuses_a_checkpoint_detached_from_its_log() {
+    fn resume_accepts_a_trimmed_log_and_refuses_an_empty_one_after_a_position() {
         let engine = Engine::new(small_config(), Amp::new()).unwrap();
-        let mut state = engine.start(7);
-        for _ in 0..20 {
-            engine.step(&mut state).unwrap();
+        let mut whole = engine.start(7);
+        let mut trimmed = engine.start(7);
+        for step in 0..40 {
+            engine.step(&mut whole).unwrap();
+            engine.step(&mut trimmed).unwrap();
+            trimmed.trim_log();
+            assert_eq!(trimmed.log().entries.len(), 1);
+            assert_eq!(trimmed.last_entry(), whole.last_entry());
+            if step % 13 != 0 {
+                continue;
+            }
+            let checkpoint = engine.checkpoint(&trimmed);
+            assert_eq!(checkpoint.log.len(), whole.log().len());
+            let (mut a, mut b) = (
+                engine.resume(&checkpoint).unwrap(),
+                engine.resume(&engine.checkpoint(&whole)).unwrap(),
+            );
+            while let Some(entry) = engine.step(&mut a).unwrap() {
+                assert_eq!(Some(entry), engine.step(&mut b).unwrap());
+            }
+            assert!(engine.step(&mut b).unwrap().is_none());
+            assert_eq!(engine.finish(a).report, engine.finish(b).report);
         }
-        let whole = engine.checkpoint(&state);
-        assert_eq!(whole.log.whole(), Some(state.log().entries.as_slice()));
-        let position = LogPosition::after(&whole.log.entries);
 
-        // Taken detached, it is the whole one with the log dropped.
-        let mut detached = engine.checkpoint_detached(&state, position);
-        let mut dropped = whole.clone();
-        dropped.log = Log::detached(position);
-        assert_eq!(detached, dropped);
-        assert_eq!(detached.log.len(), whole.log.len());
+        let mut detached = engine.checkpoint(&whole);
+        let position = LogPosition::after(&detached.log.entries);
+        detached.log = Log::detached(position);
         match engine.resume(&detached) {
-            Err(EngineError::DetachedCheckpoint { missing }) => assert_eq!(missing, 20),
+            Err(EngineError::DetachedCheckpoint { missing }) => assert_eq!(missing, 40),
             other => panic!("expected DetachedCheckpoint, got {other:?}"),
         }
-
-        let mut partial = whole.clone();
-        partial.log = Log {
-            after: LogPosition::after(&whole.log.entries[..5]),
-            entries: whole.log.entries[5..].to_vec(),
-        };
-        assert!(matches!(
-            engine.resume(&partial),
-            Err(EngineError::DetachedCheckpoint { missing: 5 })
-        ));
-
         // Put back, it is the checkpoint it was.
-        detached.log.attach(whole.log.entries.clone());
-        assert_eq!(detached, whole);
+        detached.log.attach(whole.log().entries.clone());
+        assert_eq!(detached, engine.checkpoint(&whole));
         assert!(engine.resume(&detached).is_ok());
     }
 

@@ -12,9 +12,9 @@
 //! A [`LogPosition`] names a *prefix* of such a log as precisely as the
 //! hash names the whole, and can be extended entry by entry without
 //! revisiting the prefix. A [`Log`] is the entries after a position: a
-//! run's own log starts at the beginning, and a checkpoint carries either
-//! a clone of it or, once a rotated store holds the entries, none of them
-//! after the position where they end.
+//! run's own log starts at the beginning, and a long-lived run (the
+//! service daemon) [trims](Log::trim) it to its newest entry, keeping the
+//! position of everything it dropped.
 
 use serde::{Deserialize, Serialize};
 
@@ -168,11 +168,14 @@ impl LogPosition {
 /// a position.
 ///
 /// After [`LogPosition::start`] that is the whole log — a run's own log
-/// always is, and so is a checkpoint's as `checkpoint()` clones it, which
-/// makes every standalone snapshot file self-contained. After a later
-/// position the log is *detached*: its prefix lives in a rotated store's
-/// log segment, which re-attaches and verifies it on load, and the
-/// checkpoint cannot be resumed until it is put back.
+/// is until someone trims it, and so is a checkpoint's as `checkpoint()`
+/// clones it. After a later position the log is *trimmed*: the entries
+/// before it are gone, and only their position — length and hash — is
+/// kept. A run reads nothing of its log but the newest entry, which
+/// [`Self::trim`] keeps, so a trimmed log runs on exactly as the whole one
+/// would. A log after a later position that holds no entry at all is
+/// *detached*: what a format 3–4 snapshot store wrote, whose prefix lives
+/// in the store's log segment and must be attached before it runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log<E> {
     /// The position the entries follow.
@@ -202,7 +205,7 @@ impl<E> Log<E> {
         self.entries.push(entry);
     }
 
-    /// Entries the log had emitted, detached ones included.
+    /// Entries the log had emitted, trimmed or detached ones included.
     #[must_use]
     pub fn len(&self) -> usize {
         self.after.len as usize + self.entries.len()
@@ -214,7 +217,7 @@ impl<E> Log<E> {
         self.len() == 0
     }
 
-    /// The whole log, unless part of it is detached.
+    /// The whole log, unless part of it is trimmed or detached.
     #[must_use]
     pub fn whole(&self) -> Option<&[E]> {
         (self.after.len == 0).then_some(self.entries.as_slice())
@@ -241,6 +244,18 @@ impl<E> Default for Log<E> {
 }
 
 impl<E: Serialize> Log<E> {
+    /// Drops every entry but the newest, moving [`Self::after`] past the
+    /// dropped ones. [`Self::len`], [`Self::fnv1a_hash`] and the wire form
+    /// of what is left describe the same log as before; only the history
+    /// is gone.
+    pub fn trim(&mut self) {
+        let Some(dropped) = self.entries.len().checked_sub(1).filter(|&n| n > 0) else {
+            return;
+        };
+        self.after.push_all(&self.entries[..dropped]);
+        self.entries.drain(..dropped);
+    }
+
     /// The canonical serialized form of the entries held,
     /// `{"entries":[…]}` — of a whole log, the log itself, byte-identical
     /// across identically seeded runs (the determinism contract).
@@ -256,7 +271,7 @@ impl<E: Serialize> Log<E> {
     /// whole log, of [`Self::to_json`] — as 16 hex digits (a stable
     /// one-line fingerprint for tests and the CI smoke job). Hashed an
     /// entry at a time from the position the entries follow, so the text
-    /// is never built and a detached prefix is never needed.
+    /// is never built and a trimmed prefix is never needed.
     #[must_use]
     pub fn fnv1a_hash(&self) -> String {
         let mut at = self.after;
@@ -324,6 +339,39 @@ mod tests {
         assert_ne!(a.fnv1a_hash(), b.fnv1a_hash());
         assert_eq!(b.len(), 3);
         assert!(!b.is_empty());
+    }
+
+    /// Trimming keeps the newest entry and moves the position over the
+    /// rest: length, hash and what a log pushed on from there hashes to
+    /// stay those of the whole log.
+    #[test]
+    fn trimming_keeps_the_newest_entry_and_the_hash() {
+        let entry = |job| LogEntry {
+            time: i64::from(job),
+            seq: u64::from(job),
+            event: Event::JobArrival { job },
+        };
+        let mut whole = Log::new();
+        let mut trimmed = Log::new();
+        trimmed.trim();
+        assert_eq!(trimmed, whole);
+        for job in 0..6 {
+            whole.push(entry(job));
+            trimmed.push(entry(job));
+            trimmed.trim();
+            assert_eq!(trimmed.entries, [entry(job)]);
+            assert_eq!(trimmed.len(), whole.len());
+            assert_eq!(trimmed.fnv1a_hash(), whole.fnv1a_hash());
+            assert_eq!(
+                trimmed.after,
+                LogPosition::after(&whole.entries[..whole.len() - 1])
+            );
+        }
+        let wire = serde_json::to_string(&trimmed).unwrap();
+        assert_eq!(
+            serde_json::from_str::<Log<LogEntry>>(&wire).unwrap(),
+            trimmed
+        );
     }
 
     #[test]

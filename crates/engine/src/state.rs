@@ -139,9 +139,10 @@ pub struct EngineCheckpoint {
     pub queue_next_seq: u64,
     /// Every future event still queued, in pop order.
     pub queue: Vec<QueuedEventState>,
-    /// The event log up to the capture point: all of it as
-    /// [`Engine::checkpoint`] captures it, only a position once a rotated
-    /// snapshot store has moved the entries into its log segment.
+    /// The event log up to the capture point, as the run held it: all of
+    /// it, or — for a run that trims its log — the newest entry after the
+    /// position of the rest. A format 3–4 store file holds only the
+    /// position; its store attaches the entries on load.
     ///
     /// [`Engine::checkpoint`]: crate::engine::Engine::checkpoint
     pub log: Log<LogEntry>,

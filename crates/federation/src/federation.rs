@@ -24,7 +24,7 @@
 use ecosched_core::{Money, ResourceRequest, TimePoint, Window};
 use ecosched_engine::{
     fnv1a_64, ArrivalState, Engine, EngineCheckpoint, EngineError, EngineRun, Log, LogEntry,
-    LogPosition, RunState,
+    RunState,
 };
 use ecosched_select::{repair_search, RepairError, ScanStats, SlotSelector};
 use ecosched_sim::ConfigError;
@@ -71,10 +71,11 @@ pub enum FederationError {
         /// The fingerprint in the checkpoint.
         found: u64,
     },
-    /// A checkpoint's merged log is detached — its entries live in a
-    /// rotated snapshot store's log segment — so resuming it would
-    /// continue on a short log. Load it through the store, which
-    /// re-attaches the verified prefix.
+    /// A checkpoint's merged log sits after a later position but holds
+    /// no entry, not even the newest, which routing reads. That is a
+    /// format 3–4 store file read raw: its entries are in the store's log
+    /// segment. Load it through the store, which attaches the verified
+    /// prefix.
     DetachedCheckpoint {
         /// Merged-log entries the checkpoint does not carry.
         missing: u64,
@@ -182,6 +183,17 @@ impl FederationState {
         &self.merged
     }
 
+    /// Trims the merged log and every shard's ([`Log::trim`]) to its
+    /// newest entry. The run goes on, and hashes its logs, exactly as
+    /// before; each shard keeps its log's true position, which its report
+    /// hashes.
+    pub fn trim_logs(&mut self) {
+        self.merged.trim();
+        for shard in &mut self.shards {
+            shard.trim_log();
+        }
+    }
+
     /// Cross-shard placements committed so far.
     #[must_use]
     pub fn cross_shard(&self) -> &[CrossShardWindow] {
@@ -268,10 +280,11 @@ pub struct FederationCheckpoint {
     pub next_fed_job: u64,
     /// Round-robin router cursor.
     pub rr_cursor: u64,
-    /// The merged log so far: all of it as [`Federation::checkpoint`]
-    /// captures it, only a position once a rotated snapshot store has
-    /// moved the entries into its log segment (the shards' own logs, each
-    /// the merged log's projection onto its shard, go with it).
+    /// The merged log so far, as the run held it: all of it, or — for a
+    /// run that trims its logs — the newest entry after the position of
+    /// the rest. A format 3–4 store file holds only the position; its
+    /// store attaches the entries, and rebuilds the shards' logs from
+    /// them, on load.
     pub merged: Log<FederatedLogEntry>,
     /// Cross-shard placements committed so far.
     pub cross_shard: Vec<CrossShardWindow>,
@@ -858,9 +871,10 @@ impl<S: SlotSelector + Copy> Federation<S> {
         }
     }
 
-    /// Closes the books: finishes every shard, folds the reports, and
-    /// asserts the live merged log equals the sorted union of the final
-    /// shard logs.
+    /// Closes the books: finishes every shard, folds the reports, and —
+    /// when the logs are whole, as in every run never trimmed — asserts
+    /// the live merged log equals the sorted union of the final shard
+    /// logs.
     #[must_use]
     pub fn finish(&self, state: FederationState) -> FederationRun {
         let FederationState {
@@ -878,9 +892,9 @@ impl<S: SlotSelector + Copy> Federation<S> {
             .map(|(engine, shard_state)| engine.finish(shard_state))
             .collect();
         let logs: Vec<&Log<LogEntry>> = shard_runs.iter().map(|run| &run.log).collect();
-        debug_assert_eq!(
-            merged,
-            merge_shard_logs(&logs),
+        // A trimmed log's prefix is gone, and with it the union.
+        debug_assert!(
+            merged.whole().is_none() || merged == merge_shard_logs(&logs),
             "live merge diverged from the sorted union of shard logs"
         );
         let jobs_offered = if self.config.shards == 1 {
@@ -917,38 +931,10 @@ impl<S: SlotSelector + Copy> Federation<S> {
     }
 
     /// Captures the full resumable state of an in-flight federated run:
-    /// every shard's engine checkpoint plus the router state.
+    /// every shard's engine checkpoint plus the router state, the logs as
+    /// the run holds them.
     #[must_use]
     pub fn checkpoint(&self, state: &FederationState) -> FederationCheckpoint {
-        self.capture(state, None)
-    }
-
-    /// [`Self::checkpoint`] without the logs, as a rotated store that
-    /// already holds the merged log writes it: the merged log detached at
-    /// `after`, the position after every merged entry, and each shard's
-    /// log at its length (a shard log is the merged log's projection, so
-    /// the merged position vouches for it). Nothing of any log is copied.
-    #[must_use]
-    pub fn checkpoint_detached(
-        &self,
-        state: &FederationState,
-        after: LogPosition,
-    ) -> FederationCheckpoint {
-        debug_assert_eq!(
-            after.len,
-            state.merged.len() as u64,
-            "detached at the log's end"
-        );
-        self.capture(state, Some(after))
-    }
-
-    /// The checkpoint, its logs whole or, given the merged position,
-    /// detached.
-    fn capture(
-        &self,
-        state: &FederationState,
-        detached: Option<LogPosition>,
-    ) -> FederationCheckpoint {
         FederationCheckpoint {
             seed: state.seed,
             config_fp: self.config_fingerprint(),
@@ -956,19 +942,13 @@ impl<S: SlotSelector + Copy> Federation<S> {
                 .shards
                 .iter()
                 .zip(&state.shards)
-                .map(|(engine, shard)| match detached {
-                    None => engine.checkpoint(shard),
-                    Some(_) => {
-                        let len = shard.log().len() as u64;
-                        engine.checkpoint_detached(shard, LogPosition { len, hash: 0 })
-                    }
-                })
+                .map(|(engine, shard)| engine.checkpoint(shard))
                 .collect(),
             arrivals: state.arrivals.clone(),
             next_arrival: state.next_arrival as u64,
             next_fed_job: state.next_fed_job,
             rr_cursor: state.rr_cursor,
-            merged: detached.map_or_else(|| state.merged.clone(), Log::detached),
+            merged: state.merged.clone(),
             cross_shard: state.cross_shard.clone(),
             counters: state.counters.clone(),
         }
@@ -983,8 +963,9 @@ impl<S: SlotSelector + Copy> Federation<S> {
     ///
     /// [`FederationError::CheckpointMismatch`] on a fingerprint mismatch,
     /// [`FederationError::Protocol`] on a shard-count mismatch,
-    /// [`FederationError::DetachedCheckpoint`] when the merged log is not
-    /// all there, and shard resume failures verbatim.
+    /// [`FederationError::DetachedCheckpoint`] when the merged log holds
+    /// neither the whole history nor its newest entry, and shard resume
+    /// failures verbatim.
     pub fn resume(
         &self,
         checkpoint: &FederationCheckpoint,
@@ -1014,7 +995,7 @@ impl<S: SlotSelector + Copy> Federation<S> {
                 ),
             });
         }
-        if checkpoint.merged.whole().is_none() {
+        if checkpoint.merged.after.len > 0 && checkpoint.merged.entries.is_empty() {
             return Err(FederationError::DetachedCheckpoint {
                 missing: checkpoint.merged.after.len,
             });

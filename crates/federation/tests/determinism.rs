@@ -190,18 +190,32 @@ fn resume_refuses_a_foreign_checkpoint() {
     assert!(other.resume(&checkpoint).is_err());
 }
 
-/// A checkpoint whose merged log is only a position (a snapshot store
-/// keeps the entries) is refused by name, not resumed on a short log.
+/// A checkpoint of a run that trimmed its logs — each the newest entry
+/// after the position of the rest — resumes into the run the untrimmed
+/// one finishes, report and merged-log hash alike. A merged log after a
+/// later position with no entry at all (a format 3–4 store file read raw)
+/// is refused by name, not resumed without the entry routing reads.
 #[test]
-fn resume_refuses_a_checkpoint_detached_from_its_merged_log() {
+fn resume_accepts_a_trimmed_log_and_refuses_an_empty_one_after_a_position() {
     let fed = Federation::new(starved_config(2), Amp::new()).unwrap();
+    let baseline = fed.run(23).unwrap();
     let mut state = fed.start(23);
     for _ in 0..30 {
         fed.step(&mut state).unwrap().expect("the run goes further");
     }
+    state.trim_logs();
     let mut checkpoint = fed.checkpoint(&state);
-    assert!(fed.resume(&checkpoint).is_ok());
-    let position = LogPosition::after(&checkpoint.merged.entries);
+    assert_eq!(checkpoint.merged.entries.len(), 1);
+    assert_eq!(checkpoint.merged.len(), 30);
+    assert!(checkpoint.shards.iter().all(|s| s.log.entries.len() <= 1));
+    let mut resumed = fed.resume(&checkpoint).expect("a trimmed log resumes");
+    while fed.step(&mut resumed).unwrap().is_some() {}
+    let recovered = fed.finish(resumed);
+    assert_eq!(recovered.report.to_json(), baseline.report.to_json());
+    assert_eq!(recovered.merged.fnv1a_hash(), baseline.merged.fnv1a_hash());
+
+    let position = LogPosition::after(&baseline.merged.entries[..30]);
+    assert_eq!(checkpoint.merged.after.len, 29);
     checkpoint.merged = Log::detached(position);
     match fed.resume(&checkpoint) {
         Err(FederationError::DetachedCheckpoint { missing }) => assert_eq!(missing, 30),

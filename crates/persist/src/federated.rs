@@ -8,12 +8,12 @@
 //! merged log and the committed cross-shard windows, so there is no
 //! window where some shards resumed from a newer capture than others.
 //!
-//! The log a store keeps for it is the merged log alone: each shard's
-//! own log is the merged log's projection onto that shard, so detaching
-//! drops the shard logs too (recording their lengths) and attaching
-//! rebuilds them from the verified merged prefix.
+//! A format 3–4 store kept the merged log alone in its segment: each
+//! shard's own log is the merged log's projection onto that shard, so
+//! such a file records only each shard log's length, and attaching
+//! rebuilds the shard logs from the verified merged prefix.
 
-use ecosched_engine::{Log, LogPosition};
+use ecosched_engine::Log;
 use ecosched_federation::{FederatedLogEntry, FederationCheckpoint};
 use serde::{Deserialize, Serialize};
 
@@ -52,18 +52,6 @@ impl Checkpoint for FederationCheckpoint {
 
     fn log(&self) -> &Log<FederatedLogEntry> {
         &self.merged
-    }
-
-    fn detach(&mut self, at: LogPosition) {
-        self.merged = Log::detached(at);
-        for shard in &mut self.shards {
-            // What vouches for a shard's log is the merged position; of
-            // its own position only the length is recorded.
-            shard.log = Log::detached(LogPosition {
-                len: shard.log.len() as u64,
-                hash: 0,
-            });
-        }
     }
 
     fn attach(&mut self, prefix: Vec<FederatedLogEntry>) -> Result<(), PersistError> {
@@ -130,36 +118,64 @@ pub(crate) mod tests {
         (fed, snaps)
     }
 
-    /// Taken detached, a checkpoint is the whole one as `detach` leaves
-    /// it: the merged log at the position, every shard's at its length.
+    /// A trimmed checkpoint — every log its newest entry after a true
+    /// position — is stored as it is: the file holds exactly that, loads
+    /// back unchanged, and resumes into the run the untrimmed one does.
     #[test]
-    fn a_checkpoint_taken_detached_is_the_whole_one_detached() {
+    fn a_trimmed_checkpoint_is_stored_as_it_is() {
         let (fed, _) = checkpoints(0);
         let mut state = fed.start(17);
         for _ in 0..60 {
             fed.step(&mut state).expect("step");
         }
-        let at = LogPosition::after(&state.merged().entries);
-        let mut whole = fed.checkpoint(&state);
-        whole.detach(at);
-        assert_eq!(fed.checkpoint_detached(&state, at), whole);
+        let whole = fed.checkpoint(&state);
+        state.trim_logs();
+        let trimmed = fed.checkpoint(&state);
+        assert_eq!(trimmed.merged.entries.len(), 1);
+        assert_eq!(trimmed.merged.fnv1a_hash(), whole.merged.fnv1a_hash());
+        for (shard, whole) in trimmed.shards.iter().zip(&whole.shards) {
+            assert!(shard.log.entries.len() <= 1);
+            assert_eq!(shard.log.fnv1a_hash(), whole.log.fnv1a_hash());
+        }
+        let dir =
+            std::env::temp_dir().join(format!("ecosched-fedsnap-trim-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::<FederationCheckpoint>::open(&dir, 3).unwrap();
+        let path = store.save(&trimmed).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), encode(&trimmed));
+        let loaded = store.load_latest().unwrap().expect("saved").checkpoint;
+        assert_eq!(loaded, trimmed);
+        let (mut a, mut b) = (fed.resume(&loaded).unwrap(), fed.resume(&whole).unwrap());
+        while fed.step(&mut a).unwrap().is_some() {}
+        while fed.step(&mut b).unwrap().is_some() {}
+        assert_eq!(
+            fed.finish(a).report.to_json(),
+            fed.finish(b).report.to_json()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Detached before any event, a checkpoint records only the length of
-    /// each shard's log, zero; loaded through the store it comes back as
-    /// `checkpoint()` takes it, every shard's log whole from the start —
-    /// the position a resumed shard hashes its log from.
+    /// A format-4 store file taken before any event recorded each shard
+    /// log as a bare length, zero; loaded through the store it comes back
+    /// as `checkpoint()` takes it, every shard's log whole from the start
+    /// — the position a resumed shard hashes its log from.
     #[test]
-    fn a_checkpoint_detached_before_any_event_loads_whole() {
+    fn a_format_4_file_detached_before_any_event_loads_whole() {
         let (fed, _) = checkpoints(0);
         let state = fed.start(17);
+        let mut detached = fed.checkpoint(&state);
+        for shard in &mut detached.shards {
+            shard.log = Log::detached(ecosched_engine::LogPosition { len: 0, hash: 0 });
+        }
+        let mut bytes = encode(&detached);
+        // Format 4 and 5 share the container and its checksums.
+        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
         let dir =
             std::env::temp_dir().join(format!("ecosched-fedsnap-zero-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("fsnap-0000000000000000.ecosnap"), &bytes).unwrap();
         let store = Store::<FederationCheckpoint>::open(&dir, 3).unwrap();
-        store
-            .save(&fed.checkpoint_detached(&state, LogPosition::start()))
-            .unwrap();
         let loaded = store.load_latest().unwrap().expect("saved").checkpoint;
         assert_eq!(loaded, fed.checkpoint(&state));
         let _ = std::fs::remove_dir_all(&dir);

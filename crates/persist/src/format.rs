@@ -47,18 +47,26 @@ pub const MAGIC: [u8; 8] = *b"ECOSNAP\0";
 ///   Container layout unchanged.
 /// * **4** — section checksums step over 8-byte words
 ///   ([`checksum_words`]) instead of bytes. Payloads unchanged.
+/// * **5** — a rotated store's file carries its logs as true positions
+///   plus the entries it holds (a daemon's, trimmed to the newest), and
+///   never needs a log segment. A store reads the segment only for a
+///   file of version 3 or 4 whose merged log it detached. Container
+///   layout and checksums unchanged.
 ///
 /// Decoding accepts any version in [`MIN_FORMAT_VERSION`]`..=`
 /// [`FORMAT_VERSION`]: a v1 snapshot (flat market) decodes under this
 /// build and resumes into either market representation, and a v1 or v2
 /// log decodes as the tail after position zero.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// The oldest container format version this build still decodes.
 pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// The first version whose sections are checksummed by [`checksum_words`].
 const WORD_CHECKSUM_VERSION: u32 = 4;
+
+/// The newest version whose store files may leave their log to a segment.
+pub(crate) const LAST_SEGMENT_VERSION: u32 = 4;
 
 /// An odd multiplier, so multiplying by it is a bijection of `u64`.
 const WORD_PRIME: u64 = 0x517c_c1b7_2722_0a95;
@@ -173,19 +181,10 @@ pub enum PersistError {
         /// What went wrong.
         detail: String,
     },
-    /// A rotated store was handed a log tail — or a checkpoint detached
-    /// from its log — after a position other than where its log segment
-    /// ends. Nothing was written.
-    OffTip {
-        /// Where the segment ends.
-        tip: LogPosition,
-        /// Where the tail starts.
-        after: LogPosition,
-    },
-    /// A store's log segment cannot supply the prefix a snapshot was
-    /// detached from — it is shorter than the position, or its entries
-    /// hash differently. The snapshot is unusable; an older one or a
-    /// replay from the seed regenerates the log.
+    /// A format 3–4 store's log segment cannot supply the prefix a
+    /// snapshot was detached from — it is shorter than the position, or
+    /// its entries hash differently. The snapshot is unusable; an older
+    /// one or a replay from the seed regenerates the log.
     LogSegment {
         /// The position the snapshot records.
         position: LogPosition,
@@ -221,12 +220,6 @@ impl std::fmt::Display for PersistError {
             PersistError::Corrupt { section, detail } => {
                 write!(f, "section {section}: {detail}")
             }
-            PersistError::OffTip { tip, after } => write!(
-                f,
-                "log tail starts after {} entries at {:016x}, but the log segment ends \
-                 after {} at {:016x}",
-                after.len, after.hash, tip.len, tip.hash
-            ),
             PersistError::LogSegment { position, detail } => write!(
                 f,
                 "log segment cannot supply the {} entries before position {:016x}: {detail}",
@@ -298,15 +291,14 @@ fn take<const N: usize>(bytes: &[u8], at: &mut usize) -> Result<[u8; N], Persist
     Ok(out)
 }
 
-/// Decodes a container, verifying the magic, the version, and every
-/// section checksum.
+/// The version a container's header names, once its magic is checked
+/// and the version is one this build reads.
 ///
 /// # Errors
 ///
-/// [`PersistError::BadMagic`], [`PersistError::UnsupportedVersion`],
-/// [`PersistError::Truncated`], or [`PersistError::ChecksumMismatch`] —
-/// never a panic, whatever the input bytes.
-pub fn decode(bytes: &[u8]) -> Result<Vec<(SectionTag, Vec<u8>)>, PersistError> {
+/// [`PersistError::BadMagic`], [`PersistError::UnsupportedVersion`] or
+/// [`PersistError::Truncated`].
+pub fn version(bytes: &[u8]) -> Result<u32, PersistError> {
     let mut at = 0usize;
     let magic: [u8; 8] = take(bytes, &mut at)?;
     if magic != MAGIC {
@@ -319,6 +311,20 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<(SectionTag, Vec<u8>)>, PersistError> 
             supported: FORMAT_VERSION,
         });
     }
+    Ok(version)
+}
+
+/// Decodes a container, verifying the magic, the version, and every
+/// section checksum.
+///
+/// # Errors
+///
+/// [`PersistError::BadMagic`], [`PersistError::UnsupportedVersion`],
+/// [`PersistError::Truncated`], or [`PersistError::ChecksumMismatch`] —
+/// never a panic, whatever the input bytes.
+pub fn decode(bytes: &[u8]) -> Result<Vec<(SectionTag, Vec<u8>)>, PersistError> {
+    let version = version(bytes)?;
+    let mut at = 12usize;
     let checksum = checksum(version);
     let count = u32::from_le_bytes(take(bytes, &mut at)?);
     let mut sections = Vec::with_capacity(count.min(64) as usize);

@@ -5,9 +5,9 @@
 //! best-effort. This crate adds:
 //!
 //! * **one snapshot stack**, generic over the [`Checkpoint`] it stores —
-//!   the small trait (section tags, file prefix, meta header, and the
-//!   run's log with the `detach`/`attach` pair that moves it out of a
-//!   snapshot and back) implemented by the engine's
+//!   the small trait (section tags, file prefix, meta header, the run's
+//!   log, and the `attach` that puts back what a format 3–4 store left in
+//!   its log segment) implemented by the engine's
 //!   [`EngineCheckpoint`](ecosched_engine::EngineCheckpoint) and, in
 //!   [`federated`], by the whole multi-shard federation, so every shard
 //!   resumes from the same instant. Bottom up: the [`mod@format`]
@@ -19,20 +19,19 @@
 //!   runs on. Corrupted, truncated, version-mismatched or wrong-type
 //!   files fail with typed [`PersistError`]s — never panics, never a
 //!   silently wrong state;
-//! * **the log kept once**: a checkpoint carries its run's event log —
-//!   the run's own [`Log`](ecosched_engine::Log), cloned, or that log
-//!   emptied after a [`LogPosition`](ecosched_engine::LogPosition) —
-//!   and its arrival stream as the run holds it, so capture and resume
-//!   copy them without converting them. A standalone file
-//!   ([`snapshot::write`]) carries everything after position zero and
-//!   is self-contained; a [`Store<C>`] keeps the entries in one
-//!   append-only log segment beside its snapshots — fsynced before the
-//!   snapshot that records their position is renamed into place — and
-//!   re-attaches the segment's prefix, verified against the position's
-//!   hash, on load. The segment is a cache of a regenerable log: one
-//!   that cannot satisfy a snapshot makes that snapshot skipped, never
-//!   a wrong log. Snapshot size and save cost follow the state, not the
-//!   length of the run;
+//! * **the log as the run holds it**: a checkpoint carries its run's
+//!   event log — the run's own [`Log`](ecosched_engine::Log), cloned —
+//!   and its arrival stream, so capture and resume copy them without
+//!   converting them. An experiment's log is whole, and its standalone
+//!   file ([`snapshot::write`]) is self-contained. A daemon trims its
+//!   logs to the newest entry after a
+//!   [`LogPosition`](ecosched_engine::LogPosition), which is all a run
+//!   reads of them, so its snapshot's size and save cost follow the
+//!   state, not the length of the run. A [`Store<C>`] writes either as
+//!   it is given. Only a format 3–4 store file left its log to a
+//!   segment beside it; the store reads that segment's prefix once,
+//!   verified against the recorded position, when it loads such a file,
+//!   and skips the file when the segment cannot satisfy it;
 //! * **restore + replay** ([`replay`]): [`resume_from`] rebuilds a live
 //!   run from a snapshot and *regenerates* the events the crashed
 //!   process logged after the capture, checking each against the
@@ -63,5 +62,5 @@ pub use format::{PersistError, SectionTag, FORMAT_VERSION, MAGIC, MIN_FORMAT_VER
 pub use replay::{
     resume_and_replay, resume_from, run_to_completion, run_with_snapshots, ReplayError,
 };
-pub use rotate::{atomic_save, Latest, Skipped, SnapshotStore, Store};
+pub use rotate::{atomic_save, sync_parent, Latest, Skipped, SnapshotStore, Store};
 pub use snapshot::{decode_snapshot, encode_snapshot, Checkpoint, SnapshotMeta};

@@ -10,17 +10,16 @@
 //! with [`PersistError::MissingSection`] rather than a misparse.
 //!
 //! The state carries its run's [`Log`] — the entries after a position.
-//! [`encode`] and [`write()`] store whatever log they are given, which
-//! for a checkpoint fresh from `checkpoint()` is a clone of the run's
-//! whole log: a standalone snapshot file is self-contained. The rotated
-//! [`Store`](crate::Store) uses the trait's [`detach`](Checkpoint::detach)
-//! / [`attach`](Checkpoint::attach) pair to keep the entries in its log
-//! segment instead, and this same codec for what is left.
+//! [`encode`] and [`write()`] store whatever log they are given: a clone
+//! of the run's whole log for an experiment's checkpoint, the newest
+//! entry after a position for a daemon that trims its logs. Either
+//! resumes as it is. Only a format 3–4 store file needs more: the trait's
+//! [`attach`](Checkpoint::attach) puts back the prefix the
+//! [`Store`](crate::Store) reads from its legacy log segment.
 
-use std::hash::Hash;
 use std::path::Path;
 
-use ecosched_engine::{EngineCheckpoint, Log, LogEntry, LogPosition};
+use ecosched_engine::{EngineCheckpoint, Log, LogEntry};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
@@ -32,9 +31,9 @@ use crate::rotate::atomic_save;
 pub trait Checkpoint: Serialize + DeserializeOwned + Clone {
     /// The cheap-to-read identity header stored next to the state.
     type Meta: Serialize + DeserializeOwned;
-    /// One entry of the run's log — one line of a rotated store's log
+    /// One entry of the run's log — one line of a format 3–4 store's log
     /// segment.
-    type Entry: Serialize + DeserializeOwned + Clone + Hash;
+    type Entry: Serialize + DeserializeOwned;
     /// The section holding the [`Meta`](Checkpoint::Meta) JSON.
     const META_SECTION: SectionTag;
     /// The section holding the checkpoint JSON.
@@ -48,12 +47,9 @@ pub trait Checkpoint: Serialize + DeserializeOwned + Clone {
     /// The run's log as this checkpoint carries it.
     fn log(&self) -> &Log<Self::Entry>;
 
-    /// Drops every log entry, recording only that the log ended `at` —
-    /// its whole length. The caller keeps the entries.
-    fn detach(&mut self, at: LogPosition);
-
-    /// Puts back the entries [`detach`](Checkpoint::detach) dropped. The
-    /// caller has verified `prefix` against the recorded position.
+    /// Puts back the prefix a format 3–4 store left in its log segment
+    /// (empty for a log it kept whole). The caller has verified `prefix`
+    /// against the recorded position.
     ///
     /// # Errors
     ///
@@ -100,10 +96,6 @@ impl Checkpoint for EngineCheckpoint {
 
     fn log(&self) -> &Log<LogEntry> {
         &self.log
-    }
-
-    fn detach(&mut self, at: LogPosition) {
-        self.log = Log::detached(at);
     }
 
     fn attach(&mut self, prefix: Vec<LogEntry>) -> Result<(), PersistError> {

@@ -6,7 +6,7 @@
 //! text in one pass, and no tree stands between them and the bytes. So
 //! they are pinned to each other here, on real engine and federation
 //! checkpoints taken mid-churn — in both market orderings, with the log
-//! attached and detached: a checkpoint decodes from its own bytes to
+//! whole and trimmed: a checkpoint decodes from its own bytes to
 //! itself, and re-encodes to the same bytes. The reader must not lean on
 //! the writer's layout either: the same text pretty-printed, with the keys
 //! of every map reversed, and with whitespace between every two tokens
@@ -15,7 +15,7 @@
 //! `snapshot_roundtrip.rs` pin the bytes themselves.
 
 use ecosched_core::MarketRepr;
-use ecosched_engine::{ArrivalConfig, Engine, EngineCheckpoint, EngineConfig, LogPosition};
+use ecosched_engine::{ArrivalConfig, Engine, EngineCheckpoint, EngineConfig};
 use ecosched_federation::{Federation, FederationCheckpoint, FederationConfig, RoutePolicy};
 use ecosched_persist::{snapshot, Checkpoint};
 use ecosched_select::Amp;
@@ -133,15 +133,6 @@ fn assert_round_trips<C: Checkpoint + PartialEq + std::fmt::Debug>(checkpoint: &
     }
 }
 
-/// `checkpoint` with its log moved out, as a rotated store writes it.
-fn detached<C: Checkpoint>(checkpoint: &C) -> C {
-    let whole = checkpoint.log().whole().expect("a fresh checkpoint");
-    let at = LogPosition::after(whole);
-    let mut detached = checkpoint.clone();
-    detached.detach(at);
-    detached
-}
-
 fn churn_config(jobs: u32) -> EngineConfig {
     EngineConfig {
         cycles: 3,
@@ -238,7 +229,9 @@ proptest! {
         };
         for checkpoint in [checkpoint, flat] {
             assert_round_trips(&checkpoint);
-            assert_round_trips(&detached(&checkpoint));
+            let mut trimmed = checkpoint;
+            trimmed.log.trim();
+            assert_round_trips(&trimmed);
         }
     }
 
@@ -268,7 +261,12 @@ proptest! {
         }
         for checkpoint in [checkpoint, flat] {
             assert_round_trips(&checkpoint);
-            assert_round_trips(&detached(&checkpoint));
+            let mut trimmed = checkpoint;
+            trimmed.merged.trim();
+            for shard in &mut trimmed.shards {
+                shard.log.trim();
+            }
+            assert_round_trips(&trimmed);
         }
     }
 }

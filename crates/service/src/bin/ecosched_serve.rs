@@ -12,8 +12,8 @@
 //! Scheduling flags configure a *fresh* data directory; an existing
 //! directory's stored manifest pins the engine identity and the flags
 //! are ignored. `--verify` replays the write-ahead log offline and
-//! checks byte-identity against the newest snapshot and the log segment
-//! it is detached from, then exits.
+//! checks it against every kept snapshot's log position and entries,
+//! then exits.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -163,11 +163,11 @@ fn main() -> ExitCode {
             Ok(report) => {
                 println!(
                     "VERIFIED wal_entries={} dropped_lines={} snapshot_events={} \
-                     segment_events={} acked_in_snapshot={} log_hash={}",
+                     snapshots_checked={} acked_in_snapshot={} log_hash={}",
                     report.wal_entries,
                     report.wal_dropped_lines,
                     report.snapshot_events,
-                    report.segment_events,
+                    report.snapshots_checked,
                     report.acked_in_snapshot,
                     report.log_hash
                 );

@@ -76,8 +76,9 @@ pub struct ServiceIds {
     pub snapshot_us: HistogramId,
     /// `ecosched_service_snapshot_bytes` gauge — the newest snapshot file.
     pub snapshot_bytes: GaugeId,
-    /// `ecosched_service_log_segment_bytes` gauge.
-    pub log_segment_bytes: GaugeId,
+    /// `ecosched_service_log_entries_held` gauge — merged-log entries
+    /// the session holds in memory.
+    pub log_entries_held: GaugeId,
     /// `ecosched_service_backlog` gauge.
     pub backlog: GaugeId,
     /// `ecosched_service_virtual_time` gauge.
@@ -141,17 +142,18 @@ impl ServiceIds {
             ),
             snapshot_us: b.histogram(
                 "ecosched_service_snapshot_us",
-                "Wall time of one rotated snapshot (checkpoint, log-segment append, \
-                 encode, durable write) in microseconds",
+                "Wall time of one rotated snapshot (checkpoint, encode, durable write) \
+                 in microseconds",
                 Buckets::pow2(1, 24),
             ),
             snapshot_bytes: b.gauge(
                 "ecosched_service_snapshot_bytes",
                 "Size of the newest snapshot file; follows the state, not the run length",
             ),
-            log_segment_bytes: b.gauge(
-                "ecosched_service_log_segment_bytes",
-                "Size of the snapshot store's append-only event-log segment",
+            log_entries_held: b.gauge(
+                "ecosched_service_log_entries_held",
+                "Merged event-log entries the session holds in memory; the rest \
+                 of the log is a position",
             ),
             backlog: b.gauge(
                 "ecosched_service_backlog",
@@ -287,13 +289,12 @@ impl ServiceObs {
     }
 
     /// A rotated snapshot of `snapshot_bytes` was written in `took` wall
-    /// time, leaving the log segment at `log_segment_bytes`.
-    pub fn on_snapshot(&self, took: Duration, snapshot_bytes: u64, log_segment_bytes: u64) {
+    /// time.
+    pub fn on_snapshot(&self, took: Duration, snapshot_bytes: u64) {
         if let Some(i) = self.inner.as_deref() {
             i.rec.inc(i.ids.snapshots);
             i.rec.observe(i.ids.snapshot_us, micros(took));
             i.rec.set(i.ids.snapshot_bytes, snapshot_bytes as f64);
-            i.rec.set(i.ids.log_segment_bytes, log_segment_bytes as f64);
             // A statistic that publishes nothing else.
             i.last_snapshot_ms.store(unix_ms(), Ordering::Relaxed);
         }
@@ -308,10 +309,11 @@ impl ServiceObs {
     }
 
     /// Refreshes the session progress gauges.
-    pub fn set_progress(&self, backlog: usize, virtual_time: i64) {
+    pub fn set_progress(&self, backlog: usize, virtual_time: i64, log_entries_held: usize) {
         if let Some(i) = self.inner.as_deref() {
             i.rec.set(i.ids.backlog, backlog as f64);
             i.rec.set(i.ids.virtual_time, virtual_time as f64);
+            i.rec.set(i.ids.log_entries_held, log_entries_held as f64);
         }
     }
 
@@ -333,7 +335,7 @@ impl ServiceObs {
         format!(
             "{{\"status\":\"ok\",\"metrics\":true,\"virtual_time\":{},\"backlog\":{},\
              \"submissions\":{},\"accepted\":{},\"rejected\":{},\
-             \"snapshots\":{},\"snapshot_bytes\":{},\"log_segment_bytes\":{},\
+             \"snapshots\":{},\"snapshot_bytes\":{},\"log_entries_held\":{},\
              \"snapshot_age_ms\":{snapshot_age_ms}}}",
             reg.gauge_value(i.ids.virtual_time) as i64,
             reg.gauge_value(i.ids.backlog) as i64,
@@ -342,7 +344,7 @@ impl ServiceObs {
             rejected,
             reg.counter_value(i.ids.snapshots),
             reg.gauge_value(i.ids.snapshot_bytes) as u64,
-            reg.gauge_value(i.ids.log_segment_bytes) as u64,
+            reg.gauge_value(i.ids.log_entries_held) as u64,
         )
     }
 }
@@ -447,8 +449,9 @@ mod tests {
         let bundle = build_service_obs(1);
         let obs = &bundle.service;
         assert!(obs.health_json().contains("\"snapshot_age_ms\":null"));
-        obs.on_snapshot(Duration::from_micros(9_000), 1_000_000, 250_000);
-        obs.on_snapshot(Duration::from_micros(11_000), 1_010_000, 500_000);
+        obs.on_snapshot(Duration::from_micros(9_000), 1_000_000);
+        obs.on_snapshot(Duration::from_micros(11_000), 1_010_000);
+        obs.set_progress(3, 120, 1);
         let reg = bundle.recorder.registry().expect("recorder on");
         let snapshots = reg
             .find_counter("ecosched_service_snapshots_total", &[])
@@ -461,7 +464,7 @@ mod tests {
         let health = obs.health_json();
         assert!(health.contains("\"snapshots\":2"), "{health}");
         assert!(health.contains("\"snapshot_bytes\":1010000"), "{health}");
-        assert!(health.contains("\"log_segment_bytes\":500000"), "{health}");
+        assert!(health.contains("\"log_entries_held\":1"), "{health}");
         assert!(!health.contains("\"snapshot_age_ms\":null"), "{health}");
         let parsed: serde::Value = serde_json::from_str(&health).expect("valid JSON");
         assert!(parsed.as_map().is_some());
@@ -472,7 +475,7 @@ mod tests {
         let bundle = build_service_obs(1);
         bundle.service.on_submission();
         bundle.service.on_accept();
-        bundle.service.set_progress(7, 1234);
+        bundle.service.set_progress(7, 1234, 1);
         let health = bundle.service.health_json();
         assert!(health.contains("\"accepted\":1"));
         assert!(health.contains("\"backlog\":7"));

@@ -7,19 +7,19 @@
 //! point, clamped arrival time, and spec — so a fresh federation
 //! stepped through the same injections MUST reproduce the daemon's
 //! merged event log byte-for-byte. [`verify_data_dir`] asserts
-//! precisely that: the offline merged log's prefix equals, entry for
-//! entry, the log the newest snapshot stands for — the snapshot store's
-//! log segment up to the position the snapshot records, then whatever
-//! entries the snapshot carries itself — and every WAL entry is
-//! reachable and re-injectable on its recorded shard. It is the
-//! acceptance check the crash harness and the CI `service-smoke` job run
-//! after every kill.
+//! precisely that at every snapshot the store keeps, oldest first: the
+//! offline run, stepped to the snapshot's merged length, is at the log
+//! position the snapshot records and logged the entries the snapshot
+//! holds after it, and every arrival the snapshot carries is its WAL
+//! record. A divergence is therefore placed between two snapshots. It is
+//! the acceptance check the crash harness and the CI `service-smoke` job
+//! run after every kill.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use ecosched_engine::LogPosition;
 use ecosched_federation::{Federation, FederationCheckpoint, FederationState};
-use ecosched_persist::{snapshot, Store};
+use ecosched_persist::Store;
 use ecosched_select::{Alp, Amp, SlotSelector};
 
 use crate::error::ServiceError;
@@ -36,13 +36,14 @@ pub struct VerifyReport {
     pub wal_dropped_lines: u64,
     /// Merged-log events in the newest snapshot (0 when none exists).
     pub snapshot_events: u64,
-    /// Of those, the entries the snapshot leaves to the log segment (0
-    /// for a snapshot that carries its own log: formats 1 and 2).
-    pub segment_events: u64,
-    /// Arrivals the snapshot already contained (summed over shards).
+    /// Snapshots checked against the offline replay: every one the store
+    /// keeps.
+    pub snapshots_checked: u64,
+    /// Arrivals the newest snapshot already contained (summed over
+    /// shards).
     pub acked_in_snapshot: u64,
-    /// FNV-1a 64 hash of the offline merged log at the snapshot's event
-    /// count (equal to the snapshot's own log hash — that is the
+    /// FNV-1a 64 hash of the offline merged log at the newest snapshot's
+    /// event count (equal to the snapshot's own log hash — that is the
     /// assertion).
     pub log_hash: String,
 }
@@ -69,14 +70,15 @@ pub fn replay_wal<S: SlotSelector + Copy>(
 }
 
 /// Verifies a data directory: offline-replays the WAL from the seed and
-/// checks byte-identity against the newest snapshot and the log segment
-/// prefix it is detached from. Stricter than the daemon's boot, which
-/// walks past a snapshot it cannot use: here the newest one must decode
-/// and the segment must hold its prefix.
+/// checks it against every snapshot the store keeps, oldest first.
+/// Stricter than the daemon's boot, which walks past a snapshot it cannot
+/// use: here every kept one must load — a format 3–4 one through the
+/// store's legacy segment — and agree with the replay.
 ///
 /// # Errors
 ///
-/// [`ServiceError::Diverged`] on any mismatch; otherwise the underlying
+/// [`ServiceError::Diverged`] on any mismatch, naming the snapshot and
+/// the last one that agreed; otherwise the underlying
 /// manifest/persist/federation error.
 pub fn verify_data_dir(data_dir: &Path) -> Result<VerifyReport, ServiceError> {
     let manifest = load_manifest(data_dir)?.ok_or_else(|| {
@@ -100,77 +102,80 @@ fn verify_with<S: SlotSelector + Copy>(
 
     let store: Store<FederationCheckpoint> =
         Store::open(snapshot_dir(data_dir), manifest.keep_snapshots.max(1))?;
-    let Some(newest) = store.list()?.pop() else {
-        return Ok(VerifyReport {
-            wal_entries: loaded.entries.len() as u64,
-            wal_dropped_lines: loaded.dropped_lines as u64,
-            snapshot_events: 0,
-            segment_events: 0,
-            acked_in_snapshot: 0,
-            log_hash: offline.merged().fnv1a_hash(),
-        });
-    };
-    // The snapshot as its file holds it: what it leaves to the log
-    // segment stays detached, and is read from the segment below.
-    let snapshot: FederationCheckpoint = snapshot::read(&newest)?;
-    let segment = store.read_log_segment()?;
-    let detached = snapshot.merged.after.len as usize;
-    if segment.len() < detached {
-        return Err(ServiceError::Diverged(format!(
-            "log segment {} holds {} entries, snapshot {} is detached from {detached}",
-            store.log_segment_path().display(),
-            segment.len(),
-            newest.display()
-        )));
-    }
-
-    // Step the offline run to the snapshot's merged-event count. The
-    // snapshot may be *behind* the last injection (offline already past
-    // it) or *ahead* (the daemon stepped on after its last accepted
-    // job).
-    let snapshot_events = snapshot.merged.len();
-    while offline.merged().len() < snapshot_events {
-        if fed.step(&mut offline)?.is_none() {
-            return Err(ServiceError::Diverged(format!(
-                "offline replay drained at {} merged events; snapshot has {snapshot_events}",
-                offline.merged().len()
-            )));
-        }
-    }
-
-    // Byte-identity of the common prefix. Serialized JSON comparison ==
-    // hash comparison, but diffing entries gives a better error.
-    let offline_prefix = &offline.merged().entries[..snapshot_events];
-    let recorded = segment[..detached].iter().chain(&snapshot.merged.entries);
-    if let Some(first_bad) = recorded.zip(offline_prefix).position(|(a, b)| a != b) {
-        return Err(ServiceError::Diverged(format!(
-            "offline merged log diverges from snapshot {} at event index {first_bad}",
-            newest.display()
-        )));
-    }
-    // The position is what the daemon checks the segment against at
-    // boot; a wrong one would make it walk past this snapshot.
-    let position = LogPosition::after(&offline_prefix[..detached]);
-    if position != snapshot.merged.after {
-        return Err(ServiceError::Diverged(format!(
-            "snapshot {} records log position {:?}, the log is at {position:?}",
-            newest.display(),
-            snapshot.merged.after
-        )));
-    }
-
-    // Every snapshot arrival must be its WAL record (no phantom acks),
-    // checked as boot checks it.
-    let acked_in_snapshot = check_snapshot_arrivals(&snapshot, &loaded.entries)?;
-
-    let mut end = position;
-    end.push_all(&offline_prefix[detached..]);
-    Ok(VerifyReport {
+    let mut report = VerifyReport {
         wal_entries: loaded.entries.len() as u64,
         wal_dropped_lines: loaded.dropped_lines as u64,
-        snapshot_events: snapshot_events as u64,
-        segment_events: detached as u64,
-        acked_in_snapshot: acked_in_snapshot as u64,
-        log_hash: end.fnv1a_hash(),
-    })
+        snapshot_events: 0,
+        snapshots_checked: 0,
+        acked_in_snapshot: 0,
+        log_hash: offline.merged().fnv1a_hash(),
+    };
+    // The last snapshot that agreed, and the offline log's position, kept
+    // in step with the snapshots.
+    let mut agreed: Option<PathBuf> = None;
+    let mut at = LogPosition::start();
+    for path in store.list()? {
+        let snapshot = store.load(&path)?;
+        let log = &snapshot.merged;
+        let since = match &agreed {
+            Some(previous) => format!(
+                "after snapshot {} ({} events)",
+                previous.display(),
+                report.snapshot_events
+            ),
+            None => "before any snapshot".to_string(),
+        };
+        let diverged = |what: String| {
+            ServiceError::Diverged(format!(
+                "snapshot {}: {what}; the logs diverge {since}",
+                path.display()
+            ))
+        };
+        // The snapshot may be *behind* the last injection (offline
+        // already past it) or *ahead* (the daemon stepped on after its
+        // last accepted job).
+        while offline.merged().len() < log.len() {
+            if fed.step(&mut offline)?.is_none() {
+                return Err(diverged(format!(
+                    "offline replay drained at {} merged events, the snapshot has {}",
+                    offline.merged().len(),
+                    log.len()
+                )));
+            }
+        }
+        let entries = &offline.merged().entries;
+        let after = log.after.len as usize;
+        if after < at.len as usize {
+            // A log kept whole (formats 1–4, or never trimmed) sits
+            // after the start.
+            at = LogPosition::start();
+        }
+        at.push_all(&entries[at.len as usize..after]);
+        if at != log.after {
+            return Err(diverged(format!(
+                "it records log position {:?}, the offline log is at {at:?}",
+                log.after
+            )));
+        }
+        // Serialized JSON comparison == hash comparison, but diffing
+        // entries gives a better error.
+        let held = &entries[after..log.len()];
+        if let Some(bad) = log.entries.iter().zip(held).position(|(a, b)| a != b) {
+            return Err(diverged(format!(
+                "offline merged log differs at event index {}",
+                after + bad
+            )));
+        }
+        // Every snapshot arrival must be its WAL record (no phantom
+        // acks), checked as boot checks it.
+        let acked = check_snapshot_arrivals(&snapshot, &loaded.entries)?;
+        let mut end = at;
+        end.push_all(held);
+        report.snapshot_events = log.len() as u64;
+        report.snapshots_checked += 1;
+        report.acked_in_snapshot = acked as u64;
+        report.log_hash = end.fnv1a_hash();
+        agreed = Some(path);
+    }
+    Ok(report)
 }

@@ -30,33 +30,31 @@
 //! rests on. Losing the process at any point therefore loses only
 //! unacknowledged submissions.
 //!
-//! The snapshots themselves do not carry the event log: the store keeps
-//! it in one append-only log segment beside them, fsynced before the
-//! snapshot that records its position is renamed into place (see
-//! [`ecosched_persist::rotate`]). The session keeps the position it last
-//! saved at, so a cadence snapshot hands the store only the merged
-//! entries logged since and then a checkpoint taken already detached
-//! after them: it costs what the state costs and what changed, however
-//! long the daemon has run. The first snapshot after a boot hands over
-//! the whole log, which the store checks against its segment.
+//! The session holds no history. The run reads nothing of its logs but
+//! the newest entry, so after boot, after every [`Session::advance_to`]
+//! and before every snapshot it trims the merged log and every shard's
+//! to that entry ([`FederationState::trim_logs`]); the rest of each log
+//! is its position, whose hash [`Session::status`] reports. Memory is
+//! bounded whether or not snapshots are taken. A snapshot is the trimmed
+//! checkpoint, written as it is in one atomic rename: its size and cost
+//! follow the state, however long the daemon has run. The WAL is the
+//! truth; nothing but the snapshot itself must be made durable first.
 //!
 //! # Resume
 //!
 //! [`Session::open`] loads the newest usable federated snapshot —
-//! walking past corrupt ones and ones whose log position the segment
-//! cannot satisfy; the store re-attaches the verified log prefix —
-//! verifies that every arrival each shard's
+//! walking past corrupt ones, and format 3–4 ones whose legacy log
+//! segment cannot satisfy them — verifies that every arrival each shard's
 //! checkpoint carries matches the WAL's record for that shard, rebuilds
 //! the run with [`Federation::resume`], and re-injects the WAL suffix by
 //! stepping the federation to each entry's recorded merged-log injection
 //! point and replaying its routing decision verbatim — reproducing the
 //! crashed process's merged event log byte-for-byte.
 
-use std::cell::Cell;
 use std::path::{Path, PathBuf};
 
 use ecosched_core::TimePoint;
-use ecosched_engine::{Event, LogPosition};
+use ecosched_engine::Event;
 use ecosched_federation::{Federation, FederationCheckpoint, FederationState, Placement};
 use ecosched_persist::Store;
 use ecosched_select::SlotSelector;
@@ -112,14 +110,6 @@ pub struct Session<S> {
     rejected_total: u64,
     draining: bool,
     boot_mode: BootMode,
-    /// How far [`Session::status`] and [`Session::snapshot`] have hashed
-    /// the merged log: each call hashes only the entries added since the
-    /// last.
-    hashed: Cell<LogPosition>,
-    /// Where the snapshot store's log segment ends, as of this session's
-    /// last save; `None` before the first, which hands the store the
-    /// whole log.
-    saved: Option<LogPosition>,
     /// Observability handle — runtime state, never serialized, off by
     /// default (attach with [`Session::set_obs`] after boot so recovery
     /// replay is not counted as live traffic).
@@ -219,6 +209,7 @@ impl<S: SlotSelector + Copy> Session<S> {
             file.sync_data()?;
         }
         let wal = Wal::open_append(wal_path(data_dir))?;
+        state.trim_logs();
         Ok(Session {
             fed,
             state,
@@ -229,8 +220,6 @@ impl<S: SlotSelector + Copy> Session<S> {
             rejected_total: 0,
             draining: false,
             boot_mode,
-            hashed: Cell::new(LogPosition::start()),
-            saved: None,
             obs: ServiceObs::off(),
         })
     }
@@ -242,8 +231,15 @@ impl<S: SlotSelector + Copy> Session<S> {
     pub fn set_obs(&mut self, bundle: ServiceObsBundle) {
         self.obs = bundle.service;
         self.fed.set_obs(bundle.federation, bundle.shards);
-        self.obs
-            .set_progress(self.state.backlog(), self.virtual_time());
+        self.set_progress();
+    }
+
+    fn set_progress(&self) {
+        self.obs.set_progress(
+            self.state.backlog(),
+            self.virtual_time(),
+            self.state.merged().entries.len(),
+        );
     }
 
     /// The service-layer observability handle.
@@ -390,8 +386,9 @@ impl<S: SlotSelector + Copy> Session<S> {
 
     /// Processes every queued event at or before virtual time `target`,
     /// taking cadence snapshots after shard 0's cycle ticks (each shard
-    /// ticks every cycle, so shard 0 is the cadence clock). Commits
-    /// first so no snapshot can outrun the WAL. Returns snapshots taken.
+    /// ticks every cycle, so shard 0 is the cadence clock), then trims the
+    /// logs. Commits first so no snapshot can outrun the WAL. Returns
+    /// snapshots taken.
     ///
     /// # Errors
     ///
@@ -421,41 +418,23 @@ impl<S: SlotSelector + Copy> Session<S> {
                 }
             }
         }
-        self.obs
-            .set_progress(self.state.backlog(), self.virtual_time());
+        self.state.trim_logs();
+        self.set_progress();
         Ok(snapshots)
     }
 
-    /// Captures a rotated snapshot now.
+    /// Trims the logs and captures a rotated snapshot now.
     ///
     /// # Errors
     ///
     /// Snapshot write failures.
     pub fn snapshot(&mut self) -> Result<PathBuf, ServiceError> {
         let start = self.obs.is_on().then(std::time::Instant::now);
-        let at = self.position();
-        // Forgotten until the save succeeds: after a failure the next save
-        // hands over the whole log, which settles whatever the segment
-        // then holds.
-        let checkpoint = match self.saved.take() {
-            Some(saved) => {
-                let tail = &self.state.merged().entries[saved.len as usize..];
-                self.store.append(saved, tail)?;
-                // The store refuses it unless its segment now ends at this
-                // session's own position.
-                self.fed.checkpoint_detached(&self.state, at)
-            }
-            None => self.fed.checkpoint(&self.state),
-        };
-        let path = self.store.save(&checkpoint)?;
-        self.saved = Some(at);
+        self.state.trim_logs();
+        let path = self.store.save(&self.fed.checkpoint(&self.state))?;
         if let Some(start) = start {
-            let bytes = |path: &Path| std::fs::metadata(path).map_or(0, |m| m.len());
-            self.obs.on_snapshot(
-                start.elapsed(),
-                bytes(&path),
-                bytes(&self.store.log_segment_path()),
-            );
+            let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
+            self.obs.on_snapshot(start.elapsed(), bytes);
         }
         Ok(path)
     }
@@ -474,10 +453,9 @@ impl<S: SlotSelector + Copy> Session<S> {
         Ok(acks)
     }
 
-    /// The status answer. The merged-log hash is kept as a
-    /// [`LogPosition`] that each call extends over the entries logged
-    /// since the one before, so polling costs what happened in between,
-    /// not the whole history.
+    /// The status answer. The merged-log hash extends the trimmed log's
+    /// position over the entries held since the last trim, so polling
+    /// costs what happened in between, not the whole history.
     #[must_use]
     pub fn status(&self) -> DaemonStatus {
         let arrivals = arrivals_total(&self.state) as u64;
@@ -492,17 +470,8 @@ impl<S: SlotSelector + Copy> Session<S> {
             active_leases: active_leases as u64,
             accepted_total: arrivals,
             rejected_total: self.rejected_total,
-            log_hash: self.position().fnv1a_hash(),
+            log_hash: self.state.merged().fnv1a_hash(),
         }
-    }
-
-    /// The position after the whole merged log, extended from the last
-    /// one computed.
-    fn position(&self) -> LogPosition {
-        let mut hashed = self.hashed.get();
-        hashed.push_all(&self.state.merged().entries[hashed.len as usize..]);
-        self.hashed.set(hashed);
-        hashed
     }
 }
 

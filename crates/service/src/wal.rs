@@ -25,6 +25,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use ecosched_engine::event::fnv1a_64;
+use ecosched_persist::sync_parent;
 use serde::{Deserialize, Serialize};
 
 use crate::protocol::JobSpec;
@@ -72,14 +73,27 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Opens the WAL for appending, creating it if absent.
+    /// Opens the WAL for appending, creating it if absent. A new file's
+    /// directory entry is made durable at once: the fsync of each later
+    /// batch covers the file's contents, not its name, so without it a
+    /// power loss could take the file and the first acknowledged batches
+    /// with it.
     ///
     /// # Errors
     ///
     /// Propagates the underlying I/O failure.
     pub fn open_append(path: impl Into<PathBuf>) -> std::io::Result<Self> {
         let path = path.into();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let file = match OpenOptions::new().create_new(true).append(true).open(&path) {
+            Ok(file) => {
+                sync_parent(&path);
+                file
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                OpenOptions::new().append(true).open(&path)?
+            }
+            Err(e) => return Err(e),
+        };
         Ok(Wal { file, path })
     }
 

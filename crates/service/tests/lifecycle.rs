@@ -7,6 +7,8 @@
 
 #![cfg(unix)]
 
+mod legacy;
+
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -359,6 +361,10 @@ fn verify_rejects_a_tampered_wal() {
     );
 }
 
+/// A data directory the daemon wrote, rewritten as a format-4 build
+/// left it (snapshots detached from their logs, the log in the segment),
+/// verifies; with one segment line changed it does not, and the daemon
+/// walks past the snapshots that line is under instead of trusting it.
 #[test]
 fn verify_rejects_a_tampered_log_segment() {
     let data_dir = scratch_dir("tamper-segment");
@@ -370,18 +376,20 @@ fn verify_rejects_a_tampered_log_segment() {
     let _ = client.shutdown();
     let _ = daemon.child.wait();
     assert!(verify(&data_dir).starts_with("VERIFIED"));
+    let lines = legacy::rewrite_as_format_4(&data_dir);
+    assert!(verify(&data_dir).starts_with("VERIFIED"));
 
     // The shutdown snapshot records a position; the entries it stands
     // for are in the segment. Change one: the line still parses, so only
-    // the comparison with the offline replay (and the position's hash,
-    // which makes a restarted daemon walk past the snapshot) can tell.
-    let segment = data_dir.join("snapshots/fsnap-log.ndjson");
+    // the position's hash can tell.
+    let segment = legacy::segment_path(&data_dir);
     let text = std::fs::read_to_string(&segment).expect("read segment");
-    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
-    assert!(lines.len() >= 3, "the daemon logged {} events", lines.len());
-    assert!(lines[1].contains("\"seq\":"));
-    lines[1] = lines[1].replacen("\"seq\":", "\"seq\":9", 1);
-    std::fs::write(&segment, lines.join("\n") + "\n").expect("tamper segment");
+    let mut tampered: Vec<String> = text.lines().map(str::to_owned).collect();
+    assert_eq!(tampered.len(), lines);
+    assert!(lines >= 3, "the daemon logged {lines} events");
+    assert!(tampered[1].contains("\"seq\":"));
+    tampered[1] = tampered[1].replacen("\"seq\":", "\"seq\":9", 1);
+    std::fs::write(&segment, tampered.join("\n") + "\n").expect("tamper segment");
 
     let out = Command::new(SERVE)
         .arg("--data-dir")
@@ -395,7 +403,10 @@ fn verify_rejects_a_tampered_log_segment() {
         String::from_utf8_lossy(&out.stdout)
     );
     let complaint = String::from_utf8_lossy(&out.stderr);
-    assert!(complaint.contains("event index 1"), "{complaint}");
+    assert!(
+        complaint.contains("log segment cannot supply"),
+        "{complaint}"
+    );
 
     // The daemon itself degrades, it does not trust: the snapshot is
     // skipped, the WAL replayed from the seed, nothing acknowledged lost.
@@ -404,6 +415,23 @@ fn verify_rejects_a_tampered_log_segment() {
     assert_eq!(status(&mut client).arrivals, 3);
     let _ = client.shutdown();
     let _ = daemon.child.wait();
-    // Its shutdown snapshot rewrote the segment from the regenerated log.
-    assert!(verify(&data_dir).starts_with("VERIFIED"));
+    // Its shutdown snapshot is format 5. The verifier checks every kept
+    // snapshot, so it passes exactly when no tampered format-4 one is
+    // left — the new one may have replaced it under the same name.
+    let legacy_kept = std::fs::read_dir(data_dir.join("snapshots"))
+        .expect("snapshots")
+        .map(|entry| entry.expect("entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "ecosnap"))
+        .any(|path| std::fs::read(path).expect("snapshot")[8] == 4);
+    let out = Command::new(SERVE)
+        .arg("--data-dir")
+        .arg(&data_dir)
+        .arg("--verify")
+        .output()
+        .expect("run --verify");
+    assert_eq!(out.status.success(), !legacy_kept);
+    assert_eq!(
+        std::fs::read_to_string(&segment).expect("segment"),
+        tampered.join("\n") + "\n"
+    );
 }

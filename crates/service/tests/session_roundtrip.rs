@@ -1,21 +1,23 @@
 //! In-process durability tests for [`ecosched_service::Session`]:
 //! fresh boot, staged-then-committed submissions, crash-replay from the
-//! WAL alone, snapshot+suffix resume, the crash windows and damage modes
-//! of the snapshot store's log segment, a data directory written by the
-//! build before the segment existed, and offline verification — all
-//! without sockets or child processes (the lifecycle harness covers
-//! those).
+//! WAL alone, snapshot+suffix resume, trimmed logs and the snapshots that
+//! hold them, the damage modes of a format-4 directory's log segment, a
+//! data directory written before the segment existed, and offline
+//! verification — all without sockets or child processes (the lifecycle
+//! harness covers those).
+
+mod legacy;
 
 use std::path::{Path, PathBuf};
 
 use ecosched_core::ResourceRequest;
-use ecosched_federation::FederationCheckpoint;
+use ecosched_federation::{Federation, FederationCheckpoint};
 use ecosched_persist::{snapshot, Store};
 use ecosched_select::Amp;
 use ecosched_service::session::snapshot_dir;
 use ecosched_service::{
-    build_service_obs, load_manifest, load_wal, verify_data_dir, BootMode, JobSpec, RejectReason,
-    ServiceManifest, Session, Wal,
+    build_service_obs, load_manifest, load_wal, replay_wal, verify_data_dir, BootMode, JobSpec,
+    RejectReason, ServiceManifest, Session, Wal,
 };
 use ecosched_sim::{IntRange, JobGenConfig, JobGenerator};
 use rand::SeedableRng;
@@ -361,7 +363,7 @@ fn torn_wal_tail_loses_only_unacked_work() {
     assert_eq!(session.status().accepted_total, 2);
 }
 
-// -- the log segment -----------------------------------------------------
+// -- trimmed logs and the snapshots that hold them ------------------------
 
 const CYCLE: i64 = 60;
 
@@ -393,10 +395,6 @@ fn run_cycles(session: &mut Session<Amp>, cycles: std::ops::Range<i64>) -> u64 {
     acked
 }
 
-fn segment_path(dir: &Path) -> PathBuf {
-    snapshot_dir(dir).join("fsnap-log.ndjson")
-}
-
 fn snapshots(dir: &Path) -> Vec<PathBuf> {
     Store::<FederationCheckpoint>::open(snapshot_dir(dir), 3)
         .expect("store")
@@ -404,10 +402,18 @@ fn snapshots(dir: &Path) -> Vec<PathBuf> {
         .expect("list")
 }
 
+/// Every log a session holds: the merged log and each shard's.
+fn held_entries(session: &Session<Amp>) -> Vec<usize> {
+    let state = session.state();
+    std::iter::once(state.merged().entries.len())
+        .chain((0..state.shard_count()).map(|s| state.shard(s).log().entries.len()))
+        .collect()
+}
+
 /// A session run for ten cycles (cadence snapshots at the ticks of
 /// cycles 3 and 7, each before that boundary's burst, so the last three
-/// bursts are in the WAL only) and dropped without shutdown; returns what the crashed process had acknowledged and its
-/// final log hash.
+/// bursts are in the WAL only) and dropped without shutdown; returns what
+/// the crashed process had acknowledged and its final log hash.
 fn crashed_after_ten_cycles(dir: &Path) -> (u64, String) {
     let mut session = open_small(dir);
     let acked = run_cycles(&mut session, 0..10);
@@ -416,18 +422,20 @@ fn crashed_after_ten_cycles(dir: &Path) -> (u64, String) {
 }
 
 /// Reopens `dir`, checks nothing acknowledged was lost and the log is
-/// the crashed process's, byte for byte, then runs on past the next
-/// cadence snapshot and has the offline verifier pass the result.
+/// the crashed process's, byte for byte, then runs on until the store
+/// keeps only snapshots this process took (cadence snapshots at cycles
+/// 11, 15 and 19) and has the offline verifier pass the result.
 fn reopens_identically(dir: &Path, acked: u64, hash: &str) -> BootMode {
     let mut session = open_small(dir);
     let status = session.status();
     assert_eq!(status.accepted_total, acked, "an acknowledged job was lost");
     assert_eq!(status.log_hash, hash, "the reopened log differs");
     let boot = session.boot_mode().clone();
-    run_cycles(&mut session, 10..13);
+    run_cycles(&mut session, 10..20);
     let before = session.status().log_hash;
     drop(session);
-    verify_data_dir(dir).expect("offline verification after the next snapshot");
+    let report = verify_data_dir(dir).expect("offline verification after the next snapshots");
+    assert_eq!(report.snapshots_checked, 3);
     let session = open_small(dir);
     assert_eq!(session.status().log_hash, before);
     match session.boot_mode() {
@@ -439,13 +447,15 @@ fn reopens_identically(dir: &Path, acked: u64, hash: &str) -> BootMode {
     boot
 }
 
-/// `status().log_hash` is kept as a running position; it must be the
-/// hash of the whole merged log at every call, and start over correctly
-/// in a process that resumed mid-history.
+/// `status().log_hash` is the trimmed log's position extended over what
+/// it holds; it must be the hash of the whole merged log at every call —
+/// the offline replay's, which never trims — and start over correctly in
+/// a process that resumed mid-history.
 #[test]
 fn status_hash_equals_the_merged_log_hash_after_every_burst() {
     let dir = scratch_dir("status-hash");
     let mut session = open_small(&dir);
+    let fed = Federation::new(small_manifest().fed_config(), Amp::new()).expect("config");
     for cycle in 0..20 {
         run_cycles(&mut session, cycle..cycle + 1);
         assert_eq!(
@@ -459,6 +469,15 @@ fn status_hash_equals_the_merged_log_hash_after_every_burst() {
             session.state().merged().fnv1a_hash()
         );
     }
+    let wal = load_wal(&dir.join("wal.ndjson")).expect("wal").entries;
+    let mut offline = replay_wal(&fed, small_manifest().seed, &wal).expect("replay");
+    while offline.merged().len() < session.state().merged().len() {
+        fed.step(&mut offline)
+            .expect("step")
+            .expect("the run goes on");
+    }
+    assert_eq!(offline.merged().entries.len(), offline.merged().len());
+    assert_eq!(session.status().log_hash, offline.merged().fnv1a_hash());
     let hash = session.status().log_hash;
     drop(session);
 
@@ -472,35 +491,84 @@ fn status_hash_equals_the_merged_log_hash_after_every_burst() {
     );
 }
 
-/// A store-written snapshot holds a log position and no entries; the
-/// segment beside it holds the merged log, one entry a line.
+/// A session holds no history: after boot, after every `advance_to` and
+/// after every `snapshot()`, the merged log and each shard's hold at most
+/// one entry, and no log segment is ever written — with cadence snapshots
+/// off too.
 #[test]
-fn snapshots_carry_a_position_and_the_segment_carries_the_log() {
-    let dir = scratch_dir("detached");
+fn logs_hold_at_most_one_entry_and_no_segment_is_written() {
+    for every in [4, 0] {
+        let dir = scratch_dir(&format!("trimmed-{every}"));
+        let manifest = ServiceManifest {
+            shards: 2,
+            route: ecosched_federation::RoutePolicy::RoundRobin,
+            snapshot_every_cycles: every,
+            ..small_manifest()
+        };
+        let mut session = Session::open(&dir, manifest.clone(), Amp::new()).expect("open");
+        for cycle in 0..9 {
+            run_cycles(&mut session, cycle..cycle + 1);
+            assert!(held_entries(&session).iter().all(|&n| n <= 1));
+            assert!(session.state().merged().len() > 1);
+            if cycle % 3 == 2 {
+                session.snapshot().expect("snapshot");
+                assert!(held_entries(&session).iter().all(|&n| n <= 1));
+            }
+            assert!(!legacy::segment_path(&dir).exists());
+        }
+        drop(session);
+        let session = Session::open(&dir, manifest, Amp::new()).expect("reopen");
+        assert!(held_entries(&session).iter().all(|&n| n <= 1));
+        assert!(!legacy::segment_path(&dir).exists());
+    }
+}
+
+/// A store-written snapshot carries its logs as positions: the merged
+/// log's and every shard's hold at most one entry after a true position,
+/// and no log segment exists beside it.
+#[test]
+fn snapshots_carry_positions_and_no_segment_exists() {
+    let dir = scratch_dir("positions");
     let mut session = open_small(&dir);
     run_cycles(&mut session, 0..5);
     let path = session.snapshot().expect("snapshot");
     let on_disk: FederationCheckpoint = snapshot::read(&path).expect("decode");
     let merged = session.state().merged();
-    assert_eq!(on_disk.merged.after.len, merged.len() as u64);
-    assert!(on_disk.merged.entries.is_empty());
-    assert!(on_disk.shards.iter().all(|s| s.log.entries.is_empty()));
-    let segment = std::fs::read_to_string(segment_path(&dir)).expect("segment");
-    assert_eq!(segment.lines().count(), merged.len());
+    assert_eq!(on_disk.merged.len(), merged.len());
+    assert_eq!(on_disk.merged.after.len, merged.len() as u64 - 1);
+    assert_eq!(on_disk.merged.entries.len(), 1);
+    assert_eq!(on_disk.merged.fnv1a_hash(), merged.fnv1a_hash());
+    for (shard, on_disk) in on_disk.shards.iter().enumerate() {
+        assert!(on_disk.log.entries.len() <= 1);
+        assert_eq!(
+            on_disk.log.fnv1a_hash(),
+            session.state().shard(shard).log().fnv1a_hash()
+        );
+    }
+    assert!(!legacy::segment_path(&dir).exists());
     let report = verify_data_dir(&dir).expect("offline verification");
-    assert_eq!(report.segment_events, merged.len() as u64);
+    assert_eq!(report.snapshots_checked, snapshots(&dir).len() as u64);
+    assert_eq!(report.snapshot_events, merged.len() as u64);
     assert_eq!(report.log_hash, merged.fnv1a_hash());
 }
 
-/// Killed between the segment's append and the snapshot's rename: the
-/// segment is longer than any snapshot says. The newest snapshot is
-/// used, the extra lines are not trusted, and the run ends the same.
+/// A directory this build wrote, rewritten as a format-4 build left it —
+/// snapshots detached from their logs, the log in the segment — boots
+/// and verifies as it is; the daemon's first snapshot is format 5 and
+/// the segment is never written again.
 #[test]
-fn crash_between_segment_append_and_snapshot_rename() {
-    let dir = scratch_dir("window-append");
+fn a_format_4_directory_boots_verifies_and_is_never_written_to() {
+    let dir = scratch_dir("format-4");
     let (acked, hash) = crashed_after_ten_cycles(&dir);
-    let unrenamed = snapshots(&dir).pop().expect("newest");
-    std::fs::remove_file(unrenamed).expect("undo the rename");
+    let lines = legacy::rewrite_as_format_4(&dir);
+    let segment = std::fs::read(legacy::segment_path(&dir)).expect("segment");
+    let newest = snapshots(&dir).pop().expect("newest");
+    let detached: FederationCheckpoint = snapshot::read(&newest).expect("decode");
+    assert_eq!(detached.merged.after.len, lines as u64);
+    assert!(detached.merged.entries.is_empty());
+    let report = verify_data_dir(&dir).expect("the legacy layout verifies");
+    assert_eq!(report.snapshots_checked, 2);
+    assert_eq!(report.snapshot_events, lines as u64);
     match reopens_identically(&dir, acked, &hash) {
         BootMode::Resumed {
             snapshots_skipped,
@@ -508,22 +576,28 @@ fn crash_between_segment_append_and_snapshot_rename() {
             ..
         } => {
             assert_eq!(snapshots_skipped, 0);
-            assert_eq!(replayed, 14, "the bursts of cycles 3 to 9");
+            assert_eq!(replayed, 6, "the bursts of cycles 7 to 9");
         }
-        other => panic!("expected a resume from the older snapshot, got {other:?}"),
+        other => panic!("expected a resume from the newest snapshot, got {other:?}"),
     }
+    assert_eq!(
+        std::fs::read(legacy::segment_path(&dir)).expect("segment"),
+        segment
+    );
 }
 
-/// Killed mid-append: the segment ends in half a line.
+/// Killed mid-append, a format-4 build left its segment ending in half a
+/// line past the newest position: nothing is lost.
 #[test]
 fn torn_last_segment_line_is_dropped() {
     let dir = scratch_dir("window-torn");
     let (acked, hash) = crashed_after_ten_cycles(&dir);
+    legacy::rewrite_as_format_4(&dir);
     {
         use std::io::Write as _;
         let mut segment = std::fs::OpenOptions::new()
             .append(true)
-            .open(segment_path(&dir))
+            .open(legacy::segment_path(&dir))
             .expect("segment");
         segment
             .write_all(b"{\"shard\":0,\"time\":480,\"se")
@@ -542,21 +616,23 @@ fn torn_last_segment_line_is_dropped() {
     }
 }
 
-/// A segment cut back below the newest snapshot's position (damage: a
-/// crash cannot do it, the append is fsynced first) makes that snapshot
-/// skipped; the older one, whose position it still satisfies, is used.
+/// A format-4 segment cut back below the newest snapshot's position
+/// (damage: a crash cannot do it, the append was fsynced first) makes
+/// that snapshot skipped; the older one, whose position it still
+/// satisfies, is used.
 #[test]
 fn segment_shorter_than_the_newest_position_falls_back_one_snapshot() {
     let dir = scratch_dir("short-segment");
     let (acked, hash) = crashed_after_ten_cycles(&dir);
+    legacy::rewrite_as_format_4(&dir);
     let older: FederationCheckpoint = snapshot::read(&snapshots(&dir)[0]).expect("older snapshot");
-    let segment = std::fs::read_to_string(segment_path(&dir)).expect("segment");
+    let segment = std::fs::read_to_string(legacy::segment_path(&dir)).expect("segment");
     let keep: usize = segment
         .split_inclusive('\n')
         .take(older.merged.after.len as usize + 5)
         .map(str::len)
         .sum();
-    std::fs::write(segment_path(&dir), &segment.as_bytes()[..keep]).expect("cut");
+    std::fs::write(legacy::segment_path(&dir), &segment.as_bytes()[..keep]).expect("cut");
     assert!(verify_data_dir(&dir).is_err(), "the verifier must notice");
     match reopens_identically(&dir, acked, &hash) {
         BootMode::Resumed {
@@ -571,40 +647,47 @@ fn segment_shorter_than_the_newest_position_falls_back_one_snapshot() {
     }
 }
 
-/// No segment at all: no detached snapshot is usable, and the whole run
+/// No segment at all: no format-4 snapshot is usable, and the whole run
 /// is regenerated from the seed and the WAL.
 #[test]
 fn deleted_segment_replays_from_the_seed() {
     let dir = scratch_dir("no-segment");
     let (acked, hash) = crashed_after_ten_cycles(&dir);
-    std::fs::remove_file(segment_path(&dir)).expect("delete");
+    legacy::rewrite_as_format_4(&dir);
+    std::fs::remove_file(legacy::segment_path(&dir)).expect("delete");
+    assert!(verify_data_dir(&dir).is_err(), "the verifier must notice");
     assert_eq!(
         reopens_identically(&dir, acked, &hash),
         BootMode::Fresh { replayed: acked }
     );
 }
 
-/// A segment holding another history's entries (here: one line swapped
-/// for another) hashes differently and is refused the same way.
+/// A format-4 segment holding another history's entries (here: one line
+/// swapped for another) hashes differently and is refused the same way,
+/// by boot and by the verifier.
 #[test]
 fn foreign_segment_entries_are_refused() {
     let dir = scratch_dir("foreign-segment");
     let (acked, hash) = crashed_after_ten_cycles(&dir);
-    let segment = std::fs::read_to_string(segment_path(&dir)).expect("segment");
+    legacy::rewrite_as_format_4(&dir);
+    let segment = std::fs::read_to_string(legacy::segment_path(&dir)).expect("segment");
     let mut lines: Vec<&str> = segment.lines().collect();
     lines[3] = lines[4];
-    std::fs::write(segment_path(&dir), lines.join("\n") + "\n").expect("swap");
+    std::fs::write(legacy::segment_path(&dir), lines.join("\n") + "\n").expect("swap");
     let error = verify_data_dir(&dir).expect_err("the verifier must notice");
-    assert!(error.to_string().contains("event index 3"), "{error}");
+    assert!(
+        error.to_string().contains("log segment cannot supply"),
+        "{error}"
+    );
     assert_eq!(
         reopens_identically(&dir, acked, &hash),
         BootMode::Fresh { replayed: acked }
     );
 }
 
-/// The newest snapshot corrupt, the segment intact: one snapshot back.
+/// The newest snapshot corrupt: one snapshot back.
 #[test]
-fn corrupt_newest_snapshot_with_an_intact_segment() {
+fn corrupt_newest_snapshot_falls_back_one_snapshot() {
     let dir = scratch_dir("corrupt-newest");
     let (acked, hash) = crashed_after_ten_cycles(&dir);
     let newest = snapshots(&dir).pop().expect("newest");
@@ -612,12 +695,33 @@ fn corrupt_newest_snapshot_with_an_intact_segment() {
     let last = bytes.len() - 1;
     bytes[last] ^= 0xff;
     std::fs::write(&newest, &bytes).expect("corrupt");
+    assert!(verify_data_dir(&dir).is_err(), "the verifier must notice");
     match reopens_identically(&dir, acked, &hash) {
         BootMode::Resumed {
             snapshots_skipped, ..
         } => assert_eq!(snapshots_skipped, 1),
         other => panic!("expected a resume from the older snapshot, got {other:?}"),
     }
+}
+
+/// A kept snapshot whose log position the offline replay does not reach
+/// is placed between two snapshots: the verifier names it and the last
+/// one that agreed.
+#[test]
+fn a_diverging_snapshot_is_placed_after_the_last_one_that_agreed() {
+    let dir = scratch_dir("diverged-between");
+    crashed_after_ten_cycles(&dir);
+    let [older, newest]: [PathBuf; 2] = snapshots(&dir).try_into().expect("two snapshots");
+    let mut forged: FederationCheckpoint = snapshot::read(&newest).expect("decode");
+    forged.merged.after.hash ^= 1;
+    std::fs::write(&newest, snapshot::encode(&forged)).expect("rewrite");
+    let error = verify_data_dir(&dir).expect_err("the verifier must notice");
+    let text = error.to_string();
+    assert!(text.contains("records log position"), "{text}");
+    assert!(
+        text.contains(&format!("after snapshot {}", older.display())),
+        "{text}"
+    );
 }
 
 /// The newest snapshot, in a valid container, carrying an arrival whose
@@ -693,10 +797,10 @@ fn a_wal_entry_naming_a_missing_shard_fails_boot_and_verify() {
     }
 }
 
-/// A cadence snapshot after a session's first hands the store only the
-/// entries logged since and a checkpoint taken detached; what that leaves
-/// on disk is what saving the whole checkpoint leaves — also in a process
-/// that resumed mid-history, whose first save hands over the whole log.
+/// A cadence snapshot is what saving the whole run's checkpoint writes
+/// once that checkpoint is trimmed — the whole run being the offline
+/// replay, which never trims — also in a process that resumed
+/// mid-history.
 #[test]
 fn cadence_snapshots_write_what_whole_saves_write() {
     let dir = scratch_dir("cadence");
@@ -709,31 +813,45 @@ fn cadence_snapshots_write_what_whole_saves_write() {
     drop(session);
     assert_eq!(snapshots(&dir).len(), 3);
 
-    let store = Store::<FederationCheckpoint>::open(snapshot_dir(&dir), 3).expect("store");
-    let latest = store.load_latest().expect("load").expect("a snapshot");
-    assert!(latest.skipped.is_empty());
+    let fed = Federation::new(small_manifest().fed_config(), Amp::new()).expect("config");
+    let wal = load_wal(&dir.join("wal.ndjson")).expect("wal").entries;
     let scratch = scratch_dir("cadence-whole");
     let whole = Store::<FederationCheckpoint>::open(&scratch, 3).expect("scratch store");
-    let path = whole.save(&latest.checkpoint).expect("whole save");
-    assert_eq!(
-        std::fs::read(&latest.path).expect("cadence snapshot"),
-        std::fs::read(path).expect("whole snapshot")
-    );
-    assert_eq!(
-        std::fs::read(segment_path(&dir)).expect("cadence segment"),
-        std::fs::read(whole.log_segment_path()).expect("whole segment")
-    );
+    for cadence in snapshots(&dir) {
+        let on_disk: FederationCheckpoint = snapshot::read(&cadence).expect("decode");
+        // The run as it stood at the capture: the WAL entries injected by
+        // then, stepped to the snapshot's length.
+        let arrivals: usize = on_disk.shards.iter().map(|s| s.arrivals.len()).sum();
+        let mut offline =
+            replay_wal(&fed, small_manifest().seed, &wal[..arrivals]).expect("replay");
+        while offline.merged().len() < on_disk.merged.len() {
+            fed.step(&mut offline)
+                .expect("step")
+                .expect("the run goes on");
+        }
+        let mut checkpoint = fed.checkpoint(&offline);
+        assert!(checkpoint.merged.whole().is_some());
+        whole.save(&checkpoint).expect("whole save");
+        offline.trim_logs();
+        checkpoint = fed.checkpoint(&offline);
+        let path = whole.save(&checkpoint).expect("trimmed save");
+        assert_eq!(
+            std::fs::read(&cadence).expect("cadence snapshot"),
+            std::fs::read(path).expect("whole snapshot, trimmed")
+        );
+    }
+    assert!(!legacy::segment_path(&dir).exists());
     assert_eq!(open_small(&dir).status().log_hash, hash);
     verify_data_dir(&dir).expect("offline verification");
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// Three shards: the segment holds the merged log only, and the shard
-/// logs a resumed session runs on — rebuilt as the merged log's
-/// projections — are the ones the crashed process had.
+/// Three shards: each shard log a snapshot holds is its newest entry
+/// after its *true* position — the one the shard's report hashes — so a
+/// resumed session's shard logs hash as the crashed process's did.
 #[test]
-fn sharded_logs_are_rebuilt_from_the_merged_segment() {
-    let dir = scratch_dir("sharded-segment");
+fn sharded_logs_keep_their_true_positions() {
+    let dir = scratch_dir("sharded-positions");
     let sharded = ServiceManifest {
         shards: 3,
         route: ecosched_federation::RoutePolicy::RoundRobin,
@@ -741,31 +859,48 @@ fn sharded_logs_are_rebuilt_from_the_merged_segment() {
     };
     let mut session = Session::open(&dir, sharded.clone(), Amp::new()).expect("open");
     let acked = run_cycles(&mut session, 0..10);
-    let live: Vec<Vec<_>> = (0..3)
-        .map(|s| session.state().shard(s).log().entries.clone())
+    let live: Vec<(usize, String)> = (0..3)
+        .map(|s| {
+            let log = session.state().shard(s).log();
+            (log.len(), log.fnv1a_hash())
+        })
         .collect();
     let hash = session.status().log_hash;
     drop(session);
 
-    // What the store hands back: whole shard logs, each a prefix of the
-    // live one, none of them on disk.
+    // What the store hands back, checked against the whole shard logs of
+    // the offline replay at the snapshot's length.
     let store = Store::<FederationCheckpoint>::open(snapshot_dir(&dir), 3).expect("store");
     let latest = store.load_latest().expect("load").expect("a snapshot");
+    let fed = Federation::new(sharded.fed_config(), Amp::new()).expect("config");
+    let wal = load_wal(&dir.join("wal.ndjson")).expect("wal").entries;
+    let arrivals: usize = latest
+        .checkpoint
+        .shards
+        .iter()
+        .map(|s| s.arrivals.len())
+        .sum();
+    let mut offline = replay_wal(&fed, sharded.seed, &wal[..arrivals]).expect("replay");
+    while offline.merged().len() < latest.checkpoint.merged.len() {
+        fed.step(&mut offline)
+            .expect("step")
+            .expect("the run goes on");
+    }
     for (shard, checkpoint) in latest.checkpoint.shards.iter().enumerate() {
-        let entries = checkpoint.log.whole().expect("re-attached");
-        assert!(!entries.is_empty());
-        assert!(
-            live[shard].starts_with(entries),
-            "shard {shard}'s rebuilt log is not a prefix of the live one"
-        );
+        let whole = offline.shard(shard).log();
+        assert!(!whole.is_empty());
+        assert!(checkpoint.log.entries.len() <= 1);
+        assert_eq!(checkpoint.log.len(), whole.len());
+        assert_eq!(checkpoint.log.fnv1a_hash(), whole.fnv1a_hash());
     }
 
     let session = Session::open(&dir, sharded, Amp::new()).expect("reopen");
     assert!(matches!(session.boot_mode(), BootMode::Resumed { .. }));
     assert_eq!(session.status().accepted_total, acked);
     assert_eq!(session.status().log_hash, hash);
-    for (shard, expected) in live.iter().enumerate() {
-        assert_eq!(&session.state().shard(shard).log().entries, expected);
+    for (shard, (len, hash)) in live.iter().enumerate() {
+        let log = session.state().shard(shard).log();
+        assert_eq!((log.len(), &log.fnv1a_hash()), (*len, hash));
     }
     verify_data_dir(&dir).expect("offline verification");
 }
@@ -777,8 +912,8 @@ fn sharded_logs_are_rebuilt_from_the_merged_segment() {
 /// the WAL only — generated through `Session` at commit `a89fa03`, which
 /// printed the status pinned below). It boots under this build — the
 /// optimizer section read and dropped — answers `status` with the same
-/// hash, and its first new snapshot moves the log into a segment, once,
-/// and carries no optimizer section; from then on it is a directory like
+/// hash, and its first new snapshot is format 5: its logs trimmed, no
+/// optimizer section, and no segment; from then on it is a directory like
 /// any other.
 #[test]
 fn a_data_directory_written_before_the_segment_boots_and_migrates() {
@@ -797,7 +932,7 @@ fn a_data_directory_written_before_the_segment_boots_and_migrates() {
     let manifest = load_manifest(&dir).expect("manifest").expect("present");
 
     let before = verify_data_dir(&dir).expect("the old layout verifies as it is");
-    assert_eq!((before.snapshot_events, before.segment_events), (32, 0));
+    assert_eq!((before.snapshot_events, before.snapshots_checked), (32, 2));
 
     let mut session = Session::open(&dir, manifest.clone(), Amp::new()).expect("boots");
     assert_eq!(
@@ -816,17 +951,21 @@ fn a_data_directory_written_before_the_segment_boots_and_migrates() {
         "what the old build reported"
     );
     assert_eq!(status.log_hash, "69573ab5585df7f4");
-    assert!(!segment_path(&dir).exists());
 
     let migrated = session.snapshot().expect("first new snapshot");
-    let on_disk: FederationCheckpoint = snapshot::read(&migrated).expect("decode");
-    assert_eq!(on_disk.merged.after.len, 47);
-    assert!(on_disk.merged.entries.is_empty());
+    let bytes = std::fs::read(&migrated).expect("bytes");
+    assert_eq!(
+        u32::from_le_bytes(bytes[8..12].try_into().expect("header")),
+        5
+    );
+    let on_disk: FederationCheckpoint = snapshot::decode(&bytes).expect("decode");
+    assert_eq!(on_disk.merged.len(), 47);
+    assert_eq!(on_disk.merged.entries.len(), 1);
+    assert_eq!(on_disk.merged.fnv1a_hash(), status.log_hash);
     assert!(on_disk.shards.iter().all(|shard| shard.optimizer.is_none()));
-    let segment = std::fs::read_to_string(segment_path(&dir)).expect("segment");
-    assert_eq!(segment.lines().count(), 47);
+    assert!(!legacy::segment_path(&dir).exists());
     let after = verify_data_dir(&dir).expect("the migrated layout verifies");
-    assert_eq!((after.snapshot_events, after.segment_events), (47, 47));
+    assert_eq!((after.snapshot_events, after.snapshots_checked), (47, 2));
     assert_eq!(after.log_hash, status.log_hash);
     drop(session);
 
@@ -866,8 +1005,9 @@ fn steady_script(cycles: usize) -> Vec<JobSpec> {
 
 /// Snapshots are flat in run length: under a steady load the snapshot
 /// after 200 cycles is no bigger than the one after 25 (it was 3.5 times
-/// as big while snapshots carried the log), because what grows is in the
-/// segment. Observability, attached, reports the same sizes.
+/// as big while snapshots carried the log), because the session holds
+/// no history: no segment exists and every log holds at most one entry.
+/// Observability, attached, reports the same.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -905,13 +1045,8 @@ fn snapshot_size_is_flat_in_run_length() {
         late as f64 <= early as f64 * 1.25,
         "snapshot grew from {early} bytes after 25 cycles to {late} after 200"
     );
-    let segment = std::fs::metadata(segment_path(&dir))
-        .expect("segment")
-        .len();
-    assert!(
-        segment > late,
-        "the history is in the segment: {segment} bytes"
-    );
+    assert!(!legacy::segment_path(&dir).exists());
+    assert!(held_entries(&session).iter().all(|&n| n <= 1));
 
     let registry = recorder.registry().expect("recorder on");
     let gauge = |name| {
@@ -919,7 +1054,10 @@ fn snapshot_size_is_flat_in_run_length() {
         registry.gauge_value(id) as u64
     };
     assert_eq!(gauge("ecosched_service_snapshot_bytes"), late);
-    assert_eq!(gauge("ecosched_service_log_segment_bytes"), segment);
+    assert_eq!(
+        gauge("ecosched_service_log_entries_held"),
+        session.state().merged().entries.len() as u64
+    );
     let snapshots = registry
         .find_counter("ecosched_service_snapshots_total", &[])
         .expect("registered");
