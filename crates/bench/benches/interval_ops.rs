@@ -1,47 +1,42 @@
-//! Bench: market maintenance on the two orderings of the one market
-//! store — the carve/merge/scan costs the ordered container decides.
+//! Bench: market maintenance on the one market store — the
+//! carve/merge/scan costs the ordered container decides.
 //!
-//! Four readings, recorded in `BENCH_select.json`:
+//! Four readings, recorded in `BENCH_select.json` under the
+//! `…/interval/…` keys (the `…/flat/…` rows there are the record of the
+//! vector ordering, deleted since):
 //!
-//! * a single carve (`subtract`) on the block ordering splices one
-//!   bounded block where the vector ordering pays an `O(n)` memmove. The
-//!   mutation benches clone the list every iteration (the carve itself
-//!   must start from pristine state), and an `O(n)` clone dominates both
-//!   sides — so the `clone` group below records that baseline, and the
-//!   carve cost proper is the carve median *minus* the same-size clone
-//!   median;
-//! * the coalescing merge pass is the same walk on both orderings; what
-//!   differs is loading the walk's output back into the container (a
-//!   moved vector, or the same slots copied into half-full blocks);
+//! * a single carve (`subtract`) splices one bounded block. The mutation
+//!   benches clone the list every iteration (the carve itself must start
+//!   from pristine state), and an `O(n)` clone dominates — so the `clone`
+//!   group below records that baseline, and the carve cost proper is the
+//!   carve median *minus* the same-size clone median;
+//! * the coalescing merge pass: one walk, its output loaded back into
+//!   half-full blocks;
 //! * a cycle's commit — about 2 000 four-member windows released into a
-//!   2 400-slot block-ordered market and coalesced, one walk for both;
-//! * the ALP/AMP window scan at 10⁵ slots is ordering-blind in cost as
-//!   well as outcome: iteration dominates, and both containers hand the
-//!   scan the same `(start, id)`-ordered stream.
+//!   2 400-slot market and coalesced, one walk for both;
+//! * the ALP/AMP window scan at 10⁵ slots: iteration dominates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecosched_bench::{slot_list, typical_request};
 use ecosched_core::{
-    MarketRepr, NodeId, Perf, Price, Slot, SlotId, SlotList, Span, TimeDelta, TimePoint, Window,
-    WindowSlot,
+    NodeId, Perf, Price, Slot, SlotId, SlotList, Span, TimeDelta, TimePoint, Window, WindowSlot,
 };
 use ecosched_select::{Alp, Amp, ScanStats, SlotSelector};
 use std::hint::black_box;
 
-const REPRS: [(MarketRepr, &str); 2] = [
-    (MarketRepr::Flat, "flat"),
-    (MarketRepr::Interval, "interval"),
-];
+/// The key every row is recorded under, kept from when a second
+/// ordering was benched beside it so that rows compare across commits.
+const NAME: &str = "interval";
 
-/// A deterministic market of `m` slots in the requested ordering.
-fn market(m: usize, repr: MarketRepr) -> SlotList {
-    slot_list(m, 11).with_repr(repr)
+/// A deterministic market of `m` slots.
+fn market(m: usize) -> SlotList {
+    slot_list(m, 11)
 }
 
 /// A maximally fragmented market: `m` slots in runs of ten touching
 /// same-price same-perf fragments per node, so a coalesce pass absorbs
 /// 90% of the list.
-fn shredded(m: usize, repr: MarketRepr) -> SlotList {
+fn shredded(m: usize) -> SlotList {
     let mut slots = Vec::with_capacity(m);
     for id in 0..m as u64 {
         let node = id / 10;
@@ -58,7 +53,7 @@ fn shredded(m: usize, repr: MarketRepr) -> SlotList {
             .unwrap(),
         );
     }
-    SlotList::from_slots_with_repr(slots, repr).unwrap()
+    SlotList::from_slots(slots).unwrap()
 }
 
 fn bench_clone(c: &mut Criterion) {
@@ -66,12 +61,10 @@ fn bench_clone(c: &mut Criterion) {
     // from the carve/coalesce medians to read the operation cost proper.
     let mut group = c.benchmark_group("interval_ops/clone");
     for m in [1_000usize, 10_000, 100_000, 1_000_000] {
-        for (repr, name) in REPRS {
-            let list = market(m, repr);
-            group.bench_with_input(BenchmarkId::new(name, m), &m, |b, _| {
-                b.iter(|| black_box(list.clone()));
-            });
-        }
+        let list = market(m);
+        group.bench_with_input(BenchmarkId::new(NAME, m), &m, |b, _| {
+            b.iter(|| black_box(list.clone()));
+        });
     }
     group.finish();
 }
@@ -79,36 +72,14 @@ fn bench_clone(c: &mut Criterion) {
 fn bench_carve(c: &mut Criterion) {
     let mut group = c.benchmark_group("interval_ops/carve");
     for m in [1_000usize, 10_000, 100_000, 1_000_000] {
-        for (repr, name) in REPRS {
-            let list = market(m, repr);
-            let victim = *list.iter().nth(m / 2).unwrap();
-            let cut = Span::new(victim.start(), victim.start() + (victim.length() / 2)).unwrap();
-            group.bench_with_input(BenchmarkId::new(name, m), &m, |b, _| {
-                b.iter(|| {
-                    let mut copy = list.clone();
-                    copy.subtract(black_box(victim.id()), black_box(cut))
-                        .unwrap();
-                    black_box(copy)
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
-fn bench_subtract_window(c: &mut Criterion) {
-    let mut group = c.benchmark_group("interval_ops/subtract_window");
-    for (repr, name) in REPRS {
-        let list = market(100_000, repr);
-        let request = typical_request();
-        let mut stats = ScanStats::new();
-        let window = Amp::new()
-            .find_window(&list, &request, &mut stats)
-            .expect("typical request is satisfiable");
-        group.bench_with_input(BenchmarkId::new(name, 100_000), &(), |b, ()| {
+        let list = market(m);
+        let victim = *list.iter().nth(m / 2).unwrap();
+        let cut = Span::new(victim.start(), victim.start() + (victim.length() / 2)).unwrap();
+        group.bench_with_input(BenchmarkId::new(NAME, m), &m, |b, _| {
             b.iter(|| {
                 let mut copy = list.clone();
-                copy.subtract_window(black_box(&window)).unwrap();
+                copy.subtract(black_box(victim.id()), black_box(cut))
+                    .unwrap();
                 black_box(copy)
             });
         });
@@ -116,25 +87,41 @@ fn bench_subtract_window(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_subtract_window(c: &mut Criterion) {
+    let mut group = c.benchmark_group("interval_ops/subtract_window");
+    let list = market(100_000);
+    let request = typical_request();
+    let mut stats = ScanStats::new();
+    let window = Amp::new()
+        .find_window(&list, &request, &mut stats)
+        .expect("typical request is satisfiable");
+    group.bench_with_input(BenchmarkId::new(NAME, 100_000), &(), |b, ()| {
+        b.iter(|| {
+            let mut copy = list.clone();
+            copy.subtract_window(black_box(&window)).unwrap();
+            black_box(copy)
+        });
+    });
+    group.finish();
+}
+
 fn bench_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("interval_ops/coalesce");
     for m in [1_000usize, 10_000, 100_000, 1_000_000] {
-        for (repr, name) in REPRS {
-            let list = shredded(m, repr);
-            group.bench_with_input(BenchmarkId::new(name, m), &m, |b, &m| {
-                b.iter(|| {
-                    let mut copy = list.clone();
-                    let absorbed = copy.coalesce();
-                    assert_eq!(absorbed, m - m / 10, "shredded list must fully merge");
-                    black_box(copy)
-                });
+        let list = shredded(m);
+        group.bench_with_input(BenchmarkId::new(NAME, m), &m, |b, &m| {
+            b.iter(|| {
+                let mut copy = list.clone();
+                let absorbed = copy.coalesce();
+                assert_eq!(absorbed, m - m / 10, "shredded list must fully merge");
+                black_box(copy)
             });
-        }
+        });
     }
     group.finish();
 }
 
-/// A cycle's commit on the block ordering (DESIGN §16): 2 000 four-member windows
+/// A cycle's commit (DESIGN §16): 2 000 four-member windows
 /// carved back to back, from time 0, out of 2 400 nodes holding one slot
 /// each, which leaves a 2 400-slot market of right remnants. Releasing
 /// the windows and coalescing merges all 8 000 regions back.
@@ -153,7 +140,7 @@ fn carved() -> (SlotList, Vec<Window>) {
         )
         .unwrap()
     });
-    let mut list = SlotList::from_slots_with_repr(slots.collect(), MarketRepr::Interval).unwrap();
+    let mut list = SlotList::from_slots(slots.collect()).unwrap();
     let mut windows = Vec::with_capacity(2_000);
     for j in 0..2_000u32 {
         let start = TimePoint::new(i64::from(j * 4 / NODES) * length);
@@ -172,7 +159,7 @@ fn carved() -> (SlotList, Vec<Window>) {
 fn bench_release_windows(c: &mut Criterion) {
     let mut group = c.benchmark_group("interval_ops/release_windows");
     let (list, windows) = carved();
-    group.bench_with_input(BenchmarkId::new("interval", list.len()), &(), |b, ()| {
+    group.bench_with_input(BenchmarkId::new(NAME, list.len()), &(), |b, ()| {
         b.iter(|| {
             let mut copy = list.clone();
             let absorbed = copy.release_windows(&windows, true);
@@ -186,31 +173,29 @@ fn bench_release_windows(c: &mut Criterion) {
 fn bench_window_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("interval_ops/window_scan");
     let request = typical_request();
-    for (repr, name) in REPRS {
-        let list = market(100_000, repr);
-        group.bench_with_input(
-            BenchmarkId::new(&format!("alp_{name}"), 100_000),
-            &(),
-            |b, ()| {
-                let alp = Alp::new();
-                b.iter(|| {
-                    let mut stats = ScanStats::new();
-                    black_box(alp.find_window(black_box(&list), &request, &mut stats))
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(&format!("amp_{name}"), 100_000),
-            &(),
-            |b, ()| {
-                let amp = Amp::new();
-                b.iter(|| {
-                    let mut stats = ScanStats::new();
-                    black_box(amp.find_window(black_box(&list), &request, &mut stats))
-                });
-            },
-        );
-    }
+    let list = market(100_000);
+    group.bench_with_input(
+        BenchmarkId::new(&format!("alp_{NAME}"), 100_000),
+        &(),
+        |b, ()| {
+            let alp = Alp::new();
+            b.iter(|| {
+                let mut stats = ScanStats::new();
+                black_box(alp.find_window(black_box(&list), &request, &mut stats))
+            });
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new(&format!("amp_{NAME}"), 100_000),
+        &(),
+        |b, ()| {
+            let amp = Amp::new();
+            b.iter(|| {
+                let mut stats = ScanStats::new();
+                black_box(amp.find_window(black_box(&list), &request, &mut stats))
+            });
+        },
+    );
     group.finish();
 }
 

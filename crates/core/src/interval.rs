@@ -1,26 +1,15 @@
 //! The two containers inside the market store ([`crate::SlotList`]).
 //!
-//! * [`Order`] holds every live slot in `(start, id)` order, as one of
-//!   two orderings. A `Vec<Slot>` is the cheapest to clone and bulk-load
-//!   and pays an `O(m)` memmove per splice: the closed batch markets of
-//!   the paper's study. `Blocks`, a vector of sorted blocks of at most
-//!   `BLOCK_CAP` slots, walks like the vector and splices one block: the
-//!   engine's long-lived market, re-planned at every scheduling event.
-//!   `Order` is the only type in the crate with an arm per ordering;
-//!   everything above it — the id index, the per-node timelines, id
-//!   minting and every market algorithm — exists once, in
-//!   [`crate::SlotList`], and both orderings hand out the same two
-//!   iterator types, each a block walk that sees the vector as one block.
+//! * [`Order`] holds every live slot in `(start, id)` order, cut into
+//!   sorted blocks of at most `BLOCK_CAP` slots: it walks like a vector
+//!   and splices one block. Everything above it — the id index, the
+//!   per-node timelines, id minting and every market algorithm — is in
+//!   [`crate::SlotList`]; the two iterator types it hands out are block
+//!   walks.
 //! * [`IntervalSet`] is one node's timeline of disjoint free intervals,
 //!   `start → (id, end)`, which makes overlap checks and region queries
 //!   `O(log n)` tree steps. Price and performance live once, in the slot
 //!   held by the `Order`.
-//!
-//! Both orderings are **observably identical** — same slots, same id
-//! minting order, same iteration order, same
-//! [`SubtractionReport`](crate::SubtractionReport)s — by construction
-//! above this module; `tests/interval_equivalence.rs` pins the one thing
-//! that can still differ, the container.
 
 use std::collections::BTreeMap;
 use std::{slice, vec};
@@ -28,7 +17,6 @@ use std::{slice, vec};
 use crate::error::CoreError;
 use crate::resource::NodeId;
 use crate::slot::{Slot, SlotId};
-use crate::slot_list::MarketRepr;
 use crate::time::{Span, TimePoint};
 
 /// A slot's position in `(start, id)` order.
@@ -43,117 +31,8 @@ pub(crate) fn key(slot: &Slot) -> Key {
 /// 128.
 const BLOCK_CAP: usize = 128;
 
-/// Every live slot in `(start, id)` order, in one of two orderings.
-#[derive(Debug, Clone)]
-pub(crate) enum Order {
-    Vec(Vec<Slot>),
-    Blocks(Blocks),
-}
-
-impl Default for Order {
-    fn default() -> Self {
-        Order::Vec(Vec::new())
-    }
-}
-
-impl Order {
-    pub(crate) fn new(repr: MarketRepr) -> Self {
-        Order::from_sorted(Vec::new(), repr)
-    }
-
-    /// Bulk-loads slots the caller has checked to be in strictly
-    /// increasing `(start, id)` order: the vector ordering keeps the
-    /// vector as it is, the blocks copy it into half-full blocks.
-    pub(crate) fn from_sorted(slots: Vec<Slot>, repr: MarketRepr) -> Self {
-        match repr {
-            MarketRepr::Flat => Order::Vec(slots),
-            MarketRepr::Interval => Order::Blocks(Blocks::from_sorted(&slots)),
-        }
-    }
-
-    pub(crate) fn repr(&self) -> MarketRepr {
-        match self {
-            Order::Vec(_) => MarketRepr::Flat,
-            Order::Blocks(_) => MarketRepr::Interval,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Order::Vec(slots) => slots.len(),
-            Order::Blocks(blocks) => blocks.len,
-        }
-    }
-
-    pub(crate) fn get(&self, at: Key) -> Option<&Slot> {
-        let (slots, pos) = match self {
-            Order::Vec(slots) => (slots, position(slots, at)),
-            Order::Blocks(blocks) => {
-                let (b, pos) = blocks.index(at)?;
-                (&blocks.blocks[b], pos)
-            }
-        };
-        slots.get(pos).filter(|s| key(s) == at)
-    }
-
-    /// Inserts a slot whose id is not in the container.
-    pub(crate) fn insert(&mut self, slot: Slot) {
-        match self {
-            Order::Vec(slots) => slots.insert(position(slots, key(&slot)), slot),
-            Order::Blocks(blocks) => blocks.insert(slot),
-        }
-    }
-
-    /// Removes the slot at `key`, which must be live.
-    pub(crate) fn remove(&mut self, at: Key) {
-        match self {
-            Order::Vec(slots) => {
-                slots.remove(position(slots, at));
-            }
-            Order::Blocks(blocks) => blocks.remove(at),
-        }
-    }
-
-    pub(crate) fn iter(&self) -> SlotIter<'_> {
-        match self {
-            Order::Vec(slots) => SlotIter::new(slots, &[]),
-            Order::Blocks(blocks) => SlotIter::new(&[], &blocks.blocks),
-        }
-    }
-
-    /// Every slot with `start >= from`, in order.
-    pub(crate) fn range_from(&self, from: TimePoint) -> SlotIter<'_> {
-        let from = (from, SlotId::new(0));
-        match self {
-            Order::Vec(slots) => SlotIter::new(&slots[position(slots, from)..], &[]),
-            Order::Blocks(blocks) => match blocks.index(from) {
-                Some((b, pos)) => SlotIter::new(&blocks.blocks[b][pos..], &blocks.blocks[b + 1..]),
-                None => SlotIter::new(&[], &[]),
-            },
-        }
-    }
-
-    pub(crate) fn into_slots(self) -> SlotIntoIter {
-        match self {
-            Order::Vec(slots) => SlotIntoIter {
-                front: slots.into_iter(),
-                blocks: Vec::new().into_iter(),
-            },
-            Order::Blocks(blocks) => SlotIntoIter {
-                front: Vec::new().into_iter(),
-                blocks: blocks.blocks.into_iter(),
-            },
-        }
-    }
-}
-
-/// Index of the first slot at or after `key` in a sorted slice.
-fn position(slots: &[Slot], at: Key) -> usize {
-    slots.partition_point(|slot| key(slot) < at)
-}
-
-/// Every slot in `(start, id)` order, cut into non-empty blocks of at
-/// most [`BLOCK_CAP`] slots. `firsts[b]` separates block `b` from the
+/// Every live slot in `(start, id)` order, cut into non-empty blocks of
+/// at most [`BLOCK_CAP`] slots. `firsts[b]` separates block `b` from the
 /// one before it: above that block's last key, and at or below the key
 /// of `blocks[b][0]`. It is set exactly when the block is made and left
 /// alone when the block's first slot changes, since a key between the
@@ -161,20 +40,26 @@ fn position(slots: &[Slot], at: Key) -> usize {
 /// vector of their own so that a lookup binary-searches one contiguous
 /// array and then one block.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Blocks {
+pub(crate) struct Order {
     blocks: Vec<Vec<Slot>>,
     firsts: Vec<Key>,
     len: usize,
 }
 
-impl Blocks {
-    fn from_sorted(slots: &[Slot]) -> Self {
+impl Order {
+    /// Bulk-loads slots the caller has checked to be in strictly
+    /// increasing `(start, id)` order into half-full blocks.
+    pub(crate) fn from_sorted(slots: &[Slot]) -> Self {
         let blocks: Vec<Vec<Slot>> = slots.chunks(BLOCK_CAP / 2).map(<[Slot]>::to_vec).collect();
-        Blocks {
+        Order {
             firsts: blocks.iter().map(|block| key(&block[0])).collect(),
             blocks,
             len: slots.len(),
         }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
     /// The block `at` belongs in — the last whose first key is at or
@@ -187,7 +72,13 @@ impl Blocks {
         Some((b, position(self.blocks.get(b)?, at)))
     }
 
-    fn insert(&mut self, slot: Slot) {
+    pub(crate) fn get(&self, at: Key) -> Option<&Slot> {
+        let (b, pos) = self.index(at)?;
+        self.blocks[b].get(pos).filter(|s| key(s) == at)
+    }
+
+    /// Inserts a slot whose id is not in the container.
+    pub(crate) fn insert(&mut self, slot: Slot) {
         let at = key(&slot);
         self.len += 1;
         let Some((b, pos)) = self.index(at) else {
@@ -204,7 +95,8 @@ impl Blocks {
         }
     }
 
-    fn remove(&mut self, at: Key) {
+    /// Removes the slot at `key`, which must be live.
+    pub(crate) fn remove(&mut self, at: Key) {
         let (b, pos) = self.index(at).expect("the removed slot is live");
         let block = &mut self.blocks[b];
         debug_assert_eq!(
@@ -219,13 +111,36 @@ impl Blocks {
             self.firsts.remove(b);
         }
     }
+
+    pub(crate) fn iter(&self) -> SlotIter<'_> {
+        SlotIter::new(&[], &self.blocks)
+    }
+
+    /// Every slot with `start >= from`, in order.
+    pub(crate) fn range_from(&self, from: TimePoint) -> SlotIter<'_> {
+        match self.index((from, SlotId::new(0))) {
+            Some((b, pos)) => SlotIter::new(&self.blocks[b][pos..], &self.blocks[b + 1..]),
+            None => SlotIter::new(&[], &[]),
+        }
+    }
+
+    pub(crate) fn into_slots(self) -> SlotIntoIter {
+        SlotIntoIter {
+            front: Vec::new().into_iter(),
+            blocks: self.blocks.into_iter(),
+        }
+    }
+}
+
+/// Index of the first slot at or after `key` in a sorted slice.
+fn position(slots: &[Slot], at: Key) -> usize {
+    slots.partition_point(|slot| key(slot) < at)
 }
 
 /// Borrowed iterator over a [`SlotList`](crate::SlotList)'s slots in
-/// `(start, id)` order, the same type under both orderings: the slots
-/// left in the current block, the blocks after it, and what a walk from
-/// the back has left of the last block it entered. The vector ordering
-/// is a walk over its one block.
+/// `(start, id)` order: the slots left in the current block, the blocks
+/// after it, and what a walk from the back has left of the last block it
+/// entered.
 #[derive(Debug, Clone)]
 pub struct SlotIter<'a> {
     front: slice::Iter<'a, Slot>,
@@ -280,7 +195,8 @@ impl DoubleEndedIterator for SlotIter<'_> {
 }
 
 /// Owning iterator over a [`SlotList`](crate::SlotList)'s slots in
-/// `(start, id)` order, the same type under both orderings.
+/// `(start, id)` order: the rest of the current block, then the blocks
+/// after it.
 #[derive(Debug)]
 pub struct SlotIntoIter {
     front: vec::IntoIter<Slot>,
@@ -496,42 +412,42 @@ mod tests {
         assert!(s.covering(span(30, 60)).is_none());
     }
 
-    /// Every `Order` primitive, on both orderings, against the sorted
-    /// vector it was loaded from.
+    /// Every `Order` primitive against the sorted vector it was loaded
+    /// from.
     #[test]
-    fn both_orderings_answer_every_primitive_alike() {
+    fn order_answers_every_primitive() {
         let sorted = vec![
             slot(3, 0, 20),
             slot(1, 10, 40),
             slot(4, 10, 30),
             slot(2, 25, 60),
         ];
-        for repr in [MarketRepr::Flat, MarketRepr::Interval] {
-            let mut order = Order::from_sorted(sorted.clone(), repr);
-            assert_eq!((order.repr(), order.len()), (repr, 4));
-            assert_eq!(order.iter().copied().collect::<Vec<_>>(), sorted);
-            assert_eq!(order.iter().next_back(), sorted.last());
-            let from = |order: &Order, t| {
-                order
-                    .range_from(TimePoint::new(t))
-                    .copied()
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(from(&order, 10), sorted[1..]);
-            assert_eq!(from(&order, 11), sorted[3..]);
-            assert_eq!(order.get(at(10, 4)), Some(&sorted[2]));
-            // A live id under the wrong start is not found.
-            assert_eq!(order.get(at(0, 4)), None);
-            assert_eq!(order.get(at(25, 9)), None);
+        let mut order = Order::from_sorted(&sorted);
+        assert_eq!(order.len(), 4);
+        assert_eq!(order.iter().copied().collect::<Vec<_>>(), sorted);
+        assert_eq!(order.iter().next_back(), sorted.last());
+        let from = |order: &Order, t| {
+            order
+                .range_from(TimePoint::new(t))
+                .copied()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(from(&order, 10), sorted[1..]);
+        assert_eq!(from(&order, 11), sorted[3..]);
+        assert_eq!(order.get(at(10, 4)), Some(&sorted[2]));
+        // A live id under the wrong start is not found.
+        assert_eq!(order.get(at(0, 4)), None);
+        assert_eq!(order.get(at(25, 9)), None);
 
-            order.insert(slot(0, 10, 15));
-            assert_eq!(from(&order, 10)[0], slot(0, 10, 15));
-            order.remove(at(10, 0));
-            order.remove(at(10, 4));
-            let left = vec![slot(3, 0, 20), slot(1, 10, 40), slot(2, 25, 60)];
-            assert_eq!(order.iter().copied().collect::<Vec<_>>(), left);
-            assert_eq!(order.into_slots().collect::<Vec<_>>(), left);
-        }
+        order.insert(slot(0, 10, 15));
+        assert_eq!(from(&order, 10)[0], slot(0, 10, 15));
+        order.remove(at(10, 0));
+        order.remove(at(10, 4));
+        let left = vec![slot(3, 0, 20), slot(1, 10, 40), slot(2, 25, 60)];
+        assert_eq!(order.iter().copied().collect::<Vec<_>>(), left);
+        assert_eq!(order.into_slots().collect::<Vec<_>>(), left);
+        assert_eq!(Order::default().iter().next(), None);
+        assert_eq!(from(&Order::default(), 0), []);
     }
 
     /// The blocked order's own invariants: no empty or oversized block,
@@ -540,10 +456,7 @@ mod tests {
     /// decisive: every key below block 1's first key locates to block 0),
     /// and the length the blocks add up to.
     #[track_caller]
-    fn assert_blocks_sound(order: &Order) {
-        let Order::Blocks(blocks) = order else {
-            return;
-        };
+    fn assert_blocks_sound(blocks: &Order) {
         assert_eq!(blocks.firsts.len(), blocks.blocks.len());
         for block in &blocks.blocks {
             assert!(
@@ -608,9 +521,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Both orderings against a `BTreeMap` model, from a sorted load
-        /// of up to four blocks' worth of slots: blocks split, empty and
-        /// lose or gain their first slots along the way.
+        /// The order against a `BTreeMap` model, from a sorted load of up
+        /// to four blocks' worth of slots: blocks split, empty and lose or
+        /// gain their first slots along the way.
         #[test]
         fn orders_match_a_btree_model(
             starts in prop::collection::vec(0i64..200, 0..4 * BLOCK_CAP),
@@ -623,75 +536,73 @@ mod tests {
                 .map(|s| (key(&s), s))
                 .collect();
             let loaded: Vec<Slot> = seeded.values().copied().collect();
-            for repr in [MarketRepr::Flat, MarketRepr::Interval] {
-                let mut model = seeded.clone();
-                let mut order = Order::from_sorted(loaded.clone(), repr);
-                let mut next_id = starts.len() as u64;
-                for (step, op) in ops.iter().enumerate() {
-                    let keys: Vec<Key> = model.keys().copied().collect();
-                    let from_pick = |pick: usize| pick % keys.len().max(1);
-                    match *op {
-                        OrderOp::Insert { start, burst } => {
-                            for _ in 0..burst {
-                                let s = slot(next_id, start, start + 10);
-                                next_id += 1;
-                                order.insert(s);
-                                model.insert(key(&s), s);
-                            }
+            let mut model = seeded;
+            let mut order = Order::from_sorted(&loaded);
+            let mut next_id = starts.len() as u64;
+            for (step, op) in ops.iter().enumerate() {
+                let keys: Vec<Key> = model.keys().copied().collect();
+                let from_pick = |pick: usize| pick % keys.len().max(1);
+                match *op {
+                    OrderOp::Insert { start, burst } => {
+                        for _ in 0..burst {
+                            let s = slot(next_id, start, start + 10);
+                            next_id += 1;
+                            order.insert(s);
+                            model.insert(key(&s), s);
                         }
-                        OrderOp::Remove { pick, run: run_len } => {
-                            let run = keys.iter().cycle().skip(from_pick(pick));
-                            for &at in run.take(run_len.min(keys.len())) {
-                                order.remove(at);
-                                model.remove(&at);
-                            }
+                    }
+                    OrderOp::Remove { pick, run: run_len } => {
+                        let run = keys.iter().cycle().skip(from_pick(pick));
+                        for &at in run.take(run_len.min(keys.len())) {
+                            order.remove(at);
+                            model.remove(&at);
                         }
-                        OrderOp::Get { pick, shift } => {
-                            if !keys.is_empty() {
-                                let (start, id) = keys[from_pick(pick)];
-                                prop_assert_eq!(order.get((start, id)), model.get(&(start, id)));
-                                let wrong = (TimePoint::new(start.ticks() + shift.max(1)), id);
-                                prop_assert_eq!(order.get(wrong), None, "step {}", step);
-                            }
+                    }
+                    OrderOp::Get { pick, shift } => {
+                        if !keys.is_empty() {
+                            let (start, id) = keys[from_pick(pick)];
+                            prop_assert_eq!(order.get((start, id)), model.get(&(start, id)));
+                            let wrong = (TimePoint::new(start.ticks() + shift.max(1)), id);
+                            prop_assert_eq!(order.get(wrong), None, "step {}", step);
                         }
-                        OrderOp::RangeFrom { pick, start } => {
-                            let past = keys.last().map_or(0, |k| k.0.ticks() + 1);
-                            let mut froms = vec![TimePoint::new(start), TimePoint::new(past)];
-                            froms.extend(keys.get(from_pick(pick)).map(|k| k.0));
-                            for from in froms {
-                                let want: Vec<&Slot> =
-                                    model.range((from, SlotId::new(0))..).map(|(_, s)| s).collect();
-                                let walk = order.range_from(from);
-                                prop_assert_eq!(walk.size_hint(), (want.len(), Some(want.len())));
-                                prop_assert_eq!(walk.collect::<Vec<_>>(), want, "step {}", step);
-                            }
+                    }
+                    OrderOp::RangeFrom { pick, start } => {
+                        let past = keys.last().map_or(0, |k| k.0.ticks() + 1);
+                        let mut froms = vec![TimePoint::new(start), TimePoint::new(past)];
+                        froms.extend(keys.get(from_pick(pick)).map(|k| k.0));
+                        for from in froms {
+                            let want: Vec<&Slot> =
+                                model.range((from, SlotId::new(0))..).map(|(_, s)| s).collect();
+                            let walk = order.range_from(from);
+                            prop_assert_eq!(walk.size_hint(), (want.len(), Some(want.len())));
+                            prop_assert_eq!(walk.collect::<Vec<_>>(), want, "step {}", step);
                         }
-                        OrderOp::Walk { turns } => {
-                            let (mut walk, mut want) = (order.iter(), model.values());
-                            for turn in 0.. {
-                                let (got, expected) = if turns >> (turn % 64) & 1 == 1 {
-                                    (walk.next_back(), want.next_back())
-                                } else {
-                                    (walk.next(), want.next())
-                                };
-                                prop_assert_eq!(got, expected, "step {} turn {}", step, turn);
-                                prop_assert_eq!(walk.size_hint(), want.size_hint());
-                                if got.is_none() {
-                                    break;
-                                }
+                    }
+                    OrderOp::Walk { turns } => {
+                        let (mut walk, mut want) = (order.iter(), model.values());
+                        for turn in 0.. {
+                            let (got, expected) = if turns >> (turn % 64) & 1 == 1 {
+                                (walk.next_back(), want.next_back())
+                            } else {
+                                (walk.next(), want.next())
+                            };
+                            prop_assert_eq!(got, expected, "step {} turn {}", step, turn);
+                            prop_assert_eq!(walk.size_hint(), want.size_hint());
+                            if got.is_none() {
+                                break;
                             }
                         }
                     }
-                    assert_blocks_sound(&order);
-                    prop_assert_eq!(order.len(), model.len());
-                    prop_assert_eq!(order.iter().size_hint(), (model.len(), Some(model.len())));
-                    prop_assert!(order.iter().eq(model.values()), "step {}: {:?}", step, op);
-                    prop_assert_eq!(order.iter().next_back(), model.values().next_back());
                 }
-                let drained = order.into_slots();
-                prop_assert_eq!(drained.size_hint(), (model.len(), Some(model.len())));
-                prop_assert!(drained.eq(model.into_values()));
+                assert_blocks_sound(&order);
+                prop_assert_eq!(order.len(), model.len());
+                prop_assert_eq!(order.iter().size_hint(), (model.len(), Some(model.len())));
+                prop_assert!(order.iter().eq(model.values()), "step {}: {:?}", step, op);
+                prop_assert_eq!(order.iter().next_back(), model.values().next_back());
             }
+            let drained = order.into_slots();
+            prop_assert_eq!(drained.size_hint(), (model.len(), Some(model.len())));
+            prop_assert!(drained.eq(model.into_values()));
         }
     }
 }

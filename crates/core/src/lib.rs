@@ -72,6 +72,8 @@ pub use perf::{Perf, PERF_SCALE};
 pub use request::ResourceRequest;
 pub use resource::{NodeId, Resource};
 pub use slot::{Slot, SlotId};
-pub use slot_list::{MarketRepr, SlotList, SubtractionReport};
+#[doc(hidden)]
+pub use slot_list::MarketRepr;
+pub use slot_list::{SlotList, SubtractionReport};
 pub use time::{Span, TimeDelta, TimePoint};
 pub use window::{Window, WindowSlot};

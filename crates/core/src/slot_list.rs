@@ -9,26 +9,16 @@
 //!
 //! [`SlotList`] is the one market store: the `(start, id)`-ordered slot
 //! container, an id index, a per-node timeline, the id minting cursor
-//! and every market algorithm, each exactly once. The container comes
-//! in two orderings ([`MarketRepr`]; `crate::interval::Order`):
+//! and every market algorithm, each exactly once. The container
+//! (`crate::interval::Order`) is a vector of sorted, bounded blocks, with
+//! each block's first key in a vector of its own: walked like a vector,
+//! while every subtraction, carve and tail-return insert splices one
+//! block after two binary searches. Batch markets and the engine's
+//! long-lived market run on the same container.
 //!
-//! * **Flat** ([`MarketRepr::Flat`]): a `Vec<Slot>` — the cheapest form
-//!   to walk, clone and bulk-load, at an `O(m)` memmove per splice. What
-//!   [`SlotList::new`], [`SlotList::from_slots`] and
-//!   [`SlotList::from_sorted_slots`] build: the closed batch markets of
-//!   the paper's study.
-//! * **Interval** ([`MarketRepr::Interval`]): a vector of sorted,
-//!   bounded blocks, with each block's first key in a vector of its own —
-//!   walked like the vector, while every subtraction, carve and
-//!   tail-return insert splices one block after two binary searches.
-//!   What the engine's long-lived market runs on.
-//!
-//! Nothing outside the container knows which ordering it holds, so the
-//! two are **observably identical** — same slots, same id minting order,
-//! same iteration order, same [`SubtractionReport`]s.
-//! `tests/interval_equivalence.rs` pins the containers against each
-//! other; `tests/market_model.rs` pins the algorithms against an
-//! independent linear-scan model.
+//! `tests/market_model.rs` pins the algorithms against an independent
+//! linear-scan model; `orders_match_a_btree_model` pins the container
+//! against a `BTreeMap`.
 
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
@@ -44,15 +34,13 @@ use crate::slot::{Slot, SlotId};
 use crate::time::{Span, TimeDelta, TimePoint};
 use crate::window::{Window, WindowSlot};
 
-/// Which ordered container backs a [`SlotList`].
+/// What [`SlotList::repr`] returns and
+/// [`SlotList::from_sorted_slots_with_repr`] takes: nothing to choose,
+/// since a list has one ordering. Kept only for code outside the
+/// workspace that still names it; it goes with ROADMAP item 1a.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MarketRepr {
-    /// Start-ordered vector: cheap walks and bulk loads, `O(m)` splices.
-    Flat,
-    /// Start-ordered vector of bounded sorted blocks: vector-speed walks,
-    /// one-block splices.
-    Interval,
-}
+pub struct MarketRepr;
 
 /// A list of vacant slots ordered by `(start time, slot id)`.
 ///
@@ -100,45 +88,22 @@ pub struct SubtractionReport {
 }
 
 impl SlotList {
-    /// Creates an empty slot list in the flat representation.
+    /// Creates an empty slot list.
     #[must_use]
     pub fn new() -> Self {
         SlotList::default()
     }
 
-    /// Creates an empty slot list in the given representation.
-    #[must_use]
-    pub fn new_with_repr(repr: MarketRepr) -> Self {
-        SlotList {
-            order: Order::new(repr),
-            ..SlotList::default()
-        }
-    }
-
-    /// The representation currently backing this list.
+    /// The list's ordering, of which there is one. Kept only for code
+    /// outside the workspace that still calls it; it goes with ROADMAP
+    /// item 1a, and no product code calls it.
+    #[doc(hidden)]
     #[must_use]
     pub fn repr(&self) -> MarketRepr {
-        self.order.repr()
+        MarketRepr
     }
 
-    /// Converts the list to `repr`, preserving the observable state
-    /// exactly: the same slots and the same `next_id` (fresh mints after
-    /// a conversion produce the same ids they would have before it).
-    /// Only the ordered container is rebuilt. A no-op if the list is
-    /// already in `repr`.
-    #[must_use]
-    pub fn with_repr(self, repr: MarketRepr) -> SlotList {
-        if self.repr() == repr {
-            return self;
-        }
-        SlotList {
-            order: Order::from_sorted(self.order.into_slots().collect(), repr),
-            ..self
-        }
-    }
-
-    /// Builds a flat-representation list from arbitrary slots, sorting
-    /// them by start time.
+    /// Builds a list from arbitrary slots, sorting them by start time.
     ///
     /// # Errors
     ///
@@ -146,19 +111,10 @@ impl SlotList {
     /// [`CoreError::OverlappingSlots`] if two slots on the same node
     /// overlap in time.
     pub fn from_slots(slots: Vec<Slot>) -> Result<Self, CoreError> {
-        SlotList::from_slots_with_repr(slots, MarketRepr::Flat)
+        SlotList::from_sorted_slots(sorted(slots)?)
     }
 
-    /// [`SlotList::from_slots`] in the given representation.
-    ///
-    /// # Errors
-    ///
-    /// As [`SlotList::from_slots`].
-    pub fn from_slots_with_repr(slots: Vec<Slot>, repr: MarketRepr) -> Result<Self, CoreError> {
-        SlotList::from_sorted_slots_with_repr(sorted(slots)?, repr)
-    }
-
-    /// Builds a flat list from slots already in strictly increasing
+    /// Builds a list from slots already in strictly increasing
     /// `(start, id)` order — the bulk-load path. One pass, `O(m)`: order,
     /// id uniqueness, and same-node disjointness are all checked as the
     /// slots stream in, with no sort and no quadratic overlap scan.
@@ -187,20 +143,6 @@ impl SlotList {
     /// assert!(SlotList::from_sorted_slots(vec![mk(0, 10, 50), mk(1, 0, 60)]).is_err());
     /// ```
     pub fn from_sorted_slots(slots: Vec<Slot>) -> Result<Self, CoreError> {
-        SlotList::from_sorted_slots_with_repr(slots, MarketRepr::Flat)
-    }
-
-    /// [`SlotList::from_sorted_slots`] targeting a specific
-    /// representation directly (no post-hoc conversion pass). Same
-    /// validation, same errors.
-    ///
-    /// # Errors
-    ///
-    /// As [`SlotList::from_sorted_slots`].
-    pub fn from_sorted_slots_with_repr(
-        slots: Vec<Slot>,
-        repr: MarketRepr,
-    ) -> Result<Self, CoreError> {
         let mut index = IdMap::with_capacity_and_hasher(slots.len(), Default::default());
         let mut nodes: IdMap<NodeId, IntervalSet> = IdMap::default();
         let mut next_id = 0u64;
@@ -221,11 +163,26 @@ impl SlotList {
             next_id = next_id.max(slot.id().raw() + 1);
         }
         Ok(SlotList {
-            order: Order::from_sorted(slots, repr),
+            order: Order::from_sorted(&slots),
             index,
             nodes,
             next_id,
         })
+    }
+
+    /// Exactly [`SlotList::from_sorted_slots`]. Kept only for code outside
+    /// the workspace that still calls it; it goes with ROADMAP item 1a,
+    /// and no product code calls it.
+    ///
+    /// # Errors
+    ///
+    /// As [`SlotList::from_sorted_slots`].
+    #[doc(hidden)]
+    pub fn from_sorted_slots_with_repr(
+        slots: Vec<Slot>,
+        _repr: MarketRepr,
+    ) -> Result<Self, CoreError> {
+        SlotList::from_sorted_slots(slots)
     }
 
     /// Mints a fresh slot id, unique within this list.
@@ -643,7 +600,7 @@ impl SlotList {
             let timeline = self.nodes.entry(slot.node()).or_default();
             timeline.put(slot.start(), slot.id(), slot.end());
         }
-        self.order = Order::from_sorted(out, self.repr());
+        self.order = Order::from_sorted(&out);
         absorbed
     }
 
@@ -687,8 +644,8 @@ impl SlotList {
     /// go through the sorted load, so a corrupt payload is refused naming
     /// the invariant it breaks and never becomes a list whose `validate()`
     /// fails or whose `mint_id()` reissues a live id.
-    fn from_wire(slots: Vec<Slot>, next_id: u64, repr: MarketRepr) -> Result<Self, serde::Error> {
-        let mut list = SlotList::from_sorted_slots_with_repr(slots, repr).map_err(invalid)?;
+    fn from_wire(slots: Vec<Slot>, next_id: u64) -> Result<Self, serde::Error> {
+        let mut list = SlotList::from_sorted_slots(slots).map_err(invalid)?;
         if next_id < list.next_id {
             return Err(invalid(format_args!(
                 "next_id {next_id} is not above live slot id {}",
@@ -735,9 +692,9 @@ fn overlap(first: SlotId, second: &Slot) -> CoreError {
 
 impl PartialEq for SlotList {
     fn eq(&self, other: &Self) -> bool {
-        // Observable equality: the slots and the minting cursor. The
-        // ordering is an execution detail — a vector-ordered list and a
-        // block-ordered list holding the same market compare equal.
+        // Observable equality: the slots and the minting cursor. Where
+        // the blocks happen to be cut is an execution detail — a list
+        // bulk-loaded and the same market built by inserts compare equal.
         self.next_id == other.next_id
             && self.len() == other.len()
             && self.iter().zip(other.iter()).all(|(a, b)| a == b)
@@ -746,24 +703,21 @@ impl PartialEq for SlotList {
 
 impl Eq for SlotList {}
 
-// Serde through one derived wire struct per representation. The flat
-// representation keeps the wire format of the pre-index list (`slots` +
-// `next_id`); the interval representation writes each node's slots in
-// start order behind a `repr` tag. Decoding reads every key first and then
-// chooses on the tag's presence, so legacy flat payloads (persist format
-// v1) load unchanged.
+// Serde writes one form: each node's slots in start order behind the
+// `repr` tag, `{"repr":"interval","nodes":[{node, slots}…],"next_id":…}`.
+// Decoding reads every key first and then chooses on the tag's presence,
+// so the untagged `{slots, next_id}` payload of persist format-1
+// snapshots, its slots in `(start, id)` order, still loads.
 #[derive(Serialize)]
-struct FlatWire {
-    slots: Vec<Slot>,
-    next_id: u64,
-}
-
-#[derive(Serialize)]
-struct IntervalWire {
-    repr: String,
+struct NodesWire {
+    repr: &'static str,
     nodes: Vec<NodeSlots>,
     next_id: u64,
 }
+
+/// The `repr` tag of the one written form. The name is older than the
+/// blocks; ROADMAP item 3c renames it, after 1a.
+const NODES_TAG: &str = "interval";
 
 #[derive(Serialize, Deserialize)]
 struct NodeSlots {
@@ -771,13 +725,8 @@ struct NodeSlots {
     slots: Vec<Slot>,
 }
 
-impl SlotList {
-    fn wire(&self) -> Box<dyn Serialize> {
-        let next_id = self.next_id;
-        if self.repr() == MarketRepr::Flat {
-            let slots = self.iter().copied().collect();
-            return Box::new(FlatWire { slots, next_id });
-        }
+impl Serialize for SlotList {
+    fn write_json(&self, out: &mut Vec<u8>) {
         // Ascending node order; `(start, id)` order within a node is its
         // start order.
         let mut by_node: BTreeMap<NodeId, Vec<Slot>> = BTreeMap::new();
@@ -786,17 +735,12 @@ impl SlotList {
         }
         let nodes = by_node.into_iter();
         let nodes = nodes.map(|(node, slots)| NodeSlots { node, slots });
-        Box::new(IntervalWire {
-            repr: "interval".to_string(),
+        NodesWire {
+            repr: NODES_TAG,
             nodes: nodes.collect(),
-            next_id,
-        })
-    }
-}
-
-impl Serialize for SlotList {
-    fn write_json(&self, out: &mut Vec<u8>) {
-        self.wire().write_json(out);
+            next_id: self.next_id,
+        }
+        .write_json(out);
     }
 }
 
@@ -812,15 +756,11 @@ impl<'de> Deserialize<'de> for SlotList {
             _ => parser.skip_value(),
         })?;
         let Some(repr) = repr else {
-            // Legacy flat payload: `{slots, next_id}`, slots in order.
+            // Format-1 payload: `{slots, next_id}`, slots in order.
             let slots = serde::required(slots, "slots")?;
-            return SlotList::from_wire(
-                slots,
-                serde::required(next_id, "next_id")?,
-                MarketRepr::Flat,
-            );
+            return SlotList::from_wire(slots, serde::required(next_id, "next_id")?);
         };
-        if repr != "interval" {
+        if repr != NODES_TAG {
             return Err(serde::Error::custom(format!(
                 "unknown slot list repr tag {repr:?}"
             )));
@@ -839,7 +779,7 @@ impl<'de> Deserialize<'de> for SlotList {
             all_slots.extend(slots);
         }
         let all_slots = sorted(all_slots).map_err(invalid)?;
-        SlotList::from_wire(all_slots, next_id, MarketRepr::Interval)
+        SlotList::from_wire(all_slots, next_id)
     }
 }
 
@@ -891,24 +831,16 @@ mod tests {
         .unwrap()
     }
 
-    /// Runs a test body against both representations of the same initial
-    /// list, so every semantic assertion below pins flat and interval
-    /// behavior at once.
-    fn on_both_reprs(slots: Vec<Slot>, body: impl Fn(SlotList)) {
-        for repr in [MarketRepr::Flat, MarketRepr::Interval] {
-            body(SlotList::from_slots_with_repr(slots.clone(), repr).unwrap());
-        }
-    }
-
     #[test]
     fn from_slots_sorts_by_start() {
-        on_both_reprs(
-            vec![slot(0, 0, 50, 80), slot(1, 1, 10, 40), slot(2, 2, 30, 90)],
-            |list| {
-                let starts: Vec<i64> = list.iter().map(|s| s.start().ticks()).collect();
-                assert_eq!(starts, vec![10, 30, 50]);
-            },
-        );
+        let list = SlotList::from_slots(vec![
+            slot(0, 0, 50, 80),
+            slot(1, 1, 10, 40),
+            slot(2, 2, 30, 90),
+        ])
+        .unwrap();
+        let starts: Vec<i64> = list.iter().map(|s| s.start().ticks()).collect();
+        assert_eq!(starts, vec![10, 30, 50]);
     }
 
     #[test]
@@ -925,137 +857,126 @@ mod tests {
 
     #[test]
     fn same_node_touching_slots_are_fine() {
-        on_both_reprs(vec![slot(0, 5, 0, 50), slot(1, 5, 50, 90)], |list| {
-            assert_eq!(list.len(), 2);
-            list.validate().unwrap();
-        });
+        let list = SlotList::from_slots(vec![slot(0, 5, 0, 50), slot(1, 5, 50, 90)]).unwrap();
+        assert_eq!(list.len(), 2);
+        list.validate().unwrap();
     }
 
     #[test]
     fn insert_keeps_order_and_rejects_duplicates() {
-        on_both_reprs(vec![slot(0, 0, 100, 200)], |mut list| {
-            list.insert(slot(10, 1, 50, 80)).unwrap();
-            assert_eq!(list.iter().next().unwrap().id(), SlotId::new(10));
-            assert_eq!(
-                list.insert(slot(10, 2, 0, 10)).unwrap_err(),
-                CoreError::DuplicateSlotId {
-                    id: SlotId::new(10)
-                }
-            );
-        });
+        let mut list = SlotList::from_slots(vec![slot(0, 0, 100, 200)]).unwrap();
+        list.insert(slot(10, 1, 50, 80)).unwrap();
+        assert_eq!(list.iter().next().unwrap().id(), SlotId::new(10));
+        assert_eq!(
+            list.insert(slot(10, 2, 0, 10)).unwrap_err(),
+            CoreError::DuplicateSlotId {
+                id: SlotId::new(10)
+            }
+        );
     }
 
     #[test]
     fn interval_insert_rejects_overlap_structurally() {
-        on_both_reprs(vec![slot(0, 5, 0, 50)], |mut list| {
-            let err = list.insert(slot(1, 5, 40, 90)).unwrap_err();
-            assert_eq!(
-                err,
-                CoreError::OverlappingSlots {
-                    node: NodeId::new(5),
-                    first: SlotId::new(0),
-                    second: SlotId::new(1),
-                }
-            );
-            // Refused whole: nothing minted, indexed or ordered.
-            assert_eq!(list.len(), 1);
-            assert!(!list.contains(SlotId::new(1)));
-            assert_eq!(list.mint_id(), SlotId::new(1));
-            list.validate().unwrap();
-        });
+        let mut list = SlotList::from_slots(vec![slot(0, 5, 0, 50)]).unwrap();
+        let err = list.insert(slot(1, 5, 40, 90)).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::OverlappingSlots {
+                node: NodeId::new(5),
+                first: SlotId::new(0),
+                second: SlotId::new(1),
+            }
+        );
+        // Refused whole: nothing minted, indexed or ordered.
+        assert_eq!(list.len(), 1);
+        assert!(!list.contains(SlotId::new(1)));
+        assert_eq!(list.mint_id(), SlotId::new(1));
+        list.validate().unwrap();
     }
 
     #[test]
     fn minted_ids_never_collide_with_inserted() {
-        on_both_reprs(vec![slot(41, 0, 0, 10)], |mut list| {
-            assert_eq!(list.mint_id(), SlotId::new(42));
-            list.insert(slot(100, 1, 0, 10)).unwrap();
-            assert_eq!(list.mint_id(), SlotId::new(101));
-        });
+        let mut list = SlotList::from_slots(vec![slot(41, 0, 0, 10)]).unwrap();
+        assert_eq!(list.mint_id(), SlotId::new(42));
+        list.insert(slot(100, 1, 0, 10)).unwrap();
+        assert_eq!(list.mint_id(), SlotId::new(101));
     }
 
     #[test]
     fn indexed_get_matches_linear_lookup() {
         // Several slots sharing start times so the lookups have to break
         // ties on id.
-        on_both_reprs(
-            vec![
-                slot(5, 0, 10, 40),
-                slot(2, 1, 10, 50),
-                slot(9, 2, 10, 30),
-                slot(1, 3, 0, 20),
-                slot(7, 4, 25, 60),
-            ],
-            |list| {
-                let all: Vec<Slot> = list.iter().copied().collect();
-                for expected in &all {
-                    let found = list.get(expected.id()).expect("every id resolves");
-                    assert_eq!(found, expected);
-                    assert!(list.contains(expected.id()));
-                }
-                assert!(list.get(SlotId::new(1000)).is_none());
-                assert!(!list.contains(SlotId::new(1000)));
-            },
-        );
+        let list = SlotList::from_slots(vec![
+            slot(5, 0, 10, 40),
+            slot(2, 1, 10, 50),
+            slot(9, 2, 10, 30),
+            slot(1, 3, 0, 20),
+            slot(7, 4, 25, 60),
+        ])
+        .unwrap();
+        let all: Vec<Slot> = list.iter().copied().collect();
+        for expected in &all {
+            let found = list.get(expected.id()).expect("every id resolves");
+            assert_eq!(found, expected);
+            assert!(list.contains(expected.id()));
+        }
+        assert!(list.get(SlotId::new(1000)).is_none());
+        assert!(!list.contains(SlotId::new(1000)));
     }
 
     #[test]
     fn iter_from_brackets_the_list() {
-        on_both_reprs(
-            vec![slot(0, 0, 10, 40), slot(1, 1, 10, 50), slot(2, 2, 30, 90)],
-            |list| {
-                let ids_from = |t: i64| -> Vec<u64> {
-                    list.iter_from(TimePoint::new(t))
-                        .map(|s| s.id().raw())
-                        .collect()
-                };
-                assert_eq!(ids_from(0), vec![0, 1, 2]);
-                assert_eq!(ids_from(10), vec![0, 1, 2]);
-                assert_eq!(ids_from(11), vec![2]);
-                assert_eq!(ids_from(31), Vec::<u64>::new());
-            },
-        );
+        let list = SlotList::from_slots(vec![
+            slot(0, 0, 10, 40),
+            slot(1, 1, 10, 50),
+            slot(2, 2, 30, 90),
+        ])
+        .unwrap();
+        let ids_from = |t: i64| -> Vec<u64> {
+            list.iter_from(TimePoint::new(t))
+                .map(|s| s.id().raw())
+                .collect()
+        };
+        assert_eq!(ids_from(0), vec![0, 1, 2]);
+        assert_eq!(ids_from(10), vec![0, 1, 2]);
+        assert_eq!(ids_from(11), vec![2]);
+        assert_eq!(ids_from(31), Vec::<u64>::new());
     }
 
     #[test]
     fn subtract_interior_produces_two_remnants() {
-        on_both_reprs(vec![slot(0, 0, 0, 100)], |mut list| {
-            list.subtract(SlotId::new(0), span(30, 60)).unwrap();
-            assert_eq!(list.len(), 2);
-            let spans: Vec<Span> = list.iter().map(|s| s.span()).collect();
-            assert_eq!(spans, vec![span(0, 30), span(60, 100)]);
-            list.validate().unwrap();
-        });
+        let mut list = SlotList::from_slots(vec![slot(0, 0, 0, 100)]).unwrap();
+        list.subtract(SlotId::new(0), span(30, 60)).unwrap();
+        assert_eq!(list.len(), 2);
+        let spans: Vec<Span> = list.iter().map(|s| s.span()).collect();
+        assert_eq!(spans, vec![span(0, 30), span(60, 100)]);
+        list.validate().unwrap();
     }
 
     #[test]
     fn subtract_prefix_keeps_right_remnant_only() {
-        on_both_reprs(vec![slot(0, 0, 0, 100)], |mut list| {
-            list.subtract(SlotId::new(0), span(0, 100)).unwrap();
-            assert!(list.is_empty());
-        });
+        let mut list = SlotList::from_slots(vec![slot(0, 0, 0, 100)]).unwrap();
+        list.subtract(SlotId::new(0), span(0, 100)).unwrap();
+        assert!(list.is_empty());
     }
 
     #[test]
     fn subtract_missing_slot_errors() {
-        for repr in [MarketRepr::Flat, MarketRepr::Interval] {
-            let mut list = SlotList::new_with_repr(repr);
-            assert_eq!(
-                list.subtract(SlotId::new(1), span(0, 10)).unwrap_err(),
-                CoreError::SlotNotFound { id: SlotId::new(1) }
-            );
-        }
+        let mut list = SlotList::new();
+        assert_eq!(
+            list.subtract(SlotId::new(1), span(0, 10)).unwrap_err(),
+            CoreError::SlotNotFound { id: SlotId::new(1) }
+        );
     }
 
     #[test]
     fn subtract_outside_cut_errors() {
-        on_both_reprs(vec![slot(0, 0, 10, 20)], |mut list| {
-            let err = list.subtract(SlotId::new(0), span(15, 30)).unwrap_err();
-            assert!(matches!(err, CoreError::CutOutsideSlot { .. }));
-            // List unchanged.
-            assert_eq!(list.len(), 1);
-            assert_eq!(list.iter().next().unwrap().span(), span(10, 20));
-        });
+        let mut list = SlotList::from_slots(vec![slot(0, 0, 10, 20)]).unwrap();
+        let err = list.subtract(SlotId::new(0), span(15, 30)).unwrap_err();
+        assert!(matches!(err, CoreError::CutOutsideSlot { .. }));
+        // List unchanged.
+        assert_eq!(list.len(), 1);
+        assert_eq!(list.iter().next().unwrap().span(), span(10, 20));
     }
 
     #[test]
@@ -1063,21 +984,20 @@ mod tests {
         use crate::window::{Window, WindowSlot};
         let a = slot(0, 0, 0, 100);
         let b = slot(1, 1, 0, 10); // too short for the cut below
-        on_both_reprs(vec![a, b], |mut list| {
-            let w = Window::new(
-                TimePoint::new(0),
-                vec![
-                    WindowSlot::from_slot(&a, TimeDelta::new(50)).unwrap(),
-                    WindowSlot::from_slot(&b, TimeDelta::new(50)).unwrap(),
-                ],
-            )
-            .unwrap();
-            let err = list.subtract_window(&w).unwrap_err();
-            assert!(matches!(err, CoreError::CutOutsideSlot { .. }));
-            // Nothing was subtracted, including from slot `a`.
-            assert_eq!(list.len(), 2);
-            assert_eq!(list.get(SlotId::new(0)).unwrap().span(), span(0, 100));
-        });
+        let mut list = SlotList::from_slots(vec![a, b]).unwrap();
+        let w = Window::new(
+            TimePoint::new(0),
+            vec![
+                WindowSlot::from_slot(&a, TimeDelta::new(50)).unwrap(),
+                WindowSlot::from_slot(&b, TimeDelta::new(50)).unwrap(),
+            ],
+        )
+        .unwrap();
+        let err = list.subtract_window(&w).unwrap_err();
+        assert!(matches!(err, CoreError::CutOutsideSlot { .. }));
+        // Nothing was subtracted, including from slot `a`.
+        assert_eq!(list.len(), 2);
+        assert_eq!(list.get(SlotId::new(0)).unwrap().span(), span(0, 100));
     }
 
     #[test]
@@ -1085,22 +1005,21 @@ mod tests {
         use crate::window::{Window, WindowSlot};
         let a = slot(0, 0, 0, 100);
         let b = slot(1, 1, 0, 100);
-        on_both_reprs(vec![a, b], |mut list| {
-            let w = Window::new(
-                TimePoint::new(0),
-                vec![
-                    WindowSlot::from_slot(&a, TimeDelta::new(40)).unwrap(),
-                    WindowSlot::from_slot(&b, TimeDelta::new(40)).unwrap(),
-                ],
-            )
-            .unwrap();
-            list.subtract_window(&w).unwrap();
-            assert_eq!(list.len(), 2);
-            for s in list.iter() {
-                assert_eq!(s.span(), span(40, 100));
-            }
-            list.validate().unwrap();
-        });
+        let mut list = SlotList::from_slots(vec![a, b]).unwrap();
+        let w = Window::new(
+            TimePoint::new(0),
+            vec![
+                WindowSlot::from_slot(&a, TimeDelta::new(40)).unwrap(),
+                WindowSlot::from_slot(&b, TimeDelta::new(40)).unwrap(),
+            ],
+        )
+        .unwrap();
+        list.subtract_window(&w).unwrap();
+        assert_eq!(list.len(), 2);
+        for s in list.iter() {
+            assert_eq!(s.span(), span(40, 100));
+        }
+        list.validate().unwrap();
     }
 
     #[test]
@@ -1108,32 +1027,31 @@ mod tests {
         use crate::window::{Window, WindowSlot};
         let a = slot(0, 0, 0, 100);
         let b = slot(1, 1, 20, 120);
-        on_both_reprs(vec![a, b], |mut list| {
-            let w = Window::new(
-                TimePoint::new(20),
-                vec![
-                    WindowSlot::from_slot(&a, TimeDelta::new(40)).unwrap(),
-                    WindowSlot::from_slot(&b, TimeDelta::new(40)).unwrap(),
-                ],
-            )
-            .unwrap();
-            let report = list.subtract_window_report(&w).unwrap();
-            assert_eq!(report.removed, vec![a, b]);
-            // a → [0, 20) and [60, 100); b → [60, 120).
-            assert_eq!(report.remnants.len(), 3);
-            for remnant in &report.remnants {
-                assert_eq!(list.get(remnant.id()), Some(remnant));
-            }
-            list.validate().unwrap();
-        });
+        let mut list = SlotList::from_slots(vec![a, b]).unwrap();
+        let w = Window::new(
+            TimePoint::new(20),
+            vec![
+                WindowSlot::from_slot(&a, TimeDelta::new(40)).unwrap(),
+                WindowSlot::from_slot(&b, TimeDelta::new(40)).unwrap(),
+            ],
+        )
+        .unwrap();
+        let report = list.subtract_window_report(&w).unwrap();
+        assert_eq!(report.removed, vec![a, b]);
+        // a → [0, 20) and [60, 100); b → [60, 120).
+        assert_eq!(report.remnants.len(), 3);
+        for remnant in &report.remnants {
+            assert_eq!(list.get(remnant.id()), Some(remnant));
+        }
+        list.validate().unwrap();
     }
 
     #[test]
     fn totals_and_earliest() {
-        on_both_reprs(vec![slot(0, 0, 10, 40), slot(1, 1, 5, 25)], |list| {
-            assert_eq!(list.earliest_start(), Some(TimePoint::new(5)));
-            assert_eq!(list.total_vacant_time(), TimeDelta::new(50));
-        });
+        let list = SlotList::from_slots(vec![slot(0, 0, 10, 40), slot(1, 1, 5, 25)]).unwrap();
+        assert_eq!(list.earliest_start(), Some(TimePoint::new(5)));
+        assert_eq!(list.total_vacant_time(), TimeDelta::new(50));
+
         assert!(SlotList::new().earliest_start().is_none());
     }
 
@@ -1145,163 +1063,140 @@ mod tests {
             slot(9, 2, 10, 30),
             slot(7, 4, 25, 60),
         ];
-        for repr in [MarketRepr::Flat, MarketRepr::Interval] {
-            let sorted = SlotList::from_sorted_slots_with_repr(slots.clone(), repr).unwrap();
-            let general = SlotList::from_slots(slots.clone()).unwrap();
-            assert_eq!(sorted, general);
-            sorted.validate().unwrap();
-            assert_eq!(sorted.next_id, general.next_id);
-        }
+        let sorted = SlotList::from_sorted_slots(slots.clone()).unwrap();
+        let general = SlotList::from_slots(slots).unwrap();
+        assert_eq!(sorted, general);
+        sorted.validate().unwrap();
+        assert_eq!(sorted.next_id, general.next_id);
     }
 
     #[test]
     fn from_sorted_slots_rejects_unsorted_input() {
-        for repr in [MarketRepr::Flat, MarketRepr::Interval] {
-            // Out of start order.
-            let err = SlotList::from_sorted_slots_with_repr(
-                vec![slot(0, 0, 10, 20), slot(1, 1, 0, 5)],
-                repr,
-            )
-            .unwrap_err();
-            assert_eq!(err, CoreError::UnsortedSlots { index: 1 });
-            // Equal starts must come in increasing id order.
-            let err = SlotList::from_sorted_slots_with_repr(
-                vec![slot(4, 0, 10, 20), slot(2, 1, 10, 20)],
-                repr,
-            )
-            .unwrap_err();
-            assert_eq!(err, CoreError::UnsortedSlots { index: 1 });
-        }
+        // Out of start order.
+        let err = SlotList::from_sorted_slots(vec![slot(0, 0, 10, 20), slot(1, 1, 0, 5)]);
+        assert_eq!(err.unwrap_err(), CoreError::UnsortedSlots { index: 1 });
+        // Equal starts must come in increasing id order.
+        let err = SlotList::from_sorted_slots(vec![slot(4, 0, 10, 20), slot(2, 1, 10, 20)]);
+        assert_eq!(err.unwrap_err(), CoreError::UnsortedSlots { index: 1 });
     }
 
     #[test]
     fn from_sorted_slots_rejects_same_node_overlap() {
         // The long first slot still overlaps the third even though the
         // second ends earlier — the running bound must track the max end.
-        for repr in [MarketRepr::Flat, MarketRepr::Interval] {
-            let err = SlotList::from_sorted_slots_with_repr(
-                vec![slot(0, 5, 0, 100), slot(1, 6, 10, 20), slot(2, 5, 30, 40)],
-                repr,
-            )
-            .unwrap_err();
-            assert_eq!(
-                err,
-                CoreError::OverlappingSlots {
-                    node: NodeId::new(5),
-                    first: SlotId::new(0),
-                    second: SlotId::new(2),
-                }
-            );
-        }
+        let err = SlotList::from_sorted_slots(vec![
+            slot(0, 5, 0, 100),
+            slot(1, 6, 10, 20),
+            slot(2, 5, 30, 40),
+        ])
+        .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::OverlappingSlots {
+                node: NodeId::new(5),
+                first: SlotId::new(0),
+                second: SlotId::new(2),
+            }
+        );
     }
 
     #[test]
     fn from_sorted_slots_rejects_duplicate_ids() {
-        for repr in [MarketRepr::Flat, MarketRepr::Interval] {
-            let err = SlotList::from_sorted_slots_with_repr(
-                vec![slot(3, 0, 0, 10), slot(3, 1, 5, 15)],
-                repr,
-            )
-            .unwrap_err();
-            assert_eq!(err, CoreError::DuplicateSlotId { id: SlotId::new(3) });
-        }
+        let err = SlotList::from_sorted_slots(vec![slot(3, 0, 0, 10), slot(3, 1, 5, 15)]);
+        assert_eq!(
+            err.unwrap_err(),
+            CoreError::DuplicateSlotId { id: SlotId::new(3) }
+        );
     }
 
     #[test]
     fn covering_slot_finds_the_unique_container() {
-        on_both_reprs(
-            vec![slot(0, 0, 0, 50), slot(1, 0, 60, 100), slot(2, 1, 0, 100)],
-            |list| {
-                let region = span(70, 90);
-                assert_eq!(
-                    list.covering_slot(NodeId::new(0), region).map(Slot::id),
-                    Some(SlotId::new(1))
-                );
-                // A region straddling the gap is covered by nothing.
-                assert!(list.covering_slot(NodeId::new(0), span(40, 70)).is_none());
-                // Other nodes see their own slots only.
-                assert_eq!(
-                    list.covering_slot(NodeId::new(1), region).map(Slot::id),
-                    Some(SlotId::new(2))
-                );
-                assert!(list.covering_slot(NodeId::new(9), region).is_none());
-            },
+        let list = SlotList::from_slots(vec![
+            slot(0, 0, 0, 50),
+            slot(1, 0, 60, 100),
+            slot(2, 1, 0, 100),
+        ])
+        .unwrap();
+        let region = span(70, 90);
+        assert_eq!(
+            list.covering_slot(NodeId::new(0), region).map(Slot::id),
+            Some(SlotId::new(1))
         );
+        // A region straddling the gap is covered by nothing.
+        assert!(list.covering_slot(NodeId::new(0), span(40, 70)).is_none());
+        // Other nodes see their own slots only.
+        assert_eq!(
+            list.covering_slot(NodeId::new(1), region).map(Slot::id),
+            Some(SlotId::new(2))
+        );
+        assert!(list.covering_slot(NodeId::new(9), region).is_none());
     }
 
     #[test]
     fn covering_slot_tracks_subtraction() {
-        on_both_reprs(vec![slot(0, 0, 0, 100)], |mut list| {
-            list.subtract(SlotId::new(0), span(40, 60)).unwrap();
-            assert!(list.covering_slot(NodeId::new(0), span(45, 55)).is_none());
-            let left = list.covering_slot(NodeId::new(0), span(10, 30)).unwrap();
-            assert_eq!(left.span(), span(0, 40));
-            let right = list.covering_slot(NodeId::new(0), span(70, 90)).unwrap();
-            assert_eq!(right.span(), span(60, 100));
-        });
+        let mut list = SlotList::from_slots(vec![slot(0, 0, 0, 100)]).unwrap();
+        list.subtract(SlotId::new(0), span(40, 60)).unwrap();
+        assert!(list.covering_slot(NodeId::new(0), span(45, 55)).is_none());
+        let left = list.covering_slot(NodeId::new(0), span(10, 30)).unwrap();
+        assert_eq!(left.span(), span(0, 40));
+        let right = list.covering_slot(NodeId::new(0), span(70, 90)).unwrap();
+        assert_eq!(right.span(), span(60, 100));
     }
 
     #[test]
     fn remove_region_carves_every_overlapping_slot() {
-        on_both_reprs(
-            vec![
-                slot(0, 0, 0, 30),
-                slot(1, 0, 40, 70),
-                slot(2, 0, 80, 120),
-                slot(3, 1, 0, 120), // other node, untouched
-            ],
-            |mut list| {
-                let affected = list.remove_region(NodeId::new(0), span(20, 90));
-                assert_eq!(
-                    affected,
-                    vec![SlotId::new(0), SlotId::new(1), SlotId::new(2)]
-                );
-                list.validate().unwrap();
-                let node0: Vec<Span> = list
-                    .iter()
-                    .filter(|s| s.node() == NodeId::new(0))
-                    .map(|s| s.span())
-                    .collect();
-                assert_eq!(node0, vec![span(0, 20), span(90, 120)]);
-                assert_eq!(list.get(SlotId::new(3)).unwrap().span(), span(0, 120));
-            },
+        let mut list = SlotList::from_slots(vec![
+            slot(0, 0, 0, 30),
+            slot(1, 0, 40, 70),
+            slot(2, 0, 80, 120),
+            slot(3, 1, 0, 120), // other node, untouched
+        ])
+        .unwrap();
+        let affected = list.remove_region(NodeId::new(0), span(20, 90));
+        assert_eq!(
+            affected,
+            vec![SlotId::new(0), SlotId::new(1), SlotId::new(2)]
         );
+        list.validate().unwrap();
+        let node0: Vec<Span> = list
+            .iter()
+            .filter(|s| s.node() == NodeId::new(0))
+            .map(|s| s.span())
+            .collect();
+        assert_eq!(node0, vec![span(0, 20), span(90, 120)]);
+        assert_eq!(list.get(SlotId::new(3)).unwrap().span(), span(0, 120));
     }
 
     #[test]
     fn remove_region_misses_cleanly() {
-        on_both_reprs(vec![slot(0, 0, 0, 30)], |mut list| {
-            assert!(list.remove_region(NodeId::new(0), span(30, 50)).is_empty());
-            assert!(list.remove_region(NodeId::new(7), span(0, 50)).is_empty());
-            assert_eq!(list.len(), 1);
-        });
+        let mut list = SlotList::from_slots(vec![slot(0, 0, 0, 30)]).unwrap();
+        assert!(list.remove_region(NodeId::new(0), span(30, 50)).is_empty());
+        assert!(list.remove_region(NodeId::new(7), span(0, 50)).is_empty());
+        assert_eq!(list.len(), 1);
     }
 
     #[test]
     fn coalesce_merges_touching_same_attribute_runs() {
-        on_both_reprs(
-            vec![
-                slot(0, 0, 0, 30),
-                slot(1, 0, 30, 60),
-                slot(2, 0, 60, 100),
-                slot(3, 1, 0, 50), // other node: left alone
-            ],
-            |mut list| {
-                let before = list.total_vacant_time();
-                assert_eq!(list.coalesce(), 2);
-                list.validate().unwrap();
-                assert_eq!(list.len(), 2);
-                // The run head keeps its id and absorbs the whole run.
-                let merged = list.get(SlotId::new(0)).unwrap();
-                assert_eq!(merged.span(), span(0, 100));
-                assert_eq!(list.total_vacant_time(), before);
-                assert!(list.get(SlotId::new(1)).is_none());
-                assert!(list.get(SlotId::new(2)).is_none());
-                assert_eq!(list.get(SlotId::new(3)).unwrap().span(), span(0, 50));
-                // Idempotent: a second pass finds nothing.
-                assert_eq!(list.coalesce(), 0);
-            },
-        );
+        let mut list = SlotList::from_slots(vec![
+            slot(0, 0, 0, 30),
+            slot(1, 0, 30, 60),
+            slot(2, 0, 60, 100),
+            slot(3, 1, 0, 50), // other node: left alone
+        ])
+        .unwrap();
+        let before = list.total_vacant_time();
+        assert_eq!(list.coalesce(), 2);
+        list.validate().unwrap();
+        assert_eq!(list.len(), 2);
+        // The run head keeps its id and absorbs the whole run.
+        let merged = list.get(SlotId::new(0)).unwrap();
+        assert_eq!(merged.span(), span(0, 100));
+        assert_eq!(list.total_vacant_time(), before);
+        assert!(list.get(SlotId::new(1)).is_none());
+        assert!(list.get(SlotId::new(2)).is_none());
+        assert_eq!(list.get(SlotId::new(3)).unwrap().span(), span(0, 50));
+        // Idempotent: a second pass finds nothing.
+        assert_eq!(list.coalesce(), 0);
     }
 
     #[test]
@@ -1324,11 +1219,10 @@ mod tests {
         )
         .unwrap();
         let gapped = slot(3, 0, 95, 120);
-        on_both_reprs(vec![cheap, pricey, fast, gapped], |mut list| {
-            assert_eq!(list.coalesce(), 0);
-            assert_eq!(list.len(), 4);
-            list.validate().unwrap();
-        });
+        let mut list = SlotList::from_slots(vec![cheap, pricey, fast, gapped]).unwrap();
+        assert_eq!(list.coalesce(), 0);
+        assert_eq!(list.len(), 4);
+        list.validate().unwrap();
     }
 
     #[test]
@@ -1351,33 +1245,31 @@ mod tests {
             slot(4, 0, 80, 95),
             slot(5, 1, 10, 20), // interleaves in `(start, id)` order
         ];
-        on_both_reprs(slots, |mut list| {
-            assert_eq!(list.coalesce(), 2);
-            list.validate().unwrap();
-            let node0: Vec<(u64, Span)> = list
-                .iter()
-                .filter(|s| s.node() == NodeId::new(0))
-                .map(|s| (s.id().raw(), s.span()))
-                .collect();
-            assert_eq!(
-                node0,
-                vec![(0, span(0, 60)), (2, span(60, 70)), (3, span(70, 95))]
-            );
-            assert_eq!(
-                list.covering_slot(NodeId::new(0), span(40, 55))
-                    .map(Slot::id),
-                Some(SlotId::new(0))
-            );
-        });
+        let mut list = SlotList::from_slots(slots).unwrap();
+        assert_eq!(list.coalesce(), 2);
+        list.validate().unwrap();
+        let node0: Vec<(u64, Span)> = list
+            .iter()
+            .filter(|s| s.node() == NodeId::new(0))
+            .map(|s| (s.id().raw(), s.span()))
+            .collect();
+        assert_eq!(
+            node0,
+            vec![(0, span(0, 60)), (2, span(60, 70)), (3, span(70, 95))]
+        );
+        assert_eq!(
+            list.covering_slot(NodeId::new(0), span(40, 55))
+                .map(Slot::id),
+            Some(SlotId::new(0))
+        );
     }
 
     #[test]
     fn coalesce_never_reuses_retired_ids() {
-        on_both_reprs(vec![slot(0, 0, 0, 30), slot(1, 0, 30, 60)], |mut list| {
-            assert_eq!(list.coalesce(), 1);
-            // Id 1 is retired, not recycled: fresh mints start past it.
-            assert_eq!(list.mint_id(), SlotId::new(2));
-        });
+        let mut list = SlotList::from_slots(vec![slot(0, 0, 0, 30), slot(1, 0, 30, 60)]).unwrap();
+        assert_eq!(list.coalesce(), 1);
+        // Id 1 is retired, not recycled: fresh mints start past it.
+        assert_eq!(list.mint_id(), SlotId::new(2));
     }
 
     #[test]
@@ -1385,7 +1277,7 @@ mod tests {
     fn release_windows_refuses_a_region_the_list_holds() {
         use crate::window::{Window, WindowSlot};
         let live = slot(0, 0, 0, 100);
-        let mut list = SlotList::from_slots_with_repr(vec![live], MarketRepr::Interval).unwrap();
+        let mut list = SlotList::from_slots(vec![live]).unwrap();
         let member = WindowSlot::from_slot(&live, TimeDelta::new(80)).unwrap();
         let overlapping = Window::new(TimePoint::new(50), vec![member]).unwrap();
         list.release_windows([&overlapping], false);
@@ -1393,71 +1285,103 @@ mod tests {
 
     #[test]
     fn iteration_conveniences() {
-        on_both_reprs(vec![slot(0, 0, 10, 40)], |list| {
-            assert_eq!((&list).into_iter().count(), 1);
-            assert_eq!(list.clone().into_iter().count(), 1);
-            assert!(format!("{list}").contains("1 slots"));
-        });
+        let list = SlotList::from_slots(vec![slot(0, 0, 10, 40)]).unwrap();
+        assert_eq!((&list).into_iter().count(), 1);
+        assert_eq!(list.clone().into_iter().count(), 1);
+        assert!(format!("{list}").contains("1 slots"));
     }
 
+    /// Equality is observational: the slots and the minting cursor, not
+    /// where the blocks happen to be cut.
     #[test]
-    fn repr_conversion_round_trips_and_compares_equal() {
+    fn lists_compare_by_slots_and_cursor() {
         let slots = vec![
             slot(1, 3, 0, 20),
             slot(5, 0, 10, 40),
             slot(9, 2, 10, 30),
             slot(7, 0, 55, 60),
         ];
-        let mut flat = SlotList::from_slots(slots).unwrap();
-        flat.mint_id(); // push next_id past max(id)+1
-        let interval = flat.clone().with_repr(MarketRepr::Interval);
-        assert_eq!(interval.repr(), MarketRepr::Interval);
-        interval.validate().unwrap();
-        assert_eq!(flat, interval, "conversion preserves observable state");
-        let back = interval.clone().with_repr(MarketRepr::Flat);
-        back.validate().unwrap();
-        assert_eq!(back, flat);
-        assert_eq!(back.next_id, flat.next_id, "minting cursor preserved");
-        // Same-repr conversion is the identity.
-        assert_eq!(flat.clone().with_repr(MarketRepr::Flat), flat);
-    }
-
-    #[test]
-    fn serde_round_trips_both_reprs() {
-        let slots = vec![slot(0, 0, 0, 30), slot(1, 1, 10, 60), slot(2, 0, 40, 90)];
-        for repr in [MarketRepr::Flat, MarketRepr::Interval] {
-            let list = SlotList::from_slots_with_repr(slots.clone(), repr).unwrap();
-            let text = serde_json::to_string(&list).unwrap();
-            let back: SlotList = serde_json::from_str(&text).unwrap();
-            assert_eq!(back.repr(), repr, "repr survives the wire");
-            assert_eq!(back, list);
-            back.validate().unwrap();
+        let loaded = SlotList::from_slots(slots.clone()).unwrap();
+        let mut inserted = SlotList::new();
+        for slot in slots.into_iter().rev() {
+            inserted.insert(slot).unwrap();
         }
+        inserted.validate().unwrap();
+        assert_eq!(inserted, loaded);
+        inserted.mint_id();
+        assert_ne!(inserted, loaded, "the minting cursor is observable");
     }
 
     #[test]
-    fn serde_flat_wire_format_is_unchanged() {
-        // The flat payload must stay exactly `{slots, next_id}` so persist
-        // format v1 snapshots keep decoding.
-        let list = SlotList::from_slots(vec![slot(0, 0, 0, 30)]).unwrap();
-        let value: serde::Value =
-            serde_json::from_str(&serde_json::to_string(&list).unwrap()).unwrap();
-        let keys: Vec<&str> = value
-            .as_map()
-            .unwrap()
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .collect();
-        assert_eq!(keys, vec!["slots", "next_id"]);
+    fn serde_round_trips() {
+        let mut list = SlotList::from_slots(vec![
+            slot(0, 0, 0, 30),
+            slot(1, 1, 10, 60),
+            slot(2, 0, 40, 90),
+        ])
+        .unwrap();
+        list.mint_id(); // a cursor past max(id) + 1 survives the wire
+        let text = serde_json::to_string(&list).unwrap();
+        let back: SlotList = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, list);
+        assert_eq!(back.next_id, 4);
+        back.validate().unwrap();
     }
 
-    /// The legacy flat payload is validated as fully as the interval one:
+    /// The one written form, as text: each node's slots in start order
+    /// behind the tag, nodes ascending.
+    #[test]
+    fn serde_writes_the_tagged_node_form() {
+        let list = SlotList::from_slots(vec![slot(0, 1, 0, 30), slot(1, 0, 10, 60)]).unwrap();
+        let slot_text = |id: u64, node: u32, a: i64, b: i64| {
+            format!(
+                r#"{{"id":{id},"node":{node},"perf":1000,"price":2000000,"span":{{"start":{a},"end":{b}}}}}"#
+            )
+        };
+        let (zero, one) = (slot_text(0, 1, 0, 30), slot_text(1, 0, 10, 60));
+        assert_eq!(
+            serde_json::to_string(&list).unwrap(),
+            format!(
+                r#"{{"repr":"interval","nodes":[{{"node":0,"slots":[{one}]}},{{"node":1,"slots":[{zero}]}}],"next_id":2}}"#
+            )
+        );
+    }
+
+    /// The untagged payload of persist format-1 snapshots, which nothing
+    /// writes any more: `{slots, next_id}`, the slots in `(start, id)`
+    /// order. Pinned as text so that it keeps decoding.
+    #[test]
+    fn serde_reads_the_untagged_format_1_payload() {
+        let text = r#"{"slots":[
+            {"id":6,"node":6,"perf":1175,"price":1856629,"span":{"start":60,"end":99}},
+            {"id":2,"node":2,"perf":1000,"price":2000000,"span":{"start":70,"end":90}},
+            {"id":3,"node":6,"perf":1175,"price":1856629,"span":{"start":99,"end":140}}
+        ],"next_id":9}"#;
+        let list: SlotList = serde_json::from_str(text).unwrap();
+        list.validate().unwrap();
+        let seen: Vec<(u64, u32, i64, i64)> = list
+            .iter()
+            .map(|s| {
+                (
+                    s.id().raw(),
+                    s.node().index(),
+                    s.start().ticks(),
+                    s.end().ticks(),
+                )
+            })
+            .collect();
+        assert_eq!(seen, [(6, 6, 60, 99), (2, 2, 70, 90), (3, 6, 99, 140)]);
+        assert_eq!(list.get(SlotId::new(6)).unwrap().price().micro(), 1_856_629);
+        assert_eq!(list.next_id, 9);
+    }
+
+    /// The untagged payload is validated as fully as the tagged one:
     /// a dump that is out of order, overlaps on a node, repeats an id, or
     /// carries a minting cursor at or below a live id is refused, naming
     /// the violated invariant — never decoded into a list whose
     /// `validate()` fails or whose `mint_id()` reissues a live id.
     #[test]
-    fn serde_rejects_corrupt_flat_payload() {
+    fn serde_rejects_corrupt_untagged_payload() {
         let payload = |slots: Vec<Slot>, next_id: u64| {
             let slots = serde_json::to_string(&slots).unwrap();
             format!(r#"{{"slots":{slots},"next_id":{next_id}}}"#)
@@ -1495,12 +1419,8 @@ mod tests {
     }
 
     #[test]
-    fn serde_rejects_corrupt_interval_payload() {
-        let list = SlotList::from_slots_with_repr(
-            vec![slot(0, 0, 0, 30), slot(1, 0, 30, 60)],
-            MarketRepr::Interval,
-        )
-        .unwrap();
+    fn serde_rejects_corrupt_tagged_payload() {
+        let list = SlotList::from_slots(vec![slot(0, 0, 0, 30), slot(1, 0, 30, 60)]).unwrap();
         let text = serde_json::to_string(&list).unwrap();
         assert!(serde_json::from_str::<SlotList>(&text).is_ok());
         let rejects = |text: String, needle: &str| {

@@ -1,26 +1,29 @@
 //! An independent reference for the market store.
 //!
-//! `SlotList` holds every market algorithm once, over either ordered
-//! container; `interval_equivalence.rs` pins the two containers against
-//! each other, which says nothing about an algorithm both share. This
-//! file pins the algorithms: [`Model`] is the paper's list as a plain
-//! `Vec<Slot>` scanned linearly — no id index, no per-node timeline, no
-//! ordered container — with the subtraction rule of Fig. 1 (b) (left
-//! remnant minted before right), region withdrawal, release and the
-//! coalescing rule (a chain's head keeps its id, absorbed ids are never
-//! reissued) written out directly. The one-walk release of many windows
-//! is checked against the model's release member by member, followed by
-//! its coalesce when merging. Both orderings are driven through
-//! random operation sequences next to it and compared after *every*
+//! `SlotList` holds every market algorithm once, over one ordered
+//! container; `orders_match_a_btree_model` (in `interval.rs`) pins the
+//! container against a `BTreeMap`, which says nothing about the
+//! algorithms above it. This file pins the algorithms: [`Model`] is the
+//! paper's list as a plain `Vec<Slot>` scanned linearly — no id index, no
+//! per-node timeline, no ordered container — with the subtraction rule
+//! of Fig. 1 (b) (left remnant minted before right), region withdrawal,
+//! release and the coalescing rule (a chain's head keeps its id, absorbed
+//! ids are never reissued) written out directly. The one-walk release of
+//! many windows is checked against the model's release member by member,
+//! followed by its coalesce when merging. The store is driven through
+//! random operation sequences next to it — from empty, from a bulk load
+//! of a few slots, and from a bulk load of 300–1 000 slots, many blocks,
+//! with the picks spread over all of them — and compared after *every*
 //! step: slots, iteration order, reports, errors, the minting cursor and
-//! `validate()`.
+//! `validate()`; at the end, the list must come back from its wire form
+//! unchanged.
 //!
 //! CI runs this file at `PROPTEST_CASES=512` in the failure-injection
 //! job; the local default below keeps `cargo test` fast.
 
 use ecosched_core::{
-    CoreError, MarketRepr, NodeId, Perf, Price, Slot, SlotId, SlotList, Span, SubtractionReport,
-    TimeDelta, TimePoint, Window, WindowSlot,
+    CoreError, NodeId, Perf, Price, Slot, SlotId, SlotList, Span, SubtractionReport, TimeDelta,
+    TimePoint, Window, WindowSlot,
 };
 use proptest::prelude::*;
 
@@ -193,16 +196,31 @@ fn slot(id: SlotId, node: u32, a: i64, b: i64, attrs: i64) -> Slot {
     .unwrap()
 }
 
-/// The three markets one case drives, and the windows it has committed.
+/// The model and the store one case drives, and the windows it has
+/// committed.
 struct Driver {
     model: Model,
-    lists: Vec<SlotList>,
+    list: SlotList,
     committed: Vec<Window>,
 }
 
 impl Driver {
-    /// Runs `op` on the model and on both orderings, demanding the same
-    /// result from each, and returns it.
+    /// Both sides bulk-loaded with `seed`; the model's cursor is the one
+    /// the sorted load sets, one past the largest id.
+    fn seeded(seed: Vec<Slot>) -> Self {
+        let next_id = seed.iter().map(|s| s.id().raw() + 1).max().unwrap_or(0);
+        Driver {
+            list: SlotList::from_slots(seed.clone()).unwrap(),
+            model: Model {
+                slots: seed,
+                next_id,
+            },
+            committed: Vec::new(),
+        }
+    }
+
+    /// Runs `op` on the model and on the store, demanding the same result
+    /// from each, and returns it.
     #[track_caller]
     fn all<R: PartialEq + std::fmt::Debug>(
         &mut self,
@@ -210,9 +228,7 @@ impl Driver {
         on_list: impl Fn(&mut SlotList) -> R,
     ) -> R {
         let expected = on_model(&mut self.model);
-        for list in &mut self.lists {
-            assert_eq!(on_list(list), expected, "{:?} ordering", list.repr());
-        }
+        assert_eq!(on_list(&mut self.list), expected);
         expected
     }
 
@@ -397,50 +413,113 @@ impl Driver {
         windows
     }
 
-    /// Everything a caller can see of a list, against the model.
+    /// Everything a caller can see of the list, against the model.
     #[track_caller]
     fn check(&self, step: usize) {
         let expected = self.model.ordered();
-        for list in &self.lists {
-            let repr = list.repr();
-            list.validate()
-                .unwrap_or_else(|e| panic!("step {step}, {repr:?}: {e}"));
-            let seen: Vec<Slot> = list.iter().copied().collect();
-            assert_eq!(
-                seen, expected,
-                "step {step}, {repr:?}: slots or their order"
-            );
-            let cursor = list.clone().mint_id();
-            assert_eq!(
-                cursor.raw(),
-                self.model.next_id,
-                "step {step}, {repr:?}: next id"
-            );
-            for slot in &expected {
-                assert_eq!(
-                    list.get(slot.id()),
-                    Some(slot),
-                    "step {step}, {repr:?}: get"
-                );
-                let inner = span(slot.start().ticks(), slot.end().ticks());
-                assert_eq!(list.covering_slot(slot.node(), inner), Some(slot));
-            }
+        let list = &self.list;
+        list.validate()
+            .unwrap_or_else(|e| panic!("step {step}: {e}"));
+        let seen: Vec<Slot> = list.iter().copied().collect();
+        assert_eq!(seen, expected, "step {step}: slots or their order");
+        let cursor = list.clone().mint_id();
+        assert_eq!(cursor.raw(), self.model.next_id, "step {step}: next id");
+        for slot in &expected {
+            assert_eq!(list.get(slot.id()), Some(slot), "step {step}: get");
+            let inner = span(slot.start().ticks(), slot.end().ticks());
+            assert_eq!(list.covering_slot(slot.node(), inner), Some(slot));
+        }
+        if let Some(first) = expected.first() {
+            let from = first.start() + TimeDelta::new(1);
+            let later: Vec<&Slot> = expected.iter().filter(|s| s.start() >= from).collect();
+            assert!(list.iter_from(from).eq(later), "step {step}: iter_from");
         }
     }
+
+    /// Runs every op, checking after each, then sends the list through
+    /// its wire form: the same slots and the same cursor come back.
+    fn run(mut self, ops: impl IntoIterator<Item = Op>) {
+        self.check(0);
+        for (step, op) in ops.into_iter().enumerate() {
+            self.apply(op);
+            self.check(step + 1);
+        }
+        let text = serde_json::to_string(&self.list).expect("encodes");
+        let back: SlotList = serde_json::from_str(&text).expect("decodes");
+        back.validate().expect("decoded invariants");
+        assert_eq!(back, self.list);
+        assert_eq!(back.clone().mint_id(), self.list.clone().mint_id());
+    }
+}
+
+/// A bulk-load seed: `count` slots over `nodes` nodes, each node's laid
+/// head to tail (a gap of 0 touches, so the coalescing rule applies),
+/// ids minted 0.. in the order generated, not in start order.
+fn seed_strategy(
+    nodes: std::ops::Range<u32>,
+    count: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<Slot>> {
+    (
+        nodes,
+        prop::collection::vec((0i64..50, 20i64..200, 0i64..4), count),
+    )
+        .prop_map(|(nodes, segments)| {
+            let mut cursors = vec![0i64; nodes as usize];
+            let segments = segments.into_iter().enumerate();
+            segments
+                .map(|(id, (gap, len, attrs))| {
+                    let node = id as u32 % nodes;
+                    let cursor = &mut cursors[node as usize];
+                    let start = *cursor + gap % 3 / 2 * gap;
+                    *cursor = start + len;
+                    slot(SlotId::new(id as u64), node, start, *cursor, attrs)
+                })
+                .collect()
+        })
+}
+
+/// The op mix with its picks spread over a wide market: 64 live slots a
+/// lane, 16 lanes.
+fn wide_op_strategy() -> impl Strategy<Value = Op> {
+    (op_strategy(), 0usize..16).prop_map(|(op, lane)| Op {
+        picks: op.picks.map(|pick| pick + 64 * lane),
+        ..op
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn both_orderings_follow_the_linear_scan_model(
+    fn the_store_follows_the_linear_scan_model(
         ops in prop::collection::vec(op_strategy(), 1..60),
     ) {
-        let lists = [MarketRepr::Flat, MarketRepr::Interval].map(SlotList::new_with_repr);
-        let mut driver = Driver { model: Model::default(), lists: lists.into(), committed: Vec::new() };
-        for (step, op) in ops.into_iter().enumerate() {
-            driver.apply(op);
-            driver.check(step);
-        }
+        Driver::seeded(Vec::new()).run(ops);
+    }
+
+    /// From a bulk load of up to 24 slots, possibly none: one block, and
+    /// ids not in start order.
+    #[test]
+    fn a_bulk_loaded_store_follows_the_linear_scan_model(
+        seed in seed_strategy(1..6, 0..24),
+        ops in prop::collection::vec(op_strategy(), 1..40),
+    ) {
+        Driver::seeded(seed).run(ops);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// From a bulk load of 300–1 000 slots over 40–120 nodes: every step
+    /// lands among many half-full blocks, splicing some, splitting some
+    /// and emptying some — a lookup that finds a block's first slot in the
+    /// block before it passes every narrow case and fails here.
+    #[test]
+    fn a_wide_store_follows_the_linear_scan_model(
+        seed in seed_strategy(40..120, 300..1000),
+        ops in prop::collection::vec(wide_op_strategy(), 1..60),
+    ) {
+        Driver::seeded(seed).run(ops);
     }
 }

@@ -39,8 +39,8 @@
 use std::collections::BTreeMap;
 
 use ecosched_core::{
-    Alternative, Batch, BatchAlternatives, Job, JobId, MarketRepr, NodeId, ResourceRequest,
-    Revocation, Slot, SlotList, Span, TimeDelta, TimePoint, Window,
+    Alternative, Batch, BatchAlternatives, Job, JobId, NodeId, ResourceRequest, Revocation, Slot,
+    SlotList, Span, TimeDelta, TimePoint, Window,
 };
 use ecosched_select::SlotSelector;
 use ecosched_sim::cycle::{self, PostponeReason, Recovery};
@@ -420,7 +420,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             queue,
             log: Log::new(),
             arrivals,
-            vacant: SlotList::new_with_repr(MarketRepr::Interval),
+            vacant: SlotList::new(),
             next_node: 0,
             pending: Vec::new(),
             leases: BTreeMap::new(),
@@ -597,10 +597,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             ),
             log: checkpoint.log.clone(),
             arrivals: checkpoint.arrivals.clone(),
-            // A format-1 checkpoint carries the flat form; the live market
-            // is always the interval form (the conversion preserves every
-            // observable: slots, ids, iteration order).
-            vacant: checkpoint.vacant.clone().with_repr(MarketRepr::Interval),
+            vacant: checkpoint.vacant.clone(),
             next_node: checkpoint.next_node,
             pending: checkpoint.pending.clone(),
             leases: checkpoint
@@ -1033,7 +1030,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
 /// to `[now, end)`, dropping fully elapsed ones. Ids are preserved, so the
 /// clipped slots stay in strictly increasing `(start, id)` order after the
 /// sort and the `O(m)` [`SlotList::from_sorted_slots`] constructor
-/// applies. The snapshot keeps the live list's representation.
+/// applies.
 fn clip_to_now(vacant: &SlotList, now: TimePoint) -> SlotList {
     let mut clipped: Vec<Slot> = Vec::with_capacity(vacant.len());
     for s in vacant.iter() {
@@ -1051,8 +1048,7 @@ fn clip_to_now(vacant: &SlotList, now: TimePoint) -> SlotList {
         }
     }
     clipped.sort_by_key(|s| (s.start(), s.id()));
-    SlotList::from_sorted_slots_with_repr(clipped, vacant.repr())
-        .expect("clipping preserves disjointness and unique ids")
+    SlotList::from_sorted_slots(clipped).expect("clipping preserves disjointness and unique ids")
 }
 
 #[cfg(test)]
@@ -1094,7 +1090,7 @@ mod tests {
     /// `find_window` examines more than the `m` slots it is handed: for
     /// ALP and AMP, every request of the run, on the market as slots are
     /// published into it (fresh) and after each cycle clipped to `now` the
-    /// way a cycle clips it, in both orderings.
+    /// way a cycle clips it.
     #[test]
     fn a_window_scan_examines_no_slot_twice() {
         let engine = Engine::new(small_config(), Amp::new()).unwrap();
@@ -1108,19 +1104,17 @@ mod tests {
                 _ => continue,
             };
             let m = market.len() as u64;
-            for market in [market.clone().with_repr(MarketRepr::Flat), market] {
-                for ArrivalState { request, .. } in &state.arrivals {
-                    for selector in [&Alp::new() as &dyn SlotSelector, &Amp::new()] {
-                        let mut stats = ecosched_select::ScanStats::new();
-                        let _ = selector.find_window(&market, request, &mut stats);
-                        assert!(
-                            stats.slots_examined <= m,
-                            "{} examined {} slots of {m} at {now:?}",
-                            selector.name(),
-                            stats.slots_examined
-                        );
-                        scans += 1;
-                    }
+            for ArrivalState { request, .. } in &state.arrivals {
+                for selector in [&Alp::new() as &dyn SlotSelector, &Amp::new()] {
+                    let mut stats = ecosched_select::ScanStats::new();
+                    let _ = selector.find_window(&market, request, &mut stats);
+                    assert!(
+                        stats.slots_examined <= m,
+                        "{} examined {} slots of {m} at {now:?}",
+                        selector.name(),
+                        stats.slots_examined
+                    );
+                    scans += 1;
                 }
             }
         }

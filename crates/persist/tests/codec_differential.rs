@@ -5,16 +5,18 @@
 //! `Deserialize::read_json` (what `snapshot::decode` calls) each cross the
 //! text in one pass, and no tree stands between them and the bytes. So
 //! they are pinned to each other here, on real engine and federation
-//! checkpoints taken mid-churn — in both market orderings, with the log
-//! whole and trimmed: a checkpoint decodes from its own bytes to
-//! itself, and re-encodes to the same bytes. The reader must not lean on
-//! the writer's layout either: the same text pretty-printed, with the keys
-//! of every map reversed, and with whitespace between every two tokens
-//! decodes to the same checkpoint. On random trees, `to_string_pretty` is
+//! checkpoints taken mid-churn, with the log whole and trimmed: a
+//! checkpoint decodes from its own bytes to itself, and re-encodes to the
+//! same bytes. The reader must not lean on the writer's layout either:
+//! the same text pretty-printed, with the keys of every map reversed, and
+//! with whitespace between every two tokens decodes to the same
+//! checkpoint; so does the text with every market re-printed in the
+//! untagged `{slots, next_id}` form of format-1 snapshots, which nothing
+//! writes any more. On random trees, `to_string_pretty` is
 //! pinned to the tree walk it replaced. The frozen fixtures in
 //! `snapshot_roundtrip.rs` pin the bytes themselves.
 
-use ecosched_core::MarketRepr;
+use ecosched_core::{Slot, SlotList};
 use ecosched_engine::{ArrivalConfig, Engine, EngineCheckpoint, EngineConfig};
 use ecosched_federation::{Federation, FederationCheckpoint, FederationConfig, RoutePolicy};
 use ecosched_persist::{snapshot, Checkpoint};
@@ -133,6 +135,45 @@ fn assert_round_trips<C: Checkpoint + PartialEq + std::fmt::Debug>(checkpoint: &
     }
 }
 
+/// `list` in the untagged form format-1 snapshots carry: its slots in
+/// `(start, id)` order, and its `next_id`.
+fn untagged(list: &SlotList) -> Value {
+    let slots: Vec<&Slot> = list.iter().collect();
+    let slots = serde_json::to_string(&slots).expect("slots");
+    let next_id = list.clone().mint_id().raw();
+    Value::Map(vec![
+        (
+            "slots".to_owned(),
+            serde_json::from_str(&slots).expect("parses"),
+        ),
+        ("next_id".to_owned(), Value::UInt(next_id)),
+    ])
+}
+
+/// The value under `key` in a map.
+fn entry<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Map(entries) = value else {
+        panic!("{key} looked up in a non-map");
+    };
+    let found = entries.iter_mut().find(|(k, _)| k == key);
+    &mut found.unwrap_or_else(|| panic!("no {key}")).1
+}
+
+/// `tree`, a checkpoint's state with its markets re-printed by `untag`,
+/// decodes to `checkpoint`.
+fn assert_untagged_decodes<C>(checkpoint: &C, untag: impl FnOnce(&mut Value))
+where
+    C: Checkpoint + PartialEq + std::fmt::Debug,
+{
+    let text = serde_json::to_string(checkpoint).expect("state");
+    let mut tree: Value = serde_json::from_str(&text).expect("state parses");
+    untag(&mut tree);
+    let text = serde_json::to_string(&tree).expect("text");
+    assert!(!text.contains(r#""repr""#), "a market kept its tag");
+    let back: C = serde_json::from_str(&text).expect("untagged decodes");
+    assert_eq!(&back, checkpoint);
+}
+
 fn churn_config(jobs: u32) -> EngineConfig {
     EngineConfig {
         cycles: 3,
@@ -222,16 +263,13 @@ proptest! {
             }
         }
         let checkpoint: EngineCheckpoint = engine.checkpoint(&state);
-        prop_assert_eq!(checkpoint.vacant.repr(), MarketRepr::Interval);
-        let flat = EngineCheckpoint {
-            vacant: checkpoint.vacant.clone().with_repr(MarketRepr::Flat),
-            ..checkpoint.clone()
-        };
-        for checkpoint in [checkpoint, flat] {
+        let mut trimmed = checkpoint.clone();
+        trimmed.log.trim();
+        for checkpoint in [checkpoint, trimmed] {
             assert_round_trips(&checkpoint);
-            let mut trimmed = checkpoint;
-            trimmed.log.trim();
-            assert_round_trips(&trimmed);
+            assert_untagged_decodes(&checkpoint, |tree| {
+                *entry(tree, "vacant") = untagged(&checkpoint.vacant);
+            });
         }
     }
 
@@ -255,18 +293,21 @@ proptest! {
             }
         }
         let checkpoint: FederationCheckpoint = fed.checkpoint(&state);
-        let mut flat = checkpoint.clone();
-        for shard in &mut flat.shards {
-            shard.vacant = shard.vacant.clone().with_repr(MarketRepr::Flat);
+        let mut trimmed = checkpoint.clone();
+        trimmed.merged.trim();
+        for shard in &mut trimmed.shards {
+            shard.log.trim();
         }
-        for checkpoint in [checkpoint, flat] {
+        for checkpoint in [checkpoint, trimmed] {
             assert_round_trips(&checkpoint);
-            let mut trimmed = checkpoint;
-            trimmed.merged.trim();
-            for shard in &mut trimmed.shards {
-                shard.log.trim();
-            }
-            assert_round_trips(&trimmed);
+            assert_untagged_decodes(&checkpoint, |tree| {
+                let Value::Seq(shards) = entry(tree, "shards") else {
+                    panic!("shards is not a sequence");
+                };
+                for (shard, cp) in shards.iter_mut().zip(&checkpoint.shards) {
+                    *entry(shard, "vacant") = untagged(&cp.vacant);
+                }
+            });
         }
     }
 }

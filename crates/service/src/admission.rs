@@ -86,7 +86,12 @@ impl MarketView<'_> {
             return 0;
         }
         let len = self.cycle_length.max(1);
-        let ticks = ((self.now + len - 1) / len) * len;
+        let below = self.now / len * len;
+        let ticks = if below < self.now {
+            below.saturating_add(len)
+        } else {
+            below
+        };
         ticks.min(self.horizon)
     }
 }
@@ -107,6 +112,15 @@ pub fn decide(
     let request = spec
         .to_request()
         .map_err(|detail| RejectReason::Malformed { detail })?;
+    let earliest_finish = view
+        .next_tick()
+        .checked_add(spec.wall_ticks)
+        .ok_or_else(|| RejectReason::Malformed {
+            detail: format!(
+                "wall_ticks {} runs past the end of virtual time",
+                spec.wall_ticks
+            ),
+        })?;
 
     let backlog = view.backlog + staged;
     if backlog >= policy.max_backlog {
@@ -124,7 +138,6 @@ pub fn decide(
     }
 
     if let Some(deadline) = spec.deadline_tick {
-        let earliest_finish = view.next_tick() + spec.wall_ticks;
         if deadline < earliest_finish {
             return Err(RejectReason::DeadlineInfeasible {
                 deadline,
@@ -168,7 +181,7 @@ fn eligible_nodes(vacant: &SlotList, request: &ResourceRequest, now: i64) -> u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecosched_core::{NodeId, Perf, Price, Slot, SlotId, Span, TimePoint};
+    use ecosched_core::{NodeId, Perf, Price, Slot, SlotId, Span, TimePoint, PERF_SCALE};
 
     fn market() -> SlotList {
         let mut slots = Vec::new();
@@ -272,6 +285,32 @@ mod tests {
             ..spec()
         };
         assert!(decide(&AdmissionPolicy::default(), &v, &loose, 0).is_ok());
+    }
+
+    /// Near the end of virtual time the next cycle tick saturates, and a
+    /// wall time that does not fit after it is `Malformed`, not a wrapped
+    /// earliest finish.
+    #[test]
+    fn rejects_a_finish_past_the_end_of_time() {
+        let vacant = market();
+        let markets = [&vacant];
+        let late = MarketView {
+            now: i64::MAX - 3,
+            horizon: i64::MAX,
+            ..view(&markets)
+        };
+        assert_eq!(late.next_tick(), i64::MAX);
+        let endless = JobSpec {
+            wall_ticks: i64::MAX / PERF_SCALE,
+            price_cap_micro: 0,
+            ..spec()
+        };
+        match decide(&AdmissionPolicy::default(), &late, &endless, 0) {
+            Err(RejectReason::Malformed { detail }) => {
+                assert!(detail.contains("end of virtual time"), "{detail}");
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

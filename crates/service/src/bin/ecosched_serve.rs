@@ -111,7 +111,9 @@ fn parse_args() -> Result<Args, String> {
             "--ticks-per-sec" => {
                 ticks_per_sec = value("--ticks-per-sec")?
                     .parse()
-                    .map_err(|_| usage("bad --ticks-per-sec"))?;
+                    .ok()
+                    .filter(|tps: &f64| tps.is_finite() && *tps > 0.0)
+                    .ok_or_else(|| usage("--ticks-per-sec must be a positive, finite number"))?;
             }
             "--snapshot-every" => {
                 manifest.snapshot_every_cycles = value("--snapshot-every")?

@@ -46,7 +46,7 @@ pub struct ServeOptions {
     pub data_dir: PathBuf,
     /// Where to listen.
     pub listen: Endpoint,
-    /// Virtual ticks per wall-clock second.
+    /// Virtual ticks per wall-clock second: a positive, finite number.
     pub ticks_per_sec: f64,
     /// Manifest for a *fresh* data directory. An existing directory's
     /// stored manifest always wins (the engine identity is pinned);
@@ -71,9 +71,17 @@ struct Inbound {
 ///
 /// # Errors
 ///
-/// Boot, bind, or fatal serve-loop failures (a failed group commit is
-/// fatal by design: un-acked state must not keep serving).
+/// [`ServiceError::Config`] for a `ticks_per_sec` that is not a positive,
+/// finite number, before anything is read or written; boot, bind, or
+/// fatal serve-loop failures (a failed group commit is fatal by design:
+/// un-acked state must not keep serving).
 pub fn serve(options: &ServeOptions) -> Result<(), ServiceError> {
+    let tps = options.ticks_per_sec;
+    if !(tps.is_finite() && tps > 0.0) {
+        return Err(ServiceError::Config(format!(
+            "ticks per second must be positive and finite, got {tps}"
+        )));
+    }
     let manifest = match load_manifest(&options.data_dir)? {
         Some(stored) => stored,
         None => {
@@ -117,17 +125,30 @@ fn serve_with<S: SlotSelector + Copy>(
     // replay is done and the socket is accepting.
     println!("READY {ready_endpoint}");
     let _ = std::io::stdout().flush();
+    serve_requests(
+        &mut session,
+        &rx,
+        options.ticks_per_sec,
+        signals::term_requested,
+    )
+}
 
+/// The serve loop: paces virtual time at `tps` ticks per second from
+/// the session's last event, answers what arrives on `rx` with one group
+/// commit per batch, and returns after a shutdown (a `Shutdown` request,
+/// or `term_requested` turning true) or once every sender is gone.
+fn serve_requests<S: SlotSelector + Copy>(
+    session: &mut Session<S>,
+    rx: &mpsc::Receiver<Inbound>,
+    tps: f64,
+    term_requested: fn() -> bool,
+) -> Result<(), ServiceError> {
     let epoch = Instant::now();
     let origin = session.virtual_time();
-    let tps = if options.ticks_per_sec > 0.0 {
-        options.ticks_per_sec
-    } else {
-        1000.0
-    };
 
     loop {
-        let now_vt = origin + (epoch.elapsed().as_secs_f64() * tps) as i64;
+        // The cast saturates, and so does the sum, at the end of time.
+        let now_vt = origin.saturating_add((epoch.elapsed().as_secs_f64() * tps) as i64);
 
         // Gather a batch: block until the first request or the next
         // pacing deadline, then drain whatever else is already queued
@@ -196,7 +217,7 @@ fn serve_with<S: SlotSelector + Copy>(
             session.obs().observe_ack(batch_start.elapsed());
         }
 
-        if !shutdown_replies.is_empty() || signals::term_requested() {
+        if !shutdown_replies.is_empty() || term_requested() {
             session.shutdown()?;
             for reply in shutdown_replies {
                 let _ = reply.send(Response::ShuttingDown);
@@ -331,6 +352,7 @@ fn handle_connection<R: Read, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::JobSpec;
     use std::net::TcpStream;
 
     fn counter(bundle: &crate::obs::ServiceObsBundle, name: &str) -> u64 {
@@ -338,11 +360,15 @@ mod tests {
         reg.counter_value(reg.find_counter(name, &[]).expect("registered"))
     }
 
-    /// A protocol listener on a loopback port, held to `bounds`, with no
-    /// serve loop behind it, and its first connection; the closure makes
-    /// more.
-    fn listener(bounds: Bounds, obs: &ServiceObs) -> (TcpStream, impl Fn() -> TcpStream) {
-        let (tx, _) = mpsc::channel();
+    /// A protocol listener on a loopback port, held to `bounds`, and its
+    /// first connection; the closure makes more, and what the listener
+    /// relays arrives on the receiver, with no serve loop behind it
+    /// unless the caller runs one.
+    fn listener(
+        bounds: Bounds,
+        obs: &ServiceObs,
+    ) -> (TcpStream, impl Fn() -> TcpStream, mpsc::Receiver<Inbound>) {
+        let (tx, rx) = mpsc::channel();
         let any_port = Endpoint::Tcp("127.0.0.1:0".into());
         let Endpoint::Tcp(addr) = spawn_protocol_listener(&any_port, bounds, tx, obs.clone())
             .expect("binds a loopback port")
@@ -356,7 +382,7 @@ mod tests {
                 .unwrap();
             stream
         };
-        (connect(), connect)
+        (connect(), connect, rx)
     }
 
     #[test]
@@ -367,7 +393,7 @@ mod tests {
             idle: Duration::from_secs(30),
         };
         // The first connection takes the one place and keeps it.
-        let (_held, connect) = listener(bounds, &bundle.service);
+        let (_held, connect, _rx) = listener(bounds, &bundle.service);
         let mut over = BufReader::new(connect());
         let mut line = String::new();
         over.read_line(&mut line)
@@ -384,6 +410,110 @@ mod tests {
         assert_eq!(counter(&bundle, refused), 1);
     }
 
+    /// A submit the engine's arithmetic cannot take — a performance floor
+    /// of 0 or below, a budget `C·t·N` past `i64` — is answered `Rejected
+    /// { Malformed }` by the serve loop, which keeps serving: the next
+    /// valid submit on the same connection is accepted.
+    #[test]
+    fn a_malformed_submit_is_rejected_and_the_loop_serves_on() {
+        let tag = format!("ecosched-daemon-malformed-{}", std::process::id());
+        let dir = std::env::temp_dir().join(tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest = ServiceManifest::default();
+        let mut session = Session::open(&dir, manifest, Amp::new()).expect("boots");
+        let (stream, _, rx) = listener(Bounds::DEFAULT, session.obs());
+        let client = std::thread::spawn(move || {
+            let mut replies = BufReader::new(stream.try_clone().expect("clones")).lines();
+            let mut stream = stream;
+            let mut ask = |request: &Request| {
+                writeln!(stream, "{}", encode_line(request)).expect("sends");
+                let reply = replies.next().expect("answered").expect("reads");
+                decode_line::<Response>(&reply).expect("parses")
+            };
+            let valid = JobSpec {
+                nodes: 2,
+                wall_ticks: 30,
+                min_perf_milli: 1000,
+                price_cap_micro: 10_000_000,
+                deadline_tick: None,
+            };
+            let malformed = [
+                JobSpec {
+                    min_perf_milli: 0,
+                    ..valid
+                },
+                JobSpec {
+                    min_perf_milli: -1,
+                    ..valid
+                },
+                JobSpec {
+                    wall_ticks: 1 << 31,
+                    price_cap_micro: 1 << 31,
+                    ..valid
+                },
+            ];
+            let mut answers: Vec<Response> = malformed
+                .into_iter()
+                .map(|spec| ask(&Request::Submit { spec }))
+                .collect();
+            // The market may still be empty at the first ticks.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                match ask(&Request::Submit { spec: valid }) {
+                    Response::Rejected { .. } if Instant::now() < deadline => {
+                        std::thread::sleep(Duration::from_millis(10));
+                    }
+                    answer => break answers.push(answer),
+                }
+            }
+            ask(&Request::Shutdown);
+            answers
+        });
+        // Not the process-wide SIGTERM latch, which a test of its own sets.
+        let never = || false;
+        serve_requests(&mut session, &rx, 1000.0, never).expect("serves until the shutdown");
+        let answers = client.join().expect("the client finishes");
+        for answer in &answers[..3] {
+            assert!(
+                matches!(
+                    answer,
+                    Response::Rejected {
+                        reason: RejectReason::Malformed { .. }
+                    }
+                ),
+                "{answer:?}"
+            );
+        }
+        assert!(
+            matches!(answers[3], Response::Accepted { .. }),
+            "{answers:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `serve` refuses a pace that is not a positive, finite number before
+    /// it reads or writes anything.
+    #[test]
+    fn serve_refuses_a_pace_that_is_not_positive_and_finite() {
+        let dir = std::env::temp_dir().join("ecosched-daemon-never-created");
+        for tps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let options = ServeOptions {
+                data_dir: dir.clone(),
+                listen: Endpoint::Tcp("127.0.0.1:0".into()),
+                ticks_per_sec: tps,
+                manifest: None,
+                metrics: None,
+            };
+            match serve(&options) {
+                Err(ServiceError::Config(detail)) => {
+                    assert!(detail.contains("ticks per second"), "{detail}");
+                }
+                other => panic!("{tps}: {other:?}"),
+            }
+        }
+        assert!(!dir.exists(), "nothing was written");
+    }
+
     #[test]
     fn an_idle_connection_is_closed() {
         let bundle = build_service_obs(1);
@@ -391,7 +521,7 @@ mod tests {
             max_live: 4,
             idle: Duration::from_millis(100),
         };
-        let (mut idle, _) = listener(bounds, &bundle.service);
+        let (mut idle, _, _rx) = listener(bounds, &bundle.service);
         let mut rest = Vec::new();
         idle.read_to_end(&mut rest)
             .expect("closed, not left waiting");

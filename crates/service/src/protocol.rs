@@ -10,7 +10,7 @@
 //! submission's write-ahead-log record has been fsynced, so an accepted
 //! job survives `kill -9` of the daemon at any later instant.
 
-use ecosched_core::{Perf, Price, ResourceRequest, TimeDelta};
+use ecosched_core::{Perf, Price, ResourceRequest, TimeDelta, PERF_SCALE};
 use serde::{Deserialize, Serialize};
 
 /// A job submission in wire form: plain integers so every client can
@@ -32,13 +32,34 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Converts the wire form into an engine request.
+    /// Converts the wire form into an engine request. Every field is
+    /// client-supplied, so a value the engine's arithmetic cannot take is
+    /// refused here: a performance floor that is not positive, and a job
+    /// whose budget `S = C·t·N` or whose etalon runtime in milli-units
+    /// does not fit an `i64`.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first invalid field.
     pub fn to_request(&self) -> Result<ResourceRequest, String> {
         let nodes = usize::try_from(self.nodes).map_err(|_| "nodes out of range".to_owned())?;
+        if self.min_perf_milli <= 0 {
+            return Err(format!(
+                "min_perf_milli must be positive, got {}",
+                self.min_perf_milli
+            ));
+        }
+        let budget = i64::try_from(self.nodes).ok().and_then(|nodes| {
+            self.price_cap_micro
+                .checked_mul(self.wall_ticks)?
+                .checked_mul(nodes)
+        });
+        if budget.is_none() {
+            return Err("price_cap_micro × wall_ticks × nodes overflows".to_owned());
+        }
+        if self.wall_ticks.checked_mul(PERF_SCALE).is_none() {
+            return Err(format!("wall_ticks {} is out of range", self.wall_ticks));
+        }
         ResourceRequest::new(
             nodes,
             TimeDelta::new(self.wall_ticks),
@@ -272,6 +293,49 @@ mod tests {
             ..spec()
         };
         assert!(bad.to_request().is_err());
+    }
+
+    /// Values a client can send that the engine's arithmetic cannot take
+    /// are refused, naming the field, and never reach a panic or a
+    /// wrapped sum.
+    #[test]
+    fn spec_refuses_what_the_arithmetic_cannot_take() {
+        let refused = |spec: JobSpec| spec.to_request().expect_err("refused");
+        for milli in [0, -1, i64::MIN] {
+            let detail = refused(JobSpec {
+                min_perf_milli: milli,
+                ..spec()
+            });
+            assert!(detail.contains("min_perf_milli"), "{detail}");
+        }
+        // C·t·N one past i64::MAX, though each factor fits.
+        let detail = refused(JobSpec {
+            nodes: 2,
+            wall_ticks: 1 << 31,
+            price_cap_micro: 1 << 31,
+            ..spec()
+        });
+        assert!(detail.contains("overflows"), "{detail}");
+        let detail = refused(JobSpec {
+            nodes: u64::MAX,
+            ..spec()
+        });
+        assert!(detail.contains("overflows"), "{detail}");
+        // A free job is not spared the runtime's milli-unit product.
+        let detail = refused(JobSpec {
+            wall_ticks: i64::MAX / 2,
+            price_cap_micro: 0,
+            ..spec()
+        });
+        assert!(detail.contains("wall_ticks"), "{detail}");
+        // The largest budget that fits is taken.
+        let edge = JobSpec {
+            nodes: 1,
+            wall_ticks: 1 << 31,
+            price_cap_micro: (1 << 32) - 1,
+            ..spec()
+        };
+        assert!(edge.to_request().is_ok());
     }
 
     #[test]

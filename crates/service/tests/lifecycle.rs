@@ -131,6 +131,28 @@ fn verify(data_dir: &Path) -> String {
     String::from_utf8_lossy(&out.stdout).trim().to_owned()
 }
 
+/// `--ticks-per-sec` takes a positive, finite number only: anything
+/// else exits 2 with a usage line before the data directory is touched.
+#[test]
+fn a_pace_that_is_not_positive_and_finite_exits_2() {
+    let data_dir = scratch_dir("pace");
+    let absent = data_dir.join("never-created");
+    for pace in ["0", "-1", "nan", "inf", "1e400", "fast"] {
+        let out = Command::new(SERVE)
+            .arg("--data-dir")
+            .arg(&absent)
+            .args(["--listen", "tcp:127.0.0.1:0", "--ticks-per-sec", pace])
+            .output()
+            .expect("run ecosched-serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{pace}: {stderr}");
+        assert!(stderr.contains("--ticks-per-sec"), "{pace}: {stderr}");
+        assert!(stderr.contains("usage: ecosched-serve"), "{pace}: {stderr}");
+        assert!(out.stdout.is_empty(), "{pace}: never READY");
+    }
+    assert!(!absent.exists(), "nothing was written");
+}
+
 #[test]
 fn graceful_shutdown_and_resume() {
     let data_dir = scratch_dir("graceful");
