@@ -50,11 +50,11 @@ mod error;
 mod idhash;
 mod interval;
 mod job;
-mod lease;
 mod money;
 mod perf;
 mod request;
 mod resource;
+mod revocation;
 mod slot;
 mod slot_list;
 mod time;
@@ -66,11 +66,11 @@ pub use error::CoreError;
 pub use idhash::IdBuildHasher;
 pub use interval::{SlotIntoIter, SlotIter};
 pub use job::{Batch, Job, JobId};
-pub use lease::{Lease, LeaseOrigin, Revocation};
 pub use money::{Money, Price, MONEY_SCALE};
 pub use perf::{Perf, PERF_SCALE};
 pub use request::ResourceRequest;
 pub use resource::{NodeId, Resource};
+pub use revocation::Revocation;
 pub use slot::{Slot, SlotId};
 #[doc(hidden)]
 pub use slot_list::MarketRepr;

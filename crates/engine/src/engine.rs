@@ -177,6 +177,10 @@ pub struct RunState {
     busy_ticks: i64,
     wait_sum: f64,
     slowdown_sum: f64,
+    /// The revocations the most recent strike drew. Runtime state for
+    /// tests and drivers to read: never serialized, so a checkpoint
+    /// resumes with it empty.
+    last_strike: Vec<Revocation>,
 }
 
 impl std::fmt::Debug for RunState {
@@ -281,6 +285,14 @@ impl RunState {
     #[must_use]
     pub fn report_so_far(&self) -> &EngineReport {
         &self.report
+    }
+
+    /// The revocations the most recent `RevocationStrike` drew (empty
+    /// before the first strike and after a resume). After that strike's
+    /// step no active lease's window is broken by any of them.
+    #[must_use]
+    pub fn last_strike(&self) -> &[Revocation] {
+        &self.last_strike
     }
 
     /// The `(time, seq)` key of the next queued event, if any — what the
@@ -433,6 +445,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             busy_ticks: 0,
             wait_sum: 0.0,
             slowdown_sum: 0.0,
+            last_strike: Vec::new(),
         }
     }
 
@@ -611,6 +624,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             busy_ticks: checkpoint.busy_ticks,
             wait_sum: f64::from_bits(checkpoint.wait_sum_bits),
             slowdown_sum: f64::from_bits(checkpoint.slowdown_sum_bits),
+            last_strike: Vec::new(),
         })
     }
 
@@ -860,6 +874,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             .draw_live(&state.vacant, surface, &mut state.rng);
         state.report.revocations += revocations.len() as u64;
         if revocations.is_empty() {
+            state.last_strike.clear();
             return;
         }
         for r in &revocations {
@@ -879,6 +894,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
         for id in broken {
             self.recover_lease(state, id, &revocations, now, &mut stats);
         }
+        state.last_strike = revocations;
     }
 
     /// Runs the shared recovery tiers over one broken lease and books the
@@ -1166,8 +1182,7 @@ mod tests {
 
     #[test]
     fn zero_attempt_budget_repostpones_every_broken_lease() {
-        // Mirrors the batch loop's `zero_attempt_budget_postpones_with_reason`:
-        // with no attempts to spend, neither tier 1 nor the tier-2 scan
+        // With no attempts to spend, neither tier 1 nor the tier-2 scan
         // runs, so every broken lease goes straight back to pending.
         let config = EngineConfig {
             revocation: RevocationConfig::per_slot(0.15),

@@ -3,9 +3,8 @@
 //! the state between two events must stay a market — a valid vacant list,
 //! active leases that occupy pairwise-disjoint regions no vacant slot
 //! overlaps, every job in exactly one place — and the finished run must
-//! account for every job that arrived. The side driver (`Metascheduler`)
-//! has had these checks since `sim/tests/repair_proptests.rs`; this is
-//! the engine's copy, read from [`Engine::checkpoint`].
+//! account for every job that arrived. Read from [`Engine::checkpoint`];
+//! `repair_proptests.rs` checks each lease against its own request.
 
 use std::collections::HashSet;
 

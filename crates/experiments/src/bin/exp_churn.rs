@@ -1,5 +1,6 @@
-//! E14 — the churn sweep: ALP vs AMP under injected slot revocation, with
-//! three-tier repair (failover → bounded repair search → postpone).
+//! E14 — the churn sweep: ALP vs AMP on the discrete-event engine under
+//! mid-cycle slot revocation, with three-tier repair (failover → bounded
+//! repair search → postpone).
 //!
 //! Usage: `exp_churn [--runs N] [--cycles C]`.
 
@@ -18,6 +19,6 @@ fn main() {
         config.levels, config.runs, config.cycles
     );
     let points = run_churn_sweep(&config);
-    println!("E14 — economic scheduling under churn (revocation-tolerant execution)\n");
+    println!("E14 — economic scheduling under churn (engine, mid-cycle strikes)\n");
     println!("{}", churn_table(&points).render());
 }

@@ -1,6 +1,5 @@
 //! E15 — online metascheduling on the discrete-event engine: ALP vs AMP
-//! under continuous Poisson load, calm and churn, against the legacy
-//! batch-cycle baseline.
+//! under continuous Poisson load, calm and churn.
 //!
 //! Usage: `exp_online [--seed S] [--cycles C] [--jobs J] [--churn P]
 //! [--mean-gap G] [--no-coalesce] [--saturate]
@@ -60,8 +59,8 @@ use std::path::{Path, PathBuf};
 
 use ecosched_engine::{fnv1a_64, Engine, EngineIds, EngineObs, EngineReport, Event, Log, LogEntry};
 use ecosched_experiments::online::{
-    batch_table, engine_config, online_table, run_batch_baseline, run_online, run_saturation,
-    saturation_table, OnlineConfig, SATURATION_GAPS,
+    engine_config, online_table, run_online, run_saturation, saturation_table, OnlineConfig,
+    SATURATION_GAPS,
 };
 use ecosched_experiments::trace::{run_trace, trace_config, trace_table};
 use ecosched_experiments::{arg_value, reject_unknown_flags};
@@ -407,6 +406,4 @@ fn main() {
             report_hash(&p.report)
         );
     }
-    println!("\nlegacy batch-cycle baseline (closed batches, no clock):\n");
-    println!("{}", batch_table(&run_batch_baseline(&config)).render());
 }

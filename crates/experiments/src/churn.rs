@@ -1,21 +1,18 @@
-//! The churn sweep (experiment E14): ALP vs AMP re-run under injected slot
-//! revocation.
+//! The churn sweep (experiment E14): ALP vs AMP on the discrete-event
+//! engine under injected slot revocation.
 //!
 //! The paper's Sec. 5 study compares the algorithms on a *static*
-//! environment. This extension withdraws each published slot with
-//! probability `p` after combination optimization and lets the three-tier
-//! repair pass (failover → bounded repair search → postpone) recover,
-//! re-asking the paper's ALP-vs-AMP question under churn: AMP's larger
-//! alternative sets should buy it more failover headroom.
+//! environment. This extension strikes every cycle mid-way: each vacant
+//! slot and each running lease's region is withdrawn with probability
+//! `p`, and the three-tier recovery (failover → bounded repair search →
+//! postpone) takes every broken lease, re-asking the paper's ALP-vs-AMP
+//! question under churn: AMP's larger alternative sets should buy it more
+//! failover headroom.
 
+use ecosched_engine::{Engine, EngineReport};
 use ecosched_select::{Alp, Amp, SlotSelector};
-use ecosched_sim::{
-    IterationConfig, JobGenConfig, Metascheduler, MetaschedulerReport, RepairStats,
-    RevocationConfig, SlotGenConfig,
-};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
+use crate::online::{engine_config, OnlineConfig};
 use crate::report::{f2, Table};
 
 /// Configuration of the churn sweep.
@@ -26,7 +23,7 @@ pub struct ChurnConfig {
     pub levels: Vec<f64>,
     /// Independent seeded runs per level.
     pub runs: u64,
-    /// Metascheduler cycles per run.
+    /// Engine cycles per run.
     pub cycles: usize,
 }
 
@@ -40,37 +37,77 @@ impl Default for ChurnConfig {
     }
 }
 
-/// One algorithm's aggregated outcome at one churn level.
+/// One algorithm's engine reports at one churn level, summed over runs.
 #[derive(Debug, Clone, Default)]
 pub struct AlgoChurnOutcome {
-    /// Jobs holding a window at cycle end, over all runs and cycles.
+    /// Lease commitments made at cycle ticks.
     pub scheduled: u64,
-    /// Of those, jobs whose planned window survived.
-    pub scheduled_intact: u64,
-    /// Jobs recovered by adopting a surviving alternative.
-    pub failed_over: u64,
-    /// Jobs recovered by a bounded repair search.
-    pub repaired: u64,
-    /// Cycle-end postponements (jobs re-queued to a later cycle).
-    pub postponed: u64,
-    /// Lease-weighted mean per-job execution time.
-    pub avg_time: f64,
-    /// Lease-weighted mean per-job execution cost.
-    pub avg_cost: f64,
-    /// Fault-and-repair totals.
-    pub repair: RepairStats,
+    /// Leases that ran to completion.
+    pub completed: u64,
+    /// Jobs still pending when each run's event queue drained.
+    pub backlog: u64,
+    /// Revocations the strikes drew.
+    pub revocations: u64,
+    /// Running leases broken by a strike.
+    pub broken: u64,
+    /// Broken leases recovered by adopting a surviving alternative.
+    pub failovers: u64,
+    /// Broken leases recovered by the bounded repair search.
+    pub repairs: u64,
+    /// Broken leases returned to the pending queue.
+    pub repostponed: u64,
+    /// Summed wait of the completed jobs, ticks.
+    pub wait: f64,
+    /// Summed planned price of the windows committed at cycle ticks.
+    /// Failover and repair windows are not booked, and a lease that
+    /// later broke still counts its full planned price.
+    pub spend: f64,
 }
 
 impl AlgoChurnOutcome {
-    /// Fraction of broken leases that recovered without postponing
+    fn add(&mut self, report: &EngineReport) {
+        self.scheduled += report.jobs_scheduled;
+        self.completed += report.jobs_completed;
+        self.backlog += report.backlog;
+        self.revocations += report.revocations;
+        self.broken += report.leases_broken;
+        self.failovers += report.failovers;
+        self.repairs += report.repairs;
+        self.repostponed += report.repostponed;
+        self.wait += report.mean_wait * report.jobs_completed as f64;
+        self.spend += report.vo_spend.iter().sum::<f64>();
+    }
+
+    /// Fraction of broken leases recovered by failover or repair
     /// (1.0 when nothing broke).
     #[must_use]
     pub fn recovery_rate(&self) -> f64 {
-        if self.repair.leases_broken == 0 {
+        if self.broken == 0 {
             1.0
         } else {
-            self.repair.recovered() as f64 / self.repair.leases_broken as f64
+            (self.failovers + self.repairs) as f64 / self.broken as f64
         }
+    }
+
+    /// Mean wait over the completed jobs, ticks.
+    #[must_use]
+    pub fn mean_wait(&self) -> f64 {
+        mean(self.wait, self.completed)
+    }
+
+    /// Mean planned commitment cost per scheduled job (see
+    /// [`AlgoChurnOutcome::spend`]).
+    #[must_use]
+    pub fn cost_per_job(&self) -> f64 {
+        mean(self.spend, self.scheduled)
+    }
+}
+
+fn mean(sum: f64, n: u64) -> f64 {
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
     }
 }
 
@@ -85,47 +122,34 @@ pub struct ChurnPoint {
     pub amp: AlgoChurnOutcome,
 }
 
-fn aggregate(reports: &[MetaschedulerReport]) -> AlgoChurnOutcome {
-    let mut out = AlgoChurnOutcome::default();
-    let (mut time_sum, mut cost_sum) = (0.0, 0.0);
-    for report in reports {
-        for c in &report.cycles {
-            out.scheduled += c.scheduled as u64;
-            out.scheduled_intact += c.scheduled_intact as u64;
-            out.failed_over += c.failed_over as u64;
-            out.repaired += c.repaired as u64;
-            out.postponed += c.postponed as u64;
-            time_sum += c.avg_time * c.scheduled as f64;
-            cost_sum += c.avg_cost * c.scheduled as f64;
-            out.repair.merge(&c.repair);
-        }
-    }
-    if out.scheduled > 0 {
-        out.avg_time = time_sum / out.scheduled as f64;
-        out.avg_cost = cost_sum / out.scheduled as f64;
-    }
-    out
-}
-
+/// Runs one `(level, algo)` cell: the default engine for `cycles`
+/// cycles, striking at `per_slot` (disabled at 0), fed a Poisson stream
+/// of five jobs per cycle at a mean gap of 12 ticks, so the stream spans
+/// the horizon as the default's 40 jobs over 8 cycles do.
 fn run_algo(
     config: &ChurnConfig,
     per_slot: f64,
     selector: impl SlotSelector + Copy,
 ) -> AlgoChurnOutcome {
-    let meta = Metascheduler::new(
-        SlotGenConfig::default(),
-        JobGenConfig::default(),
-        IterationConfig::default(),
-    )
-    .with_revocation(RevocationConfig::per_slot(per_slot));
-    let reports: Vec<MetaschedulerReport> = (0..config.runs)
-        .map(|seed| {
-            let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_0000 + seed);
-            meta.run(selector, config.cycles, &mut rng)
-                .expect("simulation must not fail")
-        })
-        .collect();
-    aggregate(&reports)
+    let cycles = config.cycles as u32;
+    let online = OnlineConfig {
+        cycles,
+        jobs: 5 * cycles,
+        mean_interarrival: 12.0,
+        churn: per_slot,
+        ..OnlineConfig::default()
+    };
+    let engine = Engine::new(engine_config(&online, per_slot > 0.0), selector)
+        .expect("the churn sweep's engine configuration is valid");
+    let mut out = AlgoChurnOutcome::default();
+    for run in 0..config.runs {
+        let report = engine
+            .run(0x5EED_0000 + run)
+            .expect("simulation must not fail")
+            .report;
+        out.add(&report);
+    }
+    out
 }
 
 /// Runs the sweep: both algorithms at every churn level, on identical
@@ -150,13 +174,15 @@ pub fn churn_table(points: &[ChurnPoint]) -> Table {
         "per_slot",
         "algo",
         "scheduled",
-        "intact",
-        "failed_over",
+        "completed",
+        "backlog",
+        "broken",
+        "failover",
         "repaired",
-        "postponed",
+        "repost",
         "recovery",
-        "avg_time",
-        "avg_cost",
+        "mean_wait",
+        "cost_per_job",
     ]);
     for p in points {
         for (name, o) in [("ALP", &p.alp), ("AMP", &p.amp)] {
@@ -164,13 +190,15 @@ pub fn churn_table(points: &[ChurnPoint]) -> Table {
                 format!("{:.2}", p.per_slot),
                 name.to_string(),
                 o.scheduled.to_string(),
-                o.scheduled_intact.to_string(),
-                o.failed_over.to_string(),
-                o.repaired.to_string(),
-                o.postponed.to_string(),
+                o.completed.to_string(),
+                o.backlog.to_string(),
+                o.broken.to_string(),
+                o.failovers.to_string(),
+                o.repairs.to_string(),
+                o.repostponed.to_string(),
                 f2(o.recovery_rate()),
-                f2(o.avg_time),
-                f2(o.avg_cost),
+                f2(o.mean_wait()),
+                f2(o.cost_per_job()),
             ]);
         }
     }
@@ -195,8 +223,8 @@ mod tests {
         let base = &points[0];
         assert_eq!(base.per_slot, 0.0);
         for o in [&base.alp, &base.amp] {
-            assert_eq!(o.repair.revocations_injected, 0);
-            assert_eq!(o.scheduled, o.scheduled_intact);
+            assert_eq!(o.revocations, 0);
+            assert_eq!(o.broken, 0);
             assert!(o.scheduled > 0);
         }
     }
@@ -206,20 +234,11 @@ mod tests {
         let points = run_churn_sweep(&small());
         let churned = &points[1];
         for o in [&churned.alp, &churned.amp] {
-            assert!(o.repair.revocations_injected > 0);
-            assert_eq!(
-                o.repair.revocations_injected,
-                o.repair.revocations_breaking + o.repair.revocations_vacant_only
-            );
-            assert_eq!(
-                o.repair.leases_broken,
-                o.repair.recovered()
-                    + o.repair.postponed_stale
-                    + o.repair.postponed_budget_exhausted
-            );
+            assert!(o.revocations > 0);
+            assert_eq!(o.broken, o.failovers + o.repairs + o.repostponed);
         }
         // Somebody must have needed recovery at p = 0.15.
-        assert!(churned.alp.repair.leases_broken + churned.amp.repair.leases_broken > 0);
+        assert!(churned.alp.broken + churned.amp.broken > 0);
     }
 
     #[test]
@@ -227,5 +246,46 @@ mod tests {
         let points = run_churn_sweep(&small());
         let table = churn_table(&points);
         assert_eq!(table.render().lines().count(), 2 + 2 * points.len());
+    }
+
+    /// E14's claim at the pinned size (`exp_churn --runs 6 --cycles 4`):
+    /// at every churn level AMP recovers a larger share of its broken
+    /// leases than ALP, reaching the repair tier no more often, and
+    /// commits at a higher price per job; without churn nothing breaks.
+    #[test]
+    fn amp_recovers_more_than_alp_at_every_churn_level() {
+        let config = ChurnConfig {
+            runs: 6,
+            cycles: 4,
+            ..ChurnConfig::default()
+        };
+        for p in run_churn_sweep(&config) {
+            let (alp, amp) = (&p.alp, &p.amp);
+            assert!(
+                amp.cost_per_job() > alp.cost_per_job(),
+                "p = {}: AMP {} vs ALP {} per job",
+                p.per_slot,
+                amp.cost_per_job(),
+                alp.cost_per_job()
+            );
+            if p.per_slot == 0.0 {
+                assert_eq!(alp.broken + amp.broken, 0);
+                continue;
+            }
+            assert!(
+                amp.recovery_rate() > alp.recovery_rate(),
+                "p = {}: AMP recovers {} vs ALP {}",
+                p.per_slot,
+                amp.recovery_rate(),
+                alp.recovery_rate()
+            );
+            assert!(
+                amp.repairs <= alp.repairs,
+                "p = {}: AMP repairs {} vs ALP {}",
+                p.per_slot,
+                amp.repairs,
+                alp.repairs
+            );
+        }
     }
 }

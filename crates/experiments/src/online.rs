@@ -1,5 +1,5 @@
 //! The online experiment (E15): ALP vs AMP under continuous load on the
-//! discrete-event engine, against the legacy batch-cycle metascheduler.
+//! discrete-event engine.
 //!
 //! The paper schedules a static batch against a static slot market. The
 //! engine replays the same pipeline online: jobs arrive over a Poisson
@@ -7,14 +7,11 @@
 //! own clock and return unused capacity, and (in the churn scenario)
 //! mid-cycle revocation strikes break running leases. This re-asks the
 //! ALP-vs-AMP question with time in the loop — wait, bounded slowdown and
-//! utilization now exist as metrics — and contrasts both with the legacy
-//! closed-batch cycles of [`ecosched_sim::Metascheduler`].
+//! utilization now exist as metrics.
 
 use ecosched_engine::{ArrivalConfig, Engine, EngineConfig, EngineReport};
 use ecosched_select::{Alp, Amp, SlotSelector};
-use ecosched_sim::{IterationConfig, JobGenConfig, Metascheduler, RevocationConfig, SlotGenConfig};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use ecosched_sim::{JobGenConfig, RevocationConfig};
 
 use crate::report::{f2, Table};
 
@@ -105,68 +102,6 @@ pub fn run_online(config: &OnlineConfig) -> Vec<OnlinePoint> {
         run_one(config, "calm", "AMP", Amp::new()),
         run_one(config, "churn", "ALP", Alp::new()),
         run_one(config, "churn", "AMP", Amp::new()),
-    ]
-}
-
-/// One legacy batch-cycle run's outcome, for contrast with the online
-/// rows (the closed batch has no clock, so wait/slowdown/utilization do
-/// not exist there).
-#[derive(Debug, Clone)]
-pub struct BatchPoint {
-    /// `"ALP"` or `"AMP"`.
-    pub algo: &'static str,
-    /// Jobs holding a window at cycle end, summed over cycles.
-    pub scheduled: u64,
-    /// Cycle-end postponements.
-    pub postponed: u64,
-    /// Lease-weighted mean per-job execution time.
-    pub avg_time: f64,
-    /// Lease-weighted mean per-job execution cost.
-    pub avg_cost: f64,
-}
-
-fn run_batch(
-    config: &OnlineConfig,
-    algo: &'static str,
-    selector: impl SlotSelector + Copy,
-) -> BatchPoint {
-    let meta = Metascheduler::new(
-        SlotGenConfig::default(),
-        JobGenConfig::default(),
-        IterationConfig::default(),
-    );
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let report = meta
-        .run(selector, config.cycles as usize, &mut rng)
-        .expect("batch simulation must not fail");
-    let mut out = BatchPoint {
-        algo,
-        scheduled: 0,
-        postponed: 0,
-        avg_time: 0.0,
-        avg_cost: 0.0,
-    };
-    let (mut time_sum, mut cost_sum) = (0.0, 0.0);
-    for c in &report.cycles {
-        out.scheduled += c.scheduled as u64;
-        out.postponed += c.postponed as u64;
-        time_sum += c.avg_time * c.scheduled as f64;
-        cost_sum += c.avg_cost * c.scheduled as f64;
-    }
-    if out.scheduled > 0 {
-        out.avg_time = time_sum / out.scheduled as f64;
-        out.avg_cost = cost_sum / out.scheduled as f64;
-    }
-    out
-}
-
-/// Runs the legacy batch-cycle baseline for both algorithms on the same
-/// seed.
-#[must_use]
-pub fn run_batch_baseline(config: &OnlineConfig) -> Vec<BatchPoint> {
-    vec![
-        run_batch(config, "ALP", Alp::new()),
-        run_batch(config, "AMP", Amp::new()),
     ]
 }
 
@@ -292,22 +227,6 @@ pub fn online_table(points: &[OnlinePoint]) -> Table {
     table
 }
 
-/// Renders the legacy baseline as a table.
-#[must_use]
-pub fn batch_table(points: &[BatchPoint]) -> Table {
-    let mut table = Table::new(&["algo", "scheduled", "postponed", "avg_time", "avg_cost"]);
-    for p in points {
-        table.row(&[
-            p.algo.to_string(),
-            p.scheduled.to_string(),
-            p.postponed.to_string(),
-            f2(p.avg_time),
-            f2(p.avg_cost),
-        ]);
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,26 +303,12 @@ mod tests {
     }
 
     #[test]
-    fn baseline_schedules_jobs() {
-        let points = run_batch_baseline(&small());
-        assert_eq!(points.len(), 2);
-        for p in &points {
-            assert!(p.scheduled > 0);
-        }
-    }
-
-    #[test]
     fn tables_have_one_row_per_point() {
         let config = small();
         let online = run_online(&config);
         assert_eq!(
             online_table(&online).render().lines().count(),
             2 + online.len()
-        );
-        let batch = run_batch_baseline(&config);
-        assert_eq!(
-            batch_table(&batch).render().lines().count(),
-            2 + batch.len()
         );
     }
 }

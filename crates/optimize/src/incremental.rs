@@ -59,7 +59,7 @@ use crate::pareto::{ParetoFrontier, DEFAULT_FRONTIER_CAP};
 
 /// Work counters for the incremental optimizer: how much cached state was
 /// reused versus recomputed. Each scheduling iteration's counters are
-/// surfaced through `CycleSummary`/`EngineReport`.
+/// surfaced through `EngineReport`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OptStats {
     /// DP + frontier solver invocations answered.

@@ -1,5 +1,5 @@
-//! The commit-and-repair core shared by the batch loop
-//! ([`crate::Metascheduler`]) and the discrete-event engine.
+//! The commit-and-repair core of a scheduling cycle, run by the
+//! discrete-event engine at every `CycleTick` and `RevocationStrike`.
 //!
 //! The paper's cycle is one thing — search alternatives, optimise the
 //! combination, commit, and, its resources being *non-dedicated*, survive
@@ -24,13 +24,11 @@
 //!   3. **postpone** — carry the job to the next cycle with a
 //!      [`PostponeReason`].
 //!
-//! Callers differ only in what they do with the outcome (the batch loop
-//! writes fates and leases, the engine re-commits leases and re-queues
-//! jobs) and in their clock: the engine passes the strike's virtual time
-//! as `now`, the batch loop — which has no clock — passes a `now` at or
-//! before every published start, which turns the three clock clauses
-//! (past-start alternatives are skipped, repair scans never start before
-//! `now`, elapsed fragments are dropped) into no-ops.
+//! The caller owns what happens with the outcome (the engine re-commits
+//! leases and re-queues jobs) and the clock: it passes the strike's
+//! virtual time as `now`, below which alternatives are skipped, repair
+//! scans do not start and fragments count as elapsed. A `now` at or before
+//! every start switches those three clock clauses off.
 
 use ecosched_core::{ResourceRequest, Revocation, SlotList, Span, TimePoint, Window};
 use ecosched_select::{repair_search, try_adopt_window, RepairError, ScanStats, SlotSelector};
@@ -41,7 +39,7 @@ use crate::iteration::IterationResult;
 use crate::revocation::RepairStats;
 
 /// Why a job left a cycle unscheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PostponeReason {
     /// The alternatives search found no suitable window (the paper's
     /// original postpone path).

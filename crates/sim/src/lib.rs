@@ -10,12 +10,12 @@
 //!   built so the shortcut can be validated;
 //! * [`run_iteration`] — one complete scheduling iteration: alternatives
 //!   search → Eq. (2)/(3) VO limits → combination optimization;
-//! * [`Metascheduler`] — the iterative loop with postponed-job carry-over
-//!   and revocation-tolerant execution ([`RevocationModel`] injects seeded
-//!   slot revocations, every fault accounted for in [`RepairStats`]);
-//! * [`mod@cycle`] — the commit-and-repair core that loop shares with the
-//!   discrete-event engine: commit, surviving-fragment release, and the
-//!   failover → bounded repair search → postpone tiers per broken lease;
+//! * [`RevocationModel`] — seeded slot revocations drawn against a live
+//!   market, with the recovery work they cause counted in [`RepairStats`];
+//! * [`mod@cycle`] — the commit-and-repair core the discrete-event engine
+//!   runs each cycle and each strike: commit, surviving-fragment release,
+//!   and the failover → bounded repair search → postpone tiers per broken
+//!   lease;
 //! * [`RunningStats`] — streaming aggregates for the experiment harness.
 //!
 //! # Example
@@ -50,7 +50,6 @@ pub mod env;
 mod iteration;
 mod job_gen;
 mod market;
-mod metasched;
 pub mod pricing;
 mod revocation;
 mod rng_ext;
@@ -64,9 +63,6 @@ pub use cycle::{PostponeReason, Recovery, RepairPolicy};
 pub use iteration::{run_iteration, Criterion, IterationConfig, IterationError, IterationResult};
 pub use job_gen::JobGenerator;
 pub use market::{MarketConfig, MarketCycleReport, MarketSimulation};
-pub use metasched::{
-    CycleSummary, CycleTrace, JobFate, Metascheduler, MetaschedulerReport, TracedRun,
-};
 pub use revocation::{RepairStats, RevocationConfig, RevocationModel};
 pub use slot_gen::SlotGenerator;
 pub use stats::RunningStats;

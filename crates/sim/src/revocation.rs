@@ -115,7 +115,7 @@ impl Default for RevocationConfig {
     }
 }
 
-/// Draws seeded revocations against a published slot list.
+/// Draws seeded revocations against the live market.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RevocationModel {
     config: RevocationConfig,
@@ -134,52 +134,19 @@ impl RevocationModel {
         RevocationModel { config }
     }
 
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &RevocationConfig {
-        &self.config
-    }
-
-    /// Draws this cycle's revocations against the published `list`: one
-    /// draw per slot, in list order.
+    /// Draws revocations against the **live** market: the vacant `list`
+    /// plus the regions currently held by the `leased` windows, one draw
+    /// per slot of that union, in start order.
     ///
-    /// Revocations carry the full `(node, span)` region of the withdrawn
-    /// slot — the published list is the owners' offer, so a withdrawal
-    /// takes the whole offer back regardless of how the metascheduler has
-    /// since carved it. A disabled model returns an empty vector without
-    /// touching `rng`.
-    pub fn draw<R: Rng + ?Sized>(&self, list: &SlotList, rng: &mut R) -> Vec<Revocation> {
-        if !self.config.is_enabled() {
-            return Vec::new();
-        }
-        list.iter()
-            .filter(|_| draw_bool(rng, self.config.per_slot))
-            .map(|slot| Revocation {
-                slot: slot.id(),
-                node: slot.node(),
-                span: slot.span(),
-            })
-            .collect()
-    }
-
-    /// Draws revocations against the **live** execution state: the vacant
-    /// `list` plus the regions currently held by the `leased` windows.
-    ///
-    /// The batch-cycle path ([`RevocationModel::draw`]) samples the
-    /// published list only, so faults can never land on time the repair
-    /// tiers have since carved out — a known blind spot (ROADMAP). The
-    /// discrete-event engine strikes *mid-cycle*, when committed leases
-    /// (including repair-carved replacements) are part of the owners'
-    /// exposed surface, so its sampling domain is the union of the vacant
-    /// slots and every active lease's used regions. Lease regions are
-    /// disjoint from the vacant list by construction (commitment subtracts
-    /// them), so the union is a valid slot list.
-    ///
-    /// The fault process and its RNG draw order are identical to
-    /// [`RevocationModel::draw`]; with no active leases the two produce
-    /// the same revocations, and a disabled model still returns an empty
-    /// vector without touching `rng` — the legacy byte-stability guarantee
-    /// is unaffected because the metascheduler keeps calling `draw`.
+    /// The engine strikes *mid-cycle*, when committed leases (including
+    /// windows adopted by failover and repair-carved replacements) are
+    /// part of the owners' exposed surface. Lease regions are disjoint
+    /// from the vacant list by construction (commitment subtracts them),
+    /// so the union is a valid slot list. Each revocation carries the
+    /// full `(node, span)` region of the struck slot: a withdrawal takes
+    /// the whole offer back, however the metascheduler has since carved
+    /// it. A disabled model returns an empty vector without touching
+    /// `rng`.
     pub fn draw_live<'a, R: Rng + ?Sized>(
         &self,
         list: &SlotList,
@@ -193,23 +160,22 @@ impl RevocationModel {
         for window in leased {
             domain.release_window(window);
         }
-        self.draw(&domain, rng)
+        domain
+            .iter()
+            .filter(|_| draw_bool(rng, self.config.per_slot))
+            .map(|slot| Revocation {
+                slot: slot.id(),
+                node: slot.node(),
+                span: slot.span(),
+            })
+            .collect()
     }
 }
 
-/// Counters describing one cycle's (or one run's) fault-and-repair
-/// activity. Every injected revocation is accounted for:
-/// `revocations_injected == revocations_breaking + revocations_vacant_only`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+/// Counters of the recovery work [`crate::cycle::recover`] does for
+/// broken leases: every attempt, and how each broken lease ended.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RepairStats {
-    /// Revocations drawn by the model.
-    pub revocations_injected: u64,
-    /// Revocations whose region intersected at least one committed lease.
-    pub revocations_breaking: u64,
-    /// Revocations that only removed vacant (uncommitted) time.
-    pub revocations_vacant_only: u64,
-    /// Committed leases broken by at least one revocation.
-    pub leases_broken: u64,
     /// Alternative re-validations attempted during failover (tier 1).
     pub failover_validations: u64,
     /// Failovers whose re-validation failed because a region was revoked.
@@ -234,44 +200,11 @@ pub struct RepairStats {
     ///
     /// [`ScanStats::checkpoint_hits`]: ecosched_select::ScanStats::checkpoint_hits
     pub repair_scan: ecosched_select::ScanStats,
-    /// Jobs postponed because the search found no alternatives at all.
-    pub postponed_no_alternatives: u64,
     /// Broken jobs postponed after every alternative went stale and the
     /// repair search came up empty.
     pub postponed_stale: u64,
     /// Broken jobs postponed because the repair attempt budget ran out.
     pub postponed_budget_exhausted: u64,
-}
-
-impl RepairStats {
-    /// Adds another counter set into this one (`repair_scan` merges per
-    /// [`ScanStats::merge`]).
-    ///
-    /// [`ScanStats::merge`]: ecosched_select::ScanStats::merge
-    pub fn merge(&mut self, other: &RepairStats) {
-        self.revocations_injected += other.revocations_injected;
-        self.revocations_breaking += other.revocations_breaking;
-        self.revocations_vacant_only += other.revocations_vacant_only;
-        self.leases_broken += other.leases_broken;
-        self.failover_validations += other.failover_validations;
-        self.failover_stale_revoked += other.failover_stale_revoked;
-        self.failover_stale_consumed += other.failover_stale_consumed;
-        self.failovers_taken += other.failovers_taken;
-        self.repairs_attempted += other.repairs_attempted;
-        self.repairs_succeeded += other.repairs_succeeded;
-        self.repair_cost_delta += other.repair_cost_delta;
-        self.budget_violations_avoided += other.budget_violations_avoided;
-        self.repair_scan.merge(&other.repair_scan);
-        self.postponed_no_alternatives += other.postponed_no_alternatives;
-        self.postponed_stale += other.postponed_stale;
-        self.postponed_budget_exhausted += other.postponed_budget_exhausted;
-    }
-
-    /// Broken leases that recovered without postponing.
-    #[must_use]
-    pub fn recovered(&self) -> u64 {
-        self.failovers_taken + self.repairs_succeeded
-    }
 }
 
 #[cfg(test)]
@@ -305,7 +238,7 @@ mod tests {
     fn disabled_model_draws_nothing() {
         let model = RevocationModel::new(RevocationConfig::none());
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        assert!(model.draw(&list(20), &mut rng).is_empty());
+        assert!(model.draw_live(&list(20), [], &mut rng).is_empty());
         // The RNG was untouched: it yields the same stream as a fresh one.
         let mut fresh = ChaCha8Rng::seed_from_u64(1);
         assert_eq!(rng.next_u64(), fresh.next_u64());
@@ -316,15 +249,15 @@ mod tests {
         let model = RevocationModel::new(RevocationConfig::per_slot(0.3));
         let draw = |seed| {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            model.draw(&list(200), &mut rng)
+            model.draw_live(&list(200), [], &mut rng)
         };
         let a = draw(7);
         assert_eq!(a, draw(7));
         assert!(!a.is_empty() && a.len() < 150, "{} revoked", a.len());
     }
 
-    fn lease_over(node: u32, a: i64, b: i64, price: i64) -> ecosched_core::Lease {
-        use ecosched_core::{JobId, Lease, TimeDelta, WindowSlot};
+    fn window_over(node: u32, a: i64, b: i64, price: i64) -> Window {
+        use ecosched_core::{TimeDelta, WindowSlot};
         let member = WindowSlot::from_slot(
             &Slot::new(
                 SlotId::new(900 + u64::from(node)),
@@ -337,20 +270,18 @@ mod tests {
             TimeDelta::new(b - a),
         )
         .unwrap();
-        Lease::planned(
-            JobId::new(0),
-            Window::new(TimePoint::new(a), vec![member]).unwrap(),
-        )
+        Window::new(TimePoint::new(a), vec![member]).unwrap()
     }
 
     #[test]
     fn live_draw_can_strike_lease_held_regions() {
         // The vacant list covers nodes 0..20; the lease holds carved-out
-        // time on node 99 that `draw` could never sample.
+        // time on node 99 that a draw over the vacant list alone could
+        // never sample.
         let model = RevocationModel::new(RevocationConfig::per_slot(1.0));
-        let leases = [lease_over(99, 200, 260, 3)];
+        let leases = [window_over(99, 200, 260, 3)];
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let revocations = model.draw_live(&list(20), leases.iter().map(|l| &l.window), &mut rng);
+        let revocations = model.draw_live(&list(20), &leases, &mut rng);
         assert_eq!(revocations.len(), 21, "every vacant slot plus the lease");
         let hit = revocations
             .iter()
@@ -360,28 +291,36 @@ mod tests {
             hit.span,
             Span::new(TimePoint::new(200), TimePoint::new(260)).unwrap()
         );
-        assert!(leases[0].broken_by(hit));
+        assert!(hit.breaks(&leases[0]));
     }
 
     #[test]
-    fn live_draw_without_leases_matches_the_legacy_draw() {
+    fn live_draw_takes_one_draw_per_slot_in_list_order() {
+        // The draw order is part of every seeded run: one Bernoulli draw
+        // per slot of the surface, in start order, each hit taking the
+        // whole slot.
         let model = RevocationModel::new(RevocationConfig::per_slot(0.3));
         let mut a = ChaCha8Rng::seed_from_u64(9);
         let mut b = ChaCha8Rng::seed_from_u64(9);
-        assert_eq!(
-            model.draw_live(&list(30), [], &mut a),
-            model.draw(&list(30), &mut b)
-        );
+        let expected: Vec<Revocation> = list(30)
+            .iter()
+            .filter(|_| draw_bool(&mut b, 0.3))
+            .map(|slot| Revocation {
+                slot: slot.id(),
+                node: slot.node(),
+                span: slot.span(),
+            })
+            .collect();
+        assert!(!expected.is_empty());
+        assert_eq!(model.draw_live(&list(30), [], &mut a), expected);
     }
 
     #[test]
     fn disabled_live_draw_touches_no_rng() {
         let model = RevocationModel::new(RevocationConfig::none());
-        let leases = [lease_over(5, 0, 40, 2)];
+        let leases = [window_over(5, 0, 40, 2)];
         let mut rng = ChaCha8Rng::seed_from_u64(10);
-        assert!(model
-            .draw_live(&list(10), leases.iter().map(|l| &l.window), &mut rng)
-            .is_empty());
+        assert!(model.draw_live(&list(10), &leases, &mut rng).is_empty());
         let mut fresh = ChaCha8Rng::seed_from_u64(10);
         assert_eq!(rng.next_u64(), fresh.next_u64());
     }
@@ -395,31 +334,5 @@ mod tests {
             RevocationConfig::per_slot(1.5).validate(),
             Err(ConfigError::NotAProbability { field: "per_slot" })
         );
-    }
-
-    #[test]
-    fn repair_stats_merge_is_additive() {
-        let mut a = RepairStats {
-            revocations_injected: 3,
-            revocations_breaking: 1,
-            revocations_vacant_only: 2,
-            failovers_taken: 1,
-            repair_cost_delta: -2.5,
-            ..RepairStats::default()
-        };
-        let b = RepairStats {
-            revocations_injected: 2,
-            revocations_breaking: 2,
-            repairs_attempted: 1,
-            repair_cost_delta: 4.0,
-            ..RepairStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.revocations_injected, 5);
-        assert_eq!(a.revocations_breaking, 3);
-        assert_eq!(a.revocations_vacant_only, 2);
-        assert_eq!(a.repairs_attempted, 1);
-        assert_eq!(a.recovered(), 1);
-        assert!((a.repair_cost_delta - 1.5).abs() < 1e-12);
     }
 }

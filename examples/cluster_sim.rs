@@ -1,10 +1,12 @@
 //! The environment substrate end-to-end: generate resource domains with
 //! local (owner) job flows, extract the vacant slots from the local
-//! schedules, and run the metascheduler for several cycles — the "whole
-//! distributed system model" the paper's study skipped for convenience.
+//! schedules, and run the online metascheduler for several cycles — the
+//! "whole distributed system model" the paper's study skipped for
+//! convenience.
 //!
 //! Run with: `cargo run --example cluster_sim [seed]`
 
+use ecosched::engine::{ArrivalConfig, Engine, EngineConfig};
 use ecosched::prelude::*;
 use ecosched::sim::env::{extract_vacant_slots, generate_local_flow, EnvConfig, Environment};
 use rand::SeedableRng;
@@ -66,31 +68,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         batch.len()
     );
 
-    // 5. And the iterative metascheduler over freshly generated lists,
-    //    carrying postponed jobs across cycles.
-    let meta = Metascheduler::new(
-        SlotGenConfig::default(),
-        JobGenConfig::default(),
-        IterationConfig::default(),
-    );
-    let report = meta.run(Amp::new(), 6, &mut rng)?;
-    println!("\nmetascheduler, 6 cycles:");
-    for (i, cycle) in report.cycles.iter().enumerate() {
+    // 5. And the online metascheduler over freshly published slots: the
+    //    discrete-event engine runs one cycle per publication, carrying
+    //    postponed jobs to the next. Thirty jobs at the default mean gap
+    //    of 12 ticks arrive within the six 60-tick cycles.
+    let config = EngineConfig {
+        cycles: 6,
+        arrivals: ArrivalConfig::Poisson {
+            mean_interarrival: 12.0,
+            jobs: 30,
+            job_gen: JobGenConfig::default(),
+        },
+        ..EngineConfig::default()
+    };
+    let report = Engine::new(config, Amp::new())?.run(seed)?.report;
+    println!("\nengine, 6 cycles:");
+    for cycle in &report.cycles {
         println!(
-            "  cycle {}: batch {}, scheduled {}, postponed {} (re-postponed {}), avg time {:.1}, avg cost {:.1}",
-            i + 1,
+            "  cycle {} at t={}: {} slots, batch {}, scheduled {}, postponed {}, mean wait {:.1}, spend {:.1}",
+            cycle.cycle + 1,
+            cycle.time,
+            cycle.market_slots,
             cycle.batch_size,
             cycle.scheduled,
             cycle.postponed,
-            cycle.postponed_again,
-            cycle.avg_time,
-            cycle.avg_cost
+            cycle.mean_wait,
+            cycle.spend
         );
     }
     println!(
-        "total scheduled {}, final backlog {}",
-        report.total_scheduled(),
-        report.final_backlog()
+        "total scheduled {}, completed {}, final backlog {}",
+        report.jobs_scheduled, report.jobs_completed, report.backlog
     );
     Ok(())
 }

@@ -16,7 +16,7 @@
 #   results/coschedule_report.txt  E9: the whole `exp_coschedule
 #                              --iterations 1500` table (seeded likewise)
 #   results/pins/<bin>.txt     whole stdout of every other seeded paper
-#                              binary on vector-ordered batch markets:
+#                              binary on batch markets:
 #                              `fig2_3_example` (E1); `exp_time_min`,
 #                              `exp_cost_min`, `exp_alternatives`,
 #                              `exp_rho_sweep` (E6) and `exp_strategy` (E11)

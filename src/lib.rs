@@ -14,7 +14,8 @@
 //! * [`baseline`] — FCFS / conservative / EASY backfilling and the
 //!   quadratic backfill-style window search;
 //! * [`sim`] — the paper's generators, the full environment substrate,
-//!   the scheduling-iteration driver, and the metascheduler loop;
+//!   the scheduling-iteration driver, and the commit-and-repair core the
+//!   engine runs each cycle;
 //! * [`engine`] — the deterministic discrete-event engine driving the
 //!   pipeline online over a virtual clock;
 //! * [`federation`] — the sharded multi-VO superscheduler: routing
@@ -82,9 +83,9 @@ pub use ecosched_sim as sim;
 /// The most common imports in one place.
 pub mod prelude {
     pub use ecosched_core::{
-        Alternative, Batch, BatchAlternatives, CoreError, Job, JobAlternatives, JobId, Lease,
-        LeaseOrigin, Money, NodeId, Perf, Price, Resource, ResourceRequest, Revocation, Slot,
-        SlotId, SlotList, Span, TimeDelta, TimePoint, Window, WindowSlot,
+        Alternative, Batch, BatchAlternatives, CoreError, Job, JobAlternatives, JobId, Money,
+        NodeId, Perf, Price, Resource, ResourceRequest, Revocation, Slot, SlotId, SlotList, Span,
+        TimeDelta, TimePoint, Window, WindowSlot,
     };
     pub use ecosched_optimize::{
         max_cost_under_time, min_cost_under_time, min_time_under_budget, time_quota, vo_budget,
@@ -95,8 +96,7 @@ pub mod prelude {
         SearchOutcome, SlotSelector,
     };
     pub use ecosched_sim::{
-        run_iteration, Criterion, IterationConfig, JobFate, JobGenConfig, JobGenerator,
-        Metascheduler, PostponeReason, RepairPolicy, RepairStats, RevocationConfig, SlotGenConfig,
-        SlotGenerator,
+        run_iteration, Criterion, IterationConfig, JobGenConfig, JobGenerator, PostponeReason,
+        RepairPolicy, RepairStats, RevocationConfig, SlotGenConfig, SlotGenerator,
     };
 }

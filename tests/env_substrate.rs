@@ -3,6 +3,7 @@
 //! generated ones — the validation the paper's convenience shortcut
 //! deserved.
 
+use ecosched::engine::{ArrivalConfig, Engine, EngineConfig};
 use ecosched::prelude::*;
 use ecosched::sim::env::{extract_vacant_slots, generate_local_flow, EnvConfig, Environment};
 use rand::SeedableRng;
@@ -86,17 +87,31 @@ fn same_start_clustering_emerges_from_local_flows() {
 
 #[test]
 fn metascheduler_drains_backlog_over_cycles() {
-    let meta = Metascheduler::new(
-        SlotGenConfig::default(),
-        JobGenConfig::default(),
-        IterationConfig::default(),
-    );
-    let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let report = meta.run(Amp::new(), 12, &mut rng).unwrap();
+    let config = EngineConfig {
+        cycles: 12,
+        arrivals: ArrivalConfig::Poisson {
+            mean_interarrival: 12.0,
+            jobs: 60,
+            job_gen: JobGenConfig::default(),
+        },
+        ..EngineConfig::default()
+    };
+    let report = Engine::new(config, Amp::new())
+        .unwrap()
+        .run(5)
+        .unwrap()
+        .report;
     assert_eq!(report.cycles.len(), 12);
     // Backlogs stay bounded: postponed jobs get rescheduled rather than
     // accumulating without bound.
     let max_backlog = report.cycles.iter().map(|c| c.postponed).max().unwrap();
     assert!(max_backlog <= 10, "backlog exploded to {max_backlog}");
-    assert!(report.total_scheduled() >= 12 * 2);
+    // Whenever cycle k postpones jobs, cycle k+1's batch includes them.
+    for pair in report.cycles.windows(2) {
+        assert!(
+            pair[1].batch_size >= pair[0].postponed,
+            "carried jobs must rejoin the next batch"
+        );
+    }
+    assert!(report.jobs_scheduled >= 12 * 2);
 }

@@ -123,108 +123,144 @@ fn original_list_is_never_mutated_by_failures() {
 }
 
 // ---------------------------------------------------------------------------
-// Environment-level faults: the revocation model withdraws committed slots
-// after optimization, and the metascheduler must degrade to typed fates —
-// never panics, never partial state.
+// Environment-level faults: mid-cycle strikes withdraw vacant slots and
+// running leases on the engine, and every broken lease must end in a
+// recovery tier or back in the queue — never a panic, never partial state.
 
-use ecosched::sim::{JobGenConfig, SlotGenConfig};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use ecosched::engine::{ArrivalConfig, Engine, EngineConfig, EngineIds, EngineObs, Event};
+use ecosched::sim::JobGenConfig;
+use ecosched_obs::{Recorder, RegistryBuilder};
 
-fn churn_meta(churn: RevocationConfig) -> Metascheduler {
-    Metascheduler::new(
-        SlotGenConfig::default(),
-        JobGenConfig::default(),
-        IterationConfig::default(),
-    )
-    .with_revocation(churn)
+fn churn_config(churn: RevocationConfig) -> EngineConfig {
+    EngineConfig {
+        cycles: 4,
+        revocation: churn,
+        arrivals: ArrivalConfig::Poisson {
+            mean_interarrival: 12.0,
+            jobs: 20,
+            job_gen: JobGenConfig::default(),
+        },
+        ..EngineConfig::default()
+    }
 }
 
 #[test]
 fn total_revocation_postpones_every_job_with_a_clean_reason() {
-    // Every published slot is revoked: all leases break, every alternative
-    // is stale, and the repair search runs on an empty survivor list. With
-    // an ample attempt budget, the only possible fates are the two clean
-    // postpone reasons — never a panic, never a budget artifact.
-    let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let run = churn_meta(RevocationConfig::per_slot(1.0))
-        .with_repair_policy(RepairPolicy {
+    // Every vacant slot and every running lease is struck: all leases
+    // break, every alternative is stale, and the repair search runs on an
+    // empty market. With an ample attempt budget, the only postpone
+    // reasons are the two clean ones — never a panic, never a budget
+    // artifact.
+    let config = EngineConfig {
+        repair: RepairPolicy {
             max_attempts: 1_000,
-        })
-        .run_traced(Amp::new(), 3, &mut rng)
-        .unwrap();
-    for (cycle, trace) in run.report.cycles.iter().zip(&run.traces) {
-        assert_eq!(cycle.scheduled, 0, "nothing can survive total revocation");
-        assert!(trace.leases.is_empty());
-        assert!(trace.fates.iter().all(|f| matches!(
-            f,
-            JobFate::Postponed(PostponeReason::NoAlternatives)
-                | JobFate::Postponed(PostponeReason::AllAlternativesStale)
-        )));
-        // Every failover validation failed for the *revoked* reason, and
-        // no repair search could succeed.
-        assert_eq!(
-            cycle.repair.failover_stale_revoked,
-            cycle.repair.failover_validations
-        );
-        assert_eq!(cycle.repair.repairs_succeeded, 0);
-        assert_eq!(cycle.repair.postponed_stale, cycle.repair.leases_broken);
-    }
+        },
+        ..churn_config(RevocationConfig::per_slot(1.0))
+    };
+    let mut b = RegistryBuilder::new();
+    let ids = EngineIds::register(&mut b, None);
+    let rec = Recorder::new(b.build());
+    let engine = Engine::new(config, Amp::new())
+        .unwrap()
+        .with_obs(EngineObs::new(rec.clone(), ids));
+    let report = engine.run(1).unwrap().report;
+    assert!(
+        report.leases_broken > 0,
+        "total revocation must break leases"
+    );
+    assert_eq!(report.failovers, 0, "no alternative survives");
+    assert_eq!(report.repairs, 0, "no repair search can succeed");
+    assert_eq!(report.repostponed, report.leases_broken);
+
+    let reg = rec.registry().unwrap();
+    let postponed = |reason| {
+        let id = reg
+            .find_counter("ecosched_engine_postponed_total", &[("reason", reason)])
+            .unwrap();
+        reg.counter_value(id)
+    };
+    assert_eq!(postponed("repair_budget_exhausted"), 0);
+    assert_eq!(postponed("all_alternatives_stale"), report.repostponed);
 }
 
 #[test]
 fn heavy_mixed_churn_degrades_without_partial_state() {
     // Heavy per-slot churn at a different level each seed: from a third of
-    // the market withdrawn to nearly all of it.
+    // the surface withdrawn to nearly all of it.
     for (seed, p) in [0.3, 0.5, 0.65, 0.8, 0.95].into_iter().enumerate() {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed as u64);
-        let run = churn_meta(RevocationConfig::per_slot(p))
-            .run_traced(Amp::new(), 4, &mut rng)
-            .unwrap();
-        for (cycle, trace) in run.report.cycles.iter().zip(&run.traces) {
-            // Full accounting: every revocation classified, every broken
-            // lease terminal, every job fated.
+        let engine = Engine::new(churn_config(RevocationConfig::per_slot(p)), Amp::new()).unwrap();
+        let mut state = engine.start(seed as u64);
+        let (mut strikes, mut revoked) = (0, 0);
+        while let Some(entry) = engine.step(&mut state).unwrap() {
+            if !matches!(entry.event, Event::RevocationStrike { .. }) {
+                continue;
+            }
+            strikes += 1;
+            // Full accounting: every broken lease ended in one tier.
+            let report = state.report_so_far();
             assert_eq!(
-                cycle.repair.revocations_injected,
-                cycle.repair.revocations_breaking + cycle.repair.revocations_vacant_only
+                report.leases_broken,
+                report.failovers + report.repairs + report.repostponed
             );
-            assert_eq!(
-                cycle.repair.leases_broken,
-                cycle.repair.recovered()
-                    + cycle.repair.postponed_stale
-                    + cycle.repair.postponed_budget_exhausted
-            );
-            assert_eq!(trace.fates.len(), cycle.batch_size);
-            assert_eq!(
-                trace.leases.len(),
-                trace.fates.iter().filter(|f| f.is_scheduled()).count()
-            );
-            // No surviving lease touches a revoked region.
-            for lease in &trace.leases {
-                for r in &trace.revocations {
-                    assert!(!lease.broken_by(r));
+            // No job is both waiting and holding a window.
+            let checkpoint = engine.checkpoint(&state);
+            for p in &checkpoint.pending {
+                assert!(
+                    checkpoint.leases.iter().all(|l| l.job != p.id),
+                    "job {} is both pending and leased",
+                    p.id
+                );
+            }
+            // No surviving lease, failed-over and repaired windows
+            // included, touches a region this strike revoked.
+            revoked += state.last_strike().len();
+            for lease in &checkpoint.leases {
+                for r in state.last_strike() {
+                    assert!(
+                        !r.breaks(&lease.window),
+                        "lease {} overlaps a revoked region",
+                        lease.lease
+                    );
                 }
             }
         }
+        assert_eq!(strikes, 4, "one strike per cycle");
+        assert!(revoked > 0, "p = {p} must revoke something");
+        let report = engine.finish(state).report;
+        assert!(report.leases_broken > 0, "p = {p} must break leases");
+        assert_eq!(
+            report.jobs_arrived,
+            report.jobs_completed + report.backlog,
+            "every arrived job completed or is still held"
+        );
     }
 }
 
 #[test]
 fn revocation_disabled_is_byte_identical_to_the_legacy_loop() {
-    // The fault layer must be invisible when off: same RNG consumption,
-    // same cycle summaries, zero repair activity.
-    let run = |churn: Option<RevocationConfig>| {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let meta = match churn {
-            Some(c) => churn_meta(c),
-            None => churn_meta(RevocationConfig::default()),
-        };
-        meta.run(Amp::new(), 4, &mut rng).unwrap()
+    // The fault layer must be invisible when off: a configuration that
+    // never mentions revocation and one that sets `none()` explicitly run
+    // the same events, draw nothing and strike nothing.
+    let disabled = EngineConfig {
+        cycles: 4,
+        ..EngineConfig::default()
     };
-    let disabled = run(None);
-    let explicit_none = run(Some(RevocationConfig::default()));
-    assert_eq!(disabled, explicit_none);
-    let totals = disabled.repair_totals();
-    assert_eq!(totals.revocations_injected, 0);
-    assert_eq!(totals.leases_broken, 0);
+    let explicit_none = EngineConfig {
+        revocation: RevocationConfig::none(),
+        ..disabled.clone()
+    };
+    let a = Engine::new(disabled, Amp::new()).unwrap().run(7).unwrap();
+    let b = Engine::new(explicit_none, Amp::new())
+        .unwrap()
+        .run(7)
+        .unwrap();
+    assert_eq!(a.report.to_json(), b.report.to_json());
+    assert_eq!(a.log.fnv1a_hash(), b.log.fnv1a_hash());
+    assert_eq!(a.report.revocations, 0);
+    assert_eq!(a.report.leases_broken, 0);
+    assert!(!a
+        .log
+        .entries
+        .iter()
+        .any(|e| matches!(e.event, Event::RevocationStrike { .. })));
 }
