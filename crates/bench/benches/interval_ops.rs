@@ -5,11 +5,12 @@
 //! `…/interval/…` keys (the `…/flat/…` rows there are the record of the
 //! vector ordering, deleted since):
 //!
-//! * a single carve (`subtract`) splices one bounded block. The mutation
-//!   benches clone the list every iteration (the carve itself must start
-//!   from pristine state), and an `O(n)` clone dominates — so the `clone`
-//!   group below records that baseline, and the carve cost proper is the
-//!   carve median *minus* the same-size clone median;
+//! * a single carve (`remove_region`, one cut on one node) splices one
+//!   bounded block. The mutation benches clone the list every iteration
+//!   (the carve itself must start from pristine state), and an `O(n)`
+//!   clone dominates — so the `clone` group below records that baseline,
+//!   and the carve cost proper is the carve median *minus* the same-size
+//!   clone median;
 //! * the coalescing merge pass: one walk, its output loaded back into
 //!   half-full blocks;
 //! * a cycle's commit — about 2 000 four-member windows released into a
@@ -78,8 +79,7 @@ fn bench_carve(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new(NAME, m), &m, |b, _| {
             b.iter(|| {
                 let mut copy = list.clone();
-                copy.subtract(black_box(victim.id()), black_box(cut))
-                    .unwrap();
+                copy.remove_region(black_box(victim.node()), black_box(cut));
                 black_box(copy)
             });
         });

@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 fn bench_subtract_window(c: &mut Criterion) {
     let mut group = c.benchmark_group("subtract_window");
-    // 64,000 stresses the indexed path: validation and splice stay
+    // 64,000 stresses the node-keyed path: validation and splice stay
     // O(k log m) while a naive rescan of the list would be linear.
     for m in [135usize, 1_000, 4_000, 64_000] {
         let list = slot_list(m, 11);
@@ -36,8 +36,7 @@ fn bench_single_subtract(c: &mut Criterion) {
     c.bench_function("subtract_single_cut_m1000", |b| {
         b.iter(|| {
             let mut copy = list.clone();
-            copy.subtract(black_box(victim.id()), black_box(cut))
-                .unwrap();
+            copy.remove_region(black_box(victim.node()), black_box(cut));
             black_box(copy)
         });
     });

@@ -2,14 +2,14 @@
 //!
 //! * [`Order`] holds every live slot in `(start, id)` order, cut into
 //!   sorted blocks of at most `BLOCK_CAP` slots: it walks like a vector
-//!   and splices one block. Everything above it — the id index, the
-//!   per-node timelines, id minting and every market algorithm — is in
+//!   and splices one block. Everything above it — the per-node
+//!   timelines, id minting and every market algorithm — is in
 //!   [`crate::SlotList`]; the two iterator types it hands out are block
 //!   walks.
 //! * [`IntervalSet`] is one node's timeline of disjoint free intervals,
-//!   `start → (id, end)`, which makes overlap checks and region queries
-//!   `O(log n)` tree steps. Price and performance live once, in the slot
-//!   held by the `Order`.
+//!   `start → (id, end)`, which makes overlap checks, region queries and
+//!   finding a cut's source `O(log n)` tree steps. Price and performance
+//!   live once, in the slot held by the `Order`.
 
 use std::collections::BTreeMap;
 use std::{slice, vec};
@@ -291,6 +291,13 @@ impl IntervalSet {
     pub(crate) fn covering(&self, region: Span) -> Option<Key> {
         let (&start, &(id, end)) = self.runs.range(..=region.start()).next_back()?;
         (end >= region.end()).then_some((start, id))
+    }
+
+    /// The span of the run carrying `id`: a walk over the node's runs, for
+    /// telling apart the ways a cut can miss its source.
+    pub(crate) fn span_of(&self, id: SlotId) -> Option<Span> {
+        let (&start, &(_, end)) = self.runs.iter().find(|(_, run)| run.0 == id)?;
+        Span::new(start, end)
     }
 
     /// Every run that could overlap `region`, in start order: the

@@ -8,13 +8,18 @@
 //! `K2 = [K'.end, K.end)`, dropping zero-length pieces.
 //!
 //! [`SlotList`] is the one market store: the `(start, id)`-ordered slot
-//! container, an id index, a per-node timeline, the id minting cursor
-//! and every market algorithm, each exactly once. The container
-//! (`crate::interval::Order`) is a vector of sorted, bounded blocks, with
-//! each block's first key in a vector of its own: walked like a vector,
-//! while every subtraction, carve and tail-return insert splices one
-//! block after two binary searches. Batch markets and the engine's
-//! long-lived market run on the same container.
+//! container, a per-node timeline, the id minting cursor and every market
+//! algorithm, each exactly once. The container (`crate::interval::Order`)
+//! is a vector of sorted, bounded blocks, with each block's first key in a
+//! vector of its own: walked like a vector, while every subtraction, carve
+//! and tail-return insert splices one block after two binary searches.
+//! Batch markets and the engine's long-lived market run on the same
+//! container.
+//!
+//! As in the paper's subtraction, a slot is found by where it is — a
+//! window member's source is the slot on the member's node that covers
+//! the member's cut — and its id is then checked; nothing looks a slot up
+//! by its id alone.
 //!
 //! `tests/market_model.rs` pins the algorithms against an independent
 //! linear-scan model; `orders_match_a_btree_model` pins the container
@@ -29,6 +34,8 @@ use serde::{Deserialize, Serialize};
 use crate::error::CoreError;
 use crate::idhash::IdMap;
 use crate::interval::{key, IntervalSet, Order, SlotIntoIter, SlotIter};
+use crate::money::Price;
+use crate::perf::Perf;
 use crate::resource::NodeId;
 use crate::slot::{Slot, SlotId};
 use crate::time::{Span, TimeDelta, TimePoint};
@@ -45,8 +52,8 @@ pub struct MarketRepr;
 /// A list of vacant slots ordered by `(start time, slot id)`.
 ///
 /// Invariants (checked by [`SlotList::validate`]):
-/// * `order` holds every live slot in strictly increasing `(start, id)`;
-/// * `index` maps each live id to its start;
+/// * `order` holds every live slot in strictly increasing `(start, id)`,
+///   each id once;
 /// * each node's timeline holds exactly that node's slots as
 ///   `start → (id, end)`, pairwise disjoint;
 /// * `next_id` is strictly greater than every live id.
@@ -54,19 +61,17 @@ pub struct MarketRepr;
 /// # Examples
 ///
 /// ```
-/// use ecosched_core::{NodeId, Perf, Price, Slot, SlotId, SlotList, Span, TimePoint};
+/// use ecosched_core::{NodeId, Perf, Price, SlotId, SlotList, Span, TimePoint};
 ///
 /// let mut list = SlotList::new();
 /// let span = Span::new(TimePoint::new(0), TimePoint::new(100)).unwrap();
-/// let id = list.mint_id();
-/// list.insert(Slot::new(id, NodeId::new(0), Perf::UNIT, Price::from_credits(2), span)?)?;
-/// assert_eq!(list.len(), 1);
+/// let id = list.insert(NodeId::new(0), Perf::UNIT, Price::from_credits(2), span)?;
+/// assert_eq!((id, list.len()), (SlotId::new(0), 1));
 /// # Ok::<(), ecosched_core::CoreError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SlotList {
     order: Order,
-    index: IdMap<SlotId, TimePoint>,
     nodes: IdMap<NodeId, IntervalSet>,
     next_id: u64,
 }
@@ -115,9 +120,9 @@ impl SlotList {
     }
 
     /// Builds a list from slots already in strictly increasing
-    /// `(start, id)` order — the bulk-load path. One pass, `O(m)`: order,
-    /// id uniqueness, and same-node disjointness are all checked as the
-    /// slots stream in, with no sort and no quadratic overlap scan.
+    /// `(start, id)` order — the bulk-load path. One pass checks order and
+    /// same-node disjointness as the slots stream in, after one sort of
+    /// the ids finds the first repeated one; no quadratic overlap scan.
     ///
     /// # Errors
     ///
@@ -143,14 +148,20 @@ impl SlotList {
     /// assert!(SlotList::from_sorted_slots(vec![mk(0, 10, 50), mk(1, 0, 60)]).is_err());
     /// ```
     pub fn from_sorted_slots(slots: Vec<Slot>) -> Result<Self, CoreError> {
-        let mut index = IdMap::with_capacity_and_hasher(slots.len(), Default::default());
+        // Ids may come from outside the program (the wire decoder), so
+        // they are sorted, not hashed: no input makes the check slow, and
+        // it costs the same in every process.
+        let mut ids: Vec<(SlotId, usize)> = slots.iter().map(Slot::id).zip(0..).collect();
+        ids.sort_unstable();
+        let twins = ids.windows(2).filter(|p| p[0].0 == p[1].0);
+        let repeat = twins.map(|p| p[1].1).min();
         let mut nodes: IdMap<NodeId, IntervalSet> = IdMap::default();
         let mut next_id = 0u64;
         for (i, slot) in slots.iter().enumerate() {
             if i > 0 && key(&slots[i - 1]) >= key(slot) {
                 return Err(CoreError::UnsortedSlots { index: i });
             }
-            if index.insert(slot.id(), slot.start()).is_some() {
+            if repeat == Some(i) {
                 return Err(CoreError::DuplicateSlotId { id: slot.id() });
             }
             // Starts are non-decreasing, so the timeline's neighbour check
@@ -164,7 +175,6 @@ impl SlotList {
         }
         Ok(SlotList {
             order: Order::from_sorted(&slots),
-            index,
             nodes,
             next_id,
         })
@@ -192,26 +202,32 @@ impl SlotList {
         id
     }
 
-    /// Inserts a slot, keeping the ordering invariant.
+    /// Files `span` on `node`, at `perf` and `price`, as a slot under a
+    /// freshly minted id, and returns the id. Only a bulk load brings in
+    /// ids the caller chose.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::DuplicateSlotId`] if the id is already
-    /// present, or [`CoreError::OverlappingSlots`] if the slot overlaps
-    /// one already on its node; the list is unchanged either way.
-    pub fn insert(&mut self, slot: Slot) -> Result<(), CoreError> {
-        let Entry::Vacant(start_of) = self.index.entry(slot.id()) else {
-            return Err(CoreError::DuplicateSlotId { id: slot.id() });
-        };
+    /// Returns [`CoreError::EmptySlot`] if `span` is empty, or
+    /// [`CoreError::OverlappingSlots`] if it overlaps a slot already on
+    /// `node`; either names the id the slot would have had. The list is
+    /// unchanged and nothing is minted.
+    pub fn insert(
+        &mut self,
+        node: NodeId,
+        perf: Perf,
+        price: Price,
+        span: Span,
+    ) -> Result<SlotId, CoreError> {
+        let slot = Slot::new(SlotId::new(self.next_id), node, perf, price, span)?;
         self.nodes
-            .entry(slot.node())
+            .entry(node)
             .or_default()
             .insert(slot.start(), slot.id(), slot.end())
             .map_err(|first| overlap(first, &slot))?;
-        start_of.insert(slot.start());
-        self.next_id = self.next_id.max(slot.id().raw() + 1);
+        self.next_id += 1;
         self.order.insert(slot);
-        Ok(())
+        Ok(slot.id())
     }
 
     /// Number of slots in the list.
@@ -232,9 +248,7 @@ impl SlotList {
     }
 
     /// Iterates, in `(start, id)` order, every slot with `start >= from`
-    /// — `O(log m)` to position, then `O(1)` per step. This replaces the
-    /// positional `first_at_or_after`/`as_slice` pair of the flat-only
-    /// era: scans walk boundaries, not vector indices.
+    /// — `O(log m)` to position, then `O(1)` per step.
     ///
     /// # Examples
     ///
@@ -252,33 +266,6 @@ impl SlotList {
     /// ```
     pub fn iter_from(&self, from: TimePoint) -> SlotIter<'_> {
         self.order.range_from(from)
-    }
-
-    /// Looks up a slot by id in `O(log m)` via the id index.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ecosched_core::{NodeId, Perf, Price, Slot, SlotId, SlotList, Span, TimePoint};
-    ///
-    /// let span = Span::new(TimePoint::new(0), TimePoint::new(100)).unwrap();
-    /// let slot = Slot::new(SlotId::new(7), NodeId::new(0), Perf::UNIT,
-    ///                      Price::from_credits(2), span).unwrap();
-    /// let list = SlotList::from_slots(vec![slot]).unwrap();
-    /// assert_eq!(list.get(SlotId::new(7)).unwrap().start(), TimePoint::new(0));
-    /// assert!(list.get(SlotId::new(8)).is_none());
-    /// ```
-    #[must_use]
-    pub fn get(&self, id: SlotId) -> Option<&Slot> {
-        let slot = self.order.get((*self.index.get(&id)?, id));
-        debug_assert!(slot.is_some(), "id index out of sync with the order");
-        slot
-    }
-
-    /// Returns `true` if slot `id` is currently in the list (`O(1)`).
-    #[must_use]
-    pub fn contains(&self, id: SlotId) -> bool {
-        self.index.contains_key(&id)
     }
 
     /// The earliest vacant start across the list, if any.
@@ -339,44 +326,32 @@ impl SlotList {
         affected
     }
 
-    /// Removes the interval `cut` from the slot `id`, inserting remnants in
-    /// order (Fig. 1 (b)). Locating the slot is `O(log m)` via the index;
-    /// the splice itself is `O(m)` flat, `O(log m)` interval.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::SlotNotFound`] if `id` is not in the list;
-    /// * [`CoreError::CutOutsideSlot`] if `cut` is not fully contained in
-    ///   the slot's vacant span.
-    pub fn subtract(&mut self, id: SlotId, cut: Span) -> Result<(), CoreError> {
-        let slot = self.source(id, cut)?;
-        self.cut_slot(&slot, cut, &mut Vec::new());
-        Ok(())
-    }
-
-    /// The live slot `id`, checked to contain `cut`.
-    fn source(&self, id: SlotId, cut: Span) -> Result<Slot, CoreError> {
-        let slot = self.get(id).ok_or(CoreError::SlotNotFound { id })?;
-        if !slot.span().contains_span(cut) {
-            return Err(CoreError::CutOutsideSlot {
-                id,
-                slot_span: slot.span(),
-                cut,
-            });
+    /// The slot `member` was carved from, checked to contain `cut`: the
+    /// run on the member's node that covers the cut, if it carries the
+    /// member's source id. Only a refused cut scans the node's runs, to
+    /// tell an absent source from one too short for the cut.
+    fn source(&self, member: &WindowSlot, cut: Span) -> Result<Slot, CoreError> {
+        let (id, timeline) = (member.source(), self.nodes.get(&member.node()));
+        if let Some(at) = timeline.and_then(|t| t.covering(cut)) {
+            if at.1 == id {
+                return Ok(*self.order.get(at).expect("timelines mirror the order"));
+            }
         }
-        Ok(*slot)
+        match timeline.and_then(|t| t.span_of(id)) {
+            Some(slot_span) => Err(CoreError::CutOutsideSlot { id, slot_span, cut }),
+            None => Err(CoreError::SlotNotFound { id }),
+        }
     }
 
     /// The mutation half of a subtraction, for a caller that has already
     /// looked `slot` up and checked that it contains `cut`: one removal
-    /// from the id index, the order and the node timeline, then the
-    /// remnants (left minted before right), appended to `remnants`.
+    /// from the order and the node timeline, then the remnants (left
+    /// minted before right), appended to `remnants`.
     ///
     /// # Panics
     ///
     /// Panics if `slot` is not live in the list.
     fn cut_slot(&mut self, slot: &Slot, cut: Span, remnants: &mut Vec<Slot>) {
-        self.index.remove(&slot.id()).expect("cut slots are live");
         self.order.remove(key(slot));
         let timeline = timeline(&mut self.nodes, slot.node());
         timeline.remove(slot.start());
@@ -389,7 +364,6 @@ impl SlotList {
                 .with_span(id, piece)
                 .expect("non-empty remnant spans construct valid slots");
             timeline.put(piece.start(), id, piece.end());
-            self.index.insert(id, piece.start());
             self.order.insert(remnant);
             remnants.push(remnant);
         }
@@ -398,14 +372,18 @@ impl SlotList {
         }
     }
 
-    /// Subtracts every member of a committed window from the list.
+    /// Subtracts every member of a committed window from the list: each
+    /// member's used span is cut from its source slot, found on the
+    /// member's node (Fig. 1 (b)).
     ///
     /// This is all-or-nothing: on error the list is left unchanged.
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreError::SlotNotFound`] / [`CoreError::CutOutsideSlot`]
-    /// from [`SlotList::subtract`].
+    /// * [`CoreError::SlotNotFound`] if a member's source is not on the
+    ///   member's node;
+    /// * [`CoreError::CutOutsideSlot`] if it is, but does not contain the
+    ///   member's used span.
     pub fn subtract_window(&mut self, window: &Window) -> Result<(), CoreError> {
         self.subtract_window_report(window).map(drop)
     }
@@ -413,26 +391,25 @@ impl SlotList {
     /// [`SlotList::subtract_window`], additionally reporting the consumed
     /// slots and the minted remnants.
     ///
-    /// Every cut is validated with one `O(log m)` lookup before anything
-    /// changes, so a failure cannot leave a partial subtraction; the
-    /// mutation then takes the slots that pass found and does not look
-    /// them up again.
+    /// Every cut is validated with one `O(log m)` lookup on its node
+    /// before anything changes, so a failure cannot leave a partial
+    /// subtraction; the mutation then takes the slots that pass found and
+    /// does not look them up again.
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreError::SlotNotFound`] / [`CoreError::CutOutsideSlot`]
-    /// from [`SlotList::subtract`].
+    /// As [`SlotList::subtract_window`].
     pub fn subtract_window_report(
         &mut self,
         window: &Window,
     ) -> Result<SubtractionReport, CoreError> {
-        let mut sources: Vec<Slot> = Vec::with_capacity(window.slot_count());
-        for (id, cut) in window.cuts() {
-            sources.push(self.source(id, cut)?);
+        let mut sources = Vec::with_capacity(window.slot_count());
+        for ws in window.slots() {
+            sources.push(self.source(ws, window.used_span(ws))?);
         }
         let mut remnants = Vec::with_capacity(2 * sources.len());
-        for (slot, (_, cut)) in sources.iter().zip(window.cuts()) {
-            self.cut_slot(slot, cut, &mut remnants);
+        for (slot, ws) in sources.iter().zip(window.slots()) {
+            self.cut_slot(slot, window.used_span(ws), &mut remnants);
         }
         Ok(SubtractionReport {
             removed: sources,
@@ -449,17 +426,9 @@ impl SlotList {
     ///
     /// Panics if `span` is empty, or overlaps a slot already in the list.
     pub fn release_region(&mut self, member: &WindowSlot, span: Span) -> SlotId {
-        let slot = self.released(member, span);
-        self.insert(slot)
-            .expect("released regions are disjoint from the list");
-        slot.id()
-    }
-
-    /// `span` on `member`'s node as a slot under a freshly minted id.
-    fn released(&mut self, member: &WindowSlot, span: Span) -> Slot {
-        let id = self.mint_id();
-        Slot::new(id, member.node(), member.perf(), member.price(), span)
-            .expect("released regions are non-empty")
+        let (node, perf, price) = (member.node(), member.perf(), member.price());
+        self.insert(node, perf, price, span)
+            .expect("released regions are non-empty and disjoint from the list")
     }
 
     /// The inverse of [`SlotList::subtract_window`]: releases every
@@ -497,8 +466,8 @@ impl SlotList {
     /// are merged with the live order while each node's current chain
     /// head is kept, and every slot must start at or after its node's
     /// previous end. A released slot that is absorbed never enters the
-    /// index, the timelines or the order; an absorbed live slot leaves
-    /// the index and its timeline; each grown head and surviving released
+    /// timelines or the order; an absorbed live slot leaves its timeline;
+    /// each grown head and surviving released
     /// slot is put on its timeline once; the order is bulk-loaded once
     /// from the walk. If nothing is released and nothing absorbed, the
     /// list is left as it was.
@@ -512,11 +481,12 @@ impl SlotList {
         windows: impl IntoIterator<Item = &'a Window>,
         coalesce: bool,
     ) -> usize {
-        let first_released = self.next_id;
         let mut released = Vec::new();
         for window in windows {
             for ws in window.slots() {
-                released.push(self.released(ws, window.used_span(ws)));
+                let id = self.mint_id();
+                let slot = Slot::new(id, ws.node(), ws.perf(), ws.price(), window.used_span(ws));
+                released.push(slot.expect("released regions are non-empty"));
             }
         }
         if released.is_empty() && !coalesce {
@@ -590,13 +560,9 @@ impl SlotList {
         }
 
         for slot in &dead {
-            self.index.remove(&slot.id());
             timeline(&mut self.nodes, slot.node()).remove(slot.start());
         }
         for slot in changed.into_iter().map(|place| out[place]) {
-            if slot.id().raw() >= first_released {
-                self.index.insert(slot.id(), slot.start());
-            }
             let timeline = self.nodes.entry(slot.node()).or_default();
             timeline.put(slot.start(), slot.id(), slot.end());
         }
@@ -612,18 +578,14 @@ impl SlotList {
     ///
     /// Returns the first violated invariant as a [`CoreError`].
     pub fn validate(&self) -> Result<(), CoreError> {
-        let mut prev = None;
+        SlotList::from_sorted_slots(self.iter().copied().collect())?;
         for slot in self.iter() {
             let at = key(slot);
-            if prev >= Some(at) || slot.id().raw() >= self.next_id {
+            if slot.id().raw() >= self.next_id {
                 return Err(CoreError::DuplicateSlotId { id: slot.id() });
             }
-            prev = Some(at);
             let run = self.nodes.get(&slot.node()).and_then(|t| t.get(at.0));
-            if self.order.get(at) != Some(slot)
-                || self.index.get(&slot.id()) != Some(&at.0)
-                || run != Some((slot.id(), slot.end()))
-            {
+            if self.order.get(at) != Some(slot) || run != Some((slot.id(), slot.end())) {
                 return Err(CoreError::SlotNotFound { id: slot.id() });
             }
         }
@@ -632,7 +594,7 @@ impl SlotList {
             timeline.validate(node)?;
             runs += timeline.len();
         }
-        if self.index.len() != self.len() || runs != self.len() {
+        if runs != self.len() {
             return Err(CoreError::DuplicateSlotId {
                 id: SlotId::new(self.next_id),
             });
@@ -812,9 +774,6 @@ impl fmt::Display for SlotList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::money::Price;
-    use crate::perf::Perf;
-    use crate::resource::NodeId;
 
     fn span(a: i64, b: i64) -> Span {
         Span::new(TimePoint::new(a), TimePoint::new(b)).unwrap()
@@ -829,6 +788,27 @@ mod tests {
             span(a, b),
         )
         .unwrap()
+    }
+
+    /// A one-member window that cuts `[a, b)` out of `source`, on its node.
+    fn cut(source: &Slot, a: i64, b: i64) -> Window {
+        let member = WindowSlot::from_slot(source, TimeDelta::new(b - a)).unwrap();
+        Window::new(TimePoint::new(a), vec![member]).unwrap()
+    }
+
+    /// Files `[a, b)` on `node` at the test price under a minted id.
+    fn insert(list: &mut SlotList, node: u32, a: i64, b: i64) -> Result<SlotId, CoreError> {
+        list.insert(
+            NodeId::new(node),
+            Perf::UNIT,
+            Price::from_credits(2),
+            span(a, b),
+        )
+    }
+
+    /// The list's slots as `(id, span)` pairs, in order.
+    fn spans(list: &SlotList) -> Vec<(u64, Span)> {
+        list.iter().map(|s| (s.id().raw(), s.span())).collect()
     }
 
     #[test]
@@ -863,22 +843,17 @@ mod tests {
     }
 
     #[test]
-    fn insert_keeps_order_and_rejects_duplicates() {
+    fn insert_mints_the_id_it_files_and_keeps_order() {
         let mut list = SlotList::from_slots(vec![slot(0, 0, 100, 200)]).unwrap();
-        list.insert(slot(10, 1, 50, 80)).unwrap();
-        assert_eq!(list.iter().next().unwrap().id(), SlotId::new(10));
-        assert_eq!(
-            list.insert(slot(10, 2, 0, 10)).unwrap_err(),
-            CoreError::DuplicateSlotId {
-                id: SlotId::new(10)
-            }
-        );
+        assert_eq!(insert(&mut list, 1, 50, 80), Ok(SlotId::new(1)));
+        assert_eq!(spans(&list), [(1, span(50, 80)), (0, span(100, 200))]);
+        list.validate().unwrap();
     }
 
     #[test]
     fn interval_insert_rejects_overlap_structurally() {
         let mut list = SlotList::from_slots(vec![slot(0, 5, 0, 50)]).unwrap();
-        let err = list.insert(slot(1, 5, 40, 90)).unwrap_err();
+        let err = insert(&mut list, 5, 40, 90).unwrap_err();
         assert_eq!(
             err,
             CoreError::OverlappingSlots {
@@ -887,25 +862,23 @@ mod tests {
                 second: SlotId::new(1),
             }
         );
-        // Refused whole: nothing minted, indexed or ordered.
-        assert_eq!(list.len(), 1);
-        assert!(!list.contains(SlotId::new(1)));
+        // Refused whole: nothing minted or ordered.
+        assert_eq!(spans(&list), [(0, span(0, 50))]);
         assert_eq!(list.mint_id(), SlotId::new(1));
         list.validate().unwrap();
     }
 
     #[test]
-    fn minted_ids_never_collide_with_inserted() {
+    fn minted_ids_never_collide_with_loaded() {
         let mut list = SlotList::from_slots(vec![slot(41, 0, 0, 10)]).unwrap();
         assert_eq!(list.mint_id(), SlotId::new(42));
-        list.insert(slot(100, 1, 0, 10)).unwrap();
-        assert_eq!(list.mint_id(), SlotId::new(101));
+        assert_eq!(insert(&mut list, 1, 0, 10), Ok(SlotId::new(43)));
+        assert_eq!(list.mint_id(), SlotId::new(44));
     }
 
     #[test]
-    fn indexed_get_matches_linear_lookup() {
-        // Several slots sharing start times so the lookups have to break
-        // ties on id.
+    fn every_slot_is_found_on_its_node() {
+        // Several slots sharing start times, so the order breaks ties on id.
         let list = SlotList::from_slots(vec![
             slot(5, 0, 10, 40),
             slot(2, 1, 10, 50),
@@ -914,14 +887,11 @@ mod tests {
             slot(7, 4, 25, 60),
         ])
         .unwrap();
-        let all: Vec<Slot> = list.iter().copied().collect();
-        for expected in &all {
-            let found = list.get(expected.id()).expect("every id resolves");
-            assert_eq!(found, expected);
-            assert!(list.contains(expected.id()));
+        for expected in &list {
+            let found = list.covering_slot(expected.node(), expected.span());
+            assert_eq!(found, Some(expected));
         }
-        assert!(list.get(SlotId::new(1000)).is_none());
-        assert!(!list.contains(SlotId::new(1000)));
+        assert!(list.covering_slot(NodeId::new(5), span(10, 20)).is_none());
     }
 
     #[test]
@@ -945,8 +915,9 @@ mod tests {
 
     #[test]
     fn subtract_interior_produces_two_remnants() {
-        let mut list = SlotList::from_slots(vec![slot(0, 0, 0, 100)]).unwrap();
-        list.subtract(SlotId::new(0), span(30, 60)).unwrap();
+        let source = slot(0, 0, 0, 100);
+        let mut list = SlotList::from_slots(vec![source]).unwrap();
+        list.subtract_window(&cut(&source, 30, 60)).unwrap();
         assert_eq!(list.len(), 2);
         let spans: Vec<Span> = list.iter().map(|s| s.span()).collect();
         assert_eq!(spans, vec![span(0, 30), span(60, 100)]);
@@ -955,36 +926,54 @@ mod tests {
 
     #[test]
     fn subtract_prefix_keeps_right_remnant_only() {
-        let mut list = SlotList::from_slots(vec![slot(0, 0, 0, 100)]).unwrap();
-        list.subtract(SlotId::new(0), span(0, 100)).unwrap();
+        let source = slot(0, 0, 0, 100);
+        let mut list = SlotList::from_slots(vec![source]).unwrap();
+        list.subtract_window(&cut(&source, 0, 40)).unwrap();
+        assert_eq!(spans(&list), [(1, span(40, 100))]);
+        list.subtract_window(&cut(&slot(1, 0, 40, 100), 40, 100))
+            .unwrap();
         assert!(list.is_empty());
     }
 
+    /// A source is found on its member's node only, and must carry the
+    /// member's id: an empty list, a node without the id, and the id live
+    /// on another node all miss it.
     #[test]
     fn subtract_missing_slot_errors() {
-        let mut list = SlotList::new();
-        assert_eq!(
-            list.subtract(SlotId::new(1), span(0, 10)).unwrap_err(),
-            CoreError::SlotNotFound { id: SlotId::new(1) }
-        );
+        let missing = |list: &mut SlotList, source: Slot| {
+            let before = list.clone();
+            let err = list.subtract_window(&cut(&source, 0, 10)).unwrap_err();
+            assert_eq!(err, CoreError::SlotNotFound { id: source.id() });
+            assert_eq!(*list, before);
+        };
+        missing(&mut SlotList::new(), slot(1, 0, 0, 10));
+        let mut list = SlotList::from_slots(vec![slot(0, 0, 0, 100), slot(1, 1, 0, 100)]).unwrap();
+        missing(&mut list, slot(9, 0, 0, 100));
+        missing(&mut list, slot(1, 0, 0, 100));
     }
 
     #[test]
     fn subtract_outside_cut_errors() {
         let mut list = SlotList::from_slots(vec![slot(0, 0, 10, 20)]).unwrap();
-        let err = list.subtract(SlotId::new(0), span(15, 30)).unwrap_err();
-        assert!(matches!(err, CoreError::CutOutsideSlot { .. }));
+        let err = list.subtract_window(&cut(&slot(0, 0, 10, 40), 15, 30));
+        assert_eq!(
+            err.unwrap_err(),
+            CoreError::CutOutsideSlot {
+                id: SlotId::new(0),
+                slot_span: span(10, 20),
+                cut: span(15, 30),
+            }
+        );
         // List unchanged.
-        assert_eq!(list.len(), 1);
-        assert_eq!(list.iter().next().unwrap().span(), span(10, 20));
+        assert_eq!(spans(&list), [(0, span(10, 20))]);
     }
 
     #[test]
     fn subtract_window_is_atomic_on_error() {
-        use crate::window::{Window, WindowSlot};
         let a = slot(0, 0, 0, 100);
         let b = slot(1, 1, 0, 10); // too short for the cut below
         let mut list = SlotList::from_slots(vec![a, b]).unwrap();
+        let before = list.clone();
         let w = Window::new(
             TimePoint::new(0),
             vec![
@@ -996,13 +985,11 @@ mod tests {
         let err = list.subtract_window(&w).unwrap_err();
         assert!(matches!(err, CoreError::CutOutsideSlot { .. }));
         // Nothing was subtracted, including from slot `a`.
-        assert_eq!(list.len(), 2);
-        assert_eq!(list.get(SlotId::new(0)).unwrap().span(), span(0, 100));
+        assert_eq!(list, before);
     }
 
     #[test]
     fn subtract_window_removes_all_members() {
-        use crate::window::{Window, WindowSlot};
         let a = slot(0, 0, 0, 100);
         let b = slot(1, 1, 0, 100);
         let mut list = SlotList::from_slots(vec![a, b]).unwrap();
@@ -1024,7 +1011,6 @@ mod tests {
 
     #[test]
     fn subtraction_report_lists_consumed_and_minted() {
-        use crate::window::{Window, WindowSlot};
         let a = slot(0, 0, 0, 100);
         let b = slot(1, 1, 20, 120);
         let mut list = SlotList::from_slots(vec![a, b]).unwrap();
@@ -1041,7 +1027,8 @@ mod tests {
         // a → [0, 20) and [60, 100); b → [60, 120).
         assert_eq!(report.remnants.len(), 3);
         for remnant in &report.remnants {
-            assert_eq!(list.get(remnant.id()), Some(remnant));
+            let found = list.covering_slot(remnant.node(), remnant.span());
+            assert_eq!(found, Some(remnant));
         }
         list.validate().unwrap();
     }
@@ -1100,13 +1087,21 @@ mod tests {
         );
     }
 
+    /// An id repeated at another start is in order as `(start, id)`, so
+    /// only the load's own check of ids can see it — next to each other or
+    /// with other slots between.
     #[test]
     fn from_sorted_slots_rejects_duplicate_ids() {
-        let err = SlotList::from_sorted_slots(vec![slot(3, 0, 0, 10), slot(3, 1, 5, 15)]);
-        assert_eq!(
-            err.unwrap_err(),
-            CoreError::DuplicateSlotId { id: SlotId::new(3) }
-        );
+        let twins = [
+            vec![slot(3, 0, 0, 10), slot(3, 1, 5, 15)],
+            vec![slot(3, 0, 0, 10), slot(4, 1, 2, 12), slot(3, 2, 5, 15)],
+        ];
+        for slots in twins {
+            assert_eq!(
+                SlotList::from_sorted_slots(slots).unwrap_err(),
+                CoreError::DuplicateSlotId { id: SlotId::new(3) }
+            );
+        }
     }
 
     #[test]
@@ -1134,8 +1129,9 @@ mod tests {
 
     #[test]
     fn covering_slot_tracks_subtraction() {
-        let mut list = SlotList::from_slots(vec![slot(0, 0, 0, 100)]).unwrap();
-        list.subtract(SlotId::new(0), span(40, 60)).unwrap();
+        let source = slot(0, 0, 0, 100);
+        let mut list = SlotList::from_slots(vec![source]).unwrap();
+        list.subtract_window(&cut(&source, 40, 60)).unwrap();
         assert!(list.covering_slot(NodeId::new(0), span(45, 55)).is_none());
         let left = list.covering_slot(NodeId::new(0), span(10, 30)).unwrap();
         assert_eq!(left.span(), span(0, 40));
@@ -1164,7 +1160,8 @@ mod tests {
             .map(|s| s.span())
             .collect();
         assert_eq!(node0, vec![span(0, 20), span(90, 120)]);
-        assert_eq!(list.get(SlotId::new(3)).unwrap().span(), span(0, 120));
+        let untouched = list.covering_slot(NodeId::new(1), span(0, 120));
+        assert_eq!(untouched.map(Slot::id), Some(SlotId::new(3)));
     }
 
     #[test]
@@ -1187,14 +1184,10 @@ mod tests {
         let before = list.total_vacant_time();
         assert_eq!(list.coalesce(), 2);
         list.validate().unwrap();
-        assert_eq!(list.len(), 2);
-        // The run head keeps its id and absorbs the whole run.
-        let merged = list.get(SlotId::new(0)).unwrap();
-        assert_eq!(merged.span(), span(0, 100));
+        // The run head keeps its id and absorbs the whole run; ids 1 and 2
+        // are gone.
+        assert_eq!(spans(&list), [(0, span(0, 100)), (3, span(0, 50))]);
         assert_eq!(list.total_vacant_time(), before);
-        assert!(list.get(SlotId::new(1)).is_none());
-        assert!(list.get(SlotId::new(2)).is_none());
-        assert_eq!(list.get(SlotId::new(3)).unwrap().span(), span(0, 50));
         // Idempotent: a second pass finds nothing.
         assert_eq!(list.coalesce(), 0);
     }
@@ -1275,7 +1268,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "released regions are disjoint")]
     fn release_windows_refuses_a_region_the_list_holds() {
-        use crate::window::{Window, WindowSlot};
         let live = slot(0, 0, 0, 100);
         let mut list = SlotList::from_slots(vec![live]).unwrap();
         let member = WindowSlot::from_slot(&live, TimeDelta::new(80)).unwrap();
@@ -1296,15 +1288,16 @@ mod tests {
     #[test]
     fn lists_compare_by_slots_and_cursor() {
         let slots = vec![
-            slot(1, 3, 0, 20),
-            slot(5, 0, 10, 40),
-            slot(9, 2, 10, 30),
-            slot(7, 0, 55, 60),
+            slot(0, 3, 0, 20),
+            slot(1, 0, 10, 40),
+            slot(2, 2, 10, 30),
+            slot(3, 0, 55, 60),
         ];
-        let loaded = SlotList::from_slots(slots.clone()).unwrap();
+        let loaded = SlotList::from_slots(slots.iter().rev().copied().collect()).unwrap();
         let mut inserted = SlotList::new();
-        for slot in slots.into_iter().rev() {
-            inserted.insert(slot).unwrap();
+        for slot in slots {
+            let at = (slot.node(), slot.perf(), slot.price(), slot.span());
+            assert_eq!(inserted.insert(at.0, at.1, at.2, at.3), Ok(slot.id()));
         }
         inserted.validate().unwrap();
         assert_eq!(inserted, loaded);
@@ -1371,7 +1364,7 @@ mod tests {
             })
             .collect();
         assert_eq!(seen, [(6, 6, 60, 99), (2, 2, 70, 90), (3, 6, 99, 140)]);
-        assert_eq!(list.get(SlotId::new(6)).unwrap().price().micro(), 1_856_629);
+        assert_eq!(list.iter().next().unwrap().price().micro(), 1_856_629);
         assert_eq!(list.next_id, 9);
     }
 
@@ -1441,15 +1434,18 @@ mod tests {
         );
         // File the same slot under two nodes: one id twice, not a break
         // in an order the decoder made itself.
-        let filed = |node: u32| {
-            let slots = serde_json::to_string(&[slot(3, node, 0, 30)]).unwrap();
+        let filed = |node: u32, start: i64| {
+            let slots = serde_json::to_string(&[slot(3, node, start, 30)]).unwrap();
             format!(r#"{{"node":{node},"slots":{slots}}}"#)
         };
-        let (zero, one) = (filed(0), filed(1));
-        rejects(
-            format!(r#"{{"repr":"interval","nodes":[{zero},{one}],"next_id":4}}"#),
-            "duplicate slot id s3",
-        );
+        // At one start and at two: the second is in `(start, id)` order,
+        // and only the load's check of ids refuses it.
+        for (zero, one) in [(filed(0, 0), filed(1, 0)), (filed(0, 0), filed(1, 5))] {
+            rejects(
+                format!(r#"{{"repr":"interval","nodes":[{zero},{one}],"next_id":4}}"#),
+                "duplicate slot id s3",
+            );
+        }
         // Keys in any order; the tag decides the form once all are read.
         let (repr, rest) = text.split_once(r#","nodes":"#).unwrap();
         let (nodes, next_id) = rest.rsplit_once(',').unwrap();

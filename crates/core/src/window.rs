@@ -204,18 +204,6 @@ impl Window {
             .expect("window member runtimes are positive by construction")
     }
 
-    /// Iterates the `(source slot id, used span)` pairs that slot
-    /// subtraction must remove from the vacant list (Fig. 1 (b)).
-    pub fn cuts(&self) -> impl Iterator<Item = (SlotId, Span)> + '_ {
-        self.slots.iter().map(|ws| (ws.source, self.used_span(ws)))
-    }
-
-    /// Returns `true` if any member was carved from slot `id`.
-    #[must_use]
-    pub fn uses_slot(&self, id: SlotId) -> bool {
-        self.slots.iter().any(|ws| ws.source == id)
-    }
-
     /// Returns `true` if any member runs on node `node`.
     #[must_use]
     pub fn uses_node(&self, node: NodeId) -> bool {
@@ -342,25 +330,22 @@ mod tests {
     }
 
     #[test]
-    fn cuts_cover_used_spans() {
+    fn used_spans_run_from_the_window_start() {
         let w = Window::new(
             TimePoint::new(50),
             vec![member(7, 0, 2, 40), member(8, 1, 3, 20)],
         )
         .unwrap();
-        let cuts: Vec<_> = w.cuts().collect();
-        assert_eq!(cuts.len(), 2);
-        assert_eq!(cuts[0].0, SlotId::new(7));
-        assert_eq!(cuts[0].1.start(), TimePoint::new(50));
-        assert_eq!(cuts[0].1.end(), TimePoint::new(90));
-        assert_eq!(cuts[1].1.end(), TimePoint::new(70));
+        let used: Vec<_> = w.slots().iter().map(|ws| w.used_span(ws)).collect();
+        assert_eq!(w.slots()[0].source(), SlotId::new(7));
+        assert_eq!(used[0].start(), TimePoint::new(50));
+        assert_eq!(used[0].end(), TimePoint::new(90));
+        assert_eq!(used[1].end(), TimePoint::new(70));
     }
 
     #[test]
-    fn uses_slot_and_node() {
+    fn uses_node_reads_the_member_nodes() {
         let w = Window::new(TimePoint::ZERO, vec![member(7, 3, 2, 40)]).unwrap();
-        assert!(w.uses_slot(SlotId::new(7)));
-        assert!(!w.uses_slot(SlotId::new(8)));
         assert!(w.uses_node(NodeId::new(3)));
         assert!(!w.uses_node(NodeId::new(4)));
     }

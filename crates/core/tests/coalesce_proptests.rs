@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use ecosched_core::{NodeId, Perf, Price, Slot, SlotId, SlotList, Span, TimePoint};
+use ecosched_core::{NodeId, Perf, Price, Slot, SlotId, SlotList, Span, TimeDelta, TimePoint};
 use proptest::prelude::*;
 
 /// Strategy: a slot list with several slots per node, deliberately
@@ -122,9 +122,12 @@ proptest! {
         prop_assert_eq!(canonical_coverage(&coalesced), before);
         prop_assert_eq!(coalesced.total_vacant_time(), total_before);
         prop_assert_eq!(coalesced.len(), len_before - absorbed);
-        // Survivors keep their identities: every id existed before.
+        // Survivors keep their identities: every id existed before, on
+        // the same node, from the same start.
         for slot in coalesced.iter() {
-            prop_assert!(list.get(slot.id()).is_some());
+            let at = Span::new(slot.start(), slot.start() + TimeDelta::new(1)).unwrap();
+            let before = list.covering_slot(slot.node(), at).map(Slot::id);
+            prop_assert_eq!(before, Some(slot.id()));
         }
     }
 

@@ -4,11 +4,12 @@
 //! container; `orders_match_a_btree_model` (in `interval.rs`) pins the
 //! container against a `BTreeMap`, which says nothing about the
 //! algorithms above it. This file pins the algorithms: [`Model`] is the
-//! paper's list as a plain `Vec<Slot>` scanned linearly — no id index, no
-//! per-node timeline, no ordered container — with the subtraction rule
-//! of Fig. 1 (b) (left remnant minted before right), region withdrawal,
-//! release and the coalescing rule (a chain's head keeps its id, absorbed
-//! ids are never reissued) written out directly. The one-walk release of
+//! paper's list as a plain `Vec<Slot>` scanned linearly — no per-node
+//! timeline, no ordered container — with the subtraction rule of
+//! Fig. 1 (b) (a member's source found on its node, left remnant minted
+//! before right), region withdrawal, minting inserts, release and the
+//! coalescing rule (a chain's head keeps its id, absorbed ids are never
+//! reissued) written out directly. The one-walk release of
 //! many windows is checked against the model's release member by member,
 //! followed by its coalesce when merging. The store is driven through
 //! random operation sequences next to it — from empty, from a bulk load
@@ -47,25 +48,34 @@ impl Model {
         slots
     }
 
-    fn insert(&mut self, slot: Slot) -> Result<(), CoreError> {
-        if self.slots.iter().any(|s| s.id() == slot.id()) {
-            return Err(CoreError::DuplicateSlotId { id: slot.id() });
-        }
-        let clash = |s: &&Slot| s.node() == slot.node() && s.span().overlaps(slot.span());
+    /// Files a slot under the next id; a refused one mints nothing.
+    fn insert(
+        &mut self,
+        node: NodeId,
+        perf: Perf,
+        price: Price,
+        span: Span,
+    ) -> Result<SlotId, CoreError> {
+        let clash = |s: &&Slot| s.node() == node && s.span().overlaps(span);
         if let Some(first) = self.slots.iter().filter(clash).min_by_key(|s| s.start()) {
             return Err(CoreError::OverlappingSlots {
-                node: slot.node(),
+                node,
                 first: first.id(),
-                second: slot.id(),
+                second: SlotId::new(self.next_id),
             });
         }
-        self.next_id = self.next_id.max(slot.id().raw() + 1);
+        let slot = Slot::new(self.mint(), node, perf, price, span).unwrap();
         self.slots.push(slot);
-        Ok(())
+        Ok(slot.id())
     }
 
-    fn check(&self, id: SlotId, cut: Span) -> Result<(), CoreError> {
-        let slot = self.slots.iter().find(|s| s.id() == id);
+    /// A member's source: the slot with its id on its node.
+    fn check(&self, member: &WindowSlot, cut: Span) -> Result<(), CoreError> {
+        let id = member.source();
+        let slot = self
+            .slots
+            .iter()
+            .find(|s| s.id() == id && s.node() == member.node());
         let slot = slot.ok_or(CoreError::SlotNotFound { id })?;
         if !slot.span().contains_span(cut) {
             return Err(CoreError::CutOutsideSlot {
@@ -91,17 +101,14 @@ impl Model {
         slot
     }
 
-    fn subtract(&mut self, id: SlotId, cut: Span) -> Result<(), CoreError> {
-        self.check(id, cut)?;
-        self.cut(id, cut, &mut Vec::new());
-        Ok(())
-    }
-
     fn subtract_window_report(&mut self, w: &Window) -> Result<SubtractionReport, CoreError> {
-        w.cuts().try_for_each(|(id, cut)| self.check(id, cut))?;
+        let slots = w.slots();
+        slots
+            .iter()
+            .try_for_each(|ws| self.check(ws, w.used_span(ws)))?;
         let mut report = SubtractionReport::default();
-        for (id, cut) in w.cuts() {
-            let slot = self.cut(id, cut, &mut report.remnants);
+        for ws in slots {
+            let slot = self.cut(ws.source(), w.used_span(ws), &mut report.remnants);
             report.removed.push(slot);
         }
         Ok(report)
@@ -119,10 +126,8 @@ impl Model {
     }
 
     fn release_region(&mut self, member: &WindowSlot, span: Span) -> SlotId {
-        let id = self.mint();
-        let slot = Slot::new(id, member.node(), member.perf(), member.price(), span).unwrap();
-        self.insert(slot).unwrap();
-        id
+        let (node, perf, price) = (member.node(), member.perf(), member.price());
+        self.insert(node, perf, price, span).unwrap()
     }
 
     /// Each node's slots in start order; a slot that touches the one
@@ -181,19 +186,22 @@ fn span(a: i64, b: i64) -> Span {
 }
 
 /// Few prices and rates, so touching neighbours often agree on both.
-fn slot(id: SlotId, node: u32, a: i64, b: i64, attrs: i64) -> Slot {
-    let (perf, price) = (
+fn attributes(attrs: i64) -> (Perf, Price) {
+    (
         Perf::from_milli(1000 + 500 * (attrs % 2)),
-        2 + attrs / 2 % 2,
-    );
-    Slot::new(
-        id,
-        NodeId::new(node),
-        perf,
-        Price::from_credits(price),
-        span(a, b),
+        Price::from_credits(2 + attrs / 2 % 2),
     )
-    .unwrap()
+}
+
+fn slot(id: SlotId, node: u32, a: i64, b: i64, attrs: i64) -> Slot {
+    let (perf, price) = attributes(attrs);
+    Slot::new(id, NodeId::new(node), perf, price, span(a, b)).unwrap()
+}
+
+/// A one-member window that cuts `cut` out of `source`, on its node.
+fn one_cut(source: &Slot, cut: Span) -> Window {
+    let member = WindowSlot::from_slot(source, cut.length()).unwrap();
+    Window::new(cut.start(), vec![member]).unwrap()
 }
 
 /// The model and the store one case drives, and the windows it has
@@ -239,12 +247,15 @@ impl Driver {
         match op.tag {
             // Publish head to tail on a node (gap 0 two times in three).
             0..=4 => {
-                let node = (op.picks[0] % 5) as u32;
-                let on_node = view.iter().filter(|s| s.node() == NodeId::new(node));
+                let node = NodeId::new((op.picks[0] % 5) as u32);
+                let on_node = view.iter().filter(|s| s.node() == node);
                 let start = on_node.map(|s| s.end().ticks()).max().unwrap_or(0) + (a % 3) / 2 * b;
-                let id = self.all(Model::mint, SlotList::mint_id);
-                let slot = slot(id, node, start, start + 1 + b % 120, a);
-                assert_eq!(self.all(|m| m.insert(slot), |l| l.insert(slot)), Ok(()));
+                let ((perf, price), at) = (attributes(a), span(start, start + 1 + b % 120));
+                let id = self.all(
+                    |m| m.insert(node, perf, price, at),
+                    |l| l.insert(node, perf, price, at),
+                );
+                assert_eq!(id, Ok(SlotId::new(self.model.next_id - 1)));
             }
             // Release the last few committed windows in one walk, without
             // merging and with it: the model releases them member by
@@ -269,26 +280,22 @@ impl Driver {
                 );
             }
             _ if view.is_empty() => {}
-            // An insert that overlaps a live slot, or repeats a live id,
-            // is refused — same error, nothing changed.
-            5 => {
+            // An insert that overlaps a live slot is refused — same error,
+            // nothing changed, nothing minted (the cursor is compared after
+            // every step). Tag 6 mints an id first, as a caller may.
+            5 | 6 => {
+                if op.tag == 6 {
+                    self.all(Model::mint, SlotList::mint_id);
+                }
                 let victim = pick(0);
-                let id = self.all(Model::mint, SlotList::mint_id);
                 let from = victim.start().ticks() - a % 20;
-                let slot = slot(
-                    id,
-                    victim.node().index(),
-                    from,
-                    victim.start().ticks() + 1 + b,
-                    a,
+                let ((perf, price), node) = (attributes(a), victim.node());
+                let at = span(from, victim.start().ticks() + 1 + b);
+                let refused = self.all(
+                    |m| m.insert(node, perf, price, at),
+                    |l| l.insert(node, perf, price, at),
                 );
-                let refused = self.all(|m| m.insert(slot), |l| l.insert(slot));
                 assert!(matches!(refused, Err(CoreError::OverlappingSlots { .. })));
-            }
-            6 => {
-                let slot = slot(pick(0).id(), 7, 10_000 + a, 10_001 + a + b, a);
-                let refused = self.all(|m| m.insert(slot), |l| l.insert(slot));
-                assert_eq!(refused, Err(CoreError::DuplicateSlotId { id: slot.id() }));
             }
             // Commit a window over up to three distinct-node slots; tag 10
             // adds a member the list cannot serve, which must fail whole.
@@ -309,8 +316,11 @@ impl Driver {
                     return;
                 }
                 if op.tag == 10 {
+                    // An id never minted, on a node no other member uses
+                    // (a window holds each node once), which may be live.
                     let ghost = SlotId::new(self.model.next_id + 5);
-                    members.push(slot(ghost, 9, start, start + runtime, a));
+                    let node = members.iter().map(|m| m.node().index()).max().unwrap() + 1;
+                    members.push(slot(ghost, node, start, start + runtime, a));
                 }
                 let runtime = TimeDelta::new(runtime);
                 let members = members
@@ -343,24 +353,37 @@ impl Driver {
                     }
                 }
             }
-            // Carve an interior span; a cut that leaks out, or names a
-            // retired id, is refused.
+            // Carve an interior span out of one slot on its node; a cut
+            // that leaks out, names a retired id, or names a live id on
+            // another node is refused.
             13 | 14 => {
                 let victim = pick(0);
                 let len = victim.length().ticks();
                 let (lo, hi) = ((a % len).min(b % len), (a % len).max(b % len) + 1);
                 let cut = span(victim.start().ticks() + lo, victim.start().ticks() + hi);
-                let id = victim.id();
-                assert_eq!(
-                    self.all(|m| m.subtract(id, cut), |l| l.subtract(id, cut)),
-                    Ok(())
+                let window = one_cut(&victim, cut);
+                let report = self.all(
+                    |m| m.subtract_window_report(&window),
+                    |l| l.subtract_window_report(&window),
                 );
+                assert!(report.is_ok());
             }
             15 => {
                 let victim = pick(0);
                 let cut = span(victim.start().ticks(), victim.end().ticks() + 1 + a);
-                for id in [victim.id(), SlotId::new(u64::MAX)] {
-                    let refused = self.all(|m| m.subtract(id, cut), |l| l.subtract(id, cut));
+                let node = victim.node().index();
+                let elsewhere = node + 1 + (b % 4) as u32;
+                let misses = [
+                    (victim, cut),
+                    (slot(SlotId::new(u64::MAX), node, 0, 1, a), victim.span()),
+                    (slot(victim.id(), elsewhere, 0, 1, a), victim.span()),
+                ];
+                for (source, cut) in misses {
+                    let window = one_cut(&source, cut);
+                    let refused = self.all(
+                        |m| m.subtract_window_report(&window),
+                        |l| l.subtract_window_report(&window),
+                    );
                     assert!(refused.is_err());
                 }
             }
@@ -425,9 +448,8 @@ impl Driver {
         let cursor = list.clone().mint_id();
         assert_eq!(cursor.raw(), self.model.next_id, "step {step}: next id");
         for slot in &expected {
-            assert_eq!(list.get(slot.id()), Some(slot), "step {step}: get");
-            let inner = span(slot.start().ticks(), slot.end().ticks());
-            assert_eq!(list.covering_slot(slot.node(), inner), Some(slot));
+            let found = list.covering_slot(slot.node(), slot.span());
+            assert_eq!(found, Some(slot), "step {step}: covering_slot");
         }
         if let Some(first) = expected.first() {
             let from = first.start() + TimeDelta::new(1);

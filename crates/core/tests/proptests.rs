@@ -6,6 +6,17 @@ use ecosched_core::{
 };
 use proptest::prelude::*;
 
+/// A one-member window that cuts `cut` out of `source`, on its node.
+fn one_cut(source: &Slot, cut: Span) -> Window {
+    let member = WindowSlot::from_slot(source, cut.length()).unwrap();
+    Window::new(cut.start(), vec![member]).unwrap()
+}
+
+/// Whether a slot with `id` is live anywhere in `list`.
+fn holds(list: &SlotList, id: SlotId) -> bool {
+    list.iter().any(|s| s.id() == id)
+}
+
 /// Strategy: a valid non-empty span inside [0, 10_000).
 fn span_strategy() -> impl Strategy<Value = Span> {
     (0i64..10_000, 1i64..500).prop_map(|(start, len)| {
@@ -97,12 +108,12 @@ proptest! {
         ).unwrap();
 
         let before_total = list.total_vacant_time();
-        list.subtract(slot.id(), cut).unwrap();
+        list.subtract_window(&one_cut(&slot, cut)).unwrap();
 
         prop_assert!(list.validate().is_ok());
         prop_assert_eq!(list.total_vacant_time() + cut.length(), before_total);
         // The original id is gone; remnants carry fresh ids.
-        prop_assert!(list.get(slot.id()).is_none());
+        prop_assert!(!holds(&list, slot.id()));
         // No remnant overlaps the cut on that node.
         for s in list.iter() {
             if s.node() == slot.node() {
@@ -181,7 +192,7 @@ proptest! {
         ),
     ) {
         // Any interleaving of span subtraction and window subtraction must
-        // keep the list valid (ordering, id index, per-node disjointness)
+        // keep the list valid (ordering, unique ids, per-node disjointness)
         // and shrink the total vacancy by exactly the cut lengths — the
         // invariant the incremental search's remnant bookkeeping leans on.
         let mut list = list;
@@ -207,10 +218,10 @@ proptest! {
                 // The report must describe the mutation it performed.
                 prop_assert_eq!(report.removed.as_slice(), &[slot]);
                 for gone in &report.removed {
-                    prop_assert!(list.get(gone.id()).is_none());
+                    prop_assert!(!holds(&list, gone.id()));
                 }
                 for remnant in &report.remnants {
-                    let found = list.get(remnant.id());
+                    let found = list.covering_slot(remnant.node(), remnant.span());
                     prop_assert_eq!(found, Some(remnant));
                     prop_assert!(slot.span().contains_span(remnant.span()));
                 }
@@ -222,7 +233,7 @@ proptest! {
                     TimePoint::new(cut_start),
                     TimePoint::new(cut_start + cut_len),
                 ).unwrap();
-                list.subtract(slot.id(), cut).unwrap();
+                list.subtract_window(&one_cut(&slot, cut)).unwrap();
                 removed_total += cut.length();
             }
 

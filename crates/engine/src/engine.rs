@@ -45,8 +45,8 @@ use ecosched_core::{
 use ecosched_select::SlotSelector;
 use ecosched_sim::cycle::{self, PostponeReason, Recovery};
 use ecosched_sim::{
-    run_iteration, ConfigError, IterationError, IterationResult, JobGenerator, RepairStats,
-    RevocationModel, SlotGenerator,
+    run_iteration, ConfigError, IterationError, IterationResult, JobGenerator, RevocationModel,
+    SlotGenerator,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::{ChaCha8Rng, ChaChaState};
@@ -689,23 +689,20 @@ impl<S: SlotSelector + Copy> Engine<S> {
     fn on_publish(&self, state: &mut RunState, now: TimePoint, count: u32) {
         let generated = self.slot_gen.generate_exact(&mut state.rng, count as usize);
         for s in generated.iter() {
-            let id = state.vacant.mint_id();
             let node = NodeId::new(state.next_node);
             state.next_node += 1;
             let span = Span::new(now + (s.start() - TimePoint::ZERO), {
                 now + (s.end() - TimePoint::ZERO)
             })
             .expect("generated spans are non-empty");
-            let slot = Slot::new(id, node, s.perf(), s.price(), span)
-                .expect("generated slots are non-empty");
+            let id = state
+                .vacant
+                .insert(node, s.perf(), s.price(), span)
+                .expect("fresh nodes cannot collide with existing slots");
             state.published_ticks += span.length().ticks();
             state
                 .queue
                 .push(span.end(), Event::SlotExpired { slot: id.raw() });
-            state
-                .vacant
-                .insert(slot)
-                .expect("fresh nodes cannot collide with existing slots");
         }
     }
 
@@ -890,9 +887,8 @@ impl<S: SlotSelector + Copy> Engine<S> {
         state.report.leases_broken += broken.len() as u64;
 
         self.obs.on_repair(now.ticks(), broken.len());
-        let mut stats = RepairStats::default();
         for id in broken {
-            self.recover_lease(state, id, &revocations, now, &mut stats);
+            self.recover_lease(state, id, &revocations, now);
         }
         state.last_strike = revocations;
     }
@@ -907,7 +903,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
         id: u64,
         revocations: &[Revocation],
         now: TimePoint,
-        stats: &mut RepairStats,
     ) {
         let mut original = state.leases.remove(&id).expect("broken ids are live");
         let job = original.pending();
@@ -920,7 +915,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
             &mut state.vacant,
             revocations,
             now,
-            stats,
         );
         match recovery {
             Recovery::FailedOver {

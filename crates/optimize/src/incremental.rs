@@ -39,15 +39,17 @@
 //! same optimizer for a second sweep over a shared job prefix.
 //!
 //! Equivalence with the `*_naive` oracles is by construction — both paths
-//! share [`dp::compute_row`]/[`dp::extend_row`]/[`dp::reconstruct_choices`]
-//! — and is enforced byte-for-byte by the differential harness in
+//! build rows with [`dp::extend_row`] (which [`dp::compute_row`] wraps) and
+//! reconstruct with [`dp::reconstruct_choices`] — and is enforced byte-for-byte by the differential harness in
 //! `tests/equivalence.rs`.
 //!
 //! # Row storage
 //!
 //! A cached row is kept exactly as the kernel in [`crate::dp`] reads and
 //! writes it — a flat `Vec<i64>` with a sentinel for unreachable cells.
-//! The cache lives and dies with its optimizer: nothing exports it.
+//! A rebuilt row refills the buffer of a row the same solve retired, when
+//! that is wide enough. The cache lives and dies with its optimizer:
+//! nothing exports it.
 
 use ecosched_core::{JobAlternatives, Money, TimeDelta};
 use serde::{Deserialize, Serialize};
@@ -220,14 +222,18 @@ impl DpCache {
             }
         }
 
-        if reuse_from == n {
+        // The rows of the entries that go are refilled by the rebuild
+        // below, each freed only if too narrow for it, so a sliding window
+        // does not hand the whole table back to the allocator and ask for
+        // it again on every slide.
+        let retired = if reuse_from == n {
             // Nothing survives: start a fresh cache sized to this query.
-            self.entries.clear();
             self.width = cap;
+            self.entries.len()
         } else {
-            let first_kept = (reuse_from as i64 + offset) as usize;
-            self.entries.drain(..first_kept);
-        }
+            (reuse_from as i64 + offset) as usize
+        };
+        let mut spare: Vec<Vec<i64>> = self.entries.drain(..retired).map(|e| e.row).collect();
         let kept = self.entries.len();
         debug_assert_eq!(kept, n - reuse_from);
 
@@ -283,9 +289,13 @@ impl DpCache {
             } else {
                 &fresh.last().expect("rows are built back to front").row
             };
+            let row = spare.pop().filter(|row| row.capacity() > target);
+            let mut row = row.unwrap_or_default();
+            row.clear();
+            dp::extend_row(&items[i], next, &mut row, target, self.sense);
             fresh.push(RowEntry {
                 suffix_fp: suffix_fps[i],
-                row: dp::compute_row(&items[i], next, target, self.sense),
+                row,
                 #[cfg(debug_assertions)]
                 items: items[i].clone(),
             });

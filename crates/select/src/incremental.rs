@@ -1028,7 +1028,7 @@ mod tests {
     /// Cuts `[a, b)` out of slot `id` the way another job's window would,
     /// returning the report the scans are notified with.
     fn cut(list: &mut SlotList, id: u64, a: i64, b: i64) -> SubtractionReport {
-        let source = *list.get(SlotId::new(id)).unwrap();
+        let source = *list.iter().find(|s| s.id().raw() == id).unwrap();
         let member = ecosched_core::WindowSlot::from_slot(&source, TimeDelta::new(b - a)).unwrap();
         let window = Window::new(TimePoint::new(a), vec![member]).unwrap();
         list.subtract_window_report(&window).unwrap()

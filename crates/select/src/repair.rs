@@ -4,7 +4,7 @@
 //! metascheduler can be withdrawn by its owner between the alternatives
 //! search and the launch. This module provides the two search-layer tiers
 //! of the recovery policy (the third tier — postponing to the next cycle —
-//! lives in the metascheduler):
+//! is the caller's, `ecosched_sim::cycle::recover`):
 //!
 //! 1. **Failover** — [`try_adopt_window`] re-validates one of the job's
 //!    pre-computed alternatives against the current execution list and the
@@ -23,7 +23,7 @@
 //! drawn against the published list, so the `(node, span)` region is the
 //! only identity both sides share.
 
-use ecosched_core::{NodeId, Revocation, SlotId, SlotList, Span, TimePoint, Window};
+use ecosched_core::{NodeId, Revocation, SlotList, Span, TimePoint, Window};
 
 use crate::incremental::JobScan;
 use crate::selector::SlotSelector;
@@ -70,33 +70,29 @@ impl std::error::Error for RepairError {}
 
 /// Checks that every member of `window` is still launchable: its used
 /// region intersects no revocation and is fully covered by a vacant slot
-/// of `list`.
-///
-/// On success returns the covering slot ids in member order, ready to be
-/// carved by [`try_adopt_window`]. `O(k log m)` for a `k`-member window via
-/// the slot list's per-node index.
+/// on its node. `O(k log m)` for a `k`-member window via the slot list's
+/// per-node timelines.
 pub fn revalidate_window(
     window: &Window,
     list: &SlotList,
     revocations: &[Revocation],
-) -> Result<Vec<SlotId>, RepairError> {
-    let mut covers = Vec::with_capacity(window.slots().len());
+) -> Result<(), RepairError> {
     for ws in window.slots() {
-        let node = ws.node();
-        let span = window.used_span(ws);
+        let (node, span) = (ws.node(), window.used_span(ws));
         if revocations.iter().any(|r| r.hits(node, span)) {
             return Err(RepairError::Revoked { node, span });
         }
-        match list.covering_slot(node, span) {
-            Some(slot) => covers.push(slot.id()),
-            None => return Err(RepairError::Consumed { node, span }),
+        if list.covering_slot(node, span).is_none() {
+            return Err(RepairError::Consumed { node, span });
         }
     }
-    Ok(covers)
+    Ok(())
 }
 
 /// Re-validates `window` and, if every member is still launchable, carves
-/// its used regions out of `list`.
+/// its used regions out of `list` by node and region
+/// ([`SlotList::remove_region`]): each cuts the one slot that covers it,
+/// minting the remnants left then right, as a subtraction would.
 ///
 /// Validation runs to completion before any mutation, and window members
 /// sit on distinct nodes, so adoption either happens in full or leaves the
@@ -106,10 +102,9 @@ pub fn try_adopt_window(
     list: &mut SlotList,
     revocations: &[Revocation],
 ) -> Result<(), RepairError> {
-    let covers = revalidate_window(window, list, revocations)?;
-    for (ws, id) in window.slots().iter().zip(covers) {
-        list.subtract(id, window.used_span(ws))
-            .expect("revalidation proved the region lies inside the slot");
+    revalidate_window(window, list, revocations)?;
+    for ws in window.slots() {
+        list.remove_region(ws.node(), window.used_span(ws));
     }
     Ok(())
 }
@@ -210,8 +205,7 @@ mod tests {
     #[test]
     fn revalidate_passes_on_covered_regions() {
         let list = wide_list();
-        let covers = revalidate_window(&window(100, 50), &list, &[]).unwrap();
-        assert_eq!(covers, vec![SlotId::new(0), SlotId::new(1)]);
+        assert_eq!(revalidate_window(&window(100, 50), &list, &[]), Ok(()));
     }
 
     #[test]
@@ -262,12 +256,14 @@ mod tests {
         assert!(list.covering_slot(NodeId::new(0), span(100, 150)).is_none());
         assert!(list.covering_slot(NodeId::new(1), span(100, 150)).is_none());
         assert!(list.covering_slot(NodeId::new(2), span(100, 150)).is_some());
-        assert_eq!(
-            list.covering_slot(NodeId::new(0), span(0, 100))
-                .unwrap()
-                .span(),
-            span(0, 100)
-        );
+        // Each covering slot is replaced by its remnants, minted left then
+        // right, member by member.
+        let node = |n: u32| {
+            let on = list.iter().filter(move |s| s.node() == NodeId::new(n));
+            on.map(|s| (s.id().raw(), s.span())).collect::<Vec<_>>()
+        };
+        assert_eq!(node(0), [(3, span(0, 100)), (4, span(150, 600))]);
+        assert_eq!(node(1), [(5, span(0, 100)), (6, span(150, 600))]);
     }
 
     #[test]

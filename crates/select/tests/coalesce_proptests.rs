@@ -108,10 +108,12 @@ proptest! {
                 prop_assert_eq!(c.slot_count(), request.nodes());
                 for ws in c.slots() {
                     prop_assert!(ws.perf().satisfies(request.min_perf()));
-                    let source = coalesced
-                        .get(ws.source())
-                        .expect("window member cites a live slot");
-                    prop_assert!(source.span().contains_span(c.used_span(ws)));
+                    let source = coalesced.covering_slot(ws.node(), c.used_span(ws));
+                    prop_assert_eq!(
+                        source.map(Slot::id),
+                        Some(ws.source()),
+                        "window member cites a live slot"
+                    );
                 }
             }
         }

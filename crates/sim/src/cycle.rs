@@ -31,12 +31,11 @@
 //! every start switches those three clock clauses off.
 
 use ecosched_core::{ResourceRequest, Revocation, SlotList, Span, TimePoint, Window};
-use ecosched_select::{repair_search, try_adopt_window, RepairError, ScanStats, SlotSelector};
+use ecosched_select::{repair_search, try_adopt_window, ScanStats, SlotSelector};
 use serde::{Deserialize, Serialize};
 
 use crate::config::reserved_key;
 use crate::iteration::IterationResult;
-use crate::revocation::RepairStats;
 
 /// Why a job left a cycle unscheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -214,8 +213,7 @@ pub fn release_broken(
 /// Recovers one broken lease: tier 1 over `alternatives` (pairs of the
 /// caller's label and the window, in adoption-preference order), then
 /// tier 2 anchored at the `broken` window's start, then postponement. A
-/// recovered window is already carved out of `exec` on return; every
-/// attempt is accounted in `stats`.
+/// recovered window is already carved out of `exec` on return.
 ///
 /// The caller must have removed the `revocations` from `exec` and released
 /// the broken leases' survivors ([`release_broken`]) first.
@@ -229,9 +227,7 @@ pub fn recover<'a>(
     exec: &mut SlotList,
     revocations: &[Revocation],
     now: TimePoint,
-    stats: &mut RepairStats,
 ) -> Recovery {
-    let original_cost = broken.total_cost();
     let mut attempts: u32 = 0;
 
     // Tier 1: fail over to a surviving pre-computed alternative. Disjoint
@@ -246,18 +242,11 @@ pub fn recover<'a>(
             continue; // cannot launch in the past
         }
         attempts += 1;
-        stats.failover_validations += 1;
-        match try_adopt_window(window, exec, revocations) {
-            Ok(()) => {
-                stats.failovers_taken += 1;
-                stats.repair_cost_delta += (window.total_cost() - original_cost).to_f64();
-                return Recovery::FailedOver {
-                    alternative,
-                    window: window.clone(),
-                };
-            }
-            Err(RepairError::Revoked { .. }) => stats.failover_stale_revoked += 1,
-            Err(RepairError::Consumed { .. }) => stats.failover_stale_consumed += 1,
+        if try_adopt_window(window, exec, revocations).is_ok() {
+            return Recovery::FailedOver {
+                alternative,
+                window: window.clone(),
+            };
         }
     }
 
@@ -266,26 +255,19 @@ pub fn recover<'a>(
     // A hit is carved out of `exec`.
     if attempts < policy.max_attempts {
         attempts += 1;
-        stats.repairs_attempted += 1;
-        let mut scan = ScanStats::new();
-        let found = repair_search(selector, request, broken.start().max(now), exec, &mut scan);
-        stats.budget_violations_avoided += scan.acceptance_tests - scan.windows_found;
-        stats.repair_scan.merge(&scan);
-        if let Some(window) = found {
+        let anchor = broken.start().max(now);
+        if let Some(window) = repair_search(selector, request, anchor, exec, &mut ScanStats::new())
+        {
             exec.subtract_window(&window)
                 .expect("repair windows are carved from the execution list");
-            stats.repair_cost_delta += (window.total_cost() - original_cost).to_f64();
-            stats.repairs_succeeded += 1;
             return Recovery::Repaired { window };
         }
     }
 
     // Tier 3: postpone with the reason.
     Recovery::Postponed(if attempts >= policy.max_attempts {
-        stats.postponed_budget_exhausted += 1;
         PostponeReason::RepairBudgetExhausted
     } else {
-        stats.postponed_stale += 1;
         PostponeReason::AllAlternativesStale
     })
 }
@@ -297,7 +279,7 @@ mod tests {
     use ecosched_core::{
         Batch, Job, JobId, NodeId, Perf, Price, Slot, SlotId, TimeDelta, WindowSlot,
     };
-    use ecosched_select::Alp;
+    use ecosched_select::{Alp, RepairError};
 
     fn span(a: i64, b: i64) -> Span {
         Span::new(TimePoint::new(a), TimePoint::new(b)).unwrap()
@@ -368,9 +350,8 @@ mod tests {
         exec: &mut SlotList,
         revocations: &[Revocation],
         now: i64,
-    ) -> (Recovery, RepairStats) {
-        let mut stats = RepairStats::default();
-        let recovery = recover(
+    ) -> Recovery {
+        recover(
             &Alp::new(),
             &policy,
             &request(),
@@ -379,17 +360,21 @@ mod tests {
             exec,
             revocations,
             TimePoint::new(now),
-            &mut stats,
-        );
-        (recovery, stats)
+        )
+    }
+
+    /// The nodes a window runs on, in member order.
+    fn nodes(window: &Window) -> Vec<u32> {
+        window.slots().iter().map(|ws| ws.node().index()).collect()
     }
 
     #[test]
     fn tier_1_adopts_a_surviving_alternative() {
         let mut exec = market(&[(0, 0, 100), (1, 0, 100)]);
         let alt = window(&[0, 1], 30, 20);
-        let (recovery, stats) = run(
-            RepairPolicy::default(),
+        // One attempt is enough: the validation that adopts it.
+        let recovery = run(
+            RepairPolicy { max_attempts: 1 },
             &window(&[2, 3], 0, 20),
             std::slice::from_ref(&alt),
             &mut exec,
@@ -403,9 +388,7 @@ mod tests {
                 window: alt
             }
         );
-        assert_eq!((stats.failover_validations, stats.failovers_taken), (1, 1));
-        assert_eq!(stats.repairs_attempted, 0);
-        // The adopted regions left the execution list.
+        // The adopted regions, and nothing else, left the execution list.
         assert!(exec.covering_slot(NodeId::new(0), span(30, 50)).is_none());
         assert_eq!(exec.total_vacant_time().ticks(), 200 - 40);
     }
@@ -413,11 +396,14 @@ mod tests {
     #[test]
     fn a_revoked_alternative_falls_through_to_the_anchored_repair() {
         // Node 0 was withdrawn with the alternative on it; nodes 4 and 5
-        // still host a window at or after the broken start.
+        // still host a window at or after the broken start. Node 1 could
+        // host one at 40 with node 4, but its slot starts before the
+        // anchor, so the scan that resumes there never reads it.
         let mut exec = market(&[(1, 0, 100), (4, 40, 100), (5, 45, 100)]);
         let revocations = [revocation(2, 0, 100), revocation(0, 0, 100)];
-        let (recovery, stats) = run(
-            RepairPolicy::default(),
+        // Two attempts: the revoked validation, then the scan.
+        let recovery = run(
+            RepairPolicy { max_attempts: 2 },
             &window(&[2, 3], 40, 20),
             &[window(&[0, 1], 60, 20)],
             &mut exec,
@@ -427,16 +413,12 @@ mod tests {
         let Recovery::Repaired { window } = recovery else {
             panic!("expected a repair, got {recovery:?}");
         };
-        assert_eq!(window.start(), TimePoint::new(45));
         assert_eq!(
-            (stats.failover_validations, stats.failover_stale_revoked),
-            (1, 1)
-        );
-        assert_eq!((stats.repairs_attempted, stats.repairs_succeeded), (1, 1));
-        assert_eq!(
-            stats.repair_scan.checkpoint_hits, 1,
+            window.start(),
+            TimePoint::new(45),
             "scan resumed at its anchor"
         );
+        assert_eq!(nodes(&window), [4, 5]);
         assert_eq!(exec.total_vacant_time().ticks(), 100 + 60 + 55 - 40);
     }
 
@@ -444,21 +426,25 @@ mod tests {
     fn a_consumed_alternative_is_counted_as_such() {
         // Nobody revoked node 1, but its time is no longer vacant.
         let mut exec = market(&[(0, 0, 100)]);
-        let (recovery, stats) = run(
+        let (alt, revocations) = (window(&[0, 1], 30, 20), [revocation(2, 0, 100)]);
+        assert_eq!(
+            ecosched_select::revalidate_window(&alt, &exec, &revocations),
+            Err(RepairError::Consumed {
+                node: NodeId::new(1),
+                span: span(30, 50)
+            })
+        );
+        let recovery = run(
             RepairPolicy::default(),
             &window(&[2, 3], 0, 20),
-            &[window(&[0, 1], 30, 20)],
+            &[alt],
             &mut exec,
-            &[revocation(2, 0, 100)],
+            &revocations,
             0,
         );
         assert_eq!(
             recovery,
             Recovery::Postponed(PostponeReason::AllAlternativesStale)
-        );
-        assert_eq!(
-            (stats.failover_stale_consumed, stats.failover_stale_revoked),
-            (1, 0)
         );
         assert_eq!(
             exec.total_vacant_time().ticks(),
@@ -472,8 +458,9 @@ mod tests {
         // One attempt, spent on the stale alternative: tier 2 never runs
         // although nodes 4 and 5 could host the job.
         let mut exec = market(&[(4, 0, 100), (5, 0, 100)]);
+        let before = exec.clone();
         let policy = RepairPolicy { max_attempts: 1 };
-        let (recovery, stats) = run(
+        let recovery = run(
             policy,
             &window(&[2, 3], 0, 20),
             &[window(&[0, 1], 30, 20)],
@@ -485,29 +472,42 @@ mod tests {
             recovery,
             Recovery::Postponed(PostponeReason::RepairBudgetExhausted)
         );
-        assert_eq!(
-            (stats.repairs_attempted, stats.postponed_budget_exhausted),
-            (0, 1)
+        assert_eq!(exec, before, "no scan carved anything");
+        // A second attempt buys the scan, which finds nodes 4 and 5.
+        let recovery = run(
+            RepairPolicy { max_attempts: 2 },
+            &window(&[2, 3], 0, 20),
+            &[window(&[0, 1], 30, 20)],
+            &mut exec,
+            &[revocation(2, 0, 100)],
+            0,
+        );
+        assert!(
+            matches!(recovery, Recovery::Repaired { .. }),
+            "{recovery:?}"
         );
     }
 
     #[test]
     fn a_dry_scan_postpones_as_stale() {
         let mut exec = market(&[(4, 0, 100)]);
-        let (recovery, stats) = run(
-            RepairPolicy::default(),
-            &window(&[2, 3], 0, 20),
-            &[],
-            &mut exec,
-            &[revocation(2, 0, 100)],
-            0,
-        );
+        let before = exec.clone();
+        let recover_under = |max_attempts: u32, exec: &mut SlotList| {
+            let policy = RepairPolicy { max_attempts };
+            let broken = window(&[2, 3], 0, 20);
+            run(policy, &broken, &[], exec, &[revocation(2, 0, 100)], 0)
+        };
         assert_eq!(
-            recovery,
+            recover_under(8, &mut exec),
             Recovery::Postponed(PostponeReason::AllAlternativesStale)
         );
-        assert_eq!((stats.repairs_attempted, stats.repairs_succeeded), (1, 0));
-        assert_eq!(stats.postponed_stale, 1);
+        assert_eq!(exec, before);
+        // The scan ran and spent an attempt: with only one, the budget is
+        // what ran out.
+        assert_eq!(
+            recover_under(1, &mut exec),
+            Recovery::Postponed(PostponeReason::RepairBudgetExhausted)
+        );
     }
 
     #[test]
@@ -525,7 +525,7 @@ mod tests {
             TimePoint::ZERO,
         );
         let broken = window(&[2, 3], 60, 20);
-        let (recovery, _) = run(
+        let recovery = run(
             RepairPolicy::default(),
             &broken,
             &[],
@@ -542,8 +542,10 @@ mod tests {
     #[test]
     fn alternatives_starting_in_the_past_are_skipped_for_free() {
         let alt = window(&[0, 1], 10, 20);
+        // Nodes 4 and 5 open at 20: a scan from 20 finds them, one from 10
+        // would too, but none from before 10 is asked for.
         let recover_at = |now: i64| {
-            let mut exec = market(&[(0, 0, 100), (1, 0, 100)]);
+            let mut exec = market(&[(0, 0, 100), (1, 0, 100), (4, 20, 100), (5, 20, 100)]);
             let policy = RepairPolicy { max_attempts: 1 };
             run(
                 policy,
@@ -554,23 +556,19 @@ mod tests {
                 now,
             )
         };
-        let (on_time, _) = recover_at(10);
         assert!(matches!(
-            on_time,
+            recover_at(10),
             Recovery::FailedOver { alternative: 7, .. }
         ));
         // At 20 the alternative cannot launch any more. Skipping it spends
         // no attempt, so the single-attempt budget still buys the scan —
-        // which only looks at slots starting at or after `now`.
-        let (late, stats) = recover_at(20);
-        assert_eq!(
-            late,
-            Recovery::Postponed(PostponeReason::RepairBudgetExhausted)
-        );
-        assert_eq!(
-            (stats.failover_validations, stats.repairs_attempted),
-            (0, 1)
-        );
+        // which only looks at slots starting at or after `now`, and finds
+        // nodes 4 and 5 there, not the older slots on 0 and 1.
+        let Recovery::Repaired { window } = recover_at(20) else {
+            panic!("the skip must leave the attempt for the scan");
+        };
+        assert_eq!(window.start(), TimePoint::new(20));
+        assert_eq!(nodes(&window), [4, 5]);
     }
 
     #[test]

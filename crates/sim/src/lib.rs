@@ -11,7 +11,7 @@
 //! * [`run_iteration`] — one complete scheduling iteration: alternatives
 //!   search → Eq. (2)/(3) VO limits → combination optimization;
 //! * [`RevocationModel`] — seeded slot revocations drawn against a live
-//!   market, with the recovery work they cause counted in [`RepairStats`];
+//!   market;
 //! * [`mod@cycle`] — the commit-and-repair core the discrete-event engine
 //!   runs each cycle and each strike: commit, surviving-fragment release,
 //!   and the failover → bounded repair search → postpone tiers per broken
@@ -63,7 +63,7 @@ pub use cycle::{PostponeReason, Recovery, RepairPolicy};
 pub use iteration::{run_iteration, Criterion, IterationConfig, IterationError, IterationResult};
 pub use job_gen::JobGenerator;
 pub use market::{MarketConfig, MarketCycleReport, MarketSimulation};
-pub use revocation::{RepairStats, RevocationConfig, RevocationModel};
+pub use revocation::{RevocationConfig, RevocationModel};
 pub use slot_gen::SlotGenerator;
 pub use stats::RunningStats;
 pub use strategy::{ScheduleStrategy, StrategyConfig, StrategyVersion};

@@ -172,41 +172,6 @@ impl RevocationModel {
     }
 }
 
-/// Counters of the recovery work [`crate::cycle::recover`] does for
-/// broken leases: every attempt, and how each broken lease ended.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RepairStats {
-    /// Alternative re-validations attempted during failover (tier 1).
-    pub failover_validations: u64,
-    /// Failovers whose re-validation failed because a region was revoked.
-    pub failover_stale_revoked: u64,
-    /// Failovers whose re-validation failed because a region was consumed
-    /// by another job's commitment or repair.
-    pub failover_stale_consumed: u64,
-    /// Broken leases recovered by adopting a surviving alternative.
-    pub failovers_taken: u64,
-    /// Bounded repair searches started (tier 2).
-    pub repairs_attempted: u64,
-    /// Bounded repair searches that found a fresh window.
-    pub repairs_succeeded: u64,
-    /// Total recovered-minus-original window cost over every failover and
-    /// repair, in credits (negative when recovery found cheaper windows).
-    pub repair_cost_delta: f64,
-    /// AMP acceptance tests during repair scans that were rejected by the
-    /// job budget — windows the repair refused rather than overspend.
-    pub budget_violations_avoided: u64,
-    /// Scan-work counters of every repair search, including the
-    /// checkpoint-resume proof ([`ScanStats::checkpoint_hits`]).
-    ///
-    /// [`ScanStats::checkpoint_hits`]: ecosched_select::ScanStats::checkpoint_hits
-    pub repair_scan: ecosched_select::ScanStats,
-    /// Broken jobs postponed after every alternative went stale and the
-    /// repair search came up empty.
-    pub postponed_stale: u64,
-    /// Broken jobs postponed because the repair attempt budget ran out.
-    pub postponed_budget_exhausted: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

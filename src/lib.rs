@@ -97,6 +97,6 @@ pub mod prelude {
     };
     pub use ecosched_sim::{
         run_iteration, Criterion, IterationConfig, JobGenConfig, JobGenerator, PostponeReason,
-        RepairPolicy, RepairStats, RevocationConfig, SlotGenConfig, SlotGenerator,
+        RepairPolicy, RevocationConfig, SlotGenConfig, SlotGenerator,
     };
 }

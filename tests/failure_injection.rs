@@ -4,7 +4,9 @@
 use ecosched::prelude::*;
 use ecosched::sim::IterationError;
 
-/// A selector that fabricates windows referencing slots that do not exist.
+/// A selector that fabricates windows citing a slot that does not exist:
+/// on a real node, over time a real slot there covers, under an id the
+/// node does not hold — so only the source's id check can refuse it.
 #[derive(Debug)]
 struct PhantomSlotSelector;
 
@@ -15,20 +17,16 @@ impl SlotSelector for PhantomSlotSelector {
 
     fn find_window(
         &self,
-        _list: &SlotList,
+        list: &SlotList,
         request: &ResourceRequest,
         _stats: &mut ScanStats,
     ) -> Option<Window> {
-        let ghost = Slot::new(
-            SlotId::new(u64::MAX),
-            NodeId::new(u32::MAX),
-            Perf::UNIT,
-            Price::from_credits(1),
-            Span::new(TimePoint::new(0), TimePoint::new(10_000)).unwrap(),
-        )
-        .unwrap();
+        let victim = list.iter().next()?;
+        let ghost = victim
+            .with_span(SlotId::new(u64::MAX), victim.span())
+            .unwrap();
         let ws = WindowSlot::from_slot(&ghost, request.runtime_on(Perf::UNIT)).unwrap();
-        Some(Window::new(TimePoint::new(0), vec![ws]).unwrap())
+        Some(Window::new(victim.start(), vec![ws]).unwrap())
     }
 }
 
@@ -76,11 +74,29 @@ fn environment() -> (SlotList, Batch) {
     (list, Batch::from_jobs(vec![job]).unwrap())
 }
 
+/// Cuts `selector`'s window out of the environment's list directly, on
+/// its member's node: the typed refusal, after checking that the refused
+/// cut left the list as it was.
+fn refused_cut(selector: &impl SlotSelector) -> CoreError {
+    let (mut list, batch) = environment();
+    let request = batch.as_slice()[0].request();
+    let window = selector.find_window(&list, request, &mut ScanStats::new());
+    let before = list.clone();
+    let err = list.subtract_window(&window.unwrap()).unwrap_err();
+    assert_eq!(list, before, "a refused cut changes nothing");
+    err
+}
+
 #[test]
 fn phantom_slots_yield_a_typed_error() {
     let (list, batch) = environment();
     let err = find_alternatives(&PhantomSlotSelector, &list, &batch).unwrap_err();
     assert!(matches!(err, CoreError::SlotNotFound { .. }), "{err}");
+    let id = SlotId::new(u64::MAX);
+    assert_eq!(
+        refused_cut(&PhantomSlotSelector),
+        CoreError::SlotNotFound { id }
+    );
 }
 
 #[test]
@@ -88,6 +104,13 @@ fn overhanging_cuts_yield_a_typed_error() {
     let (list, batch) = environment();
     let err = find_alternatives(&OverhangSelector, &list, &batch).unwrap_err();
     assert!(matches!(err, CoreError::CutOutsideSlot { .. }), "{err}");
+    let err = refused_cut(&OverhangSelector);
+    assert!(
+        matches!(err, CoreError::CutOutsideSlot { id, slot_span, cut }
+            if id == SlotId::new(0) && cut.start() == slot_span.start()
+                && cut.length() == slot_span.length() * 2),
+        "{err}"
+    );
 }
 
 #[test]
@@ -111,6 +134,8 @@ fn coscheduled_search_rejects_misbehaving_selectors_too() {
     let (list, batch) = environment();
     let err = find_alternatives_coscheduled(&OverhangSelector, &list, &batch).unwrap_err();
     assert!(matches!(err, CoreError::CutOutsideSlot { .. }));
+    let err = find_alternatives_coscheduled(&PhantomSlotSelector, &list, &batch).unwrap_err();
+    assert!(matches!(err, CoreError::SlotNotFound { .. }), "{err}");
 }
 
 #[test]
