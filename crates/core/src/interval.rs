@@ -26,6 +26,9 @@ pub(crate) fn key(slot: &Slot) -> Key {
     (slot.start(), slot.id())
 }
 
+/// One run of a node's timeline: `(start, id, end)`.
+pub(crate) type Run = (TimePoint, SlotId, TimePoint);
+
 /// The most slots one block holds; a block that grows past it splits in
 /// half, and a bulk load fills blocks half full. DESIGN §16 records why
 /// 128.
@@ -95,21 +98,54 @@ impl Order {
         }
     }
 
-    /// Removes the slot at `key`, which must be live.
-    pub(crate) fn remove(&mut self, at: Key) {
-        let (b, pos) = self.index(at).expect("the removed slot is live");
+    /// The block and position of the live slot at `at`.
+    fn locate(&self, at: Key) -> (usize, usize) {
+        let found = self.index(at).filter(|&(b, pos)| {
+            let block = &self.blocks[b];
+            block.get(pos).map(key) == Some(at)
+        });
+        found.expect("the slot at the key is live")
+    }
+
+    /// Removes the slot at `at`, which must be live, and returns it.
+    pub(crate) fn remove(&mut self, at: Key) -> Slot {
+        let (b, pos) = self.locate(at);
+        self.take(b, pos)
+    }
+
+    fn take(&mut self, b: usize, pos: usize) -> Slot {
         let block = &mut self.blocks[b];
-        debug_assert_eq!(
-            block.get(pos).map(key),
-            Some(at),
-            "the removed slot is live"
-        );
-        block.remove(pos);
+        let slot = block.remove(pos);
         self.len -= 1;
         if block.is_empty() {
             self.blocks.remove(b);
             self.firsts.remove(b);
         }
+        slot
+    }
+
+    /// Puts `with(slot)` in the place of the live slot at `at` and returns
+    /// both, the slot taken first. The new slot must keep the start and
+    /// sort after every live slot at it: a left remnant under the
+    /// freshest id taking its source's place. It moves forward past the
+    /// same-start slots in the block, one search and one memmove; only
+    /// when that run reaches the block's end and the next block's first
+    /// key is not above the new key is it removed and inserted instead.
+    pub(crate) fn replace(&mut self, at: Key, with: impl FnOnce(&Slot) -> Slot) -> (Slot, Slot) {
+        let (b, pos) = self.locate(at);
+        let block = &mut self.blocks[b];
+        let (taken, placed) = (block[pos], with(&block[pos]));
+        let to = key(&placed);
+        debug_assert!(to.0 == at.0 && to > at, "a replacement keeps the start");
+        let end = pos + 1 + position(&block[pos + 1..], to);
+        if end == block.len() && self.firsts.get(b + 1).is_some_and(|first| *first <= to) {
+            self.take(b, pos);
+            self.insert(placed);
+        } else {
+            block[pos..end].rotate_left(1);
+            block[end - 1] = placed;
+        }
+        (taken, placed)
     }
 
     pub(crate) fn iter(&self) -> SlotIter<'_> {
@@ -288,9 +324,9 @@ impl IntervalSet {
 
     /// The run whose interval fully contains `region`, if any: at most
     /// one exists, the last run starting at or before `region.start()`.
-    pub(crate) fn covering(&self, region: Span) -> Option<Key> {
+    pub(crate) fn covering(&self, region: Span) -> Option<Run> {
         let (&start, &(id, end)) = self.runs.range(..=region.start()).next_back()?;
-        (end >= region.end()).then_some((start, id))
+        (end >= region.end()).then_some((start, id, end))
     }
 
     /// The span of the run carrying `id`: a walk over the node's runs, for
@@ -305,13 +341,13 @@ impl IntervalSet {
     /// followed by every run starting inside it. Callers intersect each
     /// candidate; a predecessor ending at or before `region.start()` is
     /// simply not affected.
-    pub(crate) fn candidates(&self, region: Span) -> Vec<Key> {
+    pub(crate) fn candidates(&self, region: Span) -> Vec<Run> {
         let before = self.runs.range(..region.start()).next_back();
         let inside = self.runs.range(region.start()..region.end());
         before
             .into_iter()
             .chain(inside)
-            .map(|(&start, &(id, _))| (start, id))
+            .map(|(&start, &(id, end))| (start, id, end))
             .collect()
     }
 
@@ -355,6 +391,10 @@ mod tests {
         (TimePoint::new(start), SlotId::new(id))
     }
 
+    fn run(id: u64, a: i64, b: i64) -> Run {
+        (TimePoint::new(a), SlotId::new(id), TimePoint::new(b))
+    }
+
     fn set(runs: &[(u64, i64, i64)]) -> IntervalSet {
         let mut s = IntervalSet::default();
         for &(id, a, b) in runs {
@@ -388,7 +428,7 @@ mod tests {
     #[test]
     fn covering_finds_the_unique_container() {
         let s = set(&[(0, 0, 30), (1, 50, 80)]);
-        assert_eq!(s.covering(span(55, 70)), Some(at(50, 1)));
+        assert_eq!(s.covering(span(55, 70)), Some(run(1, 50, 80)));
         assert!(s.covering(span(25, 55)).is_none());
         assert!(s.covering(span(30, 40)).is_none());
     }
@@ -396,7 +436,7 @@ mod tests {
     #[test]
     fn candidates_include_the_reaching_predecessor() {
         let s = set(&[(0, 0, 30), (1, 40, 70), (2, 80, 120)]);
-        let all = vec![at(0, 0), at(40, 1), at(80, 2)];
+        let all = vec![run(0, 0, 30), run(1, 40, 70), run(2, 80, 120)];
         assert_eq!(s.candidates(span(20, 90)), all);
         // A predecessor ending before the region is still listed (the
         // caller's intersect filters it) but nothing before it is.
@@ -448,13 +488,54 @@ mod tests {
 
         order.insert(slot(0, 10, 15));
         assert_eq!(from(&order, 10)[0], slot(0, 10, 15));
-        order.remove(at(10, 0));
-        order.remove(at(10, 4));
+        assert_eq!(order.remove(at(10, 0)), slot(0, 10, 15));
+        // Slot 1's left piece under id 5 moves past slot 4 at the same start.
+        let piece = sorted[1].with_span(SlotId::new(5), span(10, 20)).unwrap();
+        let (taken, placed) = order.replace(at(10, 1), |s| {
+            s.with_span(SlotId::new(5), span(10, 20)).unwrap()
+        });
+        assert_eq!((taken, placed), (sorted[1], piece));
+        assert_eq!(from(&order, 10), [sorted[2], piece, sorted[3]]);
+        assert_eq!(order.remove(at(10, 4)), sorted[2]);
+        order.remove(at(10, 5));
+        order.insert(sorted[1]);
         let left = vec![slot(3, 0, 20), slot(1, 10, 40), slot(2, 25, 60)];
         assert_eq!(order.iter().copied().collect::<Vec<_>>(), left);
         assert_eq!(order.into_slots().collect::<Vec<_>>(), left);
         assert_eq!(Order::default().iter().next(), None);
         assert_eq!(from(&Order::default(), 0), []);
+    }
+
+    /// A replacement moves past the same-start slots to the end of its
+    /// block, and falls back to remove + insert only when the run goes on
+    /// in the next block: with 100 slots at one start, bulk-loaded into
+    /// blocks of 64 and 36, and a slot at a later start behind them.
+    #[test]
+    fn a_replacement_crosses_a_block_only_through_the_fallback() {
+        let mut sorted: Vec<Slot> = (0..100).map(|id| slot(id, 5, 50)).collect();
+        sorted.push(slot(100, 7, 50));
+        let mut model: BTreeMap<Key, Slot> = sorted.iter().map(|s| (key(s), *s)).collect();
+        let mut order = Order::from_sorted(&sorted);
+        assert_eq!(order.blocks.len(), 2);
+        // In block 0, whose run goes on in block 1: the fallback. In block
+        // 1, whose run ends before slot 100: in place, in front of it.
+        // Then block 0's first slot, through the fallback again.
+        for (id, at) in (101..).zip([at(5, 10), at(5, 70), at(5, 0)]) {
+            let fresh = slot(id, 5, 20);
+            let (taken, placed) = order.replace(at, |_| fresh);
+            assert_eq!((taken, placed), (model.remove(&at).unwrap(), fresh));
+            model.insert(key(&fresh), fresh);
+            assert_blocks_sound(&order);
+            assert!(order.iter().eq(model.values()));
+        }
+        // Block 0's run now ends at its last slot and block 1 starts at
+        // a later start: the new slot stays at block 0's end.
+        let mut order = Order::from_sorted(&[slot(0, 5, 50), slot(1, 5, 50), slot(2, 7, 50)]);
+        order.blocks = vec![order.blocks[0][..2].to_vec(), order.blocks[0][2..].to_vec()];
+        order.firsts = vec![at(5, 0), at(7, 2)];
+        order.replace(at(5, 0), |_| slot(3, 5, 20));
+        assert_eq!(order.blocks[0], [slot(1, 5, 50), slot(3, 5, 20)]);
+        assert_blocks_sound(&order);
     }
 
     /// The blocked order's own invariants: no empty or oversized block,
@@ -502,13 +583,17 @@ mod tests {
         /// Walks from the `pick`-th live key's start, from `start`, and
         /// from past the end.
         RangeFrom { pick: usize, start: i64 },
+        /// Replaces the `pick`-th live slot with a fresh id at its start
+        /// (a left remnant), or, with `edge`, the slot at the end of the
+        /// `pick`-th block, where a same-start run may go on in the next.
+        Replace { pick: usize, edge: bool },
         /// Drains a walk from both ends, turning where `turns` has a bit.
         Walk { turns: u64 },
     }
 
     /// The shim has no `prop_oneof`: `tag`'s range width is the weight.
     fn order_op() -> impl Strategy<Value = OrderOp> {
-        (0u32..12, 0usize..1_000, -20i64..240, 0u64..u64::MAX).prop_map(
+        (0u32..14, 0usize..1_000, -20i64..240, 0u64..u64::MAX).prop_map(
             |(tag, pick, start, turns)| match tag {
                 0..=3 => OrderOp::Insert {
                     start,
@@ -520,7 +605,11 @@ mod tests {
                 },
                 7 | 8 => OrderOp::Get { pick, shift: start },
                 9 | 10 => OrderOp::RangeFrom { pick, start },
-                _ => OrderOp::Walk { turns },
+                11 => OrderOp::Walk { turns },
+                _ => OrderOp::Replace {
+                    pick,
+                    edge: tag == 13,
+                },
             },
         )
     }
@@ -583,6 +672,20 @@ mod tests {
                             let walk = order.range_from(from);
                             prop_assert_eq!(walk.size_hint(), (want.len(), Some(want.len())));
                             prop_assert_eq!(walk.collect::<Vec<_>>(), want, "step {}", step);
+                        }
+                    }
+                    OrderOp::Replace { pick, edge } => {
+                        let last = |b: &Vec<Slot>| key(&b[b.len() - 1]);
+                        let edges: Vec<Key> = order.blocks.iter().map(last).collect();
+                        let from = if edge { &edges } else { &keys };
+                        if !from.is_empty() {
+                            let at = from[pick % from.len()];
+                            let fresh = slot(next_id, at.0.ticks(), at.0.ticks() + 5);
+                            next_id += 1;
+                            let (taken, placed) = order.replace(at, |_| fresh);
+                            prop_assert_eq!(Some(taken), model.remove(&at), "step {}", step);
+                            prop_assert_eq!(placed, fresh);
+                            model.insert(key(&fresh), fresh);
                         }
                     }
                     OrderOp::Walk { turns } => {

@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
 use crate::idhash::IdMap;
-use crate::interval::{key, IntervalSet, Order, SlotIntoIter, SlotIter};
+use crate::interval::{key, IntervalSet, Order, Run, SlotIntoIter, SlotIter};
 use crate::money::Price;
 use crate::perf::Perf;
 use crate::resource::NodeId;
@@ -301,40 +301,40 @@ impl SlotList {
     /// ```
     #[must_use]
     pub fn covering_slot(&self, node: NodeId, region: Span) -> Option<&Slot> {
-        self.order.get(self.nodes.get(&node)?.covering(region)?)
+        let (start, id, _) = self.nodes.get(&node)?.covering(region)?;
+        self.order.get((start, id))
     }
 
     /// Withdraws `region` from every slot on `node` it overlaps — the
     /// revocation primitive: an owner reclaiming `[a, b)` on a node carves
     /// that interval out of whatever vacancy remains there, minting
     /// remnants for the surviving pieces (candidates in start order, left
-    /// remnant before right). Returns the ids of the affected slots.
+    /// remnant before right). Returns the number of slots cut.
     /// `O((k + 1) log m)` for `k` affected slots.
-    pub fn remove_region(&mut self, node: NodeId, region: Span) -> Vec<SlotId> {
+    pub fn remove_region(&mut self, node: NodeId, region: Span) -> usize {
         let candidates = match self.nodes.get(&node) {
             Some(timeline) => timeline.candidates(region),
-            None => return Vec::new(),
+            None => return 0,
         };
-        let (mut affected, mut remnants) = (Vec::new(), Vec::new());
-        for at in candidates {
-            let slot = *self.order.get(at).expect("timelines mirror the order");
-            if let Some(cut) = slot.span().intersect(region) {
-                self.cut_slot(&slot, cut, &mut remnants);
-                affected.push(slot.id());
+        let mut cut = 0;
+        for run in candidates {
+            if let Some(piece) = run_span(run).intersect(region) {
+                self.cut_run(node, run, piece);
+                cut += 1;
             }
         }
-        affected
+        cut
     }
 
-    /// The slot `member` was carved from, checked to contain `cut`: the
+    /// The run `member` was carved from, checked to contain `cut`: the
     /// run on the member's node that covers the cut, if it carries the
     /// member's source id. Only a refused cut scans the node's runs, to
     /// tell an absent source from one too short for the cut.
-    fn source(&self, member: &WindowSlot, cut: Span) -> Result<Slot, CoreError> {
+    fn source(&self, member: &WindowSlot, cut: Span) -> Result<Run, CoreError> {
         let (id, timeline) = (member.source(), self.nodes.get(&member.node()));
-        if let Some(at) = timeline.and_then(|t| t.covering(cut)) {
-            if at.1 == id {
-                return Ok(*self.order.get(at).expect("timelines mirror the order"));
+        if let Some(run) = timeline.and_then(|t| t.covering(cut)) {
+            if run.1 == id {
+                return Ok(run);
             }
         }
         match timeline.and_then(|t| t.span_of(id)) {
@@ -344,32 +344,48 @@ impl SlotList {
     }
 
     /// The mutation half of a subtraction, for a caller that has already
-    /// looked `slot` up and checked that it contains `cut`: one removal
-    /// from the order and the node timeline, then the remnants (left
-    /// minted before right), appended to `remnants`.
+    /// found `run` on `node` and checked that it contains `cut`. The left
+    /// remnant, if any, takes the source's place in the order and on the
+    /// timeline; otherwise the source is removed from both. The right
+    /// remnant is then inserted. Remnants are minted left before right.
+    /// Returns the source slot as it was and the remnants.
     ///
     /// # Panics
     ///
-    /// Panics if `slot` is not live in the list.
-    fn cut_slot(&mut self, slot: &Slot, cut: Span, remnants: &mut Vec<Slot>) {
-        self.order.remove(key(slot));
-        let timeline = timeline(&mut self.nodes, slot.node());
-        timeline.remove(slot.start());
-        let (left, right) = slot.span().subtract(cut);
-        for piece in [left, right].into_iter().flatten() {
-            // `mint_id()`, spelt out: `timeline` holds a borrow of `self.nodes`.
-            let id = SlotId::new(self.next_id);
-            self.next_id += 1;
-            let remnant = slot
-                .with_span(id, piece)
-                .expect("non-empty remnant spans construct valid slots");
+    /// Panics if `run` is not live in the list.
+    fn cut_run(&mut self, node: NodeId, run: Run, cut: Span) -> (Slot, [Option<Slot>; 2]) {
+        let (start, source_id, _) = run;
+        let (left, right) = run_span(run).subtract(cut);
+        let [left, right] = [left, right].map(|piece| piece.map(|piece| (self.mint_id(), piece)));
+        let remnant = |source: &Slot, (id, piece): (SlotId, Span)| {
+            let remnant = source.with_span(id, piece);
+            remnant.expect("non-empty remnant spans construct valid slots")
+        };
+        let timeline = timeline(&mut self.nodes, node);
+        let (source, left) = match left {
+            Some((id, piece)) => {
+                timeline.put(start, id, piece.end());
+                let at = (start, source_id);
+                let (source, left) = self
+                    .order
+                    .replace(at, |source| remnant(source, (id, piece)));
+                (source, Some(left))
+            }
+            None => {
+                timeline.remove(start);
+                (self.order.remove((start, source_id)), None)
+            }
+        };
+        let right = right.map(|(id, piece)| {
             timeline.put(piece.start(), id, piece.end());
-            self.order.insert(remnant);
-            remnants.push(remnant);
-        }
+            let right = remnant(&source, (id, piece));
+            self.order.insert(right);
+            right
+        });
         if timeline.is_empty() {
-            self.nodes.remove(&slot.node());
+            self.nodes.remove(&node);
         }
+        (source, [left, right])
     }
 
     /// Subtracts every member of a committed window from the list: each
@@ -391,10 +407,11 @@ impl SlotList {
     /// [`SlotList::subtract_window`], additionally reporting the consumed
     /// slots and the minted remnants.
     ///
-    /// Every cut is validated with one `O(log m)` lookup on its node
-    /// before anything changes, so a failure cannot leave a partial
-    /// subtraction; the mutation then takes the slots that pass found and
-    /// does not look them up again.
+    /// Every cut is validated with one `O(log m)` lookup on its node's
+    /// timeline before anything changes, so a failure cannot leave a
+    /// partial subtraction. The mutation then takes the runs that pass
+    /// and splices the order once per cut: the source is taken where it
+    /// is, and its left remnant takes its place.
     ///
     /// # Errors
     ///
@@ -403,18 +420,20 @@ impl SlotList {
         &mut self,
         window: &Window,
     ) -> Result<SubtractionReport, CoreError> {
-        let mut sources = Vec::with_capacity(window.slot_count());
+        let mut runs = Vec::with_capacity(window.slot_count());
         for ws in window.slots() {
-            sources.push(self.source(ws, window.used_span(ws))?);
+            runs.push(self.source(ws, window.used_span(ws))?);
         }
-        let mut remnants = Vec::with_capacity(2 * sources.len());
-        for (slot, ws) in sources.iter().zip(window.slots()) {
-            self.cut_slot(slot, window.used_span(ws), &mut remnants);
+        let mut report = SubtractionReport {
+            removed: Vec::with_capacity(runs.len()),
+            remnants: Vec::with_capacity(2 * runs.len()),
+        };
+        for (run, ws) in runs.into_iter().zip(window.slots()) {
+            let (source, remnants) = self.cut_run(ws.node(), run, window.used_span(ws));
+            report.removed.push(source);
+            report.remnants.extend(remnants.into_iter().flatten());
         }
-        Ok(SubtractionReport {
-            removed: sources,
-            remnants,
-        })
+        Ok(report)
     }
 
     /// Returns `span` on `member`'s node to the list as a freshly minted
@@ -636,6 +655,10 @@ fn sorted(mut slots: Vec<Slot>) -> Result<Vec<Slot>, CoreError> {
 
 fn invalid(why: impl fmt::Display) -> serde::Error {
     serde::Error::custom(format!("invalid serialized slot list: {why}"))
+}
+
+fn run_span((start, _, end): Run) -> Span {
+    Span::new(start, end).expect("timeline runs are non-empty")
 }
 
 fn timeline(nodes: &mut IdMap<NodeId, IntervalSet>, node: NodeId) -> &mut IntervalSet {
@@ -1148,18 +1171,16 @@ mod tests {
             slot(3, 1, 0, 120), // other node, untouched
         ])
         .unwrap();
-        let affected = list.remove_region(NodeId::new(0), span(20, 90));
-        assert_eq!(
-            affected,
-            vec![SlotId::new(0), SlotId::new(1), SlotId::new(2)]
-        );
+        assert_eq!(list.remove_region(NodeId::new(0), span(20, 90)), 3);
         list.validate().unwrap();
-        let node0: Vec<Span> = list
+        // Slot 0 keeps its left piece under id 4, slot 2 its right piece
+        // under id 5; slot 1 lies inside the region and mints nothing.
+        let node0: Vec<(u64, Span)> = list
             .iter()
             .filter(|s| s.node() == NodeId::new(0))
-            .map(|s| s.span())
+            .map(|s| (s.id().raw(), s.span()))
             .collect();
-        assert_eq!(node0, vec![span(0, 20), span(90, 120)]);
+        assert_eq!(node0, vec![(4, span(0, 20)), (5, span(90, 120))]);
         let untouched = list.covering_slot(NodeId::new(1), span(0, 120));
         assert_eq!(untouched.map(Slot::id), Some(SlotId::new(3)));
     }
@@ -1167,8 +1188,8 @@ mod tests {
     #[test]
     fn remove_region_misses_cleanly() {
         let mut list = SlotList::from_slots(vec![slot(0, 0, 0, 30)]).unwrap();
-        assert!(list.remove_region(NodeId::new(0), span(30, 50)).is_empty());
-        assert!(list.remove_region(NodeId::new(7), span(0, 50)).is_empty());
+        assert_eq!(list.remove_region(NodeId::new(0), span(30, 50)), 0);
+        assert_eq!(list.remove_region(NodeId::new(7), span(0, 50)), 0);
         assert_eq!(list.len(), 1);
     }
 

@@ -22,7 +22,12 @@
 //! from the ordered list, `slots_admitted` those that entered a pool as
 //! they were read. A resumed window search re-tests acceptance at its
 //! checkpoint anchor from the pool it kept, which reads nothing and
-//! shows only in `acceptance_tests`.
+//! shows only in `acceptance_tests`. That counter counts tests run on
+//! `N` live pool members. `slots_expired` counts pool members found
+//! dead: a small pool drops every dead member as its anchor moves, but a
+//! wide AMP pool (over 128 members) tests a member only when acceptance
+//! reads it or a removal promotes it, so members that die unread are
+//! never counted. `pool_high_water` may include such members.
 //!
 //! Of [`OptStats`] the family carries the work a cycle's fresh optimizer
 //! does — solves, DP rows and Pareto layers built. Its three reuse
@@ -162,12 +167,12 @@ impl EngineIds {
             scan_slots_expired: c(
                 b,
                 "ecosched_engine_scan_slots_expired_total",
-                "Pooled slots expired by the alternatives search as its anchor passed them, since process start",
+                "Pooled slots the alternatives search found expired since process start (a wide AMP pool tests only the members it reads)",
             ),
             scan_acceptance_tests: c(
                 b,
                 "ecosched_engine_scan_acceptance_tests_total",
-                "Window acceptance tests evaluated since process start, pooled re-tests at a resume anchor included",
+                "Window acceptance tests evaluated on N live pool members since process start, pooled re-tests at a resume anchor included",
             ),
             scan_windows_found: c(
                 b,
@@ -250,7 +255,7 @@ impl EngineIds {
             scan_pool_high_water: g(
                 b,
                 "ecosched_engine_scan_pool_high_water",
-                "Largest candidate pool any window search of the last cycle held",
+                "Largest candidate pool any window search of the last cycle held, members not yet found expired included",
             ),
         }
     }

@@ -52,6 +52,13 @@
 //! search in [`crate::repair`] (one window from a
 //! [`JobScan::resume_from`]-seeded scan). Nothing reads the pool from
 //! outside this module.
+//!
+//! The invariant names the *live* members. AMP's wide pool
+//! ([`LargeCostPool`]) may also hold members that died since they were
+//! pooled: it tests liveness only where its acceptance test reads, and
+//! drops the dead there, which accepts exactly what dropping them at
+//! every anchor would ([`LargeCostPool`] says why). A report only ever
+//! removes members [`JobScan::apply_report`] found live.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -118,23 +125,29 @@ fn cost_key(member: &PoolMember) -> (Money, SlotId) {
 ///
 /// Below [`SMALL_POOL_MAX`] members the pool is a flat vector sorted by
 /// `(cost, id)` — the exact DESIGN.md R5 tie-break — where insertion and
-/// removal are a binary search plus memmove and acceptance reads the
-/// first `n` members. Above the threshold it promotes (one way) to
-/// [`LargeCostPool`]: a sorted head of the `n` cheapest with a running
-/// sum, and lazy heaps for everything else. Both representations accept
-/// byte-identically: the same `n` cheapest members in `(cost, id)` order
-/// under the same budget test.
+/// removal are a binary search plus memmove, expiry drops every dead
+/// member at each anchor, and acceptance reads the first `n` members.
+/// Above the threshold it promotes (one way) to [`LargeCostPool`]: a
+/// sorted head of the `n` cheapest with a running sum, and a lazy heap
+/// for everything else, which expires a member only when acceptance
+/// reads it. Both representations accept byte-identically: the same `n`
+/// cheapest live members in `(cost, id)` order under the same budget
+/// test.
 #[derive(Debug)]
 struct CostPool {
     n: usize,
+    /// The anchor of the last [`CostPool::advance`]: where the wide arm
+    /// tests liveness.
+    anchor: TimePoint,
     repr: CostRepr,
 }
 
 #[derive(Debug)]
 enum CostRepr {
-    /// Members sorted by `(cost, id)`; acceptance reads the prefix.
+    /// Members sorted by `(cost, id)`, all live; acceptance reads the
+    /// prefix.
     Small(Vec<PoolMember>),
-    /// A sorted head with a running sum, and lazy heaps for the rest.
+    /// A sorted head with a running sum, and a lazy heap for the rest.
     Large(LargeCostPool),
 }
 
@@ -142,6 +155,7 @@ impl CostPool {
     fn new(n: usize) -> Self {
         CostPool {
             n,
+            anchor: TimePoint::ZERO,
             repr: CostRepr::Small(Vec::new()),
         }
     }
@@ -179,70 +193,86 @@ impl CostPool {
                 let found = members.binary_search_by(|m| cost_key(m).cmp(&key));
                 found.map(|pos| members.remove(pos)).is_ok()
             }
-            CostRepr::Large(pool) => pool.remove(member.slot.id()),
+            CostRepr::Large(pool) => pool.remove(member.slot.id(), self.anchor),
         }
     }
 
-    /// Expires every member no longer live at `anchor`; returns the count.
+    /// Moves the anchor to `anchor`. The flat arm expires every member
+    /// no longer live there and returns the count; the wide arm only
+    /// records it and returns 0 (its expiries are counted as they are
+    /// found, by [`CostPool::take_expired`]).
     fn advance(&mut self, anchor: TimePoint) -> u64 {
+        self.anchor = anchor;
         match &mut self.repr {
             CostRepr::Small(members) => {
                 let before = members.len();
                 members.retain(|m| m.live_at(anchor));
                 (before - members.len()) as u64
             }
-            CostRepr::Large(pool) => pool.advance(anchor),
+            CostRepr::Large(_) => 0,
         }
     }
 
-    /// The `n` cheapest members in `(cost, id)` order iff the pool holds
-    /// at least `n` and they fit `budget` — byte-identical to the naive
-    /// sort-and-take in both representations.
-    fn accept(&self, budget: Money) -> Option<Vec<PoolMember>> {
-        match &self.repr {
-            CostRepr::Small(members) => {
-                if members.len() < self.n {
-                    return None;
-                }
-                let sum: Money = members[..self.n].iter().map(PoolMember::cost).sum();
-                if sum <= budget {
-                    Some(members[..self.n].to_vec())
-                } else {
-                    None
-                }
-            }
-            CostRepr::Large(pool) => pool.accept(budget),
+    /// The wide arm's members found dead since the last call.
+    fn take_expired(&mut self) -> u64 {
+        match &mut self.repr {
+            CostRepr::Small(_) => 0,
+            CostRepr::Large(pool) => std::mem::take(&mut pool.expired),
         }
+    }
+
+    /// The `n` cheapest live members in `(cost, id)` order iff the pool
+    /// holds at least `n` live members and they fit `budget` —
+    /// byte-identical to the naive sort-and-take in both representations.
+    /// Counts a test in `stats` iff it runs one, on `n` live members.
+    fn accept(&mut self, budget: Money, stats: &mut ScanStats) -> Option<Vec<PoolMember>> {
+        let (head, sum) = match &mut self.repr {
+            CostRepr::Small(members) => {
+                let head = members.get(..self.n)?;
+                (head, head.iter().map(PoolMember::cost).sum())
+            }
+            CostRepr::Large(pool) => pool.live_head(self.anchor)?,
+        };
+        stats.acceptance_tests += 1;
+        (sum <= budget).then(|| head.to_vec())
     }
 }
 
 /// The wide representation of [`CostPool`], used above [`SMALL_POOL_MAX`]:
-/// a sorted `head` of the `min(n, len)` cheapest keys by `(cost, id)` with
-/// their running sum, a min-heap `tail` of every other key, and a min-heap
-/// of deadlines for expiry. An insertion is a heap push, or a binary-search
-/// insert into the head when the key is below the head's max. The
-/// acceptance test (`head` full and within budget) is `O(1)` instead of
-/// the naive `O(p log p)` sort of the whole pool.
+/// a sorted `head` of the `min(n, len)` cheapest members by `(cost, id)`
+/// with their running cost sum, and a min-heap `tail` of every other key.
+/// An insertion is a heap push, or a binary-search insert into the head
+/// when the key is below the head's max. The acceptance test (`head` full
+/// and within budget) is `O(n)` instead of the naive `O(p log p)` sort of
+/// the whole pool.
 ///
-/// Both heaps are lazy. `members` is the liveness test: a removal takes
-/// the id out of `members`, and out of `head` by binary search, and leaves
-/// its heap entries behind to be skipped when they surface. That is exact
-/// because an id is never pooled twice (the `debug_assert` in
-/// [`LargeCostPool::insert`]): a scan reads a list slot at most once, and
-/// subtraction mints its remnants under fresh ids. So a stale entry can
-/// never stand for a live member.
+/// Expiry is lazy. [`CostPool::advance`] only records the anchor, which
+/// the owner passes in; a member is tested for liveness when acceptance
+/// reads it in the head ([`LargeCostPool::live_head`]) or a removal
+/// promotes it from the tail, and a dead one is dropped there. That is
+/// exact because anchors only grow within a scan, so a dead member stays
+/// dead, and every live tail key sorts above the head's max: once the
+/// head holds no dead member it is the `n` cheapest live members.
+/// Members not yet found dead still count in [`LargeCostPool::len`].
+///
+/// The tail heap is lazy too. `members` is the membership test: a
+/// removal takes the id out of `members`, and out of `head` by binary
+/// search, and leaves its heap entry behind to be skipped when it
+/// surfaces. That is exact because an id is never pooled twice (the
+/// `debug_assert` in [`LargeCostPool::insert`]): a scan reads a list slot
+/// at most once, and subtraction mints its remnants under fresh ids. So a
+/// stale entry can never stand for a member.
 #[derive(Debug)]
 struct LargeCostPool {
     n: usize,
-    /// The `min(n, len)` cheapest live keys, ascending.
-    head: Vec<(Money, SlotId)>,
+    /// The `min(n, len)` cheapest members, ascending by `(cost, id)`.
+    head: Vec<PoolMember>,
     head_sum: Money,
-    /// Every other live key, and stale ones.
+    /// Every other member's key, and stale ones.
     tail: BinaryHeap<Reverse<(Money, SlotId)>>,
-    /// Members keyed by the last anchor they are live at
-    /// (`end − runtime`), for incremental expiry; stale ones too.
-    by_deadline: BinaryHeap<Reverse<(TimePoint, SlotId)>>,
     members: HashMap<SlotId, PoolMember, IdBuildHasher>,
+    /// Members found dead and dropped, not yet taken into the stats.
+    expired: u64,
 }
 
 impl LargeCostPool {
@@ -252,8 +282,8 @@ impl LargeCostPool {
             head: Vec::new(),
             head_sum: Money::ZERO,
             tail: BinaryHeap::new(),
-            by_deadline: BinaryHeap::new(),
             members: HashMap::default(),
+            expired: 0,
         }
     }
 
@@ -264,89 +294,99 @@ impl LargeCostPool {
     fn insert(&mut self, member: PoolMember) {
         let id = member.slot.id();
         let key = cost_key(&member);
-        self.by_deadline
-            .push(Reverse((member.slot.end() - member.runtime, id)));
         let replaced = self.members.insert(id, member);
         debug_assert!(replaced.is_none(), "slot {id} pooled twice");
-        if self.head.len() == self.n && self.head.last().is_none_or(|max| key > *max) {
+        if self.head.len() == self.n && self.head.last().is_none_or(|max| key > cost_key(max)) {
             self.tail.push(Reverse(key));
         } else {
-            let pos = self.head.partition_point(|k| *k < key);
-            self.head.insert(pos, key);
+            let pos = self.head.partition_point(|m| cost_key(m) < key);
+            self.head.insert(pos, member);
             self.head_sum += key.0;
             if self.head.len() > self.n {
                 let max = self.head.pop().expect("the head overflowed");
-                self.head_sum -= max.0;
-                self.tail.push(Reverse(max));
+                self.head_sum -= max.cost();
+                self.tail.push(Reverse(cost_key(&max)));
             }
         }
         self.debug_check();
     }
 
     /// Removes the member `id` if it is pooled; returns whether it was.
-    fn remove(&mut self, id: SlotId) -> bool {
+    /// A promotion it makes tests liveness at `anchor`.
+    fn remove(&mut self, id: SlotId, anchor: TimePoint) -> bool {
         let Some(member) = self.members.remove(&id) else {
             return false;
         };
         let key = cost_key(&member);
-        if self.head.last().is_some_and(|max| key <= *max) {
-            let pos = self
-                .head
-                .binary_search(&key)
-                .expect("a live key at or below the head's max is in the head");
+        if self.head.last().is_some_and(|max| key <= cost_key(max)) {
+            let pos = self.head.binary_search_by(|m| cost_key(m).cmp(&key));
+            let pos = pos.expect("a member at or below the head's max is in the head");
             self.head.remove(pos);
             self.head_sum -= key.0;
-            // Every live tail key sorts above the old max: the cheapest
-            // of them joins the head at its back.
-            while let Some(Reverse(next)) = self.tail.pop() {
-                if self.members.contains_key(&next.1) {
-                    self.head.push(next);
-                    self.head_sum += next.0;
-                    break;
-                }
-            }
+            self.promote(anchor);
         }
         self.debug_check();
         true
     }
 
-    /// Expires every member no longer live at `anchor`; returns the count.
-    /// A removed member's stale deadline entry is dropped uncounted.
-    fn advance(&mut self, anchor: TimePoint) -> u64 {
-        let mut expired = 0;
-        while let Some(&Reverse((deadline, id))) = self.by_deadline.peek() {
-            if deadline >= anchor {
-                break;
+    /// Moves the cheapest live tail member to the back of the head — every
+    /// live tail key sorts above the head's max — dropping the ones dead
+    /// at `anchor` it meets; returns whether it found one.
+    fn promote(&mut self, anchor: TimePoint) -> bool {
+        while let Some(Reverse((_, id))) = self.tail.pop() {
+            let Some(member) = self.members.get(&id) else {
+                continue; // Removed: a stale entry.
+            };
+            if member.live_at(anchor) {
+                self.head_sum += member.cost();
+                self.head.push(*member);
+                return true;
             }
-            self.by_deadline.pop();
-            if self.remove(id) {
-                expired += 1;
-            }
+            self.members.remove(&id);
+            self.expired += 1;
         }
-        expired
+        false
     }
 
-    /// The `n` cheapest members in `(cost, id)` order iff the head is full
-    /// and fits `budget` — byte-identical to the naive sort-and-take.
-    fn accept(&self, budget: Money) -> Option<Vec<PoolMember>> {
-        if self.head.len() == self.n && self.head_sum <= budget {
-            Some(self.head.iter().map(|(_, id)| self.members[id]).collect())
-        } else {
-            None
+    /// The head and its cost sum once the head holds only members live
+    /// at `anchor`, if it then holds `n`: the dead are dropped and the
+    /// head refilled from the tail.
+    fn live_head(&mut self, anchor: TimePoint) -> Option<(&[PoolMember], Money)> {
+        let (members, sum, expired) = (&mut self.members, &mut self.head_sum, &mut self.expired);
+        let before = self.head.len();
+        self.head.retain(|m| {
+            let live = m.live_at(anchor);
+            if !live {
+                members.remove(&m.slot.id());
+                *sum -= m.cost();
+                *expired += 1;
+            }
+            live
+        });
+        if self.head.len() < before {
+            while self.head.len() < self.n && self.promote(anchor) {}
         }
+        self.debug_check();
+        debug_assert!(self.head.iter().all(|m| m.live_at(anchor)), "a dead head");
+        (self.head.len() == self.n).then_some((&self.head[..], self.head_sum))
     }
 
     /// Debug builds only: the head is sorted, sums to `head_sum` and holds
-    /// `min(n, len)` keys, and no live tail key sorts below its max.
+    /// `min(n, len)` members, and no member's tail key sorts below its max.
     fn debug_check(&self) {
-        debug_assert!(self.head.windows(2).all(|w| w[0] < w[1]), "head unsorted");
-        debug_assert_eq!(self.head_sum, self.head.iter().map(|k| k.0).sum());
+        let keys = || self.head.iter().map(cost_key);
+        debug_assert!(
+            keys().zip(keys().skip(1)).all(|(a, b)| a < b),
+            "head unsorted"
+        );
+        debug_assert_eq!(self.head_sum, self.head.iter().map(PoolMember::cost).sum());
         debug_assert_eq!(self.head.len(), self.n.min(self.members.len()));
         debug_assert!(
             self.tail.iter().all(|Reverse(key)| {
-                !self.members.contains_key(&key.1) || self.head.last().is_some_and(|max| key > max)
+                !self.members.contains_key(&key.1)
+                    || self.head.last().is_some_and(|max| *key > cost_key(max))
             }),
-            "a live tail key sorts below the head's max"
+            "a member's tail key sorts below the head's max"
         );
     }
 }
@@ -368,7 +408,7 @@ enum AcceptPool {
     /// a plain sorted vector stays the right structure.
     Ordered(Vec<PoolMember>),
     /// AMP: cost-ordered pool with an adaptive representation (flat
-    /// vector below [`SMALL_POOL_MAX`] members, sorted head and lazy heaps
+    /// vector below [`SMALL_POOL_MAX`] members, sorted head and lazy heap
     /// above).
     Cost(CostPool),
 }
@@ -422,6 +462,9 @@ impl AcceptPool {
         }
     }
 
+    /// Moves the anchor; returns the members expired there, which only
+    /// the eager pools count here (the wide AMP pool counts them when it
+    /// finds them: [`AcceptPool::take_expired`]).
     fn advance(&mut self, anchor: TimePoint) -> u64 {
         match self {
             AcceptPool::Ordered(members) => {
@@ -433,13 +476,31 @@ impl AcceptPool {
         }
     }
 
-    fn accept(&self, n: usize, budget: Option<Money>) -> Option<Vec<PoolMember>> {
+    /// Members the wide AMP pool found dead since the last call.
+    fn take_expired(&mut self) -> u64 {
+        match self {
+            AcceptPool::Ordered(_) => 0,
+            AcceptPool::Cost(pool) => pool.take_expired(),
+        }
+    }
+
+    /// The chosen members iff the pool holds `n` live members and they
+    /// pass the algorithm's test; counts the test in `stats` iff it runs.
+    fn accept(
+        &mut self,
+        n: usize,
+        budget: Option<Money>,
+        stats: &mut ScanStats,
+    ) -> Option<Vec<PoolMember>> {
         match self {
             AcceptPool::Ordered(members) => {
-                debug_assert!(members.len() >= n, "accept called on a short pool");
-                Some(members[..n].to_vec())
+                let chosen = members.get(..n)?;
+                stats.acceptance_tests += 1;
+                Some(chosen.to_vec())
             }
-            AcceptPool::Cost(pool) => pool.accept(budget.expect("AMP scans always carry a budget")),
+            AcceptPool::Cost(pool) => {
+                pool.accept(budget.expect("AMP scans always carry a budget"), stats)
+            }
         }
     }
 }
@@ -540,6 +601,13 @@ impl JobScan {
         if self.dead {
             return None;
         }
+        let window = self.scan(list, stats);
+        stats.slots_expired += self.pool.take_expired();
+        window
+    }
+
+    /// [`JobScan::run`]'s forward scan, from where the last one stopped.
+    fn scan(&mut self, list: &SlotList, stats: &mut ScanStats) -> Option<Window> {
         let n = self.request.nodes();
         let mut slots = match self.resume {
             Resume::Head => list.iter(),
@@ -552,11 +620,10 @@ impl JobScan {
                 debug_assert_eq!(group, self.pool.group_len(anchor));
                 // The pool is what re-reading the group at `anchor` would
                 // rebuild, so the acceptance test a fresh scan runs there
-                // — iff the group is non-empty and the pool is full — runs
-                // on it directly.
-                if group > 0 && self.pool.len() >= n {
-                    stats.acceptance_tests += 1;
-                    if let Some(chosen) = self.pool.accept(n, self.budget) {
+                // — iff the group is non-empty and the pool holds `n` live
+                // members — runs on it directly.
+                if group > 0 {
+                    if let Some(chosen) = self.pool.accept(n, self.budget, stats) {
                         stats.windows_found += 1;
                         return Some(Pool::build_window(&chosen));
                     }
@@ -592,16 +659,13 @@ impl JobScan {
                 self.pool.insert(*member);
             }
             stats.pool_high_water = stats.pool_high_water.max(self.pool.len() as u64);
-            if self.pool.len() >= n {
-                stats.acceptance_tests += 1;
-                if let Some(chosen) = self.pool.accept(n, self.budget) {
-                    stats.windows_found += 1;
-                    self.resume = Resume::Accepted {
-                        anchor,
-                        group: group.len(),
-                    };
-                    return Some(Pool::build_window(&chosen));
-                }
+            if let Some(chosen) = self.pool.accept(n, self.budget, stats) {
+                stats.windows_found += 1;
+                self.resume = Resume::Accepted {
+                    anchor,
+                    group: group.len(),
+                };
+                return Some(Pool::build_window(&chosen));
             }
         }
         self.dead = true;
@@ -733,6 +797,23 @@ mod tests {
         }
     }
 
+    /// `pool.accept` at `budget`, counting nothing the test reads.
+    fn accept(pool: &mut CostPool, budget: i64) -> Option<Vec<u64>> {
+        let chosen = pool.accept(Money::from_credits(budget), &mut ScanStats::new());
+        chosen.map(|chosen| chosen.iter().map(|m| m.slot.id().raw()).collect())
+    }
+
+    /// What a bare wide pool accepts at `budget` and `anchor`.
+    fn accept_large(
+        pool: &mut LargeCostPool,
+        budget: Money,
+        anchor: TimePoint,
+    ) -> Option<Vec<u64>> {
+        let (head, sum) = pool.live_head(anchor)?;
+        let ids = head.iter().map(|m| m.slot.id().raw()).collect();
+        (sum <= budget).then_some(ids)
+    }
+
     #[test]
     fn cost_pool_tracks_n_cheapest_with_running_sum() {
         let mut pool = CostPool::new(2);
@@ -742,16 +823,12 @@ mod tests {
         pool.insert(cheap);
         assert_eq!(pool.len(), 3);
         // Head = {10, 30}; 50 was displaced to the tail.
-        let chosen = pool.accept(Money::from_credits(40)).unwrap();
-        assert_eq!(chosen[0].slot.id(), SlotId::new(2));
-        assert_eq!(chosen[1].slot.id(), SlotId::new(1));
-        assert!(pool.accept(Money::from_credits(39)).is_none());
+        assert_eq!(accept(&mut pool, 40), Some(vec![2, 1]));
+        assert_eq!(accept(&mut pool, 39), None);
         // Removing a head member promotes the cheapest tail member.
         assert!(pool.remove(&cheap));
         assert!(!pool.remove(&cheap));
-        let chosen = pool.accept(Money::from_credits(80)).unwrap();
-        assert_eq!(chosen[0].slot.id(), SlotId::new(1));
-        assert_eq!(chosen[1].slot.id(), SlotId::new(0));
+        assert_eq!(accept(&mut pool, 80), Some(vec![1, 0]));
     }
 
     #[test]
@@ -759,8 +836,7 @@ mod tests {
         let mut pool = CostPool::new(1);
         pool.insert(member(7, 2, 0, 100, 10)); // cost 20
         pool.insert(member(3, 2, 0, 100, 10)); // cost 20, lower id wins
-        let chosen = pool.accept(Money::from_credits(20)).unwrap();
-        assert_eq!(chosen[0].slot.id(), SlotId::new(3));
+        assert_eq!(accept(&mut pool, 20), Some(vec![3]));
     }
 
     #[test]
@@ -771,7 +847,7 @@ mod tests {
         assert_eq!(pool.advance(TimePoint::new(40)), 0);
         assert_eq!(pool.advance(TimePoint::new(41)), 1);
         assert_eq!(pool.len(), 1);
-        assert!(pool.accept(Money::from_credits(100)).is_none()); // head short
+        assert_eq!(accept(&mut pool, 100), None); // head short
     }
 
     #[test]
@@ -794,12 +870,36 @@ mod tests {
         assert!(matches!(pool.repr, CostRepr::Large(_)));
     }
 
+    /// After a promotion the wide arm tests liveness at the anchor the
+    /// flat one was advanced to, and the next anchor only records.
+    #[test]
+    fn a_promotion_carries_the_anchor() {
+        let mut pool = CostPool::new(1);
+        // The cheapest member is live through anchor 40 only.
+        pool.insert(member(0, 1, 0, 50, 10));
+        pool.advance(TimePoint::new(30));
+        for id in 1..=SMALL_POOL_MAX as u64 {
+            pool.insert(member(id, 2, 0, 1_000, 10));
+        }
+        assert!(matches!(pool.repr, CostRepr::Large(_)));
+        assert_eq!(accept(&mut pool, 10), Some(vec![0]));
+        assert_eq!(
+            pool.advance(TimePoint::new(41)),
+            0,
+            "the wide arm only records it"
+        );
+        assert_eq!(accept(&mut pool, 20), Some(vec![1]));
+        assert_eq!(pool.take_expired(), 1);
+    }
+
     #[test]
     fn small_and_large_representations_accept_identically() {
         // Drive the same member sequence through a pool that stays small
         // and one forced across the threshold, advancing the anchor as a
-        // scan does; expiry and acceptance must agree on membership,
-        // order, and budget behaviour at every step.
+        // scan does; acceptance must agree on membership, order, and
+        // budget behaviour at every step. The flat arm expires at every
+        // anchor, the wide one only what acceptance reads, so it never
+        // counts more, and it still holds every member the flat arm does.
         let anchor = |step: u64| TimePoint::new(4 * step as i64);
         let members: Vec<PoolMember> = (0..40u64)
             .map(|i| {
@@ -811,35 +911,29 @@ mod tests {
         let mut large = CostPool::new(4);
         // Force the heap representation up front.
         large.repr = CostRepr::Large(LargeCostPool::new(4));
+        let (mut expired_small, mut expired_large) = (0, 0);
         for (step, m) in members.iter().enumerate() {
             let step = step as u64;
-            assert_eq!(
-                small.advance(anchor(step)),
-                large.advance(anchor(step)),
-                "expiry diverges at step {step}"
-            );
+            expired_small += small.advance(anchor(step));
+            assert_eq!(large.advance(anchor(step)), 0);
             small.insert(*m);
             large.insert(*m);
             if step.is_multiple_of(5) {
                 let victim = &members[((step * 7) % (step + 1)) as usize];
-                assert_eq!(small.remove(victim), large.remove(victim));
-            }
-            assert_eq!(small.len(), large.len());
-            for budget in [10, 40, 400] {
-                let budget = Money::from_credits(budget);
-                let a = small.accept(budget);
-                let b = large.accept(budget);
-                match (&a, &b) {
-                    (Some(x), Some(y)) => {
-                        let xi: Vec<u64> = x.iter().map(|m| m.slot.id().raw()).collect();
-                        let yi: Vec<u64> = y.iter().map(|m| m.slot.id().raw()).collect();
-                        assert_eq!(xi, yi, "divergent acceptance at step {step}");
-                    }
-                    (None, None) => {}
-                    _ => panic!("representations disagree at step {step}: {a:?} vs {b:?}"),
+                if victim.live_at(anchor(step)) {
+                    assert_eq!(small.remove(victim), large.remove(victim));
                 }
             }
+            for budget in [10, 40, 400] {
+                let a = accept(&mut small, budget);
+                let b = accept(&mut large, budget);
+                assert_eq!(a, b, "representations disagree at step {step}");
+            }
+            expired_large += large.take_expired();
+            assert!(expired_large <= expired_small, "step {step}");
+            assert!(large.len() >= small.len(), "step {step}");
         }
+        assert!(expired_large > 0, "the wide arm never found a dead member");
         assert!(matches!(small.repr, CostRepr::Small(_)));
     }
 
@@ -850,29 +944,47 @@ mod tests {
         for m in [a, b, c] {
             pool.insert(m);
         }
+        let (budget, at) = (Money::from_credits(1_000), TimePoint::ZERO);
         // `b` leaves from the tail: its heap entry stays behind.
-        assert!(pool.remove(b.slot.id()));
-        assert!(!pool.remove(b.slot.id()));
+        assert!(pool.remove(b.slot.id(), at));
+        assert!(!pool.remove(b.slot.id(), at));
         // The head drains; the promotion skips `b`'s entry for `c`.
-        assert!(pool.remove(a.slot.id()));
-        let chosen = pool.accept(Money::from_credits(1_000)).unwrap();
-        assert_eq!(chosen[0].slot.id(), c.slot.id());
-        assert!(pool.remove(c.slot.id()));
+        assert!(pool.remove(a.slot.id(), at));
+        assert_eq!(accept_large(&mut pool, budget, at), Some(vec![3]));
+        assert!(pool.remove(c.slot.id(), at));
         assert_eq!(pool.len(), 0);
-        assert!(pool.accept(Money::from_credits(1_000)).is_none());
+        assert_eq!(accept_large(&mut pool, budget, at), None);
     }
 
+    /// A member is tested for liveness where it is read — in the head by
+    /// acceptance, or on its way up from the tail — and counted once
+    /// when found dead there; one removed first is never counted.
     #[test]
-    fn a_removed_members_deadline_entry_neither_expires_nor_counts() {
-        let mut pool = LargeCostPool::new(2);
-        let early = member(0, 1, 0, 50, 10); // live through anchor 40
-        pool.insert(early);
-        pool.insert(member(1, 1, 0, 100, 10)); // live through anchor 90
-        assert!(pool.remove(early.slot.id()));
-        assert_eq!(pool.advance(TimePoint::new(41)), 0);
-        assert_eq!(pool.len(), 1);
-        assert_eq!(pool.advance(TimePoint::new(91)), 1);
-        assert_eq!(pool.len(), 0);
+    fn a_dead_member_is_dropped_and_counted_where_it_is_read() {
+        let mut pool = LargeCostPool::new(1);
+        let budget = Money::from_credits(1_000);
+        // By cost: 0 (live through 40), 1 (through 40), 2 (through 90),
+        // 3 (through 140).
+        let [m0, m1, m2, m3] = [(0, 50), (1, 50), (2, 100), (3, 150)]
+            .map(|(id, end)| member(id, 1 + id as i64, 0, end, 10));
+        for m in [m0, m1, m2, m3] {
+            pool.insert(m);
+        }
+        assert!(pool.remove(m0.slot.id(), TimePoint::ZERO));
+        // At anchor 41 nothing is read yet: nothing is found dead, and
+        // all three members still count.
+        let at = TimePoint::new(41);
+        assert_eq!((pool.len(), pool.expired), (3, 0));
+        // Acceptance reads the head: 1 is dead, and so is nothing else it
+        // meets on the way to 2. The removed 0 never counts.
+        assert_eq!(accept_large(&mut pool, budget, at), Some(vec![2]));
+        assert_eq!((pool.len(), pool.expired), (2, 1));
+        // Removing 2 promotes from the tail at anchor 141, past nothing
+        // live: 3 is found dead on its way up.
+        let at = TimePoint::new(141);
+        assert!(pool.remove(m2.slot.id(), at));
+        assert_eq!((pool.len(), pool.expired), (0, 2));
+        assert_eq!(accept_large(&mut pool, budget, at), None);
     }
 
     /// One step of the pool differential: the test's model is the pool's
@@ -886,29 +998,37 @@ mod tests {
         RemoveHead(usize),
         /// Removes the `pick`-th member after the `n` cheapest.
         RemoveTail(usize),
-        /// Removes the `pick`-th member already removed or expired.
+        /// Removes the `pick`-th member already removed — never one that
+        /// expired, which a scan never asks a pool for.
         RemoveAbsent(usize),
         /// Moves the anchor forward.
         Advance(i64),
+        /// Moves the anchor just past the deadline of the `pick`-th of
+        /// the `n` cheapest members, so that it dies, with every member
+        /// cheaper-and-no-later, before acceptance runs.
+        KillCheapest(usize),
     }
 
     /// The shim has no `prop_oneof`: `tag`'s range width is the weight.
     fn pool_op() -> impl Strategy<Value = PoolOp> {
-        (0u32..10, 0usize..1_000, 1i64..4, 0i64..400).prop_map(|(tag, pick, price, span)| match tag
+        (0u32..11, 0usize..1_000, 1i64..4, 0i64..400).prop_map(|(tag, pick, price, span)| match tag
         {
             0..=4 => PoolOp::Insert { price, slack: span },
             5 => PoolOp::RemoveHead(pick),
             6 => PoolOp::RemoveTail(pick),
             7 => PoolOp::RemoveAbsent(pick),
-            _ => PoolOp::Advance(span / 20),
+            8 | 9 => PoolOp::Advance(span / 20),
+            _ => PoolOp::KillCheapest(pick),
         })
     }
 
-    /// The three pools under test, driven in lockstep.
+    /// The three pools under test, driven in lockstep, and the anchor
+    /// the bare wide pool tests liveness at.
     struct Pools {
         small: CostPool,
         forced: CostPool,
         large: LargeCostPool,
+        anchor: TimePoint,
     }
 
     impl Pools {
@@ -919,6 +1039,7 @@ mod tests {
                 small: CostPool::new(n),
                 forced,
                 large: LargeCostPool::new(n),
+                anchor: TimePoint::ZERO,
             }
         }
 
@@ -928,27 +1049,38 @@ mod tests {
             self.large.insert(m);
         }
 
-        /// Whether each pool held `m`; all three must agree.
+        /// Whether each pool held the live member `m`; all three agree.
         fn remove(&mut self, m: &PoolMember) -> bool {
             let found = self.small.remove(m);
             assert_eq!(self.forced.remove(m), found);
-            assert_eq!(self.large.remove(m.slot.id()), found);
+            assert_eq!(self.large.remove(m.slot.id(), self.anchor), found);
             found
         }
 
+        /// The eager arm's expiry count; the lazy ones record the anchor.
         fn advance(&mut self, anchor: TimePoint) -> u64 {
-            let expired = self.small.advance(anchor);
-            assert_eq!(self.forced.advance(anchor), expired);
-            assert_eq!(self.large.advance(anchor), expired);
-            expired
+            self.forced.advance(anchor);
+            self.anchor = anchor;
+            self.small.advance(anchor)
         }
 
-        fn accept(&self, budget: Money) -> Option<Vec<u64>> {
+        /// What all three accept, which must agree, as must whether each
+        /// ran a test.
+        fn accept(&mut self, budget: Money) -> Option<Vec<u64>> {
             let ids = |chosen: Vec<PoolMember>| chosen.iter().map(|m| m.slot.id().raw()).collect();
-            let accepted = self.small.accept(budget).map(ids);
-            assert_eq!(self.forced.accept(budget).map(ids), accepted);
-            assert_eq!(self.large.accept(budget).map(ids), accepted);
+            let mut tests = [ScanStats::new(), ScanStats::new()];
+            let accepted = self.small.accept(budget, &mut tests[0]).map(ids);
+            assert_eq!(self.forced.accept(budget, &mut tests[1]).map(ids), accepted);
+            assert_eq!(tests[0].acceptance_tests, tests[1].acceptance_tests);
+            assert_eq!(accept_large(&mut self.large, budget, self.anchor), accepted);
             accepted
+        }
+
+        /// Members the lazy pools found dead so far; the two agree.
+        fn found_dead(&mut self) -> u64 {
+            let found = std::mem::take(&mut self.large.expired);
+            assert_eq!(self.forced.take_expired(), found);
+            found
         }
     }
 
@@ -956,8 +1088,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Both `CostPool` arms and a bare `LargeCostPool` against a
-        /// sort-and-take model: every removal, expiry count and
-        /// acceptance agrees, whether `n` is below or above the pool size.
+        /// sort-and-take model: every removal and acceptance agrees at
+        /// every step, whether `n` is below or above the pool size and
+        /// whether or not the cheapest members died since the last
+        /// test. The eager arm counts every expiry; the lazy ones count
+        /// what they find dead, never more.
         #[test]
         fn cost_pools_match_a_sort_and_take_model(
             n in 1usize..40,
@@ -968,7 +1103,9 @@ mod tests {
             let mut live: Vec<PoolMember> = Vec::new();
             let mut gone: Vec<PoolMember> = Vec::new();
             let mut anchor = TimePoint::ZERO;
+            let (mut expired, mut found) = (0u64, 0u64);
             for (step, op) in ops.into_iter().enumerate() {
+                let mut to = None;
                 match op {
                     PoolOp::Insert { price, slack } => {
                         // Members outlive 16× more anchor steps at reach 2,
@@ -997,22 +1134,31 @@ mod tests {
                             assert!(!pools.remove(&m), "step {step}: {op:?} hit");
                         }
                     }
-                    PoolOp::Advance(by) => {
-                        anchor += TimeDelta::new(by);
-                        let before = live.len();
-                        gone.extend(live.iter().filter(|m| !m.live_at(anchor)));
-                        live.retain(|m| m.live_at(anchor));
-                        let expired = (before - live.len()) as u64;
-                        prop_assert_eq!(pools.advance(anchor), expired, "step {}", step);
+                    PoolOp::Advance(by) => to = Some(anchor + TimeDelta::new(by)),
+                    PoolOp::KillCheapest(pick) => {
+                        if let Some(m) = live.get(pick % n.min(live.len()).max(1)) {
+                            to = Some(m.slot.end() - m.runtime + TimeDelta::new(1));
+                        }
                     }
                 }
+                if let Some(to) = to.filter(|to| *to > anchor) {
+                    anchor = to;
+                    let before = live.len();
+                    live.retain(|m| m.live_at(anchor));
+                    let dead = (before - live.len()) as u64;
+                    expired += dead;
+                    prop_assert_eq!(pools.advance(anchor), dead, "step {}", step);
+                }
                 prop_assert_eq!(pools.small.len(), live.len());
+                prop_assert!(pools.large.len() >= live.len());
                 let head: Money = live.iter().take(n).map(PoolMember::cost).sum();
                 for budget in [head - Money::from_credits(1), head, head + head] {
                     let expected = (live.len() >= n && head <= budget)
                         .then(|| live[..n].iter().map(|m| m.slot.id().raw()).collect());
                     prop_assert_eq!(pools.accept(budget), expected, "step {}", step);
                 }
+                found += pools.found_dead();
+                prop_assert!(found <= expired, "step {}: {} found of {} dead", step, found, expired);
             }
         }
     }
@@ -1196,7 +1342,7 @@ mod tests {
         pool.insert(member(5, 1, 20, 100, 10));
         pool.insert(member(1, 1, 0, 100, 10));
         pool.insert(middle);
-        let chosen = pool.accept(3, None).unwrap();
+        let chosen = pool.accept(3, None, &mut ScanStats::new()).unwrap();
         let ids: Vec<u64> = chosen.iter().map(|m| m.slot.id().raw()).collect();
         assert_eq!(ids, vec![1, 3, 5]);
         assert!(pool.remove(&middle));

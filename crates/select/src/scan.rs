@@ -13,7 +13,9 @@
 //! makes the single forward pass sound: expiring a member can never need to
 //! be undone.
 
-use ecosched_core::{Money, Perf, ResourceRequest, Slot, TimeDelta, TimePoint, Window, WindowSlot};
+use ecosched_core::{
+    Money, Perf, ResourceRequest, Slot, TimeDelta, TimePoint, Window, WindowSlot, PERF_SCALE,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::stats::ScanStats;
@@ -59,6 +61,11 @@ pub(crate) struct PoolMember {
 /// slot and returns the pool member on success. Condition 2°c (price) is
 /// the algorithm-specific filter and is *not* applied here. Shared by the
 /// naive [`forward_scan`] pool and the incremental per-job scans.
+///
+/// Under the corrected rule a slot of length `L` on a node of rate `p`
+/// is too short iff `L < ceil(t·PERF_SCALE / p)`, that is iff
+/// `t·PERF_SCALE > L·p`: a slot too short is refused by that product,
+/// before the division that prices the runtime.
 pub(crate) fn admit_slot(
     request: &ResourceRequest,
     rule: LengthRule,
@@ -66,6 +73,12 @@ pub(crate) fn admit_slot(
 ) -> Option<PoolMember> {
     if !slot.perf().satisfies(request.min_perf()) {
         return None;
+    }
+    if rule == LengthRule::Corrected {
+        let work = i128::from(request.wall_time().ticks()) * i128::from(PERF_SCALE);
+        if work > i128::from(slot.length().ticks()) * i128::from(slot.perf().milli()) {
+            return None;
+        }
     }
     let runtime = rule.runtime(request, slot.perf());
     if !runtime.is_positive() || slot.length() < runtime {
@@ -268,6 +281,34 @@ mod tests {
         let pool = Pool::new(&request, LengthRule::Corrected);
         assert!(pool.admit(&slot(0, 0, 1.0, 1, 0, 49)).is_none());
         assert!(pool.admit(&slot(0, 0, 1.0, 1, 0, 50)).is_some());
+    }
+
+    /// The product test refuses exactly the slots shorter than the
+    /// ceiled runtime: at, one tick under and one over it, for rates on
+    /// and off the scale's multiples.
+    #[test]
+    fn admission_matches_the_ceiled_runtime() {
+        for milli in (1000..=3000).step_by(7) {
+            for t in 1..120 {
+                let request = req(1, t, 1.0, 10);
+                let runtime = Perf::from_milli(milli).runtime_for(TimeDelta::new(t), Perf::UNIT);
+                for length in (runtime.ticks() - 1).max(1)..=runtime.ticks() + 1 {
+                    let slot = Slot::new(
+                        SlotId::new(0),
+                        NodeId::new(0),
+                        Perf::from_milli(milli),
+                        Price::from_credits(1),
+                        Span::new(TimePoint::ZERO, TimePoint::new(length)).unwrap(),
+                    )
+                    .unwrap();
+                    let member = admit_slot(&request, LengthRule::Corrected, &slot);
+                    assert_eq!(
+                        member.map(|m| m.runtime),
+                        (length >= runtime.ticks()).then_some(runtime)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

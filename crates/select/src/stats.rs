@@ -23,12 +23,16 @@ pub struct ScanStats {
     /// were read from the list. Remnants a subtraction report adds to a
     /// checkpointed pool are not list reads and are not counted.
     pub slots_admitted: u64,
-    /// Pool members dropped because their remaining length expired
-    /// (step 3° removals).
+    /// Pool members found expired and dropped (step 3° removals). The
+    /// flat pools drop every dead member as the anchor moves; the wide
+    /// AMP pool of the incremental search tests a member only where it
+    /// reads it — in the head at an acceptance test, or promoted from the
+    /// tail by a removal — so a member that dies unread is not counted.
     pub slots_expired: u64,
     /// Budget tests performed (AMP step 2° iterations; for ALP this counts
     /// the single acceptance check per window), whether on a group just
-    /// read from the list or on the pool kept at a resume anchor.
+    /// read from the list or on the pool kept at a resume anchor. A test
+    /// runs only on `N` live pool members.
     pub acceptance_tests: u64,
     /// Windows successfully assembled.
     pub windows_found: u64,
@@ -37,6 +41,7 @@ pub struct ScanStats {
     /// acceptance there if the pool is full).
     pub groups_scanned: u64,
     /// Largest candidate-pool size observed (merged by `max`, not `+`).
+    /// In a wide AMP pool it may include members not yet found expired.
     pub pool_high_water: u64,
     /// Scans resumed from a per-job checkpoint instead of rescanning the
     /// list prefix (incremental alternatives search only; always zero for

@@ -4,9 +4,12 @@
 #   scripts/bench_pairs.sh <parent-rev> [pairs=10] [--workload W] [--seed N]
 #
 # Builds bench/ at <parent-rev> (from a `git archive` copy, cached under
-# ${TMPDIR:-/tmp} by commit) and in the working tree, then runs
-# `bench/run.sh --workload W --seed N --seconds <run_seconds> --trace 0`
-# on both, `pairs` times, alternating which side goes first. For every
+# ${TMPDIR:-/tmp} by commit) and in the working tree, once each, then runs
+# each side's `ecosched-e2e-bench --workload W --seed N --seconds
+# <run_seconds> --trace 0` from that side's root, as `bench/run.sh` does
+# after its build, `pairs` times, alternating which side goes first. No
+# run rebuilds anything, so an edit made during the runs cannot change
+# what either side measures. For every
 # workload (all of BENCHMARK.json's unless --workload names one) and
 # every end-to-end metric it prints both sides' medians and quartiles,
 # in how many pairs the working tree read better, and the verdict
@@ -56,14 +59,22 @@ for w in json.load(open("BENCHMARK.json"))["workloads"]:
     print(w["name"])')
 fi
 
-# Build both sides before timing anything.
+# Build both sides once, before timing anything. The binary is where
+# bench/run.sh finds it: under CARGO_TARGET_DIR, or else the checkout's
+# bench/target, each side building from and running in its own root. A
+# target directory named by an absolute path would be one binary for both.
+case "${CARGO_TARGET_DIR:-}" in
+    /*) echo "CARGO_TARGET_DIR=$CARGO_TARGET_DIR would be shared by both sides" >&2; exit 2 ;;
+esac
 echo "building parent $parent_sha in $parent_dir and the working tree…" >&2
-cargo build --offline --release --quiet --manifest-path "$parent_dir/bench/Cargo.toml"
-cargo build --offline --release --quiet --manifest-path bench/Cargo.toml
+for root in "$parent_dir" .; do
+    (cd "$root" && cargo build --offline --release --quiet --manifest-path bench/Cargo.toml)
+done
+bin="${CARGO_TARGET_DIR:-bench/target}/release/ecosched-e2e-bench"
 
 one() { # side root workload
     local out
-    out=$(bash "$2/bench/run.sh" --workload "$3" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
+    out=$(cd "$2" && "$bin" --workload "$3" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
     printf '{"side": "%s", "workload": "%s", "result": %s}\n' "$1" "$3" "$out" >> "$runs"
 }
 for workload in "${workloads[@]}"; do
