@@ -13,7 +13,7 @@
 //!
 //! The banded instance has no large same-start group, so it cannot show
 //! what a resume costs on the market an engine cycle searches: after
-//! `clip_to_now` every slot live at `now` starts at `now`, and the group
+//! a cycle's clip every slot live at `now` starts at `now`, and the group
 //! at a scan's acceptance anchor is most of the list. The `clipped`
 //! instance has that shape; its `incremental` medians, read against the
 //! same bench built at the parent commit, are what keeping the anchor

@@ -7,11 +7,11 @@
 //!   [`crate::SlotList`]; the two iterator types it hands out are block
 //!   walks.
 //! * [`IntervalSet`] is one node's timeline of disjoint free intervals,
-//!   `start → (id, end)`, which makes overlap checks, region queries and
-//!   finding a cut's source `O(log n)` tree steps. Price and performance
-//!   live once, in the slot held by the `Order`.
+//!   `(start, id, end)` runs in a vector sorted by start, which makes
+//!   overlap checks, region queries and finding a cut's source one binary
+//!   search over the node's few runs. Price and performance live once, in
+//!   the slot held by the `Order`.
 
-use std::collections::BTreeMap;
 use std::{slice, vec};
 
 use crate::error::CoreError;
@@ -148,6 +148,79 @@ impl Order {
         (taken, placed)
     }
 
+    /// Drops every slot that starts before `now` and that `keep` refuses,
+    /// in order, and returns how many went. Each block of that prefix is
+    /// filtered where it lies, and a block left empty goes; a block's
+    /// first key stays a valid separator when its first slot goes.
+    pub(crate) fn retain_before(
+        &mut self,
+        now: TimePoint,
+        mut keep: impl FnMut(&Slot) -> bool,
+    ) -> usize {
+        let before = self.len;
+        let mut b = 0;
+        while let Some(block) = self.blocks.get_mut(b) {
+            if block[0].start() >= now {
+                break;
+            }
+            let held = block.len();
+            block.retain(|slot| slot.start() >= now || keep(slot));
+            self.len -= held - block.len();
+            if block.is_empty() {
+                self.blocks.remove(b);
+                self.firsts.remove(b);
+            } else {
+                b += 1;
+            }
+        }
+        before - self.len
+    }
+
+    /// Takes every slot that starts at or before `until` out of the
+    /// order, in order: the blocks wholly before it go whole, and the
+    /// block it falls in is cut.
+    pub(crate) fn take_through(&mut self, until: TimePoint) -> Vec<Slot> {
+        if self.blocks.is_empty() {
+            return Vec::new();
+        }
+        // Every slot of a later block sorts at or after its first key, so
+        // only the blocks whose first key starts at or before `until`, and
+        // block 0, whose first key is never decisive, can hold any.
+        let last = self.firsts[1..].partition_point(|first| first.0 <= until);
+        let cut = self.blocks[last].partition_point(|slot| slot.start() <= until);
+        let whole = self.blocks[..last].iter().map(Vec::len).sum::<usize>();
+        let mut taken = Vec::with_capacity(whole + cut);
+        for block in self.blocks.drain(..last) {
+            taken.extend(block);
+        }
+        self.firsts.drain(..last);
+        taken.extend(self.blocks[0].drain(..cut));
+        if self.blocks[0].is_empty() {
+            self.blocks.remove(0);
+            self.firsts.remove(0);
+        } else {
+            self.firsts[0] = key(&self.blocks[0][0]);
+        }
+        self.len -= taken.len();
+        taken
+    }
+
+    /// Puts slots in strictly increasing `(start, id)` order, all before
+    /// every live slot, in front of the order as half-full blocks.
+    pub(crate) fn prepend(&mut self, slots: &[Slot]) {
+        let Some(last) = slots.last() else { return };
+        if let Some(block) = self.blocks.first() {
+            debug_assert!(key(last) < key(&block[0]), "prepended slots come first");
+            // The old first block's separator is no longer block 0's,
+            // which is never decisive, so it must now be exact.
+            self.firsts[0] = key(&block[0]);
+        }
+        let front = Order::from_sorted(slots);
+        self.len += front.len;
+        self.blocks.splice(..0, front.blocks);
+        self.firsts.splice(..0, front.firsts);
+    }
+
     pub(crate) fn iter(&self) -> SlotIter<'_> {
         SlotIter::new(&[], &self.blocks)
     }
@@ -258,14 +331,18 @@ impl Iterator for SlotIntoIter {
     }
 }
 
-/// A single node's timeline of disjoint free runs: `start → (id, end)`.
+/// A single node's timeline of disjoint free runs, `(start, id, end)`,
+/// held in a vector sorted by start.
 ///
-/// Same-node disjointness makes the start a unique key, so every
-/// operation is `O(log n)` in the number of runs on the node (plus
-/// output size).
+/// Same-node disjointness makes the start a unique key. Every operation
+/// is one binary search over the node's runs, and an insert or a removal
+/// also moves the runs after its position by one: `O(log r + r)` for `r`
+/// runs on the node. Engine markets hold one or two runs per node
+/// (DESIGN §16), where that memmove is a few words and a tree's node
+/// allocation per timeline is not.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct IntervalSet {
-    runs: BTreeMap<TimePoint, (SlotId, TimePoint)>,
+    runs: Vec<Run>,
 }
 
 impl IntervalSet {
@@ -277,13 +354,26 @@ impl IntervalSet {
         self.runs.is_empty()
     }
 
+    /// Where a run starting at `start` is, or would go.
+    fn find(&self, start: TimePoint) -> Result<usize, usize> {
+        self.runs.binary_search_by_key(&start, |run| run.0)
+    }
+
+    /// The number of runs starting at or before `at`: the last of them is
+    /// the only one that can reach past `at`.
+    fn through(&self, at: TimePoint) -> usize {
+        self.runs.partition_point(|run| run.0 <= at)
+    }
+
     /// The `(id, end)` of the run starting exactly at `start`.
     pub(crate) fn get(&self, start: TimePoint) -> Option<(SlotId, TimePoint)> {
-        self.runs.get(&start).copied()
+        let at = self.find(start).ok()?;
+        let (_, id, end) = self.runs[at];
+        Some((id, end))
     }
 
     /// Inserts the run `[start, end)`, enforcing disjointness against
-    /// its tree neighbours.
+    /// its neighbours.
     ///
     /// # Errors
     ///
@@ -296,43 +386,51 @@ impl IntervalSet {
         end: TimePoint,
     ) -> Result<(), SlotId> {
         debug_assert!(start < end, "runs must be non-empty");
-        if let Some((_, &(prev, prev_end))) = self.runs.range(..=start).next_back() {
+        // A run at exactly `start` is the predecessor, and reaches past it.
+        let at = self.through(start);
+        if let Some(&(_, prev, prev_end)) = at.checked_sub(1).map(|p| &self.runs[p]) {
             if prev_end > start {
                 return Err(prev);
             }
         }
-        if let Some((&next_start, &(next, _))) = self.runs.range(start..).next() {
+        if let Some(&(next_start, next, _)) = self.runs.get(at) {
             if next_start < end {
                 return Err(next);
             }
         }
-        self.runs.insert(start, (id, end));
+        self.runs.insert(at, (start, id, end));
         Ok(())
     }
 
     /// Removes the run starting exactly at `start`.
     pub(crate) fn remove(&mut self, start: TimePoint) {
-        self.runs.remove(&start);
+        if let Ok(at) = self.find(start) {
+            self.runs.remove(at);
+        }
     }
 
     /// Sets the run at `start` without a neighbour check: a piece of a
     /// run the timeline held until just now, or a run grown over the
     /// touching runs just removed.
     pub(crate) fn put(&mut self, start: TimePoint, id: SlotId, end: TimePoint) {
-        self.runs.insert(start, (id, end));
+        match self.find(start) {
+            Ok(at) => self.runs[at] = (start, id, end),
+            Err(at) => self.runs.insert(at, (start, id, end)),
+        }
     }
 
     /// The run whose interval fully contains `region`, if any: at most
     /// one exists, the last run starting at or before `region.start()`.
     pub(crate) fn covering(&self, region: Span) -> Option<Run> {
-        let (&start, &(id, end)) = self.runs.range(..=region.start()).next_back()?;
-        (end >= region.end()).then_some((start, id, end))
+        let last = self.through(region.start()).checked_sub(1)?;
+        let run = self.runs[last];
+        (run.2 >= region.end()).then_some(run)
     }
 
     /// The span of the run carrying `id`: a walk over the node's runs, for
     /// telling apart the ways a cut can miss its source.
     pub(crate) fn span_of(&self, id: SlotId) -> Option<Span> {
-        let (&start, &(_, end)) = self.runs.iter().find(|(_, run)| run.0 == id)?;
+        let &(start, _, end) = self.runs.iter().find(|run| run.1 == id)?;
         Span::new(start, end)
     }
 
@@ -341,17 +439,14 @@ impl IntervalSet {
     /// followed by every run starting inside it. Callers intersect each
     /// candidate; a predecessor ending at or before `region.start()` is
     /// simply not affected.
-    pub(crate) fn candidates(&self, region: Span) -> Vec<Run> {
-        let before = self.runs.range(..region.start()).next_back();
-        let inside = self.runs.range(region.start()..region.end());
-        before
-            .into_iter()
-            .chain(inside)
-            .map(|(&start, &(id, end))| (start, id, end))
-            .collect()
+    pub(crate) fn candidates(&self, region: Span) -> &[Run] {
+        let inside = self.runs.partition_point(|run| run.0 < region.start());
+        let beyond = self.runs.partition_point(|run| run.0 < region.end());
+        &self.runs[inside.saturating_sub(1)..beyond]
     }
 
-    /// Checks adjacency disjointness and per-run well-formedness.
+    /// Checks adjacency disjointness and per-run well-formedness; runs
+    /// out of start order show up as an overlap.
     ///
     /// # Errors
     ///
@@ -359,7 +454,7 @@ impl IntervalSet {
     /// ids) on the first adjacency violation.
     pub(crate) fn validate(&self, node: NodeId) -> Result<(), CoreError> {
         let mut prev: Option<(SlotId, TimePoint)> = None;
-        for (&start, &(id, end)) in &self.runs {
+        for &(start, id, end) in &self.runs {
             debug_assert!(start < end, "runs must be non-empty");
             if let Some((first, prev_end)) = prev {
                 if prev_end > start {
@@ -377,11 +472,13 @@ impl IntervalSet {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::money::Price;
     use crate::perf::Perf;
+    use crate::time::TimeDelta;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn span(a: i64, b: i64) -> Span {
         Span::new(TimePoint::new(a), TimePoint::new(b)).unwrap()
@@ -441,7 +538,7 @@ mod tests {
         // A predecessor ending before the region is still listed (the
         // caller's intersect filters it) but nothing before it is.
         assert_eq!(s.candidates(span(35, 90)), all);
-        assert_eq!(s.candidates(span(75, 90)), all[1..]);
+        assert_eq!(s.candidates(span(75, 90)), &all[1..]);
     }
 
     #[test]
@@ -544,7 +641,7 @@ mod tests {
     /// decisive: every key below block 1's first key locates to block 0),
     /// and the length the blocks add up to.
     #[track_caller]
-    fn assert_blocks_sound(blocks: &Order) {
+    pub(crate) fn assert_blocks_sound(blocks: &Order) {
         assert_eq!(blocks.firsts.len(), blocks.blocks.len());
         for block in &blocks.blocks {
             assert!(
@@ -612,6 +709,193 @@ mod tests {
                 },
             },
         )
+    }
+
+    /// One timeline operation; raw integers are read against the live
+    /// runs when it runs.
+    #[derive(Debug, Clone, Copy)]
+    enum TimelineOp {
+        /// A run at `start`, or at the `pick`-th live start when `at_live`
+        /// (an exact-start collision), checked against its neighbours.
+        Insert {
+            start: i64,
+            len: i64,
+            pick: usize,
+            at_live: bool,
+        },
+        /// Cuts `[from, from + len)` out of the `pick`-th run the way a
+        /// subtraction does: remove, then `put` the pieces under new ids.
+        Cut { pick: usize, from: i64, len: i64 },
+        /// Overwrites the `pick`-th run's id and end in place with `put`,
+        /// or puts a run into the gap after it.
+        Put { pick: usize, len: i64, gap: bool },
+        /// Removes the run at the `pick`-th live start, or at `start`.
+        Remove {
+            pick: usize,
+            start: i64,
+            at_live: bool,
+        },
+        /// Every query over `[start, start + len)`, and `get`/`span_of`
+        /// of the `pick`-th run.
+        Query { pick: usize, start: i64, len: i64 },
+    }
+
+    fn timeline_op() -> impl Strategy<Value = TimelineOp> {
+        (0u32..12, 0usize..1_000, -5i64..130, 1i64..25).prop_map(
+            |(tag, pick, start, len)| match tag {
+                0..=3 => TimelineOp::Insert {
+                    start,
+                    len,
+                    pick,
+                    at_live: tag == 3,
+                },
+                4 | 5 => TimelineOp::Cut {
+                    pick,
+                    from: start,
+                    len,
+                },
+                6 => TimelineOp::Put {
+                    pick,
+                    len,
+                    gap: start % 2 == 0,
+                },
+                7 => TimelineOp::Remove {
+                    pick,
+                    start,
+                    at_live: start % 3 != 0,
+                },
+                _ => TimelineOp::Query { pick, start, len },
+            },
+        )
+    }
+
+    /// The model's answer to `covering`, as the tree gave it: the last
+    /// run starting at or before the region, if it reaches its end.
+    fn model_covering(
+        model: &BTreeMap<TimePoint, (SlotId, TimePoint)>,
+        region: Span,
+    ) -> Option<Run> {
+        let (&start, &(id, end)) = model.range(..=region.start()).next_back()?;
+        (end >= region.end()).then_some((start, id, end))
+    }
+
+    /// The model's `candidates`: the run before the region's start, then
+    /// every run starting inside it.
+    fn model_candidates(
+        model: &BTreeMap<TimePoint, (SlotId, TimePoint)>,
+        region: Span,
+    ) -> Vec<Run> {
+        let before = model.range(..region.start()).next_back();
+        let inside = model.range(region.start()..region.end());
+        let runs = before.into_iter().chain(inside);
+        runs.map(|(&start, &(id, end))| (start, id, end)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One node's timeline against the `BTreeMap` it used to be: every
+        /// operation, the neighbour check's errors (a predecessor reaching
+        /// in, a successor starting inside, an exact-start collision) and
+        /// every query, on short ticks so that runs touch and collide.
+        #[test]
+        fn timelines_match_a_btree_model(
+            ops in prop::collection::vec(timeline_op(), 1..120),
+        ) {
+            let mut model: BTreeMap<TimePoint, (SlotId, TimePoint)> = BTreeMap::new();
+            let mut timeline = IntervalSet::default();
+            let mut next_id = 0u64;
+            let mint = |next_id: &mut u64| {
+                *next_id += 1;
+                SlotId::new(*next_id - 1)
+            };
+            let t = TimePoint::new;
+            for (step, op) in ops.iter().enumerate() {
+                let runs: Vec<Run> = model.iter().map(|(&s, &(id, e))| (s, id, e)).collect();
+                let picked = |pick: usize| runs.get(pick % runs.len().max(1)).copied();
+                match *op {
+                    TimelineOp::Insert { start, len, pick, at_live } => {
+                        let start = match picked(pick) {
+                            Some(run) if at_live => run.0,
+                            _ => t(start),
+                        };
+                        let (id, end) = (mint(&mut next_id), start + TimeDelta::new(len));
+                        let prev = model.range(..=start).next_back();
+                        let next = model.range(start..).next();
+                        let want = match (prev, next) {
+                            (Some((_, &(prev, prev_end))), _) if prev_end > start => Err(prev),
+                            (_, Some((&next_start, &(next, _)))) if next_start < end => Err(next),
+                            _ => Ok(()),
+                        };
+                        if want.is_ok() {
+                            model.insert(start, (id, end));
+                        }
+                        prop_assert_eq!(timeline.insert(start, id, end), want, "step {}", step);
+                    }
+                    TimelineOp::Cut { pick, from, len } => {
+                        let Some(run) = picked(pick) else { continue };
+                        let span = Span::new(run.0, run.2).unwrap();
+                        let length = span.length().ticks();
+                        let from = run.0 + TimeDelta::new(from.rem_euclid(length));
+                        let cut = Span::new(from, (from + TimeDelta::new(len)).min(run.2)).unwrap();
+                        let (left, right) = span.subtract(cut);
+                        model.remove(&run.0);
+                        timeline.remove(run.0);
+                        for piece in [left, right].into_iter().flatten() {
+                            let id = mint(&mut next_id);
+                            model.insert(piece.start(), (id, piece.end()));
+                            timeline.put(piece.start(), id, piece.end());
+                        }
+                    }
+                    TimelineOp::Put { pick, len, gap } => {
+                        let Some(run) = picked(pick) else { continue };
+                        let id = mint(&mut next_id);
+                        let next_start = model.range(run.2..).next().map(|(&s, _)| s);
+                        let (start, end) = if gap {
+                            let end = run.2 + TimeDelta::new(len);
+                            (run.2, next_start.map_or(end, |next| end.min(next)))
+                        } else {
+                            (run.0, run.0 + TimeDelta::new(len).min(run.2 - run.0))
+                        };
+                        if start < end {
+                            model.insert(start, (id, end));
+                            timeline.put(start, id, end);
+                        }
+                    }
+                    TimelineOp::Remove { pick, start, at_live } => {
+                        let start = match picked(pick) {
+                            Some(run) if at_live => run.0,
+                            _ => t(start),
+                        };
+                        model.remove(&start);
+                        timeline.remove(start);
+                    }
+                    TimelineOp::Query { pick, start, len } => {
+                        let region = Span::new(t(start), t(start + len)).unwrap();
+                        prop_assert_eq!(timeline.covering(region), model_covering(&model, region));
+                        prop_assert_eq!(
+                            timeline.candidates(region),
+                            &model_candidates(&model, region)[..],
+                            "step {}: candidates of {:?}", step, region
+                        );
+                        prop_assert_eq!(timeline.get(t(start)), model.get(&t(start)).copied());
+                        if let Some(run) = picked(pick) {
+                            prop_assert_eq!(timeline.get(run.0), Some((run.1, run.2)));
+                            prop_assert_eq!(timeline.span_of(run.1), Span::new(run.0, run.2));
+                            // A region inside the run is covered by it.
+                            let inside = Span::new(run.0, run.2).unwrap();
+                            prop_assert_eq!(timeline.covering(inside), Some(run));
+                        }
+                        prop_assert_eq!(timeline.span_of(SlotId::new(next_id)), None);
+                    }
+                }
+                let held: Vec<Run> = model.iter().map(|(&s, &(id, e))| (s, id, e)).collect();
+                prop_assert_eq!(&timeline.runs, &held, "step {}: {:?}", step, op);
+                prop_assert_eq!(timeline.len(), model.len());
+                prop_assert_eq!(timeline.is_empty(), model.is_empty());
+                prop_assert!(timeline.validate(NodeId::new(0)).is_ok());
+            }
+        }
     }
 
     proptest! {

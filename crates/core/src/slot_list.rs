@@ -313,7 +313,7 @@ impl SlotList {
     /// `O((k + 1) log m)` for `k` affected slots.
     pub fn remove_region(&mut self, node: NodeId, region: Span) -> usize {
         let candidates = match self.nodes.get(&node) {
-            Some(timeline) => timeline.candidates(region),
+            Some(timeline) => timeline.candidates(region).to_vec(),
             None => return 0,
         };
         let mut cut = 0;
@@ -324,6 +324,58 @@ impl SlotList {
             }
         }
         cut
+    }
+
+    /// Drops every slot that has fully elapsed by `now` (`end <= now`)
+    /// from the order and from its node's timeline — the expiry sweep —
+    /// and returns how many went. Only slots that start before `now` can
+    /// have ended, so only that prefix of the order is read. This is
+    /// exactly [`SlotList::remove_region`] over each dead slot's span: a
+    /// dead slot overlaps nothing on its node but itself, so it goes whole
+    /// and nothing is minted.
+    pub fn expire(&mut self, now: TimePoint) -> usize {
+        let nodes = &mut self.nodes;
+        self.order.retain_before(now, |slot| {
+            if slot.end() > now {
+                return true;
+            }
+            let timeline = timeline(nodes, slot.node());
+            timeline.remove(slot.start());
+            if timeline.is_empty() {
+                nodes.remove(&slot.node());
+            }
+            false
+        })
+    }
+
+    /// Clips the list to `now` in place: drops every slot that has fully
+    /// elapsed ([`SlotList::expire`]) and moves the start of every other
+    /// slot that began before `now` up to `now`, under its own id. Only
+    /// the prefix of slots starting at or before `now` is taken out of the
+    /// order; it goes back at `now` in id order, in front of the rest, and
+    /// each clipped run moves on its node's timeline.
+    ///
+    /// The minting cursor restarts above the highest live id, as it does
+    /// for the same slots bulk-loaded through
+    /// [`SlotList::from_sorted_slots`]: the clipped list equals that
+    /// rebuild, down to the next [`SlotList::mint_id`].
+    pub fn clip(&mut self, now: TimePoint) {
+        self.expire(now);
+        let mut front = self.order.take_through(now);
+        for slot in front.iter_mut().filter(|slot| slot.start() < now) {
+            let timeline = timeline(&mut self.nodes, slot.node());
+            timeline.remove(slot.start());
+            timeline.put(now, slot.id(), slot.end());
+            let span = Span::new(now, slot.end()).expect("a live slot ends after now");
+            *slot = slot
+                .with_span(slot.id(), span)
+                .expect("clipped spans are non-empty");
+        }
+        // Every slot taken now starts at `now`, so id order is its order.
+        front.sort_unstable_by_key(Slot::id);
+        self.order.prepend(&front);
+        let highest = self.iter().map(|slot| slot.id().raw()).max();
+        self.next_id = highest.map_or(0, |id| id + 1);
     }
 
     /// The run `member` was carved from, checked to contain `cut`: the
@@ -797,6 +849,7 @@ impl fmt::Display for SlotList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn span(a: i64, b: i64) -> Span {
         Span::new(TimePoint::new(a), TimePoint::new(b)).unwrap()
@@ -1191,6 +1244,209 @@ mod tests {
         assert_eq!(list.remove_region(NodeId::new(0), span(30, 50)), 0);
         assert_eq!(list.remove_region(NodeId::new(7), span(0, 50)), 0);
         assert_eq!(list.len(), 1);
+    }
+
+    /// The market a cycle used to schedule over: every slot clipped to
+    /// `[now, end)`, the elapsed ones dropped, bulk-loaded afresh.
+    fn rebuilt(list: &SlotList, now: i64) -> SlotList {
+        let now = TimePoint::new(now);
+        let live = list.iter().filter(|s| s.end() > now);
+        let mut clipped: Vec<Slot> = live
+            .map(|s| s.with_span(s.id(), span(s.start().max(now).ticks(), s.end().ticks())))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        clipped.sort_by_key(key);
+        SlotList::from_sorted_slots(clipped).unwrap()
+    }
+
+    /// The clipped list is its rebuild: the same slots in the same order,
+    /// sound structures, the same cursor and the same next minted id.
+    #[track_caller]
+    fn assert_clips_as_rebuilt(list: &SlotList, now: i64) {
+        let mut clipped = list.clone();
+        clipped.clip(TimePoint::new(now));
+        let mut rebuilt = rebuilt(list, now);
+        clipped.validate().unwrap();
+        crate::interval::tests::assert_blocks_sound(&clipped.order);
+        assert_eq!(clipped, rebuilt);
+        assert_eq!(clipped.next_id, rebuilt.next_id);
+        assert_eq!(clipped.mint_id(), rebuilt.mint_id());
+    }
+
+    /// Slots that start, or end, exactly at `now`: one ending there dies
+    /// and one starting there is kept as it is, in id order among the
+    /// clipped ones, on every node; a node whose only slot died leaves.
+    #[test]
+    fn a_clip_at_a_slot_edge_keeps_what_starts_and_drops_what_ends_there() {
+        let list = SlotList::from_slots(vec![
+            slot(0, 0, 0, 50),  // ends at now: dies
+            slot(1, 0, 50, 90), // starts at now: kept as is
+            slot(2, 1, 10, 60), // clipped to [50, 60)
+            slot(3, 2, 50, 51), // starts at now, one tick long
+            slot(4, 3, 49, 51), // clipped to the last tick before its end
+            slot(5, 4, 0, 49),  // ended a tick before now
+            slot(6, 5, 60, 70), // after now: untouched
+        ])
+        .unwrap();
+        for now in [49, 50, 51] {
+            assert_clips_as_rebuilt(&list, now);
+        }
+        let mut clipped = list.clone();
+        clipped.clip(TimePoint::new(50));
+        let expected = [
+            (1, span(50, 90)),
+            (2, span(50, 60)),
+            (3, span(50, 51)),
+            (4, span(50, 51)),
+            (6, span(60, 70)),
+        ];
+        assert_eq!(spans(&clipped), expected);
+        assert!(clipped
+            .covering_slot(NodeId::new(0), span(50, 90))
+            .is_some());
+        assert!(clipped
+            .covering_slot(NodeId::new(4), span(10, 20))
+            .is_none());
+        assert!(!clipped.nodes.contains_key(&NodeId::new(4)));
+        assert_eq!(clipped.mint_id(), SlotId::new(7));
+    }
+
+    /// The cursor is the rebuild's, not the list's: with the highest id
+    /// elapsed, the next mint reissues it, as a bulk load of the
+    /// survivors would. A clip that kills every slot restarts at 0.
+    #[test]
+    fn a_clip_lowers_the_cursor_when_the_highest_id_has_died() {
+        let mut list = SlotList::from_slots(vec![slot(0, 0, 0, 100), slot(7, 1, 0, 30)]).unwrap();
+        list.mint_id();
+        assert_eq!(list.next_id, 9);
+        list.clip(TimePoint::new(40));
+        assert_eq!(spans(&list), [(0, span(40, 100))]);
+        assert_eq!(list.next_id, 1);
+        assert_eq!(insert(&mut list, 2, 0, 10), Ok(SlotId::new(1)));
+        list.clip(TimePoint::new(100));
+        assert!(list.is_empty());
+        assert_eq!(list.mint_id(), SlotId::new(0));
+        // Expiry alone never moves the cursor.
+        let mut list = SlotList::from_slots(vec![slot(0, 0, 0, 100), slot(7, 1, 0, 30)]).unwrap();
+        assert_eq!(list.expire(TimePoint::new(40)), 1);
+        assert_eq!(list.mint_id(), SlotId::new(8));
+    }
+
+    /// The sweep drops exactly the slots that have ended by `now`: one
+    /// ending at `now` goes, one ending a tick later stays, and nothing
+    /// starting before `now` is clipped.
+    #[test]
+    fn expire_drops_exactly_the_elapsed_slots() {
+        let mut list = SlotList::from_slots(vec![
+            slot(0, 0, 0, 40),
+            slot(1, 0, 40, 90),
+            slot(2, 1, 10, 41),
+            slot(3, 2, 20, 39),
+            slot(4, 3, 40, 45),
+        ])
+        .unwrap();
+        assert_eq!(list.expire(TimePoint::new(40)), 2);
+        list.validate().unwrap();
+        let expected = [(2, span(10, 41)), (1, span(40, 90)), (4, span(40, 45))];
+        assert_eq!(spans(&list), expected);
+        assert_eq!(list.expire(TimePoint::new(40)), 0);
+        assert_eq!(list.mint_id(), SlotId::new(5));
+    }
+
+    /// One market-changing step before a clip or a sweep.
+    #[derive(Debug, Clone, Copy)]
+    enum ClipOp {
+        /// Cuts `[from, from + len)`, read inside the `pick`-th slot.
+        Cut { pick: usize, from: i64, len: i64 },
+        /// Files `[start, start + len)` on a node after its last slot.
+        Publish { node: u32, start: i64, len: i64 },
+        /// Clips at `now`, checked against the rebuild first.
+        Clip { now: i64 },
+        /// Sweeps at `now`, checked against a region withdrawal of every
+        /// elapsed slot.
+        Expire { now: i64 },
+    }
+
+    fn clip_op() -> impl Strategy<Value = ClipOp> {
+        (0u32..10, 0usize..2_000, 0i64..400, 1i64..80).prop_map(|(tag, pick, at, len)| match tag {
+            0..=3 => ClipOp::Cut {
+                pick,
+                from: at,
+                len,
+            },
+            4 | 5 => ClipOp::Publish {
+                node: (pick % 90) as u32,
+                start: at,
+                len,
+            },
+            6..=8 => ClipOp::Clip { now: at },
+            _ => ClipOp::Expire { now: at },
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// An in-place clip equals the rebuild it replaced, on random
+        /// markets at random times: from a load of up to 600 slots over up
+        /// to 90 nodes (several blocks, several runs a node, ids out of
+        /// start order), carved, published into, swept and clipped again.
+        /// After every step the list is sound and the sweep equals the
+        /// region withdrawal it replaced.
+        #[test]
+        fn clips_match_a_rebuild(
+            nodes in 1u32..90,
+            seed in prop::collection::vec((0i64..3, 1i64..120), 0..600),
+            ops in prop::collection::vec(clip_op(), 1..24),
+        ) {
+            let mut ends = vec![0i64; nodes as usize];
+            let seeded: Vec<Slot> = seed
+                .iter()
+                .enumerate()
+                .map(|(id, &(gap, len))| {
+                    let node = id as u32 % nodes;
+                    let end = &mut ends[node as usize];
+                    let start = *end + gap * 7;
+                    *end = start + len;
+                    slot(id as u64, node, start, *end)
+                })
+                .collect();
+            let mut list = SlotList::from_slots(seeded).unwrap();
+            for op in ops {
+                match op {
+                    ClipOp::Cut { pick, from, len } => {
+                        if list.is_empty() {
+                            continue;
+                        }
+                        let source = *list.iter().nth(pick % list.len()).unwrap();
+                        let (a, b) = (source.start().ticks(), source.end().ticks());
+                        let from = a + from % (b - a);
+                        list.subtract_window(&cut(&source, from, (from + len).min(b))).unwrap();
+                    }
+                    ClipOp::Publish { node, start, len } => {
+                        let last = list.iter().filter(|s| s.node().index() == node).map(|s| s.end().ticks()).max();
+                        let start = last.unwrap_or(0).max(start);
+                        insert(&mut list, node, start, start + len).unwrap();
+                    }
+                    ClipOp::Clip { now } => {
+                        assert_clips_as_rebuilt(&list, now);
+                        list.clip(TimePoint::new(now));
+                    }
+                    ClipOp::Expire { now } => {
+                        let now = TimePoint::new(now);
+                        let mut withdrawn = list.clone();
+                        let dead: Vec<Slot> = list.iter().filter(|s| s.end() <= now).copied().collect();
+                        for slot in &dead {
+                            withdrawn.remove_region(slot.node(), slot.span());
+                        }
+                        prop_assert_eq!(list.expire(now), dead.len());
+                        prop_assert_eq!(&list, &withdrawn);
+                    }
+                }
+                list.validate().unwrap();
+                crate::interval::tests::assert_blocks_sound(&list.order);
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * `JobArrival` feeds the pending queue;
 //! * `SlotPublished` adds a fresh batch of vacant slots (re-homed onto
 //!   fresh nodes and shifted to the current virtual time);
-//! * `CycleTick` snapshots the live market (clipping slots to the
-//!   future), runs the existing pipeline ([`ecosched_sim::run_iteration`]:
+//! * `CycleTick` clips the live market to the future in place, runs the
+//!   existing pipeline on it ([`ecosched_sim::run_iteration_in`]:
 //!   alternatives search, Eq. (2)/(3) VO limits, combination optimization
 //!   — planned cold, from this cycle's alternatives alone, as the paper
 //!   plans each iteration) and commits the chosen windows
@@ -39,13 +39,13 @@
 use std::collections::BTreeMap;
 
 use ecosched_core::{
-    Alternative, Batch, BatchAlternatives, Job, JobId, NodeId, ResourceRequest, Revocation, Slot,
+    Alternative, Batch, BatchAlternatives, Job, JobId, NodeId, ResourceRequest, Revocation,
     SlotList, Span, TimeDelta, TimePoint, Window,
 };
 use ecosched_select::SlotSelector;
 use ecosched_sim::cycle::{self, PostponeReason, Recovery};
 use ecosched_sim::{
-    run_iteration, ConfigError, IterationError, IterationResult, JobGenerator, RevocationModel,
+    run_iteration_in, ConfigError, IterationError, IterationResult, JobGenerator, RevocationModel,
     SlotGenerator,
 };
 use rand::{Rng, SeedableRng};
@@ -455,7 +455,9 @@ impl<S: SlotSelector + Copy> Engine<S> {
     ///
     /// # Errors
     ///
-    /// Propagates [`IterationError`] from a scheduling cycle.
+    /// Propagates [`IterationError`] from a scheduling cycle, which ends
+    /// the run: the cycle's market went into the failed search, so the
+    /// state is left with none.
     pub fn step(&self, state: &mut RunState) -> Result<Option<LogEntry>, EngineError> {
         let Some((now, seq, event)) = state.queue.pop() else {
             return Ok(None);
@@ -734,31 +736,28 @@ impl<S: SlotSelector + Copy> Engine<S> {
             );
             return;
         }
-        let dead: Vec<(NodeId, Span)> = state
-            .vacant
-            .iter()
-            .take_while(|s| s.start() < now)
-            .filter(|s| s.end() <= now)
-            .map(|s| (s.node(), s.span()))
-            .collect();
-        for (node, span) in dead {
-            state.vacant.remove_region(node, span);
-        }
+        state.vacant.expire(now);
     }
 
-    /// `CycleTick`: plan → commit → coalesce → lease → carry.
+    /// `CycleTick`: clip → plan → commit → coalesce → lease → carry.
+    ///
+    /// With a batch to plan, the market is clipped to `now` in place and
+    /// moved into the search, which carves its alternatives from it; the
+    /// commit hands back what is left as the next market. A planning
+    /// error ends the run (every caller propagates it) and leaves
+    /// `state.vacant` empty. With no batch the market is left unclipped,
+    /// and the cycle counts the slots still alive at `now`.
     fn on_cycle(
         &self,
         state: &mut RunState,
         now: TimePoint,
         cycle: u32,
     ) -> Result<(), EngineError> {
-        let market = clip_to_now(&state.vacant, now);
         let batch_size = state.pending.len();
         let mut point = CyclePoint {
             cycle,
             time: now.ticks(),
-            market_slots: market.len(),
+            market_slots: 0,
             batch_size,
             scheduled: 0,
             postponed: 0,
@@ -766,11 +765,17 @@ impl<S: SlotSelector + Copy> Engine<S> {
             spend: 0.0,
         };
         if batch_size == 0 {
+            let started = state.vacant.iter().take_while(|s| s.start() < now);
+            let dead = started.filter(|s| s.end() <= now).count();
+            point.market_slots = state.vacant.len() - dead;
             state.report.cycles.push(point);
             return Ok(());
         }
 
-        let mut result = self.plan(state, &market)?;
+        state.vacant.clip(now);
+        point.market_slots = state.vacant.len();
+        let market = std::mem::take(&mut state.vacant);
+        let mut result = self.plan(state, market)?;
         state.report.opt.merge(&result.opt);
         // Fragments accumulate at commit boundaries (released
         // alternatives, returned tails, clip remnants); merging touching
@@ -805,9 +810,10 @@ impl<S: SlotSelector + Copy> Engine<S> {
     /// The plan step of a cycle: the pending queue re-keyed as a batch —
     /// its order is `(arrival, id)`, so the longest-waiting job takes the
     /// highest priority — through alternatives search, VO limits and
-    /// combination optimization over `market`. Planned from this cycle's
-    /// alternatives alone; nothing is carried to the next cycle.
-    fn plan(&self, state: &RunState, market: &SlotList) -> Result<IterationResult, EngineError> {
+    /// combination optimization over `market`, which the search carves
+    /// into its leftover. Planned from this cycle's alternatives alone;
+    /// nothing is carried to the next cycle.
+    fn plan(&self, state: &RunState, market: SlotList) -> Result<IterationResult, EngineError> {
         let jobs: Vec<Job> = state
             .pending
             .iter()
@@ -815,7 +821,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             .map(|(i, p)| Job::new(JobId::new(i as u32), p.request))
             .collect();
         let batch = Batch::from_jobs(jobs).expect("re-keyed ids are unique");
-        Ok(run_iteration(
+        Ok(run_iteration_in(
             self.selector,
             market,
             &batch,
@@ -1036,31 +1042,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
     }
 }
 
-/// The market snapshot a cycle schedules over: every vacant slot clipped
-/// to `[now, end)`, dropping fully elapsed ones. Ids are preserved, so the
-/// clipped slots stay in strictly increasing `(start, id)` order after the
-/// sort and the `O(m)` [`SlotList::from_sorted_slots`] constructor
-/// applies.
-fn clip_to_now(vacant: &SlotList, now: TimePoint) -> SlotList {
-    let mut clipped: Vec<Slot> = Vec::with_capacity(vacant.len());
-    for s in vacant.iter() {
-        if s.end() <= now {
-            continue;
-        }
-        if s.start() >= now {
-            clipped.push(*s);
-        } else {
-            let span = Span::new(now, s.end()).expect("end is after now");
-            clipped.push(
-                s.with_span(s.id(), span)
-                    .expect("clipped spans are non-empty"),
-            );
-        }
-    }
-    clipped.sort_by_key(|s| (s.start(), s.id()));
-    SlotList::from_sorted_slots(clipped).expect("clipping preserves disjointness and unique ids")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1110,7 +1091,11 @@ mod tests {
             let now = TimePoint::new(entry.time);
             let market = match entry.event {
                 Event::SlotPublished { .. } => state.vacant.clone(),
-                Event::CycleTick { .. } => clip_to_now(&state.vacant, now),
+                Event::CycleTick { .. } => {
+                    let mut market = state.vacant.clone();
+                    market.clip(now);
+                    market
+                }
                 _ => continue,
             };
             let m = market.len() as u64;

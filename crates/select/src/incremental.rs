@@ -733,10 +733,9 @@ impl std::fmt::Debug for JobScan {
 /// Byte-identical results to [`crate::find_alternatives_naive`].
 pub(crate) fn find_alternatives_incremental(
     spec: &AlgoSpec,
-    list: &SlotList,
+    mut remaining: SlotList,
     batch: &Batch,
 ) -> Result<SearchOutcome, CoreError> {
-    let mut remaining = list.clone();
     let mut alternatives = BatchAlternatives::for_jobs(batch.iter().map(|j| j.id()));
     let mut stats = SearchStats::new();
     let mut scans: Vec<JobScan> = batch

@@ -94,6 +94,6 @@ pub use coschedule::{find_alternatives_coscheduled, find_alternatives_coschedule
 pub use incremental::AlgoSpec;
 pub use repair::{repair_search, revalidate_window, try_adopt_window, RepairError};
 pub use scan::LengthRule;
-pub use search::{find_alternatives, find_alternatives_naive, SearchOutcome};
+pub use search::{find_alternatives, find_alternatives_in, find_alternatives_naive, SearchOutcome};
 pub use selector::SlotSelector;
 pub use stats::{ScanStats, SearchStats};

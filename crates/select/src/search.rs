@@ -44,7 +44,8 @@ impl SearchOutcome {
 /// Runs the multi-pass alternatives search for `batch` on `list` using
 /// `selector` (ALP or AMP).
 ///
-/// The input list is cloned; the caller's copy is untouched.
+/// The input list is cloned; the caller's copy is untouched. A caller
+/// done with its list hands it to [`find_alternatives_in`] instead.
 ///
 /// # Errors
 ///
@@ -89,13 +90,28 @@ pub fn find_alternatives(
     list: &SlotList,
     batch: &Batch,
 ) -> Result<SearchOutcome, CoreError> {
+    find_alternatives_in(selector, list.clone(), batch)
+}
+
+/// [`find_alternatives`] on a list the caller gives up: every found
+/// window is carved from `list` itself, which comes back as
+/// [`SearchOutcome::remaining`]. No copy is made.
+///
+/// # Errors
+///
+/// As [`find_alternatives`]; the list is then lost with the search.
+pub fn find_alternatives_in(
+    selector: impl SlotSelector,
+    list: SlotList,
+    batch: &Batch,
+) -> Result<SearchOutcome, CoreError> {
     // Built-in selectors run the checkpointed incremental driver: same
     // results, but each window search resumes from the job's last
     // acceptance anchor instead of rescanning the list prefix.
     if let Some(spec) = selector.as_algo() {
         return find_alternatives_incremental(&spec, list, batch);
     }
-    find_alternatives_naive(selector, list, batch)
+    naive(selector, list, batch)
 }
 
 /// The restart-per-window form of [`find_alternatives`]: the path every
@@ -116,7 +132,14 @@ pub fn find_alternatives_naive(
     list: &SlotList,
     batch: &Batch,
 ) -> Result<SearchOutcome, CoreError> {
-    let mut remaining = list.clone();
+    naive(selector, list.clone(), batch)
+}
+
+fn naive(
+    selector: impl SlotSelector,
+    mut remaining: SlotList,
+    batch: &Batch,
+) -> Result<SearchOutcome, CoreError> {
     let mut alternatives = BatchAlternatives::for_jobs(batch.iter().map(|j| j.id()));
     let mut stats = SearchStats::new();
     let mut dead: HashSet<JobId> = HashSet::new();

@@ -95,11 +95,11 @@ fn multi_slot_list_strategy() -> impl Strategy<Value = SlotList> {
 }
 
 /// Strategy: a *clipped* market — the shape every engine cycle searches.
-/// After `clip_to_now` every slot that is running at `now` starts at
-/// `now`, so at least half the slots here share one start (`T0`); the
-/// rest are later vacancies, on the tail of a clipped node or on a node
-/// of their own. The group at the first anchor is then most of the
-/// market, which is what a resumed scan keeps pooled.
+/// After a cycle's clip (`SlotList::clip`) every slot that is running
+/// at `now` starts at `now`, so at least half the slots here share one
+/// start (`T0`); the rest are later vacancies, on the tail of a clipped
+/// node or on a node of their own. The group at the first anchor is then
+/// most of the market, which is what a resumed scan keeps pooled.
 fn clipped_list_strategy() -> impl Strategy<Value = SlotList> {
     const T0: i64 = 500;
     (
@@ -428,7 +428,7 @@ fn large_deterministic_instance_matches_reference() {
 }
 
 /// The clipped counterpart of the instance above: 2,400 nodes each vacant
-/// from one shared `T0` (what `clip_to_now` makes of every running slot)
+/// from one shared `T0` (what a cycle's clip makes of every running slot)
 /// plus 1,600 later vacancies on their tails — the `engine_widemarket`
 /// shape, where the group at the first anchor is most of the market and a
 /// resumed scan must neither lose it nor read it again.

@@ -185,7 +185,23 @@ pub fn run_iteration(
     batch: &Batch,
     config: &IterationConfig,
 ) -> Result<IterationResult, IterationError> {
-    let search = ecosched_select::find_alternatives(selector, list, batch)?;
+    run_iteration_in(selector, list.clone(), batch, config)
+}
+
+/// [`run_iteration`] on a list the caller gives up: the search carves its
+/// alternatives from `list` itself ([`ecosched_select::find_alternatives_in`]),
+/// which comes back as the result's `search.remaining`. No copy is made.
+///
+/// # Errors
+///
+/// As [`run_iteration`]; the list is then lost with the iteration.
+pub fn run_iteration_in(
+    selector: impl SlotSelector,
+    list: SlotList,
+    batch: &Batch,
+    config: &IterationConfig,
+) -> Result<IterationResult, IterationError> {
+    let search = ecosched_select::find_alternatives_in(selector, list, batch)?;
     let postponed: Vec<JobId> = search.postponed().collect();
     // The optimizer wants the covered jobs as one slice: the search's own
     // table when nothing was postponed, a filtered copy otherwise.

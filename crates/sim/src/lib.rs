@@ -60,7 +60,9 @@ pub mod swf;
 
 pub use config::{reserved_key, ConfigError, IntRange, JobGenConfig, RealRange, SlotGenConfig};
 pub use cycle::{PostponeReason, Recovery, RepairPolicy};
-pub use iteration::{run_iteration, Criterion, IterationConfig, IterationError, IterationResult};
+pub use iteration::{
+    run_iteration, run_iteration_in, Criterion, IterationConfig, IterationError, IterationResult,
+};
 pub use job_gen::JobGenerator;
 pub use market::{MarketConfig, MarketCycleReport, MarketSimulation};
 pub use revocation::{RevocationConfig, RevocationModel};
