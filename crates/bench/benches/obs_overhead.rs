@@ -4,7 +4,7 @@
 //! a live metrics recorder to the engine must cost less than 2% of
 //! cycle time. Two medians land in the report —
 //! `obs_overhead/recorder_off` runs a churned five-cycle engine with the
-//! default no-op [`EngineObs::off`] handle, and
+//! default no-op `EngineObs::off()` handle, and
 //! `obs_overhead/recorder_on` runs the identical `(config, seed)` with a
 //! full registry + tracer attached, so the ratio isolates exactly the
 //! instrumentation cost (atomic counter adds, gauge stores, ring-buffer
@@ -13,8 +13,7 @@
 //! within the gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ecosched_engine::{ArrivalConfig, Engine, EngineConfig, EngineIds, EngineObs};
-use ecosched_obs::{Recorder, RegistryBuilder};
+use ecosched_engine::{engine_obs, ArrivalConfig, Engine, EngineConfig};
 use ecosched_select::Amp;
 use ecosched_sim::{JobGenConfig, RevocationConfig};
 use std::hint::black_box;
@@ -42,12 +41,9 @@ fn bench_obs_overhead(c: &mut Criterion) {
 
     let plain = Engine::new(churn_config(), Amp::new()).expect("valid config");
 
-    let mut b = RegistryBuilder::new();
-    let ids = EngineIds::register(&mut b, None);
-    let recorder = Recorder::new(b.build());
     let observed = Engine::new(churn_config(), Amp::new())
         .expect("valid config")
-        .with_obs(EngineObs::new(recorder, ids));
+        .with_obs(engine_obs());
 
     // Sanity: the recorder must be outcome-invisible on this instance
     // before we time it — a divergence here means the bench would be

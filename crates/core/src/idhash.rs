@@ -1,14 +1,18 @@
 //! The hasher behind the market's id-keyed maps.
 //!
 //! [`SlotId`](crate::SlotId)s and [`NodeId`](crate::NodeId)s are integers
-//! the system mints in sequence, never client input, so a map keyed by
-//! them has no crafted collision to defend against and SipHash is pure
-//! per-lookup cost on the subtraction and scan paths. One multiply by an
-//! odd 64-bit constant spreads sequential ids; folding the high half down
-//! keeps both ends of the word mixed for the table's bucket index (low
-//! bits) and control byte (high bits). Nothing may depend on the
-//! iteration order of a map built on it — as nothing could on
-//! `RandomState`'s.
+//! the system mints in sequence, and SipHash is pure per-lookup cost on
+//! the subtraction and scan paths. They are not always the system's own,
+//! though: `SlotList`'s node map is keyed by node ids that snapshot decode
+//! reads from disk, so a crafted snapshot can pick ids that collide here
+//! and make its load superlinear (measured 36× slower than sequential ids
+//! at 60 000 slots). Removing that collision is ROADMAP item 21.
+//!
+//! One multiply by an odd 64-bit constant spreads sequential ids; folding
+//! the high half down keeps both ends of the word mixed for the table's
+//! bucket index (low bits) and control byte (high bits). Nothing may
+//! depend on the iteration order of a map built on it — as nothing could
+//! on `RandomState`'s.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -43,7 +43,7 @@ use ecosched_core::{
     SlotList, Span, TimeDelta, TimePoint, Window,
 };
 use ecosched_select::SlotSelector;
-use ecosched_sim::cycle::{self, PostponeReason, Recovery};
+use ecosched_sim::cycle::{self, Recovery};
 use ecosched_sim::{
     run_iteration_in, ConfigError, IterationError, IterationResult, JobGenerator, RevocationModel,
     SlotGenerator,
@@ -54,7 +54,7 @@ use serde::Serialize as _;
 
 use crate::config::{ArrivalConfig, EngineConfig, COMPLETION_FRACTION, SLOWDOWN_TAU, VOS};
 use crate::event::{fnv1a_64, Event, Log, LogEntry};
-use crate::obs::{EngineObs, StepGauges};
+use crate::obs::{EngineObs, Fact};
 use crate::queue::EventQueue;
 use crate::report::{CyclePoint, EngineReport};
 use crate::state::{
@@ -169,7 +169,7 @@ pub struct RunState {
     arrivals: Vec<ArrivalState>,
     vacant: SlotList,
     next_node: u32,
-    pending: Vec<PendingState>,
+    pub(crate) pending: Vec<PendingState>,
     leases: BTreeMap<u64, LeaseState>,
     next_lease: u64,
     report: EngineReport,
@@ -278,6 +278,16 @@ impl RunState {
     #[must_use]
     pub fn vacant(&self) -> &SlotList {
         &self.vacant
+    }
+
+    /// Busy node-ticks over published node-ticks so far (0 before the
+    /// first publication).
+    pub(crate) fn utilization(&self) -> f64 {
+        if self.published_ticks > 0 {
+            self.busy_ticks as f64 / self.published_ticks as f64
+        } else {
+            0.0
+        }
     }
 
     /// The report accumulated so far (final means are only computed by
@@ -469,22 +479,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
         };
         state.log.push(entry);
         self.handle(state, now, event)?;
-        self.obs.post_step(
-            &state.report,
-            state.log.len() as u64,
-            StepGauges {
-                now: now.ticks(),
-                backlog: state.pending.len(),
-                queue_depth: state.queue.len(),
-                active_leases: state.leases.len(),
-                vacant_slots: state.vacant.len(),
-                utilization: if state.published_ticks > 0 {
-                    state.busy_ticks as f64 / state.published_ticks as f64
-                } else {
-                    0.0
-                },
-            },
-        );
+        self.obs.feed(Fact::Step(state));
         Ok(Some(entry))
     }
 
@@ -492,13 +487,12 @@ impl<S: SlotSelector + Copy> Engine<S> {
     /// utilization, and the log fingerprint.
     #[must_use]
     pub fn finish(&self, state: RunState) -> EngineRun {
+        let utilization = state.utilization();
         let RunState {
             log,
             pending,
             leases,
             mut report,
-            published_ticks,
-            busy_ticks,
             wait_sum,
             slowdown_sum,
             ..
@@ -508,9 +502,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             report.mean_wait = wait_sum / report.jobs_completed as f64;
             report.mean_bounded_slowdown = slowdown_sum / report.jobs_completed as f64;
         }
-        if published_ticks > 0 {
-            report.utilization = busy_ticks as f64 / published_ticks as f64;
-        }
+        report.utilization = utilization;
         report.event_count = log.len() as u64;
         report.log_hash = log.fnv1a_hash();
         EngineRun { report, log }
@@ -570,8 +562,10 @@ impl<S: SlotSelector + Copy> Engine<S> {
     /// [`EngineError::CheckpointMismatch`] when the checkpoint was taken
     /// under a different `(config, selector)` fingerprint;
     /// [`EngineError::MalformedCheckpoint`] when its contents are
-    /// structurally invalid; [`EngineError::DetachedCheckpoint`] when its
-    /// log holds neither the whole history nor its newest entry.
+    /// structurally invalid — among them a `next_node` at or below a node
+    /// its market or its leases hold, which the next publication would
+    /// reuse; [`EngineError::DetachedCheckpoint`] when its log holds
+    /// neither the whole history nor its newest entry.
     pub fn resume(&self, checkpoint: &EngineCheckpoint) -> Result<RunState, EngineError> {
         let expected = self.config_fingerprint();
         if checkpoint.config_fp != expected {
@@ -593,6 +587,19 @@ impl<S: SlotSelector + Copy> Engine<S> {
         if checkpoint.rng.cursor > 16 {
             return Err(EngineError::MalformedCheckpoint {
                 detail: format!("rng cursor {} out of range 0..=16", checkpoint.rng.cursor),
+            });
+        }
+        let windows = checkpoint.leases.iter();
+        let windows = windows.flat_map(|l| std::iter::once(&l.window).chain(&l.alternatives));
+        let leased = windows.flat_map(|w| w.slots().iter().map(|m| m.node()));
+        let mut held = checkpoint.vacant.iter().map(|s| s.node()).chain(leased);
+        if let Some(node) = held.find(|node| node.index() >= checkpoint.next_node) {
+            return Err(EngineError::MalformedCheckpoint {
+                detail: format!(
+                    "next node {} is not above held node {}",
+                    checkpoint.next_node,
+                    node.index()
+                ),
             });
         }
         let rng = ChaCha8Rng::restore(ChaChaState {
@@ -665,7 +672,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
     ) -> Result<(), EngineError> {
         match event {
             Event::JobArrival { job } => self.on_arrival(state, job),
-            Event::SlotPublished { count, .. } => self.on_publish(state, now, count),
+            Event::SlotPublished { count, .. } => return self.on_publish(state, now, count),
             Event::SlotExpired { .. } => Self::on_expire(state, now),
             Event::CycleTick { cycle } => return self.on_cycle(state, now, cycle),
             Event::RevocationStrike { .. } => self.on_strike(state, now),
@@ -688,11 +695,23 @@ impl<S: SlotSelector + Copy> Engine<S> {
 
     /// `SlotPublished`: `count` generated slots, re-homed onto fresh
     /// nodes and shifted to `now`, join the vacant market.
-    fn on_publish(&self, state: &mut RunState, now: TimePoint, count: u32) {
+    ///
+    /// Node ids never wrap: a run resumed too close to `u32::MAX` to mint
+    /// the next one ends with [`EngineError::MalformedCheckpoint`].
+    fn on_publish(
+        &self,
+        state: &mut RunState,
+        now: TimePoint,
+        count: u32,
+    ) -> Result<(), EngineError> {
         let generated = self.slot_gen.generate_exact(&mut state.rng, count as usize);
         for s in generated.iter() {
-            let node = NodeId::new(state.next_node);
-            state.next_node += 1;
+            let Some(next) = state.next_node.checked_add(1) else {
+                return Err(EngineError::MalformedCheckpoint {
+                    detail: format!("node ids exhausted at node {}", state.next_node),
+                });
+            };
+            let node = NodeId::new(std::mem::replace(&mut state.next_node, next));
             let span = Span::new(now + (s.start() - TimePoint::ZERO), {
                 now + (s.end() - TimePoint::ZERO)
             })
@@ -706,6 +725,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 .queue
                 .push(span.end(), Event::SlotExpired { slot: id.raw() });
         }
+        Ok(())
     }
 
     /// `SlotExpired`: the id is only a trigger — sweep everything that
@@ -793,16 +813,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
         if point.scheduled > 0 {
             point.mean_wait = cycle_wait as f64 / point.scheduled as f64;
         }
-        self.obs.on_cycle(
-            now.ticks(),
-            &result.search.stats,
-            &result.opt,
-            batch_size,
-            point.scheduled,
-            point.mean_wait,
-        );
-        self.obs
-            .on_postponed(PostponeReason::NoAlternatives, result.postponed.len());
+        self.obs.feed(Fact::Cycle(&point, &result));
         state.report.cycles.push(point);
         Ok(())
     }
@@ -853,7 +864,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             let mut alternatives: Vec<Window> =
                 found.into_iter().map(Alternative::into_window).collect();
             let window = alternatives.remove(alt_idx);
-            self.obs.on_alternative_chosen(alt_idx);
+            self.obs.feed(Fact::Chosen(alt_idx));
             let cost = window.total_cost().to_f64();
             cycle_wait += window.start().ticks() - p.arrival;
             point.spend += cost;
@@ -892,7 +903,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
         }
         state.report.leases_broken += broken.len() as u64;
 
-        self.obs.on_repair(now.ticks(), broken.len());
+        self.obs.feed(Fact::Repair(now.ticks(), broken.len()));
         for id in broken {
             self.recover_lease(state, id, &revocations, now);
         }
@@ -928,7 +939,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 window,
             } => {
                 state.report.failovers += 1;
-                self.obs.on_alternative_failover(alternative);
+                self.obs.feed(Fact::Failover(alternative));
                 original.alternatives.remove(alternative);
                 self.commit_lease(state, job, window, original.alternatives);
             }
@@ -938,7 +949,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             }
             Recovery::Postponed(reason) => {
                 state.report.repostponed += 1;
-                self.obs.on_postponed(reason, 1);
+                self.obs.feed(Fact::Postponed(reason));
                 state.pending.push(job);
                 state.pending.sort_by_key(|p| (p.arrival, p.id));
             }

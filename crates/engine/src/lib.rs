@@ -38,7 +38,7 @@ pub mod state;
 pub use config::{ArrivalConfig, EngineConfig};
 pub use engine::{Engine, EngineError, EngineRun, RunState};
 pub use event::{fnv1a_64, fnv1a_extend, Event, Log, LogEntry, LogPosition};
-pub use obs::{EngineIds, EngineObs};
+pub use obs::{engine_obs, EngineIds, EngineObs};
 pub use queue::EventQueue;
 pub use report::{CyclePoint, EngineReport};
 pub use state::{

@@ -3,8 +3,7 @@
 //! calm and churn configurations — while the registry itself fills with
 //! counters that agree with the report.
 
-use ecosched_engine::{ArrivalConfig, Engine, EngineConfig, EngineIds, EngineObs};
-use ecosched_obs::{Recorder, RegistryBuilder};
+use ecosched_engine::{engine_obs, ArrivalConfig, Engine, EngineConfig};
 use ecosched_select::Amp;
 use ecosched_sim::{JobGenConfig, RepairPolicy, RevocationConfig};
 
@@ -28,12 +27,9 @@ fn churn_config() -> EngineConfig {
 }
 
 fn observed_engine(config: EngineConfig) -> Engine<Amp> {
-    let mut b = RegistryBuilder::new();
-    let ids = EngineIds::register(&mut b, None);
-    let rec = Recorder::new(b.build());
     Engine::new(config, Amp::new())
         .expect("valid config")
-        .with_obs(EngineObs::new(rec, ids))
+        .with_obs(engine_obs())
 }
 
 /// Runs the same `(config, seed)` with the recorder off and on, asserts

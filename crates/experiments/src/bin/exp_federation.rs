@@ -37,13 +37,13 @@
 
 use std::path::{Path, PathBuf};
 
-use ecosched_engine::{fnv1a_64, EngineIds, EngineObs, Event};
+use ecosched_engine::{fnv1a_64, Event};
 use ecosched_experiments::federation::{
     fed_config, federation_table, run_federation_sweep, FEDERATION_GAPS, FEDERATION_SHARDS,
 };
 use ecosched_experiments::online::OnlineConfig;
 use ecosched_experiments::{arg_value, reject_unknown_flags};
-use ecosched_federation::{FedIds, Federation, FederationCheckpoint, FederationObs, FederationRun};
+use ecosched_federation::{federation_obs, Federation, FederationCheckpoint, FederationRun};
 use ecosched_obs::{Recorder, RegistryBuilder};
 use ecosched_persist::snapshot;
 use ecosched_select::Amp;
@@ -168,22 +168,11 @@ fn main() {
         let mean_gap: f64 = arg_value("--mean-gap").unwrap_or(5.0);
         let metrics_dump: Option<PathBuf> =
             arg_value::<String>("--metrics-dump").map(PathBuf::from);
-        let mut recorder: Option<Recorder> = None;
         let mut fed = Federation::new(fed_config(&config, shards, mean_gap), Amp::new())
             .unwrap_or_else(|e| fail(format!("federation config: {e}")));
         if metrics_dump.is_some() {
-            let mut b = RegistryBuilder::new();
-            let fed_ids = FedIds::register(&mut b, shards as usize);
-            let shard_ids: Vec<EngineIds> = (0..shards)
-                .map(|s| EngineIds::register(&mut b, Some(s)))
-                .collect();
-            let rec = Recorder::new(b.build());
-            let shard_obs = shard_ids
-                .into_iter()
-                .map(|ids| EngineObs::new(rec.clone(), ids))
-                .collect();
-            fed = fed.with_obs(FederationObs::new(rec.clone(), fed_ids), shard_obs);
-            recorder = Some(rec);
+            let (fed_obs, shard_obs) = federation_obs(RegistryBuilder::new(), shards as usize);
+            fed = fed.with_obs(fed_obs, shard_obs);
         }
         match &resume {
             Some(path) => resume_flow(&fed, shards, mean_gap, path),
@@ -197,13 +186,12 @@ fn main() {
                 kill_at,
             ),
         }
-        if let (Some(path), Some(rec)) = (&metrics_dump, &recorder) {
-            if let Some(registry) = rec.registry() {
-                if let Err(e) = std::fs::write(path, registry.render_json()) {
-                    fail(format!("writing metrics dump {}: {e}", path.display()));
-                }
-                eprintln!("metrics registry dumped to {}", path.display());
+        let registry = fed.obs().recorder().and_then(Recorder::registry);
+        if let (Some(path), Some(registry)) = (&metrics_dump, registry) {
+            if let Err(e) = std::fs::write(path, registry.render_json()) {
+                fail(format!("writing metrics dump {}: {e}", path.display()));
             }
+            eprintln!("metrics registry dumped to {}", path.display());
         }
         return;
     }

@@ -57,14 +57,16 @@
 
 use std::path::{Path, PathBuf};
 
-use ecosched_engine::{fnv1a_64, Engine, EngineIds, EngineObs, EngineReport, Event, Log, LogEntry};
+use ecosched_engine::{
+    engine_obs, fnv1a_64, Engine, EngineObs, EngineReport, Event, Log, LogEntry,
+};
 use ecosched_experiments::online::{
     engine_config, online_table, run_online, run_saturation, saturation_table, OnlineConfig,
     SATURATION_GAPS,
 };
 use ecosched_experiments::trace::{run_trace, trace_config, trace_table};
 use ecosched_experiments::{arg_value, reject_unknown_flags};
-use ecosched_obs::{Recorder, RegistryBuilder};
+use ecosched_obs::Recorder;
 use ecosched_persist::{decode_snapshot, resume_from, snapshot};
 use ecosched_select::{Alp, Amp, SlotSelector};
 use ecosched_sim::swf::parse_swf;
@@ -98,22 +100,13 @@ fn log_path(snapshot: &Path) -> PathBuf {
 
 /// A live recorder for one single-cell engine when `--metrics-dump` was
 /// given; [`dump_metrics`] writes its registry out at the end.
-fn metrics_recorder(dump: Option<&Path>) -> (Option<Recorder>, EngineObs) {
-    if dump.is_none() {
-        return (None, EngineObs::off());
-    }
-    let mut b = RegistryBuilder::new();
-    let ids = EngineIds::register(&mut b, None);
-    let rec = Recorder::new(b.build());
-    (Some(rec.clone()), EngineObs::new(rec, ids))
+fn metrics_recorder(dump: Option<&Path>) -> EngineObs {
+    dump.map_or_else(EngineObs::off, |_| engine_obs())
 }
 
 /// Writes the final registry as JSON next to the report.
-fn dump_metrics(dump: Option<&Path>, recorder: &Option<Recorder>) {
-    let (Some(path), Some(rec)) = (dump, recorder) else {
-        return;
-    };
-    let Some(registry) = rec.registry() else {
+fn dump_metrics(dump: Option<&Path>, obs: &EngineObs) {
+    let (Some(path), Some(registry)) = (dump, obs.recorder().and_then(Recorder::registry)) else {
         return;
     };
     if let Err(e) = std::fs::write(path, registry.render_json()) {
@@ -275,18 +268,16 @@ fn main() {
             arg_value::<String>("--metrics-dump").map(|p| PathBuf::from(format!("{p}.{algo}")))
         };
         let (alp_dump, amp_dump) = (dump("ALP"), dump("AMP"));
-        let (alp_rec, alp_obs) = metrics_recorder(alp_dump.as_deref());
-        let (amp_rec, amp_obs) = metrics_recorder(amp_dump.as_deref());
         let alp = Engine::new(engine_cfg.clone(), Alp::new())
             .expect("valid config")
-            .with_obs(alp_obs);
+            .with_obs(metrics_recorder(alp_dump.as_deref()));
         let amp = Engine::new(engine_cfg, Amp::new())
             .expect("valid config")
-            .with_obs(amp_obs);
+            .with_obs(metrics_recorder(amp_dump.as_deref()));
         let alp_run = run_trace(&alp, config.seed, &jobs, scale).unwrap_or_else(|e| fail(e));
         let amp_run = run_trace(&amp, config.seed, &jobs, scale).unwrap_or_else(|e| fail(e));
-        dump_metrics(alp_dump.as_deref(), &alp_rec);
-        dump_metrics(amp_dump.as_deref(), &amp_rec);
+        dump_metrics(alp_dump.as_deref(), alp.obs());
+        dump_metrics(amp_dump.as_deref(), amp.obs());
         println!("E16 — SWF trace replay ({trace_file})\n");
         println!(
             "{}",
@@ -340,18 +331,18 @@ fn main() {
         let engine_cfg = engine_config(&config, scenario == "churn");
         let metrics_dump: Option<PathBuf> =
             arg_value::<String>("--metrics-dump").map(PathBuf::from);
-        let (recorder, obs) = metrics_recorder(metrics_dump.as_deref());
+        let obs = metrics_recorder(metrics_dump.as_deref());
         match (algo.as_str(), &resume) {
             ("ALP", Some(path)) => {
                 let engine = Engine::new(engine_cfg, Alp::new())
                     .expect("valid config")
-                    .with_obs(obs);
+                    .with_obs(obs.clone());
                 resume_flow(&engine, &scenario, &algo, path);
             }
             ("ALP", None) => {
                 let engine = Engine::new(engine_cfg, Alp::new())
                     .expect("valid config")
-                    .with_obs(obs);
+                    .with_obs(obs.clone());
                 single_flow(
                     &engine,
                     &scenario,
@@ -365,13 +356,13 @@ fn main() {
             (_, Some(path)) => {
                 let engine = Engine::new(engine_cfg, Amp::new())
                     .expect("valid config")
-                    .with_obs(obs);
+                    .with_obs(obs.clone());
                 resume_flow(&engine, &scenario, &algo, path);
             }
             (_, None) => {
                 let engine = Engine::new(engine_cfg, Amp::new())
                     .expect("valid config")
-                    .with_obs(obs);
+                    .with_obs(obs.clone());
                 single_flow(
                     &engine,
                     &scenario,
@@ -383,7 +374,7 @@ fn main() {
                 );
             }
         }
-        dump_metrics(metrics_dump.as_deref(), &recorder);
+        dump_metrics(metrics_dump.as_deref(), &obs);
         return;
     }
 

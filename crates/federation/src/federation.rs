@@ -348,10 +348,7 @@ impl<S: SlotSelector + Copy> Federation<S> {
     /// beyond the shard count are ignored.
     #[must_use]
     pub fn with_obs(mut self, fed: FederationObs, shard_obs: Vec<EngineObs>) -> Self {
-        self.obs = fed;
-        for (engine, obs) in self.shards.iter_mut().zip(shard_obs) {
-            engine.set_obs(obs);
-        }
+        self.set_obs(fed, shard_obs);
         self
     }
 
@@ -519,7 +516,7 @@ impl<S: SlotSelector + Copy> Federation<S> {
                     let fed_job = state.next_fed_job;
                     state.next_fed_job += 1;
                     self.place(state, fed_job, request, at)?;
-                    self.obs.sync(state);
+                    self.obs.feed(state);
                 }
                 Some(NextAction::Step(shard)) => {
                     let Some((time, _, _)) = state.next_event_key() else {
@@ -547,7 +544,7 @@ impl<S: SlotSelector + Copy> Federation<S> {
                         event: entry.event,
                     };
                     state.merged.push(fed);
-                    self.obs.sync(state);
+                    self.obs.feed(state);
                     return Ok(Some(fed));
                 }
             }
@@ -585,7 +582,7 @@ impl<S: SlotSelector + Copy> Federation<S> {
         let fed_job = state.next_fed_job;
         state.next_fed_job += 1;
         let placement = self.place(state, fed_job, request, eff)?;
-        self.obs.sync(state);
+        self.obs.feed(state);
         Ok((fed_job, placement))
     }
 
@@ -637,7 +634,7 @@ impl<S: SlotSelector + Copy> Federation<S> {
         state.next_fed_job += 1;
         state.counters.routed[index] += 1;
         let landed = self.shards[index].submit(&mut state.shards[index], request, at);
-        self.obs.sync(state);
+        self.obs.feed(state);
         Ok(landed)
     }
 

@@ -36,5 +36,5 @@ pub use federation::{
     Federation, FederationCheckpoint, FederationError, FederationRun, FederationState, Placement,
 };
 pub use merge::{is_strictly_ordered, merge_shard_logs, FederatedLogEntry};
-pub use obs::{FedIds, FederationObs};
+pub use obs::{federation_obs, FedIds, FederationObs};
 pub use report::{FederationReport, RouteCounters};

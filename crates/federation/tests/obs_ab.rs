@@ -3,11 +3,11 @@
 //! byte-identical merged logs and reports — while the registry's mirrored
 //! routing counters agree with the checkpointed `RouteCounters`.
 
-use ecosched_engine::{ArrivalConfig, EngineConfig, EngineIds, EngineObs};
+use ecosched_engine::{ArrivalConfig, EngineConfig};
 use ecosched_federation::{
-    FedIds, Federation, FederationConfig, FederationObs, FederationRun, RoutePolicy,
+    federation_obs, Federation, FederationConfig, FederationRun, RoutePolicy,
 };
-use ecosched_obs::{Recorder, RegistryBuilder};
+use ecosched_obs::RegistryBuilder;
 use ecosched_select::Amp;
 use ecosched_sim::{IntRange, JobGenConfig, RevocationConfig, SlotGenConfig};
 
@@ -39,17 +39,7 @@ fn starved_config(shards: u32) -> FederationConfig {
 
 fn observed_federation(config: FederationConfig) -> Federation<Amp> {
     let shards = config.shards as usize;
-    let mut b = RegistryBuilder::new();
-    let fed_ids = FedIds::register(&mut b, shards);
-    let shard_ids: Vec<EngineIds> = (0..shards)
-        .map(|s| EngineIds::register(&mut b, Some(s as u32)))
-        .collect();
-    let rec = Recorder::new(b.build());
-    let fed_obs = FederationObs::new(rec.clone(), fed_ids);
-    let shard_obs = shard_ids
-        .into_iter()
-        .map(|ids| EngineObs::new(rec.clone(), ids))
-        .collect();
+    let (fed_obs, shard_obs) = federation_obs(RegistryBuilder::new(), shards);
     Federation::new(config, Amp::new())
         .expect("valid config")
         .with_obs(fed_obs, shard_obs)

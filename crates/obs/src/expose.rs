@@ -7,7 +7,7 @@
 //! recording thread.
 
 use std::fmt::Write as _;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::Value;
 
@@ -53,10 +53,26 @@ fn render_f64(value: f64) -> String {
     }
 }
 
-/// Groups metrics by name so `# HELP`/`# TYPE` headers appear once per
-/// family even when it has many label sets.
-fn header_needed(prev: Option<&str>, name: &str) -> bool {
-    prev != Some(name)
+/// Writes a family's `# HELP` / `# TYPE` headers when `meta` starts one,
+/// so they appear once per family even when it has many label sets.
+fn header<'a>(out: &mut String, prev: &mut Option<&'a str>, meta: &'a MetricMeta, kind: &str) {
+    if *prev != Some(meta.name.as_str()) {
+        let _ = writeln!(out, "# HELP {} {}", meta.name, meta.help);
+        let _ = writeln!(out, "# TYPE {} {kind}", meta.name);
+        *prev = Some(&meta.name);
+    }
+}
+
+/// One metric's JSON object: its name and labels, then `fields`.
+fn entry<const N: usize>(meta: &MetricMeta, fields: [(&str, Value); N]) -> Value {
+    let labels = meta.labels.iter();
+    let labels = labels.map(|(k, v)| (k.clone(), Value::Str(v.clone())));
+    let head = [
+        ("name".to_string(), Value::Str(meta.name.clone())),
+        ("labels".to_string(), Value::Map(labels.collect())),
+    ];
+    let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+    Value::Map(head.into_iter().chain(fields).collect())
 }
 
 impl Registry {
@@ -67,152 +83,75 @@ impl Registry {
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        let mut prev: Option<&str> = None;
-        for c in &self.counters {
-            if header_needed(prev, &c.meta.name) {
-                let _ = writeln!(out, "# HELP {} {}", c.meta.name, c.meta.help);
-                let _ = writeln!(out, "# TYPE {} counter", c.meta.name);
-                prev = Some(&c.meta.name);
+        let counters = self.counters.iter().map(|c| {
+            let value = c.value.load(Ordering::Relaxed).to_string();
+            (&c.meta, value)
+        });
+        let gauges = self.gauges.iter().map(|g| {
+            let value = render_f64(f64::from_bits(g.value.load(Ordering::Relaxed)));
+            (&g.meta, value)
+        });
+        let samples: [(&str, Vec<_>); 2] =
+            [("counter", counters.collect()), ("gauge", gauges.collect())];
+        for (kind, samples) in samples {
+            let mut prev = None;
+            for (meta, value) in samples {
+                header(&mut out, &mut prev, meta, kind);
+                let labels = render_labels(&meta.labels, None);
+                let _ = writeln!(out, "{}{labels} {value}", meta.name);
             }
-            let _ = writeln!(
-                out,
-                "{}{} {}",
-                c.meta.name,
-                render_labels(&c.meta.labels, None),
-                c.value.load(Ordering::Relaxed)
-            );
         }
-        prev = None;
-        for g in &self.gauges {
-            if header_needed(prev, &g.meta.name) {
-                let _ = writeln!(out, "# HELP {} {}", g.meta.name, g.meta.help);
-                let _ = writeln!(out, "# TYPE {} gauge", g.meta.name);
-                prev = Some(&g.meta.name);
-            }
-            let _ = writeln!(
-                out,
-                "{}{} {}",
-                g.meta.name,
-                render_labels(&g.meta.labels, None),
-                render_f64(f64::from_bits(g.value.load(Ordering::Relaxed)))
-            );
-        }
-        prev = None;
+        let mut prev = None;
         for h in &self.histograms {
-            if header_needed(prev, &h.meta.name) {
-                let _ = writeln!(out, "# HELP {} {}", h.meta.name, h.meta.help);
-                let _ = writeln!(out, "# TYPE {} histogram", h.meta.name);
-                prev = Some(&h.meta.name);
-            }
+            header(&mut out, &mut prev, &h.meta, "histogram");
+            let (name, labels) = (&h.meta.name, render_labels(&h.meta.labels, None));
             let mut cumulative: u64 = 0;
-            for (i, bound) in h.bounds.iter().enumerate() {
-                cumulative = cumulative.saturating_add(h.counts[i].load(Ordering::Relaxed));
-                let le = bound.to_string();
-                let _ = writeln!(
-                    out,
-                    "{}_bucket{} {cumulative}",
-                    h.meta.name,
-                    render_labels(&h.meta.labels, Some(("le", &le)))
-                );
+            for (i, count) in h.counts.iter().enumerate() {
+                cumulative = cumulative.saturating_add(count.load(Ordering::Relaxed));
+                let le = h.bounds.get(i).map_or("+Inf".to_string(), u64::to_string);
+                let le = render_labels(&h.meta.labels, Some(("le", &le)));
+                let _ = writeln!(out, "{name}_bucket{le} {cumulative}");
             }
-            cumulative =
-                cumulative.saturating_add(h.counts[h.bounds.len()].load(Ordering::Relaxed));
-            let _ = writeln!(
-                out,
-                "{}_bucket{} {cumulative}",
-                h.meta.name,
-                render_labels(&h.meta.labels, Some(("le", "+Inf")))
-            );
-            let _ = writeln!(
-                out,
-                "{}_sum{} {}",
-                h.meta.name,
-                render_labels(&h.meta.labels, None),
-                h.sum.load(Ordering::Relaxed)
-            );
-            let _ = writeln!(
-                out,
-                "{}_count{} {}",
-                h.meta.name,
-                render_labels(&h.meta.labels, None),
-                h.observations.load(Ordering::Relaxed)
-            );
+            let _ = writeln!(out, "{name}_sum{labels} {}", h.sum.load(Ordering::Relaxed));
+            let observations = h.observations.load(Ordering::Relaxed);
+            let _ = writeln!(out, "{name}_count{labels} {observations}");
         }
         out
     }
 
-    /// Renders the registry as an ordered JSON [`Value`] tree:
+    /// Renders the registry as pretty-printed JSON:
     /// `{"counters": [...], "gauges": [...], "histograms": [...]}` with
     /// one `{name, labels, value}` object per metric.
     #[must_use]
-    pub fn snapshot_value(&self) -> Value {
-        fn labels_value(meta: &MetricMeta) -> Value {
-            Value::Map(
-                meta.labels
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
-                    .collect(),
-            )
-        }
-        let counters: Vec<Value> = self
-            .counters
-            .iter()
-            .map(|c| {
-                Value::Map(vec![
-                    ("name".into(), Value::Str(c.meta.name.clone())),
-                    ("labels".into(), labels_value(&c.meta)),
-                    ("value".into(), Value::UInt(c.value.load(Ordering::Relaxed))),
-                ])
-            })
-            .collect();
-        let gauges: Vec<Value> = self
-            .gauges
-            .iter()
-            .map(|g| {
-                Value::Map(vec![
-                    ("name".into(), Value::Str(g.meta.name.clone())),
-                    ("labels".into(), labels_value(&g.meta)),
-                    (
-                        "value".into(),
-                        Value::Float(f64::from_bits(g.value.load(Ordering::Relaxed))),
-                    ),
-                ])
-            })
-            .collect();
-        let histograms: Vec<Value> = self
-            .histograms
-            .iter()
-            .map(|h| {
-                let buckets: Vec<Value> = h.bounds.iter().map(|b| Value::UInt(*b)).collect();
-                let counts: Vec<Value> = h
-                    .counts
-                    .iter()
-                    .map(|c| Value::UInt(c.load(Ordering::Relaxed)))
-                    .collect();
-                Value::Map(vec![
-                    ("name".into(), Value::Str(h.meta.name.clone())),
-                    ("labels".into(), labels_value(&h.meta)),
-                    ("bounds".into(), Value::Seq(buckets)),
-                    ("counts".into(), Value::Seq(counts)),
-                    ("sum".into(), Value::UInt(h.sum.load(Ordering::Relaxed))),
-                    (
-                        "count".into(),
-                        Value::UInt(h.observations.load(Ordering::Relaxed)),
-                    ),
-                ])
-            })
-            .collect();
-        Value::Map(vec![
-            ("counters".into(), Value::Seq(counters)),
-            ("gauges".into(), Value::Seq(gauges)),
-            ("histograms".into(), Value::Seq(histograms)),
-        ])
-    }
-
-    /// The JSON snapshot as a pretty-printed string.
-    #[must_use]
     pub fn render_json(&self) -> String {
-        serde_json::to_string_pretty(&self.snapshot_value()).unwrap_or_else(|_| "{}".to_string())
+        let load = |cell: &AtomicU64| Value::UInt(cell.load(Ordering::Relaxed));
+        let counters = self.counters.iter().map(|c| {
+            let value = load(&c.value);
+            entry(&c.meta, [("value", value)])
+        });
+        let gauges = self.gauges.iter().map(|g| {
+            let value = Value::Float(f64::from_bits(g.value.load(Ordering::Relaxed)));
+            entry(&g.meta, [("value", value)])
+        });
+        let histograms = self.histograms.iter().map(|h| {
+            let bounds = h.bounds.iter().map(|&b| Value::UInt(b)).collect();
+            let counts = h.counts.iter().map(load).collect();
+            entry(
+                &h.meta,
+                [
+                    ("bounds", Value::Seq(bounds)),
+                    ("counts", Value::Seq(counts)),
+                    ("sum", load(&h.sum)),
+                    ("count", load(&h.observations)),
+                ],
+            )
+        });
+        let tree = Value::Map(vec![
+            ("counters".into(), Value::Seq(counters.collect())),
+            ("gauges".into(), Value::Seq(gauges.collect())),
+            ("histograms".into(), Value::Seq(histograms.collect())),
+        ]);
+        serde_json::to_string_pretty(&tree).unwrap_or_else(|_| "{}".to_string())
     }
 }
 
@@ -224,8 +163,13 @@ mod tests {
     fn prometheus_text_covers_every_kind() {
         let mut b = RegistryBuilder::new();
         let c = b.counter_with("jobs_total", "Jobs seen", &[("shard", "0")]);
-        let g = b.gauge("backlog", "Live backlog");
-        let h = b.histogram("lat_us", "Latency (µs)", Buckets::explicit(&[1, 10, 100]));
+        let g = b.gauge_with("backlog", "Live backlog", &[]);
+        let h = b.histogram_with(
+            "lat_us",
+            "Latency (µs)",
+            Buckets::explicit(&[1, 10, 100]),
+            &[],
+        );
         let reg = b.build();
         reg.counter_add(c, 7);
         reg.gauge_set(g, 3.0);
@@ -250,7 +194,7 @@ mod tests {
         let mut b = RegistryBuilder::new();
         let c = b.counter_with("esc_total", "escaping", &[("p", "a\"b\\c\nd")]);
         let reg = b.build();
-        reg.counter_inc(c);
+        reg.counter_add(c, 1);
         let text = reg.render_prometheus();
         assert!(text.contains("esc_total{p=\"a\\\"b\\\\c\\nd\"} 1"));
     }
@@ -258,8 +202,8 @@ mod tests {
     #[test]
     fn json_snapshot_round_trips_through_serde_json() {
         let mut b = RegistryBuilder::new();
-        let c = b.counter("n_total", "n");
-        b.histogram("h", "h", Buckets::pow2(1, 3));
+        let c = b.counter_with("n_total", "n", &[]);
+        b.histogram_with("h", "h", Buckets::pow2(1, 3), &[]);
         let reg = b.build();
         reg.counter_add(c, 3);
         let json = reg.render_json();

@@ -124,21 +124,11 @@ impl Buckets {
         }
         Buckets { bounds }
     }
-
-    /// The finite upper bounds.
-    #[must_use]
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
 }
 
 /// The startup-time, mutable half of the registry.
 #[derive(Debug, Default)]
-pub struct RegistryBuilder {
-    counters: Vec<CounterCell>,
-    gauges: Vec<GaugeCell>,
-    histograms: Vec<HistogramCell>,
-}
+pub struct RegistryBuilder(Registry);
 
 impl RegistryBuilder {
     /// An empty builder.
@@ -147,60 +137,35 @@ impl RegistryBuilder {
         RegistryBuilder::default()
     }
 
-    /// Registers a monotonic counter without labels.
-    pub fn counter(&mut self, name: &str, help: &str) -> CounterId {
-        self.counter_with(name, help, &[])
-    }
-
-    /// Registers a monotonic counter with labels. Registering the same
+    /// Registers a monotonic counter. Registering the same
     /// `(name, labels)` twice returns the existing id.
     pub fn counter_with(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> CounterId {
-        let meta = MetricMeta::new(name, help, labels);
-        if let Some(i) = self
-            .counters
-            .iter()
-            .position(|c| c.meta.name == meta.name && c.meta.labels == meta.labels)
-        {
-            return CounterId(i as u32);
-        }
-        self.counters.push(CounterCell {
-            meta,
-            value: AtomicU64::new(0),
-        });
-        CounterId((self.counters.len() - 1) as u32)
+        CounterId(intern(
+            &mut self.0.counters,
+            |c| &c.meta,
+            (name, help, labels),
+            |meta| CounterCell {
+                meta,
+                value: AtomicU64::new(0),
+            },
+        ))
     }
 
-    /// Registers a gauge without labels.
-    pub fn gauge(&mut self, name: &str, help: &str) -> GaugeId {
-        self.gauge_with(name, help, &[])
-    }
-
-    /// Registers a gauge with labels. Registering the same
-    /// `(name, labels)` twice returns the existing id.
+    /// Registers a gauge, likewise.
     pub fn gauge_with(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> GaugeId {
-        let meta = MetricMeta::new(name, help, labels);
-        if let Some(i) = self
-            .gauges
-            .iter()
-            .position(|g| g.meta.name == meta.name && g.meta.labels == meta.labels)
-        {
-            return GaugeId(i as u32);
-        }
-        self.gauges.push(GaugeCell {
-            meta,
-            value: AtomicU64::new(0f64.to_bits()),
-        });
-        GaugeId((self.gauges.len() - 1) as u32)
+        GaugeId(intern(
+            &mut self.0.gauges,
+            |g| &g.meta,
+            (name, help, labels),
+            |meta| GaugeCell {
+                meta,
+                value: AtomicU64::new(0f64.to_bits()),
+            },
+        ))
     }
 
-    /// Registers a histogram without labels.
-    pub fn histogram(&mut self, name: &str, help: &str, buckets: Buckets) -> HistogramId {
-        self.histogram_with(name, help, buckets, &[])
-    }
-
-    /// Registers a histogram with labels. Registering the same
-    /// `(name, labels)` twice returns the existing id (the first
-    /// registration's buckets win).
+    /// Registers a histogram, likewise (the first registration's buckets
+    /// win).
     pub fn histogram_with(
         &mut self,
         name: &str,
@@ -208,34 +173,41 @@ impl RegistryBuilder {
         buckets: Buckets,
         labels: &[(&str, &str)],
     ) -> HistogramId {
-        let meta = MetricMeta::new(name, help, labels);
-        if let Some(i) = self
-            .histograms
-            .iter()
-            .position(|h| h.meta.name == meta.name && h.meta.labels == meta.labels)
-        {
-            return HistogramId(i as u32);
-        }
-        let finite = buckets.bounds.len();
-        self.histograms.push(HistogramCell {
-            meta,
-            bounds: buckets.bounds,
-            counts: (0..=finite).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            observations: AtomicU64::new(0),
-        });
-        HistogramId((self.histograms.len() - 1) as u32)
+        HistogramId(intern(
+            &mut self.0.histograms,
+            |h| &h.meta,
+            (name, help, labels),
+            |meta| HistogramCell {
+                meta,
+                counts: (0..=buckets.bounds.len())
+                    .map(|_| AtomicU64::new(0))
+                    .collect(),
+                bounds: buckets.bounds,
+                sum: AtomicU64::new(0),
+                observations: AtomicU64::new(0),
+            },
+        ))
     }
 
     /// Freezes the builder into an index-addressed [`Registry`].
     #[must_use]
     pub fn build(self) -> Registry {
-        Registry {
-            counters: self.counters,
-            gauges: self.gauges,
-            histograms: self.histograms,
-        }
+        self.0
     }
+}
+
+/// The index of the cell registered under `name` and `labels`, made by
+/// `cell` when there is none yet.
+fn intern<C>(
+    cells: &mut Vec<C>,
+    key: fn(&C) -> &MetricMeta,
+    (name, help, labels): (&str, &str, &[(&str, &str)]),
+    cell: impl FnOnce(MetricMeta) -> C,
+) -> u32 {
+    find(cells, key, name, labels).unwrap_or_else(|| {
+        cells.push(cell(MetricMeta::new(name, help, labels)));
+        (cells.len() - 1) as u32
+    })
 }
 
 /// The frozen, lock-free registry. Recording is index-addressed: every
@@ -264,11 +236,6 @@ impl Registry {
         saturating_fetch_add(&self.counters[id.0 as usize].value, delta);
     }
 
-    /// Increments a counter by one.
-    pub fn counter_inc(&self, id: CounterId) {
-        self.counter_add(id, 1);
-    }
-
     /// Raises a counter to `value` if it is currently lower — the mirror
     /// operation for monotone sources of truth kept elsewhere (e.g. the
     /// federation's checkpointed routing counters).
@@ -289,15 +256,6 @@ impl Registry {
         self.gauges[id.0 as usize]
             .value
             .store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Adds to a gauge (compare-and-swap loop over the `f64` bits).
-    pub fn gauge_add(&self, id: GaugeId, delta: f64) {
-        let _ = self.gauges[id.0 as usize].value.fetch_update(
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-            |bits| Some((f64::from_bits(bits) + delta).to_bits()),
-        );
     }
 
     /// The current gauge value.
@@ -351,29 +309,32 @@ impl Registry {
     /// test convenience, not a hot path.
     #[must_use]
     pub fn find_counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<CounterId> {
-        self.counters
-            .iter()
-            .position(|c| meta_matches(&c.meta, name, labels))
-            .map(|i| CounterId(i as u32))
+        find(&self.counters, |c| &c.meta, name, labels).map(CounterId)
     }
 
     /// Looks a gauge up by `(name, labels)`.
     #[must_use]
     pub fn find_gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<GaugeId> {
-        self.gauges
-            .iter()
-            .position(|g| meta_matches(&g.meta, name, labels))
-            .map(|i| GaugeId(i as u32))
+        find(&self.gauges, |g| &g.meta, name, labels).map(GaugeId)
     }
 
     /// Looks a histogram up by `(name, labels)`.
     #[must_use]
     pub fn find_histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistogramId> {
-        self.histograms
-            .iter()
-            .position(|h| meta_matches(&h.meta, name, labels))
-            .map(|i| HistogramId(i as u32))
+        find(&self.histograms, |h| &h.meta, name, labels).map(HistogramId)
     }
+}
+
+fn find<C>(
+    cells: &[C],
+    key: fn(&C) -> &MetricMeta,
+    name: &str,
+    labels: &[(&str, &str)],
+) -> Option<u32> {
+    let index = cells
+        .iter()
+        .position(|c| meta_matches(key(c), name, labels));
+    index.map(|i| i as u32)
 }
 
 fn meta_matches(meta: &MetricMeta, name: &str, labels: &[(&str, &str)]) -> bool {
@@ -393,8 +354,8 @@ mod tests {
     #[test]
     fn registration_is_idempotent() {
         let mut b = RegistryBuilder::new();
-        let a = b.counter("x_total", "x");
-        let c = b.counter("x_total", "x");
+        let a = b.counter_with("x_total", "x", &[]);
+        let c = b.counter_with("x_total", "x", &[]);
         assert_eq!(a, c);
         let l1 = b.counter_with("y_total", "y", &[("shard", "0")]);
         let l2 = b.counter_with("y_total", "y", &[("shard", "1")]);
@@ -405,19 +366,19 @@ mod tests {
     #[test]
     fn counters_saturate() {
         let mut b = RegistryBuilder::new();
-        let id = b.counter("sat_total", "saturating");
+        let id = b.counter_with("sat_total", "saturating", &[]);
         let reg = b.build();
         reg.counter_add(id, u64::MAX - 1);
         reg.counter_add(id, 5);
         assert_eq!(reg.counter_value(id), u64::MAX);
-        reg.counter_inc(id);
+        reg.counter_add(id, 1);
         assert_eq!(reg.counter_value(id), u64::MAX);
     }
 
     #[test]
     fn counter_raise_to_is_monotone() {
         let mut b = RegistryBuilder::new();
-        let id = b.counter("mono_total", "monotone mirror");
+        let id = b.counter_with("mono_total", "monotone mirror", &[]);
         let reg = b.build();
         reg.counter_raise_to(id, 10);
         reg.counter_raise_to(id, 7);
@@ -429,10 +390,9 @@ mod tests {
     #[test]
     fn gauges_hold_floats() {
         let mut b = RegistryBuilder::new();
-        let id = b.gauge("g", "gauge");
+        let id = b.gauge_with("g", "gauge", &[]);
         let reg = b.build();
-        reg.gauge_set(id, 1.5);
-        reg.gauge_add(id, -0.25);
+        reg.gauge_set(id, 1.25);
         assert!((reg.gauge_value(id) - 1.25).abs() < 1e-12);
     }
 
@@ -440,8 +400,8 @@ mod tests {
     fn lookup_by_name_and_labels() {
         let mut b = RegistryBuilder::new();
         let c = b.counter_with("a_total", "a", &[("k", "v")]);
-        let g = b.gauge("b", "b");
-        let h = b.histogram("c", "c", Buckets::pow2(1, 4));
+        let g = b.gauge_with("b", "b", &[]);
+        let h = b.histogram_with("c", "c", Buckets::pow2(1, 4), &[]);
         let reg = b.build();
         assert_eq!(reg.find_counter("a_total", &[("k", "v")]), Some(c));
         assert_eq!(reg.find_counter("a_total", &[]), None);

@@ -11,6 +11,8 @@
 //! recording side is the single engine thread (uncontended lock), and
 //! the dump side is a scrape, so a lock-free MPSC would buy nothing.
 
+use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -31,20 +33,13 @@ pub struct SpanRecord {
     pub items: u64,
 }
 
-#[derive(Debug, Default)]
-struct Ring {
-    spans: Vec<SpanRecord>,
-    /// Index of the oldest element once the ring has wrapped.
-    head: usize,
-    wrapped: bool,
-}
-
 /// The bounded span sink.
 #[derive(Debug)]
 pub struct Tracer {
     capacity: usize,
     next_id: AtomicU64,
-    ring: Mutex<Ring>,
+    /// Oldest first.
+    ring: Mutex<VecDeque<SpanRecord>>,
 }
 
 impl Tracer {
@@ -54,7 +49,7 @@ impl Tracer {
         Tracer {
             capacity: capacity.max(1),
             next_id: AtomicU64::new(0),
-            ring: Mutex::new(Ring::default()),
+            ring: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -70,14 +65,10 @@ impl Tracer {
             items,
         };
         if let Ok(mut ring) = self.ring.lock() {
-            if ring.spans.len() < self.capacity {
-                ring.spans.push(record);
-            } else {
-                let head = ring.head;
-                ring.spans[head] = record;
-                ring.head = (head + 1) % self.capacity;
-                ring.wrapped = true;
+            if ring.len() == self.capacity {
+                ring.pop_front();
             }
+            ring.push_back(record);
         }
         id
     }
@@ -85,22 +76,15 @@ impl Tracer {
     /// Spans currently held, oldest first.
     #[must_use]
     pub fn spans(&self) -> Vec<SpanRecord> {
-        let Ok(ring) = self.ring.lock() else {
-            return Vec::new();
-        };
-        if !ring.wrapped {
-            return ring.spans.clone();
-        }
-        let mut out = Vec::with_capacity(ring.spans.len());
-        out.extend_from_slice(&ring.spans[ring.head..]);
-        out.extend_from_slice(&ring.spans[..ring.head]);
-        out
+        let ring = self.ring.lock();
+        ring.map(|r| r.iter().cloned().collect())
+            .unwrap_or_default()
     }
 
     /// Number of spans currently held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ring.lock().map(|r| r.spans.len()).unwrap_or(0)
+        self.ring.lock().map(|r| r.len()).unwrap_or(0)
     }
 
     /// Whether the tracer holds no spans.
@@ -115,22 +99,12 @@ impl Tracer {
     pub fn dump_ndjson(&self) -> String {
         let mut out = String::new();
         for s in self.spans() {
-            out.push_str("{\"span\":");
-            out.push_str(&s.id.to_string());
-            match s.parent {
-                Some(p) => {
-                    out.push_str(",\"parent\":");
-                    out.push_str(&p.to_string());
-                }
-                None => out.push_str(",\"parent\":null"),
-            }
-            out.push_str(",\"time\":");
-            out.push_str(&s.time.to_string());
-            out.push_str(",\"kind\":\"");
-            out.push_str(s.kind);
-            out.push_str("\",\"items\":");
-            out.push_str(&s.items.to_string());
-            out.push_str("}\n");
+            let parent = s.parent.map_or("null".to_string(), |p| p.to_string());
+            let _ = writeln!(
+                out,
+                "{{\"span\":{},\"parent\":{parent},\"time\":{},\"kind\":\"{}\",\"items\":{}}}",
+                s.id, s.time, s.kind, s.items
+            );
         }
         out
     }
@@ -152,6 +126,10 @@ mod tests {
         let dump = t.dump_ndjson();
         let lines: Vec<&str> = dump.lines().collect();
         assert_eq!(lines.len(), 2);
+        assert_eq!(
+            lines[0],
+            "{\"span\":0,\"parent\":null,\"time\":100,\"kind\":\"cycle\",\"items\":0}"
+        );
         assert!(lines[0].contains("\"kind\":\"cycle\""));
         assert!(lines[0].contains("\"parent\":null"));
         assert!(lines[1].contains(&format!("\"parent\":{cycle}")));

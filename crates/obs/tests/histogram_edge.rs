@@ -7,7 +7,7 @@ use ecosched_obs::{Buckets, Recorder, RegistryBuilder};
 #[test]
 fn zero_observations_render_cleanly() {
     let mut b = RegistryBuilder::new();
-    let h = b.histogram("empty_us", "never observed", Buckets::pow2(1, 8));
+    let h = b.histogram_with("empty_us", "never observed", Buckets::pow2(1, 8), &[]);
     let reg = b.build();
     assert_eq!(reg.histogram_count(h), 0);
     assert_eq!(reg.histogram_sum(h), 0);
@@ -21,7 +21,7 @@ fn zero_observations_render_cleanly() {
 #[test]
 fn value_below_first_bucket_lands_in_first() {
     let mut b = RegistryBuilder::new();
-    let h = b.histogram("low_us", "low values", Buckets::explicit(&[10, 100]));
+    let h = b.histogram_with("low_us", "low values", Buckets::explicit(&[10, 100]), &[]);
     let reg = b.build();
     reg.observe(h, 0);
     reg.observe(h, 3);
@@ -33,7 +33,7 @@ fn value_below_first_bucket_lands_in_first() {
 #[test]
 fn value_above_last_bucket_lands_in_inf() {
     let mut b = RegistryBuilder::new();
-    let h = b.histogram("high_us", "high values", Buckets::explicit(&[10, 100]));
+    let h = b.histogram_with("high_us", "high values", Buckets::explicit(&[10, 100]), &[]);
     let reg = b.build();
     reg.observe(h, 100); // boundary: `le` is inclusive
     reg.observe(h, 101);
@@ -50,7 +50,7 @@ fn value_above_last_bucket_lands_in_inf() {
 #[test]
 fn sums_saturate_instead_of_wrapping() {
     let mut b = RegistryBuilder::new();
-    let h = b.histogram("sat_us", "saturating sum", Buckets::explicit(&[1]));
+    let h = b.histogram_with("sat_us", "saturating sum", Buckets::explicit(&[1]), &[]);
     let reg = b.build();
     reg.observe(h, u64::MAX - 1);
     reg.observe(h, u64::MAX);
@@ -66,8 +66,8 @@ fn concurrent_recording_sums_exactly() {
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 10_000;
     let mut b = RegistryBuilder::new();
-    let h = b.histogram("conc_us", "concurrent", Buckets::pow2(1, 16));
-    let c = b.counter("conc_total", "concurrent counter");
+    let h = b.histogram_with("conc_us", "concurrent", Buckets::pow2(1, 16), &[]);
+    let c = b.counter_with("conc_total", "concurrent counter", &[]);
     let rec = Recorder::new(b.build());
 
     let handles: Vec<_> = (0..THREADS)
@@ -78,8 +78,9 @@ fn concurrent_recording_sums_exactly() {
                     // Deterministic per-thread values: thread t observes
                     // t+1 every time, so the exact total is known.
                     let _ = i;
-                    rec.observe(h, t + 1);
-                    rec.inc(c);
+                    let reg = rec.registry().expect("recorder is on");
+                    reg.observe(h, t + 1);
+                    reg.counter_add(c, 1);
                 }
             })
         })

@@ -34,7 +34,7 @@ use crate::client::{Endpoint, Stream};
 use crate::error::ServiceError;
 use crate::manifest::{load_manifest, save_manifest, SelectorChoice, ServiceManifest};
 use crate::metrics_http::spawn_metrics_listener;
-use crate::obs::{build_service_obs, ServiceObs};
+use crate::obs::{build_service_obs, Fact, ServiceObs};
 use crate::protocol::{decode_line, encode_line, RejectReason, Request, Response};
 use crate::session::Session;
 use crate::signals;
@@ -214,7 +214,7 @@ fn serve_requests<S: SlotSelector + Copy>(
                 },
             };
             let _ = reply.send(response);
-            session.obs().observe_ack(batch_start.elapsed());
+            session.obs().feed(Fact::Ack(batch_start.elapsed()));
         }
 
         if !shutdown_replies.is_empty() || term_requested() {
@@ -248,7 +248,7 @@ fn spawn_protocol_listener(
 ) -> Result<Endpoint, ServiceError> {
     let refused = obs.clone();
     let refuse = move |conn: &mut Stream| {
-        refused.on_connection_refused();
+        refused.feed(Fact::ConnectionRefused);
         let response = Response::Error {
             detail: "too many open connections; closing this one".into(),
         };
@@ -287,11 +287,11 @@ fn handle_connection<R: Read, W: Write>(
         let limit = MAX_REQUEST_LINE as u64 + 1;
         match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
             Ok(1..) => {}
-            Err(e) if timed_out(&e) => return obs.on_idle_close(),
+            Err(e) if timed_out(&e) => return obs.feed(Fact::IdleClose),
             _ => return,
         }
         if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
-            obs.on_oversized_line();
+            obs.feed(Fact::OversizedLine);
             let response = Response::Error {
                 detail: format!(
                     "request line longer than {MAX_REQUEST_LINE} bytes; closing the connection"

@@ -23,7 +23,7 @@ use ecosched_obs::Recorder;
 use crate::accept::{spawn_accept_loop, timed_out, Bounds};
 use crate::client::{Endpoint, Stream};
 use crate::error::ServiceError;
-use crate::obs::ServiceObs;
+use crate::obs::{health_json, Fact, ServiceObs};
 
 /// Binds `listen` and spawns the scrape loop. Returns the endpoint
 /// actually bound (TCP port 0 resolved to the assigned port).
@@ -48,7 +48,7 @@ fn listen_metrics(
 ) -> Result<Endpoint, ServiceError> {
     let refused = obs.clone();
     let refuse = move |conn: &mut Stream| {
-        refused.on_connection_refused();
+        refused.feed(Fact::ConnectionRefused);
         let body = "too many open connections\n";
         let text = response("503 Service Unavailable", "text/plain; charset=utf-8", body);
         let _ = conn.write_all(text.as_bytes());
@@ -76,7 +76,7 @@ fn serve_one<S: Read + Write>(mut stream: S, recorder: &Recorder, obs: &ServiceO
     let mut head = BufReader::new(&mut stream).take(MAX_REQUEST_HEAD);
     let failed = |e: std::io::Error| {
         if timed_out(&e) {
-            obs.on_idle_close();
+            obs.feed(Fact::IdleClose);
         }
     };
     let mut request_line = String::new();
@@ -123,7 +123,7 @@ fn serve_one<S: Read + Write>(mut stream: S, recorder: &Recorder, obs: &ServiceO
                     .map(|reg| reg.render_prometheus())
                     .unwrap_or_default(),
             ),
-            "/healthz" => ("200 OK", "application/json", obs.health_json()),
+            "/healthz" => ("200 OK", "application/json", health_json(obs)),
             "/trace" => (
                 "200 OK",
                 "application/x-ndjson",
@@ -175,8 +175,8 @@ mod tests {
     #[test]
     fn serves_metrics_health_and_404() {
         let bundle = build_service_obs(1);
-        bundle.service.on_submission();
-        bundle.service.on_accept();
+        bundle.service.feed(Fact::Submission);
+        bundle.service.feed(Fact::Accept);
         let endpoint = spawn_metrics_listener(
             &Endpoint::Tcp("127.0.0.1:0".into()),
             bundle.recorder.clone(),

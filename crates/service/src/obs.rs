@@ -11,17 +11,20 @@
 //! admission, routing, or scheduling decisions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use ecosched_engine::{EngineIds, EngineObs};
-use ecosched_federation::{FedIds, FederationObs};
-use ecosched_obs::{Buckets, CounterId, GaugeId, HistogramId, Recorder, RegistryBuilder};
+use ecosched_engine::EngineObs;
+use ecosched_federation::{federation_obs, FederationObs};
+use ecosched_obs::{Buckets, Family, Handle, Recorder, RegistryBuilder, Row, Table, Value};
 
 use crate::protocol::RejectReason;
 
-/// The registry's canonical label value for each rejection reason, in a
-/// fixed order so the typed counters can live in a dense array.
+/// An optional service recorder handle: runtime state, never serialized,
+/// a no-op when off — the same handle as the engine's and federation's.
+pub type ServiceObs = Handle<ServiceIds>;
+
+/// The registry's canonical label value for each rejection reason, in
+/// [`reason_index`] order.
 pub const REJECT_REASONS: [&str; 6] = [
     "malformed",
     "backlog_full",
@@ -44,133 +47,152 @@ pub fn reason_index(reason: &RejectReason) -> usize {
     }
 }
 
-/// Dense metric ids for the service layer, registered at startup.
-#[derive(Debug, Clone)]
-pub struct ServiceIds {
-    /// `ecosched_service_submissions_total` — every submit attempt.
-    pub submissions: CounterId,
-    /// `ecosched_service_accepted_total`.
-    pub accepted: CounterId,
-    /// `ecosched_service_rejected_total{reason=...}`, indexed by
-    /// [`reason_index`].
-    pub rejected: [CounterId; 6],
-    /// `ecosched_service_oversized_lines_total`.
-    pub oversized_lines: CounterId,
-    /// `ecosched_service_connections_refused_total` — connections over a
-    /// listener's cap on live connections.
-    pub connections_refused: CounterId,
-    /// `ecosched_service_idle_connections_closed_total`.
-    pub idle_closed: CounterId,
-    /// `ecosched_service_wal_commits_total` — group-commit fsyncs.
-    pub wal_commits: CounterId,
-    /// `ecosched_service_snapshots_total`.
-    pub snapshots: CounterId,
-    /// `ecosched_service_wal_fsync_us` — observed once per staged entry
-    /// (the commit's fsync duration attributed to each entry it made
-    /// durable), so its count equals the accepted counter.
-    pub wal_fsync_us: HistogramId,
-    /// `ecosched_service_ack_us` — serve-loop batch intake to ack send.
-    pub ack_us: HistogramId,
-    /// `ecosched_service_snapshot_us` — one observation per snapshot, so
-    /// its count equals the snapshots counter.
-    pub snapshot_us: HistogramId,
-    /// `ecosched_service_snapshot_bytes` gauge — the newest snapshot file.
-    pub snapshot_bytes: GaugeId,
-    /// `ecosched_service_log_entries_held` gauge — merged-log entries
-    /// the session holds in memory.
-    pub log_entries_held: GaugeId,
-    /// `ecosched_service_backlog` gauge.
-    pub backlog: GaugeId,
-    /// `ecosched_service_virtual_time` gauge.
-    pub virtual_time: GaugeId,
+/// What the daemon feeds its service handle.
+#[derive(Debug, Clone, Copy)]
+pub enum Fact<'a> {
+    /// One submit attempt arrived.
+    Submission,
+    /// A submission was admitted and staged.
+    Accept,
+    /// A submission was rejected.
+    Reject(&'a RejectReason),
+    /// A request line over the length cap was refused.
+    OversizedLine,
+    /// A connection over a listener's cap was refused.
+    ConnectionRefused,
+    /// A connection was closed after a read waited out the idle timeout.
+    IdleClose,
+    /// One group commit fsynced this many staged entries in this wall
+    /// time. The duration is attributed to every entry it made durable,
+    /// so the fsync histogram's count tracks the accepted counter
+    /// exactly; an empty commit records nothing.
+    Commit(usize, Duration),
+    /// A rotated snapshot was written in this wall time, this many bytes.
+    Snapshot(Duration, u64),
+    /// One acknowledgement left the serve loop this long after its batch
+    /// was taken off the channel.
+    Ack(Duration),
+    /// The session's progress: pending plus leased jobs across all
+    /// shards, the latest merged-log virtual tick, and the merged-log
+    /// entries held in memory.
+    Progress(usize, i64, usize),
 }
 
-impl ServiceIds {
-    /// Registers the service metric family.
-    #[must_use]
-    pub fn register(b: &mut RegistryBuilder) -> Self {
-        let rejected = REJECT_REASONS.map(|reason| {
-            b.counter_with(
-                "ecosched_service_rejected_total",
-                "Submissions rejected by admission control, by typed reason",
-                &[("reason", reason)],
-            )
-        });
-        ServiceIds {
-            submissions: b.counter(
-                "ecosched_service_submissions_total",
-                "Submit requests handled (accepted plus rejected)",
-            ),
-            accepted: b.counter(
-                "ecosched_service_accepted_total",
-                "Submissions admitted, routed, and staged for commit",
-            ),
-            rejected,
-            oversized_lines: b.counter(
-                "ecosched_service_oversized_lines_total",
-                "Request lines over the length cap, each answered with an error \
-                 and a closed connection",
-            ),
-            connections_refused: b.counter(
-                "ecosched_service_connections_refused_total",
-                "Connections over a listener's cap on live connections, answered \
-                 with an error line (protocol) or a 503 (metrics) and closed",
-            ),
-            idle_closed: b.counter(
-                "ecosched_service_idle_connections_closed_total",
-                "Connections closed because a read waited out the idle timeout",
-            ),
-            wal_commits: b.counter(
-                "ecosched_service_wal_commits_total",
-                "Group commits fsynced to the write-ahead log",
-            ),
-            snapshots: b.counter(
-                "ecosched_service_snapshots_total",
-                "Rotated snapshots written",
-            ),
-            wal_fsync_us: b.histogram(
-                "ecosched_service_wal_fsync_us",
-                "WAL group-commit fsync latency in microseconds, one observation \
-                 per entry made durable",
-                Buckets::pow2(1, 20),
-            ),
-            ack_us: b.histogram(
-                "ecosched_service_ack_us",
-                "Serve-loop latency from batch intake to acknowledgement send, \
-                 in microseconds",
-                Buckets::pow2(1, 20),
-            ),
-            snapshot_us: b.histogram(
-                "ecosched_service_snapshot_us",
-                "Wall time of one rotated snapshot (checkpoint, encode, durable write) \
-                 in microseconds",
-                Buckets::pow2(1, 24),
-            ),
-            snapshot_bytes: b.gauge(
-                "ecosched_service_snapshot_bytes",
-                "Size of the newest snapshot file; follows the state, not the run length",
-            ),
-            log_entries_held: b.gauge(
-                "ecosched_service_log_entries_held",
-                "Merged event-log entries the session holds in memory; the rest \
-                 of the log is a position",
-            ),
-            backlog: b.gauge(
-                "ecosched_service_backlog",
-                "Pending plus leased jobs across all shards",
-            ),
-            virtual_time: b.gauge(
-                "ecosched_service_virtual_time",
-                "Latest merged-log virtual tick the session has reached",
-            ),
-        }
-    }
+/// Which fact feeds a service series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Rejected,
+    Submissions,
+    Accepted,
+    OversizedLines,
+    ConnectionsRefused,
+    IdleClosed,
+    WalCommits,
+    Snapshots,
+    WalFsync,
+    AckTime,
+    SnapshotTime,
+    SnapshotBytes,
+    LogEntriesHeld,
+    Backlog,
+    VirtualTime,
 }
 
+use Source::*;
+
+/// The service family, in registration order.
+const FAMILY: &[Row<Source>] = &[
+    Row::counter(
+        "ecosched_service_rejected_total",
+        "Submissions rejected by admission control, by typed reason",
+        Rejected,
+    )
+    .each("reason"),
+    Row::counter(
+        "ecosched_service_submissions_total",
+        "Submit requests handled (accepted plus rejected)",
+        Submissions,
+    ),
+    Row::counter(
+        "ecosched_service_accepted_total",
+        "Submissions admitted, routed, and staged for commit",
+        Accepted,
+    ),
+    Row::counter(
+        "ecosched_service_oversized_lines_total",
+        "Request lines over the length cap, each answered with an error \
+         and a closed connection",
+        OversizedLines,
+    ),
+    Row::counter(
+        "ecosched_service_connections_refused_total",
+        "Connections over a listener's cap on live connections, answered \
+         with an error line (protocol) or a 503 (metrics) and closed",
+        ConnectionsRefused,
+    ),
+    Row::counter(
+        "ecosched_service_idle_connections_closed_total",
+        "Connections closed because a read waited out the idle timeout",
+        IdleClosed,
+    ),
+    Row::counter(
+        "ecosched_service_wal_commits_total",
+        "Group commits fsynced to the write-ahead log",
+        WalCommits,
+    ),
+    Row::counter(
+        "ecosched_service_snapshots_total",
+        "Rotated snapshots written",
+        Snapshots,
+    ),
+    Row::histogram(
+        "ecosched_service_wal_fsync_us",
+        "WAL group-commit fsync latency in microseconds, one observation \
+         per entry made durable",
+        || Buckets::pow2(1, 20),
+        WalFsync,
+    ),
+    Row::histogram(
+        "ecosched_service_ack_us",
+        "Serve-loop latency from batch intake to acknowledgement send, \
+         in microseconds",
+        || Buckets::pow2(1, 20),
+        AckTime,
+    ),
+    Row::histogram(
+        "ecosched_service_snapshot_us",
+        "Wall time of one rotated snapshot (checkpoint, encode, durable write) \
+         in microseconds",
+        || Buckets::pow2(1, 24),
+        SnapshotTime,
+    ),
+    Row::gauge(
+        "ecosched_service_snapshot_bytes",
+        "Size of the newest snapshot file; follows the state, not the run length",
+        SnapshotBytes,
+    ),
+    Row::gauge(
+        "ecosched_service_log_entries_held",
+        "Merged event-log entries the session holds in memory; the rest \
+         of the log is a position",
+        LogEntriesHeld,
+    ),
+    Row::gauge(
+        "ecosched_service_backlog",
+        "Pending plus leased jobs across all shards",
+        Backlog,
+    ),
+    Row::gauge(
+        "ecosched_service_virtual_time",
+        "Latest merged-log virtual tick the session has reached",
+        VirtualTime,
+    ),
+];
+
+/// The service family, registered.
 #[derive(Debug)]
-struct ServiceObsInner {
-    rec: Recorder,
-    ids: ServiceIds,
+pub struct ServiceIds {
+    table: Table<Source>,
     /// Wall-clock time of the newest snapshot, in milliseconds since the
     /// Unix epoch; 0 until one is written. Read by `/healthz` only.
     last_snapshot_ms: AtomicU64,
@@ -186,167 +208,65 @@ fn unix_ms() -> u64 {
         .map_or(0, |d| d.as_millis().min(u128::from(u64::MAX)) as u64)
 }
 
-/// An optional service recorder handle: runtime state, never serialized,
-/// a no-op when off — the same shape as the engine and federation
-/// handles.
-#[derive(Debug, Clone, Default)]
-pub struct ServiceObs {
-    inner: Option<Arc<ServiceObsInner>>,
+impl Family for ServiceIds {
+    type Fact<'a> = Fact<'a>;
+
+    fn record(&self, rec: &Recorder, fact: Fact<'_>) {
+        self.table.record(rec, |&source, index| {
+            Some(match (source, fact) {
+                (Submissions, Fact::Submission)
+                | (Accepted, Fact::Accept)
+                | (OversizedLines, Fact::OversizedLine)
+                | (ConnectionsRefused, Fact::ConnectionRefused)
+                | (IdleClosed, Fact::IdleClose)
+                | (Snapshots, Fact::Snapshot(..)) => Value::Add(1),
+                (Rejected, Fact::Reject(reason)) if reason_index(reason) == index => Value::Add(1),
+                (WalCommits, Fact::Commit(staged, _)) if staged > 0 => Value::Add(1),
+                (WalFsync, Fact::Commit(staged, fsync)) => {
+                    Value::Observe(micros(fsync), staged as u64)
+                }
+                (AckTime, Fact::Ack(elapsed)) => Value::Observe(micros(elapsed), 1),
+                (SnapshotTime, Fact::Snapshot(took, _)) => Value::Observe(micros(took), 1),
+                (SnapshotBytes, Fact::Snapshot(_, bytes)) => Value::Set(bytes as f64),
+                (Backlog, Fact::Progress(backlog, _, _)) => Value::Set(backlog as f64),
+                (VirtualTime, Fact::Progress(_, time, _)) => Value::Set(time as f64),
+                (LogEntriesHeld, Fact::Progress(_, _, held)) => Value::Set(held as f64),
+                _ => return None,
+            })
+        });
+        if let Fact::Snapshot(..) = fact {
+            // A statistic that publishes nothing else.
+            self.last_snapshot_ms.store(unix_ms(), Ordering::Relaxed);
+        }
+    }
 }
 
-impl ServiceObs {
-    /// A disabled handle; every call is a no-op.
-    #[must_use]
-    pub fn off() -> Self {
-        ServiceObs { inner: None }
-    }
-
-    /// A live handle. Degrades to [`off`](Self::off) when the recorder
-    /// itself is off.
-    #[must_use]
-    pub fn new(rec: Recorder, ids: ServiceIds) -> Self {
-        if !rec.is_on() {
-            return ServiceObs::off();
-        }
-        ServiceObs {
-            inner: Some(Arc::new(ServiceObsInner {
-                rec,
-                ids,
-                last_snapshot_ms: AtomicU64::new(0),
-            })),
-        }
-    }
-
-    /// Whether recording is live.
-    #[must_use]
-    pub fn is_on(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// The underlying recorder, when live.
-    #[must_use]
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.inner.as_ref().map(|i| &i.rec)
-    }
-
-    /// One submit attempt arrived.
-    pub fn on_submission(&self) {
-        if let Some(i) = self.inner.as_deref() {
-            i.rec.inc(i.ids.submissions);
-        }
-    }
-
-    /// A submission was admitted and staged.
-    pub fn on_accept(&self) {
-        if let Some(i) = self.inner.as_deref() {
-            i.rec.inc(i.ids.accepted);
-        }
-    }
-
-    /// A submission was rejected.
-    pub fn on_reject(&self, reason: &RejectReason) {
-        if let Some(i) = self.inner.as_deref() {
-            i.rec.inc(i.ids.rejected[reason_index(reason)]);
-        }
-    }
-
-    /// A request line over the length cap was refused.
-    pub fn on_oversized_line(&self) {
-        if let Some(i) = self.inner.as_deref() {
-            i.rec.inc(i.ids.oversized_lines);
-        }
-    }
-
-    /// A connection over a listener's cap was refused.
-    pub fn on_connection_refused(&self) {
-        if let Some(i) = self.inner.as_deref() {
-            i.rec.inc(i.ids.connections_refused);
-        }
-    }
-
-    /// A connection was closed after a read waited out the idle timeout.
-    pub fn on_idle_close(&self) {
-        if let Some(i) = self.inner.as_deref() {
-            i.rec.inc(i.ids.idle_closed);
-        }
-    }
-
-    /// One group commit fsynced `staged` entries in `fsync` wall time.
-    /// The duration is attributed to every entry it made durable, so the
-    /// fsync histogram's count tracks the accepted counter exactly.
-    pub fn on_commit(&self, staged: usize, fsync: Duration) {
-        let Some(i) = self.inner.as_deref() else {
-            return;
-        };
-        if staged == 0 {
-            return;
-        }
-        i.rec.inc(i.ids.wal_commits);
-        let us = micros(fsync);
-        for _ in 0..staged {
-            i.rec.observe(i.ids.wal_fsync_us, us);
-        }
-    }
-
-    /// A rotated snapshot of `snapshot_bytes` was written in `took` wall
-    /// time.
-    pub fn on_snapshot(&self, took: Duration, snapshot_bytes: u64) {
-        if let Some(i) = self.inner.as_deref() {
-            i.rec.inc(i.ids.snapshots);
-            i.rec.observe(i.ids.snapshot_us, micros(took));
-            i.rec.set(i.ids.snapshot_bytes, snapshot_bytes as f64);
-            // A statistic that publishes nothing else.
-            i.last_snapshot_ms.store(unix_ms(), Ordering::Relaxed);
-        }
-    }
-
-    /// One acknowledgement left the serve loop `elapsed` after its batch
-    /// was taken off the channel.
-    pub fn observe_ack(&self, elapsed: Duration) {
-        if let Some(i) = self.inner.as_deref() {
-            i.rec.observe(i.ids.ack_us, micros(elapsed));
-        }
-    }
-
-    /// Refreshes the session progress gauges.
-    pub fn set_progress(&self, backlog: usize, virtual_time: i64, log_entries_held: usize) {
-        if let Some(i) = self.inner.as_deref() {
-            i.rec.set(i.ids.backlog, backlog as f64);
-            i.rec.set(i.ids.virtual_time, virtual_time as f64);
-            i.rec.set(i.ids.log_entries_held, log_entries_held as f64);
-        }
-    }
-
-    /// The `/healthz` answer: a single JSON object summarizing liveness
-    /// from the registry's own counters and gauges.
-    #[must_use]
-    pub fn health_json(&self) -> String {
-        let Some(i) = self.inner.as_deref() else {
-            return "{\"status\":\"ok\",\"metrics\":false}".to_string();
-        };
-        let Some(reg) = i.rec.registry() else {
-            return "{\"status\":\"ok\",\"metrics\":false}".to_string();
-        };
-        let rejected: u64 = i.ids.rejected.iter().map(|&id| reg.counter_value(id)).sum();
-        let snapshot_age_ms = match i.last_snapshot_ms.load(Ordering::Relaxed) {
-            0 => "null".to_string(),
-            at => unix_ms().saturating_sub(at).to_string(),
-        };
-        format!(
-            "{{\"status\":\"ok\",\"metrics\":true,\"virtual_time\":{},\"backlog\":{},\
-             \"submissions\":{},\"accepted\":{},\"rejected\":{},\
-             \"snapshots\":{},\"snapshot_bytes\":{},\"log_entries_held\":{},\
-             \"snapshot_age_ms\":{snapshot_age_ms}}}",
-            reg.gauge_value(i.ids.virtual_time) as i64,
-            reg.gauge_value(i.ids.backlog) as i64,
-            reg.counter_value(i.ids.submissions),
-            reg.counter_value(i.ids.accepted),
-            rejected,
-            reg.counter_value(i.ids.snapshots),
-            reg.gauge_value(i.ids.snapshot_bytes) as u64,
-            reg.gauge_value(i.ids.log_entries_held) as u64,
-        )
-    }
+/// The `/healthz` answer: a single JSON object summarizing liveness from
+/// the registry's own counters and gauges.
+#[must_use]
+pub fn health_json(obs: &ServiceObs) -> String {
+    let (Some(ids), Some(reg)) = (obs.ids(), obs.recorder().and_then(Recorder::registry)) else {
+        return "{\"status\":\"ok\",\"metrics\":false}".to_string();
+    };
+    let sum = |source| ids.table.sum(reg, |&s| s == source);
+    let snapshot_age_ms = match ids.last_snapshot_ms.load(Ordering::Relaxed) {
+        0 => "null".to_string(),
+        at => unix_ms().saturating_sub(at).to_string(),
+    };
+    format!(
+        "{{\"status\":\"ok\",\"metrics\":true,\"virtual_time\":{},\"backlog\":{},\
+         \"submissions\":{},\"accepted\":{},\"rejected\":{},\
+         \"snapshots\":{},\"snapshot_bytes\":{},\"log_entries_held\":{},\
+         \"snapshot_age_ms\":{snapshot_age_ms}}}",
+        sum(VirtualTime) as i64,
+        sum(Backlog) as i64,
+        sum(Submissions) as u64,
+        sum(Accepted) as u64,
+        sum(Rejected) as u64,
+        sum(Snapshots) as u64,
+        sum(SnapshotBytes) as u64,
+        sum(LogEntriesHeld) as u64,
+    )
 }
 
 /// Every observability handle the daemon needs, wired to one registry.
@@ -368,19 +288,19 @@ pub struct ServiceObsBundle {
 #[must_use]
 pub fn build_service_obs(shards: usize) -> ServiceObsBundle {
     let mut b = RegistryBuilder::new();
-    let service_ids = ServiceIds::register(&mut b);
-    let fed_ids = FedIds::register(&mut b, shards);
-    let shard_ids: Vec<EngineIds> = (0..shards)
-        .map(|s| EngineIds::register(&mut b, Some(s as u32)))
-        .collect();
-    let recorder = Recorder::new(b.build());
+    let service = ServiceIds {
+        table: Table::register(&mut b, FAMILY, &[], &REJECT_REASONS),
+        last_snapshot_ms: AtomicU64::new(0),
+    };
+    let (federation, shards) = federation_obs(b, shards);
+    let recorder = federation
+        .recorder()
+        .expect("a fresh recorder is on")
+        .clone();
     ServiceObsBundle {
-        service: ServiceObs::new(recorder.clone(), service_ids),
-        federation: FederationObs::new(recorder.clone(), fed_ids),
-        shards: shard_ids
-            .into_iter()
-            .map(|ids| EngineObs::new(recorder.clone(), ids))
-            .collect(),
+        service: ServiceObs::new(recorder.clone(), service),
+        federation,
+        shards,
         recorder,
     }
 }
@@ -423,12 +343,12 @@ mod tests {
         let bundle = build_service_obs(1);
         let obs = &bundle.service;
         for _ in 0..5 {
-            obs.on_submission();
-            obs.on_accept();
+            obs.feed(Fact::Submission);
+            obs.feed(Fact::Accept);
         }
-        obs.on_commit(3, Duration::from_micros(120));
-        obs.on_commit(2, Duration::from_micros(80));
-        obs.on_commit(0, Duration::from_micros(999));
+        for (staged, us) in [(3, 120), (2, 80), (0, 999)] {
+            obs.feed(Fact::Commit(staged, Duration::from_micros(us)));
+        }
         let reg = bundle.recorder.registry().expect("recorder on");
         let accepted = reg
             .find_counter("ecosched_service_accepted_total", &[])
@@ -448,10 +368,11 @@ mod tests {
     fn snapshot_histogram_count_tracks_snapshots_and_health_reports_them() {
         let bundle = build_service_obs(1);
         let obs = &bundle.service;
-        assert!(obs.health_json().contains("\"snapshot_age_ms\":null"));
-        obs.on_snapshot(Duration::from_micros(9_000), 1_000_000);
-        obs.on_snapshot(Duration::from_micros(11_000), 1_010_000);
-        obs.set_progress(3, 120, 1);
+        assert!(health_json(obs).contains("\"snapshot_age_ms\":null"));
+        for (us, bytes) in [(9_000, 1_000_000), (11_000, 1_010_000)] {
+            obs.feed(Fact::Snapshot(Duration::from_micros(us), bytes));
+        }
+        obs.feed(Fact::Progress(3, 120, 1));
         let reg = bundle.recorder.registry().expect("recorder on");
         let snapshots = reg
             .find_counter("ecosched_service_snapshots_total", &[])
@@ -461,7 +382,7 @@ mod tests {
             .expect("registered");
         assert_eq!(reg.counter_value(snapshots), 2);
         assert_eq!(reg.histogram_count(timed), 2);
-        let health = obs.health_json();
+        let health = health_json(obs);
         assert!(health.contains("\"snapshots\":2"), "{health}");
         assert!(health.contains("\"snapshot_bytes\":1010000"), "{health}");
         assert!(health.contains("\"log_entries_held\":1"), "{health}");
@@ -473,15 +394,13 @@ mod tests {
     #[test]
     fn health_json_reflects_counters() {
         let bundle = build_service_obs(1);
-        bundle.service.on_submission();
-        bundle.service.on_accept();
-        bundle.service.set_progress(7, 1234, 1);
-        let health = bundle.service.health_json();
+        bundle.service.feed(Fact::Submission);
+        bundle.service.feed(Fact::Accept);
+        bundle.service.feed(Fact::Progress(7, 1234, 1));
+        let health = health_json(&bundle.service);
         assert!(health.contains("\"accepted\":1"));
         assert!(health.contains("\"backlog\":7"));
         assert!(health.contains("\"virtual_time\":1234"));
-        assert!(ServiceObs::off()
-            .health_json()
-            .contains("\"metrics\":false"));
+        assert!(health_json(&ServiceObs::off()).contains("\"metrics\":false"));
     }
 }

@@ -62,7 +62,7 @@ use ecosched_select::SlotSelector;
 use crate::admission::{decide, MarketView};
 use crate::error::ServiceError;
 use crate::manifest::ServiceManifest;
-use crate::obs::{ServiceObs, ServiceObsBundle};
+use crate::obs::{Fact, ServiceObs, ServiceObsBundle};
 use crate::protocol::{DaemonStatus, JobSpec, RejectReason};
 use crate::wal::{load_wal, Wal, WalEntry};
 
@@ -235,11 +235,11 @@ impl<S: SlotSelector + Copy> Session<S> {
     }
 
     fn set_progress(&self) {
-        self.obs.set_progress(
+        self.obs.feed(Fact::Progress(
             self.state.backlog(),
             self.virtual_time(),
             self.state.merged().entries.len(),
-        );
+        ));
     }
 
     /// The service-layer observability handle.
@@ -295,10 +295,10 @@ impl<S: SlotSelector + Copy> Session<S> {
     ///
     /// The typed rejection; nothing was staged or mutated.
     pub fn submit(&mut self, spec: &JobSpec, now: i64) -> Result<Ack, RejectReason> {
-        self.obs.on_submission();
+        self.obs.feed(Fact::Submission);
         if self.draining {
             self.rejected_total += 1;
-            self.obs.on_reject(&RejectReason::ShuttingDown);
+            self.obs.feed(Fact::Reject(&RejectReason::ShuttingDown));
             return Err(RejectReason::ShuttingDown);
         }
         let markets: Vec<_> = (0..self.state.shard_count())
@@ -320,7 +320,7 @@ impl<S: SlotSelector + Copy> Session<S> {
             Ok(request) => request,
             Err(reason) => {
                 self.rejected_total += 1;
-                self.obs.on_reject(&reason);
+                self.obs.feed(Fact::Reject(&reason));
                 return Err(reason);
             }
         };
@@ -338,11 +338,11 @@ impl<S: SlotSelector + Copy> Session<S> {
                     detail: "internal routing failure (cross-shard placement in service mode)"
                         .into(),
                 };
-                self.obs.on_reject(&reason);
+                self.obs.feed(Fact::Reject(&reason));
                 return Err(reason);
             }
         };
-        self.obs.on_accept();
+        self.obs.feed(Fact::Accept);
         self.staged.push(WalEntry {
             shard,
             job,
@@ -370,7 +370,8 @@ impl<S: SlotSelector + Copy> Session<S> {
             (!self.staged.is_empty() && self.obs.is_on()).then(std::time::Instant::now);
         self.wal.append_batch(&self.staged)?;
         if let Some(start) = fsync_start {
-            self.obs.on_commit(self.staged.len(), start.elapsed());
+            self.obs
+                .feed(Fact::Commit(self.staged.len(), start.elapsed()));
         }
         let acks = self
             .staged
@@ -434,7 +435,7 @@ impl<S: SlotSelector + Copy> Session<S> {
         let path = self.store.save(&self.fed.checkpoint(&self.state))?;
         if let Some(start) = start {
             let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
-            self.obs.on_snapshot(start.elapsed(), bytes);
+            self.obs.feed(Fact::Snapshot(start.elapsed(), bytes));
         }
         Ok(path)
     }

@@ -28,6 +28,13 @@
 #                              ratio line, cut off before the wall times
 #                              `exp_scaling` prints after them (two runs'
 #                              times differ)
+#   results/pins/*.metrics.json  the `--metrics-dump` registry of
+#                              `exp_federation --single` (the federation
+#                              family and four shard-labelled engine
+#                              families) and the two of `exp_online --trace
+#                              mini.swf` (`.ALP` / `.AMP`, the unlabelled
+#                              engine family): every series name, label set
+#                              and value, in registration order
 #
 # Usage:
 #   ./scripts/check_pins.sh            # check
@@ -71,12 +78,19 @@ for b in "${paper_bins[@]}"; do
     esac
     "$bin/$b" "${flags[@]}" 2>/dev/null > "$out/pins/$b.txt"
 done
+"$bin/exp_federation" --single --metrics-dump "$out/pins/exp_federation_single.metrics.json" \
+    > /dev/null 2>&1
+"$bin/exp_online" --trace crates/experiments/fixtures/mini.swf \
+    --metrics-dump "$out/exp_online_trace" > /dev/null 2>&1
+for algo in ALP AMP; do
+    mv "$out/exp_online_trace.$algo" "$out/pins/exp_online_trace.$algo.metrics.json"
+done
 
 if [[ "${1:-}" == "--bless" ]]; then
     cp "$out/pins.expected" scripts/pins.expected
     cp "$out/churn_report.txt" "$out/coschedule_report.txt" results/
     mkdir -p results/pins
-    cp "$out"/pins/*.txt results/pins/
+    cp "$out"/pins/* results/pins/
     echo "pins rewritten"
     exit 0
 fi
@@ -87,7 +101,7 @@ diff -u results/churn_report.txt "$out/churn_report.txt" || status=1
 diff -u results/coschedule_report.txt "$out/coschedule_report.txt" || status=1
 diff -ru results/pins "$out/pins" || status=1
 if [[ $status -eq 0 ]]; then
-    echo "pins ok: $(grep -c 'hash=' "$out/pins.expected") hashes + the E14 and E9 tables + 4 engine/federation and ${#paper_bins[@]} paper-binary outputs + the E7 counts"
+    echo "pins ok: $(grep -c 'hash=' "$out/pins.expected") hashes + the E14 and E9 tables + 4 engine/federation and ${#paper_bins[@]} paper-binary outputs + the E7 counts + 3 metrics dumps"
 else
     echo "pinned behaviour changed (see diff above)" >&2
 fi

@@ -152,9 +152,8 @@ fn original_list_is_never_mutated_by_failures() {
 // running leases on the engine, and every broken lease must end in a
 // recovery tier or back in the queue — never a panic, never partial state.
 
-use ecosched::engine::{ArrivalConfig, Engine, EngineConfig, EngineIds, EngineObs, Event};
+use ecosched::engine::{engine_obs, ArrivalConfig, Engine, EngineConfig, Event};
 use ecosched::sim::JobGenConfig;
-use ecosched_obs::{Recorder, RegistryBuilder};
 
 fn churn_config(churn: RevocationConfig) -> EngineConfig {
     EngineConfig {
@@ -182,12 +181,9 @@ fn total_revocation_postpones_every_job_with_a_clean_reason() {
         },
         ..churn_config(RevocationConfig::per_slot(1.0))
     };
-    let mut b = RegistryBuilder::new();
-    let ids = EngineIds::register(&mut b, None);
-    let rec = Recorder::new(b.build());
-    let engine = Engine::new(config, Amp::new())
-        .unwrap()
-        .with_obs(EngineObs::new(rec.clone(), ids));
+    let obs = engine_obs();
+    let rec = obs.recorder().expect("recorder on").clone();
+    let engine = Engine::new(config, Amp::new()).unwrap().with_obs(obs);
     let report = engine.run(1).unwrap().report;
     assert!(
         report.leases_broken > 0,
