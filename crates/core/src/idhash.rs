@@ -6,7 +6,10 @@
 //! though: `SlotList`'s node map is keyed by node ids that snapshot decode
 //! reads from disk, so a crafted snapshot can pick ids that collide here
 //! and make its load superlinear (measured 36× slower than sequential ids
-//! at 60 000 slots). Removing that collision is ROADMAP item 21.
+//! at 60 000 slots). Removing that collision is ROADMAP item 21. Nothing
+//! else keyed by a decoded id hashes it: `Window::new`'s duplicate-node
+//! check, which a decoded window also passes, sorts the member nodes. The
+//! hasher is private to this crate.
 //!
 //! One multiply by an odd 64-bit constant spreads sequential ids; folding
 //! the high half down keeps both ends of the word mixed for the table's
@@ -43,7 +46,7 @@ impl Hasher for IdHasher {
 }
 
 /// `BuildHasher` for maps and sets keyed by a slot or node id.
-pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
+pub(crate) type IdBuildHasher = BuildHasherDefault<IdHasher>;
 
 /// A map keyed by a slot or node id.
 pub(crate) type IdMap<K, V> = HashMap<K, V, IdBuildHasher>;

@@ -62,8 +62,6 @@ mod window;
 
 pub use alternative::{Alternative, BatchAlternatives, JobAlternatives};
 pub use error::CoreError;
-#[doc(hidden)]
-pub use idhash::IdBuildHasher;
 pub use interval::{SlotIntoIter, SlotIter};
 pub use job::{Batch, Job, JobId};
 pub use money::{Money, Price, MONEY_SCALE};

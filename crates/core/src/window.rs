@@ -5,13 +5,11 @@
 //! the window has a "rough right edge"; its overall length is the runtime of
 //! the task on the *slowest* member node (Fig. 1 (a)).
 
-use std::collections::HashSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-use crate::idhash::IdBuildHasher;
 use crate::money::{Money, Price};
 use crate::perf::Perf;
 use crate::resource::NodeId;
@@ -95,6 +93,10 @@ impl WindowSlot {
 /// * all members on distinct nodes;
 /// * all runtimes strictly positive.
 ///
+/// A decoded window is checked the same way: its node ids come from a
+/// snapshot or the wire, so the duplicate check sorts them instead of
+/// hashing them.
+///
 /// # Examples
 ///
 /// ```
@@ -115,7 +117,7 @@ impl WindowSlot {
 /// assert_eq!(w.cost_per_time(), Price::from_credits(5));
 /// # Ok::<(), ecosched_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Window {
     start: TimePoint,
     slots: Vec<WindowSlot>,
@@ -135,15 +137,13 @@ impl Window {
         if slots.is_empty() {
             return Err(CoreError::EmptyWindow);
         }
-        let mut seen: HashSet<NodeId, IdBuildHasher> =
-            HashSet::with_capacity_and_hasher(slots.len(), IdBuildHasher::default());
-        for ws in &slots {
-            if !ws.runtime.is_positive() {
-                return Err(CoreError::NonPositiveRuntime { node: ws.node });
-            }
-            if !seen.insert(ws.node) {
-                return Err(CoreError::DuplicateNode { node: ws.node });
-            }
+        if let Some(ws) = slots.iter().find(|ws| !ws.runtime.is_positive()) {
+            return Err(CoreError::NonPositiveRuntime { node: ws.node });
+        }
+        let mut nodes: Vec<NodeId> = slots.iter().map(WindowSlot::node).collect();
+        nodes.sort_unstable();
+        if let Some(twins) = nodes.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(CoreError::DuplicateNode { node: twins[0] });
         }
         Ok(Window { start, slots })
     }
@@ -222,6 +222,20 @@ impl Window {
             }
         }
         false
+    }
+}
+
+impl<'de> Deserialize<'de> for Window {
+    fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let (mut start, mut slots) = (None, None);
+        parser.read_map(|parser, name| match name {
+            "start" => parser.field(&mut start, name),
+            "slots" => parser.field(&mut slots, name),
+            _ => parser.skip_value(),
+        })?;
+        let start = serde::required(start, "start")?;
+        Window::new(start, serde::required(slots, "slots")?)
+            .map_err(|why| serde::Error::custom(format!("invalid serialized window: {why}")))
     }
 }
 
@@ -363,6 +377,44 @@ mod tests {
         assert!(!a.overlaps(&c));
         assert!(a.overlaps(&d));
         assert!(d.overlaps(&a));
+    }
+
+    /// The JSON of a valid two-member window, with `from` replaced by `to`.
+    fn decode_edited(from: &str, to: &str) -> Result<Window, serde_json::Error> {
+        let w = Window::new(
+            TimePoint::new(5),
+            vec![member(0, 0, 2, 40), member(1, 1, 3, 80)],
+        )
+        .unwrap();
+        let text = serde_json::to_string(&w).unwrap();
+        assert_eq!(serde_json::from_str::<Window>(&text).unwrap(), w);
+        assert!(text.contains(from), "{text}");
+        serde_json::from_str(&text.replacen(from, to, 1))
+    }
+
+    #[test]
+    fn decoding_refuses_an_empty_window() {
+        let err = serde_json::from_str::<Window>(r#"{"start":5,"slots":[]}"#).unwrap_err();
+        let expected = CoreError::EmptyWindow;
+        assert!(err.to_string().contains(&expected.to_string()), "{err}");
+    }
+
+    #[test]
+    fn decoding_refuses_a_duplicate_node() {
+        let err = decode_edited(r#""node":1"#, r#""node":0"#).unwrap_err();
+        let expected = CoreError::DuplicateNode {
+            node: NodeId::new(0),
+        };
+        assert!(err.to_string().contains(&expected.to_string()), "{err}");
+    }
+
+    #[test]
+    fn decoding_refuses_a_non_positive_runtime() {
+        let err = decode_edited(r#""runtime":80"#, r#""runtime":0"#).unwrap_err();
+        let expected = CoreError::NonPositiveRuntime {
+            node: NodeId::new(1),
+        };
+        assert!(err.to_string().contains(&expected.to_string()), "{err}");
     }
 
     #[test]

@@ -51,21 +51,27 @@
 //! whose window was found but not committed), and the bounded repair
 //! search in [`crate::repair`] (one window from a
 //! [`JobScan::resume_from`]-seeded scan). Nothing reads the pool from
-//! outside this module.
+//! outside this module. A seeded scan never reads the slots that start
+//! before its seed, so its invariant leaves them out, and a report's
+//! slots before the seed are neither pooled nor removed.
 //!
 //! The invariant names the *live* members. AMP's wide pool
 //! ([`LargeCostPool`]) may also hold members that died since they were
 //! pooled: it tests liveness only where its acceptance test reads, and
 //! drops the dead there, which accepts exactly what dropping them at
 //! every anchor would ([`LargeCostPool`] says why). A report only ever
-//! removes members [`JobScan::apply_report`] found live.
+//! removes members [`JobScan::apply_report`] found live, so every member
+//! it removes is pooled; the pools rely on that, and the wide one keeps
+//! no member map to check it.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+#[cfg(debug_assertions)]
+use std::collections::HashSet;
 
 use ecosched_core::{
-    Alternative, Batch, BatchAlternatives, CoreError, IdBuildHasher, Money, ResourceRequest, Slot,
-    SlotId, SlotList, SubtractionReport, TimeDelta, TimePoint, Window,
+    Alternative, Batch, BatchAlternatives, CoreError, Money, ResourceRequest, Slot, SlotId,
+    SlotList, SubtractionReport, TimeDelta, TimePoint, Window,
 };
 
 use crate::scan::{admit_slot, LengthRule, Pool, PoolMember};
@@ -110,9 +116,9 @@ impl AlgoSpec {
 ///
 /// The paper-scale lists (`m ∈ [120, 150]`) produce pools of a few dozen
 /// members, where the flat vector's binary search and memmove beat the
-/// heap arm's hashing and lazy deletion: with every pool forced onto the
-/// heap arm, `paper_study` and `engine_churn` lose throughput in every
-/// pair run (DESIGN §8). Pools only cross this threshold on large lists
+/// wide arm: with every pool forced onto it (measured when it still kept
+/// a member map), `paper_study` and `engine_churn` lose throughput in
+/// every pair run (DESIGN §8). Pools only cross this threshold on large lists
 /// with slow-expiring slots — exactly where a heap push per member wins.
 const SMALL_POOL_MAX: usize = 128;
 
@@ -185,15 +191,15 @@ impl CostPool {
         }
     }
 
-    /// Removes `member` if it is pooled; returns whether it was.
-    fn remove(&mut self, member: &PoolMember) -> bool {
+    /// Removes `member`, which must be pooled.
+    fn remove(&mut self, member: &PoolMember) {
         match &mut self.repr {
             CostRepr::Small(members) => {
                 let key = cost_key(member);
-                let found = members.binary_search_by(|m| cost_key(m).cmp(&key));
-                found.map(|pos| members.remove(pos)).is_ok()
+                let pos = members.binary_search_by(|m| cost_key(m).cmp(&key));
+                members.remove(pos.expect("removing a member the pool does not hold"));
             }
-            CostRepr::Large(pool) => pool.remove(member.slot.id(), self.anchor),
+            CostRepr::Large(pool) => pool.remove(member, self.anchor),
         }
     }
 
@@ -240,11 +246,11 @@ impl CostPool {
 
 /// The wide representation of [`CostPool`], used above [`SMALL_POOL_MAX`]:
 /// a sorted `head` of the `min(n, len)` cheapest members by `(cost, id)`
-/// with their running cost sum, and a min-heap `tail` of every other key.
-/// An insertion is a heap push, or a binary-search insert into the head
-/// when the key is below the head's max. The acceptance test (`head` full
-/// and within budget) is `O(n)` instead of the naive `O(p log p)` sort of
-/// the whole pool.
+/// with their running cost sum, and a [`Tail`] of every other member,
+/// popped cheapest first. An insertion goes to the tail, or is a
+/// binary-search insert into the head when the key is below the head's
+/// max. The acceptance test (`head` full and within budget) is `O(n)`
+/// instead of the naive `O(p log p)` sort of the whole pool.
 ///
 /// Expiry is lazy. [`CostPool::advance`] only records the anchor, which
 /// the owner passes in; a member is tested for liveness when acceptance
@@ -255,24 +261,116 @@ impl CostPool {
 /// head holds no dead member it is the `n` cheapest live members.
 /// Members not yet found dead still count in [`LargeCostPool::len`].
 ///
-/// The tail heap is lazy too. `members` is the membership test: a
-/// removal takes the id out of `members`, and out of `head` by binary
-/// search, and leaves its heap entry behind to be skipped when it
-/// surfaces. That is exact because an id is never pooled twice (the
-/// `debug_assert` in [`LargeCostPool::insert`]): a scan reads a list slot
-/// at most once, and subtraction mints its remnants under fresh ids. So a
-/// stale entry can never stand for a member.
+/// Removal from the tail is lazy too, and keeps no member map: the
+/// caller hands over a pooled member ([`JobScan::apply_report`] removes
+/// only what the checkpoint invariant holds), so a removal that misses
+/// the head is a tail member, and its key goes onto the `removed`
+/// min-heap. A tail pop whose key is that heap's minimum is a removed
+/// member, and both are dropped. That is exact because every removed key
+/// is in the tail exactly once: keys are unique, since an id is never
+/// pooled twice (a scan reads a list slot at most once, and subtraction
+/// mints its remnants under fresh ids), and the tail pops its minimum, so
+/// no removed key below a popped one can be left. Debug builds keep the
+/// pooled ids in a shadow set, which asserts that contract on every
+/// insertion and removal.
 #[derive(Debug)]
 struct LargeCostPool {
     n: usize,
     /// The `min(n, len)` cheapest members, ascending by `(cost, id)`.
     head: Vec<PoolMember>,
     head_sum: Money,
-    /// Every other member's key, and stale ones.
-    tail: BinaryHeap<Reverse<(Money, SlotId)>>,
-    members: HashMap<SlotId, PoolMember, IdBuildHasher>,
+    /// Every other member, and the members removed from it since.
+    tail: Tail,
+    /// The keys of members removed from the tail, which it still holds.
+    removed: BinaryHeap<Reverse<(Money, SlotId)>>,
+    /// Members pooled, not yet removed or found dead.
+    len: usize,
     /// Members found dead and dropped, not yet taken into the stats.
     expired: u64,
+    /// The ids `len` counts.
+    #[cfg(debug_assertions)]
+    pooled: HashSet<SlotId>,
+}
+
+/// The tail of a [`LargeCostPool`]: members popped in `(cost, id)` order.
+///
+/// Members pushed while no sorted run is being popped collect in `run`,
+/// and the next pop sorts them once; members pushed while it is being
+/// popped go on a min-heap, and a pop takes the cheaper of the run's last
+/// member and the heap's top. After a cycle's clip most of the market
+/// starts at `now`, so a scan pools one group of a thousand or more
+/// members at once; its promotions then pop the end of one sorted vector
+/// instead of sifting a heap of 56-byte members.
+#[derive(Debug, Default)]
+struct Tail {
+    /// Descending by `(cost, id)` once `sorted`: the cheapest is last.
+    run: Vec<PoolMember>,
+    sorted: bool,
+    heap: BinaryHeap<Reverse<TailEntry>>,
+}
+
+impl Tail {
+    fn push(&mut self, member: PoolMember) {
+        if self.sorted {
+            self.heap.push(Reverse(TailEntry(member)));
+        } else {
+            self.run.push(member);
+        }
+    }
+
+    /// Takes the cheapest member out.
+    fn pop(&mut self) -> Option<PoolMember> {
+        if !self.sorted {
+            self.run.sort_unstable_by_key(|m| Reverse(cost_key(m)));
+            self.sorted = true;
+        }
+        let from_heap = match (self.run.last(), self.heap.peek()) {
+            (Some(last), Some(Reverse(TailEntry(top)))) => cost_key(top) < cost_key(last),
+            (last, _) => last.is_none(),
+        };
+        let member = if from_heap {
+            self.heap.pop().map(|Reverse(TailEntry(member))| member)
+        } else {
+            self.run.pop()
+        };
+        self.sorted = !self.run.is_empty();
+        member
+    }
+
+    #[cfg(any(test, debug_assertions))]
+    fn len(&self) -> usize {
+        self.run.len() + self.heap.len()
+    }
+
+    #[cfg(debug_assertions)]
+    fn iter(&self) -> impl Iterator<Item = &PoolMember> {
+        let heap = self.heap.iter().map(|Reverse(TailEntry(member))| member);
+        self.run.iter().chain(heap)
+    }
+}
+
+/// A tail member on the heap, ordered by its `(cost, id)` key alone.
+#[derive(Debug, Clone, Copy)]
+struct TailEntry(PoolMember);
+
+impl PartialEq for TailEntry {
+    fn eq(&self, other: &Self) -> bool {
+        cost_key(&self.0) == cost_key(&other.0)
+    }
+}
+
+impl Eq for TailEntry {}
+
+impl PartialOrd for TailEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for TailEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        cost_key(&self.0).cmp(&cost_key(&other.0))
+    }
 }
 
 impl LargeCostPool {
@@ -281,23 +379,30 @@ impl LargeCostPool {
             n,
             head: Vec::new(),
             head_sum: Money::ZERO,
-            tail: BinaryHeap::new(),
-            members: HashMap::default(),
+            tail: Tail::default(),
+            removed: BinaryHeap::new(),
+            len: 0,
             expired: 0,
+            #[cfg(debug_assertions)]
+            pooled: HashSet::new(),
         }
     }
 
     fn len(&self) -> usize {
-        self.members.len()
+        self.len
     }
 
     fn insert(&mut self, member: PoolMember) {
-        let id = member.slot.id();
+        #[cfg(debug_assertions)]
+        assert!(
+            self.pooled.insert(member.slot.id()),
+            "slot {} pooled twice",
+            member.slot.id()
+        );
+        self.len += 1;
         let key = cost_key(&member);
-        let replaced = self.members.insert(id, member);
-        debug_assert!(replaced.is_none(), "slot {id} pooled twice");
         if self.head.len() == self.n && self.head.last().is_none_or(|max| key > cost_key(max)) {
-            self.tail.push(Reverse(key));
+            self.tail.push(member);
         } else {
             let pos = self.head.partition_point(|m| cost_key(m) < key);
             self.head.insert(pos, member);
@@ -305,44 +410,54 @@ impl LargeCostPool {
             if self.head.len() > self.n {
                 let max = self.head.pop().expect("the head overflowed");
                 self.head_sum -= max.cost();
-                self.tail.push(Reverse(cost_key(&max)));
+                self.tail.push(max);
             }
         }
         self.debug_check();
     }
 
-    /// Removes the member `id` if it is pooled; returns whether it was.
-    /// A promotion it makes tests liveness at `anchor`.
-    fn remove(&mut self, id: SlotId, anchor: TimePoint) -> bool {
-        let Some(member) = self.members.remove(&id) else {
-            return false;
-        };
-        let key = cost_key(&member);
+    /// Removes `member`, which must be pooled. A promotion it makes tests
+    /// liveness at `anchor`.
+    fn remove(&mut self, member: &PoolMember, anchor: TimePoint) {
+        self.forget(member.slot.id());
+        let key = cost_key(member);
         if self.head.last().is_some_and(|max| key <= cost_key(max)) {
             let pos = self.head.binary_search_by(|m| cost_key(m).cmp(&key));
             let pos = pos.expect("a member at or below the head's max is in the head");
             self.head.remove(pos);
             self.head_sum -= key.0;
             self.promote(anchor);
+        } else {
+            self.removed.push(Reverse(key));
         }
         self.debug_check();
-        true
+    }
+
+    /// Takes the pooled member `id` out of the count.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn forget(&mut self, id: SlotId) {
+        #[cfg(debug_assertions)]
+        assert!(self.pooled.remove(&id), "slot {id} is not pooled");
+        self.len -= 1;
     }
 
     /// Moves the cheapest live tail member to the back of the head — every
-    /// live tail key sorts above the head's max — dropping the ones dead
-    /// at `anchor` it meets; returns whether it found one.
+    /// live tail key sorts above the head's max — skipping removed ones
+    /// and dropping the ones dead at `anchor` it meets; returns whether it
+    /// found one.
     fn promote(&mut self, anchor: TimePoint) -> bool {
-        while let Some(Reverse((_, id))) = self.tail.pop() {
-            let Some(member) = self.members.get(&id) else {
-                continue; // Removed: a stale entry.
-            };
+        while let Some(member) = self.tail.pop() {
+            let key = cost_key(&member);
+            if self.removed.peek() == Some(&Reverse(key)) {
+                self.removed.pop();
+                continue;
+            }
             if member.live_at(anchor) {
-                self.head_sum += member.cost();
-                self.head.push(*member);
+                self.head_sum += key.0;
+                self.head.push(member);
                 return true;
             }
-            self.members.remove(&id);
+            self.forget(key.1);
             self.expired += 1;
         }
         false
@@ -352,43 +467,61 @@ impl LargeCostPool {
     /// at `anchor`, if it then holds `n`: the dead are dropped and the
     /// head refilled from the tail.
     fn live_head(&mut self, anchor: TimePoint) -> Option<(&[PoolMember], Money)> {
-        let (members, sum, expired) = (&mut self.members, &mut self.head_sum, &mut self.expired);
-        let before = self.head.len();
-        self.head.retain(|m| {
-            let live = m.live_at(anchor);
-            if !live {
-                members.remove(&m.slot.id());
-                *sum -= m.cost();
-                *expired += 1;
-            }
-            live
-        });
-        if self.head.len() < before {
-            while self.head.len() < self.n && self.promote(anchor) {}
+        let mut head = std::mem::take(&mut self.head);
+        for dead in head.extract_if(.., |m| !m.live_at(anchor)) {
+            self.forget(dead.slot.id());
+            self.head_sum -= dead.cost();
+            self.expired += 1;
         }
+        self.head = head;
+        while self.head.len() < self.n && self.promote(anchor) {}
         self.debug_check();
         debug_assert!(self.head.iter().all(|m| m.live_at(anchor)), "a dead head");
         (self.head.len() == self.n).then_some((&self.head[..], self.head_sum))
     }
 
+    /// The pooled members, some of them dead, for
+    /// [`AcceptPool::group_len`].
+    #[cfg(debug_assertions)]
+    fn members(&self) -> impl Iterator<Item = &PoolMember> {
+        let pooled = |m: &&PoolMember| self.pooled.contains(&m.slot.id());
+        self.head.iter().chain(self.tail.iter().filter(pooled))
+    }
+
     /// Debug builds only: the head is sorted, sums to `head_sum` and holds
-    /// `min(n, len)` members, and no member's tail key sorts below its max.
+    /// `min(n, len)` pooled members; every tail key sorts above its max;
+    /// and the tail holds the other pooled members and every removed key,
+    /// each once.
+    #[cfg(debug_assertions)]
     fn debug_check(&self) {
         let keys = || self.head.iter().map(cost_key);
-        debug_assert!(
+        assert!(
             keys().zip(keys().skip(1)).all(|(a, b)| a < b),
             "head unsorted"
         );
-        debug_assert_eq!(self.head_sum, self.head.iter().map(PoolMember::cost).sum());
-        debug_assert_eq!(self.head.len(), self.n.min(self.members.len()));
-        debug_assert!(
-            self.tail.iter().all(|Reverse(key)| {
-                !self.members.contains_key(&key.1)
-                    || self.head.last().is_some_and(|max| *key > cost_key(max))
+        assert_eq!(self.head_sum, self.head.iter().map(PoolMember::cost).sum());
+        assert_eq!(self.len, self.pooled.len());
+        assert_eq!(self.head.len(), self.n.min(self.len));
+        assert!(self.head.iter().all(|m| self.pooled.contains(&m.slot.id())));
+        let removed: HashSet<_> = self.removed.iter().map(|Reverse(key)| *key).collect();
+        let max = self.head.last().map(cost_key);
+        assert!(
+            self.tail.iter().all(|member| {
+                let key = cost_key(member);
+                max.is_some_and(|max| key > max)
+                    && self.pooled.contains(&key.1) != removed.contains(&key)
             }),
-            "a member's tail key sorts below the head's max"
+            "a tail key sorts below the head's max, or is neither pooled nor removed"
+        );
+        assert_eq!(
+            self.tail.len(),
+            self.len - self.head.len() + self.removed.len(),
+            "a removed key is not in the tail"
         );
     }
+
+    #[cfg(not(debug_assertions))]
+    fn debug_check(&self) {}
 }
 
 /// A member's rank in ALP's pool: the list's own `(start, id)` order.
@@ -432,14 +565,13 @@ impl AcceptPool {
         }
     }
 
-    /// Removes `member` if it is pooled, found by its key; returns whether
-    /// it was.
-    fn remove(&mut self, member: &PoolMember) -> bool {
+    /// Removes `member`, which must be pooled, found by its key.
+    fn remove(&mut self, member: &PoolMember) {
         match self {
             AcceptPool::Ordered(members) => {
                 let key = start_key(member);
-                let found = members.binary_search_by(|m| start_key(m).cmp(&key));
-                found.map(|pos| members.remove(pos)).is_ok()
+                let pos = members.binary_search_by(|m| start_key(m).cmp(&key));
+                members.remove(pos.expect("removing a member the pool does not hold"));
             }
             AcceptPool::Cost(pool) => pool.remove(member),
         }
@@ -447,6 +579,7 @@ impl AcceptPool {
 
     /// How many pooled members start exactly at `anchor`: a recount of
     /// [`Resume::Accepted`]'s running `group`, for the debug check on it.
+    #[cfg(debug_assertions)]
     fn group_len(&self, anchor: TimePoint) -> usize {
         let at_anchor = |m: &&PoolMember| m.slot.start() == anchor;
         match self {
@@ -458,7 +591,7 @@ impl AcceptPool {
             AcceptPool::Cost(CostPool {
                 repr: CostRepr::Large(pool),
                 ..
-            }) => pool.members.values().filter(at_anchor).count(),
+            }) => pool.members().filter(at_anchor).count(),
         }
     }
 
@@ -508,15 +641,14 @@ impl AcceptPool {
 /// Where a scan's next [`JobScan::run`] picks up.
 #[derive(Debug, Clone, Copy)]
 enum Resume {
-    /// Nothing read yet: from the head of the list.
+    /// Nothing read yet: from the head of the list, or from the first
+    /// slot starting at or after the seed of a [`JobScan::resume_from`]
+    /// scan, with an empty pool.
     Head,
-    /// Seeded by [`JobScan::resume_from`]: from the first slot starting at
-    /// or after the point, with an empty pool — the group there has not
-    /// been read and is read from the list.
-    Seeded(TimePoint),
     /// Accepted at `anchor`. The pool holds every admitted slot starting
-    /// at or before `anchor` that is live there, `group` of them starting
-    /// exactly at it (the checkpoint invariant of the module docs).
+    /// at or before `anchor` (and not before the seed) that is live
+    /// there, `group` of them starting exactly at it (the checkpoint
+    /// invariant of the module docs).
     Accepted { anchor: TimePoint, group: usize },
 }
 
@@ -528,6 +660,9 @@ pub(crate) struct JobScan {
     price_capped: bool,
     /// AMP's job budget; `None` for ALP.
     budget: Option<Money>,
+    /// Where a [`JobScan::resume_from`] scan starts: no slot starting
+    /// earlier is read, or pooled from a report.
+    seed: Option<TimePoint>,
     resume: Resume,
     pool: AcceptPool,
     /// Once a scan reaches the end of the list without a window the job
@@ -558,6 +693,7 @@ impl JobScan {
             rule,
             price_capped,
             budget,
+            seed: None,
             resume: Resume::Head,
             pool,
             dead: false,
@@ -576,13 +712,15 @@ impl JobScan {
     /// are examined, so repairing a window scheduled at `anchor` costs
     /// O(survivors after `anchor`), not a full rescan. The price is a
     /// deliberate policy restriction — windows using slots that *start*
-    /// before `anchor` (but are still live there) are not considered.
+    /// before `anchor` (but are still live there) are not considered,
+    /// and a later [`JobScan::apply_report`] neither pools nor removes
+    /// such a slot.
     pub(crate) fn resume_from(&mut self, anchor: TimePoint) {
         debug_assert!(
-            matches!(self.resume, Resume::Head) && self.pool.len() == 0,
+            matches!(self.resume, Resume::Head) && self.seed.is_none(),
             "resume_from is for seeding fresh scans only"
         );
-        self.resume = Resume::Seeded(anchor);
+        self.seed = Some(anchor);
     }
 
     fn filter_ok(&self, slot: &Slot) -> bool {
@@ -609,15 +747,16 @@ impl JobScan {
     /// [`JobScan::run`]'s forward scan, from where the last one stopped.
     fn scan(&mut self, list: &SlotList, stats: &mut ScanStats) -> Option<Window> {
         let n = self.request.nodes();
-        let mut slots = match self.resume {
-            Resume::Head => list.iter(),
-            Resume::Seeded(anchor) => {
+        let mut slots = match (self.resume, self.seed) {
+            (Resume::Head, None) => list.iter(),
+            (Resume::Head, Some(seed)) => {
                 stats.checkpoint_hits += 1;
-                list.iter_from(anchor)
+                list.iter_from(seed)
             }
-            Resume::Accepted { anchor, group } => {
+            (Resume::Accepted { anchor, group }, _) => {
                 stats.checkpoint_hits += 1;
-                debug_assert_eq!(group, self.pool.group_len(anchor));
+                #[cfg(debug_assertions)]
+                assert_eq!(group, self.pool.group_len(anchor));
                 // The pool is what re-reading the group at `anchor` would
                 // rebuild, so the acceptance test a fresh scan runs there
                 // — iff the group is non-empty and the pool holds `n` live
@@ -673,10 +812,12 @@ impl JobScan {
     }
 
     /// The member `slot` makes if the checkpoint invariant at `anchor`
-    /// can hold it — admitted, starting at or before `anchor` and live
-    /// there — and `None` if the invariant rules it out.
+    /// can hold it — admitted, starting at or before `anchor` (and not
+    /// before the seed) and live there — and `None` if the invariant rules
+    /// it out.
     fn poolable(&self, slot: &Slot, anchor: TimePoint) -> Option<PoolMember> {
-        if slot.start() > anchor || !self.filter_ok(slot) {
+        let read = self.seed.is_none_or(|seed| seed <= slot.start()) && slot.start() <= anchor;
+        if !read || !self.filter_ok(slot) {
             return None;
         }
         admit_slot(&self.request, self.rule, slot).filter(|m| m.live_at(anchor))
@@ -690,9 +831,7 @@ impl JobScan {
     /// Remnants after the anchor are picked up by the forward scan itself.
     ///
     /// A consumed slot the invariant rules out is skipped without probing
-    /// the pool. One it admits may still be absent — a seeded scan never
-    /// read the slots before its seed — so the removal is by key and
-    /// reports whether it found the member.
+    /// the pool; one it admits is pooled, and is removed by its key.
     pub(crate) fn apply_report(&mut self, report: &SubtractionReport) {
         if self.dead {
             return;
@@ -702,7 +841,8 @@ impl JobScan {
         };
         for slot in &report.removed {
             if let Some(member) = self.poolable(slot, anchor) {
-                if self.pool.remove(&member) && slot.start() == anchor {
+                self.pool.remove(&member);
+                if slot.start() == anchor {
                     group -= 1;
                 }
             }
@@ -825,9 +965,19 @@ mod tests {
         assert_eq!(accept(&mut pool, 40), Some(vec![2, 1]));
         assert_eq!(accept(&mut pool, 39), None);
         // Removing a head member promotes the cheapest tail member.
-        assert!(pool.remove(&cheap));
-        assert!(!pool.remove(&cheap));
+        pool.remove(&cheap);
         assert_eq!(accept(&mut pool, 80), Some(vec![1, 0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold")]
+    fn the_flat_pool_refuses_to_remove_an_absent_member() {
+        let mut pool = CostPool::new(1);
+        let cheap = member(2, 1, 0, 100, 10);
+        pool.insert(member(0, 5, 0, 100, 10));
+        pool.insert(cheap);
+        pool.remove(&cheap);
+        pool.remove(&cheap);
     }
 
     #[test]
@@ -863,7 +1013,7 @@ mod tests {
         assert!(matches!(pool.repr, CostRepr::Large(_)));
         // Promotion is one-way: shrinking below the threshold stays Large.
         for m in &members {
-            assert!(pool.remove(m));
+            pool.remove(m);
         }
         assert_eq!(pool.len(), 0);
         assert!(matches!(pool.repr, CostRepr::Large(_)));
@@ -920,7 +1070,8 @@ mod tests {
             if step.is_multiple_of(5) {
                 let victim = &members[((step * 7) % (step + 1)) as usize];
                 if victim.live_at(anchor(step)) {
-                    assert_eq!(small.remove(victim), large.remove(victim));
+                    small.remove(victim);
+                    large.remove(victim);
                 }
             }
             for budget in [10, 40, 400] {
@@ -944,15 +1095,32 @@ mod tests {
             pool.insert(m);
         }
         let (budget, at) = (Money::from_credits(1_000), TimePoint::ZERO);
-        // `b` leaves from the tail: its heap entry stays behind.
-        assert!(pool.remove(b.slot.id(), at));
-        assert!(!pool.remove(b.slot.id(), at));
-        // The head drains; the promotion skips `b`'s entry for `c`.
-        assert!(pool.remove(a.slot.id(), at));
+        // `b` leaves from the tail: its entry stays there, and its key
+        // goes onto the removed heap.
+        pool.remove(&b, at);
+        assert_eq!((pool.len(), pool.tail.len(), pool.removed.len()), (2, 2, 1));
+        // The head drains; the promotion skips `b`'s entry for `c`, and
+        // both heaps let it go.
+        pool.remove(&a, at);
+        assert_eq!((pool.tail.len(), pool.removed.len()), (0, 0));
         assert_eq!(accept_large(&mut pool, budget, at), Some(vec![3]));
-        assert!(pool.remove(c.slot.id(), at));
+        pool.remove(&c, at);
         assert_eq!(pool.len(), 0);
         assert_eq!(accept_large(&mut pool, budget, at), None);
+    }
+
+    /// The wide pool cannot tell an absent tail member from a pooled one;
+    /// debug builds check every removal against the pooled ids.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "is not pooled")]
+    fn the_wide_pool_refuses_to_remove_an_absent_member_in_debug_builds() {
+        let mut pool = LargeCostPool::new(1);
+        let [a, b] = [1, 2].map(|id| member(id, id as i64, 0, 100, 10));
+        pool.insert(a);
+        pool.insert(b);
+        pool.remove(&b, TimePoint::ZERO);
+        pool.remove(&b, TimePoint::ZERO);
     }
 
     /// A member is tested for liveness where it is read — in the head by
@@ -969,7 +1137,7 @@ mod tests {
         for m in [m0, m1, m2, m3] {
             pool.insert(m);
         }
-        assert!(pool.remove(m0.slot.id(), TimePoint::ZERO));
+        pool.remove(&m0, TimePoint::ZERO);
         // At anchor 41 nothing is read yet: nothing is found dead, and
         // all three members still count.
         let at = TimePoint::new(41);
@@ -981,7 +1149,7 @@ mod tests {
         // Removing 2 promotes from the tail at anchor 141, past nothing
         // live: 3 is found dead on its way up.
         let at = TimePoint::new(141);
-        assert!(pool.remove(m2.slot.id(), at));
+        pool.remove(&m2, at);
         assert_eq!((pool.len(), pool.expired), (0, 2));
         assert_eq!(accept_large(&mut pool, budget, at), None);
     }
@@ -997,9 +1165,6 @@ mod tests {
         RemoveHead(usize),
         /// Removes the `pick`-th member after the `n` cheapest.
         RemoveTail(usize),
-        /// Removes the `pick`-th member already removed — never one that
-        /// expired, which a scan never asks a pool for.
-        RemoveAbsent(usize),
         /// Moves the anchor forward.
         Advance(i64),
         /// Moves the anchor just past the deadline of the `pick`-th of
@@ -1010,13 +1175,12 @@ mod tests {
 
     /// The shim has no `prop_oneof`: `tag`'s range width is the weight.
     fn pool_op() -> impl Strategy<Value = PoolOp> {
-        (0u32..11, 0usize..1_000, 1i64..4, 0i64..400).prop_map(|(tag, pick, price, span)| match tag
+        (0u32..10, 0usize..1_000, 1i64..4, 0i64..400).prop_map(|(tag, pick, price, span)| match tag
         {
             0..=4 => PoolOp::Insert { price, slack: span },
             5 => PoolOp::RemoveHead(pick),
             6 => PoolOp::RemoveTail(pick),
-            7 => PoolOp::RemoveAbsent(pick),
-            8 | 9 => PoolOp::Advance(span / 20),
+            7 | 8 => PoolOp::Advance(span / 20),
             _ => PoolOp::KillCheapest(pick),
         })
     }
@@ -1048,12 +1212,11 @@ mod tests {
             self.large.insert(m);
         }
 
-        /// Whether each pool held the live member `m`; all three agree.
-        fn remove(&mut self, m: &PoolMember) -> bool {
-            let found = self.small.remove(m);
-            assert_eq!(self.forced.remove(m), found);
-            assert_eq!(self.large.remove(m.slot.id(), self.anchor), found);
-            found
+        /// Removes the live member `m` from each pool.
+        fn remove(&mut self, m: &PoolMember) {
+            self.small.remove(m);
+            self.forced.remove(m);
+            self.large.remove(m, self.anchor);
         }
 
         /// The eager arm's expiry count; the lazy ones record the anchor.
@@ -1100,7 +1263,6 @@ mod tests {
         ) {
             let mut pools = Pools::new(n);
             let mut live: Vec<PoolMember> = Vec::new();
-            let mut gone: Vec<PoolMember> = Vec::new();
             let mut anchor = TimePoint::ZERO;
             let (mut expired, mut found) = (0u64, 0u64);
             for (step, op) in ops.into_iter().enumerate() {
@@ -1122,15 +1284,7 @@ mod tests {
                             n.min(live.len())..live.len()
                         };
                         if !range.is_empty() {
-                            let m = live.remove(range.start + pick % range.len());
-                            assert!(pools.remove(&m), "step {step}: {op:?} missed");
-                            gone.push(m);
-                        }
-                    }
-                    PoolOp::RemoveAbsent(pick) => {
-                        if !gone.is_empty() {
-                            let m = gone[pick % gone.len()];
-                            assert!(!pools.remove(&m), "step {step}: {op:?} hit");
+                            pools.remove(&live.remove(range.start + pick % range.len()));
                         }
                     }
                     PoolOp::Advance(by) => to = Some(anchor + TimeDelta::new(by)),
@@ -1301,6 +1455,43 @@ mod tests {
     }
 
     #[test]
+    fn a_seeded_scan_neither_pools_nor_removes_what_starts_before_its_seed() {
+        // Slot 0 is the cheapest, but starts before the seed.
+        let mut list = SlotList::from_slots(vec![
+            slot(0, 0, 1.0, 1, 0, 200),
+            slot(1, 1, 1.0, 2, 10, 200),
+            slot(2, 2, 1.0, 2, 10, 200),
+            slot(3, 3, 1.0, 2, 30, 200),
+        ])
+        .unwrap();
+        let (req, seed) = (request(2, 50, 5), TimePoint::new(10));
+        let mut scan = amp_scan(&req);
+        scan.resume_from(seed);
+        let mut stats = ScanStats::new();
+        assert_eq!(sources(&scan.run(&list, &mut stats).unwrap()), vec![1, 2]);
+        assert!(matches!(scan.resume, Resume::Accepted { group: 2, .. }));
+        // Another job takes [100, 150) of slot 0. The consumed slot and
+        // its left remnant [0, 100) start before the seed; the remnant is
+        // admitted and live at the anchor, so a scan from the head would
+        // pool it.
+        let report = cut(&mut list, 0, 100, 150);
+        let remnant = report.remnants[0];
+        assert_eq!(
+            (report.removed[0].start(), remnant.start()),
+            (TimePoint::ZERO, TimePoint::ZERO)
+        );
+        assert!(admit_slot(&req, LengthRule::Corrected, &remnant).is_some_and(|m| m.live_at(seed)));
+        scan.apply_report(&report);
+        assert_eq!(scan.pool.len(), 2);
+        assert!(matches!(scan.resume, Resume::Accepted { group: 2, .. }));
+        // The resume answers what a fresh scan seeded there finds.
+        let next = scan.run(&list, &mut stats).unwrap();
+        let mut fresh = amp_scan(&req);
+        fresh.resume_from(seed);
+        assert_eq!(Some(next), fresh.run(&list, &mut ScanStats::new()));
+    }
+
+    #[test]
     fn alp_keeps_start_id_order_with_a_remnant_at_the_anchor() {
         let mut list = SlotList::from_slots(vec![
             slot(0, 0, 1.0, 1, 0, 100),
@@ -1344,8 +1535,18 @@ mod tests {
         let chosen = pool.accept(3, None, &mut ScanStats::new()).unwrap();
         let ids: Vec<u64> = chosen.iter().map(|m| m.slot.id().raw()).collect();
         assert_eq!(ids, vec![1, 3, 5]);
-        assert!(pool.remove(&middle));
-        assert!(!pool.remove(&middle));
+        pool.remove(&middle);
         assert_eq!(pool.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold")]
+    fn the_ordered_pool_refuses_to_remove_an_absent_member() {
+        let mut pool = AcceptPool::Ordered(Vec::new());
+        let middle = member(3, 1, 20, 100, 10);
+        pool.insert(member(1, 1, 0, 100, 10));
+        pool.insert(middle);
+        pool.remove(&middle);
+        pool.remove(&middle);
     }
 }
