@@ -1,7 +1,7 @@
 //! Bench: the incremental combination optimizer against the retained
-//! from-scratch oracle — cold first solves, warm re-queries at shifted
-//! limits, warm re-solves after a front-of-batch mutation — and one DP
-//! row built by the row kernel against the same row built cell by cell.
+//! from-scratch oracle — cold first solves and warm repeats of the last
+//! question — and one DP row built by the row kernel against the same row
+//! built cell by cell.
 //!
 //! Committed medians live in `BENCH_optimize.json`; refresh them with
 //!
@@ -77,7 +77,7 @@ fn synth_table(jobs: usize, seed: u64) -> Vec<JobAlternatives> {
 }
 
 /// A feasible `T*`: the sum of per-job fastest times plus one tick of
-/// slack per job, so limit-shift variants stay feasible too.
+/// slack per job, so a tighter repeat stays feasible too.
 fn quota_for(table: &[JobAlternatives]) -> TimeDelta {
     let floor: i64 = table
         .iter()
@@ -92,27 +92,10 @@ fn quota_for(table: &[JobAlternatives]) -> TimeDelta {
     TimeDelta::new(floor + table.len() as i64)
 }
 
-/// Swaps job 0's alternatives for a fresh draw: the front-of-batch
-/// mutation that forces a one-row prefix patch while the whole suffix
-/// stays reusable.
-fn mutate_front(table: &[JobAlternatives], seed: u64) -> Vec<JobAlternatives> {
-    let mut mutated = table.to_vec();
-    let mut state = seed;
-    let mut ja = JobAlternatives::new(JobId::new(0));
-    for _ in 0..4 {
-        let cost = 1 + (splitmix(&mut state) % 30) as i64;
-        let time = 1 + (splitmix(&mut state) % 12) as i64;
-        ja.push(alternative(0, cost, time));
-    }
-    mutated[0] = ja;
-    mutated
-}
-
 fn bench_dp(c: &mut Criterion) {
     let mut group = c.benchmark_group("optimize_incremental");
     for jobs in [50usize, 200, 800] {
         let table = synth_table(jobs, jobs as u64);
-        let patched = mutate_front(&table, 0x5eed + jobs as u64);
         let quota = quota_for(&table);
         let shifted = TimeDelta::new(quota.ticks() - 1);
 
@@ -127,10 +110,10 @@ fn bench_dp(c: &mut Criterion) {
             });
         });
 
-        // Warm re-query: the rows are resident, only the capacity read
-        // point moves — the case every `ParetoFrontier`-style limit sweep
-        // and repeated VO-limit evaluation hits.
-        group.bench_with_input(BenchmarkId::new("warm_limit_shift", jobs), &jobs, |b, _| {
+        // Warm repeat: the same table asked again at its limit or one
+        // tick tighter, answered from the resident rows — two rounds in
+        // three of `bench/`'s `batch_replan`.
+        group.bench_with_input(BenchmarkId::new("warm_repeat", jobs), &jobs, |b, _| {
             let mut optimizer = IncrementalOptimizer::new();
             optimizer.min_cost_under_time(&table, quota).unwrap();
             let mut flip = false;
@@ -138,20 +121,6 @@ fn bench_dp(c: &mut Criterion) {
                 flip = !flip;
                 let q = if flip { shifted } else { quota };
                 black_box(optimizer.min_cost_under_time(black_box(&table), q))
-            });
-        });
-
-        // Warm re-solve after a front-of-batch mutation: one row rebuilt,
-        // `jobs - 1` suffix rows reused — the engine's cycle-to-cycle
-        // shape when one job leaves or changes.
-        group.bench_with_input(BenchmarkId::new("warm_front_patch", jobs), &jobs, |b, _| {
-            let mut optimizer = IncrementalOptimizer::new();
-            optimizer.min_cost_under_time(&table, quota).unwrap();
-            let mut flip = false;
-            b.iter(|| {
-                flip = !flip;
-                let t = if flip { &patched } else { &table };
-                black_box(optimizer.min_cost_under_time(black_box(t), quota))
             });
         });
     }

@@ -15,8 +15,8 @@
 //! This module holds the *from-scratch* drivers, retained as `*_naive`
 //! oracles (mirroring `select`'s pattern), plus the row-level primitives
 //! shared with [`crate::incremental`]. Because both paths build rows with
-//! the same [`compute_row`]/[`extend_row`] code and reconstruct with the
-//! same [`reconstruct_choices`], the incremental solvers are byte-identical
+//! the same [`build_row`] and reconstruct with the same
+//! [`reconstruct_choices`], the incremental solvers are byte-identical
 //! to the naive ones by construction — the differential harness in
 //! `tests/equivalence.rs` checks exactly that.
 //!
@@ -31,9 +31,9 @@
 //! two contiguous slices. Before the passes the job's items are reduced
 //! to their non-dominated set ([`non_dominated`]) — exact because table
 //! rows are monotone in `w`, see there. Only the cell *values* go through
-//! the reduced list: [`reconstruct_choices`], the cache fingerprints and
-//! the snapshot all read the job's full item list in its original order,
-//! so which alternative wins a tie is unchanged. The definition itself —
+//! the reduced list: [`reconstruct_choices`] and the memo's comparison
+//! of questions read the job's full item list in its original order, so
+//! which alternative wins a tie is unchanged. The definition itself —
 //! one `Option` cell at a time — survives as the test-only oracle
 //! `row_cell`, which the property tests below hold the kernel to.
 
@@ -93,29 +93,6 @@ pub(crate) fn reachable(cell: i64) -> bool {
     cell.unsigned_abs() < BAND as u64
 }
 
-/// One cell of Eq. (1), computed the way the definition reads: the
-/// extremum over this job's alternatives of `value + f[i+1][w - weight]`,
-/// on `Option` cells. The oracle the row kernel is proved against.
-#[cfg(test)]
-fn row_cell(items: &[Item], next: &[Option<i64>], w: usize, sense: Sense) -> Option<i64> {
-    let mut best: Option<i64> = None;
-    for item in items {
-        if item.weight > w as i64 {
-            continue;
-        }
-        let Some(rest) = next[w - item.weight as usize] else {
-            continue;
-        };
-        let candidate = item.value + rest;
-        best = Some(match (best, sense) {
-            (None, _) => candidate,
-            (Some(b), Sense::Minimize) => b.min(candidate),
-            (Some(b), Sense::Maximize) => b.max(candidate),
-        });
-    }
-    best
-}
-
 /// One job's items minus every item that another one dominates (no
 /// lighter and no better, or equal), lightest first.
 ///
@@ -149,51 +126,39 @@ fn fold_pass(cells: &mut [i64], rests: &[i64], value: i64, extr: impl Fn(i64, i6
     }
 }
 
-/// Appends columns `row.len()..=width` of the extremum over `items` of
-/// `value + next[w − weight]` to `row`, item-major: the first item that
-/// fits writes the new columns (the sentinel left of its weight), and each
-/// further one folds itself in with one pass of
-/// `row[w] = extr(row[w], value + next[w − weight])` over two contiguous
-/// slices — no `Option`, no branch per cell (see [`Sense::unreachable`]).
-/// Exact for any `next` and any item list.
+/// Fills `row` with columns `0..=width` of the extremum over `items` of
+/// `value + next[w − weight]`, item-major: the first item that fits writes
+/// the row (the sentinel left of its weight), and each further one folds
+/// itself in with one pass of `row[w] = extr(row[w], value + next[w −
+/// weight])` over two contiguous slices — no `Option`, no branch per cell
+/// (see [`Sense::unreachable`]). Exact for any `next` and any item list.
+/// Whatever `row` held is dropped; its allocation is kept.
 fn fold_items(items: &[Item], next: &[i64], row: &mut Vec<i64>, width: usize, sense: Sense) {
-    debug_assert!(next.len() > width, "next row must already span the width");
-    let start = row.len();
-    if start > width {
-        return;
-    }
-    row.reserve(width + 1 - start);
+    debug_assert!(next.len() > width, "next row must span the width");
+    row.clear();
+    row.reserve(width + 1);
     for item in items.iter().filter(|item| item.weight <= width as i64) {
         let weight = item.weight as usize;
-        let lo = start.max(weight);
-        let rests = &next[lo - weight..=width - weight];
-        if row.len() <= width {
-            row.resize(lo, sense.unreachable());
+        let rests = &next[..=width - weight];
+        if row.is_empty() {
+            row.resize(weight, sense.unreachable());
             row.extend(rests.iter().map(|&rest| item.value + rest));
             continue;
         }
-        let cells = &mut row[lo..=width];
+        let cells = &mut row[weight..];
         match sense {
             Sense::Minimize => fold_pass(cells, rests, item.value, i64::min),
             Sense::Maximize => fold_pass(cells, rests, item.value, i64::max),
         }
     }
-    // No item fits: every new column is unreachable.
+    // No item fits: every column is unreachable.
     row.resize(width + 1, sense.unreachable());
 }
 
-/// Extends `row` (row `i` of the table) in place up to column `width`,
-/// computing each new column from the *already extended* next row
-/// (`f[i+1]`). Starting from an empty `row` this builds the whole row.
-///
-/// Soundness of extension: `f[i][w]` reads `next` only at columns `≤ w`,
-/// and each cell is a pure function of `items` and `next` — so appending
-/// columns to an existing row yields exactly the row a from-scratch build
-/// at the wider capacity would produce. Callers must extend rows back to
-/// front so `next` is always at full width first, and `next` must be a
-/// row of the table (monotone in `w`): that is what [`non_dominated`]
-/// rests on.
-pub(crate) fn extend_row(
+/// Builds row `i` of the table (columns `0..=width`) into `row` from the
+/// next row (`f[i+1]`), which must be a row of the table (monotone in
+/// `w`): that is what [`non_dominated`] rests on.
+pub(crate) fn build_row(
     items: &[Item],
     next: &[i64],
     row: &mut Vec<i64>,
@@ -201,13 +166,6 @@ pub(crate) fn extend_row(
     sense: Sense,
 ) {
     fold_items(&non_dominated(items, sense), next, row, width, sense);
-}
-
-/// Builds row `i` of the table (columns `0..=width`) from the next row.
-pub(crate) fn compute_row(items: &[Item], next: &[i64], width: usize, sense: Sense) -> Vec<i64> {
-    let mut row = Vec::new();
-    extend_row(items, next, &mut row, width, sense);
-    row
 }
 
 /// Forward reconstruction over a full set of rows (`rows[n]` is the base
@@ -262,7 +220,8 @@ fn backward_run(items: &[Vec<Item>], capacity: i64, sense: Sense) -> Option<Vec<
     let mut computed: Vec<Vec<i64>> = Vec::with_capacity(n);
     for i in (0..n).rev() {
         let next = computed.last().unwrap_or(&base);
-        let row = compute_row(&items[i], next, cap, sense);
+        let mut row = Vec::new();
+        build_row(&items[i], next, &mut row, cap, sense);
         computed.push(row);
     }
     computed.reverse();
@@ -557,28 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn extended_row_matches_from_scratch_build() {
-        let items = vec![
-            Item {
-                weight: 3,
-                value: 7,
-            },
-            Item {
-                weight: 5,
-                value: 2,
-            },
-        ];
-        let base_small = vec![0i64; 9];
-        let base_big = vec![0i64; 21];
-        for sense in SENSES {
-            let mut grown = compute_row(&items, &base_small, 8, sense);
-            extend_row(&items, &base_big, &mut grown, 20, sense);
-            let scratch = compute_row(&items, &base_big, 20, sense);
-            assert_eq!(grown, scratch);
-        }
-    }
-
-    #[test]
     fn value_sums_up_to_the_sentinel_band_solve_exactly() {
         // Σ_i max_j |value_ij| = 2^61 − 1, the largest table the rows hold.
         let half = 1i64 << 60;
@@ -677,6 +614,28 @@ mod tests {
             .collect()
     }
 
+    /// One cell of Eq. (1), computed the way the definition reads: the
+    /// extremum over this job's alternatives of `value + f[i+1][w - weight]`,
+    /// on `Option` cells. The oracle the row kernel is proved against.
+    fn row_cell(items: &[Item], next: &[Option<i64>], w: usize, sense: Sense) -> Option<i64> {
+        let mut best: Option<i64> = None;
+        for item in items {
+            if item.weight > w as i64 {
+                continue;
+            }
+            let Some(rest) = next[w - item.weight as usize] else {
+                continue;
+            };
+            let candidate = item.value + rest;
+            best = Some(match (best, sense) {
+                (None, _) => candidate,
+                (Some(b), Sense::Minimize) => b.min(candidate),
+                (Some(b), Sense::Maximize) => b.max(candidate),
+            });
+        }
+        best
+    }
+
     fn oracle_row(
         items: &[Item],
         next: &[Option<i64>],
@@ -704,14 +663,14 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The item-major passes alone are exact for *any* next row —
-        /// unreachable prefixes, holes, either sign — from any start
-        /// column.
+        /// unreachable prefixes, holes, either sign — whatever the buffer
+        /// they fill held before.
         #[test]
         fn passes_match_the_cell_oracle_on_any_next_row(
             items in items_strategy(0),
             cells in prop::collection::vec((0u8..4, -30i64..30), 1..40),
             prefix in 0usize..40,
-            start in 0usize..41,
+            stale in prop::collection::vec(-30i64..30, 0..60),
         ) {
             let next: Vec<Option<i64>> = cells
                 .iter()
@@ -721,41 +680,33 @@ mod tests {
             let width = next.len() - 1;
             for sense in SENSES {
                 let expected = oracle_row(&items, &next, width, sense);
-                let mut row = flat(&expected[..start.min(width + 1)], sense);
+                let mut row = stale.clone();
                 fold_items(&items, &flat(&next, sense), &mut row, width, sense);
                 prop_assert_eq!(wrapped(&row), expected);
             }
         }
 
         /// On the rows of a real table the kernel — dominated items
-        /// skipped — equals the cell oracle column by column, whether a
-        /// row is built at once or widened in two steps.
+        /// skipped — equals the cell oracle column by column, also when
+        /// each row refills a buffer that held something else.
         #[test]
         fn kernel_rows_match_the_cell_oracle_on_real_tables(
             jobs in prop::collection::vec(items_strategy(1), 1..5),
             width in 0usize..40,
-            narrow in 0usize..40,
+            stale in prop::collection::vec(-30i64..30, 0..60),
         ) {
-            let narrow = narrow.min(width);
             let base = vec![0i64; width + 1];
             for sense in SENSES {
                 let expected = oracle_table(&jobs, width, sense);
-                let mut stepped: Vec<Vec<i64>> = Vec::new();
+                let mut rows: Vec<Vec<i64>> = Vec::new();
                 for items in jobs.iter().rev() {
-                    let next = stepped.last().unwrap_or(&base);
-                    stepped.push(compute_row(items, next, narrow, sense));
-                }
-                let mut scratch: Vec<Vec<i64>> = Vec::new();
-                for (k, items) in jobs.iter().rev().enumerate() {
-                    let (done, rest) = stepped.split_at_mut(k);
-                    let next = done.last().unwrap_or(&base);
-                    extend_row(items, next, &mut rest[0], width, sense);
-                    let next = scratch.last().unwrap_or(&base);
-                    scratch.push(compute_row(items, next, width, sense));
+                    let next = rows.last().unwrap_or(&base);
+                    let mut row = stale.clone();
+                    build_row(items, next, &mut row, width, sense);
+                    rows.push(row);
                 }
                 for (k, row) in expected.iter().rev().skip(1).enumerate() {
-                    prop_assert_eq!(&wrapped(&stepped[k]), row);
-                    prop_assert_eq!(&wrapped(&scratch[k]), row);
+                    prop_assert_eq!(&wrapped(&rows[k]), row);
                 }
             }
         }

@@ -1,55 +1,40 @@
-//! Incremental combination optimization: cached backward-run DP rows,
-//! revalidated by fingerprint instead of rebuilt per call.
+//! Incremental combination optimization: each solver keeps the last
+//! question it answered, with that question's DP rows.
 //!
-//! # Why suffix rows are reusable
+//! # What the cache keeps
 //!
-//! Row `i` of the Eq. (1) table (`f_i`) is a pure function of job `i`'s
-//! alternative set and row `i+1`; the base row `f_{n+1} ≡ 0` depends on
-//! nothing. By induction, row `i` is fully determined by the alternative
-//! sets of jobs `i..n` — the *suffix* — and is independent of the query
-//! capacity beyond its width (`f[i][w]` never reads a column `> w`). Two
-//! consequences drive the cache design:
+//! Each of the three backward-run solvers (one per DP axis) keeps one
+//! memo: the item lists of the last question it answered, moved in as the
+//! solve quantized them, and the rows it built for them. A solve whose
+//! items equal the memo's, at a capacity no wider than the memo's width,
+//! reconstructs from the resident rows — `f[i][w]` never reads a column
+//! `> w`, so a narrower capacity reads a prefix of each row. Any other
+//! solve rebuilds every row at its own capacity. Comparing the quantized
+//! items covers a change of the money `resolution` too: one that
+//! re-weights an item makes the lists differ.
 //!
-//! * A mutation at job `k` (add/drop/repair/revoke) invalidates only rows
-//!   `0..=k`; rows `k+1..n` are byte-identical and are reused.
-//! * Tightening or loosening the limit (`B*`/`T*`) invalidates *nothing*:
-//!   a smaller capacity reads a prefix of each cached row; a larger one
-//!   appends columns in place, back to front ([`dp::extend_row`]).
-//!
-//! # Cache keying and invalidation
-//!
-//! Each cached row stores a *suffix fingerprint*: an FNV-1a hash of its
-//! job's alternative set (weight/value pairs, in order) chained with the
-//! next row's fingerprint. Matching one fingerprint therefore certifies
-//! the whole suffix in O(1). Cache entries are aligned to the **end** of
-//! the job list, so a batch that grew or shrank at the front still reuses
-//! its common tail; the first position whose diagonal fingerprint matches
-//! marks the reusable suffix. Job identity is deliberately *not* part of
-//! the key — row values depend only on the items, so two jobs with equal
-//! alternative sets may share rows, and a caller's positional re-keying
-//! of batches does not defeat the cache. In debug builds every reused row
-//! is additionally checked structurally against the live alternative set,
-//! so a fingerprint collision (or a stale-reuse bug) aborts loudly.
-//!
-//! The time-minimization cache is additionally keyed by the money
-//! `resolution` (it changes the quantized weights); a mismatch clears it.
+//! That is what the recorded traffic asks for. The product never reuses
+//! a row: `ecosched_sim::run_iteration` asks a fresh optimizer one
+//! question per solver. The one warm caller, `bench/`'s `batch_replan`,
+//! asks the question of the round before on two rounds of three and a
+//! slid window on the third, which shares no row's suffix with the
+//! window before (DESIGN §11 has the counts).
 //!
 //! The exact Pareto sweep is not cached: every `pareto_*` call builds one
 //! [`ParetoFrontier`] and drops it. No recorded traffic ever asked the
 //! same optimizer for a second sweep over a shared job prefix.
 //!
 //! Equivalence with the `*_naive` oracles is by construction — both paths
-//! build rows with [`dp::extend_row`] (which [`dp::compute_row`] wraps) and
-//! reconstruct with [`dp::reconstruct_choices`] — and is enforced byte-for-byte by the differential harness in
-//! `tests/equivalence.rs`.
+//! build rows with [`dp::build_row`] and reconstruct with
+//! [`dp::reconstruct_choices`] — and is enforced byte-for-byte by the
+//! differential harness in `tests/equivalence.rs`.
 //!
 //! # Row storage
 //!
-//! A cached row is kept exactly as the kernel in [`crate::dp`] reads and
-//! writes it — a flat `Vec<i64>` with a sentinel for unreachable cells.
-//! A rebuilt row refills the buffer of a row the same solve retired, when
-//! that is wide enough. The cache lives and dies with its optimizer:
-//! nothing exports it.
+//! A row is kept exactly as the kernel in [`crate::dp`] reads and writes
+//! it — a flat `Vec<i64>` with a sentinel for unreachable cells. A rebuild
+//! refills the buffers of the rows it retires, when wide enough. The memo
+//! lives and dies with its optimizer: nothing exports it.
 
 use ecosched_core::{JobAlternatives, Money, TimeDelta};
 use serde::{Deserialize, Serialize};
@@ -59,18 +44,19 @@ use crate::dp::{self, Item, Sense};
 use crate::error::OptimizeError;
 use crate::pareto::{ParetoFrontier, DEFAULT_FRONTIER_CAP};
 
-/// Work counters for the incremental optimizer: how much cached state was
-/// reused versus recomputed. Each scheduling iteration's counters are
+/// Work counters for the incremental optimizer: how many DP rows were
+/// read from a memo versus built. Each scheduling iteration's counters are
 /// surfaced through `EngineReport`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OptStats {
     /// DP + frontier solver invocations answered.
     pub solves: u64,
-    /// Cached DP rows revalidated and reused unchanged.
+    /// DP rows a solve read from the memo of a repeated question.
     pub rows_reused: u64,
-    /// DP rows recomputed because their suffix changed.
+    /// DP rows built.
     pub rows_rebuilt: u64,
-    /// Cached rows widened in place after a capacity increase.
+    /// Always zero: no row is widened in place. A wire field of every
+    /// stored [`OptStats`].
     pub rows_extended: u64,
     /// Always zero: no Pareto layer outlives the sweep that built it. A
     /// wire field of every stored [`OptStats`].
@@ -110,53 +96,14 @@ impl OptStats {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// Fingerprint of one job's alternative set in DP terms.
-fn fp_items(items: &[Item]) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, &(items.len() as u64).to_le_bytes());
-    for item in items {
-        h = fnv1a(h, &item.weight.to_le_bytes());
-        h = fnv1a(h, &item.value.to_le_bytes());
-    }
-    h
-}
-
-/// Chains a job fingerprint with the fingerprint of the suffix after it.
-fn chain(job_fp: u64, suffix: u64) -> u64 {
-    fnv1a(job_fp, &suffix.to_le_bytes())
-}
-
-/// One cached DP row, keyed by the fingerprint of the job suffix it heads.
-#[derive(Debug)]
-struct RowEntry {
-    suffix_fp: u64,
-    /// The row as the kernel reads and writes it: flat cells, unreachable
-    /// ones marked by the sense's sentinel ([`dp::reachable`]).
-    row: Vec<i64>,
-    /// Structural copy of the items the row was built from, which debug
-    /// builds check against the live alternative set to catch fingerprint
-    /// collisions / stale reuse outright.
-    #[cfg(debug_assertions)]
-    items: Vec<Item>,
-}
-
-/// A backward-run row cache for one (sense, weight-axis) combination.
+/// The last question one solver answered: its items and their rows.
 #[derive(Debug)]
 struct DpCache {
     sense: Sense,
-    /// Rows for the most recent job list, aligned to its *end*.
-    entries: Vec<RowEntry>,
-    /// Number of columns − 1 every cached row currently spans.
+    /// The items of the last rebuild, one list per job.
+    items: Vec<Vec<Item>>,
+    /// `rows[i]` is row `i` of the table for `items`, columns `0..=width`.
+    rows: Vec<Vec<i64>>,
     width: usize,
     /// The base row `f_{n+1} ≡ 0`, kept across solves and only ever grown.
     zeros: Vec<i64>,
@@ -166,148 +113,63 @@ impl DpCache {
     fn new(sense: Sense) -> Self {
         DpCache {
             sense,
-            entries: Vec::new(),
+            items: Vec::new(),
+            rows: Vec::new(),
             width: 0,
             zeros: Vec::new(),
         }
     }
 
-    fn invalidate(&mut self) {
-        self.entries.clear();
-        self.width = 0;
-    }
-
-    fn resident_rows(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Solves the backward run at `capacity`, reusing every cached row
-    /// whose job suffix is unchanged. Returns per-job choices, or `None`
-    /// when infeasible — byte-identical to `dp::backward_run`.
+    /// Solves the backward run over `items` at `capacity`, from the
+    /// resident rows when `items` repeats the last rebuild's within its
+    /// width. Returns per-job choices, or `None` when infeasible —
+    /// byte-identical to `dp::backward_run`.
     fn solve(
         &mut self,
-        items: &[Vec<Item>],
+        items: Vec<Vec<Item>>,
         capacity: i64,
         stats: &mut OptStats,
     ) -> Option<Vec<usize>> {
         if capacity < 0 {
             return None;
         }
-        let n = items.len();
         let cap = capacity as usize;
+        let n = items.len() as u64;
         stats.solves += 1;
-
-        let job_fps: Vec<u64> = items.iter().map(|row| fp_items(row)).collect();
-        let mut suffix_fps = vec![0u64; n];
-        let mut acc = FNV_OFFSET;
-        for i in (0..n).rev() {
-            acc = chain(job_fps[i], acc);
-            suffix_fps[i] = acc;
-        }
-
-        // Entries are end-aligned: cached entry j describes new position
-        // j - offset. The first diagonal fingerprint match certifies the
-        // entire remaining suffix (the chain includes everything after it).
-        let offset = self.entries.len() as i64 - n as i64;
-        let mut reuse_from = n;
-        for (i, fp) in suffix_fps.iter().enumerate() {
-            let j = i as i64 + offset;
-            if j >= 0 && (j as usize) < self.entries.len() {
-                if self.entries[j as usize].suffix_fp == *fp {
-                    reuse_from = i;
-                    break;
-                }
-            } else if j >= self.entries.len() as i64 {
-                break;
-            }
-        }
-
-        // The rows of the entries that go are refilled by the rebuild
-        // below, each freed only if too narrow for it, so a sliding window
-        // does not hand the whole table back to the allocator and ask for
-        // it again on every slide.
-        let retired = if reuse_from == n {
-            // Nothing survives: start a fresh cache sized to this query.
-            self.width = cap;
-            self.entries.len()
+        if cap <= self.width && items == self.items {
+            stats.rows_reused += n;
         } else {
-            (reuse_from as i64 + offset) as usize
-        };
-        let mut spare: Vec<Vec<i64>> = self.entries.drain(..retired).map(|e| e.row).collect();
-        let kept = self.entries.len();
-        debug_assert_eq!(kept, n - reuse_from);
-
-        // Never shrink: wider rows answer narrower queries by prefix.
-        let target = self.width.max(cap);
-        if self.zeros.len() <= target {
-            self.zeros.resize(target + 1, 0);
+            self.rebuild(items, cap);
+            stats.rows_rebuilt += n;
         }
-        let base = self.zeros.as_slice();
+        let mut rows: Vec<&[i64]> = self.rows.iter().map(Vec::as_slice).collect();
+        rows.push(&self.zeros);
+        dp::reconstruct_choices(&self.items, &rows, cap)
+    }
 
-        // Stale-reuse guard: a reused row must describe exactly the live
-        // alternative set at its position. The fingerprint chain implies
-        // it; debug builds verify structurally.
-        #[cfg(debug_assertions)]
-        for (k, entry) in self.entries.iter().enumerate() {
-            debug_assert_eq!(
-                entry.items,
-                items[reuse_from + k],
-                "stale DP row reused at position {} (alternative set changed)",
-                reuse_from + k
-            );
+    /// Builds every row of `items` at `width`, back to front. The retired
+    /// rows' buffers are refilled, each freed only if too narrow, so a
+    /// sliding window does not hand the whole table back to the allocator
+    /// and ask for it again on every slide.
+    fn rebuild(&mut self, items: Vec<Vec<Item>>, width: usize) {
+        if self.zeros.len() <= width {
+            self.zeros.resize(width + 1, 0);
         }
-
-        // Widen surviving rows in place, back to front so each row's next
-        // row is already at full width.
-        if target > self.width && kept > 0 {
-            for k in (0..kept).rev() {
-                let (head, tail) = self.entries.split_at_mut(k + 1);
-                let next = match tail.first() {
-                    Some(entry) => entry.row.as_slice(),
-                    None => base,
-                };
-                dp::extend_row(
-                    &items[reuse_from + k],
-                    next,
-                    &mut head[k].row,
-                    target,
-                    self.sense,
-                );
-            }
-            stats.rows_extended += kept as u64;
+        let mut spare = std::mem::take(&mut self.rows);
+        let mut rows: Vec<Vec<i64>> = Vec::with_capacity(items.len());
+        for job in items.iter().rev() {
+            let next = rows.last().unwrap_or(&self.zeros);
+            let mut row = spare
+                .pop()
+                .filter(|row| row.capacity() > width)
+                .unwrap_or_default();
+            dp::build_row(job, next, &mut row, width, self.sense);
+            rows.push(row);
         }
-        self.width = target;
-        stats.rows_reused += kept as u64;
-
-        // Rebuild the invalidated prefix, back to front.
-        let mut fresh: Vec<RowEntry> = Vec::with_capacity(reuse_from);
-        for i in (0..reuse_from).rev() {
-            let next: &[i64] = if i + 1 == n {
-                base
-            } else if i + 1 == reuse_from {
-                &self.entries[0].row
-            } else {
-                &fresh.last().expect("rows are built back to front").row
-            };
-            let row = spare.pop().filter(|row| row.capacity() > target);
-            let mut row = row.unwrap_or_default();
-            row.clear();
-            dp::extend_row(&items[i], next, &mut row, target, self.sense);
-            fresh.push(RowEntry {
-                suffix_fp: suffix_fps[i],
-                row,
-                #[cfg(debug_assertions)]
-                items: items[i].clone(),
-            });
-        }
-        stats.rows_rebuilt += fresh.len() as u64;
-        fresh.reverse();
-        fresh.append(&mut self.entries);
-        self.entries = fresh;
-
-        let mut rows: Vec<&[i64]> = self.entries.iter().map(|e| e.row.as_slice()).collect();
-        rows.push(base);
-        dp::reconstruct_choices(items, &rows, cap)
+        rows.reverse();
+        self.items = items;
+        self.rows = rows;
+        self.width = width;
     }
 }
 
@@ -330,21 +192,19 @@ impl<'de> Deserialize<'de> for OptimizerSnapshot {
     }
 }
 
-/// A stateful combination optimizer caching backward-run DP rows (per
-/// criterion) across solves.
+/// A combination optimizer that remembers, per DP solver, the last
+/// question it answered.
 ///
 /// Drop-in equivalent to the free functions — every solve returns exactly
-/// what the corresponding `*_naive` oracle returns — but a solver that is
-/// re-run after small batch mutations, or re-queried at shifted `B*`/`T*`
-/// limits, pays only for the rows whose job suffix actually changed.
+/// what the corresponding `*_naive` oracle returns — but a solver asked
+/// the same table again, at a limit no wider than before, answers from
+/// the rows it already holds.
 ///
-/// Keep one where alternative sets persist between solves — a sweep of
-/// `B*`/`T*` limits over one table, a window sliding over a fixed table of
-/// jobs. Do not keep one across engine cycles: each cycle's search
-/// re-derives every job's alternatives from a market that changed, no
-/// suffix fingerprint matches, and every row is rebuilt anyway
-/// (EXPERIMENTS.md E15 has the counts) — `ecosched_sim::run_iteration`
-/// creates a fresh one per iteration.
+/// Keep one where the same table is asked again — `bench/`'s
+/// `batch_replan` re-asks a window two rounds in three. Do not keep one
+/// across engine cycles: each cycle's search re-derives every job's
+/// alternatives from a market that changed, so no question repeats —
+/// `ecosched_sim::run_iteration` creates a fresh one per iteration.
 #[derive(Debug)]
 pub struct IncrementalOptimizer {
     /// min C(s̄) s.t. T ≤ T*: time-axis weights, minimize cost.
@@ -353,10 +213,6 @@ pub struct IncrementalOptimizer {
     cost_max: DpCache,
     /// min T(s̄) s.t. C ≤ B*: quantized-cost-axis weights, minimize time.
     time_min: DpCache,
-    /// Resolution the `time_min` rows were quantized at (micro-credits);
-    /// zero until first use. A different resolution re-weights every item,
-    /// so it clears that cache.
-    time_min_resolution: i64,
     stats: OptStats,
 }
 
@@ -374,7 +230,6 @@ impl IncrementalOptimizer {
             cost_min: DpCache::new(Sense::Minimize),
             cost_max: DpCache::new(Sense::Maximize),
             time_min: DpCache::new(Sense::Minimize),
-            time_min_resolution: 0,
             stats: OptStats::default(),
         }
     }
@@ -397,74 +252,79 @@ impl IncrementalOptimizer {
     /// Raises the high-water mark to the resident DP rows plus
     /// `frontier_layers`, the layers of the exact sweep in progress.
     fn note_high_water(&mut self, frontier_layers: usize) {
-        let resident = self.cost_min.resident_rows()
-            + self.cost_max.resident_rows()
-            + self.time_min.resident_rows()
+        let resident = self.cost_min.rows.len()
+            + self.cost_max.rows.len()
+            + self.time_min.rows.len()
             + frontier_layers;
         self.stats.cache_high_water = self.stats.cache_high_water.max(resident as u64);
     }
 
-    /// [`min_time_under_budget`] over this optimizer's cached rows; see it
-    /// for semantics and errors.
+    /// The body of the three DP solvers, in the naive drivers' order:
+    /// validate the table, let `question` check its limit and reduce the
+    /// table to items and a capacity, bound the items, and answer on the
+    /// solver `memo` picks.
+    fn solve_dp(
+        &mut self,
+        memo: fn(&mut Self) -> &mut DpCache,
+        alternatives: &[JobAlternatives],
+        question: impl FnOnce() -> Result<(Vec<Vec<Item>>, i64), OptimizeError>,
+    ) -> Result<Assignment, OptimizeError> {
+        dp::validate(alternatives)?;
+        let (items, capacity) = question()?;
+        dp::validate_items(&items)?;
+        let mut stats = self.stats;
+        let choices = memo(self).solve(items, capacity, &mut stats);
+        self.stats = stats;
+        self.note_high_water(0);
+        let choices = choices.ok_or(OptimizeError::Infeasible)?;
+        Ok(Assignment::from_indices(alternatives, &choices))
+    }
+
+    /// [`min_time_under_budget`] on this optimizer's memo; see it for
+    /// semantics and errors.
     pub fn min_time_under_budget(
         &mut self,
         alternatives: &[JobAlternatives],
         budget: Money,
         resolution: Money,
     ) -> Result<Assignment, OptimizeError> {
-        dp::validate(alternatives)?;
-        dp::validate_resolution(resolution)?;
-        if resolution.micro() != self.time_min_resolution {
-            self.time_min.invalidate();
-            self.time_min_resolution = resolution.micro();
-        }
-        let items = dp::cost_axis_items(alternatives, resolution);
-        dp::validate_items(&items)?;
-        let capacity = budget.micro() / resolution.micro();
-        let choices = self
-            .time_min
-            .solve(&items, capacity, &mut self.stats)
-            .ok_or(OptimizeError::Infeasible);
-        self.note_high_water(0);
-        Ok(Assignment::from_indices(alternatives, &choices?))
+        self.solve_dp(
+            |opt| &mut opt.time_min,
+            alternatives,
+            || {
+                dp::validate_resolution(resolution)?;
+                let items = dp::cost_axis_items(alternatives, resolution);
+                Ok((items, budget.micro() / resolution.micro()))
+            },
+        )
     }
 
-    /// [`min_cost_under_time`] over this optimizer's cached rows; see it
-    /// for semantics and errors.
+    /// [`min_cost_under_time`] on this optimizer's memo; see it for
+    /// semantics and errors.
     pub fn min_cost_under_time(
         &mut self,
         alternatives: &[JobAlternatives],
         quota: TimeDelta,
     ) -> Result<Assignment, OptimizeError> {
-        dp::validate(alternatives)?;
-        dp::validate_quota(quota)?;
-        let items = dp::time_axis_items(alternatives);
-        dp::validate_items(&items)?;
-        let choices = self
-            .cost_min
-            .solve(&items, quota.ticks(), &mut self.stats)
-            .ok_or(OptimizeError::Infeasible);
-        self.note_high_water(0);
-        Ok(Assignment::from_indices(alternatives, &choices?))
+        self.solve_dp(
+            |opt| &mut opt.cost_min,
+            alternatives,
+            || time_axis_question(alternatives, quota),
+        )
     }
 
-    /// [`max_cost_under_time`] over this optimizer's cached rows; see it
-    /// for semantics and errors.
+    /// [`max_cost_under_time`] on this optimizer's memo; see it for
+    /// semantics and errors.
     pub fn max_cost_under_time(
         &mut self,
         alternatives: &[JobAlternatives],
         quota: TimeDelta,
     ) -> Result<Assignment, OptimizeError> {
-        dp::validate(alternatives)?;
-        dp::validate_quota(quota)?;
-        let items = dp::time_axis_items(alternatives);
-        dp::validate_items(&items)?;
-        let choices = self
-            .cost_max
-            .solve(&items, quota.ticks(), &mut self.stats)
-            .ok_or(OptimizeError::Infeasible);
-        self.note_high_water(0);
-        Ok(Assignment::from_indices(alternatives, &choices?))
+        self.solve_dp(
+            |opt| &mut opt.cost_max,
+            alternatives,
+            || time_axis_question(alternatives, quota),
+        )
     }
 
     /// Eq. (3)'s `B*` against an explicit quota, via the cached
@@ -543,10 +403,19 @@ impl IncrementalOptimizer {
     }
 }
 
+/// The cost-extremum solvers' question: the quota, checked, as the
+/// capacity over the time-axis items.
+fn time_axis_question(
+    alternatives: &[JobAlternatives],
+    quota: TimeDelta,
+) -> Result<(Vec<Vec<Item>>, i64), OptimizeError> {
+    dp::validate_quota(quota)?;
+    Ok((dp::time_axis_items(alternatives), quota.ticks()))
+}
+
 /// Minimizes total batch time `T(s̄)` subject to the budget `C(s̄) ≤ B*`
 /// (the paper's Sec. 5 *time-minimization* task), via a one-shot
-/// [`IncrementalOptimizer`]. Hold an optimizer instead to reuse rows
-/// across calls.
+/// [`IncrementalOptimizer`].
 ///
 /// Money is quantized to `resolution`; each alternative's cost rounds up,
 /// so the returned assignment always truly satisfies the budget, at the
@@ -632,56 +501,52 @@ mod tests {
     }
 
     #[test]
-    fn quota_growth_extends_rows_in_place() {
+    fn a_wider_quota_rebuilds_and_a_narrower_repeat_reuses() {
         let t = table();
         let mut opt = IncrementalOptimizer::new();
         opt.min_cost_under_time(&t, TimeDelta::new(60)).unwrap();
         let wide = opt.min_cost_under_time(&t, TimeDelta::new(120)).unwrap();
+        assert_eq!(opt.stats().rows_rebuilt, 6, "a wider quota rebuilds");
+        let mid = opt.min_cost_under_time(&t, TimeDelta::new(90)).unwrap();
         let stats = opt.stats();
-        assert_eq!(stats.rows_rebuilt, 3, "widening must not rebuild");
-        assert_eq!(stats.rows_extended, 3);
-        assert_eq!(
-            wide,
-            min_cost_under_time_naive(&t, TimeDelta::new(120)).unwrap()
-        );
+        assert_eq!((stats.rows_rebuilt, stats.rows_reused), (6, 3));
+        assert_eq!(stats.rows_extended, 0);
+        for (got, ticks) in [(wide, 120), (mid, 90)] {
+            let naive = min_cost_under_time_naive(&t, TimeDelta::new(ticks)).unwrap();
+            assert_eq!(got, naive);
+        }
     }
 
+    /// A wide table of cheap, short alternatives and then a narrower,
+    /// dearer one on the same solvers: every row of the second refills a
+    /// retired buffer that is wide enough and holds cells, reachable and
+    /// better than the new ones, that the refill must not keep.
     #[test]
-    fn front_mutation_keeps_suffix_rows() {
-        let mut t = table();
+    fn a_narrower_table_refills_the_retired_rows() {
+        let wide: Vec<_> = (0..4).map(|job| alts(job, &[(1, 1), (2, 2)])).collect();
+        let narrow = vec![alts(0, &[(9, 12), (20, 4)]), alts(1, &[(7, 15), (30, 3)])];
+        let resolution = Money::from_credits(1);
         let mut opt = IncrementalOptimizer::new();
-        opt.min_cost_under_time(&t, TimeDelta::new(110)).unwrap();
-        // Change job 0's alternatives: rows 1..3 must survive.
-        t[0] = alts(0, &[(7, 12), (2, 40)]);
-        let a = opt.min_cost_under_time(&t, TimeDelta::new(110)).unwrap();
+        opt.min_cost_under_time(&wide, TimeDelta::new(200)).unwrap();
+        opt.max_cost_under_time(&wide, TimeDelta::new(200)).unwrap();
+        opt.min_time_under_budget(&wide, Money::from_credits(60), resolution)
+            .unwrap();
+        let quota = TimeDelta::new(20);
+        let budget = Money::from_credits(30);
+        assert_eq!(
+            opt.min_cost_under_time(&narrow, quota),
+            min_cost_under_time_naive(&narrow, quota)
+        );
+        assert_eq!(
+            opt.max_cost_under_time(&narrow, quota),
+            max_cost_under_time_naive(&narrow, quota)
+        );
+        assert_eq!(
+            opt.min_time_under_budget(&narrow, budget, resolution),
+            dp::min_time_under_budget_naive(&narrow, budget, resolution)
+        );
         let stats = opt.stats();
-        assert_eq!(stats.rows_rebuilt, 4);
-        assert_eq!(stats.rows_reused, 2);
-        assert_eq!(
-            a,
-            min_cost_under_time_naive(&t, TimeDelta::new(110)).unwrap()
-        );
-    }
-
-    #[test]
-    fn job_add_and_drop_realign_the_tail() {
-        let mut t = table();
-        let mut opt = IncrementalOptimizer::new();
-        opt.min_cost_under_time(&t, TimeDelta::new(140)).unwrap();
-        // Drop the front job: both remaining rows reused.
-        t.remove(0);
-        opt.min_cost_under_time(&t, TimeDelta::new(140)).unwrap();
-        assert_eq!(opt.stats().rows_reused, 2);
-        assert_eq!(opt.stats().rows_rebuilt, 3);
-        // Prepend a new job: the two old rows are still the tail.
-        t.insert(0, alts(9, &[(4, 18), (1, 50)]));
-        let a = opt.min_cost_under_time(&t, TimeDelta::new(140)).unwrap();
-        assert_eq!(opt.stats().rows_reused, 4);
-        assert_eq!(opt.stats().rows_rebuilt, 4);
-        assert_eq!(
-            a,
-            min_cost_under_time_naive(&t, TimeDelta::new(140)).unwrap()
-        );
+        assert_eq!((stats.rows_rebuilt, stats.rows_reused), (18, 0));
     }
 
     #[test]
@@ -702,25 +567,25 @@ mod tests {
     }
 
     #[test]
-    fn resolution_change_invalidates_time_min_cache() {
+    fn a_resolution_change_rebuilds_only_when_it_reweights() {
         let t = table();
         let mut opt = IncrementalOptimizer::new();
         let budget = Money::from_credits(15);
-        opt.min_time_under_budget(&t, budget, Money::from_credits(1))
-            .unwrap();
-        let rebuilt_before = opt.stats().rows_rebuilt;
-        let a = opt
-            .min_time_under_budget(&t, budget, Money::from_micro(500_000))
-            .unwrap();
-        assert_eq!(
-            opt.stats().rows_rebuilt,
-            rebuilt_before + 3,
-            "new resolution re-weights every item"
-        );
-        assert_eq!(
-            a,
-            dp::min_time_under_budget_naive(&t, budget, Money::from_micro(500_000)).unwrap()
-        );
+        let mut ask = |resolution: Money| {
+            let got = opt.min_time_under_budget(&t, budget, resolution);
+            let naive = dp::min_time_under_budget_naive(&t, budget, resolution);
+            assert_eq!(got, naive, "resolution {resolution}");
+            opt.stats()
+        };
+        ask(Money::from_credits(1));
+        // Half a credit doubles every weight: a new question.
+        let stats = ask(Money::from_micro(500_000));
+        assert_eq!((stats.rows_rebuilt, stats.rows_reused), (6, 0));
+        // A credit and a micro-credit rounds every whole-credit cost up to
+        // the weight one credit gives, at a capacity of 14 ≤ 15.
+        ask(Money::from_credits(1));
+        let stats = ask(Money::from_micro(1_000_001));
+        assert_eq!((stats.rows_rebuilt, stats.rows_reused), (9, 3));
     }
 
     #[test]

@@ -13,16 +13,15 @@
 //!
 //! The VO limits come from [`time_quota`] (Eq. (2)) and [`vo_budget`]
 //! (Eq. (3)). All three solvers use the backward-run dynamic program of
-//! Eq. (1), served by an incremental row cache: the free functions above
-//! are one-shot conveniences over [`IncrementalOptimizer`], which reuses
-//! unchanged suffix rows across repeated solves on mutating batches and
-//! shifting `B*`/`T*` limits, reporting its work in [`OptStats`]. Where
-//! quantizing money starves a feasible instance, the exact
-//! [`ParetoFrontier`] sweep settles it, built anew for each question.
+//! Eq. (1): the free functions above are one-shot conveniences over
+//! [`IncrementalOptimizer`], which keeps each solver's last question and
+//! its rows, answers a repeat of it from them, and reports its work in
+//! [`OptStats`]. Where quantizing money starves a feasible instance, the
+//! exact [`ParetoFrontier`] sweep settles it, built anew for each question.
 //!
 //! # Oracles
 //!
-//! Two reference implementations cross-check the row cache and are kept
+//! Two reference implementations cross-check the optimizer and are kept
 //! out of the documented surface: the from-scratch drivers
 //! `min_time_under_budget_naive`, `min_cost_under_time_naive` and
 //! `max_cost_under_time_naive`, which build every row on every call
@@ -99,6 +98,6 @@ pub use incremental::{
     max_cost_under_time, min_cost_under_time, min_time_under_budget, IncrementalOptimizer,
     OptStats, OptimizerSnapshot,
 };
-pub use limits::{time_quota, vo_budget, vo_budget_with_quota};
+pub use limits::{time_quota, vo_budget};
 pub use pareto::{ParetoFrontier, DEFAULT_FRONTIER_CAP};
 pub use vector::{efficient_menu, pareto_optimal, VectorCriteria};

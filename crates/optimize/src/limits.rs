@@ -60,19 +60,6 @@ pub fn vo_budget(alternatives: &[JobAlternatives]) -> Result<Money, OptimizeErro
     Ok(assignment.total_cost())
 }
 
-/// Computes `B*` against an explicit quota instead of Eq. (2)'s.
-///
-/// # Errors
-///
-/// See [`vo_budget`].
-pub fn vo_budget_with_quota(
-    alternatives: &[JobAlternatives],
-    quota: TimeDelta,
-) -> Result<Money, OptimizeError> {
-    let assignment = max_cost_under_time(alternatives, quota)?;
-    Ok(assignment.total_cost())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,19 +92,18 @@ mod tests {
     #[test]
     fn explicit_quota_variant() {
         let table = vec![alts(0, &[(10, 10), (2, 30)])];
-        assert_eq!(
-            vo_budget_with_quota(&table, TimeDelta::new(30)).unwrap(),
-            Money::from_credits(10)
-        );
-        assert_eq!(
-            vo_budget_with_quota(&table, TimeDelta::new(29)).unwrap(),
-            Money::from_credits(10)
-        );
-        assert_eq!(
-            vo_budget_with_quota(&table, TimeDelta::new(10)).unwrap(),
-            Money::from_credits(10)
-        );
-        assert!(vo_budget_with_quota(&table, TimeDelta::new(9)).is_err());
+        let mut optimizer = crate::IncrementalOptimizer::new();
+        for ticks in [30, 29, 10] {
+            assert_eq!(
+                optimizer
+                    .vo_budget_with_quota(&table, TimeDelta::new(ticks))
+                    .unwrap(),
+                Money::from_credits(10)
+            );
+        }
+        assert!(optimizer
+            .vo_budget_with_quota(&table, TimeDelta::new(9))
+            .is_err());
     }
 
     #[test]

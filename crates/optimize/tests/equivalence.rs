@@ -3,11 +3,14 @@
 //! Random batches are put through random mutation sequences — add job,
 //! drop job, revoke an alternative, repair (replace) an alternative, and
 //! shift the `B*`/`T*` limits — while one [`IncrementalOptimizer`] carries
-//! its caches across every step. After each step all three DP criteria and
+//! its memos across every step. After each step all three DP criteria and
 //! both Pareto queries must return *byte-identical* results (assignments,
 //! `T(s̄)`, `C(s̄)`, and errors) to the retained from-scratch `*_naive`
 //! drivers, and equal objectives to the exhaustive `brute` oracle on small
-//! (≤ 6 job) instances.
+//! (≤ 6 job) instances. A second property asks one solver at a time —
+//! repeats, shifted limits, mutated tables, resolutions that do and do
+//! not re-weight the items — and holds the row counters to a model of
+//! the memo.
 //!
 //! Run with `PROPTEST_CASES=512` in CI's failure-injection job.
 
@@ -237,75 +240,133 @@ proptest! {
     }
 
     #[test]
-    fn limit_sweep_never_rebuilds_rows(
+    fn row_counts_follow_the_memo_model(
         initial in initial_strategy(),
-        quotas in prop::collection::vec(10i64..260, 1..8),
+        asks in asks_strategy(),
     ) {
-        let specs = initial;
-        let table = build_table(&specs);
+        let mut specs = initial;
         let mut opt = IncrementalOptimizer::new();
-        opt.min_cost_under_time(&table, TimeDelta::new(130)).ok();
-        let rebuilt_after_first = opt.stats().rows_rebuilt;
-        prop_assert_eq!(rebuilt_after_first, table.len() as u64);
-        for quota in quotas {
-            let quota = TimeDelta::new(quota);
-            let inc = opt.min_cost_under_time(&table, quota);
-            prop_assert_eq!(inc, min_cost_under_time_naive(&table, quota));
-            // Shifting T* alone must never invalidate a row.
-            prop_assert_eq!(opt.stats().rows_rebuilt, rebuilt_after_first);
+        let mut model = MemoModel::default();
+        // Per solver: T* in ticks for the two cost solvers, B* in credits.
+        let mut limits = [120i64, 120, 40];
+        for (asked, ((op, pick_job, pick_alt, (cost, time)), (solver, shift, resolution))) in
+            asks.into_iter().enumerate()
+        {
+            if op < 4 {
+                apply_step(&mut specs, op, pick_job, pick_alt, cost, time);
+            }
+            let table = build_table(&specs);
+            let solver = usize::from(solver);
+            limits[solver] = (limits[solver] + shift).max(1);
+            let limit = limits[solver];
+            let (items, capacity) = if solver < 2 {
+                let quota = TimeDelta::new(limit);
+                let (got, naive) = if solver == 0 {
+                    (
+                        opt.min_cost_under_time(&table, quota),
+                        min_cost_under_time_naive(&table, quota),
+                    )
+                } else {
+                    (
+                        opt.max_cost_under_time(&table, quota),
+                        max_cost_under_time_naive(&table, quota),
+                    )
+                };
+                prop_assert_eq!(got, naive);
+                (dp_items(&specs, |cost, time| (time, cost * 1_000_000)), limit)
+            } else {
+                let r = RESOLUTIONS[usize::from(resolution)];
+                let (budget, resolution) = (Money::from_credits(limit), Money::from_micro(r));
+                prop_assert_eq!(
+                    opt.min_time_under_budget(&table, budget, resolution),
+                    min_time_under_budget_naive(&table, budget, resolution)
+                );
+                let items = dp_items(&specs, |cost, time| ((cost * 1_000_000 + r - 1) / r, time));
+                (items, limit * 1_000_000 / r)
+            };
+            model.ask(solver, items, capacity);
+            let stats = opt.stats();
+            prop_assert_eq!(stats.solves, asked as u64 + 1);
+            prop_assert_eq!(stats.rows_reused, model.reused);
+            prop_assert_eq!(stats.rows_rebuilt, model.rebuilt);
+            prop_assert_eq!(stats.rows_extended, 0);
+            prop_assert_eq!(stats.cache_high_water, model.high_water);
         }
     }
 }
 
-/// The targeted stale-cache regression: revoke exactly the alternative the
-/// cached run chose for a mid-sequence job, and check the re-solve patches
-/// only the rows it must (the prefix up to the mutation) while matching
-/// the from-scratch oracle byte-for-byte.
-#[test]
-fn revoking_one_alternative_patches_only_the_prefix() {
-    let specs: Vec<Vec<(i64, i64)>> = vec![
-        vec![(10, 10), (2, 40)],
-        vec![(8, 10), (3, 30)],
-        vec![(6, 15), (1, 60)],
-        vec![(5, 12), (2, 33)],
-        vec![(9, 8), (4, 21)],
-    ];
-    let table = build_table(&specs);
-    let mut opt = IncrementalOptimizer::new();
-    let quota = TimeDelta::new(140);
+/// Money resolutions in micro-credits: one credit; a credit and a
+/// micro-credit, which quantizes every whole-credit cost to the weight one
+/// credit gives; and two that re-weight the items.
+const RESOLUTIONS: [i64; 4] = [1_000_000, 1_000_001, 500_000, 3_000_000];
 
-    let before = opt.min_cost_under_time(&table, quota).unwrap();
-    let warm = opt.stats();
-    assert_eq!(warm.rows_rebuilt, 5);
-    assert_eq!(warm.rows_reused, 0);
+/// One question: a mutation (`op < 4`, as in [`apply_step`]) or none;
+/// then the solver asked (min cost, max cost, min time), the shift of
+/// that solver's limit (zero one time in three) and a resolution for min
+/// time.
+type Ask = (
+    (u8, prop::sample::Index, prop::sample::Index, (i64, i64)),
+    (u8, i64, u8),
+);
 
-    // Revoke job 2's chosen alternative mid-sequence.
-    let picked = before.choices()[2].alternative;
-    let mut mutated = specs.clone();
-    mutated[2].remove(picked);
-    let table2 = build_table(&mutated);
+fn asks_strategy() -> impl Strategy<Value = Vec<Ask>> {
+    let shift = (0u8..3, -40i64..40).prop_map(|(keep, by)| if keep == 0 { 0 } else { by });
+    prop::collection::vec(
+        (
+            (
+                0u8..10,
+                any::<prop::sample::Index>(),
+                any::<prop::sample::Index>(),
+                (1i64..30, 2i64..60),
+            ),
+            (0u8..3, shift, 0u8..4),
+        ),
+        1..16,
+    )
+}
 
-    let after = opt.min_cost_under_time(&table2, quota).unwrap();
-    let delta = opt.stats().delta_since(&warm);
+/// A table as one DP axis sees it: `(weight, value)` per alternative.
+type Items = Vec<Vec<(i64, i64)>>;
 
-    // Rows 3 and 4 (the unchanged suffix) are revalidated and reused; rows
-    // 0..=2 are rebuilt. Nothing else.
-    assert_eq!(delta.rows_rebuilt, 3, "only the prefix may be recomputed");
-    assert_eq!(delta.rows_reused, 2, "the unchanged suffix must survive");
+/// A table's DP items: `axis` maps each alternative's cost (credits) and
+/// time (ticks) to its `(weight, value)`.
+fn dp_items(specs: &[Vec<(i64, i64)>], axis: impl Fn(i64, i64) -> (i64, i64)) -> Items {
+    specs
+        .iter()
+        .map(|job| job.iter().map(|&(cost, time)| axis(cost, time)).collect())
+        .collect()
+}
 
-    // The patched solve is byte-identical to a from-scratch one…
-    assert_eq!(after, min_cost_under_time_naive(&table2, quota).unwrap());
-    // …and job 2 now holds its one surviving alternative, not the revoked
-    // one (a stale cached row would have resurrected the old choice).
-    let surviving = mutated[2][0];
-    let choice = after.choices()[2];
-    assert_eq!(choice.cost, Money::from_credits(surviving.0));
-    assert_eq!(choice.time, TimeDelta::new(surviving.1));
-    let revoked = specs[2][picked];
-    assert_ne!(
-        (choice.cost, choice.time),
-        (Money::from_credits(revoked.0), TimeDelta::new(revoked.1))
-    );
+/// What the optimizer's row counters must read: per solver, the items
+/// and capacity of its last rebuild. A question reuses its `n` rows
+/// exactly when its items repeat that rebuild's and its capacity is
+/// within that rebuild's; otherwise it rebuilds all `n`.
+#[derive(Default)]
+struct MemoModel {
+    last: [Option<(Items, i64)>; 3],
+    reused: u64,
+    rebuilt: u64,
+    high_water: u64,
+}
+
+impl MemoModel {
+    fn ask(&mut self, solver: usize, items: Items, capacity: i64) {
+        let n = items.len() as u64;
+        match &self.last[solver] {
+            Some((last, width)) if *last == items && capacity <= *width => self.reused += n,
+            _ => {
+                self.rebuilt += n;
+                self.last[solver] = Some((items, capacity));
+            }
+        }
+        let resident: usize = self
+            .last
+            .iter()
+            .flatten()
+            .map(|(items, _)| items.len())
+            .sum();
+        self.high_water = self.high_water.max(resident as u64);
+    }
 }
 
 /// Error paths must match the oracle too: a job whose alternatives are all
