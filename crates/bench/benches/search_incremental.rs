@@ -1,5 +1,7 @@
 //! Bench: checkpointed incremental alternatives search vs the
-//! restart-per-window reference driver.
+//! restart-per-window search, which `find_alternatives` runs for a
+//! selector without an `AlgoSpec` (the `NaiveAlp` / `NaiveAmp` wrappers
+//! below).
 //!
 //! The instance is built so the number of committed alternatives is
 //! bounded (~100) independent of the list size `m`: only a fixed-size band
@@ -24,9 +26,7 @@ use ecosched_core::{
     Batch, Job, JobId, NodeId, Perf, Price, ResourceRequest, Slot, SlotId, SlotList, Span,
     TimeDelta, TimePoint, Window,
 };
-use ecosched_select::{
-    find_alternatives, find_alternatives_naive, Alp, Amp, ScanStats, SlotSelector,
-};
+use ecosched_select::{find_alternatives, Alp, Amp, ScanStats, SlotSelector};
 use std::hint::black_box;
 
 const NODES: u64 = 64;
@@ -176,14 +176,13 @@ fn bench_search_amp(c: &mut Criterion) {
         let outcome = find_alternatives(Amp::new(), &list, &batch).unwrap();
         assert!(outcome.alternatives.total_found() >= 8);
         assert!(outcome.stats.scan.checkpoint_hits > 0);
-        let reference = find_alternatives_naive(NaiveAmp(Amp::new()), &list, &batch).unwrap();
+        let reference = find_alternatives(NaiveAmp(Amp::new()), &list, &batch).unwrap();
         assert_eq!(outcome.alternatives, reference.alternatives);
 
         group.bench_with_input(BenchmarkId::new("naive", m), &m, |b, _| {
             b.iter(|| {
                 black_box(
-                    find_alternatives_naive(NaiveAmp(Amp::new()), black_box(&list), &batch)
-                        .unwrap(),
+                    find_alternatives(NaiveAmp(Amp::new()), black_box(&list), &batch).unwrap(),
                 )
             });
         });
@@ -202,8 +201,7 @@ fn bench_search_alp(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("naive", m), &m, |b, _| {
             b.iter(|| {
                 black_box(
-                    find_alternatives_naive(NaiveAlp(Alp::new()), black_box(&list), &batch)
-                        .unwrap(),
+                    find_alternatives(NaiveAlp(Alp::new()), black_box(&list), &batch).unwrap(),
                 )
             });
         });
@@ -220,7 +218,7 @@ fn bench_search_clipped(c: &mut Criterion) {
     for m in [1_000usize, 4_000] {
         let list = clipped_list(m);
         // Sanity: the instance is clipped, resumes often, and commits what
-        // the restart-per-window driver commits.
+        // the restart-per-window search commits.
         let at_t0 = list
             .iter()
             .filter(|s| s.start() == TimePoint::new(T0))
@@ -228,7 +226,7 @@ fn bench_search_clipped(c: &mut Criterion) {
         assert!(2 * at_t0 >= m);
         let outcome = find_alternatives(Amp::new(), &list, &batch).unwrap();
         assert!(outcome.stats.scan.checkpoint_hits as usize > 10 * batch.len());
-        let reference = find_alternatives_naive(NaiveAmp(Amp::new()), &list, &batch).unwrap();
+        let reference = find_alternatives(NaiveAmp(Amp::new()), &list, &batch).unwrap();
         assert_eq!(outcome.alternatives, reference.alternatives);
         amp.bench_with_input(BenchmarkId::new("incremental", m), &m, |b, _| {
             b.iter(|| black_box(find_alternatives(Amp::new(), black_box(&list), &batch).unwrap()));
@@ -239,7 +237,7 @@ fn bench_search_clipped(c: &mut Criterion) {
     for m in [1_000usize, 4_000] {
         let list = clipped_list(m);
         let outcome = find_alternatives(Alp::new(), &list, &batch).unwrap();
-        let reference = find_alternatives_naive(NaiveAlp(Alp::new()), &list, &batch).unwrap();
+        let reference = find_alternatives(NaiveAlp(Alp::new()), &list, &batch).unwrap();
         assert_eq!(outcome.alternatives, reference.alternatives);
         alp.bench_with_input(BenchmarkId::new("incremental", m), &m, |b, _| {
             b.iter(|| black_box(find_alternatives(Alp::new(), black_box(&list), &batch).unwrap()));

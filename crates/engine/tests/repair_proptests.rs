@@ -7,9 +7,9 @@
 //! tier. Pairwise-disjoint leases and a valid vacant list are
 //! `invariants.rs`'s check.
 
-use ecosched_core::Revocation;
+use ecosched_core::{ResourceRequest, Revocation, SlotList, Window};
 use ecosched_engine::{ArrivalConfig, Engine, EngineCheckpoint, EngineConfig, EngineReport, Event};
-use ecosched_select::{Alp, Amp, SlotSelector};
+use ecosched_select::{Alp, Amp, ScanStats, SlotSelector};
 use ecosched_sim::{JobGenConfig, RepairPolicy, RevocationConfig};
 use proptest::prelude::*;
 
@@ -162,4 +162,58 @@ proptest! {
             prop_assert_eq!(report.repostponed, report.leases_broken);
         }
     }
+}
+
+/// AMP without its `AlgoSpec`: every search and every repair restarts its
+/// `find_window` instead of resuming a checkpoint.
+#[derive(Debug, Clone, Copy)]
+struct RestartAmp;
+
+impl SlotSelector for RestartAmp {
+    fn name(&self) -> &'static str {
+        "AMP-restart"
+    }
+
+    fn find_window(
+        &self,
+        list: &SlotList,
+        request: &ResourceRequest,
+        stats: &mut ScanStats,
+    ) -> Option<Window> {
+        Amp::new().find_window(list, request, stats)
+    }
+}
+
+/// A repair looks only at slots starting at the broken window's start or
+/// later, for a selector of a caller's own too. One that searched the
+/// whole list could commit a window starting before the strike, whose
+/// completion is then queued in the past: the log's time would go back.
+#[test]
+fn a_restart_selectors_repairs_keep_log_times_monotone() {
+    let config = EngineConfig {
+        cycles: 6,
+        revocation: RevocationConfig::per_slot(0.08),
+        arrivals: ArrivalConfig::Poisson {
+            mean_interarrival: 5.0,
+            jobs: 40,
+            job_gen: JobGenConfig::default(),
+        },
+        ..EngineConfig::default()
+    };
+    let mut repairs = 0;
+    for seed in 0..20 {
+        let engine = Engine::new(config.clone(), RestartAmp).expect("valid config");
+        let run = engine.run(seed).expect("run");
+        repairs += run.report.repairs;
+        let times: Vec<i64> = run.log.entries.iter().map(|e| e.time).collect();
+        if let Some(i) = times.windows(2).position(|t| t[1] < t[0]) {
+            panic!(
+                "seed {seed}: event {} at {} follows one at {}",
+                i + 1,
+                times[i + 1],
+                times[i]
+            );
+        }
+    }
+    assert!(repairs > 0, "no repair ran");
 }

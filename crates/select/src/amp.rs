@@ -163,11 +163,11 @@ impl SlotSelector for Amp {
         request: &ResourceRequest,
         stats: &mut ScanStats,
     ) -> Option<Window> {
-        JobScan::new(&AlgoSpec::amp(self.rule, self.rho), request).run(list, stats)
+        JobScan::new(&AlgoSpec::amp(*self), request).run(list, stats)
     }
 
     fn as_algo(&self) -> Option<AlgoSpec> {
-        Some(AlgoSpec::amp(self.rule, self.rho))
+        Some(AlgoSpec::amp(*self))
     }
 }
 

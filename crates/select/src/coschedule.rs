@@ -10,22 +10,18 @@
 //! re-evaluates. Every pass still hands each job at most one alternative,
 //! and the outcome is a drop-in [`SearchOutcome`].
 //!
-//! Built-in selectors run the checkpointed driver: every pending job's
-//! [`JobScan`] resumes from its checkpoint after every commit, so a
-//! re-evaluation is a cheap resume rather than a head-of-list restart
-//! (`O(batch)` resumes per commit). It commits **byte-identical
-//! alternatives, remaining lists, pass counts, and commit counts** to
-//! [`find_alternatives_coscheduled_naive`], the restart-per-window form
-//! every other selector runs; only the scan work counters differ.
-//! Re-evaluating only the jobs a commit disturbed (a lazily revalidated
-//! priority queue) pays from batches of 50 up, which no caller issues:
-//! DESIGN.md §13 has the numbers.
+//! Every pending job is one [`Scan`], re-run on the current list after
+//! every commit. A built-in selector's scan resumes from its checkpoint,
+//! so a re-evaluation is a cheap resume rather than a head-of-list
+//! restart (`O(batch)` resumes per commit); any other selector's restarts
+//! its `find_window`. A scan that misses once is dead for the rest of the
+//! search, as in the sequential one. Re-evaluating only the jobs a commit
+//! disturbed (a lazily revalidated priority queue) pays from batches of
+//! 50 up, which no caller issues: DESIGN.md §13 has the numbers.
 
-use std::collections::HashSet;
+use ecosched_core::{Alternative, Batch, BatchAlternatives, CoreError, SlotList, Window};
 
-use ecosched_core::{Alternative, Batch, BatchAlternatives, CoreError, JobId, SlotList, Window};
-
-use crate::incremental::{AlgoSpec, JobScan};
+use crate::incremental::Scan;
 use crate::search::SearchOutcome;
 use crate::selector::SlotSelector;
 use crate::stats::SearchStats;
@@ -37,10 +33,9 @@ use crate::stats::SearchStats;
 /// receives at most one window; commits happen in order of window start
 /// time rather than job priority.
 ///
-/// Built-in selectors run the checkpointed driver — every pending job
-/// resumes its scan from its checkpoint after every commit. What it
-/// commits is byte-identical to [`find_alternatives_coscheduled_naive`];
-/// only the scan work counters differ.
+/// Built-in selectors resume every pending job's scan from its
+/// checkpoint after every commit; any other selector's `find_window` is
+/// run afresh on the current list.
 ///
 /// # Errors
 ///
@@ -85,108 +80,18 @@ pub fn find_alternatives_coscheduled(
     list: &SlotList,
     batch: &Batch,
 ) -> Result<SearchOutcome, CoreError> {
-    if let Some(spec) = selector.as_algo() {
-        return find_alternatives_coscheduled_incremental(&spec, list, batch);
-    }
-    find_alternatives_coscheduled_naive(selector, list, batch)
-}
-
-/// The restart-per-window form of [`find_alternatives_coscheduled`]: the
-/// path every selector without an [`crate::AlgoSpec`] takes.
-///
-/// Every round re-runs a full [`SlotSelector::find_window`] scan for every
-/// pending job. For the built-in selectors it doubles as the equivalence
-/// reference of the checkpointed driver.
-///
-/// # Errors
-///
-/// Propagates [`CoreError`] from slot subtraction, as
-/// [`find_alternatives_coscheduled`] does.
-pub fn find_alternatives_coscheduled_naive(
-    selector: impl SlotSelector,
-    list: &SlotList,
-    batch: &Batch,
-) -> Result<SearchOutcome, CoreError> {
     let mut remaining = list.clone();
     let mut alternatives = BatchAlternatives::for_jobs(batch.iter().map(|j| j.id()));
     let mut stats = SearchStats::new();
-    let mut dead: HashSet<JobId> = HashSet::new();
+    let mut scans: Vec<Scan<'_, _>> = batch
+        .iter()
+        .map(|job| Scan::new(&selector, job.request()))
+        .collect();
 
     loop {
         let mut committed_this_pass = 0u64;
         // Jobs still waiting for their window in this pass, in priority
         // order (the tie-break).
-        let mut pending: Vec<usize> = (0..batch.len())
-            .filter(|&i| !dead.contains(&batch.as_slice()[i].id()))
-            .collect();
-
-        while !pending.is_empty() {
-            // Evaluate every pending job on the *current* list.
-            let mut best: Option<(usize, Window)> = None;
-            let mut found_for: Vec<(usize, Window)> = Vec::with_capacity(pending.len());
-            for &index in &pending {
-                let job = &batch.as_slice()[index];
-                match selector.find_window(&remaining, job.request(), &mut stats.scan) {
-                    Some(window) => found_for.push((index, window)),
-                    None => {
-                        dead.insert(job.id());
-                    }
-                }
-            }
-            for (index, window) in found_for {
-                let better = match &best {
-                    None => true,
-                    Some((best_index, best_window)) => {
-                        (window.start(), index) < (best_window.start(), *best_index)
-                    }
-                };
-                if better {
-                    best = Some((index, window));
-                }
-            }
-            let Some((index, window)) = best else { break };
-            remaining.subtract_window(&window)?;
-            alternatives.per_job_mut()[index]
-                .push(Alternative::new(batch.as_slice()[index].id(), window));
-            stats.windows_committed += 1;
-            committed_this_pass += 1;
-            pending.retain(|&i| i != index && !dead.contains(&batch.as_slice()[i].id()));
-        }
-
-        stats.passes += 1;
-        if committed_this_pass == 0 {
-            break;
-        }
-        // Subtraction only shrinks the list and both built-in selectors
-        // are monotone in list content, so a job that failed once can
-        // never succeed later — dead stays dead, exactly as in the
-        // sequential search.
-    }
-
-    Ok(SearchOutcome {
-        alternatives,
-        stats,
-        remaining,
-    })
-}
-
-/// The checkpointed batch-at-once (earliest-window-first) search.
-/// Byte-identical results to [`find_alternatives_coscheduled_naive`].
-fn find_alternatives_coscheduled_incremental(
-    spec: &AlgoSpec,
-    list: &SlotList,
-    batch: &Batch,
-) -> Result<SearchOutcome, CoreError> {
-    let mut remaining = list.clone();
-    let mut alternatives = BatchAlternatives::for_jobs(batch.iter().map(|j| j.id()));
-    let mut stats = SearchStats::new();
-    let mut scans: Vec<JobScan> = batch
-        .iter()
-        .map(|job| JobScan::new(spec, job.request()))
-        .collect();
-
-    loop {
-        let mut committed_this_pass = 0u64;
         let mut pending: Vec<usize> = (0..batch.len()).filter(|&i| !scans[i].is_dead()).collect();
 
         while !pending.is_empty() {

@@ -45,11 +45,12 @@
 //! members, and otherwise continues from the first slot starting after
 //! `a`. No list slot is read twice by one scan.
 //!
-//! Three callers rely on the invariant, all through [`JobScan::run`] and
-//! [`JobScan::apply_report`] alone: the sequential driver below, the
-//! coscheduled driver in [`crate::coschedule`] (which also re-runs a scan
-//! whose window was found but not committed), and the bounded repair
-//! search in [`crate::repair`] (one window from a
+//! Three callers rely on the invariant, all through [`Scan`], which hands
+//! a built-in selector's job to [`JobScan::run`] and
+//! [`JobScan::apply_report`] alone: the sequential driver in
+//! [`crate::search`], the coscheduled driver in [`crate::coschedule`]
+//! (which also re-runs a scan whose window was found but not committed),
+//! and the bounded repair search in [`crate::repair`] (one window from a
 //! [`JobScan::resume_from`]-seeded scan). Nothing reads the pool from
 //! outside this module. A seeded scan never reads the slots that start
 //! before its seed, so its invariant leaves them out, and a report's
@@ -70,29 +71,32 @@ use std::collections::BinaryHeap;
 use std::collections::HashSet;
 
 use ecosched_core::{
-    Alternative, Batch, BatchAlternatives, CoreError, Money, ResourceRequest, Slot, SlotId,
-    SlotList, SubtractionReport, TimeDelta, TimePoint, Window,
+    Money, ResourceRequest, Slot, SlotId, SlotList, SubtractionReport, TimeDelta, TimePoint, Window,
 };
 
+use crate::amp::Amp;
 use crate::scan::{admit_slot, LengthRule, Pool, PoolMember};
-use crate::search::SearchOutcome;
-use crate::stats::{ScanStats, SearchStats};
+use crate::selector::SlotSelector;
+use crate::stats::ScanStats;
 
-/// An opaque description of a built-in selection algorithm, used by
-/// [`crate::SlotSelector::as_algo`] to opt into the incremental search.
+/// An opaque description of a built-in selection algorithm, returned by
+/// [`crate::SlotSelector::as_algo`]: a search then gives the job a
+/// checkpointed scan.
 ///
 /// Only the built-in selectors ([`crate::Alp`], [`crate::Amp`]) can
-/// construct one; custom selectors return `None` from `as_algo` and the
-/// search falls back to the naive restart-per-window driver.
+/// construct one. A selector whose `as_algo` is `None` gets a scan that
+/// restarts its own `find_window` on every run instead.
 #[derive(Debug, Clone, Copy)]
 pub struct AlgoSpec {
     kind: AlgoKind,
 }
 
+/// ALP's length rule, or AMP itself: its length rule and the budget rule
+/// of [`Amp::budget`], which a scan reads rather than repeats.
 #[derive(Debug, Clone, Copy)]
 enum AlgoKind {
     Alp { rule: LengthRule },
-    Amp { rule: LengthRule, rho: f64 },
+    Amp(Amp),
 }
 
 impl AlgoSpec {
@@ -103,10 +107,10 @@ impl AlgoSpec {
         }
     }
 
-    /// AMP with the given length rule and budget discount ρ.
-    pub(crate) fn amp(rule: LengthRule, rho: f64) -> Self {
+    /// AMP as configured.
+    pub(crate) fn amp(amp: Amp) -> Self {
         AlgoSpec {
-            kind: AlgoKind::Amp { rule, rho },
+            kind: AlgoKind::Amp(amp),
         }
     }
 }
@@ -674,19 +678,12 @@ impl JobScan {
     pub(crate) fn new(spec: &AlgoSpec, request: &ResourceRequest) -> Self {
         let (rule, price_capped, budget, pool) = match spec.kind {
             AlgoKind::Alp { rule } => (rule, true, None, AcceptPool::Ordered(Vec::new())),
-            AlgoKind::Amp { rule, rho } => {
-                let budget = if rho >= 1.0 {
-                    request.budget()
-                } else {
-                    request.budget_scaled(rho)
-                };
-                (
-                    rule,
-                    false,
-                    Some(budget),
-                    AcceptPool::Cost(CostPool::new(request.nodes())),
-                )
-            }
+            AlgoKind::Amp(amp) => (
+                amp.length_rule(),
+                false,
+                Some(amp.budget(request)),
+                AcceptPool::Cost(CostPool::new(request.nodes())),
+            ),
         };
         JobScan {
             request: *request,
@@ -869,47 +866,92 @@ impl std::fmt::Debug for JobScan {
     }
 }
 
-/// The checkpointed sequential (priority-order) alternatives search.
-/// Byte-identical results to [`crate::find_alternatives_naive`].
-pub(crate) fn find_alternatives_incremental(
-    spec: &AlgoSpec,
-    mut remaining: SlotList,
-    batch: &Batch,
-) -> Result<SearchOutcome, CoreError> {
-    let mut alternatives = BatchAlternatives::for_jobs(batch.iter().map(|j| j.id()));
-    let mut stats = SearchStats::new();
-    let mut scans: Vec<JobScan> = batch
-        .iter()
-        .map(|job| JobScan::new(spec, job.request()))
-        .collect();
+/// One job's scan within a search: the only thing the search drivers and
+/// the repair search run.
+///
+/// A built-in selector ([`crate::SlotSelector::as_algo`] is `Some`) gets
+/// its checkpointed [`JobScan`]. Any other selector gets a restart: each
+/// run calls its `find_window` on the current list, reads no subtraction
+/// report, and marks the job dead at its first miss — the monotonicity
+/// argument of the module docs, which a custom selector is trusted to
+/// keep.
+pub(crate) enum Scan<'s, S> {
+    Checkpointed(Box<JobScan>),
+    Restart {
+        selector: &'s S,
+        request: ResourceRequest,
+        /// As [`JobScan`]'s: no slot starting earlier is read.
+        seed: Option<TimePoint>,
+        dead: bool,
+    },
+}
 
-    loop {
-        let mut found_any = false;
-        for (index, job) in batch.iter().enumerate() {
-            if scans[index].is_dead() {
-                continue;
-            }
-            if let Some(window) = scans[index].run(&remaining, &mut stats.scan) {
-                let report = remaining.subtract_window_report(&window)?;
-                for scan in &mut scans {
-                    scan.apply_report(&report);
-                }
-                alternatives.per_job_mut()[index].push(Alternative::new(job.id(), window));
-                stats.windows_committed += 1;
-                found_any = true;
-            }
-        }
-        stats.passes += 1;
-        if !found_any {
-            break;
+impl<'s, S: SlotSelector> Scan<'s, S> {
+    pub(crate) fn new(selector: &'s S, request: &ResourceRequest) -> Self {
+        match selector.as_algo() {
+            Some(spec) => Scan::Checkpointed(Box::new(JobScan::new(&spec, request))),
+            None => Scan::Restart {
+                selector,
+                request: *request,
+                seed: None,
+                dead: false,
+            },
         }
     }
 
-    Ok(SearchOutcome {
-        alternatives,
-        stats,
-        remaining,
-    })
+    pub(crate) fn is_dead(&self) -> bool {
+        match self {
+            Scan::Checkpointed(scan) => scan.is_dead(),
+            Scan::Restart { dead, .. } => *dead,
+        }
+    }
+
+    /// Seeds a fresh scan at `anchor`: [`JobScan::resume_from`]'s policy,
+    /// which a restart applies by searching the suffix of slots that
+    /// start at or after `anchor`.
+    pub(crate) fn resume_from(&mut self, anchor: TimePoint) {
+        match self {
+            Scan::Checkpointed(scan) => scan.resume_from(anchor),
+            Scan::Restart { seed, .. } => *seed = Some(anchor),
+        }
+    }
+
+    /// The job's next window on `list`, or `None`, after which the job is
+    /// dead; see [`JobScan::run`].
+    pub(crate) fn run(&mut self, list: &SlotList, stats: &mut ScanStats) -> Option<Window> {
+        match self {
+            Scan::Checkpointed(scan) => scan.run(list, stats),
+            Scan::Restart {
+                selector,
+                request,
+                seed,
+                dead,
+            } => {
+                if *dead {
+                    return None;
+                }
+                let window = match *seed {
+                    None => selector.find_window(list, request, stats),
+                    Some(seed) => {
+                        let suffix = list.iter_from(seed).copied().collect();
+                        let suffix = SlotList::from_sorted_slots(suffix)
+                            .expect("a list's suffix is a sorted list");
+                        selector.find_window(&suffix, request, stats)
+                    }
+                };
+                *dead = window.is_none();
+                window
+            }
+        }
+    }
+
+    /// Folds one window subtraction into a checkpointed scan; a restart
+    /// reads the next list whole.
+    pub(crate) fn apply_report(&mut self, report: &SubtractionReport) {
+        if let Scan::Checkpointed(scan) = self {
+            scan.apply_report(report);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1321,7 +1363,7 @@ mod tests {
     }
 
     fn amp_scan(request: &ResourceRequest) -> JobScan {
-        JobScan::new(&AlgoSpec::amp(LengthRule::Corrected, 1.0), request)
+        JobScan::new(&AlgoSpec::amp(crate::Amp::new()), request)
     }
 
     /// Cuts `[a, b)` out of slot `id` the way another job's window would,

@@ -18,18 +18,17 @@
 //! heterogeneous node performance (windows get a "rough right edge"), and
 //! are deterministic.
 //!
-//! For the built-in selectors the alternatives searches run an
-//! *incremental* driver: each job keeps a checkpoint (last acceptance
-//! anchor plus the live candidate pool up to and including it) and resumes
-//! there after every subtraction instead of rescanning the list prefix —
-//! one scan reads a list slot at most once per search — and AMP's
-//! acceptance test maintains a cost-ordered pool with a running sum of the
-//! `N` cheapest instead of sorting per group. Results are byte-identical
-//! to the restart-per-window drivers [`find_alternatives_naive`] /
-//! [`find_alternatives_coscheduled_naive`], which are also what a selector
-//! without an [`AlgoSpec`] runs (`ecosched-baseline`'s backfill window,
-//! any selector of a caller's own) — production code, not oracles; see
-//! `DESIGN.md` § "Complexity & performance" for the cost model.
+//! Every search runs one driver over one scan per job. A built-in
+//! selector's scan is *incremental*: each job keeps a checkpoint (last
+//! acceptance anchor plus the live candidate pool up to and including it)
+//! and resumes there after every subtraction instead of rescanning the
+//! list prefix — one scan reads a list slot at most once per search — and
+//! AMP's acceptance test maintains a cost-ordered pool with a running sum
+//! of the `N` cheapest instead of sorting per group. A selector without
+//! an [`AlgoSpec`] (a caller's own) gets a scan that restarts its
+//! `find_window` on the current list for every window; the test suite
+//! checks both against a restart-per-window reference loop of its own.
+//! See `DESIGN.md` § "Complexity & performance" for the cost model.
 //!
 //! # Oracles
 //!
@@ -90,10 +89,10 @@ mod stats;
 
 pub use alp::Alp;
 pub use amp::Amp;
-pub use coschedule::{find_alternatives_coscheduled, find_alternatives_coscheduled_naive};
+pub use coschedule::find_alternatives_coscheduled;
 pub use incremental::AlgoSpec;
 pub use repair::{repair_search, revalidate_window, try_adopt_window, RepairError};
 pub use scan::LengthRule;
-pub use search::{find_alternatives, find_alternatives_in, find_alternatives_naive, SearchOutcome};
+pub use search::{find_alternatives, find_alternatives_in, SearchOutcome};
 pub use selector::SlotSelector;
 pub use stats::{ScanStats, SearchStats};

@@ -13,10 +13,10 @@
 //!    commitments and revocations may have consumed their slots since the
 //!    search ran; [`RepairError`] says which region went stale and why.
 //! 2. **Bounded repair search** — [`repair_search`] re-runs the window
-//!    search for just the broken job on the post-revocation list, resuming
-//!    from the broken window's start via the incremental checkpoint
-//!    machinery so the scan is O(survivors after the anchor), never a full
-//!    rescan.
+//!    search for just the broken job on the post-revocation list, from
+//!    the broken window's start on. A built-in selector resumes there via
+//!    the incremental checkpoint machinery, so the scan is O(survivors
+//!    after the anchor), never a full rescan.
 //!
 //! Windows are validated by *region*, not by slot id: committed windows
 //! reference remnant ids minted during subtraction while revocations are
@@ -25,7 +25,7 @@
 
 use ecosched_core::{NodeId, Revocation, SlotList, Span, TimePoint, Window};
 
-use crate::incremental::JobScan;
+use crate::incremental::Scan;
 use crate::selector::SlotSelector;
 use crate::stats::ScanStats;
 use ecosched_core::ResourceRequest;
@@ -113,12 +113,12 @@ pub fn try_adopt_window(
 /// post-revocation `list`, looking forward from `resume_at` (the broken
 /// window's start).
 ///
-/// Built-in selectors go through the incremental checkpoint machinery
-/// ([`crate::SlotSelector::as_algo`]), so the scan resumes at `resume_at`
-/// and examines only the slots starting there or later — `stats.
-/// checkpoint_hits` increments and `stats.slots_examined` is bounded by
-/// the survivor suffix, never the full list. Custom selectors fall back to
-/// their own `find_window`.
+/// Only the slots starting at `resume_at` or later are considered, for
+/// every selector. A built-in one resumes its checkpointed scan there
+/// ([`crate::SlotSelector::as_algo`]): `stats.checkpoint_hits`
+/// increments and `stats.slots_examined` is bounded by the survivor
+/// suffix, never the full list. Any other selector runs its own
+/// `find_window` on a copy of that suffix.
 ///
 /// The caller owns the commitment: on `Some(window)`, subtract it from
 /// `list` before repairing the next job.
@@ -129,14 +129,9 @@ pub fn repair_search(
     list: &SlotList,
     stats: &mut ScanStats,
 ) -> Option<Window> {
-    match selector.as_algo() {
-        Some(spec) => {
-            let mut scan = JobScan::new(&spec, request);
-            scan.resume_from(resume_at);
-            scan.run(list, stats)
-        }
-        None => selector.find_window(list, request, stats),
-    }
+    let mut scan = Scan::new(selector, request);
+    scan.resume_from(resume_at);
+    scan.run(list, stats)
 }
 
 #[cfg(test)]
@@ -351,6 +346,67 @@ mod tests {
             1,
             "the budget rejection is visible in the stats"
         );
+    }
+
+    /// AMP with its `AlgoSpec` dropped: a search restarts its
+    /// `find_window`.
+    struct RestartAmp;
+
+    impl SlotSelector for RestartAmp {
+        fn name(&self) -> &'static str {
+            "AMP-restart"
+        }
+        fn find_window(
+            &self,
+            list: &SlotList,
+            request: &ResourceRequest,
+            stats: &mut ScanStats,
+        ) -> Option<Window> {
+            Amp::new().find_window(list, request, stats)
+        }
+    }
+
+    #[test]
+    fn a_custom_selectors_repair_never_starts_before_the_anchor() {
+        // A feasible window at t=0 before the anchor, and slot 4 reaching
+        // across it from t=250: a scan of the whole list would pair the
+        // early slots, and one reading only the survivors pairs 2 and 3.
+        let list = SlotList::from_slots(vec![
+            slot(0, 0, 2, 0, 100),
+            slot(1, 1, 2, 0, 100),
+            slot(4, 4, 1, 250, 600),
+            slot(2, 2, 2, 300, 500),
+            slot(3, 3, 2, 300, 500),
+        ])
+        .unwrap();
+        for (resume_at, sources) in [(0, vec![0, 1]), (300, vec![2, 3]), (301, vec![])] {
+            let mut stats = ScanStats::new();
+            let found = repair_search(
+                &RestartAmp,
+                &request(2, 50, 5),
+                TimePoint::new(resume_at),
+                &list,
+                &mut stats,
+            );
+            let members: Vec<u64> = found
+                .iter()
+                .flat_map(|w| w.slots().iter().map(|ws| ws.source().raw()))
+                .collect();
+            assert_eq!(members, sources, "resume at {resume_at}");
+            assert!(found
+                .as_ref()
+                .is_none_or(|w| w.start() >= TimePoint::new(resume_at)));
+            // What AMP's own seeded scan finds there, and no checkpoint.
+            let seeded = repair_search(
+                &Amp::new(),
+                &request(2, 50, 5),
+                TimePoint::new(resume_at),
+                &list,
+                &mut ScanStats::new(),
+            );
+            assert_eq!(found, seeded);
+            assert_eq!(stats.checkpoint_hits, 0);
+        }
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //! succeed later in the same iteration; such jobs are marked dead and
 //! skipped, which keeps the search linear in the number of alternatives
 //! actually found.
-
-use std::collections::HashSet;
+//!
+//! Each job's search is one [`Scan`]: a built-in selector's resumes from
+//! its checkpoint after every subtraction, any other selector's restarts
+//! its `find_window` on the current list. There is no second driver.
 
 use ecosched_core::{Alternative, Batch, BatchAlternatives, CoreError, JobId, SlotList};
 
-use crate::incremental::find_alternatives_incremental;
+use crate::incremental::Scan;
 use crate::selector::SlotSelector;
 use crate::stats::SearchStats;
 
@@ -102,66 +104,27 @@ pub fn find_alternatives(
 /// As [`find_alternatives`]; the list is then lost with the search.
 pub fn find_alternatives_in(
     selector: impl SlotSelector,
-    list: SlotList,
-    batch: &Batch,
-) -> Result<SearchOutcome, CoreError> {
-    // Built-in selectors run the checkpointed incremental driver: same
-    // results, but each window search resumes from the job's last
-    // acceptance anchor instead of rescanning the list prefix.
-    if let Some(spec) = selector.as_algo() {
-        return find_alternatives_incremental(&spec, list, batch);
-    }
-    naive(selector, list, batch)
-}
-
-/// The restart-per-window form of [`find_alternatives`]: the path every
-/// selector without an [`crate::AlgoSpec`] takes.
-///
-/// Every committed window triggers a fresh [`SlotSelector::find_window`]
-/// scan from the head of the list — `O(A·m)` slot examinations for `A`
-/// alternatives over `m` slots. For the built-in selectors it doubles as
-/// the equivalence reference and benchmark baseline of the incremental
-/// driver.
-///
-/// # Errors
-///
-/// Propagates [`CoreError`] from slot subtraction, as
-/// [`find_alternatives`] does.
-pub fn find_alternatives_naive(
-    selector: impl SlotSelector,
-    list: &SlotList,
-    batch: &Batch,
-) -> Result<SearchOutcome, CoreError> {
-    naive(selector, list.clone(), batch)
-}
-
-fn naive(
-    selector: impl SlotSelector,
     mut remaining: SlotList,
     batch: &Batch,
 ) -> Result<SearchOutcome, CoreError> {
     let mut alternatives = BatchAlternatives::for_jobs(batch.iter().map(|j| j.id()));
     let mut stats = SearchStats::new();
-    let mut dead: HashSet<JobId> = HashSet::new();
+    let mut scans: Vec<Scan<'_, _>> = batch
+        .iter()
+        .map(|job| Scan::new(&selector, job.request()))
+        .collect();
 
     loop {
         let mut found_any = false;
         for (index, job) in batch.iter().enumerate() {
-            if dead.contains(&job.id()) {
-                continue;
-            }
-            match selector.find_window(&remaining, job.request(), &mut stats.scan) {
-                Some(window) => {
-                    remaining.subtract_window(&window)?;
-                    alternatives.per_job_mut()[index].push(Alternative::new(job.id(), window));
-                    stats.windows_committed += 1;
-                    found_any = true;
+            if let Some(window) = scans[index].run(&remaining, &mut stats.scan) {
+                let report = remaining.subtract_window_report(&window)?;
+                for scan in &mut scans {
+                    scan.apply_report(&report);
                 }
-                None => {
-                    // Monotonicity: the list only shrinks within an
-                    // iteration, so this job can never succeed again.
-                    dead.insert(job.id());
-                }
+                alternatives.per_job_mut()[index].push(Alternative::new(job.id(), window));
+                stats.windows_committed += 1;
+                found_any = true;
             }
         }
         stats.passes += 1;

@@ -32,11 +32,12 @@ pub trait SlotSelector {
     /// Describes this selector as one of the built-in algorithms, if it is
     /// one.
     ///
-    /// The alternatives searches use this to switch to the checkpointed
-    /// incremental drivers, which produce byte-identical results to the
-    /// restart-per-window path but amortize the scan cost across windows.
-    /// Custom selectors keep the default `None` and run naively — the
-    /// checkpoint argument only holds for ALP/AMP-shaped acceptance tests.
+    /// A search reads this once per job to choose its scan: a built-in
+    /// algorithm gets the checkpointed scan, which amortizes the scan
+    /// cost across windows. Custom selectors keep the default `None`, and
+    /// their scan calls [`SlotSelector::find_window`] afresh for every
+    /// window — the checkpoint argument only holds for ALP/AMP-shaped
+    /// acceptance tests.
     fn as_algo(&self) -> Option<AlgoSpec> {
         None
     }

@@ -1,24 +1,33 @@
-//! Equivalence harness: the checkpointed incremental searches must return
-//! **byte-identical** results to the restart-per-window reference drivers,
-//! for ALP and AMP, in both search modes.
+//! Equivalence harness: both search orders, for every selector, must
+//! return **byte-identical** results to a restart-per-window reference
+//! loop that lives only here.
 //!
-//! The naive side runs through wrapper selectors whose `find_window` is
-//! the preserved `find_window_naive` and whose `as_algo` stays `None`, so
-//! `find_alternatives` / `find_alternatives_coscheduled` genuinely take
-//! the restart path end to end.
+//! The reference is a plain loop over `find_window` and
+//! `SlotList::subtract_window` with a dead set of its own, in both orders:
+//! priority passes, and earliest window first with ties to batch
+//! priority. It shares no code with the search drivers, so a fault in
+//! their one loop shows here even where it changes the built-in and the
+//! restart scans alike.
+//!
+//! It runs the wrapper selectors `NaiveAlp` / `NaiveAmp`, whose
+//! `find_window` is the preserved `find_window_naive` and whose `as_algo`
+//! stays `None`. Through the searches those wrappers take the restart
+//! scan, which must match the reference in every work counter too; the
+//! built-in selectors' checkpointed scans count different work and must
+//! commit the same.
 
 use ecosched_core::{
-    Batch, Job, JobId, NodeId, Perf, Price, ResourceRequest, Slot, SlotId, SlotList, Span,
-    TimeDelta, TimePoint, Window,
+    Alternative, Batch, BatchAlternatives, Job, JobId, NodeId, Perf, Price, ResourceRequest, Slot,
+    SlotId, SlotList, Span, TimeDelta, TimePoint, Window,
 };
 use ecosched_select::{
-    find_alternatives, find_alternatives_coscheduled, find_alternatives_coscheduled_naive,
-    find_alternatives_naive, Alp, Amp, ScanStats, SlotSelector,
+    find_alternatives, find_alternatives_coscheduled, Alp, Amp, ScanStats, SearchOutcome,
+    SearchStats, SlotSelector,
 };
 use proptest::prelude::*;
 
 /// ALP through the reference scan only (`as_algo` stays the default
-/// `None`, so the search drivers cannot switch to the incremental path).
+/// `None`, so a search gives it the restart scan).
 struct NaiveAlp(Alp);
 
 impl SlotSelector for NaiveAlp {
@@ -51,6 +60,89 @@ impl SlotSelector for NaiveAmp {
         stats: &mut ScanStats,
     ) -> Option<Window> {
         self.0.find_window_naive(list, request, stats)
+    }
+}
+
+/// The two search orders.
+#[derive(Debug, Clone, Copy)]
+enum Order {
+    /// `find_alternatives`: passes over the batch in priority order.
+    Priority,
+    /// `find_alternatives_coscheduled`: the earliest window first.
+    EarliestFirst,
+}
+
+impl Order {
+    fn search(self, selector: &dyn SlotSelector, list: &SlotList, batch: &Batch) -> SearchOutcome {
+        match self {
+            Order::Priority => find_alternatives(selector, list, batch),
+            Order::EarliestFirst => find_alternatives_coscheduled(selector, list, batch),
+        }
+        .unwrap()
+    }
+
+    /// The reference search: every window a fresh `find_window` on the
+    /// current list, every miss a dead job.
+    fn reference(
+        self,
+        selector: &dyn SlotSelector,
+        list: &SlotList,
+        batch: &Batch,
+    ) -> SearchOutcome {
+        let jobs = batch.as_slice();
+        let mut outcome = SearchOutcome {
+            alternatives: BatchAlternatives::for_jobs(jobs.iter().map(Job::id)),
+            stats: SearchStats::new(),
+            remaining: list.clone(),
+        };
+        let mut dead = vec![false; jobs.len()];
+        loop {
+            // Whether each job has had its window in this pass.
+            let mut served = vec![false; jobs.len()];
+            loop {
+                let mut chosen: Option<(usize, Window)> = None;
+                for index in 0..jobs.len() {
+                    if dead[index] || served[index] {
+                        continue;
+                    }
+                    let found = selector.find_window(
+                        &outcome.remaining,
+                        jobs[index].request(),
+                        &mut outcome.stats.scan,
+                    );
+                    let Some(window) = found else {
+                        dead[index] = true;
+                        continue;
+                    };
+                    match self {
+                        Order::Priority => {
+                            chosen = Some((index, window));
+                            break;
+                        }
+                        // Ascending index, and only a strictly earlier
+                        // start displaces: a tie stays with priority.
+                        Order::EarliestFirst => {
+                            if chosen
+                                .as_ref()
+                                .is_none_or(|(_, best)| window.start() < best.start())
+                            {
+                                chosen = Some((index, window));
+                            }
+                        }
+                    }
+                }
+                let Some((index, window)) = chosen else { break };
+                outcome.remaining.subtract_window(&window).unwrap();
+                let alternative = Alternative::new(jobs[index].id(), window);
+                outcome.alternatives.per_job_mut()[index].push(alternative);
+                outcome.stats.windows_committed += 1;
+                served[index] = true;
+            }
+            outcome.stats.passes += 1;
+            if !served.contains(&true) {
+                return outcome;
+            }
+        }
     }
 }
 
@@ -171,31 +263,56 @@ fn batch_strategy() -> impl Strategy<Value = Batch> {
     })
 }
 
-/// Asserts both outcomes carry the same alternatives and leave the same
-/// list behind. Scan counters intentionally differ (that's the point of
-/// the optimization); committed work must not.
+/// Asserts both outcomes carry the same alternatives, leave the same
+/// list behind, and took the same passes and commits.
 #[track_caller]
-fn assert_outcomes_equal(
-    label: &str,
-    incremental: &ecosched_select::SearchOutcome,
-    naive: &ecosched_select::SearchOutcome,
-) {
+fn assert_outcomes_equal(label: &str, search: &SearchOutcome, reference: &SearchOutcome) {
     assert_eq!(
-        incremental.alternatives, naive.alternatives,
+        search.alternatives, reference.alternatives,
         "{label}: alternatives diverge"
     );
     assert_eq!(
-        incremental.remaining, naive.remaining,
+        search.remaining, reference.remaining,
         "{label}: remaining slot lists diverge"
     );
     assert_eq!(
-        incremental.stats.windows_committed, naive.stats.windows_committed,
+        search.stats.windows_committed, reference.stats.windows_committed,
         "{label}: committed counts diverge"
     );
     assert_eq!(
-        incremental.stats.passes, naive.stats.passes,
+        search.stats.passes, reference.stats.passes,
         "{label}: pass counts diverge"
     );
+}
+
+/// ALP, AMP and AMP at ρ = 0.7, each with its restart double.
+fn selector_pairs() -> [(Box<dyn SlotSelector>, Box<dyn SlotSelector>); 3] {
+    [
+        (Box::new(Alp::new()), Box::new(NaiveAlp(Alp::new()))),
+        (Box::new(Amp::new()), Box::new(NaiveAmp(Amp::new()))),
+        (
+            Box::new(Amp::with_rho(0.7)),
+            Box::new(NaiveAmp(Amp::with_rho(0.7))),
+        ),
+    ]
+}
+
+/// Runs `order` with each built-in selector and with its restart double
+/// against the reference: the built-in search commits what the reference
+/// commits, and the restart search also counts the same scan work.
+#[track_caller]
+fn assert_order_matches_reference(order: Order, list: &SlotList, batch: &Batch, label: &str) {
+    for (builtin, double) in selector_pairs() {
+        let reference = order.reference(&*double, list, batch);
+        let label = format!("{} {order:?}{label}", builtin.name());
+        assert_outcomes_equal(&label, &order.search(&*builtin, list, batch), &reference);
+        let restart = order.search(&*double, list, batch);
+        assert_outcomes_equal(&format!("{label}, restart"), &restart, &reference);
+        assert_eq!(
+            restart.stats.scan, reference.stats.scan,
+            "{label}, restart: scan counters diverge"
+        );
+    }
 }
 
 proptest! {
@@ -235,17 +352,7 @@ proptest! {
         list in multi_slot_list_strategy(),
         batch in batch_strategy(),
     ) {
-        let inc = find_alternatives(Alp::new(), &list, &batch).unwrap();
-        let naive = find_alternatives_naive(NaiveAlp(Alp::new()), &list, &batch).unwrap();
-        assert_outcomes_equal("ALP sequential", &inc, &naive);
-
-        let inc = find_alternatives(Amp::new(), &list, &batch).unwrap();
-        let naive = find_alternatives_naive(NaiveAmp(Amp::new()), &list, &batch).unwrap();
-        assert_outcomes_equal("AMP sequential", &inc, &naive);
-
-        let inc = find_alternatives(Amp::with_rho(0.7), &list, &batch).unwrap();
-        let naive = find_alternatives_naive(NaiveAmp(Amp::with_rho(0.7)), &list, &batch).unwrap();
-        assert_outcomes_equal("AMP ρ=0.7 sequential", &inc, &naive);
+        assert_order_matches_reference(Order::Priority, &list, &batch, "");
     }
 
     #[test]
@@ -253,15 +360,7 @@ proptest! {
         list in multi_slot_list_strategy(),
         batch in batch_strategy(),
     ) {
-        let inc = find_alternatives_coscheduled(Alp::new(), &list, &batch).unwrap();
-        let naive =
-            find_alternatives_coscheduled_naive(NaiveAlp(Alp::new()), &list, &batch).unwrap();
-        assert_outcomes_equal("ALP coscheduled", &inc, &naive);
-
-        let inc = find_alternatives_coscheduled(Amp::new(), &list, &batch).unwrap();
-        let naive =
-            find_alternatives_coscheduled_naive(NaiveAmp(Amp::new()), &list, &batch).unwrap();
-        assert_outcomes_equal("AMP coscheduled", &inc, &naive);
+        assert_order_matches_reference(Order::EarliestFirst, &list, &batch, "");
     }
 
     #[test]
@@ -272,7 +371,7 @@ proptest! {
         // Not just equal results — the checkpointing must actually save
         // work: every resumed scan skips the prefix the naive scan redoes.
         let inc = find_alternatives(Amp::new(), &list, &batch).unwrap();
-        let naive = find_alternatives_naive(NaiveAmp(Amp::new()), &list, &batch).unwrap();
+        let naive = Order::Priority.reference(&NaiveAmp(Amp::new()), &list, &batch);
         prop_assert!(inc.stats.scan.slots_examined <= naive.stats.scan.slots_examined);
         assert_no_slot_examined_twice("AMP sequential", &list, &batch, &inc);
         let inc = find_alternatives(Alp::new(), &list, &batch).unwrap();
@@ -284,19 +383,11 @@ proptest! {
         list in clipped_list_strategy(),
         batch in batch_strategy(),
     ) {
+        assert_order_matches_reference(Order::Priority, &list, &batch, ", clipped");
         let inc = find_alternatives(Alp::new(), &list, &batch).unwrap();
-        let naive = find_alternatives_naive(NaiveAlp(Alp::new()), &list, &batch).unwrap();
-        assert_outcomes_equal("ALP sequential, clipped", &inc, &naive);
         assert_no_slot_examined_twice("ALP sequential, clipped", &list, &batch, &inc);
-
         let inc = find_alternatives(Amp::new(), &list, &batch).unwrap();
-        let naive = find_alternatives_naive(NaiveAmp(Amp::new()), &list, &batch).unwrap();
-        assert_outcomes_equal("AMP sequential, clipped", &inc, &naive);
         assert_no_slot_examined_twice("AMP sequential, clipped", &list, &batch, &inc);
-
-        let inc = find_alternatives(Amp::with_rho(0.7), &list, &batch).unwrap();
-        let naive = find_alternatives_naive(NaiveAmp(Amp::with_rho(0.7)), &list, &batch).unwrap();
-        assert_outcomes_equal("AMP ρ=0.7 sequential, clipped", &inc, &naive);
     }
 
     #[test]
@@ -304,15 +395,7 @@ proptest! {
         list in clipped_list_strategy(),
         batch in batch_strategy(),
     ) {
-        let inc = find_alternatives_coscheduled(Alp::new(), &list, &batch).unwrap();
-        let naive =
-            find_alternatives_coscheduled_naive(NaiveAlp(Alp::new()), &list, &batch).unwrap();
-        assert_outcomes_equal("ALP coscheduled, clipped", &inc, &naive);
-
-        let inc = find_alternatives_coscheduled(Amp::new(), &list, &batch).unwrap();
-        let naive =
-            find_alternatives_coscheduled_naive(NaiveAmp(Amp::new()), &list, &batch).unwrap();
-        assert_outcomes_equal("AMP coscheduled, clipped", &inc, &naive);
+        assert_order_matches_reference(Order::EarliestFirst, &list, &batch, ", clipped");
     }
 }
 
@@ -326,7 +409,7 @@ fn assert_no_slot_examined_twice(
     label: &str,
     list: &SlotList,
     batch: &Batch,
-    outcome: &ecosched_select::SearchOutcome,
+    outcome: &SearchOutcome,
 ) {
     let members: usize = outcome
         .alternatives
@@ -405,7 +488,7 @@ fn large_deterministic_instance_matches_reference() {
     let batch = Batch::from_jobs(jobs).unwrap();
 
     let inc = find_alternatives(Amp::new(), &list, &batch).unwrap();
-    let naive = find_alternatives_naive(NaiveAmp(Amp::new()), &list, &batch).unwrap();
+    let naive = Order::Priority.reference(&NaiveAmp(Amp::new()), &list, &batch);
     assert_outcomes_equal("AMP sequential 4k", &inc, &naive);
     assert!(
         inc.alternatives.total_found() > batch.len(),
@@ -419,11 +502,11 @@ fn large_deterministic_instance_matches_reference() {
     assert!(inc.stats.scan.slots_examined < naive.stats.scan.slots_examined);
 
     let inc = find_alternatives_coscheduled(Amp::new(), &list, &batch).unwrap();
-    let naive = find_alternatives_coscheduled_naive(NaiveAmp(Amp::new()), &list, &batch).unwrap();
+    let naive = Order::EarliestFirst.reference(&NaiveAmp(Amp::new()), &list, &batch);
     assert_outcomes_equal("AMP coscheduled 4k", &inc, &naive);
 
     let inc = find_alternatives(Alp::new(), &list, &batch).unwrap();
-    let naive = find_alternatives_naive(NaiveAlp(Alp::new()), &list, &batch).unwrap();
+    let naive = Order::Priority.reference(&NaiveAlp(Alp::new()), &list, &batch);
     assert_outcomes_equal("ALP sequential 4k", &inc, &naive);
 }
 
@@ -506,7 +589,7 @@ fn large_clipped_instance_matches_reference() {
     let batch = Batch::from_jobs(jobs).unwrap();
 
     let inc = find_alternatives(Amp::new(), &list, &batch).unwrap();
-    let naive = find_alternatives_naive(NaiveAmp(Amp::new()), &list, &batch).unwrap();
+    let naive = Order::Priority.reference(&NaiveAmp(Amp::new()), &list, &batch);
     assert_outcomes_equal("AMP sequential 4k clipped", &inc, &naive);
     assert_no_slot_examined_twice("AMP sequential 4k clipped", &list, &batch, &inc);
     assert!(
@@ -516,15 +599,15 @@ fn large_clipped_instance_matches_reference() {
     );
 
     let inc = find_alternatives_coscheduled(Amp::new(), &list, &batch).unwrap();
-    let naive = find_alternatives_coscheduled_naive(NaiveAmp(Amp::new()), &list, &batch).unwrap();
+    let naive = Order::EarliestFirst.reference(&NaiveAmp(Amp::new()), &list, &batch);
     assert_outcomes_equal("AMP coscheduled 4k clipped", &inc, &naive);
 
     let inc = find_alternatives(Alp::new(), &list, &batch).unwrap();
-    let naive = find_alternatives_naive(NaiveAlp(Alp::new()), &list, &batch).unwrap();
+    let naive = Order::Priority.reference(&NaiveAlp(Alp::new()), &list, &batch);
     assert_outcomes_equal("ALP sequential 4k clipped", &inc, &naive);
     assert_no_slot_examined_twice("ALP sequential 4k clipped", &list, &batch, &inc);
 
     let inc = find_alternatives_coscheduled(Alp::new(), &list, &batch).unwrap();
-    let naive = find_alternatives_coscheduled_naive(NaiveAlp(Alp::new()), &list, &batch).unwrap();
+    let naive = Order::EarliestFirst.reference(&NaiveAlp(Alp::new()), &list, &batch);
     assert_outcomes_equal("ALP coscheduled 4k clipped", &inc, &naive);
 }

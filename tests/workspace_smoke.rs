@@ -1,16 +1,16 @@
 //! One short scenario per layer that the root `cargo test -q` would
 //! otherwise skip: the engine, the federation (S=1 and S=4), persist, the
 //! service session, the combination optimizer against its brute-force
-//! oracle and the select crate's coscheduled driver. Small enough for a
-//! debug build; the crates' own suites (`cargo test --workspace`) go
-//! deeper.
+//! oracle and the select crate's coscheduled search, checkpointed against
+//! restarted. Small enough for a debug build; the crates' own suites
+//! (`cargo test --workspace`) go deeper.
 
 use ecosched::engine::{ArrivalConfig, Engine, EngineConfig, EngineRun};
 use ecosched::federation::{Federation, FederationConfig, RoutePolicy};
 use ecosched::optimize::brute::min_cost_under_time_brute;
 use ecosched::persist::{encode_snapshot, resume_from, run_with_snapshots};
 use ecosched::prelude::*;
-use ecosched::select::find_alternatives_coscheduled_naive;
+use ecosched::select::{ScanStats, SlotSelector};
 use ecosched::service::{BootMode, JobSpec, ServiceManifest, Session};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -79,13 +79,32 @@ fn checkpoint_resume_converges_on_the_uninterrupted_run() {
     assert_eq!(resumed, baseline);
 }
 
+/// AMP without its `AlgoSpec`: the searches restart its `find_window`
+/// for every window instead of resuming a checkpoint.
+struct RestartAmp;
+
+impl SlotSelector for RestartAmp {
+    fn name(&self) -> &'static str {
+        "AMP-restart"
+    }
+
+    fn find_window(
+        &self,
+        list: &SlotList,
+        request: &ResourceRequest,
+        stats: &mut ScanStats,
+    ) -> Option<Window> {
+        Amp::new().find_window(list, request, stats)
+    }
+}
+
 #[test]
 fn coscheduled_iteration_commits_what_the_naive_driver_commits() {
     let mut rng = ChaCha8Rng::seed_from_u64(2011);
     let list = SlotGenerator::new(SlotGenConfig::default()).generate(&mut rng);
     let batch = JobGenerator::new(JobGenConfig::default()).generate(&mut rng);
     let search = find_alternatives_coscheduled(Amp::new(), &list, &batch).expect("search");
-    let naive = find_alternatives_coscheduled_naive(Amp::new(), &list, &batch).expect("naive");
+    let naive = find_alternatives_coscheduled(RestartAmp, &list, &batch).expect("naive");
     assert!(naive.alternatives.total_found() > 0);
     assert_eq!(search.alternatives, naive.alternatives);
     assert_eq!(search.remaining, naive.remaining);
