@@ -50,7 +50,7 @@ use ecosched_sim::{
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::{ChaCha8Rng, ChaChaState};
-use serde::Serialize as _;
+use serde::Serialize;
 
 use crate::config::{ArrivalConfig, EngineConfig, COMPLETION_FRACTION, SLOWDOWN_TAU, VOS};
 use crate::event::{fnv1a_64, Event, Log, LogEntry};
@@ -58,7 +58,8 @@ use crate::obs::{EngineObs, Fact};
 use crate::queue::EventQueue;
 use crate::report::{CyclePoint, EngineReport};
 use crate::state::{
-    ArrivalState, EngineCheckpoint, LeaseState, PendingState, QueuedEventState, RngState,
+    ArrivalState, CheckpointParts, EngineCheckpoint, LeaseState, PendingState, QueuedEventState,
+    RngState,
 };
 
 mod carve;
@@ -319,6 +320,68 @@ impl RunState {
     pub fn next_event_seq(&self) -> u64 {
         self.queue.next_seq()
     }
+
+    /// The RNG's position, as a checkpoint stores it.
+    fn rng_state(&self) -> RngState {
+        let rng = self.rng.capture();
+        RngState {
+            key: rng.key.to_vec(),
+            counter: rng.counter,
+            cursor: rng.cursor as u64,
+        }
+    }
+
+    /// The queue's next sequence number and its events in pop order, as a
+    /// checkpoint stores them.
+    fn queued(&self) -> (u64, Vec<QueuedEventState>) {
+        let (next_seq, entries) = self.queue.snapshot();
+        let entries = entries
+            .into_iter()
+            .map(|(time, seq, event)| QueuedEventState {
+                time: time.ticks(),
+                seq,
+                event,
+            });
+        (next_seq, entries.collect())
+    }
+}
+
+/// A live run's checkpoint as [`Serialize`]: see
+/// [`Engine::live_checkpoint`]. Only the RNG position, the queue in pop
+/// order and the lease order are built; the rest is read in place.
+#[derive(Debug)]
+pub struct LiveCheckpoint<'a, S> {
+    engine: &'a Engine<S>,
+    state: &'a RunState,
+}
+
+impl<S: SlotSelector + Copy> Serialize for LiveCheckpoint<'_, S> {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        let state = self.state;
+        let (queue_next_seq, queue) = state.queued();
+        let leases: Vec<&LeaseState> = state.leases.values().collect();
+        CheckpointParts {
+            seed: state.seed,
+            config_fp: self.engine.config_fingerprint(),
+            rng: &state.rng_state(),
+            queue_next_seq,
+            queue: &queue,
+            log: &state.log,
+            arrivals: &state.arrivals,
+            vacant: &state.vacant,
+            next_node: state.next_node,
+            pending: &state.pending,
+            leases: &leases,
+            next_lease: state.next_lease,
+            report: &state.report,
+            published_ticks: state.published_ticks,
+            busy_ticks: state.busy_ticks,
+            wait_sum_bits: state.wait_sum.to_bits(),
+            slowdown_sum_bits: state.slowdown_sum.to_bits(),
+            optimizer: None,
+        }
+        .write_json(out);
+    }
 }
 
 /// The discrete-event metascheduling engine.
@@ -517,25 +580,13 @@ impl<S: SlotSelector + Copy> Engine<S> {
     /// always `None`: no optimizer outlives the cycle it planned.
     #[must_use]
     pub fn checkpoint(&self, state: &RunState) -> EngineCheckpoint {
-        let rng = state.rng.capture();
-        let (queue_next_seq, entries) = state.queue.snapshot();
+        let (queue_next_seq, queue) = state.queued();
         EngineCheckpoint {
             seed: state.seed,
             config_fp: self.config_fingerprint(),
-            rng: RngState {
-                key: rng.key.to_vec(),
-                counter: rng.counter,
-                cursor: rng.cursor as u64,
-            },
+            rng: state.rng_state(),
             queue_next_seq,
-            queue: entries
-                .into_iter()
-                .map(|(time, seq, event)| QueuedEventState {
-                    time: time.ticks(),
-                    seq,
-                    event,
-                })
-                .collect(),
+            queue,
             log: state.log.clone(),
             arrivals: state.arrivals.clone(),
             vacant: state.vacant.clone(),
@@ -549,6 +600,17 @@ impl<S: SlotSelector + Copy> Engine<S> {
             wait_sum_bits: state.wait_sum.to_bits(),
             slowdown_sum_bits: state.slowdown_sum.to_bits(),
             optimizer: None,
+        }
+    }
+
+    /// The JSON of [`Self::checkpoint`]'s result, written straight from
+    /// the run: byte for byte the same, without cloning the state into a
+    /// checkpoint first. What a snapshot of a live run serializes.
+    #[must_use]
+    pub fn live_checkpoint<'a>(&'a self, state: &'a RunState) -> LiveCheckpoint<'a, S> {
+        LiveCheckpoint {
+            engine: self,
+            state,
         }
     }
 
@@ -759,7 +821,12 @@ impl<S: SlotSelector + Copy> Engine<S> {
         state.vacant.expire(now);
     }
 
-    /// `CycleTick`: clip → plan → commit → coalesce → lease → carry.
+    /// `CycleTick`: drop passed alternatives → clip → plan → commit →
+    /// coalesce → lease → carry.
+    ///
+    /// Every lease first drops the alternatives that start before `now`
+    /// ([`LeaseState::drop_started`]): a failover can never adopt them, so
+    /// no checkpoint need hold them.
     ///
     /// With a batch to plan, the market is clipped to `now` in place and
     /// moved into the search, which carves its alternatives from it; the
@@ -773,6 +840,9 @@ impl<S: SlotSelector + Copy> Engine<S> {
         now: TimePoint,
         cycle: u32,
     ) -> Result<(), EngineError> {
+        for lease in state.leases.values_mut() {
+            lease.drop_started(now);
+        }
         let batch_size = state.pending.len();
         let mut point = CyclePoint {
             cycle,
@@ -870,7 +940,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             point.spend += cost;
             point.scheduled += 1;
             state.report.vo_spend[p.vo as usize] += cost;
-            self.commit_lease(state, p, window, alternatives);
+            self.commit_lease(state, p, window, alternatives, 0);
         }
         cycle_wait
     }
@@ -939,13 +1009,17 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 window,
             } => {
                 state.report.failovers += 1;
-                self.obs.feed(Fact::Failover(alternative));
+                self.obs
+                    .feed(Fact::Failover(original.dropped + alternative));
                 original.alternatives.remove(alternative);
-                self.commit_lease(state, job, window, original.alternatives);
+                // The dropped alternatives came before the adopted one, so
+                // the survivors' labels still count them.
+                let survivors = original.alternatives;
+                self.commit_lease(state, job, window, survivors, original.dropped);
             }
             Recovery::Repaired { window } => {
                 state.report.repairs += 1;
-                self.commit_lease(state, job, window, Vec::new());
+                self.commit_lease(state, job, window, Vec::new(), 0);
             }
             Recovery::Postponed(reason) => {
                 state.report.repostponed += 1;
@@ -985,14 +1059,15 @@ impl<S: SlotSelector + Copy> Engine<S> {
         }
     }
 
-    /// Commits a window as a fresh lease of `job` and schedules its
-    /// completion.
+    /// Commits a window as a fresh lease of `job`, holding `alternatives`
+    /// after `dropped` earlier ones, and schedules its completion.
     fn commit_lease(
         &self,
         state: &mut RunState,
         job: PendingState,
         window: Window,
         alternatives: Vec<Window>,
+        dropped: usize,
     ) {
         let planned = window.length().ticks();
         let actual = ((planned as f64 * COMPLETION_FRACTION).ceil() as i64).clamp(1, planned);
@@ -1012,6 +1087,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 request: job.request,
                 window,
                 alternatives,
+                dropped,
                 actual_length: actual,
             },
         );
@@ -1058,6 +1134,8 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::event::LogPosition;
+    use crate::obs::engine_obs;
+    use ecosched_core::{Perf, Price, Slot, SlotId, WindowSlot};
     use ecosched_select::{Alp, Amp};
     use ecosched_sim::RevocationConfig;
 
@@ -1330,6 +1408,121 @@ mod tests {
         detached.log.attach(whole.log().entries.clone());
         assert_eq!(detached, engine.checkpoint(&whole));
         assert!(engine.resume(&detached).is_ok());
+    }
+
+    fn span(a: i64, b: i64) -> Span {
+        Span::new(TimePoint::new(a), TimePoint::new(b)).unwrap()
+    }
+
+    /// A unit-performance slot on `node` over `[a, b)` at 2 credits a tick.
+    fn slot(id: u64, node: u32, a: i64, b: i64) -> Slot {
+        let price = Price::from_credits(2);
+        Slot::new(
+            SlotId::new(id),
+            NodeId::new(node),
+            Perf::UNIT,
+            price,
+            span(a, b),
+        )
+        .unwrap()
+    }
+
+    /// `[start, start + 20)` on each of `nodes`.
+    fn window(nodes: &[u32], start: i64) -> Window {
+        let members = nodes.iter().map(|&node| {
+            WindowSlot::from_slot(&slot(900, node, start, start + 20), TimeDelta::new(20)).unwrap()
+        });
+        Window::new(TimePoint::new(start), members.collect()).unwrap()
+    }
+
+    fn starts(windows: &[Window]) -> Vec<i64> {
+        windows.iter().map(|w| w.start().ticks()).collect()
+    }
+
+    /// Two unit-performance nodes for 20 ticks, any price up to 5.
+    fn request() -> ResourceRequest {
+        ResourceRequest::new(2, TimeDelta::new(20), Perf::UNIT, Price::from_credits(5)).unwrap()
+    }
+
+    /// A lease drops exactly the prefix of its alternatives that starts
+    /// before the tick, and counts it; a later stale one out of start
+    /// order stays for recovery to skip.
+    #[test]
+    fn a_lease_drops_only_the_started_prefix_of_its_alternatives() {
+        let mut lease = LeaseState {
+            lease: 0,
+            job: 0,
+            arrival: 0,
+            vo: 0,
+            request: request(),
+            window: window(&[0, 1], 0),
+            alternatives: [10, 20, 40, 15].map(|t| window(&[2, 3], t)).to_vec(),
+            dropped: 0,
+            actual_length: 15,
+        };
+        lease.drop_started(TimePoint::new(20));
+        assert_eq!(
+            (starts(&lease.alternatives), lease.dropped),
+            (vec![20, 40, 15], 1)
+        );
+        lease.drop_started(TimePoint::new(20));
+        assert_eq!(
+            (starts(&lease.alternatives), lease.dropped),
+            (vec![20, 40, 15], 1)
+        );
+        lease.drop_started(TimePoint::new(30));
+        assert_eq!(
+            (starts(&lease.alternatives), lease.dropped),
+            (vec![40, 15], 2)
+        );
+    }
+
+    /// A lease that dropped `k` alternatives and fails over to its `j`-th
+    /// survivor feeds label `k + j` — the position it had in the whole
+    /// list — and is re-committed with `k` and the other survivors.
+    #[test]
+    fn a_failover_label_counts_the_dropped_alternatives() {
+        let engine = Engine::new(small_config(), Amp::new())
+            .unwrap()
+            .with_obs(engine_obs());
+        let mut state = engine.start(7);
+        state.vacant = SlotList::from_slots(vec![slot(0, 0, 0, 200), slot(1, 1, 0, 200)]).unwrap();
+        state.next_node = 6;
+        let job = PendingState {
+            id: 0,
+            arrival: 0,
+            vo: 0,
+            request: request(),
+        };
+        // Survivor 0 is on nodes nobody offers any more; survivor 1 is
+        // vacant.
+        let survivors = vec![window(&[4, 5], 100), window(&[0, 1], 130)];
+        let (k, j) = (3, 1);
+        engine.commit_lease(&mut state, job, window(&[2, 3], 100), survivors.clone(), k);
+        let broken = state.next_lease - 1;
+        let strike = [Revocation {
+            slot: SlotId::new(77),
+            node: NodeId::new(2),
+            span: span(0, 1000),
+        }];
+        engine.recover_lease(&mut state, broken, &strike, TimePoint::new(90));
+
+        let leases: Vec<&LeaseState> = state.leases.values().collect();
+        let [lease] = leases[..] else {
+            panic!("one lease, not {}", leases.len());
+        };
+        assert_ne!(lease.lease, broken);
+        assert_eq!(lease.window, survivors[j]);
+        assert_eq!(lease.alternatives, survivors[..j]);
+        assert_eq!(lease.dropped, k);
+        let reg = engine.obs().recorder().unwrap().registry().unwrap();
+        let failovers = reg
+            .find_histogram("ecosched_engine_alternative_failover_index", &[])
+            .unwrap();
+        assert_eq!(
+            (reg.histogram_count(failovers), reg.histogram_sum(failovers)),
+            (1, (k + j) as u64)
+        );
     }
 
     #[test]

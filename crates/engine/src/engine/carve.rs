@@ -54,7 +54,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             vo,
             request,
         };
-        self.commit_lease(state, job, window, Vec::new());
+        self.commit_lease(state, job, window, Vec::new(), 0);
         (id, lease)
     }
 }

@@ -61,7 +61,8 @@ pub enum Fact<'a> {
     /// order, for a job.
     Chosen(usize),
     /// Tier-1 failover adopted the alternative at this position among a
-    /// broken lease's surviving ones.
+    /// broken lease's surviving ones, counting those the lease dropped
+    /// when time passed them.
     Failover(usize),
     /// A repair pass left one broken lease's job unscheduled.
     Postponed(PostponeReason),

@@ -97,15 +97,16 @@ impl EventQueue {
     }
 
     /// The queue's resumable state: the next sequence number plus every
-    /// queued event in pop order. Non-destructive (works on a clone of the
-    /// heap).
+    /// queued event in pop order. Non-destructive: the heap's entries are
+    /// copied out and sorted by their `(time, seq)` keys, which are unique.
     #[must_use]
     pub fn snapshot(&self) -> (u64, Vec<(TimePoint, u64, Event)>) {
-        let mut heap = self.heap.clone();
-        let mut entries = Vec::with_capacity(heap.len());
-        while let Some(std::cmp::Reverse(q)) = heap.pop() {
-            entries.push((q.time, q.seq, q.event));
-        }
+        let mut entries: Vec<_> = self
+            .heap
+            .iter()
+            .map(|std::cmp::Reverse(q)| (q.time, q.seq, q.event))
+            .collect();
+        entries.sort_unstable_by_key(|&(time, seq, _)| (time, seq));
         (self.next_seq, entries)
     }
 

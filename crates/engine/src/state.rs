@@ -15,9 +15,14 @@
 //!
 //! The checkpoint is an ordinary serde-serializable value; the container
 //! format (version header, per-section checksums) lives in the
-//! `ecosched-persist` crate, which treats this type as one payload.
+//! `ecosched-persist` crate, which treats this type as one payload. Its
+//! JSON has one writer, over borrowed parts, which a live run feeds as
+//! well ([`Engine::live_checkpoint`]), so a snapshot written from the
+//! run needs no checkpoint built first and is byte for byte the one
+//! written from it.
 //!
 //! [`Engine::resume`]: crate::engine::Engine::resume
+//! [`Engine::live_checkpoint`]: crate::engine::Engine::live_checkpoint
 //! [`RunState`]: crate::engine::RunState
 
 use ecosched_core::{ResourceRequest, SlotList, TimePoint, Window};
@@ -81,7 +86,7 @@ pub struct PendingState {
 
 /// An active lease with everything repair and completion need — like
 /// [`PendingState`], the run's live form and its serialized form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeaseState {
     /// The lease id (commitment order; keys the completion event).
     pub lease: u64,
@@ -97,12 +102,30 @@ pub struct LeaseState {
     pub window: Window,
     /// Surviving pre-computed alternatives, for tier-1 failover.
     pub alternatives: Vec<Window>,
+    /// How many alternatives that started before a cycle tick were
+    /// dropped from the front of [`Self::alternatives`]. A failover label
+    /// counts them, so it names the same alternative it named when the
+    /// list was whole.
+    pub dropped: usize,
     /// How long the lease actually runs, in ticks (three quarters of the
     /// planned length, rounded up).
     pub actual_length: i64,
 }
 
 impl LeaseState {
+    /// Drops the leading alternatives that start before `now`: none of
+    /// them can be adopted any more. Only the prefix goes, so a list out
+    /// of start order keeps a later stale one, which recovery skips.
+    pub fn drop_started(&mut self, now: TimePoint) {
+        let stale = self
+            .alternatives
+            .iter()
+            .take_while(|w| w.start() < now)
+            .count();
+        self.alternatives.drain(..stale);
+        self.dropped += stale;
+    }
+
     /// The job the lease executes, as a re-commitment or the pending
     /// queue takes it back when the lease breaks.
     pub(crate) fn pending(&self) -> PendingState {
@@ -112,6 +135,66 @@ impl LeaseState {
             vo: self.vo,
             request: self.request,
         }
+    }
+}
+
+// By hand, so the drop count is written only when there is one and read
+// as zero when it is missing: every lease without one keeps its bytes,
+// and snapshots written before the count existed decode as before.
+impl Serialize for LeaseState {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(br#"{"lease":"#);
+        self.lease.write_json(out);
+        out.extend_from_slice(br#","job":"#);
+        self.job.write_json(out);
+        out.extend_from_slice(br#","arrival":"#);
+        self.arrival.write_json(out);
+        out.extend_from_slice(br#","vo":"#);
+        self.vo.write_json(out);
+        out.extend_from_slice(br#","request":"#);
+        self.request.write_json(out);
+        out.extend_from_slice(br#","window":"#);
+        self.window.write_json(out);
+        out.extend_from_slice(br#","alternatives":"#);
+        self.alternatives.write_json(out);
+        if self.dropped > 0 {
+            out.extend_from_slice(br#","dropped":"#);
+            self.dropped.write_json(out);
+        }
+        out.extend_from_slice(br#","actual_length":"#);
+        self.actual_length.write_json(out);
+        out.push(b'}');
+    }
+}
+
+impl<'de> Deserialize<'de> for LeaseState {
+    fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let (mut lease, mut job, mut arrival, mut vo) = (None, None, None, None);
+        let (mut request, mut window, mut alternatives) = (None, None, None);
+        let (mut dropped, mut actual_length) = (None, None);
+        parser.read_map(|parser, key| match key {
+            "lease" => parser.field(&mut lease, key),
+            "job" => parser.field(&mut job, key),
+            "arrival" => parser.field(&mut arrival, key),
+            "vo" => parser.field(&mut vo, key),
+            "request" => parser.field(&mut request, key),
+            "window" => parser.field(&mut window, key),
+            "alternatives" => parser.field(&mut alternatives, key),
+            "dropped" => parser.field(&mut dropped, key),
+            "actual_length" => parser.field(&mut actual_length, key),
+            _ => parser.skip_value(),
+        })?;
+        Ok(LeaseState {
+            lease: serde::required(lease, "lease")?,
+            job: serde::required(job, "job")?,
+            arrival: serde::required(arrival, "arrival")?,
+            vo: serde::required(vo, "vo")?,
+            request: serde::required(request, "request")?,
+            window: serde::required(window, "window")?,
+            alternatives: serde::required(alternatives, "alternatives")?,
+            dropped: dropped.unwrap_or(0),
+            actual_length: serde::required(actual_length, "actual_length")?,
+        })
     }
 }
 
@@ -125,7 +208,7 @@ impl LeaseState {
 ///
 /// [`Engine::checkpoint`]: crate::engine::Engine::checkpoint
 /// [`Engine::resume`]: crate::engine::Engine::resume
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct EngineCheckpoint {
     /// The seed the run was started with (metadata; the RNG position
     /// below is what resume actually uses).
@@ -178,4 +261,98 @@ pub struct EngineCheckpoint {
     /// [`Engine::checkpoint`]: crate::engine::Engine::checkpoint
     /// [`Engine::resume`]: crate::engine::Engine::resume
     pub optimizer: Option<OptimizerSnapshot>,
+}
+
+impl Serialize for EngineCheckpoint {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        CheckpointParts {
+            seed: self.seed,
+            config_fp: self.config_fp,
+            rng: &self.rng,
+            queue_next_seq: self.queue_next_seq,
+            queue: &self.queue,
+            log: &self.log,
+            arrivals: &self.arrivals,
+            vacant: &self.vacant,
+            next_node: self.next_node,
+            pending: &self.pending,
+            leases: &self.leases,
+            next_lease: self.next_lease,
+            report: &self.report,
+            published_ticks: self.published_ticks,
+            busy_ticks: self.busy_ticks,
+            wait_sum_bits: self.wait_sum_bits,
+            slowdown_sum_bits: self.slowdown_sum_bits,
+            optimizer: self.optimizer.as_ref(),
+        }
+        .write_json(out);
+    }
+}
+
+/// An [`EngineCheckpoint`]'s fields, borrowed from wherever they live —
+/// the checkpoint itself, or the live run it would be captured from. Its
+/// writer is the checkpoint's one JSON form: keys in field order, as a
+/// derive would write them.
+pub(crate) struct CheckpointParts<'a, L> {
+    pub(crate) seed: u64,
+    pub(crate) config_fp: u64,
+    pub(crate) rng: &'a RngState,
+    pub(crate) queue_next_seq: u64,
+    pub(crate) queue: &'a [QueuedEventState],
+    pub(crate) log: &'a Log<LogEntry>,
+    pub(crate) arrivals: &'a [ArrivalState],
+    pub(crate) vacant: &'a SlotList,
+    pub(crate) next_node: u32,
+    pub(crate) pending: &'a [PendingState],
+    /// The leases in lease-id order, owned or borrowed.
+    pub(crate) leases: &'a [L],
+    pub(crate) next_lease: u64,
+    pub(crate) report: &'a EngineReport,
+    pub(crate) published_ticks: i64,
+    pub(crate) busy_ticks: i64,
+    pub(crate) wait_sum_bits: u64,
+    pub(crate) slowdown_sum_bits: u64,
+    pub(crate) optimizer: Option<&'a OptimizerSnapshot>,
+}
+
+impl<L: Serialize> Serialize for CheckpointParts<'_, L> {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(br#"{"seed":"#);
+        self.seed.write_json(out);
+        out.extend_from_slice(br#","config_fp":"#);
+        self.config_fp.write_json(out);
+        out.extend_from_slice(br#","rng":"#);
+        self.rng.write_json(out);
+        out.extend_from_slice(br#","queue_next_seq":"#);
+        self.queue_next_seq.write_json(out);
+        out.extend_from_slice(br#","queue":"#);
+        self.queue.write_json(out);
+        out.extend_from_slice(br#","log":"#);
+        self.log.write_json(out);
+        out.extend_from_slice(br#","arrivals":"#);
+        self.arrivals.write_json(out);
+        out.extend_from_slice(br#","vacant":"#);
+        self.vacant.write_json(out);
+        out.extend_from_slice(br#","next_node":"#);
+        self.next_node.write_json(out);
+        out.extend_from_slice(br#","pending":"#);
+        self.pending.write_json(out);
+        out.extend_from_slice(br#","leases":"#);
+        self.leases.write_json(out);
+        out.extend_from_slice(br#","next_lease":"#);
+        self.next_lease.write_json(out);
+        out.extend_from_slice(br#","report":"#);
+        self.report.write_json(out);
+        out.extend_from_slice(br#","published_ticks":"#);
+        self.published_ticks.write_json(out);
+        out.extend_from_slice(br#","busy_ticks":"#);
+        self.busy_ticks.write_json(out);
+        out.extend_from_slice(br#","wait_sum_bits":"#);
+        self.wait_sum_bits.write_json(out);
+        out.extend_from_slice(br#","slowdown_sum_bits":"#);
+        self.slowdown_sum_bits.write_json(out);
+        out.extend_from_slice(br#","optimizer":"#);
+        self.optimizer.write_json(out);
+        out.push(b'}');
+    }
 }

@@ -2,8 +2,10 @@
 //! `recover_lease`, the cycle commit and lease completion do to a run,
 //! the state between two events must stay a market — a valid vacant list,
 //! active leases that occupy pairwise-disjoint regions no vacant slot
-//! overlaps, every job in exactly one place — and the finished run must
-//! account for every job that arrived. Read from [`Engine::checkpoint`];
+//! overlaps, every job in exactly one place, and after a cycle tick no
+//! lease holding an alternative that tick has passed at the front of its
+//! list — and the finished run must account for every job that arrived.
+//! Read from [`Engine::checkpoint`];
 //! `repair_proptests.rs` checks each lease against its own request.
 
 use std::collections::HashSet;
@@ -83,6 +85,22 @@ fn assert_consistent(checkpoint: &EngineCheckpoint, after: Event) {
     }
 }
 
+/// A cycle tick drops every lease's leading alternatives that start
+/// before it, and commits new leases with alternatives from a market
+/// clipped to it: no lease's first alternative starts before the tick.
+fn assert_no_passed_alternative_first(checkpoint: &EngineCheckpoint, tick: i64) {
+    for lease in &checkpoint.leases {
+        if let Some(first) = lease.alternatives.first() {
+            assert!(
+                first.start().ticks() >= tick,
+                "lease {} keeps an alternative at {:?} after the tick at {tick}",
+                lease.lease,
+                first.start()
+            );
+        }
+    }
+}
+
 /// Steps one run to the end, checking the state after every event that
 /// moves capacity between the market and the leases.
 fn check_run(selector: impl SlotSelector + Copy, config: EngineConfig, seed: u64) {
@@ -93,7 +111,11 @@ fn check_run(selector: impl SlotSelector + Copy, config: EngineConfig, seed: u64
             entry.event,
             Event::CycleTick { .. } | Event::RevocationStrike { .. } | Event::LeaseCompleted { .. }
         ) {
-            assert_consistent(&engine.checkpoint(&state), entry.event);
+            let checkpoint = engine.checkpoint(&state);
+            assert_consistent(&checkpoint, entry.event);
+            if matches!(entry.event, Event::CycleTick { .. }) {
+                assert_no_passed_alternative_first(&checkpoint, entry.time);
+            }
         }
         // The expiry sweep looks only at the prefix that can hold a dead
         // slot and sits out a tick it has already swept; whichever it

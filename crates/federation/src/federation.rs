@@ -23,8 +23,8 @@
 
 use ecosched_core::{Money, ResourceRequest, TimePoint, Window};
 use ecosched_engine::{
-    fnv1a_64, ArrivalState, Engine, EngineCheckpoint, EngineError, EngineRun, Log, LogEntry,
-    RunState,
+    fnv1a_64, ArrivalState, Engine, EngineCheckpoint, EngineError, EngineRun, LiveCheckpoint, Log,
+    LogEntry, RunState,
 };
 use ecosched_select::{repair_search, RepairError, ScanStats, SlotSelector};
 use ecosched_sim::ConfigError;
@@ -263,8 +263,10 @@ enum NextAction {
 }
 
 /// A fully checkpointed federation: per-shard engine checkpoints plus the
-/// router state, in one serializable container.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// router state, in one serializable container. Its JSON has one writer,
+/// over borrowed parts, which a live run feeds as well
+/// ([`Federation::live_checkpoint`]).
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct FederationCheckpoint {
     /// The federation seed.
     pub seed: u64,
@@ -290,6 +292,100 @@ pub struct FederationCheckpoint {
     pub cross_shard: Vec<CrossShardWindow>,
     /// Router counters so far.
     pub counters: RouteCounters,
+}
+
+impl Serialize for FederationCheckpoint {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        CheckpointParts {
+            seed: self.seed,
+            config_fp: self.config_fp,
+            shards: &self.shards,
+            arrivals: &self.arrivals,
+            next_arrival: self.next_arrival,
+            next_fed_job: self.next_fed_job,
+            rr_cursor: self.rr_cursor,
+            merged: &self.merged,
+            cross_shard: &self.cross_shard,
+            counters: &self.counters,
+        }
+        .write_json(out);
+    }
+}
+
+/// A [`FederationCheckpoint`]'s fields, borrowed from the checkpoint or
+/// from the live run, each shard's as its own checkpoint or a live writer
+/// of it. Its writer is the checkpoint's one JSON form: keys in field
+/// order, as a derive would write them.
+struct CheckpointParts<'a, E> {
+    seed: u64,
+    config_fp: u64,
+    shards: &'a [E],
+    arrivals: &'a [ArrivalState],
+    next_arrival: u64,
+    next_fed_job: u64,
+    rr_cursor: u64,
+    merged: &'a Log<FederatedLogEntry>,
+    cross_shard: &'a [CrossShardWindow],
+    counters: &'a RouteCounters,
+}
+
+impl<E: Serialize> Serialize for CheckpointParts<'_, E> {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(br#"{"seed":"#);
+        self.seed.write_json(out);
+        out.extend_from_slice(br#","config_fp":"#);
+        self.config_fp.write_json(out);
+        out.extend_from_slice(br#","shards":"#);
+        self.shards.write_json(out);
+        out.extend_from_slice(br#","arrivals":"#);
+        self.arrivals.write_json(out);
+        out.extend_from_slice(br#","next_arrival":"#);
+        self.next_arrival.write_json(out);
+        out.extend_from_slice(br#","next_fed_job":"#);
+        self.next_fed_job.write_json(out);
+        out.extend_from_slice(br#","rr_cursor":"#);
+        self.rr_cursor.write_json(out);
+        out.extend_from_slice(br#","merged":"#);
+        self.merged.write_json(out);
+        out.extend_from_slice(br#","cross_shard":"#);
+        self.cross_shard.write_json(out);
+        out.extend_from_slice(br#","counters":"#);
+        self.counters.write_json(out);
+        out.push(b'}');
+    }
+}
+
+/// A live federated run's checkpoint as [`Serialize`]: see
+/// [`Federation::live_checkpoint`].
+#[derive(Debug)]
+pub struct LiveFederationCheckpoint<'a, S> {
+    fed: &'a Federation<S>,
+    state: &'a FederationState,
+}
+
+impl<S: SlotSelector + Copy> Serialize for LiveFederationCheckpoint<'_, S> {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        let (fed, state) = (self.fed, self.state);
+        let shards: Vec<LiveCheckpoint<'_, S>> = fed
+            .shards
+            .iter()
+            .zip(&state.shards)
+            .map(|(engine, shard)| engine.live_checkpoint(shard))
+            .collect();
+        CheckpointParts {
+            seed: state.seed,
+            config_fp: fed.config_fingerprint(),
+            shards: &shards,
+            arrivals: &state.arrivals,
+            next_arrival: state.next_arrival as u64,
+            next_fed_job: state.next_fed_job,
+            rr_cursor: state.rr_cursor,
+            merged: &state.merged,
+            cross_shard: &state.cross_shard,
+            counters: &state.counters,
+        }
+        .write_json(out);
+    }
 }
 
 /// The result of a drained federated run.
@@ -949,6 +1045,17 @@ impl<S: SlotSelector + Copy> Federation<S> {
             cross_shard: state.cross_shard.clone(),
             counters: state.counters.clone(),
         }
+    }
+
+    /// The JSON of [`Self::checkpoint`]'s result, written straight from
+    /// the run: byte for byte the same, without cloning any shard's state
+    /// into a checkpoint first. What the daemon's snapshot serializes.
+    #[must_use]
+    pub fn live_checkpoint<'a>(
+        &'a self,
+        state: &'a FederationState,
+    ) -> LiveFederationCheckpoint<'a, S> {
+        LiveFederationCheckpoint { fed: self, state }
     }
 
     /// Rebuilds a [`FederationState`] from a checkpoint taken by

@@ -33,7 +33,8 @@ pub mod report;
 pub use coalloc::{split_nodes, CrossShardPart, CrossShardWindow};
 pub use config::{FederationConfig, RoutePolicy};
 pub use federation::{
-    Federation, FederationCheckpoint, FederationError, FederationRun, FederationState, Placement,
+    Federation, FederationCheckpoint, FederationError, FederationRun, FederationState,
+    LiveFederationCheckpoint, Placement,
 };
 pub use merge::{is_strictly_ordered, merge_shard_logs, FederatedLogEntry};
 pub use obs::{federation_obs, FedIds, FederationObs};

@@ -14,7 +14,8 @@
 //! rebuilds the shard logs from the verified merged prefix.
 
 use ecosched_engine::Log;
-use ecosched_federation::{FederatedLogEntry, FederationCheckpoint};
+use ecosched_federation::{FederatedLogEntry, Federation, FederationCheckpoint, FederationState};
+use ecosched_select::SlotSelector;
 use serde::{Deserialize, Serialize};
 
 use crate::format::{PersistError, SectionTag};
@@ -32,6 +33,20 @@ pub struct FederatedSnapshotMeta {
     pub shards: u32,
     /// Merged-log entries the captured run had emitted.
     pub merged_events: u64,
+}
+
+impl FederatedSnapshotMeta {
+    /// The header of a live run's snapshot: the meta of
+    /// `fed.checkpoint(state)`, read from the run.
+    #[must_use]
+    pub fn of_run<S: SlotSelector + Copy>(fed: &Federation<S>, state: &FederationState) -> Self {
+        FederatedSnapshotMeta {
+            seed: state.seed(),
+            config_fp: fed.config_fingerprint(),
+            shards: state.shard_count() as u32,
+            merged_events: state.merged().len() as u64,
+        }
+    }
 }
 
 impl Checkpoint for FederationCheckpoint {

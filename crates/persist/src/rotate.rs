@@ -30,7 +30,7 @@ use ecosched_engine::EngineCheckpoint;
 
 use crate::format::{self, PersistError, LAST_SEGMENT_VERSION};
 use crate::segment;
-use crate::snapshot::{decode, encode, Checkpoint};
+use crate::snapshot::{decode, encode_with, Checkpoint};
 
 /// File-name suffix of finished snapshots.
 const SUFFIX: &str = ".ecosnap";
@@ -153,8 +153,27 @@ impl<C: Checkpoint> Store<C> {
     ///
     /// [`PersistError::Io`] on any filesystem failure.
     pub fn save(&self, checkpoint: &C) -> Result<PathBuf, PersistError> {
-        let final_path = self.dir.join(Self::file_name(checkpoint.events()));
-        atomic_save(&final_path, &encode(checkpoint))?;
+        self.save_with(checkpoint.events(), &checkpoint.meta(), |out| {
+            checkpoint.write_json(out);
+        })
+    }
+
+    /// [`Self::save`] of the checkpoint that `state` writes, captured after
+    /// `events` log events, under `meta`: what a live run saves without
+    /// building its checkpoint. The file holds the bytes
+    /// [`encode`](crate::snapshot::encode) makes of that checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Io`] on any filesystem failure.
+    pub fn save_with(
+        &self,
+        events: u64,
+        meta: &C::Meta,
+        state: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<PathBuf, PersistError> {
+        let final_path = self.dir.join(Self::file_name(events));
+        atomic_save(&final_path, &encode_with::<C>(meta, state))?;
         self.prune()?;
         Ok(final_path)
     }
@@ -275,6 +294,7 @@ impl<C: Checkpoint> Store<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::encode;
     use ecosched_federation::FederationCheckpoint;
 
     fn scratch_dir(tag: &str) -> PathBuf {

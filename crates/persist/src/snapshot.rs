@@ -121,11 +121,20 @@ fn parse_section<T: DeserializeOwned>(
 /// Serializes a checkpoint into snapshot bytes.
 #[must_use]
 pub fn encode<C: Checkpoint>(checkpoint: &C) -> Vec<u8> {
+    encode_with::<C>(&checkpoint.meta(), |out| checkpoint.write_json(out))
+}
+
+/// Serializes snapshot bytes from a `C` header and a writer of the state
+/// JSON — [`encode`] of the checkpoint that `state` writes, for a state
+/// written straight from a live run without the checkpoint built.
+#[must_use]
+pub(crate) fn encode_with<C: Checkpoint>(
+    meta: &C::Meta,
+    state: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
     let mut out = format::begin(2);
-    format::section(&mut out, C::META_SECTION, |out| {
-        checkpoint.meta().write_json(out);
-    });
-    format::section(&mut out, C::STATE_SECTION, |out| checkpoint.write_json(out));
+    format::section(&mut out, C::META_SECTION, |out| meta.write_json(out));
+    format::section(&mut out, C::STATE_SECTION, state);
     out
 }
 

@@ -733,6 +733,44 @@ fn component_types_round_trip() {
     );
 }
 
+/// A lease's count of the alternatives it dropped survives checkpoint →
+/// encode → decode → resume: the resumed run holds the same leases and
+/// finishes as the uninterrupted one. The count is on the wire only
+/// where it is non-zero, and a lease without it — every lease a build
+/// before the count wrote — decodes with none.
+#[test]
+fn a_dropped_count_survives_the_snapshot_and_a_missing_one_reads_zero() {
+    let engine = Engine::new(golden_config(), Amp::new()).expect("golden config");
+    let (baseline, snapshots) = run_with_snapshots(&engine, GOLDEN_SEED, 1).expect("golden run");
+    let checkpoint = snapshots
+        .iter()
+        .find(|c| c.leases.iter().any(|l| l.dropped > 0))
+        .expect("a cycle commit after some lease dropped an alternative");
+    let decoded = decode_snapshot(&encode_snapshot(checkpoint)).expect("round trip");
+    assert_eq!(&decoded, checkpoint);
+    let mut resumed = engine.resume(&decoded).expect("resume");
+    assert_eq!(&engine.checkpoint(&resumed), checkpoint);
+    while engine.step(&mut resumed).expect("step").is_some() {}
+    assert_eq!(engine.finish(resumed), baseline);
+
+    for lease in &checkpoint.leases {
+        let json = serde_json::to_string(lease).expect("lease json");
+        let key = format!(r#","dropped":{},"#, lease.dropped);
+        assert_eq!(json.contains(&key), lease.dropped > 0, "{json}");
+        let older = json.replace(&key, ",");
+        let read: ecosched_engine::LeaseState =
+            serde_json::from_str(&older).expect("a lease without the count");
+        assert_eq!(read.dropped, 0);
+        assert_eq!(
+            read,
+            ecosched_engine::LeaseState {
+                dropped: 0,
+                ..lease.clone()
+            }
+        );
+    }
+}
+
 proptest! {
     // Full engine runs per case; keep counts moderate.
     #![proptest_config(ProptestConfig::with_cases(12))]

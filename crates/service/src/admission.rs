@@ -22,12 +22,12 @@
 //!    `S = C·t·N`, per-slot cap eligibility *is* affordability, so this
 //!    single screen covers both. Optional (`admit_market`), because the
 //!    market refreshes every cycle and a strict screen also sheds jobs a
-//!    future publication could have hosted.
+//!    future publication could have hosted. The screen stops at the
+//!    `nodes`-th eligible node; only a rejection walks every market,
+//!    so it reports the best shard's whole count.
 //!
 //! Admission reads state but never mutates it and never draws
 //! randomness, so it cannot perturb engine determinism.
-
-use std::collections::BTreeSet;
 
 use ecosched_core::{ResourceRequest, SlotList, TimePoint};
 use serde::{Deserialize, Serialize};
@@ -149,16 +149,18 @@ pub fn decide(
     if policy.admit_market {
         // Best single shard: the job lands on one shard, so the screen
         // passes iff some shard's market could host it.
-        let eligible = view
-            .markets
-            .iter()
-            .map(|vacant| eligible_nodes(vacant, &request, view.now))
-            .max()
-            .unwrap_or(0);
-        if eligible < request.nodes() as u64 {
+        let needed = request.nodes();
+        let mut eligible = 0;
+        for vacant in view.markets {
+            eligible = eligible.max(eligible_nodes(vacant, &request, view.now, needed));
+            if eligible >= needed {
+                break;
+            }
+        }
+        if eligible < needed {
             return Err(RejectReason::BudgetInfeasible {
-                needed_nodes: request.nodes() as u64,
-                eligible_nodes: eligible,
+                needed_nodes: needed as u64,
+                eligible_nodes: eligible as u64,
             });
         }
     }
@@ -167,15 +169,25 @@ pub fn decide(
 }
 
 /// Distinct nodes offering a live (not yet expired) slot that satisfies
-/// the request's performance floor within its price cap.
-fn eligible_nodes(vacant: &SlotList, request: &ResourceRequest, now: i64) -> u64 {
+/// the request's performance floor within its price cap, counted up to
+/// `enough`: a count below it is the whole market's.
+fn eligible_nodes(vacant: &SlotList, request: &ResourceRequest, now: i64, enough: usize) -> usize {
     let now = TimePoint::new(now);
-    let nodes: BTreeSet<_> = vacant
+    let eligible = vacant
         .iter()
-        .filter(|slot| slot.end() > now && request.perf_ok(slot) && request.price_ok(slot))
-        .map(|slot| slot.node())
-        .collect();
-    nodes.len() as u64
+        .filter(|slot| slot.end() > now && request.perf_ok(slot) && request.price_ok(slot));
+    // Sorted, so a hostile `nodes` far above the market's size costs a
+    // binary search per slot, not a scan.
+    let mut nodes = Vec::with_capacity(enough.min(16));
+    for slot in eligible {
+        if let Err(at) = nodes.binary_search(&slot.node()) {
+            nodes.insert(at, slot.node());
+            if nodes.len() >= enough {
+                break;
+            }
+        }
+    }
+    nodes.len()
 }
 
 #[cfg(test)]
@@ -369,6 +381,48 @@ mod tests {
         ));
         let fits_one = JobSpec { nodes: 4, ..spec() };
         assert!(decide(&AdmissionPolicy::default(), &v, &fits_one, 0).is_ok());
+    }
+
+    /// The screen stops at the requested node count when a market has
+    /// them, but a rejection walks every market and reports the best
+    /// one's whole count, each node once however many slots it offers.
+    #[test]
+    fn the_screen_stops_at_enough_nodes_but_a_rejection_counts_them_all() {
+        let half = |n: u32, id: u64, a: i64| {
+            let span = Span::new(TimePoint::new(a), TimePoint::new(a + 50)).expect("span");
+            Slot::new(
+                SlotId::new(id),
+                NodeId::new(n),
+                Perf::UNIT,
+                Price::from_credits(2),
+                span,
+            )
+            .expect("slot")
+        };
+        // Six nodes, each offering two slots; and the four-node market.
+        let slots = (0..6u32).flat_map(|n| {
+            [
+                half(n, 2 * u64::from(n), 0),
+                half(n, 2 * u64::from(n) + 1, 50),
+            ]
+        });
+        let wide = SlotList::from_slots(slots.collect()).expect("list");
+        let small = market();
+        let request = spec().to_request().expect("request");
+        assert_eq!(eligible_nodes(&wide, &request, 10, 2), 2, "stops at enough");
+        assert_eq!(eligible_nodes(&wide, &request, 10, usize::MAX), 6);
+        let markets = [&small, &wide];
+        let v = view(&markets);
+        let accepted = decide(&AdmissionPolicy::default(), &v, &spec(), 0);
+        assert_eq!(accepted, Ok(request));
+        let too_wide = JobSpec { nodes: 7, ..spec() };
+        assert_eq!(
+            decide(&AdmissionPolicy::default(), &v, &too_wide, 0),
+            Err(RejectReason::BudgetInfeasible {
+                needed_nodes: 7,
+                eligible_nodes: 6
+            })
+        );
     }
 
     #[test]

@@ -36,9 +36,11 @@
 //! to that entry ([`FederationState::trim_logs`]); the rest of each log
 //! is its position, whose hash [`Session::status`] reports. Memory is
 //! bounded whether or not snapshots are taken. A snapshot is the trimmed
-//! checkpoint, written as it is in one atomic rename: its size and cost
-//! follow the state, however long the daemon has run. The WAL is the
-//! truth; nothing but the snapshot itself must be made durable first.
+//! checkpoint, written straight from the live state
+//! ([`Federation::live_checkpoint`]) — no copy of the state is built — in
+//! one atomic rename: its size and cost follow the state, however long
+//! the daemon has run. The WAL is the truth; nothing but the snapshot
+//! itself must be made durable first.
 //!
 //! # Resume
 //!
@@ -56,8 +58,9 @@ use std::path::{Path, PathBuf};
 use ecosched_core::TimePoint;
 use ecosched_engine::Event;
 use ecosched_federation::{Federation, FederationCheckpoint, FederationState, Placement};
-use ecosched_persist::Store;
+use ecosched_persist::{FederatedSnapshotMeta, Store};
 use ecosched_select::SlotSelector;
+use serde::Serialize as _;
 
 use crate::admission::{decide, MarketView};
 use crate::error::ServiceError;
@@ -424,7 +427,8 @@ impl<S: SlotSelector + Copy> Session<S> {
         Ok(snapshots)
     }
 
-    /// Trims the logs and captures a rotated snapshot now.
+    /// Trims the logs and captures a rotated snapshot now, written
+    /// straight from the live state: no checkpoint is built.
     ///
     /// # Errors
     ///
@@ -432,7 +436,11 @@ impl<S: SlotSelector + Copy> Session<S> {
     pub fn snapshot(&mut self) -> Result<PathBuf, ServiceError> {
         let start = self.obs.is_on().then(std::time::Instant::now);
         self.state.trim_logs();
-        let path = self.store.save(&self.fed.checkpoint(&self.state))?;
+        let meta = FederatedSnapshotMeta::of_run(&self.fed, &self.state);
+        let live = self.fed.live_checkpoint(&self.state);
+        let path = self
+            .store
+            .save_with(meta.merged_events, &meta, |out| live.write_json(out))?;
         if let Some(start) = start {
             let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
             self.obs.feed(Fact::Snapshot(start.elapsed(), bytes));
