@@ -26,7 +26,6 @@
 //! against a `BTreeMap`.
 
 use std::collections::hash_map::Entry;
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -673,11 +672,14 @@ impl SlotList {
         Ok(())
     }
 
-    /// Either wire form's slots, in `(start, id)` order, and its `next_id`
+    /// Every wire form's slots, in `(start, id)` order, and its `next_id`
     /// go through the sorted load, so a corrupt payload is refused naming
     /// the invariant it breaks and never becomes a list whose `validate()`
     /// fails or whose `mint_id()` reissues a live id.
     fn from_wire(slots: Vec<Slot>, next_id: u64) -> Result<Self, serde::Error> {
+        for slot in &slots {
+            wire_span(slot.id(), slot.start(), slot.end())?;
+        }
         let mut list = SlotList::from_sorted_slots(slots).map_err(invalid)?;
         if next_id < list.next_id {
             return Err(invalid(format_args!(
@@ -703,6 +705,17 @@ fn sorted(mut slots: Vec<Slot>) -> Result<Vec<Slot>, CoreError> {
         return Err(CoreError::DuplicateSlotId { id: twins[1].id() });
     }
     Ok(slots)
+}
+
+/// The span `[start, end)` of slot `id` as read off the wire: it must
+/// hold a tick, as [`Slot::new`] requires. A slot record's span is read
+/// unchecked, so every decoded slot is checked again here.
+fn wire_span(id: SlotId, start: TimePoint, end: TimePoint) -> Result<Span, serde::Error> {
+    match Span::new(start, end) {
+        Some(span) if !span.is_empty() => Ok(span),
+        Some(span) => Err(invalid(CoreError::EmptySlot { id, span })),
+        None => Err(invalid(format_args!("slot {id} ends before it starts"))),
+    }
 }
 
 fn invalid(why: impl fmt::Display) -> serde::Error {
@@ -740,50 +753,105 @@ impl PartialEq for SlotList {
 
 impl Eq for SlotList {}
 
-// Serde writes one form: each node's slots in start order behind the
-// `repr` tag, `{"repr":"interval","nodes":[{node, slots}…],"next_id":…}`.
-// Decoding reads every key first and then chooses on the tag's presence,
-// so the untagged `{slots, next_id}` payload of persist format-1
-// snapshots, its slots in `(start, id)` order, still loads.
-#[derive(Serialize)]
-struct NodesWire {
-    repr: &'static str,
-    nodes: Vec<NodeSlots>,
-    next_id: u64,
-}
+// Serde writes one form: behind the `repr` tag, each node's slots as one
+// group, nodes ascending, the node once and then its slots in start
+// order, each the row `[id,perf,price,start,end]`:
+// `{"repr":"interval","nodes":[[node,[[id,perf,price,start,end],…]],…],"next_id":…}`.
+// Decoding also reads the record groups of snapshot formats 2–5,
+// `{"node":…,"slots":[{id,node,perf,price,span}…]}`, and chooses the
+// tagged or the untagged form once every key is read, so the
+// `{slots, next_id}` payload of format-1 snapshots, its slots in
+// `(start, id)` order, still loads.
 
 /// The `repr` tag of the one written form. The name is older than the
 /// blocks; ROADMAP item 3c renames it, after 1a.
 const NODES_TAG: &str = "interval";
 
-#[derive(Serialize, Deserialize)]
-struct NodeSlots {
+impl Serialize for SlotList {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        // Within a node, start order is `(start, id)` order.
+        let mut slots: Vec<&Slot> = self.iter().collect();
+        slots.sort_unstable_by_key(|slot| (slot.node(), slot.start()));
+        out.extend_from_slice(br#"{"repr":"#);
+        NODES_TAG.write_json(out);
+        out.extend_from_slice(br#","nodes":["#);
+        for (i, group) in slots.chunk_by(|a, b| a.node() == b.node()).enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            out.push(b'[');
+            group[0].node().write_json(out);
+            out.extend_from_slice(b",[");
+            for (j, slot) in group.iter().enumerate() {
+                if j > 0 {
+                    out.push(b',');
+                }
+                let row = (
+                    slot.id(),
+                    slot.perf(),
+                    slot.price(),
+                    slot.start(),
+                    slot.end(),
+                );
+                row.write_json(out);
+            }
+            out.extend_from_slice(b"]]");
+        }
+        out.extend_from_slice(br#"],"next_id":"#);
+        self.next_id.write_json(out);
+        out.push(b'}');
+    }
+}
+
+/// A node group as snapshot formats 2–5 wrote it: slot records, each
+/// naming the node again.
+#[derive(Deserialize)]
+struct RecordGroup {
     node: NodeId,
     slots: Vec<Slot>,
 }
 
-impl Serialize for SlotList {
-    fn write_json(&self, out: &mut Vec<u8>) {
-        // Ascending node order; `(start, id)` order within a node is its
-        // start order.
-        let mut by_node: BTreeMap<NodeId, Vec<Slot>> = BTreeMap::new();
-        for slot in self.iter() {
-            by_node.entry(slot.node()).or_default().push(*slot);
+/// The slots of a tagged payload's `nodes`, read off either shape of
+/// group. Groups of rows must go up by node; a record must name its
+/// group's node.
+struct Filed(Vec<Slot>);
+
+impl<'de> Deserialize<'de> for Filed {
+    fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let mut all = Vec::new();
+        let mut last: Option<NodeId> = None;
+        parser.begin_seq()?;
+        while parser.next_element()? {
+            if !parser.at_seq() {
+                let RecordGroup { node, slots } = RecordGroup::read_json(parser)?;
+                if let Some(slot) = slots.iter().find(|slot| slot.node() != node) {
+                    return Err(serde::Error::custom(format!(
+                        "slot {} filed under node {node} but belongs to {}",
+                        slot.id(),
+                        slot.node()
+                    )));
+                }
+                all.extend(slots);
+                continue;
+            }
+            let (node, rows): (NodeId, Vec<_>) = Deserialize::read_json(parser)?;
+            if let Some(last) = last.replace(node).filter(|&last| last >= node) {
+                return Err(serde::Error::custom(format!(
+                    "slots filed under node {node} after node {last}"
+                )));
+            }
+            for (id, perf, price, start, end) in rows {
+                let span = wire_span(id, start, end)?;
+                all.push(Slot::new(id, node, perf, price, span).map_err(invalid)?);
+            }
         }
-        let nodes = by_node.into_iter();
-        let nodes = nodes.map(|(node, slots)| NodeSlots { node, slots });
-        NodesWire {
-            repr: NODES_TAG,
-            nodes: nodes.collect(),
-            next_id: self.next_id,
-        }
-        .write_json(out);
+        Ok(Filed(all))
     }
 }
 
 impl<'de> Deserialize<'de> for SlotList {
     fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
-        let (mut slots, mut next_id, mut nodes) = (None, None, None);
+        let (mut slots, mut next_id, mut nodes) = (None, None, None::<Filed>);
         let mut repr: Option<String> = None;
         parser.read_map(|parser, name| match name {
             "slots" => parser.field(&mut slots, name),
@@ -802,21 +870,9 @@ impl<'de> Deserialize<'de> for SlotList {
                 "unknown slot list repr tag {repr:?}"
             )));
         }
-        let nodes: Vec<NodeSlots> = serde::required(nodes, "nodes")?;
+        let Filed(all) = serde::required(nodes, "nodes")?;
         let next_id = serde::required(next_id, "next_id")?;
-        let mut all_slots: Vec<Slot> = Vec::new();
-        for NodeSlots { node, slots } in nodes {
-            if let Some(slot) = slots.iter().find(|slot| slot.node() != node) {
-                return Err(serde::Error::custom(format!(
-                    "slot {} filed under node {node} but belongs to {}",
-                    slot.id(),
-                    slot.node()
-                )));
-            }
-            all_slots.extend(slots);
-        }
-        let all_slots = sorted(all_slots).map_err(invalid)?;
-        SlotList::from_wire(all_slots, next_id)
+        SlotList::from_wire(sorted(all).map_err(invalid)?, next_id)
     }
 }
 
@@ -1599,22 +1655,47 @@ mod tests {
     }
 
     /// The one written form, as text: each node's slots in start order
-    /// behind the tag, nodes ascending.
+    /// as rows behind the node, nodes ascending, behind the tag.
     #[test]
     fn serde_writes_the_tagged_node_form() {
         let list = SlotList::from_slots(vec![slot(0, 1, 0, 30), slot(1, 0, 10, 60)]).unwrap();
-        let slot_text = |id: u64, node: u32, a: i64, b: i64| {
-            format!(
-                r#"{{"id":{id},"node":{node},"perf":1000,"price":2000000,"span":{{"start":{a},"end":{b}}}}}"#
-            )
-        };
-        let (zero, one) = (slot_text(0, 1, 0, 30), slot_text(1, 0, 10, 60));
         assert_eq!(
             serde_json::to_string(&list).unwrap(),
-            format!(
-                r#"{{"repr":"interval","nodes":[{{"node":0,"slots":[{one}]}},{{"node":1,"slots":[{zero}]}}],"next_id":2}}"#
-            )
+            r#"{"repr":"interval","nodes":[[0,[[1,1000,2000000,10,60]]],[1,[[0,1000,2000000,0,30]]]],"next_id":2}"#
         );
+    }
+
+    /// `list` as snapshot formats 2–5 wrote it: a record per node, each
+    /// slot a record naming its node again.
+    fn record_groups(list: &SlotList) -> String {
+        let mut by_node: std::collections::BTreeMap<NodeId, Vec<Slot>> = Default::default();
+        for slot in list {
+            by_node.entry(slot.node()).or_default().push(*slot);
+        }
+        let groups: Vec<String> = by_node
+            .iter()
+            .map(|(node, slots)| {
+                let slots = serde_json::to_string(slots).unwrap();
+                format!(r#"{{"node":{node},"slots":{slots}}}"#, node = node.index())
+            })
+            .collect();
+        format!(
+            r#"{{"repr":"interval","nodes":[{}],"next_id":{}}}"#,
+            groups.join(","),
+            list.next_id
+        )
+    }
+
+    /// The record groups of formats 2–5, pinned as text, decode to the
+    /// list the rows decode to.
+    #[test]
+    fn serde_reads_the_record_groups_of_format_5() {
+        let text = r#"{"repr":"interval","nodes":[
+            {"node":0,"slots":[{"id":1,"node":0,"perf":1000,"price":2000000,"span":{"start":10,"end":60}}]},
+            {"slots":[{"id":0,"node":1,"perf":1000,"price":2000000,"span":{"start":0,"end":30}}],"node":1}
+        ],"next_id":2}"#;
+        let list = SlotList::from_slots(vec![slot(0, 1, 0, 30), slot(1, 0, 10, 60)]).unwrap();
+        assert_eq!(serde_json::from_str::<SlotList>(text).unwrap(), list);
     }
 
     /// The untagged payload of persist format-1 snapshots, which nothing
@@ -1688,11 +1769,16 @@ mod tests {
         rejects(payload(sound, 0), "next_id 0 is not above");
     }
 
+    /// A tagged payload is refused on the same faults whether its groups
+    /// are rows or records.
     #[test]
     fn serde_rejects_corrupt_tagged_payload() {
         let list = SlotList::from_slots(vec![slot(0, 0, 0, 30), slot(1, 0, 30, 60)]).unwrap();
-        let text = serde_json::to_string(&list).unwrap();
-        assert!(serde_json::from_str::<SlotList>(&text).is_ok());
+        let rows = serde_json::to_string(&list).unwrap();
+        let records = record_groups(&list);
+        for text in [&rows, &records] {
+            assert_eq!(serde_json::from_str::<SlotList>(text).unwrap(), list);
+        }
         let rejects = |text: String, needle: &str| {
             let err = serde_json::from_str::<SlotList>(&text)
                 .expect_err(needle)
@@ -1700,34 +1786,69 @@ mod tests {
             assert!(err.contains(needle), "{err:?} should mention {needle:?}");
         };
         // Tamper: claim an unknown repr tag.
+        for text in [&rows, &records] {
+            rejects(
+                text.replace(r#""interval""#, r#""hyperbolic""#),
+                "unknown slot list repr tag",
+            );
+        }
+        // File node 0's slots under node 1: a record names its node, and
+        // the groups of rows go up by node.
         rejects(
-            text.replace(r#""interval""#, r#""hyperbolic""#),
-            "unknown slot list repr tag",
-        );
-        // File node 0's slots under node 1.
-        rejects(
-            text.replace(r#"{"node":0,"#, r#"{"node":1,"#),
+            records.replace(r#"{"node":0,"s"#, r#"{"node":1,"s"#),
             "filed under node",
+        );
+        rejects(
+            rows.replace("[[0,[", "[[1,[]],[1,["),
+            "filed under node cpu1 after node cpu1",
         );
         // File the same slot under two nodes: one id twice, not a break
         // in an order the decoder made itself.
-        let filed = |node: u32, start: i64| {
-            let slots = serde_json::to_string(&[slot(3, node, start, 30)]).unwrap();
-            format!(r#"{{"node":{node},"slots":{slots}}}"#)
+        let filed = |node: u32, start: i64, record: bool| {
+            let slot = slot(3, node, start, 30);
+            if record {
+                let slots = serde_json::to_string(&[slot]).unwrap();
+                format!(r#"{{"node":{node},"slots":{slots}}}"#)
+            } else {
+                format!("[{node},[[3,1000,2000000,{start},30]]]")
+            }
         };
         // At one start and at two: the second is in `(start, id)` order,
         // and only the load's check of ids refuses it.
-        for (zero, one) in [(filed(0, 0), filed(1, 0)), (filed(0, 0), filed(1, 5))] {
+        for record in [false, true] {
+            for (zero, one) in [
+                (filed(0, 0, record), filed(1, 0, record)),
+                (filed(0, 0, record), filed(1, 5, record)),
+            ] {
+                rejects(
+                    format!(r#"{{"repr":"interval","nodes":[{zero},{one}],"next_id":4}}"#),
+                    "duplicate slot id s3",
+                );
+            }
+        }
+        // A slot must hold a tick, in either shape.
+        rejects(rows.replacen(",0,30]", ",30,30]", 1), "has empty span");
+        rejects(
+            rows.replacen(",0,30]", ",31,30]", 1),
+            "ends before it starts",
+        );
+        for end in [0, -1] {
             rejects(
-                format!(r#"{{"repr":"interval","nodes":[{zero},{one}],"next_id":4}}"#),
-                "duplicate slot id s3",
+                records.replacen(r#""end":30"#, &format!(r#""end":{end}"#), 1),
+                if end == 0 {
+                    "has empty span"
+                } else {
+                    "ends before it starts"
+                },
             );
         }
         // Keys in any order; the tag decides the form once all are read.
-        let (repr, rest) = text.split_once(r#","nodes":"#).unwrap();
-        let (nodes, next_id) = rest.rsplit_once(',').unwrap();
-        let next_id = next_id.trim_end_matches('}');
-        let reordered = format!(r#"{{"nodes":{nodes},{next_id},{}}}"#, &repr[1..]);
-        assert_eq!(serde_json::from_str::<SlotList>(&reordered).unwrap(), list);
+        for text in [&rows, &records] {
+            let (repr, rest) = text.split_once(r#","nodes":"#).unwrap();
+            let (nodes, next_id) = rest.rsplit_once(',').unwrap();
+            let next_id = next_id.trim_end_matches('}');
+            let reordered = format!(r#"{{"nodes":{nodes},{next_id},{}}}"#, &repr[1..]);
+            assert_eq!(serde_json::from_str::<SlotList>(&reordered).unwrap(), list);
+        }
     }
 }

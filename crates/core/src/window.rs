@@ -18,7 +18,11 @@ use crate::time::{Span, TimeDelta, TimePoint};
 
 /// One member of a window: a task placement on a node, carved out of a
 /// source slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// On the wire a member is the row `[source,node,perf,price,runtime]`.
+/// Snapshots of format 5 and earlier wrote it as a record keyed by those
+/// names, which still decodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WindowSlot {
     source: SlotId,
     node: NodeId,
@@ -82,6 +86,40 @@ impl WindowSlot {
     #[must_use]
     pub fn cost(&self) -> Money {
         self.price * self.runtime
+    }
+}
+
+impl Serialize for WindowSlot {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        (self.source, self.node, self.perf, self.price, self.runtime).write_json(out);
+    }
+}
+
+/// A member as snapshot formats 5 and earlier wrote it.
+#[derive(Deserialize)]
+struct MemberRecord {
+    source: SlotId,
+    node: NodeId,
+    perf: Perf,
+    price: Price,
+    runtime: TimeDelta,
+}
+
+impl<'de> Deserialize<'de> for WindowSlot {
+    fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let (source, node, perf, price, runtime) = if parser.at_seq() {
+            Deserialize::read_json(parser)?
+        } else {
+            let r = MemberRecord::read_json(parser)?;
+            (r.source, r.node, r.perf, r.price, r.runtime)
+        };
+        Ok(WindowSlot {
+            source,
+            node,
+            perf,
+            price,
+            runtime,
+        })
     }
 }
 
@@ -379,17 +417,56 @@ mod tests {
         assert!(d.overlaps(&a));
     }
 
-    /// The JSON of a valid two-member window, with `from` replaced by `to`.
-    fn decode_edited(from: &str, to: &str) -> Result<Window, serde_json::Error> {
+    /// A window's JSON with its members as rows (what the writer prints)
+    /// or as records (what snapshot formats 5 and earlier wrote), each
+    /// member `[source, node, perf, price, runtime]`.
+    fn window_text(start: i64, members: &[[i64; 5]], records: bool) -> String {
+        let members: Vec<String> = members
+            .iter()
+            .map(|&[source, node, perf, price, runtime]| {
+                if records {
+                    format!(
+                        r#"{{"source":{source},"node":{node},"perf":{perf},"price":{price},"runtime":{runtime}}}"#
+                    )
+                } else {
+                    format!("[{source},{node},{perf},{price},{runtime}]")
+                }
+            })
+            .collect();
+        format!(r#"{{"start":{start},"slots":[{}]}}"#, members.join(","))
+    }
+
+    /// A valid two-member window's JSON with its second member edited,
+    /// decoded from rows and from records.
+    fn decode_edited(edit: impl Fn(&mut [i64; 5])) -> [Result<Window, serde_json::Error>; 2] {
         let w = Window::new(
             TimePoint::new(5),
             vec![member(0, 0, 2, 40), member(1, 1, 3, 80)],
         )
         .unwrap();
-        let text = serde_json::to_string(&w).unwrap();
-        assert_eq!(serde_json::from_str::<Window>(&text).unwrap(), w);
-        assert!(text.contains(from), "{text}");
-        serde_json::from_str(&text.replacen(from, to, 1))
+        let mut members: Vec<[i64; 5]> = w
+            .slots()
+            .iter()
+            .map(|ws| {
+                [
+                    ws.source().raw() as i64,
+                    i64::from(ws.node().index()),
+                    ws.perf().milli(),
+                    ws.price().micro(),
+                    ws.runtime().ticks(),
+                ]
+            })
+            .collect();
+        assert_eq!(
+            serde_json::to_string(&w).unwrap(),
+            window_text(5, &members, false)
+        );
+        for records in [false, true] {
+            let text = window_text(5, &members, records);
+            assert_eq!(serde_json::from_str::<Window>(&text).unwrap(), w);
+        }
+        edit(&mut members[1]);
+        [false, true].map(|records| serde_json::from_str(&window_text(5, &members, records)))
     }
 
     #[test]
@@ -401,20 +478,24 @@ mod tests {
 
     #[test]
     fn decoding_refuses_a_duplicate_node() {
-        let err = decode_edited(r#""node":1"#, r#""node":0"#).unwrap_err();
         let expected = CoreError::DuplicateNode {
             node: NodeId::new(0),
         };
-        assert!(err.to_string().contains(&expected.to_string()), "{err}");
+        for decoded in decode_edited(|member| member[1] = 0) {
+            let err = decoded.unwrap_err();
+            assert!(err.to_string().contains(&expected.to_string()), "{err}");
+        }
     }
 
     #[test]
     fn decoding_refuses_a_non_positive_runtime() {
-        let err = decode_edited(r#""runtime":80"#, r#""runtime":0"#).unwrap_err();
         let expected = CoreError::NonPositiveRuntime {
             node: NodeId::new(1),
         };
-        assert!(err.to_string().contains(&expected.to_string()), "{err}");
+        for decoded in decode_edited(|member| member[4] = 0) {
+            let err = decoded.unwrap_err();
+            assert!(err.to_string().contains(&expected.to_string()), "{err}");
+        }
     }
 
     #[test]

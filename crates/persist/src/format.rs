@@ -52,12 +52,18 @@ pub const MAGIC: [u8; 8] = *b"ECOSNAP\0";
 ///   never needs a log segment. A store reads the segment only for a
 ///   file of version 3 or 4 whose merged log it detached. Container
 ///   layout and checksums unchanged.
+/// * **6** — the vacant market's slots and every window member may be
+///   rows: a market node group is `[node, [[id, perf, price, start, end],
+///   …]]` and a member `[source, node, perf, price, runtime]`, where
+///   earlier formats wrote records keyed by those names. Decoding reads
+///   either shape under any version. Container layout and checksums
+///   unchanged.
 ///
 /// Decoding accepts any version in [`MIN_FORMAT_VERSION`]`..=`
 /// [`FORMAT_VERSION`]: a v1 snapshot (flat market) decodes under this
 /// build and resumes into either market representation, and a v1 or v2
 /// log decodes as the tail after position zero.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// The oldest container format version this build still decodes.
 pub const MIN_FORMAT_VERSION: u32 = 1;

@@ -153,15 +153,17 @@ impl<C: Checkpoint> Store<C> {
     ///
     /// [`PersistError::Io`] on any filesystem failure.
     pub fn save(&self, checkpoint: &C) -> Result<PathBuf, PersistError> {
-        self.save_with(checkpoint.events(), &checkpoint.meta(), |out| {
+        let (path, _) = self.save_with(checkpoint.events(), &checkpoint.meta(), |out| {
             checkpoint.write_json(out);
-        })
+        })?;
+        Ok(path)
     }
 
     /// [`Self::save`] of the checkpoint that `state` writes, captured after
     /// `events` log events, under `meta`: what a live run saves without
     /// building its checkpoint. The file holds the bytes
     /// [`encode`](crate::snapshot::encode) makes of that checkpoint.
+    /// Returns the path of the finished file and its length in bytes.
     ///
     /// # Errors
     ///
@@ -171,11 +173,12 @@ impl<C: Checkpoint> Store<C> {
         events: u64,
         meta: &C::Meta,
         state: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<PathBuf, PersistError> {
+    ) -> Result<(PathBuf, u64), PersistError> {
         let final_path = self.dir.join(Self::file_name(events));
-        atomic_save(&final_path, &encode_with::<C>(meta, state))?;
+        let bytes = encode_with::<C>(meta, state);
+        atomic_save(&final_path, &bytes)?;
         self.prune()?;
-        Ok(final_path)
+        Ok((final_path, bytes.len() as u64))
     }
 
     /// Snapshot paths in capture order (oldest first). Temp files, a

@@ -62,12 +62,17 @@ fn written_live_as_owned<C: Checkpoint>(
     let owned = Store::<C>::open(dir.join("owned"), 1).expect("scratch store");
     let written = Store::<C>::open(dir.join("live"), 1).expect("scratch store");
     let owned = owned.save(checkpoint).expect("save");
-    let written = written
+    let (written, len) = written
         .save_with(events, meta, |out| live.write_json(out))
         .expect("save live");
     assert_eq!(owned.file_name(), written.file_name());
     let read = |path: &PathBuf| std::fs::read(path).expect("saved snapshot");
     let bytes = read(&written);
+    assert_eq!(
+        len,
+        bytes.len() as u64,
+        "the save reports the bytes it wrote"
+    );
     assert!(
         bytes == snapshot::encode(checkpoint),
         "live snapshot differs"

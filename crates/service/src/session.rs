@@ -438,11 +438,10 @@ impl<S: SlotSelector + Copy> Session<S> {
         self.state.trim_logs();
         let meta = FederatedSnapshotMeta::of_run(&self.fed, &self.state);
         let live = self.fed.live_checkpoint(&self.state);
-        let path = self
+        let (path, bytes) = self
             .store
             .save_with(meta.merged_events, &meta, |out| live.write_json(out))?;
         if let Some(start) = start {
-            let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
             self.obs.feed(Fact::Snapshot(start.elapsed(), bytes));
         }
         Ok(path)

@@ -437,7 +437,7 @@ fn verify_rejects_a_tampered_log_segment() {
     assert_eq!(status(&mut client).arrivals, 3);
     let _ = client.shutdown();
     let _ = daemon.child.wait();
-    // Its shutdown snapshot is format 5. The verifier checks every kept
+    // Its shutdown snapshot is format 6. The verifier checks every kept
     // snapshot, so it passes exactly when no tampered format-4 one is
     // left — the new one may have replaced it under the same name.
     let legacy_kept = std::fs::read_dir(data_dir.join("snapshots"))

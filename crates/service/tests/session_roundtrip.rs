@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 
 use ecosched_core::ResourceRequest;
 use ecosched_federation::{Federation, FederationCheckpoint};
-use ecosched_persist::{snapshot, Store};
+use ecosched_persist::{format, snapshot, Checkpoint, Store, FORMAT_VERSION};
 use ecosched_select::Amp;
 use ecosched_service::session::snapshot_dir;
 use ecosched_service::{
@@ -554,8 +554,8 @@ fn snapshots_carry_positions_and_no_segment_exists() {
 
 /// A directory this build wrote, rewritten as a format-4 build left it —
 /// snapshots detached from their logs, the log in the segment — boots
-/// and verifies as it is; the daemon's first snapshot is format 5 and
-/// the segment is never written again.
+/// and verifies as it is; the daemon's first snapshot is of the current
+/// format and the segment is never written again.
 #[test]
 fn a_format_4_directory_boots_verifies_and_is_never_written_to() {
     let dir = scratch_dir("format-4");
@@ -912,20 +912,13 @@ fn sharded_logs_keep_their_true_positions() {
 /// the WAL only — generated through `Session` at commit `a89fa03`, which
 /// printed the status pinned below). It boots under this build — the
 /// optimizer section read and dropped — answers `status` with the same
-/// hash, and its first new snapshot is format 5: its logs trimmed, no
-/// optimizer section, and no segment; from then on it is a directory like
-/// any other.
+/// hash, and its first new snapshot is of the current format: its logs
+/// trimmed, no optimizer section, and no segment; from then on it is a
+/// directory like any other.
 #[test]
 fn a_data_directory_written_before_the_segment_boots_and_migrates() {
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/v2_data_dir");
-    let dir = scratch_dir("v2-dir");
-    std::fs::create_dir_all(snapshot_dir(&dir)).expect("mkdir");
-    for file in ["manifest.json", "wal.ndjson"] {
-        std::fs::copy(fixture.join(file), dir.join(file)).expect("copy");
-    }
+    let (fixture, dir) = copied_fixture("v2_data_dir");
     for snapshot in snapshots(&fixture) {
-        let name = snapshot.file_name().expect("name");
-        std::fs::copy(&snapshot, snapshot_dir(&dir).join(name)).expect("copy");
         let old: FederationCheckpoint = snapshot::read(&snapshot).expect("decode");
         assert!(old.shards.iter().all(|shard| shard.optimizer.is_some()));
     }
@@ -954,10 +947,7 @@ fn a_data_directory_written_before_the_segment_boots_and_migrates() {
 
     let migrated = session.snapshot().expect("first new snapshot");
     let bytes = std::fs::read(&migrated).expect("bytes");
-    assert_eq!(
-        u32::from_le_bytes(bytes[8..12].try_into().expect("header")),
-        5
-    );
+    assert_eq!(header_version(&bytes), FORMAT_VERSION);
     let on_disk: FederationCheckpoint = snapshot::decode(&bytes).expect("decode");
     assert_eq!(on_disk.merged.len(), 47);
     assert_eq!(on_disk.merged.entries.len(), 1);
@@ -980,6 +970,103 @@ fn a_data_directory_written_before_the_segment_boots_and_migrates() {
         }
     );
     assert_eq!(session.status().log_hash, status.log_hash);
+}
+
+/// A scratch copy of the frozen data directory `tests/data/<name>`:
+/// the fixture's path and the copy's.
+fn copied_fixture(name: &str) -> (PathBuf, PathBuf) {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data")
+        .join(name);
+    let dir = scratch_dir(name);
+    std::fs::create_dir_all(snapshot_dir(&dir)).expect("mkdir");
+    for file in ["manifest.json", "wal.ndjson"] {
+        std::fs::copy(fixture.join(file), dir.join(file)).expect("copy");
+    }
+    for snapshot in snapshots(&fixture) {
+        let name = snapshot.file_name().expect("name");
+        std::fs::copy(&snapshot, snapshot_dir(&dir).join(name)).expect("copy");
+    }
+    (fixture, dir)
+}
+
+/// The container version in a snapshot file's header.
+fn header_version(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[8..12].try_into().expect("header"))
+}
+
+/// `tests/data/v5_data_dir` was written by the last format-5 build
+/// (commit `3ae36f2`) through `Session`: the small market of
+/// [`small_manifest`] with 16 cycles configured, the first six jobs of
+/// each of the steady script's first ten bursts, cadence snapshots at the
+/// ticks of cycles 3 and 7, each before that boundary's burst, then a
+/// crash with the last three bursts in the WAL only. Its snapshots hold every market slot and window member as a
+/// record. It verifies as it is, boots into the status that build
+/// printed, and its first new snapshot is of the current format and
+/// smaller; from then on it is a directory like any other.
+#[test]
+fn a_format_5_data_directory_boots_into_its_recorded_status() {
+    let (fixture, dir) = copied_fixture("v5_data_dir");
+    let state = |bytes: &[u8]| {
+        let sections = format::decode(bytes).expect("container");
+        format::require(&sections, FederationCheckpoint::STATE_SECTION)
+            .expect("state")
+            .to_vec()
+    };
+    for snapshot in snapshots(&fixture) {
+        let bytes = std::fs::read(&snapshot).expect("bytes");
+        assert_eq!(header_version(&bytes), 5);
+        // The records the format-4 rewrite prints are that build's bytes.
+        let checkpoint: FederationCheckpoint = snapshot::decode(&bytes).expect("decode");
+        let rows = state(&snapshot::encode(&checkpoint));
+        assert_eq!(legacy::as_records(&rows), state(&bytes));
+    }
+    let manifest = load_manifest(&dir).expect("manifest").expect("present");
+    let before = verify_data_dir(&dir).expect("the old snapshots verify as they are");
+    assert_eq!((before.snapshot_events, before.snapshots_checked), (182, 2));
+
+    let mut session = Session::open(&dir, manifest.clone(), Amp::new()).expect("boots");
+    let newest = snapshot_dir(&dir).join("fsnap-0000000000000182.ecosnap");
+    assert_eq!(
+        *session.boot_mode(),
+        BootMode::Resumed {
+            snapshot: newest.clone(),
+            snapshot_events: 182,
+            replayed: 18,
+            snapshots_skipped: 0,
+        }
+    );
+    let status = session.status();
+    assert_eq!(
+        (
+            status.arrivals,
+            status.accepted_total,
+            status.events_processed
+        ),
+        (60, 60, 266),
+        "what the old build reported"
+    );
+    assert_eq!(status.log_hash, "5ac4ce5663d26141");
+
+    let old_len = std::fs::metadata(&newest).expect("metadata").len();
+    let migrated = session.snapshot().expect("first new snapshot");
+    let bytes = std::fs::read(&migrated).expect("bytes");
+    assert_eq!(header_version(&bytes), FORMAT_VERSION);
+    assert!((bytes.len() as u64) < old_len);
+    drop(session);
+
+    let session = Session::open(&dir, manifest, Amp::new()).expect("boots again");
+    assert_eq!(
+        *session.boot_mode(),
+        BootMode::Resumed {
+            snapshot: migrated,
+            snapshot_events: 266,
+            replayed: 0,
+            snapshots_skipped: 0,
+        }
+    );
+    assert_eq!(session.status().log_hash, status.log_hash);
+    verify_data_dir(&dir).expect("the migrated directory verifies");
 }
 
 /// The benchmark's steady script (`bench/src/workloads/service.rs`):

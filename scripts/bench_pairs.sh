@@ -16,6 +16,9 @@
 # against the metric's BENCHMARK.json bound; a "GAIN" is what
 # choosing-metrics §8 lets a PR claim (better in >= 9/10 of the pairs
 # and the medians apart by more than the parent's interquartile range).
+# With fewer than 10 pairs, a metric that reads worse in every pair is
+# "UNSETTLED — rerun at 10 pairs", not "within bound": five losses in
+# five pairs have been a real loss of a percent or two.
 #
 # Appends one line — {commit, parent, cores, rustc, seed, pairs,
 # medians} of the working tree's side — to results/bench_trajectory.ndjson
@@ -121,12 +124,15 @@ for workload in dict.fromkeys(r["workload"] for r in runs):
         pm, cm = statistics.median(p), statistics.median(c)
         (p1, p3), (c1, c3) = quartiles(p), quartiles(c)
         wins = sum((y < x) if lower else (y > x) for x, y in zip(p, c))
+        losses = sum((y > x) if lower else (y < x) for x, y in zip(p, c))
         ties = sum(x == y for x, y in zip(p, c))
         worse = ((cm - pm) if lower else (pm - cm)) / pm if pm else 0.0
         if worse > bound:
             verdict, status = f"REGRESSION (bound {bound:.0%})", 1
         elif wins >= 0.9 * (len(p) - ties) and wins and abs(cm - pm) > (p3 - p1):
             verdict = "GAIN"
+        elif len(p) < 10 and losses == len(p):
+            verdict = "UNSETTLED — rerun at 10 pairs"
         else:
             verdict = "within bound"
         print(f"{workload}/{name} [{metric['unit']}]: parent {pm:.4g} ({p1:.4g}–{p3:.4g}) "
