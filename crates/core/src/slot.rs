@@ -56,7 +56,7 @@ impl fmt::Display for SlotId {
 /// assert_eq!(slot.length().ticks(), 300);
 /// # Ok::<(), ecosched_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Slot {
     id: SlotId,
     node: NodeId,
@@ -167,6 +167,30 @@ impl fmt::Display for Slot {
             "{}@{} {} {} {}",
             self.id, self.node, self.span, self.perf, self.price
         )
+    }
+}
+
+/// Decoded through [`Slot::new`] from the record the derived writer
+/// prints, so no slot read off the wire holds an empty span.
+impl<'de> Deserialize<'de> for Slot {
+    fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let (mut id, mut node, mut perf, mut price, mut span) = (None, None, None, None, None);
+        parser.read_map(|parser, key| match key {
+            "id" => parser.field(&mut id, key),
+            "node" => parser.field(&mut node, key),
+            "perf" => parser.field(&mut perf, key),
+            "price" => parser.field(&mut price, key),
+            "span" => parser.field(&mut span, key),
+            _ => parser.skip_value(),
+        })?;
+        Slot::new(
+            serde::required(id, "id")?,
+            serde::required(node, "node")?,
+            serde::required(perf, "perf")?,
+            serde::required(price, "price")?,
+            serde::required(span, "span")?,
+        )
+        .map_err(serde::Error::custom)
     }
 }
 

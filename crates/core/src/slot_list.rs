@@ -677,9 +677,6 @@ impl SlotList {
     /// the invariant it breaks and never becomes a list whose `validate()`
     /// fails or whose `mint_id()` reissues a live id.
     fn from_wire(slots: Vec<Slot>, next_id: u64) -> Result<Self, serde::Error> {
-        for slot in &slots {
-            wire_span(slot.id(), slot.start(), slot.end())?;
-        }
         let mut list = SlotList::from_sorted_slots(slots).map_err(invalid)?;
         if next_id < list.next_id {
             return Err(invalid(format_args!(
@@ -705,17 +702,6 @@ fn sorted(mut slots: Vec<Slot>) -> Result<Vec<Slot>, CoreError> {
         return Err(CoreError::DuplicateSlotId { id: twins[1].id() });
     }
     Ok(slots)
-}
-
-/// The span `[start, end)` of slot `id` as read off the wire: it must
-/// hold a tick, as [`Slot::new`] requires. A slot record's span is read
-/// unchecked, so every decoded slot is checked again here.
-fn wire_span(id: SlotId, start: TimePoint, end: TimePoint) -> Result<Span, serde::Error> {
-    match Span::new(start, end) {
-        Some(span) if !span.is_empty() => Ok(span),
-        Some(span) => Err(invalid(CoreError::EmptySlot { id, span })),
-        None => Err(invalid(format_args!("slot {id} ends before it starts"))),
-    }
 }
 
 fn invalid(why: impl fmt::Display) -> serde::Error {
@@ -841,7 +827,8 @@ impl<'de> Deserialize<'de> for Filed {
                 )));
             }
             for (id, perf, price, start, end) in rows {
-                let span = wire_span(id, start, end)?;
+                let span = Span::new(start, end)
+                    .ok_or_else(|| invalid(format_args!("slot {id} ends before it starts")))?;
                 all.push(Slot::new(id, node, perf, price, span).map_err(invalid)?);
             }
         }

@@ -256,7 +256,7 @@ impl std::iter::Sum for TimeDelta {
 /// assert!(s.contains(TimePoint::new(150)));
 /// assert!(!s.contains(TimePoint::new(230)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Span {
     start: TimePoint,
     end: TimePoint,
@@ -396,6 +396,27 @@ impl Span {
 impl fmt::Display for Span {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}, {})", self.start.0, self.end.0)
+    }
+}
+
+/// Decoded through [`Span::new`] from the record the derived writer
+/// prints, so no span read off the wire ends before it starts.
+impl<'de> Deserialize<'de> for Span {
+    fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let (mut start, mut end) = (None, None);
+        parser.read_map(|parser, key| match key {
+            "start" => parser.field(&mut start, key),
+            "end" => parser.field(&mut end, key),
+            _ => parser.skip_value(),
+        })?;
+        let start: TimePoint = serde::required(start, "start")?;
+        let end: TimePoint = serde::required(end, "end")?;
+        Span::new(start, end).ok_or_else(|| {
+            serde::Error::custom(format!(
+                "span from {} to {} ends before it starts",
+                start.0, end.0
+            ))
+        })
     }
 }
 

@@ -53,6 +53,50 @@ fn span_and_slot_roundtrip() {
     assert_eq!(roundtrip(&resource), resource);
 }
 
+/// A span and a slot decode through their constructors: an inverted span
+/// and a slot without a tick are refused, in a slot list's format-1 and
+/// record forms too, and what decodes writes back the same bytes.
+#[test]
+fn decoded_spans_and_slots_are_checked_where_they_are_built() {
+    let slot = Slot::new(
+        SlotId::new(3),
+        NodeId::new(0),
+        Perf::UNIT,
+        Price::from_credits(2),
+        Span::new(TimePoint::new(5), TimePoint::new(9)).unwrap(),
+    )
+    .unwrap();
+    let text = serde_json::to_string(&slot).unwrap();
+    assert_eq!(
+        text,
+        r#"{"id":3,"node":0,"perf":1000,"price":2000000,"span":{"start":5,"end":9}}"#
+    );
+    let reread: Slot = serde_json::from_str(&text).unwrap();
+    assert_eq!(serde_json::to_string(&reread).unwrap(), text);
+
+    let inverted = r#"{"start":5,"end":3}"#;
+    let err = serde_json::from_str::<Span>(inverted).unwrap_err();
+    assert!(err.to_string().contains("ends before it starts"), "{err}");
+    let empty: Span = serde_json::from_str(r#"{"start":5,"end":5}"#).unwrap();
+    assert!(empty.is_empty(), "an empty span is a span");
+
+    for (span, words) in [
+        (r#"{"start":5,"end":5}"#, "has empty span"),
+        (inverted, "ends before it starts"),
+    ] {
+        let bad = text.replace(r#"{"start":5,"end":9}"#, span);
+        let err = serde_json::from_str::<Slot>(&bad).unwrap_err();
+        assert!(err.to_string().contains(words), "{bad}: {err}");
+        for list in [
+            format!(r#"{{"slots":[{bad}],"next_id":4}}"#),
+            format!(r#"{{"repr":"interval","nodes":[{{"node":0,"slots":[{bad}]}}],"next_id":4}}"#),
+        ] {
+            let err = serde_json::from_str::<SlotList>(&list).unwrap_err();
+            assert!(err.to_string().contains(words), "{list}: {err}");
+        }
+    }
+}
+
 #[test]
 fn slot_list_roundtrip_preserves_order_and_mint_state() {
     let slots = (0..5)

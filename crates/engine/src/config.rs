@@ -1,8 +1,8 @@
 //! Engine configuration: clock, arrivals, market churn, and metrics knobs.
 
 use ecosched_sim::{
-    reserved_key, ConfigError, IterationConfig, JobGenConfig, RepairPolicy, RevocationConfig,
-    SlotGenConfig,
+    reserved_key, ConfigError, IterationConfig, JobGenConfig, RevocationConfig, SlotGenConfig,
+    REPAIR_ATTEMPTS,
 };
 use serde::{Deserialize, Serialize};
 
@@ -67,9 +67,6 @@ pub struct EngineConfig {
     /// `RevocationStrike` events are scheduled and no RNG is drawn for
     /// faults.
     pub revocation: RevocationConfig,
-    /// The per-broken-lease recovery budget for the three-tier repair
-    /// pass.
-    pub repair: RepairPolicy,
     /// The scheduling pipeline configuration (the optimization
     /// criterion).
     pub iteration: IterationConfig,
@@ -99,12 +96,14 @@ pub(crate) const COMPLETION_FRACTION: f64 = 0.75;
 pub(crate) const SLOWDOWN_TAU: i64 = 10;
 
 // Serde through a derived wire struct: the config's fields in declaration
-// order, plus five reserved entries, each where the field it replaces used
+// order, plus six reserved entries, each where the field it replaces used
 // to sit, written as the value every binary ran so every configuration
 // fingerprint, snapshot and WAL manifest written before the removal still
 // matches byte for byte.
 //
-// `vos`, `completion_fraction` and `slowdown_tau` are checked on decode
+// `vos`, `completion_fraction`, `slowdown_tau` and both keys of `repair`
+// (the recovery budget, now `ecosched_sim::REPAIR_ATTEMPTS`, and the
+// full-rescan tier's switch) are checked on decode
 // (`ecosched_sim::reserved_key`): a manifest asking for another value is
 // refused by name. `threads` (a worker-pool width, normalized to 1 before
 // fingerprinting) and `optimizer_cache` (left at `true` by every binary)
@@ -117,7 +116,7 @@ struct EngineConfigWire {
     cycles: u32,
     slot_gen: SlotGenConfig,
     revocation: RevocationConfig,
-    repair: RepairPolicy,
+    repair: RepairWire, // reserved
     iteration: IterationConfig,
     optimizer_cache: bool, // reserved
     coalesce: bool,
@@ -136,7 +135,10 @@ impl EngineConfig {
             cycles: config.cycles,
             slot_gen: config.slot_gen,
             revocation: config.revocation,
-            repair: config.repair,
+            repair: RepairWire {
+                max_attempts: REPAIR_ATTEMPTS,
+                full_rescan_on_exhaustion: false,
+            },
             iteration: config.iteration,
             optimizer_cache: true,
             coalesce: config.coalesce,
@@ -149,6 +151,21 @@ impl EngineConfig {
     }
 }
 
+/// The removed recovery budget's entry, each key reserved.
+#[derive(Serialize)]
+struct RepairWire {
+    max_attempts: u32,
+    full_rescan_on_exhaustion: bool,
+}
+
+fn read_repair(parser: &mut serde::Parser<'_>) -> Result<(), serde::Error> {
+    parser.read_map(|parser, key| match key {
+        "max_attempts" => reserved_key(parser, key, &REPAIR_ATTEMPTS),
+        "full_rescan_on_exhaustion" => reserved_key(parser, key, &false),
+        _ => parser.skip_value(),
+    })
+}
+
 impl Serialize for EngineConfig {
     fn write_json(&self, out: &mut Vec<u8>) {
         self.wire().write_json(out);
@@ -158,13 +175,13 @@ impl Serialize for EngineConfig {
 impl<'de> Deserialize<'de> for EngineConfig {
     fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
         let (mut cycle_length, mut cycles, mut slot_gen, mut revocation) = (None, None, None, None);
-        let (mut repair, mut iteration, mut coalesce, mut arrivals) = (None, None, None, None);
+        let (mut iteration, mut coalesce, mut arrivals) = (None, None, None);
         parser.read_map(|parser, key| match key {
             "cycle_length" => parser.field(&mut cycle_length, key),
             "cycles" => parser.field(&mut cycles, key),
             "slot_gen" => parser.field(&mut slot_gen, key),
             "revocation" => parser.field(&mut revocation, key),
-            "repair" => parser.field(&mut repair, key),
+            "repair" => read_repair(parser),
             "iteration" => parser.field(&mut iteration, key),
             "coalesce" => parser.field(&mut coalesce, key),
             "arrivals" => parser.field(&mut arrivals, key),
@@ -178,7 +195,6 @@ impl<'de> Deserialize<'de> for EngineConfig {
             cycles: serde::required(cycles, "cycles")?,
             slot_gen: serde::required(slot_gen, "slot_gen")?,
             revocation: serde::required(revocation, "revocation")?,
-            repair: serde::required(repair, "repair")?,
             iteration: serde::required(iteration, "iteration")?,
             coalesce: serde::required(coalesce, "coalesce")?,
             arrivals: serde::required(arrivals, "arrivals")?,
@@ -195,7 +211,6 @@ impl Default for EngineConfig {
             cycles: 8,
             slot_gen: SlotGenConfig::default(),
             revocation: RevocationConfig::none(),
-            repair: RepairPolicy::default(),
             iteration: IterationConfig::default(),
             coalesce: true,
             arrivals: ArrivalConfig::Poisson {

@@ -995,7 +995,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
         let job = original.pending();
         let recovery = cycle::recover(
             &self.selector,
-            &self.config.repair,
             &original.request,
             &original.window,
             original.alternatives.iter().enumerate(),
@@ -1246,23 +1245,6 @@ mod tests {
             run.report.failovers + run.report.repairs + run.report.repostponed,
             "every broken lease ends in a terminal tier"
         );
-    }
-
-    #[test]
-    fn zero_attempt_budget_repostpones_every_broken_lease() {
-        // With no attempts to spend, neither tier 1 nor the tier-2 scan
-        // runs, so every broken lease goes straight back to pending.
-        let config = EngineConfig {
-            revocation: RevocationConfig::per_slot(0.15),
-            repair: ecosched_sim::RepairPolicy { max_attempts: 0 },
-            ..small_config()
-        };
-        let engine = Engine::new(config, Alp::new()).unwrap();
-        let run = engine.run(13).unwrap();
-        assert!(run.report.leases_broken > 0, "churn must break something");
-        assert_eq!(run.report.failovers + run.report.repairs, 0);
-        assert_eq!(run.report.repostponed, run.report.leases_broken);
-        assert_eq!(engine.run(13).unwrap(), run, "log must be deterministic");
     }
 
     #[test]

@@ -10,14 +10,13 @@
 use ecosched_core::{ResourceRequest, Revocation, SlotList, Window};
 use ecosched_engine::{ArrivalConfig, Engine, EngineCheckpoint, EngineConfig, EngineReport, Event};
 use ecosched_select::{Alp, Amp, ScanStats, SlotSelector};
-use ecosched_sim::{JobGenConfig, RepairPolicy, RevocationConfig};
+use ecosched_sim::{JobGenConfig, RevocationConfig};
 use proptest::prelude::*;
 
-fn config(per_slot: f64, cycles: u32, repair: RepairPolicy) -> EngineConfig {
+fn config(per_slot: f64, cycles: u32) -> EngineConfig {
     EngineConfig {
         cycles,
         revocation: RevocationConfig::per_slot(per_slot),
-        repair,
         arrivals: ArrivalConfig::Poisson {
             mean_interarrival: 12.0,
             jobs: 5 * cycles,
@@ -83,13 +82,13 @@ fn alp_within_cap(checkpoint: &EngineCheckpoint) {
 }
 
 /// Steps one run to the end, checking `per_lease` and the accounting
-/// after every event that commits or breaks leases; returns the report.
+/// after every event that commits or breaks leases.
 fn check_run(
     selector: impl SlotSelector + Copy,
     config: EngineConfig,
     seed: u64,
     per_lease: fn(&EngineCheckpoint),
-) -> EngineReport {
+) {
     let engine = Engine::new(config, selector).expect("valid config");
     let mut state = engine.start(seed);
     while let Some(entry) = engine.step(&mut state).expect("step") {
@@ -103,9 +102,7 @@ fn check_run(
             assert_accounted(state.report_so_far());
         }
     }
-    let report = engine.finish(state).report;
-    assert_accounted(&report);
-    report
+    assert_accounted(&engine.finish(state).report);
 }
 
 proptest! {
@@ -120,7 +117,7 @@ proptest! {
         cycles in 2u32..5,
     ) {
         let p = [0.05, 0.15][p_idx];
-        check_run(Amp::new(), config(p, cycles, RepairPolicy::default()), seed, amp_within_budget);
+        check_run(Amp::new(), config(p, cycles), seed, amp_within_budget);
     }
 
     #[test]
@@ -129,7 +126,7 @@ proptest! {
         p_idx in 0usize..2,
     ) {
         let p = [0.05, 0.15][p_idx];
-        check_run(Alp::new(), config(p, 3, RepairPolicy::default()), seed, alp_within_cap);
+        check_run(Alp::new(), config(p, 3), seed, alp_within_cap);
     }
 
     #[test]
@@ -140,27 +137,7 @@ proptest! {
         // Far past the sweep's levels: most leases break, and repairs
         // compete for what the strike left.
         let p = [0.3, 0.5, 0.8][p_idx];
-        check_run(Amp::new(), config(p, 3, RepairPolicy::default()), seed, amp_within_budget);
-    }
-
-    #[test]
-    fn tight_budgets_still_terminate_cleanly(
-        seed in 0u64..1_000_000,
-        max_attempts in 0u32..4,
-    ) {
-        // Even with a tiny (or zero) attempt budget every broken lease
-        // ends in a tier; with none at all, neither tier 1 nor the
-        // tier-2 scan runs.
-        let report = check_run(
-            Amp::new(),
-            config(0.15, 3, RepairPolicy { max_attempts }),
-            seed,
-            amp_within_budget,
-        );
-        if max_attempts == 0 {
-            prop_assert_eq!(report.failovers + report.repairs, 0);
-            prop_assert_eq!(report.repostponed, report.leases_broken);
-        }
+        check_run(Amp::new(), config(p, 3), seed, amp_within_budget);
     }
 }
 

@@ -10,8 +10,8 @@ use std::collections::BTreeSet;
 use ecosched_core::{JobAlternatives, NodeId};
 use ecosched_select::{find_alternatives, find_alternatives_coscheduled, Amp, SearchOutcome};
 use ecosched_sim::{
-    JobGenConfig, JobGenerator, MarketConfig, MarketCycleReport, MarketSimulation, RunningStats,
-    ScheduleStrategy, SlotGenConfig, SlotGenerator, StrategyConfig,
+    JobGenConfig, JobGenerator, MarketCycleReport, MarketSimulation, RunningStats,
+    ScheduleStrategy, SlotGenConfig, SlotGenerator,
 };
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -107,7 +107,7 @@ pub fn coschedule_table(outcome: &CoscheduleOutcome) -> Table {
 #[must_use]
 pub fn run_market(cycles: usize, seed: u64) -> Vec<MarketCycleReport> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut market = MarketSimulation::generate(MarketConfig::default(), &mut rng);
+    let mut market = MarketSimulation::generate(&mut rng);
     market
         .run(Amp::new(), cycles, &mut rng)
         .expect("market cycles never fail")
@@ -198,11 +198,7 @@ pub fn run_strategy_survival(
                 if covered.is_empty() {
                     continue;
                 }
-                let config = StrategyConfig {
-                    max_versions: k,
-                    allow_overlap_fallback: true,
-                };
-                let Ok(strategy) = ScheduleStrategy::build(&covered, &config) else {
+                let Ok(strategy) = ScheduleStrategy::build(&covered, k) else {
                     continue;
                 };
                 built += 1;

@@ -1,8 +1,9 @@
 //! The engine configuration's wire bytes and fingerprints, pinned to the
 //! values the build before the test-only knobs went wrote
-//! (`SearchMode`, `OptimizerKind`, the full-rescan repair tier, the
-//! domain-outage and price-burst fault processes, and the engine's
-//! `vos`, `completion_fraction` and `slowdown_tau`). Their keys stay on the
+//! (`SearchMode`, `OptimizerKind`, the full-rescan repair tier and the
+//! repair attempt budget, the domain-outage and price-burst fault
+//! processes, and the engine's `vos`, `completion_fraction` and
+//! `slowdown_tau`). Their keys stay on the
 //! wire as constants: every configuration encodes to the same JSON, so
 //! every fingerprint, snapshot and manifest holds, and a configuration
 //! asking for a removed behaviour is refused by name.
@@ -88,11 +89,12 @@ fn configs_encode_and_fingerprint_as_before_the_removal() {
 
 /// Each reserved key with its constant, and a value asking for the
 /// behaviour that went.
-const RESERVED: [(&str, &str, &str); 10] = [
+const RESERVED: [(&str, &str, &str); 11] = [
     ("domain_outage", "0.0", "0.4"),
     ("nodes_per_domain", "8", "6"),
     ("price_burst", "0.0", "0.8"),
     ("burst_fraction", "0.0", "0.3"),
+    ("max_attempts", "8", "2"),
     ("full_rescan_on_exhaustion", "false", "true"),
     (
         "optimizer",

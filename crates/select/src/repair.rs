@@ -291,7 +291,7 @@ mod tests {
 
     #[test]
     fn repair_search_excludes_windows_before_the_broken_start() {
-        // Earlier-start exclusion (see `RepairPolicy` in ecosched-sim): a
+        // Earlier-start exclusion (see `ecosched_sim::cycle::recover`): a
         // window that is perfectly feasible but starts BEFORE the broken
         // plan's start must not be returned — the original search already
         // rejected or consumed that prefix against a larger list, so the

@@ -20,22 +20,24 @@
 //!    `nodes` distinct nodes with a live slot that satisfies the
 //!    performance floor within the price cap. Under the AMP budget
 //!    `S = C·t·N`, per-slot cap eligibility *is* affordability, so this
-//!    single screen covers both. Optional (`admit_market`), because the
-//!    market refreshes every cycle and a strict screen also sheds jobs a
-//!    future publication could have hosted. The screen stops at the
-//!    `nodes`-th eligible node; only a rejection walks every market,
-//!    so it reports the best shard's whole count.
+//!    single screen covers both. It always runs, although the market
+//!    refreshes every cycle and the screen also sheds jobs a future
+//!    publication could have hosted: no daemon ever ran without it, and
+//!    its switch, `"admit_market": true`, is a reserved manifest key. The
+//!    screen stops at the `nodes`-th eligible node; only a rejection walks
+//!    every market, so it reports the best shard's whole count.
 //!
 //! Admission reads state but never mutates it and never draws
 //! randomness, so it cannot perturb engine determinism.
 
 use ecosched_core::{ResourceRequest, SlotList, TimePoint};
+use ecosched_sim::reserved_key;
 use serde::{Deserialize, Serialize};
 
 use crate::protocol::{JobSpec, RejectReason};
 
-/// The admission-control policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The admission-control policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionPolicy {
     /// Reject submissions while the backlog is at or above this bound.
     /// The default (256) sits just above the saturation knee measured by
@@ -45,16 +47,44 @@ pub struct AdmissionPolicy {
     /// past ~250 pending jobs, extra backlog only adds wait time, it
     /// does not add throughput.
     pub max_backlog: u64,
-    /// Whether to run the market (budget-feasibility) screen.
-    pub admit_market: bool,
 }
 
 impl Default for AdmissionPolicy {
     fn default() -> Self {
-        AdmissionPolicy {
-            max_backlog: 256,
+        AdmissionPolicy { max_backlog: 256 }
+    }
+}
+
+// Serde through a derived wire struct that keeps the removed market-screen
+// switch as a reserved key, on, so every manifest written before the
+// removal still decodes and a fresh one is written byte for byte as before.
+#[derive(Serialize)]
+struct AdmissionPolicyWire {
+    max_backlog: u64,
+    admit_market: bool, // reserved
+}
+
+impl Serialize for AdmissionPolicy {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        let wire = AdmissionPolicyWire {
+            max_backlog: self.max_backlog,
             admit_market: true,
-        }
+        };
+        wire.write_json(out);
+    }
+}
+
+impl<'de> Deserialize<'de> for AdmissionPolicy {
+    fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let mut max_backlog = None;
+        parser.read_map(|parser, key| match key {
+            "max_backlog" => parser.field(&mut max_backlog, key),
+            "admit_market" => reserved_key(parser, key, &true),
+            _ => parser.skip_value(),
+        })?;
+        Ok(AdmissionPolicy {
+            max_backlog: serde::required(max_backlog, "max_backlog")?,
+        })
     }
 }
 
@@ -146,23 +176,21 @@ pub fn decide(
         }
     }
 
-    if policy.admit_market {
-        // Best single shard: the job lands on one shard, so the screen
-        // passes iff some shard's market could host it.
-        let needed = request.nodes();
-        let mut eligible = 0;
-        for vacant in view.markets {
-            eligible = eligible.max(eligible_nodes(vacant, &request, view.now, needed));
-            if eligible >= needed {
-                break;
-            }
+    // Best single shard: the job lands on one shard, so the screen passes
+    // iff some shard's market could host it.
+    let needed = request.nodes();
+    let mut eligible = 0;
+    for vacant in view.markets {
+        eligible = eligible.max(eligible_nodes(vacant, &request, view.now, needed));
+        if eligible >= needed {
+            break;
         }
-        if eligible < needed {
-            return Err(RejectReason::BudgetInfeasible {
-                needed_nodes: needed as u64,
-                eligible_nodes: eligible as u64,
-            });
-        }
+    }
+    if eligible < needed {
+        return Err(RejectReason::BudgetInfeasible {
+            needed_nodes: needed as u64,
+            eligible_nodes: eligible as u64,
+        });
     }
 
     Ok(request)
@@ -246,10 +274,7 @@ mod tests {
     fn rejects_over_backlog_counting_staged() {
         let vacant = market();
         let markets = [&vacant];
-        let policy = AdmissionPolicy {
-            max_backlog: 4,
-            ..AdmissionPolicy::default()
-        };
+        let policy = AdmissionPolicy { max_backlog: 4 };
         let mut v = view(&markets);
         v.backlog = 3;
         assert!(decide(&policy, &v, &spec(), 0).is_ok());
@@ -341,12 +366,6 @@ mod tests {
                 eligible_nodes: 0
             }
         );
-        // The market screen is optional.
-        let lax = AdmissionPolicy {
-            admit_market: false,
-            ..AdmissionPolicy::default()
-        };
-        assert!(decide(&lax, &v, &priced_out, 0).is_ok());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!     [--seed N] [--cycles N] [--cycle-length T] [--algo amp|alp]
 //!     [--shards S] [--route round-robin|least-backlog|cheapest-probe]
 //!     [--churn P] [--ticks-per-sec F] [--snapshot-every N]
-//!     [--keep-snapshots K] [--max-backlog N] [--no-market-admission]
+//!     [--keep-snapshots K] [--max-backlog N]
 //! ecosched-serve --data-dir DIR --verify
 //! ```
 //!
@@ -41,7 +41,7 @@ fn usage(detail: &str) -> String {
          \x20  [--algo amp|alp] [--churn P]\n\
          \x20  [--shards S] [--route round-robin|least-backlog|cheapest-probe]\n\
          \x20  [--ticks-per-sec F] [--snapshot-every N] [--keep-snapshots K]\n\
-         \x20  [--max-backlog N] [--no-market-admission]"
+         \x20  [--max-backlog N]"
     )
 }
 
@@ -130,7 +130,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| usage("bad --max-backlog"))?;
             }
-            "--no-market-admission" => manifest.admission.admit_market = false,
             other => return Err(usage(&format!("unknown flag {other}"))),
         }
     }

@@ -201,6 +201,30 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The frozen format-5 directory's manifest decodes and is written
+    /// back byte for byte; switching its removed market screen off, or
+    /// setting its repair budget, is refused by name.
+    #[test]
+    fn a_stored_manifest_is_written_as_before_and_reserved_keys_refuse() {
+        let stored = include_str!("../tests/data/v5_data_dir/manifest.json");
+        let manifest: ServiceManifest = serde_json::from_str(stored).unwrap();
+        assert_eq!(manifest.admission, AdmissionPolicy::default());
+        let written = serde_json::to_string_pretty(&manifest).unwrap();
+        assert_eq!(written, stored);
+        for (key, constant, other) in [
+            ("admit_market", "true", "false"),
+            ("max_attempts", "8", "9"),
+        ] {
+            let held = format!("\"{key}\": {constant}");
+            assert!(stored.contains(&held), "{held}");
+            let asks = stored.replace(&held, &format!("\"{key}\": {other}"));
+            let err = serde_json::from_str::<ServiceManifest>(&asks)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(&format!("reserved key `{key}`")), "{err}");
+        }
+    }
+
     #[test]
     fn missing_manifest_is_none() {
         let dir = std::env::temp_dir().join("ecosched-manifest-missing");

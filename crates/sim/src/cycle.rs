@@ -12,7 +12,7 @@
 //!   windows are carved out);
 //! * [`release_broken`] returns what a revocation left of a broken lease;
 //! * [`recover`] runs the recovery tiers for one broken lease, bounded by
-//!   a [`RepairPolicy`]:
+//!   [`REPAIR_ATTEMPTS`]:
 //!
 //!   1. **failover** — adopt a surviving pre-computed alternative (they
 //!      are pairwise disjoint by construction, but must be re-validated
@@ -32,9 +32,7 @@
 
 use ecosched_core::{ResourceRequest, Revocation, SlotList, Span, TimePoint, Window};
 use ecosched_select::{repair_search, try_adopt_window, ScanStats, SlotSelector};
-use serde::{Deserialize, Serialize};
 
-use crate::config::reserved_key;
 use crate::iteration::IterationResult;
 
 /// Why a job left a cycle unscheduled.
@@ -50,77 +48,13 @@ pub enum PostponeReason {
     RepairBudgetExhausted,
 }
 
-/// Bounds the per-lease recovery work.
-///
-/// Each broken lease may spend at most `max_attempts` recovery attempts,
+/// The recovery budget of one broken lease: at most this many attempts,
 /// where one attempt is either one failover re-validation or one bounded
-/// repair scan. Exhausting the budget postpones the job with
-/// [`PostponeReason::RepairBudgetExhausted`].
-///
-/// # Earlier-start exclusion
-///
-/// The tier-2 repair scan deliberately resumes **at the broken window's
-/// start** (via the incremental checkpoint machinery's `resume_from`),
-/// never earlier. Windows beginning before the broken plan are excluded
-/// by design: the original search already walked that prefix against a
-/// strictly *larger* availability list and committed or rejected every
-/// start point in it, so under slot subtraction (which only removes
-/// availability) no start earlier than the original plan can newly become
-/// feasible. Skipping the prefix keeps the repair O(survivors past the
-/// anchor) instead of O(list) without giving up any window the sequential
-/// rescan could have found. The one exception is time that *returns*:
-/// broken leases release their surviving fragments first, and those can
-/// make a window feasible before the anchor. The scan does not see it;
-/// the job waits for the next cycle's search (DESIGN.md §9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RepairPolicy {
-    /// Maximum recovery attempts (validations plus scans) per broken lease.
-    pub max_attempts: u32,
-}
-
-impl Default for RepairPolicy {
-    fn default() -> Self {
-        RepairPolicy { max_attempts: 8 }
-    }
-}
-
-// Serde through a derived wire struct, which keeps the key of the removed
-// full-rescan tier as a reserved constant, switched off
-// (`config::reserved_key`).
-#[derive(Serialize)]
-struct RepairPolicyWire {
-    max_attempts: u32,
-    full_rescan_on_exhaustion: bool, // reserved
-}
-
-impl Serialize for RepairPolicy {
-    fn write_json(&self, out: &mut Vec<u8>) {
-        self.wire().write_json(out);
-    }
-}
-
-impl<'de> Deserialize<'de> for RepairPolicy {
-    fn read_json(parser: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
-        let mut max_attempts = None;
-        parser.read_map(|parser, key| match key {
-            "max_attempts" => parser.field(&mut max_attempts, key),
-            "full_rescan_on_exhaustion" => reserved_key(parser, key, &false),
-            _ => parser.skip_value(),
-        })?;
-        Ok(RepairPolicy {
-            max_attempts: serde::required(max_attempts, "max_attempts")?,
-        })
-    }
-}
-
-impl RepairPolicy {
-    fn wire(&self) -> RepairPolicyWire {
-        RepairPolicyWire {
-            max_attempts: self.max_attempts,
-            full_rescan_on_exhaustion: false,
-        }
-    }
-}
+/// repair scan. Exhausting it postpones the job with
+/// [`PostponeReason::RepairBudgetExhausted`]. The engine configuration
+/// keeps the removed setting's wire key, `"repair":{"max_attempts":8,…}`,
+/// as a reserved constant.
+pub const REPAIR_ATTEMPTS: u32 = 8;
 
 /// How [`recover`] left one broken lease.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,11 +150,27 @@ pub fn release_broken(
 /// recovered window is already carved out of `exec` on return.
 ///
 /// The caller must have removed the `revocations` from `exec` and released
-/// the broken leases' survivors ([`release_broken`]) first.
-#[allow(clippy::too_many_arguments)]
+/// the broken leases' survivors ([`release_broken`]) first. Every
+/// validation and the scan spend one of [`REPAIR_ATTEMPTS`]; skipping an
+/// alternative that starts before `now` spends none.
+///
+/// # Earlier-start exclusion
+///
+/// The tier-2 repair scan deliberately resumes **at the broken window's
+/// start** (via the incremental checkpoint machinery's `resume_from`),
+/// never earlier. Windows beginning before the broken plan are excluded
+/// by design: the original search already walked that prefix against a
+/// strictly *larger* availability list and committed or rejected every
+/// start point in it, so under slot subtraction (which only removes
+/// availability) no start earlier than the original plan can newly become
+/// feasible. Skipping the prefix keeps the repair O(survivors past the
+/// anchor) instead of O(list) without giving up any window the sequential
+/// rescan could have found. The one exception is time that *returns*:
+/// broken leases release their surviving fragments first, and those can
+/// make a window feasible before the anchor. The scan does not see it;
+/// the job waits for the next cycle's search (DESIGN.md §9).
 pub fn recover<'a>(
     selector: &impl SlotSelector,
-    policy: &RepairPolicy,
     request: &ResourceRequest,
     broken: &Window,
     alternatives: impl IntoIterator<Item = (usize, &'a Window)>,
@@ -235,7 +185,7 @@ pub fn recover<'a>(
     // and this strike's revocations may have consumed it since —
     // re-validate before adopting.
     for (alternative, window) in alternatives {
-        if attempts >= policy.max_attempts {
+        if attempts >= REPAIR_ATTEMPTS {
             break;
         }
         if window.start() < now {
@@ -253,7 +203,7 @@ pub fn recover<'a>(
     // Tier 2: bounded repair search on the survivors, resuming at the
     // broken window's start (checkpointed, O(survivors)) — never the past.
     // A hit is carved out of `exec`.
-    if attempts < policy.max_attempts {
+    if attempts < REPAIR_ATTEMPTS {
         attempts += 1;
         let anchor = broken.start().max(now);
         if let Some(window) = repair_search(selector, request, anchor, exec, &mut ScanStats::new())
@@ -265,7 +215,7 @@ pub fn recover<'a>(
     }
 
     // Tier 3: postpone with the reason.
-    Recovery::Postponed(if attempts >= policy.max_attempts {
+    Recovery::Postponed(if attempts >= REPAIR_ATTEMPTS {
         PostponeReason::RepairBudgetExhausted
     } else {
         PostponeReason::AllAlternativesStale
@@ -341,10 +291,9 @@ mod tests {
             .sum()
     }
 
-    /// `recover` for the lease broken at `broken`, under `policy`, at
-    /// `now`, with `alternatives` labelled from 7 upwards.
+    /// `recover` for the lease broken at `broken`, at `now`, with
+    /// `alternatives` labelled from 7 upwards.
     fn run(
-        policy: RepairPolicy,
         broken: &Window,
         alternatives: &[Window],
         exec: &mut SlotList,
@@ -353,7 +302,6 @@ mod tests {
     ) -> Recovery {
         recover(
             &Alp::new(),
-            &policy,
             &request(),
             broken,
             alternatives.iter().enumerate().map(|(i, w)| (7 + i, w)),
@@ -361,6 +309,14 @@ mod tests {
             revocations,
             TimePoint::new(now),
         )
+    }
+
+    /// `n` alternatives on nodes 0 and 1, which the markets below never
+    /// hold: each validation fails and spends an attempt.
+    fn stale(n: u32) -> Vec<Window> {
+        (0..n)
+            .map(|i| window(&[0, 1], 30 + i64::from(i), 20))
+            .collect()
     }
 
     /// The nodes a window runs on, in member order.
@@ -372,9 +328,7 @@ mod tests {
     fn tier_1_adopts_a_surviving_alternative() {
         let mut exec = market(&[(0, 0, 100), (1, 0, 100)]);
         let alt = window(&[0, 1], 30, 20);
-        // One attempt is enough: the validation that adopts it.
         let recovery = run(
-            RepairPolicy { max_attempts: 1 },
             &window(&[2, 3], 0, 20),
             std::slice::from_ref(&alt),
             &mut exec,
@@ -401,9 +355,7 @@ mod tests {
         // anchor, so the scan that resumes there never reads it.
         let mut exec = market(&[(1, 0, 100), (4, 40, 100), (5, 45, 100)]);
         let revocations = [revocation(2, 0, 100), revocation(0, 0, 100)];
-        // Two attempts: the revoked validation, then the scan.
         let recovery = run(
-            RepairPolicy { max_attempts: 2 },
             &window(&[2, 3], 40, 20),
             &[window(&[0, 1], 60, 20)],
             &mut exec,
@@ -434,14 +386,7 @@ mod tests {
                 span: span(30, 50)
             })
         );
-        let recovery = run(
-            RepairPolicy::default(),
-            &window(&[2, 3], 0, 20),
-            &[alt],
-            &mut exec,
-            &revocations,
-            0,
-        );
+        let recovery = run(&window(&[2, 3], 0, 20), &[alt], &mut exec, &revocations, 0);
         assert_eq!(
             recovery,
             Recovery::Postponed(PostponeReason::AllAlternativesStale)
@@ -455,36 +400,32 @@ mod tests {
 
     #[test]
     fn an_exhausted_budget_postpones_before_the_scan() {
-        // One attempt, spent on the stale alternative: tier 2 never runs
+        // `REPAIR_ATTEMPTS` stale alternatives spend the budget: the valid
+        // one after them is never validated and tier 2 never runs,
         // although nodes 4 and 5 could host the job.
         let mut exec = market(&[(4, 0, 100), (5, 0, 100)]);
         let before = exec.clone();
-        let policy = RepairPolicy { max_attempts: 1 };
-        let recovery = run(
-            policy,
-            &window(&[2, 3], 0, 20),
-            &[window(&[0, 1], 30, 20)],
-            &mut exec,
-            &[revocation(2, 0, 100)],
-            0,
-        );
+        let valid = window(&[4, 5], 0, 20);
+        let broken = window(&[2, 3], 0, 20);
+        let revocations = [revocation(2, 0, 100)];
+        let mut alternatives = stale(REPAIR_ATTEMPTS);
+        alternatives.push(valid.clone());
+        let recovery = run(&broken, &alternatives, &mut exec, &revocations, 0);
         assert_eq!(
             recovery,
             Recovery::Postponed(PostponeReason::RepairBudgetExhausted)
         );
-        assert_eq!(exec, before, "no scan carved anything");
-        // A second attempt buys the scan, which finds nodes 4 and 5.
-        let recovery = run(
-            RepairPolicy { max_attempts: 2 },
-            &window(&[2, 3], 0, 20),
-            &[window(&[0, 1], 30, 20)],
-            &mut exec,
-            &[revocation(2, 0, 100)],
-            0,
-        );
-        assert!(
-            matches!(recovery, Recovery::Repaired { .. }),
-            "{recovery:?}"
+        assert_eq!(exec, before, "nothing was adopted or carved");
+        // One stale alternative fewer leaves the last attempt for the
+        // valid one.
+        alternatives.remove(0);
+        let recovery = run(&broken, &alternatives, &mut exec, &revocations, 0);
+        assert_eq!(
+            recovery,
+            Recovery::FailedOver {
+                alternative: 7 + REPAIR_ATTEMPTS as usize - 1,
+                window: valid
+            }
         );
     }
 
@@ -492,20 +433,19 @@ mod tests {
     fn a_dry_scan_postpones_as_stale() {
         let mut exec = market(&[(4, 0, 100)]);
         let before = exec.clone();
-        let recover_under = |max_attempts: u32, exec: &mut SlotList| {
-            let policy = RepairPolicy { max_attempts };
-            let broken = window(&[2, 3], 0, 20);
-            run(policy, &broken, &[], exec, &[revocation(2, 0, 100)], 0)
-        };
+        let broken = window(&[2, 3], 0, 20);
+        let revocations = [revocation(2, 0, 100)];
         assert_eq!(
-            recover_under(8, &mut exec),
+            run(&broken, &[], &mut exec, &revocations, 0),
             Recovery::Postponed(PostponeReason::AllAlternativesStale)
         );
         assert_eq!(exec, before);
-        // The scan ran and spent an attempt: with only one, the budget is
+        // The scan ran and spent an attempt: after one stale alternative
+        // fewer than the budget, it spent the last one, and the budget is
         // what ran out.
+        let alternatives = stale(REPAIR_ATTEMPTS - 1);
         assert_eq!(
-            recover_under(1, &mut exec),
+            run(&broken, &alternatives, &mut exec, &revocations, 0),
             Recovery::Postponed(PostponeReason::RepairBudgetExhausted)
         );
     }
@@ -525,14 +465,7 @@ mod tests {
             TimePoint::ZERO,
         );
         let broken = window(&[2, 3], 60, 20);
-        let recovery = run(
-            RepairPolicy::default(),
-            &broken,
-            &[],
-            &mut exec,
-            &revocations,
-            0,
-        );
+        let recovery = run(&broken, &[], &mut exec, &revocations, 0);
         assert_eq!(
             recovery,
             Recovery::Postponed(PostponeReason::AllAlternativesStale)
@@ -541,16 +474,15 @@ mod tests {
 
     #[test]
     fn alternatives_starting_in_the_past_are_skipped_for_free() {
-        let alt = window(&[0, 1], 10, 20);
+        // A whole budget's worth of copies of one alternative at 10.
+        let alternatives = vec![window(&[0, 1], 10, 20); REPAIR_ATTEMPTS as usize];
         // Nodes 4 and 5 open at 20: a scan from 20 finds them, one from 10
         // would too, but none from before 10 is asked for.
         let recover_at = |now: i64| {
             let mut exec = market(&[(0, 0, 100), (1, 0, 100), (4, 20, 100), (5, 20, 100)]);
-            let policy = RepairPolicy { max_attempts: 1 };
             run(
-                policy,
                 &window(&[2, 3], 5, 20),
-                std::slice::from_ref(&alt),
+                &alternatives,
                 &mut exec,
                 &[revocation(2, 0, 100)],
                 now,
@@ -560,12 +492,12 @@ mod tests {
             recover_at(10),
             Recovery::FailedOver { alternative: 7, .. }
         ));
-        // At 20 the alternative cannot launch any more. Skipping it spends
-        // no attempt, so the single-attempt budget still buys the scan —
-        // which only looks at slots starting at or after `now`, and finds
-        // nodes 4 and 5 there, not the older slots on 0 and 1.
+        // At 20 none of them can launch any more. Skipping them spends no
+        // attempt, so the budget still buys the scan — which only looks
+        // at slots starting at or after `now`, and finds nodes 4 and 5
+        // there, not the older slots on 0 and 1.
         let Recovery::Repaired { window } = recover_at(20) else {
-            panic!("the skip must leave the attempt for the scan");
+            panic!("the skips must leave the attempts for the scan");
         };
         assert_eq!(window.start(), TimePoint::new(20));
         assert_eq!(nodes(&window), [4, 5]);

@@ -13,7 +13,7 @@ use ecosched_core::{NodeId, Perf, Price, Resource, TimeDelta};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::config::{positive_int, positive_real, ConfigError, IntRange, RealRange};
+use crate::config::{positive_int, ConfigError, IntRange, SlotGenConfig};
 use crate::rng_ext::{draw_int, draw_real};
 
 /// Identifier of a resource domain.
@@ -79,41 +79,33 @@ impl Domain {
     }
 }
 
-/// Configuration of the random environment generator.
+/// Configuration of the random environment generator: the three counts
+/// E10 and E12 set differently. Node rates and prices follow the slot
+/// study ([`SlotGenConfig::default`]'s `node_perf`, `price_base` and
+/// `price_jitter`); the horizon and the local jobs' shape are constants.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnvConfig {
     /// Number of domains. Default `[2, 5]`.
     pub domains: IntRange,
     /// Nodes per domain. Default `[6, 16]`.
     pub nodes_per_domain: IntRange,
-    /// Node performance, matching the slot study. Default `[1, 3]`.
-    pub node_perf: RealRange,
-    /// Price model base, matching the slot study. Default `1.7`.
-    pub price_base: f64,
-    /// Price jitter, matching the slot study. Default `[0.75, 1.25]`.
-    pub price_jitter: RealRange,
-    /// Scheduling horizon the local managers publish. Default `600`.
-    pub horizon: i64,
     /// Local (owner) jobs per domain. Default `[6, 14]`.
     pub local_jobs_per_domain: IntRange,
-    /// Nodes each local job occupies within its domain. Default `[1, 4]`.
-    pub local_job_nodes: IntRange,
-    /// Local job length. Default `[30, 150]`.
-    pub local_job_length: IntRange,
 }
+
+/// The scheduling horizon the local managers publish.
+pub(crate) const HORIZON: i64 = 600;
+/// Nodes each local job occupies within its domain.
+pub(crate) const LOCAL_JOB_NODES: IntRange = IntRange { lo: 1, hi: 4 };
+/// Local job length.
+pub(crate) const LOCAL_JOB_LENGTH: IntRange = IntRange { lo: 30, hi: 150 };
 
 impl Default for EnvConfig {
     fn default() -> Self {
         EnvConfig {
             domains: IntRange::new(2, 5),
             nodes_per_domain: IntRange::new(6, 16),
-            node_perf: RealRange::new(1.0, 3.0),
-            price_base: 1.7,
-            price_jitter: RealRange::new(0.75, 1.25),
-            horizon: 600,
             local_jobs_per_domain: IntRange::new(6, 14),
-            local_job_nodes: IntRange::new(1, 4),
-            local_job_length: IntRange::new(30, 150),
         }
     }
 }
@@ -124,22 +116,16 @@ impl EnvConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] naming the first offending field:
-    /// non-positive horizons, counts, or price parameters, or a negative
-    /// local-job count.
+    /// non-positive domain or node counts, or a negative local-job count.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        positive_int(self.horizon, "horizon")?;
         positive_int(self.domains.lo, "domains.lo")?;
         positive_int(self.nodes_per_domain.lo, "nodes_per_domain.lo")?;
-        positive_real(self.node_perf.lo, "node_perf.lo")?;
-        positive_real(self.price_base, "price_base")?;
-        positive_real(self.price_jitter.lo, "price_jitter.lo")?;
         if self.local_jobs_per_domain.lo < 0 {
             return Err(ConfigError::Negative {
                 field: "local_jobs_per_domain.lo",
             });
         }
-        positive_int(self.local_job_nodes.lo, "local_job_nodes.lo")?;
-        positive_int(self.local_job_length.lo, "local_job_length.lo")
+        Ok(())
     }
 }
 
@@ -171,6 +157,7 @@ impl Environment {
         config
             .validate()
             .expect("invalid environment configuration");
+        let slots = SlotGenConfig::default();
         let domain_count = draw_int(rng, config.domains) as usize;
         let mut next_node = 0u32;
         let domains = (0..domain_count)
@@ -178,9 +165,9 @@ impl Environment {
                 let nodes = draw_int(rng, config.nodes_per_domain) as usize;
                 let resources = (0..nodes)
                     .map(|_| {
-                        let perf = draw_real(rng, config.node_perf);
+                        let perf = draw_real(rng, slots.node_perf);
                         let price =
-                            draw_real(rng, config.price_jitter) * config.price_base.powf(perf);
+                            draw_real(rng, slots.price_jitter) * slots.price_base.powf(perf);
                         let r = Resource::new(
                             NodeId::new(next_node),
                             Perf::from_f64(perf),
@@ -195,7 +182,7 @@ impl Environment {
             .collect();
         Environment {
             domains,
-            horizon: TimeDelta::new(config.horizon),
+            horizon: TimeDelta::new(HORIZON),
         }
     }
 
@@ -279,14 +266,6 @@ mod tests {
 
     #[test]
     fn env_validation_errors_name_the_field() {
-        let c = EnvConfig {
-            horizon: 0,
-            ..EnvConfig::default()
-        };
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::NotPositive { field: "horizon" })
-        );
         let c = EnvConfig {
             nodes_per_domain: IntRange { lo: 0, hi: 4 },
             ..EnvConfig::default()

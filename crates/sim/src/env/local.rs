@@ -15,7 +15,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::config::IntRange;
-use crate::env::cluster::{EnvConfig, Environment};
+use crate::env::cluster::{EnvConfig, Environment, LOCAL_JOB_LENGTH, LOCAL_JOB_NODES};
 use crate::rng_ext::draw_int;
 
 /// Busy intervals per node, kept sorted and disjoint.
@@ -108,11 +108,11 @@ pub fn generate_local_flow<R: Rng + ?Sized>(
     for domain in env.domains() {
         let jobs = draw_int(rng, config.local_jobs_per_domain);
         for _ in 0..jobs {
-            let want = (draw_int(rng, config.local_job_nodes) as usize).min(domain.len());
+            let want = (draw_int(rng, LOCAL_JOB_NODES) as usize).min(domain.len());
             if want == 0 {
                 continue;
             }
-            let length = draw_int(rng, config.local_job_length).min(horizon);
+            let length = draw_int(rng, LOCAL_JOB_LENGTH).min(horizon);
             let latest_start = horizon - length;
             let start = draw_int(rng, IntRange::new(0, latest_start.max(0)));
             let span = Span::new(TimePoint::new(start), TimePoint::new(start + length))

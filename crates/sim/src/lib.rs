@@ -59,13 +59,13 @@ mod strategy;
 pub mod swf;
 
 pub use config::{reserved_key, ConfigError, IntRange, JobGenConfig, RealRange, SlotGenConfig};
-pub use cycle::{PostponeReason, Recovery, RepairPolicy};
+pub use cycle::{PostponeReason, Recovery, REPAIR_ATTEMPTS};
 pub use iteration::{
     run_iteration, run_iteration_in, Criterion, IterationConfig, IterationError, IterationResult,
 };
 pub use job_gen::JobGenerator;
-pub use market::{MarketConfig, MarketCycleReport, MarketSimulation};
+pub use market::{MarketCycleReport, MarketSimulation};
 pub use revocation::{RevocationConfig, RevocationModel};
 pub use slot_gen::SlotGenerator;
 pub use stats::RunningStats;
-pub use strategy::{ScheduleStrategy, StrategyConfig, StrategyVersion};
+pub use strategy::{ScheduleStrategy, StrategyVersion};

@@ -14,49 +14,26 @@ use ecosched_select::SlotSelector;
 use crate::env::{extract_vacant_slots, generate_local_flow, EnvConfig, Environment};
 use crate::iteration::{run_iteration, IterationConfig, IterationError};
 use crate::job_gen::JobGenerator;
-use crate::pricing::{PricingConfig, SupplyDemandPricing};
-use crate::JobGenConfig;
+use crate::pricing::SupplyDemandPricing;
+use crate::{IntRange, JobGenConfig};
 
-/// Configuration of a market simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MarketConfig {
-    /// The physical environment.
-    pub env: EnvConfig,
-    /// The owners' pricing policy.
-    pub pricing: PricingConfig,
-    /// The global job flow.
-    pub jobs: JobGenConfig,
-    /// The per-cycle scheduling configuration.
-    pub iteration: IterationConfig,
-}
+/// A *demand-balanced* market: a single modest domain and a job flow
+/// sized so the global demand is comparable to the published supply —
+/// otherwise every node idles below target and all prices sink to the
+/// floor, which teaches nothing about supply-and-demand trends.
+const ENV: EnvConfig = EnvConfig {
+    domains: IntRange { lo: 1, hi: 2 },
+    nodes_per_domain: IntRange { lo: 5, hi: 8 },
+    local_jobs_per_domain: IntRange { lo: 3, hi: 7 },
+};
 
-impl Default for MarketConfig {
-    /// A *demand-balanced* market: a single modest domain and a job flow
-    /// sized so the global demand is comparable to the published supply —
-    /// otherwise every node idles below target and all prices sink to the
-    /// floor, which teaches nothing about supply-and-demand trends.
-    fn default() -> Self {
-        let env = EnvConfig {
-            domains: crate::IntRange::new(1, 2),
-            nodes_per_domain: crate::IntRange::new(5, 8),
-            local_jobs_per_domain: crate::IntRange::new(3, 7),
-            ..EnvConfig::default()
-        };
-        let jobs = JobGenConfig {
-            jobs_per_batch: crate::IntRange::new(6, 12),
-            nodes: crate::IntRange::new(1, 4),
-            ..JobGenConfig::default()
-        };
-        let pricing = PricingConfig {
-            target_utilization: 0.25,
-            ..PricingConfig::default()
-        };
-        MarketConfig {
-            env,
-            pricing,
-            jobs,
-            iteration: IterationConfig::default(),
-        }
+/// The global job flow: the paper's generator with 6–12 jobs of 1–4
+/// nodes per batch.
+fn job_flow() -> JobGenConfig {
+    JobGenConfig {
+        jobs_per_batch: IntRange::new(6, 12),
+        nodes: IntRange::new(1, 4),
+        ..JobGenConfig::default()
     }
 }
 
@@ -80,7 +57,6 @@ pub struct MarketCycleReport {
 /// A persistent market: environment + evolving prices.
 #[derive(Debug, Clone)]
 pub struct MarketSimulation {
-    config: MarketConfig,
     environment: Environment,
     pricing: SupplyDemandPricing,
     job_gen: JobGenerator,
@@ -88,12 +64,11 @@ pub struct MarketSimulation {
 
 impl MarketSimulation {
     /// Generates a market with a fresh environment.
-    pub fn generate<R: Rng + ?Sized>(config: MarketConfig, rng: &mut R) -> Self {
+    pub fn generate<R: Rng + ?Sized>(rng: &mut R) -> Self {
         MarketSimulation {
-            environment: Environment::generate(&config.env, rng),
-            pricing: SupplyDemandPricing::new(config.pricing),
-            job_gen: JobGenerator::new(config.jobs),
-            config,
+            environment: Environment::generate(&ENV, rng),
+            pricing: SupplyDemandPricing::default(),
+            job_gen: JobGenerator::new(job_flow()),
         }
     }
 
@@ -101,12 +76,6 @@ impl MarketSimulation {
     #[must_use]
     pub fn environment(&self) -> &Environment {
         &self.environment
-    }
-
-    /// The current pricing state.
-    #[must_use]
-    pub fn pricing(&self) -> &SupplyDemandPricing {
-        &self.pricing
     }
 
     /// Runs one market cycle: local flows regenerate, slots are extracted
@@ -121,12 +90,12 @@ impl MarketSimulation {
         selector: impl SlotSelector,
         rng: &mut R,
     ) -> Result<MarketCycleReport, IterationError> {
-        let occupancy = generate_local_flow(&self.environment, &self.config.env, rng);
+        let occupancy = generate_local_flow(&self.environment, &ENV, rng);
         let published = extract_vacant_slots(&self.environment, &occupancy);
         let priced = self.pricing.reprice(&published);
         let batch = self.job_gen.generate(rng);
 
-        let result = run_iteration(selector, &priced, &batch, &self.config.iteration)?;
+        let result = run_iteration(selector, &priced, &batch, &IterationConfig::default())?;
 
         // Sold node-ticks per node, from the committed assignment only.
         let mut sold: BTreeMap<NodeId, TimeDelta> = BTreeMap::new();
@@ -217,7 +186,7 @@ mod tests {
 
     fn market(seed: u64) -> (MarketSimulation, ChaCha8Rng) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let market = MarketSimulation::generate(MarketConfig::default(), &mut rng);
+        let market = MarketSimulation::generate(&mut rng);
         (market, rng)
     }
 
@@ -241,10 +210,9 @@ mod tests {
     fn multipliers_stay_within_bounds() {
         let (mut market, mut rng) = market(5);
         let reports = market.run(Amp::new(), 15, &mut rng).unwrap();
-        let bounds = market.pricing().config();
         for report in reports {
-            assert!(report.mean_multiplier >= bounds.min_multiplier);
-            assert!(report.mean_multiplier <= bounds.max_multiplier);
+            assert!(report.mean_multiplier >= crate::pricing::MIN_MULTIPLIER);
+            assert!(report.mean_multiplier <= crate::pricing::MAX_MULTIPLIER);
         }
     }
 
@@ -270,24 +238,6 @@ mod tests {
             "fast {} !> slow {}",
             last.fast_multiplier,
             last.slow_multiplier
-        );
-    }
-
-    #[test]
-    fn unsold_market_cools_prices() {
-        // A job flow nobody can serve (jobs demand more nodes than any
-        // batch can find at their price) leaves every node unsold, so all
-        // multipliers must fall.
-        let mut config = MarketConfig::default();
-        config.jobs.budget_factor = crate::RealRange::new(0.01, 0.02);
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let mut market = MarketSimulation::generate(config, &mut rng);
-        let reports = market.run(Amp::new(), 6, &mut rng).unwrap();
-        let last = reports.last().unwrap();
-        assert!(
-            last.mean_multiplier < 1.0,
-            "idle market must cool prices, got {}",
-            last.mean_multiplier
         );
     }
 }

@@ -4,92 +4,29 @@
 //!
 //! Owners adjust each node's price between scheduling cycles: a node whose
 //! vacant time keeps selling out gets more expensive; an idle node gets
-//! cheaper, bounded by a configurable band around the base price.
+//! cheaper, bounded by a fixed band around the base price.
 
 use std::collections::BTreeMap;
 
 use ecosched_core::{NodeId, Slot, SlotList};
-use serde::{Deserialize, Serialize};
 
-use crate::config::{positive_real, probability, ConfigError};
-
-/// Configuration of the supply-and-demand price adjustment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PricingConfig {
-    /// Relative price change per unit of utilization error per cycle.
-    pub sensitivity: f64,
-    /// The utilization owners aim for; above it prices rise.
-    pub target_utilization: f64,
-    /// Lower bound on the price multiplier.
-    pub min_multiplier: f64,
-    /// Upper bound on the price multiplier.
-    pub max_multiplier: f64,
-}
-
-impl Default for PricingConfig {
-    fn default() -> Self {
-        PricingConfig {
-            sensitivity: 0.25,
-            target_utilization: 0.5,
-            min_multiplier: 0.25,
-            max_multiplier: 4.0,
-        }
-    }
-}
-
-impl PricingConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] naming the offending field: non-positive
-    /// or inverted multiplier bounds, a negative sensitivity, or a target
-    /// outside `[0, 1]`.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.sensitivity < 0.0 {
-            return Err(ConfigError::Negative {
-                field: "sensitivity",
-            });
-        }
-        probability(self.target_utilization, "target_utilization")?;
-        positive_real(self.min_multiplier, "min_multiplier")?;
-        if self.min_multiplier > self.max_multiplier {
-            return Err(ConfigError::InvertedBounds {
-                field: "min_multiplier..max_multiplier",
-            });
-        }
-        Ok(())
-    }
-}
+/// Relative price change per unit of utilization error per cycle.
+pub const SENSITIVITY: f64 = 0.25;
+/// The utilization owners aim for; above it prices rise. A quarter keeps
+/// E10's demand-balanced market from sinking every price to the floor.
+pub const TARGET_UTILIZATION: f64 = 0.25;
+/// Lower bound on the price multiplier.
+pub const MIN_MULTIPLIER: f64 = 0.25;
+/// Upper bound on the price multiplier.
+pub const MAX_MULTIPLIER: f64 = 4.0;
 
 /// Per-node price multipliers evolved by observed demand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SupplyDemandPricing {
-    config: PricingConfig,
     multipliers: BTreeMap<NodeId, f64>,
 }
 
 impl SupplyDemandPricing {
-    /// Creates the pricing state with all multipliers at 1.0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    #[must_use]
-    pub fn new(config: PricingConfig) -> Self {
-        config.validate().expect("invalid pricing configuration");
-        SupplyDemandPricing {
-            config,
-            multipliers: BTreeMap::new(),
-        }
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &PricingConfig {
-        &self.config
-    }
-
     /// The current multiplier for `node` (1.0 until first observed).
     #[must_use]
     pub fn multiplier(&self, node: NodeId) -> f64 {
@@ -119,9 +56,8 @@ impl SupplyDemandPricing {
             "utilization {utilization} out of range for {node}"
         );
         let current = self.multiplier(node);
-        let error = utilization.min(1.0) - self.config.target_utilization;
-        let next = (current * (1.0 + self.config.sensitivity * error))
-            .clamp(self.config.min_multiplier, self.config.max_multiplier);
+        let error = utilization.min(1.0) - TARGET_UTILIZATION;
+        let next = (current * (1.0 + SENSITIVITY * error)).clamp(MIN_MULTIPLIER, MAX_MULTIPLIER);
         self.multipliers.insert(node, next);
     }
 
@@ -152,7 +88,7 @@ mod tests {
 
     #[test]
     fn hot_nodes_get_expensive_idle_nodes_cheap() {
-        let mut pricing = SupplyDemandPricing::new(PricingConfig::default());
+        let mut pricing = SupplyDemandPricing::default();
         for _ in 0..10 {
             pricing.observe(node(0), 1.0); // always sold out
             pricing.observe(node(1), 0.0); // never sold
@@ -165,23 +101,19 @@ mod tests {
 
     #[test]
     fn multipliers_are_clamped() {
-        let config = PricingConfig {
-            sensitivity: 10.0,
-            ..PricingConfig::default()
-        };
-        let mut pricing = SupplyDemandPricing::new(config);
+        let mut pricing = SupplyDemandPricing::default();
         for _ in 0..50 {
             pricing.observe(node(0), 1.0);
             pricing.observe(node(1), 0.0);
         }
-        assert!(pricing.multiplier(node(0)) <= config.max_multiplier + 1e-12);
-        assert!(pricing.multiplier(node(1)) >= config.min_multiplier - 1e-12);
+        assert_eq!(pricing.multiplier(node(0)), MAX_MULTIPLIER);
+        assert_eq!(pricing.multiplier(node(1)), MIN_MULTIPLIER);
     }
 
     #[test]
     fn target_utilization_is_the_fixed_point() {
-        let mut pricing = SupplyDemandPricing::new(PricingConfig::default());
-        pricing.observe(node(0), 0.5);
+        let mut pricing = SupplyDemandPricing::default();
+        pricing.observe(node(0), TARGET_UTILIZATION);
         assert!((pricing.multiplier(node(0)) - 1.0).abs() < 1e-12);
         assert!((pricing.mean_multiplier() - 1.0).abs() < 1e-12);
     }
@@ -197,7 +129,7 @@ mod tests {
         )
         .unwrap();
         let list = SlotList::from_slots(vec![slot]).unwrap();
-        let mut pricing = SupplyDemandPricing::new(PricingConfig::default());
+        let mut pricing = SupplyDemandPricing::default();
         for _ in 0..10 {
             pricing.observe(node(0), 1.0);
         }
@@ -212,17 +144,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_utilization_panics() {
-        let mut pricing = SupplyDemandPricing::new(PricingConfig::default());
+        let mut pricing = SupplyDemandPricing::default();
         pricing.observe(node(0), 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid pricing configuration")]
-    fn invalid_config_panics() {
-        let _ = SupplyDemandPricing::new(PricingConfig {
-            min_multiplier: 2.0,
-            max_multiplier: 1.0,
-            ..PricingConfig::default()
-        });
     }
 }

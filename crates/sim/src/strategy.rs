@@ -15,26 +15,6 @@ use ecosched_core::{JobAlternatives, NodeId, TimeDelta};
 use ecosched_optimize::{min_cost_under_time, Assignment, OptimizeError};
 use serde::{Deserialize, Serialize};
 
-/// Configuration of strategy construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StrategyConfig {
-    /// Maximum number of versions to build.
-    pub max_versions: usize,
-    /// When a job has no alternative avoiding the previously used nodes,
-    /// fall back to its full alternative set (yielding a version with
-    /// partial node overlap) instead of stopping.
-    pub allow_overlap_fallback: bool,
-}
-
-impl Default for StrategyConfig {
-    fn default() -> Self {
-        StrategyConfig {
-            max_versions: 3,
-            allow_overlap_fallback: true,
-        }
-    }
-}
-
 /// One scheduling version: a complete assignment plus the nodes it uses.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StrategyVersion {
@@ -59,10 +39,12 @@ pub struct ScheduleStrategy {
 }
 
 impl ScheduleStrategy {
-    /// Builds up to `config.max_versions` versions over the covered jobs'
+    /// Builds up to `max_versions` versions over the covered jobs'
     /// alternatives. Every version minimizes total cost within the loose
     /// quota `Σ_i max_j t_ij` (always feasible), the later ones over
-    /// progressively node-disjoint alternative subsets.
+    /// progressively node-disjoint alternative subsets. A job with no
+    /// alternative avoiding the nodes used so far keeps its full set, so
+    /// a later version may overlap the earlier ones on that job's nodes.
     ///
     /// # Errors
     ///
@@ -71,7 +53,7 @@ impl ScheduleStrategy {
     /// further node-diverse version exists.
     pub fn build(
         alternatives: &[JobAlternatives],
-        config: &StrategyConfig,
+        max_versions: usize,
     ) -> Result<Self, OptimizeError> {
         let quota: TimeDelta = alternatives
             .iter()
@@ -81,7 +63,7 @@ impl ScheduleStrategy {
         let mut versions = vec![version_from(alternatives, first)];
         let mut forbidden: BTreeSet<NodeId> = versions[0].nodes.clone();
 
-        while versions.len() < config.max_versions {
+        while versions.len() < max_versions {
             // Restrict each job to alternatives avoiding every node used
             // so far.
             let mut restricted: Vec<JobAlternatives> = Vec::with_capacity(alternatives.len());
@@ -99,9 +81,6 @@ impl ScheduleStrategy {
                     }
                 }
                 if filtered.is_empty() {
-                    if !config.allow_overlap_fallback {
-                        return Ok(ScheduleStrategy { versions });
-                    }
                     fully_diverse = false;
                     filtered = ja.clone();
                 }
@@ -118,7 +97,7 @@ impl ScheduleStrategy {
             }
             forbidden.extend(version.nodes.iter().copied());
             versions.push(version);
-            if !fully_diverse && versions.len() >= config.max_versions {
+            if !fully_diverse && versions.len() >= max_versions {
                 break;
             }
         }
@@ -200,7 +179,7 @@ mod tests {
             job_with_options(0, &[(0, 1), (2, 5)]),
             job_with_options(1, &[(1, 1), (3, 5)]),
         ];
-        let strategy = ScheduleStrategy::build(&table, &StrategyConfig::default()).unwrap();
+        let strategy = ScheduleStrategy::build(&table, 3).unwrap();
         assert!(strategy.len() >= 2);
         let v1 = &strategy.versions()[0];
         let v2 = &strategy.versions()[1];
@@ -216,7 +195,7 @@ mod tests {
             job_with_options(0, &[(0, 1), (2, 5)]),
             job_with_options(1, &[(1, 1), (3, 5)]),
         ];
-        let strategy = ScheduleStrategy::build(&table, &StrategyConfig::default()).unwrap();
+        let strategy = ScheduleStrategy::build(&table, 3).unwrap();
         // No failures → the optimum.
         assert_eq!(
             strategy.select(&BTreeSet::new()).unwrap(),
@@ -238,20 +217,9 @@ mod tests {
     }
 
     #[test]
-    fn single_option_jobs_yield_a_single_version_without_fallback() {
-        let table = vec![job_with_options(0, &[(0, 1)])];
-        let config = StrategyConfig {
-            max_versions: 3,
-            allow_overlap_fallback: false,
-        };
-        let strategy = ScheduleStrategy::build(&table, &config).unwrap();
-        assert_eq!(strategy.len(), 1);
-    }
-
-    #[test]
     fn overlap_fallback_does_not_duplicate_versions() {
         let table = vec![job_with_options(0, &[(0, 1)])];
-        let strategy = ScheduleStrategy::build(&table, &StrategyConfig::default()).unwrap();
+        let strategy = ScheduleStrategy::build(&table, 3).unwrap();
         // The fallback re-derives the same node set, which is dropped.
         assert_eq!(strategy.len(), 1);
         assert!(!strategy.is_empty());
@@ -263,11 +231,7 @@ mod tests {
             0,
             &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)],
         )];
-        let config = StrategyConfig {
-            max_versions: 4,
-            allow_overlap_fallback: true,
-        };
-        let strategy = ScheduleStrategy::build(&table, &config).unwrap();
+        let strategy = ScheduleStrategy::build(&table, 4).unwrap();
         assert_eq!(strategy.len(), 4);
         // Versions are increasingly expensive: cost-optimal first.
         for pair in strategy.versions().windows(2) {
@@ -277,6 +241,6 @@ mod tests {
 
     #[test]
     fn empty_table_is_an_error() {
-        assert!(ScheduleStrategy::build(&[], &StrategyConfig::default()).is_err());
+        assert!(ScheduleStrategy::build(&[], 3).is_err());
     }
 }

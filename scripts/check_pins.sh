@@ -31,10 +31,15 @@
 #   results/pins/*.metrics.json  the `--metrics-dump` registry of
 #                              `exp_federation --single` (the federation
 #                              family and four shard-labelled engine
-#                              families) and the two of `exp_online --trace
+#                              families), the two of `exp_online --trace
 #                              mini.swf` (`.ALP` / `.AMP`, the unlabelled
-#                              engine family): every series name, label set
-#                              and value, in registration order
+#                              engine family) and the one of `exp_online
+#                              --single --scenario churn --algo AMP`, whose
+#                              failovers adopt alternatives of leases that
+#                              dropped some (so a label that forgets the
+#                              dropped count moves the failover histogram):
+#                              every series name, label set and value, in
+#                              registration order
 #
 # Usage:
 #   ./scripts/check_pins.sh            # check
@@ -85,6 +90,8 @@ done
 for algo in ALP AMP; do
     mv "$out/exp_online_trace.$algo" "$out/pins/exp_online_trace.$algo.metrics.json"
 done
+"$bin/exp_online" --single --scenario churn --algo AMP \
+    --metrics-dump "$out/pins/exp_online_churn_AMP.metrics.json" > /dev/null 2>&1
 
 if [[ "${1:-}" == "--bless" ]]; then
     cp "$out/pins.expected" scripts/pins.expected
@@ -101,7 +108,7 @@ diff -u results/churn_report.txt "$out/churn_report.txt" || status=1
 diff -u results/coschedule_report.txt "$out/coschedule_report.txt" || status=1
 diff -ru results/pins "$out/pins" || status=1
 if [[ $status -eq 0 ]]; then
-    echo "pins ok: $(grep -c 'hash=' "$out/pins.expected") hashes + the E14 and E9 tables + 4 engine/federation and ${#paper_bins[@]} paper-binary outputs + the E7 counts + 3 metrics dumps"
+    echo "pins ok: $(grep -c 'hash=' "$out/pins.expected") hashes + the E14 and E9 tables + 4 engine/federation and ${#paper_bins[@]} paper-binary outputs + the E7 counts + 4 metrics dumps"
 else
     echo "pinned behaviour changed (see diff above)" >&2
 fi

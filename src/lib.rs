@@ -97,6 +97,6 @@ pub mod prelude {
     };
     pub use ecosched_sim::{
         run_iteration, Criterion, IterationConfig, JobGenConfig, JobGenerator, PostponeReason,
-        RepairPolicy, RevocationConfig, SlotGenConfig, SlotGenerator,
+        RevocationConfig, SlotGenConfig, SlotGenerator, REPAIR_ATTEMPTS,
     };
 }

